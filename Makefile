@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short vet doccheck race bench bench-hot bench-scan bench-scan-smoke bench-shuffle bench-serve bench-fleet bench-fleet-smoke bench-ingest bench-ingest-smoke bench-knn bench-knn-smoke bench-dag bench-dag-smoke experiments examples clean
+.PHONY: all check build test test-short vet doccheck race bench bench-hot bench-scan bench-scan-smoke bench-shuffle bench-serve bench-fleet bench-fleet-smoke bench-ingest bench-ingest-smoke bench-knn bench-knn-smoke bench-dag bench-dag-smoke bench-harness-smoke experiments examples clean
 
 all: check
 
@@ -11,8 +11,8 @@ all: check
 # packages under the race detector, and smoke the DAG scheduler's
 # cache-reuse win, the compact scan kernels, the sharded-fleet serving
 # path, the streaming-ingest path, and the kNN-join (both arms,
-# bit-identity checked).
-check: build vet doccheck test race bench-dag-smoke bench-scan-smoke bench-fleet-smoke bench-ingest-smoke bench-knn-smoke
+# bit-identity checked), and compile + smoke the benchmark harness.
+check: build vet doccheck test race bench-dag-smoke bench-scan-smoke bench-fleet-smoke bench-ingest-smoke bench-knn-smoke bench-harness-smoke
 
 build:
 	$(GO) build ./...
@@ -45,8 +45,9 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Hot-path micro-benchmarks (dense kernels, shuffle sort, group decode)
-# with pinned benchtime/count so runs feed straight into benchstat:
+# Hot-path micro-benchmarks (dense kernels at dim 2/4/8 reporting ns/pair,
+# shuffle sort, group decode) with pinned benchtime/count so runs feed
+# straight into benchstat:
 #
 #	make bench-hot > old.txt ... make bench-hot > new.txt
 #	benchstat old.txt new.txt
@@ -58,18 +59,26 @@ bench-hot:
 	$(GO) test -bench 'Sort|Shuffle' -run xxx -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/mapreduce/
 
-# Compact scan-path micro-benchmarks: f64 vs f32 vs q8 single-query NN,
-# multi-query NNBatch, top-k selection, and compact ρ accumulation
+# Compact scan-path micro-benchmarks: f64 vs f32 vs q8 single-query NN
+# (full pass, and NNRows over a sparse candidate list — the shape a served
+# query scans), multi-query NNBatch, top-k selection, and compact ρ
+# accumulation
 # (numbers feed BENCH_PR7.json / BENCH_PR10.json alongside the end-to-end
 # sweeps).
 bench-scan:
-	$(GO) test -bench 'NNScan|NNBatch|CompactRho|TopK' -run '^$$' -benchmem \
+	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK' -run '^$$' -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/
 
 # One fast iteration per scan benchmark for the check gate and CI: catches
 # a compact kernel that stops compiling or panics on real shapes.
 bench-scan-smoke:
-	$(GO) test -bench 'NNScan|NNBatch|CompactRho|TopK' -run '^$$' -benchtime 1x ./internal/kernels/
+	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK' -run '^$$' -benchtime 1x ./internal/kernels/
+
+# bench/ is its own module, so `go test ./...` here never compiles it: vet
+# it and run its unit tests plus the whole suite at -smoke scale (< 10 s), so
+# a kernels/serve/core signature change cannot break bench/run.sh unnoticed.
+bench-harness-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Shuffle transport comparison: legacy gob-RPC vs framed-TCP streaming vs
 # framed+flate, at 1/16/64MB partitions (numbers recorded in BENCH_PR3.json).

@@ -1,103 +1,110 @@
 package kernels
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/points"
 )
 
-// The benchmarks below carry the PR's headline numbers (BENCH_PR2.json):
-// tiled kernels vs the naive reducer loops they replaced, the parallel path
-// on a skew-sized group, and the matrix group decode vs per-record scalar
-// decoding. Run with:
+// The benchmarks below carry the dense-kernel numbers (DESIGN.md's
+// before/after table): blocked kernels vs the naive reducer loops, the
+// parallel path on a skew-sized group, and the matrix group decode vs
+// per-record scalar decoding. Each pair kernel runs at dim 2 (the paper's 2-d
+// sets), 4 (batch-knnjoin) and 8 (batch-lshddp) and reports ns/pair. Run with:
 //
 //	go test -bench 'Rho|Delta' -run xxx -benchmem ./internal/kernels/
 //
-// or `make bench` for pinned benchtime/count suitable for benchstat.
+// or `make bench-hot` for pinned benchtime/count suitable for benchstat.
 
 const (
 	benchN   = 4096
-	benchDim = 2
+	benchDim = 2 // group-decode benchmark only; the pair kernels sweep benchDims
 )
 
-func benchKernel() Kernel { return Kernel{Dc2: 9.0} }
+var benchDims = []int{2, 4, 8}
 
-func BenchmarkRhoKernel(b *testing.B) {
-	m := randMatrix(b, benchN, benchDim, 99)
-	k := benchKernel()
-	rho := make([]float64, benchN)
+// benchDc2 puts the cutoff near the 40–55 % quantile of the pair distances
+// randMatrix draws at every dim (d² is 50·χ²_dim), so the cutoff test is as
+// unpredictable as it is on real partitions.
+func benchDc2(dim int) float64 { return 40 * float64(dim) }
 
-	b.Run("naive", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			clear(rho)
-			naiveRho(m, 0, benchN, k, rho)
-		}
-	})
-	b.Run("tiled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			clear(rho)
-			RhoAccumulate(m, 0, benchN, k, rho)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		par := Parallel{Threshold: 1, Workers: 4}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			clear(rho)
-			RhoAccumulateAuto(m, 0, benchN, k, rho, par)
-		}
-	})
+// reportPairs reports the kernel's cost per distance evaluation.
+func reportPairs(b *testing.B, pairs int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(pairs)), "ns/pair")
 }
 
-func BenchmarkRhoKernelGaussian(b *testing.B) {
-	m := randMatrix(b, benchN, benchDim, 99)
-	k := Kernel{Gaussian: true, Dc2: 9.0}
-	rho := make([]float64, benchN)
+const benchPairs = benchN * (benchN - 1) / 2
 
-	b.Run("naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			clear(rho)
-			naiveRho(m, 0, benchN, k, rho)
+func benchRho(b *testing.B, gaussian, parallel bool) {
+	for _, dim := range benchDims {
+		m := randMatrix(b, benchN, dim, 99)
+		k := Kernel{Gaussian: gaussian, Dc2: benchDc2(dim)}
+		rho := make([]float64, benchN)
+		b.Run(fmt.Sprintf("dim=%d/naive", dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				clear(rho)
+				naiveRho(m, 0, benchN, k, rho)
+			}
+			reportPairs(b, benchPairs)
+		})
+		b.Run(fmt.Sprintf("dim=%d/tiled", dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				clear(rho)
+				RhoAccumulate(m, 0, benchN, k, rho)
+			}
+			reportPairs(b, benchPairs)
+		})
+		if !parallel {
+			continue
 		}
-	})
-	b.Run("tiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			clear(rho)
-			RhoAccumulate(m, 0, benchN, k, rho)
-		}
-	})
+		b.Run(fmt.Sprintf("dim=%d/parallel", dim), func(b *testing.B) {
+			par := Parallel{Threshold: 1, Workers: 4}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				clear(rho)
+				RhoAccumulateAuto(m, 0, benchN, k, rho, par)
+			}
+			reportPairs(b, benchPairs)
+		})
+	}
 }
+
+func BenchmarkRhoKernel(b *testing.B)         { benchRho(b, false, true) }
+func BenchmarkRhoKernelGaussian(b *testing.B) { benchRho(b, true, false) }
 
 func BenchmarkDeltaKernel(b *testing.B) {
-	m := randMatrix(b, benchN, benchDim, 101)
-
-	b.Run("naive", func(b *testing.B) {
+	for _, dim := range benchDims {
+		m := randMatrix(b, benchN, dim, 101)
 		acc := NewDeltaAcc(benchN, true)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			acc.Reset(benchN, true)
-			naiveDelta(m, 0, benchN, acc)
-		}
-	})
-	b.Run("tiled", func(b *testing.B) {
-		acc := NewDeltaAcc(benchN, true)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			acc.Reset(benchN, true)
-			DeltaArgmin(m, 0, benchN, acc)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		par := Parallel{Threshold: 1, Workers: 4}
-		acc := NewDeltaAcc(benchN, true)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			acc.Reset(benchN, true)
-			DeltaArgminAuto(m, 0, benchN, acc, par)
-		}
-	})
+		b.Run(fmt.Sprintf("dim=%d/naive", dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc.Reset(benchN, true)
+				naiveDelta(m, 0, benchN, acc)
+			}
+			reportPairs(b, benchPairs)
+		})
+		b.Run(fmt.Sprintf("dim=%d/tiled", dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc.Reset(benchN, true)
+				DeltaArgmin(m, 0, benchN, acc)
+			}
+			reportPairs(b, benchPairs)
+		})
+		b.Run(fmt.Sprintf("dim=%d/parallel", dim), func(b *testing.B) {
+			par := Parallel{Threshold: 1, Workers: 4}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acc.Reset(benchN, true)
+				DeltaArgminAuto(m, 0, benchN, acc, par)
+			}
+			reportPairs(b, benchPairs)
+		})
+	}
 }
 
 // BenchmarkRhoGroupDecode measures the full reducer-group hot path — decode
@@ -113,7 +120,7 @@ func BenchmarkRhoGroupDecode(b *testing.B) {
 			Point: points.Point{ID: src.ID(i), Pos: append(points.Vector(nil), src.Row(i)...)},
 		})
 	}
-	k := benchKernel()
+	k := Kernel{Dc2: 9.0}
 
 	b.Run("scalar", func(b *testing.B) {
 		b.ReportAllocs()

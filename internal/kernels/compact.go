@@ -214,61 +214,66 @@ func (sl *Shortlist) Finish() []int32 {
 	return sl.Rows
 }
 
-// sqDist32 mirrors sqDistFlat in float32.
-func sqDist32(a, b []float32, dim int) float32 {
-	switch dim {
-	case 2:
-		d0 := a[0] - b[0]
-		d1 := a[1] - b[1]
-		s := d0 * d0
-		s += d1 * d1
-		return s
-	case 3:
-		d0 := a[0] - b[0]
-		d1 := a[1] - b[1]
-		d2 := a[2] - b[2]
-		s := d0 * d0
-		s += d1 * d1
-		s += d2 * d2
-		return s
-	}
-	var s float32
-	for t := 0; t < dim; t++ {
-		d := a[t] - b[t]
-		s += d * d
-	}
-	return s
+// compactSink is what a compact scan feeds: a Shortlist (nearest row) or a
+// TopKShortlist (k nearest).
+type compactSink interface {
+	observe(row int32, d32 float32)
+	threshold() float64
 }
 
-// NNRows32 scans the listed rows of the float32 mirror, folding each into
-// the shortlist (which the caller has Reset with this scan's Bounds). The
-// admission reject — the overwhelmingly common case once a good best is
-// seen — is hoisted out of observe so the hot loop pays one comparison per
-// row; NaN fails the rejection test and reaches observe, as required.
-func NNRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *Shortlist) {
-	thr := sl.thr
-	for _, r := range rows {
-		i := int(r)
-		d2 := sqDist32(q32, data32[i*dim:(i+1)*dim], dim)
-		if float64(d2) > thr {
+func (sl *Shortlist) threshold() float64 { return sl.thr }
+
+// admit folds one strip of compact distances into sl; strip[x] belongs to
+// rows[x], or to row lo+x when rows is nil. The admission reject — the
+// overwhelmingly common case once a good best is seen — is hoisted out of
+// observe so the hot loop pays one comparison per row; NaN fails the
+// rejection test and reaches observe, as required.
+func admit(sl compactSink, strip []float32, lo int, rows []int32) {
+	thr := sl.threshold()
+	for x, v := range strip {
+		if float64(v) > thr {
 			continue
 		}
-		sl.observe(r, d2)
-		thr = sl.thr
+		row := int32(lo + x)
+		if rows != nil {
+			row = rows[x]
+		}
+		sl.observe(row, v)
+		thr = sl.threshold()
 	}
+}
+
+// scanRange32 folds rows [lo, hi) of the float32 mirror into sl, one
+// blocked distance strip (dist.go) at a time.
+func scanRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl compactSink) {
+	var d2 [nnTile]float32
+	for ; lo < hi; lo += nnTile {
+		strip := d2[:min(nnTile, hi-lo)]
+		sqDistRange(q32[:dim], data32, lo, strip)
+		admit(sl, strip, lo, nil)
+	}
+}
+
+// scanRows32 folds the listed rows of the float32 mirror into sl.
+func scanRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl compactSink) {
+	var d2 [nnTile]float32
+	for len(rows) > 0 {
+		part := rows[:min(nnTile, len(rows))]
+		rows = rows[len(part):]
+		sqDistRows(q32[:dim], data32, part, d2[:len(part)])
+		admit(sl, d2[:len(part)], 0, part)
+	}
+}
+
+// NNRows32 scans the listed rows of the float32 mirror into the shortlist
+// (which the caller has Reset with this scan's Bounds).
+func NNRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *Shortlist) {
+	scanRows32(data32, dim, q32, rows, sl)
 }
 
 // NNRange32 scans rows [lo, hi) of the float32 mirror into the shortlist.
 func NNRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *Shortlist) {
-	thr := sl.thr
-	for i := lo; i < hi; i++ {
-		d2 := sqDist32(q32, data32[i*dim:(i+1)*dim], dim)
-		if float64(d2) > thr {
-			continue
-		}
-		sl.observe(int32(i), d2)
-		thr = sl.thr
-	}
+	scanRange32(data32, dim, q32, lo, hi, sl)
 }
 
 // NNBatch32 is the multi-query variant of NNRange32: one pass over each
@@ -312,39 +317,69 @@ func BuildQ8LUT(p points.Q8Params, q []float64, lut *Q8LUT) {
 // q8Dist sums the table entries of one row's codes.
 func q8Dist(codes []uint8, tab []float32) float32 {
 	var s float32
-	base := 0
-	for _, c := range codes {
-		s += tab[base+int(c)]
-		base += 256
+	for t, c := range codes {
+		s += tab[t*256:][:256][c]
 	}
 	return s
+}
+
+// q8Dist4 is q8Dist over four rows at once, the blocking of sqDist4: four
+// independent sums, each adding its own entries in ascending coordinate
+// order, so every lane equals the q8Dist call it replaces.
+func q8Dist4(c0, c1, c2, c3 []uint8, tab []float32) (s0, s1, s2, s3 float32) {
+	for t, c := range c0 {
+		row := tab[t*256:][:256]
+		s0 += row[c]
+		s1 += row[c1[t]]
+		s2 += row[c2[t]]
+		s3 += row[c3[t]]
+	}
+	return
+}
+
+// q8DistRange writes the table distances of rows [lo, lo+len(out)) of the
+// code block into out, four rows per step (see sqDistRange).
+func q8DistRange(codes []uint8, dim int, tab []float32, lo int, out []float32) {
+	rows := codes[lo*dim : (lo+len(out))*dim]
+	for ; len(out) >= 4; out, rows = out[4:], rows[4*dim:] {
+		out[0], out[1], out[2], out[3] = q8Dist4(rows[:dim], rows[dim:][:dim], rows[2*dim:][:dim], rows[3*dim:][:dim], tab)
+	}
+	for j := range out {
+		out[j] = q8Dist(rows[j*dim:][:dim], tab)
+	}
+}
+
+// q8DistRows is q8DistRange over a gathered row list (see sqDistRows).
+func q8DistRows(codes []uint8, dim int, tab []float32, rows []int32, out []float32) {
+	out = out[:len(rows)]
+	for ; len(rows) >= 4; out, rows = out[4:], rows[4:] {
+		r0, r1, r2, r3 := int(rows[0])*dim, int(rows[1])*dim, int(rows[2])*dim, int(rows[3])*dim
+		out[0], out[1], out[2], out[3] = q8Dist4(codes[r0:][:dim], codes[r1:][:dim], codes[r2:][:dim], codes[r3:][:dim], tab)
+	}
+	for j, r := range rows {
+		out[j] = q8Dist(codes[int(r)*dim:][:dim], tab)
+	}
 }
 
 // NNRowsQ8 scans the listed rows of the quantized block into the
 // shortlist (Reset by the caller with Q8Bounds).
 func NNRowsQ8(codes []uint8, dim int, lut *Q8LUT, rows []int32, sl *Shortlist) {
-	thr := sl.thr
-	for _, r := range rows {
-		i := int(r)
-		d2 := q8Dist(codes[i*dim:(i+1)*dim], lut.Tab)
-		if float64(d2) > thr {
-			continue
-		}
-		sl.observe(r, d2)
-		thr = sl.thr
+	var d2 [nnTile]float32
+	for len(rows) > 0 {
+		part := rows[:min(nnTile, len(rows))]
+		rows = rows[len(part):]
+		q8DistRows(codes, dim, lut.Tab, part, d2[:len(part)])
+		admit(sl, d2[:len(part)], 0, part)
 	}
 }
 
 // NNRangeQ8 scans rows [lo, hi) of the quantized block into the shortlist.
 func NNRangeQ8(codes []uint8, dim int, lut *Q8LUT, lo, hi int, sl *Shortlist) {
-	thr := sl.thr
-	for i := lo; i < hi; i++ {
-		d2 := q8Dist(codes[i*dim:(i+1)*dim], lut.Tab)
-		if float64(d2) > thr {
-			continue
-		}
-		sl.observe(int32(i), d2)
-		thr = sl.thr
+	var d2 [nnTile]float32
+	for ; lo < hi; lo += nnTile {
+		strip := d2[:min(nnTile, hi-lo)]
+		q8DistRange(codes, dim, lut.Tab, lo, strip)
+		admit(sl, strip, lo, nil)
 	}
 }
 

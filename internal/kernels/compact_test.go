@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -82,9 +83,9 @@ func blockMaxAbs(data []float64, q []float64) float64 {
 
 func TestCompactNNBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, dim := range []int{1, 2, 3, 5, 8} {
+	for _, dim := range []int{1, 2, 3, 5, 8, 9, 13, 17} {
 		for _, scale := range []float64{1, 1e6, 1e-6, 1e120} {
-			n := 300
+			n := 300 + dim%4 // every n mod 4 remainder past the last full block
 			data := randBlock(rng, n, dim, scale)
 			for trial := 0; trial < 25; trial++ {
 				q := make([]float64, dim)
@@ -337,8 +338,8 @@ func nearTieRho(rng *rand.Rand, n int) []float64 {
 
 func TestRho32CutoffBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, dim := range []int{2, 3, 8} {
-		n := 400
+	for _, dim := range []int{1, 2, 3, 8, 9, 14, 17} {
+		n := 400 + dim%4
 		data := randBlock(rng, n, dim, 1)
 		rho := nearTieRho(rng, n)
 		m := buildRhoMatrix(t, data, dim, rho)
@@ -403,9 +404,9 @@ func TestRho32GaussianTolerance(t *testing.T) {
 
 func TestDelta32BitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, dim := range []int{2, 5} {
+	for _, dim := range []int{1, 2, 5, 9, 14, 17} {
 		for _, withMax := range []bool{false, true} {
-			n := 400
+			n := 400 + dim%4
 			data := randBlock(rng, n, dim, 1)
 			rho := nearTieRho(rng, n)
 			m := buildRhoMatrix(t, data, dim, rho)
@@ -432,6 +433,39 @@ func TestDelta32BitExact(t *testing.T) {
 			DeltaArgmin32(m, c, 0, nLocal, got2, &band)
 			DeltaCross32(m, c, nLocal, n, 0, nLocal, got2, &band)
 			compareDeltaAccs(t, "argmin+cross", want2, got2, dim, withMax)
+			points.PutMatrix32(c)
+		}
+	}
+}
+
+// TestCompact32HostileRows runs the compact pair kernels over hostileMatrix
+// (kernels_test.go): non-finite coordinates make the float32 bounds
+// useless, so every undecidable pair must fall through to the exact
+// re-check and leave cutoff ρ and all δ state exactly as the naive float64
+// loops do — block remainders, mass ties and unordered densities included.
+func TestCompact32HostileRows(t *testing.T) {
+	for _, dim := range []int{1, 3, 9} {
+		for _, n := range []int{7, tile + 2, 2*tile + 7} {
+			m := hostileMatrix(t, n, dim, int64(dim*10+n))
+			c := points.GetMatrix32(m)
+			k := Kernel{Dc2: 2}
+			split := n / 3
+
+			want, got := make([]float64, n), make([]float64, n)
+			naiveRho(m, 0, split, k, want)
+			naiveRhoCross(m, split, n, 0, split, k, want, true)
+			RhoAccumulate32(m, c, 0, split, k, got)
+			RhoCross32(m, c, split, n, 0, split, k, got, true)
+			assertBitsEqual(t, fmt.Sprintf("hostile rho32 dim=%d n=%d", dim, n), got, want)
+
+			wantD, gotD := NewDeltaAcc(n, true), NewDeltaAcc(n, true)
+			naiveDelta(m, 0, split, wantD)
+			naiveDeltaCross(m, split, n, 0, split, wantD)
+			var band DeltaBand
+			band.Reset(gotD, F32Bounds(dim, c.MaxAbs()))
+			DeltaArgmin32(m, c, 0, split, gotD, &band)
+			DeltaCross32(m, c, split, n, 0, split, gotD, &band)
+			assertDeltaEqual(t, fmt.Sprintf("hostile delta32 dim=%d n=%d", dim, n), gotD, wantD)
 			points.PutMatrix32(c)
 		}
 	}

@@ -22,10 +22,7 @@ package kernels
 //
 // Pairs whose compact distance is NaN/+Inf always take the exact re-check.
 
-import (
-	"repro/internal/dp"
-	"repro/internal/points"
-)
+import "repro/internal/points"
 
 // RhoAccumulate32 is the compact-scan counterpart of RhoAccumulate over
 // rows [lo, hi): c must mirror m. Returns the pair count (as RhoAccumulate
@@ -37,10 +34,10 @@ func RhoAccumulate32(m *points.Matrix, c *points.Matrix32, lo, hi int, k Kernel,
 	}
 	ctx := newRho32Ctx(m, c, k, rho)
 	for ti := lo; ti < hi; ti += tile {
-		tiHi := minInt(ti+tile, hi)
-		ctx.diagTile(ti, tiHi)
+		tiHi := min(ti+tile, hi)
+		ctx.tile(ti, tiHi, ti, tiHi, true, true)
 		for tj := tiHi; tj < hi; tj += tile {
-			ctx.crossTile(ti, tiHi, tj, minInt(tj+tile, hi), true)
+			ctx.tile(ti, tiHi, tj, min(tj+tile, hi), false, true)
 		}
 	}
 	return int64(n) * int64(n-1) / 2, ctx.rechecks
@@ -53,9 +50,9 @@ func RhoCross32(m *points.Matrix, c *points.Matrix32, aLo, aHi, bLo, bHi int, k 
 	}
 	ctx := newRho32Ctx(m, c, k, rho)
 	for ta := aLo; ta < aHi; ta += tile {
-		taHi := minInt(ta+tile, aHi)
+		taHi := min(ta+tile, aHi)
 		for tb := bLo; tb < bHi; tb += tile {
-			ctx.crossTile(ta, taHi, tb, minInt(tb+tile, bHi), both)
+			ctx.tile(ta, taHi, tb, min(tb+tile, bHi), false, both)
 		}
 	}
 	return int64(aHi-aLo) * int64(bHi-bLo), ctx.rechecks
@@ -83,50 +80,55 @@ func newRho32Ctx(m *points.Matrix, c *points.Matrix32, k Kernel, rho []float64) 
 	return ctx
 }
 
-// weight resolves one pair's contribution from its compact distance,
-// re-checking exactly when the compact value cannot decide.
-func (ctx *rho32Ctx) weight(d32 float32, i, j int) float64 {
-	df := float64(d32)
-	if ctx.k.Gaussian {
-		if isFinite64(df) {
-			return gaussWeight(df, ctx.k.Dc2)
-		}
-	} else {
-		if df < ctx.cutLo {
-			return 1
-		}
-		if df > ctx.cutHi {
-			return 0
-		}
-	}
+// exact re-checks one pair in float64.
+func (ctx *rho32Ctx) exact(i, j int) float64 {
 	ctx.rechecks++
-	return ctx.k.Weight(sqDistFlat(ctx.d64[i*ctx.dim:(i+1)*ctx.dim], ctx.d64[j*ctx.dim:(j+1)*ctx.dim], ctx.dim))
+	return sqDistFlat(ctx.d64[i*ctx.dim:], ctx.d64[j*ctx.dim:], ctx.dim)
 }
 
-func (ctx *rho32Ctx) diagTile(lo, hi int) {
-	d32, dim := ctx.d32, ctx.dim
-	for i := lo; i < hi; i++ {
-		ai := d32[i*dim : (i+1)*dim]
-		for j := i + 1; j < hi; j++ {
-			if w := ctx.weight(sqDist32(ai, d32[j*dim:(j+1)*dim], dim), i, j); w != 0 {
-				ctx.rho[i] += w
-				ctx.rho[j] += w
-			}
-		}
-	}
-}
-
-func (ctx *rho32Ctx) crossTile(aLo, aHi, bLo, bHi int, both bool) {
-	d32, dim := ctx.d32, ctx.dim
+// tile is rhoTile over the float32 mirror: the same strips, visit order and
+// integer cutoff counters, with each pair's contribution decided from its
+// compact distance where the bounds allow and re-checked exactly otherwise.
+func (ctx *rho32Ctx) tile(aLo, aHi, bLo, bHi int, diag, both bool) {
+	d32, dim, k, rho := ctx.d32, ctx.dim, ctx.k, ctx.rho
+	var strip32 [tile]float32
+	var cnt [tile]int32
 	for a := aLo; a < aHi; a++ {
-		ra := d32[a*dim : (a+1)*dim]
-		for b := bLo; b < bHi; b++ {
-			if w := ctx.weight(sqDist32(ra, d32[b*dim:(b+1)*dim], dim), a, b); w != 0 {
-				ctx.rho[a] += w
-				if both {
-					ctx.rho[b] += w
+		jLo := bLo
+		if diag {
+			jLo = a + 1
+		}
+		strip := strip32[:bHi-jLo]
+		sqDistRange(d32[a*dim:(a+1)*dim], d32, jLo, strip)
+		if !k.Gaussian {
+			// Provable neighbours are counted branch-free; the undecided
+			// band (and every non-finite compact distance) is rare.
+			n := countBelow(strip, ctx.cutLo, cnt[jLo-bLo:])
+			for x, v := range strip {
+				if df := float64(v); !(df < ctx.cutLo) && !(df > ctx.cutHi) && ctx.exact(a, jLo+x) < k.Dc2 {
+					cnt[jLo-bLo+x]++
+					n++
 				}
 			}
+			rho[a] += float64(n)
+			continue
+		}
+		for x, v := range strip {
+			df := float64(v)
+			if !isFinite64(df) {
+				df = ctx.exact(a, jLo+x)
+			}
+			if w := gaussWeight(df, k.Dc2); w != 0 {
+				rho[a] += w
+				if both {
+					rho[jLo+x] += w
+				}
+			}
+		}
+	}
+	if !k.Gaussian && both {
+		for x, c := range cnt[:bHi-bLo] {
+			rho[bLo+x] += float64(c)
 		}
 	}
 }
@@ -173,12 +175,13 @@ func DeltaArgmin32(m *points.Matrix, c *points.Matrix32, lo, hi int, acc *DeltaA
 	if n < 2 {
 		return 0, 0
 	}
+	acc.rankRows(m, lo, hi, 0, 0)
 	ctx := delta32Ctx{m: m, c: c, acc: acc, band: band}
 	for ti := lo; ti < hi; ti += tile {
-		tiHi := minInt(ti+tile, hi)
+		tiHi := min(ti+tile, hi)
 		ctx.tilePairs(ti, tiHi, ti, tiHi, true)
 		for tj := tiHi; tj < hi; tj += tile {
-			ctx.tilePairs(ti, tiHi, tj, minInt(tj+tile, hi), false)
+			ctx.tilePairs(ti, tiHi, tj, min(tj+tile, hi), false)
 		}
 	}
 	return int64(n) * int64(n-1) / 2, ctx.rechecks
@@ -189,11 +192,12 @@ func DeltaCross32(m *points.Matrix, c *points.Matrix32, aLo, aHi, bLo, bHi int, 
 	if aHi <= aLo || bHi <= bLo {
 		return 0, 0
 	}
+	acc.rankRows(m, aLo, aHi, bLo, bHi)
 	ctx := delta32Ctx{m: m, c: c, acc: acc, band: band}
 	for ta := aLo; ta < aHi; ta += tile {
-		taHi := minInt(ta+tile, aHi)
+		taHi := min(ta+tile, aHi)
 		for tb := bLo; tb < bHi; tb += tile {
-			ctx.tilePairs(ta, taHi, tb, minInt(tb+tile, bHi), false)
+			ctx.tilePairs(ta, taHi, tb, min(tb+tile, bHi), false)
 		}
 	}
 	return int64(aHi-aLo) * int64(bHi-bLo), ctx.rechecks
@@ -207,59 +211,51 @@ type delta32Ctx struct {
 	rechecks int64
 }
 
-// tilePairs visits one tile pair (the diagonal triangle when diag is set).
-// A pair is skipped only when the compact distance proves both that the
-// less-dense side's Best2 cannot improve and (when tracked) that neither
-// side's Max2 can grow; otherwise the exact distance is folded through
-// deltaObserve and the row thresholds refresh.
+// tilePairs is deltaTile over the float32 mirror. A pair is skipped only
+// when its compact distance proves both that the less-dense side's Best2
+// cannot improve and (when tracked) that neither side's Max2 can grow;
+// otherwise the exact distance is folded in as deltaTile would and the
+// touched rows' thresholds refresh.
 func (ctx *delta32Ctx) tilePairs(aLo, aHi, bLo, bHi int, diag bool) {
 	d32, dim := ctx.c.Data(), ctx.c.Dim()
 	d64 := ctx.m.Data()
-	rho, ids := ctx.m.Rhos(), ctx.m.IDs()
 	acc, band := ctx.acc, ctx.band
+	best2, up, max2, rank := acc.Best2, acc.Up, acc.Max2, acc.rank
+	var strip32 [tile]float32
 	for i := aLo; i < aHi; i++ {
-		ai := d32[i*dim : (i+1)*dim]
 		jLo := bLo
 		if diag {
 			jLo = i + 1
 		}
-		for j := jLo; j < bHi; j++ {
-			df := float64(sqDist32(ai, d32[j*dim:(j+1)*dim], dim))
-			target := j
-			if denserObserved(rho, ids, i, j) {
-				target = i
-			}
-			if df > band.Thr[target] &&
+		strip := strip32[:bHi-jLo]
+		sqDistRange(d32[i*dim:(i+1)*dim], d32, jLo, strip)
+		ri := earlierRank(rank, i)
+		for x, v := range strip {
+			df, j := float64(v), jLo+x
+			t := lessDense(i, j, ri, rank[j])
+			if df > band.Thr[t] &&
 				(band.MaxThr == nil || (df < band.MaxThr[i] && df < band.MaxThr[j])) {
 				continue
 			}
 			ctx.rechecks++
-			d2 := sqDistFlat(d64[i*dim:(i+1)*dim], d64[j*dim:(j+1)*dim], dim)
-			oldBest := acc.Best2[target]
-			var oldMaxI, oldMaxJ float64
-			if acc.Max2 != nil {
-				oldMaxI, oldMaxJ = acc.Max2[i], acc.Max2[j]
-			}
-			deltaObserve(acc, rho, ids, i, j, d2)
-			if acc.Best2[target] != oldBest {
-				band.Thr[target] = band.bnd.GeThresh(acc.Best2[target])
-			}
-			if acc.Max2 != nil {
-				if acc.Max2[i] != oldMaxI {
-					band.MaxThr[i] = band.bnd.LtThresh(acc.Max2[i])
+			d2 := sqDistFlat(d64[i*dim:], d64[j*dim:], dim)
+			if max2 != nil {
+				if d2 > max2[i] {
+					max2[i] = d2
+					band.MaxThr[i] = band.bnd.LtThresh(d2)
 				}
-				if acc.Max2[j] != oldMaxJ {
-					band.MaxThr[j] = band.bnd.LtThresh(acc.Max2[j])
+				if d2 > max2[j] {
+					max2[j] = d2
+					band.MaxThr[j] = band.bnd.LtThresh(d2)
 				}
+			}
+			if d2 < best2[t] {
+				best2[t] = d2
+				up[t] = int32(i + j - t)
+				band.Thr[t] = band.bnd.GeThresh(d2)
 			}
 		}
 	}
-}
-
-// denserObserved mirrors deltaObserve's density-order test: true when row j
-// is denser than row i (so i is the side whose upslope candidate updates).
-func denserObserved(rho []float64, ids []int32, i, j int) bool {
-	return dp.DenserVals(rho[j], rho[i], ids[j], ids[i])
 }
 
 func isFinite64(v float64) bool { return v-v == 0 }

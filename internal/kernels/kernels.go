@@ -4,11 +4,13 @@
 // points.Matrix, plus an opt-in intra-partition parallel path for skewed
 // reducer groups (see parallel.go).
 //
-// The paper's dominant cost is pairwise distance work inside reducers, and
-// the previous implementation ran it as a scalar loop over heap-allocated
-// per-point Vectors. These kernels walk one contiguous coordinate array in
-// cache-sized tiles instead, with an unrolled fast path for the 2- and
-// 3-dimensional data sets the paper evaluates.
+// The paper's dominant cost is pairwise distance work inside reducers.
+// These kernels walk one contiguous coordinate array in cache-sized tiles,
+// and inside a tile every distance comes from one register-blocked
+// primitive (dist.go) that evaluates a row against four others at once, so
+// the floating-point pipes run four independent add chains instead of
+// waiting on one; the accumulator updates that follow are written without
+// data-dependent branches (integer cutoff counters, a density rank for δ).
 //
 // Determinism guarantee: every serial kernel performs the same floating
 // point operations in the same per-accumulator order as the naive
@@ -21,13 +23,15 @@
 // row-major upper-triangle order — for any accumulator row x the pairs
 // (k, x), k < x arrive in ascending k and then the pairs (x, j), j > x in
 // ascending j, exactly the order of the reference loop, so non-associative
-// float addition cannot diverge.
+// float addition cannot diverge. Each lane of the blocked primitive sums
+// its own d*d terms in ascending coordinate order, as the scalar loop does.
 package kernels
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
-	"repro/internal/dp"
 	"repro/internal/points"
 )
 
@@ -69,10 +73,10 @@ func RhoAccumulate(m *points.Matrix, lo, hi int, k Kernel, rho []float64) int64 
 	}
 	data, dim := m.Data(), m.Dim()
 	for ti := lo; ti < hi; ti += tile {
-		tiHi := minInt(ti+tile, hi)
-		rhoDiagTile(data, dim, ti, tiHi, k, rho)
+		tiHi := min(ti+tile, hi)
+		rhoTile(data, dim, ti, tiHi, ti, tiHi, true, k, rho, true)
 		for tj := tiHi; tj < hi; tj += tile {
-			rhoCrossTile(data, dim, ti, tiHi, tj, minInt(tj+tile, hi), k, rho, true)
+			rhoTile(data, dim, ti, tiHi, tj, min(tj+tile, hi), false, k, rho, true)
 		}
 	}
 	return int64(n) * int64(n-1) / 2
@@ -89,78 +93,69 @@ func RhoCross(m *points.Matrix, aLo, aHi, bLo, bHi int, k Kernel, rho []float64,
 	}
 	data, dim := m.Data(), m.Dim()
 	for ta := aLo; ta < aHi; ta += tile {
-		taHi := minInt(ta+tile, aHi)
+		taHi := min(ta+tile, aHi)
 		for tb := bLo; tb < bHi; tb += tile {
-			rhoCrossTile(data, dim, ta, taHi, tb, minInt(tb+tile, bHi), k, rho, both)
+			rhoTile(data, dim, ta, taHi, tb, min(tb+tile, bHi), false, k, rho, both)
 		}
 	}
 	return int64(aHi-aLo) * int64(bHi-bLo)
 }
 
-// rhoDiagTile runs the naive upper-triangle loop within one diagonal tile.
-func rhoDiagTile(data []float64, dim, lo, hi int, k Kernel, rho []float64) {
-	if dim == 2 && !k.Gaussian {
-		dc2 := k.Dc2
-		for i := lo; i < hi; i++ {
-			xi, yi := data[2*i], data[2*i+1]
-			for j := i + 1; j < hi; j++ {
-				d0 := xi - data[2*j]
-				d1 := yi - data[2*j+1]
-				d2 := d0 * d0
-				d2 += d1 * d1
-				if d2 < dc2 {
-					rho[i]++
-					rho[j]++
+// rhoTile folds one tile pair into rho: rows [aLo, aHi) against rows
+// [bLo, bHi), or the upper triangle of [aLo, aHi) when diag is set. Each a
+// row's distances are evaluated as one blocked strip (dist.go) and observed
+// in ascending b order, the visit order of the naive loop.
+//
+// Cutoff neighbours are counted without a data-dependent branch into integer
+// counters — one per a row, one per b row of the tile — and folded into rho
+// once per row and tile. That is exact, not approximately equal: a cutoff ρ
+// only ever receives 1.0s, so every partial sum is an integer far below 2⁵³
+// and float64 addition of integers is associative there.
+func rhoTile(data []float64, dim, aLo, aHi, bLo, bHi int, diag bool, k Kernel, rho []float64, both bool) {
+	var d2 [tile]float64
+	var cnt [tile]int32
+	for a := aLo; a < aHi; a++ {
+		jLo := bLo
+		if diag {
+			jLo = a + 1
+		}
+		strip := d2[:bHi-jLo]
+		sqDistRange(data[a*dim:(a+1)*dim], data, jLo, strip)
+		if !k.Gaussian {
+			rho[a] += float64(countBelow(strip, k.Dc2, cnt[jLo-bLo:]))
+			continue
+		}
+		for x, v := range strip {
+			if w := gaussWeight(v, k.Dc2); w != 0 {
+				rho[a] += w
+				if both {
+					rho[jLo+x] += w
 				}
 			}
 		}
-		return
 	}
-	for i := lo; i < hi; i++ {
-		ai := data[i*dim : (i+1)*dim]
-		for j := i + 1; j < hi; j++ {
-			d2 := sqDistFlat(ai, data[j*dim:(j+1)*dim], dim)
-			if w := k.Weight(d2); w != 0 {
-				rho[i] += w
-				rho[j] += w
-			}
+	if !k.Gaussian && both {
+		for x, c := range cnt[:bHi-bLo] {
+			rho[bLo+x] += float64(c)
 		}
 	}
 }
 
-// rhoCrossTile runs the naive a-outer b-inner loop over one tile pair.
-func rhoCrossTile(data []float64, dim, aLo, aHi, bLo, bHi int, k Kernel, rho []float64, both bool) {
-	if dim == 2 && !k.Gaussian {
-		dc2 := k.Dc2
-		for a := aLo; a < aHi; a++ {
-			xa, ya := data[2*a], data[2*a+1]
-			for b := bLo; b < bHi; b++ {
-				d0 := xa - data[2*b]
-				d1 := ya - data[2*b+1]
-				d2 := d0 * d0
-				d2 += d1 * d1
-				if d2 < dc2 {
-					rho[a]++
-					if both {
-						rho[b]++
-					}
-				}
-			}
+// countBelow adds 1 to cnt[x] for every strip[x] < dc2 and returns how many
+// there were. The conditional assignment compiles to a select, not a jump:
+// on real partitions the test goes either way about as often as not.
+func countBelow[T float](strip []T, dc2 float64, cnt []int32) int32 {
+	cnt = cnt[:len(strip)]
+	var n int32
+	for x, v := range strip {
+		var c int32
+		if float64(v) < dc2 {
+			c = 1
 		}
-		return
+		cnt[x] += c
+		n += c
 	}
-	for a := aLo; a < aHi; a++ {
-		ra := data[a*dim : (a+1)*dim]
-		for b := bLo; b < bHi; b++ {
-			d2 := sqDistFlat(ra, data[b*dim:(b+1)*dim], dim)
-			if w := k.Weight(d2); w != 0 {
-				rho[a] += w
-				if both {
-					rho[b] += w
-				}
-			}
-		}
-	}
+	return n
 }
 
 // DeltaAcc accumulates the δ-argmin state of one reducer group: per row the
@@ -172,6 +167,9 @@ type DeltaAcc struct {
 	Best2 []float64
 	Up    []int32 // matrix row index of the best candidate, -1 when none
 	Max2  []float64
+
+	rank []int32   // density rank per matrix row, set by rankRows per call
+	keys []rankKey // rankRows' sort scratch
 }
 
 // NewDeltaAcc returns an accumulator for n rows, with fallback tracking
@@ -224,11 +222,12 @@ func DeltaArgmin(m *points.Matrix, lo, hi int, acc *DeltaAcc) int64 {
 	if n < 2 {
 		return 0
 	}
+	acc.rankRows(m, lo, hi, 0, 0)
 	for ti := lo; ti < hi; ti += tile {
-		tiHi := minInt(ti+tile, hi)
-		deltaDiagTile(m, ti, tiHi, acc)
+		tiHi := min(ti+tile, hi)
+		deltaTile(m, ti, tiHi, ti, tiHi, true, acc)
 		for tj := tiHi; tj < hi; tj += tile {
-			deltaCrossTile(m, ti, tiHi, tj, minInt(tj+tile, hi), acc)
+			deltaTile(m, ti, tiHi, tj, min(tj+tile, hi), false, acc)
 		}
 	}
 	return int64(n) * int64(n-1) / 2
@@ -242,117 +241,129 @@ func DeltaCross(m *points.Matrix, aLo, aHi, bLo, bHi int, acc *DeltaAcc) int64 {
 	if aHi <= aLo || bHi <= bLo {
 		return 0
 	}
+	acc.rankRows(m, aLo, aHi, bLo, bHi)
 	for ta := aLo; ta < aHi; ta += tile {
-		taHi := minInt(ta+tile, aHi)
+		taHi := min(ta+tile, aHi)
 		for tb := bLo; tb < bHi; tb += tile {
-			deltaCrossTile(m, ta, taHi, tb, minInt(tb+tile, bHi), acc)
+			deltaTile(m, ta, taHi, tb, min(tb+tile, bHi), false, acc)
 		}
 	}
 	return int64(aHi-aLo) * int64(bHi-bLo)
 }
 
-// deltaObserve folds one evaluated pair (i, j) into the accumulator under
-// the density total order.
-func deltaObserve(acc *DeltaAcc, rho []float64, ids []int32, i, j int, d2 float64) {
-	if acc.Max2 != nil {
-		if d2 > acc.Max2[i] {
-			acc.Max2[i] = d2
-		}
-		if d2 > acc.Max2[j] {
-			acc.Max2[j] = d2
+// rankKey is one row's sort key in the density order.
+type rankKey struct {
+	rho float64
+	id  int32
+	row int32
+}
+
+// rankNaN is the rank of a row whose density is NaN. dp.DenserVals calls
+// such a row denser than nothing and nothing denser than it, which no single
+// position expresses: it ranks last as the later row of a pair, and
+// earlierRank reads it as first when it is the earlier one.
+const rankNaN = math.MaxInt32
+
+// earlierRank is row i's rank as the earlier row of its pairs.
+func earlierRank(rank []int32, i int) int32 {
+	if rank[i] == rankNaN {
+		return 0
+	}
+	return rank[i]
+}
+
+// rankRows ranks the rows of two ranges of m (the second may be empty) in
+// the density order of dp.DenserVals — higher ρ first, lower ID on equal ρ —
+// so the pair loops pick the δ update target with one integer compare
+// instead of evaluating the order per pair, a branch that goes either way
+// half the time. For an earlier row i and a later row j of a pair,
+// rank[j] < earlierRank(rank, i) ⟺ DenserVals(ρj, ρi, idj, idi): the sort
+// key is that order, and rows equal in both ρ and ID — neither denser than
+// the other — share a rank.
+func (acc *DeltaAcc) rankRows(m *points.Matrix, aLo, aHi, bLo, bHi int) {
+	rho, ids := m.Rhos(), m.IDs()
+	if need := max(aHi, bHi); cap(acc.rank) < need {
+		acc.rank = make([]int32, need)
+	} else {
+		acc.rank = acc.rank[:need]
+	}
+	rank, keys := acc.rank, acc.keys[:0]
+	if n := aHi - aLo + bHi - bLo; cap(keys) < n {
+		keys = make([]rankKey, 0, n)
+	}
+	for _, r := range [2][2]int{{aLo, aHi}, {bLo, bHi}} {
+		for x := r[0]; x < r[1]; x++ {
+			if rho[x] != rho[x] {
+				rank[x] = rankNaN
+				continue
+			}
+			keys = append(keys, rankKey{rho[x], ids[x], int32(x)})
 		}
 	}
-	if dp.DenserVals(rho[j], rho[i], ids[j], ids[i]) {
-		if d2 < acc.Best2[i] {
-			acc.Best2[i] = d2
-			acc.Up[i] = int32(j)
+	acc.keys = keys
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		switch {
+		case a.rho > b.rho:
+			return -1
+		case a.rho < b.rho:
+			return 1
 		}
-	} else if d2 < acc.Best2[j] {
-		acc.Best2[j] = d2
-		acc.Up[j] = int32(i)
+		return cmp.Compare(a.id, b.id)
+	})
+	for x, k := range keys {
+		if x > 0 && k.rho == keys[x-1].rho && k.id == keys[x-1].id {
+			rank[k.row] = rank[keys[x-1].row]
+		} else {
+			rank[k.row] = int32(x)
+		}
 	}
 }
 
-func deltaDiagTile(m *points.Matrix, lo, hi int, acc *DeltaAcc) {
+// lessDense returns the row of the pair (i, j) whose upslope candidate their
+// distance may improve: i when j is the denser (rj < ri), else j. It selects
+// by mask because the compiler keeps a conditional assignment that feeds a
+// load address as a jump, and this one goes either way half the time. Ranks
+// are non-negative int32s, so rj−ri cannot wrap and its sign is the test.
+func lessDense(i, j int, ri, rj int32) int {
+	return j ^ (i^j)&int((rj-ri)>>31)
+}
+
+// deltaTile folds one tile pair into acc: rows [aLo, aHi) against rows
+// [bLo, bHi), or the upper triangle of [aLo, aHi) when diag is set. Each
+// row's distances are evaluated as one blocked strip (dist.go) and observed
+// in ascending order of the other row, the visit order of the naive loop, so
+// the strict-< first-wins rule sees the same candidate sequence.
+func deltaTile(m *points.Matrix, aLo, aHi, bLo, bHi int, diag bool, acc *DeltaAcc) {
 	data, dim := m.Data(), m.Dim()
-	rho, ids := m.Rhos(), m.IDs()
-	if dim == 2 {
-		for i := lo; i < hi; i++ {
-			xi, yi := data[2*i], data[2*i+1]
-			for j := i + 1; j < hi; j++ {
-				d0 := xi - data[2*j]
-				d1 := yi - data[2*j+1]
-				d2 := d0 * d0
-				d2 += d1 * d1
-				deltaObserve(acc, rho, ids, i, j, d2)
+	best2, up, max2, rank := acc.Best2, acc.Up, acc.Max2, acc.rank
+	var d2 [tile]float64
+	for i := aLo; i < aHi; i++ {
+		jLo := bLo
+		if diag {
+			jLo = i + 1
+		}
+		strip := d2[:bHi-jLo]
+		sqDistRange(data[i*dim:(i+1)*dim], data, jLo, strip)
+		if max2 != nil {
+			mi := max2[i]
+			for x, v := range strip {
+				if v > mi {
+					mi = v
+				}
+				if v > max2[jLo+x] {
+					max2[jLo+x] = v
+				}
+			}
+			max2[i] = mi
+		}
+		ri := earlierRank(rank, i)
+		for x, v := range strip {
+			j := jLo + x
+			t := lessDense(i, j, ri, rank[j])
+			if v < best2[t] {
+				best2[t] = v
+				up[t] = int32(i + j - t)
 			}
 		}
-		return
 	}
-	for i := lo; i < hi; i++ {
-		ai := data[i*dim : (i+1)*dim]
-		for j := i + 1; j < hi; j++ {
-			deltaObserve(acc, rho, ids, i, j, sqDistFlat(ai, data[j*dim:(j+1)*dim], dim))
-		}
-	}
-}
-
-func deltaCrossTile(m *points.Matrix, aLo, aHi, bLo, bHi int, acc *DeltaAcc) {
-	data, dim := m.Data(), m.Dim()
-	rho, ids := m.Rhos(), m.IDs()
-	if dim == 2 {
-		for a := aLo; a < aHi; a++ {
-			xa, ya := data[2*a], data[2*a+1]
-			for b := bLo; b < bHi; b++ {
-				d0 := xa - data[2*b]
-				d1 := ya - data[2*b+1]
-				d2 := d0 * d0
-				d2 += d1 * d1
-				deltaObserve(acc, rho, ids, a, b, d2)
-			}
-		}
-		return
-	}
-	for a := aLo; a < aHi; a++ {
-		ra := data[a*dim : (a+1)*dim]
-		for b := bLo; b < bHi; b++ {
-			deltaObserve(acc, rho, ids, a, b, sqDistFlat(ra, data[b*dim:(b+1)*dim], dim))
-		}
-	}
-}
-
-// sqDistFlat is the squared Euclidean distance over two flat rows. The
-// unrolled cases keep the exact statement shape of the generic loop
-// (separate multiply then add per coordinate) so their rounding matches the
-// reference implementation bit-for-bit.
-func sqDistFlat(a, b []float64, dim int) float64 {
-	switch dim {
-	case 2:
-		d0 := a[0] - b[0]
-		d1 := a[1] - b[1]
-		s := d0 * d0
-		s += d1 * d1
-		return s
-	case 3:
-		d0 := a[0] - b[0]
-		d1 := a[1] - b[1]
-		d2 := a[2] - b[2]
-		s := d0 * d0
-		s += d1 * d1
-		s += d2 * d2
-		return s
-	}
-	var s float64
-	for t := 0; t < dim; t++ {
-		d := a[t] - b[t]
-		s += d * d
-	}
-	return s
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

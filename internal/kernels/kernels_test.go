@@ -131,12 +131,21 @@ func chunkings(n int) [][][2]int {
 		}
 		var ch [][2]int
 		for lo := 0; lo < n; lo += cap {
-			ch = append(ch, [2]int{lo, minInt(lo+cap, n)})
+			ch = append(ch, [2]int{lo, min(lo+cap, n)})
 		}
 		out = append(out, ch)
 	}
 	return out
 }
+
+// propDims and propSizes are the shapes every bit-identity property runs
+// over: dims on both sides of the old 2–8 range (1, and 9–17 past any
+// unrolling), and row counts that leave every n mod 4 remainder of the
+// four-row distance blocks next to a tile edge.
+var (
+	propDims  = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17}
+	propSizes = []int{1, 2, 3, 4, 5, tile - 1, tile, tile + 1, tile + 2, tile + 3, 3*tile + 17}
+)
 
 func kernelsUnderTest(dc2 float64) []Kernel {
 	return []Kernel{
@@ -146,8 +155,8 @@ func kernelsUnderTest(dc2 float64) []Kernel {
 }
 
 func TestRhoAccumulateBitIdentical(t *testing.T) {
-	for dim := 2; dim <= 8; dim++ {
-		for _, n := range []int{1, 2, 5, tile, tile + 1, 3*tile + 17} {
+	for _, dim := range propDims {
+		for _, n := range propSizes {
 			m := randMatrix(t, n, dim, int64(dim*1000+n))
 			for ki, k := range kernelsUnderTest(4.0) {
 				for ci, chunks := range chunkings(n) {
@@ -169,9 +178,9 @@ func TestRhoAccumulateBitIdentical(t *testing.T) {
 }
 
 func TestRhoCrossBitIdentical(t *testing.T) {
-	for dim := 2; dim <= 8; dim++ {
-		n := 2*tile + 31
-		split := tile + 7 // rows [0,split) are "B/local", [split,n) are "A/visitors"
+	for _, dim := range propDims {
+		n := 2*tile + 31 + dim%4  // every n mod 4 on both sides of the split
+		split := tile + 7 + dim%3 // rows [0,split) are "B/local", [split,n) are "A/visitors"
 		m := randMatrix(t, n, dim, int64(dim*77+1))
 		for ki, k := range kernelsUnderTest(3.0) {
 			for _, both := range []bool{true, false} {
@@ -189,8 +198,8 @@ func TestRhoCrossBitIdentical(t *testing.T) {
 }
 
 func TestDeltaArgminBitIdentical(t *testing.T) {
-	for dim := 2; dim <= 8; dim++ {
-		for _, n := range []int{1, 2, 5, tile, tile + 1, 3*tile + 17} {
+	for _, dim := range propDims {
+		for _, n := range propSizes {
 			m := randMatrix(t, n, dim, int64(dim*31+n))
 			for _, withMax := range []bool{false, true} {
 				for ci, chunks := range chunkings(n) {
@@ -208,9 +217,9 @@ func TestDeltaArgminBitIdentical(t *testing.T) {
 }
 
 func TestDeltaCrossBitIdentical(t *testing.T) {
-	for dim := 2; dim <= 8; dim++ {
-		n := 2*tile + 9
-		split := tile - 3
+	for _, dim := range propDims {
+		n := 2*tile + 9 + dim%4
+		split := tile - 3 + dim%3
 		m := randMatrix(t, n, dim, int64(dim*13+5))
 		// Basic-DDP shape: diagonal pass over local rows, then cross pass
 		// visitors × local, both through one accumulator.
@@ -245,6 +254,140 @@ func TestDeltaTieBreak(t *testing.T) {
 	DeltaArgminAuto(m, 0, 3, par, Parallel{Threshold: 1, Workers: 4})
 	if par.Up[0] != 1 {
 		t.Fatalf("parallel tie resolved to row %d, want row 1", par.Up[0])
+	}
+}
+
+// hostileMatrix is randMatrix with the values a blocked kernel could get
+// wrong planted in it: coordinates holding ±Inf, NaN, −0 and magnitudes
+// whose squares overflow; lattice coordinates elsewhere, so exactly equal
+// distances are everywhere, including across four-row block boundaries;
+// densities with exact ties, ±Inf and NaN; and a few rows that share both
+// density and ID, which the density order calls neither denser.
+func hostileMatrix(t testing.TB, n, dim int, seed int64) *points.Matrix {
+	t.Helper()
+	rng := points.NewRand(seed)
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1), 1e200, -1e200}
+	rhos := []float64{0, 1, 1, 2, 3, math.Inf(1), math.Inf(-1), math.NaN()}
+	values := make([][]byte, n)
+	for i := 0; i < n; i++ {
+		pos := make(points.Vector, dim)
+		for j := range pos {
+			pos[j] = float64(rng.Intn(3))
+		}
+		if rng.Intn(6) == 0 {
+			pos[rng.Intn(dim)] = special[rng.Intn(len(special))]
+		}
+		id, rho := int32(n-i), rhos[rng.Intn(len(rhos))]
+		if r := i % 9; r >= 7 { // rows 7 and 8 of every nine share ρ and ID
+			id, rho = int32(n-i+r-7), 2
+		}
+		values[i] = points.EncodeRhoPoint(points.RhoPoint{Point: points.Point{ID: id, Pos: pos}, Rho: rho})
+	}
+	m := new(points.Matrix)
+	if err := points.DecodeRhoPointsInto(m, values); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestHostileRowsBitIdentical runs every pair kernel over hostileMatrix:
+// non-finite distances, mass ties and unordered densities must leave ρ, δ,
+// upslope and the fallback maximum exactly as the naive loops do.
+func TestHostileRowsBitIdentical(t *testing.T) {
+	for _, dim := range []int{1, 2, 3, 8, 9, 17} {
+		for _, n := range []int{7, tile + 2, 2*tile + 7} {
+			m := hostileMatrix(t, n, dim, int64(dim*100+n))
+			tag := fmt.Sprintf("hostile dim=%d n=%d", dim, n)
+			for ci, chunks := range chunkings(n) {
+				for ki, k := range kernelsUnderTest(2.0) {
+					want, got := make([]float64, n), make([]float64, n)
+					for _, ch := range chunks {
+						naiveRho(m, ch[0], ch[1], k, want)
+						RhoAccumulate(m, ch[0], ch[1], k, got)
+					}
+					assertBitsEqual(t, fmt.Sprintf("%s rho k=%d chunks=%d", tag, ki, ci), got, want)
+				}
+				want, got := NewDeltaAcc(n, true), NewDeltaAcc(n, true)
+				par := NewDeltaAcc(n, true)
+				for _, ch := range chunks {
+					naiveDelta(m, ch[0], ch[1], want)
+					DeltaArgmin(m, ch[0], ch[1], got)
+					// The parallel path ranks once and hands the rank to
+					// every worker's partial accumulator.
+					DeltaArgminAuto(m, ch[0], ch[1], par, Parallel{Threshold: 2, Workers: 3})
+				}
+				assertDeltaEqual(t, fmt.Sprintf("%s delta chunks=%d", tag, ci), got, want)
+				assertDeltaEqual(t, fmt.Sprintf("%s parallel delta chunks=%d", tag, ci), par, want)
+			}
+			split := n / 3
+			for ki, k := range kernelsUnderTest(2.0) {
+				for _, both := range []bool{true, false} {
+					want, got := make([]float64, n), make([]float64, n)
+					naiveRhoCross(m, split, n, 0, split, k, want, both)
+					RhoCross(m, split, n, 0, split, k, got, both)
+					assertBitsEqual(t, fmt.Sprintf("%s rhoCross k=%d both=%v", tag, ki, both), got, want)
+				}
+			}
+			want, got := NewDeltaAcc(n, true), NewDeltaAcc(n, true)
+			naiveDelta(m, 0, split, want)
+			naiveDeltaCross(m, split, n, 0, split, want)
+			DeltaArgmin(m, 0, split, got)
+			DeltaCross(m, split, n, 0, split, got)
+			assertDeltaEqual(t, tag+" deltaCross", got, want)
+		}
+	}
+}
+
+// TestDensityRankIsDenserVals pins the rank the δ kernels select by to the
+// order it stands for: for an earlier row i and a later row j of any pair,
+// the integer test deltaTile makes equals dp.DenserVals on the densities
+// and IDs — ties, shared (ρ, ID) and NaN densities included.
+func TestDensityRankIsDenserVals(t *testing.T) {
+	n := 200
+	m := hostileMatrix(t, n, 2, 7)
+	acc := NewDeltaAcc(n, false)
+	check := func(rows []int) {
+		for _, i := range rows {
+			ri := earlierRank(acc.rank, i)
+			for _, j := range rows {
+				want := dp.DenserVals(m.Rho(j), m.Rho(i), m.ID(j), m.ID(i))
+				if got := lessDense(i, j, ri, acc.rank[j]) == i; i != j && got != want {
+					t.Fatalf("rows %d (ρ=%v id=%d), %d (ρ=%v id=%d): rank says denser=%v, DenserVals %v",
+						i, m.Rho(i), m.ID(i), j, m.Rho(j), m.ID(j), got, want)
+				}
+			}
+		}
+	}
+	acc.rankRows(m, 0, n, 0, 0)
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	check(all)
+	acc.rankRows(m, 150, n, 20, 90) // DeltaCross: two disjoint ranges, one order
+	check(append(append([]int(nil), all[150:]...), all[20:90]...))
+}
+
+// TestDeltaTieStraddlesBlock pins first-wins when the equidistant denser
+// rows sit on both sides of a four-row block boundary of the strip: row 0's
+// strip is rows 1.., so rows 4 and 5 are the last lane of one block and the
+// first of the next.
+func TestDeltaTieStraddlesBlock(t *testing.T) {
+	pos := []points.Vector{{0, 0}, {9, 0}, {0, 9}, {9, 9}, {0, 1}, {1, 0}, {-1, 0}, {0, -1}, {7, 7}, {0, 1}}
+	values := make([][]byte, len(pos))
+	for i, p := range pos {
+		values[i] = points.EncodeRhoPoint(points.RhoPoint{Point: points.Point{ID: int32(100 - i), Pos: p}, Rho: float64(i)})
+	}
+	m := new(points.Matrix)
+	if err := points.DecodeRhoPointsInto(m, values); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []Parallel{{}, {Threshold: 1, Workers: 4}} {
+		acc := NewDeltaAcc(len(pos), false)
+		DeltaArgminAuto(m, 0, len(pos), acc, par)
+		if acc.Up[0] != 4 || acc.Best2[0] != 1 {
+			t.Fatalf("parallel=%v: row 0 resolved to row %d at d²=%v, want first-seen row 4 at 1", par.Threshold > 0, acc.Up[0], acc.Best2[0])
+		}
 	}
 }
 
@@ -309,10 +452,16 @@ func TestParallelChunkCarry(t *testing.T) {
 	assertDeltaEqual(t, "chunk carry", got, want)
 }
 
+// sameFloat is bit equality, except that any two NaNs are equal: which NaN
+// payload an addition of two NaNs keeps is the compiler's operand order.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
+
 func assertBitsEqual(t *testing.T, what string, got, want []float64) {
 	t.Helper()
 	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+		if !sameFloat(got[i], want[i]) {
 			t.Fatalf("%s: [%d] = %v (%x), want %v (%x)",
 				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}

@@ -21,7 +21,7 @@ const nnTile = 128
 // keeps each batched result bit-identical to its single-query kernel.
 func batchTiles(lo, hi, nq int, scan func(qi, tLo, tHi int)) {
 	for t := lo; t < hi; t += nnTile {
-		tHi := minInt(t+nnTile, hi)
+		tHi := min(t+nnTile, hi)
 		for qi := 0; qi < nq; qi++ {
 			scan(qi, t, tHi)
 		}

@@ -84,10 +84,10 @@ func RhoAccumulateAuto(m *points.Matrix, lo, hi int, k Kernel, rho []float64, p 
 			// every tile to its right, accumulating both sides privately.
 			for tr := wi; tr < nTiles; tr += w {
 				ti := lo + tr*tile
-				tiHi := minInt(ti+tile, hi)
-				rhoDiagTile(data, dim, ti, tiHi, k, part)
+				tiHi := min(ti+tile, hi)
+				rhoTile(data, dim, ti, tiHi, ti, tiHi, true, k, part, true)
 				for tj := tiHi; tj < hi; tj += tile {
-					rhoCrossTile(data, dim, ti, tiHi, tj, minInt(tj+tile, hi), k, part, true)
+					rhoTile(data, dim, ti, tiHi, tj, min(tj+tile, hi), false, k, part, true)
 				}
 			}
 		}(wi)
@@ -117,6 +117,7 @@ func DeltaArgminAuto(m *points.Matrix, lo, hi int, acc *DeltaAcc, p Parallel) in
 		return DeltaArgmin(m, lo, hi, acc)
 	}
 	withMax := acc.Max2 != nil
+	acc.rankRows(m, lo, hi, 0, 0) // ranked once; the workers' partials only read it
 	partials := make([]*DeltaAcc, w)
 	var wg sync.WaitGroup
 	for wi := 0; wi < w; wi++ {
@@ -124,13 +125,14 @@ func DeltaArgminAuto(m *points.Matrix, lo, hi int, acc *DeltaAcc, p Parallel) in
 		go func(wi int) {
 			defer wg.Done()
 			part := NewDeltaAcc(hi, withMax)
+			part.rank = acc.rank
 			partials[wi] = part
 			for tr := wi; tr < nTiles; tr += w {
 				ti := lo + tr*tile
-				tiHi := minInt(ti+tile, hi)
-				deltaDiagTile(m, ti, tiHi, part)
+				tiHi := min(ti+tile, hi)
+				deltaTile(m, ti, tiHi, ti, tiHi, true, part)
 				for tj := tiHi; tj < hi; tj += tile {
-					deltaCrossTile(m, ti, tiHi, tj, minInt(tj+tile, hi), part)
+					deltaTile(m, ti, tiHi, tj, min(tj+tile, hi), false, part)
 				}
 			}
 		}(wi)

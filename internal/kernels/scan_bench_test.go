@@ -79,6 +79,52 @@ func BenchmarkNNScan(b *testing.B) {
 	})
 }
 
+// BenchmarkNNRows measures the serve engine's real shape: one query against
+// its LSH candidate union, ≈20 K sparse ascending rows of a 200k×8 block
+// (10 %, as serve-read measures), per precision with the exact re-rank.
+func BenchmarkNNRows(b *testing.B) {
+	f := newScanFixture(b, 200_000, 8, 1)
+	q := f.qs[:f.dim]
+	rng := rand.New(rand.NewSource(2))
+	var rows []int32
+	for i := 0; i < f.n; i++ {
+		if rng.Intn(10) == 0 {
+			rows = append(rows, int32(i))
+		}
+	}
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(rows))), "ns/row")
+	}
+	b.Run("f64", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			NNRows(f.data, f.dim, q, rows)
+		}
+		report(b)
+	})
+	b.Run("f32", func(b *testing.B) {
+		bnd := F32Bounds(f.dim, f.maxAbs)
+		var sl Shortlist
+		for i := 0; i < b.N; i++ {
+			sl.Reset(bnd)
+			NNRows32(f.data32, f.dim, f.qs32[:f.dim], rows, &sl)
+			NNRows(f.data, f.dim, q, sl.Finish())
+		}
+		report(b)
+	})
+	b.Run("q8", func(b *testing.B) {
+		bnd := Q8Bounds(f.dim, f.par.ErrBound())
+		var lut Q8LUT
+		var sl Shortlist
+		for i := 0; i < b.N; i++ {
+			BuildQ8LUT(f.par, q, &lut)
+			sl.Reset(bnd)
+			NNRowsQ8(f.codes, f.dim, &lut, rows, &sl)
+			NNRows(f.data, f.dim, q, sl.Finish())
+		}
+		report(b)
+	})
+}
+
 func BenchmarkNNBatch(b *testing.B) {
 	const nq = 64
 	f := newScanFixture(b, 1_000_000, 8, nq)

@@ -16,7 +16,7 @@ package kernels
 // only on which rows were observed, never on observation order, and any
 // tiling or chunking of a scan is bit-identical to the flat loop.
 
-import "sort"
+import "slices"
 
 // TopKEntry is one kept neighbor: a matrix row index and its exact squared
 // distance to the query.
@@ -127,38 +127,34 @@ func (a *TopKAcc) siftDown(i int) {
 func (a *TopKAcc) Append(dst []TopKEntry) []TopKEntry {
 	off := len(dst)
 	dst = append(dst, a.h...)
-	out := dst[off:]
-	sort.Slice(out, func(i, j int) bool { return topkWorse(out[j], out[i]) })
+	slices.SortFunc(dst[off:], func(a, b TopKEntry) int {
+		switch {
+		case topkWorse(a, b):
+			return 1
+		case topkWorse(b, a):
+			return -1
+		}
+		return 0
+	})
 	return dst
 }
 
 // topkScanRange extends acc with rows [lo, hi) of the flat row-major block
-// data, sharing sqDistFlat's arithmetic (and its dim-2 unrolled statement
-// shape) with the NN kernels so distances are bit-identical across both.
+// data, on the same blocked distance strips as the NN kernels so distances
+// are bit-identical across both.
 func topkScanRange(data []float64, dim int, q []float64, lo, hi int, acc *TopKAcc) {
 	thr := acc.Threshold()
-	if dim == 2 {
-		qx, qy := q[0], q[1]
-		for i := lo; i < hi; i++ {
-			d0 := qx - data[2*i]
-			d1 := qy - data[2*i+1]
-			d2 := d0 * d0
-			d2 += d1 * d1
-			if d2 > thr {
+	var d2 [nnTile]float64
+	for ; lo < hi; lo += nnTile {
+		strip := d2[:min(nnTile, hi-lo)]
+		sqDistRange(q[:dim], data, lo, strip)
+		for x, v := range strip {
+			if v > thr {
 				continue
 			}
-			acc.observe(int32(i), d2)
+			acc.observe(int32(lo+x), v)
 			thr = acc.Threshold()
 		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		d2 := sqDistFlat(q, data[i*dim:(i+1)*dim], dim)
-		if d2 > thr {
-			continue
-		}
-		acc.observe(int32(i), d2)
-		thr = acc.Threshold()
 	}
 }
 
@@ -174,14 +170,18 @@ func TopKRange(data []float64, dim int, q []float64, lo, hi int, acc *TopKAcc) {
 // row at most once.)
 func TopKRows(data []float64, dim int, q []float64, rows []int32, acc *TopKAcc) {
 	thr := acc.Threshold()
-	for _, r := range rows {
-		i := int(r)
-		d2 := sqDistFlat(q, data[i*dim:(i+1)*dim], dim)
-		if d2 > thr {
-			continue
+	var d2 [nnTile]float64
+	for len(rows) > 0 {
+		part := rows[:min(nnTile, len(rows))]
+		rows = rows[len(part):]
+		sqDistRows(q[:dim], data, part, d2[:len(part)])
+		for x, r := range part {
+			if d2[x] > thr {
+				continue
+			}
+			acc.observe(r, d2[x])
+			thr = acc.Threshold()
 		}
-		acc.observe(r, d2)
-		thr = acc.Threshold()
 	}
 }
 

@@ -135,35 +135,18 @@ func (sl *TopKShortlist) Finish() []int32 {
 	return sl.Rows
 }
 
+func (sl *TopKShortlist) threshold() float64 { return sl.thr }
+
 // TopKRange32 scans rows [lo, hi) of the float32 mirror into the shortlist
-// (Reset by the caller with this query's k and the scan's Bounds). The
-// admission reject is hoisted as in NNRange32; NaN fails the rejection test
-// and reaches observe, as required.
+// (Reset by the caller with this query's k and the scan's Bounds).
 func TopKRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *TopKShortlist) {
-	thr := sl.thr
-	for i := lo; i < hi; i++ {
-		d2 := sqDist32(q32, data32[i*dim:(i+1)*dim], dim)
-		if float64(d2) > thr {
-			continue
-		}
-		sl.observe(int32(i), d2)
-		thr = sl.thr
-	}
+	scanRange32(data32, dim, q32, lo, hi, sl)
 }
 
 // TopKRows32 scans the listed rows of the float32 mirror into the
 // shortlist. Rows must be distinct (see TopKRows).
 func TopKRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *TopKShortlist) {
-	thr := sl.thr
-	for _, r := range rows {
-		i := int(r)
-		d2 := sqDist32(q32, data32[i*dim:(i+1)*dim], dim)
-		if float64(d2) > thr {
-			continue
-		}
-		sl.observe(r, d2)
-		thr = sl.thr
-	}
+	scanRows32(data32, dim, q32, rows, sl)
 }
 
 // TopKBatch32 is the multi-query variant of TopKRange32: one pass over

@@ -50,8 +50,8 @@ func randQuery(rng *rand.Rand, dim int) []float64 {
 
 func TestTopKAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, dim := range []int{2, 3, 7} { // dim 2 exercises the unrolled path
-		n := 180
+	for _, dim := range []int{1, 2, 3, 7, 9, 12, 17} {
+		n := 180 + dim%4                   // every n mod 4 remainder past the last full block
 		data := randBlock(rng, n, dim, 10) // plants duplicates and near ties
 		allRows := make([]int32, n)
 		for i := range allRows {
@@ -104,7 +104,7 @@ func TestTopKChunkingInvariance(t *testing.T) {
 		for _, chunk := range []int{1, 7, nnTile - 1, nnTile, n} {
 			acc := NewTopKAcc(k)
 			for lo := 0; lo < n; lo += chunk {
-				TopKRange(data, dim, q, lo, minInt(lo+chunk, n), acc)
+				TopKRange(data, dim, q, lo, min(lo+chunk, n), acc)
 			}
 			if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("query %d chunk %d: chunked scan diverged", qi, chunk)
@@ -178,8 +178,8 @@ func TestTopKMatchesNNAtK1(t *testing.T) {
 func TestTopK32Rerank(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, scale := range []float64{4, 1e25} {
-		for _, dim := range []int{2, 3, 7} {
-			n := 220
+		for _, dim := range []int{1, 2, 3, 7, 9, 17} {
+			n := 220 + dim%4
 			data := randBlock(rng, n, dim, scale)
 			data32, _ := points.ToFloat32(data)
 			for _, k := range []int{1, 5, 16} {
@@ -281,6 +281,75 @@ func TestTopK32MassTies(t *testing.T) {
 	for i, e := range got {
 		if e.Row != int32(i) {
 			t.Fatalf("mass ties kept row %d at rank %d, want lowest rows", e.Row, i)
+		}
+	}
+}
+
+// TestTopKHostileRows is TestNNHostileRows for k neighbours: on lattice
+// rows salted with non-finite coordinates the kept set must equal the
+// oracle's — ties that straddle a four-row block or a strip resolved by the
+// lowest row index — through the range, gathered, batched and f32 paths.
+func TestTopKHostileRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, dim := range []int{1, 2, 5, 8, 11} {
+		for _, n := range []int{3, 4, 5, nnTile + 1, 2*nnTile + 2, 2*nnTile + 3} {
+			data := latticeRows(rng, n, dim)
+			data32 := toF32(data)
+			asc := make([]int32, n)
+			for i := range asc {
+				asc[i] = int32(i)
+			}
+			shuffled := append([]int32(nil), asc...)
+			rng.Shuffle(n, func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+			for _, k := range []int{1, 4, 7} {
+				q := make([]float64, dim)
+				for j := range q {
+					q[j] = float64(rng.Intn(5))
+				}
+				want := naiveTopK(data, dim, q, asc, k)
+				acc := NewTopKAcc(k)
+				TopKRange(data, dim, q, 0, n, acc)
+				if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("dim %d n %d k %d: TopKRange = %v, want %v", dim, n, k, got, want)
+				}
+				acc.Reset(k)
+				TopKRows(data, dim, q, shuffled, acc)
+				if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("dim %d n %d k %d: shuffled TopKRows = %v, want %v", dim, n, k, got, want)
+				}
+				accs := []TopKAcc{{}}
+				accs[0].Reset(k)
+				TopKBatch(data, dim, q, 0, n, accs)
+				if got := accs[0].Append(nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("dim %d n %d k %d: TopKBatch = %v, want %v", dim, n, k, got, want)
+				}
+				var sl TopKShortlist
+				sl.Reset(k, F32Bounds(dim, 4)) // non-finite compact distances re-rank exactly
+				TopKRows32(data32, dim, toF32(q), shuffled, &sl)
+				acc.Reset(k)
+				TopKRows(data, dim, q, sl.Finish(), acc)
+				if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("dim %d n %d k %d: f32 shortlist + re-rank = %v, want %v", dim, n, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+// Append runs once per query per bucket in the kNN-join reducer: with room
+// in dst it must not allocate (it once sorted through reflective
+// sort.Slice), and the order is (distance, row) ascending.
+func TestTopKAppendNoAlloc(t *testing.T) {
+	acc := NewTopKAcc(10)
+	data := randBlock(rand.New(rand.NewSource(45)), 300, 4, 3) // plants duplicate rows
+	TopKRange(data, 4, []float64{0, 0, 0, 0}, 0, 300, acc)
+	dst := make([]TopKEntry, 0, 10)
+	if allocs := testing.AllocsPerRun(100, func() { dst = acc.Append(dst[:0]) }); allocs != 0 {
+		t.Fatalf("Append allocated %v times per run with capacity in dst", allocs)
+	}
+	for i := 1; i < len(dst); i++ {
+		if !topkWorse(dst[i], dst[i-1]) {
+			t.Fatalf("Append order broken at %d: %v then %v", i, dst[i-1], dst[i])
 		}
 	}
 }
