@@ -7,11 +7,15 @@
 //   - any configuration knob registered in code — an exported `Conf*`
 //     string constant with a dotted value, e.g. `ConfDeltaMax =
 //     "ingest.delta.max"` — has no row in README.md's configuration
-//     reference (the knob's name must appear backticked in README.md).
+//     reference (the knob's name must appear backticked in README.md), or
+//   - README.md, DESIGN.md, EXPERIMENTS.md or OPERATIONS.md mention, inside
+//     backticks, a `make <target>` the Makefile does not define or a
+//     `cmd/<name>` directory that does not exist.
 //
 // The second check keeps the README's configuration reference in step with
 // the code: adding a knob without documenting it breaks `make check` and CI.
-// Run from the module root:
+// The third is the other direction: deleting a target or a binary without
+// deleting its recipes breaks them too. Run from the module root:
 //
 //	go run ./cmd/doccheck
 package main
@@ -24,6 +28,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,6 +61,22 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "doccheck: add a `| `knob` | default | meaning |` row under \"Configuration reference\"")
 	}
+	targets, cmds, err := definedRefs("Makefile", "cmd")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(1)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+			os.Exit(1)
+		}
+		for _, ref := range staleRefs(string(data), targets, cmds) {
+			failed = true
+			fmt.Fprintf(os.Stderr, "doccheck: %s mentions `%s`, which no longer exists\n", doc, ref)
+		}
+	}
 	if failed {
 		os.Exit(1)
 	}
@@ -84,6 +105,59 @@ func undocumentedKnobs(readme string, knobs []knob) ([]knob, error) {
 		}
 	}
 	return missing, nil
+}
+
+var (
+	makeTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
+	makeRef    = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
+	cmdRef     = regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
+)
+
+// definedRefs returns the targets the Makefile defines and the command
+// directories that exist under cmdDir.
+func definedRefs(makefile, cmdDir string) (targets, cmds map[string]bool, err error) {
+	data, err := os.ReadFile(makefile)
+	if err != nil {
+		return nil, nil, err
+	}
+	targets = make(map[string]bool)
+	for _, m := range makeTarget.FindAllStringSubmatch(string(data), -1) {
+		targets[m[1]] = true
+	}
+	entries, err := os.ReadDir(cmdDir)
+	if err != nil {
+		return nil, nil, err
+	}
+	cmds = make(map[string]bool)
+	for _, e := range entries {
+		if e.IsDir() {
+			cmds[e.Name()] = true
+		}
+	}
+	return targets, cmds, nil
+}
+
+// staleRefs returns every `make <target>` and `cmd/<name>` that doc mentions
+// inside backticks (inline code or a fenced block — prose is skipped, so
+// "make sure" is not a target) but that targets / cmds do not hold.
+func staleRefs(doc string, targets, cmds map[string]bool) []string {
+	var stale []string
+	for i, span := range strings.Split(doc, "`") {
+		if i%2 == 0 {
+			continue // outside backticks
+		}
+		for _, m := range makeRef.FindAllStringSubmatch(span, -1) {
+			if !targets[m[1]] {
+				stale = append(stale, m[0])
+			}
+		}
+		for _, m := range cmdRef.FindAllStringSubmatch(span, -1) {
+			if !cmds[m[1]] {
+				stale = append(stale, m[0])
+			}
+		}
+	}
+	return stale
 }
 
 // collectKnobs pulls exported Conf* string constants with dotted values out

@@ -12,7 +12,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -21,8 +20,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/mapreduce"
-	"repro/internal/mapreduce/dag"
 	"repro/internal/obs"
 )
 
@@ -53,7 +50,6 @@ func main() {
 		csvDir   = flag.String("csv", "", "also write each report as CSV into this directory")
 		htmlOut  = flag.String("html", "", "also write all reports as one HTML page to this file")
 		traceOut = flag.String("trace", "", "write a JSONL job trace (task phase spans) to this file")
-		jsonOut  = flag.String("json", "", "write a per-experiment perf summary (wall, distance computations, shuffle bytes) to this JSON file")
 	)
 	flag.Parse()
 
@@ -64,7 +60,7 @@ func main() {
 		}
 	}
 	var trace *obs.Trace
-	if *traceOut != "" || *jsonOut != "" {
+	if *traceOut != "" {
 		trace = &obs.Trace{}
 		opt.Trace = trace
 	}
@@ -87,23 +83,17 @@ func main() {
 
 	ranAny := false
 	var collected []*experiments.Report
-	var perf []perfEntry
 	for _, e := range exps {
 		if !runAll && !want[e.name] {
 			continue
 		}
 		ranAny = true
-		jobsBefore := 0
-		if trace != nil {
-			jobsBefore = len(trace.Jobs())
-		}
 		start := time.Now()
 		report, err := e.run(opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dpbench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		wall := time.Since(start)
 		report.WriteTo(os.Stdout)
 		collected = append(collected, report)
 		if *csvDir != "" {
@@ -112,23 +102,13 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if *jsonOut != "" {
-			perf = append(perf, summarize(e.name, wall, trace.Jobs()[jobsBefore:]))
-		}
 		fmt.Printf("[%s completed in %.1fs]\n\n", e.name, time.Since(start).Seconds())
 	}
 	if !ranAny {
 		fmt.Fprintln(os.Stderr, "dpbench: nothing to run")
 		os.Exit(2)
 	}
-	if *jsonOut != "" {
-		if err := writePerf(*jsonOut, perf); err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", *jsonOut, len(perf))
-	}
-	if trace != nil && *traceOut != "" {
+	if trace != nil {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
@@ -154,73 +134,6 @@ func main() {
 		f.Close()
 		fmt.Printf("wrote %s\n", *htmlOut)
 	}
-}
-
-// perfEntry is one experiment's row in the -json perf summary. Counters are
-// summed across every MapReduce job the experiment launched.
-type perfEntry struct {
-	Experiment    string  `json:"experiment"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	Jobs          int     `json:"jobs"`
-	DistanceComps int64   `json:"distance_computations"`
-	ShuffleBytes  int64   `json:"shuffle_bytes"`
-	ParallelGroup int64   `json:"parallel_groups"`
-	// The wire counters stay zero on the local engine: they count actual
-	// transport bytes of the distributed engine's streaming shuffle,
-	// whereas shuffle_bytes is the paper's logical volume.
-	ShuffleWireBytes     int64 `json:"shuffle_wire_bytes,omitempty"`
-	ShuffleWireBytesComp int64 `json:"shuffle_wire_bytes_compressed,omitempty"`
-	// DAG scheduler totals, folded from the "dag:*" scheduler traces (one
-	// per graph run). DagRuns counts graph executions; the dag_* counters
-	// mirror the mr.dag.* counter namespace documented in OPERATIONS.md.
-	DagRuns           int   `json:"dag_runs,omitempty"`
-	DagNodes          int64 `json:"dag_nodes,omitempty"`
-	DagCacheHits      int64 `json:"dag_cache_hits,omitempty"`
-	DagCacheMisses    int64 `json:"dag_cache_misses,omitempty"`
-	DagCacheEvictions int64 `json:"dag_cache_evictions,omitempty"`
-	DagStageBytes     int64 `json:"dag_stage_bytes,omitempty"`
-	DagGCBytes        int64 `json:"dag_gc_bytes,omitempty"`
-}
-
-// summarize folds the job traces an experiment produced into one perf row.
-// Scheduler ("dag:*") traces carry dag.* counters and are tallied apart
-// from the MapReduce jobs they scheduled.
-func summarize(name string, wall time.Duration, jobs []obs.JobTrace) perfEntry {
-	e := perfEntry{Experiment: name, WallSeconds: wall.Seconds()}
-	for _, j := range jobs {
-		if strings.HasPrefix(j.Job, "dag:") {
-			e.DagRuns++
-			e.DagNodes += j.Counters[dag.CtrNodes]
-			e.DagCacheHits += j.Counters[dag.CtrCacheHits]
-			e.DagCacheMisses += j.Counters[dag.CtrCacheMisses]
-			e.DagCacheEvictions += j.Counters[dag.CtrCacheEvictions]
-			e.DagStageBytes += j.Counters[dag.CtrStageBytes]
-			e.DagGCBytes += j.Counters[dag.CtrGCBytes]
-			continue
-		}
-		e.Jobs++
-		e.DistanceComps += j.Counters[mapreduce.CtrDistanceComputations]
-		e.ShuffleBytes += j.Counters[mapreduce.CtrShuffleBytes]
-		e.ParallelGroup += j.Counters[mapreduce.CtrParallelGroups]
-		e.ShuffleWireBytes += j.Counters[mapreduce.CtrShuffleWireBytes]
-		e.ShuffleWireBytesComp += j.Counters[mapreduce.CtrShuffleWireBytesCompressed]
-	}
-	return e
-}
-
-// writePerf stores the perf summary as an indented JSON array.
-func writePerf(path string, perf []perfEntry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(perf); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeCSV stores one report as <dir>/<name>.csv.

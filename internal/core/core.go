@@ -203,12 +203,12 @@ type Config struct {
 	Session *dag.Session
 	// DagWorkers bounds concurrent DAG nodes when the pipeline builds its
 	// own session (Session nil); 0 defers to the engine's declared job
-	// concurrency. Conf key "mr.dag.workers".
+	// concurrency.
 	DagWorkers int
 	// DagCacheMB sizes the per-run node-result cache in MiB when Session
-	// is nil; 0 disables caching. Conf key "mr.dag.cache.mb". Cross-run
-	// reuse needs a shared Session — a private cache only serves repeated
-	// sub-graphs within one pipeline run.
+	// is nil; 0 disables caching. Cross-run reuse needs a shared Session —
+	// a private cache only serves repeated sub-graphs within one pipeline
+	// run.
 	DagCacheMB int
 }
 

@@ -271,18 +271,18 @@ func NNRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *Shortl
 	scanRows32(data32, dim, q32, rows, sl)
 }
 
-// NNRange32 scans rows [lo, hi) of the float32 mirror into the shortlist.
-func NNRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *Shortlist) {
+// nnRange32 scans rows [lo, hi) of the float32 mirror into the shortlist.
+func nnRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *Shortlist) {
 	scanRange32(data32, dim, q32, lo, hi, sl)
 }
 
-// NNBatch32 is the multi-query variant of NNRange32: one pass over each
+// NNBatch32 is the multi-query variant of nnRange32: one pass over each
 // row tile of the float32 mirror feeds every query's shortlist. qs32 is
 // flat (len(sls)*dim); each shortlist must be Reset by the caller. Per
-// query the rows arrive in ascending order, exactly as in NNRange32.
+// query the rows arrive in ascending order, exactly as in nnRange32.
 func NNBatch32(data32 []float32, dim int, qs32 []float32, lo, hi int, sls []Shortlist) {
 	batchTiles(lo, hi, len(sls), func(qi, tLo, tHi int) {
-		NNRange32(data32, dim, qs32[qi*dim:(qi+1)*dim], tLo, tHi, &sls[qi])
+		nnRange32(data32, dim, qs32[qi*dim:(qi+1)*dim], tLo, tHi, &sls[qi])
 	})
 }
 
@@ -373,8 +373,8 @@ func NNRowsQ8(codes []uint8, dim int, lut *Q8LUT, rows []int32, sl *Shortlist) {
 	}
 }
 
-// NNRangeQ8 scans rows [lo, hi) of the quantized block into the shortlist.
-func NNRangeQ8(codes []uint8, dim int, lut *Q8LUT, lo, hi int, sl *Shortlist) {
+// nnRangeQ8 scans rows [lo, hi) of the quantized block into the shortlist.
+func nnRangeQ8(codes []uint8, dim int, lut *Q8LUT, lo, hi int, sl *Shortlist) {
 	var d2 [nnTile]float32
 	for ; lo < hi; lo += nnTile {
 		strip := d2[:min(nnTile, hi-lo)]
@@ -383,11 +383,11 @@ func NNRangeQ8(codes []uint8, dim int, lut *Q8LUT, lo, hi int, sl *Shortlist) {
 	}
 }
 
-// NNBatchQ8 is the multi-query variant of NNRangeQ8: luts and sls are
+// NNBatchQ8 is the multi-query variant of nnRangeQ8: luts and sls are
 // parallel per-query slices, and one pass over each row tile of the code
 // block feeds every query's shortlist.
 func NNBatchQ8(codes []uint8, dim int, luts []Q8LUT, lo, hi int, sls []Shortlist) {
 	batchTiles(lo, hi, len(sls), func(qi, tLo, tHi int) {
-		NNRangeQ8(codes, dim, &luts[qi], tLo, tHi, &sls[qi])
+		nnRangeQ8(codes, dim, &luts[qi], tLo, tHi, &sls[qi])
 	})
 }

@@ -43,7 +43,7 @@ func rerank32(data []float64, dim int, q []float64, bnd Bounds) (int, float64, i
 	q32, _ := points.ToFloat32(q)
 	var sl Shortlist
 	sl.Reset(bnd)
-	NNRange32(data32, dim, q32, 0, len(data)/dim, &sl)
+	nnRange32(data32, dim, q32, 0, len(data)/dim, &sl)
 	short := sl.Finish()
 	b, b2 := NNRows(data, dim, q, short)
 	return b, b2, len(short)
@@ -60,7 +60,7 @@ func rerankQ8(t *testing.T, data []float64, dim int, q []float64) (int, float64,
 	BuildQ8LUT(par, q, &lut)
 	var sl Shortlist
 	sl.Reset(Q8Bounds(dim, par.ErrBound()))
-	NNRangeQ8(codes, dim, &lut, 0, len(data)/dim, &sl)
+	nnRangeQ8(codes, dim, &lut, 0, len(data)/dim, &sl)
 	short := sl.Finish()
 	b, b2 := NNRows(data, dim, q, short)
 	return b, b2, len(short)

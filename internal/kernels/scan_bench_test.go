@@ -61,7 +61,7 @@ func BenchmarkNNScan(b *testing.B) {
 		var sl Shortlist
 		for i := 0; i < b.N; i++ {
 			sl.Reset(bnd)
-			NNRange32(f.data32, f.dim, f.qs32[:f.dim], 0, f.n, &sl)
+			nnRange32(f.data32, f.dim, f.qs32[:f.dim], 0, f.n, &sl)
 			NNRows(f.data, f.dim, q, sl.Finish())
 		}
 	})
@@ -73,7 +73,7 @@ func BenchmarkNNScan(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			BuildQ8LUT(f.par, q, &lut)
 			sl.Reset(bnd)
-			NNRangeQ8(f.codes, f.dim, &lut, 0, f.n, &sl)
+			nnRangeQ8(f.codes, f.dim, &lut, 0, f.n, &sl)
 			NNRows(f.data, f.dim, q, sl.Finish())
 		}
 	})

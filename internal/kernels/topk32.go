@@ -137,23 +137,17 @@ func (sl *TopKShortlist) Finish() []int32 {
 
 func (sl *TopKShortlist) threshold() float64 { return sl.thr }
 
-// TopKRange32 scans rows [lo, hi) of the float32 mirror into the shortlist
+// topKRange32 scans rows [lo, hi) of the float32 mirror into the shortlist
 // (Reset by the caller with this query's k and the scan's Bounds).
-func TopKRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *TopKShortlist) {
+func topKRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *TopKShortlist) {
 	scanRange32(data32, dim, q32, lo, hi, sl)
 }
 
-// TopKRows32 scans the listed rows of the float32 mirror into the
-// shortlist. Rows must be distinct (see TopKRows).
-func TopKRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *TopKShortlist) {
-	scanRows32(data32, dim, q32, rows, sl)
-}
-
-// TopKBatch32 is the multi-query variant of TopKRange32: one pass over
+// TopKBatch32 is the multi-query variant of topKRange32: one pass over
 // each row tile of the float32 mirror feeds every query's shortlist
 // (qs32 flat, len(sls)*dim; each shortlist Reset by the caller).
 func TopKBatch32(data32 []float32, dim int, qs32 []float32, lo, hi int, sls []TopKShortlist) {
 	batchTiles(lo, hi, len(sls), func(qi, tLo, tHi int) {
-		TopKRange32(data32, dim, qs32[qi*dim:(qi+1)*dim], tLo, tHi, &sls[qi])
+		topKRange32(data32, dim, qs32[qi*dim:(qi+1)*dim], tLo, tHi, &sls[qi])
 	})
 }

@@ -192,7 +192,7 @@ func TestTopK32Rerank(t *testing.T) {
 					q32, _ := points.ToFloat32(q)
 					var sl TopKShortlist
 					sl.Reset(k, bnd)
-					TopKRange32(data32, dim, q32, 0, n, &sl)
+					topKRange32(data32, dim, q32, 0, n, &sl)
 					acc := NewTopKAcc(k)
 					TopKRows(data, dim, q, sl.Finish(), acc)
 					got := acc.Append(nil)
@@ -209,8 +209,7 @@ func TestTopK32Rerank(t *testing.T) {
 }
 
 // The batched f32 kernel must leave every shortlist in the same state as
-// its single-query counterpart, and TopKRows32 must honor the running
-// threshold like TopKRange32 does.
+// its single-query counterpart.
 func TestTopK32BatchAndRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	dim, n, k, nq := 3, 260, 6, 5
@@ -229,22 +228,16 @@ func TestTopK32BatchAndRows(t *testing.T) {
 	}
 	TopKBatch32(data32, dim, qs32, 0, n, sls)
 
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
 	for qi := 0; qi < nq; qi++ {
 		q, q32 := qs[qi*dim:(qi+1)*dim], qs32[qi*dim:(qi+1)*dim]
-		var flat, byRows TopKShortlist
+		var flat TopKShortlist
 		flat.Reset(k, bnd)
-		TopKRange32(data32, dim, q32, 0, n, &flat)
-		byRows.Reset(k, bnd)
-		TopKRows32(data32, dim, q32, rows, &byRows)
+		topKRange32(data32, dim, q32, 0, n, &flat)
 
 		ref := NewTopKAcc(k)
 		TopKRange(data, dim, q, 0, n, ref)
 		want := ref.Append(nil)
-		for name, sl := range map[string]*TopKShortlist{"batch": &sls[qi], "range": &flat, "rows": &byRows} {
+		for name, sl := range map[string]*TopKShortlist{"batch": &sls[qi], "range": &flat} {
 			acc := NewTopKAcc(k)
 			TopKRows(data, dim, q, sl.Finish(), acc)
 			if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
@@ -269,7 +262,7 @@ func TestTopK32MassTies(t *testing.T) {
 	bnd := F32Bounds(dim, 3)
 	var sl TopKShortlist
 	sl.Reset(k, bnd)
-	TopKRange32(data32, dim, q32, 0, n, &sl)
+	topKRange32(data32, dim, q32, 0, n, &sl)
 	acc := NewTopKAcc(k)
 	TopKRows(data, dim, q, sl.Finish(), acc)
 	got := acc.Append(nil)
@@ -325,7 +318,7 @@ func TestTopKHostileRows(t *testing.T) {
 				}
 				var sl TopKShortlist
 				sl.Reset(k, F32Bounds(dim, 4)) // non-finite compact distances re-rank exactly
-				TopKRows32(data32, dim, toF32(q), shuffled, &sl)
+				topKRange32(data32, dim, toF32(q), 0, n, &sl)
 				acc.Reset(k)
 				TopKRows(data, dim, q, sl.Finish(), acc)
 				if got := acc.Append(nil); !reflect.DeepEqual(got, want) {

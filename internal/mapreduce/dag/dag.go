@@ -26,19 +26,14 @@
 //     collected bytes) and one obs span per node, so cache behaviour and
 //     node overlap are visible in traces and bench output.
 //
-// Datasets are backed by in-memory pair slices (sources and node outputs),
-// by session-level staged slices shared across graphs (Session.Stage — the
-// fix for pipelines re-staging their input every iteration), or by DFS
-// part-file prefixes consumed directly by DFS-capable engines
-// (Graph.DFSSource + mapreduce.DFSRunner). Evicted cache entries can spill
-// to a local directory and reload on the next hit.
+// Datasets are backed by in-memory pair slices (sources and node outputs)
+// or by session-level staged slices shared across graphs (Session.Stage —
+// the fix for pipelines re-staging their input every iteration). Evicted
+// cache entries can spill to a local directory and reload on the next hit.
 //
 // Fingerprinting identifies job code by job NAME, exactly like the rpcmr
 // job registry: two jobs with the same name, conf, geometry, and inputs
-// are assumed to compute the same function. DFS sources are fingerprinted
-// by path identity, not content — re-writing a prefix in place does NOT
-// invalidate cached downstream nodes; use a fresh prefix per dataset
-// version.
+// are assumed to compute the same function.
 package dag
 
 import (
@@ -56,24 +51,20 @@ import (
 type TransformFunc func(inputs ...[]mapreduce.Pair) ([]mapreduce.Pair, error)
 
 // Dataset is a handle on one named dataset: a graph source, a session
-// staged slice, a DFS prefix, or the output of a graph node. Handles are
-// wired into downstream nodes and passed to Session.Run as wanted outputs.
+// staged slice, or the output of a graph node. Handles are wired into
+// downstream nodes and passed to Session.Run as wanted outputs.
 // The pair slice behind a source or staged dataset must not be mutated
 // after registration — fingerprints are computed from it once.
 type Dataset struct {
 	name     string
-	src      []mapreduce.Pair // source / staged content (nil for DFS and node outputs)
+	src      []mapreduce.Pair // source / staged content (nil for node outputs)
 	producer *node            // non-nil for node outputs
-	dfsName  string           // DFS namenode address, "" otherwise
-	dfsPath  string           // DFS part prefix, "" otherwise
 	staged   bool             // registered via Session.Stage
 	fp       string           // memoized fingerprint
 }
 
 // Name returns the dataset's declared name.
 func (d *Dataset) Name() string { return d.name }
-
-func (d *Dataset) isDFS() bool { return d.dfsPath != "" }
 
 // node is one unit of work: exactly one of job / fn is set.
 type node struct {
@@ -125,23 +116,6 @@ func (g *Graph) Source(name string, pairs []mapreduce.Pair) *Dataset {
 	return &Dataset{name: name, src: pairs}
 }
 
-// DFSSource registers a dataset backed by mini-DFS part files under
-// inputPrefix. Only a job node may consume it, as its sole input, and only
-// on a DFS-capable runner (mapreduce.DFSRunner — the rpcmr master, or a
-// Driver wrapping one). The fingerprint is the path identity, not the part
-// contents.
-func (g *Graph) DFSSource(name, nameNodeAddr, inputPrefix string) *Dataset {
-	if name == "" || nameNodeAddr == "" || inputPrefix == "" {
-		return g.fail("DFS source needs name, namenode, and prefix")
-	}
-	return &Dataset{
-		name:    name,
-		dfsName: nameNodeAddr,
-		dfsPath: inputPrefix,
-		fp:      fingerprintDFS(nameNodeAddr, inputPrefix),
-	}
-}
-
 // Job adds a job node consuming the given datasets (multiple inputs are
 // concatenated in declaration order, the way hand-sequenced pipelines
 // appended output slices) and returns its output dataset. The job's Conf
@@ -188,14 +162,6 @@ func (g *Graph) addNode(n *node, inputs []*Dataset) *Dataset {
 		}
 		if in.producer != nil && in.producer.g != g {
 			return g.fail("node %q input %q belongs to graph %q", n.name, in.name, in.producer.g.name)
-		}
-		if in.isDFS() {
-			if n.fn != nil {
-				return g.fail("transform %q cannot consume DFS source %q", n.name, in.name)
-			}
-			if len(inputs) != 1 {
-				return g.fail("job %q: a DFS source must be the node's only input", n.name)
-			}
 		}
 	}
 	n.ins = inputs

@@ -16,7 +16,6 @@ import (
 // domain-separated byte stream:
 //
 //	source     "src"  ‖ name ‖ length-framed pairs        (content identity)
-//	DFS source "dfs"  ‖ namenode ‖ prefix                 (path identity)
 //	job node   "job"  ‖ name ‖ maps ‖ reduces ‖ sorted conf ‖ input fps
 //	transform  "xfm"  ‖ name ‖ input fps
 //
@@ -47,15 +46,6 @@ func fingerprintPairs(name string, ps []mapreduce.Pair) string {
 		writeStr(h, p.Key)
 		writeFrame(h, p.Value)
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// fingerprintDFS hashes a DFS source by path identity.
-func fingerprintDFS(nameNode, prefix string) string {
-	h := sha256.New()
-	writeStr(h, "dfs")
-	writeStr(h, nameNode)
-	writeStr(h, prefix)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -10,8 +10,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Counter names the scheduler reports (Session.Counters, per-run trace
-// counters, and `dpbench -json`).
+// Counter names the scheduler reports (Session.Counters and per-run trace
+// counters).
 const (
 	// CtrNodes counts job nodes actually executed (cache hits excluded).
 	CtrNodes = "dag.nodes"
@@ -36,17 +36,6 @@ const (
 	CtrGCBytes    = "dag.gc.bytes"
 )
 
-// Conf keys for the scheduler knobs, for CLIs that carry configuration in
-// a mapreduce.Conf (see OptionsFromConf).
-const (
-	// ConfWorkers bounds concurrent DAG nodes ("mr.dag.workers");
-	// 0 defers to the engine's declared job concurrency.
-	ConfWorkers = "mr.dag.workers"
-	// ConfCacheMB sizes the node-result cache in MiB ("mr.dag.cache.mb");
-	// 0 disables caching.
-	ConfCacheMB = "mr.dag.cache.mb"
-)
-
 // Options tunes a Session.
 type Options struct {
 	// Workers bounds how many ready nodes run concurrently. 0 uses the
@@ -66,14 +55,6 @@ type Options struct {
 	// Trace, when non-nil, receives one obs.JobTrace per Run with a span
 	// per node — the hook CLI -trace flags use.
 	Trace *obs.Trace
-}
-
-// OptionsFromConf reads the mr.dag.* knobs out of a conf map.
-func OptionsFromConf(conf mapreduce.Conf) Options {
-	return Options{
-		Workers:    conf.GetInt(ConfWorkers, 0),
-		CacheBytes: int64(conf.GetInt(ConfCacheMB, 0)) << 20,
-	}
 }
 
 // Session executes graphs over one mapreduce.Runner, carrying the node
@@ -211,9 +192,6 @@ func (s *Session) Run(ctx context.Context, g *Graph, want ...*Dataset) ([][]mapr
 	for _, w := range want {
 		if w == nil {
 			return nil, fmt.Errorf("dag: graph %q: nil wanted dataset", g.name)
-		}
-		if w.isDFS() {
-			return nil, fmt.Errorf("dag: graph %q: cannot return DFS dataset %q", g.name, w.name)
 		}
 		if w.producer != nil && w.producer.g != g {
 			return nil, fmt.Errorf("dag: graph %q: wanted dataset %q belongs to graph %q", g.name, w.name, w.producer.g.name)
@@ -369,9 +347,9 @@ type nodeResult struct {
 	cached bool
 }
 
-// execNode runs one node: cache lookup, then the job (inline or DFS) or
-// transform, then cache fill. The returned span carries the node's output
-// volume; cache-served nodes are labeled "<name> (cached)".
+// execNode runs one node: cache lookup, then the job or transform, then
+// cache fill. The returned span carries the node's output volume;
+// cache-served nodes are labeled "<name> (cached)".
 func (s *Session) execNode(ctx context.Context, n *node, inputs [][]mapreduce.Pair, rc *mapreduce.Counters) (msg nodeResult) {
 	start := time.Now()
 	msg.n = n
@@ -388,20 +366,7 @@ func (s *Session) execNode(ctx context.Context, n *node, inputs [][]mapreduce.Pa
 	}
 	var out []mapreduce.Pair
 	var err error
-	switch {
-	case n.job != nil && len(n.ins) == 1 && n.ins[0].isDFS():
-		dr, ok := s.runner.(mapreduce.DFSRunner)
-		if !ok {
-			err = fmt.Errorf("dag: node %q reads DFS source %q but runner %T has no DFS support", n.name, n.ins[0].name, s.runner)
-			break
-		}
-		var res *mapreduce.Result
-		res, err = dr.RunDFS(ctx, n.job, n.ins[0].dfsName, n.ins[0].dfsPath)
-		if err == nil {
-			out = res.Output
-			rc.Add(CtrNodes, 1)
-		}
-	case n.job != nil:
+	if n.job != nil {
 		input := inputs[0]
 		if len(inputs) > 1 {
 			input = nil
@@ -415,7 +380,7 @@ func (s *Session) execNode(ctx context.Context, n *node, inputs [][]mapreduce.Pa
 			out = res.Output
 			rc.Add(CtrNodes, 1)
 		}
-	default:
+	} else {
 		out, err = n.fn(inputs...)
 		if err != nil {
 			err = fmt.Errorf("dag: transform %q: %w", n.name, err)

@@ -464,8 +464,14 @@ type masterRPC struct {
 	m *Master
 }
 
-// Register signs a worker on.
+// Register signs a worker on. The streaming shuffle listener is the only
+// way reducers reach a worker's map outputs, so a registration without a
+// dialable host:port there is refused outright rather than admitted as a
+// worker whose every map task would later read as lost.
 func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
+	if _, port, err := net.SplitHostPort(args.ShuffleAddr); err != nil || port == "" {
+		return fmt.Errorf("rpcmr: register %q: ShuffleAddr %q is not host:port", args.Addr, args.ShuffleAddr)
+	}
 	m := r.m
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -9,8 +9,7 @@
 //   - workers execute tasks with mapreduce.ExecuteMapTask /
 //     ExecuteReduceTask, keep their map outputs locally, and serve them to
 //     reducers over a worker-to-worker streaming shuffle transport
-//     (chunked binary frames with optional compression — see transport.go;
-//     a gob FetchPartition RPC remains as the compatibility fallback);
+//     (chunked binary frames with optional compression — see transport.go);
 //   - functions do not serialize, so workers rebuild jobs from a local
 //     registry of job factories keyed by job name; everything else a job
 //     needs ships in its Conf.
@@ -44,11 +43,11 @@ const (
 
 // RegisterArgs / RegisterReply: worker sign-on.
 type RegisterArgs struct {
-	// Addr is the worker's RPC address (legacy shuffle fetches, cleanup).
+	// Addr is the worker's RPC address (cleanup).
 	Addr string
-	// ShuffleAddr is the worker's streaming shuffle listener. Empty when
-	// the worker only speaks the legacy gob FetchPartition RPC; reducers
-	// then fall back to that path.
+	// ShuffleAddr is the worker's streaming shuffle listener, host:port.
+	// Required: Register rejects a worker that advertises none, since
+	// reducers have no other way to reach its map outputs.
 	ShuffleAddr string
 }
 
@@ -66,8 +65,7 @@ type GetTaskArgs struct {
 type MapLocation struct {
 	MapTaskID  int
 	WorkerAddr string
-	// ShuffleAddr is the holding worker's streaming shuffle listener
-	// (empty = fetch over the legacy RPC path).
+	// ShuffleAddr is the holding worker's streaming shuffle listener.
 	ShuffleAddr string
 }
 
@@ -115,21 +113,6 @@ type CompleteArgs struct {
 
 // CompleteReply acknowledges a completion report.
 type CompleteReply struct{}
-
-// FetchArgs / FetchReply: the legacy worker-to-worker shuffle RPC. The
-// streaming transport in transport.go has replaced it on the hot path;
-// it remains as the compatibility fallback (ShuffleAddr-less workers,
-// jobs with mr.shuffle.stream=false).
-type FetchArgs struct {
-	JobID     int
-	MapTaskID int
-	Partition int
-}
-
-// FetchReply carries the requested partition records.
-type FetchReply struct {
-	Pairs []mapreduce.Pair
-}
 
 // CleanupArgs / CleanupReply: drop a finished job's intermediate data.
 type CleanupArgs struct {

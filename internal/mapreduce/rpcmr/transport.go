@@ -16,13 +16,12 @@ import (
 
 // Streaming shuffle transport.
 //
-// The original shuffle gob-encoded whole []Pair partitions through
-// net/rpc: every fetch paid reflection-based encode/decode on both sides
-// and buffered the entire partition in a single RPC reply. This file
-// replaces it with a purpose-built raw-TCP protocol that streams the
-// partition as record frames — the same uint32-length-prefixed layout the
-// spill run files use (mapreduce/frame.go) — in bounded chunks, with
-// optional per-chunk DEFLATE compression negotiated by the fetcher.
+// Reducers fetch remote map outputs over a purpose-built raw-TCP protocol
+// that streams a partition as record frames — the same
+// uint32-length-prefixed layout the spill run files use
+// (mapreduce/frame.go) — in bounded chunks, with optional per-chunk DEFLATE
+// compression negotiated by the fetcher. It is the only worker-to-worker
+// data path; net/rpc carries control traffic alone.
 //
 // Wire protocol, little-endian throughout. One connection serves many
 // sequential requests (reducers pool connections per peer):
@@ -57,31 +56,23 @@ const (
 	// shuffleIOTimeout bounds one request/response exchange so a hung
 	// peer surfaces as a retriable error instead of a stuck reducer.
 	shuffleIOTimeout = 60 * time.Second
+	// shuffleFetchers bounds a reduce task's concurrent fetches.
+	shuffleFetchers = 4
+	// shuffleRetries is how many times a transient fetch failure is
+	// retried (with exponential backoff from shuffleRetryBackoff) before
+	// the map output is declared lost.
+	shuffleRetries      = 2
+	shuffleRetryBackoff = 25 * time.Millisecond
 )
 
 // Job Conf keys controlling the reduce-side shuffle. They ship with the
 // job like every other parameter, so a pipeline can tune its transport
 // per job without touching worker deployment.
 const (
-	// ConfShuffleStream disables the streaming transport when "false"
-	// (fetches fall back to the legacy gob FetchPartition RPC).
-	ConfShuffleStream = "mr.shuffle.stream"
 	// ConfShuffleCompress requests per-chunk DEFLATE compression.
 	ConfShuffleCompress = "mr.shuffle.compress"
 	// ConfShuffleChunkBytes overrides the transport chunk size.
 	ConfShuffleChunkBytes = "mr.shuffle.chunk.bytes"
-	// ConfShuffleFetchers bounds the concurrent fetch worker pool.
-	ConfShuffleFetchers = "mr.shuffle.fetchers"
-	// ConfShuffleRetries is how many times a transient fetch failure is
-	// retried (with exponential backoff) before the map output is
-	// declared lost.
-	ConfShuffleRetries = "mr.shuffle.retries"
-)
-
-const (
-	defaultShuffleFetchers = 4
-	defaultShuffleRetries  = 2
-	shuffleRetryBackoff    = 25 * time.Millisecond
 )
 
 // errShuffleMissing marks a permanent fetch failure: the peer is alive
@@ -102,29 +93,17 @@ type fetchStats struct {
 // fetchOptions is the reduce side's per-job transport configuration,
 // resolved from the job Conf.
 type fetchOptions struct {
-	stream     bool
 	compress   bool
 	chunkBytes int
-	fetchers   int
-	retries    int
 }
 
-func fetchOptionsFromConf(conf mapreduce.Conf) fetchOptions {
+func newFetchOptions(conf mapreduce.Conf) fetchOptions {
 	o := fetchOptions{
-		stream:     conf.GetBool(ConfShuffleStream, true),
 		compress:   conf.GetBool(ConfShuffleCompress, false),
 		chunkBytes: conf.GetInt(ConfShuffleChunkBytes, defaultShuffleChunkBytes),
-		fetchers:   conf.GetInt(ConfShuffleFetchers, defaultShuffleFetchers),
-		retries:    conf.GetInt(ConfShuffleRetries, defaultShuffleRetries),
 	}
 	if o.chunkBytes <= 0 {
 		o.chunkBytes = defaultShuffleChunkBytes
-	}
-	if o.fetchers <= 0 {
-		o.fetchers = defaultShuffleFetchers
-	}
-	if o.retries < 0 {
-		o.retries = 0
 	}
 	return o
 }

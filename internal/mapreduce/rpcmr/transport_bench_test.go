@@ -6,14 +6,13 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// BenchmarkShuffleTransport compares the three reduce-side fetch paths —
-// the legacy gob-over-net/rpc FetchPartition, the framed-TCP streaming
-// transport, and the streaming transport with per-chunk DEFLATE — over one
-// partition at several sizes. Throughput (SetBytes) is measured against
-// the framed payload volume, i.e. the logical bytes a reducer needs, so
-// the three paths are directly comparable. Run with:
+// BenchmarkShuffleTransport measures the reduce-side fetch — the framed-TCP
+// streaming transport, raw and with per-chunk DEFLATE — over one partition
+// at several sizes. Throughput (SetBytes) is measured against the framed
+// payload volume, i.e. the logical bytes a reducer needs, so the two arms
+// are directly comparable. Run with:
 //
-//	make bench-shuffle
+//	make bench-hot
 func BenchmarkShuffleTransport(b *testing.B) {
 	sizes := []struct {
 		name    string
@@ -34,11 +33,9 @@ func BenchmarkShuffleTransport(b *testing.B) {
 			paths := []struct {
 				name string
 				opts fetchOptions
-				gob  bool
 			}{
-				{name: "gob", gob: true},
-				{name: "stream", opts: fetchOptions{stream: true, chunkBytes: defaultShuffleChunkBytes}},
-				{name: "stream-flate", opts: fetchOptions{stream: true, compress: true, chunkBytes: defaultShuffleChunkBytes}},
+				{name: "stream", opts: fetchOptions{chunkBytes: defaultShuffleChunkBytes}},
+				{name: "stream-flate", opts: fetchOptions{compress: true, chunkBytes: defaultShuffleChunkBytes}},
 			}
 			for _, path := range paths {
 				b.Run(path.name, func(b *testing.B) {
@@ -48,13 +45,7 @@ func BenchmarkShuffleTransport(b *testing.B) {
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						var got []mapreduce.Pair
-						var err error
-						if path.gob {
-							got, err = ws[1].fetch(ws[0].addr, 1, 0, 0)
-						} else {
-							got, _, err = ws[1].fetchStream(ws[0].shuffleAddr, 1, 0, 0, path.opts)
-						}
+						got, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 1, 0, 0, path.opts)
 						if err != nil {
 							b.Fatal(err)
 						}

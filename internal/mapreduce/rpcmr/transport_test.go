@@ -53,7 +53,7 @@ func TestShuffleStreamRoundTrip(t *testing.T) {
 	want := textPairs(500, 100) // ~54KB framed: several chunks at 8KB
 	seedStore(ws[0], 7, 3, [][]mapreduce.Pair{nil, want})
 
-	o := fetchOptions{stream: true, chunkBytes: 8 << 10}
+	o := fetchOptions{chunkBytes: 8 << 10}
 	got, stats, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 3, 1, o)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestShuffleStreamCompression(t *testing.T) {
 	want := textPairs(500, 100)
 	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{want})
 
-	o := fetchOptions{stream: true, compress: true, chunkBytes: 8 << 10}
+	o := fetchOptions{compress: true, chunkBytes: 8 << 10}
 	got, stats, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 0, 0, o)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +113,7 @@ func TestShuffleStreamCompressionNeverRegresses(t *testing.T) {
 	want := randomPairs(300, 128, 42)
 	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{want})
 
-	o := fetchOptions{stream: true, compress: true, chunkBytes: 8 << 10}
+	o := fetchOptions{compress: true, chunkBytes: 8 << 10}
 	got, stats, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 0, 0, o)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestShuffleStreamCompressionNeverRegresses(t *testing.T) {
 
 func TestShuffleStreamMissingPartitionPermanent(t *testing.T) {
 	_, ws := startCluster(t, 2)
-	o := fetchOptions{stream: true, chunkBytes: 8 << 10}
+	o := fetchOptions{chunkBytes: 8 << 10}
 	_, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 99, 0, 0, o)
 	if !errors.Is(err, errShuffleMissing) {
 		t.Fatalf("missing partition: got %v, want errShuffleMissing", err)
@@ -159,7 +159,7 @@ func TestShuffleStreamConnectionReuse(t *testing.T) {
 	_, ws := startCluster(t, 2)
 	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{textPairs(50, 64)})
 	addr := ws[0].shuffleAddr
-	o := fetchOptions{stream: true, chunkBytes: 8 << 10}
+	o := fetchOptions{chunkBytes: 8 << 10}
 
 	if _, _, err := ws[1].fetchStream(addr, 7, 0, 0, o); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestShuffleStreamMidStreamAbortIsTransient(t *testing.T) {
 		}
 		return nil
 	}
-	o := fetchOptions{stream: true, chunkBytes: 1024}
+	o := fetchOptions{chunkBytes: 1024}
 	_, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 0, 0, o)
 	if err == nil {
 		t.Fatal("mid-stream abort went unnoticed")
@@ -200,6 +200,48 @@ func TestShuffleStreamMidStreamAbortIsTransient(t *testing.T) {
 	// explicit missing-data reply.
 	if errors.Is(err, errShuffleMissing) {
 		t.Fatalf("mid-stream abort misclassified as permanent: %v", err)
+	}
+}
+
+// TestRegisterRejectsMissingShuffleAddr speaks raw net/rpc to a live
+// master, as a foreign or out-of-date worker would: a registration that
+// advertises no dialable shuffle listener is refused with an error and
+// admits no worker.
+func TestRegisterRejectsMissingShuffleAddr(t *testing.T) {
+	m, _ := startCluster(t, 0)
+	c, err := dialWorker(m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, bad := range []string{"", "127.0.0.1", "127.0.0.1:", "no port here"} {
+		var reply RegisterReply
+		err := c.Call("Master.Register", &RegisterArgs{Addr: "127.0.0.1:9", ShuffleAddr: bad}, &reply)
+		if err == nil {
+			t.Errorf("ShuffleAddr %q: registration accepted as worker %d", bad, reply.WorkerID)
+		}
+	}
+	if n := m.WorkerCount(); n != 0 {
+		t.Fatalf("%d workers admitted by rejected registrations", n)
+	}
+	var reply RegisterReply
+	if err := c.Call("Master.Register", &RegisterArgs{Addr: "127.0.0.1:9", ShuffleAddr: "127.0.0.1:10"}, &reply); err != nil {
+		t.Fatalf("well-formed registration refused: %v", err)
+	}
+}
+
+// TestFetchWithoutShuffleAddrIsLostOutput: a remote location that names no
+// shuffle listener is a permanent loss (no retry can fix it), so the reduce
+// reports the map in FailedMaps and the master re-executes it.
+func TestFetchWithoutShuffleAddrIsLostOutput(t *testing.T) {
+	_, ws := startCluster(t, 2)
+	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{textPairs(10, 16)})
+	task := &GetTaskReply{JobID: 7, Maps: []MapLocation{{MapTaskID: 0, WorkerAddr: ws[0].addr}}}
+	if _, _, err := ws[1].fetchOne(task.Maps[0], task, fetchOptions{}); !errors.Is(err, errShuffleMissing) {
+		t.Fatalf("fetchOne error %v, want errShuffleMissing", err)
+	}
+	if _, _, failed := ws[1].fetchAll(task); !reflect.DeepEqual(failed, []int{0}) {
+		t.Fatalf("failed maps %v, want [0]", failed)
 	}
 }
 

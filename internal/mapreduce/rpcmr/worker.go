@@ -14,16 +14,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Worker executes tasks for one master. It serves a small RPC surface of
-// its own (legacy shuffle fetches and cleanup), a streaming shuffle
-// listener (transport.go), and polls the master for work.
+// Worker executes tasks for one master. It serves a one-method RPC surface
+// of its own (cleanup), a streaming shuffle listener (transport.go), and
+// polls the master for work.
 type Worker struct {
 	// PollInterval is the base polling period (default 20ms). While no
 	// task is handed out the period backs off exponentially up to
 	// PollMax, and resets on any real task — an idle fleet stops
-	// hammering the master with GetTask chatter. Both knobs are also
-	// Conf-visible: a job carrying "mr.worker.poll.ms" /
-	// "mr.worker.poll.max.ms" retunes the workers it runs on.
+	// hammering the master with GetTask chatter.
 	PollInterval time.Duration
 	// PollMax caps the idle backoff (default 250ms).
 	PollMax time.Duration
@@ -41,9 +39,6 @@ type Worker struct {
 	mu    sync.Mutex
 	store map[storeKey][][]mapreduce.Pair // partitioned map outputs
 
-	peersMu sync.Mutex
-	peers   map[string]*rpc.Client
-
 	streamMu sync.Mutex
 	streams  map[string][]*shuffleStream // idle shuffle conns per peer
 
@@ -57,12 +52,6 @@ type Worker struct {
 	quit chan struct{}
 	done chan struct{}
 }
-
-// Conf keys that retune worker polling; see Worker.PollInterval.
-const (
-	ConfWorkerPollMS    = "mr.worker.poll.ms"
-	ConfWorkerPollMaxMS = "mr.worker.poll.max.ms"
-)
 
 type storeKey struct {
 	jobID, mapTask int
@@ -95,7 +84,6 @@ func StartWorker(masterAddr, listenAddr string) (*Worker, error) {
 		shuffleLis:   shuffleLis,
 		shuffleAddr:  shuffleLis.Addr().String(),
 		store:        make(map[storeKey][][]mapreduce.Pair),
-		peers:        make(map[string]*rpc.Client),
 		streams:      make(map[string][]*shuffleStream),
 		dfsClients:   make(map[string]*dfs.Client),
 		quit:         make(chan struct{}),
@@ -145,12 +133,6 @@ func (w *Worker) Close() error {
 	err := w.lis.Close()
 	w.shuffleLis.Close()
 	w.closeStreams()
-	w.peersMu.Lock()
-	for _, c := range w.peers {
-		c.Close()
-	}
-	w.peers = map[string]*rpc.Client{}
-	w.peersMu.Unlock()
 	w.dfsMu.Lock()
 	for _, c := range w.dfsClients {
 		c.Close()
@@ -216,28 +198,12 @@ func (w *Worker) loop() {
 				idle = w.PollMax
 			}
 		case TaskMap:
-			w.adoptPollConf(task.Conf)
 			w.runMap(&task)
 			idle = w.PollInterval
 		case TaskReduce:
-			w.adoptPollConf(task.Conf)
 			w.runReduce(&task)
 			idle = w.PollInterval
 		}
-	}
-}
-
-// adoptPollConf lets a job retune this worker's polling cadence through
-// its Conf (the only channel that reaches remote workers).
-func (w *Worker) adoptPollConf(conf mapreduce.Conf) {
-	if ms := conf.GetInt(ConfWorkerPollMS, 0); ms > 0 {
-		w.PollInterval = time.Duration(ms) * time.Millisecond
-	}
-	if ms := conf.GetInt(ConfWorkerPollMaxMS, 0); ms > 0 {
-		w.PollMax = time.Duration(ms) * time.Millisecond
-	}
-	if w.PollMax < w.PollInterval {
-		w.PollMax = w.PollInterval
 	}
 }
 
@@ -355,16 +321,12 @@ type fetchSpan struct {
 // exponential backoff before the map output is declared lost; the
 // returned failed list names map tasks the master must re-execute.
 func (w *Worker) fetchAll(task *GetTaskReply) ([][]mapreduce.Pair, []fetchSpan, []int) {
-	o := fetchOptionsFromConf(task.Conf)
+	o := newFetchOptions(task.Conf)
 	slots := make([][]mapreduce.Pair, len(task.Maps))
 	spans := make([]*fetchSpan, len(task.Maps))
 	errs := make([]error, len(task.Maps))
 
-	n := o.fetchers
-	if n > len(task.Maps) {
-		n = len(task.Maps)
-	}
-	sem := make(chan struct{}, n)
+	sem := make(chan struct{}, shuffleFetchers)
 	var wg sync.WaitGroup
 	for i, loc := range task.Maps {
 		wg.Add(1)
@@ -395,31 +357,26 @@ func (w *Worker) fetchAll(task *GetTaskReply) ([][]mapreduce.Pair, []fetchSpan, 
 }
 
 // fetchOne retrieves a single map output: straight from the local store
-// when the data is ours, over the streaming transport when the holder
-// advertises one, else over the legacy RPC. Only remote streamed fetches
-// produce a fetchSpan (the wire-level observation).
+// when the data is ours, else over the streaming transport. Only remote
+// fetches produce a fetchSpan (the wire-level observation).
 func (w *Worker) fetchOne(loc MapLocation, task *GetTaskReply, o fetchOptions) ([]mapreduce.Pair, *fetchSpan, error) {
 	if loc.WorkerAddr == w.addr {
-		pairs, err := w.fetch(loc.WorkerAddr, task.JobID, loc.MapTaskID, task.TaskID)
+		pairs, err := w.partitionForShuffle(task.JobID, loc.MapTaskID, task.TaskID)
 		return pairs, nil, err
 	}
-	useStream := o.stream && loc.ShuffleAddr != ""
+	if loc.ShuffleAddr == "" {
+		// Register refuses such workers, so this location cannot be dialled
+		// and never could: the output is lost, the master re-executes it.
+		return nil, nil, fmt.Errorf("%w: map %d on %s has no shuffle address", errShuffleMissing, loc.MapTaskID, loc.WorkerAddr)
+	}
 	var lastErr error
-	for attempt := 0; attempt <= o.retries; attempt++ {
+	for attempt := 0; attempt <= shuffleRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-w.quit:
 				return nil, nil, lastErr
 			case <-time.After(shuffleRetryBackoff << (attempt - 1)):
 			}
-		}
-		if !useStream {
-			pairs, err := w.fetch(loc.WorkerAddr, task.JobID, loc.MapTaskID, task.TaskID)
-			if err == nil {
-				return pairs, nil, nil
-			}
-			lastErr = err
-			continue
 		}
 		start := time.Now()
 		pairs, stats, err := w.fetchStream(loc.ShuffleAddr, task.JobID, loc.MapTaskID, task.TaskID, o)
@@ -453,68 +410,9 @@ func (w *Worker) tagSpans(spans []obs.Span, jobID int) []obs.Span {
 	return spans
 }
 
-// fetch retrieves one map task's partition, from local store when the data
-// is ours, otherwise over the peer RPC.
-func (w *Worker) fetch(addr string, jobID, mapTask, partition int) ([]mapreduce.Pair, error) {
-	if addr == w.addr {
-		w.mu.Lock()
-		parts, ok := w.store[storeKey{jobID: jobID, mapTask: mapTask}]
-		w.mu.Unlock()
-		if !ok {
-			return nil, fmt.Errorf("rpcmr: local map output %d/%d missing", jobID, mapTask)
-		}
-		return parts[partition], nil
-	}
-	client, err := w.peer(addr)
-	if err != nil {
-		return nil, err
-	}
-	var reply FetchReply
-	err = client.Call("Worker.FetchPartition", &FetchArgs{JobID: jobID, MapTaskID: mapTask, Partition: partition}, &reply)
-	if err != nil {
-		w.dropPeer(addr)
-		return nil, err
-	}
-	return reply.Pairs, nil
-}
-
-func (w *Worker) peer(addr string) (*rpc.Client, error) {
-	w.peersMu.Lock()
-	defer w.peersMu.Unlock()
-	if c, ok := w.peers[addr]; ok {
-		return c, nil
-	}
-	c, err := dialWorker(addr)
-	if err != nil {
-		return nil, err
-	}
-	w.peers[addr] = c
-	return c, nil
-}
-
-func (w *Worker) dropPeer(addr string) {
-	w.peersMu.Lock()
-	if c, ok := w.peers[addr]; ok {
-		c.Close()
-		delete(w.peers, addr)
-	}
-	w.peersMu.Unlock()
-}
-
-// workerRPC is the worker's RPC surface for the master and peer workers.
+// workerRPC is the worker's RPC surface for the master.
 type workerRPC struct {
 	w *Worker
-}
-
-// FetchPartition serves one partition of a stored map output (the legacy
-// gob shuffle; the streaming transport serves the same store).
-func (r *workerRPC) FetchPartition(args *FetchArgs, reply *FetchReply) error {
-	pairs, err := r.w.partitionForShuffle(args.JobID, args.MapTaskID, args.Partition)
-	if err != nil {
-		return err
-	}
-	reply.Pairs = pairs
-	return nil
 }
 
 // Cleanup drops a job's intermediate data.

@@ -44,9 +44,9 @@ const (
 	// CtrReloads counts successful hot model reloads.
 	CtrReloads = "serve.reloads"
 	// CtrBusyUS accumulates microseconds the batcher spent processing
-	// batches — the server's service demand. Fleet benchmarks divide
-	// per-shard deltas of this by requests to get each shard's true
-	// per-query cost independent of co-location (see serveload -fleet).
+	// batches — the server's service demand. The benchmark harness divides
+	// per-shard deltas of this by answered queries
+	// (fleet.shard_busy_us_per_query).
 	CtrBusyUS = "serve.busy.us"
 	// CtrFleetRequests counts admitted shard-internal /fleet/assign
 	// requests (masked scans and broadcast fallbacks from a router).
@@ -110,13 +110,6 @@ type Config struct {
 	Log func(format string, args ...any)
 	// ProcessHook is a test hook invoked before each batch is processed.
 	ProcessHook func()
-	// BatchLock, when non-nil, is held for the whole of each batch's
-	// processing. Benchmarks that co-locate several shard servers on one
-	// machine hand every server the same lock so that serve.busy.us
-	// measures each batch's service demand: without it the batchers
-	// time-slice the CPU and each batch's wall time silently includes the
-	// other servers' compute. Production servers leave it nil.
-	BatchLock sync.Locker
 }
 
 func (c *Config) batchMax() int {
@@ -410,12 +403,6 @@ func (s *Server) batcher() {
 func (s *Server) process(batch []*request) {
 	if s.cfg.ProcessHook != nil {
 		s.cfg.ProcessHook()
-	}
-	if l := s.cfg.BatchLock; l != nil {
-		// Acquired before the busy-time stamp: waiting for a co-located
-		// server's batch is queueing, not service demand.
-		l.Lock()
-		defer l.Unlock()
 	}
 	eng := s.engine.Load()
 	batchStart := time.Now()
