@@ -2,16 +2,17 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short vet doccheck race bench bench-hot bench-scan bench-scan-smoke bench-harness-smoke experiments examples clean
+.PHONY: all check build test test-short vet doccheck race fuzz-smoke bench bench-hot bench-scan bench-scan-smoke bench-harness-smoke experiments examples clean
 
 all: check
 
 # The full gate: compile everything, vet, enforce the docs (package
 # comments, the README knob reference, no recipe naming a deleted target or
 # binary), run the test suite, re-run the concurrency-heavy packages under
-# the race detector, smoke the compact scan kernels, and compile + smoke the
-# benchmark harness (all five workloads, oracles checked).
-check: build vet doccheck test race bench-scan-smoke bench-harness-smoke
+# the race detector, fuzz the LSH key codec for five seconds, smoke the
+# compact scan kernels and the key / index-build micro-benchmarks, and
+# compile + smoke the benchmark harness (all five workloads, oracles checked).
+check: build vet doccheck test race fuzz-smoke bench-scan-smoke bench-harness-smoke
 
 build:
 	$(GO) build ./...
@@ -42,11 +43,18 @@ test-short:
 race:
 	$(GO) test -race ./internal/mapreduce/... ./internal/mapreduce/rpcmr/... ./internal/kernels/... ./internal/points/... ./internal/dfs/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/...
 
+# Five seconds of native fuzzing per hand-rolled codec that faces bytes from
+# outside the process (one -fuzz target per `go test` invocation): error or
+# round-trip, never panic, never two spellings of one value.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
+
 bench:
 	$(GO) test -bench=. -benchmem .
 
 # Hot-path micro-benchmarks (dense kernels at dim 2/4/8 reporting ns/pair,
-# shuffle sort, group decode, the rpcmr shuffle transport raw vs flate) with
+# shuffle sort, group decode, the rpcmr shuffle transport raw vs flate, LSH
+# keys per point at dim 4/8, the serving index build full and fleet) with
 # pinned benchtime/count so runs feed straight into benchstat:
 #
 #	make bench-hot > old.txt ... make bench-hot > new.txt
@@ -58,6 +66,8 @@ bench-hot:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/ ./internal/points/
 	$(GO) test -bench 'Sort|Shuffle' -run xxx -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/mapreduce/ ./internal/mapreduce/rpcmr/
+	$(GO) test -bench 'Keys|NewEngine' -run xxx -benchmem \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/lsh/ ./internal/serve/
 
 # Compact scan-path micro-benchmarks: f64 vs f32 vs q8 single-query NN
 # (full pass, and NNRows over a sparse candidate list — the shape a served
@@ -67,10 +77,12 @@ bench-scan:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK' -run '^$$' -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/
 
-# One fast iteration per scan benchmark for the check gate and CI: catches
-# a compact kernel that stops compiling or panics on real shapes.
+# One fast iteration per scan benchmark (and per key / index-build
+# benchmark) for the check gate and CI: catches a compact kernel or a key
+# path that stops compiling or panics on real shapes.
 bench-scan-smoke:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK' -run '^$$' -benchtime 1x ./internal/kernels/
+	$(GO) test -bench 'Keys|NewEngine' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/
 
 # bench/ is its own module, so `go test ./...` here never compiles it: vet
 # it and run its unit tests plus the whole suite at -smoke scale (< 10 s), so

@@ -183,14 +183,15 @@ func BenchmarkLSHGroupKey(b *testing.B) {
 	for _, pi := range []int{3, 10} {
 		b.Run(fmt.Sprintf("pi=%d", pi), func(b *testing.B) {
 			rng := points.NewRand(1)
-			g := lsh.NewGroup(57, pi, 4.0, rng)
+			l := lsh.NewLayouts(57, 1, pi, 4.0, 1)
 			p := make(points.Vector, 57)
 			for i := range p {
 				p[i] = rng.Float64() * 100
 			}
+			var kb lsh.KeyBuf
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = g.Key(p)
+				l.Hash(&kb, p)
 			}
 		})
 	}

@@ -64,18 +64,16 @@ func clusterKey(c int32) string { return fmt.Sprintf("c%06d", c) }
 // LSHHaloJob computes, per LSH partition, each cluster's local border
 // density: the max of (ρ_i+ρ_j)/2 over cross-cluster pairs within d_c.
 func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
+	layouts := lazyLayouts()
 	return &mapreduce.Job{
 		Name: JobLSHHalo,
 		Conf: conf,
 		Map: func(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-			layouts := layoutsFromConf(ctx.Conf)
 			rp, _, err := decodeLabeled(value)
 			if err != nil {
 				return err
 			}
-			for _, key := range layouts.Keys(rp.Pos) {
-				out.Emit(key, value)
-			}
+			layouts(ctx.Conf).EachKey(rp.Pos, func(key string) { out.Emit(key, value) })
 			return nil
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {

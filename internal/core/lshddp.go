@@ -155,35 +155,22 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	return res, nil
 }
 
-// layoutsFromConf rebuilds the LSH layouts deterministically from job
-// configuration. Workers of the distributed engine call this instead of
-// receiving serialized hash functions: the draws are seeded, so every
-// worker regenerates identical layouts.
-//
-// Construction costs O(M·π·dim) once per task; a small cache keyed by the
-// parameter tuple amortizes it across tasks of one process.
-var layoutCache sync.Map // layoutKey -> *lsh.Layouts
-
-type layoutKey struct {
-	dim, m, pi int
-	w          float64
-	seed       int64
-}
-
-func layoutsFromConf(conf mapreduce.Conf) *lsh.Layouts {
-	key := layoutKey{
-		dim:  conf.GetInt(confDim, 0),
-		m:    conf.GetInt(confM, 1),
-		pi:   conf.GetInt(confPi, 1),
-		w:    conf.GetFloat(confW, 1),
-		seed: conf.GetInt64(confSeed, 0),
+// lazyLayouts returns a job instance's layouts resolver. Workers of the
+// distributed engine rebuild the LSH layouts from job configuration instead
+// of receiving serialized hash functions (the draws are seeded, so every
+// worker regenerates identical ones); the first map call parses the
+// parameters and fetches the process-wide copy, and every later call — one
+// per record — is a sync.Once fast path.
+func lazyLayouts() func(mapreduce.Conf) *lsh.Layouts {
+	var once sync.Once
+	var l *lsh.Layouts
+	return func(conf mapreduce.Conf) *lsh.Layouts {
+		once.Do(func() {
+			l = lsh.Cached(conf.GetInt(confDim, 0), conf.GetInt(confM, 1), conf.GetInt(confPi, 1),
+				conf.GetFloat(confW, 1), conf.GetInt64(confSeed, 0))
+		})
+		return l
 	}
-	if v, ok := layoutCache.Load(key); ok {
-		return v.(*lsh.Layouts)
-	}
-	l := lsh.NewLayouts(key.dim, key.m, key.pi, key.w, key.seed)
-	layoutCache.Store(key, l)
-	return l
 }
 
 // LSHRhoJob is job 1: the map side hashes every point under all M layouts
@@ -191,18 +178,16 @@ func layoutsFromConf(conf mapreduce.Conf) *lsh.Layouts {
 // LSH partition S_k^m and computes the local density ρ̂ᵢᵐ of every point in
 // it (Section IV-B).
 func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job {
+	layouts := lazyLayouts()
 	return &mapreduce.Job{
 		Name: JobLSHRho,
 		Conf: conf,
 		Map: func(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-			layouts := layoutsFromConf(ctx.Conf)
 			p, _, err := points.DecodePoint(value)
 			if err != nil {
 				return err
 			}
-			for _, key := range layouts.Keys(p.Pos) {
-				out.Emit(key, value)
-			}
+			layouts(ctx.Conf).EachKey(p.Pos, func(key string) { out.Emit(key, value) })
 			return nil
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
@@ -289,18 +274,16 @@ func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 // upslope identity; the locally densest point gets δ̂ = +∞ and no upslope
 // (Section IV-C).
 func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
+	layouts := lazyLayouts()
 	return &mapreduce.Job{
 		Name: JobLSHDel,
 		Conf: conf,
 		Map: func(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-			layouts := layoutsFromConf(ctx.Conf)
 			rp, _, err := points.DecodeRhoPoint(value)
 			if err != nil {
 				return err
 			}
-			for _, key := range layouts.Keys(rp.Pos) {
-				out.Emit(key, value)
-			}
+			layouts(ctx.Conf).EachKey(rp.Pos, func(key string) { out.Emit(key, value) })
 			return nil
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lsh"
 	"repro/internal/points"
 	"repro/internal/serve"
 )
@@ -70,9 +71,10 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	}
 
 	batches := make(map[int]*ingestShardBatch)
+	var kb lsh.KeyBuf
 	for i, p := range body.Points {
-		keys := r.layouts.Keys(points.Vector(p))
-		owner := r.place.Owner(keys[serve.ScanRotation(keys)])
+		r.layouts.Hash(&kb, points.Vector(p))
+		owner := r.place.Owner(string(kb.Key(serve.ScanRotation(kb.Bytes(), r.layouts.M()))))
 		b := batches[owner]
 		if b == nil {
 			b = &ingestShardBatch{shard: r.shards[owner]}

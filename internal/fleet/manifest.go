@@ -37,6 +37,12 @@ type Manifest struct {
 	// VNodes is the virtual-node count per shard on the consistent-hash
 	// ring (0 reads as DefaultVNodes).
 	VNodes int `json:"vnodes"`
+	// KeyFormat names the encoding of the bucket keys this fleet was placed
+	// by — the bytes the ring hashes — and so which build's shards and
+	// router agree with it. A manifest written before the field existed
+	// placed rows by the old text keys: loaded as is, the ring would own
+	// different buckets and no override would ever match, so it is refused.
+	KeyFormat string `json:"key_format"`
 	// Overrides pins heavy buckets to explicit shards. Consistent hashing
 	// balances the *key space*, but LSH bucket sizes are skewed — a few
 	// cluster-core buckets can carry most of the rows, and whichever shard
@@ -44,9 +50,15 @@ type Manifest struct {
 	// partitioner, which estimates every bucket's scan cost by sampling,
 	// greedily assigns the heavy buckets to the lightest shard and records here only the
 	// ones that differ from their ring owner; the ring covers the long
-	// tail, where statistical balance is enough.
+	// tail, where statistical balance is enough. Keys are in the text form
+	// lsh.KeyString prints ("m|s1.s2.s3"); raw key bytes are not JSON.
 	Overrides map[string]int `json:"overrides,omitempty"`
 }
+
+// KeyFormat is the Manifest.KeyFormat this build writes and accepts: the
+// binary LSH keys of internal/lsh (layout uvarint, then zig-zag varint
+// slots).
+const KeyFormat = "lsh-varint-1"
 
 // Validate checks the manifest invariants.
 func (mf *Manifest) Validate() error {
@@ -65,12 +77,30 @@ func (mf *Manifest) Validate() error {
 	case mf.VNodes < 0:
 		return fmt.Errorf("fleet: manifest vnodes %d < 0", mf.VNodes)
 	}
-	for key, s := range mf.Overrides {
-		if s < 0 || s >= mf.Shards {
-			return fmt.Errorf("fleet: manifest override %q -> shard %d outside [0,%d)", key, s, mf.Shards)
-		}
+	if mf.KeyFormat != KeyFormat {
+		return fmt.Errorf("fleet: manifest key_format %q, this build routes by %q: the fleet was partitioned by a build with different LSH keys; re-run `fleetctl partition` on the full model and restart the shards from its output",
+			mf.KeyFormat, KeyFormat)
 	}
-	return nil
+	_, err := mf.overridesByKey()
+	return err
+}
+
+// overridesByKey checks every override — a well-formed key of this fleet's
+// layouts, pinned to a shard that exists — and returns them keyed by key
+// bytes, the form routing looks them up by.
+func (mf *Manifest) overridesByKey() (map[string]int, error) {
+	byKey := make(map[string]int, len(mf.Overrides))
+	for text, s := range mf.Overrides {
+		key, err := lsh.ParseKey(text, mf.M, mf.Pi)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: manifest override: %w", err)
+		}
+		if s < 0 || s >= mf.Shards {
+			return nil, fmt.Errorf("fleet: manifest override %q -> shard %d outside [0,%d)", text, s, mf.Shards)
+		}
+		byKey[key] = s
+	}
+	return byKey, nil
 }
 
 // Params returns the LSH parameters as the model package type.
@@ -94,7 +124,7 @@ func (mf *Manifest) Ring() (*Ring, error) {
 // from the same manifest, so they agree on every key by construction.
 type Placement struct {
 	ring      *Ring
-	overrides map[string]int
+	overrides map[string]int // by key bytes, not by the manifest's text form
 }
 
 // Placement builds the fleet's key-ownership resolver.
@@ -103,7 +133,11 @@ func (mf *Manifest) Placement() (*Placement, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Placement{ring: ring, overrides: mf.Overrides}, nil
+	overrides, err := mf.overridesByKey()
+	if err != nil {
+		return nil, err
+	}
+	return &Placement{ring: ring, overrides: overrides}, nil
 }
 
 // Owner returns the shard owning a bucket key.

@@ -29,7 +29,7 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	mf := &Manifest{
 		Name: m.Name, Dim: m.Dim, N: m.N(), Dc: m.Dc, Clusters: m.NumClusters(),
 		Seed: m.LSH.Seed, M: m.LSH.M, Pi: m.LSH.Pi, W: m.LSH.W,
-		Shards: shards, VNodes: vnodes,
+		Shards: shards, VNodes: vnodes, KeyFormat: KeyFormat,
 	}
 	if err := mf.Validate(); err != nil {
 		return nil, nil, err
@@ -40,7 +40,7 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	}
 	layouts := mf.Layouts()
 
-	// Pass 1: intern every bucket key and record each row's key ids. LSH
+	// Pass 1: index every bucket (the serving engine's own lsh.Index). LSH
 	// bucket mass is skewed — cluster cores concentrate in a few huge
 	// buckets per layout — so ring placement alone would hand whole
 	// clusters to whichever shard their keys hash to. The heavy buckets
@@ -48,10 +48,10 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	// estimate of each bucket's true scan cost and recorded in the
 	// manifest for the router.
 	n := m.N()
-	keys, rowKeys, sizes := bucketIndex(m, layouts, mf.M)
-	weights := estimateBucketWeights(n, mf.M, keys, rowKeys, sizes)
-	groups := bucketGroups(m, rowKeys, len(keys), mf.M)
-	mf.Overrides = balanceHeavyBuckets(keys, weights, groups, ring, shards)
+	ix := layouts.BuildIndex(m.Data, n)
+	weights := estimateBucketWeights(ix, n, mf.M)
+	groups := bucketGroups(m, ix.RowKeys, len(ix.Keys), mf.M)
+	mf.Overrides = balanceHeavyBuckets(ix.Keys, weights, groups, ring, shards)
 	place, err := mf.Placement()
 	if err != nil {
 		return nil, nil, err
@@ -65,7 +65,7 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < mf.M; j++ {
-			need[place.Owner(keys[rowKeys[i*mf.M+j]])][i] = true
+			need[place.Owner(ix.Keys[ix.RowKeys[i*mf.M+j]])][i] = true
 		}
 	}
 	for _, p := range m.Peaks {
@@ -94,31 +94,6 @@ const (
 	overrideFraction     = 128
 	maxOverridesPerShard = 128
 )
-
-// bucketIndex interns every bucket key of the model: keys maps interned
-// id to key string, rowKeys holds row i's key id for layout j at
-// [i*m+j], sizes holds per-bucket row counts. Interning order follows the
-// (row, layout) iteration, so ids — and everything derived from them —
-// are deterministic.
-func bucketIndex(m *model.Model, layouts *lsh.Layouts, lm int) (keys []string, rowKeys []int32, sizes []int32) {
-	n := m.N()
-	keyID := make(map[string]int32)
-	rowKeys = make([]int32, n*lm)
-	for i := 0; i < n; i++ {
-		for j, key := range layouts.Keys(m.Row(i)) {
-			id, ok := keyID[key]
-			if !ok {
-				id = int32(len(keys))
-				keyID[key] = id
-				keys = append(keys, key)
-				sizes = append(sizes, 0)
-			}
-			sizes[id]++
-			rowKeys[i*lm+j] = id
-		}
-	}
-	return keys, rowKeys, sizes
-}
 
 // Bucket-weight estimation knobs. maxWeightSamples rows are replayed as
 // queries (evenly strided, so the sample mirrors the data the way serving
@@ -149,34 +124,26 @@ const (
 // serve.ScanRotation and the exact first-match rule, charging one walk
 // unit per posting visited and scoreUnit to the precise bucket the
 // engine will score the candidate under.
-func estimateBucketWeights(n, m int, keys []string, rowKeys []int32, sizes []int32) []float64 {
-	members := make([][]int32, len(sizes))
-	for id, sz := range sizes {
-		members[id] = make([]int32, 0, sz)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < m; j++ {
-			id := rowKeys[i*m+j]
-			members[id] = append(members[id], int32(i))
-		}
-	}
-	weights := make([]float64, len(sizes))
+func estimateBucketWeights(ix *lsh.Index, n, m int) []float64 {
+	weights := make([]float64, len(ix.Keys))
 	step := n / maxWeightSamples
 	if step < 1 {
 		step = 1
 	}
 	seen := make([]bool, n)
 	var touched []int32
-	qkeys := make([]string, m)
+	var qkeys []byte
 	for q := 0; q < n; q += step {
-		qk := rowKeys[q*m : q*m+m]
-		for j, id := range qk {
-			qkeys[j] = keys[id]
-		}
-		j0 := serve.ScanRotation(qkeys)
+		qk := ix.RowKeys[q*m : q*m+m]
+		qkeys = qkeys[:0]
 		for _, id := range qk {
-			weights[id] += float64(len(members[id])) // walk: full posting list per probe
-			for _, r := range members[id] {
+			qkeys = append(qkeys, ix.Keys[id]...)
+		}
+		j0 := serve.ScanRotation(qkeys, m)
+		for _, id := range qk {
+			members := ix.Bucket(id)
+			weights[id] += float64(len(members)) // walk: full posting list per probe
+			for _, r := range members {
 				if !seen[r] {
 					seen[r] = true
 					touched = append(touched, r)
@@ -190,7 +157,7 @@ func estimateBucketWeights(n, m int, keys []string, rowKeys []int32, sizes []int
 				if j2 >= m {
 					j2 -= m
 				}
-				if rowKeys[base+j2] == qk[j2] {
+				if ix.RowKeys[base+j2] == qk[j2] {
 					weights[qk[j2]] += scoreUnit
 					break
 				}
@@ -247,7 +214,7 @@ const chunkFraction = 5
 // are deterministic, ordering ties break on bucket key, ties in load go
 // to the lowest shard — so re-running the partitioner reproduces
 // fleet.json byte for byte. Returns only the placements that differ
-// from the ring.
+// from the ring, keyed in the manifest's text form.
 func balanceHeavyBuckets(keys []string, weights []float64, groups []int32, ring *Ring, shards int) map[string]int {
 	total := 0.0
 	for _, w := range weights {
@@ -320,7 +287,7 @@ func balanceHeavyBuckets(keys []string, weights []float64, groups []int32, ring 
 		load[best] += c.weight
 		for _, b := range c.buckets {
 			if best != ring.Owner(b.key) {
-				overrides[b.key] = best
+				overrides[lsh.KeyString(b.key)] = best
 			}
 		}
 	}

@@ -40,12 +40,12 @@ func TestSampledWeightBalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys, rowKeys, sizes := bucketIndex(mdl, mf.Layouts(), mf.M)
-		weights := estimateBucketWeights(mdl.N(), mf.M, keys, rowKeys, sizes)
+		ix := mf.Layouts().BuildIndex(mdl.Data, mdl.N())
+		weights := estimateBucketWeights(ix, mdl.N(), mf.M)
 		load := make([]float64, shards)
 		total := 0.0
 		for id, w := range weights {
-			load[place.Owner(keys[id])] += w
+			load[place.Owner(ix.Keys[id])] += w
 			total += w
 		}
 		ideal := total / float64(shards)

@@ -586,12 +586,14 @@ func (r *Router) assign(pts [][]float64) ([]serve.Assignment, int, string) {
 	batches := make(map[int]*shardBatch)
 	var fanoutSum int64
 	masks := make([]uint64, len(r.shards))
+	var kb lsh.KeyBuf
 	for i, p := range pts {
 		for s := range masks {
 			masks[s] = 0
 		}
-		for j, key := range r.layouts.Keys(points.Vector(p)) {
-			masks[r.place.Owner(key)] |= 1 << uint(j)
+		r.layouts.Hash(&kb, points.Vector(p))
+		for j := 0; j < r.layouts.M(); j++ {
+			masks[r.place.Owner(string(kb.Key(j)))] |= 1 << uint(j)
 		}
 		for s, mask := range masks {
 			if mask == 0 {

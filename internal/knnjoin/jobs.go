@@ -58,31 +58,25 @@ const (
 // idKey renders a point ID as a fixed-width sortable reduce key.
 func idKey(id int32) string { return fmt.Sprintf("%09d", id) }
 
-// layoutCache amortizes layout reconstruction across tasks of one process,
-// keyed by the full parameter tuple (same scheme as core's LSH-DDP jobs).
-var layoutCache sync.Map // layoutKey -> *lsh.Layouts
-
-type layoutKey struct {
-	dim, m, pi int
-	w          float64
-	seed       int64
+// lazyLayouts returns a job instance's layouts resolver: the first map call
+// parses the LSH parameters out of the job Conf and fetches the process-wide
+// copy of the layouts they draw; every later call — one per record — is a
+// sync.Once fast path.
+func lazyLayouts() func(mapreduce.Conf) *lsh.Layouts {
+	var once sync.Once
+	var l *lsh.Layouts
+	return func(conf mapreduce.Conf) *lsh.Layouts {
+		once.Do(func() {
+			l = lsh.Cached(conf.GetInt(ConfDim, 0), conf.GetInt(ConfM, 1), conf.GetInt(ConfPi, 1),
+				conf.GetFloat(ConfW, 1), conf.GetInt64(ConfSeed, 0))
+		})
+		return l
+	}
 }
 
-func layoutsFromConf(conf mapreduce.Conf) *lsh.Layouts {
-	key := layoutKey{
-		dim:  conf.GetInt(ConfDim, 0),
-		m:    conf.GetInt(ConfM, 1),
-		pi:   conf.GetInt(ConfPi, 1),
-		w:    conf.GetFloat(ConfW, 1),
-		seed: conf.GetInt64(ConfSeed, 0),
-	}
-	if v, ok := layoutCache.Load(key); ok {
-		return v.(*lsh.Layouts)
-	}
-	l := lsh.NewLayouts(key.dim, key.m, key.pi, key.w, key.seed)
-	layoutCache.Store(key, l)
-	return l
-}
+// keyBufs pools the query-side map's hash scratch: it needs the projections
+// behind the keys, not only the keys.
+var keyBufs = sync.Pool{New: func() any { return new(lsh.KeyBuf) }}
 
 // CandidatesJob is pass 1 of the bucketed join. The map side hashes both
 // input sides under all M layouts: base (S) records replicate to their home
@@ -91,6 +85,7 @@ func layoutsFromConf(conf mapreduce.Conf) *lsh.Layouts {
 // the exact top-k of every query over the bucket's base rows and emits one
 // partial list per query, keyed by query ID for the merge pass.
 func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
+	lazy := lazyLayouts()
 	return &mapreduce.Job{
 		Name: JobCandidates,
 		Conf: conf,
@@ -98,7 +93,7 @@ func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 			if len(value) == 0 {
 				return fmt.Errorf("knnjoin: empty input record")
 			}
-			layouts := layoutsFromConf(ctx.Conf)
+			layouts := lazy(ctx.Conf)
 			switch value[0] {
 			case tagBase:
 				p, rest, err := points.DecodePoint(value[1:])
@@ -108,9 +103,7 @@ func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 				if len(rest) != 0 {
 					return fmt.Errorf("knnjoin: %d trailing bytes after base point", len(rest))
 				}
-				for _, key := range layouts.Keys(p.Pos) {
-					out.Emit(key, value)
-				}
+				layouts.EachKey(p.Pos, func(key string) { out.Emit(key, value) })
 			case tagQuery:
 				p, rest, err := points.DecodePoint(value[1:])
 				if err != nil {
@@ -119,10 +112,13 @@ func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 				if len(rest) != 0 {
 					return fmt.Errorf("knnjoin: %d trailing bytes after query point", len(rest))
 				}
-				rec := encodeBucketQuery(layouts.GuaranteeRadius(p.Pos), p)
-				for _, key := range layouts.Keys(p.Pos) {
-					out.Emit(key, rec)
-				}
+				// One projection pass yields both the keys and the margins
+				// the guarantee radius is made of.
+				kb := keyBufs.Get().(*lsh.KeyBuf)
+				layouts.Hash(kb, p.Pos)
+				rec := encodeBucketQuery(layouts.GuaranteeRadius(kb), p)
+				kb.EachKey(func(key string) { out.Emit(key, rec) })
+				keyBufs.Put(kb)
 			default:
 				return fmt.Errorf("knnjoin: unknown input tag %q", value[0])
 			}

@@ -2,7 +2,6 @@ package lsh
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -40,14 +39,22 @@ func TestHashShiftByWChangesSlotByOne(t *testing.T) {
 }
 
 func TestGroupKeyFormat(t *testing.T) {
-	rng := points.NewRand(2)
-	g := NewGroup(2, 3, 5.0, rng)
-	key := g.Key(points.Vector{1, 2})
-	if parts := strings.Split(key, "."); len(parts) != 3 {
-		t.Fatalf("key %q should have 3 segments", key)
+	l := NewLayouts(2, 2, 3, 5.0, 2)
+	p := points.Vector{1, 2}
+	keys := l.Keys(p)
+	for m, key := range keys {
+		layout, slots, err := DecodeKey(key)
+		if err != nil || layout != m || len(slots) != 3 {
+			t.Fatalf("key %x decodes to layout %d, slots %v, err %v; want layout %d and 3 slots", key, layout, slots, err, m)
+		}
+		for i, f := range l.Groups[m].Funcs {
+			if slots[i] != f.Hash(p) {
+				t.Fatalf("key %x slot %d = %d, Func.Hash = %d", key, i, slots[i], f.Hash(p))
+			}
+		}
 	}
 	// Same point, same key; moved point usually different.
-	if g.Key(points.Vector{1, 2}) != key {
+	if again := l.Keys(points.Vector{1, 2}); again[0] != keys[0] || again[1] != keys[1] {
 		t.Fatal("key not deterministic")
 	}
 }
@@ -79,8 +86,8 @@ func TestLayoutKeysAreNamespaced(t *testing.T) {
 	keys := l.Keys(points.Vector{1, 2})
 	seen := map[string]bool{}
 	for m, k := range keys {
-		if !strings.HasPrefix(k, strings.Split(k, "|")[0]+"|") {
-			t.Fatalf("key %q not namespaced", k)
+		if layout, _, err := DecodeKey(k); err != nil || layout != m {
+			t.Fatalf("key %x not namespaced by layout %d (got %d, %v)", k, m, layout, err)
 		}
 		if seen[k] {
 			t.Fatalf("layouts %d collide on key %q", m, k)
@@ -150,8 +157,7 @@ func TestNewFuncValidation(t *testing.T) {
 // Property: group keys respect the AND construction — two points share a
 // group key iff every individual function agrees.
 func TestGroupKeyANDSemantics(t *testing.T) {
-	rng := points.NewRand(9)
-	g := NewGroup(3, 4, 3.0, rng)
+	l := NewLayouts(3, 1, 4, 3.0, 9)
 	f := func(ax, ay, az, bx, by, bz float64) bool {
 		clamp := func(x float64) float64 {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
@@ -162,13 +168,13 @@ func TestGroupKeyANDSemantics(t *testing.T) {
 		p := points.Vector{clamp(ax), clamp(ay), clamp(az)}
 		q := points.Vector{clamp(bx), clamp(by), clamp(bz)}
 		allAgree := true
-		for _, h := range g.Funcs {
+		for _, h := range l.Groups[0].Funcs {
 			if h.Hash(p) != h.Hash(q) {
 				allAgree = false
 				break
 			}
 		}
-		return (g.Key(p) == g.Key(q)) == allAgree
+		return (l.Keys(p)[0] == l.Keys(q)[0]) == allAgree
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -183,7 +189,9 @@ func TestGuaranteeRadius(t *testing.T) {
 	l := NewLayouts(3, 4, 3, 2.5, 7)
 	for trial := 0; trial < 200; trial++ {
 		p := points.Vector{rng.NormFloat64() * 5, rng.NormFloat64() * 5, rng.NormFloat64() * 5}
-		g := l.GuaranteeRadius(p)
+		var kb KeyBuf
+		l.Hash(&kb, p)
+		g := l.GuaranteeRadius(&kb)
 		if g < 0 || math.IsNaN(g) {
 			t.Fatalf("GuaranteeRadius(%v) = %v", p, g)
 		}

@@ -190,10 +190,10 @@ func TestLayoutNeighborhoodIntegrityOrdering(t *testing.T) {
 	}
 	dc := 1.0
 	intact := func(w float64) float64 {
-		g := NewGroup(2, 3, w, points.NewRand(77))
+		l := NewLayouts(2, 1, 3, w, 77)
 		keys := make([]string, n)
 		for i := range pts {
-			keys[i] = g.Key(pts[i])
+			keys[i] = l.Keys(pts[i])[0]
 		}
 		ok := 0
 		for i := range pts {

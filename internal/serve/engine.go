@@ -120,36 +120,31 @@ type ScanStats struct {
 type Engine struct {
 	m       *model.Model
 	layouts *lsh.Layouts
-	// keyIDs interns every distinct layout-prefixed LSH key ("m|k1.k2...")
-	// of the stored points; buckets[id] holds the rows stored under that
-	// key, in ascending row order.
-	keyIDs  map[string]int32
-	buckets [][]int32
-	// rowKeys, in fleet mode (a sub-model with RowIDs), holds each row's
-	// interned key ID under every layout (row-major n×M). It is what makes
-	// cross-shard candidate dedup exact: when a masked query asks this
-	// shard to scan layout j, a row already matching the query under a
-	// cyclically-earlier layout is skipped here, because the shard owning
-	// that layout scans it — every global candidate is scanned exactly
-	// once fleet-wide.
-	rowKeys []int32
-	// rowSigs packs, per row, a 6-bit hash of each layout's key ID into one
-	// word (built when M <= 10 fields fit 64 bits). One XOR + SWAR zero-
-	// field test against the query's signature proves "no earlier layout
-	// matches" for the common non-overlapping row without touching rowKeys;
-	// only flagged rows (true overlaps plus ~2% hash aliases) run the exact
-	// compare loop. The signature is shard-local — it guards a local
-	// short-cut, never the cross-shard decision itself. Populated only
-	// while NewEngine builds bucketSigs, then released.
-	rowSigs []uint64
-	// bucketSigs mirrors buckets posting-for-posting with each row's
-	// signature word, so the masked scan's SWAR probes stream through one
-	// contiguous array per bucket walk instead of striding through rowSigs
-	// by row index. Bucket rows are sparse in the row space, so the strided
-	// form touches one useful word per cache line; several engines
-	// co-resident on one machine (a benched fleet) turn that into a miss
-	// per probe. Costs one extra word per posting (n × M × 8 bytes).
-	bucketSigs [][]uint64
+	// ix is the bucket index of the stored points: every distinct LSH key
+	// interned to a bucket ID, each bucket's rows one ascending slice of a
+	// single CSR postings block. ix.RowKeys — each row's bucket ID under
+	// every layout, row-major n×M — is kept in fleet mode only (a sub-model
+	// with RowIDs). It is what makes cross-shard candidate dedup exact: when
+	// a masked query asks this shard to scan layout j, a row already
+	// matching the query under a cyclically-earlier layout is skipped here,
+	// because the shard owning that layout scans it — every global candidate
+	// is scanned exactly once fleet-wide.
+	ix *lsh.Index
+	// bucketSigs mirrors ix.Rows posting for posting (same offsets) with a
+	// signature word per row: a 6-bit hash of the row's bucket ID under each
+	// layout, packed into one word (built in fleet mode when M <= 10 fields
+	// fit 64 bits). One XOR + SWAR zero-field test against the query's
+	// signature proves "no earlier layout matches" for the common
+	// non-overlapping row without touching RowKeys; only flagged rows (true
+	// overlaps plus ~2% hash aliases) run the exact compare loop. The
+	// signature is shard-local — it guards a local short-cut, never the
+	// cross-shard decision itself. It is stored per posting rather than per
+	// row so the masked scan's SWAR probes stream through one contiguous run
+	// per bucket walk: bucket rows are sparse in the row space, so a per-row
+	// array touches one useful word per cache line, and several engines
+	// co-resident on one machine (a benched fleet) turn that into a miss per
+	// probe. Costs one extra word per posting (n × M × 8 bytes).
+	bucketSigs []uint64
 	sigLows    uint64 // 0b000001 in every 6-bit field
 	sigHighs   uint64 // 0b100000 in every 6-bit field
 
@@ -174,7 +169,8 @@ type scratch struct {
 	stamp []int32 // per-row epoch marks
 	epoch int32
 	cand  []int32
-	qids  []int32 // per-layout interned key IDs of the query (fleet mode)
+	kb    lsh.KeyBuf
+	qids  []int32 // per-layout bucket IDs of the query (fleet mode)
 	q32   []float32
 	sl    kernels.Shortlist
 	lut   kernels.Q8LUT
@@ -210,50 +206,26 @@ func NewEngine(m *model.Model, prec Precision) (*Engine, error) {
 	if e.layouts == nil {
 		return e, nil
 	}
-	// Fleet sub-models (RowIDs present) additionally record each row's key
-	// under every layout, the input to masked cross-shard dedup.
-	fleet := len(m.RowIDs) != 0
-	nl := e.layouts.M()
-	e.keyIDs = make(map[string]int32, n)
-	if fleet {
-		e.rowKeys = make([]int32, n*nl)
-		if nl <= 10 {
-			e.rowSigs = make([]uint64, n)
-			for f := 0; f < nl; f++ {
-				e.sigLows |= 1 << uint(6*f)
-			}
-			e.sigHighs = e.sigLows << 5
-		}
+	e.ix = e.layouts.BuildIndex(m.Data, n)
+	if len(m.RowIDs) == 0 {
+		e.ix.RowKeys = nil // only the fleet's masked scan reads them
+		return e, nil
 	}
-	for i := 0; i < n; i++ {
-		for j, key := range e.layouts.Keys(m.Row(i)) {
-			id, ok := e.keyIDs[key]
-			if !ok {
-				id = int32(len(e.buckets))
-				e.keyIDs[key] = id
-				e.buckets = append(e.buckets, nil)
-			}
-			e.buckets[id] = append(e.buckets[id], int32(i))
-			if fleet {
-				e.rowKeys[i*nl+j] = id
-				if e.rowSigs != nil {
-					e.rowSigs[i] |= sigField(id) << uint(6*j)
-				}
+	if nl := e.layouts.M(); nl <= 10 {
+		for f := 0; f < nl; f++ {
+			e.sigLows |= 1 << uint(6*f)
+		}
+		e.sigHighs = e.sigLows << 5
+		rowSigs := make([]uint64, n)
+		for i := range rowSigs {
+			for j, id := range e.ix.RowKeys[i*nl:][:nl] {
+				rowSigs[i] |= sigField(id) << uint(6*j)
 			}
 		}
-	}
-	if e.rowSigs != nil {
-		// Second pass: signatures are complete only after every layout of a
-		// row has been interned, so the posting-aligned mirror builds here.
-		e.bucketSigs = make([][]uint64, len(e.buckets))
-		for id, rows := range e.buckets {
-			sigs := make([]uint64, len(rows))
-			for p, r := range rows {
-				sigs[p] = e.rowSigs[r]
-			}
-			e.bucketSigs[id] = sigs
+		e.bucketSigs = make([]uint64, len(e.ix.Rows))
+		for p, r := range e.ix.Rows {
+			e.bucketSigs[p] = rowSigs[r]
 		}
-		e.rowSigs = nil // scans read the posting-aligned mirror only
 	}
 	return e, nil
 }
@@ -314,7 +286,12 @@ func maxAbsOf(xs []float64) float64 {
 func (e *Engine) Model() *model.Model { return e.m }
 
 // Buckets returns the number of distinct LSH buckets in the index.
-func (e *Engine) Buckets() int { return len(e.buckets) }
+func (e *Engine) Buckets() int {
+	if e.ix == nil {
+		return 0
+	}
+	return len(e.ix.Keys)
+}
 
 // Pruned reports whether the engine carries an LSH index.
 func (e *Engine) Pruned() bool { return e.layouts != nil }
@@ -322,7 +299,7 @@ func (e *Engine) Pruned() bool { return e.layouts != nil }
 // FleetIndexed reports whether the engine can answer masked fleet scans
 // (an LSH index over a sub-model with row IDs, so per-row layout keys are
 // recorded for cross-shard dedup).
-func (e *Engine) FleetIndexed() bool { return e.rowKeys != nil }
+func (e *Engine) FleetIndexed() bool { return e.ix != nil && e.ix.RowKeys != nil }
 
 // Layouts returns the number of LSH layouts (0 without an index).
 func (e *Engine) Layouts() int {
@@ -474,12 +451,13 @@ func (e *Engine) candidates(q points.Vector, s *scratch) []int32 {
 		s.epoch = 1
 	}
 	s.cand = s.cand[:0]
-	for _, key := range e.layouts.Keys(q) {
-		id, ok := e.keyIDs[key]
+	e.layouts.Hash(&s.kb, q)
+	for j := 0; j < e.layouts.M(); j++ {
+		id, ok := e.ix.Lookup(s.kb.Key(j))
 		if !ok {
 			continue
 		}
-		for _, r := range e.buckets[id] {
+		for _, r := range e.ix.Bucket(id) {
 			if s.stamp[r] != s.epoch {
 				s.stamp[r] = s.epoch
 				s.cand = append(s.cand, r)
@@ -516,21 +494,22 @@ func (e *Engine) CandidateRows(q points.Vector, dst []int32) ([]int32, bool) {
 // int32 compare, not an O(M) election; rotating the start by the query's
 // key hash spreads a hot bucket's scan work across every layout's owner in
 // aggregate instead of piling it onto layout 0's. j0 and the skip compares
-// depend only on the query's key strings and the row's own keys (a stored
+// depend only on the query's key bytes and the row's own keys (a stored
 // row interns all M of its keys), so every shard decides identically and
 // the fleet-wide scan union equals the single-node dedup union exactly.
 func (e *Engine) candidatesMasked(q points.Vector, mask uint64, s *scratch) []int32 {
 	nl := e.layouts.M()
 	s.qids = s.qids[:0]
-	keys := e.layouts.Keys(q)
-	for _, key := range keys {
-		id, ok := e.keyIDs[key]
+	e.layouts.Hash(&s.kb, q)
+	for j := 0; j < nl; j++ {
+		id, ok := e.ix.Lookup(s.kb.Key(j))
 		if !ok {
 			id = -1 // key holds no stored row here; matches nothing
 		}
 		s.qids = append(s.qids, id)
 	}
-	j0 := ScanRotation(keys)
+	j0 := ScanRotation(s.kb.Bytes(), nl)
+	rowKeys := e.ix.RowKeys
 	var sigQ uint64
 	if e.bucketSigs != nil {
 		for j, id := range s.qids {
@@ -571,9 +550,9 @@ func (e *Engine) candidatesMasked(q points.Vector, mask uint64, s *scratch) []in
 				win |= 0x3F << uint(6*j2)
 			}
 			notWin := ^win
-			sigs := e.bucketSigs[id]
+			sigs := e.bucketSigs[e.ix.Offsets[id]:]
 		fastRows:
-			for p, r := range e.buckets[id] {
+			for p, r := range e.ix.Bucket(id) {
 				y := (sigs[p] ^ sigQ) | notWin
 				if (y-e.sigLows)&^y&e.sigHighs == 0 {
 					s.cand = append(s.cand, r) // definitely no earlier match
@@ -585,7 +564,7 @@ func (e *Engine) candidatesMasked(q points.Vector, mask uint64, s *scratch) []in
 					if j2 >= nl {
 						j2 -= nl
 					}
-					if e.rowKeys[base+j2] == s.qids[j2] {
+					if rowKeys[base+j2] == s.qids[j2] {
 						continue fastRows // earlier layout takes this row
 					}
 				}
@@ -594,14 +573,14 @@ func (e *Engine) candidatesMasked(q points.Vector, mask uint64, s *scratch) []in
 			continue
 		}
 	rows:
-		for _, r := range e.buckets[id] {
+		for _, r := range e.ix.Bucket(id) {
 			base := int(r) * nl
 			for dj := 0; dj < ahead; dj++ {
 				j2 := j0 + dj
 				if j2 >= nl {
 					j2 -= nl
 				}
-				if e.rowKeys[base+j2] == s.qids[j2] {
+				if rowKeys[base+j2] == s.qids[j2] {
 					continue rows // cyclically-earlier layout takes this row
 				}
 			}
@@ -616,29 +595,20 @@ func (e *Engine) candidatesMasked(q points.Vector, mask uint64, s *scratch) []in
 }
 
 // ScanRotation returns the start layout j₀ of the masked scan's cyclic
-// first-match order for a query with the given bucket keys (one per
-// layout, in layout order). It is part of the fleet scan-partition
-// contract: every shard — and the fleet partitioner, which replays
-// sample queries through the same rule to estimate each bucket's true
-// scoring load — must derive the identical rotation from the identical
-// key strings.
-func ScanRotation(keys []string) int {
-	var kh uint64
-	for _, key := range keys {
-		kh ^= fnv64a(key)
-	}
-	return int(mix64(kh) % uint64(len(keys)))
-}
-
-// fnv64a hashes s with 64-bit FNV-1a; ScanRotation folds the query's
-// bucket-key strings through it to derive the per-query scan rotation.
-func fnv64a(s string) uint64 {
+// first-match order for a query whose keys under all M layouts, back to back
+// in layout order, are keys (lsh.KeyBuf.Bytes). It is part of the fleet
+// scan-partition contract: every shard — and the fleet partitioner, which
+// replays sample queries through the same rule to estimate each bucket's
+// true scoring load — must derive the identical rotation from the identical
+// key bytes.
+func ScanRotation(keys []byte, layouts int) int {
+	// 64-bit FNV-1a; its weak high bits are what mix64 is for.
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
+	for _, c := range keys {
+		h ^= uint64(c)
 		h *= 1099511628211
 	}
-	return h
+	return int(mix64(h) % uint64(layouts))
 }
 
 // mix64 is the splitmix64 finalizer: a cheap bijective scramble used to

@@ -92,11 +92,7 @@ func (m *Model) Evaluate(ds *points.Dataset, mLayouts, pi int, w float64) (Cost,
 		return Cost{}, fmt.Errorf("tuning: bad configuration m=%d pi=%d w=%v", mLayouts, pi, w)
 	}
 	sample := samplePoints(ds, m.sampleSize(), m.Seed)
-	group := lsh.NewGroup(ds.Dim(), pi, w, points.NewRand(m.Seed+424243))
-	counts := make(map[string]int)
-	for _, p := range sample {
-		counts[group.Key(p.Pos)]++
-	}
+	counts := partitionSizes(sample, ds.Dim(), pi, w, m.Seed+424243)
 	scale := float64(m.N) / float64(len(sample))
 	var sumSq float64
 	for _, c := range counts {
@@ -154,6 +150,19 @@ func (m *Model) Recommend(ds *points.Dataset, accuracy float64, ms, pis []int) (
 	return out, nil
 }
 
+// partitionSizes hashes the sample under one probe layout of pi functions
+// of width w drawn from seed, and returns each partition's sample count.
+func partitionSizes(sample []points.Point, dim, pi int, w float64, seed int64) map[string]int {
+	probe := lsh.NewLayouts(dim, 1, pi, w, seed)
+	counts := make(map[string]int)
+	var kb lsh.KeyBuf
+	for _, p := range sample {
+		probe.Hash(&kb, p.Pos)
+		counts[string(kb.Key(0))]++
+	}
+	return counts
+}
+
 // samplePoints draws up to k points without replacement.
 func samplePoints(ds *points.Dataset, k int, seed int64) []points.Point {
 	if ds.N() <= k {
@@ -182,11 +191,7 @@ func (m *Model) Balance(ds *points.Dataset, pi int, w float64) (BalanceStats, er
 		return BalanceStats{}, fmt.Errorf("tuning: bad probe pi=%d w=%v", pi, w)
 	}
 	sample := samplePoints(ds, m.sampleSize(), m.Seed)
-	group := lsh.NewGroup(ds.Dim(), pi, w, points.NewRand(m.Seed+848485))
-	counts := make(map[string]int)
-	for _, p := range sample {
-		counts[group.Key(p.Pos)]++
-	}
+	counts := partitionSizes(sample, ds.Dim(), pi, w, m.Seed+848485)
 	st := BalanceStats{Partitions: len(counts)}
 	n := float64(len(sample))
 	mean := n / float64(len(counts))
