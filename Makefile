@@ -9,9 +9,10 @@ all: check
 # The full gate: compile everything, vet, enforce the docs (package
 # comments, the README knob reference, no recipe naming a deleted target or
 # binary), run the test suite, re-run the concurrency-heavy packages under
-# the race detector, fuzz the LSH key codec for five seconds, smoke the
-# compact scan kernels and the key / index-build micro-benchmarks, and
-# compile + smoke the benchmark harness (all five workloads, oracles checked).
+# the race detector, fuzz the LSH key codec and the top-k sweep for five
+# seconds each, smoke the compact scan kernels and the key / index-build
+# micro-benchmarks, and compile + smoke the benchmark harness (all five
+# workloads, oracles checked).
 check: build vet doccheck test race fuzz-smoke bench-scan-smoke bench-harness-smoke
 
 build:
@@ -43,11 +44,14 @@ test-short:
 race:
 	$(GO) test -race ./internal/mapreduce/... ./internal/mapreduce/rpcmr/... ./internal/kernels/... ./internal/points/... ./internal/dfs/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/...
 
-# Five seconds of native fuzzing per hand-rolled codec that faces bytes from
-# outside the process (one -fuzz target per `go test` invocation): error or
-# round-trip, never panic, never two spellings of one value.
+# Five seconds of native fuzzing per target (one -fuzz target per `go test`
+# invocation). The LSH key codec faces bytes from outside the process: error
+# or round-trip, never panic, never two spellings of one value. The top-k
+# sweep prunes on a floating-point bound: differential against the flat
+# scan on every axis, never a row evaluated twice, never a panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
+	$(GO) test -run '^$$' -fuzz '^FuzzTopKSweep$$' -fuzztime 5s ./internal/kernels/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -71,8 +75,10 @@ bench-hot:
 
 # Compact scan-path micro-benchmarks: f64 vs f32 vs q8 single-query NN
 # (full pass, and NNRows over a sparse candidate list — the shape a served
-# query scans), multi-query NNBatch, top-k selection, and compact ρ
-# accumulation. End-to-end figures come from `bash bench/run.sh`.
+# query scans), multi-query NNBatch, top-k selection (the `TopK` pattern
+# matches both TopKScan, the flat batch, and TopKSweep, the kNN-join
+# reducers' coordinate-ordered scan), and compact ρ accumulation.
+# End-to-end figures come from `bash bench/run.sh`.
 bench-scan:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK' -run '^$$' -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/

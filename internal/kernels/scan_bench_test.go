@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -208,6 +209,46 @@ func BenchmarkTopKScan(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTopKSweep measures the coordinate-ordered k=10 scan the kNN-join
+// reducers run per query, on the two bucket shapes of the join: a hash
+// bucket of the bucketed pass (2 K rows) and a partition of the exact pass
+// (75 K rows), drawn from eight Gaussian blobs with the queries drawn from
+// the same blobs (odd axes stretched twofold, so the axes differ in range).
+// One op is one query; rows/query is the distances evaluated, where the flat
+// scan evaluates every row.
+func BenchmarkTopKSweep(b *testing.B) {
+	const nq, k = 256, 10
+	for _, dim := range []int{4, 8} {
+		for _, n := range []int{2_000, 75_000} {
+			b.Run(fmt.Sprintf("dim%d/rows%d", dim, n), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				blob := func(rows int) []float64 {
+					out := make([]float64, rows*dim)
+					for r := 0; r < rows; r++ {
+						centre := float64(rng.Intn(8)) * 25
+						for j := 0; j < dim; j++ {
+							out[r*dim+j] = centre*float64(1+j%2) + rng.NormFloat64()*3
+						}
+					}
+					return out
+				}
+				data, qs := blob(n), blob(nq)
+				axis := SweepAxis(data, dim)
+				order, coord := SweepOrder(data, dim, axis, nil, nil)
+				acc := NewTopKAcc(k)
+				evaluated := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					q := qs[i%nq*dim:][:dim]
+					acc.Reset(k)
+					evaluated += TopKSweep(data, dim, q, axis, order, coord, acc)
+				}
+				b.ReportMetric(float64(evaluated)/float64(b.N), "rows/query")
+			})
+		}
+	}
 }
 
 func BenchmarkCompactRho(b *testing.B) {

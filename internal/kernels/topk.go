@@ -189,7 +189,9 @@ func TopKRows(data []float64, dim int, q []float64, rows []int32, acc *TopKAcc) 
 // tile serves every query in the batch (qs flat, len(accs)*dim), exactly
 // like NNBatch. Each accumulator must be Reset by the caller; per query the
 // rows arrive in ascending order and the result is bit-identical to a
-// standalone TopKRange call.
+// standalone TopKRange call. The kNN-join reducers scan per query with
+// TopKSweep instead; this full-block batch is the strip loop the sweep is
+// built on, and what the benchmark harness's top-k probe times.
 func TopKBatch(data []float64, dim int, qs []float64, lo, hi int, accs []TopKAcc) {
 	batchTiles(lo, hi, len(accs), func(qi, tLo, tHi int) {
 		topkScanRange(data, dim, qs[qi*dim:(qi+1)*dim], tLo, tHi, &accs[qi])

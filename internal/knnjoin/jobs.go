@@ -1,17 +1,25 @@
 // Package knnjoin is the distributed kNN-join subsystem: R ⋉kNN S as a
-// MapReduce DAG. The LSH-bucketed candidate pass replicates both sides into
-// hash buckets (queries under every layout, like the ρ job of LSH-DDP) and
-// computes each bucket's verified top-k with the top-k kernels; a merge
-// pass folds the per-bucket partials and uses the query's guarantee radius
-// (lsh.Layouts.GuaranteeRadius) to certify the answer or flag the query for
-// the exact-fallback pass, which re-joins just the uncertified queries
-// against all of S. The final result is bit-identical to a naive full join.
+// MapReduce DAG. The LSH-bucketed candidate pass replicates the base side
+// into its hash bucket under every layout (like the ρ job of LSH-DDP) and
+// sends each query to one bucket only — its bucket in the layout that
+// attains its guarantee radius (lsh.Layouts.GuaranteeRadius), the only one
+// whose answer can be certified. Each bucket reducer computes its queries'
+// exact top-k over the bucket's base rows, sweeping them in coordinate
+// order so that most rows are ruled out without a distance evaluation; a
+// merge pass uses the guarantee radius to certify the answer or flag the
+// query for the exact-fallback pass, which re-joins just the uncertified
+// queries against all of S. The final result is bit-identical to a naive
+// full join.
 package knnjoin
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/kernels"
@@ -40,8 +48,10 @@ const (
 
 // Counters of the kNN-join jobs.
 const (
-	// CtrCandidates counts candidate pairs scanned by the bucket reducers
-	// (query × base-row products, before any pruning).
+	// CtrCandidates counts the (query, base row) distances the bucket
+	// reducers evaluated: at most Σ queries × base rows over the buckets,
+	// and on the float64 path far fewer, since the coordinate sweep rules
+	// most rows out unevaluated.
 	CtrCandidates = "knn.candidates"
 	// CtrFallbacks counts queries whose bucket result could not be
 	// certified by the guarantee radius and were re-joined exactly.
@@ -55,8 +65,26 @@ const (
 	JobMerge      = "knn-merge"
 )
 
-// idKey renders a point ID as a fixed-width sortable reduce key.
-func idKey(id int32) string { return fmt.Sprintf("%09d", id) }
+// idKey renders a point ID as a fixed-width sortable reduce key: the bytes
+// of fmt's %09d, without the formatter.
+func idKey(id int32) string {
+	var buf [11]byte // sign and ten digits
+	u, digits := uint32(id), 9
+	if id < 0 {
+		u, digits = -u, 8
+	}
+	i := len(buf)
+	for n := 0; n < digits || u > 0; n++ {
+		i--
+		buf[i] = byte('0' + u%10)
+		u /= 10
+	}
+	if id < 0 {
+		i--
+		buf[i] = '-'
+	}
+	return string(buf[i:])
+}
 
 // lazyLayouts returns a job instance's layouts resolver: the first map call
 // parses the LSH parameters out of the job Conf and fetches the process-wide
@@ -80,10 +108,14 @@ var keyBufs = sync.Pool{New: func() any { return new(lsh.KeyBuf) }}
 
 // CandidatesJob is pass 1 of the bucketed join. The map side hashes both
 // input sides under all M layouts: base (S) records replicate to their home
-// buckets unchanged, query (R) records are annotated with their guarantee
-// radius and replicate to the same buckets. Each bucket reducer computes
-// the exact top-k of every query over the bucket's base rows and emits one
-// partial list per query, keyed by query ID for the merge pass.
+// bucket in every layout unchanged; a query (R) record is annotated with
+// its guarantee radius and goes to one bucket, its own in the layout that
+// attains the radius. The merge pass accepts a bucketed answer only when
+// all of it lies strictly inside that radius, hence inside that bucket, so
+// no other layout's bucket could have changed an accepted answer. Each
+// bucket reducer computes the exact top-k of every query over the bucket's
+// base rows and emits one partial list per query, keyed by query ID for
+// the merge pass.
 func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 	lazy := lazyLayouts()
 	return &mapreduce.Job{
@@ -116,8 +148,8 @@ func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 				// the guarantee radius is made of.
 				kb := keyBufs.Get().(*lsh.KeyBuf)
 				layouts.Hash(kb, p.Pos)
-				rec := encodeBucketQuery(layouts.GuaranteeRadius(kb), p)
-				kb.EachKey(func(key string) { out.Emit(key, rec) })
+				g, layout := layouts.GuaranteeRadius(kb)
+				out.Emit(string(kb.Key(layout)), encodeBucketQuery(g, p))
 				keyBufs.Put(kb)
 			default:
 				return fmt.Errorf("knnjoin: unknown input tag %q", value[0])
@@ -128,12 +160,33 @@ func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 	}
 }
 
+// exactKeyPrefix starts every ExactJob reduce key; the rest is the
+// partition number, zero-padded to three digits.
+const exactKeyPrefix = "x|"
+
+// lazyExactKeys returns a job instance's partition-key table: the first map
+// call formats the n keys, every later call is a sync.Once fast path.
+func lazyExactKeys() func(n int) []string {
+	var once sync.Once
+	var keys []string
+	return func(n int) []string {
+		once.Do(func() {
+			keys = make([]string, n)
+			for part := range keys {
+				keys[part] = exactKeyPrefix + fmt.Sprintf("%03d", part)
+			}
+		})
+		return keys
+	}
+}
+
 // ExactJob is the fallback join: base records partition by ID, queries
 // broadcast to every partition with an infinite guarantee radius, and each
 // partition's bucketReduce sees a disjoint slice of all of S — so the
 // merged result is the exact join. The driver also uses it directly as the
 // naive-broadcast oracle.
 func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
+	lazy := lazyExactKeys()
 	return &mapreduce.Job{
 		Name: JobExact,
 		Conf: conf,
@@ -141,14 +194,10 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 			if len(value) == 0 {
 				return fmt.Errorf("knnjoin: empty input record")
 			}
-			n := ctx.NumReduces
-			if n < 1 {
-				n = 1
-			}
+			keys := lazy(max(ctx.NumReduces, 1))
 			switch value[0] {
 			case tagBase:
-				part := int(uint32(baseID(value))) % n
-				out.Emit("x|"+fmt.Sprintf("%03d", part), value)
+				out.Emit(keys[int(uint32(baseID(value)))%len(keys)], value)
 			case tagQuery:
 				p, rest, err := points.DecodePoint(value[1:])
 				if err != nil {
@@ -158,8 +207,8 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 					return fmt.Errorf("knnjoin: %d trailing bytes after query point", len(rest))
 				}
 				rec := encodeBucketQuery(math.Inf(1), p)
-				for part := 0; part < n; part++ {
-					out.Emit("x|"+fmt.Sprintf("%03d", part), rec)
+				for _, key := range keys {
+					out.Emit(key, rec)
 				}
 			default:
 				return fmt.Errorf("knnjoin: unknown input tag %q", value[0])
@@ -169,8 +218,9 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 		// Keys name their partition directly; parsing them back keeps each
 		// base slice and its broadcast queries in the intended reducer.
 		Partition: func(key string, numReduces int) int {
-			var part int
-			if _, err := fmt.Sscanf(key, "x|%d", &part); err != nil {
+			digits, ok := strings.CutPrefix(key, exactKeyPrefix)
+			part, err := strconv.Atoi(digits)
+			if !ok || err != nil {
 				return 0
 			}
 			return part % numReduces
@@ -179,6 +229,15 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 	}
 }
 
+// sweepScratch is a bucket reducer's row permutation for the coordinate
+// sweep, pooled like the matrix it indexes.
+type sweepScratch struct {
+	order []int32
+	coord []float64
+}
+
+var sweepScratches = sync.Pool{New: func() any { return new(sweepScratch) }}
+
 // bucketReduce computes the exact top-k of every query in one bucket over
 // the bucket's base rows. It is shared by the candidate and exact jobs —
 // the only difference between the passes is how records reached the bucket.
@@ -186,7 +245,10 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 // Determinism: base records are sorted by point ID before they are decoded
 // into the matrix, so matrix row order — and with it the top-k kernels'
 // lowest-row-index tie rule — is the (distance, ID) order of the naive
-// oracle, insensitive to the engine's shuffle value order.
+// oracle, insensitive to the engine's shuffle value order. The float64 scan
+// sweeps a permutation of those rows sorted on one coordinate
+// (kernels.TopKSweep); the permutation is a total order of the same rows,
+// so the number of distances it evaluates is as deterministic as the lists.
 func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
 	var baseRecs [][]byte
 	type bucketQuery struct {
@@ -214,7 +276,7 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 	if len(queries) == 0 {
 		return nil
 	}
-	sort.Slice(queries, func(i, j int) bool { return queries[i].p.ID < queries[j].p.ID })
+	slices.SortFunc(queries, func(a, b bucketQuery) int { return cmp.Compare(a.p.ID, b.p.ID) })
 	if len(baseRecs) == 0 {
 		// A bucket with no base rows still reports each query so the merge
 		// pass sees its guarantee radius (and, on the exact pass over an
@@ -224,7 +286,7 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 		}
 		return nil
 	}
-	sort.Slice(baseRecs, func(i, j int) bool { return baseID(baseRecs[i]) < baseID(baseRecs[j]) })
+	slices.SortFunc(baseRecs, func(a, b []byte) int { return cmp.Compare(baseID(a), baseID(b)) })
 	views := make([][]byte, len(baseRecs))
 	for i, v := range baseRecs {
 		views[i] = v[1:]
@@ -235,19 +297,31 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 		return err
 	}
 	dim := m.Dim()
-	nq := len(queries)
-	qs := make([]float64, nq*dim)
-	for i, q := range queries {
+	for _, q := range queries {
 		if len(q.p.Pos) != dim {
 			return fmt.Errorf("knnjoin: query dim %d, base dim %d", len(q.p.Pos), dim)
 		}
-		copy(qs[i*dim:(i+1)*dim], q.p.Pos)
 	}
 
 	k := ctx.Conf.GetInt(ConfK, 1)
-	accs := make([]kernels.TopKAcc, nq)
-	nd := int64(nq) * int64(m.N())
+	// One accumulator and one entry buffer serve every query in turn.
+	var acc kernels.TopKAcc
+	var entries []kernels.TopKEntry
+	emit := func(q bucketQuery) {
+		entries = acc.Append(entries[:0])
+		ns := make([]Neighbor, len(entries))
+		for j, e := range entries {
+			ns[j] = Neighbor{ID: m.ID(int(e.Row)), D2: e.D2}
+		}
+		out.Emit(idKey(q.p.ID), encodePartial(partialList{QID: q.p.ID, G: q.g, Entries: ns}))
+	}
+	var nd int64
 	if ctx.Conf[kernels.ConfScanPrecision] == kernels.ScanF32 {
+		nq := len(queries)
+		qs := make([]float64, nq*dim)
+		for i, q := range queries {
+			copy(qs[i*dim:(i+1)*dim], q.p.Pos)
+		}
 		c := points.GetMatrix32(m)
 		defer points.PutMatrix32(c)
 		qs32, qMaxAbs := points.ToFloat32(qs)
@@ -262,44 +336,43 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 		}
 		kernels.TopKBatch32(c.Data(), dim, qs32, 0, m.N(), sls)
 		var rechecks int64
-		for i := range sls {
+		for i, q := range queries {
 			rows := sls[i].Finish()
 			rechecks += int64(len(rows))
-			accs[i].Reset(k)
-			kernels.TopKRows(m.Data(), dim, qs[i*dim:(i+1)*dim], rows, &accs[i])
+			acc.Reset(k)
+			kernels.TopKRows(m.Data(), dim, q.p.Pos, rows, &acc)
+			emit(q)
 		}
+		nd = int64(nq) * int64(m.N())
 		ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
 		ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(rechecks)
 	} else {
-		for i := range accs {
-			accs[i].Reset(k)
+		sw := sweepScratches.Get().(*sweepScratch)
+		defer sweepScratches.Put(sw)
+		axis := kernels.SweepAxis(m.Data(), dim)
+		sw.order, sw.coord = kernels.SweepOrder(m.Data(), dim, axis, sw.order[:0], sw.coord[:0])
+		for _, q := range queries {
+			acc.Reset(k)
+			nd += int64(kernels.TopKSweep(m.Data(), dim, q.p.Pos, axis, sw.order, sw.coord, &acc))
+			emit(q)
 		}
-		kernels.TopKBatch(m.Data(), dim, qs, 0, m.N(), accs)
 	}
 	ctx.Counters.Cell(CtrCandidates).Add(nd)
 	ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
-
-	var entries []kernels.TopKEntry
-	for i, q := range queries {
-		entries = accs[i].Append(entries[:0])
-		ns := make([]Neighbor, len(entries))
-		for j, e := range entries {
-			ns[j] = Neighbor{ID: m.ID(int(e.Row)), D2: e.D2}
-		}
-		out.Emit(idKey(q.p.ID), encodePartial(partialList{QID: q.p.ID, G: q.g, Entries: ns}))
-	}
 	return nil
 }
 
-// MergeJob is pass 2: fold each query's per-bucket partial lists into one
-// result. Entries sort by (distance, base ID) and duplicates (the same base
-// point met in several buckets — identical exact distance, hence adjacent
-// after the sort) collapse, so the merged order is exactly the naive
-// oracle's. The guarantee radius certifies the answer: with c distinct
+// MergeJob is pass 2: fold each query's partial lists — one from its
+// routed bucket on the bucketed pass, one per partition on the exact pass —
+// into one result. Entries sort by (distance, base ID) and duplicates (the
+// same base point met in several partials — identical exact distance, hence
+// adjacent after the sort) collapse, so the merged order is exactly the
+// naive oracle's. The guarantee radius certifies the answer: with c distinct
 // candidates and verified k-th distance d_k, the result is exact iff
-// c ≥ k and √d_k < g (every true neighbor strictly within g shares some
-// bucket with the query), or g = +Inf (the exact pass — or an exact pass
-// over an S smaller than k, where c < k is the correct full answer).
+// c ≥ k and √d_k < g (every true neighbor strictly within g shares the
+// query's bucket in the layout it was routed by), or g = +Inf (the exact
+// pass — or an exact pass over an S smaller than k, where c < k is the
+// correct full answer).
 func MergeJob(conf mapreduce.Conf) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name: JobMerge,

@@ -92,6 +92,13 @@ type Result struct {
 // RunExact (and to a single-machine full scan), including the
 // lowest-ID-wins tie rule.
 func Run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, error) {
+	return run(ctx, sess, R, S, k, cfg, CandidatesJob)
+}
+
+// run is Run with the candidates job passed in, so that the routing test
+// can run the same pipeline with every query replicated to all M layouts.
+func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config,
+	candidates func(mapreduce.Conf) *mapreduce.Job) (*Result, error) {
 	start := time.Now()
 	if err := validate(R, S, k); err != nil {
 		return nil, err
@@ -109,7 +116,7 @@ func Run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 	sIn := sess.Stage("knn-S:"+S.Name, taggedPairs(tagBase, S))
 
 	g := dag.NewGraph("knn-join")
-	cand := g.Job(CandidatesJob(conf).WithReduces(cfg.NumReduces), qIn, sIn)
+	cand := g.Job(candidates(conf).WithReduces(cfg.NumReduces), qIn, sIn)
 	merged := g.Job(MergeJob(conf).WithReduces(cfg.NumReduces), cand)
 	outs, err := sess.Run(ctx, g, merged)
 	if err != nil {

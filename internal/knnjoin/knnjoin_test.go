@@ -181,6 +181,27 @@ func sumCounter(stats []mapreduce.JobStats, name string) int64 {
 	return s
 }
 
+// TestSweepPrunes: on clustered data the reducers' coordinate sweep must
+// evaluate far fewer distances than the query × base-row pairs that meet in
+// a reducer — on the exact pass that product is |R|·|S| whatever the
+// partitioning — and every list must still equal the oracle's.
+func TestSweepPrunes(t *testing.T) {
+	R, S := splitBlobs(t, "knn-sweep", 2400, 3, 200, 51)
+	res, err := knnjoin.RunExact(context.Background(), localSession(), R, S, 5, knnjoin.Config{NumReduces: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameNeighbors(t, res.Neighbors, naiveKNN(R, S, 5))
+	pairs := int64(R.N()) * int64(S.N())
+	cand := sumCounter(res.Stats.Jobs, knnjoin.CtrCandidates)
+	if cand <= 0 || 2*cand >= pairs {
+		t.Fatalf("%s = %d for %d query-row pairs: the sweep did not prune", knnjoin.CtrCandidates, cand, pairs)
+	}
+	if dc := sumCounter(res.Stats.Jobs, mapreduce.CtrDistanceComputations); dc != cand {
+		t.Fatalf("%s = %d, %s = %d", mapreduce.CtrDistanceComputations, dc, knnjoin.CtrCandidates, cand)
+	}
+}
+
 // TestClusterConformance pins the join bit-identical across the local
 // engine, a 3-worker rpcmr cluster, and the naive oracle — outputs and
 // the deterministic cost counters both.

@@ -194,7 +194,8 @@ func TestGuaranteeRadiusMatchesReference(t *testing.T) {
 	check := func(l *Layouts, p points.Vector) {
 		t.Helper()
 		l.Hash(&kb, p)
-		if got, want := l.GuaranteeRadius(&kb), referenceRadius(l, p); math.Float64bits(got) != math.Float64bits(want) {
+		g, _ := l.GuaranteeRadius(&kb)
+		if got, want := g, referenceRadius(l, p); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("dim %d at %v: radius %v, reference %v", len(p), p, got, want)
 		}
 	}

@@ -250,27 +250,31 @@ func (l *Layouts) Keys(p points.Vector) []string {
 }
 
 // GuaranteeRadius returns, for the point last hashed into kb, a radius g
-// such that every point strictly within distance g of it shares its
-// partition key in at least one layout — the soundness certificate of the
-// kNN-join's bucketed candidate pass.
+// and the layout that attains it: every point strictly within distance g of
+// the hashed point shares its partition key in that layout — the soundness
+// certificate of the kNN-join's bucketed candidate pass, and its routing
+// rule (the query's bucket in that one layout holds every neighbor a
+// certified answer can contain).
 //
 // For one hash function, moving a point by Euclidean distance d shifts its
 // projection (a·x + b)/w by at most ‖a‖·d/w slot widths, so p keeps any
 // neighbor within w·min(frac, 1−frac)/‖a‖, where frac ∈ [0, 1) is the
 // fractional position of p's projection inside its slot. A layout keeps the
 // neighbor when every one of its π functions does (the min over functions),
-// and one layout suffices (the max over layouts). A zero direction vector
-// never splits and contributes an infinite margin.
+// and g is the largest such margin (the max over layouts; ties go to the
+// lowest layout index, and layout 0 with g = 0 is returned when every
+// margin is 0). A zero direction vector never splits and contributes an
+// infinite margin.
 //
 // The returned radius is deflated by one part in 2²⁰ to absorb the
 // floating-point slop of the projection arithmetic, so callers comparing a
 // verified k-th distance against it fail toward "re-verify exactly", never
 // toward a wrong accept.
-func (l *Layouts) GuaranteeRadius(kb *KeyBuf) float64 {
+func (l *Layouts) GuaranteeRadius(kb *KeyBuf) (g float64, layout int) {
 	best := 0.0
-	for g := range l.Groups {
+	for m := range l.Groups {
 		margin := math.Inf(1)
-		for f := g * l.Pi; f < (g+1)*l.Pi; f++ {
+		for f := m * l.Pi; f < (m+1)*l.Pi; f++ {
 			v := kb.proj[f]
 			frac := v - math.Floor(v)
 			edge := frac
@@ -280,13 +284,13 @@ func (l *Layouts) GuaranteeRadius(kb *KeyBuf) float64 {
 			if l.norm[f] == 0 {
 				continue // constant projection: this function never splits
 			}
-			if m := edge * l.W / l.norm[f]; m < margin {
-				margin = m
+			if r := edge * l.W / l.norm[f]; r < margin {
+				margin = r
 			}
 		}
 		if margin > best {
-			best = margin
+			best, layout = margin, m
 		}
 	}
-	return best * (1 - 0x1p-20)
+	return best * (1 - 0x1p-20), layout
 }

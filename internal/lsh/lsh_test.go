@@ -182,8 +182,9 @@ func TestGroupKeyANDSemantics(t *testing.T) {
 }
 
 // Property: any point strictly within GuaranteeRadius of p shares p's key
-// in at least one layout — the certificate the kNN-join fallback test
-// relies on. Probed with random directions at fractions of the radius.
+// in the layout GuaranteeRadius returns — the certificate the kNN-join
+// fallback test relies on, and the bucket the join routes the query to.
+// Probed with random directions at fractions of the radius.
 func TestGuaranteeRadius(t *testing.T) {
 	rng := points.NewRand(31)
 	l := NewLayouts(3, 4, 3, 2.5, 7)
@@ -191,9 +192,9 @@ func TestGuaranteeRadius(t *testing.T) {
 		p := points.Vector{rng.NormFloat64() * 5, rng.NormFloat64() * 5, rng.NormFloat64() * 5}
 		var kb KeyBuf
 		l.Hash(&kb, p)
-		g := l.GuaranteeRadius(&kb)
-		if g < 0 || math.IsNaN(g) {
-			t.Fatalf("GuaranteeRadius(%v) = %v", p, g)
+		g, layout := l.GuaranteeRadius(&kb)
+		if g < 0 || math.IsNaN(g) || layout < 0 || layout >= l.M() {
+			t.Fatalf("GuaranteeRadius(%v) = %v, layout %d", p, g, layout)
 		}
 		if g == 0 || math.IsInf(g, 1) {
 			continue
@@ -209,17 +210,44 @@ func TestGuaranteeRadius(t *testing.T) {
 			for j := range q {
 				q[j] = p[j] + dir[j]/n*g*frac
 			}
-			qk := l.Keys(q)
-			shared := false
-			for m := range pk {
-				if pk[m] == qk[m] {
-					shared = true
-					break
-				}
-			}
-			if !shared {
-				t.Fatalf("point at %.3f·g of %v shares no layout key", frac, p)
+			if l.Keys(q)[layout] != pk[layout] {
+				t.Fatalf("point at %.3f·g of %v leaves its bucket in the returned layout %d", frac, p, layout)
 			}
 		}
+	}
+}
+
+// TestGuaranteeRadiusLayout pins which layout is returned when the margins
+// do not single one out: equal margins go to the lowest index, and a point
+// on a slot edge in every layout gets layout 0 with radius 0.
+func TestGuaranteeRadiusLayout(t *testing.T) {
+	axis := func(a0, a1, b float64) Func { return Func{A: points.Vector{a0, a1}, B: b, W: 1} }
+	l := flatten([]Group{
+		{Funcs: []Func{axis(1, 0, 0)}},
+		{Funcs: []Func{axis(0, 1, 0)}},
+		{Funcs: []Func{axis(1, 0, 0.5)}},
+	}, 2, 1, 1)
+	var kb KeyBuf
+	for _, c := range []struct {
+		p      points.Vector
+		margin float64
+		layout int
+	}{
+		{points.Vector{0.25, 0.25}, 0.25, 0}, // layouts 0, 1 and 2 tie at 0.25
+		{points.Vector{0.25, 0.5}, 0.5, 1},   // layout 1 alone is widest
+		{points.Vector{0.5, 0.5}, 0.5, 0},    // layouts 0 and 1 tie, 2 sits on an edge
+		{points.Vector{0.5, 0.75}, 0.5, 0},   // a later, smaller margin does not displace it
+		{points.Vector{0, 0.25}, 0.5, 2},     // a later, strictly larger one does
+	} {
+		l.Hash(&kb, c.p)
+		g, layout := l.GuaranteeRadius(&kb)
+		if want := c.margin * (1 - 0x1p-20); g != want || layout != c.layout {
+			t.Fatalf("%v: radius %v in layout %d, want %v in layout %d", c.p, g, layout, want, c.layout)
+		}
+	}
+	edges := flatten([]Group{{Funcs: []Func{axis(1, 0, 0)}}, {Funcs: []Func{axis(0, 1, 0)}}}, 2, 1, 1)
+	edges.Hash(&kb, points.Vector{3, -2})
+	if g, layout := edges.GuaranteeRadius(&kb); g != 0 || layout != 0 {
+		t.Fatalf("all margins zero: radius %v in layout %d, want 0 in layout 0", g, layout)
 	}
 }
