@@ -9,10 +9,10 @@ all: check
 # The full gate: compile everything, vet, enforce the docs (package
 # comments, the README knob reference, no recipe naming a deleted target or
 # binary), run the test suite, re-run the concurrency-heavy packages under
-# the race detector, fuzz the LSH key codec and the top-k sweep for five
-# seconds each, smoke the compact scan kernels and the key / index-build
-# micro-benchmarks, and compile + smoke the benchmark harness (all five
-# workloads, oracles checked).
+# the race detector, fuzz the LSH key codec, the top-k sweep and the serving
+# engine's bucket sweep for five seconds each, smoke the compact scan
+# kernels and the key / index-build / served-query micro-benchmarks, and
+# compile + smoke the benchmark harness (all five workloads, oracles checked).
 check: build vet doccheck test race fuzz-smoke bench-scan-smoke bench-harness-smoke
 
 build:
@@ -48,10 +48,14 @@ race:
 # invocation). The LSH key codec faces bytes from outside the process: error
 # or round-trip, never panic, never two spellings of one value. The top-k
 # sweep prunes on a floating-point bound: differential against the flat
-# scan on every axis, never a row evaluated twice, never a panic.
+# scan on every axis, never a row evaluated twice, never a panic. The serving
+# engine runs the same walk over its axis-ordered buckets with a one-bucket
+# early exit: fuzz-chosen tiny models and queries, differential against
+# gathering the bucket union and scanning all of it, masked and unmasked.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKSweep$$' -fuzztime 5s ./internal/kernels/
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineSweep$$' -fuzztime 5s ./internal/serve/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -77,18 +81,22 @@ bench-hot:
 # (full pass, and NNRows over a sparse candidate list — the shape a served
 # query scans), multi-query NNBatch, top-k selection (the `TopK` pattern
 # matches both TopKScan, the flat batch, and TopKSweep, the kNN-join
-# reducers' coordinate-ordered scan), and compact ρ accumulation.
+# reducers' coordinate-ordered scan), compact ρ accumulation, and one served
+# query end to end at the harness geometry (EngineAssign: ns and rows
+# evaluated per query, share certified from one bucket, f64 and q8).
 # End-to-end figures come from `bash bench/run.sh`.
 bench-scan:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK' -run '^$$' -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/
+	$(GO) test -bench 'EngineAssign' -run '^$$' -benchmem \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/serve/
 
-# One fast iteration per scan benchmark (and per key / index-build
-# benchmark) for the check gate and CI: catches a compact kernel or a key
-# path that stops compiling or panics on real shapes.
+# One fast iteration per scan benchmark (and per key / index-build /
+# served-query benchmark) for the check gate and CI: catches a compact
+# kernel, a key path or a sweep that stops compiling or panics on real shapes.
 bench-scan-smoke:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK' -run '^$$' -benchtime 1x ./internal/kernels/
-	$(GO) test -bench 'Keys|NewEngine' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/
+	$(GO) test -bench 'Keys|NewEngine|EngineAssign' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/
 
 # bench/ is its own module, so `go test ./...` here never compiles it: vet
 # it and run its unit tests plus the whole suite at -smoke scale (< 10 s), so

@@ -402,6 +402,11 @@ func TestFleetStatszRollup(t *testing.T) {
 	if st.Counters[fleet.CtrRequests] != 1 || st.Counters[fleet.CtrPoints] != 2 {
 		t.Errorf("router counters: %+v", st.Counters)
 	}
+	// The sweep's counters ride the same rollup: rows evaluated on the
+	// shards, and no certificate — a masked scan leaves that to the router.
+	if certified, ok := st.Rollup[serve.CtrCertified]; !ok || certified != 0 || st.Rollup[serve.CtrCandidates] < 2 {
+		t.Errorf("rollup %s = %d (present %v), %s = %d", serve.CtrCertified, certified, ok, serve.CtrCandidates, st.Rollup[serve.CtrCandidates])
+	}
 }
 
 // TestFleetHedging forces a hedge: the round-robin start replica of a

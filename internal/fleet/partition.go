@@ -48,7 +48,7 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	// estimate of each bucket's true scan cost and recorded in the
 	// manifest for the router.
 	n := m.N()
-	ix := layouts.BuildIndex(m.Data, n)
+	ix := layouts.BuildIndex(m.Data, n, nil)
 	weights := estimateBucketWeights(ix, n, mf.M)
 	groups := bucketGroups(m, ix.RowKeys, len(ix.Keys), mf.M)
 	mf.Overrides = balanceHeavyBuckets(ix.Keys, weights, groups, ring, shards)

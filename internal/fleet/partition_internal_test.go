@@ -40,7 +40,7 @@ func TestSampledWeightBalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := mf.Layouts().BuildIndex(mdl.Data, mdl.N())
+		ix := mf.Layouts().BuildIndex(mdl.Data, mdl.N(), nil)
 		weights := estimateBucketWeights(ix, mdl.N(), mf.M)
 		load := make([]float64, shards)
 		total := 0.0

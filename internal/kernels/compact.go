@@ -218,10 +218,16 @@ func (sl *Shortlist) Finish() []int32 {
 // TopKShortlist (k nearest).
 type compactSink interface {
 	observe(row int32, d32 float32)
-	threshold() float64
+	Threshold() float64
 }
 
-func (sl *Shortlist) threshold() float64 { return sl.thr }
+// Threshold returns the admission threshold on compact squared distances,
+// +Inf while no row is held. It is also an upper bound on the exact squared
+// distance of the compact-best row the list holds (KeepThresh inflates past
+// that row's exact distance before inflating back), so a row whose exact
+// squared distance provably exceeds it — Sweep's axis-gap test — cannot be
+// the nearest or tie with it.
+func (sl *Shortlist) Threshold() float64 { return sl.thr }
 
 // admit folds one strip of compact distances into sl; strip[x] belongs to
 // rows[x], or to row lo+x when rows is nil. The admission reject — the
@@ -229,7 +235,7 @@ func (sl *Shortlist) threshold() float64 { return sl.thr }
 // observe so the hot loop pays one comparison per row; NaN fails the
 // rejection test and reaches observe, as required.
 func admit(sl compactSink, strip []float32, lo int, rows []int32) {
-	thr := sl.threshold()
+	thr := sl.Threshold()
 	for x, v := range strip {
 		if float64(v) > thr {
 			continue
@@ -239,7 +245,7 @@ func admit(sl compactSink, strip []float32, lo int, rows []int32) {
 			row = rows[x]
 		}
 		sl.observe(row, v)
-		thr = sl.threshold()
+		thr = sl.Threshold()
 	}
 }
 

@@ -2,14 +2,14 @@ package kernels
 
 // Nearest-neighbor scan kernels for the online serving path: given a query
 // position and the flat SoA coordinate block of a cluster model, find the
-// closest stored row. The serving engine calls NNRows over the LSH
-// candidate union of a query (≈20.7 K of 200 K rows on the serve-read
-// benchmark, in ascending but sparse order) and NNRange as the exact
-// full-scan fallback; both share the tie rule "lowest row index wins", so a
-// pruned scan that happens to contain the true nearest row returns exactly
-// what the exact scan would. NNRows enforces the rule with an explicit
-// index comparison on equal distances, so callers need not sort the
-// candidate list — sorting it would cost more than the scan.
+// closest stored row. The serving engine calls NNRange as the exact
+// full-scan fallback and NNRows to re-rank a compact scan's shortlist (the
+// pruned path itself is Sweep into a k = 1 TopKAcc; the benchmark harness
+// still times NNRows over a query's whole LSH candidate union). All share
+// the tie rule "lowest row index wins", so a pruned scan that contains the
+// true nearest row returns exactly what the exact scan would. NNRows
+// enforces the rule with an explicit index comparison on equal distances,
+// so callers need not sort the row list.
 
 // NNRange scans rows [lo, hi) of the flat row-major block data (rows of
 // length dim) and returns the row index nearest to q plus the squared

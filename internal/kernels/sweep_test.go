@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -219,4 +220,82 @@ func FuzzTopKSweep(f *testing.F) {
 		data = data[:len(data)/dim*dim]
 		sweepCase(t, "fuzz", data, dim, q, k)
 	})
+}
+
+// RowOrder must list SweepOrder's rows in SweepOrder's order — (coordinate,
+// row) ascending, −0 and +0 equal — then every row SweepOrder leaves out, in
+// row order, and report each row's coordinate with +Inf for a non-finite one.
+func TestRowOrderMatchesSweepOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for dim := 1; dim <= 4; dim++ {
+		for _, n := range []int{0, 1, 2, 17, 300, 5000} {
+			blocks := map[string][]float64{
+				"random":  randBlock(rng, n, dim, 1e3),
+				"hostile": hostileRows(rng, n, dim),
+				"lattice": latticeRows(rng, n, dim),
+			}
+			zeros := make([]float64, n*dim) // ±0 only: one key, row order
+			for i := range zeros {
+				zeros[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+			}
+			blocks["signed zeros"] = zeros
+			for what, data := range blocks {
+				for axis := 0; axis < dim; axis++ {
+					want, _ := SweepOrder(data, dim, axis, nil, nil)
+					order, coord := RowOrder(data, dim, axis)
+					if len(order) != n || len(coord) != n {
+						t.Fatalf("%s dim %d n %d: %d rows ordered, %d coordinates", what, dim, n, len(order), len(coord))
+					}
+					if !reflect.DeepEqual(order[:len(want)], want) && len(want) > 0 {
+						t.Fatalf("%s dim %d n %d axis %d: finite rows ordered %v, SweepOrder %v", what, dim, n, axis, order[:len(want)], want)
+					}
+					for i, r := range order {
+						c := data[int(r)*dim+axis]
+						switch bad := math.IsNaN(c) || math.IsInf(c, 0); {
+						case bad != (i >= len(want)):
+							t.Fatalf("%s dim %d n %d axis %d: row %d (coordinate %v) at position %d of %d finite", what, dim, n, axis, r, c, i, len(want))
+						case bad && (!math.IsInf(coord[r], 1) || i > len(want) && order[i-1] >= r):
+							t.Fatalf("%s dim %d n %d axis %d: non-finite row %d has coord %v after row %d", what, dim, n, axis, r, coord[r], order[i-1])
+						case !bad && coord[r] != c:
+							t.Fatalf("%s dim %d n %d axis %d: coord[%d] = %v, data says %v", what, dim, n, axis, r, coord[r], c)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Sweep hands out strips of at most nnTile postings inside [0, n) and, under
+// a constant threshold, exactly the postings whose squared axis gap does not
+// exceed it, each once (all of them at +Inf); a non-finite query evaluates
+// nothing.
+func TestSweepStripsDisjoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	for _, n := range []int{0, 1, 5, nnTile, 3*nnTile + 7} {
+		coord := make([]float64, n)
+		for i := range coord {
+			coord[i] = math.Round(rng.NormFloat64() * 4)
+		}
+		sort.Float64s(coord)
+		for _, qa := range []float64{-100, -1, 0, 0.5, 3, 100, math.NaN(), math.Inf(-1)} {
+			for _, limit := range []float64{math.Inf(1), 9, 0} {
+				seen := make([]int, n)
+				Sweep(n, qa, func(i int) float64 { return coord[i] }, func() float64 { return limit }, func(lo, hi int) {
+					if lo < 0 || hi > n || hi < lo || hi-lo > nnTile {
+						t.Fatalf("n %d qa %v: strip [%d, %d)", n, qa, lo, hi)
+					}
+					for i := lo; i < hi; i++ {
+						seen[i]++
+					}
+				})
+				for i, c := range seen {
+					d := qa - coord[i]
+					if want := finite(qa) && d*d <= limit; c > 1 || (c == 1) != want {
+						t.Fatalf("n %d qa %v threshold %v: posting %d at %v evaluated %d times", n, qa, limit, i, coord[i], c)
+					}
+				}
+			}
+		}
+	}
 }

@@ -135,7 +135,8 @@ func (sl *TopKShortlist) Finish() []int32 {
 	return sl.Rows
 }
 
-func (sl *TopKShortlist) threshold() float64 { return sl.thr }
+// Threshold returns the admission threshold on compact squared distances.
+func (sl *TopKShortlist) Threshold() float64 { return sl.thr }
 
 // topKRange32 scans rows [lo, hi) of the float32 mirror into the shortlist
 // (Reset by the caller with this query's k and the scan's Bounds).

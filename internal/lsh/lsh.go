@@ -264,7 +264,9 @@ func (l *Layouts) Keys(p points.Vector) []string {
 // and g is the largest such margin (the max over layouts; ties go to the
 // lowest layout index, and layout 0 with g = 0 is returned when every
 // margin is 0). A zero direction vector never splits and contributes an
-// infinite margin.
+// infinite margin. A projection that is NaN or ±Inf (a non-finite or
+// overflowing point) sits in a saturated slot no neighbor's arithmetic is
+// bound to reproduce, so its layout's margin is 0.
 //
 // The returned radius is deflated by one part in 2²⁰ to absorb the
 // floating-point slop of the projection arithmetic, so callers comparing a
@@ -277,6 +279,10 @@ func (l *Layouts) GuaranteeRadius(kb *KeyBuf) (g float64, layout int) {
 		for f := m * l.Pi; f < (m+1)*l.Pi; f++ {
 			v := kb.proj[f]
 			frac := v - math.Floor(v)
+			if frac != frac { // v is NaN or ±Inf
+				margin = 0
+				break
+			}
 			edge := frac
 			if 1-frac < edge {
 				edge = 1 - frac

@@ -219,7 +219,10 @@ func TestGuaranteeRadius(t *testing.T) {
 
 // TestGuaranteeRadiusLayout pins which layout is returned when the margins
 // do not single one out: equal margins go to the lowest index, and a point
-// on a slot edge in every layout gets layout 0 with radius 0.
+// on a slot edge in every layout gets layout 0 with radius 0. A layout with
+// a NaN or ±Inf projection — a non-finite coordinate, or one large enough to
+// overflow the dot product — certifies nothing: its margin is 0, never the
+// +Inf that every NaN comparison failing used to leave behind.
 func TestGuaranteeRadiusLayout(t *testing.T) {
 	axis := func(a0, a1, b float64) Func { return Func{A: points.Vector{a0, a1}, B: b, W: 1} }
 	l := flatten([]Group{
@@ -243,6 +246,41 @@ func TestGuaranteeRadiusLayout(t *testing.T) {
 		g, layout := l.GuaranteeRadius(&kb)
 		if want := c.margin * (1 - 0x1p-20); g != want || layout != c.layout {
 			t.Fatalf("%v: radius %v in layout %d, want %v in layout %d", c.p, g, layout, want, c.layout)
+		}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		p      points.Vector
+		margin float64
+		layout int
+	}{
+		{points.Vector{nan, 0.25}, 0, 0}, // 0·NaN: no layout escapes
+		{points.Vector{0.25, inf}, 0, 0}, // nor 0·Inf
+		{points.Vector{-inf, nan}, 0, 0},
+		{points.Vector{1e308, 0.25}, 0.25, 1}, // finite but past every fraction: an edge in layouts 0 and 2
+	} {
+		l.Hash(&kb, c.p)
+		g, layout := l.GuaranteeRadius(&kb)
+		if want := c.margin * (1 - 0x1p-20); g != want || layout != c.layout {
+			t.Fatalf("%v: radius %v in layout %d, want %v in layout %d", c.p, g, layout, want, c.layout)
+		}
+	}
+	// Projections that overflow to ±Inf from finite coordinates, beside
+	// constant functions (zero direction vector: an infinite margin of their
+	// own, which must not survive as the layout's).
+	big := flatten([]Group{
+		{Funcs: []Func{axis(0x1p700, 0x1p700, 0), axis(0, 0, 0.5)}},
+		{Funcs: []Func{axis(0, 0, 0.5), axis(-0x1p700, 0, 0)}},
+		{Funcs: []Func{axis(0x1p-400, 0, 0.25), axis(0, 0, 0.5)}},
+	}, 2, 2, 1)
+	big.Hash(&kb, points.Vector{0x1p400, 0x1p400})
+	if g, layout := big.GuaranteeRadius(&kb); g != 0x1p398*(1-0x1p-20) || layout != 2 {
+		t.Fatalf("overflow in layouts 0 and 1: radius %v in layout %d, want the finite layout 2", g, layout)
+	}
+	for _, p := range []points.Vector{{nan, 0}, {0, inf}, {inf, -inf}} {
+		big.Hash(&kb, p)
+		if g, layout := big.GuaranteeRadius(&kb); g != 0 || layout != 0 {
+			t.Fatalf("%v: radius %v in layout %d, want 0 in layout 0", p, g, layout)
 		}
 	}
 	edges := flatten([]Group{{Funcs: []Func{axis(1, 0, 0)}}, {Funcs: []Func{axis(0, 1, 0)}}}, 2, 1, 1)

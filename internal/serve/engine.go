@@ -5,13 +5,17 @@
 // The engine reuses the training run's LSH machinery as an approximate
 // nearest-neighbor index: it regenerates the M hash layouts from the
 // model's parameters, buckets every stored point under each layout, and
-// answers a query by probing the query's M bucket keys and scanning only
-// the candidate union with the dense NN kernels — the same
-// locality-preserving partitions that made ρ̂/δ̂ accurate make the nearest
-// labeled point overwhelmingly likely to share a bucket with the query.
-// When every probe comes up empty (a query far from all training data) the
-// engine falls back to an exact full scan, so an answer is always returned
-// and is always the label of some stored point.
+// answers a query from the query's M buckets with the dense NN kernels —
+// the same locality-preserving partitions that made ρ̂/δ̂ accurate make the
+// nearest labeled point overwhelmingly likely to share a bucket with the
+// query. Buckets are kept sorted on one coordinate, so a query never scans
+// their union: it sweeps each bucket outward from its own coordinate until
+// that coordinate alone rules the rest out, and stops at the first bucket
+// when the LSH guarantee radius proves no other can hold a closer row — the
+// union's nearest row either way. When no bucket holds a row at a finite
+// distance (a query far from all training data) the engine falls back to an
+// exact full scan, so an answer is always returned and is always the label
+// of some stored point.
 //
 // Scans run at a configurable precision (serve.scan.precision): f64 streams
 // the float64 block directly; f32 and q8 stream a compact mirror (half or
@@ -31,6 +35,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 
 	"repro/internal/kernels"
@@ -103,8 +108,12 @@ func (p Precision) String() string {
 // ScanStats aggregates the scan work of one AssignBatch call.
 type ScanStats struct {
 	// Scanned counts stored rows whose (compact or exact) distance to a
-	// query was evaluated.
+	// query was evaluated: the rows the bucket sweeps did not prune (at most
+	// the size of the query's bucket union), or every row on the exact path.
 	Scanned int64
+	// Certified counts queries answered from one bucket (see Engine.sweep);
+	// never set by a masked or exact scan.
+	Certified int64
 	// Rerank counts shortlist rows re-ranked in exact float64 after a
 	// compact scan (0 at PrecF64).
 	Rerank int64
@@ -121,8 +130,9 @@ type Engine struct {
 	m       *model.Model
 	layouts *lsh.Layouts
 	// ix is the bucket index of the stored points: every distinct LSH key
-	// interned to a bucket ID, each bucket's rows one ascending slice of a
-	// single CSR postings block. ix.RowKeys — each row's bucket ID under
+	// interned to a bucket ID, each bucket's rows one slice of a single CSR
+	// postings block, sorted on the sweep axis (rows with a non-finite
+	// coordinate there last). ix.RowKeys — each row's bucket ID under
 	// every layout, row-major n×M — is kept in fleet mode only (a sub-model
 	// with RowIDs). It is what makes cross-shard candidate dedup exact: when
 	// a masked query asks this shard to scan layout j, a row already
@@ -148,6 +158,12 @@ type Engine struct {
 	sigLows    uint64 // 0b000001 in every 6-bit field
 	sigHighs   uint64 // 0b100000 in every 6-bit field
 
+	// axis is the coordinate every bucket is sorted on (ix.WidestAxis of the
+	// model data), coord[row] each row's value there, +Inf standing for a
+	// non-finite one.
+	axis  int
+	coord []float64
+
 	// prec is the effective scan precision: the requested one, or PrecF64
 	// when the model data cannot support the compact representation (e.g.
 	// unquantizable coordinates).
@@ -164,16 +180,23 @@ type Engine struct {
 	batches sync.Pool
 }
 
-// scratch is the reusable per-query candidate-dedup and compact-scan state.
+// scratch is the reusable per-query sweep state.
 type scratch struct {
 	stamp []int32 // per-row epoch marks
 	epoch int32
-	cand  []int32
 	kb    lsh.KeyBuf
-	qids  []int32 // per-layout bucket IDs of the query (fleet mode)
-	q32   []float32
-	sl    kernels.Shortlist
-	lut   kernels.Q8LUT
+	strip []int32 // the postings of one strip that pass the filter (CandidateRows: the union)
+	// The sink: acc at f64, sl (fed from q32 or lut) otherwise.
+	acc kernels.TopKAcc
+	top []kernels.TopKEntry
+	q32 []float32
+	sl  kernels.Shortlist
+	lut kernels.Q8LUT
+	// Fleet mode: the query's bucket ID per layout (-1: no stored row shares
+	// the key), their packed signature, and the rotation start.
+	qids []int32
+	sigQ uint64
+	j0   int
 }
 
 // batchScratch is the reusable per-batch exact-scan state.
@@ -206,7 +229,11 @@ func NewEngine(m *model.Model, prec Precision) (*Engine, error) {
 	if e.layouts == nil {
 		return e, nil
 	}
-	e.ix = e.layouts.BuildIndex(m.Data, n)
+	e.ix = e.layouts.BuildIndex(m.Data, n, func(ix *lsh.Index) (order []int32) {
+		e.axis = ix.WidestAxis(m.Data, m.Dim)
+		order, e.coord = kernels.RowOrder(m.Data, m.Dim, e.axis)
+		return order
+	})
 	if len(m.RowIDs) == 0 {
 		e.ix.RowKeys = nil // only the fleet's masked scan reads them
 		return e, nil
@@ -398,29 +425,14 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 	} else {
 		s := e.scratch.Get().(*scratch)
 		for i, q := range qs {
-			var cand []int32
+			var mask uint64
 			if masked {
-				cand = e.candidatesMasked(q, opts.Masks[i], s)
-			} else {
-				cand = e.candidates(q, s)
+				mask = opts.Masks[i]
 			}
-			if len(cand) == 0 {
-				if masked {
-					errs[i] = ErrNoCandidates
-				} else {
-					bs.pending = append(bs.pending, int32(i))
-				}
-				continue
-			}
-			best, best2, rerank := e.nnRows(q, cand, s)
-			st.Scanned += int64(len(cand))
-			st.Rerank += int64(rerank)
-			if e.prec != PrecF64 {
-				st.RerankQueries++
-			}
+			best, best2 := e.sweep(q, mask, masked, s, &st)
 			if best < 0 {
-				// Every candidate distance overflowed to +Inf; the full
-				// scan may still find a finite one. In masked mode that
+				// No probed bucket holds a row at a finite distance; the
+				// full scan may still find one. In masked mode that
 				// decision belongs to the router.
 				if masked {
 					errs[i] = ErrNoCandidates
@@ -441,157 +453,245 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 	return out, errs, st
 }
 
-// candidates gathers the deduplicated LSH bucket union of q into s.cand.
-func (e *Engine) candidates(q points.Vector, s *scratch) []int32 {
-	s.epoch++
-	if s.epoch <= 0 { // epoch wrapped: invalidate all stamps
-		for i := range s.stamp {
-			s.stamp[i] = 0
-		}
-		s.epoch = 1
-	}
-	s.cand = s.cand[:0]
-	e.layouts.Hash(&s.kb, q)
-	for j := 0; j < e.layouts.M(); j++ {
-		id, ok := e.ix.Lookup(s.kb.Key(j))
-		if !ok {
-			continue
-		}
-		for _, r := range e.ix.Bucket(id) {
-			if s.stamp[r] != s.epoch {
-				s.stamp[r] = s.epoch
-				s.cand = append(s.cand, r)
-			}
-		}
-	}
-	return s.cand
-}
-
 // CandidateRows appends the deduplicated LSH candidate-bucket union of q
 // to dst and reports whether the engine has a pruned index at all (an
 // engine built without LSH parameters returns dst unchanged and false —
 // the caller owns the full-scan fallback). The ingest layer uses this to
-// find the stored rows a new point adds density mass to; query answering
-// stays on AssignBatchOpts.
+// find the stored rows a new point adds density mass to — a d_c ball, which
+// the nearest-neighbor sweep of the query path does not bound; query
+// answering stays on AssignBatchOpts and never gathers the union.
 func (e *Engine) CandidateRows(q points.Vector, dst []int32) ([]int32, bool) {
 	if e.layouts == nil {
 		return dst, false
 	}
 	s := e.scratch.Get().(*scratch)
-	dst = append(dst, e.candidates(q, s)...)
+	s.nextEpoch()
+	s.strip = s.strip[:0]
+	e.layouts.Hash(&s.kb, q)
+	for j := 0; j < e.layouts.M(); j++ {
+		if id, ok := e.ix.Lookup(s.kb.Key(j)); ok {
+			s.strip = s.unseen(e.ix.Bucket(id), s.strip)
+		}
+	}
+	dst = append(dst, s.strip...) // one exact-size growth, not a doubling run
 	e.scratch.Put(s)
 	return dst, true
 }
 
-// candidatesMasked gathers q's candidates from the layouts selected by
-// mask. A row sitting in several of q's buckets must be scanned by exactly
-// one shard fleet-wide, so each row goes to its FIRST matching layout in a
-// per-query cyclic order starting at j0 = hash(q's bucket keys) mod M: the
-// shard owning layout j scans bucket k_j(q) and skips any row that also
-// matches q under a cyclically-earlier layout — whether that layout is in
-// the mask or not (its owner takes the row). The skip check early-exits on
-// the first cyclically-earlier match, so a row in a dense region costs one
-// int32 compare, not an O(M) election; rotating the start by the query's
-// key hash spreads a hot bucket's scan work across every layout's owner in
-// aggregate instead of piling it onto layout 0's. j0 and the skip compares
-// depend only on the query's key bytes and the row's own keys (a stored
-// row interns all M of its keys), so every shard decides identically and
-// the fleet-wide scan union equals the single-node dedup union exactly.
-func (e *Engine) candidatesMasked(q points.Vector, mask uint64, s *scratch) []int32 {
+// nextEpoch starts a new query's de-duplication marks.
+func (s *scratch) nextEpoch() {
+	s.epoch++
+	if s.epoch <= 0 { // epoch wrapped: invalidate all stamps
+		clear(s.stamp)
+		s.epoch = 1
+	}
+}
+
+// unseen marks rows for this epoch, appending the newly marked to dst.
+func (s *scratch) unseen(rows, dst []int32) []int32 {
+	for _, r := range rows {
+		if s.stamp[r] != s.epoch {
+			s.stamp[r] = s.epoch
+			dst = append(dst, r)
+		}
+	}
+	return dst
+}
+
+// sweep is the pruned scan of one query: the nearest row of q's LSH bucket
+// union and its squared distance — (-1, +Inf) when no row there is at a
+// finite distance — without gathering the union. Each bucket is walked
+// outward from q's coordinate on e.axis (kernels.Sweep) into one sink all
+// of them share — a k = 1 TopKAcc at f64, the compact Shortlist otherwise —
+// so a row whose axis gap alone exceeds the sink's threshold is never
+// evaluated, nor any row beyond it, and what one bucket proved too far stays
+// too far in the next.
+//
+// Unmasked, the bucket of the layout that attains q's guarantee radius g
+// goes first. When the best distance found there is strictly inside g,
+// every stored row that close — the union's nearest and all that tie with
+// it — shares that bucket (lsh.Layouts.GuaranteeRadius): the answer is the
+// union's and no other bucket is opened (st.Certified). The test is on the
+// exact distance, so the same queries certify at every precision. Otherwise
+// the other buckets follow, the epoch stamps keeping a row met again in a
+// later bucket's window from being evaluated twice. Masked (fleet mode),
+// the layouts in mask are swept through firstMatch, with no certificate:
+// the router owns the fleet-wide decision.
+func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st *ScanStats) (best int, best2 float64) {
 	nl := e.layouts.M()
-	s.qids = s.qids[:0]
 	e.layouts.Hash(&s.kb, q)
+	switch e.prec {
+	case PrecF32:
+		s.q32 = f32Append(s.q32[:0], q)
+		s.sl.Reset(e.f32Bounds(q))
+	case PrecQ8:
+		kernels.BuildQ8LUT(e.q8par, q, &s.lut)
+		s.sl.Reset(e.q8bnd)
+	default:
+		s.acc.Reset(1)
+	}
+	scanned, certified := 0, false
+	if masked {
+		e.lookupAll(s)
+		for j, id := range s.qids {
+			if id >= 0 && mask&(1<<uint(j)) != 0 {
+				scanned += e.sweepBucket(q, id, j, s)
+			}
+		}
+	} else {
+		s.nextEpoch()
+		open := func(j int) {
+			if id, ok := e.ix.Lookup(s.kb.Key(j)); ok {
+				scanned += e.sweepBucket(q, id, -1, s)
+			}
+		}
+		g, first := e.layouts.GuaranteeRadius(&s.kb)
+		open(first)
+		best, best2 = e.nearest(q, s, st)
+		certified = best >= 0 && math.Sqrt(best2) < g
+		for j := 0; j < nl && !certified; j++ {
+			if j != first {
+				open(j)
+			}
+		}
+	}
+	if certified {
+		st.Certified++
+	} else {
+		best, best2 = e.nearest(q, s, st)
+	}
+	st.Scanned += int64(scanned)
+	if scanned > 0 && e.prec != PrecF64 {
+		st.RerankQueries++
+	}
+	return best, best2
+}
+
+// sweepBucket walks bucket id outward from q into the sink and returns how
+// many rows it evaluated. Each strip is filtered first: through firstMatch
+// for masked layout j ≥ 0, through the epoch stamps otherwise.
+func (e *Engine) sweepBucket(q points.Vector, id int32, j int, s *scratch) (scanned int) {
+	rows, dim := e.ix.Bucket(id), e.m.Dim
+	n := len(rows)
+	if e.coord[rows[n-1]] == math.Inf(1) {
+		// Non-finite axis coordinates sort last and rule out any finite
+		// distance: those rows stay out of the walk.
+		n = sort.Search(n, func(i int) bool { return e.coord[rows[i]] == math.Inf(1) })
+	}
+	thr := s.acc.Threshold
+	if e.prec != PrecF64 {
+		thr = s.sl.Threshold
+	}
+	kernels.Sweep(n, q[e.axis], func(i int) float64 { return e.coord[rows[i]] }, thr, func(lo, hi int) {
+		if j >= 0 {
+			s.strip = e.firstMatch(j, id, lo, hi, s)
+		} else {
+			s.strip = s.unseen(rows[lo:hi], s.strip[:0])
+		}
+		scanned += len(s.strip)
+		switch e.prec {
+		case PrecF32:
+			kernels.NNRows32(e.data32, dim, s.q32, s.strip, &s.sl)
+		case PrecQ8:
+			kernels.NNRowsQ8(e.q8, dim, &s.lut, s.strip, &s.sl)
+		default:
+			kernels.TopKRows(e.m.Data, dim, q, s.strip, &s.acc)
+		}
+	})
+	return scanned
+}
+
+// nearest resolves the sink to the exact nearest of the rows scanned so far
+// (at f32/q8 by re-ranking the shortlist, which stays usable afterwards).
+func (e *Engine) nearest(q points.Vector, s *scratch, st *ScanStats) (int, float64) {
+	if e.prec == PrecF64 {
+		if s.top = s.acc.Append(s.top[:0]); len(s.top) == 0 {
+			return -1, math.Inf(1)
+		}
+		return int(s.top[0].Row), s.top[0].D2
+	}
+	short := s.sl.Finish()
+	st.Rerank += int64(len(short))
+	return kernels.NNRows(e.m.Data, e.m.Dim, q, short)
+}
+
+// lookupAll resolves the hashed query's bucket under every layout into
+// s.qids, with its signature and the rotation start of the first-match
+// order.
+func (e *Engine) lookupAll(s *scratch) {
+	nl := e.layouts.M()
+	s.qids, s.sigQ = s.qids[:0], 0
 	for j := 0; j < nl; j++ {
 		id, ok := e.ix.Lookup(s.kb.Key(j))
 		if !ok {
 			id = -1 // key holds no stored row here; matches nothing
+		} else if e.bucketSigs != nil {
+			s.sigQ |= sigField(id) << uint(6*j)
 		}
 		s.qids = append(s.qids, id)
 	}
-	j0 := ScanRotation(s.kb.Bytes(), nl)
-	rowKeys := e.ix.RowKeys
-	var sigQ uint64
+	s.j0 = ScanRotation(s.kb.Bytes(), nl)
+}
+
+// firstMatch filters postings [lo, hi) of bucket id — q's bucket under
+// layout j — into s.strip. A row sitting in several of q's buckets must be
+// scanned by exactly one shard fleet-wide, so each row goes to its FIRST
+// matching layout in a per-query cyclic order starting at j0 = hash(q's
+// bucket keys) mod M: the shard owning layout j sweeps bucket k_j(q) and
+// skips any row that also matches q under a cyclically-earlier layout —
+// whether that layout is in the mask or not (its owner takes the row, and
+// evaluates it unless its own sweep proves the row cannot win there either).
+// The skip check early-exits on the first cyclically-earlier match, so a row
+// in a dense region costs one int32 compare, not an O(M) election; rotating
+// the start by the query's key hash spreads a hot bucket's scan work across
+// every layout's owner in aggregate instead of piling it onto layout 0's.
+// j0 and the skip compares depend only on the query's key bytes and the
+// row's own keys (a stored row interns all M of its keys), so every shard
+// decides identically and the fleet-wide scan union is a subset of the
+// single-node dedup union that still holds its nearest row.
+func (e *Engine) firstMatch(j int, id int32, lo, hi int, s *scratch) []int32 {
+	nl, rowKeys, qids, j0 := e.layouts.M(), e.ix.RowKeys, s.qids, s.j0
+	sigQ, lows, highs := s.sigQ, e.sigLows, e.sigHighs
+	rows, strip := e.ix.Bucket(id)[lo:hi], s.strip[:0]
+	// Cyclic distance from j0 to j: the number of layouts to check. notWin
+	// forces every signature field outside that window [j0, j) to a nonzero
+	// value, so the zero-field test below can only fire inside it.
+	ahead, notWin := (j-j0+nl)%nl, ^uint64(0)
+	for dj := 0; dj < ahead; dj++ {
+		notWin &^= 0x3F << uint(6*((j0+dj)%nl))
+	}
+	var sigs []uint64
 	if e.bucketSigs != nil {
-		for j, id := range s.qids {
-			if id >= 0 {
-				sigQ |= sigField(id) << uint(6*j)
-			}
-		}
+		sigs = e.bucketSigs[e.ix.Offsets[id]+lo:][:len(rows)]
 	}
-	s.cand = s.cand[:0]
-	for j := 0; j < nl; j++ {
-		if mask&(1<<uint(j)) == 0 {
-			continue
-		}
-		id := s.qids[j]
-		if id < 0 {
-			continue
-		}
-		// Cyclic distance from j0 to j: the number of layouts to check.
-		ahead := j - j0
-		if ahead < 0 {
-			ahead += nl
-		}
-		if e.bucketSigs != nil {
+rows:
+	for p, r := range rows {
+		if sigs != nil {
 			// Fast path: one SWAR probe per row, streamed from the bucket's
-			// posting-aligned signature array. notWin forces every field
-			// outside the cyclic check window [j0, j) to a nonzero value, so
-			// the zero-field test can only fire inside the window; firing is
-			// conservative (hash aliases), the exact loop confirms. A missed
-			// overlap is impossible — equal key IDs hash to equal fields —
-			// so no row is ever dropped, and a (never-occurring) duplicate
-			// scan would not change the merged argmin anyway.
-			var win uint64
-			for dj := 0; dj < ahead; dj++ {
-				j2 := j0 + dj
-				if j2 >= nl {
-					j2 -= nl
-				}
-				win |= 0x3F << uint(6*j2)
+			// posting-aligned signature array. Firing is conservative (hash
+			// aliases), the exact loop confirms. A missed overlap is
+			// impossible — equal key IDs hash to equal fields — so no row
+			// is ever dropped, and a (never-occurring) duplicate scan would
+			// not change the merged argmin anyway.
+			y := (sigs[p] ^ sigQ) | notWin
+			if (y-lows)&^y&highs == 0 {
+				strip = append(strip, r) // definitely no earlier match
+				continue
 			}
-			notWin := ^win
-			sigs := e.bucketSigs[e.ix.Offsets[id]:]
-		fastRows:
-			for p, r := range e.ix.Bucket(id) {
-				y := (sigs[p] ^ sigQ) | notWin
-				if (y-e.sigLows)&^y&e.sigHighs == 0 {
-					s.cand = append(s.cand, r) // definitely no earlier match
-					continue
-				}
-				base := int(r) * nl
-				for dj := 0; dj < ahead; dj++ {
-					j2 := j0 + dj
-					if j2 >= nl {
-						j2 -= nl
-					}
-					if rowKeys[base+j2] == s.qids[j2] {
-						continue fastRows // earlier layout takes this row
-					}
-				}
-				s.cand = append(s.cand, r)
-			}
-			continue
 		}
-	rows:
-		for _, r := range e.ix.Bucket(id) {
-			base := int(r) * nl
-			for dj := 0; dj < ahead; dj++ {
-				j2 := j0 + dj
-				if j2 >= nl {
-					j2 -= nl
-				}
-				if rowKeys[base+j2] == s.qids[j2] {
-					continue rows // cyclically-earlier layout takes this row
-				}
+		base := int(r) * nl
+		for dj := 0; dj < ahead; dj++ {
+			j2 := j0 + dj
+			if j2 >= nl {
+				j2 -= nl
 			}
-			s.cand = append(s.cand, r)
+			if rowKeys[base+j2] == qids[j2] {
+				continue rows // cyclically-earlier layout takes this row
+			}
 		}
+		strip = append(strip, r)
 	}
-	// Candidates arrive grouped by layout rather than in ascending row
-	// order; that is fine — NNRows ties on the row index itself, and the
-	// compact shortlist contract is order-independent (PR7's chunking
-	// property tests), so the merged fleet answer is unaffected.
-	return s.cand
+	return strip
 }
 
 // ScanRotation returns the start layout j₀ of the masked scan's cyclic
@@ -613,7 +713,7 @@ func ScanRotation(keys []byte, layouts int) int {
 
 // mix64 is the splitmix64 finalizer: a cheap bijective scramble used to
 // turn the query's folded key hash into a scan-rotation start layout in
-// candidatesMasked. It must stay identical on every shard of a fleet — it
+// firstMatch. It must stay identical on every shard of a fleet — it
 // is part of the scan-partition contract.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
@@ -622,30 +722,6 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// nnRows scans the candidate rows at the engine's precision: directly at
-// f64, or compact-scan + exact float64 re-rank of the shortlist otherwise.
-// rerank is the shortlist size (0 at f64). Results are bit-identical
-// across precisions.
-func (e *Engine) nnRows(q points.Vector, cand []int32, s *scratch) (best int, best2 float64, rerank int) {
-	dim := e.m.Dim
-	switch e.prec {
-	case PrecF32:
-		s.q32 = f32Append(s.q32[:0], q)
-		s.sl.Reset(e.f32Bounds(q))
-		kernels.NNRows32(e.data32, dim, s.q32, cand, &s.sl)
-	case PrecQ8:
-		kernels.BuildQ8LUT(e.q8par, q, &s.lut)
-		s.sl.Reset(e.q8bnd)
-		kernels.NNRowsQ8(e.q8, dim, &s.lut, cand, &s.sl)
-	default:
-		b, b2 := kernels.NNRows(e.m.Data, dim, q, cand)
-		return b, b2, 0
-	}
-	short := s.sl.Finish()
-	b, b2 := kernels.NNRows(e.m.Data, dim, q, short)
-	return b, b2, len(short)
 }
 
 // exactBatch answers bs.pending through the batched exact-scan kernels.

@@ -1,7 +1,8 @@
 package serve
 
 import (
-	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/lsh"
@@ -41,16 +42,27 @@ func blobModel(n, dim, m int, rowIDs bool) *model.Model {
 // TestEngineIndexMatchesNaive rebuilds the bucket index the slow way — one
 // Func.Hash per row and function, rows appended bucket by bucket — and
 // requires the engine's interned, counting-sorted CSR index to hold exactly
-// those buckets with exactly those rows in ascending order, for a full
-// model and for a fleet sub-model (whose per-row bucket IDs and posting-
-// aligned signatures must agree with the same grouping).
+// those buckets with exactly those rows, each bucket sorted on the engine's
+// sweep axis with the rows that have no finite coordinate there behind all
+// the others, for a full model and for a fleet sub-model (whose per-row
+// bucket IDs and posting-aligned signatures must agree with the same
+// grouping).
 func TestEngineIndexMatchesNaive(t *testing.T) {
 	for _, fleet := range []bool{false, true} {
 		for _, m := range []int{3, 10} {
 			mdl := blobModel(1501, 3, m, fleet)
+			// A few rows off the sweep axis: the index must park them, and no
+			// query may ever have their distance evaluated.
+			axis := mdl.Layouts().BuildIndex(mdl.Data, mdl.N(), nil).WidestAxis(mdl.Data, mdl.Dim)
+			for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.NaN()} {
+				mdl.Data[(7+300*i)*mdl.Dim+axis] = v
+			}
 			e, err := NewEngine(mdl, PrecF64)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if e.axis != axis {
+				t.Fatalf("fleet=%v M=%d: four planted rows moved the sweep axis from %d to %d", fleet, m, axis, e.axis)
 			}
 			layouts := mdl.Layouts()
 			naive := map[string][]int32{}
@@ -77,8 +89,24 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 				if !ok {
 					t.Fatalf("fleet=%v M=%d: bucket %s missing from the engine", fleet, m, lsh.KeyString(key))
 				}
-				if got := e.ix.Bucket(id); fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Fatalf("fleet=%v M=%d bucket %s: rows %v, want %v", fleet, m, lsh.KeyString(key), got, want)
+				got := e.ix.Bucket(id)
+				sorted := slices.Clone(got)
+				slices.Sort(sorted)
+				if !slices.Equal(sorted, want) {
+					t.Fatalf("fleet=%v M=%d bucket %s: rows %v, want the set %v", fleet, m, lsh.KeyString(key), got, want)
+				}
+				for p, r := range got {
+					c := mdl.Data[int(r)*mdl.Dim+axis]
+					if math.IsNaN(c) || math.IsInf(c, 0) {
+						c = math.Inf(1) // what sorts a row behind every finite one
+					}
+					if e.coord[r] != c {
+						t.Fatalf("fleet=%v M=%d: row %d sorts at %v, want %v", fleet, m, r, e.coord[r], c)
+					}
+					if p > 0 && e.coord[got[p-1]] > e.coord[r] {
+						t.Fatalf("fleet=%v M=%d bucket %s: posting %d (row %d at %v) follows row %d at %v", fleet, m,
+							lsh.KeyString(key), p, r, e.coord[r], got[p-1], e.coord[got[p-1]])
+					}
 				}
 				if e.ix.Keys[id] != key {
 					t.Fatalf("fleet=%v M=%d: bucket %d is keyed %x, looked up by %x", fleet, m, id, e.ix.Keys[id], key)

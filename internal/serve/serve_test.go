@@ -176,6 +176,40 @@ func TestEnginePrunedVsExact(t *testing.T) {
 		prunedRows, exactRows, 100*float64(prunedRows)/float64(exactRows), agree, total)
 }
 
+// TestStatszSweepCounters: /statsz says what the bucket sweeps did — the rows
+// whose distance was evaluated (some, and fewer than exact scans would have
+// cost) and the queries a single bucket certified (a stored point queries at
+// distance zero, strictly inside any positive guarantee radius).
+func TestStatszSweepCounters(t *testing.T) {
+	mdl, _, _ := trainModel(t, 900, 3)
+	srv := serve.New(serve.Config{})
+	if err := srv.SetModel(mdl); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background()) //nolint:errcheck
+	const nq = 60
+	pts := make([][]float64, nq)
+	for i := range pts {
+		pts[i] = mdl.Row(i * 7)
+	}
+	if resp, _ := postAssign(t, srv.Addr(), pts); resp.StatusCode != http.StatusOK {
+		t.Fatalf("assign: HTTP %d", resp.StatusCode)
+	}
+	c := srv.Stats().Counters
+	if rows := c[serve.CtrCandidates]; rows < nq || rows >= int64(nq*mdl.N()) {
+		t.Errorf("%s = %d for %d queries against %d rows", serve.CtrCandidates, rows, nq, mdl.N())
+	}
+	if got := c[serve.CtrCertified]; got < nq/2 || got > nq {
+		t.Errorf("%s = %d of %d stored-point queries", serve.CtrCertified, got, nq)
+	}
+	if c[serve.CtrExactScans] != 0 {
+		t.Errorf("%d exact scans for stored-point queries", c[serve.CtrExactScans])
+	}
+}
+
 // smallModel is a hand-built model for the control-plane tests.
 func smallModel(name string) *model.Model {
 	return &model.Model{

@@ -31,9 +31,14 @@ const (
 	CtrBatches = "serve.batches"
 	// CtrExactScans counts queries answered by the exact full-scan path.
 	CtrExactScans = "serve.exact.scans"
-	// CtrCandidates counts stored rows scanned across all queries; divide
-	// by CtrPoints for the average pruned candidate-set size.
+	// CtrCandidates counts stored rows whose distance to a query was
+	// evaluated: the rows the bucket sweeps did not prune, plus every row of
+	// each exact scan. Divide by CtrPoints for the rows one answer costs.
 	CtrCandidates = "serve.candidates"
+	// CtrCertified counts queries answered from a single bucket, the nearest
+	// row there lying strictly inside the query's LSH guarantee radius.
+	// Always zero on a fleet shard (the router owns that decision).
+	CtrCertified = "serve.certified"
 	// CtrRerankRows counts shortlist rows re-ranked in exact float64 after
 	// a compact (f32/q8) scan; divide by CtrRerankQueries for the average
 	// shortlist size. Zero when serving at f64.
@@ -479,6 +484,7 @@ func (s *Server) process(batch []*request) {
 			off += n
 		}
 		s.counters.Add(CtrCandidates, st.Scanned)
+		s.counters.Add(CtrCertified, st.Certified)
 		s.counters.Add(CtrExactScans, st.ExactQueries)
 		s.counters.Add(CtrRerankRows, st.Rerank)
 		s.counters.Add(CtrRerankQueries, st.RerankQueries)
