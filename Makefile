@@ -9,10 +9,11 @@ all: check
 # The full gate: compile everything, vet, enforce the docs (package
 # comments, the README knob reference, no recipe naming a deleted target or
 # binary), run the test suite, re-run the concurrency-heavy packages under
-# the race detector, fuzz the LSH key codec, the top-k sweep and the serving
-# engine's bucket sweep for five seconds each, smoke the compact scan
-# kernels and the key / index-build / served-query micro-benchmarks, and
-# compile + smoke the benchmark harness (all five workloads, oracles checked).
+# the race detector, fuzz the LSH key codec, the top-k sweep, the serving
+# engine's bucket sweep and the ρ-partial codec for five seconds each, smoke
+# the compact scan kernels and the key / index-build / served-query
+# micro-benchmarks, and compile + smoke the benchmark harness (all five
+# workloads, oracles checked).
 check: build vet doccheck test race fuzz-smoke bench-scan-smoke bench-harness-smoke
 
 build:
@@ -40,9 +41,11 @@ test-short:
 # fleet for the router's scatter-gather, hedging, and liveness prober.
 # ./internal/mapreduce/... recursively covers the dag scheduler package,
 # whose concurrent node dispatch is the newest race surface; ingest for the
-# WAL-backed store's concurrent writers, query merges, and compaction swap.
+# WAL-backed store's concurrent writers, query merges, and compaction swap;
+# core for the jobs that run on those engines — its LSH reducers share pooled
+# scratch (one KeyBuf per reduce call) across concurrent reduce tasks.
 race:
-	$(GO) test -race ./internal/mapreduce/... ./internal/mapreduce/rpcmr/... ./internal/kernels/... ./internal/points/... ./internal/dfs/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/...
+	$(GO) test -race ./internal/mapreduce/... ./internal/mapreduce/rpcmr/... ./internal/kernels/... ./internal/points/... ./internal/dfs/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/...
 
 # Five seconds of native fuzzing per target (one -fuzz target per `go test`
 # invocation). The LSH key codec faces bytes from outside the process: error
@@ -52,10 +55,13 @@ race:
 # engine runs the same walk over its axis-ordered buckets with a one-bucket
 # early exit: fuzz-chosen tiny models and queries, differential against
 # gathering the bucket union and scanning all of it, masked and unmasked.
+# The ρ-partial record of the pair-once LSH reducers is a hand-rolled varint
+# format read back by another job: the codec's contract again.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKSweep$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineSweep$$' -fuzztime 5s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz '^FuzzRhoPartialRoundTrip$$' -fuzztime 5s ./internal/points/
 
 bench:
 	$(GO) test -bench=. -benchmem .

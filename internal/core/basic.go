@@ -362,7 +362,9 @@ func decodeBlockGroup(m *points.Matrix, values [][]byte, l int,
 // (Upslope ≥ 0); when a point has only fallbacks — the absolute density
 // peak — the maximum fallback distance, which equals max_j d_ij exactly
 // because the point met every other point exactly once across reducers.
-// The fold is associative and commutative, so it doubles as the combiner.
+// Candidates at exactly the same distance go to the lowest upslope ID, so
+// the fold is associative and commutative — it doubles as the combiner, and
+// its result does not depend on the order the shuffle delivers partials in.
 func DeltaAggJob(name string, conf mapreduce.Conf) *mapreduce.Job {
 	fold := func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
 		var (
@@ -382,7 +384,7 @@ func DeltaAggJob(name string, conf mapreduce.Conf) *mapreduce.Job {
 			}
 			if dv.Upslope >= 0 {
 				haveCand = true
-				if dv.Delta < bestCand {
+				if dv.Delta < bestCand || (dv.Delta == bestCand && dv.Upslope < bestUp) {
 					bestCand = dv.Delta
 					bestUp = dv.Upslope
 				}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/lsh"
@@ -62,7 +63,10 @@ func decodeLabeled(v []byte) (points.RhoPoint, int32, error) {
 func clusterKey(c int32) string { return fmt.Sprintf("c%06d", c) }
 
 // LSHHaloJob computes, per LSH partition, each cluster's local border
-// density: the max of (ρ_i+ρ_j)/2 over cross-cluster pairs within d_c.
+// density: the max of (ρ_i+ρ_j)/2 over cross-cluster pairs within d_c. The
+// aggregated maximum depends only on the set of distinct co-bucketed pairs,
+// so a partition leaves out the pairs an earlier layout's partition holds
+// too (paironce.go).
 func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 	layouts := lazyLayouts()
 	return &mapreduce.Job{
@@ -76,7 +80,12 @@ func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 			layouts(ctx.Conf).EachKey(rp.Pos, func(key string) { out.Emit(key, value) })
 			return nil
 		},
-		Reduce: func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
+		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
+			l := layouts(ctx.Conf)
+			own, err := reducerLayout(key, l)
+			if err != nil {
+				return err
+			}
 			dc := ctx.Conf.GetFloat(confDc, 0)
 			dc2 := dc * dc
 			// Batch-decode the partition into one SoA matrix (labels in a
@@ -95,12 +104,15 @@ func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 				}
 				labels = append(labels, int32(binary.LittleEndian.Uint32(rest)))
 			}
+			po := pairOncePool.Get().(*pairOnce)
+			defer pairOncePool.Put(po)
+			po.sign(l, m, own, own, nil)
 			border := map[int32]float64{}
 			var nd int64
 			for i := 0; i < m.N(); i++ {
 				ri := m.Row(i)
 				for j := i + 1; j < m.N(); j++ {
-					if labels[i] == labels[j] {
+					if labels[i] == labels[j] || po.sharesEarlier(i, j, own) {
 						continue
 					}
 					nd++
@@ -117,8 +129,13 @@ func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 				}
 			}
 			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
-			for c, b := range border {
-				out.Emit(clusterKey(c), points.EncodeFloat64(b))
+			clusters := make([]int32, 0, len(border))
+			for c := range border {
+				clusters = append(clusters, c)
+			}
+			slices.Sort(clusters)
+			for _, c := range clusters {
+				out.Emit(clusterKey(c), points.EncodeFloat64(border[c]))
 			}
 			return nil
 		},

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,12 +34,15 @@ type LSHConfig struct {
 	// (ablation; Theorem 1 justifies max because ρ̂ᵐ ≤ ρ always).
 	AggregateMean bool
 	// MaxPartition caps the local work of one LSH partition: a reducer
-	// group larger than this is processed in contiguous chunks of at most
-	// MaxPartition points, and pairs across chunks are skipped. Local
-	// estimates remain valid (ρ̂ still undercounts, δ̂ still overshoots),
-	// so Theorem 1/2 aggregation is unaffected — this trades accuracy for
-	// a hard bound on reducer cost and skew, the failure mode Figure 12
-	// observes at small M with large π. 0 disables the cap.
+	// group larger than this is processed — in the reducer's own row order
+	// (paironce.go) — in contiguous chunks of at most MaxPartition points,
+	// and pairs across chunks are dropped. A pair is owned on its keys
+	// alone, so one its owner drops is not retried by a later layout. Local
+	// estimates remain valid (ρ̂ still undercounts, δ̂ still overshoots), so
+	// Theorem 1/2 aggregation is unaffected — this trades accuracy for a
+	// hard bound on reducer cost and skew, the failure mode Figure 12
+	// observes at small M with large π. 0 disables the cap, and only then
+	// does the pipeline equal the per-layout definition bit for bit.
 	MaxPartition int
 }
 
@@ -67,11 +72,13 @@ func (c *LSHConfig) pi() int {
 //
 //	node 0  d_c sampling (unless cfg.Dc is set)
 //	        width solving: minimal w with 1−(1−P_ρ(w,d_c)^π)^M ≥ A
-//	node 1  LSH partition (M layouts) + local ρ̂ per partition
-//	node 2  ρ̂ aggregation: max over layouts (Theorem 1)
+//	node 1  LSH partition (M layouts) + each partition's share of the
+//	        local ρ̂ᵐ, every co-bucketed pair evaluated once (paironce.go)
+//	node 2  ρ̂ aggregation: shares added per layout, then max over layouts
+//	        (Theorem 1)
 //	node 3  ρ̂-annotate transform (driver side)
-//	node 4  LSH partition + local δ̂/upslope using aggregated ρ̂;
-//	        local absolute peaks get δ̂ = +∞ (Section IV-C)
+//	node 4  LSH partition + local δ̂/upslope using aggregated ρ̂, pair-once
+//	        again; local absolute peaks get δ̂ = +∞ (Section IV-C)
 //	node 5  δ̂ aggregation: min over layouts (Theorem 2)
 //
 // The returned Delta may contain +∞ for points that looked like the
@@ -174,9 +181,14 @@ func lazyLayouts() func(mapreduce.Conf) *lsh.Layouts {
 }
 
 // LSHRhoJob is job 1: the map side hashes every point under all M layouts
-// and emits one copy per layout keyed by "m|G_m(p)"; each reducer owns one
-// LSH partition S_k^m and computes the local density ρ̂ᵢᵐ of every point in
-// it (Section IV-B).
+// and emits one copy per layout keyed by that layout's bucket; each reducer
+// holds one LSH partition S_k^m (Section IV-B) and evaluates the pairs of it
+// that no earlier layout's partition also holds (paironce.go). A pair within
+// d_c counts toward the local density ρ̂ᵢᵐ′ of both points under every layout
+// m′ ≥ m whose bucket they share, so the reducer emits, per point, its
+// share of the densities under layouts m … M−1 as one RhoPartial — when the
+// share is not all zero, and always from layout 0, so that every point
+// reaches the aggregation.
 func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 	layouts := lazyLayouts()
 	return &mapreduce.Job{
@@ -190,89 +202,136 @@ func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			layouts(ctx.Conf).EachKey(p.Pos, func(key string) { out.Emit(key, value) })
 			return nil
 		},
-		Reduce: func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
-			kern := kernelFromConf(ctx.Conf)
-			par := parallelFromConf(ctx.Conf)
-			m := points.GetMatrix()
-			defer points.PutMatrix(m)
-			if err := points.DecodePointsInto(m, values); err != nil {
+		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
+			l := layouts(ctx.Conf)
+			own, err := reducerLayout(key, l)
+			if err != nil {
 				return err
 			}
+			kern := kernelFromConf(ctx.Conf)
+			par := parallelFromConf(ctx.Conf)
+			po := pairOncePool.Get().(*pairOnce)
+			defer pairOncePool.Put(po)
+			m, err := po.load(l, own, l.M(), values, points.DecodePointsInto)
+			if err != nil {
+				return err
+			}
+			defer points.PutMatrix(m)
 			if par.Enabled(m.N()) {
 				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
 			}
-			rho := make([]float64, m.N())
+			blocks, skipped := po.owned(m.N(), own, ctx.Conf.GetInt(confMaxPart, 0))
+			cr := &po.credit
+			cr.Layouts, cr.Own, cr.Sig = l.M(), own, po.sig
+			cr.Reset(m.N(), kern)
 			var nd int64
 			if scanF32FromConf(ctx.Conf) && !par.Enabled(m.N()) {
 				c := points.GetMatrix32(m)
 				defer points.PutMatrix32(c)
 				var rechecks int64
-				for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
-					p, r := kernels.RhoAccumulate32(m, c, ch.Lo, ch.Hi, kern, rho)
-					nd += p
-					rechecks += r
-				}
+				nd, rechecks = kernels.RhoBlocks32(m, c, blocks, kern, cr)
 				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
 				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(rechecks)
 			} else {
-				for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
-					nd += kernels.RhoAccumulateAuto(m, ch.Lo, ch.Hi, kern, rho, par)
-				}
+				nd = kernels.RhoBlocks(m, blocks, kern, cr, par)
 			}
-			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+			countPairs(ctx, nd, skipped)
+			part := points.RhoPartial{Gaussian: kern.Gaussian, First: own, Vals: make([]float64, l.M()-own)}
 			for i := 0; i < m.N(); i++ {
-				id := m.ID(i)
-				out.Emit(idKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho[i]}))
+				keep := own == 0
+				for x := range part.Vals {
+					part.Vals[x] = cr.Share(i, own+x)
+					keep = keep || part.Vals[x] != 0
+				}
+				if keep {
+					part.ID = m.ID(i)
+					out.Emit(idKey(part.ID), points.AppendRhoPartial(nil, part))
+				}
 			}
 			return nil
 		},
 	}
 }
 
-// LSHRhoAggJob is job 2: fold the M per-layout ρ̂ᵐ estimates into ρ̂. The
-// paper takes the max (every local estimate undercounts, so the largest is
-// closest to the truth — Theorem 1); conf can switch to the mean for the
-// ablation study.
+// LSHRhoAggJob is job 2: add each point's RhoPartials layout by layout into
+// its M local densities ρ̂ᵢᵐ and fold those into ρ̂ᵢ. The paper takes the max
+// (every local estimate undercounts, so the largest is closest to the truth
+// — Theorem 1); conf can switch to the mean for the ablation study. Cutoff
+// partials are neighbour counts, which add exactly in any grouping, so the
+// addition is also the combiner; Gaussian partials are float sums, which do
+// not, so they reach the reducer as emitted and are added in owner order.
 func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
-	fold := func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-		mean := ctx.Conf.GetBool(confAggMean, false)
-		var id int32
-		var maxV, sum float64
-		for i, v := range values {
-			rv, err := points.DecodeRhoValue(v)
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				id = rv.ID
-			}
-			if rv.Rho > maxV {
-				maxV = rv.Rho
-			}
-			sum += rv.Rho
-		}
-		agg := maxV
-		if mean {
-			agg = sum / float64(len(values))
-		}
-		out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: id, Rho: agg}))
-		return nil
-	}
-	return &mapreduce.Job{
+	job := &mapreduce.Job{
 		Name: JobLSHRhoAgg,
 		Conf: conf,
 		Map:  identityMap,
-		// The mean fold is not associative under re-grouping (it would
-		// average averages), so the combiner is only safe for max; we skip
-		// it entirely to keep both modes correct and comparable.
-		Reduce: fold,
+		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
+			total, err := addRhoPartials(values, ctx.Conf.GetInt(confM, 1))
+			if err != nil {
+				return err
+			}
+			var maxV, sum float64
+			for _, v := range total.Vals {
+				maxV = max(maxV, v)
+				sum += v
+			}
+			agg := maxV
+			if ctx.Conf.GetBool(confAggMean, false) {
+				agg = sum / float64(len(total.Vals))
+			}
+			out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: total.ID, Rho: agg}))
+			return nil
+		},
 	}
+	if !kernelFromConf(conf).Gaussian {
+		job.Combine = func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
+			total, err := addRhoPartials(values, ctx.Conf.GetInt(confM, 1))
+			if err != nil {
+				return err
+			}
+			out.Emit(key, points.AppendRhoPartial(nil, total))
+			return nil
+		}
+	}
+	return job
+}
+
+// addRhoPartials adds the partials of one point into its densities under
+// all m layouts. A point has at most one non-empty partial per owner
+// layout, and that partial starts at its owner, so adding them in order of
+// First fixes the order of every float addition whatever order the shuffle
+// delivered them in.
+func addRhoPartials(values [][]byte, m int) (points.RhoPartial, error) {
+	parts := make([]points.RhoPartial, len(values))
+	for i, v := range values {
+		p, err := points.DecodeRhoPartial(v)
+		if err != nil {
+			return points.RhoPartial{}, err
+		}
+		if p.First+len(p.Vals) > m || (i > 0 && p.Gaussian != parts[0].Gaussian) {
+			return points.RhoPartial{}, fmt.Errorf("core: rho partial for id %d does not fit %d layouts of one kernel", p.ID, m)
+		}
+		parts[i] = p
+	}
+	slices.SortStableFunc(parts, func(a, b points.RhoPartial) int { return cmp.Compare(a.First, b.First) })
+	total := points.RhoPartial{ID: parts[0].ID, Gaussian: parts[0].Gaussian, Vals: make([]float64, m)}
+	for _, p := range parts {
+		for i, v := range p.Vals {
+			total.Vals[p.First+i] += v
+		}
+	}
+	return total, nil
 }
 
 // LSHDeltaJob is job 3: LSH-partition the ρ̂-annotated points again and
-// compute, per partition, δ̂ᵢᵐ = min distance to a denser point and its
-// upslope identity; the locally densest point gets δ̂ = +∞ and no upslope
-// (Section IV-C).
+// compute, per partition, the minimum distance from each point to a denser
+// one among the pairs the partition owns (paironce.go), and that point's
+// identity. δ̂ᵢ is the minimum over every denser point i shares a bucket
+// with, and each such pair is owned exactly once, so the aggregation's min
+// sees it. A point with no denser partner among a reducer's pairs emits
+// nothing — except from layout 0, where it is the local absolute peak and
+// gets δ̂ = +∞ and no upslope (Section IV-C), which the aggregation keeps
+// only if no layout found better.
 func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 	layouts := lazyLayouts()
 	return &mapreduce.Job{
@@ -286,17 +345,26 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			layouts(ctx.Conf).EachKey(rp.Pos, func(key string) { out.Emit(key, value) })
 			return nil
 		},
-		Reduce: func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
-			par := parallelFromConf(ctx.Conf)
-			m := points.GetMatrix()
-			defer points.PutMatrix(m)
-			if err := points.DecodeRhoPointsInto(m, values); err != nil {
+		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
+			l := layouts(ctx.Conf)
+			own, err := reducerLayout(key, l)
+			if err != nil {
 				return err
 			}
+			par := parallelFromConf(ctx.Conf)
+			po := pairOncePool.Get().(*pairOnce)
+			defer pairOncePool.Put(po)
+			m, err := po.load(l, own, own, values, points.DecodeRhoPointsInto)
+			if err != nil {
+				return err
+			}
+			defer points.PutMatrix(m)
 			if par.Enabled(m.N()) {
 				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
 			}
-			acc := kernels.NewDeltaAcc(m.N(), false)
+			blocks, skipped := po.owned(m.N(), own, ctx.Conf.GetInt(confMaxPart, 0))
+			acc := &po.acc
+			acc.Reset(m.N(), false)
 			var nd int64
 			if scanF32FromConf(ctx.Conf) && !par.Enabled(m.N()) {
 				c := points.GetMatrix32(m)
@@ -304,25 +372,21 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 				var band kernels.DeltaBand
 				band.Reset(acc, kernels.F32Bounds(m.Dim(), c.MaxAbs()))
 				var rechecks int64
-				for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
-					p, r := kernels.DeltaArgmin32(m, c, ch.Lo, ch.Hi, acc, &band)
-					nd += p
-					rechecks += r
-				}
+				nd, rechecks = kernels.DeltaBlocks32(m, c, blocks, acc, &band)
 				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
 				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(rechecks)
 			} else {
-				for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
-					nd += kernels.DeltaArgminAuto(m, ch.Lo, ch.Hi, acc, par)
-				}
+				nd = kernels.DeltaBlocks(m, blocks, acc, par)
 			}
-			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+			countPairs(ctx, nd, skipped)
 			for i := 0; i < m.N(); i++ {
 				id := m.ID(i)
 				dv := points.DeltaValue{ID: id, Delta: math.Inf(1), Upslope: -1}
 				if acc.Up[i] >= 0 {
 					dv.Delta = math.Sqrt(acc.Best2[i])
 					dv.Upslope = m.ID(int(acc.Up[i]))
+				} else if own != 0 {
+					continue
 				}
 				out.Emit(idKey(id), points.EncodeDeltaValue(dv))
 			}

@@ -28,34 +28,23 @@ import "repro/internal/points"
 // rows [lo, hi): c must mirror m. Returns the pair count (as RhoAccumulate
 // does) and the number of exact float64 re-checks.
 func RhoAccumulate32(m *points.Matrix, c *points.Matrix32, lo, hi int, k Kernel, rho []float64) (pairs, rechecks int64) {
-	n := hi - lo
-	if n < 2 {
-		return 0, 0
-	}
-	ctx := newRho32Ctx(m, c, k, rho)
-	for ti := lo; ti < hi; ti += tile {
-		tiHi := min(ti+tile, hi)
-		ctx.tile(ti, tiHi, ti, tiHi, true, true)
-		for tj := tiHi; tj < hi; tj += tile {
-			ctx.tile(ti, tiHi, tj, min(tj+tile, hi), false, true)
-		}
-	}
-	return int64(n) * int64(n-1) / 2, ctx.rechecks
+	return rhoBlock32(m, c, Triangle(lo, hi), k, rho, true)
 }
 
 // RhoCross32 is the compact-scan counterpart of RhoCross.
 func RhoCross32(m *points.Matrix, c *points.Matrix32, aLo, aHi, bLo, bHi int, k Kernel, rho []float64, both bool) (pairs, rechecks int64) {
-	if aHi <= aLo || bHi <= bLo {
+	return rhoBlock32(m, c, Cross(aLo, aHi, bLo, bHi), k, rho, both)
+}
+
+func rhoBlock32(m *points.Matrix, c *points.Matrix32, b Block, k Kernel, rho []float64, both bool) (pairs, rechecks int64) {
+	if b.Pairs() == 0 {
 		return 0, 0
 	}
 	ctx := newRho32Ctx(m, c, k, rho)
-	for ta := aLo; ta < aHi; ta += tile {
-		taHi := min(ta+tile, aHi)
-		for tb := bLo; tb < bHi; tb += tile {
-			ctx.tile(ta, taHi, tb, min(tb+tile, bHi), false, both)
-		}
-	}
-	return int64(aHi-aLo) * int64(bHi-bLo), ctx.rechecks
+	forTiles([]Block{b}, 0, 1, func(aLo, aHi, bLo, bHi int, diag bool) {
+		ctx.tile(aLo, aHi, bLo, bHi, diag, both)
+	})
+	return b.Pairs(), ctx.rechecks
 }
 
 // rho32Ctx carries the per-call state of a compact ρ scan.
@@ -171,36 +160,29 @@ func (b *DeltaBand) Reset(acc *DeltaAcc, bnd Bounds) {
 // (F32Bounds(m.Dim(), c.MaxAbs())). Returns the pair count and the number
 // of exact re-checks.
 func DeltaArgmin32(m *points.Matrix, c *points.Matrix32, lo, hi int, acc *DeltaAcc, band *DeltaBand) (pairs, rechecks int64) {
-	n := hi - lo
-	if n < 2 {
+	b := Triangle(lo, hi)
+	if b.Pairs() == 0 {
 		return 0, 0
 	}
 	acc.rankRows(m, lo, hi, 0, 0)
-	ctx := delta32Ctx{m: m, c: c, acc: acc, band: band}
-	for ti := lo; ti < hi; ti += tile {
-		tiHi := min(ti+tile, hi)
-		ctx.tilePairs(ti, tiHi, ti, tiHi, true)
-		for tj := tiHi; tj < hi; tj += tile {
-			ctx.tilePairs(ti, tiHi, tj, min(tj+tile, hi), false)
-		}
-	}
-	return int64(n) * int64(n-1) / 2, ctx.rechecks
+	return deltaBlock32(m, c, b, acc, band)
 }
 
 // DeltaCross32 is the compact-scan counterpart of DeltaCross.
 func DeltaCross32(m *points.Matrix, c *points.Matrix32, aLo, aHi, bLo, bHi int, acc *DeltaAcc, band *DeltaBand) (pairs, rechecks int64) {
-	if aHi <= aLo || bHi <= bLo {
+	b := Cross(aLo, aHi, bLo, bHi)
+	if b.Pairs() == 0 {
 		return 0, 0
 	}
 	acc.rankRows(m, aLo, aHi, bLo, bHi)
+	return deltaBlock32(m, c, b, acc, band)
+}
+
+// deltaBlock32 folds one block into acc, whose rows are already ranked.
+func deltaBlock32(m *points.Matrix, c *points.Matrix32, b Block, acc *DeltaAcc, band *DeltaBand) (pairs, rechecks int64) {
 	ctx := delta32Ctx{m: m, c: c, acc: acc, band: band}
-	for ta := aLo; ta < aHi; ta += tile {
-		taHi := min(ta+tile, aHi)
-		for tb := bLo; tb < bHi; tb += tile {
-			ctx.tilePairs(ta, taHi, tb, min(tb+tile, bHi), false)
-		}
-	}
-	return int64(aHi-aLo) * int64(bHi-bLo), ctx.rechecks
+	forTiles([]Block{b}, 0, 1, ctx.tilePairs)
+	return b.Pairs(), ctx.rechecks
 }
 
 type delta32Ctx struct {

@@ -67,19 +67,7 @@ func (k Kernel) Weight(d2 float64) float64 {
 // rows [lo, hi) of m into rho (indexed like m's rows), returning the number
 // of distance evaluations. Bit-identical to the naive i<j loop.
 func RhoAccumulate(m *points.Matrix, lo, hi int, k Kernel, rho []float64) int64 {
-	n := hi - lo
-	if n < 2 {
-		return 0
-	}
-	data, dim := m.Data(), m.Dim()
-	for ti := lo; ti < hi; ti += tile {
-		tiHi := min(ti+tile, hi)
-		rhoTile(data, dim, ti, tiHi, ti, tiHi, true, k, rho, true)
-		for tj := tiHi; tj < hi; tj += tile {
-			rhoTile(data, dim, ti, tiHi, tj, min(tj+tile, hi), false, k, rho, true)
-		}
-	}
-	return int64(n) * int64(n-1) / 2
+	return rhoBlock(m, Triangle(lo, hi), k, rho, true)
 }
 
 // RhoCross adds the contributions of every pair (a, b) with a in rows
@@ -88,17 +76,15 @@ func RhoAccumulate(m *points.Matrix, lo, hi int, k Kernel, rho []float64) int64 
 // home-vs-visitor counting). Bit-identical to the naive a-outer b-inner
 // loop. Returns the number of distance evaluations.
 func RhoCross(m *points.Matrix, aLo, aHi, bLo, bHi int, k Kernel, rho []float64, both bool) int64 {
-	if aHi <= aLo || bHi <= bLo {
-		return 0
-	}
+	return rhoBlock(m, Cross(aLo, aHi, bLo, bHi), k, rho, both)
+}
+
+func rhoBlock(m *points.Matrix, b Block, k Kernel, rho []float64, both bool) int64 {
 	data, dim := m.Data(), m.Dim()
-	for ta := aLo; ta < aHi; ta += tile {
-		taHi := min(ta+tile, aHi)
-		for tb := bLo; tb < bHi; tb += tile {
-			rhoTile(data, dim, ta, taHi, tb, min(tb+tile, bHi), false, k, rho, both)
-		}
-	}
-	return int64(aHi-aLo) * int64(bHi-bLo)
+	forTiles([]Block{b}, 0, 1, func(aLo, aHi, bLo, bHi int, diag bool) {
+		rhoTile(data, dim, aLo, aHi, bLo, bHi, diag, k, rho, both)
+	})
+	return b.Pairs()
 }
 
 // rhoTile folds one tile pair into rho: rows [aLo, aHi) against rows
@@ -218,19 +204,7 @@ func (a *DeltaAcc) Reset(n int, withMax bool) {
 // Bit-identical to the naive i<j loop, including the first-wins tie rule
 // for equal distances. Returns the number of distance evaluations.
 func DeltaArgmin(m *points.Matrix, lo, hi int, acc *DeltaAcc) int64 {
-	n := hi - lo
-	if n < 2 {
-		return 0
-	}
-	acc.rankRows(m, lo, hi, 0, 0)
-	for ti := lo; ti < hi; ti += tile {
-		tiHi := min(ti+tile, hi)
-		deltaTile(m, ti, tiHi, ti, tiHi, true, acc)
-		for tj := tiHi; tj < hi; tj += tile {
-			deltaTile(m, ti, tiHi, tj, min(tj+tile, hi), false, acc)
-		}
-	}
-	return int64(n) * int64(n-1) / 2
+	return DeltaArgminAuto(m, lo, hi, acc, Parallel{})
 }
 
 // DeltaCross evaluates every pair (a, b) across two disjoint row ranges,
@@ -238,17 +212,12 @@ func DeltaArgmin(m *points.Matrix, lo, hi int, acc *DeltaAcc) int64 {
 // Bit-identical to the naive a-outer b-inner loop. Returns the number of
 // distance evaluations.
 func DeltaCross(m *points.Matrix, aLo, aHi, bLo, bHi int, acc *DeltaAcc) int64 {
-	if aHi <= aLo || bHi <= bLo {
+	b := Cross(aLo, aHi, bLo, bHi)
+	if b.Pairs() == 0 {
 		return 0
 	}
 	acc.rankRows(m, aLo, aHi, bLo, bHi)
-	for ta := aLo; ta < aHi; ta += tile {
-		taHi := min(ta+tile, aHi)
-		for tb := bLo; tb < bHi; tb += tile {
-			deltaTile(m, ta, taHi, tb, min(tb+tile, bHi), false, acc)
-		}
-	}
-	return int64(aHi-aLo) * int64(bHi-bLo)
+	return deltaBlocks(m, []Block{b}, acc, 1)
 }
 
 // rankKey is one row's sort key in the density order.

@@ -13,10 +13,10 @@ import (
 // partition can hold a large fraction of the data set; the engine's
 // task-level parallelism then degenerates — one reducer goroutine grinds
 // through O(n²) pairs while every other core idles. The Auto kernels below
-// split the tile grid of such a group across a bounded worker pool:
-// tile-rows are dealt round-robin (upper-triangle rows shrink toward the
-// bottom, so striding balances load), each worker accumulates into private
-// buffers, and the partials merge deterministically in worker order.
+// and the block kernels (blocks.go) split the tile grid of such a group
+// across a bounded worker pool: tile-rows are dealt round-robin (forTiles),
+// each worker accumulates into private buffers, and the partials merge
+// deterministically in worker order.
 //
 // Determinism: the merged δ-argmin is bit-identical to the serial kernel —
 // each worker tracks (best², candidate row) and the merge takes the
@@ -62,11 +62,10 @@ func (p Parallel) workers(nTileRows int) int {
 // RhoAccumulateAuto is RhoAccumulate with the parallel path engaged for
 // groups at or above p.Threshold.
 func RhoAccumulateAuto(m *points.Matrix, lo, hi int, k Kernel, rho []float64, p Parallel) int64 {
-	n := hi - lo
-	nTiles := (n + tile - 1) / tile
+	blocks := []Block{Triangle(lo, hi)}
 	w := 0
-	if p.Enabled(n) {
-		w = p.workers(nTiles)
+	if p.Enabled(hi - lo) {
+		w = p.workers(tileRows(blocks))
 	}
 	if w <= 1 {
 		return RhoAccumulate(m, lo, hi, k, rho)
@@ -80,16 +79,9 @@ func RhoAccumulateAuto(m *points.Matrix, lo, hi int, k Kernel, rho []float64, p 
 			defer wg.Done()
 			part := make([]float64, hi)
 			partials[wi] = part
-			// Tile-rows dealt round-robin; each owns its diagonal tile and
-			// every tile to its right, accumulating both sides privately.
-			for tr := wi; tr < nTiles; tr += w {
-				ti := lo + tr*tile
-				tiHi := min(ti+tile, hi)
-				rhoTile(data, dim, ti, tiHi, ti, tiHi, true, k, part, true)
-				for tj := tiHi; tj < hi; tj += tile {
-					rhoTile(data, dim, ti, tiHi, tj, min(tj+tile, hi), false, k, part, true)
-				}
-			}
+			forTiles(blocks, wi, w, func(aLo, aHi, bLo, bHi int, diag bool) {
+				rhoTile(data, dim, aLo, aHi, bLo, bHi, diag, k, part, true)
+			})
 		}(wi)
 	}
 	wg.Wait()
@@ -100,63 +92,21 @@ func RhoAccumulateAuto(m *points.Matrix, lo, hi int, k Kernel, rho []float64, p 
 			rho[x] += part[x]
 		}
 	}
-	return int64(n) * int64(n-1) / 2
+	return blocks[0].Pairs()
 }
 
 // DeltaArgminAuto is DeltaArgmin with the parallel path engaged for groups
 // at or above p.Threshold. The merged result is bit-identical to the
-// serial kernel (see the package comment).
+// serial kernel (see deltaBlocks).
 func DeltaArgminAuto(m *points.Matrix, lo, hi int, acc *DeltaAcc, p Parallel) int64 {
-	n := hi - lo
-	nTiles := (n + tile - 1) / tile
-	w := 0
-	if p.Enabled(n) {
-		w = p.workers(nTiles)
+	blocks := []Block{Triangle(lo, hi)}
+	if blocks[0].Pairs() == 0 {
+		return 0
 	}
-	if w <= 1 {
-		return DeltaArgmin(m, lo, hi, acc)
+	w := 1
+	if p.Enabled(hi - lo) {
+		w = p.workers(tileRows(blocks))
 	}
-	withMax := acc.Max2 != nil
-	acc.rankRows(m, lo, hi, 0, 0) // ranked once; the workers' partials only read it
-	partials := make([]*DeltaAcc, w)
-	var wg sync.WaitGroup
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			part := NewDeltaAcc(hi, withMax)
-			part.rank = acc.rank
-			partials[wi] = part
-			for tr := wi; tr < nTiles; tr += w {
-				ti := lo + tr*tile
-				tiHi := min(ti+tile, hi)
-				deltaTile(m, ti, tiHi, ti, tiHi, true, part)
-				for tj := tiHi; tj < hi; tj += tile {
-					deltaTile(m, ti, tiHi, tj, min(tj+tile, hi), false, part)
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	// Per-row merge. Each pair was evaluated by exactly one worker, so the
-	// partial candidate sets partition the serial candidate sequence; the
-	// lexicographic (best², candidate row) minimum reproduces the serial
-	// first-wins scan exactly, even against state acc carried in from
-	// earlier chunks (whose candidate rows all precede this range).
-	for _, part := range partials {
-		for x := lo; x < hi; x++ {
-			if withMax && part.Max2[x] > acc.Max2[x] {
-				acc.Max2[x] = part.Max2[x]
-			}
-			if part.Up[x] < 0 {
-				continue
-			}
-			if part.Best2[x] < acc.Best2[x] ||
-				(part.Best2[x] == acc.Best2[x] && (acc.Up[x] < 0 || part.Up[x] < acc.Up[x])) {
-				acc.Best2[x] = part.Best2[x]
-				acc.Up[x] = part.Up[x]
-			}
-		}
-	}
-	return int64(n) * int64(n-1) / 2
+	acc.rankRows(m, lo, hi, 0, 0)
+	return deltaBlocks(m, blocks, acc, w)
 }

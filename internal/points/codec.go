@@ -134,6 +134,110 @@ func DecodeRhoValue(buf []byte) (RhoValue, error) {
 	}, nil
 }
 
+// RhoPartial is one reducer's share of a point's local densities in
+// pair-once LSH-DDP (DESIGN.md "Pair ownership"): Vals[i] is what the pairs
+// that reducer evaluated add to the point's density under layout First+i.
+// With the cutoff kernel the values are neighbour counts — whole numbers —
+// and travel as varints; Gaussian weight sums travel as float64 bits.
+//
+// The wire form is the ID (uint32 LE), then First and the kind in one
+// uvarint (First<<1 | gaussian), then the values back to back to the end of
+// the record, without the zero values at either end: a record has exactly
+// one spelling, and an all-zero share is the 5-byte record of First 0.
+type RhoPartial struct {
+	ID       int32
+	Gaussian bool
+	First    int
+	Vals     []float64
+}
+
+// maxCount is the largest neighbour count a RhoPartial carries: every whole
+// number up to it is a float64, so counts add exactly in any order.
+const maxCount = 1 << 53
+
+// maxLayouts bounds RhoPartial.First; no run has anywhere near as many.
+const maxLayouts = 1 << 20
+
+// AppendRhoPartial appends the wire form of p to buf. It panics on a cutoff
+// value that is not a whole number in [0, 2⁵³]: only a bug produces one.
+func AppendRhoPartial(buf []byte, p RhoPartial) []byte {
+	first, vals := p.First, p.Vals
+	for len(vals) > 0 && vals[0] == 0 {
+		first, vals = first+1, vals[1:]
+	}
+	for len(vals) > 0 && vals[len(vals)-1] == 0 {
+		vals = vals[:len(vals)-1]
+	}
+	if len(vals) == 0 {
+		first = 0
+	}
+	head := uint64(first) << 1
+	if p.Gaussian {
+		head |= 1
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ID))
+	buf = binary.AppendUvarint(buf, head)
+	for _, v := range vals {
+		if p.Gaussian {
+			buf = AppendFloat64(buf, v)
+			continue
+		}
+		if !(v >= 0 && v <= maxCount) || v != math.Trunc(v) {
+			panic(fmt.Sprintf("points: rho partial count %v is not a whole number in [0, 2^53]", v))
+		}
+		buf = binary.AppendUvarint(buf, uint64(v))
+	}
+	return buf
+}
+
+// DecodeRhoPartial parses a RhoPartial, rejecting every byte string
+// AppendRhoPartial cannot have produced: re-encoding what it accepts
+// returns the same bytes.
+func DecodeRhoPartial(buf []byte) (RhoPartial, error) {
+	if len(buf) < 5 {
+		return RhoPartial{}, fmt.Errorf("points: rho partial is %d bytes, want at least 5", len(buf))
+	}
+	p := RhoPartial{ID: int32(binary.LittleEndian.Uint32(buf))}
+	head, rest, ok := minimalUvarint(buf[4:])
+	if !ok || head>>1 >= maxLayouts {
+		return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad layout header", p.ID)
+	}
+	p.Gaussian, p.First = head&1 == 1, int(head>>1)
+	if p.Gaussian {
+		if len(rest)%8 != 0 {
+			return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: %d bytes of float sums", p.ID, len(rest))
+		}
+		p.Vals = make([]float64, 0, len(rest)/8)
+		for ; len(rest) > 0; rest = rest[8:] {
+			p.Vals = append(p.Vals, DecodeFloat64(rest))
+		}
+	} else {
+		p.Vals = make([]float64, 0, len(rest))
+		for len(rest) > 0 {
+			var c uint64
+			if c, rest, ok = minimalUvarint(rest); !ok || c > maxCount {
+				return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad count %d", p.ID, len(p.Vals))
+			}
+			p.Vals = append(p.Vals, float64(c))
+		}
+	}
+	if n := len(p.Vals); n == 0 && p.First != 0 || n > 0 && (p.Vals[0] == 0 || p.Vals[n-1] == 0) {
+		return RhoPartial{}, fmt.Errorf("points: rho partial for id %d is not trimmed of zero values", p.ID)
+	}
+	return p, nil
+}
+
+// minimalUvarint reads one uvarint from the front of b and returns the
+// rest; ok is false when b is empty, truncated, overflows 64 bits, or pads
+// the value with a redundant trailing zero byte.
+func minimalUvarint(b []byte) (v uint64, rest []byte, ok bool) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || (n > 1 && b[n-1] == 0) {
+		return 0, nil, false
+	}
+	return v, b[n:], true
+}
+
 // DeltaValue is a partial or final δ result: the candidate minimum distance
 // to a denser point and the identity of that upslope point (-1 when the
 // point looked like the absolute density peak in its partition, in which

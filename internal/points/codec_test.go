@@ -1,6 +1,7 @@
 package points
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -146,4 +147,112 @@ func TestDeltaValueCodecProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// rhoPartialEqual compares two partials field by field, floats by bits.
+func rhoPartialEqual(a, b RhoPartial) bool {
+	if a.ID != b.ID || a.Gaussian != b.Gaussian || a.First != b.First || len(a.Vals) != len(b.Vals) {
+		return false
+	}
+	for i := range a.Vals {
+		if math.Float64bits(a.Vals[i]) != math.Float64bits(b.Vals[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestRhoPartialRoundTrip(t *testing.T) {
+	for _, tc := range []struct{ in, want RhoPartial }{
+		{RhoPartial{ID: 7, First: 2, Vals: []float64{3, 0, 1 << 53}}, RhoPartial{ID: 7, First: 2, Vals: []float64{3, 0, 1 << 53}}},
+		// Zero values at either end are not written; First moves with them.
+		{RhoPartial{ID: -1, First: 1, Vals: []float64{0, 0, 5, 300, 0}}, RhoPartial{ID: -1, First: 3, Vals: []float64{5, 300}}},
+		{RhoPartial{ID: 9, First: 4, Vals: []float64{0, 0}}, RhoPartial{ID: 9, Vals: []float64{}}},
+		{RhoPartial{ID: 9, Gaussian: true, First: 4}, RhoPartial{ID: 9, Gaussian: true, Vals: []float64{}}},
+		{RhoPartial{ID: 1, Gaussian: true, First: 0, Vals: []float64{0, 0.25, math.Copysign(0, -1), math.Inf(1), 0}},
+			RhoPartial{ID: 1, Gaussian: true, First: 1, Vals: []float64{0.25, math.Copysign(0, -1), math.Inf(1)}}},
+	} {
+		buf := AppendRhoPartial(nil, tc.in)
+		got, err := DecodeRhoPartial(buf)
+		if err != nil || !rhoPartialEqual(got, tc.want) {
+			t.Errorf("decode(encode(%+v)) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		}
+	}
+	if n := len(AppendRhoPartial(nil, RhoPartial{ID: 3, First: 6, Vals: []float64{0}})); n != 5 {
+		t.Errorf("all-zero partial is %d bytes, want 5", n)
+	}
+	for _, bad := range [][]byte{
+		nil,
+		{1, 0, 0, 0},                       // no header
+		{1, 0, 0, 0, 0x80, 0x00},           // padded header varint
+		{1, 0, 0, 0, 0x02},                 // empty, First 1
+		{1, 0, 0, 0, 0x00, 0x00, 0x05},     // leading zero count
+		{1, 0, 0, 0, 0x00, 0x05, 0x00},     // trailing zero count
+		{1, 0, 0, 0, 0x00, 0x85, 0x00},     // padded count varint
+		{1, 0, 0, 0, 0x00, 0x85},           // truncated count varint
+		{1, 0, 0, 0, 0x01, 1, 2, 3},        // float kind, 3 bytes of sums
+		{1, 0, 0, 0, 0x80, 0x80, 0x80, 01}, // First 2²⁰
+		append([]byte{1, 0, 0, 0, 0x00}, binary.AppendUvarint(nil, 1<<53+1)...), // count past 2⁵³
+		append([]byte{1, 0, 0, 0, 0x01}, make([]byte, 8)...),                    // float kind, one +0
+	} {
+		if p, err := DecodeRhoPartial(bad); err == nil {
+			t.Errorf("DecodeRhoPartial(%x) accepted as %+v", bad, p)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendRhoPartial encoded a fractional count")
+		}
+	}()
+	AppendRhoPartial(nil, RhoPartial{Vals: []float64{1.5}})
+}
+
+// FuzzRhoPartialRoundTrip: whatever the values, decode(encode) returns them
+// trimmed of zero ends; whatever the bytes, DecodeRhoPartial either refuses
+// them or has found exactly the bytes AppendRhoPartial writes for what it
+// decoded — it never panics and never accepts two spellings of one partial.
+func FuzzRhoPartialRoundTrip(f *testing.F) {
+	f.Add(int32(0), false, 0, uint64(0), uint64(0), uint64(0), []byte{})
+	f.Add(int32(7), false, 2, uint64(3), uint64(0), uint64(1)<<53, []byte{7, 0, 0, 0, 4, 3, 0, 1})
+	f.Add(int32(-1), true, 9, math.Float64bits(0.5), uint64(0), math.Float64bits(math.NaN()), []byte{1, 0, 0, 0, 0x80, 0x00})
+	f.Add(int32(5), false, 1<<20-1, uint64(0), uint64(128), uint64(0), []byte{1, 0, 0, 0, 0x00, 0x00, 0x05})
+	f.Add(int32(5), true, 0, uint64(1)<<63, uint64(1), uint64(2), append([]byte{1, 0, 0, 0, 0x03}, make([]byte, 16)...))
+	f.Add(int32(5), false, 3, uint64(1)<<60, uint64(1), uint64(2), []byte{1, 0, 0, 0, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, id int32, gaussian bool, first int, v0, v1, v2 uint64, raw []byte) {
+		if first >= 0 && first+3 < maxLayouts {
+			p := RhoPartial{ID: id, Gaussian: gaussian, First: first}
+			for _, v := range []uint64{v0, v1, v2} {
+				if gaussian {
+					p.Vals = append(p.Vals, math.Float64frombits(v))
+				} else {
+					p.Vals = append(p.Vals, float64(v%(maxCount+1)))
+				}
+			}
+			buf := AppendRhoPartial(nil, p)
+			got, err := DecodeRhoPartial(buf)
+			if err != nil {
+				t.Fatalf("decode(encode(%+v)): %v", p, err)
+			}
+			// What comes back is p without its zero ends.
+			full := make([]float64, 3)
+			if len(got.Vals) > 0 {
+				copy(full[got.First-first:], got.Vals)
+			}
+			for i, v := range p.Vals {
+				if v != full[i] && !(v != v && full[i] != full[i]) {
+					t.Fatalf("decode(encode(%+v)) = %+v", p, got)
+				}
+			}
+			if got.ID != id || got.Gaussian != gaussian || string(AppendRhoPartial(nil, got)) != string(buf) {
+				t.Fatalf("decode(encode(%+v)) = %+v", p, got)
+			}
+		}
+		got, err := DecodeRhoPartial(raw)
+		if err != nil {
+			return
+		}
+		if again := AppendRhoPartial(nil, got); string(again) != string(raw) {
+			t.Fatalf("DecodeRhoPartial accepted %x as %+v, which encodes as %x", raw, got, again)
+		}
+	})
 }

@@ -138,6 +138,20 @@ func DecodeRhoPointsInto(m *Matrix, values [][]byte) error {
 	return nil
 }
 
+// Gather replaces m's contents with the listed rows of src, in that order
+// (densities too when src carries them). src must not be m.
+func (m *Matrix) Gather(src *Matrix, rows []int32) {
+	m.Reset()
+	m.dim, m.n = src.dim, len(rows)
+	for _, r := range rows {
+		m.data = append(m.data, src.Row(int(r))...)
+		m.ids = append(m.ids, src.ids[r])
+		if len(src.rho) > 0 {
+			m.rho = append(m.rho, src.rho[r])
+		}
+	}
+}
+
 // matrixPool recycles Matrix backing arrays across reducer groups; the
 // pairwise jobs decode thousands of groups per run and would otherwise
 // re-grow the flat arrays for every one.

@@ -151,3 +151,41 @@ func BenchmarkDecodeGroup(b *testing.B) {
 		}
 	})
 }
+
+func TestMatrixGather(t *testing.T) {
+	src := new(Matrix)
+	var values [][]byte
+	for i := 0; i < 6; i++ {
+		values = append(values, EncodeRhoPoint(RhoPoint{
+			Point: Point{ID: int32(10 + i), Pos: Vector{float64(i), float64(-i)}}, Rho: float64(i) / 2,
+		}))
+	}
+	if err := DecodeRhoPointsInto(src, values); err != nil {
+		t.Fatal(err)
+	}
+	m := GetMatrix()
+	defer PutMatrix(m)
+	rows := []int32{4, 0, 5, 0}
+	m.Gather(src, rows)
+	if m.N() != len(rows) || m.Dim() != 2 || len(m.Rhos()) != len(rows) {
+		t.Fatalf("gathered %d rows of dim %d with %d densities", m.N(), m.Dim(), len(m.Rhos()))
+	}
+	for i, r := range rows {
+		if m.ID(i) != src.ID(int(r)) || m.Rho(i) != src.Rho(int(r)) || m.Row(i)[0] != src.Row(int(r))[0] || m.Row(i)[1] != src.Row(int(r))[1] {
+			t.Fatalf("row %d is not source row %d", i, r)
+		}
+	}
+	// A plain point batch carries no densities, and an empty list empties m.
+	plain := new(Matrix)
+	if err := DecodePointsInto(plain, [][]byte{EncodePoint(Point{ID: 1, Pos: Vector{2}})}); err != nil {
+		t.Fatal(err)
+	}
+	m.Gather(plain, []int32{0, 0})
+	if m.N() != 2 || len(m.Rhos()) != 0 || m.Row(1)[0] != 2 {
+		t.Fatalf("gather of a plain batch: n=%d rhos=%d", m.N(), len(m.Rhos()))
+	}
+	m.Gather(src, nil)
+	if m.N() != 0 || len(m.Data()) != 0 {
+		t.Fatalf("gather of no rows left %d rows", m.N())
+	}
+}

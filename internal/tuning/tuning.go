@@ -30,7 +30,10 @@ type Cost struct {
 	SumSq float64
 	// ShuffleBytes is E[C_s] of Eq. 7: M·(|S| + Σ N_k²·e).
 	ShuffleBytes float64
-	// Distances is E[C_c] of Eq. 8: M·Σ N_k².
+	// Distances is E[C_c] of Eq. 8: M·Σ N_k², the co-bucketed pairs of
+	// all layouts. The pipeline evaluates each distinct pair once (DESIGN.md
+	// "Pair ownership"), so this bounds its dp.distance.computations from
+	// above and equals that plus dp.lsh.pairs.skipped.
 	Distances float64
 	// Time is the unified objective of Eq. 9: μ·ShuffleBytes + Distances.
 	Time float64
