@@ -79,11 +79,6 @@ type Stats struct {
 	// DistanceComputations counts pairwise distance evaluations
 	// (Figure 10(c)).
 	DistanceComputations int64
-	// PairsSkipped counts the co-bucketed pairs LSH reducers left to the
-	// earlier layout that owns them (CtrPairsSkipped); with
-	// DistanceComputations it adds up to the per-layout pair work
-	// M·Σ N_k² the paper's cost model (Eq. 8) predicts.
-	PairsSkipped int64
 	// Phases aggregates the trace spans of every job by phase (map /
 	// combine / sort / shuffle / reduce): task counts, wall time,
 	// records, and bytes — where the run spent its time.
@@ -411,12 +406,10 @@ func CollectStats(st *Stats, r mapreduce.Runner, mark RunnerMark, start time.Tim
 	st.JobWall = 0
 	st.ShuffleBytes = 0
 	st.DistanceComputations = 0
-	st.PairsSkipped = 0
 	for _, j := range jobs {
 		st.JobWall += j.Wall
 		st.ShuffleBytes += j.Counters[mapreduce.CtrShuffleBytes]
 		st.DistanceComputations += j.Counters[mapreduce.CtrDistanceComputations]
-		st.PairsSkipped += j.Counters[CtrPairsSkipped]
 	}
 	traces := r.Traces()
 	if mark.Traces <= len(traces) {

@@ -106,13 +106,22 @@ func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 			}
 			po := pairOncePool.Get().(*pairOnce)
 			defer pairOncePool.Put(po)
-			po.sign(l, m, own, own, nil)
+			rows := po.order[:0]
+			for r := 0; r < m.N(); r++ {
+				rows = append(rows, int32(r))
+			}
+			po.order = rows
+			po.sign(l, m, own, own, rows)
 			border := map[int32]float64{}
-			var nd int64
+			var nd, skipped int64
 			for i := 0; i < m.N(); i++ {
 				ri := m.Row(i)
 				for j := i + 1; j < m.N(); j++ {
-					if labels[i] == labels[j] || po.sharesEarlier(i, j, own) {
+					if labels[i] == labels[j] {
+						continue
+					}
+					if po.sharesEarlier(i, j, own) {
+						skipped++
 						continue
 					}
 					nd++
@@ -128,7 +137,7 @@ func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 					}
 				}
 			}
-			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+			countPairs(ctx, nd, skipped)
 			clusters := make([]int32, 0, len(border))
 			for c := range border {
 				clusters = append(clusters, c)

@@ -221,6 +221,12 @@ func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
 			}
 			blocks, skipped := po.owned(m.N(), own, ctx.Conf.GetInt(confMaxPart, 0))
+			if len(blocks) == 0 {
+				// A later layout all of whose pairs earlier ones own: no
+				// share to report (layout 0 always has its triangle).
+				countPairs(ctx, 0, skipped)
+				return nil
+			}
 			cr := &po.credit
 			cr.Layouts, cr.Own, cr.Sig = l.M(), own, po.sig
 			cr.Reset(m.N(), kern)
@@ -363,6 +369,10 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
 			}
 			blocks, skipped := po.owned(m.N(), own, ctx.Conf.GetInt(confMaxPart, 0))
+			if len(blocks) == 0 {
+				countPairs(ctx, 0, skipped) // as in LSHRhoJob: nothing owned
+				return nil
+			}
 			acc := &po.acc
 			acc.Reset(m.N(), false)
 			var nd int64

@@ -60,10 +60,10 @@ func reducerLayout(key string, l *lsh.Layouts) (int, error) {
 	return own, nil
 }
 
-// sign fills po.sig for the rows of m, visited in the given order (nil: as
-// stored): layouts [0, width), bar the reducer's own, which every row
-// shares. Two rows carry the same id under a layout exactly when they share
-// its bucket; ids are handed out as buckets are first seen.
+// sign fills po.sig for the rows of m, visited in the given order: layouts
+// [0, width), bar the reducer's own, which every row shares. Two rows carry
+// the same id under a layout exactly when they share its bucket; ids are
+// handed out as buckets are first seen.
 func (po *pairOnce) sign(l *lsh.Layouts, m *points.Matrix, own, width int, rows []int32) {
 	n := m.N()
 	po.n = n
@@ -74,14 +74,7 @@ func (po *pairOnce) sign(l *lsh.Layouts, m *points.Matrix, own, width int, rows 
 	clear(po.sig)
 	clear(po.ids)
 	if width == 0 || (width == 1 && own == 0) {
-		return
-	}
-	if rows == nil {
-		rows = po.order[:0]
-		for r := 0; r < n; r++ {
-			rows = append(rows, int32(r))
-		}
-		po.order = rows
+		return // no layout but the reducer's own: nothing to hash for
 	}
 	for _, r := range rows {
 		l.Hash(&po.kb, m.Row(int(r)))

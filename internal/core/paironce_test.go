@@ -205,10 +205,14 @@ func TestPairOnceMatchesPerLayout(t *testing.T) {
 			base := run(t, local, ds, c.cfg)
 			requireMatchesPerLayout(t, ds, cb, base, want)
 			requireDeltaFromPairSet(t, ds, cb, base)
+			var skipped int64
+			for _, j := range base.Stats.Jobs {
+				skipped += j.Counters[CtrPairsSkipped]
+			}
 			if base.Stats.DistanceComputations > oracleWork ||
-				base.Stats.DistanceComputations+base.Stats.PairsSkipped != oracleWork {
+				base.Stats.DistanceComputations+skipped != oracleWork {
 				t.Fatalf("evaluated %d + skipped %d pairs, per-layout reducers evaluated %d",
-					base.Stats.DistanceComputations, base.Stats.PairsSkipped, oracleWork)
+					base.Stats.DistanceComputations, skipped, oracleWork)
 			}
 
 			// f32 and ParallelThreshold walk the same ownership with their
@@ -287,6 +291,32 @@ func TestPairOnceCountIdentity(t *testing.T) {
 	}
 	for _, j := range res.Stats.Jobs {
 		if j.Name != JobLSHRho && j.Name != JobLSHDel {
+			continue
+		}
+		if ev, sk := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[CtrPairsSkipped]; ev != distinct || ev+sk != slots {
+			t.Fatalf("%s: evaluated %d skipped %d, want %d and %d", j.Name, ev, sk, distinct, slots-distinct)
+		}
+	}
+
+	// The halo job looks at cross-cluster pairs only and applies the same
+	// ownership to them.
+	labels := make([]int32, ds.N())
+	distinct, slots = 0, 0
+	for i := range labels {
+		labels[i] = int32(i % 4)
+		for j := 0; j < i; j++ {
+			if s := cb.shared(i, j); s > 0 && labels[i] != labels[j] {
+				distinct++
+				slots += int64(s)
+			}
+		}
+	}
+	halo, err := RunLSHHalo(context.Background(), ds, res.Rho, labels, cfg.Dc, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range halo.Stats.Jobs {
+		if j.Name != JobLSHHalo {
 			continue
 		}
 		if ev, sk := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[CtrPairsSkipped]; ev != distinct || ev+sk != slots {

@@ -329,6 +329,9 @@ func (s *creditScan) creditWeight(a, b int, w float64) {
 // deal their tile rows to a worker pool; the merge reproduces the serial
 // scan bit for bit (see deltaBlocks).
 func DeltaBlocks(m *points.Matrix, blocks []Block, acc *DeltaAcc, p Parallel) int64 {
+	if blockPairs(blocks) == 0 {
+		return 0
+	}
 	acc.rankRows(m, 0, m.N(), 0, 0)
 	w := 1
 	if p.Enabled(m.N()) {
@@ -390,6 +393,9 @@ func deltaBlocks(m *points.Matrix, blocks []Block, acc *DeltaAcc, w int) int64 {
 // must mirror m and band must be Reset against acc with this group's
 // bounds. Returns the pair count and the number of exact re-checks.
 func DeltaBlocks32(m *points.Matrix, c *points.Matrix32, blocks []Block, acc *DeltaAcc, band *DeltaBand) (pairs, rechecks int64) {
+	if blockPairs(blocks) == 0 {
+		return 0, 0
+	}
 	acc.rankRows(m, 0, m.N(), 0, 0)
 	ctx := delta32Ctx{m: m, c: c, acc: acc, band: band}
 	forTiles(blocks, 0, 1, ctx.tilePairs)

@@ -3,7 +3,9 @@
 // time-cost objective (Eq. 9), and a recommender that, given a required
 // expected accuracy A, searches candidate (M, π) pairs, solves the minimal
 // width w for each (Eq. 5), estimates the partition-size term Σ N_k² from
-// a sample, and returns the cheapest feasible configuration.
+// a sample, and returns the cheapest feasible configuration. The computation
+// cost departs from Eq. 8 where the pipeline does: a pair that several
+// layouts co-bucket is evaluated, and modeled, once.
 //
 // The paper's recommended operating ranges — M ∈ [10, 20], π ∈ [3, 10] —
 // fall out of this model empirically (Figure 12); the recommender defaults
@@ -30,10 +32,11 @@ type Cost struct {
 	SumSq float64
 	// ShuffleBytes is E[C_s] of Eq. 7: M·(|S| + Σ N_k²·e).
 	ShuffleBytes float64
-	// Distances is E[C_c] of Eq. 8: M·Σ N_k², the co-bucketed pairs of
-	// all layouts. The pipeline evaluates each distinct pair once (DESIGN.md
-	// "Pair ownership"), so this bounds its dp.distance.computations from
-	// above and equals that plus dp.lsh.pairs.skipped.
+	// Distances is E[C_c], the distance work of one partitioned job. Eq. 8
+	// has M·Σ N_k², a pair counted once per layout that co-buckets it; the
+	// pipeline evaluates such a pair once (DESIGN.md "Pair ownership"), so
+	// this is the number of ordered pairs co-bucketed by at least one of the
+	// M layouts: SumSq at M = 1, and growing by less with every layout added.
 	Distances float64
 	// Time is the unified objective of Eq. 9: μ·ShuffleBytes + Distances.
 	Time float64
@@ -83,10 +86,11 @@ func (m *Model) sampleSize() int {
 // pointBytes is the wire size of one point record.
 func (m *Model) pointBytes() float64 { return float64(8 + 8*m.Dim) }
 
-// Evaluate models a configuration against a sample of the data set.
-// The Σ N_k² term is measured on a sample hashed by one probe layout and
-// scaled quadratically per partition (each partition's share of the sample
-// scales linearly with N, so its square scales quadratically).
+// Evaluate models a configuration against a sample of the data set, hashed
+// by M probe layouts. The Σ N_k² term is measured on the first and the
+// distinct co-bucketed pairs on all of them, both scaled quadratically (each
+// partition's share of the sample scales linearly with N, so its pairs scale
+// quadratically).
 func (m *Model) Evaluate(ds *points.Dataset, mLayouts, pi int, w float64) (Cost, error) {
 	if ds.N() == 0 {
 		return Cost{}, fmt.Errorf("tuning: empty data set")
@@ -95,7 +99,7 @@ func (m *Model) Evaluate(ds *points.Dataset, mLayouts, pi int, w float64) (Cost,
 		return Cost{}, fmt.Errorf("tuning: bad configuration m=%d pi=%d w=%v", mLayouts, pi, w)
 	}
 	sample := samplePoints(ds, m.sampleSize(), m.Seed)
-	counts := partitionSizes(sample, ds.Dim(), pi, w, m.Seed+424243)
+	counts, pairs := coBucketed(sample, ds.Dim(), mLayouts, pi, w, m.Seed+424243)
 	scale := float64(m.N) / float64(len(sample))
 	var sumSq float64
 	for _, c := range counts {
@@ -108,7 +112,7 @@ func (m *Model) Evaluate(ds *points.Dataset, mLayouts, pi int, w float64) (Cost,
 		Accuracy: lsh.ExpectedAccuracy(w, m.Dc, pi, mLayouts),
 	}
 	cost.ShuffleBytes = float64(mLayouts) * (float64(m.N)*m.pointBytes() + sumSq*m.entryBytes())
-	cost.Distances = float64(mLayouts) * sumSq
+	cost.Distances = float64(2*pairs+int64(len(sample))) * scale * scale
 	cost.Time = m.mu()*cost.ShuffleBytes + cost.Distances
 	return cost, nil
 }
@@ -153,17 +157,52 @@ func (m *Model) Recommend(ds *points.Dataset, accuracy float64, ms, pis []int) (
 	return out, nil
 }
 
-// partitionSizes hashes the sample under one probe layout of pi functions
-// of width w drawn from seed, and returns each partition's sample count.
-func partitionSizes(sample []points.Point, dim, pi int, w float64, seed int64) map[string]int {
-	probe := lsh.NewLayouts(dim, 1, pi, w, seed)
-	counts := make(map[string]int)
+// coBucketed hashes the sample under m probe layouts of pi functions of
+// width w drawn from seed. It returns the sample count of each partition of
+// the first layout, in first-seen order, and the number of unordered pairs
+// that share a partition in at least one layout — each counted, as the
+// pipeline evaluates it, at the lowest such layout.
+func coBucketed(sample []points.Point, dim, m, pi int, w float64, seed int64) (sizes []int, pairs int64) {
+	probe := lsh.NewLayouts(dim, m, pi, w, seed)
+	n := len(sample)
+	ids := make(map[string]int32) // keys carry their layout: one id space
+	var buckets [][]int32         // bucket id → sample rows
+	var layout []int              // bucket id → its layout
+	sig := make([]int32, m*n)     // sig[l·n+r]: row r's bucket under layout l
 	var kb lsh.KeyBuf
-	for _, p := range sample {
+	for r, p := range sample {
 		probe.Hash(&kb, p.Pos)
-		counts[string(kb.Key(0))]++
+		for l := 0; l < m; l++ {
+			key := kb.Key(l)
+			id, ok := ids[string(key)]
+			if !ok {
+				id = int32(len(buckets))
+				ids[string(key)] = id
+				buckets = append(buckets, nil)
+				layout = append(layout, l)
+			}
+			buckets[id] = append(buckets[id], int32(r))
+			sig[l*n+r] = id
+		}
 	}
-	return counts
+	for id, rows := range buckets {
+		own := layout[id]
+		if own == 0 {
+			sizes = append(sizes, len(rows))
+		}
+		for x, a := range rows {
+		next:
+			for _, b := range rows[x+1:] {
+				for l := 0; l < own; l++ {
+					if sig[l*n+int(a)] == sig[l*n+int(b)] {
+						continue next
+					}
+				}
+				pairs++
+			}
+		}
+	}
+	return sizes, pairs
 }
 
 // samplePoints draws up to k points without replacement.
@@ -194,7 +233,7 @@ func (m *Model) Balance(ds *points.Dataset, pi int, w float64) (BalanceStats, er
 		return BalanceStats{}, fmt.Errorf("tuning: bad probe pi=%d w=%v", pi, w)
 	}
 	sample := samplePoints(ds, m.sampleSize(), m.Seed)
-	counts := partitionSizes(sample, ds.Dim(), pi, w, m.Seed+848485)
+	counts, _ := coBucketed(sample, ds.Dim(), 1, pi, w, m.Seed+848485)
 	st := BalanceStats{Partitions: len(counts)}
 	n := float64(len(sample))
 	mean := n / float64(len(counts))
