@@ -11,9 +11,9 @@ all: check
 # binary), run the test suite, re-run the concurrency-heavy packages under
 # the race detector, fuzz the LSH key codec, the top-k sweep, the serving
 # engine's bucket sweep and the ρ-partial codec for five seconds each, smoke
-# the compact scan kernels and the key / index-build / served-query
-# micro-benchmarks, and compile + smoke the benchmark harness (all five
-# workloads, oracles checked).
+# the pair kernels, the compact scan kernels and the key / index-build /
+# served-query micro-benchmarks, and compile + smoke the benchmark harness
+# (all five workloads, oracles checked).
 check: build vet doccheck test race fuzz-smoke bench-scan-smoke bench-harness-smoke
 
 build:
@@ -97,11 +97,14 @@ bench-scan:
 	$(GO) test -bench 'EngineAssign' -run '^$$' -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/serve/
 
-# One fast iteration per scan benchmark (and per key / index-build /
-# served-query benchmark) for the check gate and CI: catches a compact
-# kernel, a key path or a sweep that stops compiling or panics on real shapes.
+# One fast iteration per scan benchmark, per pair-kernel benchmark (the
+# RhoKernel / RhoKernelGaussian / DeltaKernel subs `bench-hot` feeds to
+# benchstat: naive, tiled, parallel at dim 2 / 4 / 8) and per key /
+# index-build / served-query benchmark, for the check gate and CI: catches a
+# pair kernel, a compact kernel, a key path or a sweep that stops compiling or
+# panics on real shapes.
 bench-scan-smoke:
-	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK' -run '^$$' -benchtime 1x ./internal/kernels/
+	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK|RhoKernel|DeltaKernel' -run '^$$' -benchtime 1x ./internal/kernels/
 	$(GO) test -bench 'Keys|NewEngine|EngineAssign' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/
 
 # bench/ is its own module, so `go test ./...` here never compiles it: vet

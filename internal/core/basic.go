@@ -72,8 +72,7 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	conf.SetFloat(confDc, dc)
 	conf.SetInt(confBlocks, nBlocks)
 	setKernelConf(conf, cfg.Kernel)
-	setParallelConf(conf, &cfg.Config)
-	setScanConf(conf, &cfg.Config)
+	SetScanConf(conf, &cfg.Config)
 
 	g := dag.NewGraph("basic-ddp")
 	partials := g.Job(BasicRhoJob(conf).WithReduces(cfg.NumReduces), input)
@@ -169,7 +168,6 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 				return fmt.Errorf("core: bad block key %q", key)
 			}
 			kern := kernelFromConf(ctx.Conf)
-			par := parallelFromConf(ctx.Conf)
 			m := points.GetMatrix()
 			defer points.PutMatrix(m)
 			nLocal, err := decodeBlockGroup(m, values, l, (*points.Matrix).AppendPoint)
@@ -177,33 +175,21 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 				return err
 			}
 			n := m.N()
-			if par.Enabled(n) {
-				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
-			}
-			rho := make([]float64, n)
 			// Diagonal pair (l, l) over local rows [0, nLocal), then cross
 			// pairs visitors × local — the same evaluation order as the
 			// scalar loops, so partials stay bit-identical.
-			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(n) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				p1, r1 := kernels.RhoAccumulate32(m, c, 0, nLocal, kern, rho)
-				p2, r2 := kernels.RhoCross32(m, c, nLocal, n, 0, nLocal, kern, rho, true)
-				nd = p1 + p2
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(r1 + r2)
-			} else {
-				nd = kernels.RhoAccumulateAuto(m, 0, nLocal, kern, rho, par)
-				nd += kernels.RhoCross(m, nLocal, n, 0, nLocal, kern, rho, true)
-			}
-			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+			rho := kernels.Credit{Layouts: 1}
+			rho.Reset(n, kern)
+			CountScan(ctx, kernels.Rho(m, []kernels.Block{
+				kernels.Triangle(0, nLocal), kernels.Cross(nLocal, n, 0, nLocal),
+			}, kern, &rho, ScanFromConf(ctx.Conf)))
 			for i := 0; i < n; i++ {
-				if i >= nLocal && rho[i] == 0 {
+				share := rho.Share(i, 0)
+				if i >= nLocal && share == 0 {
 					continue
 				}
 				id := m.ID(i)
-				out.Emit(idKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho[i]}))
+				out.Emit(idKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: share}))
 			}
 			return nil
 		},
@@ -274,7 +260,6 @@ func BasicDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			if err != nil {
 				return fmt.Errorf("core: bad block key %q", key)
 			}
-			par := parallelFromConf(ctx.Conf)
 			m := points.GetMatrix()
 			defer points.PutMatrix(m)
 			nLocal, err := decodeBlockGroup(m, values, l, (*points.Matrix).AppendRhoPoint)
@@ -289,28 +274,12 @@ func BasicDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			if nLocal == 0 || n < 2 {
 				return nil
 			}
-			if par.Enabled(n) {
-				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
-			}
 			acc := kernels.NewDeltaAcc(n, true)
 			// Diagonal pair over local rows, then visitors × local — the
 			// same evaluation order as the scalar loops.
-			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(n) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				var band kernels.DeltaBand
-				band.Reset(acc, kernels.F32Bounds(m.Dim(), c.MaxAbs()))
-				p1, r1 := kernels.DeltaArgmin32(m, c, 0, nLocal, acc, &band)
-				p2, r2 := kernels.DeltaCross32(m, c, nLocal, n, 0, nLocal, acc, &band)
-				nd = p1 + p2
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(r1 + r2)
-			} else {
-				nd = kernels.DeltaArgminAuto(m, 0, nLocal, acc, par)
-				nd += kernels.DeltaCross(m, nLocal, n, 0, nLocal, acc)
-			}
-			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+			CountScan(ctx, kernels.Delta(m, []kernels.Block{
+				kernels.Triangle(0, nLocal), kernels.Cross(nLocal, n, 0, nLocal),
+			}, acc, ScanFromConf(ctx.Conf)))
 			for i := 0; i < n; i++ {
 				id := m.ID(i)
 				dv := points.DeltaValue{ID: id}

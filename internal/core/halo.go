@@ -7,6 +7,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
@@ -137,7 +138,7 @@ func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 					}
 				}
 			}
-			countPairs(ctx, nd, skipped)
+			countPairs(ctx, kernels.Ran{Pairs: nd}, skipped)
 			clusters := make([]int32, 0, len(border))
 			for c := range border {
 				clusters = append(clusters, c)

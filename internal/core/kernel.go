@@ -16,9 +16,11 @@ import (
 // estimates remain underestimates — Theorem 1's max aggregation stays
 // valid.
 //
-// The pairwise evaluation itself lives in internal/kernels; this file only
-// moves the kernel choice and the intra-partition parallelism knobs through
-// job Conf so distributed workers rebuild them from (name, conf) alone.
+// The pairwise evaluation itself lives in internal/kernels, and so does the
+// choice between its serial, compact and parallel scans; this file only
+// moves the kernel choice, the scan precision and the intra-partition
+// parallelism knobs through job Conf so distributed workers rebuild them
+// from (name, conf) alone, and publishes what a scan reports as counters.
 
 const (
 	confKernel       = "ddp.kernel"
@@ -44,13 +46,6 @@ func setParallelConf(conf mapreduce.Conf, cfg *Config) {
 	conf.SetInt(confParWorkers, cfg.ParallelWorkers)
 }
 
-func parallelFromConf(conf mapreduce.Conf) kernels.Parallel {
-	return kernels.Parallel{
-		Threshold: conf.GetInt(confParThreshold, 0),
-		Workers:   conf.GetInt(confParWorkers, 0),
-	}
-}
-
 // setScanConf publishes the reducer scan precision (mr.scan.precision).
 func setScanConf(conf mapreduce.Conf, cfg *Config) {
 	if cfg.ScanPrecision != "" {
@@ -58,11 +53,39 @@ func setScanConf(conf mapreduce.Conf, cfg *Config) {
 	}
 }
 
-// scanF32FromConf reports whether reducers should run the compact f32 scan
-// path. Validation happens at pipeline entry (checkScanPrecision); an
-// unknown value reaching a worker falls back to the exact f64 kernels.
-func scanF32FromConf(conf mapreduce.Conf) bool {
-	return conf[kernels.ConfScanPrecision] == kernels.ScanF32
+// SetScanConf publishes how cfg's reducers scan their pairs: the
+// intra-partition parallelism knobs and the scan precision.
+func SetScanConf(conf mapreduce.Conf, cfg *Config) {
+	setParallelConf(conf, cfg)
+	setScanConf(conf, cfg)
+}
+
+// ScanFromConf rebuilds what SetScanConf published, for every ρ / δ reducer
+// of this repository (EDDPC's included). Validation happens at pipeline
+// entry (checkScanPrecision); an unknown precision reaching a worker falls
+// back to the exact f64 kernels.
+func ScanFromConf(conf mapreduce.Conf) kernels.Scan {
+	return kernels.Scan{
+		F32: conf[kernels.ConfScanPrecision] == kernels.ScanF32,
+		Parallel: kernels.Parallel{
+			Threshold: conf.GetInt(confParThreshold, 0),
+			Workers:   conf.GetInt(confParWorkers, 0),
+		},
+	}
+}
+
+// CountScan publishes what one reduce call's kernels.Rho or kernels.Delta
+// reported: its distance evaluations, whether the group ran the worker pool,
+// and the compact scan's evaluations and exact re-checks.
+func CountScan(ctx *mapreduce.TaskContext, ran kernels.Ran) {
+	ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(ran.Pairs)
+	if ran.Parallel {
+		ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
+	}
+	if ran.Compact {
+		ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(ran.Pairs)
+		ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(ran.Rechecks)
+	}
 }
 
 // checkScanPrecision rejects knob values the reducers do not support.

@@ -123,8 +123,7 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	conf.SetBool(confAggMean, cfg.AggregateMean)
 	conf.SetInt(confMaxPart, cfg.MaxPartition)
 	setKernelConf(conf, cfg.Kernel)
-	setParallelConf(conf, &cfg.Config)
-	setScanConf(conf, &cfg.Config)
+	SetScanConf(conf, &cfg.Config)
 
 	g := dag.NewGraph("lsh-ddp")
 	partials := g.Job(LSHRhoJob(conf).WithReduces(cfg.NumReduces), input)
@@ -209,7 +208,6 @@ func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 				return err
 			}
 			kern := kernelFromConf(ctx.Conf)
-			par := parallelFromConf(ctx.Conf)
 			po := pairOncePool.Get().(*pairOnce)
 			defer pairOncePool.Put(po)
 			m, err := po.load(l, own, l.M(), values, points.DecodePointsInto)
@@ -217,31 +215,17 @@ func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 				return err
 			}
 			defer points.PutMatrix(m)
-			if par.Enabled(m.N()) {
-				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
-			}
 			blocks, skipped := po.owned(m.N(), own, ctx.Conf.GetInt(confMaxPart, 0))
 			if len(blocks) == 0 {
 				// A later layout all of whose pairs earlier ones own: no
 				// share to report (layout 0 always has its triangle).
-				countPairs(ctx, 0, skipped)
+				countPairs(ctx, kernels.Ran{}, skipped)
 				return nil
 			}
 			cr := &po.credit
 			cr.Layouts, cr.Own, cr.Sig = l.M(), own, po.sig
 			cr.Reset(m.N(), kern)
-			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(m.N()) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				var rechecks int64
-				nd, rechecks = kernels.RhoBlocks32(m, c, blocks, kern, cr)
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(rechecks)
-			} else {
-				nd = kernels.RhoBlocks(m, blocks, kern, cr, par)
-			}
-			countPairs(ctx, nd, skipped)
+			countPairs(ctx, kernels.Rho(m, blocks, kern, cr, ScanFromConf(ctx.Conf)), skipped)
 			part := points.RhoPartial{Gaussian: kern.Gaussian, First: own, Vals: make([]float64, l.M()-own)}
 			for i := 0; i < m.N(); i++ {
 				keep := own == 0
@@ -357,7 +341,6 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			if err != nil {
 				return err
 			}
-			par := parallelFromConf(ctx.Conf)
 			po := pairOncePool.Get().(*pairOnce)
 			defer pairOncePool.Put(po)
 			m, err := po.load(l, own, own, values, points.DecodeRhoPointsInto)
@@ -365,30 +348,14 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 				return err
 			}
 			defer points.PutMatrix(m)
-			if par.Enabled(m.N()) {
-				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
-			}
 			blocks, skipped := po.owned(m.N(), own, ctx.Conf.GetInt(confMaxPart, 0))
 			if len(blocks) == 0 {
-				countPairs(ctx, 0, skipped) // as in LSHRhoJob: nothing owned
+				countPairs(ctx, kernels.Ran{}, skipped) // as in LSHRhoJob: nothing owned
 				return nil
 			}
 			acc := &po.acc
 			acc.Reset(m.N(), false)
-			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(m.N()) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				var band kernels.DeltaBand
-				band.Reset(acc, kernels.F32Bounds(m.Dim(), c.MaxAbs()))
-				var rechecks int64
-				nd, rechecks = kernels.DeltaBlocks32(m, c, blocks, acc, &band)
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(rechecks)
-			} else {
-				nd = kernels.DeltaBlocks(m, blocks, acc, par)
-			}
-			countPairs(ctx, nd, skipped)
+			countPairs(ctx, kernels.Delta(m, blocks, acc, ScanFromConf(ctx.Conf)), skipped)
 			for i := 0; i < m.N(); i++ {
 				id := m.ID(i)
 				dv := points.DeltaValue{ID: id, Delta: math.Inf(1), Upslope: -1}

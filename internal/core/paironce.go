@@ -219,8 +219,9 @@ func (po *pairOnce) owned(n, own, maxPart int) (blocks []kernels.Block, skipped 
 	return blocks, skipped
 }
 
-// countPairs publishes one reduce call's pair counters.
-func countPairs(ctx *mapreduce.TaskContext, evaluated, skipped int64) {
-	ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(evaluated)
+// countPairs publishes one reduce call's pair counters: what its scan
+// reported and the pairs it left to earlier layouts.
+func countPairs(ctx *mapreduce.TaskContext, ran kernels.Ran, skipped int64) {
+	CountScan(ctx, ran)
 	ctx.Counters.Cell(CtrPairsSkipped).Add(skipped)
 }

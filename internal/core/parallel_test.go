@@ -119,3 +119,62 @@ func TestBasicDDPParallelPathExact(t *testing.T) {
 		}
 	}
 }
+
+// TestBasicDDPParallelDecisionOnGroupSize pins where the parallel-or-compact
+// decision is made: once, inside the kernel entry, on the rows of the whole
+// reducer group — local block plus visitors, the rows the pool deals tile
+// rows over. With BlockSize < ParallelThreshold ≤ 2·BlockSize reducer 0 (its
+// own block only) stays under the threshold and runs the compact scan over
+// its triangle, and every other reducer crosses it and runs the worker pool
+// over triangle and cross block alike. Both counters depend on Conf and group
+// sizes only; that the counted groups really ran the pool over their cross
+// tiles is pinned at the kernel (kernels.TestPlanDecidesOnTheWholeGroup).
+func TestBasicDDPParallelDecisionOnGroupSize(t *testing.T) {
+	const n, block = 600, 200
+	ds := dataset.Blobs("parallel-decision", n, 3, 4, 100, 4, 7)
+	dc := dp.CutoffByPercentile(ds, 0.02, 1)
+	ref := exactReference(t, ds, dc)
+	serial, err := RunBasicDDP(context.Background(), ds, BasicConfig{
+		Config: Config{Engine: testEngine(), Dc: dc}, BlockSize: block,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tr := &obs.Trace{}
+	res, err := RunBasicDDP(context.Background(), ds, BasicConfig{
+		Config: Config{
+			Engine: testEngine(), Dc: dc, Trace: tr, ScanPrecision: "f32",
+			ParallelThreshold: block + block/2, ParallelWorkers: 3,
+		},
+		BlockSize: block,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact int64
+	for _, j := range tr.Jobs() {
+		compact += j.Counters["kernels.compact.evals"]
+	}
+	// Two partitioned jobs (ρ, δ), three reducers each.
+	if got, want := parallelGroups(tr), int64(2*(n/block-1)); got != want {
+		t.Errorf("dp.parallel.groups = %d, want %d: every reducer but block 0's", got, want)
+	}
+	if want := int64(2 * block * (block - 1) / 2); compact != want {
+		t.Errorf("kernels.compact.evals = %d, want %d: block 0's triangle in each job", compact, want)
+	}
+	if res.Stats.DistanceComputations != serial.Stats.DistanceComputations {
+		t.Errorf("distance computations %d, serial %d", res.Stats.DistanceComputations, serial.Stats.DistanceComputations)
+	}
+	for i := range ref.Rho {
+		if res.Rho[i] != ref.Rho[i] || math.Float64bits(res.Rho[i]) != math.Float64bits(serial.Rho[i]) {
+			t.Fatalf("rho[%d] = %v, exact %v, serial %v", i, res.Rho[i], ref.Rho[i], serial.Rho[i])
+		}
+		if math.Float64bits(res.Delta[i]) != math.Float64bits(serial.Delta[i]) || math.Abs(res.Delta[i]-ref.Delta[i]) > 1e-9 {
+			t.Fatalf("delta[%d] = %v, exact %v, serial %v", i, res.Delta[i], ref.Delta[i], serial.Delta[i])
+		}
+		if res.Upslope[i] != ref.Upslope[i] || res.Upslope[i] != serial.Upslope[i] {
+			t.Fatalf("upslope[%d] = %d, exact %d, serial %d", i, res.Upslope[i], ref.Upslope[i], serial.Upslope[i])
+		}
+	}
+}

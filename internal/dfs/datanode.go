@@ -189,17 +189,6 @@ func (d *DataNode) BlockCount() int {
 	return n
 }
 
-// BlockIDs lists the block ids this node holds.
-func (d *DataNode) BlockIDs() []int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	ids, err := d.store.ids()
-	if err != nil {
-		return nil
-	}
-	return ids
-}
-
 // Corrupt flips one bit (chosen by seed) in the stored payload of block
 // id without updating its checksum — simulated disk bit rot for tests.
 func (d *DataNode) Corrupt(id int64, seed int) error {

@@ -328,13 +328,6 @@ func (n *NameNode) Close() error {
 	return err
 }
 
-// NodeCount returns the number of registered datanodes, dead or alive.
-func (n *NameNode) NodeCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.nodes)
-}
-
 // LiveNodeCount returns the number of datanodes currently considered live.
 func (n *NameNode) LiveNodeCount() int {
 	n.mu.Lock()

@@ -31,8 +31,7 @@ func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, 
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confDc, dc)
 	conf[confPivots] = encodePivots(pivots)
-	conf.SetInt(confParThreshold, cfg.ParallelThreshold)
-	conf.SetInt(confParWorkers, cfg.ParallelWorkers)
+	core.SetScanConf(conf, &cfg.Config)
 
 	rhoRes, err := drv.Run(ctx, RhoJob(conf.Clone()).WithReduces(cfg.NumReduces), core.InputPairs(ds))
 	if err != nil {

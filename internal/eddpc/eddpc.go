@@ -65,26 +65,9 @@ const (
 )
 
 const (
-	confDc           = "eddpc.dc"
-	confPivots       = "eddpc.pivots"
-	confParThreshold = "eddpc.parallel.threshold"
-	confParWorkers   = "eddpc.parallel.workers"
+	confDc     = "eddpc.dc"
+	confPivots = "eddpc.pivots"
 )
-
-// scanF32FromConf reports whether reducers should run the compact f32 scan
-// path (mr.scan.precision, validated at Run entry).
-func scanF32FromConf(conf mapreduce.Conf) bool {
-	return conf[kernels.ConfScanPrecision] == kernels.ScanF32
-}
-
-// parallelFromConf rebuilds the intra-partition parallelism knobs carried
-// in cfg.Config (core.Config) — the zero value keeps the serial kernels.
-func parallelFromConf(conf mapreduce.Conf) kernels.Parallel {
-	return kernels.Parallel{
-		Threshold: conf.GetInt(confParThreshold, 0),
-		Workers:   conf.GetInt(confParWorkers, 0),
-	}
-}
 
 // Run executes the EDDPC pipeline as one job DAG and returns exact DP
 // results. The δ-local and refinement branches feed the final aggregation
@@ -117,11 +100,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confDc, dc)
 	conf[confPivots] = encodePivots(pivots)
-	conf.SetInt(confParThreshold, cfg.ParallelThreshold)
-	conf.SetInt(confParWorkers, cfg.ParallelWorkers)
-	if cfg.ScanPrecision != "" {
-		conf[kernels.ConfScanPrecision] = cfg.ScanPrecision
-	}
+	core.SetScanConf(conf, &cfg.Config)
 
 	g := dag.NewGraph("eddpc")
 	// Node 1: exact ρ via boundary replication. No aggregation needed:

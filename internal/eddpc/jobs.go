@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/kernels"
 	"repro/internal/mapreduce"
@@ -111,7 +112,6 @@ func RhoJob(conf mapreduce.Conf) *mapreduce.Job {
 		Reduce: func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
 			dc := ctx.Conf.GetFloat(confDc, 0)
 			kern := kernels.Kernel{Dc2: dc * dc}
-			par := parallelFromConf(ctx.Conf)
 			m := points.GetMatrix()
 			defer points.PutMatrix(m)
 			nHome, err := decodeTaggedGroup(m, values, tagHome)
@@ -119,31 +119,18 @@ func RhoJob(conf mapreduce.Conf) *mapreduce.Job {
 				return err
 			}
 			n := m.N()
-			if par.Enabled(n) {
-				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
-			}
-			// Home-home pairs count both sides; home-visitor pairs count the
-			// home side only (the visitor's own cell owns its count). The
-			// cutoff counts are integer sums, so splitting the interleaved
-			// scalar loop into the two kernel passes is exact.
-			rho := make([]float64, n)
-			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(n) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				p1, r1 := kernels.RhoAccumulate32(m, c, 0, nHome, kern, rho)
-				p2, r2 := kernels.RhoCross32(m, c, 0, nHome, nHome, n, kern, rho, false)
-				nd = p1 + p2
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(r1 + r2)
-			} else {
-				nd = kernels.RhoAccumulateAuto(m, 0, nHome, kern, rho, par)
-				nd += kernels.RhoCross(m, 0, nHome, nHome, n, kern, rho, false)
-			}
-			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+			// Home-home pairs, then home-visitor pairs. Both sides of every
+			// pair are counted; only home rows are emitted (a visitor's own
+			// cell owns its count), and cutoff counts are integer sums, so
+			// splitting the interleaved scalar loop into two blocks is exact.
+			rho := kernels.Credit{Layouts: 1}
+			rho.Reset(n, kern)
+			core.CountScan(ctx, kernels.Rho(m, []kernels.Block{
+				kernels.Triangle(0, nHome), kernels.Cross(0, nHome, nHome, n),
+			}, kern, &rho, core.ScanFromConf(ctx.Conf)))
 			for i := 0; i < nHome; i++ {
 				id := m.ID(i)
-				out.Emit(idKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho[i]}))
+				out.Emit(idKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho.Share(i, 0)}))
 			}
 			return nil
 		},
@@ -173,30 +160,13 @@ func DeltaLocalJob(conf mapreduce.Conf) *mapreduce.Job {
 			return nil
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
-			par := parallelFromConf(ctx.Conf)
 			m := points.GetMatrix()
 			defer points.PutMatrix(m)
 			if err := points.DecodeRhoPointsInto(m, values); err != nil {
 				return err
 			}
-			if par.Enabled(m.N()) {
-				ctx.Counters.Cell(mapreduce.CtrParallelGroups).Add(1)
-			}
 			acc := kernels.NewDeltaAcc(m.N(), false)
-			var nd int64
-			if scanF32FromConf(ctx.Conf) && !par.Enabled(m.N()) {
-				c := points.GetMatrix32(m)
-				defer points.PutMatrix32(c)
-				var band kernels.DeltaBand
-				band.Reset(acc, kernels.F32Bounds(m.Dim(), c.MaxAbs()))
-				var rechecks int64
-				nd, rechecks = kernels.DeltaArgmin32(m, c, 0, m.N(), acc, &band)
-				ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-				ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(rechecks)
-			} else {
-				nd = kernels.DeltaArgminAuto(m, 0, m.N(), acc, par)
-			}
-			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+			core.CountScan(ctx, kernels.Delta(m, []kernels.Block{kernels.Triangle(0, m.N())}, acc, core.ScanFromConf(ctx.Conf)))
 			for i := 0; i < m.N(); i++ {
 				id := m.ID(i)
 				dv := points.DeltaValue{ID: id, Delta: math.Inf(1), Upslope: -1}

@@ -65,7 +65,7 @@ func benchRho(b *testing.B, gaussian, parallel bool) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				clear(rho)
-				RhoAccumulateAuto(m, 0, benchN, k, rho, par)
+				rhoAccumulateAuto(m, 0, benchN, k, rho, par)
 			}
 			reportPairs(b, benchPairs)
 		})
@@ -100,7 +100,7 @@ func BenchmarkDeltaKernel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				acc.Reset(benchN, true)
-				DeltaArgminAuto(m, 0, benchN, acc, par)
+				deltaArgminAuto(m, 0, benchN, acc, par)
 			}
 			reportPairs(b, benchPairs)
 		})

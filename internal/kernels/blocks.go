@@ -1,10 +1,6 @@
 package kernels
 
-import (
-	"sync"
-
-	"repro/internal/points"
-)
+import "repro/internal/points"
 
 // Block is one piece of a reducer group's pair grid: every pair (a, b) with
 // a in rows [ALo, AHi) and b in rows [BLo, BHi), two disjoint row ranges —
@@ -89,14 +85,19 @@ func forTiles(blocks []Block, wi, w int, f func(aLo, aHi, bLo, bHi int, diag boo
 	}
 }
 
-// Credit is the ρ accumulator of a pair-once LSH reducer (DESIGN.md "Pair
-// ownership"). The reducer of layout Own evaluates only pairs whose two
-// rows share its bucket and no earlier layout's, but such a pair counts
-// toward the local density of every later layout whose bucket the two also
-// share; Sig says which. With n rows, cell [l·n+r] of Counts (cutoff kernel)
-// or Sums (Gaussian) is row r's density under layout l from the pairs seen
-// so far; cells of layouts before Own stay zero. One column per layout, so
+// Credit is the ρ accumulator: one column of n cells per layout, Counts for
+// the cutoff kernel or Sums for the Gaussian, cell [l·n+r] being row r's
+// density under layout l from the pairs seen so far.
+//
+// The pair-once LSH reducers (DESIGN.md "Pair ownership") are the M-column
+// case. The reducer of layout Own evaluates only pairs whose two rows share
+// its bucket and no earlier layout's, but such a pair counts toward the local
+// density of every later layout whose bucket the two also share; Sig says
+// which. Cells of layouts before Own stay zero. One column per layout, so
 // that crediting a strip of neighbours walks each layout's column once.
+//
+// The plain ρ of Basic-DDP and EDDPC is the one-column case, Layouts = 1
+// and no Sig: every pair counts once, for both its rows.
 type Credit struct {
 	Layouts int
 	Own     int
@@ -130,11 +131,10 @@ func (c *Credit) Reset(n int, k Kernel) {
 // Share returns row r's density under layout l from the pairs credited so
 // far.
 func (c *Credit) Share(r, l int) float64 {
-	cell := l*(len(c.Sig)/c.Layouts) + r
 	if c.Sums != nil {
-		return c.Sums[cell]
+		return c.Sums[l*(len(c.Sums)/c.Layouts)+r]
 	}
-	return float64(c.Counts[cell])
+	return float64(c.Counts[l*(len(c.Counts)/c.Layouts)+r])
 }
 
 // add folds a worker's private accumulator into c.
@@ -147,132 +147,166 @@ func (c *Credit) add(part *Credit) {
 	}
 }
 
-// RhoBlocks adds the density contribution of every pair in blocks to cr
-// and returns the number of distance evaluations. Groups of at least
-// p.Threshold rows deal their tile rows to a worker pool, each worker
-// crediting a private accumulator; the merge is exact for the cutoff kernel
-// (integer counts) and, for Gaussian sums, deterministic at a fixed worker
-// count.
-func RhoBlocks(m *points.Matrix, blocks []Block, k Kernel, cr *Credit, p Parallel) int64 {
-	scan := creditScan{d64: m.Data(), dim: m.Dim(), k: k, cr: cr}
-	w := 1
-	if p.Enabled(m.N()) {
-		w = p.workers(tileRows(blocks))
+// Rho adds the density contribution of every pair in blocks to cr, which the
+// caller has Reset to m's rows. Which scan ran follows the one rule of
+// Scan.plan. Cutoff counts are bit-identical whichever did: the compact scan
+// credits a pair either provably from its float32 distance or after an exact
+// re-check, and the worker pool merges integers. Gaussian sums are
+// bit-identical to the naive loop over the list on the serial float64 scan,
+// come from the promoted float32 distance on the compact scan (within the
+// tolerance compactpair.go documents) and are deterministic at a fixed
+// worker count on the pool.
+func Rho(m *points.Matrix, blocks []Block, k Kernel, cr *Credit, s Scan) Ran {
+	ran, w := s.plan(m.N(), blocks)
+	if ran.Pairs == 0 {
+		return ran
 	}
-	if w <= 1 {
-		forTiles(blocks, 0, 1, scan.tile)
-		return blockPairs(blocks)
+	scan := rhoScan{d64: m.Data(), dim: m.Dim(), n: m.N(), k: k, near: k.Dc2, cr: cr}
+	if ran.Compact {
+		c := points.GetMatrix32(m)
+		defer points.PutMatrix32(c)
+		scan.d32 = c.Data()
+		if !k.Gaussian {
+			bnd := F32Bounds(scan.dim, c.MaxAbs())
+			scan.near, scan.cutHi = bnd.LtThresh(k.Dc2), bnd.GeThresh(k.Dc2)
+		}
 	}
-	parts := make([]Credit, w)
-	var wg sync.WaitGroup
-	for wi := range parts {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			part := &parts[wi]
-			*part = Credit{Layouts: cr.Layouts, Own: cr.Own, Sig: cr.Sig}
-			part.Reset(m.N(), k)
-			mine := scan
-			mine.cr = part
-			forTiles(blocks, wi, w, mine.tile)
-		}(wi)
-	}
-	wg.Wait()
-	for wi := range parts {
-		cr.add(&parts[wi])
-	}
-	return blockPairs(blocks)
-}
-
-// RhoBlocks32 is the compact-scan counterpart of RhoBlocks (serial): c must
-// mirror m. Cutoff counts are bit-identical — a pair is credited either
-// provably from its compact distance or after an exact re-check — and
-// Gaussian weights come from the promoted compact distance, as in
-// RhoAccumulate32. Returns the pair count and the number of re-checks.
-func RhoBlocks32(m *points.Matrix, c *points.Matrix32, blocks []Block, k Kernel, cr *Credit) (pairs, rechecks int64) {
-	scan := creditScan{d64: m.Data(), d32: c.Data(), dim: m.Dim(), k: k, cr: cr}
-	if !k.Gaussian {
-		bnd := F32Bounds(scan.dim, c.MaxAbs())
-		scan.cutLo, scan.cutHi = bnd.LtThresh(k.Dc2), bnd.GeThresh(k.Dc2)
+	if w > 1 {
+		rhoPool(blocks, scan, w)
+		return ran
 	}
 	forTiles(blocks, 0, 1, scan.tile)
-	return blockPairs(blocks), scan.rechecks
+	ran.Rechecks = scan.rechecks
+	return ran
 }
 
-// creditScan carries the per-call state of a crediting ρ scan, over the
-// float64 rows or (d32 set) their float32 mirror.
-type creditScan struct {
-	d64          []float64
-	d32          []float32
-	dim          int
-	k            Kernel
-	cutLo, cutHi float64 // compact cutoff band, as in rho32Ctx
-	cr           *Credit
-	rechecks     int64
+// rhoScan carries the per-call state of a ρ scan, over the float64 rows or
+// (d32 set) their float32 mirror.
+type rhoScan struct {
+	d64    []float64
+	d32    []float32
+	dim, n int
+	k      Kernel
+	// A strip value below near proves a neighbour: Dc2, or on the compact
+	// scan the lower edge of the band the float32 distance cannot decide
+	// (d32 < near proves d64 < Dc2, d32 > cutHi proves d64 ≥ Dc2).
+	near, cutHi float64
+	cr          *Credit
+	rechecks    int64
 }
 
-// tile credits one tile pair. Each a row's distances are one blocked strip;
-// the cutoff kernel compacts the strip's neighbours into a hit list without
-// a data-dependent branch (the test goes either way about as often as not)
-// and only the hits pay for the per-layout signature compare.
-func (s *creditScan) tile(aLo, aHi, bLo, bHi int, diag bool) {
-	var d2 [tile]float64
-	var d32 [tile]float32
-	var hits [tile]int32
-	dim, dc2 := s.dim, s.k.Dc2
-	near := dc2 // a strip value below it proves a neighbour
+func (s *rhoScan) tile(aLo, aHi, bLo, bHi int, diag bool) {
 	if s.d32 != nil {
-		near = s.cutLo
+		rhoTile(s, s.d32, aLo, aHi, bLo, bHi, diag)
+	} else {
+		rhoTile(s, s.d64, aLo, aHi, bLo, bHi, diag)
 	}
+}
+
+// rhoTile is the one ρ strip evaluator: it credits the tile pair of rows
+// [aLo, aHi) against rows [bLo, bHi), or the upper triangle of [aLo, aHi)
+// when diag is set. Each a row's distances are one blocked strip (dist.go)
+// over data — the float64 rows or their float32 mirror — observed in
+// ascending b order, the visit order of the naive loop. On the mirror the
+// undecided cutoff band and every non-finite distance are rare and settled
+// exactly.
+//
+// With one column to credit (Layouts − Own = 1: plain ρ, and the last
+// layout's LSH reducer) cutoff neighbours are counted without a
+// data-dependent branch straight into the column and a Gaussian weight is
+// added to the pair's two cells. Routing that case through the hit list and
+// the per-layout walk below costs 9–13 % per cutoff pair and about 20 % per
+// Gaussian pair (DESIGN.md "Dense compute layer"), all of it overhead when
+// there is no second column to compare signatures for. With more columns the
+// cutoff kernel compacts the strip's neighbours into a hit list, again
+// without a branch (the test goes either way about as often as not), and
+// only the hits pay for the per-layout signature compare.
+func rhoTile[T float](s *rhoScan, data []T, aLo, aHi, bLo, bHi int, diag bool) {
+	var d2 [tile]T
+	var ws [tile]float64
+	var hits [tile]int32
+	dim, dc2, near, compact := s.dim, s.k.Dc2, s.near, s.d32 != nil
+	one, own := s.cr.Layouts-s.cr.Own == 1, s.cr.Own*s.n
 	for a := aLo; a < aHi; a++ {
 		jLo := bLo
 		if diag {
 			jLo = a + 1
 		}
 		strip := d2[:bHi-jLo]
-		if s.d32 == nil {
-			sqDistRange(s.d64[a*dim:(a+1)*dim], s.d64, jLo, strip)
-		} else {
-			narrow := d32[:len(strip)]
-			sqDistRange(s.d32[a*dim:(a+1)*dim], s.d32, jLo, narrow)
-			for x, v := range narrow {
-				strip[x] = float64(v)
-			}
-		}
+		sqDistRange(data[a*dim:(a+1)*dim], data, jLo, strip)
 		if s.k.Gaussian {
-			for x, v := range strip {
-				if !isFinite64(v) && s.d32 != nil {
+			// Weights first, then the additions: the loop that calls exp
+			// keeps nothing else live across the call, and the loop that
+			// adds makes no call.
+			w := ws[:len(strip)]
+			for x, t := range strip {
+				v := float64(t)
+				if compact && !isFinite64(v) {
 					v = s.exact(a, jLo+x)
 				}
-				if w := gaussWeight(v, dc2); w != 0 {
-					s.creditWeight(a, jLo+x, w)
+				w[x] = gaussWeight(v, dc2)
+			}
+			if !one {
+				for x, wx := range w {
+					if wx != 0 {
+						s.creditWeight(a, jLo+x, wx)
+					}
+				}
+				continue
+			}
+			sum := s.cr.Sums[own:]
+			sumA, sumB := sum[a], sum[jLo:]
+			for x, wx := range w {
+				if wx != 0 {
+					sumA += wx
+					sumB[x] += wx
 				}
 			}
+			sum[a] = sumA
+			continue
+		}
+		if one {
+			cnt := s.cr.Counts[own+jLo:]
+			n := countBelow(strip, near, cnt)
+			if compact {
+				band := hits[:bandHits(s, strip, a, jLo, hits[:])]
+				for _, x := range band {
+					cnt[x]++
+				}
+				n += int32(len(band))
+			}
+			s.cr.Counts[own+a] += n
 			continue
 		}
 		n := 0
-		for x, v := range strip {
+		for x, t := range strip {
 			hits[n] = int32(x)
-			if v < near {
+			if float64(t) < near {
 				n++
 			}
 		}
-		if s.d32 != nil {
-			// The undecided band (and every non-finite compact distance)
-			// is rare and settled exactly.
-			for x, v := range strip {
-				if !(v < s.cutLo) && !(v > s.cutHi) && s.exact(a, jLo+x) < dc2 {
-					hits[n] = int32(x)
-					n++
-				}
-			}
+		if compact {
+			n += bandHits(s, strip, a, jLo, hits[n:])
 		}
 		s.creditHits(a, jLo, hits[:n])
 	}
 }
 
+// bandHits settles row a's undecided strip entries on the compact scan —
+// neither provably inside d_c nor provably outside, which includes every NaN
+// — in exact float64 and lists those within d_c in hits, returning how many.
+func bandHits[T float](s *rhoScan, strip []T, a, jLo int, hits []int32) (n int) {
+	for x, t := range strip {
+		if v := float64(t); !(v < s.near) && !(v > s.cutHi) && s.exact(a, jLo+x) < s.k.Dc2 {
+			hits[n] = int32(x)
+			n++
+		}
+	}
+	return n
+}
+
 // exact re-checks one pair in float64.
-func (s *creditScan) exact(i, j int) float64 {
+func (s *rhoScan) exact(i, j int) float64 {
 	s.rechecks++
 	return sqDistFlat(s.d64[i*s.dim:], s.d64[j*s.dim:], s.dim)
 }
@@ -282,8 +316,8 @@ func (s *creditScan) exact(i, j int) float64 {
 // bucket the two share. Layout by layout, so that the inner loop reads one
 // signature column against a constant and touches each neighbour's counter
 // once: no chain of dependent updates on row a's counters.
-func (s *creditScan) creditHits(a, jLo int, hits []int32) {
-	n := len(s.cr.Sig) / s.cr.Layouts
+func (s *rhoScan) creditHits(a, jLo int, hits []int32) {
+	n := s.n
 	for l := s.cr.Own; l < s.cr.Layouts; l++ {
 		cnt := s.cr.Counts[l*n : (l+1)*n]
 		cntB := cnt[jLo:]
@@ -310,8 +344,8 @@ func (s *creditScan) creditHits(a, jLo int, hits []int32) {
 }
 
 // creditWeight is creditHits for one pair of Gaussian weight w.
-func (s *creditScan) creditWeight(a, b int, w float64) {
-	n, own := len(s.cr.Sig)/s.cr.Layouts, s.cr.Own
+func (s *rhoScan) creditWeight(a, b int, w float64) {
+	n, own := s.n, s.cr.Own
 	sig, sum := s.cr.Sig, s.cr.Sums
 	sum[own*n+a] += w
 	sum[own*n+b] += w
@@ -321,83 +355,4 @@ func (s *creditScan) creditWeight(a, b int, w float64) {
 			sum[l*n+b] += w
 		}
 	}
-}
-
-// DeltaBlocks evaluates every pair in blocks under the density total order
-// (see DeltaArgmin), ranking m's rows once for the whole list, and returns
-// the number of distance evaluations. Groups of at least p.Threshold rows
-// deal their tile rows to a worker pool; the merge reproduces the serial
-// scan bit for bit (see deltaBlocks).
-func DeltaBlocks(m *points.Matrix, blocks []Block, acc *DeltaAcc, p Parallel) int64 {
-	if blockPairs(blocks) == 0 {
-		return 0
-	}
-	acc.rankRows(m, 0, m.N(), 0, 0)
-	w := 1
-	if p.Enabled(m.N()) {
-		w = p.workers(tileRows(blocks))
-	}
-	return deltaBlocks(m, blocks, acc, w)
-}
-
-// deltaBlocks folds blocks into acc, whose rows are already ranked, on w
-// workers. Each worker tracks (best², candidate row) privately and the
-// merge takes the lexicographic minimum per row. Every pair was evaluated by
-// exactly one worker, so the partial candidate sets partition the serial
-// candidate sequence, and because a row's candidates arrive in ascending
-// row order (forTiles) that minimum is the serial first-wins winner — also
-// against state acc carries in from earlier calls, whose candidate rows all
-// precede these.
-func deltaBlocks(m *points.Matrix, blocks []Block, acc *DeltaAcc, w int) int64 {
-	if w <= 1 {
-		forTiles(blocks, 0, 1, func(aLo, aHi, bLo, bHi int, diag bool) {
-			deltaTile(m, aLo, aHi, bLo, bHi, diag, acc)
-		})
-		return blockPairs(blocks)
-	}
-	n, withMax := len(acc.Best2), acc.Max2 != nil
-	parts := make([]*DeltaAcc, w)
-	var wg sync.WaitGroup
-	for wi := range parts {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			part := NewDeltaAcc(n, withMax)
-			part.rank = acc.rank // read-only from here on
-			parts[wi] = part
-			forTiles(blocks, wi, w, func(aLo, aHi, bLo, bHi int, diag bool) {
-				deltaTile(m, aLo, aHi, bLo, bHi, diag, part)
-			})
-		}(wi)
-	}
-	wg.Wait()
-	for _, part := range parts {
-		for x := 0; x < n; x++ {
-			if withMax && part.Max2[x] > acc.Max2[x] {
-				acc.Max2[x] = part.Max2[x]
-			}
-			if part.Up[x] < 0 {
-				continue
-			}
-			if part.Best2[x] < acc.Best2[x] ||
-				(part.Best2[x] == acc.Best2[x] && (acc.Up[x] < 0 || part.Up[x] < acc.Up[x])) {
-				acc.Best2[x] = part.Best2[x]
-				acc.Up[x] = part.Up[x]
-			}
-		}
-	}
-	return blockPairs(blocks)
-}
-
-// DeltaBlocks32 is the compact-scan counterpart of DeltaBlocks (serial): c
-// must mirror m and band must be Reset against acc with this group's
-// bounds. Returns the pair count and the number of exact re-checks.
-func DeltaBlocks32(m *points.Matrix, c *points.Matrix32, blocks []Block, acc *DeltaAcc, band *DeltaBand) (pairs, rechecks int64) {
-	if blockPairs(blocks) == 0 {
-		return 0, 0
-	}
-	acc.rankRows(m, 0, m.N(), 0, 0)
-	ctx := delta32Ctx{m: m, c: c, acc: acc, band: band}
-	forTiles(blocks, 0, 1, ctx.tilePairs)
-	return blockPairs(blocks), ctx.rechecks
 }

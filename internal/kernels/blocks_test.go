@@ -106,7 +106,7 @@ func randCredit(rng *points.Rand, n, layouts, own int) *Credit {
 	return cr
 }
 
-// naiveCredit is the definition RhoBlocks implements: every pair of the list
+// naiveCredit is the definition Rho implements: every pair of the list
 // adds its weight to both rows under the own layout and under each later
 // layout whose signature the two rows share.
 func naiveCredit(m *points.Matrix, blocks []Block, k Kernel, cr *Credit) {
@@ -146,7 +146,7 @@ func TestRhoBlocksMatchesNaive(t *testing.T) {
 
 			got := &Credit{Layouts: layouts, Own: own, Sig: want.Sig}
 			got.Reset(n, k)
-			if nd := RhoBlocks(m, blocks, k, got, Parallel{}); nd != blockPairs(blocks) {
+			if nd := Rho(m, blocks, k, got, Scan{}).Pairs; nd != blockPairs(blocks) {
 				t.Fatalf("%s: %d evaluations, list holds %d pairs", tag, nd, blockPairs(blocks))
 			}
 			// Serial: the same additions in the same per-cell order.
@@ -155,7 +155,7 @@ func TestRhoBlocksMatchesNaive(t *testing.T) {
 
 			par := &Credit{Layouts: layouts, Own: own, Sig: want.Sig}
 			par.Reset(n, k)
-			RhoBlocks(m, blocks, k, par, Parallel{Threshold: 1, Workers: 3})
+			Rho(m, blocks, k, par, Scan{Parallel: Parallel{Threshold: 1, Workers: 3}})
 			assertCountsEqual(t, tag+" parallel", par.Counts, want.Counts)
 			for i, v := range want.Sums {
 				if diff := math.Abs(par.Sums[i] - v); diff > 1e-12*math.Abs(v) {
@@ -163,13 +163,11 @@ func TestRhoBlocksMatchesNaive(t *testing.T) {
 				}
 			}
 
-			c32 := points.GetMatrix32(m)
 			compact := &Credit{Layouts: layouts, Own: own, Sig: want.Sig}
 			compact.Reset(n, k)
-			if nd, _ := RhoBlocks32(m, c32, blocks, k, compact); nd != blockPairs(blocks) {
+			if nd := Rho(m, blocks, k, compact, Scan{F32: true}).Pairs; nd != blockPairs(blocks) {
 				t.Fatalf("%s f32: %d evaluations", tag, nd)
 			}
-			points.PutMatrix32(c32)
 			assertCountsEqual(t, tag+" f32", compact.Counts, want.Counts)
 			for i, v := range want.Sums {
 				if diff := math.Abs(compact.Sums[i] - v); diff > 1e-4*(1+v) {
@@ -212,9 +210,7 @@ func TestRho32BandIsRechecked(t *testing.T) {
 	naiveCredit(m, blocks, k, want)
 	got := &Credit{Layouts: 2, Sig: want.Sig}
 	got.Reset(n, k)
-	c32 := points.GetMatrix32(m)
-	defer points.PutMatrix32(c32)
-	if _, rechecks := RhoBlocks32(m, c32, blocks, k, got); rechecks == 0 {
+	if Rho(m, blocks, k, got, Scan{F32: true}).Rechecks == 0 {
 		t.Fatal("no pair fell in the undecided band; the fixture tests nothing")
 	}
 	assertCountsEqual(t, "band", got.Counts, want.Counts)
@@ -236,21 +232,17 @@ func TestDeltaBlocksMatchesNaive(t *testing.T) {
 			naiveObserve(m, want, a, b, points.SqDist(m.Row(a), m.Row(b)))
 		})
 		got := NewDeltaAcc(n, false)
-		if nd := DeltaBlocks(m, blocks, got, Parallel{}); nd != blockPairs(blocks) {
+		if nd := Delta(m, blocks, got, Scan{}).Pairs; nd != blockPairs(blocks) {
 			t.Fatalf("%s: %d evaluations, list holds %d pairs", tag, nd, blockPairs(blocks))
 		}
 		assertDeltaEqual(t, tag+" serial", got, want)
 
 		par := NewDeltaAcc(n, false)
-		DeltaBlocks(m, blocks, par, Parallel{Threshold: 1, Workers: 3})
+		Delta(m, blocks, par, Scan{Parallel: Parallel{Threshold: 1, Workers: 3}})
 		assertDeltaEqual(t, tag+" parallel", par, want)
 
-		c32 := points.GetMatrix32(m)
 		compact := NewDeltaAcc(n, false)
-		var band DeltaBand
-		band.Reset(compact, F32Bounds(dim, c32.MaxAbs()))
-		DeltaBlocks32(m, c32, blocks, compact, &band)
-		points.PutMatrix32(c32)
+		Delta(m, blocks, compact, Scan{F32: true})
 		assertDeltaEqual(t, tag+" f32", compact, want)
 	}
 }

@@ -148,32 +148,60 @@ const shortlistCompactAt = 256
 
 // Shortlist collects candidate rows during a compact scan: every observed
 // row whose compact distance does not provably exceed the best possible
-// exact distance. Reset it with the scan's Bounds, feed it via the
-// compact NN kernels, then Finish and re-rank the surviving rows with
-// NNRows over the float64 data.
+// exact distance of the k-th nearest row. Reset it with the scan's Bounds
+// (ResetK for k > 1), feed it via the compact NN kernels, then Finish and
+// re-rank the surviving rows with NNRows (TopKRows) over the float64 data:
+// the final (row, distance) set — including the lowest-row-index tie rule —
+// is bit-identical to a pure float64 scan.
+//
+// Soundness: the shortlist tracks the k smallest finite compact distances
+// seen in a size-k max-heap — the bounded "k best so far" of a kNN-join
+// reducer, of which the nearest-neighbour scan is the case k = 1. Whenever
+// the heap is full with root h, there exist k observed rows with compact
+// squared distance ≤ h, so by the Bounds contract there are k rows whose
+// exact distance is at most u = (√h + Abs)/(1 − Rel) — hence the true k-th
+// exact distance is ≤ u, and every row of the true top-k (or tied with its
+// boundary) has compact squared distance ≤ KeepThresh(h) =
+// (u·(1+Rel) + Abs)². Rows are only dropped when strictly above that
+// threshold, and the threshold only tightens as the heap improves, so no
+// true top-k row is ever discarded. A NaN compact distance is admitted and
+// never tightens the threshold, and a +Inf compact distance (admissible
+// only while the threshold is still +Inf) never enters the heap, so overflow
+// degrades to a larger re-rank, never a wrong answer.
 type Shortlist struct {
 	Rows  []int32
 	d2    []float32
-	best  float64
+	k     int
+	heap  []float64 // max-heap of the k smallest finite compact distances
 	thr   float64
 	bnd   Bounds
 	limit int
 }
 
-// Reset prepares the shortlist for one scan under the given bounds,
-// keeping backing storage.
-func (sl *Shortlist) Reset(bnd Bounds) {
+// Reset prepares the shortlist for one nearest-neighbour scan under the
+// given bounds, keeping backing storage.
+func (sl *Shortlist) Reset(bnd Bounds) { sl.ResetK(1, bnd) }
+
+// ResetK is Reset for a scan that keeps the k nearest rows; k must be at
+// least 1.
+func (sl *Shortlist) ResetK(k int, bnd Bounds) {
+	if k < 1 {
+		panic("kernels: Shortlist needs k >= 1")
+	}
 	sl.Rows = sl.Rows[:0]
 	sl.d2 = sl.d2[:0]
-	sl.best = inf
+	sl.k = k
+	sl.heap = sl.heap[:0]
 	sl.thr = inf
 	sl.bnd = bnd
-	sl.limit = shortlistCompactAt
+	// The list legitimately holds k rows at all times; keep the compaction
+	// trigger clear of that floor so large k cannot thrash refilter.
+	sl.limit = max(shortlistCompactAt, 2*k)
 }
 
 // observe folds one scanned row into the shortlist. Comparisons are
-// arranged so a NaN compact distance is admitted and never tightens the
-// threshold.
+// arranged so that a NaN or +Inf compact distance is admitted and stays out
+// of the heap.
 func (sl *Shortlist) observe(row int32, d32 float32) {
 	df := float64(d32)
 	if df > sl.thr {
@@ -181,9 +209,25 @@ func (sl *Shortlist) observe(row int32, d32 float32) {
 	}
 	sl.Rows = append(sl.Rows, row)
 	sl.d2 = append(sl.d2, d32)
-	if df < sl.best {
-		sl.best = df
-		sl.thr = sl.bnd.KeepThresh(df)
+	if df < inf {
+		if len(sl.heap) < sl.k {
+			sl.heap = append(sl.heap, df)
+			for i := len(sl.heap) - 1; i > 0; {
+				p := (i - 1) / 2
+				if sl.heap[p] >= sl.heap[i] {
+					break
+				}
+				sl.heap[p], sl.heap[i] = sl.heap[i], sl.heap[p]
+				i = p
+			}
+			if len(sl.heap) == sl.k {
+				sl.thr = sl.bnd.KeepThresh(sl.heap[0])
+			}
+		} else if df < sl.heap[0] {
+			sl.heap[0] = df
+			sl.heapDown()
+			sl.thr = sl.bnd.KeepThresh(sl.heap[0])
+		}
 	}
 	if len(sl.Rows) >= sl.limit {
 		sl.refilter()
@@ -193,7 +237,26 @@ func (sl *Shortlist) observe(row int32, d32 float32) {
 	}
 }
 
-// refilter drops rows excluded by the current threshold.
+func (sl *Shortlist) heapDown() {
+	n := len(sl.heap)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && sl.heap[r] > sl.heap[c] {
+			c = r
+		}
+		if sl.heap[c] <= sl.heap[i] {
+			return
+		}
+		sl.heap[i], sl.heap[c] = sl.heap[c], sl.heap[i]
+		i = c
+	}
+}
+
+// refilter drops rows excluded by the current threshold (NaN survives).
 func (sl *Shortlist) refilter() {
 	w := 0
 	for i, r := range sl.Rows {
@@ -207,26 +270,20 @@ func (sl *Shortlist) refilter() {
 	sl.d2 = sl.d2[:w]
 }
 
-// Finish applies the final threshold and returns the surviving rows. The
-// slice aliases the shortlist and is invalidated by the next Reset.
+// Finish applies the final threshold and returns the surviving rows, each
+// listed at most once. The slice aliases the shortlist and is invalidated
+// by the next Reset.
 func (sl *Shortlist) Finish() []int32 {
 	sl.refilter()
 	return sl.Rows
 }
 
-// compactSink is what a compact scan feeds: a Shortlist (nearest row) or a
-// TopKShortlist (k nearest).
-type compactSink interface {
-	observe(row int32, d32 float32)
-	Threshold() float64
-}
-
 // Threshold returns the admission threshold on compact squared distances,
-// +Inf while no row is held. It is also an upper bound on the exact squared
-// distance of the compact-best row the list holds (KeepThresh inflates past
-// that row's exact distance before inflating back), so a row whose exact
-// squared distance provably exceeds it — Sweep's axis-gap test — cannot be
-// the nearest or tie with it.
+// +Inf while fewer than k finite rows are held. It is also an upper bound on
+// the exact squared distance of the k-th compact-best row the list holds
+// (KeepThresh inflates past that row's exact distance before inflating
+// back), so a row whose exact squared distance provably exceeds it — Sweep's
+// axis-gap test — cannot be among the k nearest or tie with them.
 func (sl *Shortlist) Threshold() float64 { return sl.thr }
 
 // admit folds one strip of compact distances into sl; strip[x] belongs to
@@ -234,8 +291,8 @@ func (sl *Shortlist) Threshold() float64 { return sl.thr }
 // overwhelmingly common case once a good best is seen — is hoisted out of
 // observe so the hot loop pays one comparison per row; NaN fails the
 // rejection test and reaches observe, as required.
-func admit(sl compactSink, strip []float32, lo int, rows []int32) {
-	thr := sl.Threshold()
+func admit(sl *Shortlist, strip []float32, lo int, rows []int32) {
+	thr := sl.thr
 	for x, v := range strip {
 		if float64(v) > thr {
 			continue
@@ -245,13 +302,13 @@ func admit(sl compactSink, strip []float32, lo int, rows []int32) {
 			row = rows[x]
 		}
 		sl.observe(row, v)
-		thr = sl.Threshold()
+		thr = sl.thr
 	}
 }
 
-// scanRange32 folds rows [lo, hi) of the float32 mirror into sl, one
-// blocked distance strip (dist.go) at a time.
-func scanRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl compactSink) {
+// nnRange32 folds rows [lo, hi) of the float32 mirror into the shortlist,
+// one blocked distance strip (dist.go) at a time.
+func nnRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *Shortlist) {
 	var d2 [nnTile]float32
 	for ; lo < hi; lo += nnTile {
 		strip := d2[:min(nnTile, hi-lo)]
@@ -260,8 +317,9 @@ func scanRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl compac
 	}
 }
 
-// scanRows32 folds the listed rows of the float32 mirror into sl.
-func scanRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl compactSink) {
+// NNRows32 scans the listed rows of the float32 mirror into the shortlist
+// (which the caller has Reset with this scan's Bounds).
+func NNRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *Shortlist) {
 	var d2 [nnTile]float32
 	for len(rows) > 0 {
 		part := rows[:min(nnTile, len(rows))]
@@ -271,21 +329,11 @@ func scanRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl compa
 	}
 }
 
-// NNRows32 scans the listed rows of the float32 mirror into the shortlist
-// (which the caller has Reset with this scan's Bounds).
-func NNRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *Shortlist) {
-	scanRows32(data32, dim, q32, rows, sl)
-}
-
-// nnRange32 scans rows [lo, hi) of the float32 mirror into the shortlist.
-func nnRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *Shortlist) {
-	scanRange32(data32, dim, q32, lo, hi, sl)
-}
-
 // NNBatch32 is the multi-query variant of nnRange32: one pass over each
 // row tile of the float32 mirror feeds every query's shortlist. qs32 is
-// flat (len(sls)*dim); each shortlist must be Reset by the caller. Per
-// query the rows arrive in ascending order, exactly as in nnRange32.
+// flat (len(sls)*dim); each shortlist must be Reset — or ResetK, for the
+// kNN-join reducers' k nearest — by the caller. Per query the rows arrive in
+// ascending order, exactly as in nnRange32.
 func NNBatch32(data32 []float32, dim int, qs32 []float32, lo, hi int, sls []Shortlist) {
 	batchTiles(lo, hi, len(sls), func(qi, tLo, tHi int) {
 		nnRange32(data32, dim, qs32[qi*dim:(qi+1)*dim], tLo, tHi, &sls[qi])

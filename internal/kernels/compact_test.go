@@ -343,8 +343,6 @@ func TestRho32CutoffBitExact(t *testing.T) {
 		data := randBlock(rng, n, dim, 1)
 		rho := nearTieRho(rng, n)
 		m := buildRhoMatrix(t, data, dim, rho)
-		c := points.GetMatrix32(m)
-		defer points.PutMatrix32(c)
 
 		// dc chosen as an actual pair distance so the boundary band is hit.
 		dc2 := sqDistFlat(data[0:dim], data[dim:2*dim], dim)
@@ -353,7 +351,7 @@ func TestRho32CutoffBitExact(t *testing.T) {
 		want := make([]float64, n)
 		RhoAccumulate(m, 0, n, k, want)
 		got := make([]float64, n)
-		pairs, rechecks := RhoAccumulate32(m, c, 0, n, k, got)
+		pairs, rechecks := rhoAccumulate32(m, 0, n, k, got)
 		if pairs != int64(n)*int64(n-1)/2 {
 			t.Fatalf("dim %d: pair count %d", dim, pairs)
 		}
@@ -369,9 +367,9 @@ func TestRho32CutoffBitExact(t *testing.T) {
 		// Cross kernel, both directions of accumulation.
 		for _, both := range []bool{true, false} {
 			want := make([]float64, n)
-			RhoCross(m, 0, n/3, n/3, n, k, want, both)
+			rhoCross(m, 0, n/3, n/3, n, k, want, both)
 			got := make([]float64, n)
-			RhoCross32(m, c, 0, n/3, n/3, n, k, got, both)
+			rhoCross32(m, 0, n/3, n/3, n, k, got, both)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("dim %d cross both=%v row %d: %v != %v", dim, both, i, got[i], want[i])
@@ -387,13 +385,11 @@ func TestRho32GaussianTolerance(t *testing.T) {
 	data := randBlock(rng, n, dim, 1)
 	rho := nearTieRho(rng, n)
 	m := buildRhoMatrix(t, data, dim, rho)
-	c := points.GetMatrix32(m)
-	defer points.PutMatrix32(c)
 	k := Kernel{Gaussian: true, Dc2: 0.5}
 	want := make([]float64, n)
 	RhoAccumulate(m, 0, n, k, want)
 	got := make([]float64, n)
-	RhoAccumulate32(m, c, 0, n, k, got)
+	rhoAccumulate32(m, 0, n, k, got)
 	for i := range want {
 		diff := math.Abs(got[i] - want[i])
 		if diff > 1e-4*(1+math.Abs(want[i])) {
@@ -410,14 +406,11 @@ func TestDelta32BitExact(t *testing.T) {
 			data := randBlock(rng, n, dim, 1)
 			rho := nearTieRho(rng, n)
 			m := buildRhoMatrix(t, data, dim, rho)
-			c := points.GetMatrix32(m)
 
 			want := NewDeltaAcc(n, withMax)
 			DeltaArgmin(m, 0, n, want)
 			got := NewDeltaAcc(n, withMax)
-			var band DeltaBand
-			band.Reset(got, F32Bounds(dim, c.MaxAbs()))
-			pairs, rechecks := DeltaArgmin32(m, c, 0, n, got, &band)
+			pairs, rechecks := deltaArgmin32(m, 0, n, got)
 			compareDeltaAccs(t, "argmin", want, got, dim, withMax)
 			if rechecks >= pairs {
 				t.Errorf("dim %d withMax=%v: %d/%d re-checked — no pruning at all", dim, withMax, rechecks, pairs)
@@ -427,13 +420,11 @@ func TestDelta32BitExact(t *testing.T) {
 			nLocal := n / 2
 			want2 := NewDeltaAcc(n, withMax)
 			DeltaArgmin(m, 0, nLocal, want2)
-			DeltaCross(m, nLocal, n, 0, nLocal, want2)
+			deltaCross(m, nLocal, n, 0, nLocal, want2)
 			got2 := NewDeltaAcc(n, withMax)
-			band.Reset(got2, F32Bounds(dim, c.MaxAbs()))
-			DeltaArgmin32(m, c, 0, nLocal, got2, &band)
-			DeltaCross32(m, c, nLocal, n, 0, nLocal, got2, &band)
+			deltaArgmin32(m, 0, nLocal, got2)
+			deltaCross32(m, nLocal, n, 0, nLocal, got2)
 			compareDeltaAccs(t, "argmin+cross", want2, got2, dim, withMax)
-			points.PutMatrix32(c)
 		}
 	}
 }
@@ -447,26 +438,22 @@ func TestCompact32HostileRows(t *testing.T) {
 	for _, dim := range []int{1, 3, 9} {
 		for _, n := range []int{7, tile + 2, 2*tile + 7} {
 			m := hostileMatrix(t, n, dim, int64(dim*10+n))
-			c := points.GetMatrix32(m)
 			k := Kernel{Dc2: 2}
 			split := n / 3
 
 			want, got := make([]float64, n), make([]float64, n)
 			naiveRho(m, 0, split, k, want)
 			naiveRhoCross(m, split, n, 0, split, k, want, true)
-			RhoAccumulate32(m, c, 0, split, k, got)
-			RhoCross32(m, c, split, n, 0, split, k, got, true)
+			rhoAccumulate32(m, 0, split, k, got)
+			rhoCross32(m, split, n, 0, split, k, got, true)
 			assertBitsEqual(t, fmt.Sprintf("hostile rho32 dim=%d n=%d", dim, n), got, want)
 
 			wantD, gotD := NewDeltaAcc(n, true), NewDeltaAcc(n, true)
 			naiveDelta(m, 0, split, wantD)
 			naiveDeltaCross(m, split, n, 0, split, wantD)
-			var band DeltaBand
-			band.Reset(gotD, F32Bounds(dim, c.MaxAbs()))
-			DeltaArgmin32(m, c, 0, split, gotD, &band)
-			DeltaCross32(m, c, split, n, 0, split, gotD, &band)
+			deltaArgmin32(m, 0, split, gotD)
+			deltaCross32(m, split, n, 0, split, gotD)
 			assertDeltaEqual(t, fmt.Sprintf("hostile delta32 dim=%d n=%d", dim, n), gotD, wantD)
-			points.PutMatrix32(c)
 		}
 	}
 }

@@ -1,8 +1,13 @@
 // Package kernels provides the dense pairwise compute layer shared by every
-// distributed Density Peaks pipeline in this repository: blocked (tiled)
-// ρ-accumulation and δ-argmin kernels over the flat SoA layout of
-// points.Matrix, plus an opt-in intra-partition parallel path for skewed
-// reducer groups (see parallel.go).
+// distributed Density Peaks pipeline in this repository. The paper's two
+// reducer loops are two functions: Rho (local density, blocks.go) and Delta
+// (distance to the nearest denser point, below). A reducer hands either one
+// the list of blocks whose pairs it owns (Block) and a Scan built once per
+// job from Conf; whether the group runs the serial float64 tiles, the
+// float32 compact scan with exact re-check (compactpair.go) or the worker
+// pool for skewed groups (parallel.go) is decided inside, and reported back
+// as a Ran so the reducer only adds counters. RhoAccumulate and DeltaArgmin
+// are the same two over one whole triangle, serial and float64.
 //
 // The paper's dominant cost is pairwise distance work inside reducers.
 // These kernels walk one contiguous coordinate array in cache-sized tiles,
@@ -65,66 +70,22 @@ func (k Kernel) Weight(d2 float64) float64 {
 
 // RhoAccumulate adds every unordered pair's density contribution within
 // rows [lo, hi) of m into rho (indexed like m's rows), returning the number
-// of distance evaluations. Bit-identical to the naive i<j loop.
+// of distance evaluations. Bit-identical to the naive i<j loop: Gaussian
+// weights are added straight into rho's cells in visit order, and cutoff
+// neighbours are counted as integers and folded in at the end, which is
+// exact — a cutoff ρ only ever receives 1.0s, so every partial sum is an
+// integer far below 2⁵³ and float64 addition of integers is associative
+// there.
 func RhoAccumulate(m *points.Matrix, lo, hi int, k Kernel, rho []float64) int64 {
-	return rhoBlock(m, Triangle(lo, hi), k, rho, true)
-}
-
-// RhoCross adds the contributions of every pair (a, b) with a in rows
-// [aLo, aHi) and b in rows [bLo, bHi) — two disjoint row ranges of m — into
-// rho. When both is false only the a-side rows accumulate (EDDPC's
-// home-vs-visitor counting). Bit-identical to the naive a-outer b-inner
-// loop. Returns the number of distance evaluations.
-func RhoCross(m *points.Matrix, aLo, aHi, bLo, bHi int, k Kernel, rho []float64, both bool) int64 {
-	return rhoBlock(m, Cross(aLo, aHi, bLo, bHi), k, rho, both)
-}
-
-func rhoBlock(m *points.Matrix, b Block, k Kernel, rho []float64, both bool) int64 {
-	data, dim := m.Data(), m.Dim()
-	forTiles([]Block{b}, 0, 1, func(aLo, aHi, bLo, bHi int, diag bool) {
-		rhoTile(data, dim, aLo, aHi, bLo, bHi, diag, k, rho, both)
-	})
-	return b.Pairs()
-}
-
-// rhoTile folds one tile pair into rho: rows [aLo, aHi) against rows
-// [bLo, bHi), or the upper triangle of [aLo, aHi) when diag is set. Each a
-// row's distances are evaluated as one blocked strip (dist.go) and observed
-// in ascending b order, the visit order of the naive loop.
-//
-// Cutoff neighbours are counted without a data-dependent branch into integer
-// counters — one per a row, one per b row of the tile — and folded into rho
-// once per row and tile. That is exact, not approximately equal: a cutoff ρ
-// only ever receives 1.0s, so every partial sum is an integer far below 2⁵³
-// and float64 addition of integers is associative there.
-func rhoTile(data []float64, dim, aLo, aHi, bLo, bHi int, diag bool, k Kernel, rho []float64, both bool) {
-	var d2 [tile]float64
-	var cnt [tile]int32
-	for a := aLo; a < aHi; a++ {
-		jLo := bLo
-		if diag {
-			jLo = a + 1
-		}
-		strip := d2[:bHi-jLo]
-		sqDistRange(data[a*dim:(a+1)*dim], data, jLo, strip)
-		if !k.Gaussian {
-			rho[a] += float64(countBelow(strip, k.Dc2, cnt[jLo-bLo:]))
-			continue
-		}
-		for x, v := range strip {
-			if w := gaussWeight(v, k.Dc2); w != 0 {
-				rho[a] += w
-				if both {
-					rho[jLo+x] += w
-				}
-			}
-		}
+	cr := Credit{Layouts: 1, Sums: rho}
+	if !k.Gaussian {
+		cr.Reset(hi, k)
 	}
-	if !k.Gaussian && both {
-		for x, c := range cnt[:bHi-bLo] {
-			rho[bLo+x] += float64(c)
-		}
+	ran := Rho(m, []Block{Triangle(lo, hi)}, k, &cr, Scan{})
+	for x, c := range cr.Counts {
+		rho[x] += float64(c)
 	}
+	return ran.Pairs
 }
 
 // countBelow adds 1 to cnt[x] for every strip[x] < dc2 and returns how many
@@ -156,6 +117,7 @@ type DeltaAcc struct {
 
 	rank []int32   // density rank per matrix row, set by rankRows per call
 	keys []rankKey // rankRows' sort scratch
+	band deltaBand // the compact scan's skip thresholds (compactpair.go)
 }
 
 // NewDeltaAcc returns an accumulator for n rows, with fallback tracking
@@ -204,20 +166,31 @@ func (a *DeltaAcc) Reset(n int, withMax bool) {
 // Bit-identical to the naive i<j loop, including the first-wins tie rule
 // for equal distances. Returns the number of distance evaluations.
 func DeltaArgmin(m *points.Matrix, lo, hi int, acc *DeltaAcc) int64 {
-	return DeltaArgminAuto(m, lo, hi, acc, Parallel{})
+	return Delta(m, []Block{Triangle(lo, hi)}, acc, Scan{}).Pairs
 }
 
-// DeltaCross evaluates every pair (a, b) across two disjoint row ranges,
-// updating both sides' candidates (Basic-DDP's visitor-vs-local pass).
-// Bit-identical to the naive a-outer b-inner loop. Returns the number of
-// distance evaluations.
-func DeltaCross(m *points.Matrix, aLo, aHi, bLo, bHi int, acc *DeltaAcc) int64 {
-	b := Cross(aLo, aHi, bLo, bHi)
-	if b.Pairs() == 0 {
-		return 0
+// Delta evaluates every pair in blocks under the density total order (see
+// DeltaArgmin), ranking m's rows once for the whole list. Which scan ran —
+// serial float64, compact float32 or the worker pool — follows the one rule
+// of Scan.plan; all three leave acc bit-identical to the naive loop over the
+// list, also against state acc carries in from earlier calls.
+func Delta(m *points.Matrix, blocks []Block, acc *DeltaAcc, s Scan) Ran {
+	ran, w := s.plan(m.N(), blocks)
+	if ran.Pairs == 0 {
+		return ran
 	}
-	acc.rankRows(m, aLo, aHi, bLo, bHi)
-	return deltaBlocks(m, []Block{b}, acc, 1)
+	acc.rankRows(m)
+	switch {
+	case ran.Compact:
+		ran.Rechecks = deltaCompact(m, blocks, acc)
+	case w > 1:
+		deltaPool(m, blocks, acc, w)
+	default:
+		forTiles(blocks, 0, 1, func(aLo, aHi, bLo, bHi int, diag bool) {
+			deltaTile(m, aLo, aHi, bLo, bHi, diag, acc)
+		})
+	}
+	return ran
 }
 
 // rankKey is one row's sort key in the density order.
@@ -241,35 +214,30 @@ func earlierRank(rank []int32, i int) int32 {
 	return rank[i]
 }
 
-// rankRows ranks the rows of two ranges of m (the second may be empty) in
-// the density order of dp.DenserVals — higher ρ first, lower ID on equal ρ —
-// so the pair loops pick the δ update target with one integer compare
-// instead of evaluating the order per pair, a branch that goes either way
-// half the time. For an earlier row i and a later row j of a pair,
+// rankRows ranks the rows of m in the density order of dp.DenserVals —
+// higher ρ first, lower ID on equal ρ — so the pair loops pick the δ update
+// target with one integer compare instead of evaluating the order per pair,
+// a branch that goes either way half the time. For an earlier row i and a
+// later row j of a pair,
 // rank[j] < earlierRank(rank, i) ⟺ DenserVals(ρj, ρi, idj, idi): the sort
 // key is that order, and rows equal in both ρ and ID — neither denser than
 // the other — share a rank.
-func (acc *DeltaAcc) rankRows(m *points.Matrix, aLo, aHi, bLo, bHi int) {
+func (acc *DeltaAcc) rankRows(m *points.Matrix) {
 	rho, ids := m.Rhos(), m.IDs()
-	if need := max(aHi, bHi); cap(acc.rank) < need {
-		acc.rank = make([]int32, need)
-	} else {
-		acc.rank = acc.rank[:need]
+	n := m.N()
+	if cap(acc.rank) < n {
+		acc.rank = make([]int32, n)
+		acc.keys = make([]rankKey, 0, n)
 	}
-	rank, keys := acc.rank, acc.keys[:0]
-	if n := aHi - aLo + bHi - bLo; cap(keys) < n {
-		keys = make([]rankKey, 0, n)
-	}
-	for _, r := range [2][2]int{{aLo, aHi}, {bLo, bHi}} {
-		for x := r[0]; x < r[1]; x++ {
-			if rho[x] != rho[x] {
-				rank[x] = rankNaN
-				continue
-			}
-			keys = append(keys, rankKey{rho[x], ids[x], int32(x)})
+	rank, keys := acc.rank[:n], acc.keys[:0]
+	for x := 0; x < n; x++ {
+		if rho[x] != rho[x] {
+			rank[x] = rankNaN
+			continue
 		}
+		keys = append(keys, rankKey{rho[x], ids[x], int32(x)})
 	}
-	acc.keys = keys
+	acc.rank, acc.keys = rank, keys
 	slices.SortFunc(keys, func(a, b rankKey) int {
 		switch {
 		case a.rho > b.rho:

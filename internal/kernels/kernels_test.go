@@ -187,7 +187,7 @@ func TestRhoCrossBitIdentical(t *testing.T) {
 				want := make([]float64, n)
 				got := make([]float64, n)
 				ndWant := naiveRhoCross(m, split, n, 0, split, k, want, both)
-				ndGot := RhoCross(m, split, n, 0, split, k, got, both)
+				ndGot := rhoCross(m, split, n, 0, split, k, got, both)
 				if ndWant != ndGot {
 					t.Fatalf("dim=%d k=%d both=%v: nd %d != %d", dim, ki, both, ndGot, ndWant)
 				}
@@ -228,7 +228,7 @@ func TestDeltaCrossBitIdentical(t *testing.T) {
 		naiveDelta(m, 0, split, want)
 		naiveDeltaCross(m, split, n, 0, split, want)
 		DeltaArgmin(m, 0, split, got)
-		DeltaCross(m, split, n, 0, split, got)
+		deltaCross(m, split, n, 0, split, got)
 		assertDeltaEqual(t, fmt.Sprintf("deltaCross dim=%d", dim), got, want)
 	}
 }
@@ -251,7 +251,7 @@ func TestDeltaTieBreak(t *testing.T) {
 		t.Fatalf("tie resolved to row %d, want first-seen row 1", acc.Up[0])
 	}
 	par := NewDeltaAcc(3, false)
-	DeltaArgminAuto(m, 0, 3, par, Parallel{Threshold: 1, Workers: 4})
+	deltaArgminAuto(m, 0, 3, par, Parallel{Threshold: 1, Workers: 4})
 	if par.Up[0] != 1 {
 		t.Fatalf("parallel tie resolved to row %d, want row 1", par.Up[0])
 	}
@@ -314,7 +314,7 @@ func TestHostileRowsBitIdentical(t *testing.T) {
 					DeltaArgmin(m, ch[0], ch[1], got)
 					// The parallel path ranks once and hands the rank to
 					// every worker's partial accumulator.
-					DeltaArgminAuto(m, ch[0], ch[1], par, Parallel{Threshold: 2, Workers: 3})
+					deltaArgminAuto(m, ch[0], ch[1], par, Parallel{Threshold: 2, Workers: 3})
 				}
 				assertDeltaEqual(t, fmt.Sprintf("%s delta chunks=%d", tag, ci), got, want)
 				assertDeltaEqual(t, fmt.Sprintf("%s parallel delta chunks=%d", tag, ci), par, want)
@@ -324,7 +324,7 @@ func TestHostileRowsBitIdentical(t *testing.T) {
 				for _, both := range []bool{true, false} {
 					want, got := make([]float64, n), make([]float64, n)
 					naiveRhoCross(m, split, n, 0, split, k, want, both)
-					RhoCross(m, split, n, 0, split, k, got, both)
+					rhoCross(m, split, n, 0, split, k, got, both)
 					assertBitsEqual(t, fmt.Sprintf("%s rhoCross k=%d both=%v", tag, ki, both), got, want)
 				}
 			}
@@ -332,7 +332,7 @@ func TestHostileRowsBitIdentical(t *testing.T) {
 			naiveDelta(m, 0, split, want)
 			naiveDeltaCross(m, split, n, 0, split, want)
 			DeltaArgmin(m, 0, split, got)
-			DeltaCross(m, split, n, 0, split, got)
+			deltaCross(m, split, n, 0, split, got)
 			assertDeltaEqual(t, tag+" deltaCross", got, want)
 		}
 	}
@@ -358,14 +358,12 @@ func TestDensityRankIsDenserVals(t *testing.T) {
 			}
 		}
 	}
-	acc.rankRows(m, 0, n, 0, 0)
+	acc.rankRows(m) // one order for every block of the list
 	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
 	check(all)
-	acc.rankRows(m, 150, n, 20, 90) // DeltaCross: two disjoint ranges, one order
-	check(append(append([]int(nil), all[150:]...), all[20:90]...))
 }
 
 // TestDeltaTieStraddlesBlock pins first-wins when the equidistant denser
@@ -384,14 +382,14 @@ func TestDeltaTieStraddlesBlock(t *testing.T) {
 	}
 	for _, par := range []Parallel{{}, {Threshold: 1, Workers: 4}} {
 		acc := NewDeltaAcc(len(pos), false)
-		DeltaArgminAuto(m, 0, len(pos), acc, par)
+		deltaArgminAuto(m, 0, len(pos), acc, par)
 		if acc.Up[0] != 4 || acc.Best2[0] != 1 {
 			t.Fatalf("parallel=%v: row 0 resolved to row %d at d²=%v, want first-seen row 4 at 1", par.Threshold > 0, acc.Up[0], acc.Best2[0])
 		}
 	}
 }
 
-// TestParallelMatchesSerial runs the Auto kernels with the pool engaged
+// TestParallelMatchesSerial runs the pair entries with the pool engaged
 // (this is also the -race test for the intra-partition parallel path).
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{tile + 3, 5*tile + 41, 1200} {
@@ -404,7 +402,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			serial := make([]float64, n)
 			RhoAccumulate(m, 0, n, k, serial)
 			par := make([]float64, n)
-			if nd := RhoAccumulateAuto(m, 0, n, k, par, p); nd != int64(n)*int64(n-1)/2 {
+			if nd := rhoAccumulateAuto(m, 0, n, k, par, p); nd != int64(n)*int64(n-1)/2 {
 				t.Fatalf("parallel rho nd = %d", nd)
 			}
 			assertBitsEqual(t, fmt.Sprintf("parallel cutoff rho n=%d dim=%d", n, dim), par, serial)
@@ -414,7 +412,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 			serialG := make([]float64, n)
 			RhoAccumulate(m, 0, n, kg, serialG)
 			parG := make([]float64, n)
-			RhoAccumulateAuto(m, 0, n, kg, parG, p)
+			rhoAccumulateAuto(m, 0, n, kg, parG, p)
 			for i := range serialG {
 				if diff := math.Abs(parG[i] - serialG[i]); diff > 1e-9*(1+math.Abs(serialG[i])) {
 					t.Fatalf("gaussian rho[%d]: parallel %v vs serial %v", i, parG[i], serialG[i])
@@ -425,12 +423,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 			serialD := NewDeltaAcc(n, true)
 			DeltaArgmin(m, 0, n, serialD)
 			parD := NewDeltaAcc(n, true)
-			DeltaArgminAuto(m, 0, n, parD, p)
+			deltaArgminAuto(m, 0, n, parD, p)
 			assertDeltaEqual(t, fmt.Sprintf("parallel delta n=%d dim=%d", n, dim), parD, serialD)
 
 			// Determinism: a second parallel run is bit-identical.
 			par2 := make([]float64, n)
-			RhoAccumulateAuto(m, 0, n, kg, par2, p)
+			rhoAccumulateAuto(m, 0, n, kg, par2, p)
 			assertBitsEqual(t, "parallel gaussian determinism", par2, parG)
 		}
 	}
@@ -447,8 +445,8 @@ func TestParallelChunkCarry(t *testing.T) {
 	naiveDelta(m, mid, n, want)
 	got := NewDeltaAcc(n, false)
 	p := Parallel{Threshold: 32, Workers: 3}
-	DeltaArgminAuto(m, 0, mid, got, p)
-	DeltaArgminAuto(m, mid, n, got, p)
+	deltaArgminAuto(m, 0, mid, got, p)
+	deltaArgminAuto(m, mid, n, got, p)
 	assertDeltaEqual(t, "chunk carry", got, want)
 }
 

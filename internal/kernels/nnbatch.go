@@ -15,7 +15,7 @@ const nnTile = 128
 // batchTiles drives one tiled multi-query scan: rows [lo, hi) are visited
 // in nnTile-row tiles, and within each tile every query index [0, nq)
 // scans the tile's rows in ascending order via scan(qi, tLo, tHi). Every
-// batch kernel — NNBatch, NNBatch32, NNBatchQ8, TopKBatch, TopKBatch32 —
+// batch kernel — NNBatch, NNBatch32, NNBatchQ8, TopKBatch —
 // runs on this one loop, so the tiling cannot drift between them; per
 // query the visit order is identical to the flat [lo, hi) scan, which
 // keeps each batched result bit-identical to its single-query kernel.

@@ -196,14 +196,14 @@ func BenchmarkTopKScan(b *testing.B) {
 	b.Run("f32", func(b *testing.B) {
 		b.SetBytes(int64(f.n * f.dim * 4 * nq))
 		bnd := F32Bounds(f.dim, f.maxAbs)
-		sls := make([]TopKShortlist, nq)
+		sls := make([]Shortlist, nq)
 		accs := make([]TopKAcc, nq)
 		for i := 0; i < b.N; i++ {
 			for qi := range sls {
-				sls[qi].Reset(k, bnd)
+				sls[qi].ResetK(k, bnd)
 				accs[qi].Reset(k)
 			}
-			TopKBatch32(f.data32, f.dim, f.qs32, 0, f.n, sls)
+			NNBatch32(f.data32, f.dim, f.qs32, 0, f.n, sls)
 			for qi := range sls {
 				TopKRows(f.data, f.dim, f.qs[qi*f.dim:(qi+1)*f.dim], sls[qi].Finish(), &accs[qi])
 			}
@@ -267,13 +267,11 @@ func BenchmarkCompactRho(b *testing.B) {
 		}
 	})
 	b.Run("f32", func(b *testing.B) {
-		c := points.GetMatrix32(m)
-		defer points.PutMatrix32(c)
 		for i := 0; i < b.N; i++ {
 			for j := range out {
 				out[j] = 0
 			}
-			RhoAccumulate32(m, c, 0, n, k, out)
+			rhoAccumulate32(m, 0, n, k, out)
 		}
 	})
 }

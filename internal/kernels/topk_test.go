@@ -190,9 +190,9 @@ func TestTopK32Rerank(t *testing.T) {
 					}
 					bnd := F32Bounds(dim, blockMaxAbs(data, q))
 					q32, _ := points.ToFloat32(q)
-					var sl TopKShortlist
-					sl.Reset(k, bnd)
-					topKRange32(data32, dim, q32, 0, n, &sl)
+					var sl Shortlist
+					sl.ResetK(k, bnd)
+					nnRange32(data32, dim, q32, 0, n, &sl)
 					acc := NewTopKAcc(k)
 					TopKRows(data, dim, q, sl.Finish(), acc)
 					got := acc.Append(nil)
@@ -222,22 +222,22 @@ func TestTopK32BatchAndRows(t *testing.T) {
 	qs32, _ := points.ToFloat32(qs)
 	bnd := F32Bounds(dim, blockMaxAbs(data, qs))
 
-	sls := make([]TopKShortlist, nq)
+	sls := make([]Shortlist, nq)
 	for i := range sls {
-		sls[i].Reset(k, bnd)
+		sls[i].ResetK(k, bnd)
 	}
-	TopKBatch32(data32, dim, qs32, 0, n, sls)
+	NNBatch32(data32, dim, qs32, 0, n, sls)
 
 	for qi := 0; qi < nq; qi++ {
 		q, q32 := qs[qi*dim:(qi+1)*dim], qs32[qi*dim:(qi+1)*dim]
-		var flat TopKShortlist
-		flat.Reset(k, bnd)
-		topKRange32(data32, dim, q32, 0, n, &flat)
+		var flat Shortlist
+		flat.ResetK(k, bnd)
+		nnRange32(data32, dim, q32, 0, n, &flat)
 
 		ref := NewTopKAcc(k)
 		TopKRange(data, dim, q, 0, n, ref)
 		want := ref.Append(nil)
-		for name, sl := range map[string]*TopKShortlist{"batch": &sls[qi], "range": &flat} {
+		for name, sl := range map[string]*Shortlist{"batch": &sls[qi], "range": &flat} {
 			acc := NewTopKAcc(k)
 			TopKRows(data, dim, q, sl.Finish(), acc)
 			if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
@@ -260,9 +260,9 @@ func TestTopK32MassTies(t *testing.T) {
 	data32, _ := points.ToFloat32(data)
 	q32, _ := points.ToFloat32(q)
 	bnd := F32Bounds(dim, 3)
-	var sl TopKShortlist
-	sl.Reset(k, bnd)
-	topKRange32(data32, dim, q32, 0, n, &sl)
+	var sl Shortlist
+	sl.ResetK(k, bnd)
+	nnRange32(data32, dim, q32, 0, n, &sl)
 	acc := NewTopKAcc(k)
 	TopKRows(data, dim, q, sl.Finish(), acc)
 	got := acc.Append(nil)
@@ -316,9 +316,9 @@ func TestTopKHostileRows(t *testing.T) {
 				if got := accs[0].Append(nil); !reflect.DeepEqual(got, want) {
 					t.Fatalf("dim %d n %d k %d: TopKBatch = %v, want %v", dim, n, k, got, want)
 				}
-				var sl TopKShortlist
-				sl.Reset(k, F32Bounds(dim, 4)) // non-finite compact distances re-rank exactly
-				topKRange32(data32, dim, toF32(q), 0, n, &sl)
+				var sl Shortlist
+				sl.ResetK(k, F32Bounds(dim, 4)) // non-finite compact distances re-rank exactly
+				nnRange32(data32, dim, toF32(q), 0, n, &sl)
 				acc.Reset(k)
 				TopKRows(data, dim, q, sl.Finish(), acc)
 				if got := acc.Append(nil); !reflect.DeepEqual(got, want) {

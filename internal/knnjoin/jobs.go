@@ -330,11 +330,11 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 			maxAbs = qMaxAbs
 		}
 		bnd := kernels.F32Bounds(dim, maxAbs)
-		sls := make([]kernels.TopKShortlist, nq)
+		sls := make([]kernels.Shortlist, nq)
 		for i := range sls {
-			sls[i].Reset(k, bnd)
+			sls[i].ResetK(k, bnd)
 		}
-		kernels.TopKBatch32(c.Data(), dim, qs32, 0, m.N(), sls)
+		kernels.NNBatch32(c.Data(), dim, qs32, 0, m.N(), sls)
 		var rechecks int64
 		for i, q := range queries {
 			rows := sls[i].Finish()

@@ -7,9 +7,6 @@ func sortPairs(ps []Pair) {
 	sortPairsScratch(ps, nil)
 }
 
-// SortPairs is the shuffle's stable pair sort, exported for benchmarks.
-func SortPairs(ps []Pair) { sortPairs(ps) }
-
 // insertionCutoff is the run length below which the pair sort switches to
 // insertion sort; merge passes start from runs of this size.
 const insertionCutoff = 24
