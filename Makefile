@@ -10,7 +10,8 @@ all: check
 # comments, the README knob reference, no recipe naming a deleted target or
 # binary), run the test suite, re-run the concurrency-heavy packages under
 # the race detector, fuzz the LSH key codec, the top-k sweep, the serving
-# engine's bucket sweep and the ρ-partial codec for five seconds each, smoke
+# engine's bucket sweep, the ρ-partial codec and the record frame for five
+# seconds each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, and compile + smoke the benchmark harness
 # (all five workloads, oracles checked).
@@ -56,12 +57,16 @@ race:
 # early exit: fuzz-chosen tiny models and queries, differential against
 # gathering the bucket union and scanning all of it, masked and unmasked.
 # The ρ-partial record of the pair-once LSH reducers is a hand-rolled varint
-# format read back by another job: the codec's contract again.
+# format read back by another job: the codec's contract again. The record
+# frame is the byte layout of spill run files, shuffle chunks and DFS parts:
+# both decoders on arbitrary bytes — error or pairs that re-encode to the
+# consumed prefix, the two in agreement, never a panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKSweep$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineSweep$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRhoPartialRoundTrip$$' -fuzztime 5s ./internal/points/
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 5s ./internal/mapreduce/
 
 bench:
 	$(GO) test -bench=. -benchmem .

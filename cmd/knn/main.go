@@ -116,8 +116,7 @@ func (jf *joinFlags) config() knnjoin.Config {
 // closes the master when distributed.
 func (jf *joinFlags) session() (*dag.Session, func()) {
 	if *jf.masterListen == "" {
-		drv := mapreduce.NewDriver(&mapreduce.LocalEngine{})
-		return dag.NewSession(drv, dag.Options{}), func() {}
+		return dag.NewSession(&mapreduce.LocalEngine{}, dag.Options{}), func() {}
 	}
 	m, err := rpcmr.NewMaster(*jf.masterListen)
 	fatal(err)
@@ -129,8 +128,7 @@ func (jf *joinFlags) session() (*dag.Session, func()) {
 		m.Close()
 		fatal(err)
 	}
-	drv := mapreduce.NewDriver(m)
-	return dag.NewSession(drv, dag.Options{}), func() { m.Close() }
+	return dag.NewSession(m, dag.Options{}), func() { m.Close() }
 }
 
 func (jf *joinFlags) output() (io.Writer, func()) {

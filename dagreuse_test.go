@@ -16,8 +16,7 @@ import (
 // node a cache hit — and still return bit-identical results.
 func TestDagCacheReuseAcrossPipelineRuns(t *testing.T) {
 	ds := dataset.Blobs("dag-reuse", 800, 4, 4, 200, 2, 21)
-	drv := mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 4})
-	sess := dag.NewSession(drv, dag.Options{CacheBytes: 64 << 20})
+	sess := dag.NewSession(&mapreduce.LocalEngine{Parallelism: 4}, dag.Options{CacheBytes: 64 << 20})
 	cfg := core.LSHConfig{
 		Config:   core.Config{Session: sess, Seed: 5},
 		Accuracy: 0.99, M: 8, Pi: 3,
@@ -27,7 +26,7 @@ func TestDagCacheReuseAcrossPipelineRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobsAfterFirst := len(drv.Jobs())
+	jobsAfterFirst := len(sess.Jobs())
 	if jobsAfterFirst == 0 {
 		t.Fatal("first run executed no jobs")
 	}
@@ -39,7 +38,7 @@ func TestDagCacheReuseAcrossPipelineRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(drv.Jobs()); n != jobsAfterFirst {
+	if n := len(sess.Jobs()); n != jobsAfterFirst {
 		t.Fatalf("second run launched %d new MapReduce jobs, want 0", n-jobsAfterFirst)
 	}
 	if hits := second.Stats.Dag[dag.CtrCacheHits]; hits == 0 {
@@ -61,12 +60,11 @@ func TestDagCacheReuseAcrossPipelineRuns(t *testing.T) {
 // TestDagSessionSharesWorkAcrossPipelines reuses one session for LSH-DDP
 // and then the halo pass: the halo pipeline stages its own labeled input
 // but runs on the same session, so session counters accumulate and the
-// runner's job history carves cleanly per pipeline (the d_c sample job is
+// session's job ledger carves cleanly per pipeline (the d_c sample job is
 // not re-run by halo, which takes dc as an argument).
 func TestDagSessionSharesWorkAcrossPipelines(t *testing.T) {
 	ds := dataset.Blobs("dag-share", 700, 3, 3, 180, 2, 22)
-	drv := mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 4})
-	sess := dag.NewSession(drv, dag.Options{CacheBytes: 64 << 20})
+	sess := dag.NewSession(&mapreduce.LocalEngine{Parallelism: 4}, dag.Options{CacheBytes: 64 << 20})
 	cfg := core.LSHConfig{
 		Config:   core.Config{Session: sess, Seed: 6},
 		Accuracy: 0.99, M: 8, Pi: 3,
@@ -89,11 +87,11 @@ func TestDagSessionSharesWorkAcrossPipelines(t *testing.T) {
 		t.Fatalf("halo flags = %d", len(halo.Halo))
 	}
 	// Per-pipeline stats must cover only each pipeline's own jobs even
-	// though both ran on one shared runner.
+	// though both ran on one shared session.
 	if got := len(halo.Stats.Jobs); got != 2 {
 		t.Fatalf("halo pipeline recorded %d jobs, want its own 2", got)
 	}
-	if total := len(drv.Jobs()); total != lshJobs+2 {
-		t.Fatalf("runner has %d jobs, want %d lsh + 2 halo", total, lshJobs)
+	if total := len(sess.Jobs()); total != lshJobs+2 {
+		t.Fatalf("session has %d jobs, want %d lsh + 2 halo", total, lshJobs)
 	}
 }

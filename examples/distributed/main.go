@@ -134,9 +134,13 @@ func main() {
 	// counters report what the streaming transport actually moved between
 	// workers (reducer-local partitions never touch the network, so the
 	// wire volume is smaller).
+	var framed, sent int64
+	for _, j := range distRes.Stats.Jobs {
+		framed += j.Counters[mapreduce.CtrShuffleWireBytes]
+		sent += j.Counters[mapreduce.CtrShuffleWireBytesCompressed]
+	}
 	fmt.Printf("wire traffic: %.2f MB framed, %.2f MB sent (worker-to-worker streams)\n",
-		float64(master.TotalCounter(mapreduce.CtrShuffleWireBytes))/(1<<20),
-		float64(master.TotalCounter(mapreduce.CtrShuffleWireBytesCompressed))/(1<<20))
+		float64(framed)/(1<<20), float64(sent)/(1<<20))
 
 	// Verify against the in-process engine: identical science.
 	localCfg := cfg

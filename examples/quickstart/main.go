@@ -8,7 +8,7 @@
 //
 // The -distributed flag runs the exact same pipeline on an in-process
 // rpcmr cluster (master + 3 workers over real RPC) through the same
-// mapreduce.Runner interface — nothing in the algorithm changes.
+// mapreduce.Engine interface — nothing in the algorithm changes.
 package main
 
 import (

@@ -57,9 +57,7 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 		return nil, err
 	}
 	sess := cfg.DagSession()
-	mark := MarkRunner(sess.Runner())
-	traceMark := len(sess.Traces())
-	dagBefore := sess.Counters()
+	mark := sess.Mark()
 	input := sess.Stage("points", InputPairs(ds))
 
 	dc, err := ChooseDc(ctx, sess, ds, &cfg.Config, input)
@@ -105,8 +103,7 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 
 	res := &Result{Rho: rho, Delta: delta, Upslope: upslope}
 	res.Stats.Dc = dc
-	CollectStats(&res.Stats, sess.Runner(), mark, start)
-	CollectDagStats(&res.Stats, sess, traceMark, dagBefore)
+	CollectStats(&res.Stats, sess, mark, start)
 	return res, nil
 }
 

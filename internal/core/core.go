@@ -201,7 +201,7 @@ type Config struct {
 	// schedules onto: its node-result cache and staged datasets persist
 	// across pipeline runs, so an unchanged sub-pipeline (the d_c job, the
 	// ρ jobs when only δ parameters moved, a repeated run) is served from
-	// cache. Engine is ignored when set — the session's runner is used.
+	// cache. Engine is ignored when set — the session's engine is used.
 	Session *dag.Session
 	// DagWorkers bounds concurrent DAG nodes when the pipeline builds its
 	// own session (Session nil); 0 defers to the engine's declared job
@@ -228,10 +228,7 @@ func (c *Config) DagSession() *dag.Session {
 	if c.Session != nil {
 		return c.Session
 	}
-	drv := mapreduce.NewDriver(c.engine())
-	drv.Log = c.Log
-	drv.Trace = c.Trace
-	return dag.NewSession(drv, dag.Options{
+	return dag.NewSession(c.engine(), dag.Options{
 		Workers:    c.DagWorkers,
 		CacheBytes: int64(c.DagCacheMB) << 20,
 		Log:        c.Log,
@@ -379,75 +376,22 @@ func sampleHash(id int32, seed int64) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// RunnerMark is a position in a runner's job history, taken before a
-// pipeline runs so its stats can be carved out of a shared runner that
-// has already executed other pipelines' jobs.
-type RunnerMark struct {
-	Jobs   int
-	Traces int
-}
-
-// MarkRunner records the runner's current job-history position.
-func MarkRunner(r mapreduce.Runner) RunnerMark {
-	return RunnerMark{Jobs: len(r.Jobs()), Traces: len(r.Traces())}
-}
-
-// CollectStats folds the jobs the runner executed since mark — stats,
-// counters, and per-phase trace aggregates — into Stats. It works on any
-// Runner: local Driver or rpcmr Master. On a runner private to one
-// pipeline run, a zero mark collects everything, matching the old
-// whole-runner totals.
-func CollectStats(st *Stats, r mapreduce.Runner, mark RunnerMark, start time.Time) {
-	jobs := r.Jobs()
-	if mark.Jobs <= len(jobs) {
-		jobs = jobs[mark.Jobs:]
-	}
-	st.Jobs = jobs
-	st.JobWall = 0
-	st.ShuffleBytes = 0
-	st.DistanceComputations = 0
-	for _, j := range jobs {
+// CollectStats folds what the session recorded since mark — the pipeline's
+// own jobs, their per-phase span aggregates plus the scheduler's per-node
+// spans under obs.PhaseDag, and its dag.* counter deltas — into Stats. Take
+// the mark with sess.Mark() before the pipeline's first Stage or Run; on a
+// shared session it is what separates this pipeline's jobs from earlier
+// ones.
+func CollectStats(st *Stats, sess *dag.Session, mark dag.Mark, start time.Time) {
+	l := sess.Since(mark)
+	st.Jobs = l.Jobs
+	st.JobWall, st.ShuffleBytes, st.DistanceComputations = 0, 0, 0
+	for _, j := range l.Jobs {
 		st.JobWall += j.Wall
 		st.ShuffleBytes += j.Counters[mapreduce.CtrShuffleBytes]
 		st.DistanceComputations += j.Counters[mapreduce.CtrDistanceComputations]
 	}
-	traces := r.Traces()
-	if mark.Traces <= len(traces) {
-		traces = traces[mark.Traces:]
-	}
-	st.Phases = obs.Totals(traces)
+	st.Phases = obs.Totals(append(l.JobTraces, l.Runs...))
+	st.Dag = l.Counters
 	st.Wall = time.Since(start)
-}
-
-// dagDelta subtracts two session counter snapshots, yielding one
-// pipeline run's dag.* contribution on a possibly shared session.
-func dagDelta(after, before map[string]int64) map[string]int64 {
-	d := make(map[string]int64, len(after))
-	for k, v := range after {
-		if dv := v - before[k]; dv != 0 {
-			d[k] = dv
-		}
-	}
-	return d
-}
-
-// CollectDagStats folds the session's dag-level signals since the marks
-// into Stats: this run's dag.* counter deltas (before = the counter
-// snapshot taken ahead of the run), plus the scheduler's per-node spans
-// merged into Phases under obs.PhaseDag. Call after CollectStats (which
-// resets Phases).
-func CollectDagStats(st *Stats, s *dag.Session, traceMark int, before map[string]int64) {
-	st.Dag = dagDelta(s.Counters(), before)
-	trs := s.Traces()
-	if traceMark > len(trs) {
-		traceMark = len(trs)
-	}
-	for ph, agg := range obs.Totals(trs[traceMark:]) {
-		cur := st.Phases[ph]
-		cur.Tasks += agg.Tasks
-		cur.Wall += agg.Wall
-		cur.Records += agg.Records
-		cur.Bytes += agg.Bytes
-		st.Phases[ph] = cur
-	}
 }

@@ -16,15 +16,23 @@ import (
 // hand-sequenced execution bit for bit — same arrays, same labels, same
 // per-job counters — on the local engine and on a real rpcmr cluster.
 // The hand-sequenced reference below replays exactly what RunLSHDDP did
-// before the scheduler existed: the same five jobs, one drv.Run at a
+// before the scheduler existed: the same five jobs, one Engine.Run at a
 // time, with identical confs.
 
 // handSequencedLSHDDP executes the pre-DAG LSH-DDP job sequence directly
-// on a Driver and returns the arrays plus the driver's job history.
+// on an engine and returns the arrays plus the stats of the jobs it ran.
 func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LSHConfig) (*Result, []mapreduce.JobStats) {
 	t.Helper()
 	ctx := context.Background()
-	drv := mapreduce.NewDriver(eng)
+	var jobs []mapreduce.JobStats
+	run := func(job *mapreduce.Job, in []mapreduce.Pair) []mapreduce.Pair {
+		res, err := eng.Run(ctx, job, in)
+		if err != nil {
+			t.Fatalf("%s: %v", job.Name, err)
+		}
+		jobs = append(jobs, mapreduce.JobStats{Name: job.Name, Wall: res.Wall, Counters: res.Counters.Snapshot(), Records: len(res.Output)})
+		return res.Output
+	}
 	input := InputPairs(ds)
 
 	// Job 0: d_c sampling (cfg.Dc is 0 in these tests).
@@ -36,11 +44,8 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	dcConf.SetFloat(confSampleFrac, frac)
 	dcConf.SetFloat(confPercentile, cfg.DcPercentileOrDefault())
 	dcConf.SetInt64(confSeed, cfg.Seed)
-	dcRes, err := drv.Run(ctx, DcSampleJob(dcConf), input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc := points.DecodeFloat64(dcRes.Output[0].Value)
+	dcRes := run(DcSampleJob(dcConf), input)
+	dc := points.DecodeFloat64(dcRes[0].Value)
 	w, err := lsh.SolveWidth(cfg.accuracy(), dc, cfg.pi(), cfg.m())
 	if err != nil {
 		t.Fatal(err)
@@ -58,33 +63,21 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	setKernelConf(conf, cfg.Kernel)
 	setParallelConf(conf, &cfg.Config)
 
-	p1, err := drv.Run(ctx, LSHRhoJob(conf.Clone()).WithReduces(cfg.NumReduces), input)
+	p1 := run(LSHRhoJob(conf.Clone()).WithReduces(cfg.NumReduces), input)
+	p2 := run(LSHRhoAggJob(conf.Clone()).WithReduces(cfg.NumReduces), p1)
+	rho, err := DecodeRhoArray(p2, ds.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := drv.Run(ctx, LSHRhoAggJob(conf.Clone()).WithReduces(cfg.NumReduces), p1.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rho, err := DecodeRhoArray(p2.Output, ds.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3, err := drv.Run(ctx, LSHDeltaJob(conf.Clone()).WithReduces(cfg.NumReduces), RhoPointPairs(ds, rho))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := drv.Run(ctx, DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), p3.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, upslope, err := DecodeDeltaArrays(p4.Output, ds.N())
+	p3 := run(LSHDeltaJob(conf.Clone()).WithReduces(cfg.NumReduces), RhoPointPairs(ds, rho))
+	p4 := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), p3)
+	delta, upslope, err := DecodeDeltaArrays(p4, ds.N())
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := &Result{Rho: rho, Delta: delta, Upslope: upslope}
 	res.Stats.Dc = dc
-	return res, drv.Jobs()
+	return res, jobs
 }
 
 // requireSameResult compares two pipeline results bit for bit, including

@@ -222,9 +222,7 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 		input[i] = mapreduce.Pair{Value: encodeLabeled(points.RhoPoint{Point: p, Rho: rho[i]}, labels[i])}
 	}
 	sess := cfg.DagSession()
-	mark := MarkRunner(sess.Runner())
-	traceMark := len(sess.Traces())
-	dagBefore := sess.Counters()
+	mark := sess.Mark()
 	in := sess.Stage("halo-points", input)
 
 	g := dag.NewGraph("lsh-halo")
@@ -256,8 +254,7 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 	res.Stats.W = w
 	res.Stats.Pi = cfg.pi()
 	res.Stats.M = cfg.m()
-	CollectStats(&res.Stats, sess.Runner(), mark, start)
-	CollectDagStats(&res.Stats, sess, traceMark, dagBefore)
+	CollectStats(&res.Stats, sess, mark, start)
 	return res, nil
 }
 

@@ -96,9 +96,7 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 		return nil, err
 	}
 	sess := cfg.DagSession()
-	mark := MarkRunner(sess.Runner())
-	traceMark := len(sess.Traces())
-	dagBefore := sess.Counters()
+	mark := sess.Mark()
 	input := sess.Stage("points", InputPairs(ds))
 
 	dc, err := ChooseDc(ctx, sess, ds, &cfg.Config, input)
@@ -156,8 +154,7 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	res.Stats.W = w
 	res.Stats.Pi = cfg.pi()
 	res.Stats.M = cfg.m()
-	CollectStats(&res.Stats, sess.Runner(), mark, start)
-	CollectDagStats(&res.Stats, sess, traceMark, dagBefore)
+	CollectStats(&res.Stats, sess, mark, start)
 	return res, nil
 }
 

@@ -140,13 +140,14 @@ func lshConf(ds *points.Dataset, cfg LSHConfig) mapreduce.Conf {
 func runPerLayout(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LSHConfig) (*Result, int64) {
 	t.Helper()
 	ctx := context.Background()
-	drv := mapreduce.NewDriver(eng)
 	conf := lshConf(ds, cfg)
+	var dist int64
 	run := func(job *mapreduce.Job, in []mapreduce.Pair) []mapreduce.Pair {
-		res, err := drv.Run(ctx, job.WithReduces(cfg.NumReduces), in)
+		res, err := eng.Run(ctx, job.WithReduces(cfg.NumReduces), in)
 		if err != nil {
 			t.Fatalf("%s: %v", job.Name, err)
 		}
+		dist += res.Counters.Get(mapreduce.CtrDistanceComputations)
 		return res.Output
 	}
 	partials := run(perLayoutRhoJob(conf.Clone()), InputPairs(ds))
@@ -159,5 +160,5 @@ func runPerLayout(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LS
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Result{Rho: rho, Delta: delta, Upslope: upslope}, drv.TotalCounter(mapreduce.CtrDistanceComputations)
+	return &Result{Rho: rho, Delta: delta, Upslope: upslope}, dist
 }

@@ -1,8 +1,10 @@
 // Package dfsio bridges the mini-DFS and the MapReduce framework: it
 // persists record sets ([]mapreduce.Pair) and data sets as DFS files, the
-// way Hadoop jobs stage inputs and outputs in HDFS. Records use a
-// length-prefixed binary framing (not CSV) so arbitrary binary values —
-// the point codecs — round-trip exactly.
+// way Hadoop jobs stage inputs and outputs in HDFS. A part file is a plain
+// sequence of mapreduce record frames (mapreduce.AppendFrame /
+// DecodeFrames — the layout of spill run files and shuffle chunks), not
+// CSV, so arbitrary binary values — the point codecs — round-trip exactly
+// and every length read back is bounded by the bytes actually fetched.
 //
 // Layout: a record set is stored as numbered part files under a directory
 // prefix ("path/part-00000", "path/part-00001", …), one part per shard,
@@ -11,9 +13,7 @@ package dfsio
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"repro/internal/dataset"
 	"repro/internal/dfs"
@@ -74,11 +74,11 @@ func SavePairs(fs dfs.FileSystem, prefix string, records []mapreduce.Pair, shard
 		if end > len(records) {
 			end = len(records)
 		}
-		var buf bytes.Buffer
-		if err := encodePairs(&buf, records[off:end]); err != nil {
-			return err
+		var buf []byte
+		for _, r := range records[off:end] {
+			buf = mapreduce.AppendFrame(buf, r)
 		}
-		if err := fs.Put(partName(prefix, part), buf.Bytes()); err != nil {
+		if err := fs.Put(partName(prefix, part), buf); err != nil {
 			return err
 		}
 		part++
@@ -91,73 +91,19 @@ func SavePairs(fs dfs.FileSystem, prefix string, records []mapreduce.Pair, shard
 
 // LoadPairs reads every part file under prefix, in order.
 func LoadPairs(fs dfs.FileSystem, prefix string) ([]mapreduce.Pair, error) {
-	names, err := fs.List(prefix + "/part-")
+	names, err := ListParts(fs, prefix)
 	if err != nil {
 		return nil, err
 	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("dfsio: no parts under %s", prefix)
-	}
 	var records []mapreduce.Pair
 	for _, name := range names {
-		data, err := fs.Get(name)
+		part, err := LoadPart(fs, name)
 		if err != nil {
 			return nil, err
-		}
-		part, err := decodePairs(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("dfsio: %s: %w", name, err)
 		}
 		records = append(records, part...)
 	}
 	return records, nil
-}
-
-// record framing: uint32 keyLen | key | uint32 valLen | value.
-func encodePairs(w io.Writer, records []mapreduce.Pair) error {
-	var hdr [4]byte
-	for _, r := range records {
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(r.Key)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(w, r.Key); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(r.Value)))
-		if _, err := w.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(r.Value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func decodePairs(r io.Reader) ([]mapreduce.Pair, error) {
-	var records []mapreduce.Pair
-	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return records, nil
-			}
-			return nil, err
-		}
-		key := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-		if _, err := io.ReadFull(r, key); err != nil {
-			return nil, err
-		}
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return nil, err
-		}
-		val := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-		if _, err := io.ReadFull(r, val); err != nil {
-			return nil, err
-		}
-		records = append(records, mapreduce.Pair{Key: string(key), Value: val})
-	}
 }
 
 // SaveDataset stores a data set under prefix: points as binary records
@@ -236,7 +182,7 @@ func LoadPart(fs dfs.FileSystem, name string) ([]mapreduce.Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	records, err := decodePairs(bytes.NewReader(data))
+	records, err := mapreduce.DecodeFrames(nil, data)
 	if err != nil {
 		return nil, fmt.Errorf("dfsio: %s: %w", name, err)
 	}

@@ -1,6 +1,7 @@
 package dfsio
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -230,6 +231,27 @@ func TestLoadPartCorrupt(t *testing.T) {
 	}
 	if _, err := LoadPairs(fs, "bad"); err == nil {
 		t.Fatal("want error for corrupt record set")
+	}
+	// A length prefix is a claim, not a fact: a part that announces more
+	// bytes than it holds must fail before anything is allocated for them.
+	for name, data := range map[string][]byte{
+		"huge-key/part-00000":    {0xFF, 0xFF, 0xFF, 0xFF, 1},
+		"huge-value/part-00000":  {1, 0, 0, 0, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 1},
+		"short-value/part-00000": {1, 0, 0, 0, 'k', 4, 0, 0, 0, 'v', 'a'},
+	} {
+		if err := fs.Put(name, data); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadPart(fs, name)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: want error for a length past the end of the part", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("%s: rejecting %d bytes allocated %d", name, len(data), grew)
+		}
 	}
 }
 

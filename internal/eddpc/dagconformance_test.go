@@ -14,14 +14,22 @@ import (
 // Conformance: the DAG-scheduled EDDPC pipeline must match the
 // hand-sequenced execution bit for bit on the local engine and on a
 // 3-worker rpcmr cluster. The reference replays the pre-scheduler
-// sequence — four drv.Run calls with identical confs, the refinement
+// sequence — four Engine.Run calls with identical confs, the refinement
 // input built driver-side between them, and the two aggregation inputs
 // concatenated local-then-refined exactly as the old code appended them.
 
 func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg Config) (*core.Result, []mapreduce.JobStats) {
 	t.Helper()
 	ctx := context.Background()
-	drv := mapreduce.NewDriver(eng)
+	var jobs []mapreduce.JobStats
+	run := func(job *mapreduce.Job, in []mapreduce.Pair) []mapreduce.Pair {
+		res, err := eng.Run(ctx, job, in)
+		if err != nil {
+			t.Fatalf("%s: %v", job.Name, err)
+		}
+		jobs = append(jobs, mapreduce.JobStats{Name: job.Name, Wall: res.Wall, Counters: res.Counters.Snapshot(), Records: len(res.Output)})
+		return res.Output
+	}
 	dc := cfg.Dc
 	if dc <= 0 {
 		t.Fatal("hand-sequenced reference needs a pinned Dc")
@@ -33,19 +41,13 @@ func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, 
 	conf[confPivots] = encodePivots(pivots)
 	core.SetScanConf(conf, &cfg.Config)
 
-	rhoRes, err := drv.Run(ctx, RhoJob(conf.Clone()).WithReduces(cfg.NumReduces), core.InputPairs(ds))
+	rhoRes := run(RhoJob(conf.Clone()).WithReduces(cfg.NumReduces), core.InputPairs(ds))
+	rho, err := core.DecodeRhoArray(rhoRes, ds.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rho, err := core.DecodeRhoArray(rhoRes.Output, ds.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	locRes, err := drv.Run(ctx, DeltaLocalJob(conf.Clone()).WithReduces(cfg.NumReduces), core.RhoPointPairs(ds, rho))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ub, ubUp, err := core.DecodeDeltaArrays(locRes.Output, ds.N())
+	locRes := run(DeltaLocalJob(conf.Clone()).WithReduces(cfg.NumReduces), core.RhoPointPairs(ds, rho))
+	ub, ubUp, err := core.DecodeDeltaArrays(locRes, ds.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,16 +55,10 @@ func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, 
 	for i, p := range ds.Points {
 		refIn[i] = mapreduce.Pair{Value: encodeQuery(points.RhoPoint{Point: p, Rho: rho[i]}, ub[i], ubUp[i])}
 	}
-	refRes, err := drv.Run(ctx, DeltaRefineJob(conf.Clone()).WithReduces(cfg.NumReduces), refIn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aggRes, err := drv.Run(ctx, core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces),
-		append(append([]mapreduce.Pair(nil), locRes.Output...), refRes.Output...))
-	if err != nil {
-		t.Fatal(err)
-	}
-	delta, upslope, err := core.DecodeDeltaArrays(aggRes.Output, ds.N())
+	refRes := run(DeltaRefineJob(conf.Clone()).WithReduces(cfg.NumReduces), refIn)
+	aggRes := run(core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces),
+		append(append([]mapreduce.Pair(nil), locRes...), refRes...))
+	delta, upslope, err := core.DecodeDeltaArrays(aggRes, ds.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +67,7 @@ func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, 
 	}
 	res := &core.Result{Rho: rho, Delta: delta, Upslope: upslope}
 	res.Stats.Dc = dc
-	return res, drv.Jobs()
+	return res, jobs
 }
 
 func requireSameEDDPC(t *testing.T, ds *points.Dataset, got, want *core.Result, gotJobs, wantJobs []mapreduce.JobStats) {

@@ -86,9 +86,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 			cfg.ScanPrecision, kernels.ScanF64, kernels.ScanF32)
 	}
 	sess := cfg.DagSession()
-	mark := core.MarkRunner(sess.Runner())
-	traceMark := len(sess.Traces())
-	dagBefore := sess.Counters()
+	mark := sess.Mark()
 	input := sess.Stage("points", core.InputPairs(ds))
 
 	dc, err := core.ChooseDc(ctx, sess, ds, &cfg.Config, input)
@@ -158,8 +156,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 
 	res := &core.Result{Rho: rho, Delta: delta, Upslope: upslope}
 	res.Stats.Dc = dc
-	core.CollectStats(&res.Stats, sess.Runner(), mark, start)
-	core.CollectDagStats(&res.Stats, sess, traceMark, dagBefore)
+	core.CollectStats(&res.Stats, sess, mark, start)
 	res.Stats.DistanceComputations += peakDists
 	return res, nil
 }

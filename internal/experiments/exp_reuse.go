@@ -46,27 +46,34 @@ func ablateDistanceReuse(opt *Options, r *Report) error {
 
 	// Road not taken: ρ job that ALSO emits each evaluated pair's distance,
 	// then a δ job over the stored records.
-	drv := mapreduce.NewDriver(eng)
+	var reuseDist int64
+	run := func(job *mapreduce.Job, in []mapreduce.Pair) ([]mapreduce.Pair, error) {
+		res, err := eng.Run(context.Background(), job, in)
+		if err != nil {
+			return nil, fmt.Errorf("job %q: %w", job.Name, err)
+		}
+		reuseDist += res.Counters.Get(mapreduce.CtrDistanceComputations)
+		return res.Output, nil
+	}
 	nBlocks := (ds.N() + 299) / 300
-	matJob := rhoAndMatrixJob(dc, nBlocks)
-	matOut, err := drv.Run(context.Background(), matJob, core.InputPairs(ds))
+	matOut, err := run(rhoAndMatrixJob(dc, nBlocks), core.InputPairs(ds))
 	if err != nil {
 		return err
 	}
 	// Separate ρ partials (key "r...") from distance records (key "d...").
 	var rhoPartials, distRecords []mapreduce.Pair
-	for _, p := range matOut.Output {
+	for _, p := range matOut {
 		if p.Key[0] == 'r' {
 			rhoPartials = append(rhoPartials, mapreduce.Pair{Key: p.Key[1:], Value: p.Value})
 		} else {
 			distRecords = append(distRecords, p)
 		}
 	}
-	rhoOut, err := drv.Run(context.Background(), core.RhoAggJob("reuse-rho-agg", mapreduce.Conf{}), rhoPartials)
+	rhoOut, err := run(core.RhoAggJob("reuse-rho-agg", mapreduce.Conf{}), rhoPartials)
 	if err != nil {
 		return err
 	}
-	rho, err := core.DecodeRhoArray(rhoOut.Output, ds.N())
+	rho, err := core.DecodeRhoArray(rhoOut, ds.N())
 	if err != nil {
 		return err
 	}
@@ -79,15 +86,15 @@ func ablateDistanceReuse(opt *Options, r *Report) error {
 		}
 		dIn[i] = mapreduce.Pair{Value: encodeDistRecordRho(rec, rho[rec.i], rho[rec.j])}
 	}
-	dPartials, err := drv.Run(context.Background(), deltaFromMatrixJob(), dIn)
+	dPartials, err := run(deltaFromMatrixJob(), dIn)
 	if err != nil {
 		return err
 	}
-	dOut, err := drv.Run(context.Background(), core.DeltaAggJob("reuse-delta-agg", mapreduce.Conf{}), dPartials.Output)
+	dOut, err := run(core.DeltaAggJob("reuse-delta-agg", mapreduce.Conf{}), dPartials)
 	if err != nil {
 		return err
 	}
-	delta, _, err := core.DecodeDeltaArrays(dOut.Output, ds.N())
+	delta, _, err := core.DecodeDeltaArrays(dOut, ds.N())
 	if err != nil {
 		return err
 	}
@@ -110,7 +117,6 @@ func ablateDistanceReuse(opt *Options, r *Report) error {
 	for _, p := range distRecords {
 		storedBytes += int64(len(p.Key) + len(p.Value))
 	}
-	reuseDist := drv.TotalCounter(mapreduce.CtrDistanceComputations)
 	r.AddRow("distance-reuse", "recompute (paper, Section III)", "stored matrix / dist",
 		fmt.Sprintf("0MB / %s", fcount(recompute.Stats.DistanceComputations)))
 	r.AddRow("distance-reuse", "store+reuse matrix", "stored matrix / dist",

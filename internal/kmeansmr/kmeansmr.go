@@ -96,8 +96,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 	if eng == nil {
 		eng = &mapreduce.LocalEngine{}
 	}
-	drv := mapreduce.NewDriver(eng)
-	sess := dag.NewSession(drv, dag.Options{Log: cfg.Log})
+	sess := dag.NewSession(eng, dag.Options{Log: cfg.Log})
 	input := sess.Stage("kmeans-points", core.InputPairs(ds))
 	centers := initialCenters(ds, cfg.K, cfg.Seed)
 	res := &Result{}
@@ -123,7 +122,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 			}
 		}
 		centers = next
-		jobs := drv.Jobs()
+		jobs := sess.Jobs()
 		jst := jobs[len(jobs)-1]
 		st := IterStats{
 			Iteration:    it + 1,

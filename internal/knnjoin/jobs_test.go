@@ -75,7 +75,7 @@ func TestQueriesRouteToOneBucket(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			session := func() *dag.Session {
-				return dag.NewSession(mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 4}), dag.Options{})
+				return dag.NewSession(&mapreduce.LocalEngine{Parallelism: 4}, dag.Options{})
 			}
 			routed, err := Run(context.Background(), session(), R, S, 5, tc.cfg)
 			if err != nil {

@@ -103,9 +103,7 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 	if err := validate(R, S, k); err != nil {
 		return nil, err
 	}
-	mark := core.MarkRunner(sess.Runner())
-	traceMark := len(sess.Traces())
-	dagBefore := sess.Counters()
+	mark := sess.Mark()
 
 	w := cfg.W
 	if w <= 0 {
@@ -150,8 +148,7 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 	res.Stats.W = w
 	res.Stats.M = cfg.m()
 	res.Stats.Pi = cfg.pi()
-	core.CollectStats(&res.Stats, sess.Runner(), mark, start)
-	core.CollectDagStats(&res.Stats, sess, traceMark, dagBefore)
+	core.CollectStats(&res.Stats, sess, mark, start)
 	return res, nil
 }
 
@@ -164,9 +161,7 @@ func RunExact(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k in
 	if err := validate(R, S, k); err != nil {
 		return nil, err
 	}
-	mark := core.MarkRunner(sess.Runner())
-	traceMark := len(sess.Traces())
-	dagBefore := sess.Counters()
+	mark := sess.Mark()
 
 	conf := buildConf(R.Dim(), k, 1, &cfg)
 	qIn := sess.Stage("knn-R:"+R.Name, taggedPairs(tagQuery, R))
@@ -182,8 +177,7 @@ func RunExact(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k in
 	if _, err := decodeResults(res.Neighbors, outs[0]); err != nil {
 		return nil, err
 	}
-	core.CollectStats(&res.Stats, sess.Runner(), mark, start)
-	core.CollectDagStats(&res.Stats, sess, traceMark, dagBefore)
+	core.CollectStats(&res.Stats, sess, mark, start)
 	return res, nil
 }
 

@@ -44,7 +44,7 @@ func naiveKNN(R, S *points.Dataset, k int) [][]knnjoin.Neighbor {
 }
 
 func localSession() *dag.Session {
-	return dag.NewSession(mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 4}), dag.Options{})
+	return dag.NewSession(&mapreduce.LocalEngine{Parallelism: 4}, dag.Options{})
 }
 
 func requireSameNeighbors(t *testing.T, got, want [][]knnjoin.Neighbor) {
@@ -241,7 +241,7 @@ func TestClusterConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			clus, err := knnjoin.Run(context.Background(),
-				dag.NewSession(mapreduce.NewDriver(master), dag.Options{}), R, S, 4, tc.cfg)
+				dag.NewSession(master, dag.Options{}), R, S, 4, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

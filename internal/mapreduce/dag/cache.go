@@ -2,77 +2,51 @@ package dag
 
 import (
 	"container/list"
-	"encoding/gob"
-	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"repro/internal/mapreduce"
 )
 
 // cache is the session's byte-bounded node-result store, keyed by node
-// fingerprint. Entries are LRU-evicted once the in-memory footprint
-// exceeds capBytes; with a spill directory configured, evicted entries are
-// written as gob files and transparently reloaded on the next hit (a
-// "local spill dir"-backed dataset), otherwise they are dropped.
+// fingerprint. Entries are LRU-evicted once the footprint exceeds capBytes;
+// an evicted entry is dropped and its node re-runs on the next request.
 type cache struct {
 	mu       sync.Mutex
 	capBytes int64
-	spillDir string
 
 	curBytes int64
 	entries  map[string]*cacheEntry
-	lru      *list.List // front = most recently used; in-memory entries only
+	lru      *list.List // front = most recently used
 }
 
 type cacheEntry struct {
-	fp     string
-	pairs  []mapreduce.Pair // nil when spilled to disk
-	bytes  int64
-	elem   *list.Element // nil when spilled
-	onDisk bool
+	fp    string
+	pairs []mapreduce.Pair
+	bytes int64
+	elem  *list.Element
 }
 
-func newCache(capBytes int64, spillDir string) *cache {
+func newCache(capBytes int64) *cache {
 	if capBytes <= 0 {
 		return nil
 	}
 	return &cache{
 		capBytes: capBytes,
-		spillDir: spillDir,
 		entries:  make(map[string]*cacheEntry),
 		lru:      list.New(),
 	}
 }
 
-// get returns the cached pairs for fp, reloading from spill if needed.
-// evicted reports how many entries were pushed out making room for a
-// reloaded one.
-func (c *cache) get(fp string) (ps []mapreduce.Pair, ok bool, evicted int64) {
+// get returns the cached pairs for fp.
+func (c *cache) get(fp string) (ps []mapreduce.Pair, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, found := c.entries[fp]
 	if !found {
-		return nil, false, 0
-	}
-	if e.onDisk {
-		pairs, err := readSpill(c.spillPath(fp))
-		if err != nil {
-			// A damaged spill file degrades to a miss; the node re-runs.
-			delete(c.entries, fp)
-			os.Remove(c.spillPath(fp))
-			return nil, false, 0
-		}
-		e.pairs = pairs
-		e.onDisk = false
-		c.curBytes += e.bytes
-		e.elem = c.lru.PushFront(e)
-		os.Remove(c.spillPath(fp))
-		return e.pairs, true, c.evictLocked(e)
+		return nil, false
 	}
 	c.lru.MoveToFront(e.elem)
-	return e.pairs, true, 0
+	return e.pairs, true
 }
 
 // put stores a node result and returns how many entries were evicted to
@@ -92,71 +66,13 @@ func (c *cache) put(fp string, ps []mapreduce.Pair) (evicted int64) {
 	e.elem = c.lru.PushFront(e)
 	c.entries[fp] = e
 	c.curBytes += bytes
-	return c.evictLocked(e)
-}
-
-// evictLocked evicts LRU entries (never keep) until the footprint fits.
-func (c *cache) evictLocked(keep *cacheEntry) (evicted int64) {
+	// Shed from the cold end; e sits at the front and fits on its own, so
+	// the loop ends before reaching it.
 	for c.curBytes > c.capBytes {
-		back := c.lru.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*cacheEntry)
-		if e == keep {
-			// Only the protected entry remains; nothing else to shed.
-			break
-		}
-		c.lru.Remove(back)
-		c.curBytes -= e.bytes
+		old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+		delete(c.entries, old.fp)
+		c.curBytes -= old.bytes
 		evicted++
-		if c.spillDir != "" {
-			if err := writeSpill(c.spillPath(e.fp), e.pairs); err == nil {
-				e.pairs = nil
-				e.elem = nil
-				e.onDisk = true
-				continue
-			}
-		}
-		delete(c.entries, e.fp)
 	}
 	return evicted
-}
-
-func (c *cache) spillPath(fp string) string {
-	return filepath.Join(c.spillDir, fp+".ds")
-}
-
-func writeSpill(path string, ps []mapreduce.Pair) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(f).Encode(ps); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func readSpill(path string) ([]mapreduce.Pair, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var ps []mapreduce.Pair
-	if err := gob.NewDecoder(f).Decode(&ps); err != nil {
-		return nil, fmt.Errorf("dag: corrupt spill %s: %w", path, err)
-	}
-	return ps, nil
 }

@@ -1,8 +1,8 @@
 // Package dag is the job-DAG scheduler the pipeline packages program
-// against: instead of hand-sequencing mapreduce.Runner.Run calls, a
-// pipeline declares a Graph of nodes — MapReduce jobs and driver-side
-// transforms — wired through named Datasets, and a Session executes the
-// graph over any existing mapreduce.Runner.
+// against: instead of hand-sequencing Engine.Run calls, a pipeline declares
+// a Graph of nodes — MapReduce jobs and driver-side transforms — wired
+// through named Datasets, and a Session executes the graph over any
+// mapreduce.Engine and keeps the one ledger of what ran.
 //
 // The scheduler:
 //
@@ -22,14 +22,16 @@
 //     consumer finishes, so a deep pipeline's peak footprint is its live
 //     frontier, not its whole history;
 //
-//   - emits dag.* counters (nodes run, cache hits/misses, staged and
-//     collected bytes) and one obs span per node, so cache behaviour and
-//     node overlap are visible in traces and bench output.
+//   - records every job it executes — stats and trace, successful jobs
+//     only, in completion order — and emits dag.* counters (nodes run,
+//     cache hits/misses, staged and collected bytes) and one obs span per
+//     node; a pipeline brackets its work with Session.Mark / Since to read
+//     back exactly its own share, also on a session it shares with others.
 //
 // Datasets are backed by in-memory pair slices (sources and node outputs)
 // or by session-level staged slices shared across graphs (Session.Stage —
-// the fix for pipelines re-staging their input every iteration). Evicted
-// cache entries can spill to a local directory and reload on the next hit.
+// the fix for pipelines re-staging their input every iteration). The node
+// cache is in-memory only: an evicted entry is dropped and its node re-runs.
 //
 // Fingerprinting identifies job code by job NAME, exactly like the rpcmr
 // job registry: two jobs with the same name, conf, geometry, and inputs

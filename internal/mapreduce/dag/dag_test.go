@@ -52,20 +52,19 @@ func pairsOf(kv ...string) []mapreduce.Pair {
 
 func newSession(t *testing.T, opt dag.Options) *dag.Session {
 	t.Helper()
-	drv := mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 4})
-	return dag.NewSession(drv, opt)
+	return dag.NewSession(&mapreduce.LocalEngine{Parallelism: 4}, opt)
 }
 
 func TestChainMatchesHandSequenced(t *testing.T) {
 	input := pairsOf("a", "x", "b", "y", "c", "z")
 
 	// Hand-sequenced reference.
-	drv := mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 4})
-	r1, err := drv.Run(context.Background(), upperJob("up1").WithReduces(3), input)
+	eng := &mapreduce.LocalEngine{Parallelism: 4}
+	r1, err := eng.Run(context.Background(), upperJob("up1").WithReduces(3), input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := drv.Run(context.Background(), upperJob("up2").WithReduces(3), r1.Output)
+	r2, err := eng.Run(context.Background(), upperJob("up2").WithReduces(3), r1.Output)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +159,7 @@ func TestIndependentNodesOverlap(t *testing.T) {
 
 func TestSerialEngineDoesNotOverlap(t *testing.T) {
 	// Workers is clamped to the engine's declared concurrency (1 here).
-	drv := mapreduce.NewDriver(serialEngine{})
-	s := dag.NewSession(drv, dag.Options{Workers: 8})
+	s := dag.NewSession(serialEngine{}, dag.Options{Workers: 8})
 	g := dag.NewGraph("serial")
 	src := g.Source("in", pairsOf("k", "v"))
 	l := g.Job(upperJob("s1"), src)
@@ -192,8 +190,7 @@ func (serialEngine) Run(ctx context.Context, job *mapreduce.Job, input []mapredu
 }
 
 func TestCacheReuseSkipsExecution(t *testing.T) {
-	drv := mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 2})
-	s := dag.NewSession(drv, dag.Options{CacheBytes: 1 << 20})
+	s := dag.NewSession(&mapreduce.LocalEngine{Parallelism: 2}, dag.Options{CacheBytes: 1 << 20})
 	input := pairsOf("a", "x", "b", "y")
 	build := func() (*dag.Graph, *dag.Dataset) {
 		g := dag.NewGraph("cached")
@@ -207,7 +204,7 @@ func TestCacheReuseSkipsExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobsAfterFirst := len(drv.Jobs())
+	jobsAfterFirst := len(s.Jobs())
 	if jobsAfterFirst != 2 {
 		t.Fatalf("first run executed %d jobs, want 2", jobsAfterFirst)
 	}
@@ -217,8 +214,8 @@ func TestCacheReuseSkipsExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(drv.Jobs()) != jobsAfterFirst {
-		t.Fatalf("second run executed %d extra jobs, want 0 (cached)", len(drv.Jobs())-jobsAfterFirst)
+	if len(s.Jobs()) != jobsAfterFirst {
+		t.Fatalf("second run executed %d extra jobs, want 0 (cached)", len(s.Jobs())-jobsAfterFirst)
 	}
 	snap := s.Counters()
 	if snap[dag.CtrCacheHits] == 0 {
@@ -238,37 +235,50 @@ func TestCacheReuseSkipsExecution(t *testing.T) {
 	if _, err := s.Run(context.Background(), g3, out); err != nil {
 		t.Fatal(err)
 	}
-	if len(drv.Jobs()) != jobsAfterFirst+2 {
-		t.Fatalf("conf change re-executed %d jobs, want 2", len(drv.Jobs())-jobsAfterFirst)
+	if len(s.Jobs()) != jobsAfterFirst+2 {
+		t.Fatalf("conf change re-executed %d jobs, want 2", len(s.Jobs())-jobsAfterFirst)
 	}
 }
 
-func TestCacheEvictionSpillsAndReloads(t *testing.T) {
-	drv := mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 2})
-	// Cache fits roughly one output; spill dir catches evictions.
-	s := dag.NewSession(drv, dag.Options{CacheBytes: 64, SpillDir: t.TempDir()})
-	run := func(name string) {
-		g := dag.NewGraph("spill")
+// An evicted entry is dropped: its node re-executes on the next request,
+// exactly once, and produces the same output as the first time.
+func TestCacheEvictionDropsAndReruns(t *testing.T) {
+	// The cache fits roughly one output.
+	s := dag.NewSession(&mapreduce.LocalEngine{Parallelism: 2}, dag.Options{CacheBytes: 64})
+	run := func(name string) []mapreduce.Pair {
+		g := dag.NewGraph("evict")
 		src := g.Source("in-"+name, pairsOf("k", strings.Repeat(name, 10)))
 		out := g.Job(upperJob("up-"+name).WithReduces(1), src)
-		if _, err := s.Run(context.Background(), g, out); err != nil {
+		outs, err := s.Run(context.Background(), g, out)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return outs[0]
 	}
-	run("aaaa")
-	run("bbbb") // evicts aaaa to disk
-	snap := s.Counters()
-	if snap[dag.CtrCacheEvictions] == 0 {
+	first := run("aaaa")
+	run("bbbb") // evicts aaaa
+	if s.Counters()[dag.CtrCacheEvictions] == 0 {
 		t.Fatal("no evictions despite tiny cache")
 	}
-	jobs := len(drv.Jobs())
-	run("aaaa") // must reload aaaa's result from spill, not re-run
-	if len(drv.Jobs()) != jobs {
-		t.Fatalf("spilled entry re-executed instead of reloading")
+	jobs, hits := len(s.Jobs()), s.Counters()[dag.CtrCacheHits]
+	again := run("aaaa")
+	if got := len(s.Jobs()) - jobs; got != 1 {
+		t.Fatalf("evicted node re-executed %d times, want 1", got)
 	}
-	snap = s.Counters()
-	if snap[dag.CtrCacheHits] == 0 {
-		t.Fatal("dag.cache.hits is 0 after spill reload")
+	if got := s.Jobs()[jobs].Name; got != "up-aaaa" {
+		t.Fatalf("re-executed job = %q, want up-aaaa", got)
+	}
+	if s.Counters()[dag.CtrCacheHits] != hits {
+		t.Fatal("evicted entry was served from the cache")
+	}
+	if fmt.Sprint(again) != fmt.Sprint(first) {
+		t.Fatalf("re-executed output %v != first output %v", again, first)
+	}
+	// The re-run put aaaa back (evicting bbbb): now it is a hit.
+	jobs = len(s.Jobs())
+	run("aaaa")
+	if len(s.Jobs()) != jobs || s.Counters()[dag.CtrCacheHits] != hits+1 {
+		t.Fatal("re-cached entry was not served from the cache")
 	}
 }
 

@@ -21,8 +21,8 @@ const (
 	// stay zero when the cache is disabled.
 	CtrCacheHits   = "dag.cache.hits"
 	CtrCacheMisses = "dag.cache.misses"
-	// CtrCacheEvictions counts entries pushed out of the in-memory cache
-	// (spilled to disk when a spill dir is configured, dropped otherwise).
+	// CtrCacheEvictions counts entries pushed out of the cache and dropped;
+	// an evicted node re-runs the next time it is requested.
 	CtrCacheEvictions = "dag.cache.evictions"
 	// CtrStageDatasets / CtrStageBytes count distinct datasets registered
 	// via Session.Stage and their byte volume. Re-staging identical
@@ -45,48 +45,44 @@ type Options struct {
 	// CacheBytes bounds the node-result cache; 0 disables caching (every
 	// node re-executes on every run).
 	CacheBytes int64
-	// SpillDir, when set with caching on, receives evicted cache entries
-	// as spill files instead of dropping them; they reload on the next
-	// hit. The directory is created on demand and never cleaned up by the
-	// session — point it at a temp dir.
-	SpillDir string
 	// Log, when non-nil, receives one line per completed node.
 	Log func(format string, args ...any)
-	// Trace, when non-nil, receives one obs.JobTrace per Run with a span
-	// per node — the hook CLI -trace flags use.
+	// Trace, when non-nil, receives every executed job's trace as the job
+	// completes and one "dag:<graph>" trace per Run with a span per node —
+	// the hook CLI -trace flags use to stream a whole pipeline's spans into
+	// one JSONL file.
 	Trace *obs.Trace
 }
 
-// Session executes graphs over one mapreduce.Runner, carrying the node
-// cache, staged datasets, dag counters, and per-run node traces across
-// Run calls. Safe for sequential use; one Run executes at a time.
+// Session executes graphs over one mapreduce.Engine and is the ledger of
+// what ran: the stats and trace of every job it executed, one node trace
+// per Run, the dag.* counters, plus the node cache and staged datasets it
+// carries across Run calls. Safe for sequential use; one Run executes at a
+// time.
 type Session struct {
-	runner mapreduce.Runner
+	engine mapreduce.Engine
 	opt    Options
 	cache  *cache
 
 	mu       sync.Mutex
 	counters *mapreduce.Counters
 	staged   map[string]*Dataset
-	traces   []obs.JobTrace
-	runSeq   int
+	jobs     []mapreduce.JobStats // executed job nodes, completion order
+	jobTrace []obs.JobTrace       // their traces, same order
+	traces   []obs.JobTrace       // one "dag:<graph>" trace per completed Run
 }
 
-// NewSession binds a session to a runner. The runner's own stats and
-// traces keep accumulating exactly as under hand-sequenced pipelines; the
-// session adds dag-level counters and per-node spans on top.
-func NewSession(r mapreduce.Runner, opt Options) *Session {
+// NewSession binds a session to an engine: the in-process LocalEngine, an
+// rpcmr.Master, or anything else with a Run method.
+func NewSession(e mapreduce.Engine, opt Options) *Session {
 	return &Session{
-		runner:   r,
+		engine:   e,
 		opt:      opt,
-		cache:    newCache(opt.CacheBytes, opt.SpillDir),
+		cache:    newCache(opt.CacheBytes),
 		counters: mapreduce.NewCounters(),
 		staged:   make(map[string]*Dataset),
 	}
 }
-
-// Runner returns the runner the session schedules onto.
-func (s *Session) Runner() mapreduce.Runner { return s.runner }
 
 // Stage registers a named dataset at session level, shared across graphs
 // and runs. Identical content (same name, same pairs) returns the same
@@ -109,25 +105,67 @@ func (s *Session) Stage(name string, pairs []mapreduce.Pair) *Dataset {
 
 // Counters returns a snapshot of the session's dag.* counters, summed
 // over all runs.
-func (s *Session) Counters() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters.Snapshot()
-}
+func (s *Session) Counters() map[string]int64 { return s.Since(Mark{}).Counters }
 
 // Traces returns one trace per completed Run ("dag:<graph>"), each with a
 // span per node and that run's dag.* counter deltas.
-func (s *Session) Traces() []obs.JobTrace {
+func (s *Session) Traces() []obs.JobTrace { return s.Since(Mark{}).Runs }
+
+// Jobs returns the stats of every job the session executed (cache-served
+// nodes and failed jobs excluded), in completion order.
+func (s *Session) Jobs() []mapreduce.JobStats { return s.Since(Mark{}).Jobs }
+
+// Mark is a position in a session's ledger. A pipeline takes one before it
+// touches the session — before Stage, whose bytes belong to the pipeline —
+// and reads back its own share with Since, so pipelines sharing a session
+// never see each other's jobs. The zero Mark is the session's start.
+type Mark struct {
+	jobs, runs int
+	counters   map[string]int64
+}
+
+// Mark returns the ledger's current position.
+func (s *Session) Mark() Mark {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]obs.JobTrace(nil), s.traces...)
+	return Mark{jobs: len(s.jobs), runs: len(s.traces), counters: s.counters.Snapshot()}
+}
+
+// Ledger is what a session recorded over a stretch of its life.
+type Ledger struct {
+	// Jobs and JobTraces describe every job executed, index-aligned, in
+	// completion order.
+	Jobs      []mapreduce.JobStats
+	JobTraces []obs.JobTrace
+	// Runs holds one "dag:<graph>" trace per completed Run.
+	Runs []obs.JobTrace
+	// Counters holds the non-zero dag.* counter deltas.
+	Counters map[string]int64
+}
+
+// Since returns what the session recorded after m.
+func (s *Session) Since(m Mark) Ledger {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l := Ledger{
+		Jobs:      append([]mapreduce.JobStats(nil), s.jobs[m.jobs:]...),
+		JobTraces: append([]obs.JobTrace(nil), s.jobTrace[m.jobs:]...),
+		Runs:      append([]obs.JobTrace(nil), s.traces[m.runs:]...),
+		Counters:  make(map[string]int64),
+	}
+	for k, v := range s.counters.Snapshot() {
+		if d := v - m.counters[k]; d != 0 {
+			l.Counters[k] = d
+		}
+	}
+	return l
 }
 
 // workers resolves the node concurrency: Options.Workers clamped to the
 // engine's declared capability.
 func (s *Session) workers() int {
 	capability := 1
-	if jc, ok := s.runner.(mapreduce.JobConcurrency); ok {
+	if jc, ok := s.engine.(mapreduce.JobConcurrency); ok {
 		if n := jc.MaxConcurrentJobs(); n > 0 {
 			capability = n
 		}
@@ -282,6 +320,8 @@ func (s *Session) Run(ctx context.Context, g *Graph, want ...*Dataset) ([][]mapr
 			tag := ""
 			if msg.cached {
 				tag = "  [cached]"
+			} else if c := msg.jobCounters; c != nil {
+				tag = fmt.Sprintf(" shuffleB=%d dist=%d", c[mapreduce.CtrShuffleBytes], c[mapreduce.CtrDistanceComputations])
 			}
 			s.opt.Log("dag %-24s %8.3fs  out=%d%s", msg.n.name, msg.span.Wall.Seconds(), msg.span.Records, tag)
 		}
@@ -301,10 +341,9 @@ func (s *Session) Run(ctx context.Context, g *Graph, want ...*Dataset) ([][]mapr
 	s.mu.Lock()
 	s.counters.Merge(rc)
 	if firstErr == nil {
-		s.runSeq++
 		trace := obs.JobTrace{
 			Job:      "dag:" + g.name,
-			ID:       s.runSeq,
+			ID:       len(s.traces) + 1,
 			Wall:     time.Since(runStart),
 			Spans:    spans,
 			Counters: rc.Snapshot(),
@@ -340,11 +379,12 @@ func (s *Session) Run(ctx context.Context, g *Graph, want ...*Dataset) ([][]mapr
 
 // nodeResult is one node's completion message to the scheduler loop.
 type nodeResult struct {
-	n      *node
-	out    []mapreduce.Pair
-	span   obs.Span
-	err    error
-	cached bool
+	n           *node
+	out         []mapreduce.Pair
+	span        obs.Span
+	err         error
+	cached      bool
+	jobCounters map[string]int64 // set for executed job nodes
 }
 
 // execNode runs one node: cache lookup, then the job or transform, then
@@ -354,9 +394,8 @@ func (s *Session) execNode(ctx context.Context, n *node, inputs [][]mapreduce.Pa
 	start := time.Now()
 	msg.n = n
 	if s.cache != nil {
-		if out, ok, evicted := s.cache.get(n.fp); ok {
+		if out, ok := s.cache.get(n.fp); ok {
 			rc.Add(CtrCacheHits, 1)
-			rc.Add(CtrCacheEvictions, evicted)
 			msg.out = out
 			msg.cached = true
 			msg.span = nodeSpan(n.name+" (cached)", n.idx, start, out)
@@ -375,10 +414,13 @@ func (s *Session) execNode(ctx context.Context, n *node, inputs [][]mapreduce.Pa
 			}
 		}
 		var res *mapreduce.Result
-		res, err = s.runner.Run(ctx, n.job, input)
-		if err == nil {
+		res, err = s.engine.Run(ctx, n.job, input)
+		if err != nil {
+			err = fmt.Errorf("dag: job %q: %w", n.job.Name, err)
+		} else {
 			out = res.Output
 			rc.Add(CtrNodes, 1)
+			msg.jobCounters = s.record(n.job.Name, res)
 		}
 	} else {
 		out, err = n.fn(inputs...)
@@ -398,6 +440,35 @@ func (s *Session) execNode(ctx context.Context, n *node, inputs [][]mapreduce.Pa
 	msg.out = out
 	msg.span = nodeSpan(n.name, n.idx, start, out)
 	return msg
+}
+
+// record enters one successfully executed job in the ledger — failed jobs
+// leave no entry — and forwards its trace to Options.Trace. Engines that
+// number their own jobs (the rpcmr master) keep their IDs; for the rest the
+// job's ledger position is its ID, stamped on its spans too so JSONL span
+// lines attribute to the same id as their job line.
+func (s *Session) record(name string, res *mapreduce.Result) map[string]int64 {
+	snap := res.Counters.Snapshot()
+	trace := obs.JobTrace{Job: name, Wall: res.Wall, Counters: snap}
+	if res.Trace != nil {
+		trace = *res.Trace
+	}
+	s.mu.Lock()
+	s.jobs = append(s.jobs, mapreduce.JobStats{Name: name, Wall: res.Wall, Counters: snap, Records: len(res.Output)})
+	if trace.ID == 0 {
+		trace.ID = len(s.jobs)
+	}
+	for i := range trace.Spans {
+		if trace.Spans[i].JobID == 0 {
+			trace.Spans[i].JobID = trace.ID
+		}
+	}
+	s.jobTrace = append(s.jobTrace, trace)
+	s.mu.Unlock()
+	if s.opt.Trace != nil {
+		s.opt.Trace.Add(trace)
+	}
+	return snap
 }
 
 func nodeSpan(name string, idx int, start time.Time, out []mapreduce.Pair) obs.Span {

@@ -5,16 +5,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
-// The record frame shared by the spill run files and the rpcmr streaming
-// shuffle transport. One frame is
+// The record frame shared by the spill run files, the rpcmr streaming
+// shuffle transport and the DFS part files (internal/dfsio). One frame is
 //
 //	uint32 keyLen | key bytes | uint32 valueLen | value bytes
 //
 // in little-endian. Keeping a single codec means bytes written by a map
 // task's spill path and bytes crossing the wire in a shuffle fetch are the
-// same layout, so wire-level accounting and disk accounting agree.
+// same layout, so wire-level accounting and disk accounting agree. Both
+// decoders treat a length prefix as a claim: DecodeFrames checks it against
+// the buffer it was handed, FrameReader allocates for it only as fast as the
+// stream delivers (FuzzFrameRoundTrip holds them to one behaviour).
 
 // FrameOverhead is the fixed framing cost per record: the two uint32
 // length prefixes.
@@ -139,24 +143,45 @@ func (fr *FrameReader) Next() (Pair, bool, error) {
 		}
 		return Pair{}, false, fmt.Errorf("mapreduce: truncated frame header: %w", err)
 	}
-	keyLen := int(binary.LittleEndian.Uint32(hdr[:]))
-	if cap(fr.key) < keyLen {
-		fr.key = make([]byte, keyLen+keyLen/4)
-	}
-	keyBuf := fr.key[:keyLen]
-	if _, err := io.ReadFull(fr.r, keyBuf); err != nil {
+	var err error
+	if fr.key, err = fr.read(fr.key, int(binary.LittleEndian.Uint32(hdr[:]))); err != nil {
 		return Pair{}, false, fmt.Errorf("mapreduce: truncated frame key: %w", err)
 	}
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return Pair{}, false, fmt.Errorf("mapreduce: truncated frame value length: %w", err)
 	}
-	valLen := int(binary.LittleEndian.Uint32(hdr[:]))
 	var val []byte
-	if valLen > 0 {
-		val = make([]byte, valLen)
-		if _, err := io.ReadFull(fr.r, val); err != nil {
+	if valLen := int(binary.LittleEndian.Uint32(hdr[:])); valLen > 0 {
+		if val, err = fr.read(nil, valLen); err != nil {
 			return Pair{}, false, fmt.Errorf("mapreduce: truncated frame value: %w", err)
 		}
 	}
-	return Pair{Key: string(keyBuf), Value: val}, true, nil
+	return Pair{Key: string(fr.key), Value: val}, true, nil
+}
+
+// frameAllocStep is the most a length prefix makes the reader allocate
+// ahead of the bytes: past it the buffer doubles only as data arrives, so a
+// corrupt or hostile 4 GiB length costs 1 MiB and an error, not 4 GiB.
+const frameAllocStep = 1 << 20
+
+// read returns the next n bytes of the stream, in buf's storage when it is
+// large enough. Up to frameAllocStep — every record in practice — that is one
+// exact allocation and one ReadFull, the run iterator's hot path.
+func (fr *FrameReader) read(buf []byte, n int) ([]byte, error) {
+	if n <= frameAllocStep {
+		if cap(buf) < n {
+			buf = make([]byte, n)
+		}
+		_, err := io.ReadFull(fr.r, buf[:n])
+		return buf[:n], err
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), max(len(buf), frameAllocStep))
+		buf = slices.Grow(buf, step)[:len(buf)+step]
+		if _, err := io.ReadFull(fr.r, buf[len(buf)-step:]); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }

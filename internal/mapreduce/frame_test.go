@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -125,4 +126,75 @@ func TestFrameCodecsAgree(t *testing.T) {
 	if !reflect.DeepEqual(decoded, want) {
 		t.Fatalf("decoded %+v", decoded)
 	}
+}
+
+// A length prefix the stream does not back must cost an error, not the
+// announced allocation: run files come off disk and shuffle streams from
+// other machines.
+func TestFrameReaderBoundsAllocation(t *testing.T) {
+	for _, data := range [][]byte{
+		{0xFF, 0xFF, 0xFF, 0xFF, 1},
+		{1, 0, 0, 0, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 1},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := NewFrameReader(bytes.NewReader(data)).Next()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("no error reading %x", data)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*frameAllocStep {
+			t.Fatalf("rejecting %x allocated %d bytes", data, grew)
+		}
+	}
+}
+
+// FuzzFrameRoundTrip feeds arbitrary bytes — what a corrupt run file, a
+// hostile shuffle peer or a damaged DFS part looks like — to both decoders.
+// Each must return an error or pairs and never panic; the pairs decoded
+// before the error (or all of them) must re-encode with AppendFrame to
+// exactly the prefix of the input they were read from; and the two decoders
+// must agree. (TestFrameReaderBoundsAllocation covers what a bad length may
+// cost in memory.)
+func FuzzFrameRoundTrip(f *testing.F) {
+	one := AppendFrame(nil, Pair{Key: "key", Value: []byte("value")})
+	f.Add([]byte{})
+	f.Add(one)
+	f.Add(AppendFrame(nil, Pair{Value: []byte("v")}))
+	f.Add(AppendFrame(nil, Pair{Key: "k"}))
+	f.Add(append(append([]byte{}, one...), one...))
+	for _, cut := range []int{2, 4, 6, 7, 9, 11, len(one) - 1} { // inside every field
+		f.Add(one[:cut])
+	}
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
+	f.Add([]byte{1, 0, 0, 0, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		encode := func(ps []Pair) []byte {
+			var out []byte
+			for _, p := range ps {
+				out = AppendFrame(out, p)
+			}
+			return out
+		}
+		decoded, decErr := DecodeFrames(nil, append([]byte(nil), data...))
+		if enc := encode(decoded); !bytes.HasPrefix(data, enc) || (decErr == nil && len(enc) != len(data)) {
+			t.Fatalf("DecodeFrames(%x) = %v, %v: re-encodes to %x", data, decoded, decErr, enc)
+		}
+		var streamed []Pair
+		var readErr error
+		for fr := NewFrameReader(bytes.NewReader(data)); ; {
+			p, ok, err := fr.Next()
+			if err != nil || !ok {
+				readErr = err
+				break
+			}
+			streamed = append(streamed, p)
+		}
+		if (decErr == nil) != (readErr == nil) {
+			t.Fatalf("on %x DecodeFrames says %v, FrameReader says %v", data, decErr, readErr)
+		}
+		if !bytes.Equal(encode(streamed), encode(decoded)) {
+			t.Fatalf("on %x DecodeFrames read %v, FrameReader read %v", data, decoded, streamed)
+		}
+	})
 }

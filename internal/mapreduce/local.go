@@ -22,6 +22,15 @@ type Result struct {
 	Trace *obs.JobTrace
 }
 
+// JobStats is the ledger entry of one executed job: what dag.Session
+// records per job node and pipelines report in their stats.
+type JobStats struct {
+	Name     string
+	Wall     time.Duration
+	Counters map[string]int64
+	Records  int // output records
+}
+
 // Engine executes MapReduce jobs. Implementations: LocalEngine (in-process,
 // multicore) and rpcmr.Master (distributed over net/rpc). Run honors ctx:
 // cancellation stops dispatching new tasks and fails the job with ctx.Err(),
@@ -37,14 +46,6 @@ type Engine interface {
 // pools freely, while the rpcmr master runs one job at a time.
 type JobConcurrency interface {
 	MaxConcurrentJobs() int
-}
-
-// DFSRunner is an optional Engine capability: run a job whose input is
-// staged in the mini-DFS under a part-file prefix, without the driver ever
-// touching the input bytes. rpcmr.Master implements it; the DAG scheduler
-// uses it for DFS-backed source datasets.
-type DFSRunner interface {
-	RunDFS(ctx context.Context, job *Job, nameNodeAddr, inputPrefix string) (*Result, error)
 }
 
 // MaxConcurrentJobs reports the local engine's job concurrency: jobs share
@@ -78,31 +79,22 @@ func (e *LocalEngine) parallelism() int {
 	return runtime.NumCPU()
 }
 
-// mapTaskOutput holds one map task's intermediate data: per-partition
-// in-memory buffers (combined and sorted once the task finishes) plus
-// per-partition sorted spill-run files.
-type mapTaskOutput struct {
-	mem  [][]Pair   // [partition] sorted pairs
-	runs [][]string // [partition] run file paths
-}
-
 // taskEmitter buffers map output per partition and spills when over
 // threshold. Not safe for concurrent use; each map task owns one.
 // Alongside the data it accumulates the per-phase wall times and volumes
 // that become the task's trace spans.
 type taskEmitter struct {
-	spillThreshold int64 // 0 = never spill
-	job            *Job
-	ctx            *TaskContext
-	part           PartitionFunc
-	nReduce        int
-	buf            [][]Pair
-	buffered       int64
-	runs           [][]string
-	spillDir       string
-	spillSeq       int
-	sortScratch    []Pair // merge buffer reused across partition sorts
-	err            error
+	spill       Spill
+	job         *Job
+	ctx         *TaskContext
+	part        PartitionFunc
+	nReduce     int
+	buf         [][]Pair
+	buffered    int64
+	runs        [][]string
+	spillSeq    int
+	sortScratch []Pair // merge buffer reused across partition sorts
+	err         error
 
 	outRecords int64
 
@@ -124,14 +116,14 @@ func (t *taskEmitter) Emit(key string, value []byte) {
 	t.buf[p] = append(t.buf[p], pair)
 	t.buffered += pairBytes(pair)
 	t.outRecords++
-	if t.spillThreshold > 0 && t.buffered >= t.spillThreshold {
-		t.err = t.spill()
+	if t.spill.ThresholdBytes > 0 && t.buffered >= t.spill.ThresholdBytes {
+		t.err = t.spillBuffers()
 	}
 }
 
-// spill combines (if configured), sorts, and writes every non-empty
+// spillBuffers combines (if configured), sorts, and writes every non-empty
 // partition buffer as a run file, then resets the buffers.
-func (t *taskEmitter) spill() error {
+func (t *taskEmitter) spillBuffers() error {
 	for p := range t.buf {
 		if len(t.buf[p]) == 0 {
 			continue
@@ -140,7 +132,7 @@ func (t *taskEmitter) spill() error {
 		if err != nil {
 			return err
 		}
-		path := filepath.Join(t.spillDir, fmt.Sprintf("spill-%s-m%d-p%d-%d.run", sanitize(t.job.Name), t.ctx.TaskID, p, t.spillSeq))
+		path := filepath.Join(t.spill.Dir, fmt.Sprintf("spill-%s-m%d-p%d-%d.run", sanitize(t.job.Name), t.ctx.TaskID, p, t.spillSeq))
 		t.spillSeq++
 		w0 := time.Now()
 		n, err := writeRun(path, ps)
@@ -195,11 +187,11 @@ func (t *taskEmitter) countShuffle(ps []Pair) {
 }
 
 // close finalizes remaining buffers into sorted in-memory partitions.
-func (t *taskEmitter) close() (*mapTaskOutput, error) {
+func (t *taskEmitter) close() (*MapOutput, error) {
 	if t.err != nil {
 		return nil, t.err
 	}
-	out := &mapTaskOutput{mem: make([][]Pair, t.nReduce), runs: t.runs}
+	out := &MapOutput{Mem: make([][]Pair, t.nReduce), Runs: t.runs}
 	for p := range t.buf {
 		if len(t.buf[p]) == 0 {
 			continue
@@ -209,7 +201,7 @@ func (t *taskEmitter) close() (*mapTaskOutput, error) {
 			return nil, err
 		}
 		t.countShuffle(ps)
-		out.mem[p] = ps
+		out.Mem[p] = ps
 		t.buf[p] = nil
 	}
 	return out, nil
@@ -281,144 +273,71 @@ func (e *LocalEngine) Run(ctx context.Context, job *Job, input []Pair) (*Result,
 		mon := obs.StartMonitor(job.Name, e.MonitorInterval, counters.Snapshot, e.Events)
 		defer mon.Stop()
 	}
-	spillDir := ""
+	var spill Spill
 	if e.SpillThresholdBytes > 0 {
 		dir, err := os.MkdirTemp(e.TempDir, "mr-"+sanitize(job.Name)+"-")
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: temp dir: %w", err)
 		}
-		spillDir = dir
+		spill = Spill{ThresholdBytes: e.SpillThresholdBytes, Dir: dir}
 		defer os.RemoveAll(dir)
 	}
 
 	// ---- Map phase ----
-	splits := splitInput(input, nMaps)
-	taskOuts := make([]*mapTaskOutput, len(splits))
+	splits := SplitInput(input, nMaps)
+	mapOuts := make([]*MapOutput, len(splits))
 	mapSpans := make([][]obs.Span, len(splits))
-	err := runParallelCtx(ctx, len(splits), workers, func(ti int) error {
-		taskStart := time.Now()
-		ctx := &TaskContext{
-			JobName:    job.Name,
-			TaskID:     ti,
-			NumReduces: nReduce,
-			Conf:       job.Conf,
-			Counters:   counters,
-		}
-		em := &taskEmitter{
-			spillThreshold: e.SpillThresholdBytes,
-			job:            job,
-			ctx:            ctx,
-			part:           job.partitioner(),
-			nReduce:        nReduce,
-			buf:            make([][]Pair, nReduce),
-			runs:           make([][]string, nReduce),
-			spillDir:       spillDir,
-		}
-		for _, rec := range splits[ti] {
-			if err := job.Map(ctx, rec.Key, rec.Value, em); err != nil {
-				return fmt.Errorf("mapreduce: map task %d of %q: %w", ti, job.Name, err)
-			}
-			if em.err != nil {
-				return em.err
-			}
-		}
-		counters.Add(CtrMapInputRecords, int64(len(splits[ti])))
-		counters.Add(CtrMapOutputRecords, em.outRecords)
-		out, err := em.close()
-		if err != nil {
-			return err
-		}
-		taskOuts[ti] = out
-		mapSpans[ti] = em.taskSpans(taskStart, time.Since(taskStart), int64(len(splits[ti])))
-		return nil
+	err := runParallelCtx(ctx, len(splits), workers, func(ti int) (err error) {
+		mapOuts[ti], mapSpans[ti], err = ExecuteMapTask(job, ti, nReduce, splits[ti], spill, counters)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-
 	trace := &obs.JobTrace{Job: job.Name}
 	for _, ss := range mapSpans {
 		trace.Spans = append(trace.Spans, ss...)
 	}
 
-	// Map-only job: concatenate map outputs in task order.
+	var output []Pair
 	if job.Reduce == nil {
-		var output []Pair
-		for _, to := range taskOuts {
-			for _, ps := range to.mem {
+		// Map-only job: concatenate map outputs in task order.
+		for _, mo := range mapOuts {
+			for _, ps := range mo.Mem {
 				output = append(output, ps...)
 			}
 		}
-		trace.Wall = time.Since(start)
-		trace.Counters = counters.Snapshot()
-		return &Result{Output: output, Counters: counters, Wall: trace.Wall, Trace: trace}, nil
-	}
-
-	// ---- Reduce phase ----
-	reduceOuts := make([][]Pair, nReduce)
-	reduceSpans := make([]obs.Span, nReduce)
-	err = runParallelCtx(ctx, nReduce, workers, func(r int) error {
-		taskStart := time.Now()
-		ctx := &TaskContext{
-			JobName:    job.Name,
-			TaskID:     r,
-			NumReduces: nReduce,
-			Conf:       job.Conf,
-			Counters:   counters,
-		}
-		var its []pairIterator
-		for _, to := range taskOuts {
-			if len(to.mem[r]) > 0 {
-				its = append(its, &sliceIterator{ps: to.mem[r]})
+	} else {
+		// ---- Reduce phase ----
+		reduceOuts := make([][]Pair, nReduce)
+		reduceSpans := make([][]obs.Span, nReduce)
+		err = runParallelCtx(ctx, nReduce, workers, func(r int) (err error) {
+			sorted := make([][]Pair, len(mapOuts))
+			runs := make([][]string, len(mapOuts))
+			for t, mo := range mapOuts {
+				sorted[t], runs[t] = mo.Mem[r], mo.Runs[r]
 			}
-			for _, path := range to.runs[r] {
-				ri, err := openRun(path)
-				if err != nil {
-					return err
-				}
-				its = append(its, ri)
-			}
-		}
-		var out []Pair
-		sink := EmitterFunc(func(key string, value []byte) {
-			out = append(out, Pair{Key: key, Value: value})
-		})
-		var groups, records int64
-		err := mergeGroups(its, func(key string, values [][]byte) error {
-			groups++
-			records += int64(len(values))
-			return job.Reduce(ctx, key, values, sink)
+			reduceOuts[r], reduceSpans[r], err = ExecuteReduceTask(job, r, nReduce, sorted, runs, counters)
+			return err
 		})
 		if err != nil {
-			return fmt.Errorf("mapreduce: reduce task %d of %q: %w", r, job.Name, err)
+			return nil, err
 		}
-		counters.Add(CtrReduceInputGroups, groups)
-		counters.Add(CtrReduceInputRecords, records)
-		counters.Add(CtrReduceOutputRecords, int64(len(out)))
-		reduceOuts[r] = out
-		reduceSpans[r] = obs.Span{
-			Job: job.Name, Phase: obs.PhaseReduce, Task: r,
-			Start: taskStart, Wall: time.Since(taskStart), Records: records,
+		for r, ps := range reduceOuts {
+			output = append(output, ps...)
+			trace.Spans = append(trace.Spans, reduceSpans[r]...)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-
-	var output []Pair
-	for _, ps := range reduceOuts {
-		output = append(output, ps...)
-	}
-	trace.Spans = append(trace.Spans, reduceSpans...)
 	trace.Wall = time.Since(start)
 	trace.Counters = counters.Snapshot()
 	return &Result{Output: output, Counters: counters, Wall: trace.Wall, Trace: trace}, nil
 }
 
-// splitInput partitions input records into n contiguous splits of
+// SplitInput partitions input records into n contiguous splits of
 // near-equal size. Fewer than n splits are returned when input is shorter.
-func splitInput(input []Pair, n int) [][]Pair {
+// Every engine splits with it, so a job's map tasks see the same records
+// whichever engine runs it.
+func SplitInput(input []Pair, n int) [][]Pair {
 	if len(input) == 0 {
 		return [][]Pair{nil}
 	}
@@ -439,17 +358,12 @@ func splitInput(input []Pair, n int) [][]Pair {
 	return splits
 }
 
-// runParallel runs fn(0..n-1) with at most workers concurrent invocations
-// and returns the first error. Dispatch stops once any invocation fails,
-// so a failing job returns after the in-flight tasks drain instead of
-// grinding through the remaining queue.
-func runParallel(n, workers int, fn func(i int) error) error {
-	return runParallelCtx(context.Background(), n, workers, fn)
-}
-
-// runParallelCtx is runParallel with cooperative cancellation: a cancelled
-// ctx stops dispatch like a task failure does, and ctx.Err() wins over task
-// errors so callers see the cancellation rather than a secondary failure.
+// runParallelCtx runs fn(0..n-1) with at most workers concurrent
+// invocations and returns the first error. Dispatch stops once any
+// invocation fails, so a failing job returns after the in-flight tasks drain
+// instead of grinding through the remaining queue. A cancelled ctx stops
+// dispatch like a task failure does, and ctx.Err() wins over task errors so
+// callers see the cancellation rather than a secondary failure.
 func runParallelCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
 	done := ctx.Done()
 	if workers > n {

@@ -131,16 +131,19 @@ func TestMapOnlyJob(t *testing.T) {
 			return nil
 		},
 	}
-	eng := &LocalEngine{Parallelism: 3}
-	res, err := eng.Run(context.Background(), job, lines("a", "b", "c"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Output) != 3 {
-		t.Fatalf("map-only output = %v", res.Output)
-	}
-	if res.Counters.Get(CtrReduceInputGroups) != 0 {
-		t.Fatal("map-only job ran reducers")
+	// A spill threshold changes nothing: a map-only task's output is the
+	// job's result, so it stays in memory.
+	for _, eng := range []*LocalEngine{{Parallelism: 3}, {Parallelism: 3, SpillThresholdBytes: 1, TempDir: t.TempDir()}} {
+		res, err := eng.Run(context.Background(), job, lines("a", "b", "c"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Output) != 3 {
+			t.Fatalf("map-only output = %v", res.Output)
+		}
+		if res.Counters.Get(CtrReduceInputGroups) != 0 {
+			t.Fatal("map-only job ran reducers")
+		}
 	}
 }
 
@@ -259,7 +262,7 @@ func TestHashPartitionRange(t *testing.T) {
 
 func TestSplitInput(t *testing.T) {
 	input := make([]Pair, 10)
-	splits := splitInput(input, 3)
+	splits := SplitInput(input, 3)
 	if len(splits) != 3 {
 		t.Fatalf("got %d splits", len(splits))
 	}
@@ -270,10 +273,10 @@ func TestSplitInput(t *testing.T) {
 	if total != 10 {
 		t.Fatalf("splits cover %d records", total)
 	}
-	if len(splitInput(input, 20)) != 10 {
+	if len(SplitInput(input, 20)) != 10 {
 		t.Fatal("more splits than records")
 	}
-	if got := splitInput(nil, 5); len(got) != 1 || got[0] != nil {
+	if got := SplitInput(nil, 5); len(got) != 1 || got[0] != nil {
 		t.Fatalf("empty split = %v", got)
 	}
 }

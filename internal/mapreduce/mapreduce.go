@@ -4,6 +4,13 @@
 // merge sort, and a parallel in-process engine. A companion package
 // (rpcmr) runs the same jobs on a real master/worker cluster over net/rpc.
 //
+// The layering is Engine → dag.Session → pipeline. An Engine runs one job
+// (Run); LocalEngine and rpcmr.Master are the two, and both split input with
+// SplitInput and execute every task with ExecuteMapTask / ExecuteReduceTask,
+// so a job behaves the same on either by construction. Scheduling several
+// jobs, and keeping the record of what ran, is the dag package's business —
+// this package has no job ledger.
+//
 // The framework deliberately mirrors Hadoop's execution model — the system
 // the reproduced paper ("Efficient Distributed Density Peaks for Clustering
 // Large Data Sets in MapReduce") was evaluated on — so that the paper's two

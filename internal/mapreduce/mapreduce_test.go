@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func TestConfTypedAccessors(t *testing.T) {
@@ -104,123 +102,70 @@ func TestCountersMergeAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestDriverPipelines(t *testing.T) {
-	eng := &LocalEngine{Parallelism: 2}
-	drv := NewDriver(eng)
-	res1, err := drv.Run(context.Background(), wordcount(), lines("a a b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Second job consumes the first job's output.
-	doubler := &Job{
-		Name: "double",
-		Map: func(_ *TaskContext, key string, value []byte, out Emitter) error {
-			out.Emit(key, value)
-			out.Emit(key, value)
-			return nil
-		},
-		Reduce: sumReduce,
-	}
-	res2, err := drv.Run(context.Background(), doubler, res1.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := outputMap(res2.Output)["a"]; got != "4" {
-		t.Fatalf("pipelined count = %q", got)
-	}
-	if len(drv.Jobs()) != 2 {
-		t.Fatalf("driver recorded %d jobs", len(drv.Jobs()))
-	}
-	if drv.TotalWall() <= 0 {
-		t.Fatal("no wall time recorded")
-	}
-	if drv.TotalCounter(CtrMapInputRecords) != 3 {
-		t.Fatalf("total map input = %d", drv.TotalCounter(CtrMapInputRecords))
-	}
-	traces := drv.Traces()
-	if len(traces) != 2 {
-		t.Fatalf("driver recorded %d traces", len(traces))
-	}
-	for _, tr := range traces {
-		if len(tr.Spans) == 0 {
-			t.Fatalf("job %q trace has no spans", tr.Job)
-		}
-		var shuffleBytes int64
-		for _, s := range tr.Spans {
-			if s.Phase == obs.PhaseShuffle {
-				shuffleBytes += s.Bytes
-			}
-		}
-		if shuffleBytes != tr.Counters[CtrShuffleBytes] {
-			t.Fatalf("job %q: shuffle span bytes %d != counter %d",
-				tr.Job, shuffleBytes, tr.Counters[CtrShuffleBytes])
-		}
-	}
-}
-
-func TestDriverPropagatesError(t *testing.T) {
-	drv := NewDriver(&LocalEngine{})
-	_, err := drv.Run(context.Background(), &Job{Name: "bad"}, nil)
-	if err == nil || !strings.Contains(err.Error(), "bad") {
-		t.Fatalf("want named job error, got %v", err)
-	}
-}
-
 func TestExecuteTaskParityWithEngine(t *testing.T) {
-	// The exported task-level functions (used by the distributed engine)
-	// must produce the same result as the local engine.
+	// The exported task-level functions (the one task body of both
+	// engines) driven by hand must produce the same result as the local
+	// engine driving them, in memory and spilling.
 	input := lines("p q p", "r p q", "q q")
 	// Same reduce count on both paths so span counts are comparable (the
 	// engine defaults NumReduces to its parallelism).
 	nReduce := 2
-
-	engineRes, err := (&LocalEngine{Parallelism: 2}).Run(context.Background(), wordcount(), input)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	counters := NewCounters()
-	splits := splitInput(input, 2)
-	perTask := make([][][]Pair, len(splits))
-	var spanCount int
-	for ti, split := range splits {
-		parts, spans, err := ExecuteMapTask(wordcount(), ti, nReduce, split, counters)
+	for _, threshold := range []int64{0, 4} {
+		eng := &LocalEngine{Parallelism: 2, SpillThresholdBytes: threshold, TempDir: t.TempDir()}
+		engineRes, err := eng.Run(context.Background(), wordcount(), input)
 		if err != nil {
 			t.Fatal(err)
 		}
-		perTask[ti] = parts
-		spanCount += len(spans)
-	}
-	var manual []Pair
-	for r := 0; r < nReduce; r++ {
-		var sorted [][]Pair
-		for _, parts := range perTask {
-			sorted = append(sorted, parts[r])
+		if spilled := engineRes.Counters.Get(CtrSpilledRuns) > 0; spilled != (threshold > 0) {
+			t.Fatalf("threshold %d: spilled = %v", threshold, spilled)
 		}
-		out, spans, err := ExecuteReduceTask(wordcount(), r, nReduce, sorted, counters)
-		if err != nil {
-			t.Fatal(err)
+
+		counters := NewCounters()
+		spill := Spill{ThresholdBytes: threshold, Dir: t.TempDir()}
+		splits := SplitInput(input, 2)
+		perTask := make([]*MapOutput, len(splits))
+		var spanCount int
+		for ti, split := range splits {
+			out, spans, err := ExecuteMapTask(wordcount(), ti, nReduce, split, spill, counters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perTask[ti] = out
+			spanCount += len(spans)
 		}
-		manual = append(manual, out...)
-		spanCount += len(spans)
-	}
-	if engineSpans := len(engineRes.Trace.Spans); spanCount != engineSpans {
-		t.Fatalf("task-level spans %d != engine spans %d", spanCount, engineSpans)
-	}
-	if !samePairs(engineRes.Output, manual) {
-		t.Fatalf("task-level result %v differs from engine %v", manual, engineRes.Output)
-	}
-	if counters.Get(CtrShuffleBytes) != engineRes.Counters.Get(CtrShuffleBytes) {
-		t.Fatalf("shuffle bytes differ: %d vs %d",
-			counters.Get(CtrShuffleBytes), engineRes.Counters.Get(CtrShuffleBytes))
+		var manual []Pair
+		for r := 0; r < nReduce; r++ {
+			var sorted [][]Pair
+			var runs [][]string
+			for _, mo := range perTask {
+				sorted = append(sorted, mo.Mem[r])
+				runs = append(runs, mo.Runs[r])
+			}
+			out, spans, err := ExecuteReduceTask(wordcount(), r, nReduce, sorted, runs, counters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			manual = append(manual, out...)
+			spanCount += len(spans)
+		}
+		if engineSpans := len(engineRes.Trace.Spans); spanCount != engineSpans {
+			t.Fatalf("threshold %d: task-level spans %d != engine spans %d", threshold, spanCount, engineSpans)
+		}
+		if !samePairs(engineRes.Output, manual) {
+			t.Fatalf("threshold %d: task-level result %v differs from engine %v", threshold, manual, engineRes.Output)
+		}
+		if counters.Get(CtrShuffleBytes) != engineRes.Counters.Get(CtrShuffleBytes) {
+			t.Fatalf("threshold %d: shuffle bytes differ: %d vs %d", threshold,
+				counters.Get(CtrShuffleBytes), engineRes.Counters.Get(CtrShuffleBytes))
+		}
 	}
 }
 
 func TestExecuteMapTaskValidation(t *testing.T) {
-	if _, _, err := ExecuteMapTask(wordcount(), 0, 0, nil, NewCounters()); err == nil {
+	if _, _, err := ExecuteMapTask(wordcount(), 0, 0, nil, Spill{}, NewCounters()); err == nil {
 		t.Fatal("want error for zero reduce partitions")
 	}
-	if _, _, err := ExecuteMapTask(&Job{Name: "x"}, 0, 1, nil, NewCounters()); err == nil {
+	if _, _, err := ExecuteMapTask(&Job{Name: "x"}, 0, 1, nil, Spill{}, NewCounters()); err == nil {
 		t.Fatal("want error for invalid job")
 	}
 }
@@ -233,7 +178,7 @@ func TestExecuteReduceTaskMapOnly(t *testing.T) {
 			return nil
 		},
 	}
-	out, spans, err := ExecuteReduceTask(job, 0, 1, [][]Pair{{{Key: "k", Value: []byte("v")}}}, NewCounters())
+	out, spans, err := ExecuteReduceTask(job, 0, 1, [][]Pair{{{Key: "k", Value: []byte("v")}}}, nil, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}

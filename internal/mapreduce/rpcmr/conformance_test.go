@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/kernels"
 	"repro/internal/mapreduce"
+	"repro/internal/mapreduce/dag"
 	"repro/internal/obs"
 )
 
@@ -27,12 +28,14 @@ func stripWireCounters(c map[string]int64) {
 }
 
 // TestRunnerConformance drives the same LSH-DDP density job through both
-// mapreduce.Runner implementations — the in-process Driver and a real
-// 3-worker rpcmr cluster — and asserts they are observationally identical:
-// same output, same counter totals, and the same trace span geometry. Task
-// counts are pinned because the two engines default them differently (the
-// local engine defaults maps to its parallelism, the master to 2× workers);
-// with identical contiguous splits every per-task counter is deterministic.
+// mapreduce.Engine implementations — the in-process LocalEngine and a real
+// 3-worker rpcmr cluster — each under its own dag.Session, and asserts they
+// are observationally identical: same output, same counter totals, the same
+// trace span geometry, and one ledger entry each. Task counts are pinned
+// because the two engines default them differently (the local engine
+// defaults maps to its parallelism, the master to 2× workers); both split
+// with mapreduce.SplitInput and run mapreduce.ExecuteMapTask /
+// ExecuteReduceTask, so every per-task counter is deterministic.
 func TestRunnerConformance(t *testing.T) {
 	ds := dataset.Blobs("conformance", 600, 2, 4, 100, 3, 11)
 	input := core.InputPairs(ds)
@@ -56,9 +59,9 @@ func TestRunnerConformance(t *testing.T) {
 	master, _ := startCluster(t, 3)
 	runners := []struct {
 		name   string
-		runner mapreduce.Runner
+		engine mapreduce.Engine
 	}{
-		{"local", mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 3})},
+		{"local", &mapreduce.LocalEngine{Parallelism: 3}},
 		{"rpcmr", master},
 	}
 
@@ -72,20 +75,22 @@ func TestRunnerConformance(t *testing.T) {
 
 	for _, rc := range runners {
 		t.Run(rc.name, func(t *testing.T) {
-			res, err := rc.runner.Run(context.Background(), makeJob(), input)
+			sess := dag.NewSession(rc.engine, dag.Options{})
+			g := dag.NewGraph("conformance")
+			outs, err := sess.Run(context.Background(), g, g.Job(makeJob(), g.Source("points", input)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Trace == nil {
-				t.Fatal("Run returned no trace")
+			ledger := sess.Since(dag.Mark{})
+			if len(ledger.Jobs) != 1 {
+				t.Fatalf("ledger has %d jobs, want 1", len(ledger.Jobs))
 			}
-			jobs := rc.runner.Jobs()
-			if len(jobs) != 1 {
-				t.Fatalf("Jobs() = %d entries, want 1", len(jobs))
+			if len(ledger.JobTraces) != 1 {
+				t.Fatalf("ledger has %d job traces, want 1", len(ledger.JobTraces))
 			}
-			traces := rc.runner.Traces()
-			if len(traces) != 1 {
-				t.Fatalf("Traces() = %d entries, want 1", len(traces))
+			trace, counters := ledger.JobTraces[0], ledger.Jobs[0].Counters
+			if trace.ID == 0 {
+				t.Fatal("ledger left the job trace without an ID")
 			}
 
 			// PhaseFetch spans are the distributed engine's wire-level
@@ -95,7 +100,10 @@ func TestRunnerConformance(t *testing.T) {
 			// job's wire counters.
 			spans := map[obs.Phase]int{}
 			var shuffleBytes, fetchWireBytes int64
-			for _, s := range res.Trace.Spans {
+			for _, s := range trace.Spans {
+				if s.JobID != trace.ID {
+					t.Fatalf("%s span of task %d has job id %d, its trace %d", s.Phase, s.Task, s.JobID, trace.ID)
+				}
 				if s.Phase == obs.PhaseFetch {
 					if s.Bytes <= 0 {
 						t.Fatalf("fetch span with %d wire bytes", s.Bytes)
@@ -108,7 +116,7 @@ func TestRunnerConformance(t *testing.T) {
 					shuffleBytes += s.Bytes
 				}
 			}
-			if ctr := rc.runner.TotalCounter(mapreduce.CtrShuffleWireBytesCompressed); fetchWireBytes != ctr {
+			if ctr := counters[mapreduce.CtrShuffleWireBytesCompressed]; fetchWireBytes != ctr {
 				t.Fatalf("fetch span bytes = %d, %s counter = %d",
 					fetchWireBytes, mapreduce.CtrShuffleWireBytesCompressed, ctr)
 			}
@@ -126,16 +134,16 @@ func TestRunnerConformance(t *testing.T) {
 
 			// Acceptance invariant: shuffle spans account exactly the bytes
 			// the shuffle counter measures.
-			if ctr := rc.runner.TotalCounter(mapreduce.CtrShuffleBytes); shuffleBytes != ctr {
+			if ctr := counters[mapreduce.CtrShuffleBytes]; shuffleBytes != ctr {
 				t.Fatalf("shuffle span bytes = %d, %s counter = %d",
 					shuffleBytes, mapreduce.CtrShuffleBytes, ctr)
 			}
 
-			out := append([]mapreduce.Pair(nil), res.Output...)
+			out := append([]mapreduce.Pair(nil), outs[0]...)
 			sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 			results[rc.name] = observed{
 				output:   out,
-				counters: res.Counters.Snapshot(),
+				counters: counters,
 				spans:    spans,
 				bytes:    shuffleBytes,
 			}
@@ -197,9 +205,9 @@ func TestConformanceParallelKernels(t *testing.T) {
 	master, _ := startCluster(t, 3)
 	runners := []struct {
 		name   string
-		runner mapreduce.Runner
+		engine mapreduce.Engine
 	}{
-		{"local", mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 3})},
+		{"local", &mapreduce.LocalEngine{Parallelism: 3}},
 		{"rpcmr", master},
 	}
 
@@ -209,7 +217,7 @@ func TestConformanceParallelKernels(t *testing.T) {
 	}
 	results := make(map[string]observed)
 	for _, rc := range runners {
-		res, err := rc.runner.Run(context.Background(), makeJob(), input)
+		res, err := rc.engine.Run(context.Background(), makeJob(), input)
 		if err != nil {
 			t.Fatalf("%s: %v", rc.name, err)
 		}
@@ -267,11 +275,11 @@ func TestConformanceCompactScan(t *testing.T) {
 	master, _ := startCluster(t, 3)
 	runners := []struct {
 		name   string
-		runner mapreduce.Runner
+		engine mapreduce.Engine
 		conf   mapreduce.Conf
 	}{
-		{"local-f64", mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 3}), baseConf},
-		{"local-f32", mapreduce.NewDriver(&mapreduce.LocalEngine{Parallelism: 3}), compactConf},
+		{"local-f64", &mapreduce.LocalEngine{Parallelism: 3}, baseConf},
+		{"local-f32", &mapreduce.LocalEngine{Parallelism: 3}, compactConf},
 		{"rpcmr-f32", master, compactConf},
 	}
 
@@ -281,7 +289,7 @@ func TestConformanceCompactScan(t *testing.T) {
 	}
 	results := make(map[string]observed)
 	for _, rc := range runners {
-		res, err := rc.runner.Run(context.Background(), makeJob(rc.conf), input)
+		res, err := rc.engine.Run(context.Background(), makeJob(rc.conf), input)
 		if err != nil {
 			t.Fatalf("%s: %v", rc.name, err)
 		}

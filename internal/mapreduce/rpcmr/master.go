@@ -15,11 +15,11 @@ import (
 	"repro/internal/obs"
 )
 
-// Master coordinates a worker fleet and implements mapreduce.Runner: the
-// same run-and-observe surface as the local Driver, so a pipeline moves
-// from in-process to a cluster by swapping the Runner. One job runs at a
-// time (drivers in this repository are sequential anyway); Run blocks
-// until the job finishes or fails permanently.
+// Master coordinates a worker fleet and implements mapreduce.Engine, so a
+// pipeline moves from in-process to a cluster by handing dag.NewSession a
+// Master instead of a LocalEngine. One job runs at a time (the DAG scheduler
+// reads MaxConcurrentJobs and serializes); Run blocks until the job
+// finishes or fails permanently.
 type Master struct {
 	// LeaseTimeout re-queues a task not completed within the lease
 	// (default 60s; tests shrink it to exercise recovery).
@@ -30,15 +30,10 @@ type Master struct {
 	// worker gets a backup attempt; the first completion wins, the loser
 	// is ignored. 0 disables speculation.
 	SpeculativeFactor float64
-	// Log, when non-nil, receives scheduling events. Superseded by Events;
-	// kept so existing wiring keeps working (it is wrapped in a LogfSink).
-	Log func(format string, args ...any)
-	// Events, when non-nil, receives scheduler and progress events and
-	// takes precedence over Log.
+	// Events, when non-nil, receives scheduler and progress events.
 	Events obs.Sink
-	// MonitorInterval, when >0 and an event sink is configured, emits
-	// periodic counter snapshots (records/s, shuffle MB/s) while a job
-	// runs.
+	// MonitorInterval, when >0 and Events is set, emits periodic counter
+	// snapshots (records/s, shuffle MB/s) while a job runs.
 	MonitorInterval time.Duration
 
 	lis  net.Listener
@@ -51,15 +46,13 @@ type Master struct {
 	jobSeq     int
 	cur        *jobRun
 	history    []JobRecord
-	jobs       []mapreduce.JobStats
-	traces     []obs.JobTrace
-	total      *mapreduce.Counters
 	closed     bool
 }
 
-var _ mapreduce.Runner = (*Master)(nil)
+var _ mapreduce.Engine = (*Master)(nil)
 
-// JobRecord summarizes one completed job for Master.History.
+// JobRecord summarizes one completed job for Master.History. It is the
+// master's one record per job: Traces is read off the same entries.
 type JobRecord struct {
 	ID       int
 	Name     string
@@ -74,6 +67,8 @@ type JobRecord struct {
 	// max, straggler count) from the worker-reported spans.
 	MapDist    obs.TaskDist
 	ReduceDist obs.TaskDist
+
+	spans []obs.Span // worker-reported spans, served by Master.Traces
 }
 
 type workerInfo struct {
@@ -132,7 +127,6 @@ func NewMaster(addr string) (*Master, error) {
 		lis:          lis,
 		addr:         lis.Addr().String(),
 		workers:      make(map[int]*workerInfo),
-		total:        mapreduce.NewCounters(),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	srv := rpc.NewServer()
@@ -188,14 +182,10 @@ func (m *Master) WaitWorkers(n int, timeout time.Duration) error {
 	}
 }
 
-// sink resolves the event destination: Events when set, else the legacy
-// Log wrapped as a sink, else discard.
+// sink resolves the event destination: Events when set, else discard.
 func (m *Master) sink() obs.Sink {
 	if m.Events != nil {
 		return m.Events
-	}
-	if m.Log != nil {
-		return obs.LogfSink(m.Log)
 	}
 	return obs.Discard
 }
@@ -283,7 +273,7 @@ func (m *Master) run(ctx context.Context, job *mapreduce.Job, input []mapreduce.
 	}
 	var splits [][]mapreduce.Pair
 	if dfsParts == nil {
-		splits = splitPairs(input, nMaps)
+		splits = mapreduce.SplitInput(input, nMaps)
 	} else {
 		splits = make([][]mapreduce.Pair, len(dfsParts))
 	}
@@ -305,7 +295,7 @@ func (m *Master) run(ctx context.Context, job *mapreduce.Job, input []mapreduce.
 	m.cur = run
 	m.logf("job %d %q: %d maps, %d reduces, %d workers", run.id, job.Name, len(splits), nReduce, nWorkers)
 	var mon *obs.Monitor
-	if m.MonitorInterval > 0 && (m.Events != nil || m.Log != nil) {
+	if m.MonitorInterval > 0 && m.Events != nil {
 		mon = obs.StartMonitor(job.Name, m.MonitorInterval, run.counters.Snapshot, m.sink())
 	}
 	// Cancellation watcher: ctx.Done fails this run and wakes the wait
@@ -372,59 +362,38 @@ func (m *Master) run(ctx context.Context, job *mapreduce.Job, input []mapreduce.
 		Workers:    len(distinct),
 		MapDist:    obs.DistOf(run.spans, obs.PhaseMap),
 		ReduceDist: obs.DistOf(run.spans, obs.PhaseReduce),
+		spans:      run.spans,
 	}
-	trace := obs.JobTrace{
-		Job: run.job.Name, ID: run.id, Wall: wall,
-		Spans: run.spans, Counters: snap,
+	m.mu.Lock()
+	m.history = append(m.history, record)
+	m.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	var output []mapreduce.Pair
 	for _, ps := range run.outputs {
 		output = append(output, ps...)
 	}
-	m.mu.Lock()
-	m.history = append(m.history, record)
-	if err == nil {
-		// Runner stats accumulate successful jobs only, matching the
-		// local Driver (which never records a failed run).
-		m.jobs = append(m.jobs, mapreduce.JobStats{
-			Name: run.job.Name, Wall: wall, Counters: snap, Records: len(output),
-		})
-		m.traces = append(m.traces, trace)
-		m.total.Merge(run.counters)
-	}
-	m.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
+	trace := record.trace()
 	return &mapreduce.Result{Output: output, Counters: run.counters, Wall: wall, Trace: &trace}, nil
 }
 
-// Jobs returns stats of every successfully completed job, in order.
-func (m *Master) Jobs() []mapreduce.JobStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]mapreduce.JobStats(nil), m.jobs...)
+func (r *JobRecord) trace() obs.JobTrace {
+	return obs.JobTrace{Job: r.Name, ID: r.ID, Wall: r.Wall, Spans: r.spans, Counters: r.Counters}
 }
 
-// Traces returns the trace of every successfully completed job, in order.
+// Traces returns the trace of every successfully completed job, in order —
+// the non-failed entries of History.
 func (m *Master) Traces() []obs.JobTrace {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return append([]obs.JobTrace(nil), m.traces...)
-}
-
-// TotalCounter returns the named counter summed over all completed jobs.
-func (m *Master) TotalCounter(name string) int64 { return m.total.Get(name) }
-
-// TotalWall returns the summed wall time of all completed jobs.
-func (m *Master) TotalWall() time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var t time.Duration
-	for _, j := range m.jobs {
-		t += j.Wall
+	var traces []obs.JobTrace
+	for i := range m.history {
+		if !m.history[i].Failed {
+			traces = append(traces, m.history[i].trace())
+		}
 	}
-	return t
+	return traces
 }
 
 // History returns records of every job this master has completed, in
@@ -434,28 +403,6 @@ func (m *Master) History() []JobRecord {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]JobRecord(nil), m.history...)
-}
-
-// splitPairs divides input into at most n contiguous splits.
-func splitPairs(input []mapreduce.Pair, n int) [][]mapreduce.Pair {
-	if len(input) == 0 {
-		return [][]mapreduce.Pair{nil}
-	}
-	if n > len(input) {
-		n = len(input)
-	}
-	out := make([][]mapreduce.Pair, 0, n)
-	base, rem := len(input)/n, len(input)%n
-	off := 0
-	for i := 0; i < n; i++ {
-		size := base
-		if i < rem {
-			size++
-		}
-		out = append(out, input[off:off+size])
-		off += size
-	}
-	return out
 }
 
 // masterRPC is the RPC facade (separate type so Master's exported methods
@@ -521,6 +468,20 @@ func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 		median := medianDuration(durations)
 		return age > 100*time.Millisecond && age > time.Duration(m.SpeculativeFactor*float64(median))
 	}
+	assignMap := func(ti int) {
+		reply.Kind = TaskMap
+		reply.JobID = run.id
+		reply.JobName = run.job.Name
+		reply.Conf = run.job.Conf
+		reply.TaskID = ti
+		reply.NumReduces = run.nReduce
+		if run.dfsParts != nil {
+			reply.DFSNameNode = run.dfsNameNode
+			reply.DFSPart = run.dfsParts[ti]
+		} else {
+			reply.Split = run.splits[ti]
+		}
+	}
 	// Map phase first.
 	allMapsDone := true
 	for ti := range run.maps {
@@ -531,18 +492,7 @@ func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 				s.status = taskRunning
 				s.worker = args.WorkerID
 				s.started = now
-				reply.Kind = TaskMap
-				reply.JobID = run.id
-				reply.JobName = run.job.Name
-				reply.Conf = run.job.Conf
-				reply.TaskID = ti
-				reply.NumReduces = run.nReduce
-				if run.dfsParts != nil {
-					reply.DFSNameNode = run.dfsNameNode
-					reply.DFSPart = run.dfsParts[ti]
-				} else {
-					reply.Split = run.splits[ti]
-				}
+				assignMap(ti)
 				return nil
 			}
 		}
@@ -555,18 +505,7 @@ func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 				s.backup = true
 				m.logf("job %d: speculative map %d on worker %d (primary %d)",
 					run.id, ti, args.WorkerID, s.worker)
-				reply.Kind = TaskMap
-				reply.JobID = run.id
-				reply.JobName = run.job.Name
-				reply.Conf = run.job.Conf
-				reply.TaskID = ti
-				reply.NumReduces = run.nReduce
-				if run.dfsParts != nil {
-					reply.DFSNameNode = run.dfsNameNode
-					reply.DFSPart = run.dfsParts[ti]
-				} else {
-					reply.Split = run.splits[ti]
-				}
+				assignMap(ti)
 				return nil
 			}
 		}

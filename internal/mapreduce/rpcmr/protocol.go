@@ -3,11 +3,12 @@
 // the in-process engine. The division of labour mirrors Hadoop 1.x (the
 // system the reproduced paper ran on):
 //
-//   - the master owns job state, splits input, assigns map and reduce
-//     tasks to polling workers under leases, and re-executes tasks whose
-//     worker disappears;
+//   - the master owns job state, splits input (mapreduce.SplitInput, the
+//     local engine's splitter), assigns map and reduce tasks to polling
+//     workers under leases, and re-executes tasks whose worker disappears;
 //   - workers execute tasks with mapreduce.ExecuteMapTask /
-//     ExecuteReduceTask, keep their map outputs locally, and serve them to
+//     ExecuteReduceTask — the task bodies the local engine runs too — keep
+//     their map outputs locally, and serve them to
 //     reducers over a worker-to-worker streaming shuffle transport
 //     (chunked binary frames with optional compression — see transport.go);
 //   - functions do not serialize, so workers rebuild jobs from a local
@@ -16,7 +17,9 @@
 //
 // The master implements mapreduce.Engine, so every algorithm in this
 // repository (Basic-DDP, LSH-DDP, EDDPC, K-means) runs on a real cluster
-// unchanged — see examples/distributed.
+// unchanged — see examples/distributed. Job accounting lives in the
+// dag.Session built on it; the master itself keeps History, one JobRecord
+// per job for the operator's job-tracker view, and serves Traces from it.
 package rpcmr
 
 import (

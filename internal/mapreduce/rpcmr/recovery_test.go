@@ -289,3 +289,31 @@ func TestMasterHistory(t *testing.T) {
 		t.Fatalf("record 1 counters: %v", h[1].Counters)
 	}
 }
+
+// Traces is a view of History: one trace per job that did not fail, with
+// the master's job ID and the worker-reported spans.
+func TestMasterTracesFollowHistory(t *testing.T) {
+	m, _ := startCluster(t, 2)
+	factory, _ := lookupJob("fail-always")
+	if _, err := m.Run(context.Background(), factory(nil), []mapreduce.Pair{{Value: []byte("x")}}); err == nil {
+		t.Fatal("want failure")
+	}
+	res, err := m.Run(context.Background(), wordcountJob(nil), []mapreduce.Pair{{Value: []byte("a b")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, h := m.Traces(), m.History()
+	if len(h) != 2 || len(traces) != 1 {
+		t.Fatalf("%d history records, %d traces; want 2 and 1", len(h), len(traces))
+	}
+	tr := traces[0]
+	if tr.Job != "wordcount" || tr.ID != h[1].ID || tr.Wall != h[1].Wall {
+		t.Fatalf("trace %q #%d does not match history record %+v", tr.Job, tr.ID, h[1])
+	}
+	if len(tr.Spans) == 0 || len(tr.Spans) != len(res.Trace.Spans) {
+		t.Fatalf("trace has %d spans, Run returned %d", len(tr.Spans), len(res.Trace.Spans))
+	}
+	if tr.Counters[mapreduce.CtrMapInputRecords] != 1 {
+		t.Fatalf("trace counters: %v", tr.Counters)
+	}
+}

@@ -240,14 +240,15 @@ func (w *Worker) runMap(task *GetTaskReply) {
 		}
 	}
 	counters := mapreduce.NewCounters()
-	parts, spans, err := mapreduce.ExecuteMapTask(job, task.TaskID, task.NumReduces, records, counters)
+	// No spilling here: partitions are served to reducers from memory.
+	out, spans, err := mapreduce.ExecuteMapTask(job, task.TaskID, task.NumReduces, records, mapreduce.Spill{}, counters)
 	if err != nil {
 		args.Err = err.Error()
 		w.report(args)
 		return
 	}
 	w.mu.Lock()
-	w.store[storeKey{jobID: task.JobID, mapTask: task.TaskID}] = parts
+	w.store[storeKey{jobID: task.JobID, mapTask: task.TaskID}] = out.Mem
 	w.mu.Unlock()
 	args.Counters = counters.Snapshot()
 	args.Spans = w.tagSpans(spans, task.JobID)
@@ -282,7 +283,7 @@ func (w *Worker) runReduce(task *GetTaskReply) {
 		counters.Add(mapreduce.CtrShuffleWireBytes, wireRaw)
 		counters.Add(mapreduce.CtrShuffleWireBytesCompressed, wireSent)
 	}
-	out, spans, err := mapreduce.ExecuteReduceTask(job, task.TaskID, task.NumReduces, sorted, counters)
+	out, spans, err := mapreduce.ExecuteReduceTask(job, task.TaskID, task.NumReduces, sorted, nil, counters)
 	if err != nil {
 		args.Err = err.Error()
 		w.report(args)

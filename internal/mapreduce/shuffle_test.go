@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -98,7 +99,7 @@ func TestSortPairsAllocFree(t *testing.T) {
 func TestRunParallelStopsDispatchAfterError(t *testing.T) {
 	const n = 1000
 	var started atomic.Int64
-	err := runParallel(n, 2, func(i int) error {
+	err := runParallelCtx(context.Background(), n, 2, func(i int) error {
 		started.Add(1)
 		if i == 0 {
 			return fmt.Errorf("task %d boom", i)
@@ -121,7 +122,7 @@ func TestRunParallelStopsDispatchAfterError(t *testing.T) {
 func TestRunParallelAllTasksRunWithoutError(t *testing.T) {
 	const n = 100
 	var ran atomic.Int64
-	if err := runParallel(n, 4, func(i int) error {
+	if err := runParallelCtx(context.Background(), n, 4, func(i int) error {
 		ran.Add(1)
 		return nil
 	}); err != nil {

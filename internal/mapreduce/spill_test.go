@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -162,6 +163,51 @@ func TestSpillActuallySpills(t *testing.T) {
 	}
 	if total != 200 {
 		t.Fatalf("records after spill = %d, want 200", total)
+	}
+}
+
+// The order values reach a reducer is part of the engine's contract:
+// sources are merged map-task-major — task t's in-memory partition, then
+// task t's run files in spill order — and equal keys break by source. A
+// reducer that folds floats or keeps the first of several ties depends on
+// it. The golden string was taken from the engine's inline reduce body
+// before the task executor was unified.
+func TestSpillKeepsArrivalOrder(t *testing.T) {
+	// 3 map tasks × 7 records, all under one key; 3-byte records against a
+	// 9-byte threshold spill each task after its 3rd and 6th record and
+	// leave the 7th in memory.
+	var input []Pair
+	for task := 0; task < 3; task++ {
+		for i := 0; i < 7; i++ {
+			input = append(input, Pair{Value: []byte(fmt.Sprintf("%c%d", 'a'+task, i))})
+		}
+	}
+	job := &Job{
+		Name:       "arrival",
+		NumMaps:    3,
+		NumReduces: 1,
+		Map: func(_ *TaskContext, _ string, value []byte, out Emitter) error {
+			out.Emit("k", value)
+			return nil
+		},
+		Reduce: func(_ *TaskContext, key string, values [][]byte, out Emitter) error {
+			out.Emit(key, bytes.Join(values, []byte(" ")))
+			return nil
+		},
+	}
+	const golden = "a6 a0 a1 a2 a3 a4 a5 b6 b0 b1 b2 b3 b4 b5 c6 c0 c1 c2 c3 c4 c5"
+	for _, par := range []int{1, 3} {
+		eng := &LocalEngine{Parallelism: par, SpillThresholdBytes: 9, TempDir: t.TempDir()}
+		res, err := eng.Run(context.Background(), job, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if runs := res.Counters.Get(CtrSpilledRuns); runs != 6 {
+			t.Fatalf("parallelism %d: %d spilled runs, want 2 per map task", par, runs)
+		}
+		if len(res.Output) != 1 || string(res.Output[0].Value) != golden {
+			t.Fatalf("parallelism %d: reducer saw %q, want %q", par, res.Output, golden)
+		}
 	}
 }
 
