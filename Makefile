@@ -7,8 +7,8 @@ GO ?= go
 all: check
 
 # The full gate: compile everything, vet, enforce the docs (package
-# comments, the README knob reference, no recipe naming a deleted target or
-# binary), run the test suite, re-run the concurrency-heavy packages under
+# comments, the README knob reference in both directions, no recipe naming a
+# deleted target or binary), run the test suite, re-run the concurrency-heavy packages under
 # the race detector, fuzz the LSH key codec, the top-k sweep, the serving
 # engine's bucket sweep, the ρ-partial codec and the record frame for five
 # seconds each, smoke
@@ -24,8 +24,9 @@ vet:
 	$(GO) vet ./...
 
 # Fail on any package missing a package-level doc comment, any registered
-# Conf* knob missing from README.md's configuration reference, or any doc
-# citing a `make` target or cmd/ binary that no longer exists.
+# Conf* knob missing from README.md's configuration reference, any knob key
+# in that reference that no code reads, or any doc citing a `make` target or
+# cmd/ binary that no longer exists.
 doccheck:
 	$(GO) run ./cmd/doccheck
 
@@ -36,8 +37,9 @@ test-short:
 	$(GO) test -short ./...
 
 # The engines are the concurrency-heavy core; keep them race-clean. The
-# kernels package rides along for its intra-partition parallel merge path,
-# dfs/chaos for the heartbeat + re-replication machinery and its harness,
+# kernels package rides along because concurrent reduce tasks and the serving
+# engine call it from many goroutines, dfs/chaos for the heartbeat +
+# re-replication machinery and its harness,
 # serve/model for the query server's batching, shedding, and hot reload,
 # fleet for the router's scatter-gather, hedging, and liveness prober.
 # ./internal/mapreduce/... recursively covers the dag scheduler package,
@@ -92,24 +94,24 @@ bench-hot:
 # (full pass, and NNRows over a sparse candidate list — the shape a served
 # query scans), multi-query NNBatch, top-k selection (the `TopK` pattern
 # matches both TopKScan, the flat batch, and TopKSweep, the kNN-join
-# reducers' coordinate-ordered scan), compact ρ accumulation, and one served
-# query end to end at the harness geometry (EngineAssign: ns and rows
-# evaluated per query, share certified from one bucket, f64 and q8).
+# reducers' coordinate-ordered scan), and one served query end to end at the
+# harness geometry (EngineAssign: ns and rows evaluated per query, share
+# certified from one bucket, f64 and q8).
 # End-to-end figures come from `bash bench/run.sh`.
 bench-scan:
-	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK' -run '^$$' -benchmem \
+	$(GO) test -bench 'NNScan|NNRows|NNBatch|TopK' -run '^$$' -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/
 	$(GO) test -bench 'EngineAssign' -run '^$$' -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/serve/
 
 # One fast iteration per scan benchmark, per pair-kernel benchmark (the
 # RhoKernel / RhoKernelGaussian / DeltaKernel subs `bench-hot` feeds to
-# benchstat: naive, tiled, parallel at dim 2 / 4 / 8) and per key /
+# benchstat: naive and tiled at dim 2 / 4 / 8) and per key /
 # index-build / served-query benchmark, for the check gate and CI: catches a
 # pair kernel, a compact kernel, a key path or a sweep that stops compiling or
 # panics on real shapes.
 bench-scan-smoke:
-	$(GO) test -bench 'NNScan|NNRows|NNBatch|CompactRho|TopK|RhoKernel|DeltaKernel' -run '^$$' -benchtime 1x ./internal/kernels/
+	$(GO) test -bench 'NNScan|NNRows|NNBatch|TopK|RhoKernel|DeltaKernel' -run '^$$' -benchtime 1x ./internal/kernels/
 	$(GO) test -bench 'Keys|NewEngine|EngineAssign' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/
 
 # bench/ is its own module, so `go test ./...` here never compiles it: vet

@@ -339,29 +339,6 @@ func BenchmarkLSHHalo(b *testing.B) {
 	}
 }
 
-func BenchmarkMaxPartitionCap(b *testing.B) {
-	ds := dataset.Blobs("bench-cap", 4000, 4, 2, 40, 6, 13)
-	for _, cap := range []int{0, 500} {
-		b.Run(fmt.Sprintf("cap=%d", cap), func(b *testing.B) {
-			var st core.Stats
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunLSHDDP(context.Background(), ds, core.LSHConfig{
-					Config:       core.Config{Seed: 1, DcPercentile: 0.02},
-					Accuracy:     0.99,
-					M:            8,
-					Pi:           3,
-					MaxPartition: cap,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				st = res.Stats
-			}
-			reportStats(b, &st)
-		})
-	}
-}
-
 // BenchmarkDistributedEngine prices the TCP cluster against the in-process
 // engine on the same job (cluster boot excluded from the timer).
 func BenchmarkDistributedEngine(b *testing.B) {

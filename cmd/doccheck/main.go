@@ -8,14 +8,18 @@
 //     string constant with a dotted value, e.g. `ConfDeltaMax =
 //     "ingest.delta.max"` — has no row in README.md's configuration
 //     reference (the knob's name must appear backticked in README.md), or
+//   - a lower-case dotted key backticked in the first column of a table of
+//     that reference occurs in no string literal of any non-test .go file —
+//     the README documents a knob nothing reads, or
 //   - README.md, DESIGN.md, EXPERIMENTS.md or OPERATIONS.md mention, inside
 //     backticks, a `make <target>` the Makefile does not define or a
 //     `cmd/<name>` directory that does not exist.
 //
 // The second check keeps the README's configuration reference in step with
 // the code: adding a knob without documenting it breaks `make check` and CI.
-// The third is the other direction: deleting a target or a binary without
-// deleting its recipes breaks them too. Run from the module root:
+// The third is its reverse: deleting a knob without deleting its row breaks
+// them too, as the fourth does for a deleted target or binary. Run from the
+// module root:
 //
 //	go run ./cmd/doccheck
 package main
@@ -29,13 +33,14 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 func main() {
-	undocumented, knobs, err := scan(".")
+	undocumented, knobs, literals, err := scan(".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 		os.Exit(1)
@@ -48,18 +53,23 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %s\n", dir)
 		}
 	}
-	missing, err := undocumentedKnobs("README.md", knobs)
+	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 		os.Exit(1)
 	}
-	if len(missing) > 0 {
+	if missing := undocumentedKnobs(string(readme), knobs); len(missing) > 0 {
 		failed = true
 		fmt.Fprintln(os.Stderr, "doccheck: knobs registered in code but missing from README.md's configuration reference:")
 		for _, k := range missing {
 			fmt.Fprintf(os.Stderr, "  %-28s (%s in %s)\n", k.value, k.name, k.file)
 		}
 		fmt.Fprintln(os.Stderr, "doccheck: add a `| `knob` | default | meaning |` row under \"Configuration reference\"")
+	}
+	documented := documentedKnobs(string(readme))
+	for _, key := range unreadKnobs(documented, literals) {
+		failed = true
+		fmt.Fprintf(os.Stderr, "doccheck: README documents knob %s, which no code reads\n", key)
 	}
 	targets, cmds, err := definedRefs("Makefile", "cmd")
 	if err != nil {
@@ -80,7 +90,7 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("doccheck: all packages documented, all %d registered knobs in the README\n", len(knobs))
+	fmt.Printf("doccheck: all packages documented, all %d registered knobs in the README, all %d README knob keys read by code\n", len(knobs), len(documented))
 }
 
 // knob is one exported Conf* string constant found in the tree.
@@ -91,20 +101,51 @@ type knob struct {
 }
 
 // undocumentedKnobs returns the knobs whose value never appears backticked
-// in the named markdown file.
-func undocumentedKnobs(readme string, knobs []knob) ([]knob, error) {
-	data, err := os.ReadFile(readme)
-	if err != nil {
-		return nil, err
-	}
-	text := string(data)
+// in the README text.
+func undocumentedKnobs(readme string, knobs []knob) []knob {
 	var missing []knob
 	for _, k := range knobs {
-		if !strings.Contains(text, "`"+k.value+"`") {
+		if !strings.Contains(readme, "`"+k.value+"`") {
 			missing = append(missing, k)
 		}
 	}
-	return missing, nil
+	return missing
+}
+
+// confKey matches a lower-case dotted knob name, e.g. ddp.lsh.m.
+var confKey = regexp.MustCompile(`^[a-z][a-z0-9]*(\.[a-z0-9]+)+$`)
+
+// documentedKnobs returns the lower-case dotted keys backticked in the first
+// column of the tables under the README's "Configuration reference" heading
+// (struct fields, flags and counters named there are not keys).
+func documentedKnobs(readme string) []string {
+	_, section, _ := strings.Cut(readme, "\n## Configuration reference")
+	section, _, _ = strings.Cut(section, "\n## ")
+	var keys []string
+	for _, line := range strings.Split(section, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || strings.TrimSpace(cells[0]) != "" {
+			continue // not a table row
+		}
+		for i, span := range strings.Split(cells[1], "`") {
+			if i%2 == 1 && confKey.MatchString(span) {
+				keys = append(keys, span)
+			}
+		}
+	}
+	return keys
+}
+
+// unreadKnobs returns the keys that occur inside none of the string
+// literals: a knob the README documents and no code can read.
+func unreadKnobs(keys, literals []string) []string {
+	var unread []string
+	for _, key := range keys {
+		if !slices.ContainsFunc(literals, func(lit string) bool { return strings.Contains(lit, key) }) {
+			unread = append(unread, key)
+		}
+	}
+	return unread
 }
 
 var (
@@ -195,13 +236,15 @@ func collectKnobs(path string, f *ast.File) []knob {
 }
 
 // scan walks the tree under root and returns the directories containing a
-// Go package whose files all lack a package doc comment, plus every
-// registered Conf* knob, sorted by knob name.
-func scan(root string) ([]string, []knob, error) {
+// Go package whose files all lack a package doc comment, every registered
+// Conf* knob, sorted by knob name, and every dotted string literal of the
+// non-test files.
+func scan(root string) ([]string, []knob, []string, error) {
 	// dir -> has at least one non-test file with a package doc
 	hasDoc := make(map[string]bool)
 	seen := make(map[string]bool)
 	var knobs []knob
+	var literals []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -227,10 +270,18 @@ func scan(root string) ([]string, []knob, error) {
 			hasDoc[dir] = true
 		}
 		knobs = append(knobs, collectKnobs(path, f)...)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if val, err := strconv.Unquote(lit.Value); err == nil && strings.Contains(val, ".") {
+					literals = append(literals, val)
+				}
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	var out []string
 	for dir := range seen {
@@ -240,5 +291,5 @@ func scan(root string) ([]string, []knob, error) {
 	}
 	sort.Strings(out)
 	sort.Slice(knobs, func(i, j int) bool { return knobs[i].value < knobs[j].value })
-	return out, knobs, nil
+	return out, knobs, literals, nil
 }

@@ -26,3 +26,23 @@ func TestStaleRefs(t *testing.T) {
 		}
 	}
 }
+
+func TestUnreadKnobs(t *testing.T) {
+	literals := []string{"ddp.lsh.m", "usage: -set serve.batch.max=N", "repro/internal/core"}
+	cases := []struct {
+		name   string
+		readme string
+		want   []string
+	}{
+		{"read knobs", "# T\n## Configuration reference\n| `ddp.lsh.m` | 10 | layouts |\n| `serve.batch.max` / `-batch-max` | 64 | flush |\n", nil},
+		{"deleted knob", "# T\n## Configuration reference\n| Knob | Default |\n|---|---|\n| `ddp.lsh.m` / `ddp.gone.knob` | — | both |\n", []string{"ddp.gone.knob"}},
+		{"fields and flags are not keys", "# T\n## Configuration reference\n| `LocalEngine.Parallelism` / `-v` | x | y |\n", nil},
+		{"first column only", "# T\n## Configuration reference\n| `ddp.lsh.m` | `0` | see `ddp.gone.knob` |\n", nil},
+		{"other sections", "`ddp.gone.knob`\n## Configuration reference\nprose `ddp.gone.knob`\n## Next\n| `ddp.gone.knob` | x | y |\n", nil},
+	}
+	for _, c := range cases {
+		if got := unreadKnobs(documentedKnobs(c.readme), literals); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: unread knobs = %q, want %q", c.name, got, c.want)
+		}
+	}
+}

@@ -65,7 +65,6 @@ type joinFlags struct {
 	accuracy *float64
 	seed     *int64
 	reduces  *int
-	scan     *string
 	verbose  *bool
 	out      *string
 
@@ -85,7 +84,6 @@ func newJoinFlags(name string) *joinFlags {
 		accuracy:     fs.Float64("accuracy", 0.9, "target bucket accuracy when solving the width"),
 		seed:         fs.Int64("seed", 1, "layout / sampling seed"),
 		reduces:      fs.Int("reduces", 0, "reduce partitions (0 = one per worker)"),
-		scan:         fs.String("scan", "", "bucket scan precision: f64 (default) or f32"),
 		verbose:      fs.Bool("v", false, "log per-pass progress"),
 		out:          fs.String("out", "", "output CSV ('' or '-' = stdout)"),
 		masterListen: fs.String("master-listen", "", "run distributed: listen for mrd workers here"),
@@ -96,13 +94,12 @@ func newJoinFlags(name string) *joinFlags {
 
 func (jf *joinFlags) config() knnjoin.Config {
 	cfg := knnjoin.Config{
-		M:             *jf.m,
-		Pi:            *jf.pi,
-		W:             *jf.w,
-		Accuracy:      *jf.accuracy,
-		Seed:          *jf.seed,
-		NumReduces:    *jf.reduces,
-		ScanPrecision: *jf.scan,
+		M:          *jf.m,
+		Pi:         *jf.pi,
+		W:          *jf.w,
+		Accuracy:   *jf.accuracy,
+		Seed:       *jf.seed,
+		NumReduces: *jf.reduces,
 	}
 	if *jf.verbose {
 		cfg.Log = func(format string, args ...any) {

@@ -53,9 +53,6 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	if ds.N() < 2 {
 		return nil, fmt.Errorf("core: need at least 2 points, have %d", ds.N())
 	}
-	if err := checkScanPrecision(&cfg.Config); err != nil {
-		return nil, err
-	}
 	sess := cfg.DagSession()
 	mark := sess.Mark()
 	input := sess.Stage("points", InputPairs(ds))
@@ -70,7 +67,6 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	conf.SetFloat(confDc, dc)
 	conf.SetInt(confBlocks, nBlocks)
 	setKernelConf(conf, cfg.Kernel)
-	SetScanConf(conf, &cfg.Config)
 
 	g := dag.NewGraph("basic-ddp")
 	partials := g.Job(BasicRhoJob(conf).WithReduces(cfg.NumReduces), input)
@@ -177,9 +173,9 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			// scalar loops, so partials stay bit-identical.
 			rho := kernels.Credit{Layouts: 1}
 			rho.Reset(n, kern)
-			CountScan(ctx, kernels.Rho(m, []kernels.Block{
+			ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.Rho(m, []kernels.Block{
 				kernels.Triangle(0, nLocal), kernels.Cross(nLocal, n, 0, nLocal),
-			}, kern, &rho, ScanFromConf(ctx.Conf)))
+			}, kern, &rho))
 			for i := 0; i < n; i++ {
 				share := rho.Share(i, 0)
 				if i >= nLocal && share == 0 {
@@ -274,9 +270,9 @@ func BasicDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			acc := kernels.NewDeltaAcc(n, true)
 			// Diagonal pair over local rows, then visitors × local — the
 			// same evaluation order as the scalar loops.
-			CountScan(ctx, kernels.Delta(m, []kernels.Block{
+			ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.Delta(m, []kernels.Block{
 				kernels.Triangle(0, nLocal), kernels.Cross(nLocal, n, 0, nLocal),
-			}, acc, ScanFromConf(ctx.Conf)))
+			}, acc))
 			for i := 0; i < n; i++ {
 				id := m.ID(i)
 				dv := points.DeltaValue{ID: id}

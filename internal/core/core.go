@@ -50,7 +50,6 @@ const (
 	confW          = "ddp.lsh.w"
 	confSeed       = "ddp.seed"
 	confAggMean    = "ddp.lsh.aggregate.mean"
-	confMaxPart    = "ddp.lsh.max.partition"
 )
 
 // Job names, used by the rpcmr job registry.
@@ -172,26 +171,6 @@ type Config struct {
 	// Gaussian variant of the original DP paper is supported as an
 	// extension — see kernel.go).
 	Kernel dp.Kernel
-	// ParallelThreshold enables intra-partition parallelism: reducer
-	// groups of at least this many points split their pairwise tile grid
-	// across a bounded worker pool, so one skewed LSH partition (the
-	// Figure 12 straggler effect) no longer pins its reduce task to a
-	// single core. 0 (the default) keeps every group on the serial,
-	// bit-identical kernels. δ results and cutoff-kernel ρ stay
-	// bit-identical either way; Gaussian ρ may differ in the last ulps.
-	ParallelThreshold int
-	// ParallelWorkers bounds the per-group worker pool; <=0 means
-	// GOMAXPROCS (capped at 16). Only meaningful with ParallelThreshold.
-	ParallelWorkers int
-	// ScanPrecision selects the reducer-side pairwise scan representation
-	// (conf key "mr.scan.precision"): "" or "f64" keeps the float64
-	// kernels; "f32" streams a float32 mirror of each reducer group and
-	// re-checks only band-inconclusive pairs in float64, halving scan
-	// bandwidth. δ results and cutoff-kernel ρ stay bit-identical; Gaussian
-	// ρ is computed from the float32 distance within documented tolerance
-	// (DESIGN.md "Compact scan path"). Groups that cross ParallelThreshold
-	// use the parallel float64 kernels instead. q8 is serving-only.
-	ScanPrecision string
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 	// Trace, when non-nil, collects every job's structured trace; wire it
@@ -201,17 +180,10 @@ type Config struct {
 	// schedules onto: its node-result cache and staged datasets persist
 	// across pipeline runs, so an unchanged sub-pipeline (the d_c job, the
 	// ρ jobs when only δ parameters moved, a repeated run) is served from
-	// cache. Engine is ignored when set — the session's engine is used.
+	// cache. Engine is ignored when set — the session's engine is used. A
+	// caller that wants a node-result cache or a bound on concurrent nodes
+	// builds the session with those dag.Options and passes it here.
 	Session *dag.Session
-	// DagWorkers bounds concurrent DAG nodes when the pipeline builds its
-	// own session (Session nil); 0 defers to the engine's declared job
-	// concurrency.
-	DagWorkers int
-	// DagCacheMB sizes the per-run node-result cache in MiB when Session
-	// is nil; 0 disables caching. Cross-run reuse needs a shared Session —
-	// a private cache only serves repeated sub-graphs within one pipeline
-	// run.
-	DagCacheMB int
 }
 
 func (c *Config) engine() mapreduce.Engine {
@@ -223,17 +195,12 @@ func (c *Config) engine() mapreduce.Engine {
 
 // DagSession resolves the session a pipeline schedules its graph onto:
 // the shared c.Session when set, otherwise a fresh private session over
-// c.Engine with the c.Dag* knobs applied.
+// c.Engine (no cache; node concurrency as the engine declares).
 func (c *Config) DagSession() *dag.Session {
 	if c.Session != nil {
 		return c.Session
 	}
-	return dag.NewSession(c.engine(), dag.Options{
-		Workers:    c.DagWorkers,
-		CacheBytes: int64(c.DagCacheMB) << 20,
-		Log:        c.Log,
-		Trace:      c.Trace,
-	})
+	return dag.NewSession(c.engine(), dag.Options{Log: c.Log, Trace: c.Trace})
 }
 
 // DcPercentileOrDefault returns the effective d_c quantile (default 0.02).

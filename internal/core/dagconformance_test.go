@@ -59,9 +59,7 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	conf.SetFloat(confW, w)
 	conf.SetInt64(confSeed, cfg.Seed)
 	conf.SetBool(confAggMean, cfg.AggregateMean)
-	conf.SetInt(confMaxPart, cfg.MaxPartition)
 	setKernelConf(conf, cfg.Kernel)
-	setParallelConf(conf, &cfg.Config)
 
 	p1 := run(LSHRhoJob(conf.Clone()).WithReduces(cfg.NumReduces), input)
 	p2 := run(LSHRhoAggJob(conf.Clone()).WithReduces(cfg.NumReduces), p1)

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
@@ -138,7 +137,7 @@ func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 					}
 				}
 			}
-			countPairs(ctx, kernels.Ran{Pairs: nd}, skipped)
+			countPairs(ctx, nd, skipped)
 			clusters := make([]int32, 0, len(border))
 			for c := range border {
 				clusters = append(clusters, c)

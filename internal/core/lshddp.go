@@ -33,17 +33,6 @@ type LSHConfig struct {
 	// AggregateMean switches ρ̂ aggregation from the paper's max to a mean
 	// (ablation; Theorem 1 justifies max because ρ̂ᵐ ≤ ρ always).
 	AggregateMean bool
-	// MaxPartition caps the local work of one LSH partition: a reducer
-	// group larger than this is processed — in the reducer's own row order
-	// (paironce.go) — in contiguous chunks of at most MaxPartition points,
-	// and pairs across chunks are dropped. A pair is owned on its keys
-	// alone, so one its owner drops is not retried by a later layout. Local
-	// estimates remain valid (ρ̂ still undercounts, δ̂ still overshoots), so
-	// Theorem 1/2 aggregation is unaffected — this trades accuracy for a
-	// hard bound on reducer cost and skew, the failure mode Figure 12
-	// observes at small M with large π. 0 disables the cap, and only then
-	// does the pipeline equal the per-layout definition bit for bit.
-	MaxPartition int
 }
 
 func (c *LSHConfig) accuracy() float64 {
@@ -92,9 +81,6 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if ds.N() < 2 {
 		return nil, fmt.Errorf("core: need at least 2 points, have %d", ds.N())
 	}
-	if err := checkScanPrecision(&cfg.Config); err != nil {
-		return nil, err
-	}
 	sess := cfg.DagSession()
 	mark := sess.Mark()
 	input := sess.Stage("points", InputPairs(ds))
@@ -119,9 +105,7 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	conf.SetFloat(confW, w)
 	conf.SetInt64(confSeed, cfg.Seed)
 	conf.SetBool(confAggMean, cfg.AggregateMean)
-	conf.SetInt(confMaxPart, cfg.MaxPartition)
 	setKernelConf(conf, cfg.Kernel)
-	SetScanConf(conf, &cfg.Config)
 
 	g := dag.NewGraph("lsh-ddp")
 	partials := g.Job(LSHRhoJob(conf).WithReduces(cfg.NumReduces), input)
@@ -212,17 +196,17 @@ func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 				return err
 			}
 			defer points.PutMatrix(m)
-			blocks, skipped := po.owned(m.N(), own, ctx.Conf.GetInt(confMaxPart, 0))
+			blocks, skipped := po.owned(m.N(), own)
 			if len(blocks) == 0 {
 				// A later layout all of whose pairs earlier ones own: no
 				// share to report (layout 0 always has its triangle).
-				countPairs(ctx, kernels.Ran{}, skipped)
+				countPairs(ctx, 0, skipped)
 				return nil
 			}
 			cr := &po.credit
 			cr.Layouts, cr.Own, cr.Sig = l.M(), own, po.sig
 			cr.Reset(m.N(), kern)
-			countPairs(ctx, kernels.Rho(m, blocks, kern, cr, ScanFromConf(ctx.Conf)), skipped)
+			countPairs(ctx, kernels.Rho(m, blocks, kern, cr), skipped)
 			part := points.RhoPartial{Gaussian: kern.Gaussian, First: own, Vals: make([]float64, l.M()-own)}
 			for i := 0; i < m.N(); i++ {
 				keep := own == 0
@@ -345,14 +329,14 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 				return err
 			}
 			defer points.PutMatrix(m)
-			blocks, skipped := po.owned(m.N(), own, ctx.Conf.GetInt(confMaxPart, 0))
+			blocks, skipped := po.owned(m.N(), own)
 			if len(blocks) == 0 {
-				countPairs(ctx, kernels.Ran{}, skipped) // as in LSHRhoJob: nothing owned
+				countPairs(ctx, 0, skipped) // as in LSHRhoJob: nothing owned
 				return nil
 			}
 			acc := &po.acc
 			acc.Reset(m.N(), false)
-			countPairs(ctx, kernels.Delta(m, blocks, acc, ScanFromConf(ctx.Conf)), skipped)
+			countPairs(ctx, kernels.Delta(m, blocks, acc), skipped)
 			for i := 0; i < m.N(); i++ {
 				id := m.ID(i)
 				dv := points.DeltaValue{ID: id, Delta: math.Inf(1), Upslope: -1}
@@ -367,24 +351,4 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			return nil
 		},
 	}
-}
-
-// chunkRange is a [Lo, Hi) slice of a partition's point list.
-type chunkRange struct{ Lo, Hi int }
-
-// chunks yields ranges of at most cap elements (one full range when
-// cap <= 0), implementing the MaxPartition bound.
-func chunks(n, cap int) []chunkRange {
-	if cap <= 0 || cap >= n {
-		return []chunkRange{{0, n}}
-	}
-	out := make([]chunkRange, 0, (n+cap-1)/cap)
-	for lo := 0; lo < n; lo += cap {
-		hi := lo + cap
-		if hi > n {
-			hi = n
-		}
-		out = append(out, chunkRange{lo, hi})
-	}
-	return out
 }

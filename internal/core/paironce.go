@@ -21,7 +21,7 @@ import (
 // 0 … m−1 and skips — as whole blocks — the pairs an earlier layout owns.
 
 // CtrPairsSkipped counts the co-bucketed pairs an LSH reducer did not
-// evaluate because an earlier layout owns them. Without a partition cap,
+// evaluate because an earlier layout owns them.
 // dp.distance.computations + dp.lsh.pairs.skipped of one LSH job is
 // Σ C(|bucket|, 2) over every bucket of every layout, so their ratio to the
 // former is the factor ownership saves.
@@ -179,49 +179,45 @@ func (po *pairOnce) samePrefix(a, b, own int) bool {
 // layouts see their rows as runs of equal earlier-layout buckets: pairs
 // inside a run share layout 0's bucket, two runs that agree in any earlier
 // layout are skipped as a whole, and two that differ in all of them are
-// owned here — adjacent owned runs merge into one block. A positive maxPart
-// cuts the rows into chunks of that many and drops the pairs across chunks
-// (LSHConfig.MaxPartition); they are not counted as skipped.
-func (po *pairOnce) owned(n, own, maxPart int) (blocks []kernels.Block, skipped int64) {
+// owned here — adjacent owned runs merge into one block.
+func (po *pairOnce) owned(n, own int) (blocks []kernels.Block, skipped int64) {
 	blocks = po.blocks[:0]
-	for _, ch := range chunks(n, maxPart) {
-		if own == 0 {
-			blocks = append(blocks, kernels.Triangle(ch.Lo, ch.Hi))
-			continue
+	if own == 0 {
+		po.blocks = append(blocks, kernels.Triangle(0, n))
+		return po.blocks, 0
+	}
+	segs := append(po.segs[:0], 0)
+	for r := 1; r < n; r++ {
+		if !po.samePrefix(r-1, r, own) {
+			segs = append(segs, r)
 		}
-		segs := append(po.segs[:0], ch.Lo)
-		for r := ch.Lo + 1; r < ch.Hi; r++ {
-			if !po.samePrefix(r-1, r, own) {
-				segs = append(segs, r)
+	}
+	segs = append(segs, n)
+	po.segs = segs
+	skipped = kernels.Triangle(0, n).Pairs()
+	for g := 0; g+2 < len(segs); g++ {
+		first := len(blocks)
+		for h := g + 1; h+1 < len(segs); h++ {
+			if po.sharesEarlier(segs[g], segs[h], own) {
+				continue
+			}
+			if last := len(blocks) - 1; last >= first && blocks[last].BHi == segs[h] {
+				blocks[last].BHi = segs[h+1]
+			} else {
+				blocks = append(blocks, kernels.Cross(segs[g], segs[g+1], segs[h], segs[h+1]))
 			}
 		}
-		segs = append(segs, ch.Hi)
-		po.segs = segs
-		skipped += kernels.Triangle(ch.Lo, ch.Hi).Pairs()
-		for g := 0; g+2 < len(segs); g++ {
-			first := len(blocks)
-			for h := g + 1; h+1 < len(segs); h++ {
-				if po.sharesEarlier(segs[g], segs[h], own) {
-					continue
-				}
-				if last := len(blocks) - 1; last >= first && blocks[last].BHi == segs[h] {
-					blocks[last].BHi = segs[h+1]
-				} else {
-					blocks = append(blocks, kernels.Cross(segs[g], segs[g+1], segs[h], segs[h+1]))
-				}
-			}
-			for _, b := range blocks[first:] {
-				skipped -= b.Pairs()
-			}
+		for _, b := range blocks[first:] {
+			skipped -= b.Pairs()
 		}
 	}
 	po.blocks = blocks
 	return blocks, skipped
 }
 
-// countPairs publishes one reduce call's pair counters: what its scan
-// reported and the pairs it left to earlier layouts.
-func countPairs(ctx *mapreduce.TaskContext, ran kernels.Ran, skipped int64) {
-	CountScan(ctx, ran)
-	ctx.Counters.Cell(CtrPairsSkipped).Add(skipped)
+// countPairs publishes one reduce call's pair counters: the distances it
+// evaluated and the pairs it left to earlier layouts.
+func countPairs(ctx *mapreduce.TaskContext, evaluated, skipped int64) {
+	ctx.Counters.Add(mapreduce.CtrDistanceComputations, evaluated)
+	ctx.Counters.Add(CtrPairsSkipped, skipped)
 }

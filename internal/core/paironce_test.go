@@ -215,21 +215,6 @@ func TestPairOnceMatchesPerLayout(t *testing.T) {
 					base.Stats.DistanceComputations, skipped, oracleWork)
 			}
 
-			// f32 and ParallelThreshold walk the same ownership with their
-			// own block evaluators: identical to the last bit and pair.
-			f32 := c.cfg
-			f32.ScanPrecision = "f32"
-			par := c.cfg
-			par.ParallelThreshold, par.ParallelWorkers = 8, 3
-			for name, cfg := range map[string]LSHConfig{"f32": f32, "parallel": par} {
-				res := run(t, local, ds, cfg)
-				requireSameArrays(t, name, res, base)
-				if res.Stats.DistanceComputations != base.Stats.DistanceComputations {
-					t.Fatalf("%s: %d distance computations, serial f64 %d", name,
-						res.Stats.DistanceComputations, base.Stats.DistanceComputations)
-				}
-			}
-
 			mean := c.cfg
 			mean.AggregateMean = true
 			wantMean, _ := runPerLayout(t, local, ds, mean)

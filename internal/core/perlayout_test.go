@@ -42,11 +42,7 @@ func perLayoutRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			return err
 		}
 		rho := make([]float64, m.N())
-		var nd int64
-		for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
-			nd += kernels.RhoAccumulate(m, ch.Lo, ch.Hi, kern, rho)
-		}
-		ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+		ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.RhoAccumulate(m, 0, m.N(), kern, rho))
 		for i := 0; i < m.N(); i++ {
 			id := m.ID(i)
 			out.Emit(idKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho[i]}))
@@ -98,11 +94,7 @@ func perLayoutDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			return err
 		}
 		acc := kernels.NewDeltaAcc(m.N(), false)
-		var nd int64
-		for _, ch := range chunks(m.N(), ctx.Conf.GetInt(confMaxPart, 0)) {
-			nd += kernels.DeltaArgmin(m, ch.Lo, ch.Hi, acc)
-		}
-		ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+		ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.DeltaArgmin(m, 0, m.N(), acc))
 		for i := 0; i < m.N(); i++ {
 			id := m.ID(i)
 			dv := points.DeltaValue{ID: id, Delta: math.Inf(1), Upslope: -1}
@@ -128,10 +120,7 @@ func lshConf(ds *points.Dataset, cfg LSHConfig) mapreduce.Conf {
 	conf.SetFloat(confW, cfg.W)
 	conf.SetInt64(confSeed, cfg.Seed)
 	conf.SetBool(confAggMean, cfg.AggregateMean)
-	conf.SetInt(confMaxPart, cfg.MaxPartition)
 	setKernelConf(conf, cfg.Kernel)
-	setParallelConf(conf, &cfg.Config)
-	setScanConf(conf, &cfg.Config)
 	return conf
 }
 

@@ -39,7 +39,6 @@ func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, 
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confDc, dc)
 	conf[confPivots] = encodePivots(pivots)
-	core.SetScanConf(conf, &cfg.Config)
 
 	rhoRes := run(RhoJob(conf.Clone()).WithReduces(cfg.NumReduces), core.InputPairs(ds))
 	rho, err := core.DecodeRhoArray(rhoRes, ds.N())

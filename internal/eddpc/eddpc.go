@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/kernels"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
 	"repro/internal/points"
@@ -81,10 +80,6 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 	if ds.N() < 2 {
 		return nil, fmt.Errorf("eddpc: need at least 2 points, have %d", ds.N())
 	}
-	if !kernels.ValidScanPrecision(cfg.ScanPrecision) {
-		return nil, fmt.Errorf("eddpc: unknown ScanPrecision %q (reducers support \"\", %q, %q)",
-			cfg.ScanPrecision, kernels.ScanF64, kernels.ScanF32)
-	}
 	sess := cfg.DagSession()
 	mark := sess.Mark()
 	input := sess.Stage("points", core.InputPairs(ds))
@@ -98,7 +93,6 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confDc, dc)
 	conf[confPivots] = encodePivots(pivots)
-	core.SetScanConf(conf, &cfg.Config)
 
 	g := dag.NewGraph("eddpc")
 	// Node 1: exact ρ via boundary replication. No aggregation needed:

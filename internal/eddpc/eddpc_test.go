@@ -144,33 +144,3 @@ func TestBisectorBoundIsLowerBound(t *testing.T) {
 		}
 	}
 }
-
-// TestEDDPCScanPrecision: the compact f32 reducer path must reproduce the
-// exact pipeline bit-for-bit (EDDPC is exact, so any drift is a bug), and
-// the serving-only q8 knob must be rejected.
-func TestEDDPCScanPrecision(t *testing.T) {
-	ds := dataset.Blobs("eddpc-scan", 600, 3, 4, 100, 3.5, 23)
-	base, err := Run(context.Background(), ds, Config{
-		Config: core.Config{Engine: testEngine(), DcPercentile: 0.02, Seed: 5},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f32, err := Run(context.Background(), ds, Config{
-		Config: core.Config{Engine: testEngine(), DcPercentile: 0.02, Seed: 5, ScanPrecision: "f32"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range base.Rho {
-		if f32.Rho[i] != base.Rho[i] || f32.Delta[i] != base.Delta[i] || f32.Upslope[i] != base.Upslope[i] {
-			t.Fatalf("f32 scan diverged at %d: rho %v/%v delta %v/%v up %d/%d", i,
-				f32.Rho[i], base.Rho[i], f32.Delta[i], base.Delta[i], f32.Upslope[i], base.Upslope[i])
-		}
-	}
-	if _, err := Run(context.Background(), ds, Config{
-		Config: core.Config{Engine: testEngine(), ScanPrecision: "q8"},
-	}); err == nil {
-		t.Error("eddpc accepted serving-only precision q8")
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/dp"
 	"repro/internal/kernels"
 	"repro/internal/mapreduce"
@@ -125,9 +124,9 @@ func RhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			// splitting the interleaved scalar loop into two blocks is exact.
 			rho := kernels.Credit{Layouts: 1}
 			rho.Reset(n, kern)
-			core.CountScan(ctx, kernels.Rho(m, []kernels.Block{
+			ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.Rho(m, []kernels.Block{
 				kernels.Triangle(0, nHome), kernels.Cross(0, nHome, nHome, n),
-			}, kern, &rho, core.ScanFromConf(ctx.Conf)))
+			}, kern, &rho))
 			for i := 0; i < nHome; i++ {
 				id := m.ID(i)
 				out.Emit(idKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho.Share(i, 0)}))
@@ -166,7 +165,7 @@ func DeltaLocalJob(conf mapreduce.Conf) *mapreduce.Job {
 				return err
 			}
 			acc := kernels.NewDeltaAcc(m.N(), false)
-			core.CountScan(ctx, kernels.Delta(m, []kernels.Block{kernels.Triangle(0, m.N())}, acc, core.ScanFromConf(ctx.Conf)))
+			ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.DeltaArgmin(m, 0, m.N(), acc))
 			for i := 0; i < m.N(); i++ {
 				id := m.ID(i)
 				dv := points.DeltaValue{ID: id, Delta: math.Inf(1), Upslope: -1}

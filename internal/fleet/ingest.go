@@ -116,6 +116,11 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, fmt.Sprintf("shard %d: %s", s, b.msg), b.status)
 			return
 		}
+		if len(b.resp.Results) != len(b.idxs) {
+			r.counters.Add(CtrIngestErrors, 1)
+			http.Error(w, fmt.Sprintf("shard %d acked %d results for %d points", s, len(b.resp.Results), len(b.idxs)), http.StatusBadGateway)
+			return
+		}
 	}
 	results := make([]serve.IngestResult, len(body.Points))
 	for _, b := range batches {

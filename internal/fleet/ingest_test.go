@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
@@ -161,4 +164,36 @@ func TestFleetIngest(t *testing.T) {
 		t.Fatalf("fleet holds %d rows after rollover, want >= %d", total, want)
 	}
 	checkRouted("post-rollover")
+}
+
+// TestFleetIngestShortAck: a shard that acks fewer points than it was sent
+// is a bad gateway, not an index out of range in the router's handler.
+func TestFleetIngestShortAck(t *testing.T) {
+	mdl := trainModel(t, 300, 2)
+	_, mf, err := fleet.Partition(mdl, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, `{"results":[{"id":1}]}`) //nolint:errcheck
+	}))
+	defer stub.Close()
+	router, err := fleet.NewRouter(fleet.RouterConfig{Manifest: mf, Shards: [][]string{{strings.TrimPrefix(stub.URL, "http://")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := router.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer router.Shutdown(context.Background()) //nolint:errcheck
+
+	resp := postPoints(t, "http://"+router.Addr()+"/ingest", [][]float64{mdl.Row(0), mdl.Row(1)})
+	defer resp.Body.Close()
+	msg, _ := io.ReadAll(resp.Body)
+	if want := "shard 0 acked 1 results for 2 points"; resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(msg), want) {
+		t.Fatalf("router /ingest: HTTP %d %q, want 502 %q", resp.StatusCode, msg, want)
+	}
+	if got := router.Counters().Get(fleet.CtrIngestErrors); got != 1 {
+		t.Fatalf("%s = %d, want 1", fleet.CtrIngestErrors, got)
+	}
 }

@@ -8,9 +8,8 @@ import (
 )
 
 // The benchmarks below carry the dense-kernel numbers (DESIGN.md's
-// before/after table): blocked kernels vs the naive reducer loops, the
-// parallel path on a skew-sized group, and the matrix group decode vs
-// per-record scalar decoding. Each pair kernel runs at dim 2 (the paper's 2-d
+// before/after table): blocked kernels vs the naive reducer loops, and the
+// matrix group decode vs per-record scalar decoding. Each pair kernel runs at dim 2 (the paper's 2-d
 // sets), 4 (batch-knnjoin) and 8 (batch-lshddp) and reports ns/pair. Run with:
 //
 //	go test -bench 'Rho|Delta' -run xxx -benchmem ./internal/kernels/
@@ -36,7 +35,7 @@ func reportPairs(b *testing.B, pairs int) {
 
 const benchPairs = benchN * (benchN - 1) / 2
 
-func benchRho(b *testing.B, gaussian, parallel bool) {
+func benchRho(b *testing.B, gaussian bool) {
 	for _, dim := range benchDims {
 		m := randMatrix(b, benchN, dim, 99)
 		k := Kernel{Gaussian: gaussian, Dc2: benchDc2(dim)}
@@ -57,23 +56,11 @@ func benchRho(b *testing.B, gaussian, parallel bool) {
 			}
 			reportPairs(b, benchPairs)
 		})
-		if !parallel {
-			continue
-		}
-		b.Run(fmt.Sprintf("dim=%d/parallel", dim), func(b *testing.B) {
-			par := Parallel{Threshold: 1, Workers: 4}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				clear(rho)
-				rhoAccumulateAuto(m, 0, benchN, k, rho, par)
-			}
-			reportPairs(b, benchPairs)
-		})
 	}
 }
 
-func BenchmarkRhoKernel(b *testing.B)         { benchRho(b, false, true) }
-func BenchmarkRhoKernelGaussian(b *testing.B) { benchRho(b, true, false) }
+func BenchmarkRhoKernel(b *testing.B)         { benchRho(b, false) }
+func BenchmarkRhoKernelGaussian(b *testing.B) { benchRho(b, true) }
 
 func BenchmarkDeltaKernel(b *testing.B) {
 	for _, dim := range benchDims {
@@ -92,15 +79,6 @@ func BenchmarkDeltaKernel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				acc.Reset(benchN, true)
 				DeltaArgmin(m, 0, benchN, acc)
-			}
-			reportPairs(b, benchPairs)
-		})
-		b.Run(fmt.Sprintf("dim=%d/parallel", dim), func(b *testing.B) {
-			par := Parallel{Threshold: 1, Workers: 4}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				acc.Reset(benchN, true)
-				deltaArgminAuto(m, 0, benchN, acc, par)
 			}
 			reportPairs(b, benchPairs)
 		})

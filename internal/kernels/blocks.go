@@ -31,22 +31,12 @@ func (b Block) Pairs() int64 {
 	return na * int64(max(b.BHi-b.BLo, 0))
 }
 
-// blockPairs and tileRows total a block list: its pairs, and the tile rows
-// forTiles deals out.
+// blockPairs totals the pairs of a block list.
 func blockPairs(blocks []Block) (pairs int64) {
 	for _, b := range blocks {
 		pairs += b.Pairs()
 	}
 	return pairs
-}
-
-func tileRows(blocks []Block) (rows int) {
-	for _, b := range blocks {
-		if b.Pairs() > 0 {
-			rows += (b.AHi - b.ALo + tile - 1) / tile
-		}
-	}
-	return rows
 }
 
 // forTiles cuts blocks into tile pairs and calls f on each, in block order
@@ -55,23 +45,12 @@ func tileRows(blocks []Block) (rows int) {
 // the rows it is paired with therefore arrive in ascending order as long as
 // the blocks themselves are listed that way — the visit order of the naive
 // i<j loop, which every bit-identity claim of this package rests on.
-//
-// Worker wi of w takes every w-th tile row, counted across the whole list
-// (wi = 0, w = 1 is the serial walk). Triangle rows shrink toward the
-// bottom and a reducer's owned blocks are many and small, so striding
-// balances both.
-func forTiles(blocks []Block, wi, w int, f func(aLo, aHi, bLo, bHi int, diag bool)) {
-	row := 0
+func forTiles(blocks []Block, f func(aLo, aHi, bLo, bHi int, diag bool)) {
 	for _, b := range blocks {
 		if b.Pairs() == 0 {
 			continue
 		}
 		for ta := b.ALo; ta < b.AHi; ta += tile {
-			mine := row%w == wi
-			row++
-			if !mine {
-				continue
-			}
 			taHi := min(ta+tile, b.AHi)
 			bLo := b.BLo
 			if b.Diag {
@@ -137,79 +116,28 @@ func (c *Credit) Share(r, l int) float64 {
 	return float64(c.Counts[l*(len(c.Counts)/c.Layouts)+r])
 }
 
-// add folds a worker's private accumulator into c.
-func (c *Credit) add(part *Credit) {
-	for i, v := range part.Counts {
-		c.Counts[i] += v
-	}
-	for i, v := range part.Sums {
-		c.Sums[i] += v
-	}
-}
-
 // Rho adds the density contribution of every pair in blocks to cr, which the
-// caller has Reset to m's rows. Which scan ran follows the one rule of
-// Scan.plan. Cutoff counts are bit-identical whichever did: the compact scan
-// credits a pair either provably from its float32 distance or after an exact
-// re-check, and the worker pool merges integers. Gaussian sums are
-// bit-identical to the naive loop over the list on the serial float64 scan,
-// come from the promoted float32 distance on the compact scan (within the
-// tolerance compactpair.go documents) and are deterministic at a fixed
-// worker count on the pool.
-func Rho(m *points.Matrix, blocks []Block, k Kernel, cr *Credit, s Scan) Ran {
-	ran, w := s.plan(m.N(), blocks)
-	if ran.Pairs == 0 {
-		return ran
-	}
-	scan := rhoScan{d64: m.Data(), dim: m.Dim(), n: m.N(), k: k, near: k.Dc2, cr: cr}
-	if ran.Compact {
-		c := points.GetMatrix32(m)
-		defer points.PutMatrix32(c)
-		scan.d32 = c.Data()
-		if !k.Gaussian {
-			bnd := F32Bounds(scan.dim, c.MaxAbs())
-			scan.near, scan.cutHi = bnd.LtThresh(k.Dc2), bnd.GeThresh(k.Dc2)
-		}
-	}
-	if w > 1 {
-		rhoPool(blocks, scan, w)
-		return ran
-	}
-	forTiles(blocks, 0, 1, scan.tile)
-	ran.Rechecks = scan.rechecks
-	return ran
+// caller has Reset to m's rows, and returns the number of distance
+// evaluations. Cutoff counts and Gaussian sums are bit-identical to the
+// naive loop over the list.
+func Rho(m *points.Matrix, blocks []Block, k Kernel, cr *Credit) int64 {
+	scan := rhoScan{data: m.Data(), dim: m.Dim(), n: m.N(), k: k, cr: cr}
+	forTiles(blocks, scan.tile)
+	return blockPairs(blocks)
 }
 
-// rhoScan carries the per-call state of a ρ scan, over the float64 rows or
-// (d32 set) their float32 mirror.
+// rhoScan carries the per-call state of a ρ scan.
 type rhoScan struct {
-	d64    []float64
-	d32    []float32
+	data   []float64
 	dim, n int
 	k      Kernel
-	// A strip value below near proves a neighbour: Dc2, or on the compact
-	// scan the lower edge of the band the float32 distance cannot decide
-	// (d32 < near proves d64 < Dc2, d32 > cutHi proves d64 ≥ Dc2).
-	near, cutHi float64
-	cr          *Credit
-	rechecks    int64
+	cr     *Credit
 }
 
-func (s *rhoScan) tile(aLo, aHi, bLo, bHi int, diag bool) {
-	if s.d32 != nil {
-		rhoTile(s, s.d32, aLo, aHi, bLo, bHi, diag)
-	} else {
-		rhoTile(s, s.d64, aLo, aHi, bLo, bHi, diag)
-	}
-}
-
-// rhoTile is the one ρ strip evaluator: it credits the tile pair of rows
+// tile is the one ρ strip evaluator: it credits the tile pair of rows
 // [aLo, aHi) against rows [bLo, bHi), or the upper triangle of [aLo, aHi)
 // when diag is set. Each a row's distances are one blocked strip (dist.go)
-// over data — the float64 rows or their float32 mirror — observed in
-// ascending b order, the visit order of the naive loop. On the mirror the
-// undecided cutoff band and every non-finite distance are rare and settled
-// exactly.
+// observed in ascending b order, the visit order of the naive loop.
 //
 // With one column to credit (Layouts − Own = 1: plain ρ, and the last
 // layout's LSH reducer) cutoff neighbours are counted without a
@@ -221,11 +149,10 @@ func (s *rhoScan) tile(aLo, aHi, bLo, bHi int, diag bool) {
 // cutoff kernel compacts the strip's neighbours into a hit list, again
 // without a branch (the test goes either way about as often as not), and
 // only the hits pay for the per-layout signature compare.
-func rhoTile[T float](s *rhoScan, data []T, aLo, aHi, bLo, bHi int, diag bool) {
-	var d2 [tile]T
-	var ws [tile]float64
+func (s *rhoScan) tile(aLo, aHi, bLo, bHi int, diag bool) {
+	var d2, ws [tile]float64
 	var hits [tile]int32
-	dim, dc2, near, compact := s.dim, s.k.Dc2, s.near, s.d32 != nil
+	data, dim, dc2 := s.data, s.dim, s.k.Dc2
 	one, own := s.cr.Layouts-s.cr.Own == 1, s.cr.Own*s.n
 	for a := aLo; a < aHi; a++ {
 		jLo := bLo
@@ -239,11 +166,7 @@ func rhoTile[T float](s *rhoScan, data []T, aLo, aHi, bLo, bHi int, diag bool) {
 			// keeps nothing else live across the call, and the loop that
 			// adds makes no call.
 			w := ws[:len(strip)]
-			for x, t := range strip {
-				v := float64(t)
-				if compact && !isFinite64(v) {
-					v = s.exact(a, jLo+x)
-				}
+			for x, v := range strip {
 				w[x] = gaussWeight(v, dc2)
 			}
 			if !one {
@@ -266,49 +189,18 @@ func rhoTile[T float](s *rhoScan, data []T, aLo, aHi, bLo, bHi int, diag bool) {
 			continue
 		}
 		if one {
-			cnt := s.cr.Counts[own+jLo:]
-			n := countBelow(strip, near, cnt)
-			if compact {
-				band := hits[:bandHits(s, strip, a, jLo, hits[:])]
-				for _, x := range band {
-					cnt[x]++
-				}
-				n += int32(len(band))
-			}
-			s.cr.Counts[own+a] += n
+			s.cr.Counts[own+a] += countBelow(strip, dc2, s.cr.Counts[own+jLo:])
 			continue
 		}
 		n := 0
-		for x, t := range strip {
+		for x, v := range strip {
 			hits[n] = int32(x)
-			if float64(t) < near {
+			if v < dc2 {
 				n++
 			}
 		}
-		if compact {
-			n += bandHits(s, strip, a, jLo, hits[n:])
-		}
 		s.creditHits(a, jLo, hits[:n])
 	}
-}
-
-// bandHits settles row a's undecided strip entries on the compact scan —
-// neither provably inside d_c nor provably outside, which includes every NaN
-// — in exact float64 and lists those within d_c in hits, returning how many.
-func bandHits[T float](s *rhoScan, strip []T, a, jLo int, hits []int32) (n int) {
-	for x, t := range strip {
-		if v := float64(t); !(v < s.near) && !(v > s.cutHi) && s.exact(a, jLo+x) < s.k.Dc2 {
-			hits[n] = int32(x)
-			n++
-		}
-	}
-	return n
-}
-
-// exact re-checks one pair in float64.
-func (s *rhoScan) exact(i, j int) float64 {
-	s.rechecks++
-	return sqDistFlat(s.d64[i*s.dim:], s.d64[j*s.dim:], s.dim)
 }
 
 // creditHits counts row a and each of its neighbours jLo+hits[·] toward one

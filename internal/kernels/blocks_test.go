@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/points"
@@ -54,9 +53,9 @@ func eachPair(blocks []Block, f func(a, b int)) {
 	}
 }
 
-// TestForTilesPartitionsPairs: whatever the worker count, the workers'
-// tiles together hold every pair of the list exactly once, and the serial
-// walk shows every row its partners in ascending order.
+// TestForTilesPartitionsPairs: the tiles of the walk together hold every
+// pair of the list exactly once, and every row is shown its partners in
+// ascending order.
 func TestForTilesPartitionsPairs(t *testing.T) {
 	rng := points.NewRand(7)
 	for trial := 0; trial < 20; trial++ {
@@ -64,30 +63,26 @@ func TestForTilesPartitionsPairs(t *testing.T) {
 		blocks := randBlocks(rng, n)
 		want := map[[2]int]int{}
 		eachPair(blocks, func(a, b int) { want[[2]int{a, b}]++ })
-		for _, w := range []int{1, 2, 3, 7} {
-			got := map[[2]int]int{}
-			for wi := 0; wi < w; wi++ {
-				last := make([]int, n)
-				forTiles(blocks, wi, w, func(aLo, aHi, bLo, bHi int, diag bool) {
-					if aHi-aLo > tile || bHi-bLo > tile {
-						t.Fatalf("tile [%d,%d)×[%d,%d) exceeds %d rows", aLo, aHi, bLo, bHi, tile)
-					}
-					eachPair([]Block{{aLo, aHi, bLo, bHi, diag}}, func(a, b int) {
-						got[[2]int{a, b}]++
-						if w == 1 && (b < last[a] || a < last[b]) {
-							t.Fatalf("pair (%d,%d) arrives after a later partner", a, b)
-						}
-						last[a], last[b] = b, a
-					})
-				})
+		got := map[[2]int]int{}
+		last := make([]int, n)
+		forTiles(blocks, func(aLo, aHi, bLo, bHi int, diag bool) {
+			if aHi-aLo > tile || bHi-bLo > tile {
+				t.Fatalf("tile [%d,%d)×[%d,%d) exceeds %d rows", aLo, aHi, bLo, bHi, tile)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("w=%d: %d distinct pairs visited, want %d", w, len(got), len(want))
-			}
-			for p, c := range got {
-				if c != want[p] {
-					t.Fatalf("w=%d: pair %v visited %d times, listed %d times", w, p, c, want[p])
+			eachPair([]Block{{aLo, aHi, bLo, bHi, diag}}, func(a, b int) {
+				got[[2]int{a, b}]++
+				if b < last[a] || a < last[b] {
+					t.Fatalf("pair (%d,%d) arrives after a later partner", a, b)
 				}
+				last[a], last[b] = b, a
+			})
+		})
+		if len(got) != len(want) {
+			t.Fatalf("%d distinct pairs visited, want %d", len(got), len(want))
+		}
+		for p, c := range got {
+			if c != want[p] {
+				t.Fatalf("pair %v visited %d times, listed %d times", p, c, want[p])
 			}
 		}
 		if int64(len(want)) != blockPairs(blocks) {
@@ -146,34 +141,12 @@ func TestRhoBlocksMatchesNaive(t *testing.T) {
 
 			got := &Credit{Layouts: layouts, Own: own, Sig: want.Sig}
 			got.Reset(n, k)
-			if nd := Rho(m, blocks, k, got, Scan{}).Pairs; nd != blockPairs(blocks) {
+			if nd := Rho(m, blocks, k, got); nd != blockPairs(blocks) {
 				t.Fatalf("%s: %d evaluations, list holds %d pairs", tag, nd, blockPairs(blocks))
 			}
-			// Serial: the same additions in the same per-cell order.
-			assertBitsEqual(t, tag+" serial sums", got.Sums, want.Sums)
-			assertCountsEqual(t, tag+" serial", got.Counts, want.Counts)
-
-			par := &Credit{Layouts: layouts, Own: own, Sig: want.Sig}
-			par.Reset(n, k)
-			Rho(m, blocks, k, par, Scan{Parallel: Parallel{Threshold: 1, Workers: 3}})
-			assertCountsEqual(t, tag+" parallel", par.Counts, want.Counts)
-			for i, v := range want.Sums {
-				if diff := math.Abs(par.Sums[i] - v); diff > 1e-12*math.Abs(v) {
-					t.Fatalf("%s parallel: sum[%d] = %v, serial %v", tag, i, par.Sums[i], v)
-				}
-			}
-
-			compact := &Credit{Layouts: layouts, Own: own, Sig: want.Sig}
-			compact.Reset(n, k)
-			if nd := Rho(m, blocks, k, compact, Scan{F32: true}).Pairs; nd != blockPairs(blocks) {
-				t.Fatalf("%s f32: %d evaluations", tag, nd)
-			}
-			assertCountsEqual(t, tag+" f32", compact.Counts, want.Counts)
-			for i, v := range want.Sums {
-				if diff := math.Abs(compact.Sums[i] - v); diff > 1e-4*(1+v) {
-					t.Fatalf("%s f32: sum[%d] = %v, f64 %v", tag, i, compact.Sums[i], v)
-				}
-			}
+			// The same additions in the same per-cell order.
+			assertBitsEqual(t, tag+" sums", got.Sums, want.Sums)
+			assertCountsEqual(t, tag, got.Counts, want.Counts)
 		}
 	}
 }
@@ -185,35 +158,6 @@ func assertCountsEqual(t *testing.T, what string, got, want []int32) {
 			t.Fatalf("%s: count[%d] = %d, want %d", what, i, got[i], want[i])
 		}
 	}
-}
-
-// TestRho32BandIsRechecked plants pairs a hair either side of d_c, where
-// the compact distance cannot decide: the counts must still be exact.
-func TestRho32BandIsRechecked(t *testing.T) {
-	const n = 64
-	values := make([][]byte, n)
-	for i := range values {
-		x := 1000 + float64(i/2)*50
-		if i%2 == 1 {
-			x += 3 * (1 + float64(i-n/2)*1e-9) // partner at d_c·(1 ± tiny)
-		}
-		values[i] = points.EncodePoint(points.Point{ID: int32(i), Pos: points.Vector{x, 7}})
-	}
-	m := new(points.Matrix)
-	if err := points.DecodePointsInto(m, values); err != nil {
-		t.Fatal(err)
-	}
-	k := Kernel{Dc2: 9}
-	blocks := []Block{Triangle(0, n)}
-	want := &Credit{Layouts: 2, Sig: make([]int32, 2*n)}
-	want.Reset(n, k)
-	naiveCredit(m, blocks, k, want)
-	got := &Credit{Layouts: 2, Sig: want.Sig}
-	got.Reset(n, k)
-	if Rho(m, blocks, k, got, Scan{F32: true}).Rechecks == 0 {
-		t.Fatal("no pair fell in the undecided band; the fixture tests nothing")
-	}
-	assertCountsEqual(t, "band", got.Counts, want.Counts)
 }
 
 func TestDeltaBlocksMatchesNaive(t *testing.T) {
@@ -232,18 +176,10 @@ func TestDeltaBlocksMatchesNaive(t *testing.T) {
 			naiveObserve(m, want, a, b, points.SqDist(m.Row(a), m.Row(b)))
 		})
 		got := NewDeltaAcc(n, false)
-		if nd := Delta(m, blocks, got, Scan{}).Pairs; nd != blockPairs(blocks) {
+		if nd := Delta(m, blocks, got); nd != blockPairs(blocks) {
 			t.Fatalf("%s: %d evaluations, list holds %d pairs", tag, nd, blockPairs(blocks))
 		}
-		assertDeltaEqual(t, tag+" serial", got, want)
-
-		par := NewDeltaAcc(n, false)
-		Delta(m, blocks, par, Scan{Parallel: Parallel{Threshold: 1, Workers: 3}})
-		assertDeltaEqual(t, tag+" parallel", par, want)
-
-		compact := NewDeltaAcc(n, false)
-		Delta(m, blocks, compact, Scan{F32: true})
-		assertDeltaEqual(t, tag+" f32", compact, want)
+		assertDeltaEqual(t, tag, got, want)
 	}
 }
 

@@ -25,37 +25,19 @@ import (
 	"repro/internal/points"
 )
 
-// ConfScanPrecision is the Conf key selecting the reducer-side scan
-// precision ("f64" default, or "f32" for the compact path with exact
-// re-check). The serving daemon has its own knob (serve.scan.precision)
-// which additionally accepts "q8".
-const ConfScanPrecision = "mr.scan.precision"
-
-// Scan precision values shared by the mr.* knob and the serving knob.
+// Scan precision values of the serving knob (serve.scan.precision).
 const (
 	ScanF64 = "f64"
 	ScanF32 = "f32"
 	ScanQ8  = "q8"
 )
 
-// ValidScanPrecision reports whether s is a usable reducer-side precision.
-// The empty string means "default" (f64). q8 is serving-only: reducer
-// groups have no precomputed codebook, and building one per group would
-// cost more than the scan it saves.
-func ValidScanPrecision(s string) bool {
-	switch s {
-	case "", ScanF64, ScanF32:
-		return true
-	}
-	return false
-}
-
 // Bounds is the error contract between a finite compact squared distance
 // and its exact float64 counterpart:
 // |sqrt(d32) − sqrt(d64)| ≤ Rel·sqrt(d64) + Abs. A non-finite compact
 // distance (overflow to +Inf, NaN) carries no information and every kernel
 // routes it to the exact path instead.
-// All threshold helpers are sound for any Rel in [0, 1) and Abs ≥ 0; the
+// KeepThresh is sound for any Rel in [0, 1) and Abs ≥ 0; the
 // constructors below build Rel/Abs with ≥8x margin over worst-case
 // rounding, so the shortlists they gate stay tiny on real data.
 type Bounds struct {
@@ -97,33 +79,13 @@ func Q8Bounds(dim int, errBound float64) Bounds {
 }
 
 // Valid reports whether the bounds are usable (finite, Rel < 1). Invalid
-// bounds would still be sound — every threshold degenerates to
-// "keep/re-check everything" — but a caller holding them should prefer the
+// bounds would still be sound — the threshold degenerates to "keep
+// everything" — but a caller holding them should prefer the
 // plain float64 path.
 func (b Bounds) Valid() bool {
 	return b.Rel >= 0 && b.Rel < 1 && b.Abs >= 0 &&
 		!math.IsInf(b.Rel, 0) && !math.IsInf(b.Abs, 0) &&
 		!math.IsNaN(b.Rel) && !math.IsNaN(b.Abs)
-}
-
-// GeThresh returns T such that float64(d32) > T proves d64 ≥ x2.
-// (From the contract, s64 < √x2 forces s32 < √x2·(1+Rel)+Abs.)
-func (b Bounds) GeThresh(x2 float64) float64 {
-	if math.IsInf(x2, 1) {
-		return inf
-	}
-	t := math.Sqrt(x2)*(1+b.Rel) + b.Abs
-	return t * t
-}
-
-// LtThresh returns T such that float64(d32) < T proves d64 < x2, or -1
-// when no compact value can prove it (the provable band is empty).
-func (b Bounds) LtThresh(x2 float64) float64 {
-	t := math.Sqrt(x2)*(1-b.Rel) - b.Abs
-	if !(t > 0) {
-		return -1
-	}
-	return t * t
 }
 
 // KeepThresh returns the shortlist admission threshold for a running
@@ -146,33 +108,29 @@ func (b Bounds) KeepThresh(b32 float64) float64 {
 // cap, so the limit doubles when a compaction fails to shrink the list.
 const shortlistCompactAt = 256
 
-// Shortlist collects candidate rows during a compact scan: every observed
-// row whose compact distance does not provably exceed the best possible
-// exact distance of the k-th nearest row. Reset it with the scan's Bounds
-// (ResetK for k > 1), feed it via the compact NN kernels, then Finish and
-// re-rank the surviving rows with NNRows (TopKRows) over the float64 data:
-// the final (row, distance) set — including the lowest-row-index tie rule —
-// is bit-identical to a pure float64 scan.
+// Shortlist collects candidate rows during a compact nearest-neighbour scan:
+// every observed row whose compact distance does not provably exceed the
+// best possible exact distance of the nearest row. Reset it with the scan's
+// Bounds, feed it via the compact NN kernels, then Finish and re-rank the
+// surviving rows with NNRows over the float64 data: the final (row,
+// distance) — including the lowest-row-index tie rule — is bit-identical to
+// a pure float64 scan.
 //
-// Soundness: the shortlist tracks the k smallest finite compact distances
-// seen in a size-k max-heap — the bounded "k best so far" of a kNN-join
-// reducer, of which the nearest-neighbour scan is the case k = 1. Whenever
-// the heap is full with root h, there exist k observed rows with compact
-// squared distance ≤ h, so by the Bounds contract there are k rows whose
-// exact distance is at most u = (√h + Abs)/(1 − Rel) — hence the true k-th
-// exact distance is ≤ u, and every row of the true top-k (or tied with its
-// boundary) has compact squared distance ≤ KeepThresh(h) =
+// Soundness: the shortlist tracks the smallest finite compact distance seen,
+// h. Some observed row has compact squared distance h, so by the Bounds
+// contract its exact distance is at most u = (√h + Abs)/(1 − Rel) — hence
+// the true nearest distance is ≤ u, and the true nearest row (or any row
+// tied with it) has compact squared distance ≤ KeepThresh(h) =
 // (u·(1+Rel) + Abs)². Rows are only dropped when strictly above that
-// threshold, and the threshold only tightens as the heap improves, so no
-// true top-k row is ever discarded. A NaN compact distance is admitted and
-// never tightens the threshold, and a +Inf compact distance (admissible
-// only while the threshold is still +Inf) never enters the heap, so overflow
-// degrades to a larger re-rank, never a wrong answer.
+// threshold, and the threshold only tightens as h falls, so the true nearest
+// row is never discarded. A NaN compact distance is admitted and never
+// tightens the threshold, and neither does a +Inf compact distance
+// (admissible only while the threshold is still +Inf), so overflow degrades
+// to a larger re-rank, never a wrong answer.
 type Shortlist struct {
 	Rows  []int32
 	d2    []float32
-	k     int
-	heap  []float64 // max-heap of the k smallest finite compact distances
+	best  float64 // smallest finite compact distance seen, +Inf before one
 	thr   float64
 	bnd   Bounds
 	limit int
@@ -180,28 +138,18 @@ type Shortlist struct {
 
 // Reset prepares the shortlist for one nearest-neighbour scan under the
 // given bounds, keeping backing storage.
-func (sl *Shortlist) Reset(bnd Bounds) { sl.ResetK(1, bnd) }
-
-// ResetK is Reset for a scan that keeps the k nearest rows; k must be at
-// least 1.
-func (sl *Shortlist) ResetK(k int, bnd Bounds) {
-	if k < 1 {
-		panic("kernels: Shortlist needs k >= 1")
-	}
+func (sl *Shortlist) Reset(bnd Bounds) {
 	sl.Rows = sl.Rows[:0]
 	sl.d2 = sl.d2[:0]
-	sl.k = k
-	sl.heap = sl.heap[:0]
+	sl.best = inf
 	sl.thr = inf
 	sl.bnd = bnd
-	// The list legitimately holds k rows at all times; keep the compaction
-	// trigger clear of that floor so large k cannot thrash refilter.
-	sl.limit = max(shortlistCompactAt, 2*k)
+	sl.limit = shortlistCompactAt
 }
 
 // observe folds one scanned row into the shortlist. Comparisons are
-// arranged so that a NaN or +Inf compact distance is admitted and stays out
-// of the heap.
+// arranged so that a NaN or +Inf compact distance is admitted and never
+// becomes the best.
 func (sl *Shortlist) observe(row int32, d32 float32) {
 	df := float64(d32)
 	if df > sl.thr {
@@ -209,50 +157,15 @@ func (sl *Shortlist) observe(row int32, d32 float32) {
 	}
 	sl.Rows = append(sl.Rows, row)
 	sl.d2 = append(sl.d2, d32)
-	if df < inf {
-		if len(sl.heap) < sl.k {
-			sl.heap = append(sl.heap, df)
-			for i := len(sl.heap) - 1; i > 0; {
-				p := (i - 1) / 2
-				if sl.heap[p] >= sl.heap[i] {
-					break
-				}
-				sl.heap[p], sl.heap[i] = sl.heap[i], sl.heap[p]
-				i = p
-			}
-			if len(sl.heap) == sl.k {
-				sl.thr = sl.bnd.KeepThresh(sl.heap[0])
-			}
-		} else if df < sl.heap[0] {
-			sl.heap[0] = df
-			sl.heapDown()
-			sl.thr = sl.bnd.KeepThresh(sl.heap[0])
-		}
+	if df < sl.best {
+		sl.best = df
+		sl.thr = sl.bnd.KeepThresh(df)
 	}
 	if len(sl.Rows) >= sl.limit {
 		sl.refilter()
 		if 2*len(sl.Rows) > sl.limit {
 			sl.limit = 2 * len(sl.Rows)
 		}
-	}
-}
-
-func (sl *Shortlist) heapDown() {
-	n := len(sl.heap)
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if r := c + 1; r < n && sl.heap[r] > sl.heap[c] {
-			c = r
-		}
-		if sl.heap[c] <= sl.heap[i] {
-			return
-		}
-		sl.heap[i], sl.heap[c] = sl.heap[c], sl.heap[i]
-		i = c
 	}
 }
 
@@ -279,11 +192,11 @@ func (sl *Shortlist) Finish() []int32 {
 }
 
 // Threshold returns the admission threshold on compact squared distances,
-// +Inf while fewer than k finite rows are held. It is also an upper bound on
-// the exact squared distance of the k-th compact-best row the list holds
+// +Inf until a row with a finite one is held. It is also an upper bound on
+// the exact squared distance of the compact-best row the list holds
 // (KeepThresh inflates past that row's exact distance before inflating
 // back), so a row whose exact squared distance provably exceeds it — Sweep's
-// axis-gap test — cannot be among the k nearest or tie with them.
+// axis-gap test — cannot be the nearest or tie with it.
 func (sl *Shortlist) Threshold() float64 { return sl.thr }
 
 // admit folds one strip of compact distances into sl; strip[x] belongs to
@@ -331,9 +244,8 @@ func NNRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *Shortl
 
 // NNBatch32 is the multi-query variant of nnRange32: one pass over each
 // row tile of the float32 mirror feeds every query's shortlist. qs32 is
-// flat (len(sls)*dim); each shortlist must be Reset — or ResetK, for the
-// kNN-join reducers' k nearest — by the caller. Per query the rows arrive in
-// ascending order, exactly as in nnRange32.
+// flat (len(sls)*dim); each shortlist must be Reset by the caller. Per query
+// the rows arrive in ascending order, exactly as in nnRange32.
 func NNBatch32(data32 []float32, dim int, qs32 []float32, lo, hi int, sls []Shortlist) {
 	batchTiles(lo, hi, len(sls), func(qi, tLo, tHi int) {
 		nnRange32(data32, dim, qs32[qi*dim:(qi+1)*dim], tLo, tHi, &sls[qi])

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -302,175 +301,6 @@ func TestNNBatch32MatchesPerQuery(t *testing.T) {
 	}
 }
 
-// buildRhoMatrix assembles a Matrix with densities via the wire decoder.
-func buildRhoMatrix(t testing.TB, data []float64, dim int, rho []float64) *points.Matrix {
-	t.Helper()
-	n := len(data) / dim
-	vals := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		var buf []byte
-		id := int32(i*3 + 1) // non-trivial IDs for the density order
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-		d := uint32(dim)
-		buf = append(buf, byte(d), byte(d>>8), byte(d>>16), byte(d>>24))
-		for _, v := range data[i*dim : (i+1)*dim] {
-			buf = points.AppendFloat64(buf, v)
-		}
-		buf = points.AppendFloat64(buf, rho[i])
-		vals[i] = buf
-	}
-	m := new(points.Matrix)
-	if err := points.DecodeRhoPointsInto(m, vals); err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// nearTieRho builds densities with planted exact ties so the ID tiebreak
-// of the density order is exercised.
-func nearTieRho(rng *rand.Rand, n int) []float64 {
-	rho := make([]float64, n)
-	for i := range rho {
-		rho[i] = float64(rng.Intn(n / 4)) // many exact density ties
-	}
-	return rho
-}
-
-func TestRho32CutoffBitExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for _, dim := range []int{1, 2, 3, 8, 9, 14, 17} {
-		n := 400 + dim%4
-		data := randBlock(rng, n, dim, 1)
-		rho := nearTieRho(rng, n)
-		m := buildRhoMatrix(t, data, dim, rho)
-
-		// dc chosen as an actual pair distance so the boundary band is hit.
-		dc2 := sqDistFlat(data[0:dim], data[dim:2*dim], dim)
-		k := Kernel{Dc2: dc2}
-
-		want := make([]float64, n)
-		RhoAccumulate(m, 0, n, k, want)
-		got := make([]float64, n)
-		pairs, rechecks := rhoAccumulate32(m, 0, n, k, got)
-		if pairs != int64(n)*int64(n-1)/2 {
-			t.Fatalf("dim %d: pair count %d", dim, pairs)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("dim %d row %d: rho %v != %v", dim, i, got[i], want[i])
-			}
-		}
-		if rechecks > pairs/10 {
-			t.Errorf("dim %d: %d/%d pairs re-checked — band too wide", dim, rechecks, pairs)
-		}
-
-		// Cross kernel, both directions of accumulation.
-		for _, both := range []bool{true, false} {
-			want := make([]float64, n)
-			rhoCross(m, 0, n/3, n/3, n, k, want, both)
-			got := make([]float64, n)
-			rhoCross32(m, 0, n/3, n/3, n, k, got, both)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("dim %d cross both=%v row %d: %v != %v", dim, both, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestRho32GaussianTolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	dim, n := 3, 300
-	data := randBlock(rng, n, dim, 1)
-	rho := nearTieRho(rng, n)
-	m := buildRhoMatrix(t, data, dim, rho)
-	k := Kernel{Gaussian: true, Dc2: 0.5}
-	want := make([]float64, n)
-	RhoAccumulate(m, 0, n, k, want)
-	got := make([]float64, n)
-	rhoAccumulate32(m, 0, n, k, got)
-	for i := range want {
-		diff := math.Abs(got[i] - want[i])
-		if diff > 1e-4*(1+math.Abs(want[i])) {
-			t.Fatalf("row %d: gaussian rho %v vs %v (diff %g) outside tolerance", i, got[i], want[i], diff)
-		}
-	}
-}
-
-func TestDelta32BitExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, dim := range []int{1, 2, 5, 9, 14, 17} {
-		for _, withMax := range []bool{false, true} {
-			n := 400 + dim%4
-			data := randBlock(rng, n, dim, 1)
-			rho := nearTieRho(rng, n)
-			m := buildRhoMatrix(t, data, dim, rho)
-
-			want := NewDeltaAcc(n, withMax)
-			DeltaArgmin(m, 0, n, want)
-			got := NewDeltaAcc(n, withMax)
-			pairs, rechecks := deltaArgmin32(m, 0, n, got)
-			compareDeltaAccs(t, "argmin", want, got, dim, withMax)
-			if rechecks >= pairs {
-				t.Errorf("dim %d withMax=%v: %d/%d re-checked — no pruning at all", dim, withMax, rechecks, pairs)
-			}
-
-			// Cross pass continuing from the argmin state, as Basic-DDP does.
-			nLocal := n / 2
-			want2 := NewDeltaAcc(n, withMax)
-			DeltaArgmin(m, 0, nLocal, want2)
-			deltaCross(m, nLocal, n, 0, nLocal, want2)
-			got2 := NewDeltaAcc(n, withMax)
-			deltaArgmin32(m, 0, nLocal, got2)
-			deltaCross32(m, nLocal, n, 0, nLocal, got2)
-			compareDeltaAccs(t, "argmin+cross", want2, got2, dim, withMax)
-		}
-	}
-}
-
-// TestCompact32HostileRows runs the compact pair kernels over hostileMatrix
-// (kernels_test.go): non-finite coordinates make the float32 bounds
-// useless, so every undecidable pair must fall through to the exact
-// re-check and leave cutoff ρ and all δ state exactly as the naive float64
-// loops do — block remainders, mass ties and unordered densities included.
-func TestCompact32HostileRows(t *testing.T) {
-	for _, dim := range []int{1, 3, 9} {
-		for _, n := range []int{7, tile + 2, 2*tile + 7} {
-			m := hostileMatrix(t, n, dim, int64(dim*10+n))
-			k := Kernel{Dc2: 2}
-			split := n / 3
-
-			want, got := make([]float64, n), make([]float64, n)
-			naiveRho(m, 0, split, k, want)
-			naiveRhoCross(m, split, n, 0, split, k, want, true)
-			rhoAccumulate32(m, 0, split, k, got)
-			rhoCross32(m, split, n, 0, split, k, got, true)
-			assertBitsEqual(t, fmt.Sprintf("hostile rho32 dim=%d n=%d", dim, n), got, want)
-
-			wantD, gotD := NewDeltaAcc(n, true), NewDeltaAcc(n, true)
-			naiveDelta(m, 0, split, wantD)
-			naiveDeltaCross(m, split, n, 0, split, wantD)
-			deltaArgmin32(m, 0, split, gotD)
-			deltaCross32(m, split, n, 0, split, gotD)
-			assertDeltaEqual(t, fmt.Sprintf("hostile delta32 dim=%d n=%d", dim, n), gotD, wantD)
-		}
-	}
-}
-
-func compareDeltaAccs(t *testing.T, tag string, want, got *DeltaAcc, dim int, withMax bool) {
-	t.Helper()
-	for i := range want.Best2 {
-		if got.Best2[i] != want.Best2[i] || got.Up[i] != want.Up[i] {
-			t.Fatalf("%s dim=%d withMax=%v row %d: (%v, %d) != (%v, %d)",
-				tag, dim, withMax, i, got.Best2[i], got.Up[i], want.Best2[i], want.Up[i])
-		}
-		if withMax && got.Max2[i] != want.Max2[i] {
-			t.Fatalf("%s dim=%d row %d: Max2 %v != %v", tag, dim, i, got.Max2[i], want.Max2[i])
-		}
-	}
-}
-
 func TestBoundsContract(t *testing.T) {
 	// Directly verify the Bounds inequality on random pairs, including
 	// nasty magnitudes.
@@ -493,8 +323,8 @@ func TestBoundsContract(t *testing.T) {
 				}
 				a32, _ := points.ToFloat32(a)
 				b32, _ := points.ToFloat32(b)
-				s64 := math.Sqrt(sqDistFlat(a, b, dim))
-				s32 := math.Sqrt(float64(sqDist32(a32, b32, dim)))
+				s64 := math.Sqrt(sqDist(a, b))
+				s32 := math.Sqrt(float64(sqDist(a32, b32)))
 				if math.IsInf(s32, 0) || math.IsNaN(s32) {
 					// The contract covers finite compact distances only;
 					// every kernel routes non-finite ones to the exact path.
@@ -505,19 +335,6 @@ func TestBoundsContract(t *testing.T) {
 					t.Fatalf("dim %d scale %g: |%g - %g| > %g", dim, scale, s32, s64, lim)
 				}
 			}
-		}
-	}
-}
-
-func TestValidScanPrecision(t *testing.T) {
-	for _, s := range []string{"", ScanF64, ScanF32} {
-		if !ValidScanPrecision(s) {
-			t.Fatalf("%q rejected", s)
-		}
-	}
-	for _, s := range []string{ScanQ8, "f16", "junk"} {
-		if ValidScanPrecision(s) {
-			t.Fatalf("%q accepted", s)
 		}
 	}
 }

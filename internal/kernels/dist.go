@@ -37,11 +37,6 @@ func sqDist[T float](a, b []T) T {
 	return s
 }
 
-// sqDistFlat and sqDist32 are sqDist over the first dim coordinates of a
-// float64 / float32 row: the single-pair calls of the exact re-check paths.
-func sqDistFlat(a, b []float64, dim int) float64 { return sqDist(a[:dim], b) }
-func sqDist32(a, b []float32, dim int) float32   { return sqDist(a[:dim], b) }
-
 // sqDist4 returns the squared distances from q to four rows, each computed
 // exactly as sqDist(q, b) would.
 func sqDist4[T float](q, b0, b1, b2, b3 []T) (s0, s1, s2, s3 T) {

@@ -65,10 +65,10 @@ func TestBlockedLanesMatchScalar(t *testing.T) {
 				sqDistRange(q32, data32, lo, out32)
 				for x := range out {
 					r := lo + x
-					if want := sqDistFlat(q, data[r*dim:], dim); !sameFloat(out[x], want) {
+					if want := sqDist(q, data[r*dim:]); !sameFloat(out[x], want) {
 						t.Fatalf("dim %d rows [%d,+%d): f64 lane %d = %v, scalar %v", dim, lo, cnt, x, out[x], want)
 					}
-					if want := sqDist32(q32, data32[r*dim:], dim); !sameFloat32(out32[x], want) {
+					if want := sqDist(q32, data32[r*dim:]); !sameFloat32(out32[x], want) {
 						t.Fatalf("dim %d rows [%d,+%d): f32 lane %d = %v, scalar %v", dim, lo, cnt, x, out32[x], want)
 					}
 				}
@@ -84,10 +84,10 @@ func TestBlockedLanesMatchScalar(t *testing.T) {
 			sqDistRows(q, data, rows, out)
 			sqDistRows(q32, data32, rows, out32)
 			for x, r := range rows {
-				if want := sqDistFlat(q, data[int(r)*dim:], dim); !sameFloat(out[x], want) {
+				if want := sqDist(q, data[int(r)*dim:]); !sameFloat(out[x], want) {
 					t.Fatalf("dim %d gathered f64 lane %d (row %d) = %v, scalar %v", dim, x, r, out[x], want)
 				}
-				if want := sqDist32(q32, data32[int(r)*dim:], dim); !sameFloat32(out32[x], want) {
+				if want := sqDist(q32, data32[int(r)*dim:]); !sameFloat32(out32[x], want) {
 					t.Fatalf("dim %d gathered f32 lane %d (row %d) = %v, scalar %v", dim, x, r, out32[x], want)
 				}
 			}

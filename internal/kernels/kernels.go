@@ -2,12 +2,12 @@
 // distributed Density Peaks pipeline in this repository. The paper's two
 // reducer loops are two functions: Rho (local density, blocks.go) and Delta
 // (distance to the nearest denser point, below). A reducer hands either one
-// the list of blocks whose pairs it owns (Block) and a Scan built once per
-// job from Conf; whether the group runs the serial float64 tiles, the
-// float32 compact scan with exact re-check (compactpair.go) or the worker
-// pool for skewed groups (parallel.go) is decided inside, and reported back
-// as a Ran so the reducer only adds counters. RhoAccumulate and DeltaArgmin
-// are the same two over one whole triangle, serial and float64.
+// the list of blocks whose pairs it owns (Block) and gets back the number of
+// distances evaluated, which it adds to dp.distance.computations. Both are
+// one serial float64 walk: the engine's task-level parallelism is the only
+// parallelism, and no float32 mirror is scanned (measured slower than
+// float64 on the pair kernels; DESIGN.md "Dense compute layer").
+// RhoAccumulate and DeltaArgmin are the same two over one whole triangle.
 //
 // The paper's dominant cost is pairwise distance work inside reducers.
 // These kernels walk one contiguous coordinate array in cache-sized tiles,
@@ -17,7 +17,7 @@
 // waiting on one; the accumulator updates that follow are written without
 // data-dependent branches (integer cutoff counters, a density rank for δ).
 //
-// Determinism guarantee: every serial kernel performs the same floating
+// Determinism guarantee: every pair kernel performs the same floating
 // point operations in the same per-accumulator order as the naive
 //
 //	for i { for j > i { ... } }
@@ -81,22 +81,22 @@ func RhoAccumulate(m *points.Matrix, lo, hi int, k Kernel, rho []float64) int64 
 	if !k.Gaussian {
 		cr.Reset(hi, k)
 	}
-	ran := Rho(m, []Block{Triangle(lo, hi)}, k, &cr, Scan{})
+	nd := Rho(m, []Block{Triangle(lo, hi)}, k, &cr)
 	for x, c := range cr.Counts {
 		rho[x] += float64(c)
 	}
-	return ran.Pairs
+	return nd
 }
 
 // countBelow adds 1 to cnt[x] for every strip[x] < dc2 and returns how many
 // there were. The conditional assignment compiles to a select, not a jump:
 // on real partitions the test goes either way about as often as not.
-func countBelow[T float](strip []T, dc2 float64, cnt []int32) int32 {
+func countBelow(strip []float64, dc2 float64, cnt []int32) int32 {
 	cnt = cnt[:len(strip)]
 	var n int32
 	for x, v := range strip {
 		var c int32
-		if float64(v) < dc2 {
+		if v < dc2 {
 			c = 1
 		}
 		cnt[x] += c
@@ -117,7 +117,6 @@ type DeltaAcc struct {
 
 	rank []int32   // density rank per matrix row, set by rankRows per call
 	keys []rankKey // rankRows' sort scratch
-	band deltaBand // the compact scan's skip thresholds (compactpair.go)
 }
 
 // NewDeltaAcc returns an accumulator for n rows, with fallback tracking
@@ -166,31 +165,23 @@ func (a *DeltaAcc) Reset(n int, withMax bool) {
 // Bit-identical to the naive i<j loop, including the first-wins tie rule
 // for equal distances. Returns the number of distance evaluations.
 func DeltaArgmin(m *points.Matrix, lo, hi int, acc *DeltaAcc) int64 {
-	return Delta(m, []Block{Triangle(lo, hi)}, acc, Scan{}).Pairs
+	return Delta(m, []Block{Triangle(lo, hi)}, acc)
 }
 
 // Delta evaluates every pair in blocks under the density total order (see
-// DeltaArgmin), ranking m's rows once for the whole list. Which scan ran —
-// serial float64, compact float32 or the worker pool — follows the one rule
-// of Scan.plan; all three leave acc bit-identical to the naive loop over the
-// list, also against state acc carries in from earlier calls.
-func Delta(m *points.Matrix, blocks []Block, acc *DeltaAcc, s Scan) Ran {
-	ran, w := s.plan(m.N(), blocks)
-	if ran.Pairs == 0 {
-		return ran
+// DeltaArgmin), ranking m's rows once for the whole list, and returns the
+// number of distance evaluations. It leaves acc bit-identical to the naive
+// loop over the list, also against state acc carries in from earlier calls.
+func Delta(m *points.Matrix, blocks []Block, acc *DeltaAcc) int64 {
+	pairs := blockPairs(blocks)
+	if pairs == 0 {
+		return 0
 	}
 	acc.rankRows(m)
-	switch {
-	case ran.Compact:
-		ran.Rechecks = deltaCompact(m, blocks, acc)
-	case w > 1:
-		deltaPool(m, blocks, acc, w)
-	default:
-		forTiles(blocks, 0, 1, func(aLo, aHi, bLo, bHi int, diag bool) {
-			deltaTile(m, aLo, aHi, bLo, bHi, diag, acc)
-		})
-	}
-	return ran
+	forTiles(blocks, func(aLo, aHi, bLo, bHi int, diag bool) {
+		deltaTile(m, aLo, aHi, bLo, bHi, diag, acc)
+	})
+	return pairs
 }
 
 // rankKey is one row's sort key in the density order.

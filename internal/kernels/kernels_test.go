@@ -12,8 +12,9 @@ import (
 // The tests in this file pin the package's central guarantee: the blocked
 // kernels perform the same floating-point work in the same per-accumulator
 // order as the naive reference loops they replaced, so their outputs are
-// bit-identical — across dimensions, kernels, chunkings (including
-// MaxPartition-style chunk lists), and uneven tile remainders.
+// bit-identical — across dimensions, kernels, chunkings (a group fed as
+// several contiguous ranges through one accumulator), and uneven tile
+// remainders.
 
 // randMatrix builds a RhoPoint matrix of n rows in dim dimensions through
 // the wire codec, the same way a reducer receives it. Densities are drawn
@@ -120,8 +121,8 @@ func naiveObserve(m *points.Matrix, acc *DeltaAcc, i, j int, d2 float64) {
 }
 
 // chunkings returns representative [lo,hi) chunk lists over n rows: the
-// whole range, and MaxPartition-style contiguous caps that leave uneven
-// remainders around tile boundaries.
+// whole range, and contiguous caps that leave uneven remainders around tile
+// boundaries.
 func chunkings(n int) [][][2]int {
 	whole := [][2]int{{0, n}}
 	out := [][][2]int{whole}
@@ -250,11 +251,6 @@ func TestDeltaTieBreak(t *testing.T) {
 	if acc.Up[0] != 1 {
 		t.Fatalf("tie resolved to row %d, want first-seen row 1", acc.Up[0])
 	}
-	par := NewDeltaAcc(3, false)
-	deltaArgminAuto(m, 0, 3, par, Parallel{Threshold: 1, Workers: 4})
-	if par.Up[0] != 1 {
-		t.Fatalf("parallel tie resolved to row %d, want row 1", par.Up[0])
-	}
 }
 
 // hostileMatrix is randMatrix with the values a blocked kernel could get
@@ -308,16 +304,11 @@ func TestHostileRowsBitIdentical(t *testing.T) {
 					assertBitsEqual(t, fmt.Sprintf("%s rho k=%d chunks=%d", tag, ki, ci), got, want)
 				}
 				want, got := NewDeltaAcc(n, true), NewDeltaAcc(n, true)
-				par := NewDeltaAcc(n, true)
 				for _, ch := range chunks {
 					naiveDelta(m, ch[0], ch[1], want)
 					DeltaArgmin(m, ch[0], ch[1], got)
-					// The parallel path ranks once and hands the rank to
-					// every worker's partial accumulator.
-					deltaArgminAuto(m, ch[0], ch[1], par, Parallel{Threshold: 2, Workers: 3})
 				}
 				assertDeltaEqual(t, fmt.Sprintf("%s delta chunks=%d", tag, ci), got, want)
-				assertDeltaEqual(t, fmt.Sprintf("%s parallel delta chunks=%d", tag, ci), par, want)
 			}
 			split := n / 3
 			for ki, k := range kernelsUnderTest(2.0) {
@@ -380,74 +371,11 @@ func TestDeltaTieStraddlesBlock(t *testing.T) {
 	if err := points.DecodeRhoPointsInto(m, values); err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []Parallel{{}, {Threshold: 1, Workers: 4}} {
-		acc := NewDeltaAcc(len(pos), false)
-		deltaArgminAuto(m, 0, len(pos), acc, par)
-		if acc.Up[0] != 4 || acc.Best2[0] != 1 {
-			t.Fatalf("parallel=%v: row 0 resolved to row %d at d²=%v, want first-seen row 4 at 1", par.Threshold > 0, acc.Up[0], acc.Best2[0])
-		}
+	acc := NewDeltaAcc(len(pos), false)
+	DeltaArgmin(m, 0, len(pos), acc)
+	if acc.Up[0] != 4 || acc.Best2[0] != 1 {
+		t.Fatalf("row 0 resolved to row %d at d²=%v, want first-seen row 4 at 1", acc.Up[0], acc.Best2[0])
 	}
-}
-
-// TestParallelMatchesSerial runs the pair entries with the pool engaged
-// (this is also the -race test for the intra-partition parallel path).
-func TestParallelMatchesSerial(t *testing.T) {
-	for _, n := range []int{tile + 3, 5*tile + 41, 1200} {
-		for dim := 2; dim <= 4; dim++ {
-			m := randMatrix(t, n, dim, int64(n*10+dim))
-			p := Parallel{Threshold: 64, Workers: 4}
-
-			// Cutoff ρ: exact under any merge order (integer sums).
-			k := Kernel{Dc2: 6.0}
-			serial := make([]float64, n)
-			RhoAccumulate(m, 0, n, k, serial)
-			par := make([]float64, n)
-			if nd := rhoAccumulateAuto(m, 0, n, k, par, p); nd != int64(n)*int64(n-1)/2 {
-				t.Fatalf("parallel rho nd = %d", nd)
-			}
-			assertBitsEqual(t, fmt.Sprintf("parallel cutoff rho n=%d dim=%d", n, dim), par, serial)
-
-			// Gaussian ρ: merge order may shift the last ulps; bound it.
-			kg := Kernel{Gaussian: true, Dc2: 6.0}
-			serialG := make([]float64, n)
-			RhoAccumulate(m, 0, n, kg, serialG)
-			parG := make([]float64, n)
-			rhoAccumulateAuto(m, 0, n, kg, parG, p)
-			for i := range serialG {
-				if diff := math.Abs(parG[i] - serialG[i]); diff > 1e-9*(1+math.Abs(serialG[i])) {
-					t.Fatalf("gaussian rho[%d]: parallel %v vs serial %v", i, parG[i], serialG[i])
-				}
-			}
-
-			// δ-argmin: bit-identical by the lexicographic merge.
-			serialD := NewDeltaAcc(n, true)
-			DeltaArgmin(m, 0, n, serialD)
-			parD := NewDeltaAcc(n, true)
-			deltaArgminAuto(m, 0, n, parD, p)
-			assertDeltaEqual(t, fmt.Sprintf("parallel delta n=%d dim=%d", n, dim), parD, serialD)
-
-			// Determinism: a second parallel run is bit-identical.
-			par2 := make([]float64, n)
-			rhoAccumulateAuto(m, 0, n, kg, par2, p)
-			assertBitsEqual(t, "parallel gaussian determinism", par2, parG)
-		}
-	}
-}
-
-// TestParallelChunkCarry checks the parallel δ merge against accumulator
-// state carried in from an earlier chunk, as the MaxPartition path does.
-func TestParallelChunkCarry(t *testing.T) {
-	n := 4 * tile
-	m := randMatrix(t, n, 2, 99)
-	mid := 2*tile + 11
-	want := NewDeltaAcc(n, false)
-	naiveDelta(m, 0, mid, want)
-	naiveDelta(m, mid, n, want)
-	got := NewDeltaAcc(n, false)
-	p := Parallel{Threshold: 32, Workers: 3}
-	deltaArgminAuto(m, 0, mid, got, p)
-	deltaArgminAuto(m, mid, n, got, p)
-	assertDeltaEqual(t, "chunk carry", got, want)
 }
 
 // sameFloat is bit equality, except that any two NaNs are equal: which NaN

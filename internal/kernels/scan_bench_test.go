@@ -177,9 +177,8 @@ func BenchmarkNNBatch(b *testing.B) {
 	})
 }
 
-// BenchmarkTopKScan measures the k=10 top-k shapes the kNN-join reducers
-// run: a 64-query batch over a 200k×8 block, per precision (the f32 arm
-// includes the exact re-rank of each shortlist).
+// BenchmarkTopKScan measures the flat k=10 top-k batch the harness's top-k
+// probe times: 64 queries over a 200k×8 block.
 func BenchmarkTopKScan(b *testing.B) {
 	const nq, k = 64, 10
 	f := newScanFixture(b, 200_000, 8, nq)
@@ -191,22 +190,6 @@ func BenchmarkTopKScan(b *testing.B) {
 				accs[qi].Reset(k)
 			}
 			TopKBatch(f.data, f.dim, f.qs, 0, f.n, accs)
-		}
-	})
-	b.Run("f32", func(b *testing.B) {
-		b.SetBytes(int64(f.n * f.dim * 4 * nq))
-		bnd := F32Bounds(f.dim, f.maxAbs)
-		sls := make([]Shortlist, nq)
-		accs := make([]TopKAcc, nq)
-		for i := 0; i < b.N; i++ {
-			for qi := range sls {
-				sls[qi].ResetK(k, bnd)
-				accs[qi].Reset(k)
-			}
-			NNBatch32(f.data32, f.dim, f.qs32, 0, f.n, sls)
-			for qi := range sls {
-				TopKRows(f.data, f.dim, f.qs[qi*f.dim:(qi+1)*f.dim], sls[qi].Finish(), &accs[qi])
-			}
 		}
 	})
 }
@@ -249,29 +232,4 @@ func BenchmarkTopKSweep(b *testing.B) {
 			})
 		}
 	}
-}
-
-func BenchmarkCompactRho(b *testing.B) {
-	const n, dim = 4000, 8
-	f := newScanFixture(b, n, dim, 1)
-	rho := make([]float64, n)
-	m := buildRhoMatrix(b, f.data, dim, rho)
-	k := Kernel{Dc2: 100 * float64(dim)}
-	out := make([]float64, n)
-	b.Run("f64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range out {
-				out[j] = 0
-			}
-			RhoAccumulate(m, 0, n, k, out)
-		}
-	})
-	b.Run("f32", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j := range out {
-				out[j] = 0
-			}
-			rhoAccumulate32(m, 0, n, k, out)
-		}
-	})
 }

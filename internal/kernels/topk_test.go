@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"repro/internal/points"
 )
 
 // Property tests for the top-k scan kernels. The contract under test: the
@@ -172,122 +170,16 @@ func TestTopKMatchesNNAtK1(t *testing.T) {
 	}
 }
 
-// The f32 shortlist scan plus exact re-rank is bit-identical to the pure
-// float64 top-k, at a benign scale and at a scale whose squared distances
-// overflow float32 (compact distances +Inf → full exact re-rank).
-func TestTopK32Rerank(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	for _, scale := range []float64{4, 1e25} {
-		for _, dim := range []int{1, 2, 3, 7, 9, 17} {
-			n := 220 + dim%4
-			data := randBlock(rng, n, dim, scale)
-			data32, _ := points.ToFloat32(data)
-			for _, k := range []int{1, 5, 16} {
-				for trial := 0; trial < 12; trial++ {
-					q := randQuery(rng, dim)
-					for j := range q {
-						q[j] *= scale / 4
-					}
-					bnd := F32Bounds(dim, blockMaxAbs(data, q))
-					q32, _ := points.ToFloat32(q)
-					var sl Shortlist
-					sl.ResetK(k, bnd)
-					nnRange32(data32, dim, q32, 0, n, &sl)
-					acc := NewTopKAcc(k)
-					TopKRows(data, dim, q, sl.Finish(), acc)
-					got := acc.Append(nil)
-
-					ref := NewTopKAcc(k)
-					TopKRange(data, dim, q, 0, n, ref)
-					if want := ref.Append(nil); !reflect.DeepEqual(got, want) {
-						t.Fatalf("scale %g dim %d k %d: rerank %v, want %v", scale, dim, k, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// The batched f32 kernel must leave every shortlist in the same state as
-// its single-query counterpart.
-func TestTopK32BatchAndRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	dim, n, k, nq := 3, 260, 6, 5
-	data := randBlock(rng, n, dim, 8)
-	data32, _ := points.ToFloat32(data)
-	qs := make([]float64, nq*dim)
-	for i := range qs {
-		qs[i] = rng.NormFloat64() * 8
-	}
-	qs32, _ := points.ToFloat32(qs)
-	bnd := F32Bounds(dim, blockMaxAbs(data, qs))
-
-	sls := make([]Shortlist, nq)
-	for i := range sls {
-		sls[i].ResetK(k, bnd)
-	}
-	NNBatch32(data32, dim, qs32, 0, n, sls)
-
-	for qi := 0; qi < nq; qi++ {
-		q, q32 := qs[qi*dim:(qi+1)*dim], qs32[qi*dim:(qi+1)*dim]
-		var flat Shortlist
-		flat.ResetK(k, bnd)
-		nnRange32(data32, dim, q32, 0, n, &flat)
-
-		ref := NewTopKAcc(k)
-		TopKRange(data, dim, q, 0, n, ref)
-		want := ref.Append(nil)
-		for name, sl := range map[string]*Shortlist{"batch": &sls[qi], "range": &flat} {
-			acc := NewTopKAcc(k)
-			TopKRows(data, dim, q, sl.Finish(), acc)
-			if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
-				t.Fatalf("query %d via %s: %v, want %v", qi, name, got, want)
-			}
-		}
-	}
-}
-
-// Mass ties beyond the compaction limit: many rows at exactly the same
-// distance must force shortlist growth without losing the true top-k.
-func TestTopK32MassTies(t *testing.T) {
-	dim, k := 2, 4
-	n := 3 * shortlistCompactAt
-	data := make([]float64, n*dim)
-	for i := 0; i < n; i++ {
-		data[i*dim] = 3 // all rows identical → every distance ties
-	}
-	q := []float64{0, 0}
-	data32, _ := points.ToFloat32(data)
-	q32, _ := points.ToFloat32(q)
-	bnd := F32Bounds(dim, 3)
-	var sl Shortlist
-	sl.ResetK(k, bnd)
-	nnRange32(data32, dim, q32, 0, n, &sl)
-	acc := NewTopKAcc(k)
-	TopKRows(data, dim, q, sl.Finish(), acc)
-	got := acc.Append(nil)
-	ref := NewTopKAcc(k)
-	TopKRange(data, dim, q, 0, n, ref)
-	if want := ref.Append(nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("mass ties: got %v, want %v", got, want)
-	}
-	for i, e := range got {
-		if e.Row != int32(i) {
-			t.Fatalf("mass ties kept row %d at rank %d, want lowest rows", e.Row, i)
-		}
-	}
-}
-
 // TestTopKHostileRows is TestNNHostileRows for k neighbours: on lattice
 // rows salted with non-finite coordinates the kept set must equal the
 // oracle's — ties that straddle a four-row block or a strip resolved by the
-// lowest row index — through the range, gathered, batched and f32 paths.
+// lowest row index — through the range, gathered and batched paths, and at
+// k = 1 through the f32 shortlist.
 func TestTopKHostileRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, dim := range []int{1, 2, 5, 8, 11} {
 		for _, n := range []int{3, 4, 5, nnTile + 1, 2*nnTile + 2, 2*nnTile + 3} {
 			data := latticeRows(rng, n, dim)
-			data32 := toF32(data)
 			asc := make([]int32, n)
 			for i := range asc {
 				asc[i] = int32(i)
@@ -316,13 +208,16 @@ func TestTopKHostileRows(t *testing.T) {
 				if got := accs[0].Append(nil); !reflect.DeepEqual(got, want) {
 					t.Fatalf("dim %d n %d k %d: TopKBatch = %v, want %v", dim, n, k, got, want)
 				}
+				if k != 1 {
+					continue // the compact shortlist keeps the nearest row only
+				}
 				var sl Shortlist
-				sl.ResetK(k, F32Bounds(dim, 4)) // non-finite compact distances re-rank exactly
-				nnRange32(data32, dim, toF32(q), 0, n, &sl)
+				sl.Reset(F32Bounds(dim, 4)) // non-finite compact distances re-rank exactly
+				nnRange32(toF32(data), dim, toF32(q), 0, n, &sl)
 				acc.Reset(k)
 				TopKRows(data, dim, q, sl.Finish(), acc)
 				if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
-					t.Fatalf("dim %d n %d k %d: f32 shortlist + re-rank = %v, want %v", dim, n, k, got, want)
+					t.Fatalf("dim %d n %d: f32 shortlist + re-rank = %v, want %v", dim, n, got, want)
 				}
 			}
 		}

@@ -50,8 +50,8 @@ const (
 const (
 	// CtrCandidates counts the (query, base row) distances the bucket
 	// reducers evaluated: at most Σ queries × base rows over the buckets,
-	// and on the float64 path far fewer, since the coordinate sweep rules
-	// most rows out unevaluated.
+	// and in practice far fewer, since the coordinate sweep rules most rows
+	// out unevaluated.
 	CtrCandidates = "knn.candidates"
 	// CtrFallbacks counts queries whose bucket result could not be
 	// certified by the guarantee radius and were re-joined exactly.
@@ -245,7 +245,7 @@ var sweepScratches = sync.Pool{New: func() any { return new(sweepScratch) }}
 // Determinism: base records are sorted by point ID before they are decoded
 // into the matrix, so matrix row order — and with it the top-k kernels'
 // lowest-row-index tie rule — is the (distance, ID) order of the naive
-// oracle, insensitive to the engine's shuffle value order. The float64 scan
+// oracle, insensitive to the engine's shuffle value order. The scan
 // sweeps a permutation of those rows sorted on one coordinate
 // (kernels.TopKSweep); the permutation is a total order of the same rows,
 // so the number of distances it evaluates is as deterministic as the lists.
@@ -315,47 +315,15 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 		}
 		out.Emit(idKey(q.p.ID), encodePartial(partialList{QID: q.p.ID, G: q.g, Entries: ns}))
 	}
+	sw := sweepScratches.Get().(*sweepScratch)
+	defer sweepScratches.Put(sw)
+	axis := kernels.SweepAxis(m.Data(), dim)
+	sw.order, sw.coord = kernels.SweepOrder(m.Data(), dim, axis, sw.order[:0], sw.coord[:0])
 	var nd int64
-	if ctx.Conf[kernels.ConfScanPrecision] == kernels.ScanF32 {
-		nq := len(queries)
-		qs := make([]float64, nq*dim)
-		for i, q := range queries {
-			copy(qs[i*dim:(i+1)*dim], q.p.Pos)
-		}
-		c := points.GetMatrix32(m)
-		defer points.PutMatrix32(c)
-		qs32, qMaxAbs := points.ToFloat32(qs)
-		maxAbs := c.MaxAbs()
-		if qMaxAbs > maxAbs {
-			maxAbs = qMaxAbs
-		}
-		bnd := kernels.F32Bounds(dim, maxAbs)
-		sls := make([]kernels.Shortlist, nq)
-		for i := range sls {
-			sls[i].ResetK(k, bnd)
-		}
-		kernels.NNBatch32(c.Data(), dim, qs32, 0, m.N(), sls)
-		var rechecks int64
-		for i, q := range queries {
-			rows := sls[i].Finish()
-			rechecks += int64(len(rows))
-			acc.Reset(k)
-			kernels.TopKRows(m.Data(), dim, q.p.Pos, rows, &acc)
-			emit(q)
-		}
-		nd = int64(nq) * int64(m.N())
-		ctx.Counters.Cell(mapreduce.CtrCompactEvals).Add(nd)
-		ctx.Counters.Cell(mapreduce.CtrCompactRechecks).Add(rechecks)
-	} else {
-		sw := sweepScratches.Get().(*sweepScratch)
-		defer sweepScratches.Put(sw)
-		axis := kernels.SweepAxis(m.Data(), dim)
-		sw.order, sw.coord = kernels.SweepOrder(m.Data(), dim, axis, sw.order[:0], sw.coord[:0])
-		for _, q := range queries {
-			acc.Reset(k)
-			nd += int64(kernels.TopKSweep(m.Data(), dim, q.p.Pos, axis, sw.order, sw.coord, &acc))
-			emit(q)
-		}
+	for _, q := range queries {
+		acc.Reset(k)
+		nd += int64(kernels.TopKSweep(m.Data(), dim, q.p.Pos, axis, sw.order, sw.coord, &acc))
+		emit(q)
 	}
 	ctx.Counters.Cell(CtrCandidates).Add(nd)
 	ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
@@ -69,7 +68,6 @@ func TestQueriesRouteToOneBucket(t *testing.T) {
 		cfg  Config
 	}{
 		{"f64", Config{Seed: 3, NumReduces: 4}},
-		{"f32", Config{Seed: 3, NumReduces: 4, ScanPrecision: kernels.ScanF32}},
 		{"narrow-m", Config{Seed: 5, M: 2, Pi: 6, NumReduces: 3}},
 		{"fallback-heavy", Config{Seed: 3, W: 4, NumReduces: 4}},
 	} {

@@ -16,7 +16,7 @@ import (
 
 // Config tunes a kNN-join run. The zero value asks for sensible defaults:
 // 8 layouts of 4 functions, width solved for 90% expected bucket accuracy
-// from a sampled k-th-neighbor distance, full float64 scans.
+// from a sampled k-th-neighbor distance.
 type Config struct {
 	// M is the number of independent LSH layouts. Default 8.
 	M int
@@ -35,10 +35,6 @@ type Config struct {
 	// NumReduces is the reduce-partition count of every job; <=0 lets the
 	// engine pick one partition per worker.
 	NumReduces int
-	// ScanPrecision selects the bucket scan arithmetic: "" or
-	// kernels.ScanF64 for exact float64, kernels.ScanF32 for the compact
-	// mirror with exact re-rank (results are identical either way).
-	ScanPrecision string
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -211,9 +207,6 @@ func buildConf(dim, k int, w float64, cfg *Config) mapreduce.Conf {
 	conf.SetInt(ConfPi, cfg.pi())
 	conf.SetFloat(ConfW, w)
 	conf.SetInt64(ConfSeed, cfg.Seed)
-	if cfg.ScanPrecision != "" {
-		conf[kernels.ConfScanPrecision] = cfg.ScanPrecision
-	}
 	return conf
 }
 

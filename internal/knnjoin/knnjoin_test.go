@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/kernels"
 	"repro/internal/knnjoin"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
@@ -16,8 +15,8 @@ import (
 
 // naiveKNN is the single-machine oracle: for every query the full scan of
 // S sorted by (squared distance, base ID), truncated to k. The distance
-// accumulates term by term, which is bit-identical to sqDistFlat's
-// unrolled shapes, so comparisons against the MapReduce result can demand
+// accumulates term by term, which is bit-identical to the kernels' sqDist,
+// so comparisons against the MapReduce result can demand
 // exact equality.
 func naiveKNN(R, S *points.Dataset, k int) [][]knnjoin.Neighbor {
 	out := make([][]knnjoin.Neighbor, R.N())
@@ -82,7 +81,6 @@ func TestJoinMatchesOracleLocal(t *testing.T) {
 		cfg  knnjoin.Config
 	}{
 		{"f64", knnjoin.Config{Seed: 3, NumReduces: 4}},
-		{"f32", knnjoin.Config{Seed: 3, NumReduces: 4, ScanPrecision: kernels.ScanF32}},
 		{"narrow-m", knnjoin.Config{Seed: 5, M: 2, Pi: 6, NumReduces: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,7 +230,6 @@ func TestClusterConformance(t *testing.T) {
 		cfg  knnjoin.Config
 	}{
 		{"f64", knnjoin.Config{Seed: 8, NumReduces: 4}},
-		{"f32", knnjoin.Config{Seed: 8, NumReduces: 4, ScanPrecision: kernels.ScanF32}},
 		{"fallback-heavy", knnjoin.Config{Seed: 8, W: 1e-3, NumReduces: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

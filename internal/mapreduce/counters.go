@@ -45,27 +45,6 @@ const (
 // name.
 const CtrDistanceComputations = "dp.distance.computations"
 
-// CtrParallelGroups counts reducer groups that crossed the configured
-// intra-partition parallelism threshold and split their pairwise tile grid
-// — every block of it — across a worker pool: the kernel entry decides on
-// the group's row count and reports it, so the counter counts what ran.
-// Read next to the per-phase straggler stats in the trace: skewed runs show
-// large reduce stragglers at 0 parallel groups, and the counter going
-// positive is the knob taking effect.
-const CtrParallelGroups = "dp.parallel.groups"
-
-// Compact scan path counters (the mr.scan.precision knob). CtrCompactEvals
-// counts pairwise evaluations performed on the float32 representation (all
-// of a group's, or none: a group on the worker pool scans in float64);
-// CtrCompactRechecks counts the subset whose error band was inconclusive
-// and fell back to an exact float64 evaluation. rechecks/evals is the
-// pruning efficiency of the compact path — near 1 means the data defeats
-// the band test and f64 would be cheaper.
-const (
-	CtrCompactEvals    = "kernels.compact.evals"
-	CtrCompactRechecks = "kernels.compact.rechecks"
-)
-
 // Counters is a concurrency-safe named counter set. Hot paths should hoist
 // Cell(name) out of the loop and call Add on the cell; occasional updates
 // can go through Add on the set itself.

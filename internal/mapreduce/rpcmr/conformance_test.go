@@ -9,7 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/kernels"
+	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
 	"repro/internal/obs"
@@ -175,152 +175,79 @@ func TestRunnerConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceParallelKernels repeats the density job with the
-// intra-partition parallelism knobs set in Conf. The knobs ride the same
-// (name, conf) job transport as every other parameter, so remote workers
-// must rebuild them and take the parallel path: both engines must count the
-// same dp.parallel.groups, and byte-identical output proves the parallel
-// tile merge reproduces the serial kernel on the distributed engine too.
-func TestConformanceParallelKernels(t *testing.T) {
-	ds := dataset.Blobs("conformance-par", 600, 2, 4, 100, 3, 11)
-	input := core.InputPairs(ds)
-
-	conf := mapreduce.Conf{}
-	conf.SetFloat("ddp.dc", 4.0)
-	conf.SetInt("ddp.dim", ds.Dim())
-	conf.SetInt("ddp.lsh.m", 4)
-	conf.SetInt("ddp.lsh.pi", 2)
-	conf.SetFloat("ddp.lsh.w", 12)
-	conf.SetInt64("ddp.seed", 7)
-	conf.SetInt("ddp.parallel.threshold", 32)
-	conf.SetInt("ddp.parallel.workers", 3)
-
-	makeJob := func() *mapreduce.Job {
-		j := core.JobFactories()[core.JobLSHRho](conf.Clone())
-		j.NumMaps = 4
-		j.NumReduces = 3
-		return j
+// TestConformanceDistanceCount pins dp.distance.computations — which every
+// ρ / δ reducer adds by hand from what kernels.Rho / kernels.Delta return —
+// to Σ Block.Pairs() of the lists the reducers walk, on both engines and
+// from an oracle that knows nothing of blocks: each Basic-DDP pair job
+// evaluates every unordered pair once, each LSH-DDP pair job exactly the
+// distinct co-bucketed pairs, the repeats going to dp.lsh.pairs.skipped.
+func TestConformanceDistanceCount(t *testing.T) {
+	ds := dataset.Blobs("conformance-count", 400, 2, 4, 100, 3, 11)
+	const m, pi, w, seed = 4, 2, 12.0, 7
+	layouts := lsh.NewLayouts(ds.Dim(), m, pi, w, seed)
+	keys := make([][]string, ds.N())
+	for i, p := range ds.Points {
+		keys[i] = layouts.Keys(p.Pos)
+	}
+	var distinct, slots int64 // co-bucketed pairs, and (pair, layout) incidences
+	for i := range keys {
+		for j := 0; j < i; j++ {
+			shared := 0
+			for l := range keys[i] {
+				if keys[i][l] == keys[j][l] {
+					shared++
+				}
+			}
+			if shared > 0 {
+				distinct++
+				slots += int64(shared)
+			}
+		}
+	}
+	if slots <= distinct {
+		t.Fatalf("fixture shares too little: %d pairs in %d slots", distinct, slots)
+	}
+	all := int64(ds.N()) * int64(ds.N()-1) / 2
+	want := map[string][2]int64{ // job → evaluated, evaluated + skipped
+		core.JobBasicRho: {all, all},
+		core.JobBasicDel: {all, all},
+		core.JobLSHRho:   {distinct, slots},
+		core.JobLSHDel:   {distinct, slots},
 	}
 
 	master, _ := startCluster(t, 3)
-	runners := []struct {
+	for _, rc := range []struct {
 		name   string
 		engine mapreduce.Engine
 	}{
 		{"local", &mapreduce.LocalEngine{Parallelism: 3}},
 		{"rpcmr", master},
-	}
-
-	type observed struct {
-		output   []mapreduce.Pair
-		counters map[string]int64
-	}
-	results := make(map[string]observed)
-	for _, rc := range runners {
-		res, err := rc.engine.Run(context.Background(), makeJob(), input)
-		if err != nil {
-			t.Fatalf("%s: %v", rc.name, err)
-		}
-		out := append([]mapreduce.Pair(nil), res.Output...)
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-		results[rc.name] = observed{output: out, counters: res.Counters.Snapshot()}
-	}
-
-	local, rpc := results["local"], results["rpcmr"]
-	if local.counters[mapreduce.CtrParallelGroups] == 0 {
-		t.Fatal("parallel threshold engaged no reducer groups")
-	}
-	stripWireCounters(local.counters)
-	stripWireCounters(rpc.counters)
-	if !reflect.DeepEqual(local.counters, rpc.counters) {
-		t.Errorf("counter snapshots differ:\n local: %v\n rpcmr: %v", local.counters, rpc.counters)
-	}
-	if len(local.output) != len(rpc.output) {
-		t.Fatalf("output sizes differ: local %d, rpcmr %d", len(local.output), len(rpc.output))
-	}
-	for i := range local.output {
-		if local.output[i].Key != rpc.output[i].Key || !reflect.DeepEqual(local.output[i].Value, rpc.output[i].Value) {
-			t.Fatalf("output record %d differs between engines", i)
-		}
-	}
-}
-
-// TestConformanceCompactScan runs the density job with the compact f32 scan
-// path enabled (mr.scan.precision rides Conf like every other knob). Remote
-// workers must take the compact path (kernels.compact.evals > 0 on both
-// engines), the local and distributed runs must agree byte-for-byte, and —
-// the actual correctness claim — the compact output values must be
-// byte-identical to a plain float64 baseline run.
-func TestConformanceCompactScan(t *testing.T) {
-	ds := dataset.Blobs("conformance-compact", 600, 2, 4, 100, 3, 11)
-	input := core.InputPairs(ds)
-
-	baseConf := mapreduce.Conf{}
-	baseConf.SetFloat("ddp.dc", 4.0)
-	baseConf.SetInt("ddp.dim", ds.Dim())
-	baseConf.SetInt("ddp.lsh.m", 4)
-	baseConf.SetInt("ddp.lsh.pi", 2)
-	baseConf.SetFloat("ddp.lsh.w", 12)
-	baseConf.SetInt64("ddp.seed", 7)
-	compactConf := baseConf.Clone()
-	compactConf[kernels.ConfScanPrecision] = kernels.ScanF32
-
-	makeJob := func(conf mapreduce.Conf) *mapreduce.Job {
-		j := core.JobFactories()[core.JobLSHRho](conf.Clone())
-		j.NumMaps = 4
-		j.NumReduces = 3
-		return j
-	}
-
-	master, _ := startCluster(t, 3)
-	runners := []struct {
-		name   string
-		engine mapreduce.Engine
-		conf   mapreduce.Conf
-	}{
-		{"local-f64", &mapreduce.LocalEngine{Parallelism: 3}, baseConf},
-		{"local-f32", &mapreduce.LocalEngine{Parallelism: 3}, compactConf},
-		{"rpcmr-f32", master, compactConf},
-	}
-
-	type observed struct {
-		output   []mapreduce.Pair
-		counters map[string]int64
-	}
-	results := make(map[string]observed)
-	for _, rc := range runners {
-		res, err := rc.engine.Run(context.Background(), makeJob(rc.conf), input)
-		if err != nil {
-			t.Fatalf("%s: %v", rc.name, err)
-		}
-		out := append([]mapreduce.Pair(nil), res.Output...)
-		sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-		results[rc.name] = observed{output: out, counters: res.Counters.Snapshot()}
-	}
-
-	local, rpc := results["local-f32"], results["rpcmr-f32"]
-	if local.counters[mapreduce.CtrCompactEvals] == 0 {
-		t.Fatal("compact scan path never engaged on the local engine")
-	}
-	if rpc.counters[mapreduce.CtrCompactEvals] == 0 {
-		t.Fatal("compact scan path never engaged on the rpcmr cluster")
-	}
-	stripWireCounters(local.counters)
-	stripWireCounters(rpc.counters)
-	if !reflect.DeepEqual(local.counters, rpc.counters) {
-		t.Errorf("counter snapshots differ:\n local: %v\n rpcmr: %v", local.counters, rpc.counters)
-	}
-	// Compact vs exact: same keys, same bytes — the re-rank contract.
-	for _, name := range []string{"local-f32", "rpcmr-f32"} {
-		got := results[name]
-		want := results["local-f64"]
-		if len(got.output) != len(want.output) {
-			t.Fatalf("%s: output size %d differs from f64 baseline %d", name, len(got.output), len(want.output))
-		}
-		for i := range want.output {
-			if got.output[i].Key != want.output[i].Key || !reflect.DeepEqual(got.output[i].Value, want.output[i].Value) {
-				t.Fatalf("%s: output record %d differs from f64 baseline", name, i)
+	} {
+		t.Run(rc.name, func(t *testing.T) {
+			cfg := core.Config{Engine: rc.engine, Dc: 4, Seed: seed}
+			basic, err := core.RunBasicDDP(context.Background(), ds, core.BasicConfig{Config: cfg, BlockSize: 90})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			approx, err := core.RunLSHDDP(context.Background(), ds, core.LSHConfig{Config: cfg, M: m, Pi: pi, W: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := 0
+			for _, j := range append(basic.Stats.Jobs, approx.Stats.Jobs...) {
+				w, ok := want[j.Name]
+				if !ok {
+					continue
+				}
+				seen++
+				ev, sk := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[core.CtrPairsSkipped]
+				if ev != w[0] || ev+sk != w[1] {
+					t.Fatalf("%s: evaluated %d skipped %d, want %d and %d", j.Name, ev, sk, w[0], w[1]-w[0])
+				}
+			}
+			if seen != len(want) {
+				t.Fatalf("saw %d of the %d pair jobs", seen, len(want))
+			}
+		})
 	}
 }

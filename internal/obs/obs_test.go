@@ -138,14 +138,21 @@ func TestTraceConcurrentAdd(t *testing.T) {
 	}
 }
 
+// kindSink records the kind of every event.
+type kindSink struct {
+	mu    sync.Mutex
+	kinds []string
+}
+
+func (s *kindSink) Event(kind, _ string, _ ...any) {
+	s.mu.Lock()
+	s.kinds = append(s.kinds, kind)
+	s.mu.Unlock()
+}
+
 func TestMonitorEmits(t *testing.T) {
 	var mu sync.Mutex
-	var events []string
-	sink := LogfSink(func(format string, args ...any) {
-		mu.Lock()
-		events = append(events, format)
-		mu.Unlock()
-	})
+	sink := &kindSink{}
 	var n int64
 	snapshot := func() map[string]int64 {
 		mu.Lock()
@@ -157,13 +164,13 @@ func TestMonitorEmits(t *testing.T) {
 	m := StartMonitor("test", 5*time.Millisecond, snapshot, sink)
 	time.Sleep(20 * time.Millisecond)
 	m.Stop()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) == 0 {
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.kinds) == 0 {
 		t.Fatal("monitor emitted no events")
 	}
-	if !strings.HasPrefix(events[0], "[progress]") {
-		t.Fatalf("event = %q", events[0])
+	if sink.kinds[0] != "progress" {
+		t.Fatalf("event kind = %q", sink.kinds[0])
 	}
 }
 

@@ -15,18 +15,6 @@ type Sink interface {
 	Event(kind, format string, args ...any)
 }
 
-// LogfSink adapts a printf-style logger to the Sink interface, prefixing
-// each message with its kind. This is how the engines' legacy Log fields
-// keep working: they become sinks.
-type LogfSink func(format string, args ...any)
-
-// Event formats the message and forwards it to the wrapped logger.
-func (f LogfSink) Event(kind, format string, args ...any) {
-	if f != nil {
-		f("["+kind+"] "+format, args...)
-	}
-}
-
 // Discard drops every event.
 var Discard Sink = discard{}
 

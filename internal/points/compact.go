@@ -1,13 +1,10 @@
 package points
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
-// Compact coordinate representations for the bandwidth-lean scan path.
+// Compact coordinate representations for the bandwidth-lean serving scan.
 //
-// A Matrix32 mirrors a float64 SoA block in float32, and QuantizeQ8 reduces
+// ToFloat32 mirrors a flat float64 block in float32, and QuantizeQ8 reduces
 // it further to one byte per coordinate with a per-dimension affine code.
 // Both are derived representations: the float64 block stays the source of
 // truth, and every kernel that scans a compact block re-ranks its shortlist
@@ -15,51 +12,14 @@ import (
 // only has to be cheap and bounded, never exact. Alongside the converted
 // coordinates each conversion reports the largest absolute source
 // coordinate, which the kernels need to build sound error bounds.
+// Coordinates outside float32 range convert to ±Inf; the compact kernels
+// route any non-finite arithmetic to the exact float64 path, so an
+// overflowing mirror is slow but never wrong.
 
-// Matrix32 is a float32 mirror of a coordinate block: n rows of dim floats,
-// row-major, plus the largest absolute float64 source coordinate (MaxAbs)
-// seen during conversion. Coordinates outside float32 range convert to ±Inf;
-// the compact kernels route any non-finite arithmetic to the exact float64
-// path, so an overflowing mirror is slow but never wrong.
-type Matrix32 struct {
-	dim    int
-	n      int
-	data   []float32
-	maxAbs float64
-}
-
-// N returns the number of rows.
-func (c *Matrix32) N() int { return c.n }
-
-// Dim returns the row dimensionality.
-func (c *Matrix32) Dim() int { return c.dim }
-
-// Data exposes the flat float32 storage (len N()*Dim()).
-func (c *Matrix32) Data() []float32 { return c.data[:c.n*c.dim] }
-
-// MaxAbs returns the largest |coordinate| of the float64 source block.
-func (c *Matrix32) MaxAbs() float64 { return c.maxAbs }
-
-// SetFlat fills the mirror from a flat float64 block of n rows of dim.
-func (c *Matrix32) SetFlat(data []float64, dim int) {
-	n := 0
-	if dim > 0 {
-		n = len(data) / dim
-	}
-	c.dim, c.n = dim, n
-	if cap(c.data) < len(data) {
-		c.data = make([]float32, len(data))
-	}
-	c.data = c.data[:len(data)]
-	c.maxAbs = downTo32(c.data, data)
-}
-
-// Set fills the mirror from m's coordinate block.
-func (c *Matrix32) Set(m *Matrix) { c.SetFlat(m.Data(), m.Dim()) }
-
-// downTo32 converts src into dst (same length) and returns the largest
-// absolute source value. NaNs contribute nothing to the maximum.
-func downTo32(dst []float32, src []float64) float64 {
+// ToFloat32 converts a flat float64 block, returning the float32 copy and
+// the largest absolute source value. NaNs contribute nothing to the maximum.
+func ToFloat32(src []float64) ([]float32, float64) {
+	dst := make([]float32, len(src))
 	var maxAbs float64
 	for i, v := range src {
 		dst[i] = float32(v)
@@ -67,31 +27,8 @@ func downTo32(dst []float32, src []float64) float64 {
 			maxAbs = a
 		}
 	}
-	return maxAbs
-}
-
-// ToFloat32 converts a flat float64 block, returning the float32 copy and
-// the largest absolute source value.
-func ToFloat32(src []float64) ([]float32, float64) {
-	dst := make([]float32, len(src))
-	maxAbs := downTo32(dst, src)
 	return dst, maxAbs
 }
-
-// matrix32Pool recycles Matrix32 backing arrays across reducer groups, like
-// matrixPool does for the float64 decode path.
-var matrix32Pool = sync.Pool{New: func() any { return new(Matrix32) }}
-
-// GetMatrix32 returns a pooled Matrix32 filled from m.
-func GetMatrix32(m *Matrix) *Matrix32 {
-	c := matrix32Pool.Get().(*Matrix32)
-	c.Set(m)
-	return c
-}
-
-// PutMatrix32 returns c to the pool. The caller must not retain c or any
-// slice obtained from it.
-func PutMatrix32(c *Matrix32) { matrix32Pool.Put(c) }
 
 // Q8Params is the per-dimension affine code of an 8-bit quantized block:
 // coordinate x of dimension d encodes as round((x − Min[d]) / Scale[d]),

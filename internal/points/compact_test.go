@@ -23,44 +23,6 @@ func TestToFloat32(t *testing.T) {
 	}
 }
 
-func TestMatrix32Mirror(t *testing.T) {
-	var m Matrix
-	buf := encodePointRecord(t, 7, []float64{1, 2, 3})
-	if _, err := m.AppendPoint(buf); err != nil {
-		t.Fatal(err)
-	}
-	buf = encodePointRecord(t, 8, []float64{-4, 5, -6})
-	if _, err := m.AppendPoint(buf); err != nil {
-		t.Fatal(err)
-	}
-	c := GetMatrix32(&m)
-	defer PutMatrix32(c)
-	if c.N() != 2 || c.Dim() != 3 {
-		t.Fatalf("mirror shape %dx%d, want 2x3", c.N(), c.Dim())
-	}
-	if c.MaxAbs() != 6 {
-		t.Fatalf("MaxAbs = %v, want 6", c.MaxAbs())
-	}
-	want := []float32{1, 2, 3, -4, 5, -6}
-	for i, v := range c.Data() {
-		if v != want[i] {
-			t.Fatalf("Data()[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-}
-
-func encodePointRecord(t *testing.T, id int32, pos []float64) []byte {
-	t.Helper()
-	var buf []byte
-	buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	dim := uint32(len(pos))
-	buf = append(buf, byte(dim), byte(dim>>8), byte(dim>>16), byte(dim>>24))
-	for _, v := range pos {
-		buf = AppendFloat64(buf, v)
-	}
-	return buf
-}
-
 func TestQuantizeQ8Residual(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, dim := range []int{1, 2, 5, 8} {
