@@ -40,7 +40,7 @@ test-short:
 # kernels package rides along because concurrent reduce tasks and the serving
 # engine call it from many goroutines, dfs/chaos for the heartbeat +
 # re-replication machinery and its harness,
-# serve/model for the query server's batching, shedding, and hot reload,
+# serve/model for the query server's admission gate, shedding, and hot reload,
 # fleet for the router's scatter-gather, hedging, and liveness prober.
 # ./internal/mapreduce/... recursively covers the dag scheduler package,
 # whose concurrent node dispatch is the newest race surface; ingest for the
@@ -90,9 +90,9 @@ bench-hot:
 	$(GO) test -bench 'Keys|NewEngine' -run xxx -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/lsh/ ./internal/serve/
 
-# Compact scan-path micro-benchmarks: f64 vs f32 vs q8 single-query NN
-# (full pass, and NNRows over a sparse candidate list — the shape a served
-# query scans), multi-query NNBatch, top-k selection (the `TopK` pattern
+# Scan-path micro-benchmarks: a float64 single-query NN full pass, NNRows
+# over a sparse candidate list at f64 vs f32 vs q8 (the shape a served query
+# scans), multi-query NNBatch, top-k selection (the `TopK` pattern
 # matches both TopKScan, the flat batch, and TopKSweep, the kNN-join
 # reducers' coordinate-ordered scan), and one served query end to end at the
 # harness geometry (EngineAssign: ns and rows evaluated per query, share

@@ -19,9 +19,9 @@
 //	POST /reload  re-read the model artifact and swap it in atomically
 //
 // SIGHUP also triggers a reload; SIGINT/SIGTERM drain in-flight requests and
-// exit. Concurrent requests are micro-batched into single kernel passes, and
-// a bounded admission queue sheds excess load with 429 instead of queueing
-// without bound — see OPERATIONS.md for the runbook.
+// exit. Each request is answered on its own handler, at most -workers at
+// once, and a bounded admission queue sheds excess load with 429 instead of
+// queueing without bound — see OPERATIONS.md for the runbook.
 //
 // As a fleet member, clusterd loads a fleetctl sub-model and runs with
 // -shard N: /statsz then reports the shard id (routerd verifies it at
@@ -58,10 +58,8 @@ func main() {
 		modelPath = flag.String("model", "", "cluster model artifact: local path, or DFS path with -namenode (required)")
 		namenode  = flag.String("namenode", "", "load the model from the mini-DFS at this namenode address")
 		listen    = flag.String("listen", ":8080", "HTTP listen address")
-		batchMax  = flag.Int("batch-max", 64, "flush a batch at this many query points (serve.batch.max)")
-		linger    = flag.Duration("batch-linger", 0, "wait this long for more requests before flushing a non-full batch (serve.batch.linger)")
 		queue     = flag.Int("queue", 128, "admission queue bound; excess requests get 429 (serve.queue.depth)")
-		workers   = flag.Int("workers", 1, "concurrent requests processed per batch (serve.workers)")
+		workers   = flag.Int("workers", 1, "engine calls answered at once (serve.workers)")
 		maxPts    = flag.Int("max-points", 1024, "maximum points per request (serve.max.request.points)")
 		exact     = flag.Bool("exact", false, "disable LSH pruning; answer every query by full scan (serve.exact)")
 		shard     = flag.Int("shard", -1, "fleet shard id this daemon serves (reported in /statsz for routerd's startup check; -1 = not in a fleet)")
@@ -100,8 +98,6 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		BatchMax:          *batchMax,
-		BatchLinger:       *linger,
 		QueueDepth:        *queue,
 		Workers:           *workers,
 		MaxRequestPoints:  *maxPts,

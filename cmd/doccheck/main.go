@@ -11,6 +11,10 @@
 //   - a lower-case dotted key backticked in the first column of a table of
 //     that reference occurs in no string literal of any non-test .go file —
 //     the README documents a knob nothing reads, or
+//   - any counter registered in code — an exported `Ctr*` string constant
+//     with a dotted value in a non-test file, e.g. `CtrShed = "serve.shed"`
+//     — has no row in OPERATIONS.md (its name must appear backticked
+//     there), or
 //   - README.md, DESIGN.md, EXPERIMENTS.md or OPERATIONS.md mention, inside
 //     backticks, a `make <target>` the Makefile does not define or a
 //     `cmd/<name>` directory that does not exist.
@@ -18,8 +22,9 @@
 // The second check keeps the README's configuration reference in step with
 // the code: adding a knob without documenting it breaks `make check` and CI.
 // The third is its reverse: deleting a knob without deleting its row breaks
-// them too, as the fourth does for a deleted target or binary. Run from the
-// module root:
+// them too, as the fifth does for a deleted target or binary. The fourth
+// does for an operator's counters what the second does for knobs. Run from
+// the module root:
 //
 //	go run ./cmd/doccheck
 package main
@@ -40,7 +45,7 @@ import (
 )
 
 func main() {
-	undocumented, knobs, literals, err := scan(".")
+	undocumented, knobs, counters, literals, err := scan(".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 		os.Exit(1)
@@ -58,7 +63,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 		os.Exit(1)
 	}
-	if missing := undocumentedKnobs(string(readme), knobs); len(missing) > 0 {
+	if missing := undocumentedConsts(string(readme), knobs); len(missing) > 0 {
 		failed = true
 		fmt.Fprintln(os.Stderr, "doccheck: knobs registered in code but missing from README.md's configuration reference:")
 		for _, k := range missing {
@@ -70,6 +75,15 @@ func main() {
 	for _, key := range unreadKnobs(documented, literals) {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: README documents knob %s, which no code reads\n", key)
+	}
+	ops, err := os.ReadFile("OPERATIONS.md")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(1)
+	}
+	for _, c := range undocumentedConsts(string(ops), counters) {
+		failed = true
+		fmt.Fprintf(os.Stderr, "doccheck: counter %s (%s) has no OPERATIONS.md row\n", c.value, c.name)
 	}
 	targets, cmds, err := definedRefs("Makefile", "cmd")
 	if err != nil {
@@ -90,22 +104,23 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("doccheck: all packages documented, all %d registered knobs in the README, all %d README knob keys read by code\n", len(knobs), len(documented))
+	fmt.Printf("doccheck: all packages documented, all %d registered knobs in the README, all %d README knob keys read by code, all %d counters in OPERATIONS.md\n", len(knobs), len(documented), len(counters))
 }
 
-// knob is one exported Conf* string constant found in the tree.
+// knob is one exported Conf* (knob) or Ctr* (counter) string constant found
+// in the tree.
 type knob struct {
 	name  string // Go identifier, e.g. ConfDeltaMax
-	value string // knob name, e.g. ingest.delta.max
+	value string // knob or counter name, e.g. ingest.delta.max
 	file  string
 }
 
-// undocumentedKnobs returns the knobs whose value never appears backticked
-// in the README text.
-func undocumentedKnobs(readme string, knobs []knob) []knob {
+// undocumentedConsts returns the constants whose value never appears
+// backticked in doc.
+func undocumentedConsts(doc string, consts []knob) []knob {
 	var missing []knob
-	for _, k := range knobs {
-		if !strings.Contains(readme, "`"+k.value+"`") {
+	for _, k := range consts {
+		if !strings.Contains(doc, "`"+k.value+"`") {
 			missing = append(missing, k)
 		}
 	}
@@ -201,10 +216,11 @@ func staleRefs(doc string, targets, cmds map[string]bool) []string {
 	return stale
 }
 
-// collectKnobs pulls exported Conf* string constants with dotted values out
-// of one parsed file. The dot requirement skips unrelated Conf* constants
-// that are not knob names.
-func collectKnobs(path string, f *ast.File) []knob {
+// collectConsts pulls exported string constants named prefix* (Conf for
+// knobs, Ctr for counters) with dotted values out of one parsed file. The
+// dot requirement skips unrelated constants that are not knob or counter
+// names.
+func collectConsts(path string, f *ast.File, prefix string) []knob {
 	var out []knob
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
@@ -217,7 +233,7 @@ func collectKnobs(path string, f *ast.File) []knob {
 				continue
 			}
 			for i, name := range vs.Names {
-				if !strings.HasPrefix(name.Name, "Conf") || !name.IsExported() || i >= len(vs.Values) {
+				if !strings.HasPrefix(name.Name, prefix) || !name.IsExported() || i >= len(vs.Values) {
 					continue
 				}
 				lit, ok := vs.Values[i].(*ast.BasicLit)
@@ -237,13 +253,13 @@ func collectKnobs(path string, f *ast.File) []knob {
 
 // scan walks the tree under root and returns the directories containing a
 // Go package whose files all lack a package doc comment, every registered
-// Conf* knob, sorted by knob name, and every dotted string literal of the
-// non-test files.
-func scan(root string) ([]string, []knob, []string, error) {
+// Conf* knob and Ctr* counter, each sorted by name, and every dotted string
+// literal of the non-test files.
+func scan(root string) ([]string, []knob, []knob, []string, error) {
 	// dir -> has at least one non-test file with a package doc
 	hasDoc := make(map[string]bool)
 	seen := make(map[string]bool)
-	var knobs []knob
+	var knobs, counters []knob
 	var literals []string
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -269,7 +285,8 @@ func scan(root string) ([]string, []knob, []string, error) {
 		if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
 			hasDoc[dir] = true
 		}
-		knobs = append(knobs, collectKnobs(path, f)...)
+		knobs = append(knobs, collectConsts(path, f, "Conf")...)
+		counters = append(counters, collectConsts(path, f, "Ctr")...)
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if val, err := strconv.Unquote(lit.Value); err == nil && strings.Contains(val, ".") {
@@ -281,7 +298,7 @@ func scan(root string) ([]string, []knob, []string, error) {
 		return nil
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	var out []string
 	for dir := range seen {
@@ -291,5 +308,6 @@ func scan(root string) ([]string, []knob, []string, error) {
 	}
 	sort.Strings(out)
 	sort.Slice(knobs, func(i, j int) bool { return knobs[i].value < knobs[j].value })
-	return out, knobs, literals, nil
+	sort.Slice(counters, func(i, j int) bool { return counters[i].value < counters[j].value })
+	return out, knobs, counters, literals, nil
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"go/parser"
+	"go/token"
 	"reflect"
 	"testing"
 )
@@ -43,6 +45,44 @@ func TestUnreadKnobs(t *testing.T) {
 	for _, c := range cases {
 		if got := unreadKnobs(documentedKnobs(c.readme), literals); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: unread knobs = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+func TestUndocumentedCounters(t *testing.T) {
+	const src = `package p
+
+const (
+	CtrRows    = "job.rows"
+	CtrBytes   = "job.bytes"
+	ctrHidden  = "job.hidden"
+	CtrNoDot   = "plain"
+	CtrNumeric = 3
+	ConfKnob   = "job.knob"
+)
+`
+	f, err := parser.ParseFile(token.NewFileSet(), "p.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := collectConsts("p.go", f, "Ctr")
+	cases := []struct {
+		name string
+		ops  string
+		want []string
+	}{
+		{"every counter has a row", "| `job.rows` | rows |\n| `job.bytes` | bytes |\n", nil},
+		{"missing row", "| `job.rows` | rows |\n", []string{"CtrBytes"}},
+		{"prose is not a row", "job.rows and job.bytes, unquoted", []string{"CtrRows", "CtrBytes"}},
+		{"a longer name is not the name", "| `job.rows.total` | `job.bytes` |\n", []string{"CtrRows"}},
+	}
+	for _, c := range cases {
+		var got []string
+		for _, k := range undocumentedConsts(c.ops, counters) {
+			got = append(got, k.name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: undocumented counters = %q, want %q", c.name, got, c.want)
 		}
 	}
 }

@@ -452,8 +452,8 @@ func TestFleetFailover(t *testing.T) {
 	defer single.Shutdown(context.Background()) //nolint:errcheck
 
 	// The victim is shard 0's replica 0. chaos.OnNth arms the kill on that
-	// replica's 3rd processed batch — mid-sweep by construction — and the
-	// kill itself runs off the batcher goroutine (Shutdown waits for it).
+	// replica's 3rd engine call — mid-sweep by construction — and the kill
+	// itself runs off the handler goroutine (Shutdown waits for it).
 	ch := chaos.New(7)
 	var killed sync.WaitGroup
 	killed.Add(1)

@@ -60,13 +60,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body assignRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 16<<20))
-	if err := dec.Decode(&body); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if status, msg := serve.ValidatePoints(body.Points, r.cfg.Manifest.Dim, r.cfg.maxRequestPoints()); status != 0 {
-		http.Error(w, msg, status)
+	if !serve.DecodePoints(w, req, &body, &body.Points, r.cfg.Manifest.Dim, r.cfg.maxRequestPoints()) {
 		return
 	}
 

@@ -405,18 +405,22 @@ type placement struct {
 	deltaFold []int32 // delta indices within dc (each gains +1 mass)
 }
 
-// place computes a new point's assignment (nearest stored point across
-// base + delta, the serving tie rule) and the density mass it adds. Reads
-// under RLock; the caller applies under Lock.
+// place computes a new point's assignment — what a read at p answers on
+// the same state (assign) — and the density mass it adds. Reads under
+// RLock; the caller applies under Lock.
 func (st *Store) place(p points.Vector) (placement, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
+	// The merge's delta scan is counted by neither ingest.delta.scanned nor
+	// ScanStats.Scanned: it is write cost, not read cost.
+	out, errs, _, _ := st.assign([]points.Vector{p}, serve.BatchOpts{})
+	if errs[0] != nil {
+		return placement{}, errs[0]
+	}
+	pl := placement{version: st.version, asg: out[0], label: out[0].Cluster}
 	eng := st.eng
 	m := eng.Model()
 	dim, dc2 := m.Dim, m.Dc*m.Dc
-	pl := placement{version: st.version}
-
-	asg, _, err := eng.Assign(p, false)
 
 	// Density mass to base rows: the LSH candidate union stands in for the
 	// dc-neighborhood (the same approximation LSH-DDP's local rho uses); an
@@ -436,43 +440,12 @@ func (st *Store) place(p points.Vector) (placement, error) {
 		}
 	}
 
-	// Delta: exact NN and dc-neighborhood in one pass.
-	nd := len(st.dIDs)
-	best, best2 := -1, math.Inf(1)
-	for j := 0; j < nd; j++ {
-		d2 := points.SqDist(p, st.dCoords[j*dim:(j+1)*dim])
-		if d2 < dc2 {
+	for j := range st.dIDs {
+		if points.SqDist(p, st.dCoords[j*dim:(j+1)*dim]) < dc2 {
 			pl.deltaFold = append(pl.deltaFold, int32(j))
-		}
-		if d2 < best2 {
-			best, best2 = j, d2
 		}
 	}
 	pl.rho = float64(len(pl.baseFold) + len(pl.deltaFold))
-
-	deltaWins := best >= 0 && !math.IsInf(best2, 1) && (err != nil || best2 < asg.Dist2)
-	switch {
-	case deltaWins:
-		lbl := st.dLabels[best]
-		pl.label = lbl
-		pl.asg = serve.Assignment{
-			Cluster: lbl, Halo: st.dRho[best] < m.Border[lbl],
-			Nearest: st.dIDs[best], Dist: math.Sqrt(best2), Dist2: best2,
-			PeakDist: points.Dist(p, m.Row(int(m.Peaks[lbl]))), Exact: true,
-		}
-	case err == nil:
-		pl.label = asg.Cluster
-		pl.asg = asg
-		if asg.Halo {
-			// Fold delta mass into the halo decision (mass only grows, so
-			// the flag can only clear).
-			if row := localRow(m, asg.Nearest); st.rhoAdd[row] > 0 {
-				pl.asg.Halo = m.Rho[row]+st.rhoAdd[row] < m.Border[asg.Cluster]
-			}
-		}
-	default:
-		return placement{}, err
-	}
 	return pl, nil
 }
 
@@ -521,19 +494,28 @@ func localRow(m *model.Model, globalID int32) int {
 // AssignBatch answers queries against base + delta under one RLock, so a
 // compaction swap can never interleave inside a batch: the engine scan,
 // the delta merge, and the halo adjustment all see one consistent state.
-// Base-segment answers are bit-identical to the plain engine's (the delta
-// only replaces an answer on a strictly smaller squared distance, and
-// delta IDs sort after every base ID, so ties keep the base winner).
 // Implements serve.IngestBackend.
 func (st *Store) AssignBatch(qs []points.Vector, opts serve.BatchOpts) ([]serve.Assignment, []error, serve.ScanStats) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	out, errs, stats := st.eng.AssignBatchOpts(qs, opts)
+	out, errs, stats, deltaScanned := st.assign(qs, opts)
+	stats.Scanned += deltaScanned
+	st.counters.Add(CtrDeltaScanned, deltaScanned)
+	return out, errs, stats
+}
+
+// assign is the one base + delta merge, behind both reads (AssignBatch)
+// and ingest acks (place); the caller holds mu. Base-segment answers are
+// bit-identical to the plain engine's (the delta only replaces an answer
+// on a strictly smaller squared distance, and delta IDs sort after every
+// base ID, so ties keep the base winner); Exact reports whether the base
+// engine ran its full scan. deltaScanned counts the delta rows scanned.
+func (st *Store) assign(qs []points.Vector, opts serve.BatchOpts) (out []serve.Assignment, errs []error, stats serve.ScanStats, deltaScanned int64) {
+	out, errs, stats = st.eng.AssignBatchOpts(qs, opts)
 	m := st.eng.Model()
 	dim := m.Dim
 	nd := len(st.dIDs)
 	masked := !opts.ExactOnly && opts.Masks != nil
-	var deltaScanned int64
 	for i, q := range qs {
 		if errs[i] == nil && out[i].Halo {
 			// The engine judged halo against the artifact's rho; folded
@@ -566,9 +548,7 @@ func (st *Store) AssignBatch(qs []points.Vector, opts serve.BatchOpts) ([]serve.
 		}
 		errs[i] = nil
 	}
-	stats.Scanned += deltaScanned
-	st.counters.Add(CtrDeltaScanned, deltaScanned)
-	return out, errs, stats
+	return out, errs, stats, deltaScanned
 }
 
 // Info snapshots the store state. Implements serve.IngestBackend.

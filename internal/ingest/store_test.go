@@ -129,6 +129,36 @@ func TestIngestImmediateVisibility(t *testing.T) {
 	}
 }
 
+// TestPlaceMatchesRead: an ingest ack is what /assign answers on the same
+// state, field for field — here where a delta row is nearer than the base
+// engine's pruned answer, so Exact must stay the base engine's false.
+func TestPlaceMatchesRead(t *testing.T) {
+	m := trainModel(t, 600, 3)
+	st := openStore(t, t.TempDir(), m, nil)
+	pts := jitterPts(m, 0, 5)
+	acks, err := st.IngestPoints(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range pts {
+		p := points.Vector{x[0] + 1e-4, x[1]}
+		pl, err := st.place(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, errs, _ := st.AssignBatch([]points.Vector{p}, serve.BatchOpts{})
+		if errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+		if out[0].Nearest != acks[i].ID {
+			t.Fatalf("point %d: read answered %+v, want delta row %d", i, out[0], acks[i].ID)
+		}
+		if pl.asg != out[0] {
+			t.Fatalf("point %d: ack %+v, read %+v", i, pl.asg, out[0])
+		}
+	}
+}
+
 // TestReplayAfterKill simulates a clusterd killed mid-ingest: several acked
 // batches plus one batch that reached the WAL but died before the in-memory
 // apply (the hookAfterWAL window). A reopened store must recover every

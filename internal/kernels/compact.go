@@ -200,56 +200,32 @@ func (sl *Shortlist) Finish() []int32 {
 func (sl *Shortlist) Threshold() float64 { return sl.thr }
 
 // admit folds one strip of compact distances into sl; strip[x] belongs to
-// rows[x], or to row lo+x when rows is nil. The admission reject — the
-// overwhelmingly common case once a good best is seen — is hoisted out of
-// observe so the hot loop pays one comparison per row; NaN fails the
-// rejection test and reaches observe, as required.
-func admit(sl *Shortlist, strip []float32, lo int, rows []int32) {
+// rows[x]. The admission reject — the overwhelmingly common case once a
+// good best is seen — is hoisted out of observe so the hot loop pays one
+// comparison per row; NaN fails the rejection test and reaches observe, as
+// required.
+func admit(sl *Shortlist, strip []float32, rows []int32) {
 	thr := sl.thr
 	for x, v := range strip {
 		if float64(v) > thr {
 			continue
 		}
-		row := int32(lo + x)
-		if rows != nil {
-			row = rows[x]
-		}
-		sl.observe(row, v)
+		sl.observe(rows[x], v)
 		thr = sl.thr
 	}
 }
 
-// nnRange32 folds rows [lo, hi) of the float32 mirror into the shortlist,
-// one blocked distance strip (dist.go) at a time.
-func nnRange32(data32 []float32, dim int, q32 []float32, lo, hi int, sl *Shortlist) {
-	var d2 [nnTile]float32
-	for ; lo < hi; lo += nnTile {
-		strip := d2[:min(nnTile, hi-lo)]
-		sqDistRange(q32[:dim], data32, lo, strip)
-		admit(sl, strip, lo, nil)
-	}
-}
-
 // NNRows32 scans the listed rows of the float32 mirror into the shortlist
-// (which the caller has Reset with this scan's Bounds).
+// (which the caller has Reset with this scan's Bounds), one blocked
+// distance strip (dist.go) at a time.
 func NNRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *Shortlist) {
 	var d2 [nnTile]float32
 	for len(rows) > 0 {
 		part := rows[:min(nnTile, len(rows))]
 		rows = rows[len(part):]
 		sqDistRows(q32[:dim], data32, part, d2[:len(part)])
-		admit(sl, d2[:len(part)], 0, part)
+		admit(sl, d2[:len(part)], part)
 	}
-}
-
-// NNBatch32 is the multi-query variant of nnRange32: one pass over each
-// row tile of the float32 mirror feeds every query's shortlist. qs32 is
-// flat (len(sls)*dim); each shortlist must be Reset by the caller. Per query
-// the rows arrive in ascending order, exactly as in nnRange32.
-func NNBatch32(data32 []float32, dim int, qs32 []float32, lo, hi int, sls []Shortlist) {
-	batchTiles(lo, hi, len(sls), func(qi, tLo, tHi int) {
-		nnRange32(data32, dim, qs32[qi*dim:(qi+1)*dim], tLo, tHi, &sls[qi])
-	})
 }
 
 // Q8LUT is the per-query lookup table of a quantized scan: Tab[d·256+c] is
@@ -303,19 +279,8 @@ func q8Dist4(c0, c1, c2, c3 []uint8, tab []float32) (s0, s1, s2, s3 float32) {
 	return
 }
 
-// q8DistRange writes the table distances of rows [lo, lo+len(out)) of the
-// code block into out, four rows per step (see sqDistRange).
-func q8DistRange(codes []uint8, dim int, tab []float32, lo int, out []float32) {
-	rows := codes[lo*dim : (lo+len(out))*dim]
-	for ; len(out) >= 4; out, rows = out[4:], rows[4*dim:] {
-		out[0], out[1], out[2], out[3] = q8Dist4(rows[:dim], rows[dim:][:dim], rows[2*dim:][:dim], rows[3*dim:][:dim], tab)
-	}
-	for j := range out {
-		out[j] = q8Dist(rows[j*dim:][:dim], tab)
-	}
-}
-
-// q8DistRows is q8DistRange over a gathered row list (see sqDistRows).
+// q8DistRows writes the table distances of the listed rows of the code
+// block into out, four rows per step (see sqDistRows).
 func q8DistRows(codes []uint8, dim int, tab []float32, rows []int32, out []float32) {
 	out = out[:len(rows)]
 	for ; len(rows) >= 4; out, rows = out[4:], rows[4:] {
@@ -335,25 +300,6 @@ func NNRowsQ8(codes []uint8, dim int, lut *Q8LUT, rows []int32, sl *Shortlist) {
 		part := rows[:min(nnTile, len(rows))]
 		rows = rows[len(part):]
 		q8DistRows(codes, dim, lut.Tab, part, d2[:len(part)])
-		admit(sl, d2[:len(part)], 0, part)
+		admit(sl, d2[:len(part)], part)
 	}
-}
-
-// nnRangeQ8 scans rows [lo, hi) of the quantized block into the shortlist.
-func nnRangeQ8(codes []uint8, dim int, lut *Q8LUT, lo, hi int, sl *Shortlist) {
-	var d2 [nnTile]float32
-	for ; lo < hi; lo += nnTile {
-		strip := d2[:min(nnTile, hi-lo)]
-		q8DistRange(codes, dim, lut.Tab, lo, strip)
-		admit(sl, strip, lo, nil)
-	}
-}
-
-// NNBatchQ8 is the multi-query variant of nnRangeQ8: luts and sls are
-// parallel per-query slices, and one pass over each row tile of the code
-// block feeds every query's shortlist.
-func NNBatchQ8(codes []uint8, dim int, luts []Q8LUT, lo, hi int, sls []Shortlist) {
-	batchTiles(lo, hi, len(sls), func(qi, tLo, tHi int) {
-		nnRangeQ8(codes, dim, &luts[qi], tLo, tHi, &sls[qi])
-	})
 }

@@ -36,13 +36,22 @@ func randBlock(rng *rand.Rand, n, dim int, scale float64) []float64 {
 	return data
 }
 
-// rerank32 runs the f32 shortlist scan over [0, n) and re-ranks exactly.
+// allRows lists rows [0, n) in ascending order.
+func allRows(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
+}
+
+// rerank32 runs the f32 shortlist scan over every row and re-ranks exactly.
 func rerank32(data []float64, dim int, q []float64, bnd Bounds) (int, float64, int) {
 	data32, _ := points.ToFloat32(data)
 	q32, _ := points.ToFloat32(q)
 	var sl Shortlist
 	sl.Reset(bnd)
-	nnRange32(data32, dim, q32, 0, len(data)/dim, &sl)
+	NNRows32(data32, dim, q32, allRows(len(data)/dim), &sl)
 	short := sl.Finish()
 	b, b2 := NNRows(data, dim, q, short)
 	return b, b2, len(short)
@@ -59,7 +68,7 @@ func rerankQ8(t *testing.T, data []float64, dim int, q []float64) (int, float64,
 	BuildQ8LUT(par, q, &lut)
 	var sl Shortlist
 	sl.Reset(Q8Bounds(dim, par.ErrBound()))
-	nnRangeQ8(codes, dim, &lut, 0, len(data)/dim, &sl)
+	NNRowsQ8(codes, dim, &lut, allRows(len(data)/dim), &sl)
 	short := sl.Finish()
 	b, b2 := NNRows(data, dim, q, short)
 	return b, b2, len(short)
@@ -250,53 +259,6 @@ func TestNNBatchMatchesNNRange(t *testing.T) {
 		wb, wb2 := NNRange(data, dim, qs[qi*dim:(qi+1)*dim], 0, n)
 		if int(best[qi]) != wb || best2[qi] != wb2 {
 			t.Fatalf("dim2 q=%d: got (%d, %v), want (%d, %v)", qi, best[qi], best2[qi], wb, wb2)
-		}
-	}
-}
-
-func TestNNBatch32MatchesPerQuery(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	dim, n, nq := 8, 600, 32
-	data := randBlock(rng, n, dim, 3)
-	data32, maxAbs := points.ToFloat32(data)
-	codes, par, ok := points.QuantizeQ8(data, dim)
-	if !ok {
-		t.Fatal("quantize failed")
-	}
-	qs := make([]float64, nq*dim)
-	for i := range qs {
-		qs[i] = rng.NormFloat64() * 3
-	}
-	qs32, qMax := points.ToFloat32(qs)
-	bnd := F32Bounds(dim, math.Max(maxAbs, qMax))
-
-	sls := make([]Shortlist, nq)
-	for i := range sls {
-		sls[i].Reset(bnd)
-	}
-	NNBatch32(data32, dim, qs32, 0, n, sls)
-	for qi := 0; qi < nq; qi++ {
-		q := qs[qi*dim : (qi+1)*dim]
-		wb, wb2 := NNRange(data, dim, q, 0, n)
-		gb, gb2 := NNRows(data, dim, q, sls[qi].Finish())
-		if gb != wb || gb2 != wb2 {
-			t.Fatalf("f32 batch q=%d: got (%d, %v), want (%d, %v)", qi, gb, gb2, wb, wb2)
-		}
-	}
-
-	qbnd := Q8Bounds(dim, par.ErrBound())
-	luts := make([]Q8LUT, nq)
-	for i := range sls {
-		sls[i].Reset(qbnd)
-		BuildQ8LUT(par, qs[i*dim:(i+1)*dim], &luts[i])
-	}
-	NNBatchQ8(codes, dim, luts, 0, n, sls)
-	for qi := 0; qi < nq; qi++ {
-		q := qs[qi*dim : (qi+1)*dim]
-		wb, wb2 := NNRange(data, dim, q, 0, n)
-		gb, gb2 := NNRows(data, dim, q, sls[qi].Finish())
-		if gb != wb || gb2 != wb2 {
-			t.Fatalf("q8 batch q=%d: got (%d, %v), want (%d, %v)", qi, gb, gb2, wb, wb2)
 		}
 	}
 }

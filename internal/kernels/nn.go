@@ -2,10 +2,11 @@ package kernels
 
 // Nearest-neighbor scan kernels for the online serving path: given a query
 // position and the flat SoA coordinate block of a cluster model, find the
-// closest stored row. The serving engine calls NNRange as the exact
-// full-scan fallback and NNRows to re-rank a compact scan's shortlist (the
-// pruned path itself is Sweep into a k = 1 TopKAcc; the benchmark harness
-// still times NNRows over a query's whole LSH candidate union). All share
+// closest stored row. The serving engine runs its exact full-scan fallback
+// through NNBatch (nnbatch.go) and calls NNRows to re-rank a compact scan's
+// shortlist (the pruned path itself is Sweep into a k = 1 TopKAcc; the
+// benchmark harness still times NNRows over a query's whole LSH candidate
+// union); NNRange's one non-test caller is ingest's delta scan. All share
 // the tie rule "lowest row index wins", so a pruned scan that contains the
 // true nearest row returns exactly what the exact scan would. NNRows
 // enforces the rule with an explicit index comparison on equal distances,

@@ -1,8 +1,8 @@
 package kernels
 
-// NNBatch is the multi-query exact NN scan used by the serving path's
-// micro-batcher: one pass over each row tile serves every query in the
-// batch, so the model's coordinate block streams through the cache once per
+// NNBatch is the multi-query exact NN scan behind the serving engine's
+// full-scan fallback: one pass over each row tile serves every query of the
+// call, so the model's coordinate block streams through the cache once per
 // tile instead of once per query. Per query the rows are still visited in
 // ascending order with the same arithmetic as NNRange, so each (best,
 // best2) result is bit-identical to a standalone NNRange call.
@@ -14,9 +14,9 @@ const nnTile = 128
 
 // batchTiles drives one tiled multi-query scan: rows [lo, hi) are visited
 // in nnTile-row tiles, and within each tile every query index [0, nq)
-// scans the tile's rows in ascending order via scan(qi, tLo, tHi). Every
-// batch kernel — NNBatch, NNBatch32, NNBatchQ8, TopKBatch —
-// runs on this one loop, so the tiling cannot drift between them; per
+// scans the tile's rows in ascending order via scan(qi, tLo, tHi). Both
+// batch kernels — NNBatch and TopKBatch — run on this one loop, so the
+// tiling cannot drift between them; per
 // query the visit order is identical to the flat [lo, hi) scan, which
 // keeps each batched result bit-identical to its single-query kernel.
 func batchTiles(lo, hi, nq int, scan func(qi, tLo, tHi int)) {

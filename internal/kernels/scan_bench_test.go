@@ -8,11 +8,11 @@ import (
 	"repro/internal/points"
 )
 
-// Benchmarks for the compact scan path (make bench-scan). The NN scans
-// measure one full pass over a 200k×8 block — the serving engine's exact
-// fallback shape — per precision; NNBatch amortizes one pass over a
-// 64-query micro-batch. CompactRho compares the reducer-side cutoff ρ
-// kernel against its f32 band-check variant.
+// Benchmarks for the scan kernels (make bench-scan). NNScan measures one
+// full float64 pass over a 1M×8 block, and NNBatch the same pass shared by
+// 64 queries, against 64 single-query passes (f64-seq); NNRows scans a
+// served query's sparse candidate list at each precision, with the exact
+// re-rank; TopKScan and TopKSweep are the kNN-join's flat and swept top-k.
 
 type scanFixture struct {
 	n, dim int
@@ -54,28 +54,6 @@ func BenchmarkNNScan(b *testing.B) {
 		b.SetBytes(int64(f.n * f.dim * 8))
 		for i := 0; i < b.N; i++ {
 			NNRange(f.data, f.dim, q, 0, f.n)
-		}
-	})
-	b.Run("f32", func(b *testing.B) {
-		b.SetBytes(int64(f.n * f.dim * 4))
-		bnd := F32Bounds(f.dim, f.maxAbs)
-		var sl Shortlist
-		for i := 0; i < b.N; i++ {
-			sl.Reset(bnd)
-			nnRange32(f.data32, f.dim, f.qs32[:f.dim], 0, f.n, &sl)
-			NNRows(f.data, f.dim, q, sl.Finish())
-		}
-	})
-	b.Run("q8", func(b *testing.B) {
-		b.SetBytes(int64(f.n * f.dim))
-		bnd := Q8Bounds(f.dim, f.par.ErrBound())
-		var lut Q8LUT
-		var sl Shortlist
-		for i := 0; i < b.N; i++ {
-			BuildQ8LUT(f.par, q, &lut)
-			sl.Reset(bnd)
-			nnRangeQ8(f.codes, f.dim, &lut, 0, f.n, &sl)
-			NNRows(f.data, f.dim, q, sl.Finish())
 		}
 	})
 }
@@ -143,36 +121,6 @@ func BenchmarkNNBatch(b *testing.B) {
 		b.SetBytes(int64(f.n * f.dim * 8 * nq))
 		for i := 0; i < b.N; i++ {
 			NNBatch(f.data, f.dim, f.qs, 0, f.n, best, best2)
-		}
-	})
-	b.Run("f32", func(b *testing.B) {
-		b.SetBytes(int64(f.n * f.dim * 4 * nq))
-		bnd := F32Bounds(f.dim, f.maxAbs)
-		sls := make([]Shortlist, nq)
-		for i := 0; i < b.N; i++ {
-			for qi := range sls {
-				sls[qi].Reset(bnd)
-			}
-			NNBatch32(f.data32, f.dim, f.qs32, 0, f.n, sls)
-			for qi := range sls {
-				NNRows(f.data, f.dim, f.qs[qi*f.dim:(qi+1)*f.dim], sls[qi].Finish())
-			}
-		}
-	})
-	b.Run("q8", func(b *testing.B) {
-		b.SetBytes(int64(f.n * f.dim * nq))
-		bnd := Q8Bounds(f.dim, f.par.ErrBound())
-		sls := make([]Shortlist, nq)
-		luts := make([]Q8LUT, nq)
-		for i := 0; i < b.N; i++ {
-			for qi := range sls {
-				sls[qi].Reset(bnd)
-				BuildQ8LUT(f.par, f.qs[qi*f.dim:(qi+1)*f.dim], &luts[qi])
-			}
-			NNBatchQ8(f.codes, f.dim, luts, 0, f.n, sls)
-			for qi := range sls {
-				NNRows(f.data, f.dim, f.qs[qi*f.dim:(qi+1)*f.dim], sls[qi].Finish())
-			}
 		}
 	})
 }

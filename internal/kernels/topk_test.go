@@ -213,7 +213,7 @@ func TestTopKHostileRows(t *testing.T) {
 				}
 				var sl Shortlist
 				sl.Reset(F32Bounds(dim, 4)) // non-finite compact distances re-rank exactly
-				nnRange32(toF32(data), dim, toF32(q), 0, n, &sl)
+				NNRows32(toF32(data), dim, toF32(q), asc, &sl)
 				acc.Reset(k)
 				TopKRows(data, dim, q, sl.Finish(), acc)
 				if got := acc.Append(nil); !reflect.DeepEqual(got, want) {

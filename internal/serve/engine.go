@@ -22,13 +22,13 @@
 // an eighth of the bytes), collect a provably sufficient shortlist, and
 // re-rank it exactly in float64 (internal/kernels compact scan path), so
 // labels, NN indices, distances, and the tie rule are bit-identical across
-// precisions. Micro-batches additionally run their exact scans through the
-// multi-query NNBatch kernels: one pass over each row tile serves the whole
-// batch.
+// precisions. The exact full scan reads the float64 block at every
+// precision, through the multi-query NNBatch kernel: one pass over each row
+// tile serves every query of the call.
 //
-// The HTTP server in server.go fronts the engine with micro-batching of
-// concurrent requests, a bounded admission queue with load shedding,
-// latency histograms, health/stats endpoints, hot model reload, and
+// The HTTP server in server.go answers each request on the handler that
+// admitted it, behind a bounded admission queue with load shedding, and
+// adds latency histograms, health/stats endpoints, hot model reload, and
 // graceful drain — see DESIGN.md "Online serving".
 package serve
 
@@ -115,10 +115,11 @@ type ScanStats struct {
 	// never set by a masked or exact scan.
 	Certified int64
 	// Rerank counts shortlist rows re-ranked in exact float64 after a
-	// compact scan (0 at PrecF64).
+	// compact bucket sweep (0 at PrecF64).
 	Rerank int64
 	// RerankQueries counts queries whose nearest neighbor came out of a
-	// compact scan + exact re-rank (0 at PrecF64).
+	// compact bucket sweep + exact re-rank (0 at PrecF64, and for queries
+	// the exact full scan answered).
 	RerankQueries int64
 	// ExactQueries counts queries answered by the exact full-scan path.
 	ExactQueries int64
@@ -203,11 +204,8 @@ type scratch struct {
 type batchScratch struct {
 	pending []int32 // query indices still needing the exact scan
 	flat    []float64
-	flat32  []float32
 	best    []int32
 	best2   []float64
-	sls     []kernels.Shortlist
-	luts    []kernels.Q8LUT
 }
 
 // NewEngine indexes a model for serving at the requested scan precision.
@@ -384,9 +382,9 @@ func (e *Engine) Assign(q points.Vector, exactOnly bool) (Assignment, int, error
 	return out[0], int(st.Scanned), errs[0]
 }
 
-// AssignBatch answers a micro-batch of queries, running every exact full
-// scan in the batch through the multi-query NN kernels (one pass over each
-// row tile serves all of them). Results and errors are per query: one
+// AssignBatch answers a batch of queries, running every exact full scan in
+// the batch through the multi-query NNBatch kernel (one pass over each row
+// tile serves all of them). Results and errors are per query: one
 // query without a finite distance fails alone, not the batch. Every query
 // must already match the model's dimensionality (the server validates at
 // admission; a mismatch is a programming error and panics, as Assign
@@ -724,10 +722,10 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// exactBatch answers bs.pending through the batched exact-scan kernels.
+// exactBatch answers bs.pending through the float64 NNBatch scan at every
+// precision: a compact scan's answer is this scan's by its own contract.
 func (e *Engine) exactBatch(qs []points.Vector, bs *batchScratch, out []Assignment, errs []error, st *ScanStats) {
-	dim, n := e.m.Dim, e.m.N()
-	np := len(bs.pending)
+	n, np := e.m.N(), len(bs.pending)
 	bs.flat = bs.flat[:0]
 	for _, qi := range bs.pending {
 		bs.flat = append(bs.flat, qs[qi]...)
@@ -735,28 +733,7 @@ func (e *Engine) exactBatch(qs []points.Vector, bs *batchScratch, out []Assignme
 	bs.best = intsN(bs.best, np)
 	bs.best2 = floatsN(bs.best2, np)
 	st.Scanned += int64(n) * int64(np)
-	switch e.prec {
-	case PrecF32:
-		bs.flat32 = f32Append(bs.flat32[:0], bs.flat)
-		bnd := e.f32Bounds(bs.flat)
-		bs.sls = slsN(bs.sls, np)
-		for i := range bs.sls {
-			bs.sls[i].Reset(bnd)
-		}
-		kernels.NNBatch32(e.data32, dim, bs.flat32, 0, n, bs.sls)
-		e.rerankBatch(qs, bs, st)
-	case PrecQ8:
-		bs.sls = slsN(bs.sls, np)
-		bs.luts = lutsN(bs.luts, np)
-		for i, qi := range bs.pending {
-			kernels.BuildQ8LUT(e.q8par, qs[qi], &bs.luts[i])
-			bs.sls[i].Reset(e.q8bnd)
-		}
-		kernels.NNBatchQ8(e.q8, dim, bs.luts, 0, n, bs.sls)
-		e.rerankBatch(qs, bs, st)
-	default:
-		kernels.NNBatch(e.m.Data, dim, bs.flat, 0, n, bs.best, bs.best2)
-	}
+	kernels.NNBatch(e.m.Data, e.m.Dim, bs.flat, 0, n, bs.best, bs.best2)
 	for i, qi := range bs.pending {
 		if bs.best[i] < 0 {
 			errs[qi] = ErrNoFinite
@@ -766,21 +743,10 @@ func (e *Engine) exactBatch(qs []points.Vector, bs *batchScratch, out []Assignme
 	}
 }
 
-// rerankBatch resolves each pending query's shortlist exactly in float64.
-func (e *Engine) rerankBatch(qs []points.Vector, bs *batchScratch, st *ScanStats) {
-	for i, qi := range bs.pending {
-		short := bs.sls[i].Finish()
-		st.Rerank += int64(len(short))
-		st.RerankQueries++
-		b, b2 := kernels.NNRows(e.m.Data, e.m.Dim, qs[qi], short)
-		bs.best[i], bs.best2[i] = int32(b), b2
-	}
-}
-
-// f32Bounds builds the f32 scan bounds for query coordinates quals (any
-// flat slice of them), folding their magnitude into the model-wide one.
-func (e *Engine) f32Bounds(quals []float64) kernels.Bounds {
-	return kernels.F32Bounds(e.m.Dim, math.Max(e.maxAbs, maxAbsOf(quals)))
+// f32Bounds builds the f32 scan bounds for query q, folding its magnitude
+// into the model-wide one.
+func (e *Engine) f32Bounds(q []float64) kernels.Bounds {
+	return kernels.F32Bounds(e.m.Dim, math.Max(e.maxAbs, maxAbsOf(q)))
 }
 
 // finalize builds the Assignment once the nearest stored row is known.
@@ -817,24 +783,6 @@ func intsN(s []int32, n int) []int32 {
 func floatsN(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func slsN(s []kernels.Shortlist, n int) []kernels.Shortlist {
-	if cap(s) < n {
-		ns := make([]kernels.Shortlist, n)
-		copy(ns, s[:cap(s)])
-		return ns
-	}
-	return s[:n]
-}
-
-func lutsN(s []kernels.Q8LUT, n int) []kernels.Q8LUT {
-	if cap(s) < n {
-		ns := make([]kernels.Q8LUT, n)
-		copy(ns, s[:cap(s)])
-		return ns
 	}
 	return s[:n]
 }

@@ -75,16 +75,11 @@ var ErrDeltaFull = fmt.Errorf("ingest: delta segment full, compaction pending")
 
 // SetIngest wires a streaming-ingest backend into the server: /ingest and
 // /compact become live, /reload is rejected (the compactor owns the model),
-// and every query batch is answered through backend.AssignBatch so delta
+// and every query request is answered through backend.AssignBatch so delta
 // points are visible before compaction. Call before Start, together with
 // UseEngine(backend's engine); the backend's OnSwap hook should call
 // UseEngine to keep admission checks and /statsz in step after compactions.
 func (s *Server) SetIngest(b IngestBackend) { s.ingest = b }
-
-// ingestRequest is the /ingest JSON body (same shape as /assign).
-type ingestRequest struct {
-	Points [][]float64 `json:"points"`
-}
 
 // IngestResponse is the /ingest JSON reply. Exported so the fleet router
 // decodes shard acks without re-declaring the wire shape.
@@ -93,32 +88,17 @@ type IngestResponse struct {
 }
 
 // handleIngest appends points to the delta segment. Unlike /assign the
-// call does not ride the micro-batcher: the backend serializes writers
-// internally and the WAL append dominates, so batching adds latency
-// without saving work. Admission validation is identical to /assign.
+// call does not pass the admission gate: the backend serializes writers
+// internally and sheds with ErrDeltaFull. Admission validation is
+// identical to /assign.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
 	b := s.ingest
 	if b == nil {
 		http.Error(w, "not an ingest node (start with -ingest-dir)", http.StatusNotImplemented)
 		return
 	}
-	eng := s.engine.Load()
-	if eng == nil {
-		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
-		return
-	}
-	var body ingestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err := dec.Decode(&body); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if status, msg := ValidatePoints(body.Points, eng.m.Dim, s.cfg.maxRequestPoints()); status != 0 {
-		http.Error(w, msg, status)
+	var body assignRequest
+	if s.admit(w, r, &body, &body.Points) == nil {
 		return
 	}
 	start := time.Now()

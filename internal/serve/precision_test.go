@@ -118,7 +118,10 @@ func TestAssignBatchMatchesSequential(t *testing.T) {
 			if st.Scanned != wantScanned {
 				t.Errorf("%s exactOnly=%v: batch scanned %d rows, sequential %d", prec, exactOnly, st.Scanned, wantScanned)
 			}
-			if prec != serve.PrecF64 && st.RerankQueries == 0 {
+			if exactOnly && st.RerankQueries != 0 {
+				t.Errorf("%s: exact scans re-ranked %d queries; they scan float64", prec, st.RerankQueries)
+			}
+			if !exactOnly && prec != serve.PrecF64 && st.RerankQueries == 0 {
 				t.Errorf("%s: no re-ranked queries reported", prec)
 			}
 			if prec == serve.PrecF64 && (st.Rerank != 0 || st.RerankQueries != 0) {
@@ -192,7 +195,7 @@ func TestParsePrecision(t *testing.T) {
 func TestServerPrecisionConformance(t *testing.T) {
 	mdl, _, _ := trainModel(t, 1000, 3)
 	start := func(precision string) *serve.Server {
-		srv := serve.New(serve.Config{Precision: precision, BatchMax: 16})
+		srv := serve.New(serve.Config{Precision: precision})
 		if err := srv.SetModel(mdl); err != nil {
 			t.Fatal(err)
 		}

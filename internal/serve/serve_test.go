@@ -257,15 +257,14 @@ func TestOverflowQuery(t *testing.T) {
 	}
 }
 
-// TestLoadShedding saturates a depth-1 queue while the batcher is held in
+// TestLoadShedding saturates a depth-1 queue while the one worker is held in
 // the process hook: the third request must be rejected with 429 and counted
-// in serve.shed, and held requests must complete once the batcher resumes.
+// in serve.shed, and held requests must complete once the worker resumes.
 func TestLoadShedding(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
 	srv := serve.New(serve.Config{
 		QueueDepth: 1,
-		BatchMax:   1,
 		ProcessHook: func() {
 			entered <- struct{}{}
 			<-release
@@ -285,7 +284,7 @@ func TestLoadShedding(t *testing.T) {
 		codes <- resp.StatusCode
 	}
 	go post()
-	<-entered // batcher holds request 1; queue is empty again
+	<-entered // the worker holds request 1; queue is empty again
 	go post()
 	// Wait for request 2 to occupy the queue slot.
 	deadline := time.Now().Add(5 * time.Second)
@@ -312,6 +311,124 @@ func TestLoadShedding(t *testing.T) {
 		if code := <-codes; code != http.StatusOK {
 			t.Errorf("held request got HTTP %d after release", code)
 		}
+	}
+}
+
+// TestWorkersAnswerConcurrently: with two workers, two requests are inside
+// engine calls at once — the hook holds each until both have arrived.
+func TestWorkersAnswerConcurrently(t *testing.T) {
+	arrived := make(chan struct{}, 2)
+	both := make(chan struct{})
+	release := sync.OnceFunc(func() { close(both) })
+	srv := serve.New(serve.Config{
+		Workers: 2,
+		ProcessHook: func() {
+			arrived <- struct{}{}
+			<-both
+		},
+	})
+	if err := srv.SetModel(smallModel("workers")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background()) //nolint:errcheck
+	defer release()
+
+	codes := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			resp, _ := postAssign(t, srv.Addr(), [][]float64{{1, 1}})
+			codes <- resp.StatusCode
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-arrived:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of 2 requests reached an engine call; the other waits behind it", i)
+		}
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("concurrent request: HTTP %d", code)
+		}
+	}
+}
+
+// TestQueuedRequestLeavesOnCancel: a queued request whose client gives up
+// frees its queue slot at once, so the next request is admitted, not shed.
+func TestQueuedRequestLeavesOnCancel(t *testing.T) {
+	entered := make(chan struct{}, 4)
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	srv := serve.New(serve.Config{
+		QueueDepth: 1,
+		Workers:    1,
+		ProcessHook: func() {
+			entered <- struct{}{}
+			<-hold
+		},
+	})
+	if err := srv.SetModel(smallModel("cancel")); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background()) //nolint:errcheck
+	defer release()
+	waitDepth := func(want int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.Stats().Queue.Depth != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue depth %d, want %d", srv.Stats().Queue.Depth, want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	codes := make(chan int, 2)
+	post := func() {
+		resp, _ := postAssign(t, srv.Addr(), [][]float64{{1, 1}})
+		codes <- resp.StatusCode
+	}
+	go post()
+	<-entered // the worker holds request 1
+
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+srv.Addr()+"/assign",
+			bytes.NewReader([]byte(`{"points":[[1,1]]}`)))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Error("cancelled request was answered")
+		}
+	}()
+	waitDepth(1) // request 2 queued
+	cancel()
+	<-gone
+	waitDepth(0)
+
+	go post() // request 3 takes the freed slot
+	waitDepth(1)
+	release()
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("request got HTTP %d, want 200", code)
+		}
+	}
+	if got := srv.Counters().Get(serve.CtrShed); got != 0 {
+		t.Errorf("serve.shed = %d, want 0", got)
 	}
 }
 

@@ -27,7 +27,8 @@ const (
 	// CtrShed counts requests rejected with 429 because the admission
 	// queue was full — the load-shedding signal.
 	CtrShed = "serve.shed"
-	// CtrBatches counts kernel batches (one per batcher flush).
+	// CtrBatches counts engine calls, one per answered request: divide
+	// CtrPoints by it for the points per request.
 	CtrBatches = "serve.batches"
 	// CtrExactScans counts queries answered by the exact full-scan path.
 	CtrExactScans = "serve.exact.scans"
@@ -48,9 +49,9 @@ const (
 	CtrRerankQueries = "serve.rerank.queries"
 	// CtrReloads counts successful hot model reloads.
 	CtrReloads = "serve.reloads"
-	// CtrBusyUS accumulates microseconds the batcher spent processing
-	// batches — the server's service demand. The benchmark harness divides
-	// per-shard deltas of this by answered queries
+	// CtrBusyUS accumulates microseconds spent inside engine calls, summed
+	// over concurrent workers — the server's service demand. The benchmark
+	// harness divides per-shard deltas of this by answered queries
 	// (fleet.shard_busy_us_per_query).
 	CtrBusyUS = "serve.busy.us"
 	// CtrFleetRequests counts admitted shard-internal /fleet/assign
@@ -61,20 +62,11 @@ const (
 // Config carries the serving knobs (see README "Configuration reference",
 // serve.* rows).
 type Config struct {
-	// BatchMax flushes a batch once it holds this many query points
-	// (default 64). Concurrent requests arriving while a batch runs
-	// coalesce into the next one.
-	BatchMax int
-	// BatchLinger, when positive, lets the batcher wait this long for more
-	// requests after the first before flushing. The default 0 flushes as
-	// soon as the queue is momentarily empty: batches grow under load and
-	// stay at one request when idle, with no added idle latency.
-	BatchLinger time.Duration
-	// QueueDepth bounds the admission queue (default 128). A request
-	// arriving at a full queue is shed with 429, never blocked.
+	// QueueDepth bounds the admitted requests waiting for a worker (default
+	// 128). A request arriving at a full queue is shed with 429, never
+	// blocked.
 	QueueDepth int
-	// Workers processes the requests of one batch concurrently when > 1
-	// (default 1).
+	// Workers bounds the engine calls answered at once (default 1).
 	Workers int
 	// MaxRequestPoints bounds the points of one request (default 1024).
 	MaxRequestPoints int
@@ -108,20 +100,14 @@ type Config struct {
 	// POST /reload).
 	Loader func() (*model.Model, error)
 	// Trace, when non-nil, receives one obs span per request (Phase
-	// "serve"), grouped into a JobTrace per batch. Meant for debugging
+	// "serve"), each in a JobTrace of its own. Meant for debugging
 	// sessions, not sustained traffic: the trace grows without bound.
 	Trace *obs.Trace
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
-	// ProcessHook is a test hook invoked before each batch is processed.
+	// ProcessHook is a test hook invoked before each engine call, on a
+	// worker slot.
 	ProcessHook func()
-}
-
-func (c *Config) batchMax() int {
-	if c.BatchMax > 0 {
-		return c.BatchMax
-	}
-	return 64
 }
 
 func (c *Config) queueDepth() int {
@@ -162,50 +148,22 @@ func timeoutOr(v, def time.Duration) time.Duration {
 	return def
 }
 
-// request is one admitted /assign or /fleet/assign call waiting for its
-// batch to run.
-type request struct {
-	qs      []points.Vector
-	masks   []uint64 // non-nil: fleet masked scan (aligned with qs)
-	exact   bool     // fleet broadcast fallback: force the exact scan
-	out     []Assignment
-	errs    []error // per-query results (fleet path reports them per point)
-	err     error   // first per-query error (the /assign 500 contract)
-	scanned int64
-	start   time.Time
-	done    chan struct{}
-}
-
-// mode buckets compatible requests of one batch into a single engine call.
-func (r *request) mode() int {
-	switch {
-	case r.exact:
-		return modeExact
-	case r.masks != nil:
-		return modeMasked
-	}
-	return modeNormal
-}
-
-const (
-	modeNormal = iota
-	modeMasked
-	modeExact
-	modeCount
-)
-
-// Server fronts an Engine with HTTP/JSON, micro-batching, and admission
-// control. Create with New, load a model with SetModel (or Reload), then
-// Start; Shutdown drains cleanly.
+// Server fronts an Engine with HTTP/JSON and admission control; each
+// request is answered on the handler that admitted it. Create with New,
+// load a model with SetModel (or Reload), then Start; Shutdown drains
+// cleanly.
 type Server struct {
-	cfg      Config
-	engine   atomic.Pointer[Engine]
-	queue    chan *request
-	quit     chan struct{}
+	cfg    Config
+	engine atomic.Pointer[Engine]
+	// waiting and running are the admission gate, two counting semaphores:
+	// an admitted request holds one of QueueDepth waiting slots until one
+	// of Workers run slots frees, and the run slot for its engine call.
+	waiting  chan struct{}
+	running  chan struct{}
 	draining atomic.Bool
 	counters *mapreduce.Counters
 	hist     Hist
-	batchID  atomic.Int64
+	traceID  atomic.Int64
 	// ingest, when non-nil, is the streaming-ingest backend (SetIngest):
 	// scans route through it and /ingest + /compact are live. Set before
 	// Start, never mutated after.
@@ -215,7 +173,6 @@ type Server struct {
 	mux      *http.ServeMux
 	httpSrv  *http.Server
 	ln       net.Listener
-	batchWG  sync.WaitGroup
 	shutOnce sync.Once
 	shutErr  error
 }
@@ -225,8 +182,8 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
-		queue:    make(chan *request, cfg.queueDepth()),
-		quit:     make(chan struct{}),
+		waiting:  make(chan struct{}, cfg.queueDepth()),
+		running:  make(chan struct{}, cfg.workers()),
 		counters: mapreduce.NewCounters(),
 	}
 	s.mux = http.NewServeMux()
@@ -240,8 +197,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// SetModel indexes m and swaps it in atomically; in-flight batches finish
-// against the engine they loaded.
+// SetModel indexes m and swaps it in atomically; in-flight requests finish
+// against the engine they were admitted on.
 func (s *Server) SetModel(m *model.Model) error {
 	prec, err := ParsePrecision(s.cfg.Precision)
 	if err != nil {
@@ -255,10 +212,10 @@ func (s *Server) SetModel(m *model.Model) error {
 	return nil
 }
 
-// UseEngine swaps in an already-indexed engine; in-flight batches finish
-// against the engine they loaded. Lets several servers (or a benchmark
-// harness sweeping configurations) share one index instead of re-bucketing
-// the model per server.
+// UseEngine swaps in an already-indexed engine; in-flight requests finish
+// against the engine they were admitted on. Lets several servers (or a
+// benchmark harness sweeping configurations) share one index instead of
+// re-bucketing the model per server.
 func (s *Server) UseEngine(eng *Engine) {
 	s.engine.Store(eng)
 	m := eng.Model()
@@ -294,8 +251,8 @@ func (s *Server) Counters() *mapreduce.Counters { return s.counters }
 // Handler returns the HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Start listens on addr and serves until Shutdown. The batcher and the
-// HTTP loop run in background goroutines.
+// Start listens on addr and serves until Shutdown; the HTTP loop runs in a
+// background goroutine.
 func (s *Server) Start(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -311,11 +268,8 @@ func (s *Server) Start(addr string) error {
 		ReadTimeout:       timeoutOr(s.cfg.ReadTimeout, 0),
 		WriteTimeout:      timeoutOr(s.cfg.WriteTimeout, 0),
 	}
-	s.batchWG.Add(1)
-	go s.batcher()
 	go s.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
-	s.logf("serve: listening on %s (batch<=%d linger=%s queue=%d workers=%d)",
-		ln.Addr(), s.cfg.batchMax(), s.cfg.BatchLinger, s.cfg.queueDepth(), s.cfg.workers())
+	s.logf("serve: listening on %s (queue=%d workers=%d)", ln.Addr(), s.cfg.queueDepth(), s.cfg.workers())
 	return nil
 }
 
@@ -327,261 +281,171 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Shutdown drains gracefully: new requests are refused (503), in-flight
-// requests finish through the batcher, then the batcher exits. Safe to
-// call more than once.
+// Shutdown drains gracefully: new requests are refused (503), and
+// http.Server.Shutdown waits for the handlers of queued and in-flight
+// requests, each of which answers its own request. Safe to call more than
+// once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
 		s.draining.Store(true)
 		if s.httpSrv != nil {
-			// Waits for active handlers, each of which is blocked on its
-			// request's done channel — i.e. for the queue to drain.
 			s.shutErr = s.httpSrv.Shutdown(ctx)
 		}
-		close(s.quit)
-		s.batchWG.Wait()
 		s.logf("serve: drained: %d requests served, %d shed", s.counters.Get(CtrRequests), s.counters.Get(CtrShed))
 	})
 	return s.shutErr
 }
 
-// batcher is the single goroutine that turns the admission queue into
-// kernel batches: it blocks for the first request, then greedily coalesces
-// whatever else is already queued (up to BatchMax points, optionally
-// lingering BatchLinger for more) into one processing pass.
-func (s *Server) batcher() {
-	defer s.batchWG.Done()
-	var batch []*request
-	for {
-		select {
-		case req := <-s.queue:
-			batch = append(batch[:0], req)
-			n := len(req.qs)
-			var lingerC <-chan time.Time
-			var lingerT *time.Timer
-			if s.cfg.BatchLinger > 0 {
-				lingerT = time.NewTimer(s.cfg.BatchLinger)
-				lingerC = lingerT.C
-			}
-		collect:
-			for n < s.cfg.batchMax() {
-				if lingerC == nil {
-					select {
-					case r := <-s.queue:
-						batch = append(batch, r)
-						n += len(r.qs)
-					default:
-						break collect
-					}
-				} else {
-					select {
-					case r := <-s.queue:
-						batch = append(batch, r)
-						n += len(r.qs)
-					case <-lingerC:
-						break collect
-					case <-s.quit:
-						break collect
-					}
-				}
-			}
-			if lingerT != nil {
-				lingerT.Stop()
-			}
-			s.process(batch)
-		case <-s.quit:
-			// Drain: after Shutdown no handler can enqueue, so the
-			// residue in the buffer is all that is left.
-			for {
-				select {
-				case r := <-s.queue:
-					s.process([]*request{r})
-				default:
-					return
-				}
-			}
-		}
+// admit runs the prologue every point-carrying endpoint shares: refuse
+// while draining or modelless, then decode and validate the body (whose
+// points *pts are) against the serving engine, which it returns — nil when
+// a reply has already been written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, body any, pts *[][]float64) *Engine {
+	if s.draining.Load() {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return nil
 	}
+	eng := s.engine.Load()
+	if eng == nil {
+		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
+		return nil
+	}
+	if !DecodePoints(w, r, body, pts, eng.m.Dim, s.cfg.maxRequestPoints()) {
+		return nil
+	}
+	return eng
 }
 
-// process runs one batch through the engine and wakes every caller.
-func (s *Server) process(batch []*request) {
+// answer runs one admitted /assign or /fleet/assign request on the handler
+// that admitted it: it waits in the admission gate (a full queue sheds the
+// request with 429; a client that goes away leaves the queue), makes one
+// engine call on eng — the engine admission validated against — and
+// records the counters, the latency and the trace span. ok is false when
+// the request was not answered.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, eng *Engine, pts [][]float64, opts BatchOpts) (out []Assignment, errs []error, ok bool) {
+	start := time.Now()
+	select {
+	case s.waiting <- struct{}{}:
+	default:
+		s.counters.Add(CtrShed, 1)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "overloaded: admission queue full", http.StatusTooManyRequests)
+		return nil, nil, false
+	}
+	select {
+	case s.running <- struct{}{}:
+		<-s.waiting
+	case <-r.Context().Done():
+		<-s.waiting
+		return nil, nil, false
+	}
+	defer func() { <-s.running }()
 	if s.cfg.ProcessHook != nil {
 		s.cfg.ProcessHook()
 	}
-	eng := s.engine.Load()
-	batchStart := time.Now()
-	id := int(s.batchID.Add(1))
-
-	// runGroup answers requests of one scan mode through one AssignBatchOpts
-	// call, so every exact full scan in the group shares each row-tile pass.
-	runGroup := func(group []*request) {
-		var qs []points.Vector
-		var masks []uint64
-		mode := group[0].mode()
-		live := make([]*request, 0, len(group))
-		for _, r := range group {
-			if eng == nil {
-				r.err = fmt.Errorf("serve: no model loaded")
-				continue
-			}
-			if mode == modeMasked && !eng.FleetIndexed() {
-				// Admission checked against a different engine (hot reload
-				// swapped in a model without a fleet index mid-flight).
-				r.err = fmt.Errorf("serve: model carries no fleet index")
-				continue
-			}
-			bad := false
-			for _, q := range r.qs {
-				if len(q) != eng.m.Dim {
-					// The admission-time check ran against a different engine
-					// (hot reload changed the dimensionality mid-flight).
-					r.err = fmt.Errorf("serve: query dim %d, model dim %d", len(q), eng.m.Dim)
-					bad = true
-					break
-				}
-			}
-			if bad {
-				continue
-			}
-			live = append(live, r)
-			qs = append(qs, r.qs...)
-			if mode == modeMasked {
-				masks = append(masks, r.masks...)
-			}
-		}
-		if len(qs) == 0 {
-			return
-		}
-		opts := BatchOpts{ExactOnly: s.cfg.ExactOnly}
-		switch mode {
-		case modeMasked:
-			opts = BatchOpts{Masks: masks}
-		case modeExact:
-			opts = BatchOpts{ExactOnly: true}
-		}
-		assign := eng.AssignBatchOpts
-		if s.ingest != nil {
-			// Ingest mode: answer against base + delta so points become
-			// visible the moment they are acked, not after compaction.
-			assign = s.ingest.AssignBatch
-		}
-		out, errs, st := assign(qs, opts)
-		off := 0
-		for _, r := range live {
-			n := len(r.qs)
-			r.out = out[off : off+n]
-			r.errs = errs[off : off+n]
-			for _, err := range r.errs {
-				if err != nil {
-					r.err = err
-					break
-				}
-			}
-			// Amortized share of the group's scan work: batched exact scans
-			// share tile passes, so per-request row counts are pro-rated.
-			r.scanned = st.Scanned * int64(n) / int64(len(qs))
-			off += n
-		}
-		s.counters.Add(CtrCandidates, st.Scanned)
-		s.counters.Add(CtrCertified, st.Certified)
-		s.counters.Add(CtrExactScans, st.ExactQueries)
-		s.counters.Add(CtrRerankRows, st.Rerank)
-		s.counters.Add(CtrRerankQueries, st.RerankQueries)
+	qs := make([]points.Vector, len(pts))
+	for i, p := range pts {
+		qs[i] = p
 	}
-
-	// runShard splits a contiguous slice of requests by scan mode (normal,
-	// fleet-masked, fleet-exact) and runs each non-empty group.
-	runShard := func(shard []*request) {
-		var groups [modeCount][]*request
-		for _, r := range shard {
-			groups[r.mode()] = append(groups[r.mode()], r)
-		}
-		for _, g := range groups {
-			if len(g) > 0 {
-				runGroup(g)
-			}
-		}
-	}
-
-	if w := s.cfg.workers(); w > 1 && len(batch) > 1 {
-		// Split the batch into up to Workers contiguous request shards
-		// processed concurrently; each shard still batches its own scans.
-		shards := w
-		if shards > len(batch) {
-			shards = len(batch)
-		}
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			lo := i * len(batch) / shards
-			hi := (i + 1) * len(batch) / shards
-			wg.Add(1)
-			go func(sh []*request) {
-				defer wg.Done()
-				runShard(sh)
-			}(batch[lo:hi])
-		}
-		wg.Wait()
+	call := time.Now()
+	var st ScanStats
+	if s.ingest == nil {
+		out, errs, st = eng.AssignBatchOpts(qs, opts)
 	} else {
-		runShard(batch)
+		out, errs, st = s.assignIngest(qs, opts)
 	}
-
-	var spans []obs.Span
-	var pts int64
-	for i, r := range batch {
-		pts += int64(len(r.qs))
-		s.hist.Record(time.Since(r.start))
-		if s.cfg.Trace != nil {
-			spans = append(spans, obs.Span{
-				Job: "serve", JobID: id, Phase: obs.PhaseServe, Task: i,
-				Start: r.start, Wall: time.Since(r.start),
-				Records: int64(len(r.qs)), Bytes: r.scanned,
-			})
-		}
-		close(r.done)
-	}
-	s.counters.Add(CtrRequests, int64(len(batch)))
-	s.counters.Add(CtrPoints, pts)
+	s.counters.Add(CtrBusyUS, time.Since(call).Microseconds())
+	s.counters.Add(CtrRequests, 1)
+	s.counters.Add(CtrPoints, int64(len(qs)))
 	s.counters.Add(CtrBatches, 1)
-	// Service demand, not latency: the time this batch actually occupied the
-	// batcher. Per-shard deltas stay meaningful even when several shards
-	// share one machine and wall-clock QPS measures only contention.
-	s.counters.Add(CtrBusyUS, time.Since(batchStart).Microseconds())
+	s.counters.Add(CtrCandidates, st.Scanned)
+	s.counters.Add(CtrCertified, st.Certified)
+	s.counters.Add(CtrExactScans, st.ExactQueries)
+	s.counters.Add(CtrRerankRows, st.Rerank)
+	s.counters.Add(CtrRerankQueries, st.RerankQueries)
+	wall := time.Since(start)
+	s.hist.Record(wall)
 	if s.cfg.Trace != nil {
-		s.cfg.Trace.Add(obs.JobTrace{Job: "serve", ID: id, Wall: time.Since(batchStart), Spans: spans})
+		id := int(s.traceID.Add(1))
+		s.cfg.Trace.Add(obs.JobTrace{Job: "serve", ID: id, Wall: wall, Spans: []obs.Span{{
+			Job: "serve", JobID: id, Phase: obs.PhaseServe, Start: start, Wall: wall,
+			Records: int64(len(qs)), Bytes: st.Scanned,
+		}}})
 	}
+	return out, errs, true
 }
 
-// ValidatePoints checks a batch of query points against a model of the given
+// assignIngest answers through the ingest backend, against base + delta so
+// points are visible the moment they are acked. The store answers on its
+// current engine, which a compaction may have swapped in since admission:
+// the request is re-checked against the swapped-in engine first, and fails
+// as a whole if it no longer fits.
+func (s *Server) assignIngest(qs []points.Vector, opts BatchOpts) ([]Assignment, []error, ScanStats) {
+	eng := s.engine.Load()
+	var err error
+	if opts.Masks != nil && !eng.FleetIndexed() {
+		err = fmt.Errorf("serve: model carries no fleet index")
+	}
+	for _, q := range qs {
+		if len(q) != eng.m.Dim {
+			err = fmt.Errorf("serve: query dim %d, model dim %d", len(q), eng.m.Dim)
+		}
+	}
+	if err == nil {
+		return s.ingest.AssignBatch(qs, opts)
+	}
+	errs := make([]error, len(qs))
+	for i := range errs {
+		errs[i] = err
+	}
+	return make([]Assignment, len(qs)), errs, ScanStats{}
+}
+
+// DecodePoints decodes a JSON request body into body and validates the
+// points it carries, *pts (a field of body), against a model of the given
 // dimensionality, enforcing the serving layer's size and coordinate bounds.
-// It returns the HTTP status and message a server would reject the batch
-// with, or (0, "") when the batch is admissible. Exported so the fleet
-// router can reject bad requests with byte-identical errors and never burn a
-// shard round-trip on them.
-func ValidatePoints(pts [][]float64, dim, maxPoints int) (int, string) {
+// On failure it writes the 400 reply and returns false. Every
+// point-carrying endpoint — a server's /assign, /fleet/assign and /ingest,
+// the fleet router's /assign and /ingest — starts with it, so a routed
+// request is rejected byte-identically to a single-node one and never burns
+// a shard round-trip.
+func DecodePoints(w http.ResponseWriter, r *http.Request, body any, pts *[][]float64, dim, maxPoints int) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(body); err != nil {
+		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+		return false
+	}
+	if msg := checkPoints(*pts, dim, maxPoints); msg != "" {
+		http.Error(w, msg, http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
+// checkPoints returns why a batch of query points is inadmissible, or "".
+func checkPoints(pts [][]float64, dim, maxPoints int) string {
 	if len(pts) == 0 {
-		return http.StatusBadRequest, "no points"
+		return "no points"
 	}
 	if len(pts) > maxPoints {
-		return http.StatusBadRequest, fmt.Sprintf("too many points: %d > %d", len(pts), maxPoints)
+		return fmt.Sprintf("too many points: %d > %d", len(pts), maxPoints)
 	}
 	maxCoord := MaxCoord(dim)
 	for i, p := range pts {
 		if len(p) != dim {
-			return http.StatusBadRequest, fmt.Sprintf("point %d has dim %d, model has dim %d", i, len(p), dim)
+			return fmt.Sprintf("point %d has dim %d, model has dim %d", i, len(p), dim)
 		}
 		for _, x := range p {
 			// Reject coordinates whose squared distances could overflow to
 			// +Inf — past that bound no nearest point is computable.
 			if math.IsNaN(x) || math.Abs(x) > maxCoord {
-				return http.StatusBadRequest, fmt.Sprintf("point %d has non-finite or out-of-range coordinate %v (|x| must be <= %.4g)", i, x, maxCoord)
+				return fmt.Sprintf("point %d has non-finite or out-of-range coordinate %v (|x| must be <= %.4g)", i, x, maxCoord)
 			}
 		}
 	}
-	return 0, ""
+	return ""
 }
 
-// assignRequest is the /assign JSON body.
+// assignRequest is the /assign and /ingest JSON body.
 type assignRequest struct {
 	Points [][]float64 `json:"points"`
 }
@@ -592,58 +456,23 @@ type assignResponse struct {
 }
 
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	eng := s.engine.Load()
-	if eng == nil {
-		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
-		return
-	}
 	var body assignRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err := dec.Decode(&body); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+	eng := s.admit(w, r, &body, &body.Points)
+	if eng == nil {
 		return
 	}
-	if status, msg := ValidatePoints(body.Points, eng.m.Dim, s.cfg.maxRequestPoints()); status != 0 {
-		http.Error(w, msg, status)
+	out, errs, ok := s.answer(w, r, eng, body.Points, BatchOpts{ExactOnly: s.cfg.ExactOnly})
+	if !ok {
 		return
 	}
-	qs := make([]points.Vector, len(body.Points))
-	for i, p := range body.Points {
-		qs[i] = p
-	}
-	req := &request{qs: qs, start: time.Now(), done: make(chan struct{})}
-	select {
-	case s.queue <- req:
-	default:
-		s.counters.Add(CtrShed, 1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "overloaded: admission queue full", http.StatusTooManyRequests)
-		return
-	}
-	select {
-	case <-req.done:
-	case <-s.quit:
-		// Shutdown's context expired before this request was processed; the
-		// batcher may already have drained and exited, so waiting on done
-		// could block forever. Re-check done to avoid dropping an answer
-		// that raced with the quit close, then fail the request.
-		select {
-		case <-req.done:
-		default:
-			http.Error(w, "draining", http.StatusServiceUnavailable)
+	for _, err := range errs {
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 	}
-	if req.err != nil {
-		http.Error(w, req.err.Error(), http.StatusInternalServerError)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(assignResponse{Results: req.out}) //nolint:errcheck
+	json.NewEncoder(w).Encode(assignResponse{Results: out}) //nolint:errcheck
 }
 
 // FleetAssignRequest is the shard-internal /fleet/assign JSON body. Masks
@@ -679,25 +508,12 @@ type FleetAssignResponse struct {
 // exact fallback. Per-query misses travel as flags, not errors — the router
 // alone decides when a fleet-wide miss becomes a fallback or an error.
 func (s *Server) handleFleetAssign(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	eng := s.engine.Load()
-	if eng == nil {
-		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
-		return
-	}
 	var body FleetAssignRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err := dec.Decode(&body); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+	eng := s.admit(w, r, &body, &body.Points)
+	if eng == nil {
 		return
 	}
-	if status, msg := ValidatePoints(body.Points, eng.m.Dim, s.cfg.maxRequestPoints()); status != 0 {
-		http.Error(w, msg, status)
-		return
-	}
+	opts := BatchOpts{ExactOnly: true}
 	if !body.Exact {
 		if len(body.Masks) != len(body.Points) {
 			http.Error(w, fmt.Sprintf("masks/points mismatch: %d masks, %d points", len(body.Masks), len(body.Points)), http.StatusBadRequest)
@@ -707,45 +523,18 @@ func (s *Server) handleFleetAssign(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "model carries no fleet index (not a partitioned sub-model?)", http.StatusServiceUnavailable)
 			return
 		}
+		opts = BatchOpts{Masks: body.Masks}
 	}
-	qs := make([]points.Vector, len(body.Points))
-	for i, p := range body.Points {
-		qs[i] = p
-	}
-	req := &request{qs: qs, exact: body.Exact, start: time.Now(), done: make(chan struct{})}
-	if !body.Exact {
-		req.masks = body.Masks
-	}
-	select {
-	case s.queue <- req:
-	default:
-		s.counters.Add(CtrShed, 1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "overloaded: admission queue full", http.StatusTooManyRequests)
+	out, errs, ok := s.answer(w, r, eng, body.Points, opts)
+	if !ok {
 		return
 	}
-	select {
-	case <-req.done:
-	case <-s.quit:
-		select {
-		case <-req.done:
-		default:
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-	}
 	s.counters.Add(CtrFleetRequests, 1)
-	results := make([]FleetResult, len(req.qs))
-	for i := range req.qs {
-		var err error
-		if req.errs != nil {
-			err = req.errs[i]
-		} else if req.err != nil {
-			err = req.err // request-level failure (stale engine, no model)
-		}
+	results := make([]FleetResult, len(out))
+	for i, err := range errs {
 		switch {
 		case err == nil:
-			results[i] = FleetResult{Assignment: req.out[i], D2: req.out[i].Dist2}
+			results[i] = FleetResult{Assignment: out[i], D2: out[i].Dist2}
 		case err == ErrNoCandidates:
 			results[i] = FleetResult{NoCand: true}
 		case err == ErrNoFinite:
@@ -827,7 +616,7 @@ func (s *Server) Stats() Statsz {
 			P90us: s.hist.Quantile(0.90).Microseconds(),
 			P99us: s.hist.Quantile(0.99).Microseconds(),
 		},
-		Queue:    QueueInfo{Depth: len(s.queue), Cap: cap(s.queue)},
+		Queue:    QueueInfo{Depth: len(s.waiting), Cap: cap(s.waiting)},
 		Draining: s.draining.Load(),
 	}
 	if eng := s.engine.Load(); eng != nil {
