@@ -59,7 +59,9 @@ race:
 # early exit: fuzz-chosen tiny models and queries, differential against
 # gathering the bucket union and scanning all of it, masked and unmasked.
 # The ρ-partial record of the pair-once LSH reducers is a hand-rolled varint
-# format read back by another job: the codec's contract again. The record
+# format read back by another job, and it, the aggregated ρ value and the
+# δ-job record carry the neighbour lists and layout masks LSH-DDP certifies
+# δ̂ from: the codec's contract again, for all three. The record
 # frame is the byte layout of spill run files, shuffle chunks and DFS parts:
 # both decoders on arbitrary bytes — error or pairs that re-encode to the
 # consumed prefix, the two in agreement, never a panic.
@@ -106,7 +108,8 @@ bench-scan:
 
 # One fast iteration per scan benchmark, per pair-kernel benchmark (the
 # RhoKernel / RhoKernelGaussian / DeltaKernel subs `bench-hot` feeds to
-# benchstat: naive and tiled at dim 2 / 4 / 8) and per key /
+# benchstat: naive and tiled at dim 2 / 4 / 8, and for ρ tiled+near, the
+# LSH reducers' walk with its neighbour lists) and per key /
 # index-build / served-query benchmark, for the check gate and CI: catches a
 # pair kernel, a compact kernel, a key path or a sweep that stops compiling or
 # panics on real shapes.

@@ -373,28 +373,41 @@ func DeltaAggJob(name string, conf mapreduce.Conf) *mapreduce.Job {
 
 // DecodeRhoArray turns aggregation output into a dense ρ array.
 func DecodeRhoArray(out []mapreduce.Pair, n int) ([]float64, error) {
+	rho, _, err := decodeRhoValues(out, n)
+	return rho, err
+}
+
+// decodeRhoValues turns aggregation output into a dense ρ array and, for
+// LSH-DDP, each point's neighbour list.
+func decodeRhoValues(out []mapreduce.Pair, n int) ([]float64, [][]points.Neighbor, error) {
 	rho := make([]float64, n)
+	near := make([][]points.Neighbor, n)
 	seen := make([]bool, n)
 	for _, p := range out {
 		rv, err := points.DecodeRhoValue(p.Value)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if rv.ID < 0 || int(rv.ID) >= n {
-			return nil, fmt.Errorf("core: rho for out-of-range id %d", rv.ID)
+			return nil, nil, fmt.Errorf("core: rho for out-of-range id %d", rv.ID)
 		}
 		if seen[rv.ID] {
-			return nil, fmt.Errorf("core: duplicate rho for id %d", rv.ID)
+			return nil, nil, fmt.Errorf("core: duplicate rho for id %d", rv.ID)
+		}
+		for _, e := range rv.Near {
+			if e.ID < 0 || int(e.ID) >= n {
+				return nil, nil, fmt.Errorf("core: id %d lists out-of-range neighbour %d", rv.ID, e.ID)
+			}
 		}
 		seen[rv.ID] = true
-		rho[rv.ID] = rv.Rho
+		rho[rv.ID], near[rv.ID] = rv.Rho, rv.Near
 	}
 	for i, ok := range seen {
 		if !ok {
-			return nil, fmt.Errorf("core: no rho produced for id %d", i)
+			return nil, nil, fmt.Errorf("core: no rho produced for id %d", i)
 		}
 	}
-	return rho, nil
+	return rho, near, nil
 }
 
 // DecodeDeltaArrays turns aggregation output into dense δ and upslope

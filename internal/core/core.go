@@ -16,6 +16,8 @@
 //     (Section IV-C). Two points that share a bucket usually share one in
 //     several layouts; each such pair's distance is evaluated once, by the
 //     lowest layout that holds it, and credited to the rest (paironce.go).
+//     The ρ pass also keeps each point's nearest co-bucketed partners, which
+//     decide δ̂ for all but a few points; only those go through the δ job.
 //
 // Both runners work on any mapreduce.Engine — the in-process LocalEngine or
 // the distributed rpcmr cluster — and report the paper's cost metrics

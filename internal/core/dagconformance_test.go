@@ -15,11 +15,11 @@ import (
 // Conformance: the DAG-scheduled pipelines must reproduce the
 // hand-sequenced execution bit for bit — same arrays, same labels, same
 // per-job counters — on the local engine and on a real rpcmr cluster.
-// The hand-sequenced reference below replays exactly what RunLSHDDP did
-// before the scheduler existed: the same five jobs, one Engine.Run at a
-// time, with identical confs.
+// The hand-sequenced reference below replays the chain RunLSHDDP declares —
+// the same five jobs and the two driver-side transforms between them, one
+// Engine.Run at a time, with identical confs.
 
-// handSequencedLSHDDP executes the pre-DAG LSH-DDP job sequence directly
+// handSequencedLSHDDP executes the LSH-DDP job sequence directly
 // on an engine and returns the arrays plus the stats of the jobs it ran.
 func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LSHConfig) (*Result, []mapreduce.JobStats) {
 	t.Helper()
@@ -67,8 +67,16 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3 := run(LSHDeltaJob(conf.Clone()).WithReduces(cfg.NumReduces), RhoPointPairs(ds, rho))
-	p4 := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), p3)
+	certified, err := certifyDelta(p2, ds.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := shipRows(ds, layoutsOf(conf), p2, certified)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p3 := run(LSHDeltaJob(conf.Clone()).WithReduces(cfg.NumReduces), shipped)
+	p4 := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), append(p3, certified...))
 	delta, upslope, err := DecodeDeltaArrays(p4, ds.N())
 	if err != nil {
 		t.Fatal(err)

@@ -20,11 +20,12 @@ import (
 // (nothing extra is shuffled), orders its rows by their buckets in layouts
 // 0 … m−1 and skips — as whole blocks — the pairs an earlier layout owns.
 
-// CtrPairsSkipped counts the co-bucketed pairs an LSH reducer did not
-// evaluate because an earlier layout owns them.
-// dp.distance.computations + dp.lsh.pairs.skipped of one LSH job is
-// Σ C(|bucket|, 2) over every bucket of every layout, so their ratio to the
-// former is the factor ownership saves.
+// CtrPairsSkipped counts the co-bucketed pairs an LSH job did not evaluate:
+// because an earlier layout owns them, or — on the δ job — because neither
+// point's δ̂ needs them, so one of the two never reached the bucket
+// (shipRows). dp.distance.computations + dp.lsh.pairs.skipped of one LSH job
+// is Σ C(|bucket|, 2) over every bucket of every layout, so their ratio to
+// the former is the factor both save.
 const CtrPairsSkipped = "dp.lsh.pairs.skipped"
 
 // pairOnce is the scratch of one pair-once reduce call: the rows' bucket
@@ -43,7 +44,11 @@ type pairOnce struct {
 	segs   []int
 	blocks []kernels.Block
 	credit kernels.Credit
+	near   kernels.Near
 	acc    kernels.DeltaAcc
+	// certified[r]: the δ-job record that arrived r-th is a certified
+	// point's, shipped as a candidate only (decodeShipped).
+	certified []bool
 }
 
 var pairOncePool = sync.Pool{New: func() any { return &pairOnce{ids: map[string]int32{}} }}
@@ -149,6 +154,25 @@ func (po *pairOnce) load(l *lsh.Layouts, own, width int, values [][]byte,
 	}
 	po.sig, po.spare = po.spare, po.sig
 	return m, nil
+}
+
+// decodeShipped is load's decoder for δ-job records: the RhoPoints into m,
+// and which of them are certified into po.certified, in arrival order.
+func (po *pairOnce) decodeShipped(m *points.Matrix, values [][]byte) error {
+	m.Reset()
+	po.certified = po.certified[:0]
+	for _, v := range values {
+		rest, err := m.AppendRhoPoint(v)
+		if err != nil {
+			return err
+		}
+		certified, _, err := points.ShipMask(rest)
+		if err != nil {
+			return err
+		}
+		po.certified = append(po.certified, certified)
+	}
+	return nil
 }
 
 // sharesEarlier reports whether rows a and b share a bucket in some layout

@@ -248,9 +248,12 @@ func TestPairOnceMatchesPerLayout(t *testing.T) {
 	}
 }
 
-// TestPairOnceCountIdentity pins the meaning of the two counters on a small
-// input against an O(n²·M) brute force: each LSH job evaluates exactly the
-// distinct co-bucketed pairs and skips exactly the repeats.
+// TestPairOnceCountIdentity pins the meaning of the counters on a small
+// input against an O(n²·M) brute force: the ρ job evaluates exactly the
+// distinct co-bucketed pairs and skips exactly the repeats; the δ job
+// evaluates exactly the pairs whose two points both travel to the pair's
+// owner, skips the rest of the co-bucketed incidences, and counts the
+// certified points.
 func TestPairOnceCountIdentity(t *testing.T) {
 	ds := dataset.Blobs("count", 300, 3, 4, 30, 2.5, 5)
 	cfg := LSHConfig{Config: Config{Engine: testEngine(), Dc: 2, Seed: 3}, M: 7, Pi: 2, W: 9}
@@ -271,15 +274,26 @@ func TestPairOnceCountIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.DistanceComputations != 2*distinct {
-		t.Fatalf("%d distance computations, want 2 × %d distinct co-bucketed pairs", res.Stats.DistanceComputations, distinct)
+	certified, deltaPairs, _ := shippedPairs(ds, cb, cfg.Dc, res.Rho)
+	if certified == 0 || certified == ds.N() {
+		t.Fatalf("fixture certifies %d of %d points: the δ job has nothing or everything to do", certified, ds.N())
+	}
+	if res.Stats.DistanceComputations != distinct+deltaPairs {
+		t.Fatalf("%d distance computations, want %d distinct co-bucketed pairs + %d around open points",
+			res.Stats.DistanceComputations, distinct, deltaPairs)
+	}
+	want := map[string][3]int64{ // job → evaluated, evaluated + skipped, certified
+		JobLSHRho: {distinct, slots, 0},
+		JobLSHDel: {deltaPairs, slots, int64(certified)},
 	}
 	for _, j := range res.Stats.Jobs {
-		if j.Name != JobLSHRho && j.Name != JobLSHDel {
+		w, ok := want[j.Name]
+		if !ok {
 			continue
 		}
-		if ev, sk := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[CtrPairsSkipped]; ev != distinct || ev+sk != slots {
-			t.Fatalf("%s: evaluated %d skipped %d, want %d and %d", j.Name, ev, sk, distinct, slots-distinct)
+		ev, sk, ce := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[CtrPairsSkipped], j.Counters[CtrDeltaCertified]
+		if ev != w[0] || ev+sk != w[1] || ce != w[2] {
+			t.Fatalf("%s: evaluated %d skipped %d certified %d, want %d, %d and %d", j.Name, ev, sk, ce, w[0], w[1]-w[0], w[2])
 		}
 	}
 

@@ -56,6 +56,18 @@ func benchRho(b *testing.B, gaussian bool) {
 			}
 			reportPairs(b, benchPairs)
 		})
+		// The LSH ρ reducers' walk: the same pairs, each also offered to
+		// both rows' 8-nearest lists within d_c.
+		b.Run(fmt.Sprintf("dim=%d/tiled+near", dim), func(b *testing.B) {
+			cr := Credit{Layouts: 1, Near: &Near{}}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cr.Reset(benchN, k)
+				cr.Near.Reset(benchN, 8, k.Dc2)
+				Rho(m, []Block{Triangle(0, benchN)}, k, &cr)
+			}
+			reportPairs(b, benchPairs)
+		})
 	}
 }
 

@@ -85,6 +85,10 @@ type Credit struct {
 	Sig    []int32
 	Counts []int32
 	Sums   []float64
+	// Near, when set (the LSH reducers, Reset to the walk's rows), is also
+	// offered every pair the walk evaluates, both ways round: each row's
+	// nearest partners come out of distances the walk computes anyway.
+	Near *Near
 }
 
 // Reset sizes the accumulator of k's kind to n rows and zeroes it.
@@ -121,7 +125,7 @@ func (c *Credit) Share(r, l int) float64 {
 // evaluations. Cutoff counts and Gaussian sums are bit-identical to the
 // naive loop over the list.
 func Rho(m *points.Matrix, blocks []Block, k Kernel, cr *Credit) int64 {
-	scan := rhoScan{data: m.Data(), dim: m.Dim(), n: m.N(), k: k, cr: cr}
+	scan := rhoScan{data: m.Data(), ids: m.IDs(), dim: m.Dim(), n: m.N(), k: k, cr: cr}
 	forTiles(blocks, scan.tile)
 	return blockPairs(blocks)
 }
@@ -129,6 +133,7 @@ func Rho(m *points.Matrix, blocks []Block, k Kernel, cr *Credit) int64 {
 // rhoScan carries the per-call state of a ρ scan.
 type rhoScan struct {
 	data   []float64
+	ids    []int32
 	dim, n int
 	k      Kernel
 	cr     *Credit
@@ -137,7 +142,9 @@ type rhoScan struct {
 // tile is the one ρ strip evaluator: it credits the tile pair of rows
 // [aLo, aHi) against rows [bLo, bHi), or the upper triangle of [aLo, aHi)
 // when diag is set. Each a row's distances are one blocked strip (dist.go)
-// observed in ascending b order, the visit order of the naive loop.
+// observed in ascending b order, the visit order of the naive loop; with
+// Credit.Near set the strip is offered to the neighbour lists first, which
+// costs a compare per pair and each row's list a few insertions.
 //
 // With one column to credit (Layouts − Own = 1: plain ρ, and the last
 // layout's LSH reducer) cutoff neighbours are counted without a
@@ -161,6 +168,9 @@ func (s *rhoScan) tile(aLo, aHi, bLo, bHi int, diag bool) {
 		}
 		strip := d2[:bHi-jLo]
 		sqDistRange(data[a*dim:(a+1)*dim], data, jLo, strip)
+		if s.cr.Near != nil {
+			s.cr.Near.strip(a, s.ids, jLo, strip)
+		}
 		if s.k.Gaussian {
 			// Weights first, then the additions: the loop that calls exp
 			// keeps nothing else live across the call, and the loop that
@@ -192,15 +202,22 @@ func (s *rhoScan) tile(aLo, aHi, bLo, bHi int, diag bool) {
 			s.cr.Counts[own+a] += countBelow(strip, dc2, s.cr.Counts[own+jLo:])
 			continue
 		}
-		n := 0
-		for x, v := range strip {
-			hits[n] = int32(x)
-			if v < dc2 {
-				n++
-			}
-		}
-		s.creditHits(a, jLo, hits[:n])
+		s.creditHits(a, jLo, compactBelow(strip, dc2, hits[:]))
 	}
+}
+
+// compactBelow writes the indexes x of strip with strip[x] < bound to hits,
+// in ascending order, and returns them. The conditional increment compiles
+// to a select, not a jump.
+func compactBelow(strip []float64, bound float64, hits []int32) []int32 {
+	n := 0
+	for x, v := range strip {
+		hits[n] = int32(x)
+		if v < bound {
+			n++
+		}
+	}
+	return hits[:n]
 }
 
 // creditHits counts row a and each of its neighbours jLo+hits[·] toward one

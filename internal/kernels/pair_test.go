@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/points"
@@ -121,6 +122,67 @@ func TestPairEntriesMatchNaive(t *testing.T) {
 						t.Fatalf("%s delta: %d evaluations, list holds %d pairs", tag, nd, want)
 					}
 					assertDeltaEqual(t, fmt.Sprintf("%s max=%v", tag, withMax), got, ref)
+				}
+			}
+		}
+	}
+}
+
+// TestNearMatchesNaive: with Credit.Near set, a ρ walk keeps for every row
+// the k best partners below the bound in (d², ID) order among the list's
+// pairs, offered both ways round, on every block list, kernel and column
+// count, hostile rows included — and credits bit for bit what it credits
+// without lists. k = 3 is far below the partner counts, so lists evict.
+func TestNearMatchesNaive(t *testing.T) {
+	const k = 3
+	rng := points.NewRand(29)
+	for dim := 1; dim <= 9; dim += 2 {
+		n := []int{tile - 1, tile + 1, 3*tile + 1}[dim%3]
+		bound := 8 * float64(dim)
+		for _, hostile := range []bool{false, true} {
+			m := randMatrix(t, n, dim, int64(dim))
+			if hostile {
+				m = hostileMatrix(t, n, dim, int64(dim))
+			}
+			ids := m.IDs()
+			for _, list := range pairLists(rng, n) {
+				tag := fmt.Sprintf("dim=%d n=%d hostile=%v %s", dim, n, hostile, list.name)
+				want := make([][]TopKEntry, n)
+				eachPair(list.blocks, func(a, b int) {
+					if d2 := points.SqDist(m.Row(a), m.Row(b)); d2 < bound {
+						want[a] = append(want[a], TopKEntry{Row: ids[b], D2: d2})
+						want[b] = append(want[b], TopKEntry{Row: ids[a], D2: d2})
+					}
+				})
+				for r, w := range want {
+					slices.SortFunc(w, func(x, y TopKEntry) int {
+						if topkWorse(x, y) {
+							return 1
+						}
+						if topkWorse(y, x) {
+							return -1
+						}
+						return 0
+					})
+					want[r] = w[:min(len(w), k)]
+				}
+				for _, kern := range kernelsUnderTest(bound) {
+					for _, layouts := range []int{1, 4} {
+						plain := randCredit(rng, n, layouts, rng.Intn(layouts))
+						plain.Reset(n, kern)
+						Rho(m, list.blocks, kern, plain)
+						got := &Credit{Layouts: layouts, Own: plain.Own, Sig: plain.Sig, Near: &Near{}}
+						got.Reset(n, kern)
+						got.Near.Reset(n, k, bound)
+						Rho(m, list.blocks, kern, got)
+						assertCountsEqual(t, tag+" counts", got.Counts, plain.Counts)
+						assertBitsEqual(t, tag+" sums", got.Sums, plain.Sums)
+						for r := range want {
+							if l := got.Near.List(r); !slices.Equal(l, want[r]) {
+								t.Fatalf("%s gaussian=%v layouts=%d: row %d keeps %v, want %v", tag, kern.Gaussian, layouts, r, l, want[r])
+							}
+						}
+					}
 				}
 			}
 		}

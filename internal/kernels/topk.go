@@ -139,6 +139,89 @@ func (a *TopKAcc) Append(dst []TopKEntry) []TopKEntry {
 	return dst
 }
 
+// Near keeps, for each of n rows, its k nearest partners closer than a
+// bound among the pairs a ρ walk evaluates (Credit.Near) — the lists
+// pair-once LSH-DDP certifies δ̂ from (DESIGN.md "δ̂ from the ρ pass"). An
+// entry's Row is the partner's point ID, not a matrix row, so the kept set
+// and its order under topkWorse depend only on which pairs were offered,
+// never on the offer order, and lists from different reducers merge by
+// offering one into another. A squared distance not below the bound — a
+// non-finite one included — is ineligible.
+type Near struct {
+	k     int
+	bound float64
+	ents  []TopKEntry // row r's list at [r·k, r·k+cnt[r]), best first
+	cnt   []int32
+	thr   []float64 // the worst kept D2 once row r's list is full, else bound
+}
+
+// Reset empties the lists of n rows, keeping storage, to admit partners at
+// squared distances below bound; k must be at least 1.
+func (nr *Near) Reset(n, k int, bound float64) {
+	if k < 1 {
+		panic("kernels: Near needs k >= 1")
+	}
+	nr.k, nr.bound = k, bound
+	if cap(nr.cnt) < n || cap(nr.ents) < n*k {
+		nr.ents = make([]TopKEntry, n*k)
+		nr.cnt = make([]int32, n)
+		nr.thr = make([]float64, n)
+	}
+	nr.ents, nr.cnt, nr.thr = nr.ents[:n*k], nr.cnt[:n], nr.thr[:n]
+	clear(nr.cnt)
+	for r := range nr.thr {
+		nr.thr[r] = bound
+	}
+}
+
+// List returns row r's entries, best first. It aliases the storage.
+func (nr *Near) List(r int) []TopKEntry { return nr.ents[r*nr.k : r*nr.k+int(nr.cnt[r])] }
+
+// Offer folds one partner into row r's list.
+func (nr *Near) Offer(r int, e TopKEntry) {
+	if !(e.D2 < nr.bound) {
+		return
+	}
+	list := nr.ents[r*nr.k : (r+1)*nr.k]
+	n := int(nr.cnt[r])
+	if n == nr.k {
+		if !topkWorse(list[n-1], e) {
+			return
+		}
+		n--
+	}
+	i := n
+	for ; i > 0 && topkWorse(list[i-1], e); i-- {
+		list[i] = list[i-1]
+	}
+	list[i] = e
+	nr.cnt[r] = int32(n + 1)
+	if n+1 == nr.k {
+		nr.thr[r] = list[n].D2
+	}
+}
+
+// strip offers row a and each row jLo+x the other at distance d2[x]. Only
+// distances below the bound are looked at, gathered without a branch, as
+// the cutoff kernel gathers its hits; of those, a partner at a full list's
+// threshold may still win on ID, so only one strictly above it is turned
+// away without a call.
+func (nr *Near) strip(a int, ids []int32, jLo int, d2 []float64) {
+	var buf [tile]int32
+	thr := nr.thr[jLo : jLo+len(d2)]
+	thrA, idA := nr.thr[a], ids[a]
+	for _, x := range compactBelow(d2, nr.bound, buf[:]) {
+		v := d2[x]
+		if v <= thr[x] {
+			nr.Offer(jLo+int(x), TopKEntry{Row: idA, D2: v})
+		}
+		if v <= thrA {
+			nr.Offer(a, TopKEntry{Row: ids[jLo+int(x)], D2: v})
+			thrA = nr.thr[a]
+		}
+	}
+}
+
 // topkScanRange extends acc with rows [lo, hi) of the flat row-major block
 // data, on the same blocked distance strips as the NN kernels so distances
 // are bit-identical across both.

@@ -2,6 +2,7 @@ package rpcmr
 
 import (
 	"context"
+	"maps"
 	"reflect"
 	"sort"
 	"strings"
@@ -9,10 +10,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/dp"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
 	"repro/internal/obs"
+	"repro/internal/points"
 )
 
 // stripWireCounters drops the shuffle.wire.* counters before cross-engine
@@ -175,12 +178,74 @@ func TestRunnerConformance(t *testing.T) {
 	}
 }
 
+// certifiedDeltaPairs replays LSH-DDP's δ̂ certificate by brute force for
+// the ρ̂ a run produced — a point's 8 (core's list length) nearest
+// co-bucketed points within dc, in (d², ID) order, decide its δ̂ when one of
+// them is denser — and the shipping rule: an open point travels to every
+// bucket, a certified one to a bucket only when it is denser than an open
+// point there. It returns the pairs the δ job evaluates: those whose two
+// points both travel to the pair's lowest shared layout.
+func certifiedDeltaPairs(ds *points.Dataset, keys [][]string, dc float64, rho []float64) (evaluated int64) {
+	const k = 8
+	n, m := ds.N(), len(keys[0])
+	shares := func(i, j int) bool {
+		for l := range keys[i] {
+			if keys[i][l] == keys[j][l] {
+				return true
+			}
+		}
+		return false
+	}
+	open := make([]bool, n)
+	for i := range open {
+		var near []points.Neighbor
+		for j := range n {
+			if d2 := points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos); j != i && shares(i, j) && d2 < dc*dc {
+				near = append(near, points.Neighbor{ID: int32(j), D2: d2})
+			}
+		}
+		sort.Slice(near, func(a, b int) bool {
+			return near[a].D2 < near[b].D2 || near[a].D2 == near[b].D2 && near[a].ID < near[b].ID
+		})
+		open[i] = true
+		for _, e := range near[:min(len(near), k)] {
+			if dp.DenserVals(rho[e.ID], rho[i], e.ID, int32(i)) {
+				open[i] = false
+				break
+			}
+		}
+	}
+	shipped := func(i, l int) bool {
+		for u := range n {
+			if open[u] && keys[u][l] == keys[i][l] && (u == i || dp.DenserVals(rho[i], rho[u], int32(i), int32(u))) {
+				return true
+			}
+		}
+		return false
+	}
+	for i := range n {
+		for j := 0; j < i; j++ {
+			for l := range m {
+				if keys[i][l] == keys[j][l] {
+					if shipped(i, l) && shipped(j, l) {
+						evaluated++
+					}
+					break
+				}
+			}
+		}
+	}
+	return evaluated
+}
+
 // TestConformanceDistanceCount pins dp.distance.computations — which every
 // ρ / δ reducer adds by hand from what kernels.Rho / kernels.Delta return —
 // to Σ Block.Pairs() of the lists the reducers walk, on both engines and
 // from an oracle that knows nothing of blocks: each Basic-DDP pair job
-// evaluates every unordered pair once, each LSH-DDP pair job exactly the
-// distinct co-bucketed pairs, the repeats going to dp.lsh.pairs.skipped.
+// evaluates every unordered pair once, the LSH-DDP ρ job exactly the
+// distinct co-bucketed pairs and the δ job exactly those of them the ρ
+// pass's certificate leaves to it, the rest of every bucket's pairs going to
+// dp.lsh.pairs.skipped.
 func TestConformanceDistanceCount(t *testing.T) {
 	ds := dataset.Blobs("conformance-count", 400, 2, 4, 100, 3, 11)
 	const m, pi, w, seed = 4, 2, 12.0, 7
@@ -212,7 +277,6 @@ func TestConformanceDistanceCount(t *testing.T) {
 		core.JobBasicRho: {all, all},
 		core.JobBasicDel: {all, all},
 		core.JobLSHRho:   {distinct, slots},
-		core.JobLSHDel:   {distinct, slots},
 	}
 
 	master, _ := startCluster(t, 3)
@@ -233,6 +297,12 @@ func TestConformanceDistanceCount(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			delta := certifiedDeltaPairs(ds, keys, cfg.Dc, approx.Rho)
+			if delta == 0 || delta >= distinct {
+				t.Fatalf("fixture leaves the δ job %d of the %d co-bucketed pairs", delta, distinct)
+			}
+			want := maps.Clone(want)
+			want[core.JobLSHDel] = [2]int64{delta, slots}
 			seen := 0
 			for _, j := range append(basic.Stats.Jobs, approx.Stats.Jobs...) {
 				w, ok := want[j.Name]

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Binary codecs for the record types that flow through MapReduce jobs.
@@ -111,44 +112,143 @@ func MustDecodeRhoPoint(buf []byte) RhoPoint {
 	return rp
 }
 
-// RhoValue is a partial or final density result keyed by point ID.
+// LSH-DDP's δ-job input record (DESIGN.md "δ̂ from the ρ pass") is a
+// RhoPoint with a layout mask after it when the ρ pass certified the row's
+// δ̂. A row without a mask is open: it travels to its bucket in every layout.
+// A certified row travels only as a candidate, to the layouts l whose bit
+// l%8 of mask byte l/8 is set. The mask is trimmed of zero bytes at its end
+// but keeps one, so an empty mask — a row no bucket needs — is one 0x00.
+
+// AppendShipMask appends the mask of a certified row to its RhoPoint record.
+func AppendShipMask(buf, mask []byte) []byte {
+	for len(mask) > 0 && mask[len(mask)-1] == 0 {
+		mask = mask[:len(mask)-1]
+	}
+	if len(mask) == 0 {
+		return append(buf, 0)
+	}
+	return append(buf, mask...)
+}
+
+// ShipMask parses what follows the RhoPoint in a δ-job input record: nothing
+// for an open row, a mask for a certified one — nil when it is empty. The
+// mask aliases tail.
+func ShipMask(tail []byte) (certified bool, mask []byte, err error) {
+	switch {
+	case len(tail) == 0:
+		return false, nil, nil
+	case len(tail) == 1 && tail[0] == 0:
+		return true, nil, nil
+	case tail[len(tail)-1] == 0:
+		return false, nil, fmt.Errorf("points: layout mask %x is not trimmed", tail)
+	}
+	return true, tail, nil
+}
+
+// Neighbor is one entry of a point's nearest-neighbour list in pair-once
+// LSH-DDP (DESIGN.md "δ̂ from the ρ pass"): another point's ID and its exact
+// squared distance. On the wire it is the ID (uint32 LE) and the float64
+// bits of D2, 12 bytes; a list is its entries in ascending (D2, ID) order,
+// each ID once and never the point's own, every D2 finite and not negative.
+type Neighbor struct {
+	ID int32
+	D2 float64
+}
+
+const neighborBytes = 12
+
+func appendNeighbors(buf []byte, ns []Neighbor) []byte {
+	for _, e := range ns {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.ID))
+		buf = AppendFloat64(buf, e.D2)
+	}
+	return buf
+}
+
+// decodeNeighbors parses the n entries at the front of buf as the list of
+// point self, refusing any list appendNeighbors would not have written for
+// a well-formed one.
+func decodeNeighbors(buf []byte, n int, self int32) ([]Neighbor, error) {
+	if n > len(buf)/neighborBytes {
+		return nil, fmt.Errorf("points: neighbour list of id %d: %d entries in %d bytes", self, n, len(buf))
+	}
+	ns := make([]Neighbor, n)
+	ids := make([]int32, n)
+	for i := range ns {
+		e := Neighbor{ID: int32(binary.LittleEndian.Uint32(buf)), D2: DecodeFloat64(buf[4:])}
+		buf = buf[neighborBytes:]
+		if !(e.D2 >= 0 && e.D2 < math.Inf(1)) || math.Signbit(e.D2) || e.ID == self {
+			return nil, fmt.Errorf("points: neighbour list of id %d: entry %d is (%d, %v)", self, i, e.ID, e.D2)
+		}
+		if i > 0 && (e.D2 < ns[i-1].D2 || e.D2 == ns[i-1].D2 && e.ID <= ns[i-1].ID) {
+			return nil, fmt.Errorf("points: neighbour list of id %d is not in (d², id) order", self)
+		}
+		ns[i], ids[i] = e, e.ID
+	}
+	slices.Sort(ids)
+	for i := 1; i < n; i++ {
+		if ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("points: neighbour list of id %d holds id %d twice", self, ids[i])
+		}
+	}
+	return ns, nil
+}
+
+// RhoValue is a partial or final density result keyed by point ID. LSH-DDP's
+// aggregation attaches the point's neighbour list (Near); the wire form is
+// the ID (uint32 LE), the density's float64 bits and the list's entries.
 type RhoValue struct {
-	ID  int32
-	Rho float64
+	ID   int32
+	Rho  float64
+	Near []Neighbor
 }
 
 // EncodeRhoValue returns the wire form of rv.
 func EncodeRhoValue(rv RhoValue) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(rv.ID))
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(rv.Rho))
+	buf := make([]byte, 0, 12+neighborBytes*len(rv.Near))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(rv.ID))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rv.Rho))
+	return appendNeighbors(buf, rv.Near)
 }
 
 // DecodeRhoValue parses a RhoValue.
 func DecodeRhoValue(buf []byte) (RhoValue, error) {
-	if len(buf) != 12 {
-		return RhoValue{}, fmt.Errorf("points: rho value is %d bytes, want 12", len(buf))
+	if len(buf) < 12 || (len(buf)-12)%neighborBytes != 0 {
+		return RhoValue{}, fmt.Errorf("points: rho value is %d bytes, want 12 plus 12 per neighbour", len(buf))
 	}
-	return RhoValue{
+	rv := RhoValue{
 		ID:  int32(binary.LittleEndian.Uint32(buf)),
 		Rho: math.Float64frombits(binary.LittleEndian.Uint64(buf[4:])),
-	}, nil
+	}
+	if n := (len(buf) - 12) / neighborBytes; n > 0 {
+		var err error
+		if rv.Near, err = decodeNeighbors(buf[12:], n, rv.ID); err != nil {
+			return RhoValue{}, err
+		}
+	}
+	return rv, nil
 }
 
 // RhoPartial is one reducer's share of a point's local densities in
 // pair-once LSH-DDP (DESIGN.md "Pair ownership"): Vals[i] is what the pairs
 // that reducer evaluated add to the point's density under layout First+i.
 // With the cutoff kernel the values are neighbour counts — whole numbers —
-// and travel as varints; Gaussian weight sums travel as float64 bits.
+// and travel as varints; Gaussian weight sums travel as float64 bits. Near
+// is the point's nearest partners among those pairs (DESIGN.md "δ̂ from the
+// ρ pass").
 //
-// The wire form is the ID (uint32 LE), then First and the kind in one
-// uvarint (First<<1 | gaussian), then the values back to back to the end of
-// the record, without the zero values at either end: a record has exactly
-// one spelling, and an all-zero share is the 5-byte record of First 0.
+// The wire form is the ID (uint32 LE), then First, whether a list follows
+// and the kind in one uvarint (First<<2 | near<<1 | gaussian), then — when
+// near — the list's length as a uvarint and its entries, then the values
+// back to back to the end of the record, without the zero values at either
+// end: a record has exactly one spelling, and an all-zero share without a
+// list is the 5-byte record of First 0.
 type RhoPartial struct {
 	ID       int32
 	Gaussian bool
 	First    int
 	Vals     []float64
+	Near     []Neighbor
 }
 
 // maxCount is the largest neighbour count a RhoPartial carries: every whole
@@ -171,12 +271,19 @@ func AppendRhoPartial(buf []byte, p RhoPartial) []byte {
 	if len(vals) == 0 {
 		first = 0
 	}
-	head := uint64(first) << 1
+	head := uint64(first) << 2
+	if len(p.Near) > 0 {
+		head |= 2
+	}
 	if p.Gaussian {
 		head |= 1
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ID))
 	buf = binary.AppendUvarint(buf, head)
+	if len(p.Near) > 0 {
+		buf = binary.AppendUvarint(buf, uint64(len(p.Near)))
+		buf = appendNeighbors(buf, p.Near)
+	}
 	for _, v := range vals {
 		if p.Gaussian {
 			buf = AppendFloat64(buf, v)
@@ -199,10 +306,21 @@ func DecodeRhoPartial(buf []byte) (RhoPartial, error) {
 	}
 	p := RhoPartial{ID: int32(binary.LittleEndian.Uint32(buf))}
 	head, rest, ok := minimalUvarint(buf[4:])
-	if !ok || head>>1 >= maxLayouts {
+	if !ok || head>>2 >= maxLayouts {
 		return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad layout header", p.ID)
 	}
-	p.Gaussian, p.First = head&1 == 1, int(head>>1)
+	p.Gaussian, p.First = head&1 == 1, int(head>>2)
+	if head&2 != 0 {
+		var n uint64
+		if n, rest, ok = minimalUvarint(rest); !ok || n == 0 || n > uint64(len(rest)/neighborBytes) {
+			return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad neighbour list length", p.ID)
+		}
+		var err error
+		if p.Near, err = decodeNeighbors(rest, int(n), p.ID); err != nil {
+			return RhoPartial{}, err
+		}
+		rest = rest[neighborBytes*int(n):]
+	}
 	if p.Gaussian {
 		if len(rest)%8 != 0 {
 			return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: %d bytes of float sums", p.ID, len(rest))

@@ -32,11 +32,14 @@ type Cost struct {
 	SumSq float64
 	// ShuffleBytes is E[C_s] of Eq. 7: M·(|S| + Σ N_k²·e).
 	ShuffleBytes float64
-	// Distances is E[C_c], the distance work of one partitioned job. Eq. 8
-	// has M·Σ N_k², a pair counted once per layout that co-buckets it; the
-	// pipeline evaluates such a pair once (DESIGN.md "Pair ownership"), so
-	// this is the number of ordered pairs co-bucketed by at least one of the
-	// M layouts: SumSq at M = 1, and growing by less with every layout added.
+	// Distances is E[C_c], the distance work of the pipeline's one pair
+	// pass. Eq. 8 has M·Σ N_k² for each of its two partitioned jobs, a pair
+	// counted once per layout that co-buckets it; the ρ job evaluates such a
+	// pair once (DESIGN.md "Pair ownership") and the δ job re-evaluates only
+	// the few around points the ρ pass could not certify (DESIGN.md "δ̂ from
+	// the ρ pass"), so this is the number of ordered pairs co-bucketed by at
+	// least one of the M layouts: SumSq at M = 1, and growing by less with
+	// every layout added.
 	Distances float64
 	// Time is the unified objective of Eq. 9: μ·ShuffleBytes + Distances.
 	Time float64

@@ -203,10 +203,10 @@ func TestCalibrateMu(t *testing.T) {
 // Model validation: the Section V cost model's predicted distance counts
 // must track the distance counts LSH-DDP actually performs, configuration
 // by configuration. (Predictions count ordered pairs co-bucketed by any of
-// the M layouts, once each, as the pipeline evaluates them; the real
-// pipeline runs two partitioned jobs, so we compare against half the
-// measured ρ+δ count and accept generous tolerance — the model's job is
-// ranking configurations, not forecasting exact counts.)
+// the M layouts, once each, as the pipeline's one pair pass — the ρ job —
+// evaluates them, so we compare against that job's count and accept
+// generous tolerance — the model's job is ranking configurations, not
+// forecasting exact counts.)
 func TestCostModelTracksMeasuredDistances(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model validation in -short mode")
@@ -234,7 +234,13 @@ func TestCostModelTracksMeasuredDistances(t *testing.T) {
 			t.Fatal(err)
 		}
 		predicted = append(predicted, cost.Distances)
-		measured = append(measured, float64(res.Stats.DistanceComputations)/2)
+		var rhoPairs int64
+		for _, j := range res.Stats.Jobs {
+			if j.Name == core.JobLSHRho {
+				rhoPairs += j.Counters[mapreduce.CtrDistanceComputations]
+			}
+		}
+		measured = append(measured, float64(rhoPairs))
 	}
 	for i := range predicted {
 		ratio := predicted[i] / measured[i]
