@@ -10,7 +10,8 @@ all: check
 # comments, the README knob reference in both directions, no recipe naming a
 # deleted target or binary), run the test suite, re-run the concurrency-heavy packages under
 # the race detector, fuzz the LSH key codec, the top-k sweep, the serving
-# engine's bucket sweep, the ρ-partial codec and the record frame for five
+# engine's bucket sweep, the ρ-partial codec, the record frame, the ρ
+# reducers' runs-apart certificate and the HTTP point decoder for five
 # seconds each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, and compile + smoke the benchmark harness
@@ -64,13 +65,21 @@ race:
 # δ̂ from: the codec's contract again, for all three. The record
 # frame is the byte layout of spill run files, shuffle chunks and DFS parts:
 # both decoders on arbitrary bytes — error or pairs that re-encode to the
-# consumed prefix, the two in agreement, never a panic.
+# consumed prefix, the two in agreement, never a panic. The cutoff ρ
+# reducers prune run pairs that lie d_c apart on a floating-point bound: two
+# runs of arbitrary rows and a reach, and whenever they are called apart the
+# cutoff walk over every pair across them counts and lists nothing. The
+# point decoder behind every point-carrying HTTP handler faces request
+# bodies: arbitrary bytes either refused with a 400 or points of the model's
+# dimension, finite and in range, never a panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKSweep$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineSweep$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRhoPartialRoundTrip$$' -fuzztime 5s ./internal/points/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 5s ./internal/mapreduce/
+	$(GO) test -run '^$$' -fuzz '^FuzzRunsApart$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePoints$$' -fuzztime 5s ./internal/serve/
 
 bench:
 	$(GO) test -bench=. -benchmem .

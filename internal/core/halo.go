@@ -137,7 +137,7 @@ func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 					}
 				}
 			}
-			countPairs(ctx, nd, skipped)
+			countPairs(ctx, nd, 0, skipped)
 			clusters := make([]int32, 0, len(border))
 			for c := range border {
 				clusters = append(clusters, c)

@@ -194,8 +194,23 @@ func layoutsOf(conf mapreduce.Conf) *lsh.Layouts {
 // with the point's nearK nearest partners within d_c among the pairs
 // evaluated — when the share is not all zero (a partner within d_c always
 // adds to it), and always from layout 0, so that every point reaches the
-// aggregation.
-func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job {
+// aggregation. A cutoff reducer prunes the owned pairs whose runs lie d_c
+// apart (rhoReach): such a pair adds to no share and enters no list.
+func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job { return lshRhoJob(conf, rhoReach) }
+
+// rhoReach is the squared distance at and beyond which a pair adds nothing to
+// the ρ walk with k: Dc2 for the cutoff kernel, whose count and neighbour
+// lists both stop short of it, and +Inf — none — for the Gaussian, whose
+// weight never reaches zero.
+func rhoReach(k kernels.Kernel) float64 {
+	if k.Gaussian {
+		return math.Inf(1)
+	}
+	return k.Dc2
+}
+
+// lshRhoJob is LSHRhoJob with the reach its reducers prune at.
+func lshRhoJob(conf mapreduce.Conf, reach func(kernels.Kernel) float64) *mapreduce.Job {
 	layouts := lazyLayouts()
 	return &mapreduce.Job{
 		Name: JobLSHRho,
@@ -222,18 +237,19 @@ func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 				return err
 			}
 			defer points.PutMatrix(m)
-			blocks, skipped := po.owned(m.N(), own)
+			blocks, pruned, skipped := po.owned(m, own, reach(kern))
 			if len(blocks) == 0 {
-				// A later layout all of whose pairs earlier ones own: no
-				// share to report (layout 0 always has its triangle).
-				countPairs(ctx, 0, skipped)
+				// A later layout all of whose pairs earlier ones own or lie
+				// apart: no share to report (layout 0 always has its
+				// triangle).
+				countPairs(ctx, 0, pruned, skipped)
 				return nil
 			}
 			cr := &po.credit
 			cr.Layouts, cr.Own, cr.Sig, cr.Near = l.M(), own, po.sig, &po.near
 			cr.Reset(m.N(), kern)
 			po.near.Reset(m.N(), nearK, kern.Dc2)
-			countPairs(ctx, kernels.Rho(m, blocks, kern, cr), skipped)
+			countPairs(ctx, kernels.Rho(m, blocks, kern, cr), pruned, skipped)
 			part := points.RhoPartial{Gaussian: kern.Gaussian, First: own, Vals: make([]float64, l.M()-own)}
 			var enc []byte
 			for i := 0; i < m.N(); i++ {
@@ -541,14 +557,15 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 				return err
 			}
 			defer points.PutMatrix(m)
-			blocks, skipped := po.owned(m.N(), own)
+			// δ̂ needs every owned pair, however far: no reach prunes.
+			blocks, _, skipped := po.owned(m, own, math.Inf(1))
 			if len(blocks) == 0 {
-				countPairs(ctx, 0, skipped) // as in LSHRhoJob: nothing owned
+				countPairs(ctx, 0, 0, skipped) // as in LSHRhoJob: nothing owned
 				return nil
 			}
 			acc := &po.acc
 			acc.Reset(m.N(), false)
-			countPairs(ctx, kernels.Delta(m, blocks, acc), skipped)
+			countPairs(ctx, kernels.Delta(m, blocks, acc), 0, skipped)
 			for i := 0; i < m.N(); i++ {
 				if po.certified[po.order[i]] {
 					continue

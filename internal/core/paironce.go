@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -18,15 +19,22 @@ import (
 // reducer of the lowest layout in which the two points share a bucket. The
 // reducer of layout m re-derives every row's keys from its coordinates
 // (nothing extra is shuffled), orders its rows by their buckets in layouts
-// 0 … m−1 and skips — as whole blocks — the pairs an earlier layout owns.
+// 0 … m−1 and skips — as whole blocks — the pairs an earlier layout owns,
+// and, on the cutoff ρ job, the owned blocks whose two runs lie d_c apart.
 
-// CtrPairsSkipped counts the co-bucketed pairs an LSH job did not evaluate:
-// because an earlier layout owns them, or — on the δ job — because neither
-// point's δ̂ needs them, so one of the two never reached the bucket
-// (shipRows). dp.distance.computations + dp.lsh.pairs.skipped of one LSH job
-// is Σ C(|bucket|, 2) over every bucket of every layout, so their ratio to
-// the former is the factor both save.
+// CtrPairsSkipped counts the co-bucketed pairs an LSH job did not evaluate
+// because another reducer's pass covers them: an earlier layout owns them,
+// or — on the δ job — neither point's δ̂ needs them, so one of the two never
+// reached the bucket (shipRows). dp.distance.computations +
+// dp.lsh.pairs.pruned + dp.lsh.pairs.skipped of one LSH job is
+// Σ C(|bucket|, 2) over every bucket of every layout.
 const CtrPairsSkipped = "dp.lsh.pairs.skipped"
+
+// CtrPairsPruned counts the owned pairs a cutoff ρ reducer did not evaluate
+// because their two runs lie at least d_c apart on some axis (apart): no
+// such pair is within d_c, so none could count or be listed. Zero on the
+// Gaussian ρ job and on the δ job, which never prune.
+const CtrPairsPruned = "dp.lsh.pairs.pruned"
 
 // pairOnce is the scratch of one pair-once reduce call: the rows' bucket
 // signatures and the blocks the reducer owns. Pooled, so a reduce task
@@ -42,6 +50,7 @@ type pairOnce struct {
 	start  []int32
 	words  []uint64
 	segs   []int
+	box    []float64 // boxRuns' bounding boxes, 2·dim values a run
 	blocks []kernels.Block
 	credit kernels.Credit
 	near   kernels.Near
@@ -198,17 +207,21 @@ func (po *pairOnce) samePrefix(a, b, own int) bool {
 }
 
 // owned lists, in ascending row order, the blocks of pairs the reducer of
-// layout own evaluates among its n loaded rows, and counts the pairs it
-// leaves to earlier layouts. Layout 0 owns every pair of its bucket. Later
-// layouts see their rows as runs of equal earlier-layout buckets: pairs
-// inside a run share layout 0's bucket, two runs that agree in any earlier
-// layout are skipped as a whole, and two that differ in all of them are
-// owned here — adjacent owned runs merge into one block.
-func (po *pairOnce) owned(n, own int) (blocks []kernels.Block, skipped int64) {
+// layout own evaluates among the loaded rows of m, and counts the pairs it
+// prunes and those it leaves to earlier layouts. Layout 0 owns every pair of
+// its bucket. Later layouts see their rows as runs of equal earlier-layout
+// buckets: pairs inside a run share layout 0's bucket, two runs that agree
+// in any earlier layout are skipped as a whole, and two that differ in all
+// of them are owned here — adjacent owned runs merge into one block —
+// unless they lie apart at reach2, the squared distance at and beyond which
+// the caller's walk can do nothing with a pair. reach2 = +Inf prunes
+// nothing.
+func (po *pairOnce) owned(m *points.Matrix, own int, reach2 float64) (blocks []kernels.Block, pruned, skipped int64) {
+	n := m.N()
 	blocks = po.blocks[:0]
 	if own == 0 {
 		po.blocks = append(blocks, kernels.Triangle(0, n))
-		return po.blocks, 0
+		return po.blocks, 0, 0
 	}
 	segs := append(po.segs[:0], 0)
 	for r := 1; r < n; r++ {
@@ -218,11 +231,20 @@ func (po *pairOnce) owned(n, own int) (blocks []kernels.Block, skipped int64) {
 	}
 	segs = append(segs, n)
 	po.segs = segs
+	prune := reach2 < math.Inf(1)
+	if prune {
+		po.boxRuns(m, segs)
+	}
+	box := func(g int) []float64 { return po.box[2*g*m.Dim() : 2*(g+1)*m.Dim()] }
 	skipped = kernels.Triangle(0, n).Pairs()
 	for g := 0; g+2 < len(segs); g++ {
 		first := len(blocks)
 		for h := g + 1; h+1 < len(segs); h++ {
 			if po.sharesEarlier(segs[g], segs[h], own) {
+				continue
+			}
+			if prune && apart(box(g), box(h), reach2) {
+				pruned += int64(segs[g+1]-segs[g]) * int64(segs[h+1]-segs[h])
 				continue
 			}
 			if last := len(blocks) - 1; last >= first && blocks[last].BHi == segs[h] {
@@ -236,12 +258,56 @@ func (po *pairOnce) owned(n, own int) (blocks []kernels.Block, skipped int64) {
 		}
 	}
 	po.blocks = blocks
-	return blocks, skipped
+	return blocks, pruned, skipped - pruned
+}
+
+// boxRuns fills po.box with the bounding box of every run of m — rows
+// [segs[g], segs[g+1]) — run g's lowest coordinate on each axis at
+// box[2g·dim:], its highest right after. The built-in min and max carry a
+// NaN coordinate into both bounds of its axis, where apart never reads a gap.
+func (po *pairOnce) boxRuns(m *points.Matrix, segs []int) {
+	dim, data := m.Dim(), m.Data()
+	size := 2 * dim * (len(segs) - 1)
+	box := slices.Grow(po.box[:0], size)[:size]
+	for g := 0; g+1 < len(segs); g++ {
+		lo, hi := box[2*g*dim:(2*g+1)*dim], box[(2*g+1)*dim:(2*g+2)*dim]
+		copy(lo, data[segs[g]*dim:(segs[g]+1)*dim])
+		copy(hi, lo)
+		for r := segs[g] + 1; r < segs[g+1]; r++ {
+			for t, v := range data[r*dim : (r+1)*dim] {
+				lo[t], hi[t] = min(lo[t], v), max(hi[t], v)
+			}
+		}
+	}
+	po.box = box
+}
+
+// apart reports whether two runs' boxes (boxRuns) lie at least reach apart on
+// some axis t: gap > 0 and gap·gap ≥ reach2, gap being one box's lowest
+// coordinate minus the other's highest. Every pair across the two runs is
+// then at a squared distance ≥ reach2 or NaN as the kernels compute it, so
+// no cutoff walk at Dc2 = reach2 counts or lists it: for rows a and b on
+// either side the exact |a[t] − b[t]| is at least the exact gap, rounding is
+// monotone, so the kernel's term (a[t] − b[t])² is at least gap·gap as
+// computed here, and its sum of non-negative terms in ascending t (dist.go)
+// never falls below one of them — the argument of the coordinate sweep
+// (kernels/sweep.go), with no slack. A NaN or ∞ − ∞ bound gives a NaN gap,
+// which is never > 0.
+func apart(g, h []float64, reach2 float64) bool {
+	dim := len(g) / 2
+	for t := 0; t < dim; t++ {
+		gap := max(h[t]-g[dim+t], g[t]-h[dim+t])
+		if gap > 0 && gap*gap >= reach2 {
+			return true
+		}
+	}
+	return false
 }
 
 // countPairs publishes one reduce call's pair counters: the distances it
-// evaluated and the pairs it left to earlier layouts.
-func countPairs(ctx *mapreduce.TaskContext, evaluated, skipped int64) {
+// evaluated, the owned pairs it pruned and the pairs it left to others.
+func countPairs(ctx *mapreduce.TaskContext, evaluated, pruned, skipped int64) {
 	ctx.Counters.Add(mapreduce.CtrDistanceComputations, evaluated)
+	ctx.Counters.Add(CtrPairsPruned, pruned)
 	ctx.Counters.Add(CtrPairsSkipped, skipped)
 }

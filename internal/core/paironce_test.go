@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/dp"
+	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/rpcmr"
@@ -205,14 +207,15 @@ func TestPairOnceMatchesPerLayout(t *testing.T) {
 			base := run(t, local, ds, c.cfg)
 			requireMatchesPerLayout(t, ds, cb, base, want)
 			requireDeltaFromPairSet(t, ds, cb, base)
-			var skipped int64
+			var pruned, skipped int64
 			for _, j := range base.Stats.Jobs {
+				pruned += j.Counters[CtrPairsPruned]
 				skipped += j.Counters[CtrPairsSkipped]
 			}
 			if base.Stats.DistanceComputations > oracleWork ||
-				base.Stats.DistanceComputations+skipped != oracleWork {
-				t.Fatalf("evaluated %d + skipped %d pairs, per-layout reducers evaluated %d",
-					base.Stats.DistanceComputations, skipped, oracleWork)
+				base.Stats.DistanceComputations+pruned+skipped != oracleWork {
+				t.Fatalf("evaluated %d + pruned %d + skipped %d pairs, per-layout reducers evaluated %d",
+					base.Stats.DistanceComputations, pruned, skipped, oracleWork)
 			}
 
 			mean := c.cfg
@@ -248,9 +251,65 @@ func TestPairOnceMatchesPerLayout(t *testing.T) {
 	}
 }
 
+// prunedPairs replays the ρ job's reducers on ds and returns, by point IDs,
+// every pair they prune: the pairs of the blocks each owns at reach +Inf
+// that its blocks at the cutoff's reach leave out.
+func prunedPairs(t *testing.T, ds *points.Dataset, cfg LSHConfig) [][2]int32 {
+	t.Helper()
+	conf := lshConf(ds, cfg)
+	tctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
+	groups := map[string][][]byte{}
+	for _, p := range InputPairs(ds) {
+		if err := LSHRhoJob(conf).Map(tctx, p.Key, p.Value, mapreduce.EmitterFunc(func(k string, v []byte) {
+			groups[k] = append(groups[k], v)
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eachPair := func(blocks []kernels.Block, f func(a, b int)) {
+		for _, b := range blocks {
+			for x := b.ALo; x < b.AHi; x++ {
+				for y := max(b.BLo, x+1); y < b.BHi; y++ {
+					f(x, y)
+				}
+			}
+		}
+	}
+	l := layoutsOf(conf)
+	po := &pairOnce{ids: map[string]int32{}}
+	var out [][2]int32
+	for key, values := range groups {
+		own, err := reducerLayout(key, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := po.load(l, own, l.M(), values, points.DecodePointsInto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, _, _ := po.owned(m, own, math.Inf(1))
+		all = slices.Clone(all)
+		cut, pruned, _ := po.owned(m, own, cfg.Dc*cfg.Dc)
+		kept := map[[2]int]bool{}
+		eachPair(cut, func(a, b int) { kept[[2]int{a, b}] = true })
+		n := len(out)
+		eachPair(all, func(a, b int) {
+			if !kept[[2]int{a, b}] {
+				out = append(out, [2]int32{m.ID(a), m.ID(b)})
+			}
+		})
+		if int64(len(out)-n) != pruned {
+			t.Fatalf("partition %s: owned reports %d pruned pairs, its blocks leave out %d", lsh.KeyString(key), pruned, len(out)-n)
+		}
+		points.PutMatrix(m)
+	}
+	return out
+}
+
 // TestPairOnceCountIdentity pins the meaning of the counters on a small
-// input against an O(n²·M) brute force: the ρ job evaluates exactly the
-// distinct co-bucketed pairs and skips exactly the repeats; the δ job
+// input against an O(n²·M) brute force: the ρ job evaluates or prunes
+// exactly the distinct co-bucketed pairs — pruning some, each of them at d_c
+// or beyond — and skips exactly the repeats; the δ job prunes nothing,
 // evaluates exactly the pairs whose two points both travel to the pair's
 // owner, skips the rest of the co-bucketed incidences, and counts the
 // certified points.
@@ -278,22 +337,36 @@ func TestPairOnceCountIdentity(t *testing.T) {
 	if certified == 0 || certified == ds.N() {
 		t.Fatalf("fixture certifies %d of %d points: the δ job has nothing or everything to do", certified, ds.N())
 	}
-	if res.Stats.DistanceComputations != distinct+deltaPairs {
-		t.Fatalf("%d distance computations, want %d distinct co-bucketed pairs + %d around open points",
-			res.Stats.DistanceComputations, distinct, deltaPairs)
+	pruned := prunedPairs(t, ds, cfg)
+	if len(pruned) == 0 {
+		t.Fatal("fixture prunes no pair: the runs-apart certificate goes unexercised")
 	}
-	want := map[string][3]int64{ // job → evaluated, evaluated + skipped, certified
-		JobLSHRho: {distinct, slots, 0},
-		JobLSHDel: {deltaPairs, slots, int64(certified)},
+	for _, p := range pruned {
+		if cb.shared(int(p[0]), int(p[1])) == 0 {
+			t.Fatalf("pruned pair %v shares no bucket", p)
+		}
+		if d2 := points.SqDist(ds.Points[p[0]].Pos, ds.Points[p[1]].Pos); d2 < cfg.Dc*cfg.Dc {
+			t.Fatalf("pruned pair %v lies within d_c: d² %v < %v", p, d2, cfg.Dc*cfg.Dc)
+		}
+	}
+	rhoPairs := distinct - int64(len(pruned))
+	if res.Stats.DistanceComputations != rhoPairs+deltaPairs {
+		t.Fatalf("%d distance computations, want %d distinct co-bucketed pairs − %d pruned + %d around open points",
+			res.Stats.DistanceComputations, distinct, len(pruned), deltaPairs)
+	}
+	want := map[string][4]int64{ // job → evaluated, pruned, evaluated + pruned + skipped, certified
+		JobLSHRho: {rhoPairs, int64(len(pruned)), slots, 0},
+		JobLSHDel: {deltaPairs, 0, slots, int64(certified)},
 	}
 	for _, j := range res.Stats.Jobs {
 		w, ok := want[j.Name]
 		if !ok {
 			continue
 		}
-		ev, sk, ce := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[CtrPairsSkipped], j.Counters[CtrDeltaCertified]
-		if ev != w[0] || ev+sk != w[1] || ce != w[2] {
-			t.Fatalf("%s: evaluated %d skipped %d certified %d, want %d, %d and %d", j.Name, ev, sk, ce, w[0], w[1]-w[0], w[2])
+		ev, pr, sk := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[CtrPairsPruned], j.Counters[CtrPairsSkipped]
+		if ce := j.Counters[CtrDeltaCertified]; ev != w[0] || pr != w[1] || ev+pr+sk != w[2] || ce != w[3] {
+			t.Fatalf("%s: evaluated %d pruned %d skipped %d certified %d, want %d, %d, %d and %d",
+				j.Name, ev, pr, sk, ce, w[0], w[1], w[2]-w[0]-w[1], w[3])
 		}
 	}
 

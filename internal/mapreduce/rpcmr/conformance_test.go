@@ -242,19 +242,21 @@ func certifiedDeltaPairs(ds *points.Dataset, keys [][]string, dc float64, rho []
 // ρ / δ reducer adds by hand from what kernels.Rho / kernels.Delta return —
 // to Σ Block.Pairs() of the lists the reducers walk, on both engines and
 // from an oracle that knows nothing of blocks: each Basic-DDP pair job
-// evaluates every unordered pair once, the LSH-DDP ρ job exactly the
-// distinct co-bucketed pairs and the δ job exactly those of them the ρ
-// pass's certificate leaves to it, the rest of every bucket's pairs going to
-// dp.lsh.pairs.skipped.
+// evaluates every unordered pair once, the LSH-DDP ρ job evaluates or
+// prunes exactly the distinct co-bucketed pairs — pruning no more than lie
+// at d_c or beyond, the same number on both engines — and the δ job
+// evaluates exactly those of them the ρ pass's certificate leaves to it, the
+// rest of every bucket's pairs going to dp.lsh.pairs.skipped.
 func TestConformanceDistanceCount(t *testing.T) {
 	ds := dataset.Blobs("conformance-count", 400, 2, 4, 100, 3, 11)
-	const m, pi, w, seed = 4, 2, 12.0, 7
+	const m, pi, w, seed, dc = 4, 2, 12.0, 7, 4.0
 	layouts := lsh.NewLayouts(ds.Dim(), m, pi, w, seed)
 	keys := make([][]string, ds.N())
 	for i, p := range ds.Points {
 		keys[i] = layouts.Keys(p.Pos)
 	}
-	var distinct, slots int64 // co-bucketed pairs, and (pair, layout) incidences
+	// co-bucketed pairs, those of them within d_c, and (pair, layout) incidences
+	var distinct, within, slots int64
 	for i := range keys {
 		for j := 0; j < i; j++ {
 			shared := 0
@@ -266,6 +268,9 @@ func TestConformanceDistanceCount(t *testing.T) {
 			if shared > 0 {
 				distinct++
 				slots += int64(shared)
+				if points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos) < dc*dc {
+					within++
+				}
 			}
 		}
 	}
@@ -273,13 +278,14 @@ func TestConformanceDistanceCount(t *testing.T) {
 		t.Fatalf("fixture shares too little: %d pairs in %d slots", distinct, slots)
 	}
 	all := int64(ds.N()) * int64(ds.N()-1) / 2
-	want := map[string][2]int64{ // job → evaluated, evaluated + skipped
+	want := map[string][2]int64{ // job → evaluated + pruned, evaluated + pruned + skipped
 		core.JobBasicRho: {all, all},
 		core.JobBasicDel: {all, all},
 		core.JobLSHRho:   {distinct, slots},
 	}
 
 	master, _ := startCluster(t, 3)
+	rhoPruned := map[string]int64{} // engine → the ρ job's pruned pairs
 	for _, rc := range []struct {
 		name   string
 		engine mapreduce.Engine
@@ -288,7 +294,7 @@ func TestConformanceDistanceCount(t *testing.T) {
 		{"rpcmr", master},
 	} {
 		t.Run(rc.name, func(t *testing.T) {
-			cfg := core.Config{Engine: rc.engine, Dc: 4, Seed: seed}
+			cfg := core.Config{Engine: rc.engine, Dc: dc, Seed: seed}
 			basic, err := core.RunBasicDDP(context.Background(), ds, core.BasicConfig{Config: cfg, BlockSize: 90})
 			if err != nil {
 				t.Fatal(err)
@@ -310,14 +316,26 @@ func TestConformanceDistanceCount(t *testing.T) {
 					continue
 				}
 				seen++
-				ev, sk := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[core.CtrPairsSkipped]
-				if ev != w[0] || ev+sk != w[1] {
-					t.Fatalf("%s: evaluated %d skipped %d, want %d and %d", j.Name, ev, sk, w[0], w[1]-w[0])
+				ev, pr, sk := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[core.CtrPairsPruned], j.Counters[core.CtrPairsSkipped]
+				if ev+pr != w[0] || ev+pr+sk != w[1] {
+					t.Fatalf("%s: evaluated %d pruned %d skipped %d, want %d evaluated or pruned and %d skipped",
+						j.Name, ev, pr, sk, w[0], w[1]-w[0])
+				}
+				switch {
+				case j.Name == core.JobLSHRho && pr > distinct-within:
+					t.Fatalf("%s: pruned %d pairs, only %d co-bucketed ones lie at d_c or beyond", j.Name, pr, distinct-within)
+				case j.Name == core.JobLSHRho:
+					rhoPruned[rc.name] = pr
+				case pr != 0:
+					t.Fatalf("%s: pruned %d pairs, want none", j.Name, pr)
 				}
 			}
 			if seen != len(want) {
 				t.Fatalf("saw %d of the %d pair jobs", seen, len(want))
 			}
 		})
+	}
+	if rhoPruned["local"] == 0 || rhoPruned["local"] != rhoPruned["rpcmr"] {
+		t.Fatalf("ρ job pruned %v pairs per engine: want the same positive count on both", rhoPruned)
 	}
 }
