@@ -11,8 +11,9 @@ all: check
 # deleted target or binary), run the test suite, re-run the concurrency-heavy packages under
 # the race detector, fuzz the LSH key codec, the top-k sweep, the serving
 # engine's bucket sweep, the ρ-partial codec, the record frame, the ρ
-# reducers' runs-apart certificate, the HTTP point decoder and the shuffle
-# fetcher's response decoder for five seconds each, smoke
+# reducers' runs-apart certificate, the HTTP point decoder, the shuffle
+# fetcher's response decoder and the WAL record decoder for five seconds
+# each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, and compile + smoke the benchmark harness
 # (all five workloads, oracles checked).
@@ -63,9 +64,9 @@ race:
 # format read back by another job, and it, the aggregated ρ value and the
 # δ-job record carry the neighbour lists and layout masks LSH-DDP certifies
 # δ̂ from: the codec's contract again, for all three. The record
-# frame is the byte layout of spill run files, shuffle chunks and DFS parts:
-# both decoders on arbitrary bytes — error or pairs that re-encode to the
-# consumed prefix, the two in agreement, never a panic. The cutoff ρ
+# frame is the byte layout of shuffle chunks, DFS parts and model sections:
+# its decoder on arbitrary bytes — error or pairs that re-encode to the
+# consumed prefix, never a panic. The cutoff ρ
 # reducers prune run pairs that lie d_c apart on a floating-point bound: two
 # runs of arbitrary rows and a reach, and whenever they are called apart the
 # cutoff walk over every pair across them counts and lists nothing. The
@@ -74,7 +75,10 @@ race:
 # dimension, finite and in range, never a panic. The shuffle fetcher reads a
 # peer's raw-TCP response — status, chunk headers, error message: arbitrary
 # bytes give an error or exactly the pairs the chunks encode, never a panic,
-# and a length the bytes do not back never costs its allocation.
+# and a length the bytes do not back never costs its allocation. The WAL
+# record decoder faces whatever a segment holds after bit rot: arbitrary
+# payloads give an error or a record that re-encodes to exactly the payload,
+# never a panic — a count × dim that overflows included.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKSweep$$' -fuzztime 5s ./internal/kernels/
@@ -84,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRunsApart$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePoints$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzShuffleStream$$' -fuzztime 5s ./internal/mapreduce/rpcmr/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 5s ./internal/ingest/
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -255,42 +255,6 @@ func benchSum(_ *mapreduce.TaskContext, key string, values [][]byte, out mapredu
 	return nil
 }
 
-func BenchmarkShuffleSpill(b *testing.B) {
-	// The same job with and without spill-to-disk, to price the external
-	// sort.
-	input := make([]mapreduce.Pair, 5000)
-	for i := range input {
-		input[i] = mapreduce.Pair{Key: strconv.Itoa(i % 64), Value: make([]byte, 128)}
-	}
-	job := &mapreduce.Job{
-		Name: "bench-spill",
-		Map: func(_ *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
-			out.Emit(key, value)
-			return nil
-		},
-		Reduce: func(_ *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			out.Emit(key, []byte(strconv.Itoa(len(values))))
-			return nil
-		},
-	}
-	b.Run("in-memory", func(b *testing.B) {
-		eng := &mapreduce.LocalEngine{}
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(context.Background(), job, input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("spill-64k", func(b *testing.B) {
-		eng := &mapreduce.LocalEngine{SpillThresholdBytes: 64 << 10}
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(context.Background(), job, input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkWidthSolver(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := lsh.SolveWidth(0.99, 1.5, 3, 10); err != nil {

@@ -224,7 +224,7 @@ func TestDistributedKMeansOnCluster(t *testing.T) {
 	}()
 	ds := dataset.Blobs("kmr-rpc", 500, 3, 3, 400, 2, 13)
 	res, err := kmeansmr.Run(context.Background(), ds, kmeansmr.Config{
-		Engine: master, K: 3, MaxIter: 15, Tol: 1e-9, Seed: 1,
+		Engine: master, K: 3, MaxIter: 6, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -163,9 +163,6 @@ type Config struct {
 	Dc float64
 	// DcPercentile is the quantile for automatic d_c (default 0.02).
 	DcPercentile float64
-	// DcSamplePoints bounds the number of points the d_c job samples
-	// (default 450, ≈100k pair distances at the single reducer).
-	DcSamplePoints int
 	// Seed drives every randomized choice (sampling, LSH draws).
 	Seed int64
 	// Kernel selects the density estimator (cutoff by default; the
@@ -200,12 +197,9 @@ func (c *Config) DcPercentileOrDefault() float64 {
 	return 0.02
 }
 
-func (c *Config) samplePoints() int {
-	if c.DcSamplePoints > 0 {
-		return c.DcSamplePoints
-	}
-	return 450
-}
+// dcSamplePoints bounds the number of points the d_c job samples: ≈100k
+// pair distances at its single reducer.
+const dcSamplePoints = 450
 
 // InputPairs encodes a dataset as the key-value input of the first job of
 // every pipeline: one record per point, empty key, binary point value.
@@ -286,9 +280,9 @@ func DcSampleJob(conf mapreduce.Conf) *mapreduce.Job {
 }
 
 // ChooseDc runs the shared d_c preprocessing job as a one-node graph on s
-// unless cfg.Dc pins a value: it samples at most cfg.DcSamplePoints
-// points, computes all pairwise distances at a single reducer, and
-// returns the configured quantile (Section III-A's rule of thumb). Every
+// unless cfg.Dc pins a value: it samples at most dcSamplePoints points,
+// computes all pairwise distances at a single reducer, and returns the
+// configured quantile (Section III-A's rule of thumb). Every
 // algorithm package (Basic-DDP, LSH-DDP, EDDPC) calls this with its own
 // session so the job shows up in that pipeline's stats and trace.
 func ChooseDc(ctx context.Context, s *dag.Session, ds *points.Dataset, cfg *Config, input *dag.Dataset) (float64, error) {
@@ -296,8 +290,8 @@ func ChooseDc(ctx context.Context, s *dag.Session, ds *points.Dataset, cfg *Conf
 		return cfg.Dc, nil
 	}
 	frac := 1.0
-	if n := ds.N(); n > cfg.samplePoints() {
-		frac = float64(cfg.samplePoints()) / float64(n)
+	if n := ds.N(); n > dcSamplePoints {
+		frac = float64(dcSamplePoints) / float64(n)
 	}
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confSampleFrac, frac)

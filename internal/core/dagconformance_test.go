@@ -37,8 +37,8 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 
 	// Job 0: d_c sampling (cfg.Dc is 0 in these tests).
 	frac := 1.0
-	if n := ds.N(); n > cfg.samplePoints() {
-		frac = float64(cfg.samplePoints()) / float64(n)
+	if n := ds.N(); n > dcSamplePoints {
+		frac = float64(dcSamplePoints) / float64(n)
 	}
 	dcConf := mapreduce.Conf{}
 	dcConf.SetFloat(confSampleFrac, frac)

@@ -27,7 +27,7 @@ func TestSharedSessionStatsAreOwn(t *testing.T) {
 	engine := func() mapreduce.Engine { return &mapreduce.LocalEngine{Parallelism: 3} }
 
 	t.Run("session", func(t *testing.T) {
-		cfg := Config{Seed: 8, DcSamplePoints: 200}
+		cfg := Config{Seed: 8}
 		dcStats := func(sess *dag.Session, d *points.Dataset) Stats {
 			t.Helper()
 			start, mark := time.Now(), sess.Mark()

@@ -2,9 +2,9 @@
 // persists record sets ([]mapreduce.Pair) and data sets as DFS files, the
 // way Hadoop jobs stage inputs and outputs in HDFS. A part file is a plain
 // sequence of mapreduce record frames (mapreduce.AppendFrame /
-// DecodeFrames — the layout of spill run files and shuffle chunks), not
-// CSV, so arbitrary binary values — the point codecs — round-trip exactly
-// and every length read back is bounded by the bytes actually fetched.
+// DecodeFrames — the layout of shuffle chunks), not CSV, so arbitrary
+// binary values — the point codecs — round-trip exactly and every length
+// read back is bounded by the bytes actually fetched.
 //
 // Layout: a record set is stored as numbered part files under a directory
 // prefix ("path/part-00000", "path/part-00001", …), one part per shard,

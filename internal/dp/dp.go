@@ -47,14 +47,9 @@ const (
 // Options configures Compute.
 type Options struct {
 	Kernel Kernel
-	// TriangleFilter enables the pivot-based triangle-inequality filter for
-	// the cutoff-kernel ρ pass (Section II-A's optimization (1)): with
-	// r_i = d(p_i, pivot) precomputed, |r_i − r_j| ≥ d_c proves
-	// d_ij ≥ d_c without evaluating the distance.
-	TriangleFilter bool
 	// GridIndex accelerates the cutoff-kernel ρ pass with a uniform grid
-	// of cell side d_c (exact; near-linear on low-dimensional data; takes
-	// precedence over TriangleFilter; ignored above 6 dimensions).
+	// of cell side d_c (exact; near-linear on low-dimensional data; ignored
+	// above 6 dimensions).
 	GridIndex bool
 	// Counter, when non-nil, receives the number of full distance
 	// evaluations performed (the paper's computational-cost metric).
@@ -132,20 +127,8 @@ func computeRho(ds *points.Dataset, dc float64, opt Options, rho []float64) {
 			computeRhoGrid(ds, dc, opt, rho)
 			return
 		}
-		var pivotDist []float64
-		if opt.TriangleFilter {
-			pivot := ds.Points[0].Pos
-			pivotDist = make([]float64, n)
-			for i := 0; i < n; i++ {
-				pivotDist[i] = points.Dist(pivot, ds.Points[i].Pos)
-				count()
-			}
-		}
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				if pivotDist != nil && math.Abs(pivotDist[i]-pivotDist[j]) >= dc {
-					continue
-				}
 				d2 := points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos)
 				count()
 				if d2 < dc2 {

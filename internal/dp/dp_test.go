@@ -104,35 +104,6 @@ func TestComputeMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestTriangleFilterIsExact(t *testing.T) {
-	ds := randomSet(200, 4, 7)
-	dc := CutoffByPercentile(ds, 0.03, 7)
-	plain, err := Compute(ds, dc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered, err := Compute(ds, dc, Options{TriangleFilter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatches(t, filtered, plain, "triangle-filter")
-}
-
-func TestTriangleFilterSavesDistances(t *testing.T) {
-	ds := randomSet(400, 2, 9)
-	dc := CutoffByPercentile(ds, 0.01, 9)
-	var plainCount, filtCount int64
-	if _, err := Compute(ds, dc, Options{Counter: &plainCount}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compute(ds, dc, Options{TriangleFilter: true, Counter: &filtCount}); err != nil {
-		t.Fatal(err)
-	}
-	if filtCount >= plainCount {
-		t.Fatalf("triangle filter saved nothing: %d vs %d", filtCount, plainCount)
-	}
-}
-
 func TestGaussianKernelMatchesNaive(t *testing.T) {
 	ds := randomSet(120, 2, 11)
 	dc := CutoffByPercentile(ds, 0.05, 11)

@@ -25,9 +25,7 @@ import (
 //     map-side combiner.
 //  4. Blocking: shuffle volume of Basic-DDP's blocked ρ job vs the naive
 //     every-point-to-every-reducer strategy of Section III-A.
-//  5. Spill: the LSH ρ job with in-memory shuffle vs forced spill-to-disk
-//     external sort (identical output, bounded memory).
-//  6. Distance reuse: Section III's store-the-matrix alternative vs the
+//  5. Distance reuse: Section III's store-the-matrix alternative vs the
 //     paper's recomputation (see exp_reuse.go).
 func ExpAblation(opt Options) (*Report, error) {
 	r := &Report{
@@ -44,9 +42,6 @@ func ExpAblation(opt Options) (*Report, error) {
 		return nil, err
 	}
 	if err := ablateBlocking(&opt, r); err != nil {
-		return nil, err
-	}
-	if err := ablateSpill(&opt, r); err != nil {
 		return nil, err
 	}
 	if err := ablateDistanceReuse(&opt, r); err != nil {
@@ -309,47 +304,6 @@ func ablateBlocking(opt *Options, r *Report) error {
 	return nil
 }
 
-func ablateSpill(opt *Options, r *Report) error {
-	ds, err := opt.load("KDD")
-	if err != nil {
-		return err
-	}
-	ds.Points = ds.Points[:min(ds.N(), 4000)]
-	ds.Labels = nil
-	memEng := &mapreduce.LocalEngine{Parallelism: opt.Parallelism}
-	spillEng := &mapreduce.LocalEngine{Parallelism: opt.Parallelism, SpillThresholdBytes: 64 << 10}
-	dc := dp.CutoffByPercentile(ds, 0.02, opt.Seed)
-
-	conf := mapreduce.Conf{}
-	conf.SetFloat("ddp.dc", dc)
-	conf.SetInt("ddp.dim", ds.Dim())
-	conf.SetInt("ddp.lsh.m", 5)
-	conf.SetInt("ddp.lsh.pi", 3)
-	conf.SetFloat("ddp.lsh.w", dc*8)
-	conf.SetInt64("ddp.seed", opt.Seed)
-
-	memRes, err := memEng.Run(context.Background(), core.LSHRhoJob(conf.Clone()), core.InputPairs(ds))
-	if err != nil {
-		return err
-	}
-	spillRes, err := spillEng.Run(context.Background(), core.LSHRhoJob(conf.Clone()), core.InputPairs(ds))
-	if err != nil {
-		return err
-	}
-	// Record order within a key group may differ between the in-memory and
-	// the merged-run paths (both are valid shuffle orders); compare as
-	// multisets.
-	same := "identical"
-	if !samePairMultiset(memRes.Output, spillRes.Output) {
-		same = "OUTPUT MISMATCH"
-	}
-	r.AddRow("spill", "in-memory shuffle", "wall / spilled-runs",
-		fmt.Sprintf("%s / %d", fsec(memRes.Wall), memRes.Counters.Get(mapreduce.CtrSpilledRuns)))
-	r.AddRow("spill", "64KiB spill threshold", "wall / spilled-runs",
-		fmt.Sprintf("%s / %d (%s)", fsec(spillRes.Wall), spillRes.Counters.Get(mapreduce.CtrSpilledRuns), same))
-	return nil
-}
-
 func toSet(ids []int32) map[int32]bool {
 	s := make(map[int32]bool, len(ids))
 	for _, id := range ids {
@@ -366,24 +320,4 @@ func overlap(a, b map[int32]bool) int {
 		}
 	}
 	return n
-}
-
-// samePairMultiset reports whether two pair sets contain the same records
-// regardless of order.
-func samePairMultiset(a, b []mapreduce.Pair) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	counts := make(map[string]int, len(a))
-	for _, p := range a {
-		counts[p.Key+"\x00"+string(p.Value)]++
-	}
-	for _, p := range b {
-		k := p.Key + "\x00" + string(p.Value)
-		counts[k]--
-		if counts[k] < 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -82,14 +82,7 @@ func (w *wal) append(firstID int64, dim int, pts [][]float64) (int, error) {
 	w.buf = w.buf[:0]
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(payload))
 	w.buf = append(w.buf, 0, 0, 0, 0) // CRC backfilled below
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(pts)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(dim))
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(firstID))
-	for _, p := range pts {
-		for _, x := range p {
-			w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(x))
-		}
-	}
+	w.buf = appendWALPayload(w.buf, firstID, dim, pts)
 	binary.LittleEndian.PutUint32(w.buf[4:], crc32.Checksum(w.buf[walHeaderLen:], walCRC))
 	if _, err := w.f.Write(w.buf); err != nil {
 		return 0, err
@@ -100,6 +93,20 @@ func (w *wal) append(firstID int64, dim int, pts [][]float64) (int, error) {
 		}
 	}
 	return len(w.buf), nil
+}
+
+// appendWALPayload appends one record's payload: count, dim, first ID and
+// the coordinates row by row.
+func appendWALPayload(buf []byte, firstID int64, dim int, pts [][]float64) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pts)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(dim))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(firstID))
+	for _, p := range pts {
+		for _, x := range p {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		}
+	}
+	return buf
 }
 
 // roll closes the active segment and starts seq+1. Called by the
@@ -123,7 +130,7 @@ func (w *wal) close() error { return w.f.Close() }
 type walRecord struct {
 	firstID int64
 	dim     int
-	coords  []float64 // count×dim, row-major; aliases the segment read buffer
+	coords  []float64 // count×dim, row-major
 }
 
 func (r walRecord) count() int { return len(r.coords) / r.dim }
@@ -245,10 +252,13 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	count := int(binary.LittleEndian.Uint32(payload[0:]))
 	dim := int(binary.LittleEndian.Uint32(payload[4:]))
 	firstID := int64(binary.LittleEndian.Uint64(payload[8:]))
-	if dim <= 0 || count <= 0 || len(payload) != 16+count*dim*8 {
+	// count and dim are each up to 2³²−1, so their product can wrap: divide
+	// the coordinate count by them instead of multiplying.
+	n := (len(payload) - 16) / 8
+	if dim <= 0 || count <= 0 || (len(payload)-16)%8 != 0 || n%dim != 0 || n/dim != count {
 		return walRecord{}, fmt.Errorf("inconsistent record shape (count=%d dim=%d bytes=%d)", count, dim, len(payload))
 	}
-	coords := make([]float64, count*dim)
+	coords := make([]float64, n)
 	for i := range coords {
 		coords[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[16+i*8:]))
 	}

@@ -1,6 +1,9 @@
 package ingest
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"testing"
 
@@ -122,4 +125,33 @@ func TestWALMissingSegmentRefused(t *testing.T) {
 	if _, _, err := replayWAL(dir, 1, func(walRecord) error { return nil }); err == nil {
 		t.Fatal("replay across a missing WAL segment succeeded; want an error")
 	}
+}
+
+// FuzzWALRecord feeds arbitrary payloads to the record decoder — what a WAL
+// segment holds after bit rot the payload CRC happens to match, or after a
+// writer with a different idea of the layout. It must return an error or a
+// record that re-encodes to exactly the payload, and never panic; in
+// particular a count × dim product that overflows must not reach make.
+func FuzzWALRecord(f *testing.F) {
+	f.Add(appendWALPayload(nil, 7, 2, [][]float64{{1, 2}, {3, 4}}))
+	f.Add(appendWALPayload(nil, -1, 1, [][]float64{{math.NaN()}}))
+	f.Add([]byte{})
+	f.Add(make([]byte, 16))
+	// count = 2³¹, dim = 2³⁰: count·dim·8 wraps to 0, matching a bare header.
+	overflow := binary.LittleEndian.AppendUint32(nil, 1<<31)
+	overflow = binary.LittleEndian.AppendUint32(overflow, 1<<30)
+	f.Add(binary.LittleEndian.AppendUint64(overflow, 0))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := decodeWALRecord(payload)
+		if err != nil {
+			return
+		}
+		rows := make([][]float64, rec.count())
+		for i := range rows {
+			rows[i] = rec.coords[i*rec.dim : (i+1)*rec.dim]
+		}
+		if enc := appendWALPayload(nil, rec.firstID, rec.dim, rows); !bytes.Equal(enc, payload) {
+			t.Fatalf("decodeWALRecord(%x) = %d×%d from %d, re-encodes to %x", payload, rec.count(), rec.dim, rec.firstID, enc)
+		}
+	})
 }

@@ -37,17 +37,11 @@ type Config struct {
 	Engine mapreduce.Engine
 	// K is the number of clusters (required).
 	K int
-	// MaxIter bounds the iterations (default 100, the paper's setting).
+	// MaxIter is the number of iterations (default 100, the paper's fixed
+	// setting).
 	MaxIter int
-	// Tol stops early when no centroid moves more than Tol (0 disables
-	// early stopping, matching the paper's fixed 100 iterations).
-	Tol float64
 	// Seed drives the k-means++ style initialization.
 	Seed int64
-	// NumReduces is the reduce-task count; <=0 lets the engine decide.
-	NumReduces int
-	// Log, when non-nil, receives one line per iteration.
-	Log func(format string, args ...interface{})
 }
 
 // IterStats records one executed iteration.
@@ -96,7 +90,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 	if eng == nil {
 		eng = &mapreduce.LocalEngine{}
 	}
-	sess := dag.NewSession(eng, dag.Options{Log: cfg.Log})
+	sess := dag.NewSession(eng, dag.Options{})
 	input := sess.Stage("kmeans-points", core.InputPairs(ds))
 	centers := initialCenters(ds, cfg.K, cfg.Seed)
 	res := &Result{}
@@ -106,7 +100,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 		conf.SetInt(confK, cfg.K)
 		conf[confCentroids] = encodeCentroids(centers)
 		g := dag.NewGraph(fmt.Sprintf("kmeans-iter-%03d", it+1))
-		node := g.Job(IterateJob(conf).WithReduces(cfg.NumReduces), input)
+		node := g.Job(IterateJob(conf), input)
 		outs, err := sess.Run(ctx, g, node)
 		if err != nil {
 			return nil, fmt.Errorf("kmeansmr: iteration %d: %w", it, err)
@@ -135,12 +129,6 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 		res.Wall += st.Wall
 		res.ShuffleBytes += st.ShuffleBytes
 		res.Distances += st.Distances
-		if cfg.Log != nil {
-			cfg.Log("kmeans iter %3d  %8.3fs  maxMove=%.6g", st.Iteration, st.Wall.Seconds(), maxMove)
-		}
-		if cfg.Tol > 0 && maxMove <= cfg.Tol {
-			break
-		}
 	}
 	res.Dag = sess.Counters()
 

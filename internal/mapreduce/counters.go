@@ -23,8 +23,6 @@ const (
 	CtrReduceInputGroups   = "reduce.input.groups"
 	CtrReduceInputRecords  = "reduce.input.records"
 	CtrReduceOutputRecords = "reduce.output.records"
-	CtrSpilledRuns         = "spill.runs"
-	CtrSpilledBytes        = "spill.bytes"
 
 	// CtrShuffleWireBytes accounts the rpcmr streaming shuffle at the
 	// transport level, per remote fetch: the framed payload plus chunk

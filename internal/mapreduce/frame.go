@@ -1,25 +1,23 @@
 package mapreduce
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
 )
 
-// The record frame shared by the spill run files, the rpcmr streaming
-// shuffle transport and the DFS part files (internal/dfsio). One frame is
+// The record frame shared by the rpcmr streaming shuffle transport, the DFS
+// part files (internal/dfsio) and the model artifact (internal/model). One
+// frame is
 //
 //	uint32 keyLen | key bytes | uint32 valueLen | value bytes
 //
-// in little-endian. Keeping a single codec means bytes written by a map
-// task's spill path and bytes crossing the wire in a shuffle fetch are the
-// same layout, so wire-level accounting and disk accounting agree. Both
-// decoders treat a length prefix as a claim: DecodeFrames checks it against
-// the buffer it was handed, FrameReader allocates for it only as fast as the
-// stream delivers (ReadClaimed; FuzzFrameRoundTrip holds them to one
-// behaviour).
+// in little-endian. Keeping a single codec means a shuffle chunk, a DFS part
+// and a model section are the same layout. DecodeFrames treats a length
+// prefix as a claim and checks it against the buffer it was handed;
+// ReadClaimed, for prefixes read off a stream, allocates only as fast as the
+// stream delivers.
 
 // FrameOverhead is the fixed framing cost per record: the two uint32
 // length prefixes.
@@ -74,92 +72,6 @@ func DecodeFrames(dst []Pair, buf []byte) ([]Pair, error) {
 	return dst, nil
 }
 
-// FrameWriter frames pairs onto a stream through an internal buffer.
-type FrameWriter struct {
-	w *bufio.Writer
-	n int64
-}
-
-// NewFrameWriter wraps w. Call Flush before relying on the bytes having
-// reached w.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	bw, ok := w.(*bufio.Writer)
-	if !ok {
-		bw = bufio.NewWriterSize(w, 1<<16)
-	}
-	return &FrameWriter{w: bw}
-}
-
-// WritePair frames one pair.
-func (fw *FrameWriter) WritePair(p Pair) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(p.Key)))
-	if _, err := fw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := fw.w.WriteString(p.Key); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(p.Value)))
-	if _, err := fw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := fw.w.Write(p.Value); err != nil {
-		return err
-	}
-	fw.n += FrameBytes(p)
-	return nil
-}
-
-// Bytes returns the framed bytes written so far.
-func (fw *FrameWriter) Bytes() int64 { return fw.n }
-
-// Flush drains the internal buffer to the underlying writer.
-func (fw *FrameWriter) Flush() error { return fw.w.Flush() }
-
-// FrameReader decodes frames from a stream. Key bytes land in a grow-only
-// scratch buffer reused across records (the key becomes a string anyway);
-// each value is copied into a fresh slice because callers retain values.
-type FrameReader struct {
-	r   *bufio.Reader
-	key []byte
-}
-
-// NewFrameReader wraps r.
-func NewFrameReader(r io.Reader) *FrameReader {
-	br, ok := r.(*bufio.Reader)
-	if !ok {
-		br = bufio.NewReaderSize(r, 1<<16)
-	}
-	return &FrameReader{r: br}
-}
-
-// Next returns the next pair; ok=false on a clean EOF at a frame
-// boundary. EOF inside a frame is an error.
-func (fr *FrameReader) Next() (Pair, bool, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Pair{}, false, nil
-		}
-		return Pair{}, false, fmt.Errorf("mapreduce: truncated frame header: %w", err)
-	}
-	var err error
-	if fr.key, err = ReadClaimed(fr.r, fr.key, int(binary.LittleEndian.Uint32(hdr[:]))); err != nil {
-		return Pair{}, false, fmt.Errorf("mapreduce: truncated frame key: %w", err)
-	}
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-		return Pair{}, false, fmt.Errorf("mapreduce: truncated frame value length: %w", err)
-	}
-	var val []byte
-	if valLen := int(binary.LittleEndian.Uint32(hdr[:])); valLen > 0 {
-		if val, err = ReadClaimed(fr.r, nil, valLen); err != nil {
-			return Pair{}, false, fmt.Errorf("mapreduce: truncated frame value: %w", err)
-		}
-	}
-	return Pair{Key: string(fr.key), Value: val}, true, nil
-}
-
 // frameAllocStep is the most a length prefix makes ReadClaimed allocate
 // ahead of the bytes: past it the buffer doubles only as data arrives, so a
 // corrupt or hostile 4 GiB length costs 1 MiB and an error, not 4 GiB.
@@ -167,10 +79,9 @@ const frameAllocStep = 1 << 20
 
 // ReadClaimed returns the next n bytes of r, where n is a length prefix read
 // off the same stream — a claim, not a promise. The bytes land in buf's
-// storage when it is large enough. Up to frameAllocStep — every record and
-// shuffle chunk in practice — that is one exact allocation and one ReadFull,
-// the run iterator's hot path; past it allocation grows only as fast as the
-// stream delivers.
+// storage when it is large enough. Up to frameAllocStep — every shuffle
+// chunk in practice — that is one exact allocation and one ReadFull; past it
+// allocation grows only as fast as the stream delivers.
 func ReadClaimed(r io.Reader, buf []byte, n int) ([]byte, error) {
 	if n <= frameAllocStep {
 		if cap(buf) < n {

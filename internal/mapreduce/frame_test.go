@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"testing/quick"
 )
 
 func TestAppendDecodeFramesRoundTrip(t *testing.T) {
@@ -47,115 +46,59 @@ func TestDecodeFramesTruncated(t *testing.T) {
 	}
 }
 
-func TestFrameWriterReaderRoundTrip(t *testing.T) {
-	f := func(keys []string, vals [][]byte) bool {
-		n := len(keys)
-		if len(vals) < n {
-			n = len(vals)
-		}
-		var ps []Pair
-		for i := 0; i < n; i++ {
-			ps = append(ps, Pair{Key: keys[i], Value: vals[i]})
-		}
-		var buf bytes.Buffer
-		fw := NewFrameWriter(&buf)
-		for _, p := range ps {
-			if err := fw.WritePair(p); err != nil {
-				return false
-			}
-		}
-		if err := fw.Flush(); err != nil {
-			return false
-		}
-		fr := NewFrameReader(&buf)
-		var got []Pair
-		for {
-			p, ok, err := fr.Next()
-			if err != nil {
-				return false
-			}
-			if !ok {
-				break
-			}
-			got = append(got, p)
-		}
-		if len(got) != len(ps) {
-			return false
-		}
-		for i := range ps {
-			if got[i].Key != ps[i].Key || !bytes.Equal(got[i].Value, ps[i].Value) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// The writer, the append codec, and the decoder must agree byte for byte:
-// one frame layout, three entry points.
+// One frame layout for every producer and consumer: AppendFrame writes the
+// documented bytes, FrameBytes prices them and DecodeFrames reads them back.
 func TestFrameCodecsAgree(t *testing.T) {
 	ps := []Pair{{Key: "k1", Value: []byte("v1")}, {Key: "k2", Value: bytes.Repeat([]byte("x"), 100)}}
 	var appended []byte
+	var framed int64
 	for _, p := range ps {
 		appended = AppendFrame(appended, p)
+		framed += FrameBytes(p)
 	}
-	var buf bytes.Buffer
-	fw := NewFrameWriter(&buf)
-	for _, p := range ps {
-		if err := fw.WritePair(p); err != nil {
-			t.Fatal(err)
-		}
+	want := append([]byte{2, 0, 0, 0, 'k', '1', 2, 0, 0, 0, 'v', '1', 2, 0, 0, 0, 'k', '2', 100, 0, 0, 0},
+		bytes.Repeat([]byte("x"), 100)...)
+	if !bytes.Equal(appended, want) {
+		t.Fatalf("AppendFrame wrote %x, want %x", appended, want)
 	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(appended, buf.Bytes()) {
-		t.Fatal("AppendFrame and FrameWriter produce different bytes")
-	}
-	if fw.Bytes() != int64(len(appended)) {
-		t.Fatalf("FrameWriter.Bytes() = %d, want %d", fw.Bytes(), len(appended))
+	if framed != int64(len(appended)) {
+		t.Fatalf("FrameBytes sums to %d, want %d", framed, len(appended))
 	}
 	decoded, err := DecodeFrames(nil, appended)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Pair{{Key: "k1", Value: []byte("v1")}, {Key: "k2", Value: bytes.Repeat([]byte("x"), 100)}}
-	if !reflect.DeepEqual(decoded, want) {
+	if !reflect.DeepEqual(decoded, ps) {
 		t.Fatalf("decoded %+v", decoded)
 	}
 }
 
 // A length prefix the stream does not back must cost an error, not the
-// announced allocation: run files come off disk and shuffle streams from
-// other machines.
-func TestFrameReaderBoundsAllocation(t *testing.T) {
-	for _, data := range [][]byte{
-		{0xFF, 0xFF, 0xFF, 0xFF, 1},
-		{1, 0, 0, 0, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 1},
-	} {
+// announced allocation: shuffle streams come from other machines.
+func TestReadClaimedBoundsAllocation(t *testing.T) {
+	for _, n := range []int{frameAllocStep + 1, 1<<32 - 1} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err := NewFrameReader(bytes.NewReader(data)).Next()
+		_, err := ReadClaimed(bytes.NewReader([]byte{1}), nil, n)
 		runtime.ReadMemStats(&after)
 		if err == nil {
-			t.Fatalf("no error reading %x", data)
+			t.Fatalf("no error reading %d claimed bytes from a 1-byte stream", n)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*frameAllocStep {
-			t.Fatalf("rejecting %x allocated %d bytes", data, grew)
+			t.Fatalf("rejecting a %d-byte claim allocated %d bytes", n, grew)
 		}
+	}
+	got, err := ReadClaimed(bytes.NewReader([]byte("abcdef")), make([]byte, 0, 8), 4)
+	if err != nil || string(got) != "abcd" {
+		t.Fatalf("ReadClaimed(4) = %q, %v", got, err)
 	}
 }
 
-// FuzzFrameRoundTrip feeds arbitrary bytes — what a corrupt run file, a
-// hostile shuffle peer or a damaged DFS part looks like — to both decoders.
-// Each must return an error or pairs and never panic; the pairs decoded
-// before the error (or all of them) must re-encode with AppendFrame to
-// exactly the prefix of the input they were read from; and the two decoders
-// must agree. (TestFrameReaderBoundsAllocation covers what a bad length may
-// cost in memory.)
+// FuzzFrameRoundTrip feeds arbitrary bytes — what a hostile shuffle peer or
+// a damaged DFS part looks like — to DecodeFrames. It must return an error
+// or pairs and never panic, and the pairs decoded before the error (or all
+// of them) must re-encode with AppendFrame to exactly the prefix of the
+// input they were read from.
 func FuzzFrameRoundTrip(f *testing.F) {
 	one := AppendFrame(nil, Pair{Key: "key", Value: []byte("value")})
 	f.Add([]byte{})
@@ -169,32 +112,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})
 	f.Add([]byte{1, 0, 0, 0, 'k', 0xFF, 0xFF, 0xFF, 0xFF, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		encode := func(ps []Pair) []byte {
-			var out []byte
-			for _, p := range ps {
-				out = AppendFrame(out, p)
-			}
-			return out
-		}
 		decoded, decErr := DecodeFrames(nil, append([]byte(nil), data...))
-		if enc := encode(decoded); !bytes.HasPrefix(data, enc) || (decErr == nil && len(enc) != len(data)) {
+		var enc []byte
+		for _, p := range decoded {
+			enc = AppendFrame(enc, p)
+		}
+		if !bytes.HasPrefix(data, enc) || (decErr == nil && len(enc) != len(data)) {
 			t.Fatalf("DecodeFrames(%x) = %v, %v: re-encodes to %x", data, decoded, decErr, enc)
-		}
-		var streamed []Pair
-		var readErr error
-		for fr := NewFrameReader(bytes.NewReader(data)); ; {
-			p, ok, err := fr.Next()
-			if err != nil || !ok {
-				readErr = err
-				break
-			}
-			streamed = append(streamed, p)
-		}
-		if (decErr == nil) != (readErr == nil) {
-			t.Fatalf("on %x DecodeFrames says %v, FrameReader says %v", data, decErr, readErr)
-		}
-		if !bytes.Equal(encode(streamed), encode(decoded)) {
-			t.Fatalf("on %x DecodeFrames read %v, FrameReader read %v", data, decoded, streamed)
 		}
 	})
 }

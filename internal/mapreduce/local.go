@@ -3,8 +3,6 @@ package mapreduce
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
@@ -60,16 +58,6 @@ type LocalEngine struct {
 	// Parallelism bounds concurrent map and reduce tasks.
 	// <=0 means runtime.NumCPU().
 	Parallelism int
-	// SpillThresholdBytes triggers map-side spills to sorted run files once
-	// a task buffers this many intermediate bytes. 0 disables spilling.
-	SpillThresholdBytes int64
-	// TempDir hosts spill files; "" means os.TempDir().
-	TempDir string
-	// MonitorInterval, when >0 and Events is set, emits periodic counter
-	// snapshots (records/s, shuffle MB/s) while a job runs.
-	MonitorInterval time.Duration
-	// Events receives scheduler and progress events; nil discards them.
-	Events obs.Sink
 }
 
 func (e *LocalEngine) parallelism() int {
@@ -79,79 +67,35 @@ func (e *LocalEngine) parallelism() int {
 	return runtime.NumCPU()
 }
 
-// taskEmitter buffers map output per partition and spills when over
-// threshold. Not safe for concurrent use; each map task owns one.
-// Alongside the data it accumulates the per-phase wall times and volumes
-// that become the task's trace spans.
+// taskEmitter buffers map output per partition. Not safe for concurrent
+// use; each map task owns one. Alongside the data it accumulates the
+// per-phase wall times and volumes that become the task's trace spans.
 type taskEmitter struct {
-	spill       Spill
 	job         *Job
 	ctx         *TaskContext
 	part        PartitionFunc
 	nReduce     int
 	buf         [][]Pair
-	buffered    int64
-	runs        [][]string
-	spillSeq    int
 	sortScratch []Pair // merge buffer reused across partition sorts
-	err         error
 
 	outRecords int64
 
 	// Phase accounting for the task's trace spans.
 	combineWall    time.Duration
 	sortWall       time.Duration
-	spillWall      time.Duration
 	combineIn      int64
 	shuffleRecords int64
 	shuffleBytes   int64
 }
 
 func (t *taskEmitter) Emit(key string, value []byte) {
-	if t.err != nil {
-		return
-	}
 	p := t.part(key, t.nReduce)
-	pair := Pair{Key: key, Value: value}
-	t.buf[p] = append(t.buf[p], pair)
-	t.buffered += pairBytes(pair)
+	t.buf[p] = append(t.buf[p], Pair{Key: key, Value: value})
 	t.outRecords++
-	if t.spill.ThresholdBytes > 0 && t.buffered >= t.spill.ThresholdBytes {
-		t.err = t.spillBuffers()
-	}
-}
-
-// spillBuffers combines (if configured), sorts, and writes every non-empty
-// partition buffer as a run file, then resets the buffers.
-func (t *taskEmitter) spillBuffers() error {
-	for p := range t.buf {
-		if len(t.buf[p]) == 0 {
-			continue
-		}
-		ps, err := t.finishPartition(p)
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(t.spill.Dir, fmt.Sprintf("spill-%s-m%d-p%d-%d.run", sanitize(t.job.Name), t.ctx.TaskID, p, t.spillSeq))
-		t.spillSeq++
-		w0 := time.Now()
-		n, err := writeRun(path, ps)
-		t.spillWall += time.Since(w0)
-		if err != nil {
-			return fmt.Errorf("mapreduce: spill: %w", err)
-		}
-		t.ctx.Counters.Add(CtrSpilledRuns, 1)
-		t.ctx.Counters.Add(CtrSpilledBytes, n)
-		t.countShuffle(ps)
-		t.runs[p] = append(t.runs[p], path)
-		t.buf[p] = nil
-	}
-	t.buffered = 0
-	return nil
 }
 
 // finishPartition sorts (and combines) one partition buffer, returning the
-// shuffle-ready pairs. The buffer is left untouched; callers reset it.
+// shuffle-ready pairs.
 func (t *taskEmitter) finishPartition(p int) ([]Pair, error) {
 	ps := t.buf[p]
 	s0 := time.Now()
@@ -175,23 +119,9 @@ func (t *taskEmitter) finishPartition(p int) ([]Pair, error) {
 	return combined, nil
 }
 
-func (t *taskEmitter) countShuffle(ps []Pair) {
-	var bytes int64
-	for _, p := range ps {
-		bytes += pairBytes(p)
-	}
-	t.ctx.Counters.Add(CtrShuffleBytes, bytes)
-	t.ctx.Counters.Add(CtrShuffleRecords, int64(len(ps)))
-	t.shuffleBytes += bytes
-	t.shuffleRecords += int64(len(ps))
-}
-
-// close finalizes remaining buffers into sorted in-memory partitions.
-func (t *taskEmitter) close() (*MapOutput, error) {
-	if t.err != nil {
-		return nil, t.err
-	}
-	out := &MapOutput{Mem: make([][]Pair, t.nReduce), Runs: t.runs}
+// close finalizes the buffers into sorted in-memory partitions.
+func (t *taskEmitter) close() ([][]Pair, error) {
+	out := make([][]Pair, t.nReduce)
 	for p := range t.buf {
 		if len(t.buf[p]) == 0 {
 			continue
@@ -200,24 +130,28 @@ func (t *taskEmitter) close() (*MapOutput, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.countShuffle(ps)
-		out.Mem[p] = ps
-		t.buf[p] = nil
+		bytes := PairsBytes(ps)
+		t.ctx.Counters.Add(CtrShuffleBytes, bytes)
+		t.ctx.Counters.Add(CtrShuffleRecords, int64(len(ps)))
+		t.shuffleBytes += bytes
+		t.shuffleRecords += int64(len(ps))
+		out[p] = ps
 	}
 	return out, nil
 }
 
 // taskSpans converts the accumulated phase accounting into this map
 // task's trace spans. The map span is charged the task wall MINUS the
-// combine/sort/spill time, so a job's phase walls partition its task
-// walls instead of double-counting. The shuffle span's Bytes field is the
-// post-combine volume — summing it over a job's shuffle spans reproduces
-// CtrShuffleBytes exactly (the trace invariant the conformance test
-// asserts). Span counts are a pure function of job shape: map + sort +
-// shuffle, plus combine when a combiner is configured.
+// combine/sort time, so a job's phase walls partition its task walls
+// instead of double-counting. The shuffle span carries the post-combine
+// volume and no wall (partitions are handed over in memory) — summing its
+// Bytes over a job's shuffle spans reproduces CtrShuffleBytes exactly (the
+// trace invariant the conformance test asserts). Span counts are a pure
+// function of job shape: map + sort + shuffle, plus combine when a combiner
+// is configured.
 func (t *taskEmitter) taskSpans(start time.Time, wall time.Duration, inRecords int64) []obs.Span {
 	base := obs.Span{Job: t.job.Name, Task: t.ctx.TaskID, Start: start}
-	mapWall := wall - t.combineWall - t.sortWall - t.spillWall
+	mapWall := wall - t.combineWall - t.sortWall
 	if mapWall < 0 {
 		mapWall = 0
 	}
@@ -234,7 +168,7 @@ func (t *taskEmitter) taskSpans(start time.Time, wall time.Duration, inRecords i
 	s.Phase, s.Wall = obs.PhaseSort, t.sortWall
 	spans = append(spans, s)
 	sh := base
-	sh.Phase, sh.Wall = obs.PhaseShuffle, t.spillWall
+	sh.Phase = obs.PhaseShuffle
 	sh.Records, sh.Bytes = t.shuffleRecords, t.shuffleBytes
 	spans = append(spans, sh)
 	return spans
@@ -267,28 +201,14 @@ func (e *LocalEngine) Run(ctx context.Context, job *Job, input []Pair) (*Result,
 	if nReduce <= 0 {
 		nReduce = workers
 	}
-
 	counters := NewCounters()
-	if e.MonitorInterval > 0 && e.Events != nil {
-		mon := obs.StartMonitor(job.Name, e.MonitorInterval, counters.Snapshot, e.Events)
-		defer mon.Stop()
-	}
-	var spill Spill
-	if e.SpillThresholdBytes > 0 {
-		dir, err := os.MkdirTemp(e.TempDir, "mr-"+sanitize(job.Name)+"-")
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: temp dir: %w", err)
-		}
-		spill = Spill{ThresholdBytes: e.SpillThresholdBytes, Dir: dir}
-		defer os.RemoveAll(dir)
-	}
 
 	// ---- Map phase ----
 	splits := SplitInput(input, nMaps)
-	mapOuts := make([]*MapOutput, len(splits))
+	mapOuts := make([][][]Pair, len(splits)) // map task → partition → pairs
 	mapSpans := make([][]obs.Span, len(splits))
 	err := runParallelCtx(ctx, len(splits), workers, func(ti int) (err error) {
-		mapOuts[ti], mapSpans[ti], err = ExecuteMapTask(job, ti, nReduce, splits[ti], spill, counters)
+		mapOuts[ti], mapSpans[ti], err = ExecuteMapTask(job, ti, nReduce, splits[ti], counters)
 		return err
 	})
 	if err != nil {
@@ -302,8 +222,8 @@ func (e *LocalEngine) Run(ctx context.Context, job *Job, input []Pair) (*Result,
 	var output []Pair
 	if job.Reduce == nil {
 		// Map-only job: concatenate map outputs in task order.
-		for _, mo := range mapOuts {
-			for _, ps := range mo.Mem {
+		for _, parts := range mapOuts {
+			for _, ps := range parts {
 				output = append(output, ps...)
 			}
 		}
@@ -313,11 +233,10 @@ func (e *LocalEngine) Run(ctx context.Context, job *Job, input []Pair) (*Result,
 		reduceSpans := make([][]obs.Span, nReduce)
 		err = runParallelCtx(ctx, nReduce, workers, func(r int) (err error) {
 			sorted := make([][]Pair, len(mapOuts))
-			runs := make([][]string, len(mapOuts))
-			for t, mo := range mapOuts {
-				sorted[t], runs[t] = mo.Mem[r], mo.Runs[r]
+			for t, parts := range mapOuts {
+				sorted[t] = parts[r]
 			}
-			reduceOuts[r], reduceSpans[r], err = ExecuteReduceTask(job, r, nReduce, sorted, runs, counters)
+			reduceOuts[r], reduceSpans[r], err = ExecuteReduceTask(job, r, nReduce, sorted, counters)
 			return err
 		})
 		if err != nil {
@@ -420,19 +339,4 @@ dispatch:
 		return err
 	}
 	return firstErr
-}
-
-// sanitize makes a job name safe for file names.
-func sanitize(name string) string {
-	out := make([]byte, 0, len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_':
-			out = append(out, c)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
 }

@@ -131,19 +131,16 @@ func TestMapOnlyJob(t *testing.T) {
 			return nil
 		},
 	}
-	// A spill threshold changes nothing: a map-only task's output is the
-	// job's result, so it stays in memory.
-	for _, eng := range []*LocalEngine{{Parallelism: 3}, {Parallelism: 3, SpillThresholdBytes: 1, TempDir: t.TempDir()}} {
-		res, err := eng.Run(context.Background(), job, lines("a", "b", "c"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Output) != 3 {
-			t.Fatalf("map-only output = %v", res.Output)
-		}
-		if res.Counters.Get(CtrReduceInputGroups) != 0 {
-			t.Fatal("map-only job ran reducers")
-		}
+	eng := &LocalEngine{Parallelism: 3}
+	res, err := eng.Run(context.Background(), job, lines("a", "b", "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Output) != 3 {
+		t.Fatalf("map-only output = %v", res.Output)
+	}
+	if res.Counters.Get(CtrReduceInputGroups) != 0 {
+		t.Fatal("map-only job ran reducers")
 	}
 }
 

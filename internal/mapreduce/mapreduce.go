@@ -1,8 +1,8 @@
 // Package mapreduce is a from-scratch MapReduce framework: typed jobs with
 // user Map / Combine / Reduce functions, a hash-partitioned sort/group
-// shuffle, byte-accurate cost counters, an optional spill-to-disk external
-// merge sort, and a parallel in-process engine. A companion package
-// (rpcmr) runs the same jobs on a real master/worker cluster over net/rpc.
+// shuffle held in memory, byte-accurate cost counters, and a parallel
+// in-process engine. A companion package (rpcmr) runs the same jobs on a
+// real master/worker cluster over net/rpc.
 //
 // The layering is Engine → dag.Session → pipeline. An Engine runs one job
 // (Run); LocalEngine and rpcmr.Master are the two, and both split input with

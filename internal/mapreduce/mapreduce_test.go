@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -105,67 +106,59 @@ func TestCountersMergeAndSnapshot(t *testing.T) {
 func TestExecuteTaskParityWithEngine(t *testing.T) {
 	// The exported task-level functions (the one task body of both
 	// engines) driven by hand must produce the same result as the local
-	// engine driving them, in memory and spilling.
+	// engine driving them.
 	input := lines("p q p", "r p q", "q q")
 	// Same reduce count on both paths so span counts are comparable (the
 	// engine defaults NumReduces to its parallelism).
 	nReduce := 2
-	for _, threshold := range []int64{0, 4} {
-		eng := &LocalEngine{Parallelism: 2, SpillThresholdBytes: threshold, TempDir: t.TempDir()}
-		engineRes, err := eng.Run(context.Background(), wordcount(), input)
+	eng := &LocalEngine{Parallelism: 2}
+	engineRes, err := eng.Run(context.Background(), wordcount(), input)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	counters := NewCounters()
+	splits := SplitInput(input, 2)
+	perTask := make([][][]Pair, len(splits))
+	var spanCount int
+	for ti, split := range splits {
+		out, spans, err := ExecuteMapTask(wordcount(), ti, nReduce, split, counters)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spilled := engineRes.Counters.Get(CtrSpilledRuns) > 0; spilled != (threshold > 0) {
-			t.Fatalf("threshold %d: spilled = %v", threshold, spilled)
+		perTask[ti] = out
+		spanCount += len(spans)
+	}
+	var manual []Pair
+	for r := 0; r < nReduce; r++ {
+		var sorted [][]Pair
+		for _, parts := range perTask {
+			sorted = append(sorted, parts[r])
 		}
-
-		counters := NewCounters()
-		spill := Spill{ThresholdBytes: threshold, Dir: t.TempDir()}
-		splits := SplitInput(input, 2)
-		perTask := make([]*MapOutput, len(splits))
-		var spanCount int
-		for ti, split := range splits {
-			out, spans, err := ExecuteMapTask(wordcount(), ti, nReduce, split, spill, counters)
-			if err != nil {
-				t.Fatal(err)
-			}
-			perTask[ti] = out
-			spanCount += len(spans)
+		out, spans, err := ExecuteReduceTask(wordcount(), r, nReduce, sorted, counters)
+		if err != nil {
+			t.Fatal(err)
 		}
-		var manual []Pair
-		for r := 0; r < nReduce; r++ {
-			var sorted [][]Pair
-			var runs [][]string
-			for _, mo := range perTask {
-				sorted = append(sorted, mo.Mem[r])
-				runs = append(runs, mo.Runs[r])
-			}
-			out, spans, err := ExecuteReduceTask(wordcount(), r, nReduce, sorted, runs, counters)
-			if err != nil {
-				t.Fatal(err)
-			}
-			manual = append(manual, out...)
-			spanCount += len(spans)
-		}
-		if engineSpans := len(engineRes.Trace.Spans); spanCount != engineSpans {
-			t.Fatalf("threshold %d: task-level spans %d != engine spans %d", threshold, spanCount, engineSpans)
-		}
-		if !samePairs(engineRes.Output, manual) {
-			t.Fatalf("threshold %d: task-level result %v differs from engine %v", threshold, manual, engineRes.Output)
-		}
-		if counters.Get(CtrShuffleBytes) != engineRes.Counters.Get(CtrShuffleBytes) {
-			t.Fatalf("threshold %d: shuffle bytes differ: %d vs %d", threshold,
-				counters.Get(CtrShuffleBytes), engineRes.Counters.Get(CtrShuffleBytes))
-		}
+		manual = append(manual, out...)
+		spanCount += len(spans)
+	}
+	if engineSpans := len(engineRes.Trace.Spans); spanCount != engineSpans {
+		t.Fatalf("task-level spans %d != engine spans %d", spanCount, engineSpans)
+	}
+	if !reflect.DeepEqual(engineRes.Output, manual) {
+		t.Fatalf("task-level result %v differs from engine %v", manual, engineRes.Output)
+	}
+	if counters.Get(CtrShuffleBytes) != engineRes.Counters.Get(CtrShuffleBytes) {
+		t.Fatalf("shuffle bytes differ: %d vs %d",
+			counters.Get(CtrShuffleBytes), engineRes.Counters.Get(CtrShuffleBytes))
 	}
 }
 
 func TestExecuteMapTaskValidation(t *testing.T) {
-	if _, _, err := ExecuteMapTask(wordcount(), 0, 0, nil, Spill{}, NewCounters()); err == nil {
+	if _, _, err := ExecuteMapTask(wordcount(), 0, 0, nil, NewCounters()); err == nil {
 		t.Fatal("want error for zero reduce partitions")
 	}
-	if _, _, err := ExecuteMapTask(&Job{Name: "x"}, 0, 1, nil, Spill{}, NewCounters()); err == nil {
+	if _, _, err := ExecuteMapTask(&Job{Name: "x"}, 0, 1, nil, NewCounters()); err == nil {
 		t.Fatal("want error for invalid job")
 	}
 }
@@ -178,7 +171,7 @@ func TestExecuteReduceTaskMapOnly(t *testing.T) {
 			return nil
 		},
 	}
-	out, spans, err := ExecuteReduceTask(job, 0, 1, [][]Pair{{{Key: "k", Value: []byte("v")}}}, nil, NewCounters())
+	out, spans, err := ExecuteReduceTask(job, 0, 1, [][]Pair{{{Key: "k", Value: []byte("v")}}}, NewCounters())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package rpcmr
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strconv"
@@ -54,7 +55,27 @@ func init() {
 			Reduce: sumReduce,
 		}
 	})
+	RegisterJob("arrival", arrivalJob)
 	RegisterJobs(core.JobFactories())
+}
+
+// arrivalJob sends every record to one key of one reducer, which joins the
+// values in the order it received them.
+func arrivalJob(conf mapreduce.Conf) *mapreduce.Job {
+	return &mapreduce.Job{
+		Name:       "arrival",
+		Conf:       conf,
+		NumMaps:    3,
+		NumReduces: 1,
+		Map: func(_ *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
+			out.Emit("k", value)
+			return nil
+		},
+		Reduce: func(_ *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
+			out.Emit(key, bytes.Join(values, []byte(" ")))
+			return nil
+		},
+	}
 }
 
 // startCluster boots a master and n workers on loopback.
@@ -152,6 +173,38 @@ func TestClusterMatchesLocalEngine(t *testing.T) {
 	for k, v := range l {
 		if d[k] != v {
 			t.Fatalf("key %q: distributed %q, local %q", k, d[k], v)
+		}
+	}
+}
+
+// The order values reach a reducer is part of the engine contract: map task
+// t's values in emission order, then task t+1's. A reducer that folds floats
+// or keeps the first of several ties depends on it, so both engines must
+// deliver the same order at any parallelism.
+func TestReduceSeesMapTaskOrder(t *testing.T) {
+	// 3 map tasks × 7 records, all under one key.
+	var input []mapreduce.Pair
+	for task := 0; task < 3; task++ {
+		for i := 0; i < 7; i++ {
+			input = append(input, mapreduce.Pair{Value: []byte(fmt.Sprintf("%c%d", 'a'+task, i))})
+		}
+	}
+	const golden = "a0 a1 a2 a3 a4 a5 a6 b0 b1 b2 b3 b4 b5 b6 c0 c1 c2 c3 c4 c5 c6"
+	master, _ := startCluster(t, 3)
+	for _, rc := range []struct {
+		name   string
+		engine mapreduce.Engine
+	}{
+		{"local-1", &mapreduce.LocalEngine{Parallelism: 1}},
+		{"local-3", &mapreduce.LocalEngine{Parallelism: 3}},
+		{"rpcmr-3", master},
+	} {
+		res, err := rc.engine.Run(context.Background(), arrivalJob(nil), input)
+		if err != nil {
+			t.Fatalf("%s: %v", rc.name, err)
+		}
+		if len(res.Output) != 1 || string(res.Output[0].Value) != golden {
+			t.Fatalf("%s: reducer saw %q, want %q", rc.name, res.Output, golden)
 		}
 	}
 }

@@ -240,15 +240,14 @@ func (w *Worker) runMap(task *GetTaskReply) {
 		}
 	}
 	counters := mapreduce.NewCounters()
-	// No spilling here: partitions are served to reducers from memory.
-	out, spans, err := mapreduce.ExecuteMapTask(job, task.TaskID, task.NumReduces, records, mapreduce.Spill{}, counters)
+	out, spans, err := mapreduce.ExecuteMapTask(job, task.TaskID, task.NumReduces, records, counters)
 	if err != nil {
 		args.Err = err.Error()
 		w.report(args)
 		return
 	}
 	w.mu.Lock()
-	w.store[storeKey{jobID: task.JobID, mapTask: task.TaskID}] = out.Mem
+	w.store[storeKey{jobID: task.JobID, mapTask: task.TaskID}] = out
 	w.mu.Unlock()
 	args.Counters = counters.Snapshot()
 	args.Spans = w.tagSpans(spans, task.JobID)
@@ -282,7 +281,7 @@ func (w *Worker) runReduce(task *GetTaskReply) {
 		counters.Add(mapreduce.CtrShuffleWireBytes, wire)
 		counters.Add(mapreduce.CtrShuffleWireBytesCompressed, wire)
 	}
-	out, spans, err := mapreduce.ExecuteReduceTask(job, task.TaskID, task.NumReduces, sorted, nil, counters)
+	out, spans, err := mapreduce.ExecuteReduceTask(job, task.TaskID, task.NumReduces, sorted, counters)
 	if err != nil {
 		args.Err = err.Error()
 		w.report(args)

@@ -1,5 +1,7 @@
 package mapreduce
 
+import "container/heap"
+
 // sortPairs orders pairs by key. The sort is stable so that values under
 // one key keep their emission order — several jobs rely on deterministic
 // value order for reproducible output.
@@ -99,6 +101,73 @@ func forEachGroup(ps []Pair, fn func(key string, values [][]byte) error) error {
 			return err
 		}
 		i = j
+	}
+	return nil
+}
+
+// mergeHead is one source's unmerged remainder in the k-way merge; never
+// empty while on the heap.
+type mergeHead struct {
+	rest []Pair
+	src  int
+}
+
+// mergeHeap orders heads by key. Ties break by source index so the merge is
+// deterministic.
+type mergeHeap []mergeHead
+
+func (h mergeHeap) Len() int { return len(h) }
+func (h mergeHeap) Less(i, j int) bool {
+	if ki, kj := h[i].rest[0].Key, h[j].rest[0].Key; ki != kj {
+		return ki < kj
+	}
+	return h[i].src < h[j].src
+}
+func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeHead)) }
+func (h *mergeHeap) Pop() any {
+	old := *h
+	n := len(old)
+	x := old[n-1]
+	*h = old[:n-1]
+	return x
+}
+
+// mergeGroups performs a k-way merge over key-sorted sources and invokes fn
+// once per distinct key with all its values, in key order: source 0's values
+// first, each source's in its own order. Each group gets a fresh values
+// slice, since reducers commonly retain it.
+func mergeGroups(srcs [][]Pair, fn func(key string, values [][]byte) error) error {
+	h := make(mergeHeap, 0, len(srcs))
+	for i, ps := range srcs {
+		if len(ps) > 0 {
+			h = append(h, mergeHead{rest: ps, src: i})
+		}
+	}
+	heap.Init(&h)
+	var (
+		curKey  string
+		curVals [][]byte
+	)
+	for h.Len() > 0 {
+		head := &h[0]
+		p := head.rest[0]
+		if curVals != nil && p.Key != curKey {
+			if err := fn(curKey, curVals); err != nil {
+				return err
+			}
+			curVals = nil
+		}
+		curKey = p.Key
+		curVals = append(curVals, p.Value)
+		if head.rest = head.rest[1:]; len(head.rest) > 0 {
+			heap.Fix(&h, 0)
+		} else {
+			heap.Pop(&h)
+		}
+	}
+	if curVals != nil {
+		return fn(curKey, curVals)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -89,6 +90,40 @@ func TestSortPairsAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("sortPairsScratch with warm scratch: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestMergeGroupsOrdersAndGroups: the reduce-side merge visits keys in order,
+// once each, with a key's values source by source and each source's in its
+// own order; empty sources and a reducer error are handled.
+func TestMergeGroupsOrdersAndGroups(t *testing.T) {
+	srcs := [][]Pair{
+		{{Key: "a", Value: []byte("1")}, {Key: "a", Value: []byte("2")}, {Key: "c", Value: []byte("3")}},
+		nil,
+		{{Key: "a", Value: []byte("4")}, {Key: "b", Value: []byte("5")}},
+		{{Key: "c", Value: []byte("6")}},
+	}
+	var groups []string
+	err := mergeGroups(srcs, func(key string, values [][]byte) error {
+		groups = append(groups, key+"="+string(bytes.Join(values, []byte(","))))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(groups); got != "[a=1,2,4 b=5 c=3,6]" {
+		t.Fatalf("groups = %s", got)
+	}
+	if err := mergeGroups(nil, func(string, [][]byte) error { return fmt.Errorf("called") }); err != nil {
+		t.Fatalf("no sources: %v", err)
+	}
+	calls := 0
+	err = mergeGroups(srcs, func(key string, _ [][]byte) error {
+		calls++
+		return fmt.Errorf("stop at %s", key)
+	})
+	if err == nil || err.Error() != "stop at a" || calls != 1 {
+		t.Fatalf("reducer error: err=%v after %d calls", err, calls)
 	}
 }
 

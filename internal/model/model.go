@@ -14,8 +14,8 @@
 //
 // On disk an artifact is a fixed header (magic, format version, CRC32-C of
 // the body, body length) followed by the body: named sections in the same
-// length-prefixed frame layout the shuffle spill files and the streaming
-// transport use (mapreduce.AppendFrame / DecodeFrames). Readers verify the
+// length-prefixed frame layout the streaming shuffle transport uses
+// (mapreduce.AppendFrame / DecodeFrames). Readers verify the
 // checksum before touching the body and reject unknown format versions, so
 // a truncated or bit-flipped artifact surfaces as an error, never as a
 // silently wrong model. Unknown section names are skipped for forward

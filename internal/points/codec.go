@@ -59,18 +59,6 @@ func DecodePoint(buf []byte) (Point, []byte, error) {
 	return Point{ID: id, Pos: pos}, buf[8*dim:], nil
 }
 
-// MustDecodePoint is DecodePoint for trusted intra-job data.
-func MustDecodePoint(buf []byte) Point {
-	p, rest, err := DecodePoint(buf)
-	if err != nil {
-		panic(err)
-	}
-	if len(rest) != 0 {
-		panic(fmt.Sprintf("points: %d trailing bytes after point", len(rest)))
-	}
-	return p
-}
-
 // RhoPoint is a point annotated with its (approximate) local density —
 // the record shuffled into the δ jobs of every distributed algorithm here.
 type RhoPoint struct {
@@ -98,18 +86,6 @@ func DecodeRhoPoint(buf []byte) (RhoPoint, []byte, error) {
 	}
 	rho := math.Float64frombits(binary.LittleEndian.Uint64(rest))
 	return RhoPoint{Point: p, Rho: rho}, rest[8:], nil
-}
-
-// MustDecodeRhoPoint is DecodeRhoPoint for trusted intra-job data.
-func MustDecodeRhoPoint(buf []byte) RhoPoint {
-	rp, rest, err := DecodeRhoPoint(buf)
-	if err != nil {
-		panic(err)
-	}
-	if len(rest) != 0 {
-		panic(fmt.Sprintf("points: %d trailing bytes after rho point", len(rest)))
-	}
-	return rp
 }
 
 // LSH-DDP's δ-job input record (DESIGN.md "δ̂ from the ρ pass") is a

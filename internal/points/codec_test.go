@@ -11,8 +11,8 @@ import (
 
 func TestPointCodecRoundTrip(t *testing.T) {
 	p := Point{ID: 42, Pos: Vector{1.5, -2.25, 1e300, 0}}
-	got := MustDecodePoint(EncodePoint(p))
-	if got.ID != p.ID || len(got.Pos) != len(p.Pos) {
+	got, rest, err := DecodePoint(EncodePoint(p))
+	if err != nil || len(rest) != 0 || got.ID != p.ID || len(got.Pos) != len(p.Pos) {
 		t.Fatalf("round trip = %+v", got)
 	}
 	for i := range p.Pos {
@@ -82,20 +82,10 @@ func TestPointCodecErrors(t *testing.T) {
 	}
 }
 
-func TestMustDecodePanicsOnTrailing(t *testing.T) {
-	buf := append(EncodePoint(Point{ID: 1, Pos: Vector{1}}), 0xFF)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on trailing bytes")
-		}
-	}()
-	MustDecodePoint(buf)
-}
-
 func TestRhoPointCodec(t *testing.T) {
 	rp := RhoPoint{Point: Point{ID: 9, Pos: Vector{7, 8}}, Rho: 123.5}
-	got := MustDecodeRhoPoint(EncodeRhoPoint(rp))
-	if got.ID != 9 || got.Rho != 123.5 || got.Pos[1] != 8 {
+	got, rest, err := DecodeRhoPoint(EncodeRhoPoint(rp))
+	if err != nil || len(rest) != 0 || got.ID != 9 || got.Rho != 123.5 || got.Pos[1] != 8 {
 		t.Fatalf("round trip = %+v", got)
 	}
 	if _, _, err := DecodeRhoPoint(EncodePoint(rp.Point)); err == nil {

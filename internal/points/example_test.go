@@ -10,7 +10,10 @@ import (
 func ExampleEncodePoint() {
 	p := points.Point{ID: 7, Pos: points.Vector{1.5, -2.0}}
 	buf := points.EncodePoint(p)
-	back := points.MustDecodePoint(buf)
+	back, _, err := points.DecodePoint(buf)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("%d bytes on the wire; id=%d pos=%v\n", len(buf), back.ID, back.Pos)
 	// Output:
 	// 24 bytes on the wire; id=7 pos=(1.5,-2)

@@ -108,7 +108,10 @@ func TestMatrixDecodeMatchesScalarDecode(t *testing.T) {
 	if err := DecodeRhoPointsInto(&m, [][]byte{EncodeRhoPoint(rp)}); err != nil {
 		t.Fatal(err)
 	}
-	ref := MustDecodeRhoPoint(EncodeRhoPoint(rp))
+	ref, _, err := DecodeRhoPoint(EncodeRhoPoint(rp))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for j := range ref.Pos {
 		if math.Float64bits(m.Row(0)[j]) != math.Float64bits(ref.Pos[j]) {
 			t.Fatalf("coord %d: %x vs %x", j, math.Float64bits(m.Row(0)[j]), math.Float64bits(ref.Pos[j]))

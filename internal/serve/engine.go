@@ -318,9 +318,6 @@ func (e *Engine) Buckets() int {
 	return len(e.ix.Keys)
 }
 
-// Pruned reports whether the engine carries an LSH index.
-func (e *Engine) Pruned() bool { return e.layouts != nil }
-
 // FleetIndexed reports whether the engine can answer masked fleet scans
 // (an LSH index over a sub-model with row IDs, so per-row layout keys are
 // recorded for cross-shard dedup).

@@ -140,7 +140,7 @@ func TestEnginePrunedVsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eng.Pruned() {
+	if eng.Layouts() == 0 {
 		t.Fatal("LSH model produced an unpruned engine")
 	}
 	var prunedRows, exactRows, agree, total int

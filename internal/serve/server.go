@@ -77,11 +77,6 @@ type Config struct {
 	// IdleTimeout closes keep-alive connections idle this long (default
 	// 2m). Negative disables.
 	IdleTimeout time.Duration
-	// ReadTimeout / WriteTimeout bound a whole request read / response
-	// write when positive (default 0: unbounded, so large batch uploads
-	// and saturated-queue waits are not cut off arbitrarily).
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
 	// ShardID, when non-nil, names this server's slot in a serving fleet.
 	// It is reported in /statsz so a router can verify at startup that the
 	// replica it is about to route to really serves the shard it expects.
@@ -265,8 +260,6 @@ func (s *Server) Start(addr string) error {
 		Handler:           s.mux,
 		ReadHeaderTimeout: s.cfg.readHeaderTimeout(),
 		IdleTimeout:       s.cfg.idleTimeout(),
-		ReadTimeout:       timeoutOr(s.cfg.ReadTimeout, 0),
-		WriteTimeout:      timeoutOr(s.cfg.WriteTimeout, 0),
 	}
 	go s.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
 	s.logf("serve: listening on %s (queue=%d workers=%d)", ln.Addr(), s.cfg.queueDepth(), s.cfg.workers())
