@@ -12,8 +12,8 @@ all: check
 # the race detector, fuzz the LSH key codec, the top-k sweep, the serving
 # engine's bucket sweep, the ρ-partial codec, the record frame, the ρ
 # reducers' runs-apart certificate, the HTTP point decoder, the shuffle
-# fetcher's response decoder and the WAL record decoder for five seconds
-# each, smoke
+# fetcher's response decoder, the WAL record decoder and the compact
+# shortlist's distance cap for five seconds each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, and compile + smoke the benchmark harness
 # (all five workloads, oracles checked).
@@ -78,7 +78,11 @@ race:
 # and a length the bytes do not back never costs its allocation. The WAL
 # record decoder faces whatever a segment holds after bit rot: arbitrary
 # payloads give an error or a record that re-encodes to exactly the payload,
-# never a panic — a count × dim that overflows included.
+# never a panic — a count × dim that overflows included. A fleet shard caps
+# its compact shortlist at the best distance another shard already found:
+# on arbitrary rows, query and bound, at f32 and q8, every row within the
+# bound survives the cap, the capped scan's answer is the nearest row within
+# the bound, and nothing panics.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKSweep$$' -fuzztime 5s ./internal/kernels/
@@ -89,6 +93,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePoints$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzShuffleStream$$' -fuzztime 5s ./internal/mapreduce/rpcmr/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 5s ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzShortlistCap$$' -fuzztime 5s ./internal/kernels/
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -15,10 +15,11 @@ import (
 )
 
 // Router-side streaming ingest: POST /ingest on the router routes each
-// point to the shard owning its first-rotation LSH bucket — the same
-// layout ScanRotation starts a masked read scan at — so a later query near
-// the point probes that shard with high probability and sees it before any
-// compaction. The shard stores it in its delta segment and the next
+// point to the shard owning its certifying LSH bucket — the bucket of the
+// layout lsh.Layouts.GuaranteeRadius names, which a read's first round
+// asks — so a query at the point is answered by that shard, which sees it
+// before any compaction, and a query near it probes that shard with high
+// probability. The shard stores it in its delta segment and the next
 // fleetctl rollover (or its own periodic compactor) bakes it into the
 // shard's base artifact.
 //
@@ -68,7 +69,8 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	var kb lsh.KeyBuf
 	for i, p := range body.Points {
 		r.layouts.Hash(&kb, points.Vector(p))
-		owner := r.place.Owner(string(kb.Key(serve.ScanRotation(kb.Bytes(), r.layouts.M()))))
+		_, c := r.layouts.GuaranteeRadius(&kb)
+		owner := r.place.Owner(string(kb.Key(c)))
 		b := batches[owner]
 		if b == nil {
 			b = &ingestShardBatch{shard: r.shards[owner]}

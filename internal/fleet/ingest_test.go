@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/ingest"
 	"repro/internal/model"
+	"repro/internal/points"
 	"repro/internal/serve"
 )
 
@@ -81,17 +83,55 @@ func postPoints(t *testing.T, url string, pts [][]float64) *http.Response {
 
 // TestFleetIngest routes writes through the router to the LSH-owning
 // shards and requires them to be readable through the routed /assign path
-// immediately (pre-compaction) and after a fleet-wide compaction.
+// immediately (pre-compaction) and after a fleet-wide compaction: a query at
+// an ingested point is answered in the first round by the shard that holds
+// it, and queries the ingested points cannot reach stay byte-identical to a
+// single server, with first-round certificates among them.
 func TestFleetIngest(t *testing.T) {
 	mdl := trainModel(t, 1500, 4)
-	const shards = 3
-	router, srvs := startIngestFleet(t, mdl, shards)
+	single := serve.New(serve.Config{})
+	if err := single.SetModel(mdl); err != nil {
+		t.Fatal(err)
+	}
+	if err := single.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer single.Shutdown(context.Background()) //nolint:errcheck
 
 	pts := make([][]float64, 40)
 	for i := range pts {
 		row := mdl.Row(i * 31 % mdl.N())
 		pts[i] = []float64{row[0] + 0.001 + float64(i)*1e-5, row[1] - 0.002}
 	}
+	// Training rows farther than d_c from every ingested point: neither a
+	// delta row nor folded density mass can change their answers.
+	far := func(i int) bool {
+		for _, p := range pts {
+			if points.SqDist(p, mdl.Row(i)) <= mdl.Dc*mdl.Dc {
+				return false
+			}
+		}
+		return true
+	}
+	bodies := conformanceBodies(t, mdl, far, false)
+	for _, shards := range []int{2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			checkFleetIngest(t, mdl, shards, pts, func(router *fleet.Router) {
+				before := router.Counters().Get(fleet.CtrCertified)
+				assertSameBytes(t, single.Addr(), router.Addr(), bodies)
+				if router.Counters().Get(fleet.CtrCertified) == before {
+					t.Error("no conformance query certified in the first round")
+				}
+			})
+		})
+	}
+}
+
+// checkFleetIngest ingests pts through a fresh ingest fleet of the given
+// size, reads every point back before, during and after a rollover, and runs
+// conform on the fleet before the rollover and after it.
+func checkFleetIngest(t *testing.T, mdl *model.Model, shards int, pts [][]float64, conform func(*fleet.Router)) {
+	router, srvs := startIngestFleet(t, mdl, shards)
 	resp := postPoints(t, "http://"+router.Addr()+"/ingest", pts)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("router /ingest: HTTP %d", resp.StatusCode)
@@ -121,6 +161,7 @@ func TestFleetIngest(t *testing.T) {
 
 	checkRouted := func(when string) {
 		t.Helper()
+		before := router.Counters().Get(fleet.CtrCertified)
 		resp := postPoints(t, "http://"+router.Addr()+"/assign", pts)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("router /assign %s: HTTP %d", when, resp.StatusCode)
@@ -138,8 +179,12 @@ func TestFleetIngest(t *testing.T) {
 					when, i, got.Results[i], acked.Results[i].ID)
 			}
 		}
+		if n := router.Counters().Get(fleet.CtrCertified) - before; n != int64(len(pts)) {
+			t.Fatalf("%s: %d of %d queries at ingested points answered in the first round", when, n, len(pts))
+		}
 	}
 	checkRouted("pre-compaction")
+	conform(router)
 
 	// Roll the fleet forward shard by shard (what fleetctl rollover does)
 	// and require the same answers from the compacted bases.
@@ -164,6 +209,55 @@ func TestFleetIngest(t *testing.T) {
 		t.Fatalf("fleet holds %d rows after rollover, want >= %d", total, want)
 	}
 	checkRouted("post-rollover")
+	conform(router)
+}
+
+// TestFleetAssignBounds drives a shard's /fleet/assign bounds directly. A
+// masked query none of whose layouts this shard scans finds no base row:
+// without a bound it reports nocand and leaves its delta to the broadcast
+// fallback, but under a bound — a second-round query, for which no broadcast
+// follows — the delta row at the query comes back. Bounds that do not match
+// the points one for one, or are negative, are refused with a 400.
+func TestFleetAssignBounds(t *testing.T) {
+	mdl := trainModel(t, 600, 3)
+	const shards = 2
+	_, srvs := startIngestFleet(t, mdl, shards)
+	p := []float64{mdl.Row(7)[0] + 0.25, mdl.Row(7)[1] - 0.5}
+	resp := postPoints(t, "http://"+srvs[0][0].Addr()+"/ingest", [][]float64{p})
+	var acked serve.IngestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&acked); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	assign := func(body string) (int, serve.FleetAssignResponse) {
+		t.Helper()
+		resp, err := http.Post("http://"+srvs[0][0].Addr()+"/fleet/assign", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out serve.FleetAssignResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, out
+	}
+	pt, _ := json.Marshal(p)
+	if code, out := assign(fmt.Sprintf(`{"points":[%s],"masks":[0]}`, pt)); code != http.StatusOK || !out.Results[0].NoCand {
+		t.Fatalf("unbounded masked query with no layouts: HTTP %d %+v, want nocand", code, out)
+	}
+	code, out := assign(fmt.Sprintf(`{"points":[%s],"masks":[0],"bounds":[1]}`, pt))
+	if r := out.Results; code != http.StatusOK || r[0].NoCand || r[0].Nearest != acked.Results[0].ID || r[0].D2 != 0 {
+		t.Fatalf("bounded masked query at the ingested point: HTTP %d %+v, want delta ID %d", code, out, acked.Results[0].ID)
+	}
+	for _, bounds := range []string{`[1,1]`, `[]`, `[-1]`} {
+		if code, _ := assign(fmt.Sprintf(`{"points":[%s],"masks":[0],"bounds":%s}`, pt, bounds)); code != http.StatusBadRequest {
+			t.Errorf("bounds %s: HTTP %d, want 400", bounds, code)
+		}
+	}
 }
 
 // TestFleetIngestShortAck: a shard that acks fewer points than it was sent

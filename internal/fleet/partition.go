@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/lsh"
 	"repro/internal/model"
-	"repro/internal/serve"
 )
 
 // Partition splits a full cluster model into per-shard sub-models routed by
@@ -49,7 +48,7 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	// manifest for the router.
 	n := m.N()
 	ix := layouts.BuildIndex(m.Data, n, nil)
-	weights := estimateBucketWeights(ix, n, mf.M)
+	weights := estimateBucketWeights(ix, layouts, m.Data, m.Dim)
 	groups := bucketGroups(m, ix.RowKeys, len(ix.Keys), mf.M)
 	mf.Overrides = balanceHeavyBuckets(ix.Keys, weights, groups, ring, shards)
 	place, err := mf.Placement()
@@ -117,14 +116,16 @@ const (
 // fleet-wide by the owner of the candidate's *first* matching layout in
 // the engine's rotated scan order. Neither a size² weight nor an
 // expected 1/m split over a row's m matching layouts gets that right:
-// the rotation start j₀ is a deterministic hash of the query's key
-// tuple, so every query sharing a key tuple — an entire cluster core —
-// funnels its scoring through the *same* layout's bucket, not 1/m to
-// each. The estimator therefore replays each sample through
-// serve.ScanRotation and the exact first-match rule, charging one walk
-// unit per posting visited and scoreUnit to the precise bucket the
-// engine will score the candidate under.
-func estimateBucketWeights(ix *lsh.Index, n, m int) []float64 {
+// the rotation starts at the query's certifying layout, whose bucket
+// keeps every candidate it holds, so the queries of a cluster core funnel
+// their scoring through the few buckets their certifying layouts name, not
+// 1/m to each. The estimator therefore hashes each sample, takes its
+// certifying layout (lsh.Layouts.GuaranteeRadius) as j₀ and replays the
+// exact first-match rule, charging one walk unit per posting visited and
+// scoreUnit to the precise bucket the engine will score the candidate
+// under.
+func estimateBucketWeights(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim int) []float64 {
+	n, m := len(data)/dim, layouts.M()
 	weights := make([]float64, len(ix.Keys))
 	step := n / maxWeightSamples
 	if step < 1 {
@@ -132,14 +133,11 @@ func estimateBucketWeights(ix *lsh.Index, n, m int) []float64 {
 	}
 	seen := make([]bool, n)
 	var touched []int32
-	var qkeys []byte
+	var kb lsh.KeyBuf
 	for q := 0; q < n; q += step {
 		qk := ix.RowKeys[q*m : q*m+m]
-		qkeys = qkeys[:0]
-		for _, id := range qk {
-			qkeys = append(qkeys, ix.Keys[id]...)
-		}
-		j0 := serve.ScanRotation(qkeys, m)
+		layouts.Hash(&kb, data[q*dim:][:dim])
+		_, j0 := layouts.GuaranteeRadius(&kb)
 		for _, id := range qk {
 			members := ix.Bucket(id)
 			weights[id] += float64(len(members)) // walk: full posting list per probe

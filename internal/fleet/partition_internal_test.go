@@ -41,7 +41,7 @@ func TestSampledWeightBalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		ix := mf.Layouts().BuildIndex(mdl.Data, mdl.N(), nil)
-		weights := estimateBucketWeights(ix, mdl.N(), mf.M)
+		weights := estimateBucketWeights(ix, mf.Layouts(), mdl.Data, mdl.Dim)
 		load := make([]float64, shards)
 		total := 0.0
 		for id, w := range weights {

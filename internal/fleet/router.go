@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,10 +27,13 @@ const (
 	CtrRequests = "fleet.requests"
 	// CtrPoints counts query points across admitted requests.
 	CtrPoints = "fleet.points"
-	// CtrShardsPerQuery sums the distinct owning shards per query; divide
-	// by CtrPoints for the mean fan-out. Strictly below the shard count
-	// means routing is bounded, not broadcast.
+	// CtrShardsPerQuery sums the shard requests per query over both
+	// rounds; divide by CtrPoints for the mean fan-out. Strictly below the
+	// shard count means routing is bounded, not broadcast.
 	CtrShardsPerQuery = "fleet.shards.per.query"
+	// CtrCertified counts queries answered in the first round: the owner of
+	// the query's certifying bucket proved its answer final.
+	CtrCertified = "fleet.certified"
 	// CtrHedges counts hedged (duplicate) shard requests issued after the
 	// p99-based delay; CtrHedgeWins counts those whose reply was used.
 	CtrHedges    = "fleet.hedges"
@@ -555,81 +560,124 @@ func (r *Router) handleAssign(w http.ResponseWriter, req *http.Request) {
 
 // shardBatch is the slice of a request routed to one shard.
 type shardBatch struct {
-	shard *shardClient
-	idxs  []int // indices into the request's query list
-	pts   [][]float64
-	masks []uint64
-	exact bool
+	shard  *shardClient
+	idxs   []int // indices into the request's query list
+	pts    [][]float64
+	masks  []uint64
+	bounds []float64
+	exact  bool
 
 	resp   *serve.FleetAssignResponse
 	status int
 	msg    string
 }
 
-// assign routes one validated batch: compute owners, scatter masked scans,
-// merge, and broadcast the exact fallback for queries with no candidate
-// anywhere. Returns the merged assignments or an HTTP (status, message).
+// add appends query i to the batch of shard s, creating it on first use.
+func (r *Router) add(batches map[int]*shardBatch, s, i int, p []float64, mask uint64) *shardBatch {
+	b := batches[s]
+	if b == nil {
+		b = &shardBatch{shard: r.shards[s]}
+		batches[s] = b
+	}
+	b.idxs = append(b.idxs, i)
+	b.pts = append(b.pts, p)
+	b.masks = append(b.masks, mask)
+	return b
+}
+
+// assign routes one validated batch in two rounds, merges, and broadcasts
+// the exact fallback for queries with no candidate anywhere. Returns the
+// merged assignments or an HTTP (status, message).
+//
+// Owner masks: for query i, masks[i·S + s] has bit j set when shard s owns
+// the bucket of layout j — query i's key k_j(q) resolved by the placement
+// (heavy-bucket overrides, then the ring). The shard scans bucket k_j(q)
+// minus rows already matched by a layout earlier in the rotation that starts
+// at the query's certifying layout, so each global candidate is scanned
+// exactly once fleet-wide.
+//
+// Round 1 asks only the owner of the certifying bucket, with its full mask.
+// That shard holds the whole bucket, so when it certifies, its answer is the
+// single node's and final. Round 2 asks every other owning shard about the
+// uncertified queries, capped at round 1's best squared distance: a shard
+// then evaluates only rows that could still win, and the certifying bucket's
+// rows, which round 1 swept, are skipped by the rotation.
 func (r *Router) assign(pts [][]float64) ([]serve.Assignment, int, string) {
-	nq := len(pts)
-	// Owner masks: for query i, shardMasks[i][s] has bit j set when shard
-	// s owns the bucket of layout j — query i's key k_j(q) resolved by the
-	// placement (heavy-bucket overrides, then the ring). The shard scans
-	// bucket k_j(q) minus rows already matched by an
-	// earlier routed layout, so each global candidate is scanned exactly
-	// once fleet-wide.
-	batches := make(map[int]*shardBatch)
-	var fanoutSum int64
-	masks := make([]uint64, len(r.shards))
+	nq, ns := len(pts), len(r.shards)
+	masks := make([]uint64, nq*ns)
+	first := make([]int, nq)
+	round1 := make(map[int]*shardBatch)
 	var kb lsh.KeyBuf
 	for i, p := range pts {
-		for s := range masks {
-			masks[s] = 0
-		}
 		r.layouts.Hash(&kb, points.Vector(p))
+		m := masks[i*ns:][:ns]
 		for j := 0; j < r.layouts.M(); j++ {
-			masks[r.place.Owner(string(kb.Key(j)))] |= 1 << uint(j)
+			m[r.place.Owner(string(kb.Key(j)))] |= 1 << uint(j)
 		}
-		for s, mask := range masks {
-			if mask == 0 {
-				continue
-			}
-			fanoutSum++
-			b := batches[s]
-			if b == nil {
-				b = &shardBatch{shard: r.shards[s]}
-				batches[s] = b
-			}
-			b.idxs = append(b.idxs, i)
-			b.pts = append(b.pts, p)
-			b.masks = append(b.masks, mask)
-		}
+		_, c := r.layouts.GuaranteeRadius(&kb)
+		first[i] = r.place.Owner(string(kb.Key(c)))
+		r.add(round1, first[i], i, p, m[first[i]])
 	}
-	r.counters.Add(CtrShardsPerQuery, fanoutSum)
-
-	if status, msg := r.scatter(batches); status != 0 {
+	r.counters.Add(CtrShardsPerQuery, int64(nq))
+	if status, msg := r.scatter(round1); status != 0 {
 		return nil, status, msg
 	}
 
 	// Merge: per query, the winner across owning shards is the candidate
 	// with the smallest exact squared distance, ties to the lowest global
 	// point ID — precisely the single-node scan order rule.
-	out := make([]serve.Assignment, nq)
 	type best struct {
 		have bool
 		res  serve.FleetResult
 	}
 	bests := make([]best, nq)
-	for _, b := range batches {
-		for k, i := range b.idxs {
-			fr := b.resp.Results[k]
-			if fr.NoCand || fr.NoFinite {
-				continue
-			}
-			if !bests[i].have || less(fr, bests[i].res) {
-				bests[i] = best{true, fr}
+	merge := func(batches map[int]*shardBatch) {
+		for _, b := range batches {
+			for k, i := range b.idxs {
+				fr := b.resp.Results[k]
+				if fr.NoCand || fr.NoFinite {
+					continue
+				}
+				if !bests[i].have || less(fr, bests[i].res) {
+					bests[i] = best{true, fr}
+				}
 			}
 		}
 	}
+	merge(round1)
+
+	round2 := make(map[int]*shardBatch)
+	var certified, asked int64
+	for i, p := range pts {
+		if bests[i].res.Certified {
+			certified++
+			continue
+		}
+		bound := math.Inf(1)
+		if bests[i].have {
+			bound = bests[i].res.D2
+		}
+		for s, mask := range masks[i*ns:][:ns] {
+			if mask != 0 && s != first[i] {
+				b := r.add(round2, s, i, p, mask)
+				b.bounds = append(b.bounds, bound)
+				asked++
+			}
+		}
+	}
+	for _, b := range round2 {
+		// JSON has no +Inf: a batch holding a query without a round-1
+		// answer goes uncapped.
+		if slices.Contains(b.bounds, math.Inf(1)) {
+			b.bounds = nil
+		}
+	}
+	r.counters.Add(CtrCertified, certified)
+	r.counters.Add(CtrShardsPerQuery, asked)
+	if status, msg := r.scatter(round2); status != 0 {
+		return nil, status, msg
+	}
+	merge(round2)
 
 	// Exact fallback: a query every owning shard reported candidate-less
 	// would full-scan on a single node; broadcast that scan to all shards
@@ -654,17 +702,7 @@ func (r *Router) assign(pts [][]float64) ([]serve.Assignment, int, string) {
 		if status, msg := r.scatter(fb); status != 0 {
 			return nil, status, msg
 		}
-		for _, b := range fb {
-			for k, i := range b.idxs {
-				fr := b.resp.Results[k]
-				if fr.NoCand || fr.NoFinite {
-					continue
-				}
-				if !bests[i].have || less(fr, bests[i].res) {
-					bests[i] = best{true, fr}
-				}
-			}
-		}
+		merge(fb)
 		for _, i := range fbIdxs {
 			if !bests[i].have {
 				// Every shard's exact scan came back non-finite — the exact
@@ -673,6 +711,7 @@ func (r *Router) assign(pts [][]float64) ([]serve.Assignment, int, string) {
 			}
 		}
 	}
+	out := make([]serve.Assignment, nq)
 	for i := range bests {
 		out[i] = bests[i].res.Assignment
 	}
@@ -696,7 +735,7 @@ func (r *Router) scatter(batches map[int]*shardBatch) (int, string) {
 		wg.Add(1)
 		go func(b *shardBatch) {
 			defer wg.Done()
-			body, err := json.Marshal(serve.FleetAssignRequest{Points: b.pts, Masks: b.masks, Exact: b.exact})
+			body, err := json.Marshal(serve.FleetAssignRequest{Points: b.pts, Masks: b.masks, Bounds: b.bounds, Exact: b.exact})
 			if err != nil {
 				b.status, b.msg = http.StatusInternalServerError, err.Error()
 				return
@@ -722,7 +761,8 @@ func (r *Router) scatter(batches map[int]*shardBatch) (int, string) {
 	return 0, ""
 }
 
-// Fanout reports the mean owning-shard count per routed query so far.
+// Fanout reports the mean shard requests per routed query so far, over
+// both rounds.
 func (r *Router) Fanout() float64 {
 	pts := r.counters.Get(CtrPoints)
 	if pts == 0 {

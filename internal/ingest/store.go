@@ -527,9 +527,11 @@ func (st *Store) assign(qs []points.Vector, opts serve.BatchOpts) (out []serve.A
 		if nd == 0 {
 			continue
 		}
-		if masked && errs[i] == serve.ErrNoCandidates {
+		if masked && errs[i] == serve.ErrNoCandidates && opts.Bounds == nil {
 			// The router owns the fleet-wide fallback decision; this
 			// shard's delta is merged again on the broadcast exact pass.
+			// A bounded query has an answer already, so no broadcast
+			// follows: its delta merges here.
 			continue
 		}
 		b, b2 := kernels.NNRange(st.dCoords, dim, q, 0, nd)
@@ -541,10 +543,13 @@ func (st *Store) assign(qs []points.Vector, opts serve.BatchOpts) (out []serve.A
 			continue
 		}
 		lbl := st.dLabels[b]
+		// A certified base answer stays certified: no base row anywhere
+		// beats it, so none beats the closer delta row either.
 		out[i] = serve.Assignment{
 			Cluster: lbl, Halo: st.dRho[b] < m.Border[lbl],
 			Nearest: st.dIDs[b], Dist: math.Sqrt(b2), Dist2: b2,
 			PeakDist: points.Dist(q, m.Row(int(m.Peaks[lbl]))), Exact: out[i].Exact,
+			Certified: errs[i] == nil && out[i].Certified,
 		}
 		errs[i] = nil
 	}

@@ -98,8 +98,23 @@ func (b Bounds) KeepThresh(b32 float64) float64 {
 		return inf
 	}
 	s := math.Sqrt(b32)
-	u := (s + b.Abs) / (1 - b.Rel) // ≥ exact distance of the compact-best row
-	t := u*(1+b.Rel) + b.Abs       // ≥ compact distance of any row at least that close
+	return b.within((s + b.Abs) / (1 - b.Rel)) // ≥ exact distance of the compact-best row
+}
+
+// capThresh returns the admission cap for an exact squared-distance bound
+// e: every row whose exact squared distance ties or beats e satisfies
+// float64(d32) ≤ capThresh(e), since √d32 ≤ √d64·(1+Rel) + Abs.
+func (b Bounds) capThresh(e float64) float64 {
+	if !(e < inf) || !(b.Rel < 1) {
+		return inf
+	}
+	return b.within(math.Sqrt(e))
+}
+
+// within returns (u·(1+Rel) + Abs)²: no smaller than the compact squared
+// distance of any row whose exact distance is at most u.
+func (b Bounds) within(u float64) float64 {
+	t := u*(1+b.Rel) + b.Abs
 	return t * t
 }
 
@@ -132,6 +147,7 @@ type Shortlist struct {
 	d2    []float32
 	best  float64 // smallest finite compact distance seen, +Inf before one
 	thr   float64
+	capT  float64 // capThresh of the Cap bound, +Inf without one
 	bnd   Bounds
 	limit int
 }
@@ -143,8 +159,19 @@ func (sl *Shortlist) Reset(bnd Bounds) {
 	sl.d2 = sl.d2[:0]
 	sl.best = inf
 	sl.thr = inf
+	sl.capT = inf
 	sl.bnd = bnd
 	sl.limit = shortlistCompactAt
+}
+
+// Cap bounds this scan by an exact squared distance e the caller already
+// holds a row at: the admission threshold never exceeds capThresh(e), so
+// every row whose exact squared distance ties or beats e is still admitted
+// (it may carry the lower index). Rows past e may survive too — the re-rank
+// must drop any answer above e. Call it after Reset, before any row.
+func (sl *Shortlist) Cap(e float64) {
+	sl.capT = sl.bnd.capThresh(e)
+	sl.thr = sl.capT
 }
 
 // observe folds one scanned row into the shortlist. Comparisons are
@@ -159,7 +186,7 @@ func (sl *Shortlist) observe(row int32, d32 float32) {
 	sl.d2 = append(sl.d2, d32)
 	if df < sl.best {
 		sl.best = df
-		sl.thr = sl.bnd.KeepThresh(df)
+		sl.thr = min(sl.bnd.KeepThresh(df), sl.capT)
 	}
 	if len(sl.Rows) >= sl.limit {
 		sl.refilter()
@@ -192,11 +219,12 @@ func (sl *Shortlist) Finish() []int32 {
 }
 
 // Threshold returns the admission threshold on compact squared distances,
-// +Inf until a row with a finite one is held. It is also an upper bound on
-// the exact squared distance of the compact-best row the list holds
-// (KeepThresh inflates past that row's exact distance before inflating
-// back), so a row whose exact squared distance provably exceeds it — Sweep's
-// axis-gap test — cannot be the nearest or tie with it.
+// the cap's (+Inf without one) until a row with a finite one is held. It is
+// also an upper bound on the exact squared distance of the compact-best row
+// the list holds (KeepThresh inflates past that row's exact distance before
+// inflating back) or on the cap's bound, so a row whose exact squared
+// distance provably exceeds it — Sweep's axis-gap test — cannot be the
+// nearest within the bound or tie with it.
 func (sl *Shortlist) Threshold() float64 { return sl.thr }
 
 // admit folds one strip of compact distances into sl; strip[x] belongs to

@@ -263,6 +263,112 @@ func TestNNBatchMatchesNNRange(t *testing.T) {
 	}
 }
 
+// capCoord maps one byte to a coordinate: mostly quarter-integers, so
+// distance ties are common, with extreme and non-finite values at the top
+// codes.
+func capCoord(b byte) float64 {
+	switch b {
+	case 0xff:
+		return math.NaN()
+	case 0xfe:
+		return math.Inf(-1)
+	case 0xfd:
+		return 1e300
+	case 0xfc:
+		return 1e-300
+	case 0xfb:
+		return math.Copysign(0, -1)
+	}
+	return float64(int8(b)) / 4
+}
+
+// FuzzShortlistCap decodes bytes into a dimension, a query and rows, and a
+// bound — arbitrary bits, a row's exact squared distance, or one ULP below
+// it — and scans the rows through a Shortlist capped at the bound, at f32
+// and q8. Every row whose exact squared distance ties or beats the bound
+// survives Finish when scanned alone, so the cap never drops one by itself;
+// over all rows, the re-ranked survivors within the bound give NNRows over
+// the rows within it. Never a panic.
+func FuzzShortlistCap(f *testing.F) {
+	f.Add([]byte{0, 4, 4, 8, 252}, uint8(1), uint64(0))
+	f.Add([]byte{1, 0, 0, 4, 4, 4, 4, 8, 8, 255, 0}, uint8(2), uint64(0))
+	f.Add([]byte{2, 1, 2, 3, 1, 2, 3, 1, 2, 4, 253, 2, 2}, uint8(0), math.Float64bits(2.25))
+	f.Add([]byte{3, 9, 9, 9, 9, 9, 9, 9, 9, 251, 9, 9, 9, 254, 0, 0, 0}, uint8(4), uint64(0))
+	f.Fuzz(func(t *testing.T, in []byte, pick uint8, bits uint64) {
+		if len(in) < 2 {
+			return
+		}
+		dim := 1 + int(in[0]%4)
+		vals := make([]float64, 0, len(in)-1)
+		for _, b := range in[1:] {
+			vals = append(vals, capCoord(b))
+		}
+		if len(vals) < 2*dim {
+			return
+		}
+		q, data := vals[:dim], vals[dim:]
+		data = data[:len(data)/dim*dim]
+		n := len(data) / dim
+		d2 := make([]float64, n)
+		for r := range d2 {
+			d2[r] = sqDist(q, data[r*dim:][:dim])
+		}
+		bound := math.Float64frombits(bits)
+		if r := int(pick/3) % n; pick%3 == 1 {
+			bound = d2[r]
+		} else if pick%3 == 2 {
+			bound = math.Nextafter(d2[r], 0)
+		}
+		var inBound []int32
+		for r, v := range d2 {
+			if v <= bound {
+				inBound = append(inBound, int32(r))
+			}
+		}
+		wantB, wantB2 := NNRows(data, dim, q, inBound)
+
+		// Each precision's bounds and its kernel feeding rows into a shortlist.
+		type prec struct {
+			bnd  Bounds
+			feed func(rows []int32, sl *Shortlist)
+		}
+		var precs []prec
+		data32, maxAbs := points.ToFloat32(data)
+		q32, qMax := points.ToFloat32(q)
+		if bnd := F32Bounds(dim, math.Max(maxAbs, qMax)); bnd.Valid() {
+			precs = append(precs, prec{bnd, func(rows []int32, sl *Shortlist) { NNRows32(data32, dim, q32, rows, sl) }})
+		}
+		if codes, par, ok := points.QuantizeQ8(data, dim); ok {
+			if bnd := Q8Bounds(dim, par.ErrBound()); bnd.Valid() {
+				var lut Q8LUT
+				BuildQ8LUT(par, q, &lut)
+				precs = append(precs, prec{bnd, func(rows []int32, sl *Shortlist) { NNRowsQ8(codes, dim, &lut, rows, sl) }})
+			}
+		}
+		for k, p := range precs {
+			var sl Shortlist
+			for _, r := range inBound {
+				sl.Reset(p.bnd)
+				sl.Cap(bound)
+				p.feed([]int32{r}, &sl)
+				if short := sl.Finish(); len(short) != 1 {
+					t.Fatalf("scan %d dim %d: row %d at d² %v within bound %v dropped (cap %v)", k, dim, r, d2[r], bound, p.bnd.capThresh(bound))
+				}
+			}
+			sl.Reset(p.bnd)
+			sl.Cap(bound)
+			p.feed(allRows(n), &sl)
+			b, b2 := NNRows(data, dim, q, sl.Finish())
+			if !(b2 <= bound) {
+				b, b2 = -1, math.Inf(1)
+			}
+			if b != wantB || math.Float64bits(b2) != math.Float64bits(wantB2) {
+				t.Fatalf("scan %d dim %d bound %v: capped scan (%d, %v), rows within the bound (%d, %v)", k, dim, bound, b, b2, wantB, wantB2)
+			}
+		}
+	})
+}
+
 func TestBoundsContract(t *testing.T) {
 	// Directly verify the Bounds inequality on random pairs, including
 	// nasty magnitudes.

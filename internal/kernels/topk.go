@@ -35,8 +35,9 @@ func topkWorse(a, b TopKEntry) bool {
 // unusable; call Reset (or NewTopKAcc) with k ≥ 1 first. One accumulator is
 // reusable across queries via Reset, keeping its heap storage.
 type TopKAcc struct {
-	k int
-	h []TopKEntry // max-heap under topkWorse; h[0] is the worst kept entry
+	k     int
+	bound float64     // a row must tie or beat this squared distance (Cap); +Inf after Reset
+	h     []TopKEntry // max-heap under topkWorse; h[0] is the worst kept entry
 }
 
 // NewTopKAcc returns an accumulator holding up to k rows.
@@ -53,8 +54,15 @@ func (a *TopKAcc) Reset(k int) {
 		panic("kernels: TopKAcc needs k >= 1")
 	}
 	a.k = k
+	a.bound = inf
 	a.h = a.h[:0]
 }
+
+// Cap admits, for the rest of this query, only rows whose squared distance
+// ties or beats e — the distance of a row the caller already holds
+// elsewhere, so a farther one cannot win. A tie is admitted, since it may
+// carry the lower index. Call it after Reset, before any row is observed.
+func (a *TopKAcc) Cap(e float64) { a.bound = e }
 
 // K returns the configured capacity.
 func (a *TopKAcc) K() int { return a.k }
@@ -65,20 +73,20 @@ func (a *TopKAcc) Len() int { return len(a.h) }
 
 // Threshold returns the squared distance a new row must beat — or tie with
 // a lower row index — to enter the accumulator: the current k-th best
-// distance once full, +Inf before that. Callers hoist it as the hot-loop
-// early reject (strict `d2 > Threshold()` skips; ties still reach observe
-// for the row-index comparison).
+// distance once full, the cap (+Inf without one) before that. Callers hoist
+// it as the hot-loop early reject (strict `d2 > Threshold()` skips; ties
+// still reach observe for the row-index comparison).
 func (a *TopKAcc) Threshold() float64 {
 	if len(a.h) < a.k {
-		return inf
+		return a.bound
 	}
 	return a.h[0].D2
 }
 
 // observe folds one scanned row into the heap. Non-finite distances are
-// ineligible (see the package comment above).
+// ineligible (see the package comment above), and so are those past the cap.
 func (a *TopKAcc) observe(row int32, d2 float64) {
-	if !(d2 < inf) {
+	if !(d2 < inf) || !(d2 <= a.bound) {
 		return
 	}
 	if len(a.h) < a.k {

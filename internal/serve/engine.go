@@ -66,6 +66,11 @@ type Assignment struct {
 	// public /assign response; the shard-internal /fleet/assign wire
 	// carries it explicitly.
 	Dist2 float64 `json:"-"`
+	// Certified reports that the one-bucket certificate answered (see
+	// Engine.sweep): no stored row outside the bucket swept first can be
+	// closer. The fleet router stops at a shard that says so; like Dist2 it
+	// never appears on the public /assign response.
+	Certified bool `json:"-"`
 }
 
 // Precision selects the scan representation of the serving engine.
@@ -112,7 +117,8 @@ type ScanStats struct {
 	// the size of the query's bucket union), or every row on the exact path.
 	Scanned int64
 	// Certified counts queries answered from one bucket (see Engine.sweep);
-	// never set by a masked or exact scan.
+	// never set by an exact scan, nor by a masked one whose mask lacks the
+	// certifying layout.
 	Certified int64
 	// Rerank counts shortlist rows re-ranked in exact float64 after a
 	// compact bucket sweep (0 at PrecF64).
@@ -194,10 +200,13 @@ type scratch struct {
 	sl  kernels.Shortlist
 	lut kernels.Q8LUT
 	// Fleet mode: the query's bucket ID per layout (-1: no stored row shares
-	// the key), their packed signature, and the rotation start.
+	// the key), their packed signature, and the rotation start (the
+	// certifying layout).
 	qids []int32
 	sigQ uint64
 	j0   int
+	// bound is the query's cap (BatchOpts.Bounds), +Inf without one.
+	bound float64
 }
 
 // batchScratch is the reusable per-batch exact-scan state.
@@ -367,6 +376,11 @@ type BatchOpts struct {
 	// ErrNoCandidates instead of the exact fallback — the router decides
 	// fleet-wide whether to fall back.
 	Masks []uint64
+	// Bounds, when non-nil beside Masks, caps each masked query: entry i is
+	// an exact squared distance a row must tie or beat to answer query i
+	// (+Inf: no cap) — the best the router already holds from another shard.
+	// A query with no row that close gets ErrNoCandidates.
+	Bounds []float64
 }
 
 // Assign answers one query. exactOnly forces the full-scan path (the
@@ -410,6 +424,9 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 		if len(opts.Masks) != nq {
 			panic(fmt.Sprintf("serve: %d masks for %d queries", len(opts.Masks), nq))
 		}
+		if opts.Bounds != nil && len(opts.Bounds) != nq {
+			panic(fmt.Sprintf("serve: %d bounds for %d queries", len(opts.Bounds), nq))
+		}
 	}
 	bs := e.batches.Get().(*batchScratch)
 	bs.pending = bs.pending[:0]
@@ -421,10 +438,14 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 		s := e.scratch.Get().(*scratch)
 		for i, q := range qs {
 			var mask uint64
+			s.bound = math.Inf(1)
 			if masked {
 				mask = opts.Masks[i]
+				if opts.Bounds != nil {
+					s.bound = opts.Bounds[i]
+				}
 			}
-			best, best2 := e.sweep(q, mask, masked, s, &st)
+			best, best2, certified := e.sweep(q, mask, masked, s, &st)
 			if best < 0 {
 				// No probed bucket holds a row at a finite distance; the
 				// full scan may still find one. In masked mode that
@@ -437,6 +458,7 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 				continue
 			}
 			out[i] = e.finalize(q, best, best2, false)
+			out[i].Certified = certified
 		}
 		e.scratch.Put(s)
 	}
@@ -502,52 +524,62 @@ func (s *scratch) unseen(rows, dst []int32) []int32 {
 // evaluated, nor any row beyond it, and what one bucket proved too far stays
 // too far in the next.
 //
-// Unmasked, the bucket of the layout that attains q's guarantee radius g
-// goes first. When the best distance found there is strictly inside g,
-// every stored row that close — the union's nearest and all that tie with
-// it — shares that bucket (lsh.Layouts.GuaranteeRadius): the answer is the
-// union's and no other bucket is opened (st.Certified). The test is on the
-// exact distance, so the same queries certify at every precision. Otherwise
-// the other buckets follow, the epoch stamps keeping a row met again in a
-// later bucket's window from being evaluated twice. Masked (fleet mode),
-// the layouts in mask are swept through firstMatch, with no certificate:
-// the router owns the fleet-wide decision.
-func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st *ScanStats) (best int, best2 float64) {
+// The bucket of the layout that attains q's guarantee radius g — its
+// certifying layout — goes first. When the best distance found there is
+// strictly inside g, every stored row that close — the union's nearest and
+// all that tie with it — shares that bucket (lsh.Layouts.GuaranteeRadius):
+// the answer is the union's and no other bucket is opened (certified). The
+// test is on the exact distance, so the same queries certify at every
+// precision. Otherwise the other buckets follow: unmasked, the epoch stamps
+// keep a row met again in a later bucket's window from being evaluated
+// twice; masked (fleet mode), the layouts in mask are swept through
+// firstMatch, whose rotation starts at the certifying layout. A masked
+// query certifies only on the shard whose mask holds that layout: the whole
+// bucket lives there, so the test is the single node's own.
+//
+// s.bound caps the sink: a row farther than it is never the answer, and
+// none within it is (-1, +Inf).
+func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st *ScanStats) (best int, best2 float64, certified bool) {
 	nl := e.layouts.M()
 	e.layouts.Hash(&s.kb, q)
 	switch e.prec {
 	case PrecF32:
 		s.q32 = f32Append(s.q32[:0], q)
 		s.sl.Reset(e.f32Bounds(q))
+		s.sl.Cap(s.bound)
 	case PrecQ8:
 		kernels.BuildQ8LUT(e.q8par, q, &s.lut)
 		s.sl.Reset(e.q8bnd)
+		s.sl.Cap(s.bound)
 	default:
 		s.acc.Reset(1)
+		s.acc.Cap(s.bound)
 	}
-	scanned, certified := 0, false
+	g, first := e.layouts.GuaranteeRadius(&s.kb)
+	scanned := 0
+	var open func(j int)
 	if masked {
 		e.lookupAll(s)
-		for j, id := range s.qids {
-			if id >= 0 && mask&(1<<uint(j)) != 0 {
+		s.j0 = first
+		open = func(j int) {
+			if id := s.qids[j]; id >= 0 && mask&(1<<uint(j)) != 0 {
 				scanned += e.sweepBucket(q, id, j, s)
 			}
 		}
 	} else {
 		s.nextEpoch()
-		open := func(j int) {
+		open = func(j int) {
 			if id, ok := e.ix.Lookup(s.kb.Key(j)); ok {
 				scanned += e.sweepBucket(q, id, -1, s)
 			}
 		}
-		g, first := e.layouts.GuaranteeRadius(&s.kb)
-		open(first)
-		best, best2 = e.nearest(q, s, st)
-		certified = best >= 0 && math.Sqrt(best2) < g
-		for j := 0; j < nl && !certified; j++ {
-			if j != first {
-				open(j)
-			}
+	}
+	open(first)
+	best, best2 = e.nearest(q, s, st)
+	certified = best >= 0 && math.Sqrt(best2) < g
+	for j := 0; j < nl && !certified; j++ {
+		if j != first {
+			open(j)
 		}
 	}
 	if certified {
@@ -559,7 +591,7 @@ func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st
 	if scanned > 0 && e.prec != PrecF64 {
 		st.RerankQueries++
 	}
-	return best, best2
+	return best, best2, certified
 }
 
 // sweepBucket walks bucket id outward from q into the sink and returns how
@@ -597,7 +629,8 @@ func (e *Engine) sweepBucket(q points.Vector, id int32, j int, s *scratch) (scan
 }
 
 // nearest resolves the sink to the exact nearest of the rows scanned so far
-// (at f32/q8 by re-ranking the shortlist, which stays usable afterwards).
+// within s.bound (at f32/q8 by re-ranking the shortlist, which stays usable
+// afterwards; a capped shortlist may still hold rows past the bound).
 func (e *Engine) nearest(q points.Vector, s *scratch, st *ScanStats) (int, float64) {
 	if e.prec == PrecF64 {
 		if s.top = s.acc.Append(s.top[:0]); len(s.top) == 0 {
@@ -607,12 +640,15 @@ func (e *Engine) nearest(q points.Vector, s *scratch, st *ScanStats) (int, float
 	}
 	short := s.sl.Finish()
 	st.Rerank += int64(len(short))
-	return kernels.NNRows(e.m.Data, e.m.Dim, q, short)
+	best, best2 := kernels.NNRows(e.m.Data, e.m.Dim, q, short)
+	if !(best2 <= s.bound) {
+		return -1, math.Inf(1)
+	}
+	return best, best2
 }
 
 // lookupAll resolves the hashed query's bucket under every layout into
-// s.qids, with its signature and the rotation start of the first-match
-// order.
+// s.qids, with its signature.
 func (e *Engine) lookupAll(s *scratch) {
 	nl := e.layouts.M()
 	s.qids, s.sigQ = s.qids[:0], 0
@@ -625,25 +661,26 @@ func (e *Engine) lookupAll(s *scratch) {
 		}
 		s.qids = append(s.qids, id)
 	}
-	s.j0 = ScanRotation(s.kb.Bytes(), nl)
 }
 
 // firstMatch filters postings [lo, hi) of bucket id — q's bucket under
 // layout j — into s.strip. A row sitting in several of q's buckets must be
 // scanned by exactly one shard fleet-wide, so each row goes to its FIRST
-// matching layout in a per-query cyclic order starting at j0 = hash(q's
-// bucket keys) mod M: the shard owning layout j sweeps bucket k_j(q) and
-// skips any row that also matches q under a cyclically-earlier layout —
-// whether that layout is in the mask or not (its owner takes the row, and
-// evaluates it unless its own sweep proves the row cannot win there either).
-// The skip check early-exits on the first cyclically-earlier match, so a row
-// in a dense region costs one int32 compare, not an O(M) election; rotating
-// the start by the query's key hash spreads a hot bucket's scan work across
-// every layout's owner in aggregate instead of piling it onto layout 0's.
-// j0 and the skip compares depend only on the query's key bytes and the
-// row's own keys (a stored row interns all M of its keys), so every shard
-// decides identically and the fleet-wide scan union is a subset of the
-// single-node dedup union that still holds its nearest row.
+// matching layout in a per-query cyclic order starting at j0, q's certifying
+// layout: the shard owning layout j sweeps bucket k_j(q) and skips any row
+// that also matches q under a cyclically-earlier layout — whether that
+// layout is in the mask or not (its owner takes the row, and evaluates it
+// unless its own sweep proves the row cannot win there either). So the
+// certifying bucket keeps every row, and every other layout skips exactly
+// those. The skip check early-exits on the first cyclically-earlier match,
+// so a row in a dense region costs one int32 compare, not an O(M) election;
+// the start moves with the query's position inside its slots, which spreads
+// a hot bucket's scan work across every layout's owner in aggregate instead
+// of piling it onto layout 0's. j0 and the skip compares depend only on the
+// query's projections and the row's own keys (a stored row interns all M of
+// its keys), so every shard decides identically and the fleet-wide scan
+// union is a subset of the single-node dedup union that still holds its
+// nearest row.
 func (e *Engine) firstMatch(j int, id int32, lo, hi int, s *scratch) []int32 {
 	nl, rowKeys, qids, j0 := e.layouts.M(), e.ix.RowKeys, s.qids, s.j0
 	sigQ, lows, highs := s.sigQ, e.sigLows, e.sigHighs
@@ -689,27 +726,8 @@ rows:
 	return strip
 }
 
-// ScanRotation returns the start layout j₀ of the masked scan's cyclic
-// first-match order for a query whose keys under all M layouts, back to back
-// in layout order, are keys (lsh.KeyBuf.Bytes). It is part of the fleet
-// scan-partition contract: every shard — and the fleet partitioner, which
-// replays sample queries through the same rule to estimate each bucket's
-// true scoring load — must derive the identical rotation from the identical
-// key bytes.
-func ScanRotation(keys []byte, layouts int) int {
-	// 64-bit FNV-1a; its weak high bits are what mix64 is for.
-	h := uint64(14695981039346656037)
-	for _, c := range keys {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return int(mix64(h) % uint64(layouts))
-}
-
-// mix64 is the splitmix64 finalizer: a cheap bijective scramble used to
-// turn the query's folded key hash into a scan-rotation start layout in
-// firstMatch. It must stay identical on every shard of a fleet — it
-// is part of the scan-partition contract.
+// mix64 is the splitmix64 finalizer: a cheap bijective scramble that spreads
+// interned bucket IDs over sigField's 63 signature values.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

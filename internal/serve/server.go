@@ -37,8 +37,8 @@ const (
 	// each exact scan. Divide by CtrPoints for the rows one answer costs.
 	CtrCandidates = "serve.candidates"
 	// CtrCertified counts queries answered from a single bucket, the nearest
-	// row there lying strictly inside the query's LSH guarantee radius.
-	// Always zero on a fleet shard (the router owns that decision).
+	// row there lying strictly inside the query's LSH guarantee radius. On a
+	// fleet shard: the router's first-round queries this shard certified.
 	CtrCertified = "serve.certified"
 	// CtrRerankRows counts shortlist rows re-ranked in exact float64 after
 	// a compact (f32/q8) scan; divide by CtrRerankQueries for the average
@@ -472,23 +472,29 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 // select, per query, which LSH layouts this shard owns and must scan (bit j
 // = layout j); Exact instead runs the router's broadcast fallback, an exact
 // full scan over this shard's rows. Exactly one of the two shapes is valid.
+// Bounds, optional beside Masks, caps query i at the exact squared distance
+// Bounds[i] (BatchOpts.Bounds); absent, no query is capped — JSON has no
+// +Inf to say so per query.
 type FleetAssignRequest struct {
 	Points [][]float64 `json:"points"`
 	Masks  []uint64    `json:"masks,omitempty"`
+	Bounds []float64   `json:"bounds,omitempty"`
 	Exact  bool        `json:"exact,omitempty"`
 }
 
 // FleetResult is one per-query entry of a /fleet/assign reply. Nearest is a
 // global point ID (the shard translates through its RowIDs section), and D2
-// — the exact squared distance — is the router's merge key. NoCand marks a
-// masked query that found no candidate in the scanned layouts; NoFinite an
-// exact scan that found no finite distance. Either flag voids the other
-// fields for that query.
+// — the exact squared distance — is the router's merge key. Certified marks
+// an answer the one-bucket certificate proved final fleet-wide. NoCand
+// marks a masked query that found no candidate in the scanned layouts
+// (within its bound); NoFinite an exact scan that found no finite distance.
+// Either flag voids the other fields for that query.
 type FleetResult struct {
 	Assignment
-	D2       float64 `json:"d2"`
-	NoCand   bool    `json:"nocand,omitempty"`
-	NoFinite bool    `json:"nofinite,omitempty"`
+	D2        float64 `json:"d2"`
+	Certified bool    `json:"certified,omitempty"`
+	NoCand    bool    `json:"nocand,omitempty"`
+	NoFinite  bool    `json:"nofinite,omitempty"`
 }
 
 // FleetAssignResponse is the /fleet/assign JSON reply.
@@ -512,11 +518,21 @@ func (s *Server) handleFleetAssign(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("masks/points mismatch: %d masks, %d points", len(body.Masks), len(body.Points)), http.StatusBadRequest)
 			return
 		}
+		if body.Bounds != nil && len(body.Bounds) != len(body.Points) {
+			http.Error(w, fmt.Sprintf("bounds/points mismatch: %d bounds, %d points", len(body.Bounds), len(body.Points)), http.StatusBadRequest)
+			return
+		}
+		for i, b := range body.Bounds {
+			if !(b >= 0) {
+				http.Error(w, fmt.Sprintf("bound %d is %v, want a squared distance >= 0", i, b), http.StatusBadRequest)
+				return
+			}
+		}
 		if !eng.FleetIndexed() {
 			http.Error(w, "model carries no fleet index (not a partitioned sub-model?)", http.StatusServiceUnavailable)
 			return
 		}
-		opts = BatchOpts{Masks: body.Masks}
+		opts = BatchOpts{Masks: body.Masks, Bounds: body.Bounds}
 	}
 	out, errs, ok := s.answer(w, r, eng, body.Points, opts)
 	if !ok {
@@ -527,7 +543,7 @@ func (s *Server) handleFleetAssign(w http.ResponseWriter, r *http.Request) {
 	for i, err := range errs {
 		switch {
 		case err == nil:
-			results[i] = FleetResult{Assignment: out[i], D2: out[i].Dist2}
+			results[i] = FleetResult{Assignment: out[i], D2: out[i].Dist2, Certified: out[i].Certified}
 		case err == ErrNoCandidates:
 			results[i] = FleetResult{NoCand: true}
 		case err == ErrNoFinite:

@@ -45,42 +45,66 @@ func sweepModel(data []float64, dim, m, pi int, w float64, rowIDs bool) *model.M
 // sameAssignment compares two answers bit for bit (NaN equals NaN).
 func sameAssignment(a, b Assignment) bool {
 	bits := math.Float64bits
-	return a.Cluster == b.Cluster && a.Halo == b.Halo && a.Nearest == b.Nearest && a.Exact == b.Exact &&
+	return a.Cluster == b.Cluster && a.Halo == b.Halo && a.Nearest == b.Nearest && a.Exact == b.Exact && a.Certified == b.Certified &&
 		bits(a.Dist) == bits(b.Dist) && bits(a.Dist2) == bits(b.Dist2) && bits(a.PeakDist) == bits(b.PeakDist)
 }
 
-// checkSweep answers q on e — through mask when masked — and fails unless
-// the answer, the error and the counters are what gathering the union and
-// scanning all of it with the exact kernel would have produced.
-func checkSweep(t *testing.T, what string, e *Engine, q points.Vector, mask uint64, masked bool) (scanned, union int) {
-	t.Helper()
-	mdl := e.Model()
-	dim, n, nl := mdl.Dim, mdl.N(), e.Layouts()
-
-	// The reference union, built from the index the slow way.
+// maskedUnion lists, in row order, the rows a masked scan of q may evaluate:
+// each row whose first layout matching q, in the cyclic order starting at
+// q's certifying layout, is in mask.
+func maskedUnion(e *Engine, q points.Vector, mask uint64) []int32 {
+	n, nl := e.Model().N(), e.Layouts()
 	var kb lsh.KeyBuf
 	e.layouts.Hash(&kb, q)
+	qids := make([]int32, nl)
+	for j := range qids {
+		id, ok := e.ix.Lookup(kb.Key(j))
+		if !ok {
+			id = -1
+		}
+		qids[j] = id
+	}
+	_, j0 := e.layouts.GuaranteeRadius(&kb)
+	var rows []int32
+	for r := 0; r < n; r++ {
+		for dj := 0; dj < nl; dj++ {
+			if j := (j0 + dj) % nl; e.ix.RowKeys[r*nl+j] == qids[j] {
+				if mask&(1<<uint(j)) != 0 {
+					rows = append(rows, int32(r))
+				}
+				break
+			}
+		}
+	}
+	return rows
+}
+
+// within keeps the rows whose squared distance to q ties or beats bound.
+func within(mdl *model.Model, q points.Vector, rows []int32, bound float64) []int32 {
+	var kept []int32
+	for _, r := range rows {
+		if points.SqDist(q, mdl.Row(int(r))) <= bound {
+			kept = append(kept, r)
+		}
+	}
+	return kept
+}
+
+// checkSweep answers q on e — through mask and capped at bound when masked
+// (bound is +Inf otherwise) — and fails unless the answer, the error and the
+// counters are what gathering the union, keeping the rows within the bound
+// and scanning all of them with the exact kernel would have produced, and
+// the query certifies exactly when the nearest such row of its certifying
+// bucket lies strictly inside its guarantee radius.
+func checkSweep(t *testing.T, what string, e *Engine, q points.Vector, mask uint64, masked bool, bound float64) (scanned, union int) {
+	t.Helper()
+	mdl := e.Model()
+	dim, n := mdl.Dim, mdl.N()
+
+	// The reference union, built from the index the slow way.
 	var rows []int32
 	if masked {
-		qids := make([]int32, nl)
-		for j := range qids {
-			id, ok := e.ix.Lookup(kb.Key(j))
-			if !ok {
-				id = -1
-			}
-			qids[j] = id
-		}
-		j0 := ScanRotation(kb.Bytes(), nl)
-		for r := 0; r < n; r++ {
-			for dj := 0; dj < nl; dj++ {
-				if j := (j0 + dj) % nl; e.ix.RowKeys[r*nl+j] == qids[j] {
-					if mask&(1<<uint(j)) != 0 {
-						rows = append(rows, int32(r))
-					}
-					break
-				}
-			}
-		}
+		rows = maskedUnion(e, q, mask)
 	} else {
 		rows, _ = e.CandidateRows(q, nil)
 		seen := map[int32]bool{}
@@ -97,6 +121,7 @@ func checkSweep(t *testing.T, what string, e *Engine, q points.Vector, mask uint
 			eligible++
 		}
 	}
+	rows = within(mdl, q, rows, bound)
 
 	var want Assignment
 	var wantErr error
@@ -112,13 +137,27 @@ func checkSweep(t *testing.T, what string, e *Engine, q points.Vector, mask uint
 		wantErr = ErrNoFinite
 	}
 
+	// The certificate: the certifying bucket's nearest row within the bound.
+	var kb lsh.KeyBuf
+	e.layouts.Hash(&kb, q)
+	g, first := e.layouts.GuaranteeRadius(&kb)
+	wantCert := false
+	if id, ok := e.ix.Lookup(kb.Key(first)); ok && (!masked || mask&(1<<uint(first)) != 0) {
+		b, b2 := kernels.NNRows(mdl.Data, dim, q, within(mdl, q, e.ix.Bucket(id), bound))
+		wantCert = b >= 0 && math.Sqrt(b2) < g
+	}
+	want.Certified = wantCert
+
 	opts := BatchOpts{}
 	if masked {
 		opts.Masks = []uint64{mask}
+		if !math.IsInf(bound, 1) {
+			opts.Bounds = []float64{bound}
+		}
 	}
 	out, errs, st := e.AssignBatchOpts([]points.Vector{q}, opts)
 	if errs[0] != wantErr || (wantErr == nil && !sameAssignment(out[0], want)) {
-		t.Fatalf("%s: q=%v mask=%b: swept %+v (err %v), gather + scan %+v (err %v)", what, q, mask, out[0], errs[0], want, wantErr)
+		t.Fatalf("%s: q=%v mask=%b bound=%v: swept %+v (err %v), gather + scan %+v (err %v)", what, q, mask, bound, out[0], errs[0], want, wantErr)
 	}
 	swept := st.Scanned - st.ExactQueries*int64(n)
 	if swept < 0 || swept > int64(eligible) {
@@ -128,14 +167,31 @@ func checkSweep(t *testing.T, what string, e *Engine, q points.Vector, mask uint
 		t.Fatalf("%s: q=%v: %d exact scans, want answer %+v (err %v)", what, q, st.ExactQueries, want, wantErr)
 	}
 	if st.Certified != 0 {
-		if masked || st.Certified != 1 || wantErr != nil || want.Exact {
+		if st.Certified != 1 || wantErr != nil || want.Exact {
 			t.Fatalf("%s: q=%v masked=%v: certified %d with answer %+v (err %v)", what, q, masked, st.Certified, want, wantErr)
 		}
 		if int(want.Nearest) != int(mdl.GlobalID(exactBest)) || want.Dist2 != exactBest2 {
 			t.Fatalf("%s: q=%v: certified answer row %d at %v, exact scan row %d at %v", what, q, want.Nearest, want.Dist2, mdl.GlobalID(exactBest), exactBest2)
 		}
+	} else if wantCert {
+		t.Fatalf("%s: q=%v mask=%b bound=%v: the certifying bucket proves %+v, but the sweep did not certify", what, q, mask, bound, want)
 	}
 	return int(swept), len(rows)
+}
+
+// sweepBounds returns the caps a masked query is checked under: none, the
+// best squared distance of its masked union, one ULP below it, and 0 —
+// which only a row at the query's own position meets.
+func sweepBounds(e *Engine, q points.Vector, mask uint64) []float64 {
+	mdl := e.Model()
+	bounds := []float64{math.Inf(1), 0}
+	if _, b2 := kernels.NNRows(mdl.Data, mdl.Dim, q, maskedUnion(e, q, mask)); b2 < math.Inf(1) {
+		bounds = append(bounds, b2)
+		if b2 > 0 {
+			bounds = append(bounds, math.Nextafter(b2, 0))
+		}
+	}
+	return bounds
 }
 
 // sweepBlocks returns the test geometries for n rows of dimension dim.
@@ -203,10 +259,14 @@ func TestSweepAssignMatchesGather(t *testing.T) {
 						}
 						name := fmt.Sprintf("%s dim %d n %d M %d pi %d w %v %s(%s) fleet=%v", what, dim, n, m, pi, w, prec, e.Precision(), fleet)
 						for _, q := range sweepQueries(rng, block, dim, 25) {
-							checkSweep(t, name, e, q, 0, false)
-							if fleet {
-								checkSweep(t, name, e, q, rng.Uint64(), true)
-								checkSweep(t, name, e, q, ^uint64(0), true)
+							checkSweep(t, name, e, q, 0, false, math.Inf(1))
+							if !fleet {
+								continue
+							}
+							for _, mask := range []uint64{rng.Uint64(), ^uint64(0)} {
+								for _, bound := range sweepBounds(e, q, mask) {
+									checkSweep(t, name, e, q, mask, true, bound)
+								}
 							}
 						}
 					}
@@ -239,7 +299,7 @@ func TestSweepPrunesServing(t *testing.T) {
 			for j := range q {
 				q[j] += rng.NormFloat64() * 0.3
 			}
-			s, u := checkSweep(t, "separated blobs "+prec.String(), e, q, 0, false)
+			s, u := checkSweep(t, "separated blobs "+prec.String(), e, q, 0, false, math.Inf(1))
 			swept, union = swept+s, union+u
 		}
 		if 2*swept >= union {
@@ -275,8 +335,9 @@ func fuzzCoord(b byte) float64 {
 // FuzzEngineSweep decodes bytes into a tiny model (dimension, LSH shape,
 // precision, rows) and a query, and runs checkSweep's differential against
 // the gather path, unmasked and — on a fleet sub-model — under a fuzz-chosen
-// mask: same answer, same error, no more evaluations than the union has
-// eligible rows (so none twice), never a panic.
+// mask and each of sweepBounds' caps: same answer, same error, same
+// certificate, no more evaluations than the union has eligible rows (so
+// none twice), never a panic.
 func FuzzEngineSweep(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 1, 2, 3})
@@ -308,9 +369,11 @@ func FuzzEngineSweep(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkSweep(t, "fuzz", e, q, 0, false)
+			checkSweep(t, "fuzz", e, q, 0, false, math.Inf(1))
 			if fleet {
-				checkSweep(t, "fuzz", e, q, mask, true)
+				for _, bound := range sweepBounds(e, q, mask) {
+					checkSweep(t, "fuzz", e, q, mask, true, bound)
+				}
 			}
 		}
 	})
