@@ -44,9 +44,10 @@ test-short:
 # re-replication machinery and its harness,
 # serve/model for the query server's admission gate, shedding, and hot reload,
 # fleet for the router's scatter-gather, hedging, and liveness prober.
-# ./internal/mapreduce/... recursively covers the dag scheduler package,
-# whose concurrent node dispatch is the newest race surface; ingest for the
-# WAL-backed store's concurrent writers, query merges, and compaction swap;
+# ./internal/mapreduce/... recursively covers the dag package, whose
+# mutex-guarded session ledger callers may read while a run records into it;
+# ingest for the WAL-backed store's concurrent writers, query merges, and
+# compaction swap;
 # core for the jobs that run on those engines — its LSH reducers share pooled
 # scratch (one KeyBuf per reduce call) across concurrent reduce tasks.
 race:

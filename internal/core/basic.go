@@ -117,10 +117,6 @@ func untagBlock(v []byte) (int, []byte, error) {
 	return int(binary.LittleEndian.Uint32(v)), v[4:], nil
 }
 
-// idKey formats a point ID as a fixed-width reduce key so aggregation jobs
-// group correctly and output deterministically.
-func idKey(id int32) string { return fmt.Sprintf("%09d", id) }
-
 func parseIDKey(k string) (int32, error) {
 	v, err := strconv.Atoi(k)
 	if err != nil {
@@ -179,7 +175,7 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 					continue
 				}
 				id := m.ID(i)
-				out.Emit(idKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: share}))
+				out.Emit(mapreduce.IDKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: share}))
 			}
 			return nil
 		},
@@ -215,7 +211,7 @@ func RhoAggJob(name string, conf mapreduce.Conf) *mapreduce.Job {
 }
 
 // identityMap forwards records unchanged; aggregation jobs group the
-// previous job's (idKey, value) output.
+// previous job's (mapreduce.IDKey, value) output.
 func identityMap(_ *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
 	out.Emit(key, value)
 	return nil
@@ -280,7 +276,7 @@ func BasicDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 					dv.Delta = math.Sqrt(acc.Max2[i])
 					dv.Upslope = -1
 				}
-				out.Emit(idKey(id), points.EncodeDeltaValue(dv))
+				out.Emit(mapreduce.IDKey(id), points.EncodeDeltaValue(dv))
 			}
 			return nil
 		},

@@ -183,8 +183,8 @@ func (c *Config) engine() mapreduce.Engine {
 	return &mapreduce.LocalEngine{}
 }
 
-// DagSession builds the fresh session a pipeline schedules its graph onto,
-// over c.Engine (node concurrency as the engine declares).
+// DagSession builds the fresh session a pipeline runs its graph on, over
+// c.Engine.
 func (c *Config) DagSession() *dag.Session {
 	return dag.NewSession(c.engine(), dag.Options{Log: c.Log, Trace: c.Trace})
 }

@@ -262,7 +262,7 @@ func lshRhoJob(conf mapreduce.Conf, reach func(kernels.Kernel) float64) *mapredu
 					part.ID = m.ID(i)
 					part.Near = appendNeighbors(part.Near[:0], po.near.List(i))
 					enc = points.AppendRhoPartial(enc[:0], part)
-					out.Emit(idKey(part.ID), bytes.Clone(enc))
+					out.Emit(mapreduce.IDKey(part.ID), bytes.Clone(enc))
 				}
 			}
 			return nil
@@ -390,7 +390,7 @@ func certifyDelta(rhoOut []mapreduce.Pair, n int) ([]mapreduce.Pair, error) {
 	var out []mapreduce.Pair
 	for i := range rho {
 		if dv, ok := certify(rho, int32(i), near[i]); ok {
-			out = append(out, mapreduce.Pair{Key: idKey(dv.ID), Value: points.EncodeDeltaValue(dv)})
+			out = append(out, mapreduce.Pair{Key: mapreduce.IDKey(dv.ID), Value: points.EncodeDeltaValue(dv)})
 		}
 	}
 	return out, nil
@@ -578,7 +578,7 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 				} else if own != 0 {
 					continue
 				}
-				out.Emit(idKey(id), points.EncodeDeltaValue(dv))
+				out.Emit(mapreduce.IDKey(id), points.EncodeDeltaValue(dv))
 			}
 			return nil
 		},

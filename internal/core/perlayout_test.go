@@ -45,7 +45,7 @@ func perLayoutRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 		ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.RhoAccumulate(m, 0, m.N(), kern, rho))
 		for i := 0; i < m.N(); i++ {
 			id := m.ID(i)
-			out.Emit(idKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho[i]}))
+			out.Emit(mapreduce.IDKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho[i]}))
 		}
 		return nil
 	}
@@ -102,7 +102,7 @@ func perLayoutDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 				dv.Delta = math.Sqrt(acc.Best2[i])
 				dv.Upslope = m.ID(int(acc.Up[i]))
 			}
-			out.Emit(idKey(id), points.EncodeDeltaValue(dv))
+			out.Emit(mapreduce.IDKey(id), points.EncodeDeltaValue(dv))
 		}
 		return nil
 	}

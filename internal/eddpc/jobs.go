@@ -129,7 +129,7 @@ func RhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			}, kern, &rho))
 			for i := 0; i < nHome; i++ {
 				id := m.ID(i)
-				out.Emit(idKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho.Share(i, 0)}))
+				out.Emit(mapreduce.IDKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho.Share(i, 0)}))
 			}
 			return nil
 		},
@@ -173,7 +173,7 @@ func DeltaLocalJob(conf mapreduce.Conf) *mapreduce.Job {
 					dv.Delta = math.Sqrt(acc.Best2[i])
 					dv.Upslope = m.ID(int(acc.Up[i]))
 				}
-				out.Emit(idKey(id), points.EncodeDeltaValue(dv))
+				out.Emit(mapreduce.IDKey(id), points.EncodeDeltaValue(dv))
 			}
 			return nil
 		},
@@ -284,7 +284,7 @@ func DeltaRefineJob(conf mapreduce.Conf) *mapreduce.Job {
 					}
 				}
 				if bestUp >= 0 {
-					out.Emit(idKey(q.rp.ID), points.EncodeDeltaValue(points.DeltaValue{
+					out.Emit(mapreduce.IDKey(q.rp.ID), points.EncodeDeltaValue(points.DeltaValue{
 						ID: q.rp.ID, Delta: math.Sqrt(best2), Upslope: bestUp,
 					}))
 				}
@@ -332,5 +332,3 @@ func resolveAbsolutePeak(ds *points.Dataset, rho, delta []float64, upslope []int
 	upslope[peak] = -1
 	return nd, nil
 }
-
-func idKey(id int32) string { return fmt.Sprintf("%09d", id) }

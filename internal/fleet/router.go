@@ -77,10 +77,6 @@ type RouterConfig struct {
 	MaxRequestPoints int
 	// ShardTimeout bounds one shard round-trip (default 30s).
 	ShardTimeout time.Duration
-	// ReadHeaderTimeout / IdleTimeout harden the router's own listener
-	// exactly like serve.Config's fields (0 = 5s / 2m, negative disables).
-	ReadHeaderTimeout time.Duration
-	IdleTimeout       time.Duration
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -258,8 +254,8 @@ func (r *Router) Start(addr string) error {
 	r.ln = ln
 	r.httpSrv = &http.Server{
 		Handler:           r.mux,
-		ReadHeaderTimeout: routerTimeout(r.cfg.ReadHeaderTimeout, 5*time.Second),
-		IdleTimeout:       routerTimeout(r.cfg.IdleTimeout, 2*time.Minute),
+		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
 	r.probeWG.Add(1)
 	go r.prober()
@@ -267,17 +263,6 @@ func (r *Router) Start(addr string) error {
 	r.logf("fleet: router listening on %s (%d shards, hedge=%s heartbeat=%s dead-after=%s)",
 		ln.Addr(), len(r.shards), r.cfg.HedgeDelay, r.cfg.heartbeat(), r.cfg.deadAfter())
 	return nil
-}
-
-// routerTimeout mirrors serve's knob convention: 0 default, negative off.
-func routerTimeout(v, def time.Duration) time.Duration {
-	switch {
-	case v > 0:
-		return v
-	case v < 0:
-		return 0
-	}
-	return def
 }
 
 // Addr returns the bound address after Start.

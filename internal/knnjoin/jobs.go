@@ -65,27 +65,6 @@ const (
 	JobMerge      = "knn-merge"
 )
 
-// idKey renders a point ID as a fixed-width sortable reduce key: the bytes
-// of fmt's %09d, without the formatter.
-func idKey(id int32) string {
-	var buf [11]byte // sign and ten digits
-	u, digits := uint32(id), 9
-	if id < 0 {
-		u, digits = -u, 8
-	}
-	i := len(buf)
-	for n := 0; n < digits || u > 0; n++ {
-		i--
-		buf[i] = byte('0' + u%10)
-		u /= 10
-	}
-	if id < 0 {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
 // lazyLayouts returns a job instance's layouts resolver: the first map call
 // parses the LSH parameters out of the job Conf and fetches the process-wide
 // copy of the layouts they draw; every later call — one per record — is a
@@ -282,7 +261,7 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 		// pass sees its guarantee radius (and, on the exact pass over an
 		// empty S, still produces a result record).
 		for _, q := range queries {
-			out.Emit(idKey(q.p.ID), encodePartial(partialList{QID: q.p.ID, G: q.g}))
+			out.Emit(mapreduce.IDKey(q.p.ID), encodePartial(partialList{QID: q.p.ID, G: q.g}))
 		}
 		return nil
 	}
@@ -313,7 +292,7 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 		for j, e := range entries {
 			ns[j] = Neighbor{ID: m.ID(int(e.Row)), D2: e.D2}
 		}
-		out.Emit(idKey(q.p.ID), encodePartial(partialList{QID: q.p.ID, G: q.g, Entries: ns}))
+		out.Emit(mapreduce.IDKey(q.p.ID), encodePartial(partialList{QID: q.p.ID, G: q.g, Entries: ns}))
 	}
 	sw := sweepScratches.Get().(*sweepScratch)
 	defer sweepScratches.Put(sw)

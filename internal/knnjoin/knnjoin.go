@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -242,16 +243,8 @@ func decodeResults(dst [][]Neighbor, pairs []mapreduce.Pair) ([]int32, error) {
 		}
 		dst[r.QID] = r.Entries
 	}
-	sortInt32s(fallback)
+	slices.Sort(fallback)
 	return fallback, nil
-}
-
-func sortInt32s(xs []int32) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // estimateWidth derives the LSH slot width from a seeded sample: the mean

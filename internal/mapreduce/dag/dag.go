@@ -4,20 +4,20 @@
 // through named Datasets, and a Session executes the graph over any
 // mapreduce.Engine and keeps the one ledger of what ran.
 //
-// The scheduler:
+// The session:
 //
-//   - orders nodes topologically (construction order is already
-//     topological, since a node's inputs must exist when it is declared)
-//     and runs independent ready nodes concurrently, bounded by the
-//     engine's declared job concurrency (mapreduce.JobConcurrency: the
-//     local engine overlaps jobs freely, the rpcmr master serializes);
+//   - runs a graph's nodes one at a time, in declaration order, on the
+//     calling goroutine: that order is topological, since a node's inputs
+//     must exist when it is declared, and every pipeline here is a chain of
+//     jobs, each reading the one before, so no two nodes are ever ready at
+//     once. Cancellation is checked between nodes;
 //
-//   - garbage-collects intermediate datasets as soon as their last
-//     consumer finishes, so a deep pipeline's peak footprint is its live
-//     frontier, not its whole history;
+//   - garbage-collects an intermediate dataset right after its last reader
+//     runs, so a deep pipeline's peak footprint is its live frontier, not
+//     its whole history;
 //
 //   - records every job it executes — stats and trace, successful jobs
-//     only, in completion order — and emits dag.* counters (nodes run,
+//     only, in the order they ran — and emits dag.* counters (nodes run,
 //     staged and collected bytes) and one obs span per node; a pipeline
 //     brackets its work with Session.Mark / Since to read back exactly its
 //     own share, also on a session it shares with others.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,7 +28,7 @@ func upperJob(name string) *mapreduce.Job {
 	}
 }
 
-// slowJob sleeps per record so node overlap is observable.
+// slowJob sleeps per record so node timing is observable.
 func slowJob(name string, d time.Duration) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name:    name,
@@ -126,66 +125,41 @@ func TestTransformAndMultiInputConcat(t *testing.T) {
 	}
 }
 
-func TestIndependentNodesOverlap(t *testing.T) {
-	const d = 120 * time.Millisecond
+// Two independent nodes, the slow one declared first: the session runs them
+// one after the other in declaration order and records them in that order,
+// although the fast one alone would finish first.
+func TestNodesRunInDeclarationOrder(t *testing.T) {
 	s := newSession()
-	g := dag.NewGraph("par")
+	mark := s.Mark()
+	g := dag.NewGraph("order")
 	src := s.Stage("in", pairsOf("k", "v"))
-	l := g.Job(slowJob("slow-left", d), src)
-	r := g.Job(slowJob("slow-right", d), src)
-	start := time.Now()
-	if _, err := s.Run(context.Background(), g, l, r); err != nil {
+	slow := g.Job(slowJob("slow", 60*time.Millisecond), src)
+	fast := g.Job(upperJob("fast"), src)
+	if _, err := s.Run(context.Background(), g, slow, fast); err != nil {
 		t.Fatal(err)
 	}
-	wall := time.Since(start)
-	if wall >= 2*d {
-		t.Fatalf("independent nodes did not overlap: wall %v >= %v", wall, 2*d)
+	l := s.Since(mark)
+	var names []string
+	for _, j := range l.Jobs {
+		names = append(names, j.Name)
 	}
-	traces := s.Traces()
-	if len(traces) != 1 {
-		t.Fatalf("want 1 dag trace, got %d", len(traces))
+	if fmt.Sprint(names) != "[slow fast]" {
+		t.Fatalf("ledger jobs = %v, want declaration order [slow fast]", names)
 	}
-	spans := traces[0].Spans
+	if len(l.Runs) != 1 || l.Runs[0].Job != "dag:order" {
+		t.Fatalf("run traces = %+v, want one dag:order", l.Runs)
+	}
+	spans := l.Runs[0].Spans
 	if len(spans) != 2 {
 		t.Fatalf("want 2 node spans, got %d", len(spans))
 	}
-	// The spans' [Start, Start+Wall) intervals must intersect.
-	s0, s1 := spans[0], spans[1]
-	if !(s0.Start.Before(s1.Start.Add(s1.Wall)) && s1.Start.Before(s0.Start.Add(s0.Wall))) {
-		t.Fatalf("node spans do not overlap: %v+%v vs %v+%v", s0.Start, s0.Wall, s1.Start, s1.Wall)
+	// Each span's [Start, Start+Wall) ends before the next one starts.
+	for i := 1; i < len(spans); i++ {
+		prev, cur := spans[i-1], spans[i]
+		if cur.Start.Before(prev.Start.Add(prev.Wall)) {
+			t.Fatalf("node spans overlap: %s %v+%v vs %s %v+%v", prev.Job, prev.Start, prev.Wall, cur.Job, cur.Start, cur.Wall)
+		}
 	}
-}
-
-func TestSerialEngineDoesNotOverlap(t *testing.T) {
-	// Node concurrency is the engine's declared job concurrency (1 here).
-	s := dag.NewSession(serialEngine{}, dag.Options{})
-	g := dag.NewGraph("serial")
-	src := s.Stage("in", pairsOf("k", "v"))
-	l := g.Job(upperJob("s1"), src)
-	r := g.Job(upperJob("s2"), src)
-	if _, err := s.Run(context.Background(), g, l, r); err != nil {
-		t.Fatal(err)
-	}
-	if got := atomic.LoadInt32(&maxSerialInFlight); got != 1 {
-		t.Fatalf("serial engine saw %d concurrent jobs, want 1", got)
-	}
-}
-
-var serialInFlight, maxSerialInFlight int32
-
-// serialEngine declares MaxConcurrentJobs()==1 and asserts it is honored.
-type serialEngine struct{}
-
-func (serialEngine) MaxConcurrentJobs() int { return 1 }
-
-func (serialEngine) Run(ctx context.Context, job *mapreduce.Job, input []mapreduce.Pair) (*mapreduce.Result, error) {
-	n := atomic.AddInt32(&serialInFlight, 1)
-	if n > atomic.LoadInt32(&maxSerialInFlight) {
-		atomic.StoreInt32(&maxSerialInFlight, n)
-	}
-	time.Sleep(20 * time.Millisecond)
-	atomic.AddInt32(&serialInFlight, -1)
-	return (&mapreduce.LocalEngine{Parallelism: 1}).Run(ctx, job, input)
 }
 
 func TestGCFreesDeadIntermediates(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Counter names the scheduler reports (Session.Counters and per-run trace
+// Counter names the session reports (Session.Counters and per-run trace
 // counters).
 const (
 	// CtrNodes counts job nodes executed.
@@ -49,7 +49,7 @@ type Session struct {
 
 	mu       sync.Mutex
 	counters *mapreduce.Counters
-	jobs     []mapreduce.JobStats // executed job nodes, completion order
+	jobs     []mapreduce.JobStats // executed job nodes, in run order
 	jobTrace []obs.JobTrace       // their traces, same order
 	traces   []obs.JobTrace       // one "dag:<graph>" trace per completed Run
 }
@@ -85,7 +85,7 @@ func (s *Session) Counters() map[string]int64 { return s.Since(Mark{}).Counters 
 func (s *Session) Traces() []obs.JobTrace { return s.Since(Mark{}).Runs }
 
 // Jobs returns the stats of every job the session executed (failed jobs
-// excluded), in completion order.
+// excluded), in the order they ran.
 func (s *Session) Jobs() []mapreduce.JobStats { return s.Since(Mark{}).Jobs }
 
 // Mark is a position in a session's ledger. A pipeline takes one before it
@@ -107,7 +107,7 @@ func (s *Session) Mark() Mark {
 // Ledger is what a session recorded over a stretch of its life.
 type Ledger struct {
 	// Jobs and JobTraces describe every job executed, index-aligned, in
-	// completion order.
+	// the order they ran.
 	Jobs      []mapreduce.JobStats
 	JobTraces []obs.JobTrace
 	// Runs holds one "dag:<graph>" trace per completed Run.
@@ -134,30 +134,14 @@ func (s *Session) Since(m Mark) Ledger {
 	return l
 }
 
-// workers is the node concurrency: the engine's declared job concurrency,
-// or 1 when it declares none.
-func (s *Session) workers() int {
-	if jc, ok := s.engine.(mapreduce.JobConcurrency); ok {
-		if n := jc.MaxConcurrentJobs(); n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
-// dsState is one dataset's materialization state during a run.
-type dsState struct {
-	pairs  []mapreduce.Pair
-	done   bool
-	refs   int  // consumer nodes not yet finished
-	gcable bool // node-produced and not a wanted output
-}
-
-// Run executes the graph and returns the wanted datasets' pairs, in want
-// order. Intermediates not listed in want are garbage-collected as soon as
-// their last consumer finishes; wanted datasets are pinned. Cancelling ctx
-// stops dispatching nodes, drains the ones in flight, and returns
-// ctx.Err(). Treat the returned slices as read-only, like any job output.
+// Run executes the graph's nodes one at a time, in declaration order — a
+// topological order, since a node can only read datasets declared before
+// it — on the calling goroutine, and returns the wanted datasets' pairs, in
+// want order. An intermediate not listed in want is garbage-collected right
+// after its last reader runs; wanted datasets are pinned. ctx is checked
+// before every node: once it is cancelled, Run starts no further node and
+// returns ctx.Err(). Treat the returned slices as read-only, like any job
+// output.
 func (s *Session) Run(ctx context.Context, g *Graph, want ...*Dataset) ([][]mapreduce.Pair, error) {
 	if g == nil {
 		return nil, fmt.Errorf("dag: nil graph")
@@ -168,31 +152,6 @@ func (s *Session) Run(ctx context.Context, g *Graph, want ...*Dataset) ([][]mapr
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	runStart := time.Now()
-	rc := mapreduce.NewCounters() // this run's dag.* deltas
-
-	// Build per-dataset state and the consumer index.
-	st := make(map[*Dataset]*dsState)
-	consumers := make(map[*Dataset][]*node)
-	ensure := func(d *Dataset) *dsState {
-		x, ok := st[d]
-		if !ok {
-			x = &dsState{}
-			if d.producer == nil {
-				x.pairs = d.src
-				x.done = true
-			}
-			st[d] = x
-		}
-		return x
-	}
-	for _, n := range g.nodes {
-		for _, in := range distinct(n.ins) {
-			ensure(in).refs++
-			consumers[in] = append(consumers[in], n)
-		}
-		ensure(n.out).gcable = true
-	}
 	wanted := make(map[*Dataset]bool, len(want))
 	for _, w := range want {
 		if w == nil {
@@ -202,96 +161,54 @@ func (s *Session) Run(ctx context.Context, g *Graph, want ...*Dataset) ([][]mapr
 			return nil, fmt.Errorf("dag: graph %q: wanted dataset %q belongs to graph %q", g.name, w.name, w.producer.g.name)
 		}
 		wanted[w] = true
-		ensure(w).gcable = false
+	}
+	// lastRead maps each unwanted intermediate to the node that reads it
+	// last; it is dead once that node has run.
+	lastRead := make(map[*Dataset]int)
+	for i, n := range g.nodes {
+		for _, in := range n.ins {
+			if in.producer != nil && !wanted[in] {
+				lastRead[in] = i
+			}
+		}
 	}
 
-	// Schedule: dispatch ready nodes up to the worker bound, collect
-	// completions, release consumers, GC dead intermediates.
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	doneCh := make(chan nodeResult)
-	pending := make(map[*node]int)
-	var ready []*node
-	for _, n := range g.nodes {
-		for _, in := range distinct(n.ins) {
-			if !st[in].done {
-				pending[n]++
-			}
-		}
-		if pending[n] == 0 {
-			ready = append(ready, n)
-		}
-	}
-	workers := s.workers()
+	runStart := time.Now()
+	rc := mapreduce.NewCounters() // this run's dag.* deltas
+	outs := make(map[*Dataset][]mapreduce.Pair, len(g.nodes))
 	spans := make([]obs.Span, 0, len(g.nodes))
-	var (
-		running, finished int
-		firstErr          error
-	)
-	for finished < len(g.nodes) {
-		for firstErr == nil && running < workers && len(ready) > 0 {
-			n := ready[0]
-			ready = ready[1:]
-			inputs := make([][]mapreduce.Pair, len(n.ins))
-			for i, in := range n.ins {
-				inputs[i] = st[in].pairs
-			}
-			running++
-			go func(n *node, inputs [][]mapreduce.Pair) {
-				doneCh <- s.execNode(runCtx, n, inputs, rc)
-			}(n, inputs)
+	var err error
+	for i, n := range g.nodes {
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		if running == 0 {
-			if firstErr != nil {
-				break
-			}
-			// No cycle can be constructed, so an empty frontier with work
-			// left means a bug; fail loudly instead of hanging.
-			return nil, fmt.Errorf("dag: graph %q: scheduler stuck with %d/%d nodes done", g.name, finished, len(g.nodes))
-		}
-		msg := <-doneCh
-		running--
-		finished++
-		if msg.err != nil {
-			if firstErr == nil {
-				firstErr = msg.err
-				cancelRun()
-			}
-			continue
-		}
-		spans = append(spans, msg.span)
-		outSt := st[msg.n.out]
-		outSt.pairs = msg.out
-		outSt.done = true
-		for _, m := range consumers[msg.n.out] {
-			pending[m]--
-			if pending[m] == 0 {
-				ready = append(ready, m)
+		inputs := make([][]mapreduce.Pair, len(n.ins))
+		for j, in := range n.ins {
+			inputs[j] = in.src
+			if in.producer != nil {
+				inputs[j] = outs[in]
 			}
 		}
-		if s.opt.Log != nil {
-			tag := ""
-			if c := msg.jobCounters; c != nil {
-				tag = fmt.Sprintf(" shuffleB=%d dist=%d", c[mapreduce.CtrShuffleBytes], c[mapreduce.CtrDistanceComputations])
-			}
-			s.opt.Log("dag %-24s %8.3fs  out=%d%s", msg.n.name, msg.span.Wall.Seconds(), msg.span.Records, tag)
+		var out []mapreduce.Pair
+		var span obs.Span
+		if out, span, err = s.execNode(ctx, n, inputs, rc); err != nil {
+			break
 		}
-		// Release this node's inputs; collect intermediates nobody else
-		// will read.
-		for _, in := range distinct(msg.n.ins) {
-			is := st[in]
-			is.refs--
-			if is.refs == 0 && is.gcable && is.done {
+		outs[n.out] = out
+		spans = append(spans, span)
+		for _, in := range n.ins {
+			if last, ok := lastRead[in]; ok && last == i {
+				delete(lastRead, in) // a node may read one dataset twice
 				rc.Add(CtrGCDatasets, 1)
-				rc.Add(CtrGCBytes, mapreduce.PairsBytes(is.pairs))
-				is.pairs = nil
+				rc.Add(CtrGCBytes, mapreduce.PairsBytes(outs[in]))
+				delete(outs, in)
 			}
 		}
 	}
 
 	s.mu.Lock()
 	s.counters.Merge(rc)
-	if firstErr == nil {
+	if err == nil {
 		trace := obs.JobTrace{
 			Job:      "dag:" + g.name,
 			ID:       len(s.traces) + 1,
@@ -308,42 +225,26 @@ func (s *Session) Run(ctx context.Context, g *Graph, want ...*Dataset) ([][]mapr
 		}
 	}
 	s.mu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 
-	out := make([][]mapreduce.Pair, len(want))
+	res := make([][]mapreduce.Pair, len(want))
 	for i, w := range want {
-		ws, ok := st[w]
-		if !ok {
-			// A wanted source no node consumed.
-			out[i] = w.src
-			continue
+		res[i] = w.src
+		if w.producer != nil {
+			res[i] = outs[w]
 		}
-		if !ws.done {
-			return nil, fmt.Errorf("dag: graph %q: wanted dataset %q was never produced", g.name, w.name)
-		}
-		out[i] = ws.pairs
 	}
-	return out, nil
+	return res, nil
 }
 
-// nodeResult is one node's completion message to the scheduler loop.
-type nodeResult struct {
-	n           *node
-	out         []mapreduce.Pair
-	span        obs.Span
-	err         error
-	jobCounters map[string]int64 // set for executed job nodes
-}
-
-// execNode runs one node's job or transform. The returned span carries the
-// node's output volume.
-func (s *Session) execNode(ctx context.Context, n *node, inputs [][]mapreduce.Pair, rc *mapreduce.Counters) (msg nodeResult) {
+// execNode runs one node's job or transform and logs it. The returned span
+// carries the node's output volume.
+func (s *Session) execNode(ctx context.Context, n *node, inputs [][]mapreduce.Pair, rc *mapreduce.Counters) ([]mapreduce.Pair, obs.Span, error) {
 	start := time.Now()
-	msg.n = n
 	var out []mapreduce.Pair
-	var err error
+	var jobCounters map[string]int64 // set for job nodes
 	if n.job != nil {
 		input := inputs[0]
 		if len(inputs) > 1 {
@@ -352,30 +253,37 @@ func (s *Session) execNode(ctx context.Context, n *node, inputs [][]mapreduce.Pa
 				input = append(input, in...)
 			}
 		}
-		var res *mapreduce.Result
-		res, err = s.engine.Run(ctx, n.job, input)
+		res, err := s.engine.Run(ctx, n.job, input)
 		if err != nil {
-			err = fmt.Errorf("dag: job %q: %w", n.job.Name, err)
-		} else {
-			out = res.Output
-			rc.Add(CtrNodes, 1)
-			msg.jobCounters = s.record(n.job.Name, res)
+			return nil, obs.Span{}, fmt.Errorf("dag: job %q: %w", n.job.Name, err)
 		}
+		out = res.Output
+		rc.Add(CtrNodes, 1)
+		jobCounters = s.record(n.job.Name, res)
 	} else {
-		out, err = n.fn(inputs...)
-		if err != nil {
-			err = fmt.Errorf("dag: transform %q: %w", n.name, err)
-		} else {
-			rc.Add(CtrTransforms, 1)
+		var err error
+		if out, err = n.fn(inputs...); err != nil {
+			return nil, obs.Span{}, fmt.Errorf("dag: transform %q: %w", n.name, err)
 		}
+		rc.Add(CtrTransforms, 1)
 	}
-	if err != nil {
-		msg.err = err
-		return msg
+	span := obs.Span{
+		Job:     n.name,
+		Phase:   obs.PhaseDag,
+		Task:    n.idx,
+		Start:   start,
+		Wall:    time.Since(start),
+		Records: int64(len(out)),
+		Bytes:   mapreduce.PairsBytes(out),
 	}
-	msg.out = out
-	msg.span = nodeSpan(n.name, n.idx, start, out)
-	return msg
+	if s.opt.Log != nil {
+		tag := ""
+		if jobCounters != nil {
+			tag = fmt.Sprintf(" shuffleB=%d dist=%d", jobCounters[mapreduce.CtrShuffleBytes], jobCounters[mapreduce.CtrDistanceComputations])
+		}
+		s.opt.Log("dag %-24s %8.3fs  out=%d%s", n.name, span.Wall.Seconds(), span.Records, tag)
+	}
+	return out, span, nil
 }
 
 // record enters one successfully executed job in the ledger — failed jobs
@@ -405,33 +313,4 @@ func (s *Session) record(name string, res *mapreduce.Result) map[string]int64 {
 		s.opt.Trace.Add(trace)
 	}
 	return snap
-}
-
-func nodeSpan(name string, idx int, start time.Time, out []mapreduce.Pair) obs.Span {
-	return obs.Span{
-		Job:     name,
-		Phase:   obs.PhaseDag,
-		Task:    idx,
-		Start:   start,
-		Wall:    time.Since(start),
-		Records: int64(len(out)),
-		Bytes:   mapreduce.PairsBytes(out),
-	}
-}
-
-// distinct returns the input list with duplicates removed, preserving
-// order — refcounts and pending counts are per distinct dataset.
-func distinct(ds []*Dataset) []*Dataset {
-	if len(ds) <= 1 {
-		return ds
-	}
-	out := ds[:0:0]
-	seen := make(map[*Dataset]bool, len(ds))
-	for _, d := range ds {
-		if !seen[d] {
-			seen[d] = true
-			out = append(out, d)
-		}
-	}
-	return out
 }

@@ -38,18 +38,6 @@ type Engine interface {
 	Run(ctx context.Context, job *Job, input []Pair) (*Result, error)
 }
 
-// JobConcurrency is an optional Engine capability: how many jobs the engine
-// can execute at the same time. The DAG scheduler consults it before
-// overlapping independent nodes — the local engine multiplexes goroutine
-// pools freely, while the rpcmr master runs one job at a time.
-type JobConcurrency interface {
-	MaxConcurrentJobs() int
-}
-
-// MaxConcurrentJobs reports the local engine's job concurrency: jobs share
-// one process, so overlap is bounded only by cores.
-func (e *LocalEngine) MaxConcurrentJobs() int { return e.parallelism() }
-
 // LocalEngine runs jobs in-process with worker goroutines. It is the
 // default substrate for experiments: it exercises the full dataflow
 // (split, map, combine, partition, sort/group, reduce) with honest byte

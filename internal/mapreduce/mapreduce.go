@@ -69,6 +69,28 @@ func HashPartition(key string, numReduces int) int {
 	return int(h.Sum32() % uint32(numReduces))
 }
 
+// IDKey renders a point ID as a fixed-width sortable reduce key, the one
+// the per-point aggregation jobs group by: the bytes of fmt's %09d, without
+// the formatter.
+func IDKey(id int32) string {
+	var buf [11]byte // sign and ten digits
+	u, digits := uint32(id), 9
+	if id < 0 {
+		u, digits = -u, 8
+	}
+	i := len(buf)
+	for n := 0; n < digits || u > 0; n++ {
+		i--
+		buf[i] = byte('0' + u%10)
+		u /= 10
+	}
+	if id < 0 {
+		i--
+		buf[i] = '-'
+	}
+	return string(buf[i:])
+}
+
 // Job is a single MapReduce job specification. Engines never mutate it, so
 // one Job value can be run many times (the distributed engine registers Job
 // templates by name and re-instantiates Conf per run).

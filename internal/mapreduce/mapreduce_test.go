@@ -2,11 +2,25 @@ package mapreduce
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 )
+
+// TestIDKeyMatchesFmt pins the hand-rolled point-ID reduce key to the fmt
+// verb it replaced, byte for byte: the aggregation jobs' shuffle bytes and
+// output order depend on it.
+func TestIDKeyMatchesFmt(t *testing.T) {
+	for _, id := range []int32{0, 1, -1, 9, 10, 12345, 99999999, 100000000, 999999999, 1000000000,
+		math.MaxInt32, -9, -12345678, -99999999, -100000000, -999999999, -1000000000, math.MinInt32} {
+		if got, want := IDKey(id), fmt.Sprintf("%09d", id); got != want {
+			t.Fatalf("IDKey(%d) = %q, want %q", id, got, want)
+		}
+	}
+}
 
 func TestConfTypedAccessors(t *testing.T) {
 	c := Conf{}

@@ -17,9 +17,10 @@ import (
 
 // Master coordinates a worker fleet and implements mapreduce.Engine, so a
 // pipeline moves from in-process to a cluster by handing dag.NewSession a
-// Master instead of a LocalEngine. One job runs at a time (the DAG scheduler
-// reads MaxConcurrentJobs and serializes); Run blocks until the job
-// finishes or fails permanently.
+// Master instead of a LocalEngine. One job runs at a time (a concurrent
+// Run call fails with "a job is already running"; a dag.Session runs its
+// nodes one at a time anyway); Run blocks until the job finishes or fails
+// permanently.
 type Master struct {
 	// LeaseTimeout re-queues a task not completed within the lease
 	// (default 60s; tests shrink it to exercise recovery).
@@ -182,11 +183,6 @@ func (m *Master) sink() obs.Sink {
 func (m *Master) logf(format string, args ...any) {
 	m.sink().Event("scheduler", format, args...)
 }
-
-// MaxConcurrentJobs reports the master's job concurrency: one. The master
-// serializes jobs (concurrent Run calls fail with "a job is already
-// running"), so the DAG scheduler runs nodes one at a time against it.
-func (m *Master) MaxConcurrentJobs() int { return 1 }
 
 // Abort fails the currently running job (if any) with the given reason and
 // wakes its Run call. Idle masters ignore it. Unlike Close, the master
