@@ -9,11 +9,12 @@ all: check
 # The full gate: compile everything, vet, enforce the docs (package
 # comments, the README knob reference in both directions, no recipe naming a
 # deleted target or binary), run the test suite, re-run the concurrency-heavy packages under
-# the race detector, fuzz the LSH key codec, the top-k sweep, the serving
-# engine's bucket sweep, the ρ-partial codec, the record frame, the ρ
-# reducers' runs-apart certificate, the HTTP point decoder, the shuffle
-# fetcher's response decoder, the WAL record decoder and the compact
-# shortlist's distance cap for five seconds each, smoke
+# the race detector, fuzz the LSH key codec, the box-tree top-k scan, the
+# serving engine's bucket sweep, the ρ-partial codec, the record frame, the
+# ρ reducers' runs-apart certificate, the HTTP point decoder, the shuffle
+# fetcher's response decoder, the WAL record decoder, the compact
+# shortlist's distance cap and the kNN-join's records for five seconds
+# each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, and compile + smoke the benchmark harness
 # (all five workloads, oracles checked).
@@ -55,11 +56,12 @@ race:
 
 # Five seconds of native fuzzing per target (one -fuzz target per `go test`
 # invocation). The LSH key codec faces bytes from outside the process: error
-# or round-trip, never panic, never two spellings of one value. The top-k
-# sweep prunes on a floating-point bound: differential against the flat
-# scan on every axis, never a row evaluated twice, never a panic. The serving
-# engine runs the same walk over its axis-ordered buckets with a one-bucket
-# early exit: fuzz-chosen tiny models and queries, differential against
+# or round-trip, never panic, never two spellings of one value. The
+# kNN-join's box-tree top-k scan prunes on a floating-point box bound:
+# differential against the flat scan on a checked tree, never a row
+# evaluated twice, never a panic. The serving engine sweeps its
+# axis-ordered buckets on a one-coordinate bound with a one-bucket early
+# exit: fuzz-chosen tiny models and queries, differential against
 # gathering the bucket union and scanning all of it, masked and unmasked.
 # The ρ-partial record of the pair-once LSH reducers is a hand-rolled varint
 # format read back by another job, and it, the aggregated ρ value and the
@@ -83,10 +85,12 @@ race:
 # its compact shortlist at the best distance another shard already found:
 # on arbitrary rows, query and bound, at f32 and q8, every row within the
 # bound survives the cap, the capped scan's answer is the nearest row within
-# the bound, and nothing panics.
+# the bound, and nothing panics. The kNN-join's records — bucket query,
+# partial list, merged result — face arbitrary bytes: error or exactly the
+# input re-encoded, and both jobs' maps error or emit, never a panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
-	$(GO) test -run '^$$' -fuzz '^FuzzTopKSweep$$' -fuzztime 5s ./internal/kernels/
+	$(GO) test -run '^$$' -fuzz '^FuzzTopKLeaves$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineSweep$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRhoPartialRoundTrip$$' -fuzztime 5s ./internal/points/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 5s ./internal/mapreduce/
@@ -95,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShuffleStream$$' -fuzztime 5s ./internal/mapreduce/rpcmr/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 5s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzShortlistCap$$' -fuzztime 5s ./internal/kernels/
+	$(GO) test -run '^$$' -fuzz '^FuzzKnnRecords$$' -fuzztime 5s ./internal/knnjoin/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -119,8 +124,9 @@ bench-hot:
 # Scan-path micro-benchmarks: a float64 single-query NN full pass, NNRows
 # over a sparse candidate list at f64 vs f32 vs q8 (the shape a served query
 # scans), multi-query NNBatch, top-k selection (the `TopK` pattern
-# matches both TopKScan, the flat batch, and TopKSweep, the kNN-join
-# reducers' coordinate-ordered scan), and one served query end to end at the
+# matches both TopKScan, the flat batch, and TopKLeaves, the kNN-join
+# reducers' box-tree scan, with rows and box bounds per query), and one
+# served query end to end at the
 # harness geometry (EngineAssign: ns and rows evaluated per query, share
 # certified from one bucket, f64 and q8).
 # End-to-end figures come from `bash bench/run.sh`.
@@ -135,8 +141,8 @@ bench-scan:
 # benchstat: naive and tiled at dim 2 / 4 / 8, and for ρ tiled+near, the
 # LSH reducers' walk with its neighbour lists) and per key /
 # index-build / served-query benchmark, for the check gate and CI: catches a
-# pair kernel, a compact kernel, a key path or a sweep that stops compiling or
-# panics on real shapes.
+# pair kernel, a compact kernel, a key path, a sweep or the box tree that
+# stops compiling or panics on real shapes.
 bench-scan-smoke:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|TopK|RhoKernel|DeltaKernel' -run '^$$' -benchtime 1x ./internal/kernels/
 	$(GO) test -bench 'Keys|NewEngine|EngineAssign' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/

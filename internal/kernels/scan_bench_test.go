@@ -12,7 +12,8 @@ import (
 // full float64 pass over a 1M×8 block, and NNBatch the same pass shared by
 // 64 queries, against 64 single-query passes (f64-seq); NNRows scans a
 // served query's sparse candidate list at each precision, with the exact
-// re-rank; TopKScan and TopKSweep are the kNN-join's flat and swept top-k.
+// re-rank; TopKScan and TopKLeaves are the flat top-k and the kNN-join's
+// box-tree top-k.
 
 type scanFixture struct {
 	n, dim int
@@ -142,14 +143,15 @@ func BenchmarkTopKScan(b *testing.B) {
 	})
 }
 
-// BenchmarkTopKSweep measures the coordinate-ordered k=10 scan the kNN-join
+// BenchmarkTopKLeaves measures the box-tree k=10 scan the kNN-join
 // reducers run per query, on the two bucket shapes of the join: a hash
 // bucket of the bucketed pass (2 K rows) and a partition of the exact pass
 // (75 K rows), drawn from eight Gaussian blobs with the queries drawn from
 // the same blobs (odd axes stretched twofold, so the axes differ in range).
 // One op is one query; rows/query is the distances evaluated, where the flat
-// scan evaluates every row.
-func BenchmarkTopKSweep(b *testing.B) {
+// scan evaluates every row, and boxes/query the box bounds computed. The
+// tree is built once, outside the timer.
+func BenchmarkTopKLeaves(b *testing.B) {
 	const nq, k = 256, 10
 	for _, dim := range []int{4, 8} {
 		for _, n := range []int{2_000, 75_000} {
@@ -166,17 +168,20 @@ func BenchmarkTopKSweep(b *testing.B) {
 					return out
 				}
 				data, qs := blob(n), blob(nq)
-				axis := SweepAxis(data, dim)
-				order, coord := SweepOrder(data, dim, axis, nil, nil)
+				var tree BoxTree
+				tree.Build(data, dim)
 				acc := NewTopKAcc(k)
-				evaluated := 0
+				evaluated, checks := 0, 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					q := qs[i%nq*dim:][:dim]
 					acc.Reset(k)
-					evaluated += TopKSweep(data, dim, q, axis, order, coord, acc)
+					e, c := TopKLeaves(&tree, q, acc)
+					evaluated += e
+					checks += c
 				}
 				b.ReportMetric(float64(evaluated)/float64(b.N), "rows/query")
+				b.ReportMetric(float64(checks)/float64(b.N), "boxes/query")
 			})
 		}
 	}

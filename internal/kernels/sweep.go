@@ -1,9 +1,10 @@
 package kernels
 
-// The coordinate-ordered scan: the same exact answer as a flat scan over
-// all the rows, from a fraction of the distance evaluations. Sweep is the
-// walk; the kNN-join's reducers run it into a TopKAcc (TopKSweep), the
-// serving engine into a k = 1 TopKAcc or a compact Shortlist.
+// The coordinate-ordered scan of the serving engine: the same exact answer
+// as a flat scan over all the rows, from a fraction of the distance
+// evaluations. Sweep is the walk; the engine runs it into a k = 1 TopKAcc
+// or a compact Shortlist. (The kNN-join's reducers scan a box tree instead,
+// leaves.go, whose bound is this one summed over every axis.)
 //
 // One coordinate difference is a lower bound on the distance, and it holds
 // in floating point with no slack: sqDist and every lane of sqDist4 sum the
@@ -24,71 +25,15 @@ package kernels
 
 import (
 	"math"
-	"slices"
 	"sort"
 )
 
 // finite reports whether v is neither NaN nor ±Inf.
 func finite(v float64) bool { return v-v == 0 }
 
-// SweepAxis picks the coordinate TopKSweep sorts a block on: the one whose
-// finite values span the widest range (the lowest such axis on ties, axis 0
-// when no coordinate is finite). Any axis is correct; a wide one prunes.
-func SweepAxis(data []float64, dim int) int {
-	if dim < 1 {
-		panic("kernels: SweepAxis needs dim >= 1")
-	}
-	lo := make([]float64, dim)
-	hi := make([]float64, dim)
-	for t := range lo {
-		lo[t], hi[t] = inf, -inf
-	}
-	for ; len(data) >= dim; data = data[dim:] {
-		for t, v := range data[:dim] {
-			if finite(v) {
-				lo[t], hi[t] = min(lo[t], v), max(hi[t], v)
-			}
-		}
-	}
-	axis, widest := 0, -inf
-	for t := range lo {
-		if span := hi[t] - lo[t]; span > widest {
-			axis, widest = t, span
-		}
-	}
-	return axis
-}
-
-// SweepOrder appends to order the rows of data sorted ascending by (axis
-// coordinate, row index), and to coord their axis coordinates in that
-// order, and returns both. Rows whose axis coordinate is NaN or ±Inf are
-// left out: their distance to any query is +Inf or NaN, which TopKAcc
-// rejects anyway.
-func SweepOrder(data []float64, dim, axis int, order []int32, coord []float64) ([]int32, []float64) {
-	n := len(data) / dim
-	for r := 0; r < n; r++ {
-		if finite(data[r*dim+axis]) {
-			order = append(order, int32(r))
-		}
-	}
-	// Finite coordinates and distinct rows: plain < is a total order here,
-	// and no two elements compare equal.
-	slices.SortFunc(order, func(a, b int32) int {
-		ca, cb := data[int(a)*dim+axis], data[int(b)*dim+axis]
-		if ca < cb || (ca == cb && a < b) {
-			return -1
-		}
-		return 1
-	})
-	for _, r := range order {
-		coord = append(coord, data[int(r)*dim+axis])
-	}
-	return order, coord
-}
-
-// RowOrder returns every row of data sorted ascending by (axis coordinate,
-// row index) — SweepOrder's order — then, in row order, the rows whose axis
-// coordinate is NaN or ±Inf; and coord[row], each row's axis coordinate with
+// RowOrder returns every row of data whose axis coordinate is finite, sorted
+// ascending by (axis coordinate, row index), then, in row order, the rows
+// whose axis coordinate is NaN or ±Inf; and coord[row], each row's axis coordinate with
 // +Inf standing for a non-finite one. The serving index is filled in this
 // order beside live queries, so it is O(n): a stable byte-wise LSD radix
 // sort on the order-preserving bit pattern, skipping bytes all keys share.
@@ -179,18 +124,4 @@ func Sweep(n int, qa float64, coord func(i int) float64, thr func() float64, eva
 			}
 		}
 	}
-}
-
-// TopKSweep scans the rows listed in order — SweepOrder's output for this
-// data and axis, with coord their axis coordinates — into acc, which the
-// caller has Reset for this query, and returns how many distances it
-// evaluated. The kept set is exactly what TopKRows over all of order (or
-// TopKRange over the block) keeps: Sweep with the accumulator's k-th
-// distance as the threshold.
-func TopKSweep(data []float64, dim int, q []float64, axis int, order []int32, coord []float64, acc *TopKAcc) (evaluated int) {
-	Sweep(len(order), q[axis], func(i int) float64 { return coord[i] }, acc.Threshold, func(lo, hi int) {
-		evaluated += hi - lo
-		TopKRows(data, dim, q, order[lo:hi], acc)
-	})
-	return evaluated
 }

@@ -73,8 +73,18 @@ func decodeBucketQuery(buf []byte) (g float64, p points.Point, err error) {
 }
 
 // baseID reads the point ID of a tagged base record without decoding it.
+// The record must have passed checkBase.
 func baseID(rec []byte) int32 {
 	return int32(binary.LittleEndian.Uint32(rec[1:]))
+}
+
+// checkBase reports an error unless rec is as long as the tagged point its
+// header describes — what decoding it would check, without the decode.
+func checkBase(rec []byte) error {
+	if len(rec) < 9 || uint64(len(rec)-9) != 8*uint64(binary.LittleEndian.Uint32(rec[5:])) {
+		return fmt.Errorf("knnjoin: malformed base record (%d bytes)", len(rec))
+	}
+	return nil
 }
 
 // appendNeighbors appends a length-prefixed neighbor list.

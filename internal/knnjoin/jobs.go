@@ -4,12 +4,12 @@
 // sends each query to one bucket only — its bucket in the layout that
 // attains its guarantee radius (lsh.Layouts.GuaranteeRadius), the only one
 // whose answer can be certified. Each bucket reducer computes its queries'
-// exact top-k over the bucket's base rows, sweeping them in coordinate
-// order so that most rows are ruled out without a distance evaluation; a
-// merge pass uses the guarantee radius to certify the answer or flag the
-// query for the exact-fallback pass, which re-joins just the uncertified
-// queries against all of S. The final result is bit-identical to a naive
-// full join.
+// exact top-k over the bucket's base rows, walking a median-split box tree
+// over them so that most rows are ruled out by a box bound without a
+// distance evaluation; a merge pass uses the guarantee radius to certify
+// the answer or flag the query for the exact-fallback pass, which re-joins
+// just the uncertified queries against all of S. The final result is
+// bit-identical to a naive full join.
 package knnjoin
 
 import (
@@ -50,9 +50,13 @@ const (
 const (
 	// CtrCandidates counts the (query, base row) distances the bucket
 	// reducers evaluated: at most Σ queries × base rows over the buckets,
-	// and in practice far fewer, since the coordinate sweep rules most rows
-	// out unevaluated.
+	// and in practice far fewer, since the box tree's walk skips the leaves
+	// whose box lies beyond the query's current k-th distance unevaluated.
 	CtrCandidates = "knn.candidates"
+	// CtrBoxChecks counts the box bounds the bucket reducers' tree walks
+	// computed, each one O(dim) — the work that stands in for the row
+	// distances not evaluated.
+	CtrBoxChecks = "knn.box.checks"
 	// CtrFallbacks counts queries whose bucket result could not be
 	// certified by the guarantee radius and were re-joined exactly.
 	CtrFallbacks = "knn.exact.fallbacks"
@@ -104,35 +108,31 @@ func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 			if len(value) == 0 {
 				return fmt.Errorf("knnjoin: empty input record")
 			}
-			layouts := lazy(ctx.Conf)
-			switch value[0] {
-			case tagBase:
-				p, rest, err := points.DecodePoint(value[1:])
-				if err != nil {
-					return err
-				}
-				if len(rest) != 0 {
-					return fmt.Errorf("knnjoin: %d trailing bytes after base point", len(rest))
-				}
-				layouts.EachKey(p.Pos, func(key string) { out.Emit(key, value) })
-			case tagQuery:
-				p, rest, err := points.DecodePoint(value[1:])
-				if err != nil {
-					return err
-				}
-				if len(rest) != 0 {
-					return fmt.Errorf("knnjoin: %d trailing bytes after query point", len(rest))
-				}
-				// One projection pass yields both the keys and the margins
-				// the guarantee radius is made of.
-				kb := keyBufs.Get().(*lsh.KeyBuf)
-				layouts.Hash(kb, p.Pos)
-				g, layout := layouts.GuaranteeRadius(kb)
-				out.Emit(string(kb.Key(layout)), encodeBucketQuery(g, p))
-				keyBufs.Put(kb)
-			default:
+			if value[0] != tagBase && value[0] != tagQuery {
 				return fmt.Errorf("knnjoin: unknown input tag %q", value[0])
 			}
+			p, rest, err := points.DecodePoint(value[1:])
+			if err != nil {
+				return err
+			}
+			if len(rest) != 0 {
+				return fmt.Errorf("knnjoin: %d trailing bytes after point %d", len(rest), p.ID)
+			}
+			layouts := lazy(ctx.Conf)
+			if len(p.Pos) != layouts.Dim() {
+				return fmt.Errorf("knnjoin: point %d has dim %d, the layouts hash dim %d", p.ID, len(p.Pos), layouts.Dim())
+			}
+			if value[0] == tagBase {
+				layouts.EachKey(p.Pos, func(key string) { out.Emit(key, value) })
+				return nil
+			}
+			// One projection pass yields both the keys and the margins the
+			// guarantee radius is made of.
+			kb := keyBufs.Get().(*lsh.KeyBuf)
+			layouts.Hash(kb, p.Pos)
+			g, layout := layouts.GuaranteeRadius(kb)
+			out.Emit(string(kb.Key(layout)), encodeBucketQuery(g, p))
+			keyBufs.Put(kb)
 			return nil
 		},
 		Reduce: bucketReduce,
@@ -176,6 +176,9 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 			keys := lazy(max(ctx.NumReduces, 1))
 			switch value[0] {
 			case tagBase:
+				if err := checkBase(value); err != nil {
+					return err
+				}
 				out.Emit(keys[int(uint32(baseID(value)))%len(keys)], value)
 			case tagQuery:
 				p, rest, err := points.DecodePoint(value[1:])
@@ -208,14 +211,9 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 	}
 }
 
-// sweepScratch is a bucket reducer's row permutation for the coordinate
-// sweep, pooled like the matrix it indexes.
-type sweepScratch struct {
-	order []int32
-	coord []float64
-}
-
-var sweepScratches = sync.Pool{New: func() any { return new(sweepScratch) }}
+// boxTrees pools the bucket reducers' box trees, like the matrix they are
+// built from.
+var boxTrees = sync.Pool{New: func() any { return new(kernels.BoxTree) }}
 
 // bucketReduce computes the exact top-k of every query in one bucket over
 // the bucket's base rows. It is shared by the candidate and exact jobs —
@@ -224,10 +222,10 @@ var sweepScratches = sync.Pool{New: func() any { return new(sweepScratch) }}
 // Determinism: base records are sorted by point ID before they are decoded
 // into the matrix, so matrix row order — and with it the top-k kernels'
 // lowest-row-index tie rule — is the (distance, ID) order of the naive
-// oracle, insensitive to the engine's shuffle value order. The scan
-// sweeps a permutation of those rows sorted on one coordinate
-// (kernels.TopKSweep); the permutation is a total order of the same rows,
-// so the number of distances it evaluates is as deterministic as the lists.
+// oracle, insensitive to the engine's shuffle value order. The scan walks a
+// median-split box tree over those rows (kernels.TopKLeaves), built from
+// the matrix alone, so the number of distances it evaluates, and of box
+// bounds it computes, is as deterministic as the lists.
 func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
 	var baseRecs [][]byte
 	type bucketQuery struct {
@@ -276,6 +274,9 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 		return err
 	}
 	dim := m.Dim()
+	if dim < 1 {
+		return fmt.Errorf("knnjoin: base points of dim %d", dim)
+	}
 	for _, q := range queries {
 		if len(q.p.Pos) != dim {
 			return fmt.Errorf("knnjoin: query dim %d, base dim %d", len(q.p.Pos), dim)
@@ -294,17 +295,19 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 		}
 		out.Emit(mapreduce.IDKey(q.p.ID), encodePartial(partialList{QID: q.p.ID, G: q.g, Entries: ns}))
 	}
-	sw := sweepScratches.Get().(*sweepScratch)
-	defer sweepScratches.Put(sw)
-	axis := kernels.SweepAxis(m.Data(), dim)
-	sw.order, sw.coord = kernels.SweepOrder(m.Data(), dim, axis, sw.order[:0], sw.coord[:0])
-	var nd int64
+	tree := boxTrees.Get().(*kernels.BoxTree)
+	defer boxTrees.Put(tree)
+	tree.Build(m.Data(), dim)
+	var nd, nb int64
 	for _, q := range queries {
 		acc.Reset(k)
-		nd += int64(kernels.TopKSweep(m.Data(), dim, q.p.Pos, axis, sw.order, sw.coord, &acc))
+		rows, boxes := kernels.TopKLeaves(tree, q.p.Pos, &acc)
+		nd += int64(rows)
+		nb += int64(boxes)
 		emit(q)
 	}
 	ctx.Counters.Cell(CtrCandidates).Add(nd)
+	ctx.Counters.Cell(CtrBoxChecks).Add(nb)
 	ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
 	return nil
 }

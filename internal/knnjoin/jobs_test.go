@@ -120,7 +120,7 @@ func bucketValues(R, S *points.Dataset) [][]byte {
 
 // reduceBucket runs bucketReduce over one group and returns what it emitted
 // and what it counted.
-func reduceBucket(t *testing.T, conf mapreduce.Conf, values [][]byte) (out []mapreduce.Pair, candidates int64) {
+func reduceBucket(t *testing.T, conf mapreduce.Conf, values [][]byte) (out []mapreduce.Pair, candidates, boxes int64) {
 	t.Helper()
 	ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
 	err := bucketReduce(ctx, "bucket", values, mapreduce.EmitterFunc(func(key string, value []byte) {
@@ -132,16 +132,17 @@ func reduceBucket(t *testing.T, conf mapreduce.Conf, values [][]byte) (out []map
 	if dc := ctx.Counters.Get(mapreduce.CtrDistanceComputations); dc != ctx.Counters.Get(CtrCandidates) {
 		t.Fatalf("%s %d, %s %d", mapreduce.CtrDistanceComputations, dc, CtrCandidates, ctx.Counters.Get(CtrCandidates))
 	}
-	return out, ctx.Counters.Get(CtrCandidates)
+	return out, ctx.Counters.Get(CtrCandidates), ctx.Counters.Get(CtrBoxChecks)
 }
 
-// TestSweepOrderInsensitive: the engines deliver a group's values in
-// whatever order the shuffle produced; the partial lists and the number of
-// distances evaluated must not depend on it.
-func TestSweepOrderInsensitive(t *testing.T) {
+// TestValueOrderInsensitive: the engines deliver a group's values in
+// whatever order the shuffle produced; the partial lists, the number of
+// distances evaluated and the number of box bounds computed must not
+// depend on it.
+func TestValueOrderInsensitive(t *testing.T) {
 	ds := dataset.Blobs("knn-sweep-order", 900, 3, 5, 60, 2, 17)
-	// Exact duplicates and a shared coordinate, so ties on the sweep axis
-	// and in distance both occur.
+	// Exact duplicates and a shared coordinate, so ties in coordinates and
+	// in distance both occur.
 	for i := 0; i+1 < len(ds.Points); i += 9 {
 		copy(ds.Points[i+1].Pos, ds.Points[i].Pos)
 	}
@@ -152,23 +153,54 @@ func TestSweepOrderInsensitive(t *testing.T) {
 	conf := mapreduce.Conf{}
 	conf.SetInt(ConfK, 6)
 	values := bucketValues(R, S)
-	want, wantCount := reduceBucket(t, conf, values)
+	want, wantCount, wantBoxes := reduceBucket(t, conf, values)
 	if len(want) != R.N() {
 		t.Fatalf("%d partial lists for %d queries", len(want), R.N())
 	}
-	if wantCount <= 0 || wantCount >= int64(R.N())*int64(S.N()) {
-		t.Fatalf("%d distances evaluated for %d×%d pairs: the sweep did not prune", wantCount, R.N(), S.N())
+	if wantCount <= 0 || wantCount >= int64(R.N())*int64(S.N()) || wantBoxes <= 0 {
+		t.Fatalf("%d distances and %d box bounds for %d×%d pairs: the tree did not prune", wantCount, wantBoxes, R.N(), S.N())
 	}
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 5; trial++ {
 		rng.Shuffle(len(values), func(a, b int) { values[a], values[b] = values[b], values[a] })
-		got, gotCount := reduceBucket(t, conf, values)
-		if gotCount != wantCount {
-			t.Fatalf("shuffle %d: %d distances evaluated, %d in input order", trial, gotCount, wantCount)
+		got, gotCount, gotBoxes := reduceBucket(t, conf, values)
+		if gotCount != wantCount || gotBoxes != wantBoxes {
+			t.Fatalf("shuffle %d: %d distances and %d box bounds, %d and %d in input order", trial, gotCount, gotBoxes, wantCount, wantBoxes)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shuffle %d: partial lists differ from input order", trial)
 		}
+	}
+}
+
+// TestMalformedBaseRecords: a base record too short to hold a point ID, or
+// whose length disagrees with its dimension header, is an error of the
+// exact job's map, as it is of the candidates job's — not a panic, and not
+// a record shipped to a reducer; and a bucket of points without
+// coordinates, which the exact map cannot tell from valid ones, is an
+// error of the reducer.
+func TestMalformedBaseRecords(t *testing.T) {
+	conf := buildConf(2, 3, 1, &Config{})
+	whole := encodeTagged(tagBase, points.Point{ID: 7, Pos: points.Vector{1, 2}})
+	for _, job := range []*mapreduce.Job{ExactJob(conf), CandidatesJob(conf)} {
+		for _, rec := range [][]byte{{tagBase}, {tagBase, 1, 2, 3}, {tagBase, 1, 2, 3, 4}, whole[:len(whole)-1], append(whole, 0)} {
+			ctx := &mapreduce.TaskContext{Conf: conf, NumReduces: 2, Counters: mapreduce.NewCounters()}
+			emitted := 0
+			err := job.Map(ctx, "", rec, mapreduce.EmitterFunc(func(string, []byte) { emitted++ }))
+			if err == nil || emitted != 0 {
+				t.Fatalf("%s map of %v: err %v after %d records", job.Name, rec, err, emitted)
+			}
+		}
+		ctx := &mapreduce.TaskContext{Conf: conf, NumReduces: 2, Counters: mapreduce.NewCounters()}
+		if err := job.Map(ctx, "", whole, mapreduce.EmitterFunc(func(string, []byte) {})); err != nil {
+			t.Fatalf("%s map of a whole base record: %v", job.Name, err)
+		}
+	}
+	empty := points.Point{ID: 1, Pos: points.Vector{}}
+	ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
+	values := [][]byte{encodeTagged(tagBase, empty), encodeBucketQuery(1, empty)}
+	if err := bucketReduce(ctx, "bucket", values, mapreduce.EmitterFunc(func(string, []byte) {})); err == nil {
+		t.Fatal("a bucket of zero-dimensional points reduced without an error")
 	}
 }
 

@@ -181,10 +181,12 @@ func sumCounter(stats []mapreduce.JobStats, name string) int64 {
 	return s
 }
 
-// TestSweepPrunes: on clustered data the reducers' coordinate sweep must
+// TestSweepPrunes: on clustered data the reducers' box-tree walk must
 // evaluate far fewer distances than the query × base-row pairs that meet in
 // a reducer — on the exact pass that product is |R|·|S| whatever the
-// partitioning — and every list must still equal the oracle's.
+// partitioning — and every list must still equal the oracle's. The tree
+// evaluates 7.6 % of the pairs here; the one-axis coordinate sweep it
+// replaced evaluated 23.3 %, above the bar of an eighth.
 func TestSweepPrunes(t *testing.T) {
 	R, S := splitBlobs(t, "knn-sweep", 2400, 3, 200, 51)
 	res, err := knnjoin.RunExact(context.Background(), localSession(), R, S, 5, knnjoin.Config{NumReduces: 3})
@@ -194,11 +196,14 @@ func TestSweepPrunes(t *testing.T) {
 	requireSameNeighbors(t, res.Neighbors, naiveKNN(R, S, 5))
 	pairs := int64(R.N()) * int64(S.N())
 	cand := sumCounter(res.Stats.Jobs, knnjoin.CtrCandidates)
-	if cand <= 0 || 2*cand >= pairs {
-		t.Fatalf("%s = %d for %d query-row pairs: the sweep did not prune", knnjoin.CtrCandidates, cand, pairs)
+	if cand <= 0 || 8*cand >= pairs {
+		t.Fatalf("%s = %d for %d query-row pairs: the tree did not prune", knnjoin.CtrCandidates, cand, pairs)
 	}
 	if dc := sumCounter(res.Stats.Jobs, mapreduce.CtrDistanceComputations); dc != cand {
 		t.Fatalf("%s = %d, %s = %d", mapreduce.CtrDistanceComputations, dc, knnjoin.CtrCandidates, cand)
+	}
+	if boxes := sumCounter(res.Stats.Jobs, knnjoin.CtrBoxChecks); boxes <= 0 {
+		t.Fatalf("%s = %d: no box bound was computed", knnjoin.CtrBoxChecks, boxes)
 	}
 }
 

@@ -162,6 +162,10 @@ func Cached(dim, m, pi int, w float64, seed int64) *Layouts {
 // M returns the number of layouts.
 func (l *Layouts) M() int { return len(l.Groups) }
 
+// Dim returns the point dimension the layouts hash; Hash panics on any
+// other.
+func (l *Layouts) Dim() int { return l.dim }
+
 // dot4 returns the projections of p on four direction vectors, each summed
 // exactly as Vector.Dot sums it: a[t]*p[t] added in ascending t.
 func dot4(p, a0, a1, a2, a3 []float64) (s0, s1, s2, s3 float64) {
