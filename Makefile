@@ -16,9 +16,10 @@ all: check
 # shortlist's distance cap and the kNN-join's records for five seconds
 # each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
-# served-query micro-benchmarks, and compile + smoke the benchmark harness
-# (all five workloads, oracles checked).
-check: build vet doccheck test race fuzz-smoke bench-scan-smoke bench-harness-smoke
+# served-query micro-benchmarks, compile + smoke the benchmark harness
+# (all five workloads, oracles checked), and run the six example programs,
+# which drive every pipeline end to end on both engines.
+check: build vet doccheck test race fuzz-smoke bench-scan-smoke bench-harness-smoke examples
 
 build:
 	$(GO) build ./...
@@ -46,7 +47,7 @@ test-short:
 # serve/model for the query server's admission gate, shedding, and hot reload,
 # fleet for the router's scatter-gather, hedging, and liveness prober.
 # ./internal/mapreduce/... recursively covers the dag package, whose
-# mutex-guarded session ledger callers may read while a run records into it;
+# mutex-guarded job ledger a caller may read while a job is recorded into it;
 # ingest for the WAL-backed store's concurrent writers, query merges, and
 # compaction swap;
 # core for the jobs that run on those engines — its LSH reducers share pooled
@@ -157,6 +158,8 @@ bench-harness-smoke:
 experiments:
 	$(GO) run ./cmd/dpbench -exp all
 
+# Every example program, run to completion (≈ 6 s); an error in any
+# pipeline it drives fails the target.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/compare

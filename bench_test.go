@@ -92,7 +92,7 @@ func BenchmarkBasicDDP(b *testing.B) {
 			var st core.Stats
 			for i := 0; i < b.N; i++ {
 				res, err := core.RunBasicDDP(context.Background(), ds, core.BasicConfig{
-					Config: core.Config{Seed: 1, DcPercentile: 0.02},
+					Config: core.Config{Seed: 1},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -111,7 +111,7 @@ func BenchmarkLSHDDP(b *testing.B) {
 			var st core.Stats
 			for i := 0; i < b.N; i++ {
 				res, err := core.RunLSHDDP(context.Background(), ds, core.LSHConfig{
-					Config:   core.Config{Seed: 1, DcPercentile: 0.02},
+					Config:   core.Config{Seed: 1},
 					Accuracy: 0.99, M: 10, Pi: 3,
 				})
 				if err != nil {
@@ -131,7 +131,7 @@ func BenchmarkEDDPC(b *testing.B) {
 			var st core.Stats
 			for i := 0; i < b.N; i++ {
 				res, err := eddpc.Run(context.Background(), ds, eddpc.Config{
-					Config: core.Config{Seed: 1, DcPercentile: 0.02},
+					Config: core.Config{Seed: 1},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -270,7 +270,7 @@ func BenchmarkGaussianKernelLSHDDP(b *testing.B) {
 	var st core.Stats
 	for i := 0; i < b.N; i++ {
 		res, err := core.RunLSHDDP(context.Background(), ds, core.LSHConfig{
-			Config:   core.Config{Seed: 1, DcPercentile: 0.02, Kernel: dp.KernelGaussian},
+			Config:   core.Config{Seed: 1, Kernel: dp.KernelGaussian},
 			Accuracy: 0.99, M: 10, Pi: 3,
 		})
 		if err != nil {
@@ -284,7 +284,7 @@ func BenchmarkGaussianKernelLSHDDP(b *testing.B) {
 func BenchmarkLSHHalo(b *testing.B) {
 	ds := benchDataset(2000)
 	cfg := core.LSHConfig{
-		Config:   core.Config{Seed: 1, DcPercentile: 0.02},
+		Config:   core.Config{Seed: 1},
 		Accuracy: 0.99, M: 10, Pi: 3,
 	}
 	res, err := core.RunLSHDDP(context.Background(), ds, cfg)

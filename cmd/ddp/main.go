@@ -113,9 +113,9 @@ func main() {
 		cfg.Trace = trace
 	}
 
-	// SIGINT cancels the pipeline between (and inside) jobs: the DAG
-	// scheduler stops dispatching nodes, drains in-flight work, and the
-	// run returns context.Canceled instead of dying mid-shuffle.
+	// SIGINT cancels the pipeline between (and inside) jobs: the session
+	// starts no further job, the engine drains in-flight work, and the run
+	// returns context.Canceled instead of dying mid-shuffle.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -109,7 +109,7 @@ func (jf *joinFlags) config() knnjoin.Config {
 	return cfg
 }
 
-// session builds the DAG session for the selected engine. The cleanup
+// session builds the job session for the selected engine. The cleanup
 // closes the master when distributed.
 func (jf *joinFlags) session() (*dag.Session, func()) {
 	if *jf.masterListen == "" {

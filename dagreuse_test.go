@@ -11,11 +11,11 @@ import (
 )
 
 // TestDagSessionSharesWorkAcrossPipelines runs LSH-DDP and then the halo
-// pass on one Config — one engine, one trace. Each pipeline schedules onto
-// its own fresh session, so the halo pipeline's stats cover only its own
-// two jobs (the d_c sample job is not re-run: halo takes dc as an
-// argument), while the shared trace collects both pipelines' work in
-// order: LSH-DDP's jobs and runs, then exactly halo's.
+// pass on one Config — one engine, one trace. Each pipeline runs on its own
+// fresh session, so the halo pipeline's stats cover only its own two jobs
+// (the d_c sample job is not re-run: halo takes dc as an argument), while
+// the shared trace collects both pipelines' jobs in order: LSH-DDP's, then
+// exactly halo's.
 func TestDagSessionSharesWorkAcrossPipelines(t *testing.T) {
 	ds := dataset.Blobs("dag-share", 700, 3, 3, 180, 2, 22)
 	trace := &obs.Trace{}
@@ -32,8 +32,8 @@ func TestDagSessionSharesWorkAcrossPipelines(t *testing.T) {
 		t.Fatal(err)
 	}
 	lshTraced := len(trace.Jobs())
-	if lshTraced <= len(res.Stats.Jobs) {
-		t.Fatalf("trace holds %d entries after LSH-DDP's %d jobs, want its runs too", lshTraced, len(res.Stats.Jobs))
+	if lshTraced != len(res.Stats.Jobs) {
+		t.Fatalf("trace holds %d entries after LSH-DDP's %d jobs", lshTraced, len(res.Stats.Jobs))
 	}
 
 	halo, err := core.RunLSHHalo(context.Background(), ds, res.Rho, labels, res.Stats.Dc, cfg)
@@ -46,17 +46,13 @@ func TestDagSessionSharesWorkAcrossPipelines(t *testing.T) {
 	if got := len(halo.Stats.Jobs); got != 2 {
 		t.Fatalf("halo pipeline recorded %d jobs, want its own 2", got)
 	}
-	// The halo pipeline adds its two jobs and its one "dag:lsh-halo" run.
 	added := trace.Jobs()[lshTraced:]
-	if len(added) != 3 {
-		t.Fatalf("halo added %d trace entries, want 2 jobs + 1 run", len(added))
+	if len(added) != 2 {
+		t.Fatalf("halo added %d trace entries, want its 2 jobs", len(added))
 	}
 	for i, j := range halo.Stats.Jobs {
 		if added[i].Job != j.Name {
 			t.Fatalf("trace entry %d after LSH-DDP is %q, want halo job %q", i, added[i].Job, j.Name)
 		}
-	}
-	if added[2].Job != "dag:lsh-halo" {
-		t.Fatalf("last trace entry is %q, want the halo run", added[2].Job)
 	}
 }

@@ -25,7 +25,7 @@ func main() {
 	fmt.Printf("S2: %d points, 15 generated clusters\n\n", ds.N())
 
 	basic, err := core.RunBasicDDP(context.Background(), ds, core.BasicConfig{
-		Config: core.Config{Seed: 1, DcPercentile: 0.02},
+		Config: core.Config{Seed: 1},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/kernels"
 	"repro/internal/mapreduce"
-	"repro/internal/mapreduce/dag"
 	"repro/internal/points"
 )
 
@@ -30,15 +29,15 @@ func (c *BasicConfig) blockSize() int {
 	return 500
 }
 
-// RunBasicDDP executes the exact Basic-DDP pipeline of Section III as one
-// job DAG:
+// RunBasicDDP executes the exact Basic-DDP pipeline of Section III, one job
+// after another:
 //
-//	node 0  d_c sampling (unless cfg.Dc is set)
-//	node 1  blocked all-pairs ρ partials
-//	node 2  ρ aggregation (sum)
-//	node 3  ρ̂-annotate transform (driver side)
-//	node 4  blocked all-pairs δ partials (+ max-distance fallbacks)
-//	node 5  δ aggregation (min; fallback max for the absolute peak)
+//	job 0   d_c sampling (unless cfg.Dc is set)
+//	job 1   blocked all-pairs ρ partials
+//	job 2   ρ aggregation (sum)
+//	driver  every point annotated with its ρ
+//	job 3   blocked all-pairs δ partials (+ max-distance fallbacks)
+//	job 4   δ aggregation (min; fallback max for the absolute peak)
 //
 // The blocking follows the paper exactly: the point set is split into n
 // blocks; block k is shuffled only to reducers l ≥ k, so reducer l
@@ -55,7 +54,7 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	}
 	sess := cfg.DagSession()
 	mark := sess.Mark()
-	input := sess.Stage("points", InputPairs(ds))
+	input := sess.Stage(InputPairs(ds))
 
 	dc, err := ChooseDc(ctx, sess, ds, &cfg.Config, input)
 	if err != nil {
@@ -68,28 +67,27 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	conf.SetInt(confBlocks, nBlocks)
 	setKernelConf(conf, cfg.Kernel)
 
-	g := dag.NewGraph("basic-ddp")
-	partials := g.Job(BasicRhoJob(conf).WithReduces(cfg.NumReduces), input)
-	rhoOut := g.Job(RhoAggJob(JobBasicAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), partials)
-	rhoPts := g.Transform("basic-rho-points", func(in ...[]mapreduce.Pair) ([]mapreduce.Pair, error) {
-		rho, err := DecodeRhoArray(in[0], ds.N())
-		if err != nil {
-			return nil, err
-		}
-		return RhoPointPairs(ds, rho), nil
-	}, rhoOut)
-	dPartials := g.Job(BasicDeltaJob(conf).WithReduces(cfg.NumReduces), rhoPts)
-	dOut := g.Job(DeltaAggJob(JobBasicDAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), dPartials)
-
-	outs, err := sess.Run(ctx, g, rhoOut, dOut)
+	partials, err := sess.Run(ctx, BasicRhoJob(conf).WithReduces(cfg.NumReduces), input)
 	if err != nil {
 		return nil, err
 	}
-	rho, err := DecodeRhoArray(outs[0], ds.N())
+	rhoOut, err := sess.Run(ctx, RhoAggJob(JobBasicAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), partials)
 	if err != nil {
 		return nil, err
 	}
-	delta, upslope, err := DecodeDeltaArrays(outs[1], ds.N())
+	rho, err := DecodeRhoArray(rhoOut, ds.N())
+	if err != nil {
+		return nil, err
+	}
+	dPartials, err := sess.Run(ctx, BasicDeltaJob(conf).WithReduces(cfg.NumReduces), RhoPointPairs(ds, rho))
+	if err != nil {
+		return nil, err
+	}
+	dOut, err := sess.Run(ctx, DeltaAggJob(JobBasicDAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), dPartials)
+	if err != nil {
+		return nil, err
+	}
+	delta, upslope, err := DecodeDeltaArrays(dOut, ds.N())
 	if err != nil {
 		return nil, err
 	}

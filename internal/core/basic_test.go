@@ -74,7 +74,7 @@ func TestBasicDDPDistanceCount(t *testing.T) {
 func TestBasicDDPAutoDc(t *testing.T) {
 	ds := dataset.Blobs("basic-autodc", 500, 2, 3, 50, 2, 11)
 	res, err := RunBasicDDP(context.Background(), ds, BasicConfig{
-		Config: Config{Engine: testEngine(), DcPercentile: 0.02, Seed: 5},
+		Config: Config{Engine: testEngine(), Seed: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestBasicDDPAbsolutePeak(t *testing.T) {
 func TestBasicDDPClusterRecovery(t *testing.T) {
 	ds := dataset.Blobs("basic-clusters", 600, 2, 4, 200, 3, 13)
 	res, err := RunBasicDDP(context.Background(), ds, BasicConfig{
-		Config: Config{Engine: testEngine(), DcPercentile: 0.02, Seed: 1},
+		Config: Config{Engine: testEngine(), Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -167,7 +167,7 @@ func TestCertifiedDeltaMatchesBruteForce(t *testing.T) {
 						counted += j.Counters[CtrDeltaCertified]
 					}
 					if want, _, _ := shippedPairs(ds, cb, cfg.Dc, rho); counted != int64(want) || len(certOut) != want {
-						t.Fatalf("%s counts %d and the transform certified %d points, the brute-force certificate %d",
+						t.Fatalf("%s counts %d and certifyDelta certified %d points, the brute-force certificate %d",
 							CtrDeltaCertified, counted, len(certOut), want)
 					}
 					for _, p := range certOut {

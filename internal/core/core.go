@@ -44,7 +44,6 @@ import (
 const (
 	confDc         = "ddp.dc"
 	confSampleFrac = "ddp.dc.sample.frac"
-	confPercentile = "ddp.dc.percentile"
 	confBlocks     = "ddp.basic.blocks"
 	confDim        = "ddp.dim"
 	confM          = "ddp.lsh.m"
@@ -84,8 +83,8 @@ type Stats struct {
 	// combine / sort / shuffle / reduce): task counts, wall time,
 	// records, and bytes — where the run spent its time.
 	Phases obs.PhaseTotals
-	// Dag holds this run's dag.* scheduler counter deltas (nodes run,
-	// staged and collected bytes) — see the dag package's Ctr* constants.
+	// Dag holds this run's dag.* session counter deltas (jobs run, staged
+	// datasets and bytes) — see the dag package's Ctr* constants.
 	Dag map[string]int64
 	// Dc is the cutoff distance used (chosen or configured).
 	Dc float64
@@ -158,11 +157,9 @@ type Config struct {
 	// decide.
 	NumReduces int
 	// Dc fixes the cutoff distance. When 0, a preprocessing sampling job
-	// chooses it as the DcPercentile quantile of sampled pair distances
+	// chooses it as the dcPercentile quantile of sampled pair distances
 	// (Section III-A's rule of thumb).
 	Dc float64
-	// DcPercentile is the quantile for automatic d_c (default 0.02).
-	DcPercentile float64
 	// Seed drives every randomized choice (sampling, LSH draws).
 	Seed int64
 	// Kernel selects the density estimator (cutoff by default; the
@@ -183,19 +180,16 @@ func (c *Config) engine() mapreduce.Engine {
 	return &mapreduce.LocalEngine{}
 }
 
-// DagSession builds the fresh session a pipeline runs its graph on, over
+// DagSession builds the fresh session a pipeline runs its jobs on, over
 // c.Engine.
 func (c *Config) DagSession() *dag.Session {
 	return dag.NewSession(c.engine(), dag.Options{Log: c.Log, Trace: c.Trace})
 }
 
-// DcPercentileOrDefault returns the effective d_c quantile (default 0.02).
-func (c *Config) DcPercentileOrDefault() float64 {
-	if c.DcPercentile > 0 {
-		return c.DcPercentile
-	}
-	return 0.02
-}
+// dcPercentile is the quantile of sampled pair distances the d_c job picks:
+// 2 % of the pairs lie within d_c, so a point has on average 2 % of the
+// others as neighbours (the DP paper's rule of thumb).
+const dcPercentile = 0.02
 
 // dcSamplePoints bounds the number of points the d_c job samples: ≈100k
 // pair distances at its single reducer.
@@ -226,7 +220,7 @@ func RhoPointPairs(ds *points.Dataset, rho []float64) []mapreduce.Pair {
 // DcSampleJob builds the preprocessing job: the map side samples points
 // deterministically (seeded hash of the point ID) and routes them to a
 // single reducer, which computes all pairwise distances of the sample and
-// outputs the requested percentile — the MapReduce realization of the DP
+// outputs their dcPercentile quantile — the MapReduce realization of the DP
 // paper's d_c rule of thumb.
 func DcSampleJob(conf mapreduce.Conf) *mapreduce.Job {
 	return &mapreduce.Job{
@@ -246,7 +240,6 @@ func DcSampleJob(conf mapreduce.Conf) *mapreduce.Job {
 			return nil
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
-			q := ctx.Conf.GetFloat(confPercentile, 0.02)
 			pts := make([]points.Point, 0, len(values))
 			for _, v := range values {
 				p, _, err := points.DecodePoint(v)
@@ -269,7 +262,7 @@ func DcSampleJob(conf mapreduce.Conf) *mapreduce.Job {
 				return fmt.Errorf("core: d_c sample produced no pairs (sample too small)")
 			}
 			sort.Float64s(dists)
-			idx := int(q*float64(len(dists))) - 1
+			idx := int(dcPercentile*float64(len(dists))) - 1
 			if idx < 0 {
 				idx = 0
 			}
@@ -279,13 +272,13 @@ func DcSampleJob(conf mapreduce.Conf) *mapreduce.Job {
 	}
 }
 
-// ChooseDc runs the shared d_c preprocessing job as a one-node graph on s
-// unless cfg.Dc pins a value: it samples at most dcSamplePoints points,
-// computes all pairwise distances at a single reducer, and returns the
-// configured quantile (Section III-A's rule of thumb). Every
+// ChooseDc runs the shared d_c preprocessing job on s over the pipeline's
+// input unless cfg.Dc pins a value: it samples at most dcSamplePoints
+// points, computes all pairwise distances at a single reducer, and returns
+// their dcPercentile quantile (Section III-A's rule of thumb). Every
 // algorithm package (Basic-DDP, LSH-DDP, EDDPC) calls this with its own
 // session so the job shows up in that pipeline's stats and trace.
-func ChooseDc(ctx context.Context, s *dag.Session, ds *points.Dataset, cfg *Config, input *dag.Dataset) (float64, error) {
+func ChooseDc(ctx context.Context, s *dag.Session, ds *points.Dataset, cfg *Config, input []mapreduce.Pair) (float64, error) {
 	if cfg.Dc > 0 {
 		return cfg.Dc, nil
 	}
@@ -295,15 +288,11 @@ func ChooseDc(ctx context.Context, s *dag.Session, ds *points.Dataset, cfg *Conf
 	}
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confSampleFrac, frac)
-	conf.SetFloat(confPercentile, cfg.DcPercentileOrDefault())
 	conf.SetInt64(confSeed, cfg.Seed)
-	g := dag.NewGraph("choose-dc")
-	dcOut := g.Job(DcSampleJob(conf), input)
-	outs, err := s.Run(ctx, g, dcOut)
+	out, err := s.Run(ctx, DcSampleJob(conf), input)
 	if err != nil {
 		return 0, err
 	}
-	out := outs[0]
 	if len(out) != 1 {
 		return 0, fmt.Errorf("core: d_c job produced %d records, want 1", len(out))
 	}
@@ -325,9 +314,9 @@ func sampleHash(id int32, seed int64) float64 {
 }
 
 // CollectStats folds what the session recorded since mark — the pipeline's
-// own jobs, their per-phase span aggregates plus the scheduler's per-node
-// spans under obs.PhaseDag, and its dag.* counter deltas — into Stats. Take
-// the mark with sess.Mark() before the pipeline's first Stage or Run; on a
+// own jobs, their per-phase span aggregates and its dag.* counter deltas —
+// into Stats. Take the mark with sess.Mark() before the pipeline's first
+// Stage or Run; on a
 // session a caller shares across runs (the kNN-join takes one) it is what
 // separates this run's jobs from earlier ones.
 func CollectStats(st *Stats, sess *dag.Session, mark dag.Mark, start time.Time) {
@@ -339,7 +328,7 @@ func CollectStats(st *Stats, sess *dag.Session, mark dag.Mark, start time.Time) 
 		st.ShuffleBytes += j.Counters[mapreduce.CtrShuffleBytes]
 		st.DistanceComputations += j.Counters[mapreduce.CtrDistanceComputations]
 	}
-	st.Phases = obs.Totals(append(l.JobTraces, l.Runs...))
+	st.Phases = obs.Totals(l.JobTraces)
 	st.Dag = l.Counters
 	st.Wall = time.Since(start)
 }

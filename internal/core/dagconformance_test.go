@@ -12,12 +12,12 @@ import (
 	"repro/internal/points"
 )
 
-// Conformance: the DAG-scheduled pipelines must reproduce the
-// hand-sequenced execution bit for bit — same arrays, same labels, same
-// per-job counters — on the local engine and on a real rpcmr cluster.
-// The hand-sequenced reference below replays the chain RunLSHDDP declares —
-// the same five jobs and the two driver-side transforms between them, one
-// Engine.Run at a time, with identical confs.
+// Conformance: the session-run pipelines must reproduce the hand-sequenced
+// execution bit for bit — same arrays, same labels, same per-job counters —
+// on the local engine and on a real rpcmr cluster. The hand-sequenced
+// reference below replays the chain RunLSHDDP runs — the same five jobs and
+// the two driver-side steps between them, one Engine.Run at a time, with
+// identical confs.
 
 // handSequencedLSHDDP executes the LSH-DDP job sequence directly
 // on an engine and returns the arrays plus the stats of the jobs it ran.
@@ -42,7 +42,6 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	}
 	dcConf := mapreduce.Conf{}
 	dcConf.SetFloat(confSampleFrac, frac)
-	dcConf.SetFloat(confPercentile, cfg.DcPercentileOrDefault())
 	dcConf.SetInt64(confSeed, cfg.Seed)
 	dcRes := run(DcSampleJob(dcConf), input)
 	dc := points.DecodeFloat64(dcRes[0].Value)

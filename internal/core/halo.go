@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
-	"repro/internal/mapreduce/dag"
 	"repro/internal/points"
 )
 
@@ -222,12 +221,11 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 	}
 	sess := cfg.DagSession()
 	mark := sess.Mark()
-	in := sess.Stage("halo-points", input)
-
-	g := dag.NewGraph("lsh-halo")
-	partials := g.Job(LSHHaloJob(conf).WithReduces(cfg.NumReduces), in)
-	agg := g.Job(LSHHaloAggJob(mapreduce.Conf{}).WithReduces(cfg.NumReduces), partials)
-	outs, err := sess.Run(ctx, g, agg)
+	partials, err := sess.Run(ctx, LSHHaloJob(conf).WithReduces(cfg.NumReduces), sess.Stage(input))
+	if err != nil {
+		return nil, err
+	}
+	agg, err := sess.Run(ctx, LSHHaloAggJob(mapreduce.Conf{}).WithReduces(cfg.NumReduces), partials)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +234,7 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 		Halo:   make([]bool, ds.N()),
 		Border: make([]float64, nClusters),
 	}
-	for _, p := range outs[0] {
+	for _, p := range agg {
 		var c int32
 		if _, err := fmt.Sscanf(p.Key, "c%d", &c); err != nil {
 			return nil, fmt.Errorf("core: bad cluster key %q", p.Key)

@@ -24,7 +24,7 @@ func haloFixture(t *testing.T) (ds *points.Dataset, rho []float64, labels []int3
 	}
 	base := points.FromVectors("halo-fix", vs)
 	res, err := RunLSHDDP(context.Background(), base, LSHConfig{
-		Config:   Config{Engine: testEngine(), DcPercentile: 0.02, Seed: 3},
+		Config:   Config{Engine: testEngine(), Seed: 3},
 		Accuracy: 0.99, M: 10, Pi: 3,
 	})
 	if err != nil {

@@ -75,7 +75,7 @@ func TestGaussianKernelProducesSmoothDensities(t *testing.T) {
 	// densities are non-integral under Gaussian.
 	ds := dataset.Blobs("gauss-smooth", 200, 2, 2, 50, 2, 29)
 	res, err := RunLSHDDP(context.Background(), ds, LSHConfig{
-		Config:   Config{Engine: testEngine(), DcPercentile: 0.02, Seed: 1, Kernel: dp.KernelGaussian},
+		Config:   Config{Engine: testEngine(), Seed: 1, Kernel: dp.KernelGaussian},
 		Accuracy: 0.95, M: 5, Pi: 3,
 	})
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
-	"repro/internal/mapreduce/dag"
 	"repro/internal/points"
 )
 
@@ -72,25 +71,26 @@ const nearK = 8
 // neighbour lists decided, so that the δ job evaluated no pair for them.
 const CtrDeltaCertified = "dp.delta.certified"
 
-// RunLSHDDP executes the approximate LSH-DDP pipeline of Section IV as
-// one job DAG:
+// RunLSHDDP executes the approximate LSH-DDP pipeline of Section IV, one
+// job after another:
 //
-//	node 0  d_c sampling (unless cfg.Dc is set)
+//	job 0   d_c sampling (unless cfg.Dc is set)
 //	        width solving: minimal w with 1−(1−P_ρ(w,d_c)^π)^M ≥ A
-//	node 1  LSH partition (M layouts) + each partition's share of the
+//	job 1   LSH partition (M layouts) + each partition's share of the
 //	        local ρ̂ᵐ, every co-bucketed pair evaluated once (paironce.go),
 //	        and each point's nearest partners within d_c among those pairs
-//	node 2  ρ̂ aggregation: shares added per layout, then max over layouts
+//	job 2   ρ̂ aggregation: shares added per layout, then max over layouts
 //	        (Theorem 1); partner lists merged into each point's nearest
 //	        co-bucketed points within d_c
-//	node 3  certify transform (driver side): δ̂/upslope of every point whose
-//	        list holds a denser point — then its nearest denser co-bucketed one
-//	node 4  ρ̂-annotate transform (driver side): the points left open, and the
-//	        certified ones as candidates only where an open one needs them
-//	node 5  LSH partition + local δ̂/upslope of the open points using
+//	driver  certifyDelta: δ̂/upslope of every point whose list holds a
+//	        denser point — then its nearest denser co-bucketed one
+//	driver  shipRows: the points left open, and the certified ones as
+//	        candidates only where an open one needs them
+//	job 3   LSH partition + local δ̂/upslope of the open points using
 //	        aggregated ρ̂, pair-once again; local absolute peaks get δ̂ = +∞
 //	        (Section IV-C)
-//	node 6  δ̂ aggregation of nodes 3 and 5: min over layouts (Theorem 2)
+//	job 4   δ̂ aggregation of the certified and job 3's records: min over
+//	        layouts (Theorem 2)
 //
 // The returned Delta may contain +∞ for points that looked like the
 // absolute peak in every layout; Result.Cluster rectifies them to the max
@@ -105,7 +105,7 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	}
 	sess := cfg.DagSession()
 	mark := sess.Mark()
-	input := sess.Stage("points", InputPairs(ds))
+	input := sess.Stage(InputPairs(ds))
 
 	dc, err := ChooseDc(ctx, sess, ds, &cfg.Config, input)
 	if err != nil {
@@ -129,27 +129,35 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	conf.SetBool(confAggMean, cfg.AggregateMean)
 	setKernelConf(conf, cfg.Kernel)
 
-	g := dag.NewGraph("lsh-ddp")
-	partials := g.Job(LSHRhoJob(conf).WithReduces(cfg.NumReduces), input)
-	rhoOut := g.Job(LSHRhoAggJob(conf).WithReduces(cfg.NumReduces), partials)
-	certified := g.Transform("lsh-delta-certify", func(in ...[]mapreduce.Pair) ([]mapreduce.Pair, error) {
-		return certifyDelta(in[0], ds.N())
-	}, rhoOut)
-	rhoPts := g.Transform("lsh-rho-points", func(in ...[]mapreduce.Pair) ([]mapreduce.Pair, error) {
-		return shipRows(ds, layoutsOf(conf), in[0], in[1])
-	}, rhoOut, certified)
-	dPartials := g.Job(LSHDeltaJob(conf).WithReduces(cfg.NumReduces), rhoPts)
-	dOut := g.Job(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), dPartials, certified)
-
-	outs, err := sess.Run(ctx, g, rhoOut, dOut)
+	partials, err := sess.Run(ctx, LSHRhoJob(conf).WithReduces(cfg.NumReduces), input)
 	if err != nil {
 		return nil, err
 	}
-	rho, err := DecodeRhoArray(outs[0], ds.N())
+	rhoOut, err := sess.Run(ctx, LSHRhoAggJob(conf).WithReduces(cfg.NumReduces), partials)
 	if err != nil {
 		return nil, err
 	}
-	delta, upslope, err := DecodeDeltaArrays(outs[1], ds.N())
+	certified, err := certifyDelta(rhoOut, ds.N())
+	if err != nil {
+		return nil, err
+	}
+	rhoPts, err := shipRows(ds, layoutsOf(conf), rhoOut, certified)
+	if err != nil {
+		return nil, err
+	}
+	rho, err := DecodeRhoArray(rhoOut, ds.N())
+	if err != nil {
+		return nil, err
+	}
+	dPartials, err := sess.Run(ctx, LSHDeltaJob(conf).WithReduces(cfg.NumReduces), rhoPts)
+	if err != nil {
+		return nil, err
+	}
+	dOut, err := sess.Run(ctx, DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), dPartials, certified)
+	if err != nil {
+		return nil, err
+	}
+	delta, upslope, err := DecodeDeltaArrays(dOut, ds.N())
 	if err != nil {
 		return nil, err
 	}
@@ -379,9 +387,9 @@ func certify(rho []float64, i int32, list []points.Neighbor) (dv points.DeltaVal
 	return points.DeltaValue{}, false
 }
 
-// certifyDelta is the lsh-delta-certify transform: from the ρ aggregation's
-// output it returns the δ̂ record of every point certify decides, keyed for
-// DeltaAggJob, which takes them beside the δ job's.
+// certifyDelta returns, from the ρ aggregation's output, the δ̂ record of
+// every point certify decides, keyed for DeltaAggJob, which takes them beside
+// the δ job's.
 func certifyDelta(rhoOut []mapreduce.Pair, n int) ([]mapreduce.Pair, error) {
 	rho, near, err := decodeRhoValues(rhoOut, n)
 	if err != nil {
@@ -396,9 +404,9 @@ func certifyDelta(rhoOut []mapreduce.Pair, n int) ([]mapreduce.Pair, error) {
 	return out, nil
 }
 
-// shipRows is the lsh-rho-points transform: every point's δ-job input
-// record (points.ShipMask). A point certifyDelta left open travels to all
-// its buckets. A certified one is needed only as a candidate for the open
+// shipRows returns, from the ρ aggregation's output, every point's δ-job
+// input record (points.ShipMask). A point certifyDelta left open travels to
+// all its buckets. A certified one is needed only as a candidate for the open
 // points less dense than itself, so it travels to a bucket only when it is
 // denser than the bucket's least dense open point; its mask lists those
 // layouts. Every pair of an open point with a denser co-bucketed one thus
@@ -496,8 +504,8 @@ const unshippedKey = "lsh-ddp-delta.unshipped"
 // no denser partner among a reducer's pairs emits nothing — except from
 // layout 0, where it is the local absolute peak and gets δ̂ = +∞ and no
 // upslope (Section IV-C), which the aggregation keeps only if no layout
-// found better. A certified point emits nothing: its record came from the
-// certify transform. The map side reads every point's record, so it counts
+// found better. A certified point emits nothing: its record came from
+// certifyDelta. The map side reads every point's record, so it counts
 // the certified ones, and it adds the pairs shipRows sent nowhere to the
 // skipped ones: evaluated + skipped stays Σ C(|bucket|, 2) over every bucket
 // of every layout, as on the ρ job.

@@ -126,7 +126,7 @@ func TestLSHDDPHighAccuracyApproximation(t *testing.T) {
 func TestLSHDDPDeterministicAcrossRuns(t *testing.T) {
 	ds := dataset.Blobs("lsh-det", 400, 5, 4, 80, 3, 23)
 	cfg := LSHConfig{
-		Config:   Config{Engine: testEngine(), DcPercentile: 0.02, Seed: 77},
+		Config:   Config{Engine: testEngine(), Seed: 77},
 		Accuracy: 0.95, M: 6, Pi: 3,
 	}
 	a, err := RunLSHDDP(context.Background(), ds, cfg)
@@ -221,7 +221,7 @@ func TestLSHDDPInfiniteDeltaRectified(t *testing.T) {
 	// Cluster() must rectify those before selection.
 	ds := dataset.Blobs("lsh-inf", 600, 2, 6, 300, 2, 51)
 	res, err := RunLSHDDP(context.Background(), ds, LSHConfig{
-		Config:   Config{Engine: testEngine(), DcPercentile: 0.02, Seed: 12},
+		Config:   Config{Engine: testEngine(), Seed: 12},
 		Accuracy: 0.9, M: 5, Pi: 4,
 	})
 	if err != nil {

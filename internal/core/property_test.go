@@ -90,7 +90,7 @@ func TestDcSampleWithinRange(t *testing.T) {
 		}
 		ds := points.FromVectors("dc-prop", vs)
 		res, err := RunBasicDDP(context.Background(), ds, BasicConfig{
-			Config: Config{Engine: testEngine(), DcPercentile: 0.02, Seed: seed},
+			Config: Config{Engine: testEngine(), Seed: seed},
 		})
 		if err != nil {
 			return false

@@ -14,7 +14,7 @@ import (
 )
 
 // A second run's Stats must be exactly what it reports alone — its own
-// jobs, its own spans (job phases and scheduler nodes) and its own dag.*
+// jobs, its own spans and its own dag.*
 // deltas, staged input included — with nothing of an earlier run in it:
 //   - "session": two d_c jobs on one caller's dag.Session, each carved out
 //     by CollectStats from the mark taken before it staged its input;
@@ -31,7 +31,7 @@ func TestSharedSessionStatsAreOwn(t *testing.T) {
 		dcStats := func(sess *dag.Session, d *points.Dataset) Stats {
 			t.Helper()
 			start, mark := time.Now(), sess.Mark()
-			dc, err := ChooseDc(ctx, sess, d, &cfg, sess.Stage(d.Name, InputPairs(d)))
+			dc, err := ChooseDc(ctx, sess, d, &cfg, sess.Stage(InputPairs(d)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func requireSameStats(t *testing.T, shared, alone Stats) {
 	if got, want := unwalled(shared.Phases), unwalled(alone.Phases); !reflect.DeepEqual(got, want) {
 		t.Fatalf("phases: shared %v, alone %v", got, want)
 	}
-	if shared.Phases[obs.PhaseDag].Tasks == 0 || shared.Phases[obs.PhaseReduce].Tasks == 0 {
-		t.Fatalf("phases miss the scheduler's or the jobs' spans: %v", shared.Phases)
+	if shared.Phases[obs.PhaseReduce].Tasks == 0 {
+		t.Fatalf("phases miss the jobs' spans: %v", shared.Phases)
 	}
 }

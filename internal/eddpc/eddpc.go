@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mapreduce"
-	"repro/internal/mapreduce/dag"
 	"repro/internal/points"
 )
 
@@ -68,10 +67,9 @@ const (
 	confPivots = "eddpc.pivots"
 )
 
-// Run executes the EDDPC pipeline as one job DAG and returns exact DP
-// results. The δ-local and refinement branches feed the final aggregation
-// as two inputs of one node (concatenated in declaration order), exactly
-// like the hand-sequenced pipeline appended their outputs.
+// Run executes the EDDPC pipeline, one job after another, and returns exact
+// DP results. The δ-local and refinement outputs feed the final aggregation
+// concatenated in that order.
 func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, error) {
 	start := time.Now()
 	if err := ds.Validate(); err != nil {
@@ -82,7 +80,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 	}
 	sess := cfg.DagSession()
 	mark := sess.Mark()
-	input := sess.Stage("points", core.InputPairs(ds))
+	input := sess.Stage(core.InputPairs(ds))
 
 	dc, err := core.ChooseDc(ctx, sess, ds, &cfg.Config, input)
 	if err != nil {
@@ -94,49 +92,41 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 	conf.SetFloat(confDc, dc)
 	conf[confPivots] = encodePivots(pivots)
 
-	g := dag.NewGraph("eddpc")
-	// Node 1: exact ρ via boundary replication. No aggregation needed:
-	// each point's home cell sees every d_c-neighbour.
-	rhoOut := g.Job(RhoJob(conf).WithReduces(cfg.NumReduces), input)
-	rhoPts := g.Transform("eddpc-rho-points", func(in ...[]mapreduce.Pair) ([]mapreduce.Pair, error) {
-		rho, err := core.DecodeRhoArray(in[0], ds.N())
-		if err != nil {
-			return nil, err
-		}
-		return core.RhoPointPairs(ds, rho), nil
-	}, rhoOut)
-	// Node 2: local δ upper bounds inside home cells.
-	locOut := g.Job(DeltaLocalJob(conf).WithReduces(cfg.NumReduces), rhoPts)
-	// Node 3: refinement — each point visits only cells that could hold a
+	// Job 1: exact ρ via boundary replication. No aggregation needed: each
+	// point's home cell sees every d_c-neighbour.
+	rhoOut, err := sess.Run(ctx, RhoJob(conf).WithReduces(cfg.NumReduces), input)
+	if err != nil {
+		return nil, err
+	}
+	rho, err := core.DecodeRhoArray(rhoOut, ds.N())
+	if err != nil {
+		return nil, err
+	}
+	// Job 2: local δ upper bounds inside home cells.
+	locOut, err := sess.Run(ctx, DeltaLocalJob(conf).WithReduces(cfg.NumReduces), core.RhoPointPairs(ds, rho))
+	if err != nil {
+		return nil, err
+	}
+	// Job 3: refinement — each point visits only cells that could hold a
 	// closer denser point, bounded by its local δ_ub.
-	refQueries := g.Transform("eddpc-refine-queries", func(in ...[]mapreduce.Pair) ([]mapreduce.Pair, error) {
-		rho, err := core.DecodeRhoArray(in[0], ds.N())
-		if err != nil {
-			return nil, err
-		}
-		ub, ubUp, err := core.DecodeDeltaArrays(in[1], ds.N())
-		if err != nil {
-			return nil, err
-		}
-		refIn := make([]mapreduce.Pair, ds.N())
-		for i, p := range ds.Points {
-			refIn[i] = mapreduce.Pair{Value: encodeQuery(points.RhoPoint{Point: p, Rho: rho[i]}, ub[i], ubUp[i])}
-		}
-		return refIn, nil
-	}, rhoOut, locOut)
-	refOut := g.Job(DeltaRefineJob(conf).WithReduces(cfg.NumReduces), refQueries)
-	// Node 4: aggregate local bounds and refinement candidates.
-	aggOut := g.Job(core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), locOut, refOut)
-
-	outs, err := sess.Run(ctx, g, rhoOut, aggOut)
+	ub, ubUp, err := core.DecodeDeltaArrays(locOut, ds.N())
 	if err != nil {
 		return nil, err
 	}
-	rho, err := core.DecodeRhoArray(outs[0], ds.N())
+	refIn := make([]mapreduce.Pair, ds.N())
+	for i, p := range ds.Points {
+		refIn[i] = mapreduce.Pair{Value: encodeQuery(points.RhoPoint{Point: p, Rho: rho[i]}, ub[i], ubUp[i])}
+	}
+	refOut, err := sess.Run(ctx, DeltaRefineJob(conf).WithReduces(cfg.NumReduces), refIn)
 	if err != nil {
 		return nil, err
 	}
-	delta, upslope, err := core.DecodeDeltaArrays(outs[1], ds.N())
+	// Job 4: aggregate local bounds and refinement candidates.
+	aggOut, err := sess.Run(ctx, core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), locOut, refOut)
+	if err != nil {
+		return nil, err
+	}
+	delta, upslope, err := core.DecodeDeltaArrays(aggOut, ds.N())
 	if err != nil {
 		return nil, err
 	}

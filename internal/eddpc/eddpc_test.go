@@ -78,7 +78,7 @@ func TestEDDPCFewerDistancesThanBasic(t *testing.T) {
 
 func TestEDDPCDeterministic(t *testing.T) {
 	ds := dataset.Blobs("eddpc-det", 400, 3, 3, 80, 3, 29)
-	cfg := Config{Config: core.Config{Engine: testEngine(), DcPercentile: 0.02, Seed: 5}}
+	cfg := Config{Config: core.Config{Engine: testEngine(), Seed: 5}}
 	a, err := Run(context.Background(), ds, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func ExpTable4(opt Options) (*Report, error) {
 	}
 	opt.logf("table4: running EDDPC...")
 	ed, err := eddpc.Run(context.Background(), ds, eddpc.Config{
-		Config: core.Config{Engine: eng, Seed: opt.Seed, DcPercentile: 0.02},
+		Config: core.Config{Engine: eng, Seed: opt.Seed},
 	})
 	if err != nil {
 		return nil, err

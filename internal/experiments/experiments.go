@@ -167,7 +167,7 @@ func fratio(a, b float64) string {
 // A = 0.99, M = 10, π = 3.
 func (o *Options) lshConfig(eng mapreduce.Engine) core.LSHConfig {
 	return core.LSHConfig{
-		Config:   core.Config{Engine: eng, Seed: o.Seed, DcPercentile: 0.02, Trace: o.Trace},
+		Config:   core.Config{Engine: eng, Seed: o.Seed, Trace: o.Trace},
 		Accuracy: 0.99,
 		M:        10,
 		Pi:       3,
@@ -177,7 +177,7 @@ func (o *Options) lshConfig(eng mapreduce.Engine) core.LSHConfig {
 // basicConfig is the paper's Basic-DDP setting (block size 500).
 func (o *Options) basicConfig(eng mapreduce.Engine) core.BasicConfig {
 	return core.BasicConfig{
-		Config:    core.Config{Engine: eng, Seed: o.Seed, DcPercentile: 0.02, Trace: o.Trace},
+		Config:    core.Config{Engine: eng, Seed: o.Seed, Trace: o.Trace},
 		BlockSize: 500,
 	}
 }

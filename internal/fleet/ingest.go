@@ -25,9 +25,13 @@ import (
 //
 // Ingest calls are never hedged and never retried: a duplicate ingest is a
 // duplicate point, which is worse than a failed request the client can
-// retry knowingly. A multi-shard batch that fails on one shard reports the
-// failure even though other shards may have committed their slices —
-// at-least-once semantics; see OPERATIONS.md.
+// retry knowingly. A batch that reaches a shard with more than one replica
+// is refused with 501 before anything is written: replicas keep separate
+// delta segments under one ID layout, so spreading a shard's ingests over
+// them would split its delta and hand out each global ID twice. A
+// multi-shard batch that fails on one shard reports the failure even though
+// other shards may have committed their slices — at-least-once semantics;
+// see OPERATIONS.md.
 
 // Counter names of the router's ingest path.
 const (
@@ -80,6 +84,15 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		b.pts = append(b.pts, p)
 	}
 
+	r.counters.Add(CtrIngestRequests, 1)
+	for s := range r.shards {
+		if b := batches[s]; b != nil && len(b.shard.replicas) > 1 {
+			r.counters.Add(CtrIngestErrors, 1)
+			http.Error(w, fmt.Sprintf("shard %d has %d replicas; routed ingest needs one replica per shard", s, len(b.shard.replicas)), http.StatusNotImplemented)
+			return
+		}
+	}
+
 	var wg sync.WaitGroup
 	for _, b := range batches {
 		wg.Add(1)
@@ -95,7 +108,6 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	}
 	wg.Wait()
 
-	r.counters.Add(CtrIngestRequests, 1)
 	for s := range r.shards {
 		b := batches[s]
 		if b == nil {
@@ -129,11 +141,10 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	json.NewEncoder(w).Encode(serve.IngestResponse{Results: results}) //nolint:errcheck
 }
 
-// ingestShard round-trips one shard's /ingest slice: the first alive
-// replica only, no hedge, no failover (see the duplicate-point note above).
+// ingestShard round-trips one shard's /ingest slice to its one replica, no
+// hedge, no failover (see the duplicate-point note above).
 func (r *Router) ingestShard(sc *shardClient, body []byte) (*serve.IngestResponse, int, string) {
-	reps := sc.alivePick()
-	rep := reps[0]
+	rep := sc.replicas[0]
 	start := time.Now()
 	resp, err := r.client.Post("http://"+rep.addr+"/ingest", "application/json", bytes.NewReader(body))
 	if err != nil {

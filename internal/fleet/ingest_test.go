@@ -18,11 +18,11 @@ import (
 	"repro/internal/serve"
 )
 
-// startIngestFleet brings up a single-replica ingest-enabled fleet: each
-// shard server gets its own ingest.Store over the shard sub-model, with the
-// disjoint ID layout OPERATIONS.md prescribes (base N+shard, stride =
-// shard count).
-func startIngestFleet(t *testing.T, mdl *model.Model, shards int) (*fleet.Router, [][]*serve.Server) {
+// startIngestFleet brings up an ingest-enabled fleet: each shard server gets
+// its own ingest.Store over the shard sub-model, with the disjoint ID layout
+// OPERATIONS.md prescribes (base N+shard, stride = shard count), shared by a
+// shard's replicas.
+func startIngestFleet(t *testing.T, mdl *model.Model, shards, replicas int) (*fleet.Router, [][]*serve.Server) {
 	t.Helper()
 	subs, mf, err := fleet.Partition(mdl, shards, 0)
 	if err != nil {
@@ -31,28 +31,30 @@ func startIngestFleet(t *testing.T, mdl *model.Model, shards int) (*fleet.Router
 	srvs := make([][]*serve.Server, shards)
 	addrs := make([][]string, shards)
 	for s := range subs {
-		id := s
-		srv := serve.New(serve.Config{ShardID: &id})
-		sub := subs[s]
-		st, err := ingest.Open(ingest.Config{
-			Dir:       t.TempDir(),
-			Precision: "f64",
-			IDBase:    int64(mdl.N() + s),
-			IDStride:  int64(shards),
-			OnSwap:    srv.UseEngine,
-		}, func() (*model.Model, error) { return sub, nil })
-		if err != nil {
-			t.Fatal(err)
+		for range replicas {
+			id := s
+			srv := serve.New(serve.Config{ShardID: &id})
+			sub := subs[s]
+			st, err := ingest.Open(ingest.Config{
+				Dir:       t.TempDir(),
+				Precision: "f64",
+				IDBase:    int64(mdl.N() + s),
+				IDStride:  int64(shards),
+				OnSwap:    srv.UseEngine,
+			}, func() (*model.Model, error) { return sub, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { st.Close() }) //nolint:errcheck
+			srv.SetIngest(st)
+			srv.UseEngine(st.Engine())
+			if err := srv.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
+			srvs[s] = append(srvs[s], srv)
+			addrs[s] = append(addrs[s], srv.Addr())
 		}
-		t.Cleanup(func() { st.Close() }) //nolint:errcheck
-		srv.SetIngest(st)
-		srv.UseEngine(st.Engine())
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
-		srvs[s] = []*serve.Server{srv}
-		addrs[s] = []string{srv.Addr()}
 	}
 	router, err := fleet.NewRouter(fleet.RouterConfig{Manifest: mf, Shards: addrs})
 	if err != nil {
@@ -131,7 +133,7 @@ func TestFleetIngest(t *testing.T) {
 // size, reads every point back before, during and after a rollover, and runs
 // conform on the fleet before the rollover and after it.
 func checkFleetIngest(t *testing.T, mdl *model.Model, shards int, pts [][]float64, conform func(*fleet.Router)) {
-	router, srvs := startIngestFleet(t, mdl, shards)
+	router, srvs := startIngestFleet(t, mdl, shards, 1)
 	resp := postPoints(t, "http://"+router.Addr()+"/ingest", pts)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("router /ingest: HTTP %d", resp.StatusCode)
@@ -221,7 +223,7 @@ func checkFleetIngest(t *testing.T, mdl *model.Model, shards int, pts [][]float6
 func TestFleetAssignBounds(t *testing.T) {
 	mdl := trainModel(t, 600, 3)
 	const shards = 2
-	_, srvs := startIngestFleet(t, mdl, shards)
+	_, srvs := startIngestFleet(t, mdl, shards, 1)
 	p := []float64{mdl.Row(7)[0] + 0.25, mdl.Row(7)[1] - 0.5}
 	resp := postPoints(t, "http://"+srvs[0][0].Addr()+"/ingest", [][]float64{p})
 	var acked serve.IngestResponse
@@ -289,5 +291,30 @@ func TestFleetIngestShortAck(t *testing.T) {
 	}
 	if got := router.Counters().Get(fleet.CtrIngestErrors); got != 1 {
 		t.Fatalf("%s = %d, want 1", fleet.CtrIngestErrors, got)
+	}
+}
+
+// TestFleetIngestReplicatedShard: routed ingest to a shard with two replicas
+// under one ID layout is refused before anything is written. Spreading the
+// shard's single-point ingests over both replicas would ack each global ID
+// twice and leave each replica with half of the shard's delta.
+func TestFleetIngestReplicatedShard(t *testing.T) {
+	mdl := trainModel(t, 300, 2)
+	router, srvs := startIngestFleet(t, mdl, 1, 2)
+	for i := range 4 {
+		resp := postPoints(t, "http://"+router.Addr()+"/ingest", [][]float64{mdl.Row(i)})
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotImplemented || !strings.Contains(string(msg), "shard 0") {
+			t.Fatalf("ingest %d: HTTP %d %q, want 501 naming shard 0", i, resp.StatusCode, msg)
+		}
+	}
+	for r, srv := range srvs[0] {
+		if info := srv.Stats().Ingest; info == nil || info.DeltaPoints != 0 {
+			t.Fatalf("replica %d holds a delta after refused ingests: %+v", r, info)
+		}
+	}
+	if got := router.Counters().Get(fleet.CtrIngestErrors); got != 4 {
+		t.Fatalf("%s = %d, want 4", fleet.CtrIngestErrors, got)
 	}
 }

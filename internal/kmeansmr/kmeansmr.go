@@ -63,18 +63,18 @@ type Result struct {
 	// ShuffleBytes and Distances are totals across iterations.
 	ShuffleBytes int64
 	Distances    int64
-	// Dag holds the run's dag.* scheduler counters. In particular
+	// Dag holds the run's dag.* session counters. In particular
 	// dag.stage.bytes records the input volume staged ONCE for the whole
 	// run — the regression signal that iterations no longer re-stage the
 	// dataset each round.
 	Dag map[string]int64
 }
 
-// Run executes distributed K-means. The input is staged on the DAG
-// session once and every Lloyd iteration is scheduled as a one-node graph
-// over the same staged dataset — 100 iterations stage the points one
-// time, not 100 times. Labels are computed from the final centroids in a
-// last pass (counted in Distances but not as an iteration).
+// Run executes distributed K-means as a driver loop of jobs: the input is
+// staged on the session once and every Lloyd iteration runs one job over
+// the same staged dataset — 100 iterations stage the points one time, not
+// 100 times. Labels are computed from the final centroids in a last pass
+// (counted in Distances but not as an iteration).
 func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -91,7 +91,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 		eng = &mapreduce.LocalEngine{}
 	}
 	sess := dag.NewSession(eng, dag.Options{})
-	input := sess.Stage("kmeans-points", core.InputPairs(ds))
+	input := sess.Stage(core.InputPairs(ds))
 	centers := initialCenters(ds, cfg.K, cfg.Seed)
 	res := &Result{}
 
@@ -99,13 +99,11 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 		conf := mapreduce.Conf{}
 		conf.SetInt(confK, cfg.K)
 		conf[confCentroids] = encodeCentroids(centers)
-		g := dag.NewGraph(fmt.Sprintf("kmeans-iter-%03d", it+1))
-		node := g.Job(IterateJob(conf), input)
-		outs, err := sess.Run(ctx, g, node)
+		out, err := sess.Run(ctx, IterateJob(conf), input)
 		if err != nil {
 			return nil, fmt.Errorf("kmeansmr: iteration %d: %w", it, err)
 		}
-		next, err := decodeNewCentroids(outs[0], centers)
+		next, err := decodeNewCentroids(out, centers)
 		if err != nil {
 			return nil, err
 		}

@@ -1,15 +1,15 @@
 // Package knnjoin is the distributed kNN-join subsystem: R ⋉kNN S as a
-// MapReduce DAG. The LSH-bucketed candidate pass replicates the base side
-// into its hash bucket under every layout (like the ρ job of LSH-DDP) and
-// sends each query to one bucket only — its bucket in the layout that
-// attains its guarantee radius (lsh.Layouts.GuaranteeRadius), the only one
-// whose answer can be certified. Each bucket reducer computes its queries'
-// exact top-k over the bucket's base rows, walking a median-split box tree
-// over them so that most rows are ruled out by a box bound without a
-// distance evaluation; a merge pass uses the guarantee radius to certify
-// the answer or flag the query for the exact-fallback pass, which re-joins
-// just the uncertified queries against all of S. The final result is
-// bit-identical to a naive full join.
+// chain of MapReduce jobs. The LSH-bucketed candidate pass replicates the
+// base side into its hash bucket under every layout (like the ρ job of
+// LSH-DDP) and sends each query to one bucket only — its bucket in the
+// layout that attains its guarantee radius (lsh.Layouts.GuaranteeRadius),
+// the only one whose answer can be certified. Each bucket reducer computes
+// its queries' exact top-k over the bucket's base rows, walking a
+// median-split box tree over them so that most rows are ruled out by a box
+// bound without a distance evaluation; a merge pass uses the guarantee
+// radius to certify the answer or flag the query for the exact-fallback
+// pass, which re-joins just the uncertified queries against all of S. The
+// final result is bit-identical to a naive full join.
 package knnjoin
 
 import (

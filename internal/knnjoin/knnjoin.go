@@ -83,11 +83,11 @@ type Result struct {
 }
 
 // Run executes the LSH-bucketed kNN join R ⋉kNN S on the session's engine:
-// a candidates+merge DAG over the hash buckets, then — for the queries
-// whose bucket answer the guarantee radius could not certify — an
-// exact-join DAG over just those queries. The result is bit-identical to
-// RunExact (and to a single-machine full scan), including the
-// lowest-ID-wins tie rule.
+// a candidates and a merge job over the hash buckets, then — for the
+// queries whose bucket answer the guarantee radius could not certify — the
+// exact join's two jobs over just those queries. The result is
+// bit-identical to RunExact (and to a single-machine full scan), including
+// the lowest-ID-wins tie rule.
 func Run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, error) {
 	return run(ctx, sess, R, S, k, cfg, CandidatesJob)
 }
@@ -107,18 +107,19 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 		w = estimateWidth(R, S, k, &cfg)
 	}
 	conf := buildConf(R.Dim(), k, w, &cfg)
-	qIn := sess.Stage("knn-R:"+R.Name, taggedPairs(tagQuery, R))
-	sIn := sess.Stage("knn-S:"+S.Name, taggedPairs(tagBase, S))
+	qIn := sess.Stage(taggedPairs(tagQuery, R))
+	sIn := sess.Stage(taggedPairs(tagBase, S))
 
-	g := dag.NewGraph("knn-join")
-	cand := g.Job(candidates(conf).WithReduces(cfg.NumReduces), qIn, sIn)
-	merged := g.Job(MergeJob(conf).WithReduces(cfg.NumReduces), cand)
-	outs, err := sess.Run(ctx, g, merged)
+	cand, err := sess.Run(ctx, candidates(conf).WithReduces(cfg.NumReduces), qIn, sIn)
+	if err != nil {
+		return nil, err
+	}
+	merged, err := sess.Run(ctx, MergeJob(conf).WithReduces(cfg.NumReduces), cand)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Neighbors: make([][]Neighbor, R.N()), K: k, W: w}
-	fallback, err := decodeResults(res.Neighbors, outs[0])
+	fallback, err := decodeResults(res.Neighbors, merged)
 	if err != nil {
 		return nil, err
 	}
@@ -129,15 +130,7 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 		for i, qid := range fallback {
 			fbPairs[i] = mapreduce.Pair{Value: encodeTagged(tagQuery, R.Points[qid])}
 		}
-		fbIn := sess.Stage("knn-Rfb:"+R.Name, fbPairs)
-		g2 := dag.NewGraph("knn-join-exact")
-		ex := g2.Job(ExactJob(conf).WithReduces(cfg.NumReduces), fbIn, sIn)
-		merged2 := g2.Job(MergeJob(conf).WithReduces(cfg.NumReduces), ex)
-		outs2, err := sess.Run(ctx, g2, merged2)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := decodeResults(res.Neighbors, outs2[0]); err != nil {
+		if err := exactJoin(ctx, sess, conf, cfg, res.Neighbors, sess.Stage(fbPairs), sIn); err != nil {
 			return nil, err
 		}
 	}
@@ -161,21 +154,29 @@ func RunExact(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k in
 	mark := sess.Mark()
 
 	conf := buildConf(R.Dim(), k, 1, &cfg)
-	qIn := sess.Stage("knn-R:"+R.Name, taggedPairs(tagQuery, R))
-	sIn := sess.Stage("knn-S:"+S.Name, taggedPairs(tagBase, S))
-	g := dag.NewGraph("knn-join-exact")
-	ex := g.Job(ExactJob(conf).WithReduces(cfg.NumReduces), qIn, sIn)
-	merged := g.Job(MergeJob(conf).WithReduces(cfg.NumReduces), ex)
-	outs, err := sess.Run(ctx, g, merged)
-	if err != nil {
-		return nil, err
-	}
+	qIn := sess.Stage(taggedPairs(tagQuery, R))
+	sIn := sess.Stage(taggedPairs(tagBase, S))
 	res := &Result{Neighbors: make([][]Neighbor, R.N()), K: k}
-	if _, err := decodeResults(res.Neighbors, outs[0]); err != nil {
+	if err := exactJoin(ctx, sess, conf, cfg, res.Neighbors, qIn, sIn); err != nil {
 		return nil, err
 	}
 	core.CollectStats(&res.Stats, sess, mark, start)
 	return res, nil
+}
+
+// exactJoin runs the exact join's two jobs over the queries qIn and the base
+// records sIn and decodes their answers into neighbors.
+func exactJoin(ctx context.Context, sess *dag.Session, conf mapreduce.Conf, cfg Config, neighbors [][]Neighbor, qIn, sIn []mapreduce.Pair) error {
+	ex, err := sess.Run(ctx, ExactJob(conf).WithReduces(cfg.NumReduces), qIn, sIn)
+	if err != nil {
+		return err
+	}
+	merged, err := sess.Run(ctx, MergeJob(conf).WithReduces(cfg.NumReduces), ex)
+	if err != nil {
+		return err
+	}
+	_, err = decodeResults(neighbors, merged)
+	return err
 }
 
 func validate(R, S *points.Dataset, k int) error {

@@ -63,18 +63,21 @@ func TestSessionPipelines(t *testing.T) {
 		Trace: &trace,
 		Log:   func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) },
 	})
-	g := dag.NewGraph("chain")
-	src := s.Stage("in", []mapreduce.Pair{{Value: []byte("a a b")}})
-	counts := g.Job(wordcount(), src)
-	twice := g.Job(doubler("double"), counts)
-	kept := g.Transform("keep", func(in ...[]mapreduce.Pair) ([]mapreduce.Pair, error) { return in[0], nil }, twice)
-	four := g.Job(doubler("double-again"), kept)
-	outs, err := s.Run(context.Background(), g, four)
+	ctx := context.Background()
+	counts, err := s.Run(ctx, wordcount(), s.Stage([]mapreduce.Pair{{Value: []byte("a a b")}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := s.Run(ctx, doubler("double"), counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := s.Run(ctx, doubler("double-again"), twice)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := map[string]string{}
-	for _, p := range outs[0] {
+	for _, p := range four {
 		got[p.Key] = string(p.Value)
 	}
 	if got["a"] != "8" {
@@ -99,8 +102,8 @@ func TestSessionPipelines(t *testing.T) {
 	if mapIn != 5 {
 		t.Fatalf("total map input = %d", mapIn)
 	}
-	if len(l.JobTraces) != 3 || len(l.Runs) != 1 {
-		t.Fatalf("ledger has %d job traces and %d run traces", len(l.JobTraces), len(l.Runs))
+	if len(l.JobTraces) != 3 {
+		t.Fatalf("ledger has %d job traces", len(l.JobTraces))
 	}
 	for i, tr := range l.JobTraces {
 		if tr.Job != l.Jobs[i].Name || tr.ID != i+1 {
@@ -125,20 +128,20 @@ func TestSessionPipelines(t *testing.T) {
 		}
 	}
 
-	// Options.Trace: each job as it completes, then the run's node trace.
+	// Options.Trace: each job as it completes.
 	var streamed []string
 	for _, tr := range trace.Jobs() {
 		streamed = append(streamed, tr.Job)
 	}
-	if fmt.Sprint(streamed) != "[wordcount double double-again dag:chain]" {
+	if fmt.Sprint(streamed) != "[wordcount double double-again]" {
 		t.Fatalf("Options.Trace received %v", streamed)
 	}
-	// One log line per node; job nodes carry their cost counters.
-	if len(logged) != 4 {
-		t.Fatalf("logged %d lines for 4 nodes: %q", len(logged), logged)
+	// One log line per job, carrying its cost counters.
+	if len(logged) != 3 {
+		t.Fatalf("logged %d lines for 3 jobs: %q", len(logged), logged)
 	}
 	for i, line := range logged {
-		if isJob := i != 2; strings.Contains(line, "shuffleB=") != isJob {
+		if !strings.Contains(line, names[i]) || !strings.Contains(line, "shuffleB=") {
 			t.Fatalf("log line %d = %q", i, line)
 		}
 	}
@@ -148,27 +151,29 @@ func TestSessionPipelines(t *testing.T) {
 func TestSessionPropagatesError(t *testing.T) {
 	var trace obs.Trace
 	s := dag.NewSession(&mapreduce.LocalEngine{}, dag.Options{Trace: &trace})
-	g := dag.NewGraph("fails")
-	ok := g.Job(wordcount(), s.Stage("in", []mapreduce.Pair{{Value: []byte("7")}}))
+	ctx := context.Background()
+	ok, err := s.Run(ctx, wordcount(), s.Stage([]mapreduce.Pair{{Value: []byte("7")}}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// bad's map emits a value its reducer cannot parse.
-	bad := g.Job(&mapreduce.Job{
+	bad := &mapreduce.Job{
 		Name: "bad",
 		Map: func(_ *mapreduce.TaskContext, key string, _ []byte, out mapreduce.Emitter) error {
 			out.Emit(key, []byte("x"))
 			return nil
 		},
 		Reduce: sumReduce,
-	}, ok)
-	_, err := s.Run(context.Background(), g, bad)
-	if err == nil || !strings.Contains(err.Error(), `"bad"`) {
+	}
+	if _, err := s.Run(ctx, bad, ok); err == nil || !strings.Contains(err.Error(), `"bad"`) {
 		t.Fatalf("want named job error, got %v", err)
 	}
 	l := s.Since(dag.Mark{})
 	if len(l.Jobs) != 1 || l.Jobs[0].Name != "wordcount" || len(l.JobTraces) != 1 {
 		t.Fatalf("ledger after a failed job: %+v", l.Jobs)
 	}
-	if len(l.Runs) != 0 {
-		t.Fatalf("failed run left %d run traces", len(l.Runs))
+	if l.Counters[dag.CtrNodes] != 1 {
+		t.Fatalf("dag.nodes = %d after one good and one failed job", l.Counters[dag.CtrNodes])
 	}
 	if got := len(trace.Jobs()); got != 1 {
 		t.Fatalf("Options.Trace received %d traces, want the one successful job", got)
@@ -180,9 +185,12 @@ func TestSessionPropagatesError(t *testing.T) {
 func TestMarkSeparatesPipelines(t *testing.T) {
 	s := dag.NewSession(&mapreduce.LocalEngine{Parallelism: 2}, dag.Options{})
 	run := func(name string) {
-		in := s.Stage("in-"+name, []mapreduce.Pair{{Value: []byte(name)}})
-		g := dag.NewGraph(name)
-		if _, err := s.Run(context.Background(), g, g.Job(doubler("job-"+name), g.Job(wordcount(), in))); err != nil {
+		ctx := context.Background()
+		counts, err := s.Run(ctx, wordcount(), s.Stage([]mapreduce.Pair{{Value: []byte(name)}}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Run(ctx, doubler("job-"+name), counts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,9 +200,6 @@ func TestMarkSeparatesPipelines(t *testing.T) {
 	l := s.Since(mark)
 	if len(l.Jobs) != 2 || l.Jobs[1].Name != "job-second" || len(l.JobTraces) != 2 {
 		t.Fatalf("second pipeline's jobs = %+v", l.Jobs)
-	}
-	if len(l.Runs) != 1 || l.Runs[0].Job != "dag:second" {
-		t.Fatalf("second pipeline's runs = %+v", l.Runs)
 	}
 	if l.Counters[dag.CtrNodes] != 2 || l.Counters[dag.CtrStageDatasets] != 1 || l.Counters[dag.CtrStageBytes] != int64(len("second")) {
 		t.Fatalf("second pipeline's dag counters = %v", l.Counters)

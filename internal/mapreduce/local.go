@@ -21,7 +21,7 @@ type Result struct {
 }
 
 // JobStats is the ledger entry of one executed job: what dag.Session
-// records per job node and pipelines report in their stats.
+// records per job and pipelines report in their stats.
 type JobStats struct {
 	Name     string
 	Wall     time.Duration

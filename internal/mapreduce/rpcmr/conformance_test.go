@@ -79,8 +79,7 @@ func TestRunnerConformance(t *testing.T) {
 	for _, rc := range runners {
 		t.Run(rc.name, func(t *testing.T) {
 			sess := dag.NewSession(rc.engine, dag.Options{})
-			g := dag.NewGraph("conformance")
-			outs, err := sess.Run(context.Background(), g, g.Job(makeJob(), sess.Stage("points", input)))
+			output, err := sess.Run(context.Background(), makeJob(), sess.Stage(input))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,7 +141,7 @@ func TestRunnerConformance(t *testing.T) {
 					shuffleBytes, mapreduce.CtrShuffleBytes, ctr)
 			}
 
-			out := append([]mapreduce.Pair(nil), outs[0]...)
+			out := append([]mapreduce.Pair(nil), output...)
 			sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 			results[rc.name] = observed{
 				output:   out,

@@ -18,8 +18,8 @@ import (
 // Master coordinates a worker fleet and implements mapreduce.Engine, so a
 // pipeline moves from in-process to a cluster by handing dag.NewSession a
 // Master instead of a LocalEngine. One job runs at a time (a concurrent
-// Run call fails with "a job is already running"; a dag.Session runs its
-// nodes one at a time anyway); Run blocks until the job finishes or fails
+// Run call fails with "a job is already running"; a pipeline runs its jobs
+// one at a time anyway); Run blocks until the job finishes or fails
 // permanently.
 type Master struct {
 	// LeaseTimeout re-queues a task not completed within the lease

@@ -76,16 +76,8 @@ const PhaseRereplicate Phase = "rereplicate"
 // with tracing on; MapReduce engines never emit it.
 const PhaseServe Phase = "serve"
 
-// PhaseDag is the job-DAG scheduler's per-node span: one span per graph
-// node (job or driver-side transform), whose Wall runs from the node
-// becoming ready to its output materializing, Records is the node's output
-// record count, and Bytes the output volume. Overlapping
-// dag spans in one trace are independent nodes the scheduler ran
-// concurrently. MapReduce engines never emit it.
-const PhaseDag Phase = "dag"
-
 // PhaseOrder lists the phases in dataflow order, for stable rendering.
-var PhaseOrder = []Phase{PhaseDag, PhaseMap, PhaseCombine, PhaseSort, PhaseShuffle, PhaseFetch, PhaseReduce, PhaseRereplicate, PhaseServe}
+var PhaseOrder = []Phase{PhaseMap, PhaseCombine, PhaseSort, PhaseShuffle, PhaseFetch, PhaseReduce, PhaseRereplicate, PhaseServe}
 
 // Span records one task-phase execution. Worker is the rpcmr worker id
 // that ran the task (0 on the local engine).
