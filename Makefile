@@ -13,8 +13,8 @@ all: check
 # serving engine's bucket sweep, the ρ-partial codec, the record frame, the
 # ρ reducers' runs-apart certificate, the HTTP point decoder, the shuffle
 # fetcher's response decoder, the WAL record decoder, the compact
-# shortlist's distance cap and the kNN-join's records for five seconds
-# each, smoke
+# shortlist's distance cap, the kNN-join's records and the model artifact's
+# section walk for five seconds each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, compile + smoke the benchmark harness
 # (all five workloads, oracles checked), and run the six example programs,
@@ -88,7 +88,10 @@ race:
 # bound survives the cap, the capped scan's answer is the nearest row within
 # the bound, and nothing panics. The kNN-join's records — bucket query,
 # partial list, merged result — face arbitrary bytes: error or exactly the
-# input re-encoded, and both jobs' maps error or emit, never a panic.
+# input re-encoded, and both jobs' maps error or emit, never a panic. A
+# model artifact's body, under a recomputed header and checksum, reaches
+# the section walk: error, or a valid model that round-trips through
+# Encode / Decode unchanged — a ragged or repeated section is an error.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKLeaves$$' -fuzztime 5s ./internal/kernels/
@@ -101,6 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 5s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzShortlistCap$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzKnnRecords$$' -fuzztime 5s ./internal/knnjoin/
+	$(GO) test -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime 5s ./internal/model/
 
 bench:
 	$(GO) test -bench=. -benchmem .

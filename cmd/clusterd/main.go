@@ -63,8 +63,6 @@ func main() {
 		maxPts    = flag.Int("max-points", 1024, "maximum points per request (serve.max.request.points)")
 		exact     = flag.Bool("exact", false, "disable LSH pruning; answer every query by full scan (serve.exact)")
 		shard     = flag.Int("shard", -1, "fleet shard id this daemon serves (reported in /statsz for routerd's startup check; -1 = not in a fleet)")
-		hdrTO     = flag.Duration("read-header-timeout", 0, "bound on reading a request's headers (0 = 5s default, negative disables) (serve.read.header.timeout)")
-		idleTO    = flag.Duration("idle-timeout", 0, "keep-alive idle connection bound (0 = 2m default, negative disables) (serve.idle.timeout)")
 		precision = flag.String("precision", "f64", "scan precision: f64, f32, or q8 — compact scans re-rank exactly, results are identical (serve.scan.precision)")
 		traceOut  = flag.String("trace", "", "write a JSONL trace with one span per request to this file on exit (debugging; unbounded)")
 		verbose   = flag.Bool("v", false, "log server events")
@@ -98,14 +96,12 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		QueueDepth:        *queue,
-		Workers:           *workers,
-		MaxRequestPoints:  *maxPts,
-		ReadHeaderTimeout: *hdrTO,
-		IdleTimeout:       *idleTO,
-		ExactOnly:         *exact,
-		Precision:         *precision,
-		Loader:            loader,
+		QueueDepth:       *queue,
+		Workers:          *workers,
+		MaxRequestPoints: *maxPts,
+		ExactOnly:        *exact,
+		Precision:        *precision,
+		Loader:           loader,
 	}
 	if *shard >= 0 {
 		cfg.ShardID = shard

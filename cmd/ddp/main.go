@@ -244,16 +244,22 @@ func runAlgorithm(ctx context.Context, ds *dataset.DS, algo string, cfg core.Con
 	case "eddpc":
 		return eddpc.Run(ctx, ds, eddpc.Config{Config: cfg})
 	case "exact":
-		dcv := cfg.Dc
-		if dcv <= 0 {
-			dcv = dp.CutoffByPercentile(ds, 0.02, cfg.Seed)
+		// d_c comes from the same sampling job the distributed algorithms
+		// run, so exact is their counterpart on the same input.
+		start := time.Now()
+		sess := cfg.DagSession()
+		mark := sess.Mark()
+		dcv, err := core.ChooseDc(ctx, sess, ds, &cfg, core.InputPairs(ds))
+		if err != nil {
+			return nil, err
 		}
-		ref, err := dp.Compute(ds, dcv, dp.Options{Kernel: cfg.Kernel, GridIndex: true})
+		ref, err := dp.Compute(ds, dcv, dp.Options{Kernel: cfg.Kernel})
 		if err != nil {
 			return nil, err
 		}
 		res := &core.Result{Rho: ref.Rho, Delta: ref.Delta, Upslope: ref.Upslope}
 		res.Stats.Dc = dcv
+		core.CollectStats(&res.Stats, sess, mark, start)
 		return res, nil
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", algo)

@@ -149,7 +149,7 @@ func undocumentedConsts(doc string, consts []knob) []knob {
 // confKey matches a lower-case dotted knob name, e.g. ddp.lsh.m.
 var confKey = regexp.MustCompile(`^[a-z][a-z0-9]*(\.[a-z0-9]+)+$`)
 
-// fieldRef matches a struct-field setting, e.g. Master.LeaseTimeout.
+// fieldRef matches a struct-field setting, e.g. Master.MonitorInterval.
 var fieldRef = regexp.MustCompile(`^[A-Z][A-Za-z0-9]*\.[A-Z][A-Za-z0-9]*$`)
 
 // configSection returns the README's "Configuration reference" section.

@@ -113,9 +113,9 @@ func TestMissingFields(t *testing.T) {
 	const src = `package p
 
 type Master struct {
-	LeaseTimeout int
-	Events       string
-	lis          int
+	MonitorInterval int
+	Events          string
+	lis             int
 }
 
 type Options struct{ Dir string }
@@ -133,7 +133,7 @@ type Alias = Master
 		readme string
 		want   []string
 	}{
-		{"declared fields", "# T\n## Configuration reference\n| `Master.LeaseTimeout` / `mrd master` | 60s | lease |\n| `Options.Dir` / `-dir` | — | d |\n", nil},
+		{"declared fields", "# T\n## Configuration reference\n| `Master.MonitorInterval` / `-monitor` | 0 | monitor |\n| `Options.Dir` / `-dir` | — | d |\n", nil},
 		{"deleted field", "# T\n## Configuration reference\n| `Master.GoneFactor` | 0 | gone |\n", []string{"Master.GoneFactor"}},
 		{"unexported field", "# T\n## Configuration reference\n| `Master.lis` / `Master.Lis` | x | y |\n", []string{"Master.Lis"}},
 		{"unknown type", "# T\n## Configuration reference\n| `Gone.Dir` | x | y |\n", []string{"Gone.Dir"}},

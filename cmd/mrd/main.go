@@ -1,12 +1,9 @@
-// Command mrd runs the distributed daemons: the MapReduce master, a
-// MapReduce worker (with every job of this repository registered), and the
-// mini-DFS namenode/datanode.
+// Command mrd runs the distributed daemons: a MapReduce worker (with every
+// job of this repository registered) and the mini-DFS namenode/datanode.
+// The MapReduce master is the job's driver, which runs it in-process:
 //
-// A three-terminal session:
-//
-//	mrd master -addr :7070
+//	ddp ... -master-listen :7070 -min-workers 2      # or knn -master-listen
 //	mrd worker -master localhost:7070 -addr :0       # repeat per worker
-//	ddp ... (with a master-backed engine; see examples/distributed)
 //
 // And for the DFS:
 //
@@ -42,8 +39,6 @@ func main() {
 		usage()
 	}
 	switch os.Args[1] {
-	case "master":
-		runMaster(os.Args[2:])
 	case "worker":
 		runWorker(os.Args[2:])
 	case "namenode":
@@ -58,7 +53,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mrd master|worker|namenode|datanode|dfsadmin [flags]")
+	fmt.Fprintln(os.Stderr, "usage: mrd worker|namenode|datanode|dfsadmin [flags]")
 	os.Exit(2)
 }
 
@@ -68,45 +63,10 @@ func waitForSignal() {
 	<-ch
 }
 
-func runMaster(args []string) {
-	fs := flag.NewFlagSet("master", flag.ExitOnError)
-	addr := fs.String("addr", ":7070", "listen address")
-	verbose := fs.Bool("v", false, "log scheduler and progress events to stderr")
-	monitor := fs.Duration("monitor", 0, "emit live counter snapshots at this interval while a job runs (0 = off)")
-	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address (e.g. :6060; empty = off)")
-	fs.Parse(args)
-	startPprof(*pprofAddr)
-	m, err := rpcmr.NewMaster(*addr)
-	fatal(err)
-	if *verbose {
-		m.Events = obs.NewWriterSink(os.Stderr)
-	}
-	m.MonitorInterval = *monitor
-	fmt.Printf("mrd: master listening on %s\n", m.Addr())
-	waitForSignal()
-	// Abort whatever job is in flight so workers drain cleanly and the
-	// client gets a failure instead of a hung RPC, then print history.
-	m.Abort(fmt.Errorf("rpcmr: master interrupted by signal"))
-	for _, rec := range m.History() {
-		status := "ok"
-		if rec.Failed {
-			status = "FAILED"
-		}
-		fmt.Printf("mrd: job %3d %-24s %-6s %8.2fs  maps=%d reduces=%d workers=%d shuffleB=%d map-med=%s map-max=%s stragglers=%d\n",
-			rec.ID, rec.Name, status, rec.Wall.Seconds(), rec.Maps, rec.Reduces, rec.Workers,
-			rec.Counters["shuffle.bytes"],
-			rec.MapDist.Median.Round(time.Millisecond), rec.MapDist.Max.Round(time.Millisecond),
-			rec.MapDist.Stragglers+rec.ReduceDist.Stragglers)
-	}
-	m.Close()
-}
-
 func runWorker(args []string) {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	master := fs.String("master", "localhost:7070", "master address")
 	addr := fs.String("addr", ":0", "listen address for shuffle fetches")
-	poll := fs.Duration("poll", 20*time.Millisecond, "base task-poll interval")
-	pollMax := fs.Duration("poll-max", 250*time.Millisecond, "idle poll backoff cap (the interval doubles while no task is handed out and snaps back on work)")
 	verbose := fs.Bool("v", false, "log task events to stderr")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address (e.g. :6061; empty = off)")
 	fs.Parse(args)
@@ -114,8 +74,6 @@ func runWorker(args []string) {
 	registerAllJobs()
 	w, err := rpcmr.StartWorker(*master, *addr)
 	fatal(err)
-	w.PollInterval = *poll
-	w.PollMax = *pollMax
 	if *verbose {
 		sink := obs.NewWriterSink(os.Stderr)
 		w.Log = func(format string, args ...any) { sink.Event("worker", format, args...) }

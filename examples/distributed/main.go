@@ -4,8 +4,9 @@
 // pipeline on the cluster engine. The science is verified against the
 // in-process engine: results must match bit-for-bit.
 //
-// The same binaries work across machines: see cmd/mrd for standalone
-// master/worker/namenode/datanode daemons.
+// The same code works across machines: this program is the master, as
+// `ddp -master-listen` is, and cmd/mrd runs standalone worker, namenode and
+// datanode daemons.
 //
 // Run with:
 //

@@ -26,7 +26,7 @@ func DBSCAN(ds *points.Dataset, eps float64, minPts int) (*DBSCANResult, error) 
 	if minPts < 1 {
 		return nil, fmt.Errorf("baselines: minPts %d < 1", minPts)
 	}
-	idx := newGridIndex(ds, eps)
+	neighbors := neighborQuery(ds, eps)
 	labels := make([]int, n)
 	const (
 		unvisited = -2
@@ -35,14 +35,13 @@ func DBSCAN(ds *points.Dataset, eps float64, minPts int) (*DBSCANResult, error) 
 	for i := range labels {
 		labels[i] = unvisited
 	}
-	eps2 := eps * eps
 	cluster := 0
 	var queue []int32
 	for i := 0; i < n; i++ {
 		if labels[i] != unvisited {
 			continue
 		}
-		neigh := idx.neighbors(int32(i), eps2)
+		neigh := neighbors(int32(i))
 		if len(neigh) < minPts {
 			labels[i] = noise
 			continue
@@ -59,7 +58,7 @@ func DBSCAN(ds *points.Dataset, eps float64, minPts int) (*DBSCANResult, error) 
 				continue
 			}
 			labels[j] = cluster
-			jn := idx.neighbors(j, eps2)
+			jn := neighbors(j)
 			if len(jn) >= minPts {
 				queue = append(queue, jn...)
 			}
@@ -75,87 +74,37 @@ func DBSCAN(ds *points.Dataset, eps float64, minPts int) (*DBSCANResult, error) 
 	return res, nil
 }
 
-// gridIndex buckets points into cells of side eps; a radius-eps query only
-// inspects the 3^dim neighbouring cells. For dim > 6 the cell fan-out
-// outweighs the pruning, so the index degrades to a flat scan.
-type gridIndex struct {
-	ds   *points.Dataset
-	eps  float64
-	dim  int
-	cell map[string][]int32
-	flat bool
-}
-
-func newGridIndex(ds *points.Dataset, eps float64) *gridIndex {
-	g := &gridIndex{ds: ds, eps: eps, dim: ds.Dim()}
-	if g.dim > 6 {
-		g.flat = true
-		return g
-	}
-	g.cell = make(map[string][]int32)
-	for i, p := range ds.Points {
-		key := g.key(p.Pos, nil)
-		g.cell[key] = append(g.cell[key], int32(i))
-	}
-	return g
-}
-
-// key encodes the cell coordinates of pos, offset by off (nil = zero).
-func (g *gridIndex) key(pos points.Vector, off []int) string {
-	buf := make([]byte, 0, g.dim*6)
-	for j := 0; j < g.dim; j++ {
-		c := int(pos[j] / g.eps)
-		if pos[j] < 0 {
-			c--
+// neighborQuery returns a query for the ids within eps of point i, i
+// excluded, in a fixed order: the candidates are the points in the cells
+// around i of a points.Grid of side eps, or every point above
+// points.MaxGridDim, where the 3^dim cell fan-out outweighs the pruning.
+func neighborQuery(ds *points.Dataset, eps float64) func(i int32) []int32 {
+	var grid *points.Grid
+	var all []int32
+	if ds.Dim() <= points.MaxGridDim {
+		grid = points.NewGrid(ds, eps)
+	} else {
+		all = make([]int32, ds.N())
+		for i := range all {
+			all[i] = int32(i)
 		}
-		if off != nil {
-			c += off[j]
-		}
-		buf = appendInt(buf, c)
-		buf = append(buf, ':')
 	}
-	return string(buf)
-}
-
-func appendInt(b []byte, v int) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	if v >= 10 {
-		b = appendInt(b, v/10)
-	}
-	return append(b, byte('0'+v%10))
-}
-
-// neighbors returns the ids within sqrt(eps2) of point i, excluding i.
-func (g *gridIndex) neighbors(i int32, eps2 float64) []int32 {
-	p := g.ds.Points[i].Pos
-	var out []int32
-	if g.flat {
-		for j := range g.ds.Points {
-			if int32(j) != i && points.SqDist(p, g.ds.Points[j].Pos) <= eps2 {
-				out = append(out, int32(j))
-			}
-		}
-		return out
-	}
-	off := make([]int, g.dim)
-	var walk func(d int)
-	walk = func(d int) {
-		if d == g.dim {
-			for _, j := range g.cell[g.key(p, off)] {
-				if j != i && points.SqDist(p, g.ds.Points[j].Pos) <= eps2 {
+	eps2 := eps * eps
+	return func(i int32) []int32 {
+		p := ds.Points[i].Pos
+		var out []int32
+		visit := func(ids []int32) {
+			for _, j := range ids {
+				if j != i && points.SqDist(p, ds.Points[j].Pos) <= eps2 {
 					out = append(out, j)
 				}
 			}
-			return
 		}
-		for _, o := range [3]int{-1, 0, 1} {
-			off[d] = o
-			walk(d + 1)
+		if grid != nil {
+			grid.ForEachNeighborCell(p, visit)
+		} else {
+			visit(all)
 		}
+		return out
 	}
-	walk(0)
-	return out
 }

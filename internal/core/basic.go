@@ -67,11 +67,11 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	conf.SetInt(confBlocks, nBlocks)
 	setKernelConf(conf, cfg.Kernel)
 
-	partials, err := sess.Run(ctx, BasicRhoJob(conf).WithReduces(cfg.NumReduces), input)
+	partials, err := sess.Run(ctx, BasicRhoJob(conf), input)
 	if err != nil {
 		return nil, err
 	}
-	rhoOut, err := sess.Run(ctx, RhoAggJob(JobBasicAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), partials)
+	rhoOut, err := sess.Run(ctx, RhoAggJob(JobBasicAgg, mapreduce.Conf{}), partials)
 	if err != nil {
 		return nil, err
 	}
@@ -79,11 +79,11 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	if err != nil {
 		return nil, err
 	}
-	dPartials, err := sess.Run(ctx, BasicDeltaJob(conf).WithReduces(cfg.NumReduces), RhoPointPairs(ds, rho))
+	dPartials, err := sess.Run(ctx, BasicDeltaJob(conf), RhoPointPairs(ds, rho))
 	if err != nil {
 		return nil, err
 	}
-	dOut, err := sess.Run(ctx, DeltaAggJob(JobBasicDAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), dPartials)
+	dOut, err := sess.Run(ctx, DeltaAggJob(JobBasicDAgg, mapreduce.Conf{}), dPartials)
 	if err != nil {
 		return nil, err
 	}

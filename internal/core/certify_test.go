@@ -88,7 +88,7 @@ func shippedPairs(ds *points.Dataset, cb coBucketed, dc float64, rho []float64) 
 
 // TestCertifiedDeltaMatchesBruteForce is the differential test of the
 // certificate: on every pair-once case, for cutoff, mean and Gaussian ρ̂, on
-// the local engine and (every third case) a 3-worker rpcmr cluster, each
+// the case's local engine and (every third case) a 3-worker rpcmr cluster, each
 // point's merged list is the (d², ID) head of U_i within d_c, exactly the points the
 // certificate decides on those heads are certified and counted, each
 // certified δ̂ and upslope is U_i's first denser point, the pipeline reports
@@ -97,7 +97,6 @@ func shippedPairs(ds *points.Dataset, cb coBucketed, dc float64, rho []float64) 
 // open and certify others; k is never changed to force either.
 func TestCertifiedDeltaMatchesBruteForce(t *testing.T) {
 	ctx := context.Background()
-	local := testEngine()
 	var cluster *rpcmr.Master
 	if !testing.Short() {
 		rpcmr.RegisterJobs(JobFactories())
@@ -124,7 +123,7 @@ func TestCertifiedDeltaMatchesBruteForce(t *testing.T) {
 		mean, gauss := c.cfg, c.cfg
 		mean.AggregateMean = true
 		gauss.Kernel = dp.KernelGaussian
-		engines := []mapreduce.Engine{local}
+		engines := []mapreduce.Engine{c.localEngine()}
 		if cluster != nil && ci%3 == 0 {
 			engines = append(engines, cluster)
 		}
@@ -138,7 +137,7 @@ func TestCertifiedDeltaMatchesBruteForce(t *testing.T) {
 					cfg.Engine = eng
 					conf := lshConf(ds, cfg)
 					run := func(job *mapreduce.Job, in []mapreduce.Pair) []mapreduce.Pair {
-						res, err := eng.Run(ctx, job.WithReduces(cfg.NumReduces), in)
+						res, err := eng.Run(ctx, job, in)
 						if err != nil {
 							t.Fatalf("%s: %v", job.Name, err)
 						}

@@ -153,9 +153,6 @@ func (r *Result) Cluster(ds *points.Dataset, sel PeakSelector) (peaks []int32, l
 type Config struct {
 	// Engine runs the MapReduce jobs; nil means a default LocalEngine.
 	Engine mapreduce.Engine
-	// NumReduces is the reduce-task count per job; <=0 lets the engine
-	// decide.
-	NumReduces int
 	// Dc fixes the cutoff distance. When 0, a preprocessing sampling job
 	// chooses it as the dcPercentile quantile of sampled pair distances
 	// (Section III-A's rule of thumb).

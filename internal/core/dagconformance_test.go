@@ -60,8 +60,8 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	conf.SetBool(confAggMean, cfg.AggregateMean)
 	setKernelConf(conf, cfg.Kernel)
 
-	p1 := run(LSHRhoJob(conf.Clone()).WithReduces(cfg.NumReduces), input)
-	p2 := run(LSHRhoAggJob(conf.Clone()).WithReduces(cfg.NumReduces), p1)
+	p1 := run(LSHRhoJob(conf.Clone()), input)
+	p2 := run(LSHRhoAggJob(conf.Clone()), p1)
 	rho, err := DecodeRhoArray(p2, ds.N())
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +74,8 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3 := run(LSHDeltaJob(conf.Clone()).WithReduces(cfg.NumReduces), shipped)
-	p4 := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), append(p3, certified...))
+	p3 := run(LSHDeltaJob(conf.Clone()), shipped)
+	p4 := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), append(p3, certified...))
 	delta, upslope, err := DecodeDeltaArrays(p4, ds.N())
 	if err != nil {
 		t.Fatal(err)
@@ -152,17 +152,31 @@ func lshConformanceConfig(eng mapreduce.Engine) LSHConfig {
 
 func TestDAGConformanceLSHDDPLocal(t *testing.T) {
 	ds := dataset.Blobs("dag-conf-lsh", 900, 4, 4, 220, 2, 11)
-	eng := &mapreduce.LocalEngine{Parallelism: 4}
-
-	res, err := RunLSHDDP(context.Background(), ds, lshConformanceConfig(eng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, wantJobs := handSequencedLSHDDP(t, eng, ds, lshConformanceConfig(eng))
-	requireSameResult(t, ds, res, want, 4)
-	requireSameJobCounters(t, res.Stats.Jobs, wantJobs)
-	if res.Stats.Dag[dag.CtrNodes] == 0 {
-		t.Fatalf("dag run reported no scheduler nodes: %v", res.Stats.Dag)
+	var first *Result
+	for _, par := range []int{1, 3} {
+		eng := &mapreduce.LocalEngine{Parallelism: par}
+		res, err := RunLSHDDP(context.Background(), ds, lshConformanceConfig(eng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantJobs := handSequencedLSHDDP(t, eng, ds, lshConformanceConfig(eng))
+		requireSameResult(t, ds, res, want, 4)
+		requireSameJobCounters(t, res.Stats.Jobs, wantJobs)
+		if res.Stats.Dag[dag.CtrNodes] == 0 {
+			t.Fatalf("dag run reported no scheduler nodes: %v", res.Stats.Dag)
+		}
+		// The partition count moves no answer and no distance count (the
+		// combiners make shuffle volume depend on the map split).
+		if first == nil {
+			first = res
+			continue
+		}
+		requireSameResult(t, ds, res, first, 4)
+		for i, j := range first.Stats.Jobs {
+			if got := res.Stats.Jobs[i].Counters[mapreduce.CtrDistanceComputations]; got != j.Counters[mapreduce.CtrDistanceComputations] {
+				t.Fatalf("%s: %d distance computations at parallelism %d, %d at 1", j.Name, got, par, j.Counters[mapreduce.CtrDistanceComputations])
+			}
+		}
 	}
 }
 

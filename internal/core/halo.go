@@ -221,11 +221,11 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 	}
 	sess := cfg.DagSession()
 	mark := sess.Mark()
-	partials, err := sess.Run(ctx, LSHHaloJob(conf).WithReduces(cfg.NumReduces), sess.Stage(input))
+	partials, err := sess.Run(ctx, LSHHaloJob(conf), sess.Stage(input))
 	if err != nil {
 		return nil, err
 	}
-	agg, err := sess.Run(ctx, LSHHaloAggJob(mapreduce.Conf{}).WithReduces(cfg.NumReduces), partials)
+	agg, err := sess.Run(ctx, LSHHaloAggJob(mapreduce.Conf{}), partials)
 	if err != nil {
 		return nil, err
 	}

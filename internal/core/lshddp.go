@@ -129,11 +129,11 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	conf.SetBool(confAggMean, cfg.AggregateMean)
 	setKernelConf(conf, cfg.Kernel)
 
-	partials, err := sess.Run(ctx, LSHRhoJob(conf).WithReduces(cfg.NumReduces), input)
+	partials, err := sess.Run(ctx, LSHRhoJob(conf), input)
 	if err != nil {
 		return nil, err
 	}
-	rhoOut, err := sess.Run(ctx, LSHRhoAggJob(conf).WithReduces(cfg.NumReduces), partials)
+	rhoOut, err := sess.Run(ctx, LSHRhoAggJob(conf), partials)
 	if err != nil {
 		return nil, err
 	}
@@ -149,11 +149,11 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	dPartials, err := sess.Run(ctx, LSHDeltaJob(conf).WithReduces(cfg.NumReduces), rhoPts)
+	dPartials, err := sess.Run(ctx, LSHDeltaJob(conf), rhoPts)
 	if err != nil {
 		return nil, err
 	}
-	dOut, err := sess.Run(ctx, DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), dPartials, certified)
+	dOut, err := sess.Run(ctx, DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), dPartials, certified)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,15 @@ import (
 type pairOnceCase struct {
 	name string
 	ds   *points.Dataset
-	cfg  LSHConfig // Dc, W, M, Pi, Seed, NumReduces pinned; Engine unset
+	cfg  LSHConfig // Dc, W, M, Pi, Seed pinned; Engine unset
+	// par is the local engine's parallelism, 1 or 3: its reduce partition
+	// count, so a case's outputs and counters are held across partitionings.
+	par int
+}
+
+// localEngine is the case's local engine.
+func (c pairOnceCase) localEngine() mapreduce.Engine {
+	return &mapreduce.LocalEngine{Parallelism: c.par}
 }
 
 // pairOnceCases draws seeds × dim 1–9 × {blobs, integer lattice, duplicates}
@@ -36,7 +44,7 @@ func pairOnceCases() []pairOnceCase {
 				rng := points.NewRand(seed*1000 + int64(dim)*10 + int64(len(kind)))
 				cfg := LSHConfig{M: 1 + rng.Intn(12), Pi: 1 + rng.Intn(4)}
 				cfg.Seed = seed + int64(dim)
-				cfg.NumReduces = []int{0, 3}[rng.Intn(2)]
+				par := []int{1, 3}[rng.Intn(2)]
 				var ds *points.Dataset
 				switch kind {
 				case "lattice":
@@ -67,7 +75,7 @@ func pairOnceCases() []pairOnceCase {
 				ds.Labels = nil
 				cases = append(cases, pairOnceCase{
 					name: fmt.Sprintf("%s/dim%d/seed%d/M%d/pi%d", kind, dim, seed, cfg.M, cfg.Pi),
-					ds:   ds, cfg: cfg,
+					ds:   ds, cfg: cfg, par: par,
 				})
 			}
 		}
@@ -171,7 +179,6 @@ func requireSameArrays(t *testing.T, what string, got, want *Result) {
 // evaluations.
 func TestPairOnceMatchesPerLayout(t *testing.T) {
 	ctx := context.Background()
-	local := testEngine()
 	var cluster *rpcmr.Master
 	if !testing.Short() {
 		rpcmr.RegisterJobs(JobFactories())
@@ -201,7 +208,7 @@ func TestPairOnceMatchesPerLayout(t *testing.T) {
 
 	for ci, c := range pairOnceCases() {
 		t.Run(c.name, func(t *testing.T) {
-			ds, cb := c.ds, newCoBucketed(c.ds, c.cfg)
+			ds, cb, local := c.ds, newCoBucketed(c.ds, c.cfg), c.localEngine()
 
 			want, oracleWork := runPerLayout(t, local, ds, c.cfg)
 			base := run(t, local, ds, c.cfg)

@@ -132,7 +132,7 @@ func runPerLayout(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LS
 	conf := lshConf(ds, cfg)
 	var dist int64
 	run := func(job *mapreduce.Job, in []mapreduce.Pair) []mapreduce.Pair {
-		res, err := eng.Run(ctx, job.WithReduces(cfg.NumReduces), in)
+		res, err := eng.Run(ctx, job, in)
 		if err != nil {
 			t.Fatalf("%s: %v", job.Name, err)
 		}

@@ -175,7 +175,7 @@ func runStaged(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LSHCo
 	conf := lshConf(ds, cfg)
 	var st stagedLSH
 	run := func(job *mapreduce.Job, in []mapreduce.Pair) []mapreduce.Pair {
-		res, err := eng.Run(context.Background(), job.WithReduces(cfg.NumReduces), in)
+		res, err := eng.Run(context.Background(), job, in)
 		if err != nil {
 			t.Fatalf("%s: %v", job.Name, err)
 		}
@@ -254,20 +254,21 @@ func runsApartCases() []pairOnceCase {
 		{"lattice step one ULP short of d_c", lattice(math.Nextafter(dc, 0))},
 	} {
 		cfg := LSHConfig{M: 8, Pi: 1, W: 4}
-		cfg.Dc, cfg.Seed, cfg.NumReduces = dc, 5, 3
+		cfg.Dc, cfg.Seed = dc, 5
 		cases = append(cases, pairOnceCase{name: c.name, ds: points.FromVectors(c.name, c.vs), cfg: cfg})
 	}
 	return cases
 }
 
 // TestRunsApartMatchesReachInf: on every edge case, with the cutoff and the
-// Gaussian kernel, on the local engine and a 3-worker rpcmr cluster, the
-// pipeline's ρ̂, neighbour lists, δ̂ and upslope are bit-identical to a run
-// whose ρ job prunes nothing, and so are the pipeline's own arrays. The
+// Gaussian kernel, on the local engine at parallelism 1 and 3 and a 3-worker
+// rpcmr cluster, the pipeline's ρ̂, neighbour lists, δ̂ and upslope are
+// bit-identical to a run whose ρ job prunes nothing, and so are the
+// pipeline's own arrays. The
 // cutoff runs prune — evaluated + pruned is the unpruned run's evaluated
 // count — and the Gaussian runs prune nothing and evaluate the same pairs.
 func TestRunsApartMatchesReachInf(t *testing.T) {
-	engines := []mapreduce.Engine{testEngine()}
+	engines := []mapreduce.Engine{&mapreduce.LocalEngine{Parallelism: 1}, &mapreduce.LocalEngine{Parallelism: 3}}
 	if !testing.Short() {
 		rpcmr.RegisterJobs(JobFactories())
 		rpcmr.RegisterJobs(map[string]func(mapreduce.Conf) *mapreduce.Job{jobLSHRhoReachInf: reachInfRhoJob})

@@ -55,7 +55,7 @@ func TestSharedSessionStatsAreOwn(t *testing.T) {
 	t.Run("engine", func(t *testing.T) {
 		lsh := func(eng mapreduce.Engine) LSHConfig {
 			return LSHConfig{
-				Config:   Config{Engine: eng, Seed: 8, NumReduces: 3},
+				Config:   Config{Engine: eng, Seed: 8},
 				Accuracy: 0.99, M: 4, Pi: 3,
 			}
 		}

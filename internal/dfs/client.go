@@ -14,12 +14,6 @@ type Client struct {
 	// BlockSize is the split size for Put (default 1 MiB; tests shrink it
 	// to force multi-block files).
 	BlockSize int
-	// ReadRetries is how many times Get re-Lookups a file and retries when
-	// a block is unreadable on every known replica (default 2) — it rides
-	// out the window where re-replication is restoring a copy.
-	ReadRetries int
-	// ReadRetryDelay is the pause between those retries (default 100ms).
-	ReadRetryDelay time.Duration
 
 	nameAddr string
 
@@ -28,6 +22,14 @@ type Client struct {
 	nodes map[string]*rpc.Client
 }
 
+// Get re-Lookups a file and retries up to readRetries times, readRetryDelay
+// apart, when a block is unreadable on every known replica — riding out the
+// window where re-replication is restoring a copy.
+const (
+	readRetries    = 2
+	readRetryDelay = 100 * time.Millisecond
+)
+
 // NewClient connects to the namenode at addr.
 func NewClient(addr string) (*Client, error) {
 	name, err := dialRPC(addr)
@@ -35,12 +37,10 @@ func NewClient(addr string) (*Client, error) {
 		return nil, fmt.Errorf("dfs: dial namenode: %w", err)
 	}
 	return &Client{
-		BlockSize:      1 << 20,
-		ReadRetries:    2,
-		ReadRetryDelay: 100 * time.Millisecond,
-		nameAddr:       addr,
-		name:           name,
-		nodes:          make(map[string]*rpc.Client),
+		BlockSize: 1 << 20,
+		nameAddr:  addr,
+		name:      name,
+		nodes:     make(map[string]*rpc.Client),
 	}, nil
 }
 
@@ -157,21 +157,13 @@ func (c *Client) Put(name string, data []byte) error {
 // Get implements FileSystem: read each block from the first replica that
 // serves it with a valid checksum. If a block is unreadable on every
 // known replica (e.g. its last holder just died), the whole read is
-// retried after a fresh Lookup up to ReadRetries times, riding out
+// retried after a fresh Lookup up to readRetries times, riding out
 // re-replication restoring a copy elsewhere.
 func (c *Client) Get(name string) ([]byte, error) {
-	retries := c.ReadRetries
-	if retries < 0 {
-		retries = 0
-	}
-	delay := c.ReadRetryDelay
-	if delay <= 0 {
-		delay = 100 * time.Millisecond
-	}
 	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
+	for attempt := 0; attempt <= readRetries; attempt++ {
 		if attempt > 0 {
-			time.Sleep(delay)
+			time.Sleep(readRetryDelay)
 		}
 		var lookup LookupReply
 		if err := c.callName("NameNode.Lookup", &LookupArgs{Name: name}, &lookup); err != nil {

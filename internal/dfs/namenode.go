@@ -188,10 +188,6 @@ type NameNodeOptions struct {
 	// ReplicateInterval is the period of the background sweep that scans
 	// for dead nodes and under-replicated blocks (default 500ms).
 	ReplicateInterval time.Duration
-	// AllocGrace is how long an allocated-but-uncommitted block is
-	// protected from orphan garbage collection (default 10s) — it covers
-	// the window between Create and Commit during a Put.
-	AllocGrace time.Duration
 	// Events, when non-nil, receives liveness and replication events.
 	Events obs.Sink
 }
@@ -206,14 +202,16 @@ func (o NameNodeOptions) withDefaults() NameNodeOptions {
 	if o.ReplicateInterval <= 0 {
 		o.ReplicateInterval = 500 * time.Millisecond
 	}
-	if o.AllocGrace <= 0 {
-		o.AllocGrace = 10 * time.Second
-	}
 	if o.Events == nil {
 		o.Events = obs.Discard
 	}
 	return o
 }
+
+// allocGrace is how long an allocated-but-uncommitted block is protected
+// from orphan garbage collection — it covers the window between Create and
+// Commit during a Put.
+const allocGrace = 10 * time.Second
 
 // nodeState is the namenode's view of one datanode.
 type nodeState struct {
@@ -558,7 +556,7 @@ func (r *nameNodeRPC) Heartbeat(args *HeartbeatArgs, reply *HeartbeatReply) erro
 		loc, ok := n.blocks[id]
 		if !ok {
 			if created, allocated := n.alloc[id]; allocated {
-				if now.Sub(created) > n.opts.AllocGrace {
+				if now.Sub(created) > allocGrace {
 					delete(n.alloc, id)
 					reply.Delete = append(reply.Delete, id)
 				}

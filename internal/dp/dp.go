@@ -47,10 +47,6 @@ const (
 // Options configures Compute.
 type Options struct {
 	Kernel Kernel
-	// GridIndex accelerates the cutoff-kernel ρ pass with a uniform grid
-	// of cell side d_c (exact; near-linear on low-dimensional data; ignored
-	// above 6 dimensions).
-	GridIndex bool
 	// Counter, when non-nil, receives the number of full distance
 	// evaluations performed (the paper's computational-cost metric).
 	Counter *int64
@@ -104,39 +100,68 @@ func Compute(ds *points.Dataset, dc float64, opt Options) (*Result, error) {
 
 // computeRho fills rho using the configured kernel.
 func computeRho(ds *points.Dataset, dc float64, opt Options, rho []float64) {
-	n := ds.N()
-	dc2 := dc * dc
-	count := func() {
-		if opt.Counter != nil {
-			*opt.Counter++
+	if opt.Kernel != KernelGaussian {
+		rhoCutoff(ds, dc, ds.Dim() <= points.MaxGridDim, opt.Counter, rho)
+		return
+	}
+	n, dc2 := ds.N(), dc*dc
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			d2 := points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos)
+			count(opt.Counter, 1)
+			w := math.Exp(-d2 / dc2)
+			rho[i] += w
+			rho[j] += w
 		}
 	}
-	switch opt.Kernel {
-	case KernelGaussian:
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				d2 := points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos)
-				count()
-				w := math.Exp(-d2 / dc2)
-				rho[i] += w
-				rho[j] += w
-			}
+}
+
+// rhoCutoff adds to rho the cutoff count of every unordered pair within dc,
+// evaluating each candidate pair once. With grid the candidates are the
+// pairs in neighbouring cells of a points.Grid of side dc — near-linear on
+// low-dimensional data, and exact: every pair within dc shares or
+// neighbours a cell, and ρ is an integer count, so the order the pairs are
+// met in cannot matter. Without it every pair is a candidate.
+func rhoCutoff(ds *points.Dataset, dc float64, grid bool, counter *int64, rho []float64) {
+	var g *points.Grid
+	var all []int32
+	if grid {
+		g = points.NewGrid(ds, dc)
+	} else {
+		all = make([]int32, ds.N())
+		for i := range all {
+			all[i] = int32(i)
 		}
-	default: // KernelCutoff
-		if opt.GridIndex && ds.Dim() <= maxGridDim {
-			computeRhoGrid(ds, dc, opt, rho)
-			return
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				d2 := points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos)
-				count()
-				if d2 < dc2 {
+	}
+	dc2 := dc * dc
+	var nd int64
+	for i := range ds.Points {
+		pos := ds.Points[i].Pos
+		visit := func(ids []int32) {
+			for _, j := range ids {
+				if j <= int32(i) {
+					continue
+				}
+				nd++
+				if points.SqDist(pos, ds.Points[j].Pos) < dc2 {
 					rho[i]++
 					rho[j]++
 				}
 			}
 		}
+		if g != nil {
+			g.ForEachNeighborCell(pos, visit)
+		} else {
+			visit(all[i+1:])
+		}
+	}
+	count(counter, nd)
+}
+
+// count adds n to counter when it is set.
+func count(counter *int64, n int64) {
+	if counter != nil {
+		*counter += n
 	}
 }
 
@@ -153,11 +178,6 @@ func computeDelta(ds *points.Dataset, opt Options, res *Result) {
 	sort.Slice(order, func(a, b int) bool {
 		return Denser(res.Rho, order[a], order[b])
 	})
-	count := func() {
-		if opt.Counter != nil {
-			*opt.Counter++
-		}
-	}
 	for oi := 1; oi < n; oi++ {
 		i := order[oi]
 		best2 := math.Inf(1)
@@ -165,7 +185,7 @@ func computeDelta(ds *points.Dataset, opt Options, res *Result) {
 		for oj := 0; oj < oi; oj++ {
 			j := order[oj]
 			d2 := points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos)
-			count()
+			count(opt.Counter, 1)
 			if d2 < best2 {
 				best2 = d2
 				bestJ = j
@@ -185,7 +205,7 @@ func computeDelta(ds *points.Dataset, opt Options, res *Result) {
 			continue
 		}
 		d2 := points.SqDist(ds.Points[peak].Pos, ds.Points[j].Pos)
-		count()
+		count(opt.Counter, 1)
 		if d2 > max2 {
 			max2 = d2
 		}

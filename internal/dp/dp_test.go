@@ -2,6 +2,7 @@ package dp
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -244,70 +245,70 @@ func TestCutoffByPercentileMatchesSortedPairs(t *testing.T) {
 	}
 }
 
+// gridAndAllPairs runs both cutoff ρ passes on ds and returns their
+// densities and distance counts.
+func gridAndAllPairs(ds *points.Dataset, dc float64) (grid, all []float64, gridCount, allCount int64) {
+	grid, all = make([]float64, ds.N()), make([]float64, ds.N())
+	rhoCutoff(ds, dc, true, &gridCount, grid)
+	rhoCutoff(ds, dc, false, &allCount, all)
+	return grid, all, gridCount, allCount
+}
+
+// deltaSweepCount is what Compute's δ pass evaluates on n points: the
+// descending-ρ sweep's n(n−1)/2 pairs and the peak's n−1.
+func deltaSweepCount(n int) int64 { return int64(n)*int64(n-1)/2 + int64(n-1) }
+
 func TestGridIndexIsExact(t *testing.T) {
-	for _, dim := range []int{1, 2, 4} {
+	for _, dim := range []int{1, 2, 4, points.MaxGridDim} {
 		ds := randomSet(300, dim, int64(20+dim))
 		dc := CutoffByPercentile(ds, 0.03, 1)
-		plain, err := Compute(ds, dc, Options{})
-		if err != nil {
-			t.Fatal(err)
+		grid, all, _, _ := gridAndAllPairs(ds, dc)
+		if !slices.Equal(grid, all) {
+			t.Fatalf("dim %d: grid ρ %v, all pairs %v", dim, grid, all)
 		}
-		grid, err := Compute(ds, dc, Options{GridIndex: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertMatches(t, grid, plain, "grid-index")
 	}
 }
 
 func TestGridIndexSavesDistances(t *testing.T) {
 	ds := randomSet(2000, 2, 23)
 	dc := CutoffByPercentile(ds, 0.01, 1)
-	var plainCount, gridCount int64
-	if _, err := Compute(ds, dc, Options{Counter: &plainCount}); err != nil {
+	_, _, gridCount, allCount := gridAndAllPairs(ds, dc)
+	if gridCount*10 >= allCount {
+		t.Fatalf("grid ρ pass evaluated %d pairs, all pairs %d", gridCount, allCount)
+	}
+	// At dim 2 Compute's ρ pass is the grid's; its δ sweep stays quadratic.
+	var total int64
+	if _, err := Compute(ds, dc, Options{Counter: &total}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compute(ds, dc, Options{GridIndex: true, Counter: &gridCount}); err != nil {
-		t.Fatal(err)
-	}
-	// The grid only accelerates the ρ pass; the δ sweep stays quadratic,
-	// so the total should drop to roughly half (δ pass) plus a small
-	// near-linear ρ term.
-	if float64(gridCount) >= 0.55*float64(plainCount) {
-		t.Fatalf("grid index saved too little: %d vs %d", gridCount, plainCount)
-	}
-	rhoPlain := plainCount / 2
-	rhoGrid := gridCount - plainCount/2
-	if rhoGrid*10 >= rhoPlain {
-		t.Fatalf("grid rho pass too expensive: ~%d vs %d", rhoGrid, rhoPlain)
+	if want := gridCount + deltaSweepCount(ds.N()); total != want {
+		t.Fatalf("Compute evaluated %d pairs, want %d from the grid ρ pass and the δ sweep", total, want)
 	}
 }
 
 func TestGridIndexHighDimFallsBack(t *testing.T) {
-	ds := randomSet(100, 8, 29)
+	ds := randomSet(100, points.MaxGridDim+2, 29)
 	dc := CutoffByPercentile(ds, 0.05, 1)
-	plain, err := Compute(ds, dc, Options{})
+	var total int64
+	got, err := Compute(ds, dc, Options{Counter: &total})
 	if err != nil {
 		t.Fatal(err)
 	}
-	grid, err := Compute(ds, dc, Options{GridIndex: true})
-	if err != nil {
-		t.Fatal(err)
+	_, all, _, allCount := gridAndAllPairs(ds, dc)
+	if !slices.Equal(got.Rho, all) {
+		t.Fatalf("Compute ρ %v, all pairs %v", got.Rho, all)
 	}
-	assertMatches(t, grid, plain, "grid-fallback")
+	if want := allCount + deltaSweepCount(ds.N()); total != want {
+		t.Fatalf("Compute evaluated %d pairs above the grid's dimensions, want all %d", total, want)
+	}
 }
 
 func TestGridNegativeCoordinates(t *testing.T) {
 	// Cell flooring near zero is the classic off-by-one spot.
-	vs := []points.Vector{{-0.1, -0.1}, {0.1, 0.1}, {-1.5, 2.5}, {0, 0}}
+	vs := []points.Vector{{-0.1, -0.1}, {0.1, 0.1}, {-1.5, 2.5}, {0, 0}, {-0.5, 0}, {-0.49, 0}}
 	ds := points.FromVectors("neg", vs)
-	plain, err := Compute(ds, 0.5, Options{})
-	if err != nil {
-		t.Fatal(err)
+	grid, all, _, _ := gridAndAllPairs(ds, 0.5)
+	if !slices.Equal(grid, all) {
+		t.Fatalf("grid ρ %v, all pairs %v", grid, all)
 	}
-	grid, err := Compute(ds, 0.5, Options{GridIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatches(t, grid, plain, "grid-negative")
 }

@@ -40,12 +40,12 @@ func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, 
 	conf.SetFloat(confDc, dc)
 	conf[confPivots] = encodePivots(pivots)
 
-	rhoRes := run(RhoJob(conf.Clone()).WithReduces(cfg.NumReduces), core.InputPairs(ds))
+	rhoRes := run(RhoJob(conf.Clone()), core.InputPairs(ds))
 	rho, err := core.DecodeRhoArray(rhoRes, ds.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	locRes := run(DeltaLocalJob(conf.Clone()).WithReduces(cfg.NumReduces), core.RhoPointPairs(ds, rho))
+	locRes := run(DeltaLocalJob(conf.Clone()), core.RhoPointPairs(ds, rho))
 	ub, ubUp, err := core.DecodeDeltaArrays(locRes, ds.N())
 	if err != nil {
 		t.Fatal(err)
@@ -54,8 +54,8 @@ func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, 
 	for i, p := range ds.Points {
 		refIn[i] = mapreduce.Pair{Value: encodeQuery(points.RhoPoint{Point: p, Rho: rho[i]}, ub[i], ubUp[i])}
 	}
-	refRes := run(DeltaRefineJob(conf.Clone()).WithReduces(cfg.NumReduces), refIn)
-	aggRes := run(core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces),
+	refRes := run(DeltaRefineJob(conf.Clone()), refIn)
+	aggRes := run(core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}),
 		append(append([]mapreduce.Pair(nil), locRes...), refRes...))
 	delta, upslope, err := core.DecodeDeltaArrays(aggRes, ds.N())
 	if err != nil {
@@ -116,15 +116,27 @@ func eddpcConformanceConfig(eng mapreduce.Engine, dc float64) Config {
 
 func TestDAGConformanceEDDPCLocal(t *testing.T) {
 	ds := dataset.Blobs("dag-conf-eddpc", 800, 4, 3, 200, 2, 17)
-	eng := &mapreduce.LocalEngine{Parallelism: 4}
 	const dc = 45.0
-
-	res, err := Run(context.Background(), ds, eddpcConformanceConfig(eng, dc))
-	if err != nil {
-		t.Fatal(err)
+	var first *core.Result
+	for _, par := range []int{1, 3} {
+		eng := &mapreduce.LocalEngine{Parallelism: par}
+		res, err := Run(context.Background(), ds, eddpcConformanceConfig(eng, dc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantJobs := handSequencedEDDPC(t, eng, ds, eddpcConformanceConfig(eng, dc))
+		requireSameEDDPC(t, ds, res, want, res.Stats.Jobs, wantJobs)
+		// The partition count moves no answer and no distance count (the
+		// combiners make shuffle volume depend on the map split).
+		if first == nil {
+			first = res
+			continue
+		}
+		requireSameEDDPC(t, ds, res, first, nil, nil)
+		if res.Stats.DistanceComputations != first.Stats.DistanceComputations {
+			t.Fatalf("%d distance computations at parallelism %d, %d at 1", res.Stats.DistanceComputations, par, first.Stats.DistanceComputations)
+		}
 	}
-	want, wantJobs := handSequencedEDDPC(t, eng, ds, eddpcConformanceConfig(eng, dc))
-	requireSameEDDPC(t, ds, res, want, res.Stats.Jobs, wantJobs)
 }
 
 func TestDAGConformanceEDDPCCluster(t *testing.T) {

@@ -94,7 +94,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 
 	// Job 1: exact ρ via boundary replication. No aggregation needed: each
 	// point's home cell sees every d_c-neighbour.
-	rhoOut, err := sess.Run(ctx, RhoJob(conf).WithReduces(cfg.NumReduces), input)
+	rhoOut, err := sess.Run(ctx, RhoJob(conf), input)
 	if err != nil {
 		return nil, err
 	}
@@ -103,7 +103,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 		return nil, err
 	}
 	// Job 2: local δ upper bounds inside home cells.
-	locOut, err := sess.Run(ctx, DeltaLocalJob(conf).WithReduces(cfg.NumReduces), core.RhoPointPairs(ds, rho))
+	locOut, err := sess.Run(ctx, DeltaLocalJob(conf), core.RhoPointPairs(ds, rho))
 	if err != nil {
 		return nil, err
 	}
@@ -117,12 +117,12 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 	for i, p := range ds.Points {
 		refIn[i] = mapreduce.Pair{Value: encodeQuery(points.RhoPoint{Point: p, Rho: rho[i]}, ub[i], ubUp[i])}
 	}
-	refOut, err := sess.Run(ctx, DeltaRefineJob(conf).WithReduces(cfg.NumReduces), refIn)
+	refOut, err := sess.Run(ctx, DeltaRefineJob(conf), refIn)
 	if err != nil {
 		return nil, err
 	}
 	// Job 4: aggregate local bounds and refinement candidates.
-	aggOut, err := sess.Run(ctx, core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}).WithReduces(cfg.NumReduces), locOut, refOut)
+	aggOut, err := sess.Run(ctx, core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}), locOut, refOut)
 	if err != nil {
 		return nil, err
 	}

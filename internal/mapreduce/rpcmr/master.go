@@ -22,9 +22,6 @@ import (
 // one at a time anyway); Run blocks until the job finishes or fails
 // permanently.
 type Master struct {
-	// LeaseTimeout re-queues a task not completed within the lease
-	// (default 60s; tests shrink it to exercise recovery).
-	LeaseTimeout time.Duration
 	// Events, when non-nil, receives scheduler and progress events.
 	Events obs.Sink
 	// MonitorInterval, when >0 and Events is set, emits periodic counter
@@ -33,6 +30,9 @@ type Master struct {
 
 	lis  net.Listener
 	addr string
+	// leaseTimeout re-queues a task not completed within the lease
+	// (defaultLeaseTimeout; recovery tests shrink it).
+	leaseTimeout time.Duration
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -46,6 +46,10 @@ type Master struct {
 
 var _ mapreduce.Engine = (*Master)(nil)
 
+// defaultLeaseTimeout is how long a task attempt may run before its worker
+// is presumed dead and the task is handed out again.
+const defaultLeaseTimeout = 60 * time.Second
+
 // JobRecord summarizes one completed job for Master.History. It is the
 // master's one record per job: Traces is read off the same entries.
 type JobRecord struct {
@@ -56,12 +60,6 @@ type JobRecord struct {
 	Wall     time.Duration
 	Failed   bool
 	Counters map[string]int64
-	// Workers is how many distinct workers ran this job's tasks.
-	Workers int
-	// MapDist / ReduceDist summarize per-phase task wall times (median,
-	// max, straggler count) from the worker-reported spans.
-	MapDist    obs.TaskDist
-	ReduceDist obs.TaskDist
 
 	spans []obs.Span // worker-reported spans, served by Master.Traces
 }
@@ -113,9 +111,9 @@ func NewMaster(addr string) (*Master, error) {
 		return nil, fmt.Errorf("rpcmr: master listen: %w", err)
 	}
 	m := &Master{
-		LeaseTimeout: 60 * time.Second,
 		lis:          lis,
 		addr:         lis.Addr().String(),
+		leaseTimeout: defaultLeaseTimeout,
 		workers:      make(map[int]*workerInfo),
 	}
 	m.cond = sync.NewCond(&m.mu)
@@ -182,23 +180,6 @@ func (m *Master) sink() obs.Sink {
 
 func (m *Master) logf(format string, args ...any) {
 	m.sink().Event("scheduler", format, args...)
-}
-
-// Abort fails the currently running job (if any) with the given reason and
-// wakes its Run call. Idle masters ignore it. Unlike Close, the master
-// stays alive: workers keep polling and the next Run is accepted — the
-// graceful-SIGINT path for `mrd master`.
-func (m *Master) Abort(reason error) {
-	if reason == nil {
-		reason = fmt.Errorf("rpcmr: job aborted")
-	}
-	m.mu.Lock()
-	if run := m.cur; run != nil && !run.done {
-		run.err = fmt.Errorf("rpcmr: job %q aborted: %w", run.job.Name, reason)
-		run.done = true
-		m.cond.Broadcast()
-	}
-	m.mu.Unlock()
 }
 
 // Run implements mapreduce.Engine: it schedules the job across the
@@ -331,23 +312,15 @@ func (m *Master) run(ctx context.Context, job *mapreduce.Job, input []mapreduce.
 		}
 	}
 	wall := time.Since(start)
-	snap := run.counters.Snapshot()
-	distinct := map[int]bool{}
-	for _, s := range run.spans {
-		distinct[s.Worker] = true
-	}
 	record := JobRecord{
-		ID:         run.id,
-		Name:       run.job.Name,
-		Maps:       len(run.maps),
-		Reduces:    run.nReduce,
-		Wall:       wall,
-		Failed:     err != nil,
-		Counters:   snap,
-		Workers:    len(distinct),
-		MapDist:    obs.DistOf(run.spans, obs.PhaseMap),
-		ReduceDist: obs.DistOf(run.spans, obs.PhaseReduce),
-		spans:      run.spans,
+		ID:       run.id,
+		Name:     run.job.Name,
+		Maps:     len(run.maps),
+		Reduces:  run.nReduce,
+		Wall:     wall,
+		Failed:   err != nil,
+		Counters: run.counters.Snapshot(),
+		spans:    run.spans,
 	}
 	m.mu.Lock()
 	m.history = append(m.history, record)
@@ -382,8 +355,7 @@ func (m *Master) Traces() []obs.JobTrace {
 }
 
 // History returns records of every job this master has completed, in
-// execution order — the job-tracker view an operator reads off `mrd
-// master`.
+// execution order — the job-tracker view the driver reads.
 func (m *Master) History() []JobRecord {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -440,7 +412,7 @@ func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 	now := time.Now()
 	assignable := func(s *taskSlot) bool {
 		return s.status == taskIdle ||
-			(s.status == taskRunning && now.Sub(s.started) > m.LeaseTimeout)
+			(s.status == taskRunning && now.Sub(s.started) > m.leaseTimeout)
 	}
 	assignMap := func(ti int) {
 		reply.Kind = TaskMap

@@ -10,16 +10,19 @@
 //     ExecuteReduceTask — the task bodies the local engine runs too — keep
 //     their map outputs locally, and serve them to
 //     reducers over a worker-to-worker streaming shuffle transport
-//     (chunked binary frames with optional compression — see transport.go);
+//     (chunked binary frames — see transport.go);
 //   - functions do not serialize, so workers rebuild jobs from a local
 //     registry of job factories keyed by job name; everything else a job
 //     needs ships in its Conf.
 //
 // The master implements mapreduce.Engine, so every algorithm in this
 // repository (Basic-DDP, LSH-DDP, EDDPC, K-means) runs on a real cluster
-// unchanged — see examples/distributed. Job accounting lives in the
-// dag.Session built on it; the master itself keeps History, one JobRecord
-// per job for the operator's job-tracker view, and serves Traces from it.
+// unchanged — see examples/distributed. The master lives in the job's
+// driver process (ddp / knn -master-listen, or a program like
+// examples/distributed), which calls Run in-process; workers are the only
+// remote parties. Job accounting lives in the dag.Session built on it; the
+// master itself keeps History, one JobRecord per job, and serves Traces
+// from it.
 package rpcmr
 
 import (

@@ -34,7 +34,7 @@ func init() {
 
 func TestLeaseExpiryReassignsTask(t *testing.T) {
 	m, _ := startCluster(t, 2)
-	m.LeaseTimeout = 150 * time.Millisecond
+	m.leaseTimeout = 150 * time.Millisecond
 	atomic.StoreInt64(&slowOnceStalls, 0)
 
 	input := []mapreduce.Pair{{Value: []byte("a")}, {Value: []byte("b")}, {Value: []byte("c")}}
@@ -64,7 +64,7 @@ func TestLeaseExpiryReassignsTask(t *testing.T) {
 
 func TestDuplicateCompletionCountersNotDoubled(t *testing.T) {
 	m, _ := startCluster(t, 3)
-	m.LeaseTimeout = 150 * time.Millisecond
+	m.leaseTimeout = 150 * time.Millisecond
 	atomic.StoreInt64(&slowOnceStalls, 0)
 
 	input := make([]mapreduce.Pair, 30)
@@ -261,7 +261,7 @@ func TestCompleteTaskRejectsUnknownTask(t *testing.T) {
 	m, _ := startCluster(t, 0)
 	// The hand-driven worker below takes the map task and never completes
 	// it; the lease hands it to a real worker.
-	m.LeaseTimeout = 200 * time.Millisecond
+	m.leaseTimeout = 200 * time.Millisecond
 	c, err := dialWorker(m.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -220,7 +220,7 @@ func TestClusterTaskErrorFailsJob(t *testing.T) {
 
 func TestClusterWorkerFailureRecovery(t *testing.T) {
 	m, ws := startCluster(t, 3)
-	m.LeaseTimeout = 500 * time.Millisecond
+	m.leaseTimeout = 500 * time.Millisecond
 
 	// Run one job to give every worker map outputs, then kill a worker and
 	// run again: reduces fetching from the dead worker must trigger map

@@ -23,26 +23,30 @@ import (
 // Wire protocol, little-endian throughout. One connection serves many
 // sequential requests (reducers pool connections per peer):
 //
-//	request:  uint32 magic "DPS2" | uint32 jobID | uint32 mapTask |
-//	          uint32 partition | uint32 chunkHint
+//	request:  uint32 magic "DPS3" | uint32 jobID | uint32 mapTask |
+//	          uint32 partition
 //	response: uint8 status
 //	  status 1 (error):  uint32 msgLen | msg   — connection stays usable
 //	  status 0 (ok):     chunk stream:
 //	    chunk:  uint32 len | len bytes of whole frames
 //	    end:    len == 0, then uint32 recordCount
 //
-// A chunk always holds whole frames, so the fetcher decodes each chunk
-// independently and never buffers more than one chunk plus the decoded
-// pairs. Every length is the peer's claim: the fetcher allocates for it
-// only as the bytes arrive (mapreduce.ReadClaimed) and refuses an error
-// message longer than maxShuffleErrBytes.
+// A request with any other magic closes the connection unanswered. A chunk
+// always holds whole frames and closes once it reaches shuffleChunkBytes,
+// so the fetcher decodes each chunk independently and never buffers more
+// than one chunk plus the decoded pairs. Every length is the peer's claim:
+// the fetcher allocates for it only as the bytes arrive
+// (mapreduce.ReadClaimed) and refuses an error message longer than
+// maxShuffleErrBytes.
 const (
-	shuffleMagic = 0x32535044 // "DPS2"
+	shuffleMagic = 0x33535044 // "DPS3"
+	// shuffleRequestBytes is the fixed size of one request.
+	shuffleRequestBytes = 16
 
-	// defaultShuffleChunkBytes bounds how much framed data one chunk
-	// carries; a reducer never holds a peer's whole partition in a single
-	// reply buffer.
-	defaultShuffleChunkBytes = 256 << 10
+	// shuffleChunkBytes bounds how much framed data one chunk carries; a
+	// reducer never holds a peer's whole partition in a single reply
+	// buffer.
+	shuffleChunkBytes = 256 << 10
 	// maxShuffleErrBytes caps a status-1 reply's message.
 	maxShuffleErrBytes = 64 << 10
 	// maxIdleStreamsPerPeer caps pooled idle connections per peer.
@@ -59,11 +63,6 @@ const (
 	shuffleRetryBackoff = 25 * time.Millisecond
 )
 
-// ConfShuffleChunkBytes overrides the transport chunk size. It ships with
-// the job like every other parameter, so a pipeline can tune its transport
-// per job without touching worker deployment.
-const ConfShuffleChunkBytes = "mr.shuffle.chunk.bytes"
-
 // errShuffleMissing marks a permanent fetch failure: the peer is alive
 // but no longer has the map output. Retrying the same peer cannot help;
 // only the master re-executing the map task can.
@@ -74,14 +73,6 @@ type fetchStats struct {
 	// wireBytes is the chunk payloads plus their length headers.
 	wireBytes int64
 	records   int64
-}
-
-// jobChunkBytes resolves the job's transport chunk size.
-func jobChunkBytes(conf mapreduce.Conf) int {
-	if n := conf.GetInt(ConfShuffleChunkBytes, defaultShuffleChunkBytes); n > 0 {
-		return n
-	}
-	return defaultShuffleChunkBytes
 }
 
 // ---- server side ----
@@ -106,7 +97,7 @@ func (w *Worker) serveShuffleConn(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	var chunk []byte // reused across this connection's requests
 	for {
-		var req [20]byte
+		var req [shuffleRequestBytes]byte
 		if _, err := io.ReadFull(br, req[:]); err != nil {
 			return
 		}
@@ -116,10 +107,6 @@ func (w *Worker) serveShuffleConn(conn net.Conn) {
 		jobID := int(binary.LittleEndian.Uint32(req[4:8]))
 		mapTask := int(binary.LittleEndian.Uint32(req[8:12]))
 		partition := int(binary.LittleEndian.Uint32(req[12:16]))
-		chunkBytes := int(binary.LittleEndian.Uint32(req[16:20]))
-		if chunkBytes <= 0 {
-			chunkBytes = defaultShuffleChunkBytes
-		}
 
 		pairs, err := w.partitionForShuffle(jobID, mapTask, partition)
 		if err != nil {
@@ -135,7 +122,7 @@ func (w *Worker) serveShuffleConn(conn net.Conn) {
 			continue
 		}
 		bw.WriteByte(0)
-		if chunk, err = w.streamPartition(bw, chunk, pairs, chunkBytes, jobID, mapTask, partition); err != nil {
+		if chunk, err = w.streamPartition(bw, chunk, pairs, shuffleChunkBytes, jobID, mapTask, partition); err != nil {
 			return
 		}
 		if err := bw.Flush(); err != nil {
@@ -158,9 +145,10 @@ func (w *Worker) partitionForShuffle(jobID, mapTask, partition int) ([]mapreduce
 	return parts[partition], nil
 }
 
-// streamPartition frames pairs into bounded chunks and writes them to bw,
-// assembling each chunk in the scratch buffer chunk, which it returns for
-// reuse.
+// streamPartition frames pairs into chunks of about chunkBytes and writes
+// them to bw, assembling each chunk in the scratch buffer chunk, which it
+// returns for reuse. The listener always passes shuffleChunkBytes; tests
+// pass smaller sizes to build multi-chunk responses.
 func (w *Worker) streamPartition(bw *bufio.Writer, chunk []byte, pairs []mapreduce.Pair, chunkBytes, jobID, mapTask, partition int) ([]byte, error) {
 	chunkIdx := 0
 	emit := func() error {
@@ -259,13 +247,13 @@ func (w *Worker) closeStreams() {
 // transport. The returned error is errShuffleMissing (permanent) when the
 // peer reports the data gone; any other error is transient and worth a
 // retry.
-func (w *Worker) fetchStream(addr string, jobID, mapTask, partition, chunkBytes int) ([]mapreduce.Pair, fetchStats, error) {
+func (w *Worker) fetchStream(addr string, jobID, mapTask, partition int) ([]mapreduce.Pair, fetchStats, error) {
 	var stats fetchStats
 	s, err := w.getStream(addr)
 	if err != nil {
 		return nil, stats, err
 	}
-	pairs, stats, err := fetchOnStream(s, jobID, mapTask, partition, chunkBytes)
+	pairs, stats, err := fetchOnStream(s, jobID, mapTask, partition)
 	if err != nil {
 		// Even a missing-partition reply leaves the stream at a request
 		// boundary, but a pooled conn is cheap to rebuild — closing on
@@ -277,16 +265,15 @@ func (w *Worker) fetchStream(addr string, jobID, mapTask, partition, chunkBytes 
 	return pairs, stats, nil
 }
 
-func fetchOnStream(s *shuffleStream, jobID, mapTask, partition, chunkBytes int) ([]mapreduce.Pair, fetchStats, error) {
+func fetchOnStream(s *shuffleStream, jobID, mapTask, partition int) ([]mapreduce.Pair, fetchStats, error) {
 	s.conn.SetDeadline(time.Now().Add(shuffleIOTimeout))
 	defer s.conn.SetDeadline(time.Time{})
 
-	var req [20]byte
+	var req [shuffleRequestBytes]byte
 	binary.LittleEndian.PutUint32(req[0:4], shuffleMagic)
 	binary.LittleEndian.PutUint32(req[4:8], uint32(jobID))
 	binary.LittleEndian.PutUint32(req[8:12], uint32(mapTask))
 	binary.LittleEndian.PutUint32(req[12:16], uint32(partition))
-	binary.LittleEndian.PutUint32(req[16:20], uint32(chunkBytes))
 	if _, err := s.bw.Write(req[:]); err != nil {
 		return nil, fetchStats{}, err
 	}

@@ -35,7 +35,7 @@ func BenchmarkShuffleTransport(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 1, 0, 0, defaultShuffleChunkBytes)
+				got, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 1, 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -56,13 +58,16 @@ func wantWireBytes(pairs []mapreduce.Pair, chunkBytes int) int64 {
 	return wire
 }
 
+// pastOneChunk is a partition whose frames (118 bytes each) overflow one
+// shuffleChunkBytes chunk, so it streams as two.
+func pastOneChunk() []mapreduce.Pair { return textPairs(3000, 100) }
+
 func TestShuffleStreamRoundTrip(t *testing.T) {
 	_, ws := startCluster(t, 2)
-	want := textPairs(500, 100) // ~54KB framed: several chunks at 8KB
+	want := pastOneChunk()
 	seedStore(ws[0], 7, 3, [][]mapreduce.Pair{nil, want})
 
-	const chunkBytes = 8 << 10
-	got, stats, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 3, 1, chunkBytes)
+	got, stats, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,12 +77,12 @@ func TestShuffleStreamRoundTrip(t *testing.T) {
 	if stats.records != int64(len(want)) {
 		t.Fatalf("stats.records = %d, want %d", stats.records, len(want))
 	}
-	if w := wantWireBytes(want, chunkBytes); stats.wireBytes != w {
-		t.Fatalf("wireBytes %d, want %d (frames plus a 4-byte header per chunk)", stats.wireBytes, w)
+	if w := wantWireBytes(want, shuffleChunkBytes); stats.wireBytes != w || w <= shuffleChunkBytes+4 {
+		t.Fatalf("wireBytes %d, want %d (frames plus a 4-byte header per chunk, two chunks)", stats.wireBytes, w)
 	}
 
 	// The empty partition round-trips too.
-	got0, stats0, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 3, 0, chunkBytes)
+	got0, stats0, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +166,7 @@ func FuzzShuffleStream(f *testing.F) {
 
 func TestShuffleStreamMissingPartitionPermanent(t *testing.T) {
 	_, ws := startCluster(t, 2)
-	const chunkBytes = 8 << 10
-	_, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 99, 0, 0, chunkBytes)
+	_, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 99, 0, 0)
 	if !errors.Is(err, errShuffleMissing) {
 		t.Fatalf("missing partition: got %v, want errShuffleMissing", err)
 	}
@@ -176,10 +180,10 @@ func TestShuffleStreamMissingPartitionPermanent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.conn.Close()
-	if _, _, err := fetchOnStream(s, 99, 5, 0, chunkBytes); !errors.Is(err, errShuffleMissing) {
+	if _, _, err := fetchOnStream(s, 99, 5, 0); !errors.Is(err, errShuffleMissing) {
 		t.Fatalf("first request on stream: %v", err)
 	}
-	got, _, err := fetchOnStream(s, 99, 0, 0, chunkBytes)
+	got, _, err := fetchOnStream(s, 99, 0, 0)
 	if err != nil {
 		t.Fatalf("request after error reply: %v", err)
 	}
@@ -193,7 +197,7 @@ func TestShuffleStreamConnectionReuse(t *testing.T) {
 	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{textPairs(50, 64)})
 	addr := ws[0].shuffleAddr
 
-	if _, _, err := ws[1].fetchStream(addr, 7, 0, 0, 8<<10); err != nil {
+	if _, _, err := ws[1].fetchStream(addr, 7, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	ws[1].streamMu.Lock()
@@ -204,7 +208,7 @@ func TestShuffleStreamConnectionReuse(t *testing.T) {
 	pooled := ws[1].streams[addr][0]
 	ws[1].streamMu.Unlock()
 
-	if _, _, err := ws[1].fetchStream(addr, 7, 0, 0, 8<<10); err != nil {
+	if _, _, err := ws[1].fetchStream(addr, 7, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	ws[1].streamMu.Lock()
@@ -214,16 +218,67 @@ func TestShuffleStreamConnectionReuse(t *testing.T) {
 	}
 }
 
+// TestShuffleRequestWire speaks to a worker's shuffle listener with
+// hand-built bytes: a 16-byte "DPS3" request is answered with the
+// partition, and the older 20-byte "DPS2" request, which carried a chunk
+// hint, closes the connection without a reply byte.
+func TestShuffleRequestWire(t *testing.T) {
+	_, ws := startCluster(t, 1)
+	want := textPairs(10, 32)
+	seedStore(ws[0], 5, 2, [][]mapreduce.Pair{nil, want})
+	request := func(magic string, fields ...uint32) []byte {
+		req := []byte(magic)
+		for _, f := range fields {
+			req = binary.LittleEndian.AppendUint32(req, f)
+		}
+		return req
+	}
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", ws[0].shuffleAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+
+	conn := dial()
+	req := request("DPS3", 5, 2, 1)
+	if len(req) != 16 {
+		t.Fatalf("request is %d bytes", len(req))
+	}
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	got, stats, err := readResponse(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatalf("DPS3 request: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) || stats.records != int64(len(want)) {
+		t.Fatalf("DPS3 request returned %d pairs, want %d", len(got), len(want))
+	}
+
+	old := dial()
+	if _, err := old.Write(request("DPS2", 5, 2, 1, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	var b [1]byte
+	if n, err := old.Read(b[:]); n != 0 || !errors.Is(err, io.EOF) {
+		t.Fatalf("DPS2 request: read %d bytes, err %v; want the connection closed unanswered", n, err)
+	}
+}
+
 func TestShuffleStreamMidStreamAbortIsTransient(t *testing.T) {
 	_, ws := startCluster(t, 2)
-	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{textPairs(500, 100)})
+	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{pastOneChunk()})
 	ws[0].shuffleChunkHook = func(_, _, _, chunk int) error {
 		if chunk >= 1 {
 			return errors.New("injected mid-stream abort")
 		}
 		return nil
 	}
-	_, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 0, 0, 1024)
+	_, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 0, 0)
 	if err == nil {
 		t.Fatal("mid-stream abort went unnoticed")
 	}
@@ -268,7 +323,7 @@ func TestFetchWithoutShuffleAddrIsLostOutput(t *testing.T) {
 	_, ws := startCluster(t, 2)
 	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{textPairs(10, 16)})
 	task := &GetTaskReply{JobID: 7, Maps: []MapLocation{{MapTaskID: 0, WorkerAddr: ws[0].addr}}}
-	if _, _, err := ws[1].fetchOne(task.Maps[0], task, defaultShuffleChunkBytes); !errors.Is(err, errShuffleMissing) {
+	if _, _, err := ws[1].fetchOne(task.Maps[0], task); !errors.Is(err, errShuffleMissing) {
 		t.Fatalf("fetchOne error %v, want errShuffleMissing", err)
 	}
 	if _, _, failed := ws[1].fetchAll(task); !reflect.DeepEqual(failed, []int{0}) {
@@ -276,10 +331,10 @@ func TestFetchWithoutShuffleAddrIsLostOutput(t *testing.T) {
 	}
 }
 
-// chunky emits enough data per map task that every partition streams as
-// several chunks at the test's chunk size. The Map function runs once per
-// input record, so recovery tests feed exactly one record per map task to
-// make chunkyExecs a per-task execution count.
+// chunky emits enough data per map task that a partition holding five of
+// its 40 records already streams as two chunks. The Map function runs once
+// per input record, so recovery tests feed exactly one record per map task
+// to make chunkyExecs a per-task execution count.
 var (
 	chunkyMu    sync.Mutex
 	chunkyExecs = map[int]int{}
@@ -304,7 +359,7 @@ func init() {
 				// workers (an instant task lets one worker win every poll,
 				// making all shuffle fetches local and untested).
 				time.Sleep(40 * time.Millisecond)
-				pad := bytes.Repeat([]byte{'p'}, 200)
+				pad := bytes.Repeat([]byte{'p'}, shuffleChunkBytes/4)
 				for i := 0; i < 40; i++ {
 					out.Emit(fmt.Sprintf("%s-%d", value, i), pad)
 				}
@@ -335,13 +390,11 @@ func TestShuffleCompressionCountersEndToEnd(t *testing.T) {
 	m, _ := startCluster(t, 3)
 	resetChunkyExecs()
 
-	conf := mapreduce.Conf{}
-	conf.SetInt(ConfShuffleChunkBytes, 1024)
 	factory, err := lookupJob("chunky")
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := factory(conf)
+	job := factory(nil)
 	job.NumMaps = 4
 	job.NumReduces = 3
 	res, err := m.Run(context.Background(), job, chunkyInput(4))
@@ -388,13 +441,11 @@ func TestShuffleRetryRecoversTransientAbort(t *testing.T) {
 		}
 	}
 
-	conf := mapreduce.Conf{}
-	conf.SetInt(ConfShuffleChunkBytes, 1024)
 	factory, err := lookupJob("chunky")
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := factory(conf)
+	job := factory(nil)
 	job.NumMaps = 4
 	job.NumReduces = 3
 	res, err := m.Run(context.Background(), job, chunkyInput(4))
@@ -441,13 +492,11 @@ func TestMidStreamPeerFailureRecovery(t *testing.T) {
 		}
 	}
 
-	conf := mapreduce.Conf{}
-	conf.SetInt(ConfShuffleChunkBytes, 1024)
 	factory, err := lookupJob("chunky")
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := factory(conf)
+	job := factory(nil)
 	job.NumMaps = 4
 	job.NumReduces = 3
 	res, err := m.Run(context.Background(), job, chunkyInput(4))

@@ -18,13 +18,6 @@ import (
 // of its own (cleanup), a streaming shuffle listener (transport.go), and
 // polls the master for work.
 type Worker struct {
-	// PollInterval is the base polling period (default 20ms). While no
-	// task is handed out the period backs off exponentially up to
-	// PollMax, and resets on any real task — an idle fleet stops
-	// hammering the master with GetTask chatter.
-	PollInterval time.Duration
-	// PollMax caps the idle backoff (default 250ms).
-	PollMax time.Duration
 	// Log, when non-nil, receives task events.
 	Log func(format string, args ...any)
 
@@ -53,6 +46,14 @@ type Worker struct {
 	done chan struct{}
 }
 
+// A worker polls the master every pollInterval while it has work. While no
+// task is handed out the period doubles up to pollMax, and it resets on any
+// real task — an idle fleet stops hammering the master with GetTask chatter.
+const (
+	pollInterval = 20 * time.Millisecond
+	pollMax      = 250 * time.Millisecond
+)
+
 type storeKey struct {
 	jobID, mapTask int
 }
@@ -77,17 +78,15 @@ func StartWorker(masterAddr, listenAddr string) (*Worker, error) {
 		return nil, fmt.Errorf("rpcmr: worker shuffle listen: %w", err)
 	}
 	w := &Worker{
-		PollInterval: 20 * time.Millisecond,
-		PollMax:      250 * time.Millisecond,
-		addr:         lis.Addr().String(),
-		lis:          lis,
-		shuffleLis:   shuffleLis,
-		shuffleAddr:  shuffleLis.Addr().String(),
-		store:        make(map[storeKey][][]mapreduce.Pair),
-		streams:      make(map[string][]*shuffleStream),
-		dfsClients:   make(map[string]*dfs.Client),
-		quit:         make(chan struct{}),
-		done:         make(chan struct{}),
+		addr:        lis.Addr().String(),
+		lis:         lis,
+		shuffleLis:  shuffleLis,
+		shuffleAddr: shuffleLis.Addr().String(),
+		store:       make(map[storeKey][][]mapreduce.Pair),
+		streams:     make(map[string][]*shuffleStream),
+		dfsClients:  make(map[string]*dfs.Client),
+		quit:        make(chan struct{}),
+		done:        make(chan struct{}),
 	}
 	srv := rpc.NewServer()
 	if err := srv.RegisterName("Worker", &workerRPC{w: w}); err != nil {
@@ -165,10 +164,10 @@ func (w *Worker) logf(format string, args ...any) {
 
 func (w *Worker) loop() {
 	defer close(w.done)
-	// Idle polling backs off exponentially from PollInterval to PollMax
+	// Idle polling backs off exponentially from pollInterval to pollMax
 	// and snaps back on any real task: a worker in the thick of a job
 	// polls eagerly, an idle fleet stays quiet.
-	idle := w.PollInterval
+	idle := pollInterval
 	for {
 		select {
 		case <-w.quit:
@@ -181,7 +180,7 @@ func (w *Worker) loop() {
 			select {
 			case <-w.quit:
 				return
-			case <-time.After(w.PollInterval * 10):
+			case <-time.After(pollInterval * 10):
 			}
 			continue
 		}
@@ -194,15 +193,13 @@ func (w *Worker) loop() {
 				return
 			case <-time.After(idle):
 			}
-			if idle *= 2; idle > w.PollMax {
-				idle = w.PollMax
-			}
+			idle = min(2*idle, pollMax)
 		case TaskMap:
 			w.runMap(&task)
-			idle = w.PollInterval
+			idle = pollInterval
 		case TaskReduce:
 			w.runReduce(&task)
-			idle = w.PollInterval
+			idle = pollInterval
 		}
 	}
 }
@@ -313,7 +310,6 @@ func (w *Worker) runReduce(task *GetTaskReply) {
 // returned spans are one PhaseFetch span per remote fetch (Bytes = wire
 // bytes).
 func (w *Worker) fetchAll(task *GetTaskReply) ([][]mapreduce.Pair, []obs.Span, []int) {
-	chunkBytes := jobChunkBytes(task.Conf)
 	slots := make([][]mapreduce.Pair, len(task.Maps))
 	spans := make([]*obs.Span, len(task.Maps))
 	errs := make([]error, len(task.Maps))
@@ -326,7 +322,7 @@ func (w *Worker) fetchAll(task *GetTaskReply) ([][]mapreduce.Pair, []obs.Span, [
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			slots[i], spans[i], errs[i] = w.fetchOne(loc, task, chunkBytes)
+			slots[i], spans[i], errs[i] = w.fetchOne(loc, task)
 		}(i, loc)
 	}
 	wg.Wait()
@@ -351,7 +347,7 @@ func (w *Worker) fetchAll(task *GetTaskReply) ([][]mapreduce.Pair, []obs.Span, [
 // fetchOne retrieves a single map output: straight from the local store
 // when the data is ours, else over the streaming transport. Only remote
 // fetches produce a span (the wire-level observation).
-func (w *Worker) fetchOne(loc MapLocation, task *GetTaskReply, chunkBytes int) ([]mapreduce.Pair, *obs.Span, error) {
+func (w *Worker) fetchOne(loc MapLocation, task *GetTaskReply) ([]mapreduce.Pair, *obs.Span, error) {
 	if loc.WorkerAddr == w.addr {
 		pairs, err := w.partitionForShuffle(task.JobID, loc.MapTaskID, task.TaskID)
 		return pairs, nil, err
@@ -371,7 +367,7 @@ func (w *Worker) fetchOne(loc MapLocation, task *GetTaskReply, chunkBytes int) (
 			}
 		}
 		start := time.Now()
-		pairs, stats, err := w.fetchStream(loc.ShuffleAddr, task.JobID, loc.MapTaskID, task.TaskID, chunkBytes)
+		pairs, stats, err := w.fetchStream(loc.ShuffleAddr, task.JobID, loc.MapTaskID, task.TaskID)
 		if err == nil {
 			return pairs, &obs.Span{
 				Job: task.JobName, Phase: obs.PhaseFetch, Task: task.TaskID,

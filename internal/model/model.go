@@ -273,7 +273,9 @@ func (m *Model) Encode() ([]byte, error) {
 }
 
 // Decode parses and verifies an encoded model: magic, format version, and
-// body checksum are checked before any section is interpreted.
+// body checksum are checked before any section is interpreted. A known
+// section that appears twice, or whose length is not a whole number of its
+// elements, is an error.
 func Decode(data []byte) (*Model, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("model: artifact is %d bytes, shorter than the %d-byte header", len(data), headerLen)
@@ -298,38 +300,45 @@ func Decode(data []byte) (*Model, error) {
 		return nil, fmt.Errorf("model: %w", err)
 	}
 	m := &Model{}
+	seen := make(map[string]bool)
 	for _, f := range frames {
+		var err error
 		switch f.Key {
 		case secMeta:
-			if err := m.decodeMeta(f.Value); err != nil {
-				return nil, err
-			}
+			err = m.decodeMeta(f.Value)
 		case secPoints:
-			m.Data = decodeFloats(f.Value)
+			m.Data, err = decodeFloats(f)
 		case secRho:
-			m.Rho = decodeFloats(f.Value)
+			m.Rho, err = decodeFloats(f)
 		case secLabels:
-			m.Labels = decodeInt32s(f.Value)
+			m.Labels, err = decodeInt32s(f)
 		case secPeaks:
-			m.Peaks = decodeInt32s(f.Value)
+			m.Peaks, err = decodeInt32s(f)
 		case secBorder:
-			m.Border = decodeFloats(f.Value)
+			m.Border, err = decodeFloats(f)
 		case secPoints32:
-			m.Data32 = decodeFloat32s(f.Value)
+			m.Data32, err = decodeFloat32s(f)
 		case secQ8Codes:
 			m.Q8Codes = append([]uint8(nil), f.Value...)
 		case secQ8Params:
-			params := decodeFloats(f.Value)
-			if len(params)%2 != 0 {
-				return nil, fmt.Errorf("model: q8params section holds %d values, want an even count", len(params))
+			var params []float64
+			if params, err = decodeFloats(f); err == nil && len(params)%2 != 0 {
+				err = fmt.Errorf("model: q8params section holds %d values, want an even count", len(params))
 			}
-			m.Q8Min = params[:len(params)/2]
-			m.Q8Scale = params[len(params)/2:]
+			half := len(params) / 2
+			m.Q8Min, m.Q8Scale = params[:half], params[half:]
 		case secRowIDs:
-			m.RowIDs = decodeInt32s(f.Value)
+			m.RowIDs, err = decodeInt32s(f)
 		default:
-			// Unknown section: written by a newer minor revision, skip.
+			continue // unknown section: written by a newer minor revision, skip
 		}
+		if err != nil {
+			return nil, err
+		}
+		if seen[f.Key] {
+			return nil, fmt.Errorf("model: section %q appears twice", f.Key)
+		}
+		seen[f.Key] = true
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -370,12 +379,21 @@ func encodeFloats(xs []float64) []byte {
 	return buf
 }
 
-func decodeFloats(v []byte) []float64 {
-	xs := make([]float64, len(v)/8)
-	for i := range xs {
-		xs[i] = points.DecodeFloat64(v[8*i:])
+// decodeSection decodes section f as consecutive size-byte elements read by
+// at, or errors when its length is not a whole number of them.
+func decodeSection[T any](f mapreduce.Pair, size int, at func([]byte) T) ([]T, error) {
+	if len(f.Value)%size != 0 {
+		return nil, fmt.Errorf("model: %s section is %d bytes, not a whole number of %d-byte elements", f.Key, len(f.Value), size)
 	}
-	return xs
+	xs := make([]T, len(f.Value)/size)
+	for i := range xs {
+		xs[i] = at(f.Value[size*i:])
+	}
+	return xs, nil
+}
+
+func decodeFloats(f mapreduce.Pair) ([]float64, error) {
+	return decodeSection(f, 8, points.DecodeFloat64)
 }
 
 func encodeFloat32s(xs []float32) []byte {
@@ -386,12 +404,8 @@ func encodeFloat32s(xs []float32) []byte {
 	return buf
 }
 
-func decodeFloat32s(v []byte) []float32 {
-	xs := make([]float32, len(v)/4)
-	for i := range xs {
-		xs[i] = math.Float32frombits(binary.LittleEndian.Uint32(v[4*i:]))
-	}
-	return xs
+func decodeFloat32s(f mapreduce.Pair) ([]float32, error) {
+	return decodeSection(f, 4, func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) })
 }
 
 func encodeInt32s(xs []int32) []byte {
@@ -402,12 +416,8 @@ func encodeInt32s(xs []int32) []byte {
 	return buf
 }
 
-func decodeInt32s(v []byte) []int32 {
-	xs := make([]int32, len(v)/4)
-	for i := range xs {
-		xs[i] = int32(binary.LittleEndian.Uint32(v[4*i:]))
-	}
-	return xs
+func decodeInt32s(f mapreduce.Pair) ([]int32, error) {
+	return decodeSection(f, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) })
 }
 
 // Write serializes the model to w.

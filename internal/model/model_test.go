@@ -1,6 +1,9 @@
 package model_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -8,6 +11,7 @@ import (
 
 	"repro/internal/dfs"
 	"repro/internal/dfsio"
+	"repro/internal/mapreduce"
 	"repro/internal/model"
 )
 
@@ -157,4 +161,124 @@ func TestValidateRejectsInconsistency(t *testing.T) {
 			t.Errorf("%s: Validate accepted an inconsistent model", name)
 		}
 	}
+}
+
+// withHeader puts body under a valid header: magic, format version, the
+// body's CRC32-C and its length.
+func withHeader(body []byte) []byte {
+	out := append([]byte("DDPMODL1"), 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(out[8:], model.Version)
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(body)))
+	return append(out, body...)
+}
+
+// sections returns the framed sections of an encoded model's body.
+func sections(t testing.TB, m *model.Model) []mapreduce.Pair {
+	t.Helper()
+	data, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := mapreduce.DecodeFrames(nil, data[24:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+func body(frames []mapreduce.Pair) []byte {
+	var b []byte
+	for _, f := range frames {
+		b = mapreduce.AppendFrame(b, f)
+	}
+	return b
+}
+
+// TestDecodeRejectsRaggedSections: under a valid checksum, a section whose
+// length is not a whole number of its elements, or a known section that
+// appears twice, is an error — never a model built from a truncated or
+// overwritten section.
+func TestDecodeRejectsRaggedSections(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func([]mapreduce.Pair) []mapreduce.Pair
+	}{
+		{"2 stray bytes on rho", func(fs []mapreduce.Pair) []mapreduce.Pair { return pad(fs, "rho", 2) }},
+		{"1 stray byte on labels", func(fs []mapreduce.Pair) []mapreduce.Pair { return pad(fs, "labels", 1) }},
+		{"3 stray bytes on points32", func(fs []mapreduce.Pair) []mapreduce.Pair { return pad(fs, "points32", 3) }},
+		{"rowids repeated", func(fs []mapreduce.Pair) []mapreduce.Pair { return repeat(fs, "rowids") }},
+		{"border repeated", func(fs []mapreduce.Pair) []mapreduce.Pair { return repeat(fs, "border") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := testModel()
+			m.BuildCompact()
+			m.RowIDs = []int32{1, 3, 5, 7, 9, 11}
+			if _, err := model.Decode(withHeader(body(c.mutate(sections(t, m))))); err == nil {
+				t.Fatal("decoded without error")
+			}
+		})
+	}
+	// An unknown section may repeat: a newer revision's, skipped.
+	fs := sections(t, testModel())
+	fs = append(fs, mapreduce.Pair{Key: "future", Value: []byte{1}}, mapreduce.Pair{Key: "future", Value: []byte{2, 3}})
+	if _, err := model.Decode(withHeader(body(fs))); err != nil {
+		t.Fatalf("repeated unknown section: %v", err)
+	}
+}
+
+// pad appends n zero bytes to the named section.
+func pad(fs []mapreduce.Pair, name string, n int) []mapreduce.Pair {
+	for i := range fs {
+		if fs[i].Key == name {
+			fs[i].Value = append(append([]byte(nil), fs[i].Value...), make([]byte, n)...)
+			return fs
+		}
+	}
+	panic("no section " + name)
+}
+
+// repeat appends a second copy of the named section.
+func repeat(fs []mapreduce.Pair, name string) []mapreduce.Pair {
+	for _, f := range fs {
+		if f.Key == name {
+			return append(fs, f)
+		}
+	}
+	panic("no section " + name)
+}
+
+// FuzzModelDecode fuzzes an artifact's body under a recomputed header and
+// checksum, so inputs reach the section walk rather than the CRC check.
+// Decode must return an error or a valid model that round-trips through
+// Encode and Decode unchanged; it must never panic.
+func FuzzModelDecode(f *testing.F) {
+	plain := testModel()
+	f.Add(body(sections(f, plain)))
+	full := testModel()
+	full.BuildCompact()
+	full.RowIDs = []int32{1, 3, 5, 7, 9, 11}
+	fs := sections(f, full)
+	f.Add(body(fs))
+	f.Add(body(pad(sections(f, plain), "rho", 2)))
+	f.Add(body(repeat(fs, "peaks")))
+	f.Add(body(append(fs, mapreduce.Pair{Key: "future", Value: []byte{7}})))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := model.Decode(withHeader(b))
+		if err != nil {
+			return
+		}
+		enc, err := m.Encode()
+		if err != nil {
+			t.Fatalf("decoded model does not encode: %v", err)
+		}
+		again, err := model.Decode(enc)
+		if err != nil {
+			t.Fatalf("re-encoded model does not decode: %v", err)
+		}
+		if enc2, err := again.Encode(); err != nil || !bytes.Equal(enc2, enc) {
+			t.Fatalf("model changed across Encode / Decode (%v)", err)
+		}
+	})
 }

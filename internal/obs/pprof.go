@@ -9,7 +9,7 @@ import (
 
 // PprofServer is an opt-in HTTP server exposing the standard
 // /debug/pprof endpoints, for profiling the long-running daemons
-// (mrd master/worker) without linking profiling into every binary's
+// (mrd worker, clusterd) without linking profiling into every binary's
 // default path.
 type PprofServer struct {
 	lis net.Listener

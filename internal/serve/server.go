@@ -70,13 +70,6 @@ type Config struct {
 	Workers int
 	// MaxRequestPoints bounds the points of one request (default 1024).
 	MaxRequestPoints int
-	// ReadHeaderTimeout bounds how long the listener waits for a client's
-	// request headers (default 5s; a slow-loris client can no longer pin a
-	// connection forever). Negative disables.
-	ReadHeaderTimeout time.Duration
-	// IdleTimeout closes keep-alive connections idle this long (default
-	// 2m). Negative disables.
-	IdleTimeout time.Duration
 	// ShardID, when non-nil, names this server's slot in a serving fleet.
 	// It is reported in /statsz so a router can verify at startup that the
 	// replica it is about to route to really serves the shard it expects.
@@ -126,22 +119,13 @@ func (c *Config) maxRequestPoints() int {
 	return 1024
 }
 
-func (c *Config) readHeaderTimeout() time.Duration {
-	return timeoutOr(c.ReadHeaderTimeout, 5*time.Second)
-}
-func (c *Config) idleTimeout() time.Duration { return timeoutOr(c.IdleTimeout, 2*time.Minute) }
-
-// timeoutOr resolves a timeout knob: 0 means the default, negative means
-// disabled (0 on the http.Server).
-func timeoutOr(v, def time.Duration) time.Duration {
-	switch {
-	case v > 0:
-		return v
-	case v < 0:
-		return 0
-	}
-	return def
-}
+// The listener bounds how long it waits for a client's request headers, so
+// a slow-loris client cannot pin a connection forever, and closes
+// keep-alive connections idle for idleTimeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // Server fronts an Engine with HTTP/JSON and admission control; each
 // request is answered on the handler that admitted it. Create with New,
@@ -258,8 +242,8 @@ func (s *Server) Start(addr string) error {
 	// must never pin a connection (and its goroutine) forever.
 	s.httpSrv = &http.Server{
 		Handler:           s.mux,
-		ReadHeaderTimeout: s.cfg.readHeaderTimeout(),
-		IdleTimeout:       s.cfg.idleTimeout(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	go s.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
 	s.logf("serve: listening on %s (queue=%d workers=%d)", ln.Addr(), s.cfg.queueDepth(), s.cfg.workers())
