@@ -12,7 +12,7 @@ all: check
 # the race detector, fuzz the LSH key codec, the box-tree top-k scan, the
 # serving engine's bucket sweep, the ρ-partial codec, the record frame, the
 # ρ reducers' runs-apart certificate, the HTTP point decoder, the shuffle
-# fetcher's response decoder, the WAL record decoder, the compact
+# fetcher's response decoder, the WAL record decoder and segment replay, the compact
 # shortlist's distance cap, the kNN-join's records and the model artifact's
 # section walk for five seconds each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
@@ -42,8 +42,8 @@ test-short:
 
 # The engines are the concurrency-heavy core; keep them race-clean. The
 # kernels package rides along because concurrent reduce tasks and the serving
-# engine call it from many goroutines, dfs/chaos for the heartbeat +
-# re-replication machinery and its harness,
+# engine call it from many goroutines, chaos for the kill/restart harness the
+# worker and fleet drills run from hook goroutines,
 # serve/model for the query server's admission gate, shedding, and hot reload,
 # fleet for the router's scatter-gather, hedging, and liveness prober.
 # ./internal/mapreduce/... recursively covers the dag package, whose
@@ -53,7 +53,7 @@ test-short:
 # core for the jobs that run on those engines — its LSH reducers share pooled
 # scratch (one KeyBuf per reduce call) across concurrent reduce tasks.
 race:
-	$(GO) test -race ./internal/mapreduce/... ./internal/mapreduce/rpcmr/... ./internal/kernels/... ./internal/points/... ./internal/dfs/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/...
+	$(GO) test -race ./internal/mapreduce/... ./internal/mapreduce/rpcmr/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/...
 
 # Five seconds of native fuzzing per target (one -fuzz target per `go test`
 # invocation). The LSH key codec faces bytes from outside the process: error
@@ -68,7 +68,7 @@ race:
 # format read back by another job, and it, the aggregated ρ value and the
 # δ-job record carry the neighbour lists and layout masks LSH-DDP certifies
 # δ̂ from: the codec's contract again, for all three. The record
-# frame is the byte layout of shuffle chunks, DFS parts and model sections:
+# frame is the byte layout of shuffle chunks and model sections:
 # its decoder on arbitrary bytes — error or pairs that re-encode to the
 # consumed prefix, never a panic. The cutoff ρ
 # reducers prune run pairs that lie d_c apart on a floating-point bound: two
@@ -82,7 +82,11 @@ race:
 # and a length the bytes do not back never costs its allocation. The WAL
 # record decoder faces whatever a segment holds after bit rot: arbitrary
 # payloads give an error or a record that re-encodes to exactly the payload,
-# never a panic — a count × dim that overflows included. A fleet shard caps
+# never a panic — a count × dim that overflows included.
+# A WAL segment's framing faces the same: arbitrary bytes replayed as the
+# final segment and as an earlier one give an error, or records that
+# re-encode to exactly the bytes replay kept; only the final segment is
+# ever truncated, and then to exactly those bytes. A fleet shard caps
 # its compact shortlist at the best distance another shard already found:
 # on arbitrary rows, query and bound, at f32 and q8, every row within the
 # bound survives the cap, the capped scan's answer is the nearest row within
@@ -102,6 +106,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePoints$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzShuffleStream$$' -fuzztime 5s ./internal/mapreduce/rpcmr/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 5s ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALSegment$$' -fuzztime 5s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzShortlistCap$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzKnnRecords$$' -fuzztime 5s ./internal/knnjoin/
 	$(GO) test -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime 5s ./internal/model/

@@ -7,7 +7,6 @@
 // Usage:
 //
 //	clusterd -model model.ddpm -listen :8080
-//	clusterd -model /models/m.ddpm -namenode host:9000   # artifact in the DFS
 //
 // Endpoints:
 //
@@ -45,8 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/dfs"
-	"repro/internal/dfsio"
 	"repro/internal/ingest"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -55,8 +52,7 @@ import (
 
 func main() {
 	var (
-		modelPath = flag.String("model", "", "cluster model artifact: local path, or DFS path with -namenode (required)")
-		namenode  = flag.String("namenode", "", "load the model from the mini-DFS at this namenode address")
+		modelPath = flag.String("model", "", "cluster model artifact path (required)")
 		listen    = flag.String("listen", ":8080", "HTTP listen address")
 		queue     = flag.Int("queue", 128, "admission queue bound; excess requests get 429 (serve.queue.depth)")
 		workers   = flag.Int("workers", 1, "engine calls answered at once (serve.workers)")
@@ -84,16 +80,6 @@ func main() {
 	}
 
 	loader := func() (*model.Model, error) { return model.ReadFile(*modelPath) }
-	if *namenode != "" {
-		loader = func() (*model.Model, error) {
-			client, err := dfs.NewClient(*namenode)
-			if err != nil {
-				return nil, err
-			}
-			defer client.Close()
-			return dfsio.LoadModel(client, *modelPath)
-		}
-	}
 
 	cfg := serve.Config{
 		QueueDepth:       *queue,

@@ -1,19 +1,11 @@
-// Command mrd runs the distributed daemons: a MapReduce worker (with every
-// job of this repository registered) and the mini-DFS namenode/datanode.
-// The MapReduce master is the job's driver, which runs it in-process:
+// Command mrd runs a MapReduce worker with every job of this repository
+// registered. The MapReduce master is the job's driver, which runs it
+// in-process and hands the workers their input splits:
 //
 //	ddp ... -master-listen :7070 -min-workers 2      # or knn -master-listen
 //	mrd worker -master localhost:7070 -addr :0       # repeat per worker
 //
-// And for the DFS:
-//
-//	mrd namenode -addr :7080 -replication 2
-//	mrd datanode -namenode localhost:7080 -addr :0
-//
-// Operator tooling (see OPERATIONS.md for the full runbook):
-//
-//	mrd dfsadmin -namenode localhost:7080 report           # node liveness, replication health, counters
-//	mrd dfsadmin -namenode localhost:7080 verify jobs/in   # decode-verify every part under a prefix
+// See OPERATIONS.md for the full runbook.
 package main
 
 import (
@@ -22,11 +14,8 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/dfs"
-	"repro/internal/dfsio"
 	"repro/internal/eddpc"
 	"repro/internal/kmeansmr"
 	"repro/internal/knnjoin"
@@ -35,32 +24,11 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
+	if len(os.Args) < 2 || os.Args[1] != "worker" {
+		fmt.Fprintln(os.Stderr, "usage: mrd worker [flags]")
+		os.Exit(2)
 	}
-	switch os.Args[1] {
-	case "worker":
-		runWorker(os.Args[2:])
-	case "namenode":
-		runNameNode(os.Args[2:])
-	case "datanode":
-		runDataNode(os.Args[2:])
-	case "dfsadmin":
-		runDFSAdmin(os.Args[2:])
-	default:
-		usage()
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mrd worker|namenode|datanode|dfsadmin [flags]")
-	os.Exit(2)
-}
-
-func waitForSignal() {
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
-	<-ch
+	runWorker(os.Args[2:])
 }
 
 func runWorker(args []string) {
@@ -79,7 +47,9 @@ func runWorker(args []string) {
 		w.Log = func(format string, args ...any) { sink.Event("worker", format, args...) }
 	}
 	fmt.Printf("mrd: worker %d serving on %s (master %s)\n", w.ID(), w.Addr(), *master)
-	waitForSignal()
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
+	<-ch
 	w.Close()
 }
 
@@ -101,95 +71,6 @@ func registerAllJobs() {
 	rpcmr.RegisterJobs(eddpc.JobFactories())
 	rpcmr.RegisterJobs(kmeansmr.JobFactories())
 	rpcmr.RegisterJobs(knnjoin.JobFactories())
-}
-
-func runNameNode(args []string) {
-	fs := flag.NewFlagSet("namenode", flag.ExitOnError)
-	addr := fs.String("addr", ":7080", "listen address")
-	repl := fs.Int("replication", 2, "block replication factor")
-	hbTimeout := fs.Duration("heartbeat-timeout", 3*time.Second, "declare a datanode dead after this long without a heartbeat")
-	sweep := fs.Duration("rereplicate", 500*time.Millisecond, "re-replication sweep interval")
-	verbose := fs.Bool("v", false, "log liveness and re-replication events to stderr")
-	fs.Parse(args)
-	opts := dfs.NameNodeOptions{
-		Replication:       *repl,
-		HeartbeatTimeout:  *hbTimeout,
-		ReplicateInterval: *sweep,
-	}
-	if *verbose {
-		opts.Events = obs.NewWriterSink(os.Stderr)
-	}
-	nn, err := dfs.NewNameNodeOpts(*addr, opts)
-	fatal(err)
-	fmt.Printf("mrd: namenode listening on %s (replication %d, heartbeat timeout %v)\n", nn.Addr(), *repl, *hbTimeout)
-	waitForSignal()
-	for name, v := range nn.Counters() {
-		fmt.Printf("mrd: %-28s %d\n", name, v)
-	}
-	nn.Close()
-}
-
-func runDataNode(args []string) {
-	fs := flag.NewFlagSet("datanode", flag.ExitOnError)
-	nameAddr := fs.String("namenode", "localhost:7080", "namenode address")
-	addr := fs.String("addr", ":0", "listen address")
-	dir := fs.String("dir", "", "store blocks as files under this directory (empty = in memory)")
-	heartbeat := fs.Duration("heartbeat", 500*time.Millisecond, "heartbeat + block report interval")
-	fs.Parse(args)
-	dn, err := dfs.StartDataNodeOpts(*nameAddr, *addr, dfs.DataNodeOptions{
-		Dir:               *dir,
-		HeartbeatInterval: *heartbeat,
-	})
-	fatal(err)
-	fmt.Printf("mrd: datanode serving on %s (namenode %s)\n", dn.Addr(), *nameAddr)
-	waitForSignal()
-	dn.Close()
-}
-
-func runDFSAdmin(args []string) {
-	fs := flag.NewFlagSet("dfsadmin", flag.ExitOnError)
-	nameAddr := fs.String("namenode", "localhost:7080", "namenode address")
-	fs.Parse(args)
-	rest := fs.Args()
-	if len(rest) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: mrd dfsadmin [-namenode addr] report | verify <prefix>")
-		os.Exit(2)
-	}
-	c, err := dfs.NewClient(*nameAddr)
-	fatal(err)
-	defer c.Close()
-	switch rest[0] {
-	case "report":
-		rep, err := c.Report()
-		fatal(err)
-		fmt.Printf("namenode %s: %d files, %d blocks, %d under-replicated\n",
-			*nameAddr, rep.Files, rep.Blocks, rep.UnderReplicated)
-		for _, node := range rep.Nodes {
-			state := "LIVE"
-			if !node.Alive {
-				state = "DEAD"
-			}
-			fmt.Printf("  %-22s %-4s blocks=%-6d last heartbeat %dms ago\n",
-				node.Addr, state, node.Blocks, node.AgeMS)
-		}
-		for name, v := range rep.Counters {
-			fmt.Printf("  %-28s %d\n", name, v)
-		}
-		if rep.UnderReplicated > 0 {
-			os.Exit(1)
-		}
-	case "verify":
-		if len(rest) != 2 {
-			fmt.Fprintln(os.Stderr, "usage: mrd dfsadmin verify <prefix>")
-			os.Exit(2)
-		}
-		parts, records, err := dfsio.VerifyPrefix(c, rest[1])
-		fatal(err)
-		fmt.Printf("%s: %d parts, %d records, all blocks checksum-clean\n", rest[1], parts, records)
-	default:
-		fmt.Fprintf(os.Stderr, "mrd dfsadmin: unknown command %q\n", rest[0])
-		os.Exit(2)
-	}
 }
 
 func fatal(err error) {

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dfs"
-	"repro/internal/dfsio"
 	"repro/internal/dp"
 	"repro/internal/eddpc"
 	"repro/internal/evalmetrics"
@@ -51,39 +49,11 @@ func TestExactAlgorithmsAgreeBitForBit(t *testing.T) {
 	}
 }
 
-// TestFullDistributedPipeline is the end-to-end story: stage a data set in
-// the replicated DFS, run LSH-DDP on a TCP MapReduce cluster, cluster the
-// result, and validate quality against ground truth.
+// TestFullDistributedPipeline is the end-to-end story: run LSH-DDP on a TCP
+// MapReduce cluster, cluster the result, validate quality against ground
+// truth, and detect halos on the same cluster.
 func TestFullDistributedPipeline(t *testing.T) {
-	// DFS: namenode + 2 datanodes.
-	nn, err := dfs.NewNameNode("127.0.0.1:0", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nn.Close()
-	for i := 0; i < 2; i++ {
-		dn, err := dfs.StartDataNode(nn.Addr(), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer dn.Close()
-	}
-	fsc, err := dfs.NewClient(nn.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fsc.Close()
-	fsc.BlockSize = 32 << 10
-
-	// Stage the input.
 	ds := dataset.Blobs("integration", 1200, 4, 5, 300, 3, 9)
-	if err := dfsio.SaveDataset(fsc, "in/blobs", ds, 4); err != nil {
-		t.Fatal(err)
-	}
-	staged, err := dfsio.LoadDataset(fsc, "in/blobs", "integration")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// MapReduce cluster: master + 3 workers.
 	rpcmr.RegisterJobs(core.JobFactories())
@@ -110,21 +80,21 @@ func TestFullDistributedPipeline(t *testing.T) {
 		}
 	}()
 
-	res, err := core.RunLSHDDP(context.Background(), staged, core.LSHConfig{
+	res, err := core.RunLSHDDP(context.Background(), ds, core.LSHConfig{
 		Config:   core.Config{Engine: master, Seed: 3},
 		Accuracy: 0.99, M: 8, Pi: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	peaks, labels, err := res.Cluster(staged, core.SelectTopK(5))
+	peaks, labels, err := res.Cluster(ds, core.SelectTopK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(peaks) != 5 {
 		t.Fatalf("selected %d peaks", len(peaks))
 	}
-	ari, err := evalmetrics.ARI(staged.Labels, evalmetrics.IntLabels(labels))
+	ari, err := evalmetrics.ARI(ds.Labels, evalmetrics.IntLabels(labels))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,31 +103,15 @@ func TestFullDistributedPipeline(t *testing.T) {
 	}
 
 	// Halo detection on the same cluster engine.
-	halo, err := core.RunLSHHalo(context.Background(), staged, res.Rho, labels, res.Stats.Dc, core.LSHConfig{
+	halo, err := core.RunLSHHalo(context.Background(), ds, res.Rho, labels, res.Stats.Dc, core.LSHConfig{
 		Config:   core.Config{Engine: master, Seed: 3},
 		Accuracy: 0.99, M: 8, Pi: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(halo.Halo) != staged.N() {
+	if len(halo.Halo) != ds.N() {
 		t.Fatalf("halo flags = %d", len(halo.Halo))
-	}
-
-	// Store the labels back into the DFS and read them out.
-	out := make([]mapreduce.Pair, len(labels))
-	for i, l := range labels {
-		out[i] = mapreduce.Pair{Key: "label", Value: []byte{byte(l)}}
-	}
-	if err := dfsio.SavePairs(fsc, "out/labels", out, 2); err != nil {
-		t.Fatal(err)
-	}
-	back, err := dfsio.LoadPairs(fsc, "out/labels")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(labels) {
-		t.Fatalf("round-tripped %d labels", len(back))
 	}
 }
 

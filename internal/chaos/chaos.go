@@ -1,32 +1,26 @@
 // Package chaos is a deterministic fault-injection harness for drilling
-// the distributed stack (internal/dfs, internal/mapreduce/rpcmr) in
-// tests. Everything is seeded and count-based rather than time- or
-// probability-based, so a failing run replays identically:
+// the distributed stack in tests: the rpcmr workers, the fleet's shard
+// replicas and the ingest WAL. Everything is seeded and count-based rather
+// than time- or probability-based, so a failing run replays identically:
 //
 //   - Chaos: a seeded source of reproducible randomness (Intn, FlipBit);
-//   - Node: a registered process-like unit (datanode, worker) with
+//   - Node: a registered process-like unit (worker, shard replica) with
 //     Kill/Restart, built from stop/start closures;
 //   - OnNth: a one-shot trigger that fires on the Nth call of a hook —
-//     the building block for "kill the node during the 2nd read";
-//   - Faults: deterministic drop/delay schedules for RPC-shaped hooks.
+//     the building block for "kill the worker on its 2nd shuffle chunk".
+//     A stall is an OnNth closure that sleeps.
 //
 // The package deliberately imports nothing from the rest of the repo: the
-// systems under test expose hook points (e.g. dfs.BlockHooks) and the
-// harness supplies the closures.
+// systems under test expose hook points (e.g. serve.Config.ProcessHook)
+// and the harness supplies the closures.
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// ErrInjected marks an error produced by the harness, so assertions can
-// distinguish injected faults from real ones.
-var ErrInjected = errors.New("chaos: injected fault")
 
 // Chaos is a seeded fault-injection context. The zero value is not
 // usable; construct with New. Safe for concurrent use.
@@ -69,7 +63,8 @@ func (c *Chaos) FlipBit(data []byte) int {
 // Node is a registered process-like unit the harness can kill and
 // restart. Kill and Restart are idempotent and safe to call from inside
 // the victim's own hooks (the closures must not deadlock against the
-// caller; dfs.DataNode.Close is safe this way).
+// caller; run a stop that waits on the victim's own work, such as
+// rpcmr's Worker.Close, off the hook goroutine).
 type Node struct {
 	name  string
 	mu    sync.Mutex
@@ -139,7 +134,7 @@ func (n *Node) Name() string { return n.name }
 
 // OnNth returns a trigger function that runs fn exactly once, on its Nth
 // invocation (1-based). Wire it into a hook to fire a fault at a precise
-// point in the execution: "on the 2nd block read, kill datanode 1".
+// point in the execution: "on the 2nd shuffle chunk, kill worker 0".
 func OnNth(n int64, fn func()) func() {
 	if n < 1 {
 		n = 1
@@ -151,32 +146,3 @@ func OnNth(n int64, fn func()) func() {
 		}
 	}
 }
-
-// Faults is a deterministic schedule of RPC-shaped faults: every
-// DropEvery-th call errors with ErrInjected, every DelayEvery-th call
-// sleeps for Delay first. Zero fields disable that fault.
-type Faults struct {
-	DropEvery  int64
-	DelayEvery int64
-	Delay      time.Duration
-
-	calls int64
-}
-
-// Hook returns the fault function to install at a call site. The id
-// argument is only used in the injected error message.
-func (f *Faults) Hook() func(id int64) error {
-	return func(id int64) error {
-		n := atomic.AddInt64(&f.calls, 1)
-		if f.DelayEvery > 0 && n%f.DelayEvery == 0 {
-			time.Sleep(f.Delay)
-		}
-		if f.DropEvery > 0 && n%f.DropEvery == 0 {
-			return fmt.Errorf("%w: dropped call %d (id %d)", ErrInjected, n, id)
-		}
-		return nil
-	}
-}
-
-// Calls reports how many times the hook has fired.
-func (f *Faults) Calls() int64 { return atomic.LoadInt64(&f.calls) }

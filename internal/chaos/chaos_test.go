@@ -1,10 +1,8 @@
 package chaos
 
 import (
-	"errors"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestDeterministicRandomness(t *testing.T) {
@@ -87,40 +85,5 @@ func TestNodeKillRestart(t *testing.T) {
 	}
 	if c.Node("nope") != nil {
 		t.Fatal("unknown node should be nil")
-	}
-}
-
-func TestFaultsDropCadence(t *testing.T) {
-	f := &Faults{DropEvery: 3}
-	hook := f.Hook()
-	for i := 1; i <= 9; i++ {
-		err := hook(int64(i))
-		if i%3 == 0 {
-			if !errors.Is(err, ErrInjected) {
-				t.Fatalf("call %d: want injected error, got %v", i, err)
-			}
-		} else if err != nil {
-			t.Fatalf("call %d: unexpected error %v", i, err)
-		}
-	}
-	if f.Calls() != 9 {
-		t.Fatalf("Calls = %d, want 9", f.Calls())
-	}
-}
-
-func TestFaultsDelayCadence(t *testing.T) {
-	f := &Faults{DelayEvery: 2, Delay: 30 * time.Millisecond}
-	hook := f.Hook()
-	start := time.Now()
-	hook(1) // no delay
-	fast := time.Since(start)
-	start = time.Now()
-	hook(2) // delayed
-	slow := time.Since(start)
-	if slow < 25*time.Millisecond {
-		t.Fatalf("2nd call not delayed (%v)", slow)
-	}
-	if fast > 20*time.Millisecond {
-		t.Fatalf("1st call unexpectedly slow (%v)", fast)
 	}
 }

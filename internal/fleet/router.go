@@ -288,8 +288,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 
 // prober keeps replica liveness fresh: every heartbeat it probes each
 // replica's /healthz concurrently; success revives the replica, and a
-// replica with no success inside DeadAfter is declared dead (the same
-// heartbeat/dead-node discipline the DFS namenode applies to datanodes).
+// replica with no success inside DeadAfter is declared dead.
 func (r *Router) prober() {
 	defer r.probeWG.Done()
 	tick := time.NewTicker(r.cfg.heartbeat())

@@ -7,14 +7,13 @@ import (
 	"slices"
 )
 
-// The record frame shared by the rpcmr streaming shuffle transport, the DFS
-// part files (internal/dfsio) and the model artifact (internal/model). One
-// frame is
+// The record frame shared by the rpcmr streaming shuffle transport and the
+// model artifact (internal/model). One frame is
 //
 //	uint32 keyLen | key bytes | uint32 valueLen | value bytes
 //
-// in little-endian. Keeping a single codec means a shuffle chunk, a DFS part
-// and a model section are the same layout. DecodeFrames treats a length
+// in little-endian. Keeping a single codec means a shuffle chunk and a model
+// section are the same layout. DecodeFrames treats a length
 // prefix as a claim and checks it against the buffer it was handed;
 // ReadClaimed, for prefixes read off a stream, allocates only as fast as the
 // stream delivers.

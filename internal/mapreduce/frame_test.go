@@ -95,7 +95,7 @@ func TestReadClaimedBoundsAllocation(t *testing.T) {
 }
 
 // FuzzFrameRoundTrip feeds arbitrary bytes — what a hostile shuffle peer or
-// a damaged DFS part looks like — to DecodeFrames. It must return an error
+// a damaged model section looks like — to DecodeFrames. It must return an error
 // or pairs and never panic, and the pairs decoded before the error (or all
 // of them) must re-encode with AppendFrame to exactly the prefix of the
 // input they were read from.

@@ -3,51 +3,18 @@ package rpcmr
 import (
 	"bytes"
 	"context"
-	"fmt"
+	"errors"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dfs"
-	"repro/internal/dfsio"
 	"repro/internal/mapreduce"
 )
-
-// startChaosDFS boots a DFS cluster with aggressive fault-tolerance
-// timings (death detected in ~200ms, re-replication sweep every 30ms) and
-// returns the handles the chaos tests need to aim faults.
-func startChaosDFS(t *testing.T, nodes int) (*dfs.NameNode, []*dfs.DataNode, *dfs.Client) {
-	t.Helper()
-	nn, err := dfs.NewNameNodeOpts("127.0.0.1:0", dfs.NameNodeOptions{
-		Replication:       2,
-		HeartbeatTimeout:  200 * time.Millisecond,
-		ReplicateInterval: 30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nn.Close() })
-	var dns []*dfs.DataNode
-	for i := 0; i < nodes; i++ {
-		dn, err := dfs.StartDataNodeOpts(nn.Addr(), "127.0.0.1:0", dfs.DataNodeOptions{
-			HeartbeatInterval: 40 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		dns = append(dns, dn)
-		t.Cleanup(func() { dn.Close() })
-	}
-	c, err := dfs.NewClient(nn.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return nn, dns, c
-}
 
 // lshJob builds the paper's LSH-DDP density job, pinned to deterministic
 // task counts.
@@ -90,112 +57,77 @@ func assertIdenticalOutput(t *testing.T, healthy, faulty []mapreduce.Pair) {
 	}
 }
 
-func waitCounter(t *testing.T, d time.Duration, nn *dfs.NameNode, name string) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if nn.Counters()[name] > 0 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("counter %s never advanced: %v", name, nn.Counters())
-}
-
-// TestChaosDataNodeDeathMidJob is the headline acceptance test: an LSH-DDP
-// job runs on a 3-worker rpcmr cluster reading its input from DFS while a
-// datanode is killed mid-job (triggered by the first block read of the
-// faulty run, via a chaos hook on a surviving node). The job must complete
-// with output bit-identical to the fault-free run, and dfs.rereplications
-// must confirm the storage layer actually repaired itself.
-func TestChaosDataNodeDeathMidJob(t *testing.T) {
-	m, _ := startCluster(t, 3)
-	nn, dns, fsc := startChaosDFS(t, 3)
-
-	fsc.BlockSize = 1024 // multi-block parts so the kill lands mid-file
+// TestChaosWorkerDeathMidJob kills a worker while an LSH-DDP ρ job is in
+// its shuffle: the victim dies on the first chunk it streams to a reducer,
+// taking its map outputs with it. The survivors must re-execute the lost
+// maps and finish with output bit-identical to the healthy run and the same
+// distance count.
+//
+// Which worker runs which task depends on who polled first, so a run may
+// finish without a reducer ever reading from the victim (in about half the
+// runs on a 3-worker loopback cluster). Such a run is healthy and must
+// match too, and the job is run again until the kill has fired.
+func TestChaosWorkerDeathMidJob(t *testing.T) {
+	m, ws := startCluster(t, 3)
+	m.leaseTimeout = 500 * time.Millisecond
 	input := core.InputPairs(dataset.Blobs("chaos-kill", 600, 2, 4, 100, 3, 11))
-	if err := dfsio.SavePairs(fsc, "chaos/in", input, 6); err != nil {
-		t.Fatal(err)
-	}
 
-	healthy, err := m.RunDFS(context.Background(), lshJob(), nn.Addr(), "chaos/in")
+	healthy, err := m.Run(context.Background(), lshJob(), input)
 	if err != nil {
 		t.Fatalf("healthy run: %v", err)
 	}
+	wantDist := healthy.Counters.Get(mapreduce.CtrDistanceComputations)
+	if wantDist == 0 {
+		t.Fatal("healthy run counted no distances")
+	}
 
-	// Chaos: when the faulty run's reads start flowing through dns[0],
-	// kill dns[1] — mid-job, with replicas of the input parts on it.
+	// The kill runs off the hook goroutine (Close waits for the victim's
+	// in-flight task); from the trigger on, every chunk the victim would
+	// still stream fails, as it would from a dead process.
 	harness := chaos.New(42)
-	victim := harness.Register("dn1", dns[1].Close, nil)
-	trig := chaos.OnNth(2, func() { victim.Kill() })
-	dns[0].SetHooks(dfs.BlockHooks{BeforeRead: func(id int64) error { trig(); return nil }})
-	defer dns[0].SetHooks(dfs.BlockHooks{})
-
-	faulty, err := m.RunDFS(context.Background(), lshJob(), nn.Addr(), "chaos/in")
-	if err != nil {
-		t.Fatalf("run with datanode killed mid-job: %v", err)
+	victim := harness.Register("worker0", ws[0].Close, nil)
+	var dead atomic.Bool
+	var killed sync.WaitGroup
+	killed.Add(1)
+	trig := chaos.OnNth(1, func() {
+		dead.Store(true)
+		go func() {
+			defer killed.Done()
+			victim.Kill() //nolint:errcheck
+		}()
+	})
+	ws[0].shuffleChunkHook = func(_, _, _, _ int) error {
+		trig()
+		if dead.Load() {
+			return errors.New("chaos: worker killed")
+		}
+		return nil
 	}
+
+	for attempt := 1; ; attempt++ {
+		faulty, err := m.Run(context.Background(), lshJob(), input)
+		if err != nil {
+			t.Fatalf("run %d with a worker killed mid-job: %v", attempt, err)
+		}
+		assertIdenticalOutput(t, healthy.Output, faulty.Output)
+		if got := faulty.Counters.Get(mapreduce.CtrDistanceComputations); got != wantDist {
+			t.Fatalf("run %d: %s = %d, healthy run %d", attempt, mapreduce.CtrDistanceComputations, got, wantDist)
+		}
+		if dead.Load() {
+			// The chunk that fired the kill belonged to a map output a
+			// reducer still needed, so at least one map ran twice.
+			if got := faulty.Counters.Get(mapreduce.CtrMapInputRecords); got <= int64(len(input)) {
+				t.Fatalf("run %d: %s = %d, no lost map was re-executed", attempt, mapreduce.CtrMapInputRecords, got)
+			}
+			t.Logf("worker killed in run %d", attempt)
+			break
+		}
+		if attempt == 200 {
+			t.Fatal("no reducer ever read from the victim — test exercised nothing")
+		}
+	}
+	killed.Wait()
 	if victim.Alive() {
-		t.Fatal("chaos trigger never fired — test exercised nothing")
+		t.Fatal("victim survived its kill")
 	}
-	assertIdenticalOutput(t, healthy.Output, faulty.Output)
-	waitCounter(t, 10*time.Second, nn, "dfs.rereplications")
-}
-
-// TestChaosCorruptBlockMidJob is the second acceptance scenario: one block
-// of the DFS-staged input has a bit flipped in its primary replica before
-// the job runs. The datanode's checksum verification must quarantine the
-// bad copy, the worker's read must fail over to the healthy replica, the
-// job output must be bit-identical to the clean run, and re-replication
-// must restore the lost copy.
-func TestChaosCorruptBlockMidJob(t *testing.T) {
-	m, _ := startCluster(t, 3)
-	nn, dns, fsc := startChaosDFS(t, 3)
-
-	fsc.BlockSize = 1024
-	input := core.InputPairs(dataset.Blobs("chaos-rot", 600, 2, 4, 100, 3, 11))
-	if err := fsioSave(fsc, "rot/in", input); err != nil {
-		t.Fatal(err)
-	}
-
-	healthy, err := m.RunDFS(context.Background(), lshJob(), nn.Addr(), "rot/in")
-	if err != nil {
-		t.Fatalf("healthy run: %v", err)
-	}
-
-	// Flip one seeded bit in the primary replica of the first part's
-	// first block.
-	parts, err := fsc.List("rot/in/")
-	if err != nil || len(parts) == 0 {
-		t.Fatalf("list parts: %v (%d)", err, len(parts))
-	}
-	locs, err := fsc.BlockLocations(parts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	byAddr := make(map[string]*dfs.DataNode)
-	for _, dn := range dns {
-		byAddr[dn.Addr()] = dn
-	}
-	harness := chaos.New(7)
-	victim := byAddr[locs[0].Replicas[0]]
-	if err := victim.Corrupt(locs[0].ID, harness.Intn(1<<20)); err != nil {
-		t.Fatal(err)
-	}
-
-	faulty, err := m.RunDFS(context.Background(), lshJob(), nn.Addr(), "rot/in")
-	if err != nil {
-		t.Fatalf("run with corrupt block: %v", err)
-	}
-	assertIdenticalOutput(t, healthy.Output, faulty.Output)
-	waitCounter(t, 10*time.Second, nn, "dfs.blocks.corrupt")
-	waitCounter(t, 10*time.Second, nn, "dfs.rereplications")
-}
-
-// fsioSave stages input pairs as 6 part files under prefix.
-func fsioSave(fsc *dfs.Client, prefix string, input []mapreduce.Pair) error {
-	if err := dfsio.SavePairs(fsc, prefix, input, 6); err != nil {
-		return fmt.Errorf("stage input: %w", err)
-	}
-	return nil
 }

@@ -9,8 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dfs"
-	"repro/internal/dfsio"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 )
@@ -86,21 +84,19 @@ type taskSlot struct {
 }
 
 type jobRun struct {
-	id          int
-	job         *mapreduce.Job
-	splits      [][]mapreduce.Pair
-	dfsNameNode string
-	dfsParts    []string
-	nReduce     int
-	maps        []taskSlot
-	mapAddr     []string // worker addr holding each completed map task's data
-	mapShuffle  []string // that worker's streaming shuffle addr ("" = RPC only)
-	reduces     []taskSlot
-	outputs     [][]mapreduce.Pair
-	counters    *mapreduce.Counters
-	spans       []obs.Span
-	err         error
-	done        bool
+	id         int
+	job        *mapreduce.Job
+	splits     [][]mapreduce.Pair
+	nReduce    int
+	maps       []taskSlot
+	mapAddr    []string // worker addr holding each completed map task's data
+	mapShuffle []string // that worker's streaming shuffle addr ("" = RPC only)
+	reduces    []taskSlot
+	outputs    [][]mapreduce.Pair
+	counters   *mapreduce.Counters
+	spans      []obs.Span
+	err        error
+	done       bool
 }
 
 // NewMaster starts a master listening on addr ("host:port"; ":0" picks a
@@ -188,26 +184,6 @@ func (m *Master) logf(format string, args ...any) {
 // aborts the job: outstanding task attempts finish on their workers but
 // their completions are discarded as stale.
 func (m *Master) Run(ctx context.Context, job *mapreduce.Job, input []mapreduce.Pair) (*mapreduce.Result, error) {
-	return m.run(ctx, job, input, "", nil)
-}
-
-// RunDFS runs a job whose input is staged in the mini-DFS under
-// inputPrefix (one map task per part file). Workers read their parts from
-// the DFS directly — the master never touches the input bytes.
-func (m *Master) RunDFS(ctx context.Context, job *mapreduce.Job, nameNodeAddr, inputPrefix string) (*mapreduce.Result, error) {
-	fsc, err := dfs.NewClient(nameNodeAddr)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := dfsio.ListParts(fsc, inputPrefix)
-	fsc.Close()
-	if err != nil {
-		return nil, err
-	}
-	return m.run(ctx, job, nil, nameNodeAddr, parts)
-}
-
-func (m *Master) run(ctx context.Context, job *mapreduce.Job, input []mapreduce.Pair, dfsNameNode string, dfsParts []string) (*mapreduce.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -237,26 +213,19 @@ func (m *Master) run(ctx context.Context, job *mapreduce.Job, input []mapreduce.
 	if nReduce <= 0 {
 		nReduce = 2 * nWorkers
 	}
-	var splits [][]mapreduce.Pair
-	if dfsParts == nil {
-		splits = mapreduce.SplitInput(input, nMaps)
-	} else {
-		splits = make([][]mapreduce.Pair, len(dfsParts))
-	}
+	splits := mapreduce.SplitInput(input, nMaps)
 	m.jobSeq++
 	run := &jobRun{
-		id:          m.jobSeq,
-		job:         job,
-		splits:      splits,
-		dfsNameNode: dfsNameNode,
-		dfsParts:    dfsParts,
-		nReduce:     nReduce,
-		maps:        make([]taskSlot, len(splits)),
-		mapAddr:     make([]string, len(splits)),
-		mapShuffle:  make([]string, len(splits)),
-		reduces:     make([]taskSlot, nReduce),
-		outputs:     make([][]mapreduce.Pair, nReduce),
-		counters:    mapreduce.NewCounters(),
+		id:         m.jobSeq,
+		job:        job,
+		splits:     splits,
+		nReduce:    nReduce,
+		maps:       make([]taskSlot, len(splits)),
+		mapAddr:    make([]string, len(splits)),
+		mapShuffle: make([]string, len(splits)),
+		reduces:    make([]taskSlot, nReduce),
+		outputs:    make([][]mapreduce.Pair, nReduce),
+		counters:   mapreduce.NewCounters(),
 	}
 	m.cur = run
 	m.logf("job %d %q: %d maps, %d reduces, %d workers", run.id, job.Name, len(splits), nReduce, nWorkers)
@@ -421,12 +390,7 @@ func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 		reply.Conf = run.job.Conf
 		reply.TaskID = ti
 		reply.NumReduces = run.nReduce
-		if run.dfsParts != nil {
-			reply.DFSNameNode = run.dfsNameNode
-			reply.DFSPart = run.dfsParts[ti]
-		} else {
-			reply.Split = run.splits[ti]
-		}
+		reply.Split = run.splits[ti]
 	}
 	// Map phase first.
 	allMapsDone := true

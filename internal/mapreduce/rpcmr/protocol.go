@@ -84,14 +84,9 @@ type GetTaskReply struct {
 	TaskID  int
 	// NumReduces applies to both kinds.
 	NumReduces int
-	// Split is the map task's inline input (when the master shipped the
-	// data itself).
+	// Split is the map task's input, cut by the master from the pairs the
+	// driver passed to Run.
 	Split []mapreduce.Pair
-	// DFSNameNode/DFSPart describe a DFS-staged input instead: the worker
-	// reads the part file directly from the distributed file system,
-	// Hadoop-style, so big inputs never pass through the master.
-	DFSNameNode string
-	DFSPart     string
 	// Maps lists where to fetch each map task's partition (reduce tasks).
 	Maps []MapLocation
 }

@@ -16,8 +16,8 @@ import (
 //
 // Reducers fetch remote map outputs over a purpose-built raw-TCP protocol
 // that streams a partition as record frames — the
-// uint32-length-prefixed layout of mapreduce/frame.go, which DFS parts and
-// model sections use too — in bounded chunks. It is the only worker-to-worker
+// uint32-length-prefixed layout of mapreduce/frame.go, which model sections
+// use too — in bounded chunks. It is the only worker-to-worker
 // data path; net/rpc carries control traffic alone.
 //
 // Wire protocol, little-endian throughout. One connection serves many

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dfs"
-	"repro/internal/dfsio"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 )
@@ -34,9 +32,6 @@ type Worker struct {
 
 	streamMu sync.Mutex
 	streams  map[string][]*shuffleStream // idle shuffle conns per peer
-
-	dfsMu      sync.Mutex
-	dfsClients map[string]*dfs.Client
 
 	// shuffleChunkHook, when set (tests), runs before each streamed chunk
 	// is written; an error aborts the serving connection mid-stream.
@@ -84,7 +79,6 @@ func StartWorker(masterAddr, listenAddr string) (*Worker, error) {
 		shuffleAddr: shuffleLis.Addr().String(),
 		store:       make(map[storeKey][][]mapreduce.Pair),
 		streams:     make(map[string][]*shuffleStream),
-		dfsClients:  make(map[string]*dfs.Client),
 		quit:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -132,28 +126,7 @@ func (w *Worker) Close() error {
 	err := w.lis.Close()
 	w.shuffleLis.Close()
 	w.closeStreams()
-	w.dfsMu.Lock()
-	for _, c := range w.dfsClients {
-		c.Close()
-	}
-	w.dfsClients = map[string]*dfs.Client{}
-	w.dfsMu.Unlock()
 	return err
-}
-
-// dfsClient returns a cached DFS client for the namenode.
-func (w *Worker) dfsClient(nameNode string) (*dfs.Client, error) {
-	w.dfsMu.Lock()
-	defer w.dfsMu.Unlock()
-	if c, ok := w.dfsClients[nameNode]; ok {
-		return c, nil
-	}
-	c, err := dfs.NewClient(nameNode)
-	if err != nil {
-		return nil, err
-	}
-	w.dfsClients[nameNode] = c
-	return c, nil
 }
 
 func (w *Worker) logf(format string, args ...any) {
@@ -221,23 +194,8 @@ func (w *Worker) runMap(task *GetTaskReply) {
 		return
 	}
 	job := factory(task.Conf)
-	records := task.Split
-	if task.DFSPart != "" {
-		fsc, err := w.dfsClient(task.DFSNameNode)
-		if err != nil {
-			args.Err = err.Error()
-			w.report(args)
-			return
-		}
-		records, err = dfsio.LoadPart(fsc, task.DFSPart)
-		if err != nil {
-			args.Err = err.Error()
-			w.report(args)
-			return
-		}
-	}
 	counters := mapreduce.NewCounters()
-	out, spans, err := mapreduce.ExecuteMapTask(job, task.TaskID, task.NumReduces, records, counters)
+	out, spans, err := mapreduce.ExecuteMapTask(job, task.TaskID, task.NumReduces, task.Split, counters)
 	if err != nil {
 		args.Err = err.Error()
 		w.report(args)

@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dfs"
-	"repro/internal/dfsio"
 	"repro/internal/mapreduce"
 	"repro/internal/model"
 )
@@ -79,21 +77,6 @@ func TestRoundTripCompactFile(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, m) {
 		t.Fatalf("compact round trip mismatch:\n got %+v\nwant %+v", got, m)
-	}
-}
-
-func TestRoundTripCompactDFS(t *testing.T) {
-	m := compactModel()
-	fs := dfs.NewMemFS()
-	if err := dfsio.SaveModel(fs, "/models/c.ddpm", m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dfsio.LoadModel(fs, "/models/c.ddpm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatal("compact model did not survive the DFS round trip")
 	}
 }
 

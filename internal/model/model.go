@@ -46,8 +46,8 @@ const (
 // headerLen is magic(8) + version(u32) + crc32c(u32) + bodyLen(u64).
 const headerLen = 8 + 4 + 4 + 8
 
-// castagnoli is the CRC32-C table, the same polynomial the DFS block store
-// checksums replicas with.
+// castagnoli is the CRC32-C table, the same polynomial the ingest WAL
+// checksums its records with.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Params are the LSH layout parameters of the training run. M == 0 means

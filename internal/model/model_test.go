@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dfs"
-	"repro/internal/dfsio"
 	"repro/internal/mapreduce"
 	"repro/internal/model"
 )
@@ -47,19 +45,6 @@ func TestRoundTripFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := model.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqual(t, got, m)
-}
-
-func TestRoundTripDFS(t *testing.T) {
-	m := testModel()
-	fs := dfs.NewMemFS()
-	if err := dfsio.SaveModel(fs, "/models/m.ddpm", m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := dfsio.LoadModel(fs, "/models/m.ddpm")
 	if err != nil {
 		t.Fatal(err)
 	}

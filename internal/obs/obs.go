@@ -62,13 +62,6 @@ const (
 // engine never emits it.
 const PhaseFetch Phase = "fetch"
 
-// PhaseRereplicate is the storage layer's background block repair: one
-// span per completed re-replication (dfs namenode), whose Wall runs from
-// the order being scheduled to the target datanode's confirming block
-// report and whose Bytes are the block size copied. MapReduce engines
-// never emit it.
-const PhaseRereplicate Phase = "rereplicate"
-
 // PhaseServe is the online serving layer's per-request span: one span per
 // query handled by the clusterd assignment engine, whose Wall runs from
 // admission to reply, Records is the number of points in the request, and
@@ -77,7 +70,7 @@ const PhaseRereplicate Phase = "rereplicate"
 const PhaseServe Phase = "serve"
 
 // PhaseOrder lists the phases in dataflow order, for stable rendering.
-var PhaseOrder = []Phase{PhaseMap, PhaseCombine, PhaseSort, PhaseShuffle, PhaseFetch, PhaseReduce, PhaseRereplicate, PhaseServe}
+var PhaseOrder = []Phase{PhaseMap, PhaseCombine, PhaseSort, PhaseShuffle, PhaseFetch, PhaseReduce, PhaseServe}
 
 // Span records one task-phase execution. Worker is the rpcmr worker id
 // that ran the task (0 on the local engine).

@@ -18,7 +18,7 @@ import (
 )
 
 // Counter names of the serving layer, reported by /statsz (and clusterd's
-// shutdown dump) next to the familiar mr.* / dfs.* families.
+// shutdown dump) next to the familiar mr.* family.
 const (
 	// CtrRequests counts admitted /assign requests.
 	CtrRequests = "serve.requests"
