@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"os/signal"
 	"syscall"
@@ -36,8 +37,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dp"
 	"repro/internal/eddpc"
-	"repro/internal/kmeansmr"
-	"repro/internal/knnjoin"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/rpcmr"
 	"repro/internal/obs"
@@ -224,7 +223,7 @@ func buildEngine(listen string, minWorkers int, wait, monitor time.Duration, ver
 	}
 	m.MonitorInterval = monitor
 	if verbose || monitor > 0 {
-		m.Events = obs.NewWriterSink(os.Stderr)
+		m.Log = log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds).Printf
 	}
 	fmt.Fprintf(os.Stderr, "ddp: master listening on %s; waiting for %d worker(s)...\n", m.Addr(), minWorkers)
 	if err := m.WaitWorkers(minWorkers, wait); err != nil {
@@ -264,16 +263,6 @@ func runAlgorithm(ctx context.Context, ds *dataset.DS, algo string, cfg core.Con
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", algo)
 	}
-}
-
-// registerAll makes every job available when this process acts as master
-// for remote workers started from the same binary family.
-func init() {
-	rpcmr.RegisterJobs(core.JobFactories())
-	rpcmr.RegisterJobs(core.HaloJobFactories())
-	rpcmr.RegisterJobs(eddpc.JobFactories())
-	rpcmr.RegisterJobs(kmeansmr.JobFactories())
-	rpcmr.RegisterJobs(knnjoin.JobFactories())
 }
 
 func fatal(err error) {

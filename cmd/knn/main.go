@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"time"
 
@@ -29,7 +30,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
 	"repro/internal/mapreduce/rpcmr"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -118,7 +118,7 @@ func (jf *joinFlags) session() (*dag.Session, func()) {
 	m, err := rpcmr.NewMaster(*jf.masterListen)
 	fatal(err)
 	if *jf.verbose {
-		m.Events = obs.NewWriterSink(os.Stderr)
+		m.Log = log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds).Printf
 	}
 	fmt.Fprintf(os.Stderr, "knn: master on %s; waiting for %d worker(s)...\n", m.Addr(), *jf.minWorkers)
 	if err := m.WaitWorkers(*jf.minWorkers, *jf.workerWait); err != nil {
@@ -263,10 +263,4 @@ func fatal(err error) {
 		fmt.Fprintf(os.Stderr, "knn: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// registerAll makes the join jobs available when this process acts as
-// master for mrd workers.
-func init() {
-	rpcmr.RegisterJobs(knnjoin.JobFactories())
 }

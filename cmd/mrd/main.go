@@ -3,7 +3,10 @@
 // in-process and hands the workers their input splits:
 //
 //	ddp ... -master-listen :7070 -min-workers 2      # or knn -master-listen
-//	mrd worker -master localhost:7070 -addr :0       # repeat per worker
+//	mrd worker -master localhost:7070 -addr :7171    # repeat per worker
+//
+// A worker opens one socket, the -addr listener other workers fetch map
+// outputs from; it calls the master and the master never calls it.
 //
 // See OPERATIONS.md for the full runbook.
 package main
@@ -11,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"os/signal"
 	"syscall"
@@ -34,7 +38,7 @@ func main() {
 func runWorker(args []string) {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	master := fs.String("master", "localhost:7070", "master address")
-	addr := fs.String("addr", ":0", "listen address for shuffle fetches")
+	addr := fs.String("addr", ":0", "listen address for shuffle fetches, the worker's only socket (:0 = any port)")
 	verbose := fs.Bool("v", false, "log task events to stderr")
 	pprofAddr := fs.String("pprof", "", "serve /debug/pprof on this address (e.g. :6061; empty = off)")
 	fs.Parse(args)
@@ -43,8 +47,7 @@ func runWorker(args []string) {
 	w, err := rpcmr.StartWorker(*master, *addr)
 	fatal(err)
 	if *verbose {
-		sink := obs.NewWriterSink(os.Stderr)
-		w.Log = func(format string, args ...any) { sink.Event("worker", format, args...) }
+		w.Log = log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds).Printf
 	}
 	fmt.Printf("mrd: worker %d serving on %s (master %s)\n", w.ID(), w.Addr(), *master)
 	ch := make(chan os.Signal, 1)

@@ -120,17 +120,6 @@ func SelectTopK(k int) PeakSelector {
 	return func(g *decision.Graph) []int32 { return g.SelectTopK(k) }
 }
 
-// SelectBox returns a selector choosing the (ρ>rhoMin, δ>deltaMin) box.
-func SelectBox(rhoMin, deltaMin float64) PeakSelector {
-	return func(g *decision.Graph) []int32 { return g.SelectBox(rhoMin, deltaMin) }
-}
-
-// SelectOutliers returns a selector choosing γ outliers above
-// mean+sigmas·std.
-func SelectOutliers(sigmas float64) PeakSelector {
-	return func(g *decision.Graph) []int32 { return g.SelectOutliers(sigmas) }
-}
-
 // Cluster performs the centralized step (Section III, Step 3): rectify
 // infinite δ, select peaks with the given selector, and assign every point
 // to a peak by following upslope chains. It returns the selected peak IDs

@@ -203,49 +203,6 @@ func (g *Graph) Assign(ds *points.Dataset, peaks []int32) ([]int32, error) {
 	return labels, nil
 }
 
-// Halo computes the cluster-core/halo split from the original DP paper (an
-// extension beyond the reproduced paper): for each cluster, the border
-// density ρ_b is the highest average density of point pairs from different
-// clusters within d_c of each other; points below their cluster's border
-// density are halo (noise) and get halo[i]=true.
-func Halo(ds *points.Dataset, labels []int32, rho []float64, dc float64) []bool {
-	n := ds.N()
-	halo := make([]bool, n)
-	if n == 0 {
-		return halo
-	}
-	nClusters := int32(0)
-	for _, l := range labels {
-		if l+1 > nClusters {
-			nClusters = l + 1
-		}
-	}
-	border := make([]float64, nClusters)
-	dc2 := dc * dc
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if labels[i] == labels[j] {
-				continue
-			}
-			if points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos) < dc2 {
-				avg := (rho[i] + rho[j]) / 2
-				if avg > border[labels[i]] {
-					border[labels[i]] = avg
-				}
-				if avg > border[labels[j]] {
-					border[labels[j]] = avg
-				}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		if labels[i] >= 0 && rho[i] < border[labels[i]] {
-			halo[i] = true
-		}
-	}
-	return halo
-}
-
 // SuggestK proposes a cluster count from the γ spectrum: sort γ
 // descending and find the largest relative gap γ_i/γ_{i+1} within the
 // first maxK candidates (peaks stand clear of the crowd on the decision

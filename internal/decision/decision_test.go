@@ -211,31 +211,6 @@ func TestGamma(t *testing.T) {
 	}
 }
 
-func TestHalo(t *testing.T) {
-	// Two tight clusters with a sparse bridge point between them.
-	ds := points.FromVectors("halo", []points.Vector{
-		{0}, {0.1}, {0.2}, // cluster 0
-		{5}, {5.1}, {5.2}, // cluster 1
-		{2.5}, // bridge
-	})
-	labels := []int32{0, 0, 0, 1, 1, 1, 0}
-	rho := []float64{3, 3, 3, 3, 3, 3, 0.5}
-	halo := Halo(ds, labels, rho, 3.0)
-	if !halo[6] {
-		t.Fatal("bridge point not in halo")
-	}
-	if halo[0] || halo[4] {
-		t.Fatal("core points flagged as halo")
-	}
-	// Without cross-cluster contact (tiny dc) nothing is halo.
-	none := Halo(ds, labels, rho, 0.01)
-	for i, h := range none {
-		if h {
-			t.Fatalf("point %d halo with tiny dc", i)
-		}
-	}
-}
-
 func TestRender(t *testing.T) {
 	g := mustGraph(t,
 		[]float64{1, 10, 5},

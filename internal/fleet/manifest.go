@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"repro/internal/lsh"
-	"repro/internal/model"
 )
 
 // Manifest describes one partitioned fleet: everything a router needs to
@@ -101,11 +100,6 @@ func (mf *Manifest) overridesByKey() (map[string]int, error) {
 		byKey[key] = s
 	}
 	return byKey, nil
-}
-
-// Params returns the LSH parameters as the model package type.
-func (mf *Manifest) Params() model.Params {
-	return model.Params{Seed: mf.Seed, M: mf.M, Pi: mf.Pi, W: mf.W}
 }
 
 // Layouts regenerates the LSH layouts the fleet buckets by.

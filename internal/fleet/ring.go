@@ -102,9 +102,6 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 	return r, nil
 }
 
-// Shards returns the shard count.
-func (r *Ring) Shards() int { return r.shards }
-
 // Owner returns the shard owning a bucket key: the first virtual point at
 // or clockwise of the key's hash.
 func (r *Ring) Owner(key string) int {

@@ -215,9 +215,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 // Counters exposes the fleet.* counter set.
 func (r *Router) Counters() *mapreduce.Counters { return r.counters }
 
-// Handler returns the HTTP handler (for tests and embedding).
-func (r *Router) Handler() http.Handler { return r.mux }
-
 // CheckShards asks every replica's /statsz whether it serves the shard this
 // router would route to it: a replica reporting a different shard id is a
 // hard error (silent wrong answers), an unreachable one only a logged

@@ -64,9 +64,6 @@ func (a *TopKAcc) Reset(k int) {
 // carry the lower index. Call it after Reset, before any row is observed.
 func (a *TopKAcc) Cap(e float64) { a.bound = e }
 
-// K returns the configured capacity.
-func (a *TopKAcc) K() int { return a.k }
-
 // Len returns the number of rows currently held (≤ k; fewer than k when the
 // scan saw fewer than k rows with finite distances).
 func (a *TopKAcc) Len() int { return len(a.h) }

@@ -114,13 +114,9 @@ func (kb *KeyBuf) Key(m int) []byte {
 	return kb.keys[lo:kb.ends[m]]
 }
 
-// Bytes returns the point's M keys back to back in layout order — a
-// canonical byte string of its whole key tuple.
-func (kb *KeyBuf) Bytes() []byte { return kb.keys }
-
 // EachKey calls emit with every layout's key as a string, in layout order.
-// The strings are slices of one copy of Bytes, so they stay valid after the
-// next Hash.
+// The strings are slices of one copy of all M keys, so they stay valid
+// after the next Hash.
 func (kb *KeyBuf) EachKey(emit func(key string)) {
 	all := string(kb.keys)
 	lo := 0

@@ -148,7 +148,7 @@ func TestAppendKeysNoAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { l.Hash(&kb, p) }); n != 0 {
 		t.Fatalf("Layouts.Hash allocates %v times per point, want 0", n)
 	}
-	if got := len(kb.Bytes()); got < 10*(1+3) {
+	if got := len(kb.keys); got < 10*(1+3) {
 		t.Fatalf("%d key bytes for 10 layouts of 3 slots", got)
 	}
 }

@@ -113,13 +113,6 @@ func (c *Counters) Get(name string) int64 {
 	return atomic.LoadInt64(p)
 }
 
-// Merge adds every counter of o into c.
-func (c *Counters) Merge(o *Counters) {
-	for name, v := range o.Snapshot() {
-		c.Add(name, v)
-	}
-}
-
 // Snapshot returns a copy of all counters.
 func (c *Counters) Snapshot() map[string]int64 {
 	c.mu.Lock()

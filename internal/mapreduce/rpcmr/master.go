@@ -20,9 +20,9 @@ import (
 // one at a time anyway); Run blocks until the job finishes or fails
 // permanently.
 type Master struct {
-	// Events, when non-nil, receives scheduler and progress events.
-	Events obs.Sink
-	// MonitorInterval, when >0 and Events is set, emits periodic counter
+	// Log, when non-nil, receives scheduler and progress events.
+	Log func(format string, args ...any)
+	// MonitorInterval, when >0 and Log is set, logs periodic counter
 	// snapshots (records/s, shuffle MB/s) while a job runs.
 	MonitorInterval time.Duration
 
@@ -34,7 +34,7 @@ type Master struct {
 
 	mu         sync.Mutex
 	cond       *sync.Cond
-	workers    map[int]*workerInfo
+	workers    map[int]string // worker id → its shuffle address
 	nextWorker int
 	jobSeq     int
 	cur        *jobRun
@@ -62,13 +62,6 @@ type JobRecord struct {
 	spans []obs.Span // worker-reported spans, served by Master.Traces
 }
 
-type workerInfo struct {
-	id          int
-	addr        string
-	shuffleAddr string
-	lastSeen    time.Time
-}
-
 type taskStatus int
 
 const (
@@ -79,7 +72,6 @@ const (
 
 type taskSlot struct {
 	status  taskStatus
-	worker  int
 	started time.Time
 }
 
@@ -89,8 +81,7 @@ type jobRun struct {
 	splits     [][]mapreduce.Pair
 	nReduce    int
 	maps       []taskSlot
-	mapAddr    []string // worker addr holding each completed map task's data
-	mapShuffle []string // that worker's streaming shuffle addr ("" = RPC only)
+	mapShuffle []string // shuffle addr of the worker holding each completed map task's data
 	reduces    []taskSlot
 	outputs    [][]mapreduce.Pair
 	counters   *mapreduce.Counters
@@ -110,7 +101,7 @@ func NewMaster(addr string) (*Master, error) {
 		lis:          lis,
 		addr:         lis.Addr().String(),
 		leaseTimeout: defaultLeaseTimeout,
-		workers:      make(map[int]*workerInfo),
+		workers:      make(map[int]string),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	srv := rpc.NewServer()
@@ -166,16 +157,10 @@ func (m *Master) WaitWorkers(n int, timeout time.Duration) error {
 	}
 }
 
-// sink resolves the event destination: Events when set, else discard.
-func (m *Master) sink() obs.Sink {
-	if m.Events != nil {
-		return m.Events
-	}
-	return obs.Discard
-}
-
 func (m *Master) logf(format string, args ...any) {
-	m.sink().Event("scheduler", format, args...)
+	if m.Log != nil {
+		m.Log(format, args...)
+	}
 }
 
 // Run implements mapreduce.Engine: it schedules the job across the
@@ -221,7 +206,6 @@ func (m *Master) Run(ctx context.Context, job *mapreduce.Job, input []mapreduce.
 		splits:     splits,
 		nReduce:    nReduce,
 		maps:       make([]taskSlot, len(splits)),
-		mapAddr:    make([]string, len(splits)),
 		mapShuffle: make([]string, len(splits)),
 		reduces:    make([]taskSlot, nReduce),
 		outputs:    make([][]mapreduce.Pair, nReduce),
@@ -230,8 +214,8 @@ func (m *Master) Run(ctx context.Context, job *mapreduce.Job, input []mapreduce.
 	m.cur = run
 	m.logf("job %d %q: %d maps, %d reduces, %d workers", run.id, job.Name, len(splits), nReduce, nWorkers)
 	var mon *obs.Monitor
-	if m.MonitorInterval > 0 && m.Events != nil {
-		mon = obs.StartMonitor(job.Name, m.MonitorInterval, run.counters.Snapshot, m.sink())
+	if m.MonitorInterval > 0 && m.Log != nil {
+		mon = obs.StartMonitor(job.Name, m.MonitorInterval, run.counters.Snapshot, m.Log)
 	}
 	// Cancellation watcher: ctx.Done fails this run and wakes the wait
 	// loop below; workers' in-flight attempts complete but are dropped as
@@ -260,10 +244,6 @@ func (m *Master) Run(ctx context.Context, job *mapreduce.Job, input []mapreduce.
 	finished := run.done
 	m.cur = nil
 	closed := m.closed
-	workers := make([]string, 0, len(m.workers))
-	for _, w := range m.workers {
-		workers = append(workers, w.addr)
-	}
 	m.mu.Unlock()
 	if mon != nil {
 		mon.Stop()
@@ -271,14 +251,6 @@ func (m *Master) Run(ctx context.Context, job *mapreduce.Job, input []mapreduce.
 
 	if closed && err == nil && !finished {
 		return nil, fmt.Errorf("rpcmr: master closed mid-job")
-	}
-	// Best-effort cleanup of intermediate data on all workers.
-	for _, addr := range workers {
-		if c, derr := dialWorker(addr); derr == nil {
-			var rep CleanupReply
-			c.Call("Worker.Cleanup", &CleanupArgs{JobID: run.id}, &rep)
-			c.Close()
-		}
 	}
 	wall := time.Since(start)
 	record := JobRecord{
@@ -343,7 +315,7 @@ type masterRPC struct {
 // worker whose every map task would later read as lost.
 func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	if _, port, err := net.SplitHostPort(args.ShuffleAddr); err != nil || port == "" {
-		return fmt.Errorf("rpcmr: register %q: ShuffleAddr %q is not host:port", args.Addr, args.ShuffleAddr)
+		return fmt.Errorf("rpcmr: register: ShuffleAddr %q is not host:port", args.ShuffleAddr)
 	}
 	m := r.m
 	m.mu.Lock()
@@ -353,13 +325,15 @@ func (r *masterRPC) Register(args *RegisterArgs, reply *RegisterReply) error {
 	}
 	m.nextWorker++
 	id := m.nextWorker
-	m.workers[id] = &workerInfo{id: id, addr: args.Addr, shuffleAddr: args.ShuffleAddr, lastSeen: time.Now()}
+	m.workers[id] = args.ShuffleAddr
 	reply.WorkerID = id
-	m.logf("worker %d registered at %s", id, args.Addr)
+	m.logf("worker %d registered at %s", id, args.ShuffleAddr)
 	return nil
 }
 
-// GetTask hands the polling worker its next task, if any.
+// GetTask hands the polling worker its next task, if any. The reply names
+// the live job (0 for none) whatever its kind: that is how a worker learns
+// which stored map outputs it may drop, so the master never dials a worker.
 func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 	m := r.m
 	m.mu.Lock()
@@ -368,16 +342,15 @@ func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 		reply.Kind = TaskShutdown
 		return nil
 	}
-	w, ok := m.workers[args.WorkerID]
-	if !ok {
+	if _, ok := m.workers[args.WorkerID]; !ok {
 		return fmt.Errorf("rpcmr: unknown worker %d", args.WorkerID)
 	}
-	w.lastSeen = time.Now()
+	reply.Kind = TaskWait
 	run := m.cur
 	if run == nil || run.done {
-		reply.Kind = TaskWait
 		return nil
 	}
+	reply.JobID = run.id
 	now := time.Now()
 	assignable := func(s *taskSlot) bool {
 		return s.status == taskIdle ||
@@ -385,7 +358,6 @@ func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 	}
 	assignMap := func(ti int) {
 		reply.Kind = TaskMap
-		reply.JobID = run.id
 		reply.JobName = run.job.Name
 		reply.Conf = run.job.Conf
 		reply.TaskID = ti
@@ -400,7 +372,6 @@ func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 			allMapsDone = false
 			if assignable(s) {
 				s.status = taskRunning
-				s.worker = args.WorkerID
 				s.started = now
 				assignMap(ti)
 				return nil
@@ -408,17 +379,15 @@ func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 		}
 	}
 	if !allMapsDone {
-		reply.Kind = TaskWait
 		return nil
 	}
 	// Reduce phase.
 	locations := make([]MapLocation, len(run.maps))
 	for ti := range run.maps {
-		locations[ti] = MapLocation{MapTaskID: ti, WorkerAddr: run.mapAddr[ti], ShuffleAddr: run.mapShuffle[ti]}
+		locations[ti] = MapLocation{MapTaskID: ti, ShuffleAddr: run.mapShuffle[ti]}
 	}
 	assignReduce := func(ti int) {
 		reply.Kind = TaskReduce
-		reply.JobID = run.id
 		reply.JobName = run.job.Name
 		reply.Conf = run.job.Conf
 		reply.TaskID = ti
@@ -429,13 +398,11 @@ func (r *masterRPC) GetTask(args *GetTaskArgs, reply *GetTaskReply) error {
 		s := &run.reduces[ti]
 		if s.status != taskDone && assignable(s) {
 			s.status = taskRunning
-			s.worker = args.WorkerID
 			s.started = now
 			assignReduce(ti)
 			return nil
 		}
 	}
-	reply.Kind = TaskWait
 	return nil
 }
 
@@ -472,7 +439,6 @@ func (r *masterRPC) CompleteTask(args *CompleteArgs, reply *CompleteReply) error
 			for _, mt := range args.FailedMaps {
 				if mt >= 0 && mt < len(run.maps) {
 					run.maps[mt] = taskSlot{}
-					run.mapAddr[mt] = ""
 					run.mapShuffle[mt] = ""
 				}
 			}
@@ -495,10 +461,7 @@ func (r *masterRPC) CompleteTask(args *CompleteArgs, reply *CompleteReply) error
 	}
 	s.status = taskDone
 	if args.Kind == TaskMap {
-		if w, ok := m.workers[args.WorkerID]; ok {
-			run.mapAddr[args.TaskID] = w.addr
-			run.mapShuffle[args.TaskID] = w.shuffleAddr
-		}
+		run.mapShuffle[args.TaskID] = m.workers[args.WorkerID]
 	} else {
 		run.outputs[args.TaskID] = args.Output
 	}
@@ -529,12 +492,4 @@ func mergeCounters(dst *mapreduce.Counters, snap map[string]int64) {
 	for _, name := range names {
 		dst.Add(name, snap[name])
 	}
-}
-
-func dialWorker(addr string) (*rpc.Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return rpc.NewClient(conn), nil
 }

@@ -1,16 +1,21 @@
 // Package rpcmr is the distributed MapReduce engine: a master and a fleet
-// of workers communicating over net/rpc, executing the same Job values as
-// the in-process engine. The division of labour mirrors Hadoop 1.x (the
-// system the reproduced paper ran on):
+// of workers, executing the same Job values as the in-process engine.
+// Control flows one way: workers call the master over net/rpc and nothing
+// calls them back. The division of labour mirrors Hadoop 1.x (the system
+// the reproduced paper ran on), where TaskTrackers heartbeat the
+// JobTracker and each reply carries both task launches and job cleanup:
 //
 //   - the master owns job state, splits input (mapreduce.SplitInput, the
 //     local engine's splitter), assigns map and reduce tasks to polling
 //     workers under leases, and re-executes tasks whose worker disappears;
+//     every poll reply names the live job, and a worker drops the stored
+//     map outputs of every other job;
 //   - workers execute tasks with mapreduce.ExecuteMapTask /
 //     ExecuteReduceTask — the task bodies the local engine runs too — keep
 //     their map outputs locally, and serve them to
 //     reducers over a worker-to-worker streaming shuffle transport
-//     (chunked binary frames — see transport.go);
+//     (chunked binary frames — see transport.go), whose listener is a
+//     worker's only socket;
 //   - functions do not serialize, so workers rebuild jobs from a local
 //     registry of job factories keyed by job name; everything else a job
 //     needs ships in its Conf.
@@ -49,8 +54,6 @@ const (
 
 // RegisterArgs / RegisterReply: worker sign-on.
 type RegisterArgs struct {
-	// Addr is the worker's RPC address (cleanup).
-	Addr string
 	// ShuffleAddr is the worker's streaming shuffle listener, host:port.
 	// Required: Register rejects a worker that advertises none, since
 	// reducers have no other way to reach its map outputs.
@@ -69,15 +72,16 @@ type GetTaskArgs struct {
 
 // MapLocation names one completed map task's data.
 type MapLocation struct {
-	MapTaskID  int
-	WorkerAddr string
+	MapTaskID int
 	// ShuffleAddr is the holding worker's streaming shuffle listener.
 	ShuffleAddr string
 }
 
 // GetTaskReply describes the assigned task (or Wait/Shutdown).
 type GetTaskReply struct {
-	Kind    TaskKind
+	Kind TaskKind
+	// JobID names the live job on every reply, TaskWait included, and is 0
+	// when no job is running: the worker keeps only that job's map outputs.
 	JobID   int
 	JobName string
 	Conf    mapreduce.Conf
@@ -114,14 +118,6 @@ type CompleteArgs struct {
 
 // CompleteReply acknowledges a completion report.
 type CompleteReply struct{}
-
-// CleanupArgs / CleanupReply: drop a finished job's intermediate data.
-type CleanupArgs struct {
-	JobID int
-}
-
-// CleanupReply acknowledges a cleanup.
-type CleanupReply struct{}
 
 // JobFactory rebuilds a runnable Job from its shipped Conf. It is a type
 // alias so plain factory maps (e.g. core.JobFactories()) pass through

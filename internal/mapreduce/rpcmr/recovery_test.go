@@ -3,6 +3,7 @@ package rpcmr
 import (
 	"context"
 	"fmt"
+	"net/rpc"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,8 @@ import (
 )
 
 // slowOnce is a job whose map stalls past the lease on its first attempt,
-// forcing the master to re-assign it.
+// forcing the master to re-assign it. slowOnceStalls goes 0 → 1 when the
+// stall starts and 1 → 2 when the stalled call returns.
 var slowOnceStalls int64
 
 func init() {
@@ -23,6 +25,7 @@ func init() {
 			Map: func(_ *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
 				if atomic.CompareAndSwapInt64(&slowOnceStalls, 0, 1) {
 					time.Sleep(600 * time.Millisecond) // beyond the test lease
+					atomic.StoreInt64(&slowOnceStalls, 2)
 				}
 				out.Emit(string(value), []byte("1"))
 				return nil
@@ -127,6 +130,106 @@ func TestWorkerCleanupDropsIntermediateData(t *testing.T) {
 	}
 }
 
+// storeEntries counts the map outputs the workers hold.
+func storeEntries(ws []*Worker) int {
+	total := 0
+	for _, w := range ws {
+		w.mu.Lock()
+		total += len(w.store)
+		w.mu.Unlock()
+	}
+	return total
+}
+
+// A map attempt the lease re-queued can finish after its job has ended. Its
+// output must not outlive the job: the worker's next poll names no live
+// job, and the worker drops it.
+func TestLateMapAttemptLeavesNoData(t *testing.T) {
+	m, ws := startCluster(t, 2)
+	m.leaseTimeout = 150 * time.Millisecond
+	atomic.StoreInt64(&slowOnceStalls, 0)
+	factory, err := lookupJob("slow-once")
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := []mapreduce.Pair{{Value: []byte("a")}, {Value: []byte("b")}, {Value: []byte("c")}}
+	if _, err := m.Run(context.Background(), factory(nil), input); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); atomic.LoadInt64(&slowOnceStalls) != 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled map attempt never returned")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for n := storeEntries(ws); n > 0; n = storeEntries(ws) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d map outputs left on the workers after the late attempt", n)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// pairBarrier's map tasks each wait until two of them are running, so its
+// two map tasks land on two workers; the first returns at once, the second
+// 300 ms later, while the first one's worker polls and waits.
+var pairBarrier struct {
+	started, execs atomic.Int64
+}
+
+func init() {
+	RegisterJob("pair-barrier", func(conf mapreduce.Conf) *mapreduce.Job {
+		return &mapreduce.Job{
+			Name:       "pair-barrier",
+			NumMaps:    2,
+			NumReduces: 1,
+			Map: func(_ *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
+				pairBarrier.execs.Add(1)
+				n := pairBarrier.started.Add(1)
+				for deadline := time.Now().Add(5 * time.Second); pairBarrier.started.Load() < 2; {
+					if time.Now().After(deadline) {
+						return fmt.Errorf("map tasks never ran side by side")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				if n == 2 {
+					time.Sleep(300 * time.Millisecond)
+				}
+				out.Emit(string(value), []byte("1"))
+				return nil
+			},
+			Reduce: sumReduce,
+		}
+	})
+}
+
+// A worker keeps the live job's map outputs across the TaskWait replies it
+// polls while other tasks run, so the one reducer fetches both workers'
+// outputs and no map task runs twice.
+func TestWaitingWorkerKeepsLiveJobOutputs(t *testing.T) {
+	m, _ := startCluster(t, 2)
+	pairBarrier.started.Store(0)
+	pairBarrier.execs.Store(0)
+	factory, err := lookupJob("pair-barrier")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(context.Background(), factory(nil), []mapreduce.Pair{{Value: []byte("a")}, {Value: []byte("b")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pairBarrier.execs.Load(); n != 2 {
+		t.Fatalf("%d map executions for 2 map tasks: a stored output was dropped", n)
+	}
+	if res.Counters.Get(mapreduce.CtrShuffleWireBytes) == 0 {
+		t.Fatal("the reducer fetched nothing remotely")
+	}
+	if len(res.Output) != 2 {
+		t.Fatalf("output %v, want a and b", res.Output)
+	}
+}
+
 func TestSequentialJobsReuseCluster(t *testing.T) {
 	m, _ := startCluster(t, 2)
 	for i := 0; i < 5; i++ {
@@ -150,20 +253,28 @@ func TestSequentialJobsReuseCluster(t *testing.T) {
 	}
 }
 
-func TestConcurrentRunRejected(t *testing.T) {
-	m, _ := startCluster(t, 1)
-	block := make(chan struct{})
+// blockUntil holds the gate channel block-until's map waits on; each run
+// of TestConcurrentRunRejected installs a fresh one.
+var blockUntil atomic.Value
+
+func init() {
 	RegisterJob("block-until", func(conf mapreduce.Conf) *mapreduce.Job {
 		return &mapreduce.Job{
 			Name: "block-until",
 			Map: func(_ *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-				<-block
+				<-blockUntil.Load().(chan struct{})
 				out.Emit("k", []byte("1"))
 				return nil
 			},
 			Reduce: sumReduce,
 		}
 	})
+}
+
+func TestConcurrentRunRejected(t *testing.T) {
+	m, _ := startCluster(t, 1)
+	block := make(chan struct{})
+	blockUntil.Store(block)
 	factory, _ := lookupJob("block-until")
 	done := make(chan error, 1)
 	go func() {
@@ -262,13 +373,13 @@ func TestCompleteTaskRejectsUnknownTask(t *testing.T) {
 	// The hand-driven worker below takes the map task and never completes
 	// it; the lease hands it to a real worker.
 	m.leaseTimeout = 200 * time.Millisecond
-	c, err := dialWorker(m.Addr())
+	c, err := rpc.Dial("tcp", m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	var reg RegisterReply
-	if err := c.Call("Master.Register", &RegisterArgs{Addr: "127.0.0.1:9", ShuffleAddr: "127.0.0.1:10"}, &reg); err != nil {
+	if err := c.Call("Master.Register", &RegisterArgs{ShuffleAddr: "127.0.0.1:10"}, &reg); err != nil {
 		t.Fatal(err)
 	}
 

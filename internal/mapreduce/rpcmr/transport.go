@@ -18,7 +18,8 @@ import (
 // that streams a partition as record frames — the
 // uint32-length-prefixed layout of mapreduce/frame.go, which model sections
 // use too — in bounded chunks. It is the only worker-to-worker
-// data path; net/rpc carries control traffic alone.
+// data path, and its listener is a worker's only socket: net/rpc carries
+// the workers' calls to the master alone, and the master dials no worker.
 //
 // Wire protocol, little-endian throughout. One connection serves many
 // sequential requests (reducers pool connections per peer):

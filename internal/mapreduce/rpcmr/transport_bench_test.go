@@ -29,13 +29,13 @@ func BenchmarkShuffleTransport(b *testing.B) {
 			framed += mapreduce.FrameBytes(p)
 		}
 		b.Run(sz.name, func(b *testing.B) {
-			_, ws := startCluster(b, 2)
+			ws := startPeers(b, 2)
 			seedStore(ws[0], 1, 0, [][]mapreduce.Pair{pairs})
 			b.SetBytes(framed)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				got, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 1, 0, 0)
+				got, _, err := ws[1].fetchStream(ws[0].addr, 1, 0, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/rpc"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -20,6 +21,34 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 )
+
+// startPeers starts n workers that serve shuffle fetches but have no
+// master to poll, so what seedStore plants stays put: a polling worker drops
+// the map outputs of every job but the one its master is running.
+func startPeers(t testing.TB, n int) []*Worker {
+	t.Helper()
+	ws := make([]*Worker, n)
+	for i := range ws {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &Worker{
+			addr:    lis.Addr().String(),
+			lis:     lis,
+			store:   make(map[storeKey][][]mapreduce.Pair),
+			streams: make(map[string][]*shuffleStream),
+			quit:    make(chan struct{}),
+		}
+		go w.serveShuffleLoop(lis)
+		t.Cleanup(func() {
+			lis.Close()
+			w.closeStreams()
+		})
+		ws[i] = w
+	}
+	return ws
+}
 
 // seedStore plants a partitioned map output directly in a worker's store,
 // letting transport tests exercise fetches without running a job.
@@ -63,11 +92,11 @@ func wantWireBytes(pairs []mapreduce.Pair, chunkBytes int) int64 {
 func pastOneChunk() []mapreduce.Pair { return textPairs(3000, 100) }
 
 func TestShuffleStreamRoundTrip(t *testing.T) {
-	_, ws := startCluster(t, 2)
+	ws := startPeers(t, 2)
 	want := pastOneChunk()
 	seedStore(ws[0], 7, 3, [][]mapreduce.Pair{nil, want})
 
-	got, stats, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 3, 1)
+	got, stats, err := ws[1].fetchStream(ws[0].addr, 7, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +111,7 @@ func TestShuffleStreamRoundTrip(t *testing.T) {
 	}
 
 	// The empty partition round-trips too.
-	got0, stats0, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 3, 0)
+	got0, stats0, err := ws[1].fetchStream(ws[0].addr, 7, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +194,8 @@ func FuzzShuffleStream(f *testing.F) {
 }
 
 func TestShuffleStreamMissingPartitionPermanent(t *testing.T) {
-	_, ws := startCluster(t, 2)
-	_, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 99, 0, 0)
+	ws := startPeers(t, 2)
+	_, _, err := ws[1].fetchStream(ws[0].addr, 99, 0, 0)
 	if !errors.Is(err, errShuffleMissing) {
 		t.Fatalf("missing partition: got %v, want errShuffleMissing", err)
 	}
@@ -175,7 +204,7 @@ func TestShuffleStreamMissingPartitionPermanent(t *testing.T) {
 	// boundary: the same stream must answer a valid request afterwards.
 	want := textPairs(10, 32)
 	seedStore(ws[0], 99, 0, [][]mapreduce.Pair{want})
-	s, err := ws[1].getStream(ws[0].shuffleAddr)
+	s, err := ws[1].getStream(ws[0].addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +222,9 @@ func TestShuffleStreamMissingPartitionPermanent(t *testing.T) {
 }
 
 func TestShuffleStreamConnectionReuse(t *testing.T) {
-	_, ws := startCluster(t, 2)
+	ws := startPeers(t, 2)
 	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{textPairs(50, 64)})
-	addr := ws[0].shuffleAddr
+	addr := ws[0].addr
 
 	if _, _, err := ws[1].fetchStream(addr, 7, 0, 0); err != nil {
 		t.Fatal(err)
@@ -223,7 +252,7 @@ func TestShuffleStreamConnectionReuse(t *testing.T) {
 // partition, and the older 20-byte "DPS2" request, which carried a chunk
 // hint, closes the connection without a reply byte.
 func TestShuffleRequestWire(t *testing.T) {
-	_, ws := startCluster(t, 1)
+	ws := startPeers(t, 1)
 	want := textPairs(10, 32)
 	seedStore(ws[0], 5, 2, [][]mapreduce.Pair{nil, want})
 	request := func(magic string, fields ...uint32) []byte {
@@ -234,7 +263,7 @@ func TestShuffleRequestWire(t *testing.T) {
 		return req
 	}
 	dial := func() net.Conn {
-		conn, err := net.Dial("tcp", ws[0].shuffleAddr)
+		conn, err := net.Dial("tcp", ws[0].addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +299,7 @@ func TestShuffleRequestWire(t *testing.T) {
 }
 
 func TestShuffleStreamMidStreamAbortIsTransient(t *testing.T) {
-	_, ws := startCluster(t, 2)
+	ws := startPeers(t, 2)
 	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{pastOneChunk()})
 	ws[0].shuffleChunkHook = func(_, _, _, chunk int) error {
 		if chunk >= 1 {
@@ -278,7 +307,7 @@ func TestShuffleStreamMidStreamAbortIsTransient(t *testing.T) {
 		}
 		return nil
 	}
-	_, _, err := ws[1].fetchStream(ws[0].shuffleAddr, 7, 0, 0)
+	_, _, err := ws[1].fetchStream(ws[0].addr, 7, 0, 0)
 	if err == nil {
 		t.Fatal("mid-stream abort went unnoticed")
 	}
@@ -295,14 +324,14 @@ func TestShuffleStreamMidStreamAbortIsTransient(t *testing.T) {
 // admits no worker.
 func TestRegisterRejectsMissingShuffleAddr(t *testing.T) {
 	m, _ := startCluster(t, 0)
-	c, err := dialWorker(m.Addr())
+	c, err := rpc.Dial("tcp", m.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	for _, bad := range []string{"", "127.0.0.1", "127.0.0.1:", "no port here"} {
 		var reply RegisterReply
-		err := c.Call("Master.Register", &RegisterArgs{Addr: "127.0.0.1:9", ShuffleAddr: bad}, &reply)
+		err := c.Call("Master.Register", &RegisterArgs{ShuffleAddr: bad}, &reply)
 		if err == nil {
 			t.Errorf("ShuffleAddr %q: registration accepted as worker %d", bad, reply.WorkerID)
 		}
@@ -311,23 +340,57 @@ func TestRegisterRejectsMissingShuffleAddr(t *testing.T) {
 		t.Fatalf("%d workers admitted by rejected registrations", n)
 	}
 	var reply RegisterReply
-	if err := c.Call("Master.Register", &RegisterArgs{Addr: "127.0.0.1:9", ShuffleAddr: "127.0.0.1:10"}, &reply); err != nil {
+	if err := c.Call("Master.Register", &RegisterArgs{ShuffleAddr: "127.0.0.1:10"}, &reply); err != nil {
 		t.Fatalf("well-formed registration refused: %v", err)
 	}
 }
 
-// TestFetchWithoutShuffleAddrIsLostOutput: a remote location that names no
-// shuffle listener is a permanent loss (no retry can fix it), so the reduce
-// reports the map in FailedMaps and the master re-executes it.
+// TestFetchWithoutShuffleAddrIsLostOutput: a location whose shuffle
+// listener no longer answers is lost once the retries run out, so the
+// reduce reports the map in FailedMaps and the master re-executes it.
 func TestFetchWithoutShuffleAddrIsLostOutput(t *testing.T) {
-	_, ws := startCluster(t, 2)
-	seedStore(ws[0], 7, 0, [][]mapreduce.Pair{textPairs(10, 16)})
-	task := &GetTaskReply{JobID: 7, Maps: []MapLocation{{MapTaskID: 0, WorkerAddr: ws[0].addr}}}
-	if _, _, err := ws[1].fetchOne(task.Maps[0], task); !errors.Is(err, errShuffleMissing) {
-		t.Fatalf("fetchOne error %v, want errShuffleMissing", err)
+	ws := startPeers(t, 1)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, failed := ws[1].fetchAll(task); !reflect.DeepEqual(failed, []int{0}) {
+	closed := lis.Addr().String()
+	lis.Close()
+	task := &GetTaskReply{JobID: 7, Maps: []MapLocation{{MapTaskID: 0, ShuffleAddr: closed}}}
+	if _, _, failed := ws[0].fetchAll(task); !reflect.DeepEqual(failed, []int{0}) {
 		t.Fatalf("failed maps %v, want [0]", failed)
+	}
+}
+
+// StartWorker's listen address is the worker's one socket: the shuffle
+// listener binds exactly there, and a peer fetches from that port.
+func TestWorkerServesFetchesOnListenAddr(t *testing.T) {
+	m, _ := startCluster(t, 0)
+	ws := startPeers(t, 1)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	lis.Close()
+	w, err := StartWorker(m.Addr(), addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if w.Addr() != addr {
+		t.Fatalf("worker listens on %s, asked for %s", w.Addr(), addr)
+	}
+	// Job 0 is the id every poll names while no job runs, so the polling
+	// worker keeps this output.
+	want := textPairs(10, 16)
+	seedStore(w, 0, 0, [][]mapreduce.Pair{want})
+	got, _, err := ws[0].fetchStream(addr, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fetched %d pairs from %s, want %d", len(got), addr, len(want))
 	}
 }
 

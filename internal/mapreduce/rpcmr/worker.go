@@ -12,20 +12,17 @@ import (
 	"repro/internal/obs"
 )
 
-// Worker executes tasks for one master. It serves a one-method RPC surface
-// of its own (cleanup), a streaming shuffle listener (transport.go), and
-// polls the master for work.
+// Worker executes tasks for one master. It polls the master for work and
+// serves its map outputs on a streaming shuffle listener (transport.go),
+// its only socket: nothing but reducers ever dials it.
 type Worker struct {
 	// Log, when non-nil, receives task events.
 	Log func(format string, args ...any)
 
 	id     int
-	addr   string
+	addr   string // the shuffle listener's address
 	lis    net.Listener
 	master *rpc.Client
-
-	shuffleLis  net.Listener
-	shuffleAddr string
 
 	mu    sync.Mutex
 	store map[storeKey][][]mapreduce.Pair // partitioned map outputs
@@ -53,56 +50,34 @@ type storeKey struct {
 	jobID, mapTask int
 }
 
-// StartWorker launches a worker: it listens on listenAddr (":0" for any
-// port), registers with the master, and begins polling in a goroutine.
-// Close stops it.
+// StartWorker launches a worker: it binds its shuffle listener on
+// listenAddr (":0" for any port), registers with the master, and begins
+// polling in a goroutine. Close stops it.
 func StartWorker(masterAddr, listenAddr string) (*Worker, error) {
 	lis, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("rpcmr: worker listen: %w", err)
 	}
-	// The streaming shuffle gets its own listener on the same host, so
-	// bulk partition bytes never contend with the net/rpc control plane.
-	host, _, err := net.SplitHostPort(lis.Addr().String())
-	if err != nil {
-		host = ""
-	}
-	shuffleLis, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
-	if err != nil {
-		lis.Close()
-		return nil, fmt.Errorf("rpcmr: worker shuffle listen: %w", err)
-	}
 	w := &Worker{
-		addr:        lis.Addr().String(),
-		lis:         lis,
-		shuffleLis:  shuffleLis,
-		shuffleAddr: shuffleLis.Addr().String(),
-		store:       make(map[storeKey][][]mapreduce.Pair),
-		streams:     make(map[string][]*shuffleStream),
-		quit:        make(chan struct{}),
-		done:        make(chan struct{}),
+		addr:    lis.Addr().String(),
+		lis:     lis,
+		store:   make(map[storeKey][][]mapreduce.Pair),
+		streams: make(map[string][]*shuffleStream),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Worker", &workerRPC{w: w}); err != nil {
-		lis.Close()
-		shuffleLis.Close()
-		return nil, err
-	}
-	go acceptLoop(lis, srv)
-	go w.serveShuffleLoop(shuffleLis)
+	go w.serveShuffleLoop(lis)
 
 	conn, err := net.DialTimeout("tcp", masterAddr, 5*time.Second)
 	if err != nil {
 		lis.Close()
-		shuffleLis.Close()
 		return nil, fmt.Errorf("rpcmr: dial master: %w", err)
 	}
 	w.master = rpc.NewClient(conn)
 	var reply RegisterReply
-	if err := w.master.Call("Master.Register", &RegisterArgs{Addr: w.addr, ShuffleAddr: w.shuffleAddr}, &reply); err != nil {
+	if err := w.master.Call("Master.Register", &RegisterArgs{ShuffleAddr: w.addr}, &reply); err != nil {
 		w.master.Close()
 		lis.Close()
-		shuffleLis.Close()
 		return nil, fmt.Errorf("rpcmr: register: %w", err)
 	}
 	w.id = reply.WorkerID
@@ -110,7 +85,7 @@ func StartWorker(masterAddr, listenAddr string) (*Worker, error) {
 	return w, nil
 }
 
-// Addr returns the worker's RPC address.
+// Addr returns the worker's shuffle address.
 func (w *Worker) Addr() string { return w.addr }
 
 // ID returns the master-assigned worker id.
@@ -124,7 +99,6 @@ func (w *Worker) Close() error {
 	<-w.done
 	w.master.Close()
 	err := w.lis.Close()
-	w.shuffleLis.Close()
 	w.closeStreams()
 	return err
 }
@@ -157,6 +131,7 @@ func (w *Worker) loop() {
 			}
 			continue
 		}
+		w.dropOtherJobs(task.JobID)
 		switch task.Kind {
 		case TaskShutdown:
 			return
@@ -306,14 +281,9 @@ func (w *Worker) fetchAll(task *GetTaskReply) ([][]mapreduce.Pair, []obs.Span, [
 // when the data is ours, else over the streaming transport. Only remote
 // fetches produce a span (the wire-level observation).
 func (w *Worker) fetchOne(loc MapLocation, task *GetTaskReply) ([]mapreduce.Pair, *obs.Span, error) {
-	if loc.WorkerAddr == w.addr {
+	if loc.ShuffleAddr == w.addr {
 		pairs, err := w.partitionForShuffle(task.JobID, loc.MapTaskID, task.TaskID)
 		return pairs, nil, err
-	}
-	if loc.ShuffleAddr == "" {
-		// Register refuses such workers, so this location cannot be dialled
-		// and never could: the output is lost, the master re-executes it.
-		return nil, nil, fmt.Errorf("%w: map %d on %s has no shuffle address", errShuffleMissing, loc.MapTaskID, loc.WorkerAddr)
 	}
 	var lastErr error
 	for attempt := 0; attempt <= shuffleRetries; attempt++ {
@@ -353,20 +323,15 @@ func (w *Worker) tagSpans(spans []obs.Span, jobID int) []obs.Span {
 	return spans
 }
 
-// workerRPC is the worker's RPC surface for the master.
-type workerRPC struct {
-	w *Worker
-}
-
-// Cleanup drops a job's intermediate data.
-func (r *workerRPC) Cleanup(args *CleanupArgs, reply *CleanupReply) error {
-	w := r.w
+// dropOtherJobs deletes the stored map outputs of every job but the live
+// one, which each poll reply names (0: none). Outputs of a finished job go
+// at the worker's next poll, a late attempt's as soon as it polls again.
+func (w *Worker) dropOtherJobs(liveJob int) {
 	w.mu.Lock()
 	for k := range w.store {
-		if k.jobID == args.JobID {
+		if k.jobID != liveJob {
 			delete(w.store, k)
 		}
 	}
 	w.mu.Unlock()
-	return nil
 }

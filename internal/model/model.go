@@ -23,11 +23,9 @@
 package model
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 
@@ -418,25 +416,6 @@ func encodeInt32s(xs []int32) []byte {
 
 func decodeInt32s(f mapreduce.Pair) ([]int32, error) {
 	return decodeSection(f, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) })
-}
-
-// Write serializes the model to w.
-func (m *Model) Write(w io.Writer) error {
-	data, err := m.Encode()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(data)
-	return err
-}
-
-// Read decodes a model from r (reading to EOF).
-func Read(r io.Reader) (*Model, error) {
-	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, r); err != nil {
-		return nil, fmt.Errorf("model: %w", err)
-	}
-	return Decode(buf.Bytes())
 }
 
 // WriteFile atomically-ish writes the model to a local file (temp file in

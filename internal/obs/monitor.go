@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Monitor periodically samples a counter snapshot and emits throughput
-// deltas as "progress" events, so a long-running job shows live
+// Monitor periodically samples a counter snapshot and logs throughput
+// deltas as progress lines, so a long-running job shows live
 // records/s and shuffle MB/s instead of only end-of-run totals. The
 // snapshot function must be safe to call from another goroutine (the
 // engines' Counters.Snapshot is).
@@ -26,16 +26,16 @@ const (
 	ctrShuffleWireBytes = "shuffle.wire.bytes"
 )
 
-// StartMonitor begins sampling snapshot every interval and emitting one
-// progress event per tick until Stop is called. A final event is emitted
-// on Stop so short jobs still produce one snapshot.
-func StartMonitor(job string, interval time.Duration, snapshot func() map[string]int64, sink Sink) *Monitor {
+// StartMonitor begins sampling snapshot every interval and passing one
+// progress line per tick to logf until Stop is called. A final line is
+// logged on Stop so short jobs still produce one snapshot.
+func StartMonitor(job string, interval time.Duration, snapshot func() map[string]int64, logf func(format string, args ...any)) *Monitor {
 	m := &Monitor{stop: make(chan struct{}), done: make(chan struct{})}
-	go m.loop(job, interval, snapshot, sink)
+	go m.loop(job, interval, snapshot, logf)
 	return m
 }
 
-func (m *Monitor) loop(job string, interval time.Duration, snapshot func() map[string]int64, sink Sink) {
+func (m *Monitor) loop(job string, interval time.Duration, snapshot func() map[string]int64, logf func(format string, args ...any)) {
 	defer close(m.done)
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
@@ -54,7 +54,7 @@ func (m *Monitor) loop(job string, interval time.Duration, snapshot func() map[s
 		if w := cur[ctrShuffleWireBytes]; w > 0 {
 			wire = fmt.Sprintf(", %.2f MB wire", float64(w)/(1<<20))
 		}
-		sink.Event("progress", "job %s: %d map records (+%.0f rec/s), %.2f MB shuffled (+%.2f MB/s)%s, %d reduce records",
+		logf("progress: job %s: %d map records (+%.0f rec/s), %.2f MB shuffled (+%.2f MB/s)%s, %d reduce records",
 			job, cur[ctrMapOutputRecords], float64(dRec)/dt,
 			float64(cur[ctrShuffleBytes])/(1<<20), float64(dBytes)/dt/(1<<20),
 			wire, cur[ctrReduceOutRecords])
@@ -71,7 +71,7 @@ func (m *Monitor) loop(job string, interval time.Duration, snapshot func() map[s
 	}
 }
 
-// Stop ends the sampling loop after a final snapshot event.
+// Stop ends the sampling loop after a final snapshot line.
 func (m *Monitor) Stop() {
 	close(m.stop)
 	<-m.done

@@ -24,9 +24,9 @@
 // engine-specific observations and excluded from the geometry invariant.
 //
 // Traces serialize as JSONL (one span per line, machine-readable) and as a
-// human-readable tree. The package also provides the event sink the
-// engines log through, a periodic counter monitor for live throughput on
-// long jobs, and an opt-in pprof HTTP server for the daemons.
+// human-readable tree. The package also provides a periodic counter
+// monitor for live throughput on long jobs, logging through the caller's
+// Log func, and an opt-in pprof HTTP server for the daemons.
 package obs
 
 import (

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -138,21 +139,14 @@ func TestTraceConcurrentAdd(t *testing.T) {
 	}
 }
 
-// kindSink records the kind of every event.
-type kindSink struct {
-	mu    sync.Mutex
-	kinds []string
-}
-
-func (s *kindSink) Event(kind, _ string, _ ...any) {
-	s.mu.Lock()
-	s.kinds = append(s.kinds, kind)
-	s.mu.Unlock()
-}
-
 func TestMonitorEmits(t *testing.T) {
 	var mu sync.Mutex
-	sink := &kindSink{}
+	var lines []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
 	var n int64
 	snapshot := func() map[string]int64 {
 		mu.Lock()
@@ -161,16 +155,16 @@ func TestMonitorEmits(t *testing.T) {
 		mu.Unlock()
 		return map[string]int64{"map.output.records": v, "shuffle.bytes": v * 10}
 	}
-	m := StartMonitor("test", 5*time.Millisecond, snapshot, sink)
+	m := StartMonitor("test", 5*time.Millisecond, snapshot, logf)
 	time.Sleep(20 * time.Millisecond)
 	m.Stop()
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if len(sink.kinds) == 0 {
-		t.Fatal("monitor emitted no events")
+	mu.Lock()
+	defer mu.Unlock()
+	if len(lines) == 0 {
+		t.Fatal("monitor logged no lines")
 	}
-	if sink.kinds[0] != "progress" {
-		t.Fatalf("event kind = %q", sink.kinds[0])
+	if !strings.HasPrefix(lines[0], "progress: job test:") {
+		t.Fatalf("first line = %q", lines[0])
 	}
 }
 

@@ -227,9 +227,6 @@ func (s *Server) Engine() *Engine { return s.engine.Load() }
 // Counters exposes the serve.* counter set.
 func (s *Server) Counters() *mapreduce.Counters { return s.counters }
 
-// Handler returns the HTTP handler (for tests and embedding).
-func (s *Server) Handler() http.Handler { return s.mux }
-
 // Start listens on addr and serves until Shutdown; the HTTP loop runs in a
 // background goroutine.
 func (s *Server) Start(addr string) error {

@@ -15,7 +15,6 @@ package tuning
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -223,37 +222,6 @@ func samplePoints(ds *points.Dataset, k int, seed int64) []points.Point {
 		out[i] = ds.Points[perm[i]]
 	}
 	return out
-}
-
-// BalanceStats summarizes partition-size skew for one (π, w) probe — used
-// by the Figure 12 discussion (small M with large π skews the workload).
-type BalanceStats struct {
-	Partitions int
-	MaxShare   float64 // largest partition's fraction of points
-	CV         float64 // coefficient of variation of partition sizes
-}
-
-// Balance measures partition balance of one probe layout on a sample.
-func (m *Model) Balance(ds *points.Dataset, pi int, w float64) (BalanceStats, error) {
-	if pi <= 0 || w <= 0 {
-		return BalanceStats{}, fmt.Errorf("tuning: bad probe pi=%d w=%v", pi, w)
-	}
-	sample := samplePoints(ds, m.sampleSize(), m.Seed)
-	counts, _ := coBucketed(sample, ds.Dim(), 1, pi, w, m.Seed+848485)
-	st := BalanceStats{Partitions: len(counts)}
-	n := float64(len(sample))
-	mean := n / float64(len(counts))
-	var varsum float64
-	for _, c := range counts {
-		share := float64(c) / n
-		if share > st.MaxShare {
-			st.MaxShare = share
-		}
-		d := float64(c) - mean
-		varsum += d * d
-	}
-	st.CV = math.Sqrt(varsum/float64(len(counts))) / mean
-	return st, nil
 }
 
 // CalibrateMu measures μ — Eq. 9's ratio of per-byte shuffle time to

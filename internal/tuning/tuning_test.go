@@ -166,27 +166,6 @@ func TestRecommendErrors(t *testing.T) {
 	}
 }
 
-func TestBalance(t *testing.T) {
-	m, ds := testModel(t)
-	fine, err := m.Balance(ds, 10, m.Dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarse, err := m.Balance(ds, 1, m.Dc*100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fine.Partitions <= coarse.Partitions {
-		t.Fatalf("fine probe has %d partitions, coarse %d", fine.Partitions, coarse.Partitions)
-	}
-	if coarse.MaxShare <= fine.MaxShare {
-		t.Fatalf("coarse probe should concentrate points: %v vs %v", coarse.MaxShare, fine.MaxShare)
-	}
-	if _, err := m.Balance(ds, 0, 1); err == nil {
-		t.Fatal("want error for pi=0")
-	}
-}
-
 func TestCalibrateMu(t *testing.T) {
 	mu := CalibrateMu(57, 1)
 	if mu < 0.001 || mu > 100 {
