@@ -13,8 +13,8 @@ all: check
 # serving engine's bucket sweep, the ρ-partial codec, the record frame, the
 # ρ reducers' runs-apart certificate, the HTTP point decoder, the shuffle
 # fetcher's response decoder, the WAL record decoder and segment replay, the compact
-# shortlist's distance cap, the kNN-join's records and the model artifact's
-# section walk for five seconds each, smoke
+# shortlist's distance cap, the kNN-join's records and box table and the
+# model artifact's section walk for five seconds each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, compile + smoke the benchmark harness
 # (all five workloads, oracles checked), and run the six example programs,
@@ -91,8 +91,11 @@ race:
 # on arbitrary rows, query and bound, at f32 and q8, every row within the
 # bound survives the cap, the capped scan's answer is the nearest row within
 # the bound, and nothing panics. The kNN-join's records — bucket query,
-# partial list, merged result — face arbitrary bytes: error or exactly the
-# input re-encoded, and both jobs' maps error or emit, never a panic. A
+# partial list, result — and the box table its candidates job filters base
+# copies by face arbitrary bytes: error or exactly the input re-encoded (a
+# ragged box, a truncated or repeated key is an error), and both jobs' maps
+# error or account for the record — emit it, or drop base copies outside
+# every routed box — never both, never a panic. A
 # model artifact's body, under a recomputed header and checksum, reaches
 # the section walk: error, or a valid model that round-trips through
 # Encode / Decode unchanged — a ragged or repeated section is an error.

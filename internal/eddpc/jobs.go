@@ -5,30 +5,12 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 
 	"repro/internal/dp"
 	"repro/internal/kernels"
 	"repro/internal/mapreduce"
 	"repro/internal/points"
 )
-
-// assignerCache avoids recomputing pivot geometry per task; keyed by the
-// encoded pivot string (tasks of one job share it).
-var assignerCache sync.Map // string -> *assigner
-
-func assignerFromConf(conf mapreduce.Conf) (*assigner, error) {
-	key := conf[confPivots]
-	if v, ok := assignerCache.Load(key); ok {
-		return v.(*assigner), nil
-	}
-	a, err := newAssigner(conf)
-	if err != nil {
-		return nil, err
-	}
-	assignerCache.Store(key, a)
-	return a, nil
-}
 
 const (
 	tagHome    byte = 1
@@ -84,11 +66,12 @@ func decodeTaggedGroup(m *points.Matrix, values [][]byte, firstTag byte) (nFirst
 // home point is guaranteed present (the bound never exceeds the true
 // point-to-cell distance), so no aggregation job is needed.
 func RhoJob(conf mapreduce.Conf) *mapreduce.Job {
+	assigner := mapreduce.ConfOnce(newAssigner) // the pivots, decoded once per job instance
 	return &mapreduce.Job{
 		Name: JobRho,
 		Conf: conf,
 		Map: func(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-			a, err := assignerFromConf(ctx.Conf)
+			a, err := assigner(ctx.Conf)
 			if err != nil {
 				return err
 			}
@@ -140,11 +123,12 @@ func RhoJob(conf mapreduce.Conf) *mapreduce.Job {
 // δ_ub = min distance to a denser home point; a locally densest point gets
 // δ_ub = +∞ (its refinement pass will visit every cell).
 func DeltaLocalJob(conf mapreduce.Conf) *mapreduce.Job {
+	assigner := mapreduce.ConfOnce(newAssigner) // the pivots, decoded once per job instance
 	return &mapreduce.Job{
 		Name: JobDeltaLoc,
 		Conf: conf,
 		Map: func(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-			a, err := assignerFromConf(ctx.Conf)
+			a, err := assigner(ctx.Conf)
 			if err != nil {
 				return err
 			}
@@ -207,11 +191,12 @@ func decodeQuery(v []byte) (points.RhoPoint, float64, int32, error) {
 // query with the nearest denser home point closer than the query's bound,
 // if any.
 func DeltaRefineJob(conf mapreduce.Conf) *mapreduce.Job {
+	assigner := mapreduce.ConfOnce(newAssigner) // the pivots, decoded once per job instance
 	return &mapreduce.Job{
 		Name: JobDeltaRef,
 		Conf: conf,
 		Map: func(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-			a, err := assignerFromConf(ctx.Conf)
+			a, err := assigner(ctx.Conf)
 			if err != nil {
 				return err
 			}

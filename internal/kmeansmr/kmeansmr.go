@@ -158,11 +158,19 @@ func initialCenters(ds *points.Dataset, k int, seed int64) []points.Vector {
 }
 
 // IterateJob builds the per-iteration job from a conf carrying centroids.
+// The map side decodes them once per job instance.
 func IterateJob(conf mapreduce.Conf) *mapreduce.Job {
+	centroids := mapreduce.ConfOnce(centroidsFromConf)
 	return &mapreduce.Job{
-		Name:    JobIterate,
-		Conf:    conf,
-		Map:     assignMap,
+		Name: JobIterate,
+		Conf: conf,
+		Map: func(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
+			centers, err := centroids(ctx.Conf)
+			if err != nil {
+				return err
+			}
+			return assignMap(ctx, centers, value, out)
+		},
 		Combine: sumPartials,
 		Reduce:  recenterReduce,
 	}
@@ -170,11 +178,7 @@ func IterateJob(conf mapreduce.Conf) *mapreduce.Job {
 
 // assignMap assigns a point to its nearest centroid and emits a partial
 // sum record (count=1, sum=point).
-func assignMap(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-	centers, err := centroidsFromConf(ctx.Conf)
-	if err != nil {
-		return err
-	}
+func assignMap(ctx *mapreduce.TaskContext, centers []points.Vector, value []byte, out mapreduce.Emitter) error {
 	p, _, err := points.DecodePoint(value)
 	if err != nil {
 		return err

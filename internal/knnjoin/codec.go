@@ -4,24 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/points"
 )
 
 // Wire formats of the kNN-join jobs, following the repository's fixed
-// little-endian layout convention (see internal/points/codec.go). Three
-// record kinds flow through the pipeline:
+// little-endian layout convention (see internal/points/codec.go). These
+// records flow through the pipeline:
 //
 //	input/bucket base record:  [1]{'b'} point
 //	input query record:        [1]{'q'} point
 //	bucket query record:       [1]{'Q'} [8]{g} point
-//	partial top-k list:        [4]{qid} [8]{g} [4]{n} n×([4]{sid} [8]{d2})
-//	merged result:             [4]{qid} [1]{status} [4]{n} n×([4]{sid} [8]{d2})
+//	partial top-k list:        [4]{qid} [4]{n} n×([4]{sid} [8]{d2})
+//	result:                    [4]{qid} [1]{status} [4]{n} n×([4]{sid} [8]{d2})
 //
-// The one-byte tag keeps the two join sides distinguishable inside a
-// shared reducer group; the candidate map attaches each query's bucket
-// guarantee radius g (lsh.Layouts.GuaranteeRadius) so the merge reducer
-// can decide the exact-fallback question without re-hashing.
+// and the candidates job's Conf carries one side table:
+//
+//	box table:  [4]{dim} [4]{n} n×([4]{len} key dim×[8]{lo} dim×[8]{hi})
+//
+// with keys in strictly ascending byte order. The one-byte tag keeps the
+// two join sides distinguishable inside a shared reducer group; the
+// candidate map attaches each query's bucket guarantee radius g
+// (lsh.Layouts.GuaranteeRadius) so the bucket reducer can decide the
+// exact-fallback question without re-hashing.
 
 // Record tags.
 const (
@@ -32,8 +38,8 @@ const (
 
 // Result status bytes.
 const (
-	statusOK       = 'o' // bucket guarantee certifies the candidate top-k
-	statusFallback = 'f' // query needs (or came from) the exact pass
+	statusOK       = 'o' // the entries are the query's answer
+	statusFallback = 'f' // query needs the exact pass
 )
 
 // Neighbor is one join result entry: a base-side point ID and the exact
@@ -117,29 +123,24 @@ func decodeNeighbors(buf []byte) ([]Neighbor, []byte, error) {
 	return ns, buf, nil
 }
 
-// partialList is one bucket's verified top-k of one query.
+// partialList is one exact-pass partition's verified top-k of one query.
 type partialList struct {
 	QID     int32
-	G       float64 // bucket guarantee radius (+Inf on the exact pass)
 	Entries []Neighbor
 }
 
 func encodePartial(p partialList) []byte {
-	buf := make([]byte, 0, 16+12*len(p.Entries))
+	buf := make([]byte, 0, 8+12*len(p.Entries))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.QID))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.G))
 	return appendNeighbors(buf, p.Entries)
 }
 
 func decodePartial(buf []byte) (partialList, error) {
-	if len(buf) < 12 {
+	if len(buf) < 4 {
 		return partialList{}, fmt.Errorf("knnjoin: short partial list (%d bytes)", len(buf))
 	}
-	p := partialList{
-		QID: int32(binary.LittleEndian.Uint32(buf)),
-		G:   math.Float64frombits(binary.LittleEndian.Uint64(buf[4:])),
-	}
-	ns, rest, err := decodeNeighbors(buf[12:])
+	p := partialList{QID: int32(binary.LittleEndian.Uint32(buf))}
+	ns, rest, err := decodeNeighbors(buf[4:])
 	if err != nil {
 		return partialList{}, err
 	}
@@ -150,7 +151,9 @@ func decodePartial(buf []byte) (partialList, error) {
 	return p, nil
 }
 
-// resultRec is the merge job's per-query output.
+// resultRec is one query's answer: from its bucket on the candidates pass
+// (certified, or flagged for the exact pass with no entries), from the merge
+// job on the exact pass.
 type resultRec struct {
 	QID      int32
 	Fallback bool
@@ -189,4 +192,73 @@ func decodeResult(buf []byte) (resultRec, error) {
 	}
 	r.Entries = ns
 	return r, nil
+}
+
+// encodeBoxes serializes a box table, keys in ascending byte order.
+func encodeBoxes(t *boxTable) string {
+	keys := make([]string, 0, len(t.boxes))
+	for key := range t.boxes {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	buf := make([]byte, 0, 8+len(keys)*(12+16*t.dim))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.dim))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
+	for _, key := range keys {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+		buf = append(buf, key...)
+		for _, v := range t.boxes[key] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+	}
+	return string(buf)
+}
+
+// decodeBoxes parses a box table. It rejects anything encodeBoxes cannot
+// have produced — a short header, an empty or truncated key, a ragged box, a
+// key that repeats or breaks the ascending order, trailing bytes — so a table
+// it accepts re-encodes to the same bytes.
+func decodeBoxes(s string) (*boxTable, error) {
+	b := []byte(s)
+	if len(b) < 8 {
+		return nil, fmt.Errorf("knnjoin: short box table (%d bytes)", len(b))
+	}
+	dim, n := uint64(binary.LittleEndian.Uint32(b)), uint64(binary.LittleEndian.Uint32(b[4:]))
+	b = b[8:]
+	side := 16 * dim // bytes of one box
+	// An entry takes at least a length, one key byte and a box.
+	if n > uint64(len(b))/(5+side) {
+		return nil, fmt.Errorf("knnjoin: %d boxes of dim %d do not fit in %d bytes", n, dim, len(b))
+	}
+	t := &boxTable{dim: int(dim), boxes: make(map[string][]float64, n)}
+	vals := make([]float64, 2*dim*n)
+	prev := ""
+	for i := uint64(0); i < n; i++ {
+		if len(b) < 4 {
+			return nil, fmt.Errorf("knnjoin: box table entry %d: truncated key length", i)
+		}
+		kl := uint64(binary.LittleEndian.Uint32(b))
+		b = b[4:]
+		if kl == 0 || kl > uint64(len(b)) {
+			return nil, fmt.Errorf("knnjoin: box table entry %d: key of %d bytes, %d left", i, kl, len(b))
+		}
+		key := string(b[:kl])
+		b = b[kl:]
+		if i > 0 && key <= prev {
+			return nil, fmt.Errorf("knnjoin: box table entry %d: key %x does not follow %x", i, key, prev)
+		}
+		if uint64(len(b)) < side {
+			return nil, fmt.Errorf("knnjoin: box table entry %d: ragged box (%d bytes, want %d)", i, len(b), side)
+		}
+		box := vals[2*dim*i : 2*dim*(i+1)]
+		for j := range box {
+			box[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+		}
+		b = b[side:]
+		t.boxes[key], prev = box, key
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("knnjoin: %d trailing bytes after box table", len(b))
+	}
+	return t, nil
 }

@@ -2,6 +2,7 @@ package knnjoin
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -10,12 +11,29 @@ import (
 )
 
 // FuzzKnnRecords feeds arbitrary bytes to every decoder of the join's wire
-// formats and to both jobs' map functions. Each decoder either returns an
-// error or a value that re-encodes to exactly the input; each map either
-// returns an error or emits, and never both; nothing panics.
+// formats — the box table included — and to both jobs' map functions. Each
+// decoder either returns an error or a value that re-encodes to exactly the
+// input; each map either returns an error or accounts for the record —
+// emits it, or on the candidates job drops every base copy it does not ship
+// — and never both; nothing panics.
 func FuzzKnnRecords(f *testing.F) {
 	p := points.Point{ID: 7, Pos: points.Vector{1.5, -2}}
 	ns := []Neighbor{{ID: 3, D2: 0.25}, {ID: 9, D2: math.Inf(1)}}
+	conf := buildConf(2, 3, 1.5, &Config{M: 2, Pi: 2, Seed: 1})
+	table := routeBoxes(layoutsOf(conf), points.FromVectors("R", []points.Vector{p.Pos, {4, 4}, {math.NaN(), 0}}))
+	conf[confBoxes] = encodeBoxes(table)
+	boxes := []byte(conf[confBoxes])
+	entry := func(key string, vals ...float64) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(key)))
+		b = append(b, key...)
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	header := func(dim, n uint32) []byte {
+		return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, dim), n)
+	}
 	for _, seed := range [][]byte{
 		{},
 		{tagBase},
@@ -25,13 +43,19 @@ func FuzzKnnRecords(f *testing.F) {
 		encodeTagged(tagQuery, points.Point{ID: 1, Pos: points.Vector{math.NaN(), math.Inf(-1)}}),
 		encodeTagged(tagBase, points.Point{ID: 2, Pos: points.Vector{1, 2, 3}}), // wrong dimension
 		encodeBucketQuery(0.75, p),
-		encodePartial(partialList{QID: 4, G: math.Inf(1), Entries: ns}),
+		encodePartial(partialList{QID: 4, Entries: ns}),
 		encodeResult(resultRec{QID: 5, Fallback: true, Entries: ns}),
 		encodeResult(resultRec{QID: 6}),
+		boxes,
+		boxes[:len(boxes)-1],                          // ragged last box
+		append(header(1, 1), entry("\x00\x01", 0)...), // ragged box
+		append(header(1, 1), 9, 0, 0, 0, 1),           // truncated key
+		append(append(header(1, 2), entry("k", 0, 1)...), entry("k", 0, 1)...), // repeated key
+		append(append(header(1, 2), entry("k", 0, 1)...), entry("a", 0, 1)...), // keys out of order
+		header(0, 0),
 	} {
 		f.Add(seed)
 	}
-	conf := buildConf(2, 3, 1.5, &Config{M: 2, Pi: 2, Seed: 1})
 	jobs := []*mapreduce.Job{CandidatesJob(conf), ExactJob(conf)}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if g, p, err := decodeBucketQuery(in); err == nil {
@@ -49,13 +73,51 @@ func FuzzKnnRecords(f *testing.F) {
 				t.Fatalf("result %x re-encodes to %x", in, out)
 			}
 		}
+		if bt, err := decodeBoxes(string(in)); err == nil {
+			if out := encodeBoxes(bt); out != string(in) {
+				t.Fatalf("box table %x re-encodes to %x", in, out)
+			}
+		}
 		for _, job := range jobs {
 			ctx := &mapreduce.TaskContext{Conf: conf, NumReduces: 3, Counters: mapreduce.NewCounters()}
 			emitted := 0
 			err := job.Map(ctx, "", in, mapreduce.EmitterFunc(func(string, []byte) { emitted++ }))
-			if (err == nil) != (emitted > 0) {
-				t.Fatalf("%s map of %x: err %v after %d records", job.Name, in, err, emitted)
+			dropped := ctx.Counters.Get(CtrBaseDropped)
+			if (err == nil) != (int64(emitted)+dropped > 0) || (err != nil && emitted > 0) {
+				t.Fatalf("%s map of %x: err %v after %d records, %d dropped", job.Name, in, err, emitted, dropped)
 			}
 		}
 	})
+}
+
+// TestBoxTableDecodeErrors: each way a box table can be malformed is an
+// error, and a well-formed one round-trips.
+func TestBoxTableDecodeErrors(t *testing.T) {
+	ok := &boxTable{dim: 2, boxes: map[string][]float64{"\x00\x01": {0, 1, 2, 3}, "\x01\x02": {-1, -1, math.Inf(1), math.NaN()}}}
+	enc := encodeBoxes(ok)
+	got, err := decodeBoxes(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if encodeBoxes(got) != enc || len(got.boxes) != 2 || got.dim != 2 {
+		t.Fatalf("round trip: %+v", got)
+	}
+	lenAt := 8 // first key length
+	repeated := []byte(encodeBoxes(&boxTable{dim: 0, boxes: map[string][]float64{"a": {}, "b": {}}}))
+	repeated[len(repeated)-1] = 'a' // "a", "a"
+	for name, bad := range map[string]string{
+		"short header":   enc[:7],
+		"ragged box":     enc[:len(enc)-1],
+		"trailing byte":  enc + "\x00",
+		"truncated key":  enc[:lenAt] + "\xff\x00\x00\x00" + enc[lenAt+4:],
+		"empty key":      enc[:lenAt] + "\x00\x00\x00\x00" + enc[lenAt+4:],
+		"repeated key":   string(repeated),
+		"too many boxes": enc[:4] + "\x03\x00\x00\x00" + enc[8:],
+		"huge dimension": "\xff\xff\xff\xff\x01\x00\x00\x00\x01\x00\x00\x00k",
+		"huge box count": "\x01\x00\x00\x00\xff\xff\xff\xff",
+	} {
+		if _, err := decodeBoxes(bad); err == nil {
+			t.Errorf("%s: decoded without an error", name)
+		}
+	}
 }

@@ -1,15 +1,17 @@
 // Package knnjoin is the distributed kNN-join subsystem: R ⋉kNN S as a
-// chain of MapReduce jobs. The LSH-bucketed candidate pass replicates the
-// base side into its hash bucket under every layout (like the ρ job of
-// LSH-DDP) and sends each query to one bucket only — its bucket in the
-// layout that attains its guarantee radius (lsh.Layouts.GuaranteeRadius),
-// the only one whose answer can be certified. Each bucket reducer computes
-// its queries' exact top-k over the bucket's base rows, walking a
+// chain of MapReduce jobs. The LSH-bucketed candidates job sends each query
+// to one bucket only — its bucket in the layout that attains its guarantee
+// radius (lsh.Layouts.GuaranteeRadius), the only one whose answer can be
+// certified — and a base point to those of its M hash buckets (one per
+// layout, like the ρ job of LSH-DDP) where a routed query can use it: the
+// driver ships, per routed bucket, the box around its queries' guarantee
+// balls, and the map drops a base copy outside it. Each bucket reducer
+// computes its queries' exact top-k over the bucket's base rows, walking a
 // median-split box tree over them so that most rows are ruled out by a box
-// bound without a distance evaluation; a merge pass uses the guarantee
-// radius to certify the answer or flag the query for the exact-fallback
-// pass, which re-joins just the uncertified queries against all of S. The
-// final result is bit-identical to a naive full join.
+// bound without a distance evaluation, and uses the guarantee radius to
+// certify each answer or flag the query for the exact-fallback pass, which
+// re-joins just the uncertified queries against all of S. The final result
+// is bit-identical to a naive full join.
 package knnjoin
 
 import (
@@ -60,7 +62,14 @@ const (
 	// CtrFallbacks counts queries whose bucket result could not be
 	// certified by the guarantee radius and were re-joined exactly.
 	CtrFallbacks = "knn.exact.fallbacks"
+	// CtrBaseDropped counts the base copies the candidates map did not
+	// ship: of a base point's M buckets, those no routed query can use.
+	CtrBaseDropped = "knn.base.dropped"
 )
+
+// confBoxes carries the candidates job's box table (encodeBoxes), which the
+// driver builds from R (routeBoxes). It is not a knob.
+const confBoxes = "knn.boxes"
 
 // Job names (the distributed engine's registry keys).
 const (
@@ -77,30 +86,118 @@ func lazyLayouts() func(mapreduce.Conf) *lsh.Layouts {
 	var once sync.Once
 	var l *lsh.Layouts
 	return func(conf mapreduce.Conf) *lsh.Layouts {
-		once.Do(func() {
-			l = lsh.Cached(conf.GetInt(ConfDim, 0), conf.GetInt(ConfM, 1), conf.GetInt(ConfPi, 1),
-				conf.GetFloat(ConfW, 1), conf.GetInt64(ConfSeed, 0))
-		})
+		once.Do(func() { l = layoutsOf(conf) })
 		return l
 	}
 }
 
-// keyBufs pools the query-side map's hash scratch: it needs the projections
-// behind the keys, not only the keys.
+// layoutsOf returns the process-wide copy of the layouts conf describes.
+func layoutsOf(conf mapreduce.Conf) *lsh.Layouts {
+	return lsh.Cached(conf.GetInt(ConfDim, 0), conf.GetInt(ConfM, 1), conf.GetInt(ConfPi, 1),
+		conf.GetFloat(ConfW, 1), conf.GetInt64(ConfSeed, 0))
+}
+
+// keyBufs pools the candidates map's hash scratch: the query side needs the
+// projections behind the keys, not only the keys.
 var keyBufs = sync.Pool{New: func() any { return new(lsh.KeyBuf) }}
 
-// CandidatesJob is pass 1 of the bucketed join. The map side hashes both
-// input sides under all M layouts: base (S) records replicate to their home
-// bucket in every layout unchanged; a query (R) record is annotated with
-// its guarantee radius and goes to one bucket, its own in the layout that
-// attains the radius. The merge pass accepts a bucketed answer only when
-// all of it lies strictly inside that radius, hence inside that bucket, so
-// no other layout's bucket could have changed an accepted answer. Each
-// bucket reducer computes the exact top-k of every query over the bucket's
-// base rows and emits one partial list per query, keyed by query ID for
-// the merge pass.
+// boxTable is the candidates job's base filter. For each bucket some query
+// is routed to with a guarantee radius g > 0, it holds a closed box: the
+// union over those queries q of [q_t − g − pad_t, q_t + g + pad_t] on every
+// axis t, with pad_t = 2⁻³⁰·(|q_t| + g). A base point ships to a bucket only
+// if the bucket has a box and the point lies in it.
+//
+// Exactness: a base point the bucket's reducer puts strictly within g of a
+// routed query — as the kernels compute the distance, every axis term
+// included — lies within g of it on every axis up to rounding, which the pad
+// absorbs many times over, so it is in the box. A certified list lies
+// strictly inside g, so every certified list, ties included, reaches its
+// reducer whole. A query the full bucket would not certify is not certified
+// by a filtered one either: dropping rows only raises its k-th distance or
+// leaves it fewer than k rows. So the lists and the fallback set are those
+// of shipping every copy.
+type boxTable struct {
+	dim   int
+	boxes map[string][]float64 // bucket key → lo (dim values), then hi (dim values)
+}
+
+// routeBoxes hashes every query as the candidates map does and returns the
+// box table of the buckets the queries are routed to. A query with g = 0
+// adds no box: nothing lies strictly within 0, so it always falls back.
+func routeBoxes(layouts *lsh.Layouts, R *points.Dataset) *boxTable {
+	t := &boxTable{dim: layouts.Dim(), boxes: make(map[string][]float64)}
+	var kb lsh.KeyBuf
+	for _, q := range R.Points {
+		layouts.Hash(&kb, q.Pos)
+		g, layout := layouts.GuaranteeRadius(&kb)
+		if !(g > 0) {
+			continue
+		}
+		key := kb.Key(layout)
+		box, ok := t.boxes[string(key)]
+		if !ok {
+			box = make([]float64, 2*t.dim)
+			for i := range t.dim {
+				box[i], box[t.dim+i] = math.Inf(1), math.Inf(-1)
+			}
+			t.boxes[string(key)] = box
+		}
+		lo, hi := box[:t.dim], box[t.dim:]
+		for i, x := range q.Pos {
+			pad := 0x1p-30 * (math.Abs(x) + g)
+			lo[i] = min(lo[i], x-g-pad)
+			hi[i] = max(hi[i], x+g+pad)
+		}
+	}
+	return t
+}
+
+// admits reports whether a base point at p ships to the bucket key: the
+// bucket has a box and p lies in it, bounds included. A non-finite
+// coordinate passes its axis: the filter drops only what it can place.
+func (t *boxTable) admits(key string, p points.Vector) bool {
+	box, ok := t.boxes[key]
+	if !ok {
+		return false
+	}
+	lo, hi := box[:t.dim], box[t.dim:]
+	for i, x := range p {
+		if (x < lo[i] || x > hi[i]) && !math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// boxesFromConf decodes the candidates job's box table.
+func boxesFromConf(conf mapreduce.Conf) (*boxTable, error) {
+	s, ok := conf[confBoxes]
+	if !ok {
+		return nil, fmt.Errorf("knnjoin: %s job has no box table", JobCandidates)
+	}
+	t, err := decodeBoxes(s)
+	if err != nil {
+		return nil, err
+	}
+	if dim := conf.GetInt(ConfDim, 0); t.dim != dim {
+		return nil, fmt.Errorf("knnjoin: box table of dim %d for points of dim %d", t.dim, dim)
+	}
+	return t, nil
+}
+
+// CandidatesJob is the bucketed pass. The map side hashes both input sides
+// under all M layouts. A query (R) record is annotated with its guarantee
+// radius and goes to one bucket, its own in the layout that attains the
+// radius; a base (S) record goes, unchanged, to those of its M buckets whose
+// box it lies in (boxTable). Each bucket reducer computes the exact top-k of
+// every query over the bucket's base rows and certifies it: an answer is
+// accepted only when all of it lies strictly inside the radius, hence inside
+// that bucket, so no other layout's bucket — and no dropped copy — could
+// have changed an accepted answer. It emits one result per query, keyed by
+// query ID.
 func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 	lazy := lazyLayouts()
+	boxes := mapreduce.ConfOnce(boxesFromConf)
 	return &mapreduce.Job{
 		Name: JobCandidates,
 		Conf: conf,
@@ -122,20 +219,34 @@ func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 			if len(p.Pos) != layouts.Dim() {
 				return fmt.Errorf("knnjoin: point %d has dim %d, the layouts hash dim %d", p.ID, len(p.Pos), layouts.Dim())
 			}
-			if value[0] == tagBase {
-				layouts.EachKey(p.Pos, func(key string) { out.Emit(key, value) })
-				return nil
+			table, err := boxes(ctx.Conf)
+			if err != nil {
+				return err
 			}
 			// One projection pass yields both the keys and the margins the
 			// guarantee radius is made of.
 			kb := keyBufs.Get().(*lsh.KeyBuf)
+			defer keyBufs.Put(kb)
 			layouts.Hash(kb, p.Pos)
-			g, layout := layouts.GuaranteeRadius(kb)
-			out.Emit(string(kb.Key(layout)), encodeBucketQuery(g, p))
-			keyBufs.Put(kb)
+			if value[0] == tagQuery {
+				g, layout := layouts.GuaranteeRadius(kb)
+				out.Emit(string(kb.Key(layout)), encodeBucketQuery(g, p))
+				return nil
+			}
+			var dropped int64
+			kb.EachKey(func(key string) {
+				if table.admits(key, p.Pos) {
+					out.Emit(key, value)
+				} else {
+					dropped++
+				}
+			})
+			if dropped > 0 {
+				ctx.Counters.Cell(CtrBaseDropped).Add(dropped)
+			}
 			return nil
 		},
-		Reduce: bucketReduce,
+		Reduce: bucketReduce(true),
 	}
 }
 
@@ -160,10 +271,10 @@ func lazyExactKeys() func(n int) []string {
 }
 
 // ExactJob is the fallback join: base records partition by ID, queries
-// broadcast to every partition with an infinite guarantee radius, and each
-// partition's bucketReduce sees a disjoint slice of all of S — so the
-// merged result is the exact join. The driver also uses it directly as the
-// naive-broadcast oracle.
+// broadcast to every partition, and each partition's bucket reducer sees a
+// disjoint slice of all of S and emits a partial list per query — so the
+// result MergeJob folds them into is the exact join. The driver also uses it
+// directly as the naive-broadcast oracle.
 func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 	lazy := lazyExactKeys()
 	return &mapreduce.Job{
@@ -207,7 +318,7 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 			}
 			return part % numReduces
 		},
-		Reduce: bucketReduce,
+		Reduce: bucketReduce(false),
 	}
 }
 
@@ -215,9 +326,13 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 // built from.
 var boxTrees = sync.Pool{New: func() any { return new(kernels.BoxTree) }}
 
-// bucketReduce computes the exact top-k of every query in one bucket over
-// the bucket's base rows. It is shared by the candidate and exact jobs —
-// the only difference between the passes is how records reached the bucket.
+// bucketReduce returns the bucket reducer of a pass: it computes the exact
+// top-k of every query in one group over the group's base rows. With certify
+// (the candidates pass: a query meets exactly one bucket) it applies the
+// guarantee radius itself and emits each query's result — certified, or
+// flagged for the exact pass with no entries — and counts the flagged ones in
+// CtrFallbacks. Without (the exact pass: a group is one partition of S) it
+// emits each query's partial list for MergeJob.
 //
 // Determinism: base records are sorted by point ID before they are decoded
 // into the matrix, so matrix row order — and with it the top-k kernels'
@@ -226,103 +341,114 @@ var boxTrees = sync.Pool{New: func() any { return new(kernels.BoxTree) }}
 // median-split box tree over those rows (kernels.TopKLeaves), built from
 // the matrix alone, so the number of distances it evaluates, and of box
 // bounds it computes, is as deterministic as the lists.
-func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
-	var baseRecs [][]byte
-	type bucketQuery struct {
-		g float64
-		p points.Point
-	}
-	var queries []bucketQuery
-	for _, v := range values {
-		if len(v) == 0 {
-			return fmt.Errorf("knnjoin: empty bucket record")
+func bucketReduce(certify bool) mapreduce.ReduceFunc {
+	return func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
+		var baseRecs [][]byte
+		type bucketQuery struct {
+			g float64
+			p points.Point
 		}
-		switch v[0] {
-		case tagBase:
-			baseRecs = append(baseRecs, v)
-		case tagBucketQ:
-			g, p, err := decodeBucketQuery(v)
-			if err != nil {
-				return err
+		var queries []bucketQuery
+		for _, v := range values {
+			if len(v) == 0 {
+				return fmt.Errorf("knnjoin: empty bucket record")
 			}
-			queries = append(queries, bucketQuery{g: g, p: p})
-		default:
-			return fmt.Errorf("knnjoin: unknown bucket tag %q", v[0])
+			switch v[0] {
+			case tagBase:
+				baseRecs = append(baseRecs, v)
+			case tagBucketQ:
+				g, p, err := decodeBucketQuery(v)
+				if err != nil {
+					return err
+				}
+				queries = append(queries, bucketQuery{g: g, p: p})
+			default:
+				return fmt.Errorf("knnjoin: unknown bucket tag %q", v[0])
+			}
 		}
-	}
-	if len(queries) == 0 {
-		return nil
-	}
-	slices.SortFunc(queries, func(a, b bucketQuery) int { return cmp.Compare(a.p.ID, b.p.ID) })
-	if len(baseRecs) == 0 {
-		// A bucket with no base rows still reports each query so the merge
-		// pass sees its guarantee radius (and, on the exact pass over an
-		// empty S, still produces a result record).
+		if len(queries) == 0 {
+			return nil
+		}
+		slices.SortFunc(queries, func(a, b bucketQuery) int { return cmp.Compare(a.p.ID, b.p.ID) })
+		k := ctx.Conf.GetInt(ConfK, 1)
+		emit := func(q bucketQuery, ns []Neighbor) {
+			key := mapreduce.IDKey(q.p.ID)
+			if !certify {
+				out.Emit(key, encodePartial(partialList{QID: q.p.ID, Entries: ns}))
+				return
+			}
+			// Every neighbour strictly within g shares the query's bucket in
+			// the layout it was routed by, and its box (boxTable).
+			ok := math.IsInf(q.g, 1)
+			if len(ns) == k {
+				ok = math.Sqrt(ns[k-1].D2) < q.g
+			}
+			if !ok {
+				ctx.Counters.Cell(CtrFallbacks).Add(1)
+				ns = nil
+			}
+			out.Emit(key, encodeResult(resultRec{QID: q.p.ID, Fallback: !ok, Entries: ns}))
+		}
+		if len(baseRecs) == 0 {
+			// A group with no base rows still answers each query: an empty
+			// list, which only an infinite radius certifies.
+			for _, q := range queries {
+				emit(q, nil)
+			}
+			return nil
+		}
+		slices.SortFunc(baseRecs, func(a, b []byte) int { return cmp.Compare(baseID(a), baseID(b)) })
+		views := make([][]byte, len(baseRecs))
+		for i, v := range baseRecs {
+			views[i] = v[1:]
+		}
+		m := points.GetMatrix()
+		defer points.PutMatrix(m)
+		if err := points.DecodePointsInto(m, views); err != nil {
+			return err
+		}
+		dim := m.Dim()
+		if dim < 1 {
+			return fmt.Errorf("knnjoin: base points of dim %d", dim)
+		}
 		for _, q := range queries {
-			out.Emit(mapreduce.IDKey(q.p.ID), encodePartial(partialList{QID: q.p.ID, G: q.g}))
+			if len(q.p.Pos) != dim {
+				return fmt.Errorf("knnjoin: query dim %d, base dim %d", len(q.p.Pos), dim)
+			}
 		}
+
+		// One accumulator and one entry buffer serve every query in turn.
+		var acc kernels.TopKAcc
+		var entries []kernels.TopKEntry
+		tree := boxTrees.Get().(*kernels.BoxTree)
+		defer boxTrees.Put(tree)
+		tree.Build(m.Data(), dim)
+		var nd, nb int64
+		for _, q := range queries {
+			acc.Reset(k)
+			rows, boxes := kernels.TopKLeaves(tree, q.p.Pos, &acc)
+			nd += int64(rows)
+			nb += int64(boxes)
+			entries = acc.Append(entries[:0])
+			ns := make([]Neighbor, len(entries))
+			for j, e := range entries {
+				ns[j] = Neighbor{ID: m.ID(int(e.Row)), D2: e.D2}
+			}
+			emit(q, ns)
+		}
+		ctx.Counters.Cell(CtrCandidates).Add(nd)
+		ctx.Counters.Cell(CtrBoxChecks).Add(nb)
+		ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
 		return nil
 	}
-	slices.SortFunc(baseRecs, func(a, b []byte) int { return cmp.Compare(baseID(a), baseID(b)) })
-	views := make([][]byte, len(baseRecs))
-	for i, v := range baseRecs {
-		views[i] = v[1:]
-	}
-	m := points.GetMatrix()
-	defer points.PutMatrix(m)
-	if err := points.DecodePointsInto(m, views); err != nil {
-		return err
-	}
-	dim := m.Dim()
-	if dim < 1 {
-		return fmt.Errorf("knnjoin: base points of dim %d", dim)
-	}
-	for _, q := range queries {
-		if len(q.p.Pos) != dim {
-			return fmt.Errorf("knnjoin: query dim %d, base dim %d", len(q.p.Pos), dim)
-		}
-	}
-
-	k := ctx.Conf.GetInt(ConfK, 1)
-	// One accumulator and one entry buffer serve every query in turn.
-	var acc kernels.TopKAcc
-	var entries []kernels.TopKEntry
-	emit := func(q bucketQuery) {
-		entries = acc.Append(entries[:0])
-		ns := make([]Neighbor, len(entries))
-		for j, e := range entries {
-			ns[j] = Neighbor{ID: m.ID(int(e.Row)), D2: e.D2}
-		}
-		out.Emit(mapreduce.IDKey(q.p.ID), encodePartial(partialList{QID: q.p.ID, G: q.g, Entries: ns}))
-	}
-	tree := boxTrees.Get().(*kernels.BoxTree)
-	defer boxTrees.Put(tree)
-	tree.Build(m.Data(), dim)
-	var nd, nb int64
-	for _, q := range queries {
-		acc.Reset(k)
-		rows, boxes := kernels.TopKLeaves(tree, q.p.Pos, &acc)
-		nd += int64(rows)
-		nb += int64(boxes)
-		emit(q)
-	}
-	ctx.Counters.Cell(CtrCandidates).Add(nd)
-	ctx.Counters.Cell(CtrBoxChecks).Add(nb)
-	ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
-	return nil
 }
 
-// MergeJob is pass 2: fold each query's partial lists — one from its
-// routed bucket on the bucketed pass, one per partition on the exact pass —
-// into one result. Entries sort by (distance, base ID) and duplicates (the
-// same base point met in several partials — identical exact distance, hence
-// adjacent after the sort) collapse, so the merged order is exactly the
-// naive oracle's. The guarantee radius certifies the answer: with c distinct
-// candidates and verified k-th distance d_k, the result is exact iff
-// c ≥ k and √d_k < g (every true neighbor strictly within g shares the
-// query's bucket in the layout it was routed by), or g = +Inf (the exact
-// pass — or an exact pass over an S smaller than k, where c < k is the
-// correct full answer).
+// MergeJob folds each query's partial lists from the exact pass — one per
+// partition of S — into its result. Entries sort by (distance, base ID) and
+// duplicates (the same base point met in several partials — identical exact
+// distance, hence adjacent after the sort) collapse, so the merged order is
+// exactly the naive oracle's, truncated to k. A list shorter than k is the
+// full answer of an S smaller than k.
 func MergeJob(conf mapreduce.Conf) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name: JobMerge,
@@ -332,9 +458,7 @@ func MergeJob(conf mapreduce.Conf) *mapreduce.Job {
 			return nil
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			k := ctx.Conf.GetInt(ConfK, 1)
 			var qid int32
-			g := math.Inf(-1)
 			var entries []Neighbor
 			for i, v := range values {
 				p, err := decodePartial(v)
@@ -345,9 +469,6 @@ func MergeJob(conf mapreduce.Conf) *mapreduce.Job {
 					qid = p.QID
 				} else if p.QID != qid {
 					return fmt.Errorf("knnjoin: key %q mixes queries %d and %d", key, qid, p.QID)
-				}
-				if p.G > g {
-					g = p.G
 				}
 				entries = append(entries, p.Entries...)
 			}
@@ -363,18 +484,8 @@ func MergeJob(conf mapreduce.Conf) *mapreduce.Job {
 				entries[w] = e
 				w++
 			}
-			entries = entries[:w]
-			fallback := false
-			if len(entries) < k {
-				fallback = !math.IsInf(g, 1)
-			} else {
-				entries = entries[:k]
-				fallback = !(math.Sqrt(entries[k-1].D2) < g)
-			}
-			if fallback {
-				ctx.Counters.Cell(CtrFallbacks).Add(1)
-			}
-			out.Emit(key, encodeResult(resultRec{QID: qid, Fallback: fallback, Entries: entries}))
+			entries = entries[:min(w, ctx.Conf.GetInt(ConfK, 1))]
+			out.Emit(key, encodeResult(resultRec{QID: qid, Entries: entries}))
 			return nil
 		},
 	}

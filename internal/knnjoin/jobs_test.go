@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -15,28 +17,80 @@ import (
 	"repro/internal/points"
 )
 
-// everyLayoutCandidatesJob is CandidatesJob as it was before queries were
-// routed: the query-side map emits the 'Q' record under all M layouts.
-func everyLayoutCandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
-	job := CandidatesJob(conf)
-	routed, lazy := job.Map, lazyLayouts()
-	job.Map = func(ctx *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
-		if len(value) == 0 || value[0] != tagQuery {
-			return routed(ctx, key, value, out)
-		}
-		p, _, err := points.DecodePoint(value[1:])
-		if err != nil {
-			return err
-		}
-		layouts := lazy(ctx.Conf)
-		var kb lsh.KeyBuf
-		layouts.Hash(&kb, p.Pos)
-		g, _ := layouts.GuaranteeRadius(&kb)
-		rec := encodeBucketQuery(g, p)
-		kb.EachKey(func(key string) { out.Emit(key, rec) })
-		return nil
+// unfilteredRun is Run with neither the base filter nor query routing, the
+// reference TestBaseFilterKeepsAnswers holds Run to: every base copy and
+// every query go to all M layouts, the bucket reducers emit partial lists,
+// MergeJob folds each query's M lists, and the driver certifies the merged
+// list against the query's guarantee radius before the exact pass re-joins
+// the rest. It returns the neighbour lists and the fallback IDs, ascending.
+func unfilteredRun(t *testing.T, R, S *points.Dataset, k int, cfg Config) ([][]Neighbor, []int32) {
+	t.Helper()
+	ctx, sess := context.Background(), localSession()
+	w := cfg.W
+	if w <= 0 {
+		w = estimateWidth(R, S, k, &cfg)
 	}
-	return job
+	conf := buildConf(R.Dim(), k, w, &cfg)
+	layouts := layoutsOf(conf)
+	everyLayout := &mapreduce.Job{
+		Name: "knn-every-layout",
+		Conf: conf,
+		Map: func(_ *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
+			p, _, err := points.DecodePoint(value[1:])
+			if err != nil {
+				return err
+			}
+			var kb lsh.KeyBuf
+			layouts.Hash(&kb, p.Pos)
+			rec := value
+			if value[0] == tagQuery {
+				g, _ := layouts.GuaranteeRadius(&kb)
+				rec = encodeBucketQuery(g, p)
+			}
+			kb.EachKey(func(key string) { out.Emit(key, rec) })
+			return nil
+		},
+		Reduce: bucketReduce(false),
+	}
+	sIn := taggedPairs(tagBase, S)
+	partials, err := sess.Run(ctx, everyLayout.WithReduces(cfg.NumReduces), taggedPairs(tagQuery, R), sIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := sess.Run(ctx, MergeJob(conf).WithReduces(cfg.NumReduces), partials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neighbors := make([][]Neighbor, R.N())
+	if _, err := decodeResults(neighbors, merged); err != nil {
+		t.Fatal(err)
+	}
+	var fallback []int32
+	var fbPairs []mapreduce.Pair
+	var kb lsh.KeyBuf
+	for qid, q := range R.Points {
+		layouts.Hash(&kb, q.Pos)
+		g, _ := layouts.GuaranteeRadius(&kb)
+		ns := neighbors[qid]
+		certified := math.IsInf(g, 1)
+		if len(ns) == k {
+			certified = math.Sqrt(ns[k-1].D2) < g
+		}
+		if !certified {
+			fallback = append(fallback, int32(qid))
+			fbPairs = append(fbPairs, mapreduce.Pair{Value: encodeTagged(tagQuery, q)})
+		}
+	}
+	if len(fallback) > 0 {
+		if err := exactJoin(ctx, sess, conf, cfg, neighbors, fbPairs, sIn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return neighbors, fallback
+}
+
+func localSession() *dag.Session {
+	return dag.NewSession(&mapreduce.LocalEngine{Parallelism: 4}, dag.Options{})
 }
 
 // jobCounter returns a counter of the first job of the given name.
@@ -51,57 +105,217 @@ func jobCounter(t *testing.T, res *Result, job, counter string) int64 {
 	return 0
 }
 
-// TestQueriesRouteToOneBucket pins the routing rule on the fixture of
-// TestJoinMatchesOracleLocal: sending each query only to its bucket in the
-// layout that attains its guarantee radius emits one record per query, and
-// changes neither a neighbour list nor which queries fall back, compared
-// with replicating it to every layout.
-func TestQueriesRouteToOneBucket(t *testing.T) {
+// requireSameAnswers runs Run and unfilteredRun and fails unless their
+// neighbour lists and fallback IDs are equal. It also checks that Run's
+// candidates job sent one record per query and, per base point, M copies
+// between those it shipped and those it dropped. It returns Run's result.
+func requireSameAnswers(t *testing.T, R, S *points.Dataset, k int, cfg Config) (*Result, []int32) {
+	t.Helper()
+	res, fallback, err := run(context.Background(), localSession(), R, S, k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantFallback := unfilteredRun(t, R, S, k, cfg)
+	if !slices.Equal(fallback, wantFallback) {
+		t.Fatalf("fallbacks: %v filtered, %v unfiltered", fallback, wantFallback)
+	}
+	if !reflect.DeepEqual(res.Neighbors, want) {
+		t.Fatal("neighbour lists differ between the filtered and the unfiltered run")
+	}
+	m, nR, nS := int64(cfg.m()), int64(R.N()), int64(S.N())
+	shipped := jobCounter(t, res, JobCandidates, mapreduce.CtrMapOutputRecords)
+	if dropped := jobCounter(t, res, JobCandidates, CtrBaseDropped); shipped+dropped != m*nS+nR {
+		t.Fatalf("%d records shipped and %d base copies dropped for %d queries and %d×%d base copies", shipped, dropped, nR, m, nS)
+	}
+	return res, fallback
+}
+
+// TestBaseFilterKeepsAnswers: routing each query to one bucket and shipping
+// a base copy only into the box of its bucket's routed queries changes
+// neither a neighbour list nor which queries fall back, compared with
+// sending every query and every base copy to all M layouts.
+func TestBaseFilterKeepsAnswers(t *testing.T) {
 	ds := dataset.Blobs("knn-oracle", 700, 2, 4, 120, 3, 21)
 	R, S, err := dataset.Split(ds, 150, 22)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Forty distinct positions under 600 points: most distances tie.
+	dups := dataset.Blobs("knn-dups", 600, 3, 3, 60, 2, 8)
+	for i := range dups.Points {
+		copy(dups.Points[i].Pos, dups.Points[i%40].Pos)
+	}
+	dupR, dupS, err := dataset.Split(dups, 100, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
+		R, S *points.Dataset
+		k    int
 		cfg  Config
 	}{
-		{"f64", Config{Seed: 3, NumReduces: 4}},
-		{"narrow-m", Config{Seed: 5, M: 2, Pi: 6, NumReduces: 3}},
-		{"fallback-heavy", Config{Seed: 3, W: 4, NumReduces: 4}},
+		{"f64", R, S, 5, Config{Seed: 3, NumReduces: 4}},
+		{"narrow-m", R, S, 5, Config{Seed: 5, M: 2, Pi: 6, NumReduces: 3}},
+		{"fallback-heavy", R, S, 5, Config{Seed: 3, W: 4, NumReduces: 4}},
+		// What KDistances runs: R = S at k+1.
+		{"self-join", ds, ds, 4, Config{Seed: 7, NumReduces: 3}},
+		{"duplicates", dupR, dupS, 6, Config{Seed: 2, NumReduces: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			session := func() *dag.Session {
-				return dag.NewSession(&mapreduce.LocalEngine{Parallelism: 4}, dag.Options{})
+			res, fallback := requireSameAnswers(t, tc.R, tc.S, tc.k, tc.cfg)
+			if tc.name == "fallback-heavy" && (len(fallback) == 0 || len(fallback) == tc.R.N()) {
+				t.Fatalf("%d of %d queries fell back; the case is meant to mix both outcomes", len(fallback), tc.R.N())
 			}
-			routed, err := Run(context.Background(), session(), R, S, 5, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			every, err := run(context.Background(), session(), R, S, 5, tc.cfg, everyLayoutCandidatesJob)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, nR, nS := int64(tc.cfg.m()), int64(R.N()), int64(S.N())
-			if got := jobCounter(t, every, JobCandidates, mapreduce.CtrMapOutputRecords); got != m*(nS+nR) {
-				t.Fatalf("reference run emitted %d candidate records, want %d", got, m*(nS+nR))
-			}
-			if got := jobCounter(t, routed, JobCandidates, mapreduce.CtrMapOutputRecords) - m*nS; got != nR {
-				t.Fatalf("%d query-side records for %d queries", got, nR)
-			}
-			if got := jobCounter(t, routed, JobMerge, mapreduce.CtrReduceInputRecords); got != nR {
-				t.Fatalf("merge pass saw %d partial lists for %d queries", got, nR)
-			}
-			if routed.Fallbacks != every.Fallbacks {
-				t.Fatalf("fallbacks: %d routed, %d under every layout", routed.Fallbacks, every.Fallbacks)
-			}
-			if tc.name == "fallback-heavy" && (routed.Fallbacks == 0 || routed.Fallbacks == R.N()) {
-				t.Fatalf("%d of %d queries fell back; the case is meant to mix both outcomes", routed.Fallbacks, R.N())
-			}
-			if !reflect.DeepEqual(routed.Neighbors, every.Neighbors) {
-				t.Fatal("neighbour lists differ between the routed and the every-layout run")
+			if dropped := jobCounter(t, res, JobCandidates, CtrBaseDropped); tc.name == "f64" && dropped == 0 {
+				t.Fatal("the base filter dropped no copy")
 			}
 		})
+	}
+}
+
+// TestBoxEdges pins the base filter at its boundary. A routed query's box is
+// q ± (g + 2⁻³⁰·(|q_t| + g)) on each axis, bounds included; base points on
+// the query's g-sphere along each axis, at g·(1 ± 2⁻⁴⁰), ship to its bucket,
+// and a base point with a non-finite coordinate passes that axis. A query
+// with g = 0 — here one with a NaN coordinate — adds no box and falls back.
+// End to end, the run drops copies and still answers as the unfiltered one.
+func TestBoxEdges(t *testing.T) {
+	const dim, k = 3, 6
+	cfg := Config{Seed: 4, M: 4, Pi: 3, W: 8, NumReduces: 2}
+	conf := buildConf(dim, k, cfg.W, &cfg)
+	layouts := layoutsOf(conf)
+	q := points.Vector{10.25, -3.5, 7}
+	var kb lsh.KeyBuf
+	layouts.Hash(&kb, q)
+	g, layout := layouts.GuaranteeRadius(&kb)
+	if !(g > 0.5) {
+		t.Fatalf("fixture query has guarantee radius %v; pick another", g)
+	}
+	routed := string(kb.Key(layout))
+
+	nan := points.Vector{1, math.NaN(), 2}
+	R := points.FromVectors("knn-edge-R", []points.Vector{q, nan})
+	table := routeBoxes(layouts, R)
+	if len(table.boxes) != 1 {
+		t.Fatalf("%d boxes for one query with g > 0 and one with g = 0", len(table.boxes))
+	}
+	box := table.boxes[routed]
+	if box == nil {
+		t.Fatal("the routed bucket has no box")
+	}
+	for i, x := range q {
+		pad := 0x1p-30 * (math.Abs(x) + g)
+		if lo, hi := x-g-pad, x+g+pad; box[i] != lo || box[dim+i] != hi {
+			t.Fatalf("axis %d: box [%v, %v], want [%v, %v]", i, box[i], box[dim+i], lo, hi)
+		}
+		at := func(v float64) points.Vector {
+			p := slices.Clone(q)
+			p[i] = v
+			return p
+		}
+		for _, v := range []float64{box[i], box[dim+i], math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if !table.admits(routed, at(v)) {
+				t.Fatalf("axis %d: a base point at %v is not admitted", i, v)
+			}
+		}
+		for _, v := range []float64{math.Nextafter(box[i], math.Inf(-1)), math.Nextafter(box[dim+i], math.Inf(1))} {
+			if table.admits(routed, at(v)) {
+				t.Fatalf("axis %d: a base point at %v, outside the box, is admitted", i, v)
+			}
+		}
+	}
+
+	// S: the sphere points, then a blob far from q.
+	var S []points.Vector
+	for i := range q {
+		for _, r := range []float64{g * (1 - 0x1p-40), -g * (1 - 0x1p-40), g * (1 + 0x1p-40), -g * (1 + 0x1p-40)} {
+			p := slices.Clone(q)
+			p[i] += r
+			S = append(S, p)
+		}
+	}
+	for _, p := range dataset.Blobs("knn-edge-S", 200, dim, 2, 40, 2, 3).Points {
+		for i := range p.Pos {
+			p.Pos[i] += 100 // far from q
+		}
+		S = append(S, p.Pos)
+	}
+	S = append(S, points.Vector{10, math.NaN(), 7}, points.Vector{math.Inf(1), -3.5, 7})
+	Sds := points.FromVectors("knn-edge-S", S)
+	candConf := conf.Clone()
+	candConf[confBoxes] = encodeBoxes(table)
+	job := CandidatesJob(candConf)
+	for id := 0; id < 4*dim; id++ {
+		shipped := false
+		ctx := &mapreduce.TaskContext{Conf: job.Conf, Counters: mapreduce.NewCounters()}
+		err := job.Map(ctx, "", encodeTagged(tagBase, Sds.Points[id]), mapreduce.EmitterFunc(func(key string, _ []byte) {
+			shipped = shipped || key == routed
+		}))
+		if err != nil || !shipped {
+			t.Fatalf("sphere point %d (%v): err %v, shipped to the routed bucket %v", id, Sds.Points[id].Pos, err, shipped)
+		}
+	}
+
+	res, fallback := requireSameAnswers(t, R, Sds, k, cfg)
+	if !slices.Equal(fallback, []int32{1}) {
+		t.Fatalf("fallbacks %v, want only the NaN query", fallback)
+	}
+	for i, n := range res.Neighbors[0] {
+		if id := n.ID; id >= 4*dim || id%4 >= 2 {
+			t.Fatalf("neighbour %d of the edge query is base point %d, not one inside g", i, id)
+		}
+	}
+	if jobCounter(t, res, JobCandidates, CtrBaseDropped) == 0 {
+		t.Fatal("the filtered run shipped every base copy")
+	}
+}
+
+// TestBucketCertifies: the candidates reducer certifies a list only when it
+// holds k entries and the k-th lies strictly inside g (or g is +Inf), emits a
+// flagged query with no entries, and counts it.
+func TestBucketCertifies(t *testing.T) {
+	conf := mapreduce.Conf{}
+	conf.SetInt(ConfK, 2)
+	base := []points.Point{{ID: 0, Pos: points.Vector{0, 1}}, {ID: 1, Pos: points.Vector{0, 2}}}
+	for _, tc := range []struct {
+		g        float64
+		nBase    int
+		fallback bool
+	}{
+		{2.5, 2, false},
+		{2, 2, true}, // the k-th neighbour sits on the sphere
+		{0, 2, true},
+		{5, 1, true}, // fewer than k rows
+		{math.Inf(1), 1, false},
+		{math.Inf(1), 0, false},
+	} {
+		var values [][]byte
+		for _, p := range base[:tc.nBase] {
+			values = append(values, encodeTagged(tagBase, p))
+		}
+		values = append(values, encodeBucketQuery(tc.g, points.Point{ID: 3, Pos: points.Vector{0, 0}}))
+		ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
+		var got []resultRec
+		err := bucketReduce(true)(ctx, "bucket", values, mapreduce.EmitterFunc(func(_ string, v []byte) {
+			r, err := decodeResult(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, r)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0].QID != 3 || got[0].Fallback != tc.fallback {
+			t.Fatalf("g %v over %d rows: results %+v, want fallback %v", tc.g, tc.nBase, got, tc.fallback)
+		}
+		if n := len(got[0].Entries); tc.fallback && n != 0 || !tc.fallback && n != tc.nBase {
+			t.Fatalf("g %v over %d rows: %d entries", tc.g, tc.nBase, n)
+		}
+		if c := ctx.Counters.Get(CtrFallbacks); (c == 1) != tc.fallback {
+			t.Fatalf("g %v over %d rows: %s = %d", tc.g, tc.nBase, CtrFallbacks, c)
+		}
 	}
 }
 
@@ -123,7 +337,7 @@ func bucketValues(R, S *points.Dataset) [][]byte {
 func reduceBucket(t *testing.T, conf mapreduce.Conf, values [][]byte) (out []mapreduce.Pair, candidates, boxes int64) {
 	t.Helper()
 	ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
-	err := bucketReduce(ctx, "bucket", values, mapreduce.EmitterFunc(func(key string, value []byte) {
+	err := bucketReduce(false)(ctx, "bucket", values, mapreduce.EmitterFunc(func(key string, value []byte) {
 		out = append(out, mapreduce.Pair{Key: key, Value: bytes.Clone(value)})
 	}))
 	if err != nil {
@@ -181,6 +395,7 @@ func TestValueOrderInsensitive(t *testing.T) {
 // error of the reducer.
 func TestMalformedBaseRecords(t *testing.T) {
 	conf := buildConf(2, 3, 1, &Config{})
+	conf[confBoxes] = encodeBoxes(routeBoxes(layoutsOf(conf), points.FromVectors("R", []points.Vector{{1, 2}})))
 	whole := encodeTagged(tagBase, points.Point{ID: 7, Pos: points.Vector{1, 2}})
 	for _, job := range []*mapreduce.Job{ExactJob(conf), CandidatesJob(conf)} {
 		for _, rec := range [][]byte{{tagBase}, {tagBase, 1, 2, 3}, {tagBase, 1, 2, 3, 4}, whole[:len(whole)-1], append(whole, 0)} {
@@ -199,7 +414,7 @@ func TestMalformedBaseRecords(t *testing.T) {
 	empty := points.Point{ID: 1, Pos: points.Vector{}}
 	ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
 	values := [][]byte{encodeTagged(tagBase, empty), encodeBucketQuery(1, empty)}
-	if err := bucketReduce(ctx, "bucket", values, mapreduce.EmitterFunc(func(string, []byte) {})); err == nil {
+	if err := bucketReduce(true)(ctx, "bucket", values, mapreduce.EmitterFunc(func(string, []byte) {})); err == nil {
 		t.Fatal("a bucket of zero-dimensional points reduced without an error")
 	}
 }

@@ -83,22 +83,24 @@ type Result struct {
 }
 
 // Run executes the LSH-bucketed kNN join R ⋉kNN S on the session's engine:
-// a candidates and a merge job over the hash buckets, then — for the
-// queries whose bucket answer the guarantee radius could not certify — the
-// exact join's two jobs over just those queries. The result is
-// bit-identical to RunExact (and to a single-machine full scan), including
-// the lowest-ID-wins tie rule.
+// the candidates job over the hash buckets — each query routed to one
+// bucket, each base point shipped only to the buckets whose routed queries
+// can use it, each answer certified in its bucket — then, for the queries
+// whose bucket answer the guarantee radius could not certify, the exact
+// join's two jobs over just those queries. The result is bit-identical to
+// RunExact (and to a single-machine full scan), including the
+// lowest-ID-wins tie rule.
 func Run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, error) {
-	return run(ctx, sess, R, S, k, cfg, CandidatesJob)
+	res, _, err := run(ctx, sess, R, S, k, cfg)
+	return res, err
 }
 
-// run is Run with the candidates job passed in, so that the routing test
-// can run the same pipeline with every query replicated to all M layouts.
-func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config,
-	candidates func(mapreduce.Conf) *mapreduce.Job) (*Result, error) {
+// run is Run that also returns the IDs of the queries the exact pass
+// answered, ascending.
+func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, []int32, error) {
 	start := time.Now()
 	if err := validate(R, S, k); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	mark := sess.Mark()
 
@@ -107,21 +109,19 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 		w = estimateWidth(R, S, k, &cfg)
 	}
 	conf := buildConf(R.Dim(), k, w, &cfg)
+	candConf := conf.Clone() // the exact pass's jobs need no box table
+	candConf[confBoxes] = encodeBoxes(routeBoxes(layoutsOf(conf), R))
 	qIn := sess.Stage(taggedPairs(tagQuery, R))
 	sIn := sess.Stage(taggedPairs(tagBase, S))
 
-	cand, err := sess.Run(ctx, candidates(conf).WithReduces(cfg.NumReduces), qIn, sIn)
+	cand, err := sess.Run(ctx, CandidatesJob(candConf).WithReduces(cfg.NumReduces), qIn, sIn)
 	if err != nil {
-		return nil, err
-	}
-	merged, err := sess.Run(ctx, MergeJob(conf).WithReduces(cfg.NumReduces), cand)
-	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &Result{Neighbors: make([][]Neighbor, R.N()), K: k, W: w}
-	fallback, err := decodeResults(res.Neighbors, merged)
+	fallback, err := decodeResults(res.Neighbors, cand)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg.logf("knnjoin: bucketed pass certified %d/%d queries", R.N()-len(fallback), R.N())
 
@@ -131,7 +131,7 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 			fbPairs[i] = mapreduce.Pair{Value: encodeTagged(tagQuery, R.Points[qid])}
 		}
 		if err := exactJoin(ctx, sess, conf, cfg, res.Neighbors, sess.Stage(fbPairs), sIn); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	res.Fallbacks = len(fallback)
@@ -139,7 +139,7 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 	res.Stats.M = cfg.m()
 	res.Stats.Pi = cfg.pi()
 	core.CollectStats(&res.Stats, sess, mark, start)
-	return res, nil
+	return res, fallback, nil
 }
 
 // RunExact executes the broadcast-naive exact join: base records partition
@@ -221,7 +221,7 @@ func taggedPairs(tag byte, ds *points.Dataset) []mapreduce.Pair {
 	return in
 }
 
-// decodeResults fills dst (indexed by query ID) from merge-job output and
+// decodeResults fills dst (indexed by query ID) from result records and
 // returns the IDs flagged for the exact pass, ascending.
 func decodeResults(dst [][]Neighbor, pairs []mapreduce.Pair) ([]int32, error) {
 	var fallback []int32

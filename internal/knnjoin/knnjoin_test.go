@@ -254,7 +254,7 @@ func TestClusterConformance(t *testing.T) {
 			if clus.Fallbacks != local.Fallbacks {
 				t.Fatalf("fallbacks: cluster %d local %d", clus.Fallbacks, local.Fallbacks)
 			}
-			for _, ctr := range []string{knnjoin.CtrCandidates, knnjoin.CtrFallbacks, mapreduce.CtrDistanceComputations} {
+			for _, ctr := range []string{knnjoin.CtrCandidates, knnjoin.CtrFallbacks, knnjoin.CtrBaseDropped, mapreduce.CtrDistanceComputations} {
 				if c, l := sumCounter(clus.Stats.Jobs, ctr), sumCounter(local.Stats.Jobs, ctr); c != l {
 					t.Fatalf("%s: cluster %d local %d", ctr, c, l)
 				}

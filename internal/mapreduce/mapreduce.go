@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strconv"
+	"sync"
 )
 
 // Pair is a key-value record. Keys are strings (they must sort and hash);
@@ -238,3 +239,19 @@ func (c Conf) SetInt64(key string, v int64) { c[key] = strconv.FormatInt(v, 10) 
 
 // SetBool stores a bool.
 func (c Conf) SetBool(key string, v bool) { c[key] = strconv.FormatBool(v) }
+
+// ConfOnce returns a job instance's resolver for side data shipped in its
+// Conf (pivots, centroids, a filter table): the first call decodes it, and
+// every later call — one per record — returns the first call's value and
+// error through a sync.Once fast path. Build one in the job's constructor, so
+// the decoded value lives exactly as long as the job instance; a worker
+// builds one instance per task and keeps nothing after it.
+func ConfOnce[T any](decode func(Conf) (T, error)) func(Conf) (T, error) {
+	var once sync.Once
+	var v T
+	var err error
+	return func(conf Conf) (T, error) {
+		once.Do(func() { v, err = decode(conf) })
+		return v, err
+	}
+}
