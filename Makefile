@@ -91,11 +91,13 @@ race:
 # on arbitrary rows, query and bound, at f32 and q8, every row within the
 # bound survives the cap, the capped scan's answer is the nearest row within
 # the bound, and nothing panics. The kNN-join's records — bucket query,
-# partial list, result — and the box table its candidates job filters base
-# copies by face arbitrary bytes: error or exactly the input re-encoded (a
-# ragged box, a truncated or repeated key is an error), and both jobs' maps
-# error or account for the record — emit it, or drop base copies outside
-# every routed box — never both, never a panic. A
+# result — and the box table its candidates job filters base copies by face
+# arbitrary bytes: error or exactly the input re-encoded (a ragged box, a
+# truncated or repeated key is an error); the candidates map errors or
+# accounts for the record — emits it, or drops base copies outside every
+# routed box — never both; the exact map at 3 groups errors or sends a base
+# record to all 3 and a query to 1, and at 0 groups always errors; never a
+# panic. A
 # model artifact's body, under a recomputed header and checksum, reaches
 # the section walk: error, or a valid model that round-trips through
 # Encode / Decode unchanged — a ragged or repeated section is an error.

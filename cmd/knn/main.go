@@ -3,7 +3,7 @@
 // Usage:
 //
 //	knn join -r queries.csv -s base.csv -k 10 -out neighbors.csv
-//	knn join -r queries.csv -s base.csv -k 10 -exact      # broadcast oracle
+//	knn join -r queries.csv -s base.csv -k 10 -exact      # exact-job oracle
 //	knn outliers -input points.csv -k 5 -top 20
 //	knn kdist -input points.csv -k 4 -out curve.csv       # DBSCAN eps curve
 //	knn score -input points.csv -centroids centers.csv -out assign.csv
@@ -64,7 +64,6 @@ type joinFlags struct {
 	w        *float64
 	accuracy *float64
 	seed     *int64
-	reduces  *int
 	verbose  *bool
 	out      *string
 
@@ -83,7 +82,6 @@ func newJoinFlags(name string) *joinFlags {
 		w:            fs.Float64("w", 0, "LSH slot width (0 = solve from -accuracy)"),
 		accuracy:     fs.Float64("accuracy", 0.9, "target bucket accuracy when solving the width"),
 		seed:         fs.Int64("seed", 1, "layout / sampling seed"),
-		reduces:      fs.Int("reduces", 0, "reduce partitions (0 = one per worker)"),
 		verbose:      fs.Bool("v", false, "log per-pass progress"),
 		out:          fs.String("out", "", "output CSV ('' or '-' = stdout)"),
 		masterListen: fs.String("master-listen", "", "run distributed: listen for mrd workers here"),
@@ -94,12 +92,11 @@ func newJoinFlags(name string) *joinFlags {
 
 func (jf *joinFlags) config() knnjoin.Config {
 	cfg := knnjoin.Config{
-		M:          *jf.m,
-		Pi:         *jf.pi,
-		W:          *jf.w,
-		Accuracy:   *jf.accuracy,
-		Seed:       *jf.seed,
-		NumReduces: *jf.reduces,
+		M:        *jf.m,
+		Pi:       *jf.pi,
+		W:        *jf.w,
+		Accuracy: *jf.accuracy,
+		Seed:     *jf.seed,
 	}
 	if *jf.verbose {
 		cfg.Log = func(format string, args ...any) {
@@ -142,7 +139,7 @@ func runJoin(args []string) {
 	rFile := jf.fs.String("r", "", "query-side CSV (required)")
 	sFile := jf.fs.String("s", "", "base-side CSV (required)")
 	labeled := jf.fs.Bool("labeled", false, "treat the last CSV column as a label to ignore")
-	exact := jf.fs.Bool("exact", false, "run the broadcast-naive exact join instead of the bucketed one")
+	exact := jf.fs.Bool("exact", false, "run only the exact job (the oracle) instead of the bucketed join")
 	jf.fs.Parse(args)
 	if *rFile == "" || *sFile == "" {
 		fatal(fmt.Errorf("join needs -r and -s"))

@@ -70,7 +70,11 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipped, err := shipRows(ds, layoutsOf(conf), p2, certified)
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := shipRows(ds, layouts, p2, certified)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func clusterKey(c int32) string { return fmt.Sprintf("c%06d", c) }
 // so a partition leaves out the pairs an earlier layout's partition holds
 // too (paironce.go).
 func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
-	layouts := lazyLayouts()
+	drawn := mapreduce.ConfOnce(layoutsOf)
 	return &mapreduce.Job{
 		Name: JobLSHHalo,
 		Conf: conf,
@@ -76,11 +76,18 @@ func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 			if err != nil {
 				return err
 			}
-			layouts(ctx.Conf).EachKey(rp.Pos, func(key string) { out.Emit(key, value) })
+			l, err := drawn(ctx.Conf)
+			if err != nil {
+				return err
+			}
+			l.EachKey(rp.Pos, func(key string) { out.Emit(key, value) })
 			return nil
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			l := layouts(ctx.Conf)
+			l, err := drawn(ctx.Conf)
+			if err != nil {
+				return err
+			}
 			own, err := reducerLayout(key, l)
 			if err != nil {
 				return err

@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/dp"
@@ -141,7 +140,11 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	rhoPts, err := shipRows(ds, layoutsOf(conf), rhoOut, certified)
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		return nil, err
+	}
+	rhoPts, err := shipRows(ds, layouts, rhoOut, certified)
 	if err != nil {
 		return nil, err
 	}
@@ -171,25 +174,16 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	return res, nil
 }
 
-// lazyLayouts returns a job instance's layouts resolver. Workers of the
-// distributed engine rebuild the LSH layouts from job configuration instead
-// of receiving serialized hash functions (the draws are seeded, so every
-// worker regenerates identical ones); the first map call parses the
-// parameters and fetches the process-wide copy, and every later call — one
-// per record — is a sync.Once fast path.
-func lazyLayouts() func(mapreduce.Conf) *lsh.Layouts {
-	var once sync.Once
-	var l *lsh.Layouts
-	return func(conf mapreduce.Conf) *lsh.Layouts {
-		once.Do(func() { l = layoutsOf(conf) })
-		return l
+// layoutsOf draws the layouts conf describes. Workers of the distributed
+// engine rebuild them from the job Conf instead of receiving serialized hash
+// functions: the draws are seeded, so every worker draws identical ones.
+// Jobs resolve them once per instance through mapreduce.ConfOnce.
+func layoutsOf(conf mapreduce.Conf) (*lsh.Layouts, error) {
+	m, pi := conf.GetInt(confM, 1), conf.GetInt(confPi, 1)
+	if m < 1 || pi < 1 {
+		return nil, fmt.Errorf("core: %d layouts of %d functions, want at least 1 of 1", m, pi)
 	}
-}
-
-// layoutsOf returns the process-wide copy of the layouts conf describes.
-func layoutsOf(conf mapreduce.Conf) *lsh.Layouts {
-	return lsh.Cached(conf.GetInt(confDim, 0), conf.GetInt(confM, 1), conf.GetInt(confPi, 1),
-		conf.GetFloat(confW, 1), conf.GetInt64(confSeed, 0))
+	return lsh.NewLayouts(conf.GetInt(confDim, 0), m, pi, conf.GetFloat(confW, 1), conf.GetInt64(confSeed, 0)), nil
 }
 
 // LSHRhoJob is job 1: the map side hashes every point under all M layouts
@@ -219,7 +213,7 @@ func rhoReach(k kernels.Kernel) float64 {
 
 // lshRhoJob is LSHRhoJob with the reach its reducers prune at.
 func lshRhoJob(conf mapreduce.Conf, reach func(kernels.Kernel) float64) *mapreduce.Job {
-	layouts := lazyLayouts()
+	drawn := mapreduce.ConfOnce(layoutsOf)
 	return &mapreduce.Job{
 		Name: JobLSHRho,
 		Conf: conf,
@@ -228,11 +222,18 @@ func lshRhoJob(conf mapreduce.Conf, reach func(kernels.Kernel) float64) *mapredu
 			if err != nil {
 				return err
 			}
-			layouts(ctx.Conf).EachKey(p.Pos, func(key string) { out.Emit(key, value) })
+			l, err := drawn(ctx.Conf)
+			if err != nil {
+				return err
+			}
+			l.EachKey(p.Pos, func(key string) { out.Emit(key, value) })
 			return nil
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			l := layouts(ctx.Conf)
+			l, err := drawn(ctx.Conf)
+			if err != nil {
+				return err
+			}
 			own, err := reducerLayout(key, l)
 			if err != nil {
 				return err
@@ -510,7 +511,7 @@ const unshippedKey = "lsh-ddp-delta.unshipped"
 // skipped ones: evaluated + skipped stays Σ C(|bucket|, 2) over every bucket
 // of every layout, as on the ρ job.
 func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
-	layouts := lazyLayouts()
+	drawn := mapreduce.ConfOnce(layoutsOf)
 	return &mapreduce.Job{
 		Name: JobLSHDel,
 		Conf: conf,
@@ -531,7 +532,10 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			if err != nil {
 				return err
 			}
-			l := layouts(ctx.Conf)
+			l, err := drawn(ctx.Conf)
+			if err != nil {
+				return err
+			}
 			if !certified {
 				l.EachKey(rp.Pos, func(key string) { out.Emit(key, value) })
 				return nil
@@ -553,7 +557,10 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			return nil
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			l := layouts(ctx.Conf)
+			l, err := drawn(ctx.Conf)
+			if err != nil {
+				return err
+			}
 			own, err := reducerLayout(key, l)
 			if err != nil {
 				return err

@@ -282,7 +282,10 @@ func prunedPairs(t *testing.T, ds *points.Dataset, cfg LSHConfig) [][2]int32 {
 			}
 		}
 	}
-	l := layoutsOf(conf)
+	l, err := layoutsOf(conf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	po := &pairOnce{ids: map[string]int32{}}
 	var out [][2]int32
 	for key, values := range groups {

@@ -194,7 +194,11 @@ func runStaged(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LSHCo
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipped, err := shipRows(ds, layoutsOf(conf), rhoOut, certified)
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := shipRows(ds, layouts, rhoOut, certified)
 	if err != nil {
 		t.Fatal(err)
 	}

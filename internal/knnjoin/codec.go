@@ -16,7 +16,6 @@ import (
 //	input/bucket base record:  [1]{'b'} point
 //	input query record:        [1]{'q'} point
 //	bucket query record:       [1]{'Q'} [8]{g} point
-//	partial top-k list:        [4]{qid} [4]{n} n×([4]{sid} [8]{d2})
 //	result:                    [4]{qid} [1]{status} [4]{n} n×([4]{sid} [8]{d2})
 //
 // and the candidates job's Conf carries one side table:
@@ -123,37 +122,8 @@ func decodeNeighbors(buf []byte) ([]Neighbor, []byte, error) {
 	return ns, buf, nil
 }
 
-// partialList is one exact-pass partition's verified top-k of one query.
-type partialList struct {
-	QID     int32
-	Entries []Neighbor
-}
-
-func encodePartial(p partialList) []byte {
-	buf := make([]byte, 0, 8+12*len(p.Entries))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.QID))
-	return appendNeighbors(buf, p.Entries)
-}
-
-func decodePartial(buf []byte) (partialList, error) {
-	if len(buf) < 4 {
-		return partialList{}, fmt.Errorf("knnjoin: short partial list (%d bytes)", len(buf))
-	}
-	p := partialList{QID: int32(binary.LittleEndian.Uint32(buf))}
-	ns, rest, err := decodeNeighbors(buf[4:])
-	if err != nil {
-		return partialList{}, err
-	}
-	if len(rest) != 0 {
-		return partialList{}, fmt.Errorf("knnjoin: %d trailing bytes after partial list", len(rest))
-	}
-	p.Entries = ns
-	return p, nil
-}
-
-// resultRec is one query's answer: from its bucket on the candidates pass
-// (certified, or flagged for the exact pass with no entries), from the merge
-// job on the exact pass.
+// resultRec is one query's answer from its bucket reducer: certified, or
+// flagged for the exact pass with no entries.
 type resultRec struct {
 	QID      int32
 	Fallback bool

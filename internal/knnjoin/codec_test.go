@@ -13,15 +13,25 @@ import (
 // FuzzKnnRecords feeds arbitrary bytes to every decoder of the join's wire
 // formats — the box table included — and to both jobs' map functions. Each
 // decoder either returns an error or a value that re-encodes to exactly the
-// input; each map either returns an error or accounts for the record —
-// emits it, or on the candidates job drops every base copy it does not ship
-// — and never both; nothing panics.
+// input. The candidates map either returns an error or accounts for the
+// record — emits it, or drops every base copy it does not ship — and never
+// both. The exact map, at P = 3 groups, either returns an error and emits
+// nothing, or emits a base record to exactly 3 groups and a query to 1; at
+// P = 0 it returns an error. Nothing panics.
 func FuzzKnnRecords(f *testing.F) {
 	p := points.Point{ID: 7, Pos: points.Vector{1.5, -2}}
 	ns := []Neighbor{{ID: 3, D2: 0.25}, {ID: 9, D2: math.Inf(1)}}
 	conf := buildConf(2, 3, 1.5, &Config{M: 2, Pi: 2, Seed: 1})
-	table := routeBoxes(layoutsOf(conf), points.FromVectors("R", []points.Vector{p.Pos, {4, 4}, {math.NaN(), 0}}))
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		f.Fatal(err)
+	}
+	table := routeBoxes(layouts, points.FromVectors("R", []points.Vector{p.Pos, {4, 4}, {math.NaN(), 0}}))
 	conf[confBoxes] = encodeBoxes(table)
+	exactConf := conf.Clone()
+	exactConf.SetInt(confGroups, 3)
+	noGroups := conf.Clone()
+	noGroups.SetInt(confGroups, 0)
 	boxes := []byte(conf[confBoxes])
 	entry := func(key string, vals ...float64) []byte {
 		b := binary.LittleEndian.AppendUint32(nil, uint32(len(key)))
@@ -43,29 +53,29 @@ func FuzzKnnRecords(f *testing.F) {
 		encodeTagged(tagQuery, points.Point{ID: 1, Pos: points.Vector{math.NaN(), math.Inf(-1)}}),
 		encodeTagged(tagBase, points.Point{ID: 2, Pos: points.Vector{1, 2, 3}}), // wrong dimension
 		encodeBucketQuery(0.75, p),
-		encodePartial(partialList{QID: 4, Entries: ns}),
+		encodeTagged(tagQuery, points.Point{ID: -5, Pos: p.Pos}), // a negative ID still picks a group
 		encodeResult(resultRec{QID: 5, Fallback: true, Entries: ns}),
 		encodeResult(resultRec{QID: 6}),
 		boxes,
-		boxes[:len(boxes)-1],                          // ragged last box
-		append(header(1, 1), entry("\x00\x01", 0)...), // ragged box
-		append(header(1, 1), 9, 0, 0, 0, 1),           // truncated key
+		boxes[:len(boxes)-1],                                                   // ragged last box
+		append(header(1, 1), entry("\x00\x01", 0)...),                          // ragged box
+		append(header(1, 1), 9, 0, 0, 0, 1),                                    // truncated key
 		append(append(header(1, 2), entry("k", 0, 1)...), entry("k", 0, 1)...), // repeated key
 		append(append(header(1, 2), entry("k", 0, 1)...), entry("a", 0, 1)...), // keys out of order
 		header(0, 0),
 	} {
 		f.Add(seed)
 	}
-	jobs := []*mapreduce.Job{CandidatesJob(conf), ExactJob(conf)}
+	cand, exact, exactNone := CandidatesJob(conf), ExactJob(exactConf), ExactJob(noGroups)
+	mapRecord := func(job *mapreduce.Job, in []byte) (emitted int, ctx *mapreduce.TaskContext, err error) {
+		ctx = &mapreduce.TaskContext{Conf: job.Conf, Counters: mapreduce.NewCounters()}
+		err = job.Map(ctx, "", in, mapreduce.EmitterFunc(func(string, []byte) { emitted++ }))
+		return emitted, ctx, err
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if g, p, err := decodeBucketQuery(in); err == nil {
 			if out := encodeBucketQuery(g, p); !bytes.Equal(out, in) {
 				t.Fatalf("bucket query %x re-encodes to %x", in, out)
-			}
-		}
-		if pl, err := decodePartial(in); err == nil {
-			if out := encodePartial(pl); !bytes.Equal(out, in) {
-				t.Fatalf("partial list %x re-encodes to %x", in, out)
 			}
 		}
 		if r, err := decodeResult(in); err == nil {
@@ -78,14 +88,21 @@ func FuzzKnnRecords(f *testing.F) {
 				t.Fatalf("box table %x re-encodes to %x", in, out)
 			}
 		}
-		for _, job := range jobs {
-			ctx := &mapreduce.TaskContext{Conf: conf, NumReduces: 3, Counters: mapreduce.NewCounters()}
-			emitted := 0
-			err := job.Map(ctx, "", in, mapreduce.EmitterFunc(func(string, []byte) { emitted++ }))
-			dropped := ctx.Counters.Get(CtrBaseDropped)
-			if (err == nil) != (int64(emitted)+dropped > 0) || (err != nil && emitted > 0) {
-				t.Fatalf("%s map of %x: err %v after %d records, %d dropped", job.Name, in, err, emitted, dropped)
-			}
+		emitted, ctx, err := mapRecord(cand, in)
+		dropped := ctx.Counters.Get(CtrBaseDropped)
+		if (err == nil) != (int64(emitted)+dropped > 0) || (err != nil && emitted > 0) {
+			t.Fatalf("%s map of %x: err %v after %d records, %d dropped", cand.Name, in, err, emitted, dropped)
+		}
+		emitted, _, err = mapRecord(exact, in)
+		want := 1
+		if len(in) > 0 && in[0] == tagBase {
+			want = 3
+		}
+		if err == nil && emitted != want || err != nil && emitted != 0 {
+			t.Fatalf("%s map of %x at 3 groups: err %v after %d records", exact.Name, in, err, emitted)
+		}
+		if emitted, _, err := mapRecord(exactNone, in); err == nil || emitted != 0 {
+			t.Fatalf("%s map of %x at 0 groups: err %v after %d records", exact.Name, in, err, emitted)
 		}
 	})
 }

@@ -9,9 +9,11 @@
 // computes its queries' exact top-k over the bucket's base rows, walking a
 // median-split box tree over them so that most rows are ruled out by a box
 // bound without a distance evaluation, and uses the guarantee radius to
-// certify each answer or flag the query for the exact-fallback pass, which
-// re-joins just the uncertified queries against all of S. The final result
-// is bit-identical to a naive full join.
+// certify each answer or flag the query for the exact-fallback pass. That
+// pass is one job on the same reducer: it splits the uncertified queries
+// into groups and sends all of S to each, so every query meets every base
+// row in one group and its answer needs no merge. The final result is
+// bit-identical to a naive full join.
 package knnjoin
 
 import (
@@ -19,9 +21,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/kernels"
@@ -71,30 +71,30 @@ const (
 // driver builds from R (routeBoxes). It is not a knob.
 const confBoxes = "knn.boxes"
 
+// confGroups carries the exact job's group count P, which the driver sets
+// from the input sizes (exactJoin). It is not a knob.
+const confGroups = "knn.groups"
+
 // Job names (the distributed engine's registry keys).
 const (
 	JobCandidates = "knn-candidates"
 	JobExact      = "knn-exact"
-	JobMerge      = "knn-merge"
+	// JobMerge names no job: the exact pass needs no merge. The constant
+	// stays only because the benchmark harness reads the wall time of a job
+	// of this name; the harness's next change drops it.
+	JobMerge = "knn-merge"
 )
 
-// lazyLayouts returns a job instance's layouts resolver: the first map call
-// parses the LSH parameters out of the job Conf and fetches the process-wide
-// copy of the layouts they draw; every later call — one per record — is a
-// sync.Once fast path.
-func lazyLayouts() func(mapreduce.Conf) *lsh.Layouts {
-	var once sync.Once
-	var l *lsh.Layouts
-	return func(conf mapreduce.Conf) *lsh.Layouts {
-		once.Do(func() { l = layoutsOf(conf) })
-		return l
+// layoutsOf draws the layouts conf describes. Workers rebuild them from the
+// job Conf instead of receiving hash functions: the draws are seeded, so
+// every worker draws identical ones. Jobs resolve them once per instance
+// through mapreduce.ConfOnce.
+func layoutsOf(conf mapreduce.Conf) (*lsh.Layouts, error) {
+	m, pi := conf.GetInt(ConfM, 1), conf.GetInt(ConfPi, 1)
+	if m < 1 || pi < 1 {
+		return nil, fmt.Errorf("knnjoin: %d layouts of %d functions, want at least 1 of 1", m, pi)
 	}
-}
-
-// layoutsOf returns the process-wide copy of the layouts conf describes.
-func layoutsOf(conf mapreduce.Conf) *lsh.Layouts {
-	return lsh.Cached(conf.GetInt(ConfDim, 0), conf.GetInt(ConfM, 1), conf.GetInt(ConfPi, 1),
-		conf.GetFloat(ConfW, 1), conf.GetInt64(ConfSeed, 0))
+	return lsh.NewLayouts(conf.GetInt(ConfDim, 0), m, pi, conf.GetFloat(ConfW, 1), conf.GetInt64(ConfSeed, 0)), nil
 }
 
 // keyBufs pools the candidates map's hash scratch: the query side needs the
@@ -196,7 +196,7 @@ func boxesFromConf(conf mapreduce.Conf) (*boxTable, error) {
 // have changed an accepted answer. It emits one result per query, keyed by
 // query ID.
 func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
-	lazy := lazyLayouts()
+	drawn := mapreduce.ConfOnce(layoutsOf)
 	boxes := mapreduce.ConfOnce(boxesFromConf)
 	return &mapreduce.Job{
 		Name: JobCandidates,
@@ -215,7 +215,10 @@ func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 			if len(rest) != 0 {
 				return fmt.Errorf("knnjoin: %d trailing bytes after point %d", len(rest), p.ID)
 			}
-			layouts := lazy(ctx.Conf)
+			layouts, err := drawn(ctx.Conf)
+			if err != nil {
+				return err
+			}
 			if len(p.Pos) != layouts.Dim() {
 				return fmt.Errorf("knnjoin: point %d has dim %d, the layouts hash dim %d", p.ID, len(p.Pos), layouts.Dim())
 			}
@@ -246,37 +249,32 @@ func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 			}
 			return nil
 		},
-		Reduce: bucketReduce(true),
+		Reduce: bucketReduce,
 	}
 }
 
-// exactKeyPrefix starts every ExactJob reduce key; the rest is the
-// partition number, zero-padded to three digits.
-const exactKeyPrefix = "x|"
-
-// lazyExactKeys returns a job instance's partition-key table: the first map
-// call formats the n keys, every later call is a sync.Once fast path.
-func lazyExactKeys() func(n int) []string {
-	var once sync.Once
-	var keys []string
-	return func(n int) []string {
-		once.Do(func() {
-			keys = make([]string, n)
-			for part := range keys {
-				keys[part] = exactKeyPrefix + fmt.Sprintf("%03d", part)
-			}
-		})
-		return keys
+// groupKeys decodes the exact job's group count P (confGroups) into its P
+// reduce keys, the group indexes in decimal.
+func groupKeys(conf mapreduce.Conf) ([]string, error) {
+	n := conf.GetInt(confGroups, 0)
+	if n < 1 {
+		return nil, fmt.Errorf("knnjoin: %s job has %d groups, want at least 1", JobExact, n)
 	}
+	keys := make([]string, n)
+	for g := range keys {
+		keys[g] = strconv.Itoa(g)
+	}
+	return keys, nil
 }
 
-// ExactJob is the fallback join: base records partition by ID, queries
-// broadcast to every partition, and each partition's bucket reducer sees a
-// disjoint slice of all of S and emits a partial list per query — so the
-// result MergeJob folds them into is the exact join. The driver also uses it
-// directly as the naive-broadcast oracle.
+// ExactJob is the exact join: every base record goes to each of P groups
+// and each query to one, group qid mod P, as a bucket query with g = +∞, so
+// each group's bucket reducer holds all of S and answers its queries whole.
+// No list needs merging, and the distances a query's walk evaluates depend
+// only on the query and S — not on P, nor on the engine's partitions. The
+// driver also runs it as the oracle RunExact.
 func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
-	lazy := lazyExactKeys()
+	groups := mapreduce.ConfOnce(groupKeys)
 	return &mapreduce.Job{
 		Name: JobExact,
 		Conf: conf,
@@ -284,13 +282,18 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 			if len(value) == 0 {
 				return fmt.Errorf("knnjoin: empty input record")
 			}
-			keys := lazy(max(ctx.NumReduces, 1))
+			keys, err := groups(ctx.Conf)
+			if err != nil {
+				return err
+			}
 			switch value[0] {
 			case tagBase:
 				if err := checkBase(value); err != nil {
 					return err
 				}
-				out.Emit(keys[int(uint32(baseID(value)))%len(keys)], value)
+				for _, key := range keys {
+					out.Emit(key, value)
+				}
 			case tagQuery:
 				p, rest, err := points.DecodePoint(value[1:])
 				if err != nil {
@@ -299,26 +302,13 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 				if len(rest) != 0 {
 					return fmt.Errorf("knnjoin: %d trailing bytes after query point", len(rest))
 				}
-				rec := encodeBucketQuery(math.Inf(1), p)
-				for _, key := range keys {
-					out.Emit(key, rec)
-				}
+				out.Emit(keys[int(uint32(p.ID))%len(keys)], encodeBucketQuery(math.Inf(1), p))
 			default:
 				return fmt.Errorf("knnjoin: unknown input tag %q", value[0])
 			}
 			return nil
 		},
-		// Keys name their partition directly; parsing them back keeps each
-		// base slice and its broadcast queries in the intended reducer.
-		Partition: func(key string, numReduces int) int {
-			digits, ok := strings.CutPrefix(key, exactKeyPrefix)
-			part, err := strconv.Atoi(digits)
-			if !ok || err != nil {
-				return 0
-			}
-			return part % numReduces
-		},
-		Reduce: bucketReduce(false),
+		Reduce: bucketReduce,
 	}
 }
 
@@ -326,13 +316,13 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 // built from.
 var boxTrees = sync.Pool{New: func() any { return new(kernels.BoxTree) }}
 
-// bucketReduce returns the bucket reducer of a pass: it computes the exact
-// top-k of every query in one group over the group's base rows. With certify
-// (the candidates pass: a query meets exactly one bucket) it applies the
-// guarantee radius itself and emits each query's result — certified, or
-// flagged for the exact pass with no entries — and counts the flagged ones in
-// CtrFallbacks. Without (the exact pass: a group is one partition of S) it
-// emits each query's partial list for MergeJob.
+// bucketReduce is the reducer of both passes: it computes the exact top-k
+// of every query in one group over the group's base rows and emits each
+// query's result. It certifies the answer by the query's radius g: a list
+// holding k entries, the k-th strictly inside g, or any list when g = +∞
+// (the exact pass, whose group holds all of S). A query it cannot certify
+// is flagged for the exact pass with no entries and counted in
+// CtrFallbacks.
 //
 // Determinism: base records are sorted by point ID before they are decoded
 // into the matrix, so matrix row order — and with it the top-k kernels'
@@ -341,154 +331,96 @@ var boxTrees = sync.Pool{New: func() any { return new(kernels.BoxTree) }}
 // median-split box tree over those rows (kernels.TopKLeaves), built from
 // the matrix alone, so the number of distances it evaluates, and of box
 // bounds it computes, is as deterministic as the lists.
-func bucketReduce(certify bool) mapreduce.ReduceFunc {
-	return func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
-		var baseRecs [][]byte
-		type bucketQuery struct {
-			g float64
-			p points.Point
+func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
+	var baseRecs [][]byte
+	type bucketQuery struct {
+		g float64
+		p points.Point
+	}
+	var queries []bucketQuery
+	for _, v := range values {
+		if len(v) == 0 {
+			return fmt.Errorf("knnjoin: empty bucket record")
 		}
-		var queries []bucketQuery
-		for _, v := range values {
-			if len(v) == 0 {
-				return fmt.Errorf("knnjoin: empty bucket record")
+		switch v[0] {
+		case tagBase:
+			baseRecs = append(baseRecs, v)
+		case tagBucketQ:
+			g, p, err := decodeBucketQuery(v)
+			if err != nil {
+				return err
 			}
-			switch v[0] {
-			case tagBase:
-				baseRecs = append(baseRecs, v)
-			case tagBucketQ:
-				g, p, err := decodeBucketQuery(v)
-				if err != nil {
-					return err
-				}
-				queries = append(queries, bucketQuery{g: g, p: p})
-			default:
-				return fmt.Errorf("knnjoin: unknown bucket tag %q", v[0])
-			}
+			queries = append(queries, bucketQuery{g: g, p: p})
+		default:
+			return fmt.Errorf("knnjoin: unknown bucket tag %q", v[0])
 		}
-		if len(queries) == 0 {
-			return nil
-		}
-		slices.SortFunc(queries, func(a, b bucketQuery) int { return cmp.Compare(a.p.ID, b.p.ID) })
-		k := ctx.Conf.GetInt(ConfK, 1)
-		emit := func(q bucketQuery, ns []Neighbor) {
-			key := mapreduce.IDKey(q.p.ID)
-			if !certify {
-				out.Emit(key, encodePartial(partialList{QID: q.p.ID, Entries: ns}))
-				return
-			}
-			// Every neighbour strictly within g shares the query's bucket in
-			// the layout it was routed by, and its box (boxTable).
-			ok := math.IsInf(q.g, 1)
-			if len(ns) == k {
-				ok = math.Sqrt(ns[k-1].D2) < q.g
-			}
-			if !ok {
-				ctx.Counters.Cell(CtrFallbacks).Add(1)
-				ns = nil
-			}
-			out.Emit(key, encodeResult(resultRec{QID: q.p.ID, Fallback: !ok, Entries: ns}))
-		}
-		if len(baseRecs) == 0 {
-			// A group with no base rows still answers each query: an empty
-			// list, which only an infinite radius certifies.
-			for _, q := range queries {
-				emit(q, nil)
-			}
-			return nil
-		}
-		slices.SortFunc(baseRecs, func(a, b []byte) int { return cmp.Compare(baseID(a), baseID(b)) })
-		views := make([][]byte, len(baseRecs))
-		for i, v := range baseRecs {
-			views[i] = v[1:]
-		}
-		m := points.GetMatrix()
-		defer points.PutMatrix(m)
-		if err := points.DecodePointsInto(m, views); err != nil {
-			return err
-		}
-		dim := m.Dim()
-		if dim < 1 {
-			return fmt.Errorf("knnjoin: base points of dim %d", dim)
-		}
-		for _, q := range queries {
-			if len(q.p.Pos) != dim {
-				return fmt.Errorf("knnjoin: query dim %d, base dim %d", len(q.p.Pos), dim)
-			}
-		}
-
-		// One accumulator and one entry buffer serve every query in turn.
-		var acc kernels.TopKAcc
-		var entries []kernels.TopKEntry
-		tree := boxTrees.Get().(*kernels.BoxTree)
-		defer boxTrees.Put(tree)
-		tree.Build(m.Data(), dim)
-		var nd, nb int64
-		for _, q := range queries {
-			acc.Reset(k)
-			rows, boxes := kernels.TopKLeaves(tree, q.p.Pos, &acc)
-			nd += int64(rows)
-			nb += int64(boxes)
-			entries = acc.Append(entries[:0])
-			ns := make([]Neighbor, len(entries))
-			for j, e := range entries {
-				ns[j] = Neighbor{ID: m.ID(int(e.Row)), D2: e.D2}
-			}
-			emit(q, ns)
-		}
-		ctx.Counters.Cell(CtrCandidates).Add(nd)
-		ctx.Counters.Cell(CtrBoxChecks).Add(nb)
-		ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+	}
+	if len(queries) == 0 {
 		return nil
 	}
-}
-
-// MergeJob folds each query's partial lists from the exact pass — one per
-// partition of S — into its result. Entries sort by (distance, base ID) and
-// duplicates (the same base point met in several partials — identical exact
-// distance, hence adjacent after the sort) collapse, so the merged order is
-// exactly the naive oracle's, truncated to k. A list shorter than k is the
-// full answer of an S smaller than k.
-func MergeJob(conf mapreduce.Conf) *mapreduce.Job {
-	return &mapreduce.Job{
-		Name: JobMerge,
-		Conf: conf,
-		Map: func(_ *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
-			out.Emit(key, value)
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			var qid int32
-			var entries []Neighbor
-			for i, v := range values {
-				p, err := decodePartial(v)
-				if err != nil {
-					return err
-				}
-				if i == 0 {
-					qid = p.QID
-				} else if p.QID != qid {
-					return fmt.Errorf("knnjoin: key %q mixes queries %d and %d", key, qid, p.QID)
-				}
-				entries = append(entries, p.Entries...)
-			}
-			sort.Slice(entries, func(i, j int) bool {
-				return entries[i].D2 < entries[j].D2 ||
-					(entries[i].D2 == entries[j].D2 && entries[i].ID < entries[j].ID)
-			})
-			w := 0
-			for i, e := range entries {
-				if i > 0 && e.ID == entries[w-1].ID && e.D2 == entries[w-1].D2 {
-					continue
-				}
-				entries[w] = e
-				w++
-			}
-			entries = entries[:min(w, ctx.Conf.GetInt(ConfK, 1))]
-			out.Emit(key, encodeResult(resultRec{QID: qid, Entries: entries}))
-			return nil
-		},
+	slices.SortFunc(queries, func(a, b bucketQuery) int { return cmp.Compare(a.p.ID, b.p.ID) })
+	k := ctx.Conf.GetInt(ConfK, 1)
+	emit := func(q bucketQuery, ns []Neighbor) {
+		// Every neighbour strictly within g shares the query's bucket in
+		// the layout it was routed by, and its box (boxTable).
+		ok := math.IsInf(q.g, 1) || len(ns) == k && math.Sqrt(ns[k-1].D2) < q.g
+		if !ok {
+			ctx.Counters.Cell(CtrFallbacks).Add(1)
+			ns = nil
+		}
+		out.Emit(mapreduce.IDKey(q.p.ID), encodeResult(resultRec{QID: q.p.ID, Fallback: !ok, Entries: ns}))
 	}
+	if len(baseRecs) == 0 {
+		// A group with no base rows still answers each query: an empty
+		// list, which only an infinite radius certifies.
+		for _, q := range queries {
+			emit(q, nil)
+		}
+		return nil
+	}
+	slices.SortFunc(baseRecs, func(a, b []byte) int { return cmp.Compare(baseID(a), baseID(b)) })
+	views := make([][]byte, len(baseRecs))
+	for i, v := range baseRecs {
+		views[i] = v[1:]
+	}
+	m := points.GetMatrix()
+	defer points.PutMatrix(m)
+	if err := points.DecodePointsInto(m, views); err != nil {
+		return err
+	}
+	dim := m.Dim()
+	if dim < 1 {
+		return fmt.Errorf("knnjoin: base points of dim %d", dim)
+	}
+	for _, q := range queries {
+		if len(q.p.Pos) != dim {
+			return fmt.Errorf("knnjoin: query dim %d, base dim %d", len(q.p.Pos), dim)
+		}
+	}
+
+	// One accumulator and one entry buffer serve every query in turn.
+	var acc kernels.TopKAcc
+	var entries []kernels.TopKEntry
+	tree := boxTrees.Get().(*kernels.BoxTree)
+	defer boxTrees.Put(tree)
+	tree.Build(m.Data(), dim)
+	var nd, nb int64
+	for _, q := range queries {
+		acc.Reset(k)
+		rows, boxes := kernels.TopKLeaves(tree, q.p.Pos, &acc)
+		nd += int64(rows)
+		nb += int64(boxes)
+		entries = acc.Append(entries[:0])
+		ns := make([]Neighbor, len(entries))
+		for j, e := range entries {
+			ns[j] = Neighbor{ID: m.ID(int(e.Row)), D2: e.D2}
+		}
+		emit(q, ns)
+	}
+	ctx.Counters.Cell(CtrCandidates).Add(nd)
+	ctx.Counters.Cell(CtrBoxChecks).Add(nb)
+	ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
+	return nil
 }
 
 // JobFactories returns the package's job registry for the distributed
@@ -497,6 +429,5 @@ func JobFactories() map[string]func(mapreduce.Conf) *mapreduce.Job {
 	return map[string]func(mapreduce.Conf) *mapreduce.Job{
 		JobCandidates: CandidatesJob,
 		JobExact:      ExactJob,
-		JobMerge:      MergeJob,
 	}
 }

@@ -2,8 +2,8 @@ package knnjoin
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -19,10 +19,11 @@ import (
 
 // unfilteredRun is Run with neither the base filter nor query routing, the
 // reference TestBaseFilterKeepsAnswers holds Run to: every base copy and
-// every query go to all M layouts, the bucket reducers emit partial lists,
-// MergeJob folds each query's M lists, and the driver certifies the merged
-// list against the query's guarantee radius before the exact pass re-joins
-// the rest. It returns the neighbour lists and the fallback IDs, ascending.
+// every query go to all M layouts, each bucket reducer answers its queries
+// over its rows alone (g = +∞), the test folds each query's M lists into
+// one, and certifies it against the query's guarantee radius before the
+// exact job answers the rest. It returns the neighbour lists and the
+// fallback IDs, ascending.
 func unfilteredRun(t *testing.T, R, S *points.Dataset, k int, cfg Config) ([][]Neighbor, []int32) {
 	t.Helper()
 	ctx, sess := context.Background(), localSession()
@@ -31,7 +32,10 @@ func unfilteredRun(t *testing.T, R, S *points.Dataset, k int, cfg Config) ([][]N
 		w = estimateWidth(R, S, k, &cfg)
 	}
 	conf := buildConf(R.Dim(), k, w, &cfg)
-	layouts := layoutsOf(conf)
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	everyLayout := &mapreduce.Job{
 		Name: "knn-every-layout",
 		Conf: conf,
@@ -44,26 +48,34 @@ func unfilteredRun(t *testing.T, R, S *points.Dataset, k int, cfg Config) ([][]N
 			layouts.Hash(&kb, p.Pos)
 			rec := value
 			if value[0] == tagQuery {
-				g, _ := layouts.GuaranteeRadius(&kb)
-				rec = encodeBucketQuery(g, p)
+				rec = encodeBucketQuery(math.Inf(1), p)
 			}
 			kb.EachKey(func(key string) { out.Emit(key, rec) })
 			return nil
 		},
-		Reduce: bucketReduce(false),
+		Reduce: bucketReduce,
 	}
 	sIn := taggedPairs(tagBase, S)
-	partials, err := sess.Run(ctx, everyLayout.WithReduces(cfg.NumReduces), taggedPairs(tagQuery, R), sIn)
+	lists, err := sess.Run(ctx, everyLayout, taggedPairs(tagQuery, R), sIn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := sess.Run(ctx, MergeJob(conf).WithReduces(cfg.NumReduces), partials)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Fold: sort each query's entries by (distance, base ID), drop the
+	// copies of a base point met in several layouts, keep k.
 	neighbors := make([][]Neighbor, R.N())
-	if _, err := decodeResults(neighbors, merged); err != nil {
-		t.Fatal(err)
+	for _, pr := range lists {
+		r, err := decodeResult(pr.Value)
+		if err != nil || r.Fallback {
+			t.Fatalf("bucket result %+v: err %v", r, err)
+		}
+		neighbors[r.QID] = append(neighbors[r.QID], r.Entries...)
+	}
+	for qid, ns := range neighbors {
+		slices.SortFunc(ns, func(a, b Neighbor) int {
+			return cmp.Or(cmp.Compare(a.D2, b.D2), cmp.Compare(a.ID, b.ID))
+		})
+		ns = slices.Compact(ns)
+		neighbors[qid] = ns[:min(len(ns), k)]
 	}
 	var fallback []int32
 	var fbPairs []mapreduce.Pair
@@ -72,17 +84,13 @@ func unfilteredRun(t *testing.T, R, S *points.Dataset, k int, cfg Config) ([][]N
 		layouts.Hash(&kb, q.Pos)
 		g, _ := layouts.GuaranteeRadius(&kb)
 		ns := neighbors[qid]
-		certified := math.IsInf(g, 1)
-		if len(ns) == k {
-			certified = math.Sqrt(ns[k-1].D2) < g
-		}
-		if !certified {
+		if certified := math.IsInf(g, 1) || len(ns) == k && math.Sqrt(ns[k-1].D2) < g; !certified {
 			fallback = append(fallback, int32(qid))
 			fbPairs = append(fbPairs, mapreduce.Pair{Value: encodeTagged(tagQuery, q)})
 		}
 	}
 	if len(fallback) > 0 {
-		if err := exactJoin(ctx, sess, conf, cfg, neighbors, fbPairs, sIn); err != nil {
+		if err := exactJoin(ctx, sess, conf, neighbors, fbPairs, sIn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,12 +163,12 @@ func TestBaseFilterKeepsAnswers(t *testing.T) {
 		k    int
 		cfg  Config
 	}{
-		{"f64", R, S, 5, Config{Seed: 3, NumReduces: 4}},
-		{"narrow-m", R, S, 5, Config{Seed: 5, M: 2, Pi: 6, NumReduces: 3}},
-		{"fallback-heavy", R, S, 5, Config{Seed: 3, W: 4, NumReduces: 4}},
+		{"f64", R, S, 5, Config{Seed: 3}},
+		{"narrow-m", R, S, 5, Config{Seed: 5, M: 2, Pi: 6}},
+		{"fallback-heavy", R, S, 5, Config{Seed: 3, W: 4}},
 		// What KDistances runs: R = S at k+1.
-		{"self-join", ds, ds, 4, Config{Seed: 7, NumReduces: 3}},
-		{"duplicates", dupR, dupS, 6, Config{Seed: 2, NumReduces: 3}},
+		{"self-join", ds, ds, 4, Config{Seed: 7}},
+		{"duplicates", dupR, dupS, 6, Config{Seed: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, fallback := requireSameAnswers(t, tc.R, tc.S, tc.k, tc.cfg)
@@ -182,9 +190,12 @@ func TestBaseFilterKeepsAnswers(t *testing.T) {
 // End to end, the run drops copies and still answers as the unfiltered one.
 func TestBoxEdges(t *testing.T) {
 	const dim, k = 3, 6
-	cfg := Config{Seed: 4, M: 4, Pi: 3, W: 8, NumReduces: 2}
+	cfg := Config{Seed: 4, M: 4, Pi: 3, W: 8}
 	conf := buildConf(dim, k, cfg.W, &cfg)
-	layouts := layoutsOf(conf)
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := points.Vector{10.25, -3.5, 7}
 	var kb lsh.KeyBuf
 	layouts.Hash(&kb, q)
@@ -297,7 +308,7 @@ func TestBucketCertifies(t *testing.T) {
 		values = append(values, encodeBucketQuery(tc.g, points.Point{ID: 3, Pos: points.Vector{0, 0}}))
 		ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
 		var got []resultRec
-		err := bucketReduce(true)(ctx, "bucket", values, mapreduce.EmitterFunc(func(_ string, v []byte) {
+		err := bucketReduce(ctx, "bucket", values, mapreduce.EmitterFunc(func(_ string, v []byte) {
 			r, err := decodeResult(v)
 			if err != nil {
 				t.Fatal(err)
@@ -320,7 +331,8 @@ func TestBucketCertifies(t *testing.T) {
 }
 
 // bucketValues encodes one bucket's shuffle group: every point of S as a
-// base record, every point of R as a 'Q' record.
+// base record, the i-th point of R as a 'Q' record of radius i — so some
+// results are certified and some flagged.
 func bucketValues(R, S *points.Dataset) [][]byte {
 	var values [][]byte
 	for _, p := range S.Points {
@@ -337,7 +349,7 @@ func bucketValues(R, S *points.Dataset) [][]byte {
 func reduceBucket(t *testing.T, conf mapreduce.Conf, values [][]byte) (out []mapreduce.Pair, candidates, boxes int64) {
 	t.Helper()
 	ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
-	err := bucketReduce(false)(ctx, "bucket", values, mapreduce.EmitterFunc(func(key string, value []byte) {
+	err := bucketReduce(ctx, "bucket", values, mapreduce.EmitterFunc(func(key string, value []byte) {
 		out = append(out, mapreduce.Pair{Key: key, Value: bytes.Clone(value)})
 	}))
 	if err != nil {
@@ -350,7 +362,7 @@ func reduceBucket(t *testing.T, conf mapreduce.Conf, values [][]byte) (out []map
 }
 
 // TestValueOrderInsensitive: the engines deliver a group's values in
-// whatever order the shuffle produced; the partial lists, the number of
+// whatever order the shuffle produced; the results, the number of
 // distances evaluated and the number of box bounds computed must not
 // depend on it.
 func TestValueOrderInsensitive(t *testing.T) {
@@ -369,7 +381,16 @@ func TestValueOrderInsensitive(t *testing.T) {
 	values := bucketValues(R, S)
 	want, wantCount, wantBoxes := reduceBucket(t, conf, values)
 	if len(want) != R.N() {
-		t.Fatalf("%d partial lists for %d queries", len(want), R.N())
+		t.Fatalf("%d results for %d queries", len(want), R.N())
+	}
+	flagged := 0
+	for _, pr := range want {
+		if r, err := decodeResult(pr.Value); err != nil || r.Fallback {
+			flagged++
+		}
+	}
+	if flagged == 0 || flagged == R.N() {
+		t.Fatalf("%d of %d results flagged; the case is meant to mix both outcomes", flagged, R.N())
 	}
 	if wantCount <= 0 || wantCount >= int64(R.N())*int64(S.N()) || wantBoxes <= 0 {
 		t.Fatalf("%d distances and %d box bounds for %d×%d pairs: the tree did not prune", wantCount, wantBoxes, R.N(), S.N())
@@ -382,7 +403,7 @@ func TestValueOrderInsensitive(t *testing.T) {
 			t.Fatalf("shuffle %d: %d distances and %d box bounds, %d and %d in input order", trial, gotCount, gotBoxes, wantCount, wantBoxes)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shuffle %d: partial lists differ from input order", trial)
+			t.Fatalf("shuffle %d: results differ from input order", trial)
 		}
 	}
 }
@@ -395,18 +416,23 @@ func TestValueOrderInsensitive(t *testing.T) {
 // error of the reducer.
 func TestMalformedBaseRecords(t *testing.T) {
 	conf := buildConf(2, 3, 1, &Config{})
-	conf[confBoxes] = encodeBoxes(routeBoxes(layoutsOf(conf), points.FromVectors("R", []points.Vector{{1, 2}})))
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf[confBoxes] = encodeBoxes(routeBoxes(layouts, points.FromVectors("R", []points.Vector{{1, 2}})))
+	conf.SetInt(confGroups, 2)
 	whole := encodeTagged(tagBase, points.Point{ID: 7, Pos: points.Vector{1, 2}})
 	for _, job := range []*mapreduce.Job{ExactJob(conf), CandidatesJob(conf)} {
 		for _, rec := range [][]byte{{tagBase}, {tagBase, 1, 2, 3}, {tagBase, 1, 2, 3, 4}, whole[:len(whole)-1], append(whole, 0)} {
-			ctx := &mapreduce.TaskContext{Conf: conf, NumReduces: 2, Counters: mapreduce.NewCounters()}
+			ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
 			emitted := 0
 			err := job.Map(ctx, "", rec, mapreduce.EmitterFunc(func(string, []byte) { emitted++ }))
 			if err == nil || emitted != 0 {
 				t.Fatalf("%s map of %v: err %v after %d records", job.Name, rec, err, emitted)
 			}
 		}
-		ctx := &mapreduce.TaskContext{Conf: conf, NumReduces: 2, Counters: mapreduce.NewCounters()}
+		ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
 		if err := job.Map(ctx, "", whole, mapreduce.EmitterFunc(func(string, []byte) {})); err != nil {
 			t.Fatalf("%s map of a whole base record: %v", job.Name, err)
 		}
@@ -414,28 +440,7 @@ func TestMalformedBaseRecords(t *testing.T) {
 	empty := points.Point{ID: 1, Pos: points.Vector{}}
 	ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
 	values := [][]byte{encodeTagged(tagBase, empty), encodeBucketQuery(1, empty)}
-	if err := bucketReduce(true)(ctx, "bucket", values, mapreduce.EmitterFunc(func(string, []byte) {})); err == nil {
+	if err := bucketReduce(ctx, "bucket", values, mapreduce.EmitterFunc(func(string, []byte) {})); err == nil {
 		t.Fatal("a bucket of zero-dimensional points reduced without an error")
-	}
-}
-
-// TestKeysMatchFmt pins the exact job's partition keys to the fmt verb they
-// replaced, byte for byte, and its partitioner to its keys.
-func TestKeysMatchFmt(t *testing.T) {
-	job := ExactJob(mapreduce.Conf{})
-	for _, n := range []int{1, 4, 7, 1000, 1001} {
-		for part, key := range lazyExactKeys()(n) {
-			if want := "x|" + fmt.Sprintf("%03d", part); key != want {
-				t.Fatalf("partition %d of %d: key %q, want %q", part, n, key, want)
-			}
-			if got := job.Partition(key, n); got != part {
-				t.Fatalf("key %q lands in partition %d of %d", key, got, n)
-			}
-		}
-	}
-	for _, bad := range []string{"", "x", "x|", "y|003", "x|abc", "003"} {
-		if got := job.Partition(bad, 4); got != 0 {
-			t.Fatalf("Partition(%q) = %d, want 0", bad, got)
-		}
 	}
 }

@@ -33,9 +33,6 @@ type Config struct {
 	Accuracy float64
 	// Seed seeds the layout draws and the width-estimation sample.
 	Seed int64
-	// NumReduces is the reduce-partition count of every job; <=0 lets the
-	// engine pick one partition per worker.
-	NumReduces int
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
@@ -69,11 +66,13 @@ func (c *Config) logf(format string, args ...any) {
 
 // Result is the output of a kNN-join: for every query (indexed by query
 // ID) its k nearest base points sorted ascending by (distance, base ID) —
-// fewer than k entries only when S itself holds fewer than k points.
+// fewer than k entries only when fewer than k points of S lie at a finite
+// distance from the query.
 type Result struct {
 	Neighbors [][]Neighbor
 	// Fallbacks is the number of queries the bucketed pass could not
-	// certify, re-joined by the exact pass (0 for RunExact).
+	// certify, answered by the exact job (0 for RunExact, which runs only
+	// that job).
 	Fallbacks int
 	// K and W record the parameters actually used.
 	K int
@@ -86,8 +85,8 @@ type Result struct {
 // the candidates job over the hash buckets — each query routed to one
 // bucket, each base point shipped only to the buckets whose routed queries
 // can use it, each answer certified in its bucket — then, for the queries
-// whose bucket answer the guarantee radius could not certify, the exact
-// join's two jobs over just those queries. The result is bit-identical to
+// whose bucket answer the guarantee radius could not certify, the exact job
+// over just those queries. The result is bit-identical to
 // RunExact (and to a single-machine full scan), including the
 // lowest-ID-wins tie rule.
 func Run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, error) {
@@ -109,12 +108,16 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 		w = estimateWidth(R, S, k, &cfg)
 	}
 	conf := buildConf(R.Dim(), k, w, &cfg)
-	candConf := conf.Clone() // the exact pass's jobs need no box table
-	candConf[confBoxes] = encodeBoxes(routeBoxes(layoutsOf(conf), R))
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		return nil, nil, err
+	}
+	candConf := conf.Clone() // the exact job needs no box table
+	candConf[confBoxes] = encodeBoxes(routeBoxes(layouts, R))
 	qIn := sess.Stage(taggedPairs(tagQuery, R))
 	sIn := sess.Stage(taggedPairs(tagBase, S))
 
-	cand, err := sess.Run(ctx, CandidatesJob(candConf).WithReduces(cfg.NumReduces), qIn, sIn)
+	cand, err := sess.Run(ctx, CandidatesJob(candConf), qIn, sIn)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -130,7 +133,7 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 		for i, qid := range fallback {
 			fbPairs[i] = mapreduce.Pair{Value: encodeTagged(tagQuery, R.Points[qid])}
 		}
-		if err := exactJoin(ctx, sess, conf, cfg, res.Neighbors, sess.Stage(fbPairs), sIn); err != nil {
+		if err := exactJoin(ctx, sess, conf, res.Neighbors, sess.Stage(fbPairs), sIn); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -142,8 +145,8 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 	return res, fallback, nil
 }
 
-// RunExact executes the broadcast-naive exact join: base records partition
-// by ID, every query visits every partition. It is the oracle Run is
+// RunExact executes the exact join alone: one job whose groups each hold
+// all of S and a share of R (ExactJob). It is the oracle Run is
 // conformance-tested against and the engine of centroid scoring, where S
 // is small enough that bucketing buys nothing.
 func RunExact(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, error) {
@@ -157,26 +160,32 @@ func RunExact(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k in
 	qIn := sess.Stage(taggedPairs(tagQuery, R))
 	sIn := sess.Stage(taggedPairs(tagBase, S))
 	res := &Result{Neighbors: make([][]Neighbor, R.N()), K: k}
-	if err := exactJoin(ctx, sess, conf, cfg, res.Neighbors, qIn, sIn); err != nil {
+	if err := exactJoin(ctx, sess, conf, res.Neighbors, qIn, sIn); err != nil {
 		return nil, err
 	}
 	core.CollectStats(&res.Stats, sess, mark, start)
 	return res, nil
 }
 
-// exactJoin runs the exact join's two jobs over the queries qIn and the base
-// records sIn and decodes their answers into neighbors.
-func exactJoin(ctx context.Context, sess *dag.Session, conf mapreduce.Conf, cfg Config, neighbors [][]Neighbor, qIn, sIn []mapreduce.Pair) error {
-	ex, err := sess.Run(ctx, ExactJob(conf).WithReduces(cfg.NumReduces), qIn, sIn)
+// exactJoin runs the exact job over the queries qIn and the base records sIn
+// and decodes its answers into neighbors. It splits the queries into P =
+// max(1, |qIn| / |sIn|) groups, so each group holds all of S and about |S|
+// queries, and S is copied at most |qIn| times.
+func exactJoin(ctx context.Context, sess *dag.Session, conf mapreduce.Conf, neighbors [][]Neighbor, qIn, sIn []mapreduce.Pair) error {
+	conf = conf.Clone()
+	conf.SetInt(confGroups, max(1, len(qIn)/len(sIn)))
+	out, err := sess.Run(ctx, ExactJob(conf), qIn, sIn)
 	if err != nil {
 		return err
 	}
-	merged, err := sess.Run(ctx, MergeJob(conf).WithReduces(cfg.NumReduces), ex)
+	flagged, err := decodeResults(neighbors, out)
 	if err != nil {
 		return err
 	}
-	_, err = decodeResults(neighbors, merged)
-	return err
+	if len(flagged) > 0 {
+		return fmt.Errorf("knnjoin: the exact job flagged %d queries, first %d", len(flagged), flagged[0])
+	}
+	return nil
 }
 
 func validate(R, S *points.Dataset, k int) error {

@@ -2,6 +2,7 @@ package knnjoin_test
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -19,7 +20,8 @@ import (
 // S sorted by (squared distance, base ID), truncated to k. The distance
 // accumulates term by term, which is bit-identical to the kernels' sqDist,
 // so comparisons against the MapReduce result can demand
-// exact equality.
+// exact equality. A base row at a non-finite distance is no neighbour, as
+// in the kernels' top-k scan.
 func naiveKNN(R, S *points.Dataset, k int) [][]knnjoin.Neighbor {
 	out := make([][]knnjoin.Neighbor, R.N())
 	for qi, q := range R.Points {
@@ -30,7 +32,9 @@ func naiveKNN(R, S *points.Dataset, k int) [][]knnjoin.Neighbor {
 				d := q.Pos[j] - s.Pos[j]
 				d2 += d * d
 			}
-			all = append(all, knnjoin.Neighbor{ID: s.ID, D2: d2})
+			if d2 < math.Inf(1) {
+				all = append(all, knnjoin.Neighbor{ID: s.ID, D2: d2})
+			}
 		}
 		sort.Slice(all, func(i, j int) bool {
 			return all[i].D2 < all[j].D2 ||
@@ -82,8 +86,8 @@ func TestJoinMatchesOracleLocal(t *testing.T) {
 		name string
 		cfg  knnjoin.Config
 	}{
-		{"f64", knnjoin.Config{Seed: 3, NumReduces: 4}},
-		{"narrow-m", knnjoin.Config{Seed: 5, M: 2, Pi: 6, NumReduces: 3}},
+		{"f64", knnjoin.Config{Seed: 3}},
+		{"narrow-m", knnjoin.Config{Seed: 5, M: 2, Pi: 6}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := knnjoin.Run(context.Background(), localSession(), R, S, 5, tc.cfg)
@@ -95,17 +99,61 @@ func TestJoinMatchesOracleLocal(t *testing.T) {
 	}
 }
 
+// TestExactMatchesOracle holds RunExact to the naive scan on each shape of
+// the exact job: one group (|R| ≤ |S|); many groups (|R| ≫ |S|, the
+// scoring shape); k > |S|; a duplicate-heavy base whose ties fall at the
+// k-th distance; and base points with a non-finite coordinate, which lie at
+// a non-finite distance and are no neighbour. The job runs P = max(1, |R|/|S|)
+// groups, answers every query exactly once, and flags none.
 func TestExactMatchesOracle(t *testing.T) {
 	R, S := splitBlobs(t, "knn-exact", 500, 3, 120, 7)
-	for _, k := range []int{1, 4, 11} {
-		res, err := knnjoin.RunExact(context.Background(), localSession(), R, S, k, knnjoin.Config{NumReduces: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameNeighbors(t, res.Neighbors, naiveKNN(R, S, k))
-		if res.Fallbacks != 0 {
-			t.Fatalf("k=%d: exact join reported %d fallbacks", k, res.Fallbacks)
-		}
+	many, few := splitBlobs(t, "knn-exact-few", 420, 3, 400, 8)
+	// Twelve distinct positions under 120 base points: ten copies of each,
+	// so the k-th distance ties and the lowest ID must win.
+	dupS := dataset.Blobs("knn-exact-dups", 120, 3, 3, 60, 2, 9)
+	for i := range dupS.Points {
+		copy(dupS.Points[i].Pos, dupS.Points[i%12].Pos)
+	}
+	inf := make([]points.Vector, 0, few.N()+2)
+	for _, p := range few.Points {
+		inf = append(inf, p.Pos)
+	}
+	inf = append(inf, points.Vector{math.Inf(1), 0, 0}, points.Vector{0, math.Inf(-1), 1}, points.Vector{1, 1, math.NaN()})
+	infS := points.FromVectors("knn-exact-inf", inf)
+	for _, tc := range []struct {
+		name   string
+		R, S   *points.Dataset
+		k      int
+		groups int64
+	}{
+		{"one-group-k1", R, S, 1, 1},
+		{"one-group-k4", R, S, 4, 1},
+		{"one-group-k11", R, S, 11, 1},
+		{"many-groups", many, few, 3, 20},
+		{"k-above-base", many, few, few.N() + 5, 20},
+		{"duplicates", R, dupS, 15, 1},
+		{"non-finite-coordinate", many, infS, infS.N(), 17},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := knnjoin.RunExact(context.Background(), localSession(), tc.R, tc.S, tc.k, knnjoin.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameNeighbors(t, res.Neighbors, naiveKNN(tc.R, tc.S, tc.k))
+			if res.Fallbacks != 0 {
+				t.Fatalf("exact join reported %d fallbacks", res.Fallbacks)
+			}
+			if len(res.Stats.Jobs) != 1 {
+				t.Fatalf("%d jobs, want the exact job alone", len(res.Stats.Jobs))
+			}
+			ctrs := res.Stats.Jobs[0].Counters
+			if g := ctrs[mapreduce.CtrReduceInputGroups]; g != tc.groups {
+				t.Fatalf("%d groups for %d queries and %d base points, want %d", g, tc.R.N(), tc.S.N(), tc.groups)
+			}
+			if out := ctrs[mapreduce.CtrReduceOutputRecords]; out != int64(tc.R.N()) || ctrs[knnjoin.CtrFallbacks] != 0 {
+				t.Fatalf("%d results, %d flagged, for %d queries", out, ctrs[knnjoin.CtrFallbacks], tc.R.N())
+			}
+		})
 	}
 }
 
@@ -114,7 +162,7 @@ func TestExactMatchesOracle(t *testing.T) {
 // forever.
 func TestKLargerThanBase(t *testing.T) {
 	R, S := splitBlobs(t, "knn-small", 40, 2, 30, 9)
-	res, err := knnjoin.Run(context.Background(), localSession(), R, S, S.N()+5, knnjoin.Config{Seed: 2, NumReduces: 2})
+	res, err := knnjoin.Run(context.Background(), localSession(), R, S, S.N()+5, knnjoin.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +181,7 @@ func TestKLargerThanBase(t *testing.T) {
 func TestNarrowWidthForcesFallbacks(t *testing.T) {
 	R, S := splitBlobs(t, "knn-fallback", 400, 2, 80, 13)
 	sess := localSession()
-	res, err := knnjoin.Run(context.Background(), sess, R, S, 3, knnjoin.Config{Seed: 4, W: 1e-3, NumReduces: 3})
+	res, err := knnjoin.Run(context.Background(), sess, R, S, 3, knnjoin.Config{Seed: 4, W: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +204,7 @@ func TestNarrowWidthForcesFallbacks(t *testing.T) {
 // than the naive |R|·|S| product... per layout replica.
 func TestWideWidthCertifies(t *testing.T) {
 	R, S := splitBlobs(t, "knn-wide", 600, 2, 120, 31)
-	res, err := knnjoin.Run(context.Background(), localSession(), R, S, 3, knnjoin.Config{Seed: 6, Accuracy: 0.95, NumReduces: 4})
+	res, err := knnjoin.Run(context.Background(), localSession(), R, S, 3, knnjoin.Config{Seed: 6, Accuracy: 0.95})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +237,7 @@ func sumCounter(stats []mapreduce.JobStats, name string) int64 {
 // replaced evaluated 23.3 %, above the bar of an eighth.
 func TestSweepPrunes(t *testing.T) {
 	R, S := splitBlobs(t, "knn-sweep", 2400, 3, 200, 51)
-	res, err := knnjoin.RunExact(context.Background(), localSession(), R, S, 5, knnjoin.Config{NumReduces: 3})
+	res, err := knnjoin.RunExact(context.Background(), localSession(), R, S, 5, knnjoin.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,8 +256,10 @@ func TestSweepPrunes(t *testing.T) {
 }
 
 // TestClusterConformance pins the join bit-identical across the local
-// engine, a 3-worker rpcmr cluster, and the naive oracle — outputs and
-// the deterministic cost counters both.
+// engine at parallelism 1 and 4, a 3-worker rpcmr cluster, and the naive
+// oracle — outputs and the cost counters both. No job's reduce count is
+// pinned: the candidates job groups by bucket and the exact job by its own
+// group count, so no count may depend on the engine's partitions.
 func TestClusterConformance(t *testing.T) {
 	rpcmr.RegisterJobs(knnjoin.JobFactories())
 	master, err := rpcmr.NewMaster("127.0.0.1:0")
@@ -232,31 +282,50 @@ func TestClusterConformance(t *testing.T) {
 	}()
 
 	R, S := splitBlobs(t, "knn-cluster", 500, 2, 100, 41)
+	run := func(cfg knnjoin.Config) func(*dag.Session) (*knnjoin.Result, []*points.Dataset, error) {
+		return func(sess *dag.Session) (*knnjoin.Result, []*points.Dataset, error) {
+			res, err := knnjoin.Run(context.Background(), sess, R, S, 4, cfg)
+			return res, []*points.Dataset{R, S}, err
+		}
+	}
 	for _, tc := range []struct {
 		name string
-		cfg  knnjoin.Config
+		join func(*dag.Session) (*knnjoin.Result, []*points.Dataset, error)
 	}{
-		{"f64", knnjoin.Config{Seed: 8, NumReduces: 4}},
-		{"fallback-heavy", knnjoin.Config{Seed: 8, W: 1e-3, NumReduces: 4}},
+		{"f64", run(knnjoin.Config{Seed: 8})},
+		{"fallback-heavy", run(knnjoin.Config{Seed: 8, W: 1e-3})},
+		// 400 queries against 100 base points: four groups.
+		{"exact", func(sess *dag.Session) (*knnjoin.Result, []*points.Dataset, error) {
+			res, err := knnjoin.RunExact(context.Background(), sess, S, R, 4, knnjoin.Config{})
+			return res, []*points.Dataset{S, R}, err
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			local, err := knnjoin.Run(context.Background(), localSession(), R, S, 4, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
+			var results []*knnjoin.Result
+			var sides []*points.Dataset
+			for _, sess := range []*dag.Session{
+				dag.NewSession(&mapreduce.LocalEngine{Parallelism: 1}, dag.Options{}),
+				localSession(),
+				dag.NewSession(master, dag.Options{}),
+			} {
+				res, ds, err := tc.join(sess)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results, sides = append(results, res), ds
 			}
-			clus, err := knnjoin.Run(context.Background(),
-				dag.NewSession(master, dag.Options{}), R, S, 4, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameNeighbors(t, clus.Neighbors, local.Neighbors)
-			requireSameNeighbors(t, local.Neighbors, naiveKNN(R, S, 4))
-			if clus.Fallbacks != local.Fallbacks {
-				t.Fatalf("fallbacks: cluster %d local %d", clus.Fallbacks, local.Fallbacks)
-			}
-			for _, ctr := range []string{knnjoin.CtrCandidates, knnjoin.CtrFallbacks, knnjoin.CtrBaseDropped, mapreduce.CtrDistanceComputations} {
-				if c, l := sumCounter(clus.Stats.Jobs, ctr), sumCounter(local.Stats.Jobs, ctr); c != l {
-					t.Fatalf("%s: cluster %d local %d", ctr, c, l)
+			requireSameNeighbors(t, results[0].Neighbors, naiveKNN(sides[0], sides[1], 4))
+			want := results[0]
+			for i, got := range results[1:] {
+				requireSameNeighbors(t, got.Neighbors, want.Neighbors)
+				if got.Fallbacks != want.Fallbacks {
+					t.Fatalf("engine %d: %d fallbacks, %d at parallelism 1", i+1, got.Fallbacks, want.Fallbacks)
+				}
+				for _, ctr := range []string{knnjoin.CtrCandidates, knnjoin.CtrBoxChecks, knnjoin.CtrFallbacks,
+					knnjoin.CtrBaseDropped, mapreduce.CtrDistanceComputations, mapreduce.CtrShuffleBytes} {
+					if g, w := sumCounter(got.Stats.Jobs, ctr), sumCounter(want.Stats.Jobs, ctr); g != w {
+						t.Fatalf("engine %d: %s = %d, %d at parallelism 1", i+1, ctr, g, w)
+					}
 				}
 			}
 		})
@@ -272,7 +341,7 @@ func TestClusterConformance(t *testing.T) {
 func TestSharedSessionStatsAreOwn(t *testing.T) {
 	ctx := context.Background()
 	R, S := splitBlobs(t, "knn-shared", 500, 2, 100, 61)
-	cfg := knnjoin.Config{Seed: 9, NumReduces: 3}
+	cfg := knnjoin.Config{Seed: 9}
 	unwalled := func(pt obs.PhaseTotals) obs.PhaseTotals {
 		out := obs.PhaseTotals{}
 		for ph, st := range pt {
@@ -296,7 +365,7 @@ func TestSharedSessionStatsAreOwn(t *testing.T) {
 			sess := localSession()
 			// A first join on the same R and S, narrow enough that almost
 			// every query takes the exact pass too.
-			first, err := knnjoin.Run(ctx, sess, R, S, 4, knnjoin.Config{Seed: 9, W: 1e-3, NumReduces: 3})
+			first, err := knnjoin.Run(ctx, sess, R, S, 4, knnjoin.Config{Seed: 9, W: 1e-3})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -36,7 +36,7 @@ func naiveKDist(ds *points.Dataset, k int) []float64 {
 
 func TestKDistancesMatchNaive(t *testing.T) {
 	ds := dataset.Blobs("knn-kdist", 300, 2, 3, 100, 2.5, 51)
-	kd, res, err := knnjoin.KDistances(context.Background(), localSession(), ds, 4, knnjoin.Config{Seed: 3, NumReduces: 3})
+	kd, res, err := knnjoin.KDistances(context.Background(), localSession(), ds, 4, knnjoin.Config{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestKDistancesMassDuplicates(t *testing.T) {
 	for i := 12; i < 20; i++ {
 		ds.Points = append(ds.Points, points.Point{ID: int32(i), Pos: points.Vector{float64(i), -3}})
 	}
-	kd, _, err := knnjoin.KDistances(context.Background(), localSession(), ds, 3, knnjoin.Config{Seed: 1, NumReduces: 2})
+	kd, _, err := knnjoin.KDistances(context.Background(), localSession(), ds, 3, knnjoin.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestOutliersFindPlanted(t *testing.T) {
 		points.Point{ID: int32(ds.N()), Pos: points.Vector{900, 900}},
 		points.Point{ID: int32(ds.N() + 1), Pos: points.Vector{-950, 800}})
 	ds.Labels = nil
-	outs, _, err := knnjoin.Outliers(context.Background(), localSession(), ds, 3, 2, knnjoin.Config{Seed: 5, NumReduces: 3})
+	outs, _, err := knnjoin.Outliers(context.Background(), localSession(), ds, 3, 2, knnjoin.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestKDistanceProfileSuggestEps(t *testing.T) {
 	ds := dataset.Blobs("knn-eps", 200, 2, 4, 80, 1.0, 71)
 	ds.Points = append(ds.Points, points.Point{ID: int32(ds.N()), Pos: points.Vector{700, -700}})
 	ds.Labels = nil
-	prof, _, err := knnjoin.KDistanceProfile(context.Background(), localSession(), ds, 4, knnjoin.Config{Seed: 7, NumReduces: 3})
+	prof, _, err := knnjoin.KDistanceProfile(context.Background(), localSession(), ds, 4, knnjoin.Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestScoreNearestCentroid(t *testing.T) {
 		{ID: 1, Pos: points.Vector{50, 50}},
 		{ID: 2, Pos: points.Vector{-40, 70}},
 	}}
-	assign, dist, _, err := knnjoin.ScoreNearestCentroid(context.Background(), localSession(), ds, cents, knnjoin.Config{NumReduces: 2})
+	assign, dist, _, err := knnjoin.ScoreNearestCentroid(context.Background(), localSession(), ds, cents, knnjoin.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,23 +221,6 @@ func TestGuaranteeRadiusMatchesReference(t *testing.T) {
 	check(zero, points.Vector{1, 1})
 }
 
-func TestCachedSharesOneDraw(t *testing.T) {
-	a, b := Cached(3, 4, 2, 1.5, 99), Cached(3, 4, 2, 1.5, 99)
-	if a != b {
-		t.Fatal("Cached drew the same parameters twice")
-	}
-	if Cached(3, 4, 2, 1.5, 100) == a {
-		t.Fatal("Cached ignored the seed")
-	}
-	p := points.Vector{1, 2, 3}
-	fresh := NewLayouts(3, 4, 2, 1.5, 99).Keys(p)
-	for m, k := range a.Keys(p) {
-		if k != fresh[m] {
-			t.Fatalf("layout %d: cached key %x, fresh key %x", m, k, fresh[m])
-		}
-	}
-}
-
 func TestKeyStringParseRoundTrip(t *testing.T) {
 	for _, c := range []struct {
 		layout int

@@ -136,29 +136,6 @@ func flatten(groups []Group, dim, pi int, w float64) *Layouts {
 	return l
 }
 
-// layoutCache shares drawn layouts across the map tasks of one process.
-var layoutCache sync.Map // layoutParams -> *Layouts
-
-type layoutParams struct {
-	dim, m, pi int
-	w          float64
-	seed       int64
-}
-
-// Cached is NewLayouts through a process-wide cache keyed by the full
-// parameter tuple. MapReduce workers call it instead of receiving
-// serialized hash functions: the draws are seeded, so every worker
-// regenerates identical layouts, and the cache pays the O(M·π·dim)
-// construction once per process rather than once per task.
-func Cached(dim, m, pi int, w float64, seed int64) *Layouts {
-	key := layoutParams{dim, m, pi, w, seed}
-	if v, ok := layoutCache.Load(key); ok {
-		return v.(*Layouts)
-	}
-	v, _ := layoutCache.LoadOrStore(key, NewLayouts(dim, m, pi, w, seed))
-	return v.(*Layouts)
-}
-
 // M returns the number of layouts.
 func (l *Layouts) M() int { return len(l.Groups) }
 
