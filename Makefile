@@ -13,8 +13,9 @@ all: check
 # serving engine's bucket sweep, the ρ-partial codec, the record frame, the
 # ρ reducers' runs-apart certificate, the HTTP point decoder, the shuffle
 # fetcher's response decoder, the WAL record decoder and segment replay, the compact
-# shortlist's distance cap, the kNN-join's records and box table and the
-# model artifact's section walk for five seconds each, smoke
+# shortlist's distance cap, the kNN-join's records and box table, the
+# model artifact's section walk and the Conf vector list for five seconds
+# each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, compile + smoke the benchmark harness
 # (all five workloads, oracles checked), and run the six example programs,
@@ -100,7 +101,11 @@ race:
 # panic. A
 # model artifact's body, under a recomputed header and checksum, reaches
 # the section walk: error, or a valid model that round-trips through
-# Encode / Decode unchanged — a ragged or repeated section is an error.
+# Encode / Decode unchanged — a ragged or repeated section is an error. The
+# vector list a job's Conf ships (EDDPC's pivots, K-means' centroids) faces
+# arbitrary bytes, as its binary body and as the Conf string: error, or a
+# list that re-encodes to the same string — a count the bytes cannot hold
+# or a trailing byte is an error, never a panic.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKLeaves$$' -fuzztime 5s ./internal/kernels/
@@ -115,6 +120,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShortlistCap$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzKnnRecords$$' -fuzztime 5s ./internal/knnjoin/
 	$(GO) test -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime 5s ./internal/model/
+	$(GO) test -run '^$$' -fuzz '^FuzzVectorsRoundTrip$$' -fuzztime 5s ./internal/points/
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -54,10 +54,7 @@ func main() {
 	var (
 		modelPath = flag.String("model", "", "cluster model artifact path (required)")
 		listen    = flag.String("listen", ":8080", "HTTP listen address")
-		queue     = flag.Int("queue", 128, "admission queue bound; excess requests get 429 (serve.queue.depth)")
 		workers   = flag.Int("workers", 1, "engine calls answered at once (serve.workers)")
-		maxPts    = flag.Int("max-points", 1024, "maximum points per request (serve.max.request.points)")
-		exact     = flag.Bool("exact", false, "disable LSH pruning; answer every query by full scan (serve.exact)")
 		shard     = flag.Int("shard", -1, "fleet shard id this daemon serves (reported in /statsz for routerd's startup check; -1 = not in a fleet)")
 		precision = flag.String("precision", "f64", "scan precision: f64, f32, or q8 — compact scans re-rank exactly, results are identical (serve.scan.precision)")
 		traceOut  = flag.String("trace", "", "write a JSONL trace with one span per request to this file on exit (debugging; unbounded)")
@@ -66,9 +63,7 @@ func main() {
 
 		ingestDir  = flag.String("ingest-dir", "", "enable streaming ingest: WAL + compacted artifacts live here (ingest.dir)")
 		compactInt = flag.Duration("compact-interval", 30*time.Second, "background compaction period; 0 = manual /compact only (ingest.compact.interval)")
-		compactMin = flag.Int("compact-min-points", 1024, "periodic compactions wait for this many delta points (ingest.compact.min.points)")
 		ingFsync   = flag.Bool("ingest-fsync", false, "fsync the WAL on every ingest batch (ingest.wal.fsync)")
-		ingMax     = flag.Int("ingest-max-delta", 1<<20, "delta segment bound; full delta sheds ingests with 429 (ingest.delta.max)")
 		ingIDBase  = flag.Int64("ingest-id-base", 0, "first global ID for ingested points; 0 = base model max + 1 (ingest.id.base)")
 		ingIDStr   = flag.Int64("ingest-id-stride", 1, "global-ID increment between ingested points; fleet shards use the shard count (ingest.id.stride)")
 	)
@@ -82,12 +77,9 @@ func main() {
 	loader := func() (*model.Model, error) { return model.ReadFile(*modelPath) }
 
 	cfg := serve.Config{
-		QueueDepth:       *queue,
-		Workers:          *workers,
-		MaxRequestPoints: *maxPts,
-		ExactOnly:        *exact,
-		Precision:        *precision,
-		Loader:           loader,
+		Workers:   *workers,
+		Precision: *precision,
+		Loader:    loader,
 	}
 	if *shard >= 0 {
 		cfg.ShardID = shard
@@ -119,8 +111,6 @@ func main() {
 			Dir:       *ingestDir,
 			Precision: *precision,
 			Interval:  *compactInt,
-			MinPoints: *compactMin,
-			MaxDelta:  *ingMax,
 			Fsync:     *ingFsync,
 			IDBase:    *ingIDBase,
 			IDStride:  *ingIDStr,

@@ -5,8 +5,8 @@
 //     (a package passes if at least one non-test .go file carries a doc
 //     comment on the package clause), or
 //   - any configuration knob registered in code — an exported `Conf*`
-//     string constant with a dotted value, e.g. `ConfDeltaMax =
-//     "ingest.delta.max"` — has no row in README.md's configuration
+//     string constant with a dotted value, e.g. `ConfWALFsync =
+//     "ingest.wal.fsync"` — has no row in README.md's configuration
 //     reference (the knob's name must appear backticked in README.md), or
 //   - a lower-case dotted key backticked in the first column of a table of
 //     that reference occurs in no string literal of any non-test .go file —
@@ -129,8 +129,8 @@ func main() {
 // knob is one exported Conf* (knob) or Ctr* (counter) string constant found
 // in the tree.
 type knob struct {
-	name  string // Go identifier, e.g. ConfDeltaMax
-	value string // knob or counter name, e.g. ingest.delta.max
+	name  string // Go identifier, e.g. ConfWALFsync
+	value string // knob or counter name, e.g. ingest.wal.fsync
 	file  string
 }
 

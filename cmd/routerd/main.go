@@ -12,11 +12,12 @@
 //	        -shards "host1:8080|host1b:8080,host2:8080" -listen :8090
 //
 // -shards lists replicas per shard: shards are comma-separated in ring
-// order, replicas of one shard pipe-separated. Requests round-robin over a
-// shard's alive replicas, hedge to a second replica after a p99-based delay
-// (-hedge), and fail over on transport errors. A background prober marks a
-// replica dead after -dead-after without a successful /healthz and revives
-// it when probes succeed again.
+// order, replicas of one shard pipe-separated. At startup every reachable
+// replica must report the shard id its position names. Requests
+// round-robin over a shard's alive replicas, hedge to a second replica
+// after the shard's observed p99 latency, and fail over on transport
+// errors. A background prober marks a replica dead after 5 s without a
+// successful /healthz and revives it when probes succeed again.
 //
 // Endpoints:
 //
@@ -43,16 +44,10 @@ import (
 
 func main() {
 	var (
-		manifest  = flag.String("manifest", "", "fleet.json written by fleetctl partition (required)")
-		shards    = flag.String("shards", "", "replica addresses: shards comma-separated in ring order, replicas of a shard pipe-separated (required)")
-		listen    = flag.String("listen", ":8090", "HTTP listen address")
-		hedge     = flag.Duration("hedge", 0, "hedged-request delay: 0 = the shard's observed p99, negative disables (fleet.hedge.delay)")
-		heartbeat = flag.Duration("heartbeat", time.Second, "replica liveness probe interval (fleet.heartbeat)")
-		deadAfter = flag.Duration("dead-after", 5*time.Second, "declare a replica dead after this long without a successful probe (fleet.dead.after)")
-		maxPts    = flag.Int("max-points", 1024, "maximum points per request; keep equal to the shards' -max-points (serve.max.request.points)")
-		timeout   = flag.Duration("shard-timeout", 30*time.Second, "one shard round-trip bound (fleet.shard.timeout)")
-		skipCheck = flag.Bool("skip-check", false, "skip the startup /statsz shard-id verification (replicas may still be starting)")
-		verbose   = flag.Bool("v", false, "log router events")
+		manifest = flag.String("manifest", "", "fleet.json written by fleetctl partition (required)")
+		shards   = flag.String("shards", "", "replica addresses: shards comma-separated in ring order, replicas of a shard pipe-separated (required)")
+		listen   = flag.String("listen", ":8090", "HTTP listen address")
+		verbose  = flag.Bool("v", false, "log router events")
 	)
 	flag.Parse()
 	if *manifest == "" || *shards == "" {
@@ -74,15 +69,7 @@ func main() {
 		replicaSets = append(replicaSets, reps)
 	}
 
-	cfg := fleet.RouterConfig{
-		Manifest:         mf,
-		Shards:           replicaSets,
-		HedgeDelay:       *hedge,
-		Heartbeat:        *heartbeat,
-		DeadAfter:        *deadAfter,
-		MaxRequestPoints: *maxPts,
-		ShardTimeout:     *timeout,
-	}
+	cfg := fleet.RouterConfig{Manifest: mf, Shards: replicaSets}
 	if *verbose {
 		cfg.Log = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -91,11 +78,9 @@ func main() {
 	router, err := fleet.NewRouter(cfg)
 	fatal(err)
 
-	if !*skipCheck {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		fatal(router.CheckShards(ctx))
-		cancel()
-	}
+	check, cancelCheck := context.WithTimeout(context.Background(), 10*time.Second)
+	fatal(router.CheckShards(check))
+	cancelCheck()
 	fatal(router.Start(*listen))
 	fmt.Fprintf(os.Stderr, "routerd: routing %d shards on %s (manifest %s: %q, %d points, M=%d)\n",
 		mf.Shards, router.Addr(), *manifest, mf.Name, mf.N, mf.M)

@@ -108,11 +108,15 @@ func tagBlock(k int, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-func untagBlock(v []byte) (int, []byte, error) {
-	if len(v) < 4 {
-		return 0, nil, fmt.Errorf("core: short block tag")
+// homeBlock splits a tagBlock record for points.DecodeHomeFirstInto: home
+// when it carries block l, so the diagonal range is block l's own rows.
+func homeBlock(l int) func(v []byte) (bool, []byte, error) {
+	return func(v []byte) (bool, []byte, error) {
+		if len(v) < 4 {
+			return false, nil, fmt.Errorf("core: short block tag")
+		}
+		return int(binary.LittleEndian.Uint32(v)) == l, v[4:], nil
 	}
-	return int(binary.LittleEndian.Uint32(v)), v[4:], nil
 }
 
 func parseIDKey(k string) (int32, error) {
@@ -154,7 +158,7 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			kern := kernelFromConf(ctx.Conf)
 			m := points.GetMatrix()
 			defer points.PutMatrix(m)
-			nLocal, err := decodeBlockGroup(m, values, l, (*points.Matrix).AppendPoint)
+			nLocal, err := points.DecodeHomeFirstInto(m, values, homeBlock(l), (*points.Matrix).AppendPoint)
 			if err != nil {
 				return err
 			}
@@ -246,7 +250,7 @@ func BasicDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			}
 			m := points.GetMatrix()
 			defer points.PutMatrix(m)
-			nLocal, err := decodeBlockGroup(m, values, l, (*points.Matrix).AppendRhoPoint)
+			nLocal, err := points.DecodeHomeFirstInto(m, values, homeBlock(l), (*points.Matrix).AppendRhoPoint)
 			if err != nil {
 				return err
 			}
@@ -279,36 +283,6 @@ func BasicDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			return nil
 		},
 	}
-}
-
-// decodeBlockGroup batch-decodes one blocked reducer group into m with the
-// home block l's rows first and visitors after, so the pairwise kernels see
-// the diagonal range [0, nLocal) and the visitor range [nLocal, N()).
-// appendRow is the per-record Matrix decoder (AppendPoint or AppendRhoPoint).
-func decodeBlockGroup(m *points.Matrix, values [][]byte, l int,
-	appendRow func(*points.Matrix, []byte) ([]byte, error)) (nLocal int, err error) {
-	for pass := 0; pass < 2; pass++ {
-		for _, v := range values {
-			k, payload, err := untagBlock(v)
-			if err != nil {
-				return 0, err
-			}
-			if (k == l) != (pass == 0) {
-				continue
-			}
-			rest, err := appendRow(m, payload)
-			if err != nil {
-				return 0, err
-			}
-			if len(rest) != 0 {
-				return 0, fmt.Errorf("core: %d trailing bytes after block record", len(rest))
-			}
-		}
-		if pass == 0 {
-			nLocal = m.N()
-		}
-	}
-	return nLocal, nil
 }
 
 // DeltaAggJob folds δ partials per point: the minimum over real candidates

@@ -113,36 +113,6 @@ func (g *Graph) SelectTopK(k int) []int32 {
 	return peaks
 }
 
-// SelectOutliers picks peaks automatically as γ outliers: points whose γ
-// exceeds mean + sigmas·stddev of the γ distribution. It is a pragmatic
-// default for non-interactive runs; the paper deliberately leaves selection
-// to the user.
-func (g *Graph) SelectOutliers(sigmas float64) []int32 {
-	gamma := g.Gamma()
-	n := float64(len(gamma))
-	if n == 0 {
-		return nil
-	}
-	var mean float64
-	for _, x := range gamma {
-		mean += x
-	}
-	mean /= n
-	var varsum float64
-	for _, x := range gamma {
-		varsum += (x - mean) * (x - mean)
-	}
-	std := math.Sqrt(varsum / n)
-	thresh := mean + sigmas*std
-	var peaks []int32
-	for i, x := range gamma {
-		if x > thresh {
-			peaks = append(peaks, int32(i))
-		}
-	}
-	return peaks
-}
-
 // Assign labels every point with the index (into peaks) of its cluster by
 // walking points in decreasing density order and inheriting the upslope
 // point's label (Figure 1d's assignment chain). Points whose chain dead-

@@ -83,22 +83,6 @@ func TestSelectTopK(t *testing.T) {
 	}
 }
 
-func TestSelectOutliers(t *testing.T) {
-	rho := make([]float64, 100)
-	delta := make([]float64, 100)
-	up := make([]int32, 100)
-	for i := range rho {
-		rho[i], delta[i], up[i] = 1, 1, int32(i-1)
-	}
-	rho[7], delta[7] = 50, 50 // one screaming outlier
-	up[7] = -1
-	g := mustGraph(t, rho, delta, up)
-	got := g.SelectOutliers(3)
-	if len(got) != 1 || got[0] != 7 {
-		t.Fatalf("outliers = %v", got)
-	}
-}
-
 // chainedDataset builds a 1-D set with known structure: two clusters with
 // peaks at x=0 and x=10.
 func chainedDataset() (*points.Dataset, *Graph) {

@@ -38,7 +38,7 @@ func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, 
 	pivots := samplePivots(ds, cfg.pivots(ds.N()), cfg.Seed)
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confDc, dc)
-	conf[confPivots] = encodePivots(pivots)
+	conf[confPivots] = points.EncodeVectors(pivots)
 
 	rhoRes := run(RhoJob(conf.Clone()), core.InputPairs(ds))
 	rho, err := core.DecodeRhoArray(rhoRes, ds.N())

@@ -22,8 +22,6 @@ package eddpc
 
 import (
 	"context"
-	"encoding/base64"
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -96,7 +94,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 	pivots := samplePivots(ds, cfg.pivots(ds.N()), cfg.Seed)
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confDc, dc)
-	conf[confPivots] = encodePivots(pivots)
+	conf[confPivots] = points.EncodeVectors(pivots)
 
 	// Job 1: exact ρ via boundary replication. No aggregation needed: each
 	// point's home cell sees every d_c-neighbour.
@@ -162,39 +160,6 @@ func samplePivots(ds *points.Dataset, p int, seed int64) []points.Vector {
 	return pivots
 }
 
-// encodePivots serializes pivots for Conf transport (base64 over the
-// binary point codec) so distributed workers receive identical cells.
-func encodePivots(pv []points.Vector) string {
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pv)))
-	for i, v := range pv {
-		buf = points.AppendPoint(buf, points.Point{ID: int32(i), Pos: v})
-	}
-	return base64.StdEncoding.EncodeToString(buf)
-}
-
-func decodePivots(s string) ([]points.Vector, error) {
-	raw, err := base64.StdEncoding.DecodeString(s)
-	if err != nil {
-		return nil, fmt.Errorf("eddpc: bad pivot encoding: %w", err)
-	}
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("eddpc: short pivot blob")
-	}
-	n := int(binary.LittleEndian.Uint32(raw))
-	raw = raw[4:]
-	pv := make([]points.Vector, n)
-	for i := 0; i < n; i++ {
-		p, rest, err := points.DecodePoint(raw)
-		if err != nil {
-			return nil, err
-		}
-		pv[i] = p.Pos
-		raw = rest
-	}
-	return pv, nil
-}
-
 // cellAssignment computes, for one point, its home cell, the distances to
 // all pivots, and the bisector lower bound to every other cell:
 //
@@ -213,9 +178,9 @@ type assigner struct {
 }
 
 func newAssigner(conf mapreduce.Conf) (*assigner, error) {
-	pv, err := decodePivots(conf[confPivots])
+	pv, err := points.DecodeVectors(conf[confPivots])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("eddpc: pivots: %w", err)
 	}
 	a := &assigner{pivots: pv, pdist: make([][]float64, len(pv))}
 	for i := range pv {

@@ -110,10 +110,11 @@ func TestEDDPCDeterministic(t *testing.T) {
 
 func TestPivotCodecRoundTrip(t *testing.T) {
 	pv := []points.Vector{{1, 2, 3}, {-4.5, 0, 9.25}, {0, 0, 0}}
-	got, err := decodePivots(encodePivots(pv))
+	a, err := newAssigner(mapreduce.Conf{confPivots: points.EncodeVectors(pv)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := a.pivots
 	if len(got) != len(pv) {
 		t.Fatalf("decoded %d pivots, want %d", len(got), len(pv))
 	}
@@ -131,7 +132,7 @@ func TestBisectorBoundIsLowerBound(t *testing.T) {
 	// distance from p to any point whose home cell is c.
 	ds := dataset.Blobs("eddpc-bound", 300, 3, 3, 50, 5, 41)
 	pivots := samplePivots(ds, 10, 7)
-	conf := mapreduce.Conf{confPivots: encodePivots(pivots)}
+	conf := mapreduce.Conf{confPivots: points.EncodeVectors(pivots)}
 	a, err := newAssigner(conf)
 	if err != nil {
 		t.Fatal(err)

@@ -30,33 +30,11 @@ func untag(v []byte) (byte, []byte, error) {
 	return v[0], v[1:], nil
 }
 
-// decodeTaggedGroup batch-decodes a tag-dispatched reducer group of point
-// records into m, rows carrying firstTag first and the rest after, so the
-// pairwise kernels see the home range [0, nFirst) and the visitor range
-// [nFirst, N()). Returns the number of first-tag rows.
-func decodeTaggedGroup(m *points.Matrix, values [][]byte, firstTag byte) (nFirst int, err error) {
-	for pass := 0; pass < 2; pass++ {
-		for _, v := range values {
-			tag, payload, err := untag(v)
-			if err != nil {
-				return 0, err
-			}
-			if (tag == firstTag) != (pass == 0) {
-				continue
-			}
-			rest, err := m.AppendPoint(payload)
-			if err != nil {
-				return 0, err
-			}
-			if len(rest) != 0 {
-				return 0, fmt.Errorf("eddpc: %d trailing bytes after point", len(rest))
-			}
-		}
-		if pass == 0 {
-			nFirst = m.N()
-		}
-	}
-	return nFirst, nil
+// isHome splits a tagged record for points.DecodeHomeFirstInto: home when
+// it carries tagHome.
+func isHome(v []byte) (bool, []byte, error) {
+	tag, payload, err := untag(v)
+	return tag == tagHome, payload, err
 }
 
 // RhoJob computes exact ρ in a single job. Map assigns each point to its
@@ -96,7 +74,7 @@ func RhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			kern := kernels.Kernel{Dc2: dc * dc}
 			m := points.GetMatrix()
 			defer points.PutMatrix(m)
-			nHome, err := decodeTaggedGroup(m, values, tagHome)
+			nHome, err := points.DecodeHomeFirstInto(m, values, isHome, (*points.Matrix).AppendPoint)
 			if err != nil {
 				return err
 			}

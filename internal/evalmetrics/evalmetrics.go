@@ -81,31 +81,6 @@ func Purity(truth, pred []int) (float64, error) {
 	return float64(total) / float64(c.n), nil
 }
 
-// RandIndex is the fraction of point pairs on which the two labelings
-// agree (same-same or different-different).
-func RandIndex(truth, pred []int) (float64, error) {
-	c, err := buildContingency(truth, pred)
-	if err != nil {
-		return 0, err
-	}
-	if c.n < 2 {
-		return 0, fmt.Errorf("evalmetrics: need at least 2 points")
-	}
-	var sumCells, sumRows, sumCols float64
-	for _, n := range c.cells {
-		sumCells += choose2(n)
-	}
-	for _, n := range c.rowSums {
-		sumRows += choose2(n)
-	}
-	for _, n := range c.colSums {
-		sumCols += choose2(n)
-	}
-	total := choose2(c.n)
-	// agreements = pairs together in both + pairs apart in both.
-	return (sumCells + (total - sumRows - sumCols + sumCells)) / total, nil
-}
-
 // ARI is the adjusted Rand index (Hubert & Arabie): Rand index corrected
 // for chance, 1 for identical partitions, ~0 for random ones.
 func ARI(truth, pred []int) (float64, error) {
@@ -175,31 +150,6 @@ func NMI(truth, pred []int) (float64, error) {
 		return 0, nil
 	}
 	return mi / ((ht + hp) / 2), nil
-}
-
-// FowlkesMallows is the geometric mean of pairwise precision and recall.
-func FowlkesMallows(truth, pred []int) (float64, error) {
-	c, err := buildContingency(truth, pred)
-	if err != nil {
-		return 0, err
-	}
-	if c.n < 2 {
-		return 0, fmt.Errorf("evalmetrics: need at least 2 points")
-	}
-	var tp, sumRows, sumCols float64
-	for _, n := range c.cells {
-		tp += choose2(n)
-	}
-	for _, n := range c.rowSums {
-		sumRows += choose2(n)
-	}
-	for _, n := range c.colSums {
-		sumCols += choose2(n)
-	}
-	if sumRows == 0 || sumCols == 0 {
-		return 0, nil
-	}
-	return tp / math.Sqrt(sumRows*sumCols), nil
 }
 
 // Tau1 is the paper's τ₁ = fraction of points whose approximate density

@@ -9,7 +9,7 @@ import (
 func TestIdenticalPartitionsScoreOne(t *testing.T) {
 	labels := []int{0, 0, 1, 1, 2, 2, 2}
 	for name, fn := range map[string]func([]int, []int) (float64, error){
-		"ARI": ARI, "NMI": NMI, "Rand": RandIndex, "FM": FowlkesMallows, "purity": Purity,
+		"ARI": ARI, "NMI": NMI, "purity": Purity,
 	} {
 		got, err := fn(labels, labels)
 		if err != nil {
@@ -37,7 +37,7 @@ func TestMetricsPermutationInvariant(t *testing.T) {
 			pred[i] = int(r>>2) % 4
 			renamed[i] = perm[pred[i]]
 		}
-		for _, fn := range []func([]int, []int) (float64, error){ARI, NMI, RandIndex, FowlkesMallows, Purity} {
+		for _, fn := range []func([]int, []int) (float64, error){ARI, NMI, Purity} {
 			a, err1 := fn(truth, pred)
 			b, err2 := fn(truth, renamed)
 			if err1 != nil || err2 != nil || math.Abs(a-b) > 1e-12 {
@@ -154,7 +154,7 @@ func TestMetricErrors(t *testing.T) {
 	if _, err := NMI(nil, nil); err == nil {
 		t.Fatal("want empty error")
 	}
-	if _, err := RandIndex([]int{0}, []int{0}); err == nil {
+	if _, err := ARI([]int{0}, []int{0}); err == nil {
 		t.Fatal("want error for single point")
 	}
 }

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -220,7 +222,7 @@ func int32sEqual(a, b []int32) bool {
 // startFleet partitions mdl and brings up one serve.Server per shard per
 // replica plus a router, all on loopback. Returns the router and the shard
 // servers (shards × replicas).
-func startFleet(t *testing.T, mdl *model.Model, shards, replicas int, rcfg fleet.RouterConfig, scfg func(shard, rep int) serve.Config) (*fleet.Router, [][]*serve.Server) {
+func startFleet(t *testing.T, mdl *model.Model, shards, replicas int, scfg func(shard, rep int) serve.Config) (*fleet.Router, [][]*serve.Server) {
 	t.Helper()
 	subs, mf, err := fleet.Partition(mdl, shards, 0)
 	if err != nil {
@@ -250,9 +252,7 @@ func startFleet(t *testing.T, mdl *model.Model, shards, replicas int, rcfg fleet
 			addrs[s] = append(addrs[s], srv.Addr())
 		}
 	}
-	rcfg.Manifest = mf
-	rcfg.Shards = addrs
-	router, err := fleet.NewRouter(rcfg)
+	router, err := fleet.NewRouter(fleet.RouterConfig{Manifest: mf, Shards: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +268,11 @@ func startFleet(t *testing.T, mdl *model.Model, shards, replicas int, rcfg fleet
 
 // rawAssign POSTs an /assign body and returns status plus raw response
 // bytes — the unit of the byte-identity contract.
+// capBody is an /assign body of n copies of the origin.
+func capBody(n int) string {
+	return `{"points":[` + strings.TrimSuffix(strings.Repeat("[0,0],", n), ",") + `]}`
+}
+
 func rawAssign(t *testing.T, addr string, body string) (int, string) {
 	t.Helper()
 	resp, err := http.Post("http://"+addr+"/assign", "application/json", bytes.NewReader([]byte(body)))
@@ -299,7 +304,7 @@ func TestFleetConformance(t *testing.T) {
 
 	for _, shards := range []int{2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			router, _ := startFleet(t, mdl, shards, 1, fleet.RouterConfig{}, nil)
+			router, _ := startFleet(t, mdl, shards, 1, nil)
 
 			// Batches of training rows (self-distance zero), jittered rows
 			// (real NN work, in one round or two), one far query per batch
@@ -312,13 +317,15 @@ func TestFleetConformance(t *testing.T) {
 				`{"points":[[1e300,0]]}`,     // overflow coordinate
 				`{"points":[[0,1]]`,          // truncated JSON
 				`{"points":[[0,0],["a",0]]}`, // malformed number
+				capBody(1024),                // at the serving layer's point cap
+				capBody(1025),                // one past it
 			)
 			assertSameBytes(t, single.Addr(), router.Addr(), bodies)
 
 			// The fan-out counts both rounds' shard requests. With M=10
 			// layouts nearly every query owns buckets on every shard of a
 			// tiny fleet, but a certified query asks one.
-			fo := router.Fanout()
+			fo := router.Stats(context.Background()).FanoutMean
 			if fo <= 0 || fo >= float64(shards) {
 				t.Errorf("mean fan-out %.3f not in (0, %d)", fo, shards)
 			}
@@ -407,7 +414,7 @@ func assertSameBytes(t *testing.T, single, router string, bodies []string) {
 // replica reporting.
 func TestFleetStatszRollup(t *testing.T) {
 	mdl := trainModel(t, 900, 3)
-	router, srvs := startFleet(t, mdl, 2, 1, fleet.RouterConfig{}, nil)
+	router, srvs := startFleet(t, mdl, 2, 1, nil)
 	body, _ := json.Marshal(map[string][][]float64{"points": {mdl.Row(0), mdl.Row(1)}})
 	if sc, sb := rawAssign(t, router.Addr(), string(body)); sc != http.StatusOK {
 		t.Fatalf("assign through router: HTTP %d %s", sc, sb)
@@ -441,9 +448,10 @@ func TestFleetStatszRollup(t *testing.T) {
 	}
 }
 
-// TestFleetHedging forces a hedge: the round-robin start replica of a
-// 2-replica shard stalls every batch far past the fixed hedge delay, so the
-// hedged duplicate to the fast replica must win.
+// TestFleetHedging forces a hedge: with no latency samples required, the
+// hedge delay sits at its 1 ms floor, and the round-robin start replica of a
+// 2-replica shard stalls every batch far past it, so the hedged duplicate to
+// the fast replica must win.
 func TestFleetHedging(t *testing.T) {
 	mdl := trainModel(t, 900, 3)
 	slow := func(shard, rep int) serve.Config {
@@ -453,7 +461,8 @@ func TestFleetHedging(t *testing.T) {
 		}
 		return cfg
 	}
-	router, _ := startFleet(t, mdl, 1, 2, fleet.RouterConfig{HedgeDelay: 10 * time.Millisecond}, slow)
+	fleet.SetHedgeMinSamples(t, 0)
+	router, _ := startFleet(t, mdl, 1, 2, slow)
 	body, _ := json.Marshal(map[string][][]float64{"points": {mdl.Row(0)}})
 	for i := 0; i < 4; i++ {
 		if sc, sb := rawAssign(t, router.Addr(), string(body)); sc != http.StatusOK {
@@ -501,12 +510,9 @@ func TestFleetFailover(t *testing.T) {
 		}
 		return serve.Config{}
 	}
-	rcfg := fleet.RouterConfig{
-		Heartbeat:  25 * time.Millisecond,
-		DeadAfter:  50 * time.Millisecond,
-		HedgeDelay: -1, // isolate failover from hedging
-	}
-	router, srvs := startFleet(t, mdl, 2, 2, rcfg, scfg)
+	fleet.SetLiveness(t, 25*time.Millisecond, 50*time.Millisecond)
+	fleet.SetHedgeMinSamples(t, math.MaxInt64) // isolate failover from hedging
+	router, srvs := startFleet(t, mdl, 2, 2, scfg)
 	victim := srvs[0][0]
 	ch.Register("shard0-replica0", func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -65,7 +65,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body assignRequest
-	if !serve.DecodePoints(w, req, &body, &body.Points, r.cfg.Manifest.Dim, r.cfg.maxRequestPoints()) {
+	if !serve.DecodePoints(w, req, &body, &body.Points, r.cfg.Manifest.Dim) {
 		return
 	}
 

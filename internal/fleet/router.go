@@ -62,52 +62,26 @@ type RouterConfig struct {
 	// Shards[s] holds at least one "host:port" for shard s (required, one
 	// entry per manifest shard).
 	Shards [][]string
-	// HedgeDelay controls hedged shard requests: 0 (default) hedges after
-	// the shard's observed p99 latency, a positive value after exactly
-	// that delay, negative disables hedging.
-	HedgeDelay time.Duration
-	// Heartbeat is the liveness-probe interval (default 1s).
-	Heartbeat time.Duration
-	// DeadAfter declares a replica dead when no probe or request has
-	// succeeded for this long (default 5s). Dead replicas receive no
-	// traffic until a probe succeeds again.
-	DeadAfter time.Duration
-	// MaxRequestPoints bounds one /assign request (default 1024); keep it
-	// equal to the shards' serve.max.points so limits agree fleet-wide.
-	MaxRequestPoints int
-	// ShardTimeout bounds one shard round-trip (default 30s).
-	ShardTimeout time.Duration
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 }
 
-func (c *RouterConfig) heartbeat() time.Duration {
-	if c.Heartbeat > 0 {
-		return c.Heartbeat
-	}
-	return time.Second
-}
+// The router's liveness and hedging timings (README "Configuration
+// reference" states them). Variables only so tests can shorten them.
+var (
+	// heartbeat is the replica /healthz probe interval.
+	heartbeat = time.Second
+	// deadAfter declares a replica dead when no probe or request has
+	// succeeded for this long; dead replicas receive no traffic until a
+	// probe succeeds again.
+	deadAfter = 5 * time.Second
+	// hedgeMinSamples is the shard round-trips recorded before a shard's
+	// observed p99 sets its hedge delay; until then no request is hedged.
+	hedgeMinSamples int64 = 64
+)
 
-func (c *RouterConfig) deadAfter() time.Duration {
-	if c.DeadAfter > 0 {
-		return c.DeadAfter
-	}
-	return 5 * time.Second
-}
-
-func (c *RouterConfig) maxRequestPoints() int {
-	if c.MaxRequestPoints > 0 {
-		return c.MaxRequestPoints
-	}
-	return 1024
-}
-
-func (c *RouterConfig) shardTimeout() time.Duration {
-	if c.ShardTimeout > 0 {
-		return c.ShardTimeout
-	}
-	return 30 * time.Second
-}
+// shardTimeout bounds one shard round-trip.
+const shardTimeout = 30 * time.Second
 
 // replica is one addressable copy of a shard's sub-model.
 type replica struct {
@@ -188,7 +162,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		layouts:  cfg.Manifest.Layouts(),
 		place:    place,
 		counters: mapreduce.NewCounters(),
-		client:   &http.Client{Timeout: cfg.shardTimeout()},
+		client:   &http.Client{Timeout: shardTimeout},
 		quit:     make(chan struct{}),
 	}
 	for s, addrs := range cfg.Shards {
@@ -257,8 +231,8 @@ func (r *Router) Start(addr string) error {
 	r.probeWG.Add(1)
 	go r.prober()
 	go r.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
-	r.logf("fleet: router listening on %s (%d shards, hedge=%s heartbeat=%s dead-after=%s)",
-		ln.Addr(), len(r.shards), r.cfg.HedgeDelay, r.cfg.heartbeat(), r.cfg.deadAfter())
+	r.logf("fleet: router listening on %s (%d shards, heartbeat=%s dead-after=%s)",
+		ln.Addr(), len(r.shards), heartbeat, deadAfter)
 	return nil
 }
 
@@ -285,10 +259,10 @@ func (r *Router) Shutdown(ctx context.Context) error {
 
 // prober keeps replica liveness fresh: every heartbeat it probes each
 // replica's /healthz concurrently; success revives the replica, and a
-// replica with no success inside DeadAfter is declared dead.
+// replica with no success inside deadAfter is declared dead.
 func (r *Router) prober() {
 	defer r.probeWG.Done()
-	tick := time.NewTicker(r.cfg.heartbeat())
+	tick := time.NewTicker(heartbeat)
 	defer tick.Stop()
 	for {
 		select {
@@ -311,7 +285,7 @@ func (r *Router) prober() {
 }
 
 func (r *Router) probe(sc *shardClient, rep *replica) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.heartbeat())
+	ctx, cancel := context.WithTimeout(context.Background(), heartbeat)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+rep.addr+"/healthz", nil)
 	if err != nil {
@@ -331,7 +305,7 @@ func (r *Router) probe(sc *shardClient, rep *replica) {
 		}
 		return
 	}
-	if now-rep.lastOK.Load() > int64(r.cfg.deadAfter()) && rep.alive.Swap(false) {
+	if now-rep.lastOK.Load() > int64(deadAfter) && rep.alive.Swap(false) {
 		r.counters.Add(CtrReplicaDeaths, 1)
 		r.logf("fleet: shard %d replica %s declared dead", sc.id, rep.addr)
 	}
@@ -383,7 +357,7 @@ func (r *Router) callShard(sc *shardClient, body []byte) (*serve.FleetAssignResp
 	send()
 	var hedgeC <-chan time.Time
 	hedgedAttempt := -1
-	if d := r.hedgeDelay(sc); d > 0 && len(reps) > 1 {
+	if d := hedgeDelay(sc); d > 0 && len(reps) > 1 {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		hedgeC = t.C
@@ -435,17 +409,11 @@ func (r *Router) callShard(sc *shardClient, body []byte) (*serve.FleetAssignResp
 	return nil, lastStatus, lastMsg
 }
 
-// hedgeDelay resolves the hedge trigger for a shard: the configured fixed
-// delay, or (by default) the shard's observed p99 once enough samples
-// exist, clamped to [1ms, 2s].
-func (r *Router) hedgeDelay(sc *shardClient) time.Duration {
-	if r.cfg.HedgeDelay != 0 {
-		if r.cfg.HedgeDelay < 0 {
-			return 0
-		}
-		return r.cfg.HedgeDelay
-	}
-	if sc.hist.Count() < 64 {
+// hedgeDelay resolves the hedge trigger for a shard: its observed p99 once
+// hedgeMinSamples round-trips exist, clamped to [1ms, 2s]; 0 (no hedge)
+// before that.
+func hedgeDelay(sc *shardClient) time.Duration {
+	if sc.hist.Count() < hedgeMinSamples {
 		return 0 // too few samples for a meaningful p99
 	}
 	d := sc.hist.Quantile(0.99)
@@ -516,7 +484,7 @@ func (r *Router) handleAssign(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var body assignRequest
-	if !serve.DecodePoints(w, req, &body, &body.Points, r.cfg.Manifest.Dim, r.cfg.maxRequestPoints()) {
+	if !serve.DecodePoints(w, req, &body, &body.Points, r.cfg.Manifest.Dim) {
 		return
 	}
 	start := time.Now()
@@ -742,9 +710,9 @@ func (r *Router) scatter(batches map[int]*shardBatch) (int, string) {
 	return 0, ""
 }
 
-// Fanout reports the mean shard requests per routed query so far, over
+// fanout reports the mean shard requests per routed query so far, over
 // both rounds.
-func (r *Router) Fanout() float64 {
+func (r *Router) fanout() float64 {
 	pts := r.counters.Get(CtrPoints)
 	if pts == 0 {
 		return 0
@@ -795,7 +763,7 @@ func (r *Router) Stats(ctx context.Context) RouterStatsz {
 			P90us: r.hist.Quantile(0.90).Microseconds(),
 			P99us: r.hist.Quantile(0.99).Microseconds(),
 		},
-		FanoutMean: r.Fanout(),
+		FanoutMean: r.fanout(),
 		Rollup:     map[string]int64{},
 		Draining:   r.draining.Load(),
 	}

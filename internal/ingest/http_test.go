@@ -131,7 +131,8 @@ func TestHTTPIngest(t *testing.T) {
 func TestHTTPIngestShed(t *testing.T) {
 	m := trainModel(t, 400, 3)
 	srv := serve.New(serve.Config{Loader: loaderFor(m)})
-	st, err := Open(Config{Dir: t.TempDir(), Precision: "f64", MaxDelta: 2}, loaderFor(m))
+	lower(t, &maxDelta, 2)
+	st, err := Open(Config{Dir: t.TempDir(), Precision: "f64"}, loaderFor(m))
 	if err != nil {
 		t.Fatal(err)
 	}

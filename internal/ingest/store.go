@@ -30,10 +30,6 @@ const (
 	// -ingest-fsync). Off by default: acked points then survive a killed
 	// process (the bytes are in the OS page cache) but not a host crash.
 	ConfWALFsync = "ingest.wal.fsync"
-	// ConfDeltaMax bounds the in-memory delta segment (clusterd
-	// -ingest-max-delta); ingests arriving at a full delta are shed with
-	// 429 until compaction catches up.
-	ConfDeltaMax = "ingest.delta.max"
 	// ConfIDBase overrides the first global point ID assigned to ingested
 	// points (clusterd -ingest-id-base; default: the base model's highest
 	// ID + 1). Fleet shards need disjoint ID ranges — see OPERATIONS.md.
@@ -46,10 +42,18 @@ const (
 	// -compact-interval; 0 disables the loop, leaving POST /compact and
 	// fleetctl rollover as the only triggers).
 	ConfCompactInterval = "ingest.compact.interval"
-	// ConfCompactMin skips a periodic compaction while the delta holds
-	// fewer points than this (clusterd -compact-min-points); POST /compact
-	// ignores it and compacts whatever is there.
-	ConfCompactMin = "ingest.compact.min.points"
+)
+
+// The delta segment's bounds (README "Configuration reference" states
+// them). Variables only so tests can lower them.
+var (
+	// maxDelta bounds the in-memory delta segment; ingests arriving at a
+	// full delta are shed with 429 until compaction catches up.
+	maxDelta = 1 << 20
+	// minPoints skips a periodic compaction while the delta holds fewer
+	// points than this; POST /compact ignores it and compacts whatever is
+	// there.
+	minPoints = 1024
 )
 
 // Counter names the store reports (merged into the server's /statsz).
@@ -90,11 +94,6 @@ type Config struct {
 	Precision string
 	// Interval runs the background compactor this often (0 = manual only).
 	Interval time.Duration
-	// MinPoints makes periodic compactions wait for at least this many
-	// delta points (default 1; explicit /compact ignores it).
-	MinPoints int
-	// MaxDelta bounds the delta segment (default 1<<20 points).
-	MaxDelta int
 	// Fsync syncs the WAL on every append.
 	Fsync bool
 	// IDBase / IDStride lay out the global IDs of ingested points
@@ -107,20 +106,6 @@ type Config struct {
 	OnSwap func(*serve.Engine)
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
-}
-
-func (c *Config) maxDelta() int {
-	if c.MaxDelta > 0 {
-		return c.MaxDelta
-	}
-	return 1 << 20
-}
-
-func (c *Config) minPoints() int {
-	if c.MinPoints > 0 {
-		return c.MinPoints
-	}
-	return 1
 }
 
 func (c *Config) stride() int64 {
@@ -359,7 +344,7 @@ func (st *Store) IngestPoints(pts [][]float64) ([]serve.IngestResult, error) {
 	nd := len(st.dIDs)
 	firstID := st.nextID
 	st.mu.RUnlock()
-	if nd+len(pts) > st.cfg.maxDelta() {
+	if nd+len(pts) > maxDelta {
 		st.counters.Add(CtrShed, 1)
 		return nil, serve.ErrDeltaFull
 	}
@@ -578,7 +563,8 @@ func (st *Store) infoLocked() serve.IngestInfo {
 // serve.IngestBackend.
 func (st *Store) Counters() map[string]int64 { return st.counters.Snapshot() }
 
-// run is the background compaction loop.
+// run is the background compaction loop: every cfg.Interval, it compacts
+// a delta of at least minPoints points.
 func (st *Store) run() {
 	defer close(st.doneC)
 	t := time.NewTicker(st.cfg.Interval)
@@ -591,7 +577,7 @@ func (st *Store) run() {
 			st.mu.RLock()
 			nd := len(st.dIDs)
 			st.mu.RUnlock()
-			if nd < st.cfg.minPoints() {
+			if nd < minPoints {
 				continue
 			}
 			if _, err := st.Compact(); err != nil {

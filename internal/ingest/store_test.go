@@ -7,6 +7,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -339,9 +340,18 @@ func TestCompactionPromotesDelta(t *testing.T) {
 	checkVisible(t, re, pts, acks, true)
 }
 
+// lower sets the package bound *v to n until t ends. Call it before
+// openStore, so the bound is restored only after the store has closed.
+func lower(t *testing.T, v *int, n int) {
+	old := *v
+	*v = n
+	t.Cleanup(func() { *v = old })
+}
+
 func TestIngestShedsWhenDeltaFull(t *testing.T) {
 	m := trainModel(t, 400, 3)
-	st := openStore(t, t.TempDir(), m, func(c *Config) { c.MaxDelta = 4 })
+	lower(t, &maxDelta, 4)
+	st := openStore(t, t.TempDir(), m, nil)
 
 	if _, err := st.IngestPoints(jitterPts(m, 0, 3)); err != nil {
 		t.Fatal(err)
@@ -357,6 +367,53 @@ func TestIngestShedsWhenDeltaFull(t *testing.T) {
 	}
 	if _, err := st.IngestPoints(jitterPts(m, 3, 2)); err != nil {
 		t.Fatalf("ingest after compaction still shed: %v", err)
+	}
+}
+
+// TestPeriodicCompactor drives the background loop on a short interval: it
+// leaves a delta below minPoints alone, compacts once the delta reaches it —
+// exactly once, since the emptied delta is below the gate again — and has
+// stopped by the time Close returns.
+func TestPeriodicCompactor(t *testing.T) {
+	const tick = 5 * time.Millisecond
+	m := trainModel(t, 400, 3)
+	lower(t, &minPoints, 4)
+	st := openStore(t, t.TempDir(), m, func(c *Config) { c.Interval = tick })
+	settle := func() {
+		t.Helper()
+		time.Sleep(20 * tick)
+	}
+
+	if _, err := st.IngestPoints(jitterPts(m, 0, 3)); err != nil {
+		t.Fatal(err)
+	}
+	settle()
+	if info := st.Info(); info.Compactions != 0 || info.DeltaPoints != 3 {
+		t.Fatalf("below the gate: %+v, want no compaction and 3 delta points", info)
+	}
+
+	if _, err := st.IngestPoints(jitterPts(m, 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for st.Info().Compactions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("a delta at the gate was never compacted")
+		}
+		time.Sleep(tick)
+	}
+	settle()
+	if info := st.Info(); info.Compactions != 1 || info.DeltaPoints != 0 || info.BaseN != m.N()+4 {
+		t.Fatalf("after the gate: %+v, want one compaction promoting 4 points", info)
+	}
+
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-st.doneC:
+	default:
+		t.Fatal("compaction loop still running after Close returned")
 	}
 }
 

@@ -10,7 +10,6 @@ package kmeansmr
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -98,7 +97,7 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 	for it := 0; it < maxIter; it++ {
 		conf := mapreduce.Conf{}
 		conf.SetInt(confK, cfg.K)
-		conf[confCentroids] = encodeCentroids(centers)
+		conf[confCentroids] = points.EncodeVectors(centers)
 		out, err := sess.Run(ctx, IterateJob(conf), input)
 		if err != nil {
 			return nil, fmt.Errorf("kmeansmr: iteration %d: %w", it, err)
@@ -261,34 +260,11 @@ func decodePartial(v []byte) (int64, points.Vector, error) {
 	return count, sum, nil
 }
 
-// encodeCentroids ships centroids through the Conf.
-func encodeCentroids(cs []points.Vector) string {
-	var buf []byte
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cs)))
-	for i, c := range cs {
-		buf = points.AppendPoint(buf, points.Point{ID: int32(i), Pos: c})
-	}
-	return base64.StdEncoding.EncodeToString(buf)
-}
-
+// centroidsFromConf decodes the centroids a job's Conf ships.
 func centroidsFromConf(conf mapreduce.Conf) ([]points.Vector, error) {
-	raw, err := base64.StdEncoding.DecodeString(conf[confCentroids])
+	cs, err := points.DecodeVectors(conf[confCentroids])
 	if err != nil {
-		return nil, fmt.Errorf("kmeansmr: bad centroid encoding: %w", err)
-	}
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("kmeansmr: short centroid blob")
-	}
-	k := int(binary.LittleEndian.Uint32(raw))
-	raw = raw[4:]
-	cs := make([]points.Vector, k)
-	for i := 0; i < k; i++ {
-		p, rest, err := points.DecodePoint(raw)
-		if err != nil {
-			return nil, err
-		}
-		cs[i] = p.Pos
-		raw = rest
+		return nil, fmt.Errorf("kmeansmr: centroids: %w", err)
 	}
 	return cs, nil
 }

@@ -2,6 +2,8 @@ package kmeansmr
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -129,7 +131,7 @@ func TestValidation(t *testing.T) {
 
 func TestCentroidCodecRoundTrip(t *testing.T) {
 	cs := []points.Vector{{1, 2, 3}, {-4, 0, 9.5}}
-	conf := mapreduce.Conf{confCentroids: encodeCentroids(cs)}
+	conf := mapreduce.Conf{confCentroids: points.EncodeVectors(cs)}
 	got, err := centroidsFromConf(conf)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +141,20 @@ func TestCentroidCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := centroidsFromConf(mapreduce.Conf{confCentroids: "!!!"}); err == nil {
 		t.Fatal("want decode error")
+	}
+}
+
+// TestCentroidsRejectTrailingBytes: a centroid list followed by bytes no
+// centroid claims is an error, not a silently shorter read.
+func TestCentroidsRejectTrailingBytes(t *testing.T) {
+	raw := binary.LittleEndian.AppendUint32(nil, 1)
+	raw = points.AppendPoint(raw, points.Point{ID: 0, Pos: points.Vector{1, 2}})
+	if _, err := centroidsFromConf(mapreduce.Conf{confCentroids: base64.StdEncoding.EncodeToString(raw)}); err != nil {
+		t.Fatalf("well-formed list: %v", err)
+	}
+	raw = append(raw, 0)
+	if cs, err := centroidsFromConf(mapreduce.Conf{confCentroids: base64.StdEncoding.EncodeToString(raw)}); err == nil {
+		t.Fatalf("list with a trailing byte decoded to %v", cs)
 	}
 }
 

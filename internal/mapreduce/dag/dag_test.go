@@ -12,10 +12,12 @@ import (
 	"repro/internal/mapreduce/dag"
 )
 
-// upperJob maps values to upper case; name parameterizes code identity.
-func upperJob(name string) *mapreduce.Job {
+// upperJob maps values to upper case over reduces partitions; name
+// parameterizes code identity.
+func upperJob(name string, reduces int) *mapreduce.Job {
 	return &mapreduce.Job{
-		Name: name,
+		Name:       name,
+		NumReduces: reduces,
 		Map: func(_ *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
 			out.Emit(key, []byte(strings.ToUpper(string(value))))
 			return nil
@@ -46,22 +48,22 @@ func TestChainMatchesHandSequenced(t *testing.T) {
 
 	// Hand-sequenced reference.
 	eng := &mapreduce.LocalEngine{Parallelism: 4}
-	r1, err := eng.Run(context.Background(), upperJob("up1").WithReduces(3), input)
+	r1, err := eng.Run(context.Background(), upperJob("up1", 3), input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := eng.Run(context.Background(), upperJob("up2").WithReduces(3), r1.Output)
+	r2, err := eng.Run(context.Background(), upperJob("up2", 3), r1.Output)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Same chain through the session.
 	s := newSession()
-	mid, err := s.Run(context.Background(), upperJob("up1").WithReduces(3), s.Stage(input))
+	mid, err := s.Run(context.Background(), upperJob("up1", 3), s.Stage(input))
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := s.Run(context.Background(), upperJob("up2").WithReduces(3), mid)
+	final, err := s.Run(context.Background(), upperJob("up2", 3), mid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +139,7 @@ func TestStageCountsEveryCall(t *testing.T) {
 		t.Fatalf("dag.stage.bytes = %d, want %d", snap[dag.CtrStageBytes], want)
 	}
 	// A staged slice is the input itself.
-	out, err := s.Run(context.Background(), upperJob("stg").WithReduces(1), staged)
+	out, err := s.Run(context.Background(), upperJob("stg", 1), staged)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,6 @@ func (e *LocalEngine) parallelism() int {
 type taskEmitter struct {
 	job         *Job
 	ctx         *TaskContext
-	part        PartitionFunc
 	nReduce     int
 	buf         [][]Pair
 	sortScratch []Pair // merge buffer reused across partition sorts
@@ -77,7 +76,7 @@ type taskEmitter struct {
 }
 
 func (t *taskEmitter) Emit(key string, value []byte) {
-	p := t.part(key, t.nReduce)
+	p := hashPartition(key, t.nReduce)
 	t.buf[p] = append(t.buf[p], Pair{Key: key, Value: value})
 	t.outRecords++
 }

@@ -230,28 +230,12 @@ func TestDeterministicOutputOrder(t *testing.T) {
 	}
 }
 
-func TestCustomPartitioner(t *testing.T) {
-	// Route everything to partition 0 and verify single-partition grouping
-	// still sees all values.
-	job := wordcount()
-	job.Partition = func(string, int) int { return 0 }
-	job.NumReduces = 4
-	eng := &LocalEngine{Parallelism: 4}
-	res, err := eng.Run(context.Background(), job, lines("k k k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := outputMap(res.Output)["k"]; got != "3" {
-		t.Fatalf("count = %q", got)
-	}
-}
-
 func TestHashPartitionRange(t *testing.T) {
 	for _, key := range []string{"", "a", "abc", "0|12.-4.9", strings.Repeat("x", 100)} {
 		for _, n := range []int{1, 2, 7, 64} {
-			p := HashPartition(key, n)
+			p := hashPartition(key, n)
 			if p < 0 || p >= n {
-				t.Fatalf("HashPartition(%q, %d) = %d", key, n, p)
+				t.Fatalf("hashPartition(%q, %d) = %d", key, n, p)
 			}
 		}
 	}

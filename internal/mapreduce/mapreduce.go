@@ -58,13 +58,9 @@ type MapFunc func(ctx *TaskContext, key string, value []byte, out Emitter) error
 // reducers (run over complete groups).
 type ReduceFunc func(ctx *TaskContext, key string, values [][]byte, out Emitter) error
 
-// PartitionFunc maps an intermediate key to a reduce partition in
-// [0, numReduces).
-type PartitionFunc func(key string, numReduces int) int
-
-// HashPartition is the default partitioner (FNV-1a, like Hadoop's hash
-// partitioner in spirit).
-func HashPartition(key string, numReduces int) int {
+// hashPartition maps an intermediate key to its reduce partition in
+// [0, numReduces) (FNV-1a, like Hadoop's hash partitioner in spirit).
+func hashPartition(key string, numReduces int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
 	return int(h.Sum32() % uint32(numReduces))
@@ -104,9 +100,6 @@ type Job struct {
 	Combine ReduceFunc // optional; nil disables map-side combining
 	Reduce  ReduceFunc // optional; nil makes the job map-only
 
-	// Partition defaults to HashPartition when nil.
-	Partition PartitionFunc
-
 	// NumMaps is the number of map tasks (input splits). <=0 means one
 	// task per engine worker.
 	NumMaps int
@@ -117,15 +110,6 @@ type Job struct {
 	// Conf carries job-scoped configuration (the equivalent of Hadoop's
 	// JobConf): algorithm parameters, broadcast values, etc.
 	Conf Conf
-}
-
-// WithReduces sets the reduce-partition count and returns the job, so
-// pipeline code reads `BasicRhoJob(conf).WithReduces(n)` instead of
-// threading a helper through every package. It mutates and returns j —
-// job factories return fresh values, so chaining is safe.
-func (j *Job) WithReduces(n int) *Job {
-	j.NumReduces = n
-	return j
 }
 
 func (j *Job) validate() error {
@@ -139,14 +123,6 @@ func (j *Job) validate() error {
 		return fmt.Errorf("mapreduce: job %q has a combiner but no reducer", j.Name)
 	}
 	return nil
-}
-
-// partitioner returns the effective partition function.
-func (j *Job) partitioner() PartitionFunc {
-	if j.Partition != nil {
-		return j.Partition
-	}
-	return HashPartition
 }
 
 // TaskContext is passed to every user function invocation. One context is

@@ -37,7 +37,6 @@ func ExecuteMapTask(job *Job, taskID, nReduce int, records []Pair, counters *Cou
 	em := &taskEmitter{
 		job:     job,
 		ctx:     ctx,
-		part:    job.partitioner(),
 		nReduce: nReduce,
 		buf:     make([][]Pair, nReduce),
 	}

@@ -1,6 +1,7 @@
 package points
 
 import (
+	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -57,6 +58,58 @@ func DecodePoint(buf []byte) (Point, []byte, error) {
 		pos[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return Point{ID: id, Pos: pos}, buf[8*dim:], nil
+}
+
+// EncodeVectors serializes a vector list for a job's Conf (EDDPC's pivots,
+// K-means' centroids): base64 over a little-endian uint32 count followed by
+// one point record per vector, its ID the vector's index.
+func EncodeVectors(vs []Vector) string {
+	buf := binary.LittleEndian.AppendUint32(nil, uint32(len(vs)))
+	for i, v := range vs {
+		buf = AppendPoint(buf, Point{ID: int32(i), Pos: v})
+	}
+	return base64.StdEncoding.EncodeToString(buf)
+}
+
+// DecodeVectors parses EncodeVectors' output. It rejects anything
+// EncodeVectors cannot have produced — non-canonical base64, a count the
+// remaining bytes cannot hold, a record out of index order, a ragged list,
+// trailing bytes — so a list it accepts re-encodes to the same string.
+func DecodeVectors(s string) ([]Vector, error) {
+	raw, err := base64.StdEncoding.DecodeString(s)
+	if err != nil {
+		return nil, fmt.Errorf("points: bad vector-list encoding: %w", err)
+	}
+	if base64.StdEncoding.EncodeToString(raw) != s {
+		return nil, fmt.Errorf("points: non-canonical vector-list encoding")
+	}
+	if len(raw) < 4 {
+		return nil, fmt.Errorf("points: short vector list (%d bytes)", len(raw))
+	}
+	n := uint64(binary.LittleEndian.Uint32(raw))
+	raw = raw[4:]
+	// A record takes at least its 8-byte header.
+	if n > uint64(len(raw))/8 {
+		return nil, fmt.Errorf("points: %d vectors do not fit in %d bytes", n, len(raw))
+	}
+	vs := make([]Vector, n)
+	for i := range vs {
+		p, rest, err := DecodePoint(raw)
+		if err != nil {
+			return nil, err
+		}
+		if p.ID != int32(i) {
+			return nil, fmt.Errorf("points: vector %d carries index %d", i, p.ID)
+		}
+		if i > 0 && len(p.Pos) != len(vs[0]) {
+			return nil, fmt.Errorf("points: vector %d has dim %d, vector 0 has %d", i, len(p.Pos), len(vs[0]))
+		}
+		vs[i], raw = p.Pos, rest
+	}
+	if len(raw) != 0 {
+		return nil, fmt.Errorf("points: %d trailing bytes after vector list", len(raw))
+	}
+	return vs, nil
 }
 
 // RhoPoint is a point annotated with its (approximate) local density —

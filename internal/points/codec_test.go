@@ -2,6 +2,7 @@ package points
 
 import (
 	"cmp"
+	"encoding/base64"
 	"encoding/binary"
 	"math"
 	"slices"
@@ -362,6 +363,72 @@ func FuzzRhoPartialRoundTrip(f *testing.F) {
 		if certified, mask, err := ShipMask(raw); err == nil {
 			if certified != (len(raw) > 0) || certified && string(AppendShipMask(nil, mask)) != string(raw) {
 				t.Fatalf("ShipMask accepted %x as certified %v mask %x", raw, certified, mask)
+			}
+		}
+	})
+}
+
+// vectorListBytes is the binary body of a vector list: the count, then one
+// point record per entry.
+func vectorListBytes(n uint32, ps ...Point) []byte {
+	buf := binary.LittleEndian.AppendUint32(nil, n)
+	for _, p := range ps {
+		buf = AppendPoint(buf, p)
+	}
+	return buf
+}
+
+func TestVectorsCodec(t *testing.T) {
+	vs := []Vector{{1, 2, 3}, {-4.5, 0, math.Inf(1)}}
+	got, err := DecodeVectors(EncodeVectors(vs))
+	if err != nil || len(got) != 2 || got[1][0] != -4.5 || got[1][2] != math.Inf(1) {
+		t.Fatalf("round trip = %v, %v", got, err)
+	}
+	if got, err := DecodeVectors(EncodeVectors(nil)); err != nil || len(got) != 0 {
+		t.Fatalf("empty list = %v, %v", got, err)
+	}
+	a, b := Point{ID: 0, Pos: Vector{1, 2}}, Point{ID: 1, Pos: Vector{3, 4}}
+	for name, s := range map[string]string{
+		"not base64":      "!!!",
+		"newline":         EncodeVectors(vs) + "\n",
+		"short header":    base64.StdEncoding.EncodeToString([]byte{1, 0}),
+		"count past data": base64.StdEncoding.EncodeToString(vectorListBytes(math.MaxUint32)),
+		"truncated":       base64.StdEncoding.EncodeToString(vectorListBytes(2, a)),
+		"trailing byte":   base64.StdEncoding.EncodeToString(append(vectorListBytes(1, a), 0)),
+		"out of order":    base64.StdEncoding.EncodeToString(vectorListBytes(2, b, a)),
+		"ragged":          base64.StdEncoding.EncodeToString(vectorListBytes(2, a, Point{ID: 1, Pos: Vector{3}})),
+	} {
+		if got, err := DecodeVectors(s); err == nil {
+			t.Errorf("%s: decoded to %v", name, got)
+		}
+	}
+}
+
+// FuzzVectorsRoundTrip holds the Conf vector-list codec to its contract on
+// arbitrary bytes, both as the list's binary body and as the Conf string
+// itself: an error, or a list that re-encodes to exactly the input; never a
+// panic, and never an allocation the bytes do not back.
+func FuzzVectorsRoundTrip(f *testing.F) {
+	a, b := Point{ID: 0, Pos: Vector{1, 2}}, Point{ID: 1, Pos: Vector{3, 4}}
+	for _, seed := range [][]byte{
+		vectorListBytes(0),
+		vectorListBytes(2, a, b),
+		vectorListBytes(math.MaxUint32),
+		append(vectorListBytes(1, a), 0),
+		vectorListBytes(2, b, a),
+		vectorListBytes(2, a, Point{ID: 1, Pos: Vector{3}}),
+		[]byte(EncodeVectors([]Vector{{1, 2}})),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		for _, s := range []string{base64.StdEncoding.EncodeToString(raw), string(raw)} {
+			vs, err := DecodeVectors(s)
+			if err != nil {
+				continue
+			}
+			if again := EncodeVectors(vs); again != s {
+				t.Fatalf("%q decoded to %v, which re-encodes to %q", s, vs, again)
 			}
 		}
 	})

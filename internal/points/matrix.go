@@ -122,6 +122,40 @@ func DecodePointsInto(m *Matrix, values [][]byte) error {
 	return nil
 }
 
+// DecodeHomeFirstInto batch-decodes one reducer group of tagged records
+// into m, replacing its contents: the records split calls home first, the
+// rest after, each pass in value order, so the pairwise kernels see the home
+// range [0, nHome) and the visitor range [nHome, N()). split strips a
+// value's tag and says whether the record is home; appendRow is the record
+// decoder ((*Matrix).AppendPoint or AppendRhoPoint), and each payload must
+// hold exactly one record.
+func DecodeHomeFirstInto(m *Matrix, values [][]byte, split func(v []byte) (home bool, payload []byte, err error),
+	appendRow func(*Matrix, []byte) ([]byte, error)) (nHome int, err error) {
+	m.Reset()
+	for pass := 0; pass < 2; pass++ {
+		for _, v := range values {
+			home, payload, err := split(v)
+			if err != nil {
+				return 0, err
+			}
+			if home != (pass == 0) {
+				continue
+			}
+			rest, err := appendRow(m, payload)
+			if err != nil {
+				return 0, err
+			}
+			if len(rest) != 0 {
+				return 0, fmt.Errorf("points: %d trailing bytes after grouped record", len(rest))
+			}
+		}
+		if pass == 0 {
+			nHome = m.N()
+		}
+	}
+	return nHome, nil
+}
+
 // DecodeRhoPointsInto batch-decodes one RhoPoint record per value into m,
 // replacing its contents. Each value must hold exactly one RhoPoint.
 func DecodeRhoPointsInto(m *Matrix, values [][]byte) error {

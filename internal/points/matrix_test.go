@@ -1,6 +1,7 @@
 package points
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -192,3 +193,42 @@ func TestMatrixGather(t *testing.T) {
 		t.Fatalf("gather of no rows left %d rows", m.N())
 	}
 }
+
+// TestDecodeHomeFirstInto: home records land first and visitors after,
+// each in value order, over a matrix that held a previous group; a bad tag
+// or a trailing byte is an error.
+func TestDecodeHomeFirstInto(t *testing.T) {
+	split := func(v []byte) (bool, []byte, error) {
+		if len(v) == 0 {
+			return false, nil, errShortTag
+		}
+		return v[0] == 1, v[1:], nil
+	}
+	rec := func(tag byte, id int32) []byte {
+		return append([]byte{tag}, EncodePoint(Point{ID: id, Pos: Vector{float64(id), 0}})...)
+	}
+	m := new(Matrix)
+	if err := DecodePointsInto(m, [][]byte{EncodePoint(Point{ID: 99, Pos: Vector{1, 2}})}); err != nil {
+		t.Fatal(err)
+	}
+	nHome, err := DecodeHomeFirstInto(m, [][]byte{rec(0, 1), rec(1, 2), rec(0, 3), rec(1, 4)}, split, (*Matrix).AppendPoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nHome != 2 || m.N() != 4 {
+		t.Fatalf("nHome = %d, N = %d, want 2 and 4", nHome, m.N())
+	}
+	for i, want := range []int32{2, 4, 1, 3} {
+		if m.ID(i) != want || m.Row(i)[0] != float64(want) {
+			t.Fatalf("row %d holds point %d, want %d", i, m.ID(i), want)
+		}
+	}
+	if _, err := DecodeHomeFirstInto(m, [][]byte{rec(1, 1), {}}, split, (*Matrix).AppendPoint); err != errShortTag {
+		t.Fatalf("empty record: err %v, want the split's", err)
+	}
+	if _, err := DecodeHomeFirstInto(m, [][]byte{append(rec(0, 1), 7)}, split, (*Matrix).AppendPoint); err == nil {
+		t.Fatal("record with a trailing byte decoded")
+	}
+}
+
+var errShortTag = errors.New("short tag")

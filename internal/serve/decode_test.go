@@ -14,8 +14,8 @@ import (
 // serve.DecodePoints under the two body shapes its five callers decode — the
 // {"points": …} body of a server's /assign and /ingest and of the router's
 // two, and the shard-internal FleetAssignRequest of /fleet/assign — at a
-// fuzz-chosen dimension and point cap. It either answers 400 and returns
-// false, or writes nothing and returns 1 … cap points, each of the model's
+// fuzz-chosen dimension. It either answers 400 and returns false, or writes
+// nothing and returns 1 … MaxRequestPoints points, each of the model's
 // dimension with every coordinate finite and within MaxCoord; it never
 // panics.
 func FuzzDecodePoints(f *testing.F) {
@@ -36,7 +36,7 @@ func FuzzDecodePoints(f *testing.F) {
 		f.Add(byte(1), []byte(body))
 	}
 	f.Fuzz(func(t *testing.T, sel byte, body []byte) {
-		dim, maxPoints := 1+int(sel%4), 1+int(sel/4%4)
+		dim := 1 + int(sel%4)
 		var plain struct {
 			Points [][]float64 `json:"points"`
 		}
@@ -47,7 +47,7 @@ func FuzzDecodePoints(f *testing.F) {
 		}{{&plain, &plain.Points}, {&fleet, &fleet.Points}} {
 			rec := httptest.NewRecorder()
 			req := httptest.NewRequest(http.MethodPost, "/assign", bytes.NewReader(body))
-			if !serve.DecodePoints(rec, req, shape.body, shape.pts, dim, maxPoints) {
+			if !serve.DecodePoints(rec, req, shape.body, shape.pts, dim) {
 				if rec.Code != http.StatusBadRequest {
 					t.Fatalf("refused %q with status %d, want 400", body, rec.Code)
 				}
@@ -57,8 +57,8 @@ func FuzzDecodePoints(f *testing.F) {
 				t.Fatalf("accepted %q but replied %d %q", body, rec.Code, rec.Body)
 			}
 			pts := *shape.pts
-			if len(pts) == 0 || len(pts) > maxPoints {
-				t.Fatalf("accepted %q: %d points, cap %d", body, len(pts), maxPoints)
+			if len(pts) == 0 || len(pts) > serve.MaxRequestPoints {
+				t.Fatalf("accepted %q: %d points, cap %d", body, len(pts), serve.MaxRequestPoints)
 			}
 			for i, p := range pts {
 				if len(p) != dim {

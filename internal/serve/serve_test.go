@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -39,6 +40,11 @@ func trainModel(t *testing.T, n, k int) (*model.Model, []int32, []bool) {
 		t.Fatal(err)
 	}
 	return mdl, labels, hr.Halo
+}
+
+// pointsBody is an /assign body of n copies of the point (1, 1).
+func pointsBody(n int) string {
+	return `{"points":[` + strings.TrimSuffix(strings.Repeat("[1,1],", n), ",") + `]}`
 }
 
 func postAssign(t *testing.T, addr string, pts [][]float64) (*http.Response, []serve.Assignment) {
@@ -263,8 +269,8 @@ func TestOverflowQuery(t *testing.T) {
 func TestLoadShedding(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	release := make(chan struct{})
+	serve.SetQueueDepth(t, 1)
 	srv := serve.New(serve.Config{
-		QueueDepth: 1,
 		ProcessHook: func() {
 			entered <- struct{}{}
 			<-release
@@ -364,9 +370,9 @@ func TestQueuedRequestLeavesOnCancel(t *testing.T) {
 	entered := make(chan struct{}, 4)
 	hold := make(chan struct{})
 	release := sync.OnceFunc(func() { close(hold) })
+	serve.SetQueueDepth(t, 1)
 	srv := serve.New(serve.Config{
-		QueueDepth: 1,
-		Workers:    1,
+		Workers: 1,
 		ProcessHook: func() {
 			entered <- struct{}{}
 			<-hold
@@ -528,7 +534,7 @@ func TestHotReload(t *testing.T) {
 
 // TestRequestValidation exercises the /assign error paths.
 func TestRequestValidation(t *testing.T) {
-	srv := serve.New(serve.Config{MaxRequestPoints: 2})
+	srv := serve.New(serve.Config{})
 	if err := srv.SetModel(smallModel("val")); err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +551,8 @@ func TestRequestValidation(t *testing.T) {
 		{"garbage", "{", http.StatusBadRequest},
 		{"empty", `{"points":[]}`, http.StatusBadRequest},
 		{"wrong dim", `{"points":[[1,2,3]]}`, http.StatusBadRequest},
-		{"too many", `{"points":[[1,1],[2,2],[3,3]]}`, http.StatusBadRequest},
+		{"too many", pointsBody(serve.MaxRequestPoints + 1), http.StatusBadRequest},
+		{"at the cap", pointsBody(serve.MaxRequestPoints), http.StatusOK},
 		{"ok", `{"points":[[1,1]]}`, http.StatusOK},
 	} {
 		resp, err := http.Post("http://"+srv.Addr()+"/assign", "application/json", bytes.NewReader([]byte(tc.body)))

@@ -62,21 +62,12 @@ const (
 // Config carries the serving knobs (see README "Configuration reference",
 // serve.* rows).
 type Config struct {
-	// QueueDepth bounds the admitted requests waiting for a worker (default
-	// 128). A request arriving at a full queue is shed with 429, never
-	// blocked.
-	QueueDepth int
 	// Workers bounds the engine calls answered at once (default 1).
 	Workers int
-	// MaxRequestPoints bounds the points of one request (default 1024).
-	MaxRequestPoints int
 	// ShardID, when non-nil, names this server's slot in a serving fleet.
 	// It is reported in /statsz so a router can verify at startup that the
 	// replica it is about to route to really serves the shard it expects.
 	ShardID *int
-	// ExactOnly disables LSH pruning and answers every query by full scan
-	// (the benchmark baseline).
-	ExactOnly bool
 	// Precision selects the scan representation ("", "f64", "f32", "q8" —
 	// the serve.scan.precision knob). Compact precisions scan a smaller
 	// mirror of the stored points and re-rank exactly in float64, so
@@ -98,13 +89,6 @@ type Config struct {
 	ProcessHook func()
 }
 
-func (c *Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	return 128
-}
-
 func (c *Config) workers() int {
 	if c.Workers > 0 {
 		return c.Workers
@@ -112,12 +96,15 @@ func (c *Config) workers() int {
 	return 1
 }
 
-func (c *Config) maxRequestPoints() int {
-	if c.MaxRequestPoints > 0 {
-		return c.MaxRequestPoints
-	}
-	return 1024
-}
+// maxRequestPoints bounds the query points of one request, on every
+// point-carrying endpoint of a server and of a fleet router alike, so a
+// batch the router admits is one every shard admits.
+const maxRequestPoints = 1024
+
+// queueDepth bounds the admitted requests waiting for a worker; a request
+// arriving at a full queue is shed with 429, never blocked. New reads it
+// (a variable only so tests can shrink it).
+var queueDepth = 128
 
 // The listener bounds how long it waits for a client's request headers, so
 // a slow-loris client cannot pin a connection forever, and closes
@@ -135,7 +122,7 @@ type Server struct {
 	cfg    Config
 	engine atomic.Pointer[Engine]
 	// waiting and running are the admission gate, two counting semaphores:
-	// an admitted request holds one of QueueDepth waiting slots until one
+	// an admitted request holds one of queueDepth waiting slots until one
 	// of Workers run slots frees, and the run slot for its engine call.
 	waiting  chan struct{}
 	running  chan struct{}
@@ -161,7 +148,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
-		waiting:  make(chan struct{}, cfg.queueDepth()),
+		waiting:  make(chan struct{}, queueDepth),
 		running:  make(chan struct{}, cfg.workers()),
 		counters: mapreduce.NewCounters(),
 	}
@@ -243,7 +230,7 @@ func (s *Server) Start(addr string) error {
 		IdleTimeout:       idleTimeout,
 	}
 	go s.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
-	s.logf("serve: listening on %s (queue=%d workers=%d)", ln.Addr(), s.cfg.queueDepth(), s.cfg.workers())
+	s.logf("serve: listening on %s (queue=%d workers=%d)", ln.Addr(), cap(s.waiting), s.cfg.workers())
 	return nil
 }
 
@@ -284,7 +271,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, body any, pts *[]
 		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
 		return nil
 	}
-	if !DecodePoints(w, r, body, pts, eng.m.Dim, s.cfg.maxRequestPoints()) {
+	if !DecodePoints(w, r, body, pts, eng.m.Dim) {
 		return nil
 	}
 	return eng
@@ -383,12 +370,12 @@ func (s *Server) assignIngest(qs []points.Vector, opts BatchOpts) ([]Assignment,
 // the fleet router's /assign and /ingest — starts with it, so a routed
 // request is rejected byte-identically to a single-node one and never burns
 // a shard round-trip.
-func DecodePoints(w http.ResponseWriter, r *http.Request, body any, pts *[][]float64, dim, maxPoints int) bool {
+func DecodePoints(w http.ResponseWriter, r *http.Request, body any, pts *[][]float64, dim int) bool {
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(body); err != nil {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return false
 	}
-	if msg := checkPoints(*pts, dim, maxPoints); msg != "" {
+	if msg := checkPoints(*pts, dim); msg != "" {
 		http.Error(w, msg, http.StatusBadRequest)
 		return false
 	}
@@ -396,12 +383,12 @@ func DecodePoints(w http.ResponseWriter, r *http.Request, body any, pts *[][]flo
 }
 
 // checkPoints returns why a batch of query points is inadmissible, or "".
-func checkPoints(pts [][]float64, dim, maxPoints int) string {
+func checkPoints(pts [][]float64, dim int) string {
 	if len(pts) == 0 {
 		return "no points"
 	}
-	if len(pts) > maxPoints {
-		return fmt.Sprintf("too many points: %d > %d", len(pts), maxPoints)
+	if len(pts) > maxRequestPoints {
+		return fmt.Sprintf("too many points: %d > %d", len(pts), maxRequestPoints)
 	}
 	maxCoord := MaxCoord(dim)
 	for i, p := range pts {
@@ -435,7 +422,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	if eng == nil {
 		return
 	}
-	out, errs, ok := s.answer(w, r, eng, body.Points, BatchOpts{ExactOnly: s.cfg.ExactOnly})
+	out, errs, ok := s.answer(w, r, eng, body.Points, BatchOpts{})
 	if !ok {
 		return
 	}
