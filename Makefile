@@ -13,9 +13,10 @@ all: check
 # serving engine's bucket sweep, the ρ-partial codec, the record frame, the
 # ρ reducers' runs-apart certificate, the HTTP point decoder, the shuffle
 # fetcher's response decoder, the WAL record decoder and segment replay, the compact
-# shortlist's distance cap, the kNN-join's records and box table, the
-# model artifact's section walk and the Conf vector list for five seconds
-# each, smoke
+# shortlist's distance cap, the compact filter in front of the exact top-k,
+# the kNN-join's records and box table, the
+# model artifact's section walk, the Conf vector list and the fleet manifest
+# reader for five seconds each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, compile + smoke the benchmark harness
 # (all five workloads, oracles checked), and run the six example programs,
@@ -91,7 +92,11 @@ race:
 # its compact shortlist at the best distance another shard already found:
 # on arbitrary rows, query and bound, at f32 and q8, every row within the
 # bound survives the cap, the capped scan's answer is the nearest row within
-# the bound, and nothing panics. The kNN-join's records — bucket query,
+# the bound, and nothing panics. Every compact serving sweep computes exact
+# distances only for rows its f32 or q8 distance lets through: on arbitrary
+# rows (NaN, ±Inf, huge and tie-heavy coordinates), query and cap, fed in
+# arbitrary pieces, the capped top-1 is exactly the float64 scan's, from no
+# more exact distances than rows, never a panic. The kNN-join's records — bucket query,
 # result — and the box table its candidates job filters base copies by face
 # arbitrary bytes: error or exactly the input re-encoded (a ragged box, a
 # truncated or repeated key is an error); the candidates map errors or
@@ -105,7 +110,10 @@ race:
 # vector list a job's Conf ships (EDDPC's pivots, K-means' centroids) faces
 # arbitrary bytes, as its binary body and as the Conf string: error, or a
 # list that re-encodes to the same string — a count the bytes cannot hold
-# or a trailing byte is an error, never a panic.
+# or a trailing byte is an error, never a panic. A router reads fleet.json
+# from disk: arbitrary bytes give an error, or a placement whose every owner
+# lies in [0, shards) — a ring or layouts too large to build are an error,
+# never a panic or an unbounded allocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKLeaves$$' -fuzztime 5s ./internal/kernels/
@@ -118,9 +126,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 5s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALSegment$$' -fuzztime 5s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzShortlistCap$$' -fuzztime 5s ./internal/kernels/
+	$(GO) test -run '^$$' -fuzz '^FuzzTopKCompact$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzKnnRecords$$' -fuzztime 5s ./internal/knnjoin/
 	$(GO) test -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime 5s ./internal/model/
 	$(GO) test -run '^$$' -fuzz '^FuzzVectorsRoundTrip$$' -fuzztime 5s ./internal/points/
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s ./internal/fleet/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -148,8 +158,9 @@ bench-hot:
 # matches both TopKScan, the flat batch, and TopKLeaves, the kNN-join
 # reducers' box-tree scan, with rows and box bounds per query), and one
 # served query end to end at the
-# harness geometry (EngineAssign: ns and rows evaluated per query, share
-# certified from one bucket, f64 and q8).
+# harness geometry (EngineAssign: ns, rows evaluated and exact distances
+# the q8 filter let through per query, share certified from one bucket, f64
+# and q8).
 # End-to-end figures come from `bash bench/run.sh`.
 bench-scan:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|TopK' -run '^$$' -benchmem \

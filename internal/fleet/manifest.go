@@ -59,8 +59,22 @@ type Manifest struct {
 // slots).
 const KeyFormat = "lsh-varint-1"
 
+// Bounds on what a manifest may make a router build. shards × vnodes sizes
+// the ring (Placement) and dim × lsh_m × lsh_pi the layouts (Layouts); past
+// these a hostile fleet.json would allocate without limit or loop for
+// minutes. Both sit far above any real fleet: 1 024 shards at the default
+// vnodes, a 1 024-dimensional model under 64 layouts of 16 functions.
+const (
+	maxRingPoints   = 1 << 20
+	maxLayoutCoords = 1 << 20
+)
+
 // Validate checks the manifest invariants.
 func (mf *Manifest) Validate() error {
+	vnodes := mf.VNodes
+	if vnodes == 0 {
+		vnodes = DefaultVNodes
+	}
 	switch {
 	case mf.Dim < 1:
 		return fmt.Errorf("fleet: manifest dim %d < 1", mf.Dim)
@@ -75,6 +89,10 @@ func (mf *Manifest) Validate() error {
 		return fmt.Errorf("fleet: manifest lsh_w %v <= 0", mf.W)
 	case mf.VNodes < 0:
 		return fmt.Errorf("fleet: manifest vnodes %d < 0", mf.VNodes)
+	case mf.Shards > maxRingPoints/vnodes:
+		return fmt.Errorf("fleet: manifest ring of %d shards x %d vnodes exceeds %d points", mf.Shards, vnodes, maxRingPoints)
+	case mf.Dim > maxLayoutCoords/mf.M/mf.Pi:
+		return fmt.Errorf("fleet: manifest layouts of dim %d x lsh_m %d x lsh_pi %d exceed %d coordinates", mf.Dim, mf.M, mf.Pi, maxLayoutCoords)
 	}
 	if mf.KeyFormat != KeyFormat {
 		return fmt.Errorf("fleet: manifest key_format %q, this build routes by %q: the fleet was partitioned by a build with different LSH keys; re-run `fleetctl partition` on the full model and restart the shards from its output",
@@ -160,12 +178,21 @@ func LoadManifest(path string) (*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mf Manifest
-	if err := json.Unmarshal(b, &mf); err != nil {
+	mf, err := parseManifest(b)
+	if err != nil {
 		return nil, fmt.Errorf("fleet: manifest %s: %w", path, err)
 	}
+	return mf, nil
+}
+
+// parseManifest decodes and validates the bytes of a fleet.json.
+func parseManifest(b []byte) (*Manifest, error) {
+	var mf Manifest
+	if err := json.Unmarshal(b, &mf); err != nil {
+		return nil, err
+	}
 	if err := mf.Validate(); err != nil {
-		return nil, fmt.Errorf("fleet: manifest %s: %w", path, err)
+		return nil, err
 	}
 	return &mf, nil
 }

@@ -9,7 +9,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -333,8 +332,14 @@ type callResult struct {
 // callShard round-trips one /fleet/assign body to shard sc: round-robin
 // over alive replicas, one hedged duplicate after the p99-based delay, and
 // failover to the remaining replicas when an attempt fails. Returns the
-// parsed reply, or the last failure's (status, message).
-func (r *Router) callShard(sc *shardClient, body []byte) (*serve.FleetAssignResponse, int, string) {
+// parsed reply, or the last failure's (status, message). Every attempt runs
+// under ctx, and the ones still in flight when callShard returns — a hedge
+// loser — are cancelled. An attempt that failed because ctx ended (the
+// client went away, or callShard itself cancelled it) says nothing about
+// its replica: it marks nothing dead and is not retried.
+func (r *Router) callShard(ctx context.Context, sc *shardClient, body []byte) (*serve.FleetAssignResponse, int, string) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	start := time.Now()
 	reps := sc.alivePick()
 	results := make(chan callResult, len(reps))
@@ -344,12 +349,13 @@ func (r *Router) callShard(sc *shardClient, body []byte) (*serve.FleetAssignResp
 		idx := attempt
 		attempt++
 		go func() {
-			res := r.post(rep, body)
+			res := r.post(ctx, rep, body)
 			res.attempt = idx
-			if res.err != nil {
-				r.markFailed(sc, rep)
-			} else {
+			switch {
+			case res.err == nil:
 				rep.lastOK.Store(time.Now().UnixNano())
+			case ctx.Err() == nil:
+				r.markFailed(sc, rep)
 			}
 			results <- res
 		}()
@@ -377,6 +383,9 @@ func (r *Router) callShard(sc *shardClient, body []byte) (*serve.FleetAssignResp
 			}
 		case res := <-results:
 			pending--
+			if res.err != nil && ctx.Err() != nil {
+				return nil, http.StatusServiceUnavailable, "request cancelled"
+			}
 			if res.err == nil && res.status == http.StatusOK {
 				if res.attempt == hedgedAttempt {
 					r.counters.Add(CtrHedgeWins, 1)
@@ -426,9 +435,14 @@ func hedgeDelay(sc *shardClient) time.Duration {
 	return d
 }
 
-// post issues one /fleet/assign attempt against one replica.
-func (r *Router) post(rep *replica, body []byte) callResult {
-	resp, err := r.client.Post("http://"+rep.addr+"/fleet/assign", "application/json", bytes.NewReader(body))
+// post issues one /fleet/assign attempt against one replica under ctx.
+func (r *Router) post(ctx context.Context, rep *replica, body []byte) callResult {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+rep.addr+"/fleet/assign", bytes.NewReader(body))
+	if err != nil {
+		return callResult{err: err}
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return callResult{err: err}
 	}
@@ -488,11 +502,14 @@ func (r *Router) handleAssign(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	start := time.Now()
-	out, status, msg := r.assign(body.Points)
+	out, status, msg := r.assign(req.Context(), body.Points)
 	r.hist.Record(time.Since(start))
 	r.counters.Add(CtrRequests, 1)
 	r.counters.Add(CtrPoints, int64(len(body.Points)))
 	if status != 0 {
+		if req.Context().Err() != nil {
+			return // the client went away; nobody reads an answer
+		}
 		switch {
 		case status == http.StatusTooManyRequests:
 			r.counters.Add(CtrShed, 1)
@@ -551,7 +568,9 @@ func (r *Router) add(batches map[int]*shardBatch, s, i int, p []float64, mask ui
 // uncertified queries, capped at round 1's best squared distance: a shard
 // then evaluates only rows that could still win, and the certifying bucket's
 // rows, which round 1 swept, are skipped by the rotation.
-func (r *Router) assign(pts [][]float64) ([]serve.Assignment, int, string) {
+//
+// ctx is the client's request: its end cancels every shard call in flight.
+func (r *Router) assign(ctx context.Context, pts [][]float64) ([]serve.Assignment, int, string) {
 	nq, ns := len(pts), len(r.shards)
 	masks := make([]uint64, nq*ns)
 	first := make([]int, nq)
@@ -568,7 +587,7 @@ func (r *Router) assign(pts [][]float64) ([]serve.Assignment, int, string) {
 		r.add(round1, first[i], i, p, m[first[i]])
 	}
 	r.counters.Add(CtrShardsPerQuery, int64(nq))
-	if status, msg := r.scatter(round1); status != 0 {
+	if status, msg := r.scatter(ctx, round1); status != 0 {
 		return nil, status, msg
 	}
 
@@ -602,7 +621,9 @@ func (r *Router) assign(pts [][]float64) ([]serve.Assignment, int, string) {
 			certified++
 			continue
 		}
-		bound := math.Inf(1)
+		// No round-1 answer: a bound every finite squared distance ties or
+		// beats (FleetAssignRequest.Bounds), since JSON has no +Inf.
+		bound := math.MaxFloat64
 		if bests[i].have {
 			bound = bests[i].res.D2
 		}
@@ -614,16 +635,9 @@ func (r *Router) assign(pts [][]float64) ([]serve.Assignment, int, string) {
 			}
 		}
 	}
-	for _, b := range round2 {
-		// JSON has no +Inf: a batch holding a query without a round-1
-		// answer goes uncapped.
-		if slices.Contains(b.bounds, math.Inf(1)) {
-			b.bounds = nil
-		}
-	}
 	r.counters.Add(CtrCertified, certified)
 	r.counters.Add(CtrShardsPerQuery, asked)
-	if status, msg := r.scatter(round2); status != 0 {
+	if status, msg := r.scatter(ctx, round2); status != 0 {
 		return nil, status, msg
 	}
 	merge(round2)
@@ -648,7 +662,7 @@ func (r *Router) assign(pts [][]float64) ([]serve.Assignment, int, string) {
 			}
 			fb[s] = b
 		}
-		if status, msg := r.scatter(fb); status != 0 {
+		if status, msg := r.scatter(ctx, fb); status != 0 {
 			return nil, status, msg
 		}
 		merge(fb)
@@ -678,7 +692,7 @@ func less(a, b serve.FleetResult) bool {
 
 // scatter round-trips every shard batch concurrently, filling resp/status.
 // Returns the first failure in shard order (deterministic under tests).
-func (r *Router) scatter(batches map[int]*shardBatch) (int, string) {
+func (r *Router) scatter(ctx context.Context, batches map[int]*shardBatch) (int, string) {
 	var wg sync.WaitGroup
 	for _, b := range batches {
 		wg.Add(1)
@@ -689,7 +703,7 @@ func (r *Router) scatter(batches map[int]*shardBatch) (int, string) {
 				b.status, b.msg = http.StatusInternalServerError, err.Error()
 				return
 			}
-			b.resp, b.status, b.msg = r.callShard(b.shard, body)
+			b.resp, b.status, b.msg = r.callShard(ctx, b.shard, body)
 		}(b)
 	}
 	wg.Wait()

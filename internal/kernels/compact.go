@@ -1,12 +1,15 @@
 package kernels
 
-// Compact (float32 / 8-bit-quantized) NN scan kernels with exact float64
-// re-rank. The scan streams a compact mirror of the coordinate block —
-// half or an eighth of the float64 bytes — and collects a shortlist of
-// every row that *could* be the true nearest neighbor under a sound error
-// bound; the caller then re-ranks the shortlist with the exact float64
-// kernels (NNRows), so the final result — index, squared distance, and the
-// lowest-row-index tie rule — is bit-identical to a pure float64 scan.
+// Compact (float32 / 8-bit-quantized) scan kernels. A compact mirror of the
+// coordinate block — half or an eighth of the float64 bytes — gives every
+// scanned row a cheap distance, and that distance is only a filter in front
+// of the exact top-k accumulator (TopKCompact): a row whose compact distance
+// proves it cannot tie or beat the accumulator's threshold is dropped, and
+// every other row gets its exact float64 distance and is offered as a
+// float64 scan would offer it. The accumulator therefore ends — and, strip
+// by strip, passes through — exactly the states of a float64 scan of the
+// same rows: index, squared distance and the lowest-row-index tie rule,
+// with far fewer exact distances computed.
 //
 // Soundness rests on one contract (Bounds): the compact squared distance
 // d32 and the exact squared distance d64 of the same row pair satisfy
@@ -17,7 +20,12 @@ package kernels
 // arithmetic (see F32Bounds/Q8Bounds). Every admission test is arranged so
 // that a NaN or +Inf compact distance — coordinate overflow on conversion,
 // underflow pile-ups, quantizer corner cases — fails toward "keep the row",
-// so pathological inputs degrade to a full re-rank, never a wrong answer.
+// so pathological inputs degrade to more exact distances, never a wrong
+// answer.
+//
+// The older shortlist form (Shortlist fed by NNRows32 / NNRowsQ8, then an
+// NNRows re-rank) is no longer on any program path: it stays only for the
+// benchmark harness's per-layer probes and goes when they do.
 
 import (
 	"math"
@@ -88,11 +96,12 @@ func (b Bounds) Valid() bool {
 		!math.IsNaN(b.Rel) && !math.IsNaN(b.Abs)
 }
 
-// KeepThresh returns the shortlist admission threshold for a running
+// KeepThresh returns the Shortlist's admission threshold for a running
 // compact best b32 (a float64-promoted float32 squared distance): every
 // row whose exact distance ties or beats the exact distance of the current
 // compact-best row satisfies float64(d32) ≤ KeepThresh(b32). Rows above
 // the threshold are provably not the nearest neighbor (nor tied for it).
+// Harness-only, like Shortlist (see the file comment).
 func (b Bounds) KeepThresh(b32 float64) float64 {
 	if !(b32 < inf) || !(b.Rel < 1) {
 		return inf
@@ -123,13 +132,13 @@ func (b Bounds) within(u float64) float64 {
 // cap, so the limit doubles when a compaction fails to shrink the list.
 const shortlistCompactAt = 256
 
-// Shortlist collects candidate rows during a compact nearest-neighbour scan:
-// every observed row whose compact distance does not provably exceed the
-// best possible exact distance of the nearest row. Reset it with the scan's
-// Bounds, feed it via the compact NN kernels, then Finish and re-rank the
-// surviving rows with NNRows over the float64 data: the final (row,
-// distance) — including the lowest-row-index tie rule — is bit-identical to
-// a pure float64 scan.
+// Shortlist collects candidate rows during a compact nearest-neighbour scan
+// (harness-only, see the file comment): every observed row whose compact
+// distance does not provably exceed the best possible exact distance of the
+// nearest row. Reset it with the scan's Bounds, feed it via the compact NN
+// kernels, then Finish and re-rank the surviving rows with NNRows over the
+// float64 data: the final (row, distance) — including the lowest-row-index
+// tie rule — is bit-identical to a pure float64 scan.
 //
 // Soundness: the shortlist tracks the smallest finite compact distance seen,
 // h. Some observed row has compact squared distance h, so by the Bounds
@@ -168,7 +177,9 @@ func (sl *Shortlist) Reset(bnd Bounds) {
 // holds a row at: the admission threshold never exceeds capThresh(e), so
 // every row whose exact squared distance ties or beats e is still admitted
 // (it may carry the lower index). Rows past e may survive too — the re-rank
-// must drop any answer above e. Call it after Reset, before any row.
+// must drop any answer above e. Call it after Reset, before any row. No
+// program path caps a shortlist any more (TopKAcc.Cap bounds TopKCompact);
+// FuzzShortlistCap still pins this one.
 func (sl *Shortlist) Cap(e float64) {
 	sl.capT = sl.bnd.capThresh(e)
 	sl.thr = sl.capT
@@ -245,7 +256,7 @@ func admit(sl *Shortlist, strip []float32, rows []int32) {
 
 // NNRows32 scans the listed rows of the float32 mirror into the shortlist
 // (which the caller has Reset with this scan's Bounds), one blocked
-// distance strip (dist.go) at a time.
+// distance strip (dist.go) at a time. Harness-only (see the file comment).
 func NNRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *Shortlist) {
 	var d2 [nnTile]float32
 	for len(rows) > 0 {
@@ -321,7 +332,8 @@ func q8DistRows(codes []uint8, dim int, tab []float32, rows []int32, out []float
 }
 
 // NNRowsQ8 scans the listed rows of the quantized block into the
-// shortlist (Reset by the caller with Q8Bounds).
+// shortlist (Reset by the caller with Q8Bounds). Harness-only (see the file
+// comment).
 func NNRowsQ8(codes []uint8, dim int, lut *Q8LUT, rows []int32, sl *Shortlist) {
 	var d2 [nnTile]float32
 	for len(rows) > 0 {
@@ -330,4 +342,93 @@ func NNRowsQ8(codes []uint8, dim int, lut *Q8LUT, rows []int32, sl *Shortlist) {
 		q8DistRows(codes, dim, lut.Tab, part, d2[:len(part)])
 		admit(sl, d2[:len(part)], part)
 	}
+}
+
+// Compact is one query's compact distance source in front of an exact scan:
+// the float32 mirror and the query rounded to float32, or the quantized
+// block and the query's lookup table, with the Bounds between those
+// distances and the exact ones. After ResetF64 it has no source, and
+// TopKCompact computes every row's exact distance. One Compact is reusable
+// across queries, keeping its storage.
+type Compact struct {
+	src    uint8 // srcF64, srcF32 or srcQ8
+	bnd    Bounds
+	data32 []float32 // the float32 mirror (f32)
+	q32    []float32 // the query rounded to float32 (f32)
+	codes  []uint8   // the quantized block (q8)
+	lut    Q8LUT     // the query's table (q8)
+}
+
+// Compact.src values.
+const (
+	srcF64 uint8 = iota
+	srcF32
+	srcQ8
+)
+
+// ResetF64 drops the compact source: every row gets its exact distance.
+func (c *Compact) ResetF64() {
+	c.src, c.data32, c.codes = srcF64, nil, nil
+}
+
+// ResetF32 filters on the float32 mirror data32 of the float64 block, for
+// query q under bnd (F32Bounds with both operands' largest magnitude).
+func (c *Compact) ResetF32(data32 []float32, q []float64, bnd Bounds) {
+	c.src, c.bnd, c.data32, c.codes = srcF32, bnd, data32, nil
+	c.q32 = c.q32[:0]
+	for _, v := range q {
+		c.q32 = append(c.q32, float32(v))
+	}
+}
+
+// ResetQ8 filters on the quantized block codes with parameters p, for
+// query q under bnd (Q8Bounds of p).
+func (c *Compact) ResetQ8(codes []uint8, p points.Q8Params, q []float64, bnd Bounds) {
+	c.src, c.bnd, c.data32, c.codes = srcQ8, bnd, nil, codes
+	BuildQ8LUT(p, q, &c.lut)
+}
+
+// TopKCompact scans the listed rows of data (rows of length dim, distinct,
+// as for TopKRows) into acc through c's filter, one strip of compact
+// distances at a time, and returns how many exact distances it computed.
+//
+// A row is dropped when its compact distance is finite and above
+// capThresh of acc's current threshold: by the Bounds contract its exact
+// distance is then above the threshold, so it could not enter acc. Every
+// other row — a NaN or +Inf compact distance included — gets its exact
+// distance by sqDist, the arithmetic of TopKRows, and is offered. So the
+// row that ends up best, and every row tied with it, is always offered,
+// and acc holds after each strip what TopKRows would hold after the same
+// rows. Without a source this is TopKRows, every row counted.
+func TopKCompact(data []float64, dim int, q []float64, c *Compact, rows []int32, acc *TopKAcc) (exact int) {
+	if c.src == srcF64 {
+		TopKRows(data, dim, q, rows, acc)
+		return len(rows)
+	}
+	q = q[:dim]
+	var d2 [nnTile]float32
+	for len(rows) > 0 {
+		part := rows[:min(nnTile, len(rows))]
+		rows = rows[len(part):]
+		strip := d2[:len(part)]
+		if c.src == srcQ8 {
+			q8DistRows(c.codes, dim, c.lut.Tab, part, strip)
+		} else {
+			sqDistRows(c.q32[:dim], c.data32, part, strip)
+		}
+		t := acc.Threshold()
+		thr := c.bnd.capThresh(t)
+		for x, v := range strip {
+			if d := float64(v); d > thr && d < inf {
+				continue
+			}
+			r := part[x]
+			exact++
+			acc.observe(r, sqDist(q, data[int(r)*dim:][:dim]))
+			if t2 := acc.Threshold(); t2 != t {
+				t, thr = t2, c.bnd.capThresh(t2)
+			}
+		}
+	}
+	return exact
 }

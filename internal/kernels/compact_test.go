@@ -406,3 +406,126 @@ func TestBoundsContract(t *testing.T) {
 		}
 	}
 }
+
+// compactCoord maps one byte to a coordinate: mostly quarter-integers, so
+// distance ties are common, with the values a compact distance mishandles —
+// NaN, ±Inf, ±1e300 (no float32 holds it), ±1.5e19 (a float32 holds it, but
+// not the square of a distance between two such), −0, 1e-300 — at the top
+// codes.
+func compactCoord(b byte) float64 {
+	switch b {
+	case 0xf8:
+		return 1.5e19
+	case 0xf7:
+		return -1.5e19
+	case 0xff:
+		return math.NaN()
+	case 0xfe:
+		return math.Inf(1)
+	case 0xfd:
+		return math.Inf(-1)
+	case 0xfc:
+		return 1e300
+	case 0xfb:
+		return -1e300
+	case 0xfa:
+		return math.Copysign(0, -1)
+	case 0xf9:
+		return 1e-300
+	}
+	return float64(int8(b)) / 4
+}
+
+// FuzzTopKCompact decodes bytes into a dimension, a query and rows, and a
+// cap — arbitrary bits, a row's exact squared distance, or one ULP below
+// it — and scans the rows, in a fuzz-chosen order and split, through
+// TopKCompact at f32 and q8 (wherever an engine would serve them) into a
+// capped k = 1 TopKAcc. The accumulator must end holding exactly what
+// TopKRows leaves over the same rows — the same (row, D2), or both empty —
+// from no more exact distances than rows given; without a source every row
+// is counted. Never a panic.
+func FuzzTopKCompact(f *testing.F) {
+	f.Add([]byte{0, 4, 4, 8, 252}, uint8(1), uint64(0))
+	f.Add([]byte{1, 0, 0, 4, 4, 4, 4, 8, 8, 255, 0}, uint8(2), uint64(0))
+	f.Add([]byte{2, 1, 2, 3, 1, 2, 3, 1, 2, 4, 252, 2, 2}, uint8(0), math.Float64bits(2.25))
+	f.Add([]byte{3, 9, 9, 9, 9, 9, 9, 9, 9, 251, 9, 9, 9, 254, 0, 0, 0}, uint8(4), uint64(0))
+	f.Add([]byte{1, 252, 251, 252, 252, 251, 251, 0, 0, 252, 250}, uint8(7), math.Float64bits(math.Inf(1)))
+	// Two rows tied at a squared distance float32 overflows on, the
+	// higher-indexed offered first: the lower one must still displace it.
+	f.Add([]byte{1, 0, 0, 247, 247, 248, 248}, uint8(1), uint64(0))
+	long := make([]byte, 1+4*200)
+	for i := range long {
+		long[i] = byte(i*37) % 16
+	}
+	f.Add(long, uint8(10), uint64(0))
+	f.Fuzz(func(t *testing.T, in []byte, pick uint8, bits uint64) {
+		if len(in) < 2 {
+			return
+		}
+		dim := 1 + int(in[0]%4)
+		vals := make([]float64, 0, len(in)-1)
+		for _, b := range in[1:] {
+			vals = append(vals, compactCoord(b))
+		}
+		if len(vals) < 2*dim {
+			return
+		}
+		q, data := vals[:dim], vals[dim:]
+		data = data[:len(data)/dim*dim]
+		n := len(data) / dim
+		bound := math.Float64frombits(bits)
+		if r := int(pick/3) % n; pick%3 == 1 {
+			bound = sqDist(q, data[r*dim:][:dim])
+		} else if pick%3 == 2 {
+			bound = math.Nextafter(sqDist(q, data[r*dim:][:dim]), 0)
+		}
+		if math.IsNaN(bound) {
+			bound = math.Inf(1)
+		}
+		// Every row once, rotated by pick and fed in pieces of 1 + pick%5
+		// rows, so thresholds carry across calls.
+		rows := allRows(n)
+		rot := int(pick) % n
+		rows = append(rows[rot:], rows[:rot]...)
+		piece := 1 + int(pick)%5
+
+		var ref TopKAcc
+		ref.Reset(1)
+		ref.Cap(bound)
+		TopKRows(data, dim, q, rows, &ref)
+		want := ref.Append(nil)
+
+		var srcs []func(c *Compact)
+		data32, maxAbs := points.ToFloat32(data)
+		_, qMax := points.ToFloat32(q)
+		srcs = append(srcs, func(c *Compact) { c.ResetF64() })
+		if F32Bounds(dim, maxAbs).Valid() {
+			srcs = append(srcs, func(c *Compact) { c.ResetF32(data32, q, F32Bounds(dim, math.Max(maxAbs, qMax))) })
+		}
+		if codes, par, ok := points.QuantizeQ8(data, dim); ok {
+			if bnd := Q8Bounds(dim, par.ErrBound()); bnd.Valid() {
+				srcs = append(srcs, func(c *Compact) { c.ResetQ8(codes, par, q, bnd) })
+			}
+		}
+		var c Compact
+		for k, reset := range srcs {
+			reset(&c)
+			var acc TopKAcc
+			acc.Reset(1)
+			acc.Cap(bound)
+			exact := 0
+			for rest := rows; len(rest) > 0; {
+				part := rest[:min(piece, len(rest))]
+				rest = rest[len(part):]
+				exact += TopKCompact(data, dim, q, &c, part, &acc)
+			}
+			got := acc.Append(nil)
+			if len(got) != len(want) || (len(got) == 1 && (got[0].Row != want[0].Row || math.Float64bits(got[0].D2) != math.Float64bits(want[0].D2))) {
+				t.Fatalf("source %d dim %d cap %v: TopKCompact holds %v, TopKRows %v", k, dim, bound, got, want)
+			}
+			if exact > n || (k == 0 && exact != n) {
+				t.Fatalf("source %d dim %d: %d exact distances over %d rows", k, dim, exact, n)
+			}
+		}
+	})
+}

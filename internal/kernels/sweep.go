@@ -2,9 +2,10 @@ package kernels
 
 // The coordinate-ordered scan of the serving engine: the same exact answer
 // as a flat scan over all the rows, from a fraction of the distance
-// evaluations. Sweep is the walk; the engine runs it into a k = 1 TopKAcc
-// or a compact Shortlist. (The kNN-join's reducers scan a box tree instead,
-// leaves.go, whose bound is this one summed over every axis.)
+// evaluations. Sweep is the walk; the engine runs it into a k = 1 TopKAcc at
+// every precision, through TopKCompact's filter at f32 / q8. (The kNN-join's
+// reducers scan a box tree instead, leaves.go, whose bound is this one
+// summed over every axis.)
 //
 // One coordinate difference is a lower bound on the distance, and it holds
 // in floating point with no slack: sqDist and every lane of sqDist4 sum the
@@ -15,9 +16,11 @@ package kernels
 // and with the rows sorted on that axis neither can any row beyond it on
 // the same side. The threshold only falls, so a side closed once stays
 // closed. Ties (term == threshold) keep walking, because a tied row with a
-// lower index still displaces the kept one. A TopKAcc's threshold is its
-// k-th exact distance; a Shortlist's is its admission threshold, no smaller
-// than the exact distance of a row it already holds (Shortlist.Threshold).
+// lower index still displaces the kept one. The threshold is the TopKAcc's
+// k-th exact distance (its cap before it holds k rows); the compact filter
+// never changes what the accumulator holds after a strip, so a compact
+// sweep reads the same thresholds and visits the same strips as a float64
+// one.
 //
 // The matrix stays in its own row order — the sweep goes through a
 // permutation — so the lowest-row-index rule means what it means for a flat

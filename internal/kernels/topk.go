@@ -254,8 +254,7 @@ func TopKRange(data []float64, dim int, q []float64, lo, hi int, acc *TopKAcc) {
 
 // TopKRows scans only the listed rows into acc. Order does not matter, but
 // unlike NNRows the rows must be distinct: a duplicated row would occupy
-// two of the k slots. (Shortlists produced by the compact kernels list each
-// row at most once.)
+// two of the k slots.
 func TopKRows(data []float64, dim int, q []float64, rows []int32, acc *TopKAcc) {
 	thr := acc.Threshold()
 	var d2 [nnTile]float64

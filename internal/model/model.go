@@ -85,9 +85,9 @@ type Model struct {
 	// Optional compact mirrors of Data for the bandwidth-lean scan path
 	// (serve.scan.precision f32/q8). Either may be empty — the serving
 	// engine derives missing mirrors from Data — and old readers skip
-	// their sections. Data stays the source of truth: compact scans
-	// re-rank against it, so these only need to satisfy the points
-	// package's conversion/quantization contracts.
+	// their sections. Data stays the source of truth: compact scans only
+	// filter rows before their exact distance on it, so these need only
+	// satisfy the points package's conversion/quantization contracts.
 
 	// Data32 is the float32 mirror of Data (same layout), or empty.
 	Data32 []float32

@@ -7,11 +7,11 @@ import "math"
 // ToFloat32 mirrors a flat float64 block in float32, and QuantizeQ8 reduces
 // it further to one byte per coordinate with a per-dimension affine code.
 // Both are derived representations: the float64 block stays the source of
-// truth, and every kernel that scans a compact block re-ranks its shortlist
-// against the float64 data (see internal/kernels), so the compression here
-// only has to be cheap and bounded, never exact. Alongside the converted
-// coordinates each conversion reports the largest absolute source
-// coordinate, which the kernels need to build sound error bounds.
+// truth, and every kernel that scans a compact block only filters rows
+// before their exact float64 distance (see internal/kernels), so the
+// compression here only has to be cheap and bounded, never exact. Alongside
+// the converted coordinates each conversion reports the largest absolute
+// source coordinate, which the kernels need to build sound error bounds.
 // Coordinates outside float32 range convert to ±Inf; the compact kernels
 // route any non-finite arithmetic to the exact float64 path, so an
 // overflowing mirror is slow but never wrong.

@@ -18,13 +18,14 @@
 // of some stored point.
 //
 // Scans run at a configurable precision (serve.scan.precision): f64 streams
-// the float64 block directly; f32 and q8 stream a compact mirror (half or
-// an eighth of the bytes), collect a provably sufficient shortlist, and
-// re-rank it exactly in float64 (internal/kernels compact scan path), so
-// labels, NN indices, distances, and the tie rule are bit-identical across
-// precisions. The exact full scan reads the float64 block at every
-// precision, through the multi-query NNBatch kernel: one pass over each row
-// tile serves every query of the call.
+// the float64 block directly; f32 and q8 first stream a compact mirror (half
+// or an eighth of the bytes) and compute a row's exact float64 distance
+// only when its compact one says it can still tie or beat the best so far
+// (internal/kernels TopKCompact). Every precision feeds the same exact sink,
+// so labels, NN indices, distances, the tie rule and even the rows a sweep
+// visits are identical across precisions. The exact full scan reads the
+// float64 block at every precision, through the multi-query NNBatch kernel:
+// one pass over each row tile serves every query of the call.
 //
 // The HTTP server in server.go answers each request on the handler that
 // admitted it, behind a bounded admission queue with load shedding, and
@@ -79,10 +80,10 @@ type Precision uint8
 const (
 	// PrecF64 scans the float64 block directly (the exact baseline).
 	PrecF64 Precision = iota
-	// PrecF32 scans a float32 mirror and re-ranks the shortlist exactly.
+	// PrecF32 filters rows on a float32 mirror before their exact distance.
 	PrecF32
-	// PrecQ8 scans 8-bit quantized codes via a per-query lookup table and
-	// re-ranks the shortlist exactly.
+	// PrecQ8 filters rows on 8-bit quantized codes, through a per-query
+	// lookup table, before their exact distance.
 	PrecQ8
 )
 
@@ -120,12 +121,13 @@ type ScanStats struct {
 	// never set by an exact scan, nor by a masked one whose mask lacks the
 	// certifying layout.
 	Certified int64
-	// Rerank counts shortlist rows re-ranked in exact float64 after a
-	// compact bucket sweep (0 at PrecF64).
+	// Rerank counts the exact float64 distances a compact bucket sweep
+	// computed: the swept rows its compact filter let through (0 at
+	// PrecF64, where every swept row's distance is exact).
 	Rerank int64
-	// RerankQueries counts queries whose nearest neighbor came out of a
-	// compact bucket sweep + exact re-rank (0 at PrecF64, and for queries
-	// the exact full scan answered).
+	// RerankQueries counts queries whose bucket sweep evaluated rows
+	// through the compact filter (0 at PrecF64, and for queries the exact
+	// full scan answered).
 	RerankQueries int64
 	// ExactQueries counts queries answered by the exact full-scan path.
 	ExactQueries int64
@@ -193,12 +195,10 @@ type scratch struct {
 	epoch int32
 	kb    lsh.KeyBuf
 	strip []int32 // the postings of one strip that pass the filter (CandidateRows: the union)
-	// The sink: acc at f64, sl (fed from q32 or lut) otherwise.
+	// The sink, at every precision, and the compact filter in front of it.
 	acc kernels.TopKAcc
 	top []kernels.TopKEntry
-	q32 []float32
-	sl  kernels.Shortlist
-	lut kernels.Q8LUT
+	cq  kernels.Compact
 	// Fleet mode: the query's bucket ID per layout (-1: no stored row shares
 	// the key), their packed signature, and the rotation start (the
 	// certifying layout).
@@ -518,11 +518,12 @@ func (s *scratch) unseen(rows, dst []int32) []int32 {
 // sweep is the pruned scan of one query: the nearest row of q's LSH bucket
 // union and its squared distance — (-1, +Inf) when no row there is at a
 // finite distance — without gathering the union. Each bucket is walked
-// outward from q's coordinate on e.axis (kernels.Sweep) into one sink all
-// of them share — a k = 1 TopKAcc at f64, the compact Shortlist otherwise —
-// so a row whose axis gap alone exceeds the sink's threshold is never
-// evaluated, nor any row beyond it, and what one bucket proved too far stays
-// too far in the next.
+// outward from q's coordinate on e.axis (kernels.Sweep) into one k = 1
+// TopKAcc all of them share, behind the compact filter at f32 / q8
+// (kernels.TopKCompact), so a row whose axis gap alone exceeds the exact
+// best is never evaluated, nor any row beyond it, and what one bucket proved
+// too far stays too far in the next. The filter never changes what the sink
+// holds after a strip, so every precision visits the same strips.
 //
 // The bucket of the layout that attains q's guarantee radius g — its
 // certifying layout — goes first. When the best distance found there is
@@ -544,38 +545,37 @@ func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st
 	e.layouts.Hash(&s.kb, q)
 	switch e.prec {
 	case PrecF32:
-		s.q32 = f32Append(s.q32[:0], q)
-		s.sl.Reset(e.f32Bounds(q))
-		s.sl.Cap(s.bound)
+		s.cq.ResetF32(e.data32, q, e.f32Bounds(q))
 	case PrecQ8:
-		kernels.BuildQ8LUT(e.q8par, q, &s.lut)
-		s.sl.Reset(e.q8bnd)
-		s.sl.Cap(s.bound)
+		s.cq.ResetQ8(e.q8, e.q8par, q, e.q8bnd)
 	default:
-		s.acc.Reset(1)
-		s.acc.Cap(s.bound)
+		s.cq.ResetF64()
 	}
+	s.acc.Reset(1)
+	s.acc.Cap(s.bound)
 	g, first := e.layouts.GuaranteeRadius(&s.kb)
-	scanned := 0
+	scanned, exact := 0, 0
 	var open func(j int)
 	if masked {
 		e.lookupAll(s)
 		s.j0 = first
 		open = func(j int) {
 			if id := s.qids[j]; id >= 0 && mask&(1<<uint(j)) != 0 {
-				scanned += e.sweepBucket(q, id, j, s)
+				sc, ex := e.sweepBucket(q, id, j, s)
+				scanned, exact = scanned+sc, exact+ex
 			}
 		}
 	} else {
 		s.nextEpoch()
 		open = func(j int) {
 			if id, ok := e.ix.Lookup(s.kb.Key(j)); ok {
-				scanned += e.sweepBucket(q, id, -1, s)
+				sc, ex := e.sweepBucket(q, id, -1, s)
+				scanned, exact = scanned+sc, exact+ex
 			}
 		}
 	}
 	open(first)
-	best, best2 = e.nearest(q, s, st)
+	best, best2 = s.nearest()
 	certified = best >= 0 && math.Sqrt(best2) < g
 	for j := 0; j < nl && !certified; j++ {
 		if j != first {
@@ -585,19 +585,21 @@ func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st
 	if certified {
 		st.Certified++
 	} else {
-		best, best2 = e.nearest(q, s, st)
+		best, best2 = s.nearest()
 	}
 	st.Scanned += int64(scanned)
 	if scanned > 0 && e.prec != PrecF64 {
+		st.Rerank += int64(exact)
 		st.RerankQueries++
 	}
 	return best, best2, certified
 }
 
 // sweepBucket walks bucket id outward from q into the sink and returns how
-// many rows it evaluated. Each strip is filtered first: through firstMatch
-// for masked layout j ≥ 0, through the epoch stamps otherwise.
-func (e *Engine) sweepBucket(q points.Vector, id int32, j int, s *scratch) (scanned int) {
+// many rows it evaluated and how many exact distances that took. Each strip
+// is filtered first: through firstMatch for masked layout j ≥ 0, through the
+// epoch stamps otherwise.
+func (e *Engine) sweepBucket(q points.Vector, id int32, j int, s *scratch) (scanned, exact int) {
 	rows, dim := e.ix.Bucket(id), e.m.Dim
 	n := len(rows)
 	if e.coord[rows[n-1]] == math.Inf(1) {
@@ -605,46 +607,25 @@ func (e *Engine) sweepBucket(q points.Vector, id int32, j int, s *scratch) (scan
 		// distance: those rows stay out of the walk.
 		n = sort.Search(n, func(i int) bool { return e.coord[rows[i]] == math.Inf(1) })
 	}
-	thr := s.acc.Threshold
-	if e.prec != PrecF64 {
-		thr = s.sl.Threshold
-	}
-	kernels.Sweep(n, q[e.axis], func(i int) float64 { return e.coord[rows[i]] }, thr, func(lo, hi int) {
+	kernels.Sweep(n, q[e.axis], func(i int) float64 { return e.coord[rows[i]] }, s.acc.Threshold, func(lo, hi int) {
 		if j >= 0 {
 			s.strip = e.firstMatch(j, id, lo, hi, s)
 		} else {
 			s.strip = s.unseen(rows[lo:hi], s.strip[:0])
 		}
 		scanned += len(s.strip)
-		switch e.prec {
-		case PrecF32:
-			kernels.NNRows32(e.data32, dim, s.q32, s.strip, &s.sl)
-		case PrecQ8:
-			kernels.NNRowsQ8(e.q8, dim, &s.lut, s.strip, &s.sl)
-		default:
-			kernels.TopKRows(e.m.Data, dim, q, s.strip, &s.acc)
-		}
+		exact += kernels.TopKCompact(e.m.Data, dim, q, &s.cq, s.strip, &s.acc)
 	})
-	return scanned
+	return scanned, exact
 }
 
-// nearest resolves the sink to the exact nearest of the rows scanned so far
-// within s.bound (at f32/q8 by re-ranking the shortlist, which stays usable
-// afterwards; a capped shortlist may still hold rows past the bound).
-func (e *Engine) nearest(q points.Vector, s *scratch, st *ScanStats) (int, float64) {
-	if e.prec == PrecF64 {
-		if s.top = s.acc.Append(s.top[:0]); len(s.top) == 0 {
-			return -1, math.Inf(1)
-		}
-		return int(s.top[0].Row), s.top[0].D2
-	}
-	short := s.sl.Finish()
-	st.Rerank += int64(len(short))
-	best, best2 := kernels.NNRows(e.m.Data, e.m.Dim, q, short)
-	if !(best2 <= s.bound) {
+// nearest reads the sink: the exact nearest of the rows swept so far within
+// s.bound, (-1, +Inf) when there is none.
+func (s *scratch) nearest() (int, float64) {
+	if s.top = s.acc.Append(s.top[:0]); len(s.top) == 0 {
 		return -1, math.Inf(1)
 	}
-	return best, best2
+	return int(s.top[0].Row), s.top[0].D2
 }
 
 // lookupAll resolves the hashed query's bucket under every layout into
@@ -779,13 +760,6 @@ func (e *Engine) finalize(q points.Vector, best int, best2 float64, exact bool) 
 		PeakDist: points.Dist(q, e.m.Row(int(peak))),
 		Exact:    exact,
 	}
-}
-
-func f32Append(dst []float32, src []float64) []float32 {
-	for _, v := range src {
-		dst = append(dst, float32(v))
-	}
-	return dst
 }
 
 func intsN(s []int32, n int) []int32 {

@@ -40,12 +40,13 @@ const (
 	// row there lying strictly inside the query's LSH guarantee radius. On a
 	// fleet shard: the router's first-round queries this shard certified.
 	CtrCertified = "serve.certified"
-	// CtrRerankRows counts shortlist rows re-ranked in exact float64 after
-	// a compact (f32/q8) scan; divide by CtrRerankQueries for the average
-	// shortlist size. Zero when serving at f64.
+	// CtrRerankRows counts the exact float64 distances a compact (f32/q8)
+	// bucket sweep computed, for the rows its compact filter let through;
+	// divide by CtrRerankQueries for the average per query. Zero when
+	// serving at f64.
 	CtrRerankRows = "serve.rerank.rows"
-	// CtrRerankQueries counts queries whose nearest neighbor came out of a
-	// compact scan + exact re-rank.
+	// CtrRerankQueries counts queries whose bucket sweep ran through the
+	// compact filter.
 	CtrRerankQueries = "serve.rerank.queries"
 	// CtrReloads counts successful hot model reloads.
 	CtrReloads = "serve.reloads"
@@ -69,9 +70,9 @@ type Config struct {
 	// replica it is about to route to really serves the shard it expects.
 	ShardID *int
 	// Precision selects the scan representation ("", "f64", "f32", "q8" —
-	// the serve.scan.precision knob). Compact precisions scan a smaller
-	// mirror of the stored points and re-rank exactly in float64, so
-	// results are identical at every setting. SetModel rejects unknown
+	// the serve.scan.precision knob). Compact precisions filter rows on a
+	// smaller mirror of the stored points before their exact float64
+	// distance, so results are identical at every setting. SetModel rejects unknown
 	// values; a model that cannot support the requested representation
 	// serves at f64.
 	Precision string
@@ -441,8 +442,9 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 // = layout j); Exact instead runs the router's broadcast fallback, an exact
 // full scan over this shard's rows. Exactly one of the two shapes is valid.
 // Bounds, optional beside Masks, caps query i at the exact squared distance
-// Bounds[i] (BatchOpts.Bounds); absent, no query is capped — JSON has no
-// +Inf to say so per query.
+// Bounds[i] (BatchOpts.Bounds); absent, no query is capped. JSON has no
+// +Inf, so the router leaves one query uncapped with math.MaxFloat64: every
+// finite squared distance ties or beats it.
 type FleetAssignRequest struct {
 	Points [][]float64 `json:"points"`
 	Masks  []uint64    `json:"masks,omitempty"`

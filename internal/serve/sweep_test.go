@@ -379,20 +379,18 @@ func FuzzEngineSweep(f *testing.F) {
 	})
 }
 
-// BenchmarkEngineAssign times one pruned query end to end — hash, bucket
-// sweeps, re-rank — at the benchmark harness's serving geometry (200 K rows
-// of dimension 8 in 16 blobs of σ 2.5 in a 100-box, the paper's LSH shape
-// at d_c 8.4, queries jittered off stored rows by d_c/2 per coordinate), at
-// f64 and q8, and reports the rows evaluated and the share of queries that
-// one bucket certified.
-func BenchmarkEngineAssign(b *testing.B) {
-	const n, dim, clusters, dc = 200_000, 8, 16, 8.4
+// harnessGeometry draws the benchmark harness's serving geometry at n rows:
+// dimension 8 in 16 blobs of σ 2.5 in a 100-box, the paper's LSH shape (10
+// layouts of 3 functions, width solved for d_c 8.4), and nq queries
+// jittered off stored rows by d_c/2 per coordinate.
+func harnessGeometry(tb testing.TB, n, nq int) (data []float64, w float64, qs []points.Vector) {
+	const dim, clusters, dc = 8, 16, 8.4
 	rng := rand.New(rand.NewSource(20170419))
 	centers := make([]float64, clusters*dim)
 	for i := range centers {
 		centers[i] = rng.Float64() * 100
 	}
-	data := make([]float64, n*dim)
+	data = make([]float64, n*dim)
 	for r := 0; r < n; r++ {
 		c := rng.Intn(clusters)
 		for j := 0; j < dim; j++ {
@@ -401,9 +399,9 @@ func BenchmarkEngineAssign(b *testing.B) {
 	}
 	w, err := lsh.SolveWidth(0.99, dc, 3, 10)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	qs := make([]points.Vector, 2048)
+	qs = make([]points.Vector, nq)
 	for i := range qs {
 		q := append(points.Vector(nil), data[rng.Intn(n)*dim:][:dim]...)
 		for j := range q {
@@ -411,8 +409,104 @@ func BenchmarkEngineAssign(b *testing.B) {
 		}
 		qs[i] = q
 	}
+	return data, w, qs
+}
+
+// checkPrecisionsAgree answers q on every engine of es — the same model at
+// f64, f32 and q8 — under mask and bound when masked, and fails unless each
+// compact engine's answer, error, rows evaluated and certificate equal the
+// f64 engine's, and it computed no more exact distances than rows.
+func checkPrecisionsAgree(t *testing.T, what string, es []*Engine, q points.Vector, mask uint64, masked bool, bound float64) {
+	t.Helper()
+	opts := BatchOpts{}
+	if masked {
+		opts.Masks = []uint64{mask}
+		if !math.IsInf(bound, 1) {
+			opts.Bounds = []float64{bound}
+		}
+	}
+	wantOut, wantErrs, wantSt := es[0].AssignBatchOpts([]points.Vector{q}, opts)
+	for _, e := range es[1:] {
+		out, errs, st := e.AssignBatchOpts([]points.Vector{q}, opts)
+		if errs[0] != wantErrs[0] || !sameAssignment(out[0], wantOut[0]) {
+			t.Fatalf("%s %s: q=%v mask=%b bound=%v: %+v (err %v), f64 %+v (err %v)", what, e.Precision(), q, mask, bound, out[0], errs[0], wantOut[0], wantErrs[0])
+		}
+		if st.Scanned != wantSt.Scanned || st.Certified != wantSt.Certified {
+			t.Fatalf("%s %s: q=%v mask=%b bound=%v: scanned %d certified %d, f64 scanned %d certified %d", what, e.Precision(), q, mask, bound, st.Scanned, st.Certified, wantSt.Scanned, wantSt.Certified)
+		}
+		if swept := st.Scanned - st.ExactQueries*int64(e.Model().N()); st.Rerank > swept {
+			t.Fatalf("%s %s: q=%v: %d exact distances for %d swept rows", what, e.Precision(), q, st.Rerank, swept)
+		}
+	}
+}
+
+// TestCompactSweepMatchesF64 pins what the compact filter promises: in front
+// of the exact sink it changes nothing the sink sees, so at f32 and q8 every
+// query gets the f64 engine's answer, from the same rows evaluated, with the
+// same certificate — unmasked, and masked under each of sweepBounds' caps —
+// on the harness's serving geometry and on tie, duplicate-point and
+// non-finite data.
+func TestCompactSweepMatchesF64(t *testing.T) {
+	engines := func(mdl *model.Model) []*Engine {
+		var es []*Engine
+		for _, prec := range []Precision{PrecF64, PrecF32, PrecQ8} {
+			e, err := NewEngine(mdl, prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			es = append(es, e)
+		}
+		return es
+	}
+	check := func(what string, mdl *model.Model, qs []points.Vector, masks []uint64) {
+		es := engines(mdl)
+		for _, q := range qs {
+			checkPrecisionsAgree(t, what, es, q, 0, false, math.Inf(1))
+			if !es[0].FleetIndexed() {
+				continue
+			}
+			for _, mask := range masks {
+				for _, bound := range sweepBounds(es[0], q, mask) {
+					checkPrecisionsAgree(t, what, es, q, mask, true, bound)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(73))
+
+	data, w, qs := harnessGeometry(t, 20_000, 300)
+	for _, fleet := range []bool{false, true} {
+		mdl := sweepModel(data, 8, 10, 3, w, fleet)
+		if es := engines(mdl); es[1].Precision() != PrecF32 || es[2].Precision() != PrecQ8 {
+			t.Fatalf("harness geometry served at %s / %s", es[1].Precision(), es[2].Precision())
+		}
+		check(fmt.Sprintf("harness fleet=%v", fleet), mdl, qs, []uint64{0x3FF, 0x155, rng.Uint64()})
+	}
+
+	for dim := 1; dim <= 5; dim++ {
+		for what, block := range sweepBlocks(rng, 400, dim) {
+			if what == "blobs" {
+				continue
+			}
+			m, pi := 1+rng.Intn(10), 1+rng.Intn(3)
+			w := []float64{0.5, 4, 25}[rng.Intn(3)]
+			for _, fleet := range []bool{false, true} {
+				check(fmt.Sprintf("%s dim %d M %d pi %d w %v fleet=%v", what, dim, m, pi, w, fleet),
+					sweepModel(block, dim, m, pi, w, fleet), sweepQueries(rng, block, dim, 40), []uint64{rng.Uint64(), ^uint64(0)})
+			}
+		}
+	}
+}
+
+// BenchmarkEngineAssign times one pruned query end to end — hash, bucket
+// sweeps, compact filter, exact distances — at the benchmark harness's
+// serving geometry (harnessGeometry at 200 K rows), at f64 and q8, and
+// reports the rows evaluated, the exact distances the compact filter let
+// through (0 at f64) and the share of queries that one bucket certified.
+func BenchmarkEngineAssign(b *testing.B) {
+	data, w, qs := harnessGeometry(b, 200_000, 2048)
 	for _, prec := range []Precision{PrecF64, PrecQ8} {
-		e, err := NewEngine(sweepModel(data, dim, 10, 3, w, false), prec)
+		e, err := NewEngine(sweepModel(data, 8, 10, 3, w, false), prec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,8 +517,10 @@ func BenchmarkEngineAssign(b *testing.B) {
 				_, _, one := e.AssignBatch(qs[i%len(qs):][:1], false)
 				st.Scanned += one.Scanned
 				st.Certified += one.Certified
+				st.Rerank += one.Rerank
 			}
 			b.ReportMetric(float64(st.Scanned)/float64(b.N), "rows/query")
+			b.ReportMetric(float64(st.Rerank)/float64(b.N), "exact/query")
 			b.ReportMetric(float64(st.Certified)/float64(b.N), "certified/query")
 		})
 	}
