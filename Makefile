@@ -8,7 +8,7 @@ all: check
 
 # The full gate: compile everything, vet, enforce the docs (package
 # comments, the README knob reference in both directions, no recipe naming a
-# deleted target or binary), run the test suite, re-run the concurrency-heavy packages under
+# deleted target, binary or flag), run the test suite, re-run the concurrency-heavy packages under
 # the race detector, fuzz the LSH key codec, the box-tree top-k scan, the
 # serving engine's bucket sweep, the ρ-partial codec, the record frame, the
 # ρ reducers' runs-apart certificate, the HTTP point decoder, the shuffle
@@ -31,8 +31,8 @@ vet:
 
 # Fail on any package missing a package-level doc comment, any registered
 # Conf* knob missing from README.md's configuration reference, any knob key
-# in that reference that no code reads, or any doc citing a `make` target or
-# cmd/ binary that no longer exists.
+# in that reference that no code reads, or any doc citing a `make` target,
+# cmd/ binary or command-line flag that no longer exists.
 doccheck:
 	$(GO) run ./cmd/doccheck
 

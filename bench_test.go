@@ -265,22 +265,6 @@ func BenchmarkWidthSolver(b *testing.B) {
 
 // ---- Extension benchmarks ----
 
-func BenchmarkGaussianKernelLSHDDP(b *testing.B) {
-	ds := benchDataset(2000)
-	var st core.Stats
-	for i := 0; i < b.N; i++ {
-		res, err := core.RunLSHDDP(context.Background(), ds, core.LSHConfig{
-			Config:   core.Config{Seed: 1, Kernel: dp.KernelGaussian},
-			Accuracy: 0.99, M: 10, Pi: 3,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		st = res.Stats
-	}
-	reportStats(b, &st)
-}
-
 func BenchmarkLSHHalo(b *testing.B) {
 	ds := benchDataset(2000)
 	cfg := core.LSHConfig{

@@ -7,7 +7,7 @@
 //	ddp -input points.csv -algo lsh -k 7 -out labels.csv
 //	ddp -input points.csv -algo basic -graph        # print decision graph
 //	ddp -input points.csv -algo eddpc -rho-min 14 -delta-min 40
-//	ddp -input points.csv -algo lsh -kernel gaussian -halo
+//	ddp -input points.csv -algo lsh -halo
 //	ddp -input points.csv -algo lsh -k 7 -export-model model.ddpm
 //
 // Distributed usage — ddp becomes the MapReduce master and waits for
@@ -47,7 +47,6 @@ func main() {
 		input    = flag.String("input", "", "input CSV file (required)")
 		labeled  = flag.Bool("labeled", false, "treat the last CSV column as a label to ignore")
 		algo     = flag.String("algo", "lsh", "algorithm: lsh | basic | eddpc | exact")
-		kernel   = flag.String("kernel", "cutoff", "density kernel: cutoff | gaussian")
 		k        = flag.Int("k", 0, "select the k top-gamma peaks (0 = box flags or auto-suggest)")
 		rhoMin   = flag.Float64("rho-min", 0, "decision-graph box: minimum rho")
 		deltaMin = flag.Float64("delta-min", 0, "decision-graph box: minimum delta")
@@ -80,17 +79,6 @@ func main() {
 	ds, err := dataset.ReadCSVFile(*input, "input", *labeled)
 	fatal(err)
 
-	var kern dp.Kernel
-	switch *kernel {
-	case "cutoff":
-		kern = dp.KernelCutoff
-	case "gaussian":
-		kern = dp.KernelGaussian
-	default:
-		fmt.Fprintf(os.Stderr, "ddp: unknown kernel %q\n", *kernel)
-		os.Exit(2)
-	}
-
 	engine, cleanup, err := buildEngine(*masterListen, *minWorkers, *workerWait, *monitor, *verbose)
 	fatal(err)
 	defer cleanup()
@@ -99,7 +87,6 @@ func main() {
 		Engine: engine,
 		Dc:     *dc,
 		Seed:   *seed,
-		Kernel: kern,
 	}
 	if *verbose {
 		cfg.Log = func(format string, args ...any) {
@@ -252,7 +239,7 @@ func runAlgorithm(ctx context.Context, ds *dataset.DS, algo string, cfg core.Con
 		if err != nil {
 			return nil, err
 		}
-		ref, err := dp.Compute(ds, dcv, dp.Options{Kernel: cfg.Kernel})
+		ref, err := dp.Compute(ds, dcv, dp.Options{})
 		if err != nil {
 			return nil, err
 		}

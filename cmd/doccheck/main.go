@@ -23,14 +23,16 @@
 //     string literal of any non-test .go file — the runbook documents a
 //     counter nothing emits, or
 //   - README.md, DESIGN.md, EXPERIMENTS.md or OPERATIONS.md mention, inside
-//     backticks, a `make <target>` the Makefile does not define or a
-//     `cmd/<name>` directory that does not exist.
+//     backticks, a `make <target>` the Makefile does not define, a
+//     `cmd/<name>` directory that does not exist, or a `-flag` on a command
+//     line — `<name> [subcommand] -flag …` or `go run ./cmd/<name> … -flag`
+//     — that no flag set in that command's non-test sources defines.
 //
 // The second check keeps the README's configuration reference in step with
 // the code: adding a knob without documenting it breaks `make check` and CI.
 // The third and fourth are its reverse: deleting a knob or a struct field
 // without deleting its row breaks them too, as the last does for a deleted
-// target or binary. The fifth does for an operator's counters what the
+// target, binary or flag. The fifth does for an operator's counters what the
 // second does for knobs, and the sixth is its reverse. Run from the module
 // root:
 //
@@ -238,11 +240,18 @@ var (
 	makeTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	makeRef    = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 	cmdRef     = regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
+	// goRun is a `go run ./cmd/<name> …` line; cmdLine a line that starts
+	// with a word and whitespace — `<name> [subcommand] -flag …` when the
+	// word names a command. A shell pipe, list, redirect or comment ends the
+	// command's arguments.
+	goRun    = regexp.MustCompile(`\bgo run \./cmd/([a-z][a-z0-9]*)(\s[^|;&#<>]*)?`)
+	cmdLine  = regexp.MustCompile(`^\s*([a-z][a-z0-9]*)(\s[^|;&#<>]*)`)
+	flagWord = regexp.MustCompile(`(?:^|\s)--?([a-zA-Z][a-zA-Z0-9-]*)`)
 )
 
-// definedRefs returns the targets the Makefile defines and the command
-// directories that exist under cmdDir.
-func definedRefs(makefile, cmdDir string) (targets, cmds map[string]bool, err error) {
+// definedRefs returns the targets the Makefile defines and, for each
+// command directory under cmdDir, the flags its non-test sources define.
+func definedRefs(makefile, cmdDir string) (targets map[string]bool, cmds map[string]map[string]bool, err error) {
 	data, err := os.ReadFile(makefile)
 	if err != nil {
 		return nil, nil, err
@@ -255,19 +264,71 @@ func definedRefs(makefile, cmdDir string) (targets, cmds map[string]bool, err er
 	if err != nil {
 		return nil, nil, err
 	}
-	cmds = make(map[string]bool)
+	cmds = make(map[string]map[string]bool)
 	for _, e := range entries {
-		if e.IsDir() {
-			cmds[e.Name()] = true
+		if !e.IsDir() {
+			continue
 		}
+		files, err := filepath.Glob(filepath.Join(cmdDir, e.Name(), "*.go"))
+		if err != nil {
+			return nil, nil, err
+		}
+		flags := map[string]bool{"h": true, "help": true} // the flag package's own
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+			if err != nil {
+				return nil, nil, err
+			}
+			flagNames(f, flags)
+		}
+		cmds[e.Name()] = flags
 	}
 	return targets, cmds, nil
 }
 
+// flagNames adds to flags the name of every flag f defines on the flag
+// package or a FlagSet: the string-literal name argument of a String, Int,
+// BoolVar, Func … call.
+func flagNames(f *ast.File, flags map[string]bool) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		arg := 0
+		switch sel.Sel.Name {
+		case "Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Func", "BoolFunc":
+		case "BoolVar", "IntVar", "Int64Var", "UintVar", "Uint64Var", "StringVar", "Float64Var", "DurationVar", "Var", "TextVar":
+			arg = 1
+		default:
+			return true
+		}
+		if len(call.Args) > arg {
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil {
+					flags[name] = true
+				}
+			}
+		}
+		return true
+	})
+}
+
 // staleRefs returns every `make <target>` and `cmd/<name>` that doc mentions
 // inside backticks (inline code or a fenced block — prose is skipped, so
-// "make sure" is not a target) but that targets / cmds do not hold.
-func staleRefs(doc string, targets, cmds map[string]bool) []string {
+// "make sure" is not a target) but that targets / cmds do not hold, and
+// every `-flag` of a command line there that its command does not define: a
+// line `go run ./cmd/<name> … -flag`, or a line that starts with a command's
+// name and whitespace, `<name> [subcommand] -flag …` (so a job name such as
+// `ddp-dc-sample` is no command line).
+func staleRefs(doc string, targets map[string]bool, cmds map[string]map[string]bool) []string {
 	var stale []string
 	for i, span := range strings.Split(doc, "`") {
 		if i%2 == 0 {
@@ -279,8 +340,23 @@ func staleRefs(doc string, targets, cmds map[string]bool) []string {
 			}
 		}
 		for _, m := range cmdRef.FindAllStringSubmatch(span, -1) {
-			if !cmds[m[1]] {
+			if _, ok := cmds[m[1]]; !ok {
 				stale = append(stale, m[0])
+			}
+		}
+		for _, line := range strings.Split(span, "\n") {
+			for _, re := range []*regexp.Regexp{goRun, cmdLine} {
+				for _, m := range re.FindAllStringSubmatch(line, -1) {
+					flags, ok := cmds[m[1]]
+					if !ok {
+						continue // not a command, or one cmdRef reports
+					}
+					for _, f := range flagWord.FindAllStringSubmatch(m[2], -1) {
+						if !flags[f[1]] {
+							stale = append(stale, m[1]+" -"+f[1])
+						}
+					}
+				}
 			}
 		}
 	}

@@ -9,7 +9,11 @@ import (
 
 func TestStaleRefs(t *testing.T) {
 	targets := map[string]bool{"check": true, "bench-hot": true}
-	cmds := map[string]bool{"ddp": true, "dpbench": true}
+	cmds := map[string]map[string]bool{
+		"ddp":      {"h": true, "input": true, "halo": true},
+		"dpbench":  {"h": true},
+		"fleetctl": {"h": true, "shards": true, "timeout": true},
+	}
 	cases := []struct {
 		name string
 		doc  string
@@ -21,6 +25,10 @@ func TestStaleRefs(t *testing.T) {
 		{"deleted binary", "driven by `cmd/goneload`", []string{"cmd/goneload"}},
 		{"fenced block", "```sh\nmake bench-hot > old.txt\nmake bench-gone\ngo run ./cmd/gonebench\n```\n", []string{"make bench-gone", "cmd/gonebench"}},
 		{"go builtin", "`buf := make([]byte, n)`", nil},
+		{"live flags", "`ddp -input x.csv -halo`, `fleetctl rollover -shards \"h0|h0b,h1\" -timeout 1m`", nil},
+		{"deleted flag", "`fleetctl rollover -routers host:9090`", []string{"fleetctl -routers"}},
+		{"deleted flag in go run", "```sh\ngo run ./cmd/ddp -input s2.csv -kernel gaussian -halo   # extensions\n```\n", []string{"ddp -kernel"}},
+		{"not command lines", "`ddp-dc-sample -x`, `ddp -input x | grep -v y`, `ddp`, `mrd worker -gone`", nil},
 	}
 	for _, c := range cases {
 		if got := staleRefs(c.doc, targets, cmds); !reflect.DeepEqual(got, c.want) {

@@ -65,7 +65,6 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confDc, dc)
 	conf.SetInt(confBlocks, nBlocks)
-	setKernelConf(conf, cfg.Kernel)
 
 	partials, err := sess.Run(ctx, BasicRhoJob(conf), input)
 	if err != nil {
@@ -155,7 +154,8 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			if err != nil {
 				return fmt.Errorf("core: bad block key %q", key)
 			}
-			kern := kernelFromConf(ctx.Conf)
+			dc := ctx.Conf.GetFloat(confDc, 0)
+			kern := kernels.Kernel{Dc2: dc * dc}
 			m := points.GetMatrix()
 			defer points.PutMatrix(m)
 			nLocal, err := points.DecodeHomeFirstInto(m, values, homeBlock(l), (*points.Matrix).AppendPoint)
@@ -167,7 +167,7 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			// pairs visitors × local — the same evaluation order as the
 			// scalar loops, so partials stay bit-identical.
 			rho := kernels.Credit{Layouts: 1}
-			rho.Reset(n, kern)
+			rho.Reset(n)
 			ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.Rho(m, []kernels.Block{
 				kernels.Triangle(0, nLocal), kernels.Cross(nLocal, n, 0, nLocal),
 			}, kern, &rho))

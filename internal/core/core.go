@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/decision"
-	"repro/internal/dp"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
 	"repro/internal/obs"
@@ -148,10 +147,6 @@ type Config struct {
 	Dc float64
 	// Seed drives every randomized choice (sampling, LSH draws).
 	Seed int64
-	// Kernel selects the density estimator (cutoff by default; the
-	// Gaussian variant of the original DP paper is supported as an
-	// extension — see kernel.go).
-	Kernel dp.Kernel
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
 	// Trace, when non-nil, collects every job's structured trace; wire it

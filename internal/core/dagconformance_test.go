@@ -58,7 +58,6 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	conf.SetFloat(confW, w)
 	conf.SetInt64(confSeed, cfg.Seed)
 	conf.SetBool(confAggMean, cfg.AggregateMean)
-	setKernelConf(conf, cfg.Kernel)
 
 	p1 := run(LSHRhoJob(conf.Clone()), input)
 	p2 := run(LSHRhoAggJob(conf.Clone()), p1)

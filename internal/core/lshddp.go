@@ -2,13 +2,11 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"time"
 
 	"repro/internal/dp"
@@ -126,7 +124,6 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	conf.SetFloat(confW, w)
 	conf.SetInt64(confSeed, cfg.Seed)
 	conf.SetBool(confAggMean, cfg.AggregateMean)
-	setKernelConf(conf, cfg.Kernel)
 
 	partials, err := sess.Run(ctx, LSHRhoJob(conf), input)
 	if err != nil {
@@ -196,23 +193,13 @@ func layoutsOf(conf mapreduce.Conf) (*lsh.Layouts, error) {
 // with the point's nearK nearest partners within d_c among the pairs
 // evaluated — when the share is not all zero (a partner within d_c always
 // adds to it), and always from layout 0, so that every point reaches the
-// aggregation. A cutoff reducer prunes the owned pairs whose runs lie d_c
-// apart (rhoReach): such a pair adds to no share and enters no list.
-func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job { return lshRhoJob(conf, rhoReach) }
+// aggregation. A reducer prunes the owned pairs whose runs lie d_c apart:
+// such a pair adds to no share and enters no list.
+func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job { return lshRhoJob(conf, true) }
 
-// rhoReach is the squared distance at and beyond which a pair adds nothing to
-// the ρ walk with k: Dc2 for the cutoff kernel, whose count and neighbour
-// lists both stop short of it, and +Inf — none — for the Gaussian, whose
-// weight never reaches zero.
-func rhoReach(k kernels.Kernel) float64 {
-	if k.Gaussian {
-		return math.Inf(1)
-	}
-	return k.Dc2
-}
-
-// lshRhoJob is LSHRhoJob with the reach its reducers prune at.
-func lshRhoJob(conf mapreduce.Conf, reach func(kernels.Kernel) float64) *mapreduce.Job {
+// lshRhoJob is LSHRhoJob, whose reducers prune only when prune is set; the
+// unpruned job is the runs-apart tests' reference.
+func lshRhoJob(conf mapreduce.Conf, prune bool) *mapreduce.Job {
 	drawn := mapreduce.ConfOnce(layoutsOf)
 	return &mapreduce.Job{
 		Name: JobLSHRho,
@@ -238,7 +225,8 @@ func lshRhoJob(conf mapreduce.Conf, reach func(kernels.Kernel) float64) *mapredu
 			if err != nil {
 				return err
 			}
-			kern := kernelFromConf(ctx.Conf)
+			dc := ctx.Conf.GetFloat(confDc, 0)
+			kern := kernels.Kernel{Dc2: dc * dc}
 			po := pairOncePool.Get().(*pairOnce)
 			defer pairOncePool.Put(po)
 			m, err := po.load(l, own, l.M(), values, points.DecodePointsInto)
@@ -246,7 +234,11 @@ func lshRhoJob(conf mapreduce.Conf, reach func(kernels.Kernel) float64) *mapredu
 				return err
 			}
 			defer points.PutMatrix(m)
-			blocks, pruned, skipped := po.owned(m, own, reach(kern))
+			reach := kern.Dc2
+			if !prune {
+				reach = math.Inf(1)
+			}
+			blocks, pruned, skipped := po.owned(m, own, reach)
 			if len(blocks) == 0 {
 				// A later layout all of whose pairs earlier ones own or lie
 				// apart: no share to report (layout 0 always has its
@@ -256,10 +248,10 @@ func lshRhoJob(conf mapreduce.Conf, reach func(kernels.Kernel) float64) *mapredu
 			}
 			cr := &po.credit
 			cr.Layouts, cr.Own, cr.Sig, cr.Near = l.M(), own, po.sig, &po.near
-			cr.Reset(m.N(), kern)
+			cr.Reset(m.N())
 			po.near.Reset(m.N(), nearK, kern.Dc2)
 			countPairs(ctx, kernels.Rho(m, blocks, kern, cr), pruned, skipped)
-			part := points.RhoPartial{Gaussian: kern.Gaussian, First: own, Vals: make([]float64, l.M()-own)}
+			part := points.RhoPartial{First: own, Vals: make([]float64, l.M()-own)}
 			var enc []byte
 			for i := 0; i < m.N(); i++ {
 				keep := own == 0
@@ -287,13 +279,10 @@ func lshRhoJob(conf mapreduce.Conf, reach func(kernels.Kernel) float64) *mapredu
 // pairs of a point's owners are every point it shares a bucket with, each
 // once, so that is its nearK nearest co-bucketed points within d_c, emitted
 // beside ρ̂ᵢ.
-// Cutoff partials are neighbour counts, which add exactly in any grouping,
-// and the lists' top-k merges in any grouping too, so the fold is also the
-// combiner; Gaussian partials are float sums, which do not add in any
-// grouping, so they reach the reducer as emitted and are added in owner
-// order.
+// Partials are neighbour counts, which add exactly in any grouping, and the
+// lists' top-k merges in any grouping too, so the fold is also the combiner.
 func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
-	job := &mapreduce.Job{
+	return &mapreduce.Job{
 		Name: JobLSHRhoAgg,
 		Conf: conf,
 		Map:  identityMap,
@@ -314,9 +303,7 @@ func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 			out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: total.ID, Rho: agg, Near: total.Near}))
 			return nil
 		},
-	}
-	if !kernelFromConf(conf).Gaussian {
-		job.Combine = func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
+		Combine: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
 			total, err := addRhoPartials(values, ctx.Conf.GetInt(confM, 1))
 			if err != nil {
 				return err
@@ -325,35 +312,32 @@ func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 			// shuffle would otherwise hold until the reduce.
 			out.Emit(key, bytes.Clone(points.AppendRhoPartial(nil, total)))
 			return nil
-		}
+		},
 	}
-	return job
 }
 
-// addRhoPartials adds the partials of one point into its densities under
-// all m layouts and merges their partner lists. A point has at most one
-// non-empty partial per owner layout, and that partial starts at its owner,
-// so adding them in order of First fixes the order of every float addition
-// whatever order the shuffle delivered them in.
+// addRhoPartials adds the partials of one point into its neighbour counts
+// under all m layouts and merges their partner lists. Whole numbers below
+// 2⁵³ add exactly in any order and the lists' top-k depends only on the
+// entries offered, so the result is the same whatever order the shuffle
+// delivered the partials in.
 func addRhoPartials(values [][]byte, m int) (points.RhoPartial, error) {
-	parts := make([]points.RhoPartial, len(values))
+	var total points.RhoPartial
+	var near kernels.Near
+	near.Reset(1, nearK, math.Inf(1))
 	for i, v := range values {
 		p, err := points.DecodeRhoPartial(v)
 		if err != nil {
 			return points.RhoPartial{}, err
 		}
-		if p.First+len(p.Vals) > m || (i > 0 && p.Gaussian != parts[0].Gaussian) {
-			return points.RhoPartial{}, fmt.Errorf("core: rho partial for id %d does not fit %d layouts of one kernel", p.ID, m)
+		if p.First+len(p.Vals) > m {
+			return points.RhoPartial{}, fmt.Errorf("core: rho partial for id %d does not fit %d layouts", p.ID, m)
 		}
-		parts[i] = p
-	}
-	slices.SortStableFunc(parts, func(a, b points.RhoPartial) int { return cmp.Compare(a.First, b.First) })
-	total := points.RhoPartial{ID: parts[0].ID, Gaussian: parts[0].Gaussian, Vals: make([]float64, m)}
-	var near kernels.Near
-	near.Reset(1, nearK, math.Inf(1))
-	for _, p := range parts {
-		for i, v := range p.Vals {
-			total.Vals[p.First+i] += v
+		if i == 0 {
+			total = points.RhoPartial{ID: p.ID, Vals: make([]float64, m)}
+		}
+		for x, c := range p.Vals {
+			total.Vals[p.First+x] += c
 		}
 		for _, e := range p.Near {
 			near.Offer(0, kernels.TopKEntry{Row: e.ID, D2: e.D2})

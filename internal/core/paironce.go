@@ -20,7 +20,7 @@ import (
 // reducer of layout m re-derives every row's keys from its coordinates
 // (nothing extra is shuffled), orders its rows by their buckets in layouts
 // 0 … m−1 and skips — as whole blocks — the pairs an earlier layout owns,
-// and, on the cutoff ρ job, the owned blocks whose two runs lie d_c apart.
+// and, on the ρ job, the owned blocks whose two runs lie d_c apart.
 
 // CtrPairsSkipped counts the co-bucketed pairs an LSH job did not evaluate
 // because another reducer's pass covers them: an earlier layout owns them,
@@ -30,10 +30,10 @@ import (
 // Σ C(|bucket|, 2) over every bucket of every layout.
 const CtrPairsSkipped = "dp.lsh.pairs.skipped"
 
-// CtrPairsPruned counts the owned pairs a cutoff ρ reducer did not evaluate
-// because their two runs lie at least d_c apart on some axis (apart): no
-// such pair is within d_c, so none could count or be listed. Zero on the
-// Gaussian ρ job and on the δ job, which never prune.
+// CtrPairsPruned counts the owned pairs a ρ reducer did not evaluate because
+// their two runs lie at least d_c apart on some axis (apart): no such pair
+// is within d_c, so none could count or be listed. Zero on the δ job, which
+// never prunes.
 const CtrPairsPruned = "dp.lsh.pairs.pruned"
 
 // pairOnce is the scratch of one pair-once reduce call: the rows' bucket
@@ -110,8 +110,8 @@ func (po *pairOnce) sign(l *lsh.Layouts, m *points.Matrix, own, width int, rows 
 // load decodes a reduce group, signs layouts [0, width) and returns the rows
 // in (buckets under layouts 0 … own−1, ID) order, po.sig following them. IDs
 // are unique within a bucket and rows are signed in ID order, so bucket ids,
-// the row order — and with it every kernel's visit order, Gaussian sum and δ
-// tie — are the same for any arrival order of values. The caller returns
+// the row order — and with it every kernel's visit order and δ tie — are the
+// same for any arrival order of values. The caller returns
 // the matrix to the pool.
 func (po *pairOnce) load(l *lsh.Layouts, own, width int, values [][]byte,
 	decode func(*points.Matrix, [][]byte) error) (*points.Matrix, error) {

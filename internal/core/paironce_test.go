@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -231,29 +232,15 @@ func TestPairOnceMatchesPerLayout(t *testing.T) {
 			gotMean := run(t, local, ds, mean)
 			requireMatchesPerLayout(t, ds, cb, gotMean, wantMean)
 
-			// Gaussian: per-layout sums equal up to float reassociation; δ̂
-			// is then checked against the ρ̂ the pipeline itself produced.
-			gauss := c.cfg
-			gauss.Kernel = dp.KernelGaussian
-			wantGauss, _ := runPerLayout(t, local, ds, gauss)
-			gotGauss := run(t, local, ds, gauss)
-			for i := range wantGauss.Rho {
-				if diff := math.Abs(gotGauss.Rho[i] - wantGauss.Rho[i]); diff > 1e-12*math.Abs(wantGauss.Rho[i]) {
-					t.Fatalf("gaussian rho[%d] = %v, per-layout %v", i, gotGauss.Rho[i], wantGauss.Rho[i])
-				}
-			}
-			requireDeltaFromPairSet(t, ds, cb, gotGauss)
-
 			if cluster == nil || ci%3 != 0 {
 				return
 			}
 			// On the cluster: the oracle again, and engine identity — every
-			// array, Gaussian sums included, equal to the local run's.
+			// array equal to the local run's.
 			wantRPC, _ := runPerLayout(t, cluster, ds, c.cfg)
 			baseRPC := run(t, cluster, ds, c.cfg)
 			requireMatchesPerLayout(t, ds, cb, baseRPC, wantRPC)
 			requireSameArrays(t, "rpcmr vs local", baseRPC, base)
-			requireSameArrays(t, "rpcmr vs local, gaussian", run(t, cluster, ds, gauss), gotGauss)
 		})
 	}
 }
@@ -410,7 +397,7 @@ func TestPairOnceCountIdentity(t *testing.T) {
 // TestPairOnceArrivalOrder: a reducer sorts its rows before any kernel
 // runs, so its output is byte-identical under any permutation of its values
 // — the in-memory and merged-run shuffles deliver different orders. Both
-// kernels, both jobs, every partition of a tie-heavy lattice.
+// jobs, every partition of a tie-heavy lattice.
 func TestPairOnceArrivalOrder(t *testing.T) {
 	rng := points.NewRand(4)
 	vs := make([]points.Vector, 400)
@@ -422,58 +409,73 @@ func TestPairOnceArrivalOrder(t *testing.T) {
 	for i := range rho {
 		rho[i] = float64(rng.Intn(5))
 	}
-	for _, kernel := range []dp.Kernel{dp.KernelCutoff, dp.KernelGaussian} {
-		cfg := LSHConfig{Config: Config{Dc: 1.5, Seed: 2, Kernel: kernel}, M: 5, Pi: 2, W: 4}
-		conf := lshConf(ds, cfg)
-		for _, tc := range []struct {
-			job *mapreduce.Job
-			in  []mapreduce.Pair
-		}{
-			{LSHRhoJob(conf), InputPairs(ds)},
-			{LSHDeltaJob(conf), RhoPointPairs(ds, rho)},
-		} {
-			tctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
-			groups := map[string][][]byte{}
-			for _, p := range tc.in {
-				if err := tc.job.Map(tctx, p.Key, p.Value, mapreduce.EmitterFunc(func(k string, v []byte) {
-					groups[k] = append(groups[k], v)
-				})); err != nil {
-					t.Fatal(err)
-				}
+	cfg := LSHConfig{Config: Config{Dc: 1.5, Seed: 2}, M: 5, Pi: 2, W: 4}
+	conf := lshConf(ds, cfg)
+	for _, tc := range []struct {
+		job *mapreduce.Job
+		in  []mapreduce.Pair
+	}{
+		{LSHRhoJob(conf), InputPairs(ds)},
+		{LSHDeltaJob(conf), RhoPointPairs(ds, rho)},
+	} {
+		tctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
+		groups := map[string][][]byte{}
+		for _, p := range tc.in {
+			if err := tc.job.Map(tctx, p.Key, p.Value, mapreduce.EmitterFunc(func(k string, v []byte) {
+				groups[k] = append(groups[k], v)
+			})); err != nil {
+				t.Fatal(err)
 			}
-			reduce := func(key string, values [][]byte) (out []mapreduce.Pair) {
-				if err := tc.job.Reduce(tctx, key, values, mapreduce.EmitterFunc(func(k string, v []byte) {
-					out = append(out, mapreduce.Pair{Key: k, Value: v})
-				})); err != nil {
-					t.Fatal(err)
-				}
-				return out
+		}
+		reduce := func(key string, values [][]byte) (out []mapreduce.Pair) {
+			if err := tc.job.Reduce(tctx, key, values, mapreduce.EmitterFunc(func(k string, v []byte) {
+				out = append(out, mapreduce.Pair{Key: k, Value: v})
+			})); err != nil {
+				t.Fatal(err)
 			}
-			for key, values := range groups {
-				want := reduce(key, values)
-				shuffled := append([][]byte(nil), values...)
-				rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-				if got := reduce(key, shuffled); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s, kernel %v, partition %s (%d rows): output depends on arrival order",
-						tc.job.Name, kernel, lsh.KeyString(key), len(values))
-				}
+			return out
+		}
+		for key, values := range groups {
+			want := reduce(key, values)
+			shuffled := append([][]byte(nil), values...)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			if got := reduce(key, shuffled); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, partition %s (%d rows): output depends on arrival order",
+					tc.job.Name, lsh.KeyString(key), len(values))
 			}
 		}
 	}
 }
 
-// TestRhoAggFoldsInAnyGrouping: cutoff partials are counts, so combining any
-// subset first changes nothing — the property that makes the fold its own
-// combiner — and the Gaussian job, whose float sums lack it, has none.
+// TestRhoAggFoldsInAnyGrouping: partials are counts and partner lists, so
+// combining any subset first, in either order, changes nothing — the
+// property that makes the fold its own combiner. The lists hold more
+// partners than a point keeps, with ties on d², so the merge evicts.
 func TestRhoAggFoldsInAnyGrouping(t *testing.T) {
 	conf := mapreduce.Conf{}
 	conf.SetInt(confM, 4)
 	job := LSHRhoAggJob(conf)
 	tctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
-	enc := func(first int, vals ...float64) []byte {
-		return points.AppendRhoPartial(nil, points.RhoPartial{ID: 9, First: first, Vals: vals})
+	enc := func(first int, partners []int32, vals ...float64) []byte {
+		p := points.RhoPartial{ID: 9, First: first, Vals: vals}
+		for _, id := range partners {
+			p.Near = append(p.Near, points.Neighbor{ID: id, D2: float64(id % 4)})
+		}
+		slices.SortFunc(p.Near, func(a, b points.Neighbor) int {
+			if a.D2 != b.D2 {
+				return cmp.Compare(a.D2, b.D2)
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
+		return points.AppendRhoPartial(nil, p)
 	}
-	parts := [][]byte{enc(0, 3, 1, 0, 2), enc(1, 4, 4), enc(2, 1), enc(3, 7), enc(0)}
+	parts := [][]byte{
+		enc(0, []int32{14, 3, 6}, 3, 1, 0, 2),
+		enc(1, []int32{5, 11, 8}, 4, 4),
+		enc(2, []int32{1, 12}, 1),
+		enc(3, []int32{2, 7, 4, 13}, 7),
+		enc(0, nil),
+	}
 	fold := func(f mapreduce.ReduceFunc, values [][]byte) (out [][]byte) {
 		if err := f(tctx, "k", values, mapreduce.EmitterFunc(func(_ string, v []byte) { out = append(out, v) })); err != nil {
 			t.Fatal(err)
@@ -481,20 +483,24 @@ func TestRhoAggFoldsInAnyGrouping(t *testing.T) {
 		return out
 	}
 	want := fold(job.Reduce, parts)
-	if rv, err := points.DecodeRhoValue(want[0]); err != nil || rv.ID != 9 || rv.Rho != 9 {
-		t.Fatalf("fold = %+v, %v; want id 9, max(3, 5, 5, 9)", rv, err)
+	rv, err := points.DecodeRhoValue(want[0])
+	if err != nil || rv.ID != 9 || rv.Rho != 9 || len(rv.Near) != nearK || rv.Near[0].ID != 4 || rv.Near[nearK-1].ID != 6 {
+		t.Fatalf("fold = %+v, %v; want id 9, max(3, 5, 5, 9), partners 4 8 12 1 5 13 2 6", rv, err)
+	}
+	reversed := slices.Clone(parts)
+	slices.Reverse(reversed)
+	if got := fold(job.Reduce, reversed); !reflect.DeepEqual(got, want) {
+		t.Fatal("reversing the partials changed the fold")
 	}
 	for split := 1; split < len(parts); split++ {
-		regrouped := append(fold(job.Combine, parts[split:]), fold(job.Combine, parts[:split])...)
-		if got := fold(job.Reduce, regrouped); !reflect.DeepEqual(got, want) {
-			t.Fatalf("combining %d + %d partials first changed the fold", split, len(parts)-split)
+		head, tail := fold(job.Combine, parts[:split]), fold(job.Combine, parts[split:])
+		for _, regrouped := range [][][]byte{slices.Concat(tail, head), slices.Concat(head, tail)} {
+			if got := fold(job.Reduce, regrouped); !reflect.DeepEqual(got, want) {
+				t.Fatalf("combining %d + %d partials first changed the fold", split, len(parts)-split)
+			}
 		}
 	}
-	if _, err := addRhoPartials([][]byte{enc(2, 1, 1, 1)}, 4); err == nil {
+	if _, err := addRhoPartials([][]byte{enc(2, nil, 1, 1, 1)}, 4); err == nil {
 		t.Fatal("partial reaching past the last layout accepted")
-	}
-	setKernelConf(conf, dp.KernelGaussian)
-	if LSHRhoAggJob(conf).Combine != nil {
-		t.Fatal("Gaussian aggregation has a combiner: float sums would depend on the split")
 	}
 }

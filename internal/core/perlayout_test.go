@@ -35,7 +35,8 @@ func perLayoutRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 	job := LSHRhoJob(conf) // the map side is unchanged
 	job.Name = jobPerLayoutRho
 	job.Reduce = func(ctx *mapreduce.TaskContext, _ string, values [][]byte, out mapreduce.Emitter) error {
-		kern := kernelFromConf(ctx.Conf)
+		dc := ctx.Conf.GetFloat(confDc, 0)
+		kern := kernels.Kernel{Dc2: dc * dc}
 		m := points.GetMatrix()
 		defer points.PutMatrix(m)
 		if err := points.DecodePointsInto(m, values); err != nil {
@@ -120,7 +121,6 @@ func lshConf(ds *points.Dataset, cfg LSHConfig) mapreduce.Conf {
 	conf.SetFloat(confW, cfg.W)
 	conf.SetInt64(confSeed, cfg.Seed)
 	conf.SetBool(confAggMean, cfg.AggregateMean)
-	setKernelConf(conf, cfg.Kernel)
 	return conf
 }
 

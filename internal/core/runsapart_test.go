@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/dp"
 	"repro/internal/kernels"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/rpcmr"
@@ -53,14 +52,14 @@ func runsOf(t testing.TB, runs [][]points.Vector) (*points.Matrix, *pairOnce) {
 	return matrixOf(t, rows), po
 }
 
-// cutoffWalk runs the ρ reducer's walk over blocks of m with the cutoff
-// kernel at dc2 — counts for the reducer's own layout and neighbour lists
+// cutoffWalk runs the ρ reducer's walk over blocks of m at cutoff dc2 —
+// counts for the reducer's own layout and neighbour lists
 // bounded by dc2 — and returns both.
 func cutoffWalk(m *points.Matrix, po *pairOnce, blocks []kernels.Block, dc2 float64) ([]int32, [][]kernels.TopKEntry) {
 	var near kernels.Near
 	k := kernels.Kernel{Dc2: dc2}
 	cr := kernels.Credit{Layouts: 2, Own: 1, Sig: po.sig, Near: &near}
-	cr.Reset(m.N(), k)
+	cr.Reset(m.N())
 	near.Reset(m.N(), nearK, dc2)
 	kernels.Rho(m, blocks, k, &cr)
 	lists := make([][]kernels.TopKEntry, m.N())
@@ -154,7 +153,7 @@ const jobLSHRhoReachInf = "test-lsh-ddp-rho-reach-inf"
 // reachInfRhoJob is the ρ job at a reach of +Inf: its reducers walk every
 // pair they own.
 func reachInfRhoJob(conf mapreduce.Conf) *mapreduce.Job {
-	job := lshRhoJob(conf, func(kernels.Kernel) float64 { return math.Inf(1) })
+	job := lshRhoJob(conf, false)
 	job.Name = jobLSHRhoReachInf
 	return job
 }
@@ -264,13 +263,11 @@ func runsApartCases() []pairOnceCase {
 	return cases
 }
 
-// TestRunsApartMatchesReachInf: on every edge case, with the cutoff and the
-// Gaussian kernel, on the local engine at parallelism 1 and 3 and a 3-worker
-// rpcmr cluster, the pipeline's ρ̂, neighbour lists, δ̂ and upslope are
-// bit-identical to a run whose ρ job prunes nothing, and so are the
-// pipeline's own arrays. The
-// cutoff runs prune — evaluated + pruned is the unpruned run's evaluated
-// count — and the Gaussian runs prune nothing and evaluate the same pairs.
+// TestRunsApartMatchesReachInf: on every edge case, on the local engine at
+// parallelism 1 and 3 and a 3-worker rpcmr cluster, the pipeline's ρ̂,
+// neighbour lists, δ̂ and upslope are bit-identical to a run whose ρ job
+// prunes nothing, and so are the pipeline's own arrays. The runs prune —
+// evaluated + pruned is the unpruned run's evaluated count.
 func TestRunsApartMatchesReachInf(t *testing.T) {
 	engines := []mapreduce.Engine{&mapreduce.LocalEngine{Parallelism: 1}, &mapreduce.LocalEngine{Parallelism: 3}}
 	if !testing.Short() {
@@ -291,39 +288,39 @@ func TestRunsApartMatchesReachInf(t *testing.T) {
 		engines = append(engines, cluster)
 	}
 	for _, c := range runsApartCases() {
-		for _, kernel := range []dp.Kernel{dp.KernelCutoff, dp.KernelGaussian} {
-			for ei, eng := range engines {
-				t.Run(fmt.Sprintf("%s/kernel%d/engine%d", c.name, kernel, ei), func(t *testing.T) {
-					cfg := c.cfg
-					cfg.Kernel, cfg.Engine = kernel, eng
-					want := runStaged(t, eng, c.ds, cfg, reachInfRhoJob)
-					got := runStaged(t, eng, c.ds, cfg, LSHRhoJob)
-					requireSameBits(t, "rho", got.rho, want.rho, nil, nil)
-					for i := range want.near {
-						if !slices.Equal(got.near[i], want.near[i]) {
-							t.Fatalf("point %d: list %v, at reach +Inf %v", i, got.near[i], want.near[i])
-						}
+		for ei, eng := range engines {
+			// kernel0 names the cutoff kernel, the only one; the level
+			// keeps the subtest names stable.
+			t.Run(fmt.Sprintf("%s/kernel0/engine%d", c.name, ei), func(t *testing.T) {
+				cfg := c.cfg
+				cfg.Engine = eng
+				want := runStaged(t, eng, c.ds, cfg, reachInfRhoJob)
+				got := runStaged(t, eng, c.ds, cfg, LSHRhoJob)
+				requireSameBits(t, "rho", got.rho, want.rho, nil, nil)
+				for i := range want.near {
+					if !slices.Equal(got.near[i], want.near[i]) {
+						t.Fatalf("point %d: list %v, at reach +Inf %v", i, got.near[i], want.near[i])
 					}
-					requireSameBits(t, "delta", got.delta, want.delta, got.upslope, want.upslope)
-					res, err := RunLSHDDP(context.Background(), c.ds, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireSameBits(t, "pipeline rho", res.Rho, want.rho, nil, nil)
-					requireSameBits(t, "pipeline delta", res.Delta, want.delta, res.Upslope, want.upslope)
+				}
+				requireSameBits(t, "delta", got.delta, want.delta, got.upslope, want.upslope)
+				res, err := RunLSHDDP(context.Background(), c.ds, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, "pipeline rho", res.Rho, want.rho, nil, nil)
+				requireSameBits(t, "pipeline delta", res.Delta, want.delta, res.Upslope, want.upslope)
 
-					ev, pr := got.counters[mapreduce.CtrDistanceComputations], got.counters[CtrPairsPruned]
-					wantEv := want.counters[mapreduce.CtrDistanceComputations]
-					if want.counters[CtrPairsPruned] != 0 || ev+pr != wantEv ||
-						got.counters[CtrPairsSkipped] != want.counters[CtrPairsSkipped] {
-						t.Fatalf("ρ job: evaluated %d pruned %d, at reach +Inf evaluated %d pruned %d",
-							ev, pr, wantEv, want.counters[CtrPairsPruned])
-					}
-					if gauss := kernel == dp.KernelGaussian; gauss != (pr == 0) {
-						t.Fatalf("ρ job pruned %d pairs with the %v kernel", pr, kernel)
-					}
-				})
-			}
+				ev, pr := got.counters[mapreduce.CtrDistanceComputations], got.counters[CtrPairsPruned]
+				wantEv := want.counters[mapreduce.CtrDistanceComputations]
+				if want.counters[CtrPairsPruned] != 0 || ev+pr != wantEv ||
+					got.counters[CtrPairsSkipped] != want.counters[CtrPairsSkipped] {
+					t.Fatalf("ρ job: evaluated %d pruned %d, at reach +Inf evaluated %d pruned %d",
+						ev, pr, wantEv, want.counters[CtrPairsPruned])
+				}
+				if pr == 0 {
+					t.Fatal("ρ job pruned no pair")
+				}
+			})
 		}
 	}
 }

@@ -7,7 +7,7 @@
 // For every point i the algorithm computes:
 //
 //	ρ_i — the local density: the number of points within the cutoff
-//	      distance d_c (or a Gaussian-kernel weighted count);
+//	      distance d_c, ρ_i = Σ_j 𝟙[d_ij < d_c] (the paper's Equation (1));
 //	δ_i — the minimum distance to any point with higher density, and the
 //	      identity of that "upslope" point;
 //
@@ -15,8 +15,7 @@
 // δ = max_j d_ij with no upslope point.
 //
 // Density ties are broken by point ID: point j is considered denser than
-// point i iff ρ_j > ρ_i, or ρ_j == ρ_i and j < i. The cutoff-kernel ρ is an
-// integer count, so ties are common; without a total order two tied points
+// point i iff ρ_j > ρ_i, or ρ_j == ρ_i and j < i. ρ is an integer count, so ties are common; without a total order two tied points
 // could both claim to be the absolute peak and results would be
 // nondeterministic. Every algorithm in the repository (Basic-DDP, LSH-DDP,
 // EDDPC) applies the same rule, so their exact variants agree bit-for-bit
@@ -31,22 +30,8 @@ import (
 	"repro/internal/points"
 )
 
-// Kernel selects the density estimator.
-type Kernel int
-
-const (
-	// KernelCutoff counts neighbours within d_c: ρ_i = Σ_j 𝟙[d_ij < d_c].
-	// This is the paper's Equation (1).
-	KernelCutoff Kernel = iota
-	// KernelGaussian uses ρ_i = Σ_j exp(−(d_ij/d_c)²), the smooth variant
-	// from the original DP paper (an extension; the reproduced paper uses
-	// the cutoff kernel throughout).
-	KernelGaussian
-)
-
 // Options configures Compute.
 type Options struct {
-	Kernel Kernel
 	// Counter, when non-nil, receives the number of full distance
 	// evaluations performed (the paper's computational-cost metric).
 	Counter *int64
@@ -93,27 +78,9 @@ func Compute(ds *points.Dataset, dc float64, opt Options) (*Result, error) {
 		Delta:   make([]float64, n),
 		Upslope: make([]int32, n),
 	}
-	computeRho(ds, dc, opt, res.Rho)
+	rhoCutoff(ds, dc, ds.Dim() <= points.MaxGridDim, opt.Counter, res.Rho)
 	computeDelta(ds, opt, res)
 	return res, nil
-}
-
-// computeRho fills rho using the configured kernel.
-func computeRho(ds *points.Dataset, dc float64, opt Options, rho []float64) {
-	if opt.Kernel != KernelGaussian {
-		rhoCutoff(ds, dc, ds.Dim() <= points.MaxGridDim, opt.Counter, rho)
-		return
-	}
-	n, dc2 := ds.N(), dc*dc
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			d2 := points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos)
-			count(opt.Counter, 1)
-			w := math.Exp(-d2 / dc2)
-			rho[i] += w
-			rho[j] += w
-		}
-	}
 }
 
 // rhoCutoff adds to rho the cutoff count of every unordered pair within dc,

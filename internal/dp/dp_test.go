@@ -12,7 +12,7 @@ import (
 
 // naive is an independent, maximally-simple DP implementation used as the
 // oracle for the optimized one.
-func naive(ds *points.Dataset, dc float64, kernel Kernel) *Result {
+func naive(ds *points.Dataset, dc float64) *Result {
 	n := ds.N()
 	res := &Result{
 		Rho:     make([]float64, n),
@@ -25,9 +25,7 @@ func naive(ds *points.Dataset, dc float64, kernel Kernel) *Result {
 				continue
 			}
 			d := points.Dist(ds.Points[i].Pos, ds.Points[j].Pos)
-			if kernel == KernelGaussian {
-				res.Rho[i] += math.Exp(-(d * d) / (dc * dc))
-			} else if d < dc {
+			if d < dc {
 				res.Rho[i]++
 			}
 		}
@@ -101,22 +99,7 @@ func TestComputeMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertMatches(t, got, naive(ds, dc, KernelCutoff), "cutoff")
-	}
-}
-
-func TestGaussianKernelMatchesNaive(t *testing.T) {
-	ds := randomSet(120, 2, 11)
-	dc := CutoffByPercentile(ds, 0.05, 11)
-	got, err := Compute(ds, dc, Options{Kernel: KernelGaussian})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := naive(ds, dc, KernelGaussian)
-	for i := range want.Rho {
-		if math.Abs(got.Rho[i]-want.Rho[i]) > 1e-9 {
-			t.Fatalf("gaussian rho[%d] = %v, want %v", i, got.Rho[i], want.Rho[i])
-		}
+		assertMatches(t, got, naive(ds, dc), "cutoff")
 	}
 }
 

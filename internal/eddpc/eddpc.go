@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dp"
 	"repro/internal/mapreduce"
 	"repro/internal/points"
 )
@@ -71,11 +70,6 @@ const (
 // concatenated in that order.
 func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, error) {
 	start := time.Now()
-	// A point is replicated only to the cells within d_c of it, which holds
-	// every pair a cutoff ρ counts; a Gaussian ρ sums over every pair.
-	if cfg.Kernel == dp.KernelGaussian {
-		return nil, fmt.Errorf("eddpc: the Gaussian kernel is not supported: its ρ sums over every pair, beyond the d_c replication bound")
-	}
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}

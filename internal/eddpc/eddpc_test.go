@@ -3,7 +3,6 @@ package eddpc
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -48,19 +47,6 @@ func TestEDDPCMatchesSequentialDP(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestGaussianKernelRefused: EDDPC's replication bound is d_c, so its ρ is
-// exact for the cutoff kernel only, and a Gaussian-kernel run is an error
-// that names the kernel, not cutoff densities.
-func TestGaussianKernelRefused(t *testing.T) {
-	ds := dataset.Blobs("eddpc-gauss", 200, 2, 3, 50, 3, 5)
-	res, err := Run(context.Background(), ds, Config{
-		Config: core.Config{Engine: testEngine(), Dc: 2, Kernel: dp.KernelGaussian},
-	})
-	if err == nil || !strings.Contains(err.Error(), "Gaussian") {
-		t.Fatalf("Gaussian-kernel run: result %v, err %v", res != nil, err)
 	}
 }
 

@@ -84,7 +84,7 @@ func RhoJob(conf mapreduce.Conf) *mapreduce.Job {
 			// cell owns its count), and cutoff counts are integer sums, so
 			// splitting the interleaved scalar loop into two blocks is exact.
 			rho := kernels.Credit{Layouts: 1}
-			rho.Reset(n, kern)
+			rho.Reset(n)
 			ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.Rho(m, []kernels.Block{
 				kernels.Triangle(0, nHome), kernels.Cross(0, nHome, nHome, n),
 			}, kern, &rho))

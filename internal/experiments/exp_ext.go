@@ -5,30 +5,22 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/dp"
-	"repro/internal/evalmetrics"
 )
 
 // ExpExtensions exercises the repository's beyond-paper features end to
 // end — the extensions the paper's conclusion anticipates ("we believe it
 // is feasible to modify our solution to support variants of DP"):
 //
-//  1. Gaussian-kernel LSH-DDP: the smooth density variant of the original
-//     DP paper, distributed with the same pipeline. τ₂ against the exact
-//     Gaussian reference is reported.
-//  2. Distributed halo detection: the original DP paper's cluster-core /
+//  1. Distributed halo detection: the original DP paper's cluster-core /
 //     halo split, computed with two extra LSH-partitioned jobs; the
 //     estimated border densities are validated as underestimates of the
 //     exact ones.
-//  3. Automatic k suggestion: the γ-gap knee heuristic on decision graphs
+//  2. Automatic k suggestion: the γ-gap knee heuristic on decision graphs
 //     with known ground-truth k.
 func ExpExtensions(opt Options) (*Report, error) {
 	r := &Report{
-		Title:   "Extensions: kernel variants, distributed halo, auto-k",
+		Title:   "Extensions: distributed halo, auto-k",
 		Columns: []string{"extension", "dataset", "metric", "value"},
-	}
-	if err := extGaussianKernel(&opt, r); err != nil {
-		return nil, err
 	}
 	if err := extHalo(&opt, r); err != nil {
 		return nil, err
@@ -37,37 +29,6 @@ func ExpExtensions(opt Options) (*Report, error) {
 		return nil, err
 	}
 	return r, nil
-}
-
-func extGaussianKernel(opt *Options, r *Report) error {
-	ds, err := opt.load("KDD")
-	if err != nil {
-		return err
-	}
-	if ds.N() > 6000 {
-		ds.Points = ds.Points[:6000]
-		ds.Labels = nil
-	}
-	eng := opt.engine()
-	dc := dp.CutoffByPercentile(ds, 0.02, opt.Seed)
-	exact, err := dp.Compute(ds, dc, dp.Options{Kernel: dp.KernelGaussian})
-	if err != nil {
-		return err
-	}
-	cfg := opt.lshConfig(eng)
-	cfg.Dc = dc
-	cfg.Kernel = dp.KernelGaussian
-	res, err := core.RunLSHDDP(context.Background(), ds, cfg)
-	if err != nil {
-		return err
-	}
-	tau2, err := evalmetrics.Tau2(exact.Rho, res.Rho)
-	if err != nil {
-		return err
-	}
-	r.AddRow("gaussian-kernel", ds.Name, "tau2 vs exact gaussian DP", fmt.Sprintf("%.4f", tau2))
-	r.AddRow("gaussian-kernel", ds.Name, "runtime", fsec(res.Stats.Wall))
-	return nil
 }
 
 func extHalo(opt *Options, r *Report) error {

@@ -100,7 +100,7 @@ func TestExpExtensions(t *testing.T) {
 		t.Skip("extensions in -short mode")
 	}
 	r, err := ExpExtensions(smallOpt())
-	checkReport(t, r, err, 6)
+	checkReport(t, r, err, 4)
 	t.Log("\n" + r.String())
 }
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -103,7 +104,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 				b.status, b.msg = http.StatusInternalServerError, err.Error()
 				return
 			}
-			b.resp, b.status, b.msg = r.ingestShard(b.shard, body)
+			b.resp, b.status, b.msg = r.ingestShard(req.Context(), b.shard, body)
 		}(b)
 	}
 	wg.Wait()
@@ -142,12 +143,22 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 }
 
 // ingestShard round-trips one shard's /ingest slice to its one replica, no
-// hedge, no failover (see the duplicate-point note above).
-func (r *Router) ingestShard(sc *shardClient, body []byte) (*serve.IngestResponse, int, string) {
+// hedge, no failover (see the duplicate-point note above), under the
+// request's context: a client that hangs up cancels the shard call.
+func (r *Router) ingestShard(ctx context.Context, sc *shardClient, body []byte) (*serve.IngestResponse, int, string) {
 	rep := sc.replicas[0]
 	start := time.Now()
-	resp, err := r.client.Post("http://"+rep.addr+"/ingest", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+rep.addr+"/ingest", bytes.NewReader(body))
 	if err != nil {
+		return nil, http.StatusInternalServerError, err.Error()
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := r.client.Do(req)
+	if err != nil {
+		// A call the client's hang-up ended says nothing about the replica.
+		if ctx.Err() != nil {
+			return nil, http.StatusServiceUnavailable, "request cancelled"
+		}
 		r.markFailed(sc, rep)
 		return nil, http.StatusBadGateway, fmt.Sprintf("replica %s unreachable: %v", rep.addr, err)
 	}

@@ -134,8 +134,9 @@ func TestFleetRound2CapsEachQuery(t *testing.T) {
 	}
 }
 
-// blockingShard is a stand-in replica whose /fleet/assign blocks until its
-// request's context ends, counting the calls that started and ended.
+// blockingShard is a stand-in replica whose /fleet/assign and /ingest block
+// until their request's context ends, counting the calls that started and
+// ended.
 type blockingShard struct {
 	started, ended atomic.Int64
 	begun          chan struct{}
@@ -149,7 +150,7 @@ func newBlockingShard(t *testing.T) *blockingShard {
 	bs := &blockingShard{begun: make(chan struct{}, 64), quit: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {})
-	mux.HandleFunc("POST /fleet/assign", func(w http.ResponseWriter, r *http.Request) {
+	block := func(w http.ResponseWriter, r *http.Request) {
 		// The server watches the connection for a hang-up, which ends the
 		// context, only once the body is read.
 		io.Copy(io.Discard, r.Body) //nolint:errcheck
@@ -160,7 +161,9 @@ func newBlockingShard(t *testing.T) *blockingShard {
 		case <-bs.quit:
 		}
 		bs.ended.Add(1)
-	})
+	}
+	mux.HandleFunc("POST /fleet/assign", block)
+	mux.HandleFunc("POST /ingest", block)
 	bs.srv = httptest.NewServer(mux)
 	t.Cleanup(func() {
 		close(bs.quit)
@@ -220,17 +223,19 @@ func startStubRouter(t *testing.T, addrs ...string) *fleet.Router {
 
 // TestRouterCancelsShardCalls: a shard call lives no longer than the
 // request it serves. A client that hangs up ends the call it was waiting on,
-// and a hedge that wins ends the attempt it raced; neither counts against
-// the replica nor as a retry.
+// on /assign and on /ingest, and a hedge that wins ends the attempt it
+// raced; none of them counts against the replica or as a retry.
 func TestRouterCancelsShardCalls(t *testing.T) {
 	const body = `{"points":[[1,2]]}`
 	addr := func(s *httptest.Server) string { return strings.TrimPrefix(s.URL, "http://") }
 
-	t.Run("client cancel", func(t *testing.T) {
+	// hangUp sends body to the router's path, hangs up once the shard
+	// holds the call, and checks that the shard saw the call end.
+	hangUp := func(t *testing.T, path string) {
 		slow := newBlockingShard(t)
 		router := startStubRouter(t, addr(slow.srv))
 		ctx, cancel := context.WithCancel(context.Background())
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+router.Addr()+"/assign", strings.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+router.Addr()+path, strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,11 +255,13 @@ func TestRouterCancelsShardCalls(t *testing.T) {
 		}
 		cancel()
 		wg.Wait()
-		slow.waitEnded(t, "client cancel")
+		slow.waitEnded(t, path+" client cancel")
 		if d, r := router.Counters().Get(fleet.CtrReplicaDeaths), router.Counters().Get(fleet.CtrRetries); d != 0 || r != 0 {
-			t.Fatalf("a client cancel counted %d replica deaths and %d retries", d, r)
+			t.Fatalf("a client cancel on %s counted %d replica deaths and %d retries", path, d, r)
 		}
-	})
+	}
+	t.Run("client cancel", func(t *testing.T) { hangUp(t, "/assign") })
+	t.Run("ingest client cancel", func(t *testing.T) { hangUp(t, "/ingest") })
 
 	t.Run("hedge won", func(t *testing.T) {
 		fleet.SetHedgeMinSamples(t, 0)

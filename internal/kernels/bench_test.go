@@ -35,10 +35,10 @@ func reportPairs(b *testing.B, pairs int) {
 
 const benchPairs = benchN * (benchN - 1) / 2
 
-func benchRho(b *testing.B, gaussian bool) {
+func BenchmarkRhoKernel(b *testing.B) {
 	for _, dim := range benchDims {
 		m := randMatrix(b, benchN, dim, 99)
-		k := Kernel{Gaussian: gaussian, Dc2: benchDc2(dim)}
+		k := Kernel{Dc2: benchDc2(dim)}
 		rho := make([]float64, benchN)
 		b.Run(fmt.Sprintf("dim=%d/naive", dim), func(b *testing.B) {
 			b.ReportAllocs()
@@ -62,7 +62,7 @@ func benchRho(b *testing.B, gaussian bool) {
 			cr := Credit{Layouts: 1, Near: &Near{}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cr.Reset(benchN, k)
+				cr.Reset(benchN)
 				cr.Near.Reset(benchN, 8, k.Dc2)
 				Rho(m, []Block{Triangle(0, benchN)}, k, &cr)
 			}
@@ -70,9 +70,6 @@ func benchRho(b *testing.B, gaussian bool) {
 		})
 	}
 }
-
-func BenchmarkRhoKernel(b *testing.B)         { benchRho(b, false) }
-func BenchmarkRhoKernelGaussian(b *testing.B) { benchRho(b, true) }
 
 func BenchmarkDeltaKernel(b *testing.B) {
 	for _, dim := range benchDims {
@@ -128,9 +125,9 @@ func BenchmarkRhoGroupDecode(b *testing.B) {
 				for j := i + 1; j < len(pts); j++ {
 					d2 := points.SqDist(pts[i].Pos, pts[j].Pos)
 					nd++
-					if w := k.Weight(d2); w != 0 {
-						pts[i].Rho += w
-						pts[j].Rho += w
+					if d2 < k.Dc2 {
+						pts[i].Rho++
+						pts[j].Rho++
 					}
 				}
 			}

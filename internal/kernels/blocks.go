@@ -64,9 +64,9 @@ func forTiles(blocks []Block, f func(aLo, aHi, bLo, bHi int, diag bool)) {
 	}
 }
 
-// Credit is the ρ accumulator: one column of n cells per layout, Counts for
-// the cutoff kernel or Sums for the Gaussian, cell [l·n+r] being row r's
-// density under layout l from the pairs seen so far.
+// Credit is the ρ accumulator: one column of n counters per layout, cell
+// [l·n+r] being row r's neighbour count under layout l from the pairs seen
+// so far.
 //
 // The pair-once LSH reducers (DESIGN.md "Pair ownership") are the M-column
 // case. The reducer of layout Own evaluates only pairs whose two rows share
@@ -84,26 +84,15 @@ type Credit struct {
 	// rows exactly when they share it. Only layouts after Own are read.
 	Sig    []int32
 	Counts []int32
-	Sums   []float64
 	// Near, when set (the LSH reducers, Reset to the walk's rows), is also
 	// offered every pair the walk evaluates, both ways round: each row's
 	// nearest partners come out of distances the walk computes anyway.
 	Near *Near
 }
 
-// Reset sizes the accumulator of k's kind to n rows and zeroes it.
-func (c *Credit) Reset(n int, k Kernel) {
+// Reset sizes the accumulator to n rows and zeroes it.
+func (c *Credit) Reset(n int) {
 	cells := n * c.Layouts
-	if k.Gaussian {
-		c.Counts = nil
-		if cap(c.Sums) < cells {
-			c.Sums = make([]float64, cells)
-		}
-		c.Sums = c.Sums[:cells]
-		clear(c.Sums)
-		return
-	}
-	c.Sums = nil
 	if cap(c.Counts) < cells {
 		c.Counts = make([]int32, cells)
 	}
@@ -114,16 +103,12 @@ func (c *Credit) Reset(n int, k Kernel) {
 // Share returns row r's density under layout l from the pairs credited so
 // far.
 func (c *Credit) Share(r, l int) float64 {
-	if c.Sums != nil {
-		return c.Sums[l*(len(c.Sums)/c.Layouts)+r]
-	}
 	return float64(c.Counts[l*(len(c.Counts)/c.Layouts)+r])
 }
 
 // Rho adds the density contribution of every pair in blocks to cr, which the
 // caller has Reset to m's rows, and returns the number of distance
-// evaluations. Cutoff counts and Gaussian sums are bit-identical to the
-// naive loop over the list.
+// evaluations. The counts equal the naive loop's over the list.
 func Rho(m *points.Matrix, blocks []Block, k Kernel, cr *Credit) int64 {
 	scan := rhoScan{data: m.Data(), ids: m.IDs(), dim: m.Dim(), n: m.N(), k: k, cr: cr}
 	forTiles(blocks, scan.tile)
@@ -147,17 +132,16 @@ type rhoScan struct {
 // costs a compare per pair and each row's list a few insertions.
 //
 // With one column to credit (Layouts − Own = 1: plain ρ, and the last
-// layout's LSH reducer) cutoff neighbours are counted without a
-// data-dependent branch straight into the column and a Gaussian weight is
-// added to the pair's two cells. Routing that case through the hit list and
-// the per-layout walk below costs 9–13 % per cutoff pair and about 20 % per
-// Gaussian pair (DESIGN.md "Dense compute layer"), all of it overhead when
-// there is no second column to compare signatures for. With more columns the
-// cutoff kernel compacts the strip's neighbours into a hit list, again
-// without a branch (the test goes either way about as often as not), and
-// only the hits pay for the per-layout signature compare.
+// layout's LSH reducer) neighbours are counted without a data-dependent
+// branch straight into the column. Routing that case through the hit list
+// and the per-layout walk below costs 9–13 % per pair (DESIGN.md "Dense
+// compute layer"), all of it overhead when there is no second column to
+// compare signatures for. With more columns the strip's neighbours are
+// compacted into a hit list, again without a branch (the test goes either
+// way about as often as not), and only the hits pay for the per-layout
+// signature compare.
 func (s *rhoScan) tile(aLo, aHi, bLo, bHi int, diag bool) {
-	var d2, ws [tile]float64
+	var d2 [tile]float64
 	var hits [tile]int32
 	data, dim, dc2 := s.data, s.dim, s.k.Dc2
 	one, own := s.cr.Layouts-s.cr.Own == 1, s.cr.Own*s.n
@@ -170,33 +154,6 @@ func (s *rhoScan) tile(aLo, aHi, bLo, bHi int, diag bool) {
 		sqDistRange(data[a*dim:(a+1)*dim], data, jLo, strip)
 		if s.cr.Near != nil {
 			s.cr.Near.strip(a, s.ids, jLo, strip)
-		}
-		if s.k.Gaussian {
-			// Weights first, then the additions: the loop that calls exp
-			// keeps nothing else live across the call, and the loop that
-			// adds makes no call.
-			w := ws[:len(strip)]
-			for x, v := range strip {
-				w[x] = gaussWeight(v, dc2)
-			}
-			if !one {
-				for x, wx := range w {
-					if wx != 0 {
-						s.creditWeight(a, jLo+x, wx)
-					}
-				}
-				continue
-			}
-			sum := s.cr.Sums[own:]
-			sumA, sumB := sum[a], sum[jLo:]
-			for x, wx := range w {
-				if wx != 0 {
-					sumA += wx
-					sumB[x] += wx
-				}
-			}
-			sum[a] = sumA
-			continue
 		}
 		if one {
 			s.cr.Counts[own+a] += countBelow(strip, dc2, s.cr.Counts[own+jLo:])
@@ -249,19 +206,5 @@ func (s *rhoScan) creditHits(a, jLo int, hits []int32) {
 			shared += same
 		}
 		cnt[a] += shared
-	}
-}
-
-// creditWeight is creditHits for one pair of Gaussian weight w.
-func (s *rhoScan) creditWeight(a, b int, w float64) {
-	n, own := s.n, s.cr.Own
-	sig, sum := s.cr.Sig, s.cr.Sums
-	sum[own*n+a] += w
-	sum[own*n+b] += w
-	for l := own + 1; l < s.cr.Layouts; l++ {
-		if sig[l*n+a] == sig[l*n+b] {
-			sum[l*n+a] += w
-			sum[l*n+b] += w
-		}
 	}
 }

@@ -13,8 +13,8 @@ import (
 // shortlist is bit-identical to the pure float64 NN scan — same row index,
 // same squared distance, same lowest-row-index tie rule, including the
 // all-distances-overflow (-1, +Inf) case — and the compact ρ/δ kernels
-// leave their accumulators in bit-identical float64 states (cutoff ρ and
-// all δ state; Gaussian ρ within documented tolerance).
+// leave their accumulators in bit-identical float64 states (ρ and all δ
+// state).
 
 // randBlock fills n rows of dim at the given magnitude scale; a few
 // duplicate and near-tie rows are planted to stress the tie rule and the

@@ -42,45 +42,26 @@ import (
 
 var inf = math.Inf(1)
 
-// gaussWeight is the Gaussian kernel contribution, exp(−d²/d_c²).
-func gaussWeight(d2, dc2 float64) float64 { return math.Exp(-d2 / dc2) }
-
 // tile is the block edge length of the pairwise loops. 128 rows of a
 // 2-dimensional float64 matrix are 2 KiB, so one tile pair stays resident
 // in L1 while its up-to-16k distance evaluations run.
 const tile = 128
 
-// Kernel selects the density estimator for the ρ kernels: the paper's
-// cutoff kernel (weight 1 below d_c) or the Gaussian extension.
+// Kernel is the paper's cutoff density kernel, Equation (1): a pair adds 1
+// to both its rows' ρ when its squared distance is below Dc2.
 type Kernel struct {
-	Gaussian bool
-	Dc2      float64 // squared cutoff distance
+	Dc2 float64 // squared cutoff distance
 }
 
-// Weight returns the ρ contribution of one pair at squared distance d2.
-func (k Kernel) Weight(d2 float64) float64 {
-	if k.Gaussian {
-		return gaussWeight(d2, k.Dc2)
-	}
-	if d2 < k.Dc2 {
-		return 1
-	}
-	return 0
-}
-
-// RhoAccumulate adds every unordered pair's density contribution within
-// rows [lo, hi) of m into rho (indexed like m's rows), returning the number
-// of distance evaluations. Bit-identical to the naive i<j loop: Gaussian
-// weights are added straight into rho's cells in visit order, and cutoff
-// neighbours are counted as integers and folded in at the end, which is
-// exact — a cutoff ρ only ever receives 1.0s, so every partial sum is an
-// integer far below 2⁵³ and float64 addition of integers is associative
-// there.
+// RhoAccumulate adds every unordered pair's neighbour count within rows
+// [lo, hi) of m into rho (indexed like m's rows), returning the number of
+// distance evaluations. Bit-identical to the naive i<j loop: neighbours are
+// counted as integers and folded in at the end, which is exact — ρ only
+// ever receives 1.0s, so every partial sum is an integer far below 2⁵³ and
+// float64 addition of integers is associative there.
 func RhoAccumulate(m *points.Matrix, lo, hi int, k Kernel, rho []float64) int64 {
-	cr := Credit{Layouts: 1, Sums: rho}
-	if !k.Gaussian {
-		cr.Reset(hi, k)
-	}
+	cr := Credit{Layouts: 1}
+	cr.Reset(hi)
 	nd := Rho(m, []Block{Triangle(lo, hi)}, k, &cr)
 	for x, c := range cr.Counts {
 		rho[x] += float64(c)

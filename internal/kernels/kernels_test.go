@@ -12,7 +12,7 @@ import (
 // The tests in this file pin the package's central guarantee: the blocked
 // kernels perform the same floating-point work in the same per-accumulator
 // order as the naive reference loops they replaced, so their outputs are
-// bit-identical — across dimensions, kernels, chunkings (a group fed as
+// bit-identical — across dimensions, chunkings (a group fed as
 // several contiguous ranges through one accumulator), and uneven tile
 // remainders.
 
@@ -47,9 +47,9 @@ func naiveRho(m *points.Matrix, lo, hi int, k Kernel, rho []float64) int64 {
 	for i := lo; i < hi; i++ {
 		for j := i + 1; j < hi; j++ {
 			nd++
-			if w := k.Weight(points.SqDist(m.Row(i), m.Row(j))); w != 0 {
-				rho[i] += w
-				rho[j] += w
+			if points.SqDist(m.Row(i), m.Row(j)) < k.Dc2 {
+				rho[i]++
+				rho[j]++
 			}
 		}
 	}
@@ -63,10 +63,10 @@ func naiveRhoCross(m *points.Matrix, aLo, aHi, bLo, bHi int, k Kernel, rho []flo
 	for a := aLo; a < aHi; a++ {
 		for b := bLo; b < bHi; b++ {
 			nd++
-			if w := k.Weight(points.SqDist(m.Row(a), m.Row(b))); w != 0 {
-				rho[a] += w
+			if points.SqDist(m.Row(a), m.Row(b)) < k.Dc2 {
+				rho[a]++
 				if both {
-					rho[b] += w
+					rho[b]++
 				}
 			}
 		}
@@ -148,31 +148,23 @@ var (
 	propSizes = []int{1, 2, 3, 4, 5, tile - 1, tile, tile + 1, tile + 2, tile + 3, 3*tile + 17}
 )
 
-func kernelsUnderTest(dc2 float64) []Kernel {
-	return []Kernel{
-		{Gaussian: false, Dc2: dc2},
-		{Gaussian: true, Dc2: dc2},
-	}
-}
-
 func TestRhoAccumulateBitIdentical(t *testing.T) {
 	for _, dim := range propDims {
 		for _, n := range propSizes {
 			m := randMatrix(t, n, dim, int64(dim*1000+n))
-			for ki, k := range kernelsUnderTest(4.0) {
-				for ci, chunks := range chunkings(n) {
-					want := make([]float64, n)
-					got := make([]float64, n)
-					var ndWant, ndGot int64
-					for _, ch := range chunks {
-						ndWant += naiveRho(m, ch[0], ch[1], k, want)
-						ndGot += RhoAccumulate(m, ch[0], ch[1], k, got)
-					}
-					if ndWant != ndGot {
-						t.Fatalf("dim=%d n=%d k=%d chunks=%d: nd %d != %d", dim, n, ki, ci, ndGot, ndWant)
-					}
-					assertBitsEqual(t, fmt.Sprintf("rho dim=%d n=%d k=%d chunks=%d", dim, n, ki, ci), got, want)
+			k := Kernel{Dc2: 4.0}
+			for ci, chunks := range chunkings(n) {
+				want := make([]float64, n)
+				got := make([]float64, n)
+				var ndWant, ndGot int64
+				for _, ch := range chunks {
+					ndWant += naiveRho(m, ch[0], ch[1], k, want)
+					ndGot += RhoAccumulate(m, ch[0], ch[1], k, got)
 				}
+				if ndWant != ndGot {
+					t.Fatalf("dim=%d n=%d chunks=%d: nd %d != %d", dim, n, ci, ndGot, ndWant)
+				}
+				assertBitsEqual(t, fmt.Sprintf("rho dim=%d n=%d chunks=%d", dim, n, ci), got, want)
 			}
 		}
 	}
@@ -183,17 +175,16 @@ func TestRhoCrossBitIdentical(t *testing.T) {
 		n := 2*tile + 31 + dim%4  // every n mod 4 on both sides of the split
 		split := tile + 7 + dim%3 // rows [0,split) are "B/local", [split,n) are "A/visitors"
 		m := randMatrix(t, n, dim, int64(dim*77+1))
-		for ki, k := range kernelsUnderTest(3.0) {
-			for _, both := range []bool{true, false} {
-				want := make([]float64, n)
-				got := make([]float64, n)
-				ndWant := naiveRhoCross(m, split, n, 0, split, k, want, both)
-				ndGot := rhoCross(m, split, n, 0, split, k, got, both)
-				if ndWant != ndGot {
-					t.Fatalf("dim=%d k=%d both=%v: nd %d != %d", dim, ki, both, ndGot, ndWant)
-				}
-				assertBitsEqual(t, fmt.Sprintf("rhoCross dim=%d k=%d both=%v", dim, ki, both), got, want)
+		k := Kernel{Dc2: 3.0}
+		for _, both := range []bool{true, false} {
+			want := make([]float64, n)
+			got := make([]float64, n)
+			ndWant := naiveRhoCross(m, split, n, 0, split, k, want, both)
+			ndGot := rhoCross(m, split, n, 0, split, k, got, both)
+			if ndWant != ndGot {
+				t.Fatalf("dim=%d both=%v: nd %d != %d", dim, both, ndGot, ndWant)
 			}
+			assertBitsEqual(t, fmt.Sprintf("rhoCross dim=%d both=%v", dim, both), got, want)
 		}
 	}
 }
@@ -294,15 +285,14 @@ func TestHostileRowsBitIdentical(t *testing.T) {
 		for _, n := range []int{7, tile + 2, 2*tile + 7} {
 			m := hostileMatrix(t, n, dim, int64(dim*100+n))
 			tag := fmt.Sprintf("hostile dim=%d n=%d", dim, n)
+			k := Kernel{Dc2: 2.0}
 			for ci, chunks := range chunkings(n) {
-				for ki, k := range kernelsUnderTest(2.0) {
-					want, got := make([]float64, n), make([]float64, n)
-					for _, ch := range chunks {
-						naiveRho(m, ch[0], ch[1], k, want)
-						RhoAccumulate(m, ch[0], ch[1], k, got)
-					}
-					assertBitsEqual(t, fmt.Sprintf("%s rho k=%d chunks=%d", tag, ki, ci), got, want)
+				wantRho, gotRho := make([]float64, n), make([]float64, n)
+				for _, ch := range chunks {
+					naiveRho(m, ch[0], ch[1], k, wantRho)
+					RhoAccumulate(m, ch[0], ch[1], k, gotRho)
 				}
+				assertBitsEqual(t, fmt.Sprintf("%s rho chunks=%d", tag, ci), gotRho, wantRho)
 				want, got := NewDeltaAcc(n, true), NewDeltaAcc(n, true)
 				for _, ch := range chunks {
 					naiveDelta(m, ch[0], ch[1], want)
@@ -311,13 +301,11 @@ func TestHostileRowsBitIdentical(t *testing.T) {
 				assertDeltaEqual(t, fmt.Sprintf("%s delta chunks=%d", tag, ci), got, want)
 			}
 			split := n / 3
-			for ki, k := range kernelsUnderTest(2.0) {
-				for _, both := range []bool{true, false} {
-					want, got := make([]float64, n), make([]float64, n)
-					naiveRhoCross(m, split, n, 0, split, k, want, both)
-					rhoCross(m, split, n, 0, split, k, got, both)
-					assertBitsEqual(t, fmt.Sprintf("%s rhoCross k=%d both=%v", tag, ki, both), got, want)
-				}
+			for _, both := range []bool{true, false} {
+				want, got := make([]float64, n), make([]float64, n)
+				naiveRhoCross(m, split, n, 0, split, k, want, both)
+				rhoCross(m, split, n, 0, split, k, got, both)
+				assertBitsEqual(t, fmt.Sprintf("%s rhoCross both=%v", tag, both), got, want)
 			}
 			want, got := NewDeltaAcc(n, true), NewDeltaAcc(n, true)
 			naiveDelta(m, 0, split, want)

@@ -14,20 +14,14 @@ import (
 // keep their oracles and assertions.
 
 // rhoVia runs Rho over blocks with a one-column accumulator and adds the
-// result into rho. Gaussian weights go straight into rho's cells, as
-// RhoAccumulate does; with both unset (one cross block, a side only — EDDPC's
+// result into rho; with both unset (one cross block, a side only — EDDPC's
 // old home-vs-visitor counting, which Rho no longer has: it credits both
 // rows of every pair and EDDPC emits its home rows) the b side is dropped.
 func rhoVia(m *points.Matrix, blocks []Block, k Kernel, rho []float64, both bool) int64 {
 	cr := Credit{Layouts: 1}
-	direct := k.Gaussian && both
-	if direct {
-		cr.Sums = rho
-	} else {
-		cr.Reset(m.N(), k)
-	}
+	cr.Reset(m.N())
 	nd := Rho(m, blocks, k, &cr)
-	for x := 0; !direct && x < m.N(); x++ {
+	for x := 0; x < m.N(); x++ {
 		if both || (x >= blocks[0].ALo && x < blocks[0].AHi) {
 			rho[x] += cr.Share(x, 0)
 		}
@@ -65,7 +59,7 @@ type pairList struct {
 }
 
 // TestPairEntriesMatchNaive is the one differential table of Rho and Delta:
-// block lists × {cutoff, Gaussian} × {1 column, M columns} against the naive
+// block lists × {1 column, M columns} against the naive
 // loops, on well-behaved and on hostile rows (±Inf / NaN / −0 coordinates,
 // tied, infinite and NaN densities), at sizes either side of one and three
 // tiles and dims 1–9. Everything is bit-identical.
@@ -84,31 +78,29 @@ func TestPairEntriesMatchNaive(t *testing.T) {
 				tag := fmt.Sprintf("dim=%d n=%d hostile=%v %s", dim, n, hostile, list.name)
 				want := blockPairs(blocks)
 
-				for _, k := range kernelsUnderTest(8 * float64(dim)) {
-					for _, layouts := range []int{1, 4} {
-						own := rng.Intn(layouts)
-						ref := randCredit(rng, n, layouts, own)
-						ref.Reset(n, k)
-						naiveCredit(m, blocks, k, ref)
-						got := &Credit{Layouts: layouts, Own: own, Sig: ref.Sig}
-						got.Reset(n, k)
-						if nd := Rho(m, blocks, k, got); nd != want {
-							t.Fatalf("%s rho: %d evaluations, list holds %d pairs", tag, nd, want)
-						}
-						assertCountsEqual(t, tag+" counts", got.Counts, ref.Counts)
-						assertBitsEqual(t, fmt.Sprintf("%s layouts=%d gaussian", tag, layouts), got.Sums, ref.Sums)
-						if layouts == 1 || own != 0 {
-							continue
-						}
-						// The one-column arm is the own column of the
-						// M-column arm: every pair, whatever it shares.
-						one := &Credit{Layouts: 1}
-						one.Reset(n, k)
-						Rho(m, blocks, k, one)
-						for r := 0; r < n; r++ {
-							if a, b := one.Share(r, 0), got.Share(r, 0); !sameFloat(a, b) {
-								t.Fatalf("%s: one-column ρ[%d] = %v, own column of %d = %v", tag, r, a, layouts, b)
-							}
+				k := Kernel{Dc2: 8 * float64(dim)}
+				for _, layouts := range []int{1, 4} {
+					own := rng.Intn(layouts)
+					ref := randCredit(rng, n, layouts, own)
+					ref.Reset(n)
+					naiveCredit(m, blocks, k, ref)
+					got := &Credit{Layouts: layouts, Own: own, Sig: ref.Sig}
+					got.Reset(n)
+					if nd := Rho(m, blocks, k, got); nd != want {
+						t.Fatalf("%s rho: %d evaluations, list holds %d pairs", tag, nd, want)
+					}
+					assertCountsEqual(t, tag+" counts", got.Counts, ref.Counts)
+					if layouts == 1 || own != 0 {
+						continue
+					}
+					// The one-column arm is the own column of the
+					// M-column arm: every pair, whatever it shares.
+					one := &Credit{Layouts: 1}
+					one.Reset(n)
+					Rho(m, blocks, k, one)
+					for r := 0; r < n; r++ {
+						if a, b := one.Share(r, 0), got.Share(r, 0); !sameFloat(a, b) {
+							t.Fatalf("%s: one-column ρ[%d] = %v, own column of %d = %v", tag, r, a, layouts, b)
 						}
 					}
 				}
@@ -130,8 +122,8 @@ func TestPairEntriesMatchNaive(t *testing.T) {
 
 // TestNearMatchesNaive: with Credit.Near set, a ρ walk keeps for every row
 // the k best partners below the bound in (d², ID) order among the list's
-// pairs, offered both ways round, on every block list, kernel and column
-// count, hostile rows included — and credits bit for bit what it credits
+// pairs, offered both ways round, on every block list and column count,
+// hostile rows included — and credits bit for bit what it credits
 // without lists. k = 3 is far below the partner counts, so lists evict.
 func TestNearMatchesNaive(t *testing.T) {
 	const k = 3
@@ -166,21 +158,19 @@ func TestNearMatchesNaive(t *testing.T) {
 					})
 					want[r] = w[:min(len(w), k)]
 				}
-				for _, kern := range kernelsUnderTest(bound) {
-					for _, layouts := range []int{1, 4} {
-						plain := randCredit(rng, n, layouts, rng.Intn(layouts))
-						plain.Reset(n, kern)
-						Rho(m, list.blocks, kern, plain)
-						got := &Credit{Layouts: layouts, Own: plain.Own, Sig: plain.Sig, Near: &Near{}}
-						got.Reset(n, kern)
-						got.Near.Reset(n, k, bound)
-						Rho(m, list.blocks, kern, got)
-						assertCountsEqual(t, tag+" counts", got.Counts, plain.Counts)
-						assertBitsEqual(t, tag+" sums", got.Sums, plain.Sums)
-						for r := range want {
-							if l := got.Near.List(r); !slices.Equal(l, want[r]) {
-								t.Fatalf("%s gaussian=%v layouts=%d: row %d keeps %v, want %v", tag, kern.Gaussian, layouts, r, l, want[r])
-							}
+				kern := Kernel{Dc2: bound}
+				for _, layouts := range []int{1, 4} {
+					plain := randCredit(rng, n, layouts, rng.Intn(layouts))
+					plain.Reset(n)
+					Rho(m, list.blocks, kern, plain)
+					got := &Credit{Layouts: layouts, Own: plain.Own, Sig: plain.Sig, Near: &Near{}}
+					got.Reset(n)
+					got.Near.Reset(n, k, bound)
+					Rho(m, list.blocks, kern, got)
+					assertCountsEqual(t, tag+" counts", got.Counts, plain.Counts)
+					for r := range want {
+						if l := got.Near.List(r); !slices.Equal(l, want[r]) {
+							t.Fatalf("%s layouts=%d: row %d keeps %v, want %v", tag, layouts, r, l, want[r])
 						}
 					}
 				}

@@ -261,23 +261,22 @@ func DecodeRhoValue(buf []byte) (RhoValue, error) {
 // RhoPartial is one reducer's share of a point's local densities in
 // pair-once LSH-DDP (DESIGN.md "Pair ownership"): Vals[i] is what the pairs
 // that reducer evaluated add to the point's density under layout First+i.
-// With the cutoff kernel the values are neighbour counts — whole numbers —
-// and travel as varints; Gaussian weight sums travel as float64 bits. Near
-// is the point's nearest partners among those pairs (DESIGN.md "δ̂ from the
-// ρ pass").
+// The values are neighbour counts — whole numbers — and travel as varints.
+// Near is the point's nearest partners among those pairs (DESIGN.md "δ̂
+// from the ρ pass").
 //
-// The wire form is the ID (uint32 LE), then First, whether a list follows
-// and the kind in one uvarint (First<<2 | near<<1 | gaussian), then — when
-// near — the list's length as a uvarint and its entries, then the values
-// back to back to the end of the record, without the zero values at either
-// end: a record has exactly one spelling, and an all-zero share without a
-// list is the 5-byte record of First 0.
+// The wire form is the ID (uint32 LE), then First and whether a list
+// follows in one uvarint (First<<2 | near<<1; bit 0 is always clear and a
+// record with it set is refused), then — when near — the list's length as a
+// uvarint and its entries, then the counts back to back to the end of the
+// record, without the zeros at either end: a record has exactly one
+// spelling, and an all-zero share without a list is the 5-byte record of
+// First 0.
 type RhoPartial struct {
-	ID       int32
-	Gaussian bool
-	First    int
-	Vals     []float64
-	Near     []Neighbor
+	ID    int32
+	First int
+	Vals  []float64
+	Near  []Neighbor
 }
 
 // maxCount is the largest neighbour count a RhoPartial carries: every whole
@@ -287,8 +286,8 @@ const maxCount = 1 << 53
 // maxLayouts bounds RhoPartial.First; no run has anywhere near as many.
 const maxLayouts = 1 << 20
 
-// AppendRhoPartial appends the wire form of p to buf. It panics on a cutoff
-// value that is not a whole number in [0, 2⁵³]: only a bug produces one.
+// AppendRhoPartial appends the wire form of p to buf. It panics on a value
+// that is not a whole number in [0, 2⁵³]: only a bug produces one.
 func AppendRhoPartial(buf []byte, p RhoPartial) []byte {
 	first, vals := p.First, p.Vals
 	for len(vals) > 0 && vals[0] == 0 {
@@ -304,9 +303,6 @@ func AppendRhoPartial(buf []byte, p RhoPartial) []byte {
 	if len(p.Near) > 0 {
 		head |= 2
 	}
-	if p.Gaussian {
-		head |= 1
-	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ID))
 	buf = binary.AppendUvarint(buf, head)
 	if len(p.Near) > 0 {
@@ -314,10 +310,6 @@ func AppendRhoPartial(buf []byte, p RhoPartial) []byte {
 		buf = appendNeighbors(buf, p.Near)
 	}
 	for _, v := range vals {
-		if p.Gaussian {
-			buf = AppendFloat64(buf, v)
-			continue
-		}
 		if !(v >= 0 && v <= maxCount) || v != math.Trunc(v) {
 			panic(fmt.Sprintf("points: rho partial count %v is not a whole number in [0, 2^53]", v))
 		}
@@ -335,10 +327,10 @@ func DecodeRhoPartial(buf []byte) (RhoPartial, error) {
 	}
 	p := RhoPartial{ID: int32(binary.LittleEndian.Uint32(buf))}
 	head, rest, ok := minimalUvarint(buf[4:])
-	if !ok || head>>2 >= maxLayouts {
+	if !ok || head>>2 >= maxLayouts || head&1 != 0 {
 		return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad layout header", p.ID)
 	}
-	p.Gaussian, p.First = head&1 == 1, int(head>>2)
+	p.First = int(head >> 2)
 	if head&2 != 0 {
 		var n uint64
 		if n, rest, ok = minimalUvarint(rest); !ok || n == 0 || n > uint64(len(rest)/neighborBytes) {
@@ -350,23 +342,13 @@ func DecodeRhoPartial(buf []byte) (RhoPartial, error) {
 		}
 		rest = rest[neighborBytes*int(n):]
 	}
-	if p.Gaussian {
-		if len(rest)%8 != 0 {
-			return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: %d bytes of float sums", p.ID, len(rest))
+	p.Vals = make([]float64, 0, len(rest))
+	for len(rest) > 0 {
+		var c uint64
+		if c, rest, ok = minimalUvarint(rest); !ok || c > maxCount {
+			return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad count %d", p.ID, len(p.Vals))
 		}
-		p.Vals = make([]float64, 0, len(rest)/8)
-		for ; len(rest) > 0; rest = rest[8:] {
-			p.Vals = append(p.Vals, DecodeFloat64(rest))
-		}
-	} else {
-		p.Vals = make([]float64, 0, len(rest))
-		for len(rest) > 0 {
-			var c uint64
-			if c, rest, ok = minimalUvarint(rest); !ok || c > maxCount {
-				return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad count %d", p.ID, len(p.Vals))
-			}
-			p.Vals = append(p.Vals, float64(c))
-		}
+		p.Vals = append(p.Vals, float64(c))
 	}
 	if n := len(p.Vals); n == 0 && p.First != 0 || n > 0 && (p.Vals[0] == 0 || p.Vals[n-1] == 0) {
 		return RhoPartial{}, fmt.Errorf("points: rho partial for id %d is not trimmed of zero values", p.ID)

@@ -144,7 +144,7 @@ func TestDeltaValueCodecProperty(t *testing.T) {
 
 // rhoPartialEqual compares two partials field by field, floats by bits.
 func rhoPartialEqual(a, b RhoPartial) bool {
-	if a.ID != b.ID || a.Gaussian != b.Gaussian || a.First != b.First || len(a.Vals) != len(b.Vals) {
+	if a.ID != b.ID || a.First != b.First || len(a.Vals) != len(b.Vals) {
 		return false
 	}
 	for i := range a.Vals {
@@ -162,7 +162,7 @@ func TestNeighborListCodec(t *testing.T) {
 	near := []Neighbor{{ID: 4, D2: 0}, {ID: 2, D2: 1.5}, {ID: 3, D2: 1.5}, {ID: -7, D2: 1e300}}
 	for _, p := range []RhoPartial{
 		{ID: 1, First: 0, Vals: []float64{3, 1}, Near: near},
-		{ID: 1, Gaussian: true, First: 2, Vals: []float64{0.5}, Near: near[:1]},
+		{ID: 1, First: 2, Vals: []float64{5}, Near: near[:1]},
 		{ID: 1, Near: near[3:]}, // a list without a share
 	} {
 		got, err := DecodeRhoPartial(AppendRhoPartial(nil, p))
@@ -242,9 +242,6 @@ func TestRhoPartialRoundTrip(t *testing.T) {
 		// Zero values at either end are not written; First moves with them.
 		{RhoPartial{ID: -1, First: 1, Vals: []float64{0, 0, 5, 300, 0}}, RhoPartial{ID: -1, First: 3, Vals: []float64{5, 300}}},
 		{RhoPartial{ID: 9, First: 4, Vals: []float64{0, 0}}, RhoPartial{ID: 9, Vals: []float64{}}},
-		{RhoPartial{ID: 9, Gaussian: true, First: 4}, RhoPartial{ID: 9, Gaussian: true, Vals: []float64{}}},
-		{RhoPartial{ID: 1, Gaussian: true, First: 0, Vals: []float64{0, 0.25, math.Copysign(0, -1), math.Inf(1), 0}},
-			RhoPartial{ID: 1, Gaussian: true, First: 1, Vals: []float64{0.25, math.Copysign(0, -1), math.Inf(1)}}},
 	} {
 		buf := AppendRhoPartial(nil, tc.in)
 		got, err := DecodeRhoPartial(buf)
@@ -265,10 +262,17 @@ func TestRhoPartialRoundTrip(t *testing.T) {
 		{1, 0, 0, 0, 0x00, 0x05, 0x00},     // trailing zero count
 		{1, 0, 0, 0, 0x00, 0x85, 0x00},     // padded count varint
 		{1, 0, 0, 0, 0x00, 0x85},           // truncated count varint
-		{1, 0, 0, 0, 0x01, 1, 2, 3},        // float kind, 3 bytes of sums
+		{1, 0, 0, 0, 0x01, 1, 2, 3},        // kind bit, 3 bytes
 		{1, 0, 0, 0, 0x80, 0x80, 0x80, 01}, // First 2²⁰
 		append([]byte{1, 0, 0, 0, 0x00}, binary.AppendUvarint(nil, 1<<53+1)...), // count past 2⁵³
-		append([]byte{1, 0, 0, 0, 0x01}, make([]byte, 8)...),                    // float kind, one +0
+		// Header bit 0 once marked a record of float weight sums; no
+		// encoder sets it now, so each record that had it is refused,
+		// never read as counts.
+		{9, 0, 0, 0, 0x01},                                   // kind bit, an empty share
+		{1, 0, 0, 0, 0x05, 1, 2, 3},                          // kind bit, First 1, bytes that parse as counts
+		append([]byte{1, 0, 0, 0, 0x01}, make([]byte, 8)...), // kind bit, one +0
+		append(append([]byte{1, 0, 0, 0, 0x05}, AppendFloat64(nil, 0.25)...), AppendFloat64(nil, math.Inf(1))...),
+		append(append([]byte{1, 0, 0, 0, 0x03, 0x01}, neighborBytesOf(Neighbor{ID: 2, D2: 1})...), AppendFloat64(nil, 0.5)...), // kind bit and a list
 	} {
 		if p, err := DecodeRhoPartial(bad); err == nil {
 			t.Errorf("DecodeRhoPartial(%x) accepted as %+v", bad, p)
@@ -282,24 +286,29 @@ func TestRhoPartialRoundTrip(t *testing.T) {
 	AppendRhoPartial(nil, RhoPartial{Vals: []float64{1.5}})
 }
 
-// FuzzRhoPartialRoundTrip: whatever the values and neighbour list,
-// decode(encode) returns them, the values trimmed of zero ends; whatever the
+// FuzzRhoPartialRoundTrip: whatever the counts and neighbour list,
+// decode(encode) returns them, the counts trimmed of zero ends; whatever the
 // bytes, DecodeRhoPartial, DecodeRhoValue and ShipMask each either refuse
 // them or have found exactly the bytes their encoder writes for what they
 // decoded — they never panic, never accept two spellings of one record, and
-// never trust a length the bytes do not hold.
+// never trust a length the bytes do not hold. A rho partial whose header has
+// bit 0 set (the retired float-sum kind) is always refused.
 func FuzzRhoPartialRoundTrip(f *testing.F) {
 	list := neighborBytesOf(Neighbor{ID: 3, D2: 0}, Neighbor{ID: 9, D2: 2.5})
-	f.Add(int32(0), false, 0, uint64(0), uint64(0), uint64(0), []byte{}, []byte{})
-	f.Add(int32(7), false, 2, uint64(3), uint64(0), uint64(1)<<53, list, []byte{7, 0, 0, 0, 4, 3, 0, 1})
-	f.Add(int32(-1), true, 9, math.Float64bits(0.5), uint64(0), math.Float64bits(math.NaN()), list[:12], []byte{1, 0, 0, 0, 0x80, 0x00})
-	f.Add(int32(5), false, 1<<20-1, uint64(0), uint64(128), uint64(0), []byte{}, []byte{1, 0, 0, 0, 0x00, 0x00, 0x05})
-	f.Add(int32(5), true, 0, uint64(1)<<63, uint64(1), uint64(2), list, append([]byte{1, 0, 0, 0, 0x03}, make([]byte, 16)...))
-	f.Add(int32(5), false, 3, uint64(1)<<60, uint64(1), uint64(2), []byte{}, []byte{1, 0, 0, 0, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	f.Add(int32(1), false, 0, uint64(1), uint64(0), uint64(0), list, append([]byte{1, 0, 0, 0, 0x02, 0x02}, list...))
-	f.Add(int32(1), false, 0, uint64(1), uint64(0), uint64(0), list, append(make([]byte, 12), list...))
-	f.Add(int32(1), false, 0, uint64(0), uint64(0), uint64(0), []byte{}, []byte{0x05, 0x01})
-	f.Fuzz(func(t *testing.T, id int32, gaussian bool, first int, v0, v1, v2 uint64, near, raw []byte) {
+	f.Add(int32(0), 0, uint64(0), uint64(0), uint64(0), []byte{}, []byte{})
+	f.Add(int32(7), 2, uint64(3), uint64(0), uint64(1)<<53, list, []byte{7, 0, 0, 0, 4, 3, 0, 1})
+	f.Add(int32(-1), 9, math.Float64bits(0.5), uint64(0), math.Float64bits(math.NaN()), list[:12], []byte{1, 0, 0, 0, 0x80, 0x00})
+	f.Add(int32(5), 1<<20-1, uint64(0), uint64(128), uint64(0), []byte{}, []byte{1, 0, 0, 0, 0x00, 0x00, 0x05})
+	f.Add(int32(5), 3, uint64(1)<<60, uint64(1), uint64(2), []byte{}, []byte{1, 0, 0, 0, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add(int32(1), 0, uint64(1), uint64(0), uint64(0), list, append([]byte{1, 0, 0, 0, 0x02, 0x02}, list...))
+	f.Add(int32(1), 0, uint64(1), uint64(0), uint64(0), list, append(make([]byte, 12), list...))
+	f.Add(int32(1), 0, uint64(0), uint64(0), uint64(0), []byte{}, []byte{0x05, 0x01})
+	// Must-error seeds: the float-sum records the retired kind bit marked,
+	// with and without a list.
+	f.Add(int32(-1), 9, uint64(0), uint64(0), uint64(0), []byte{}, append([]byte{0xff, 0xff, 0xff, 0xff, 0x25}, AppendFloat64(nil, 0.5)...))
+	f.Add(int32(5), 0, uint64(1)<<63, uint64(1), uint64(2), list, append([]byte{1, 0, 0, 0, 0x03}, make([]byte, 16)...))
+	f.Add(int32(9), 0, uint64(0), uint64(0), uint64(0), []byte{}, []byte{9, 0, 0, 0, 0x01})
+	f.Fuzz(func(t *testing.T, id int32, first int, v0, v1, v2 uint64, near, raw []byte) {
 		// A well-formed list from the fuzzer's entries: the ones a list can
 		// hold, each ID once, in (d², ID) order.
 		var ns []Neighbor
@@ -317,13 +326,9 @@ func FuzzRhoPartialRoundTrip(f *testing.F) {
 			return cmp.Compare(a.ID, b.ID)
 		})
 		if first >= 0 && first+3 < maxLayouts {
-			p := RhoPartial{ID: id, Gaussian: gaussian, First: first, Near: ns}
+			p := RhoPartial{ID: id, First: first, Near: ns}
 			for _, v := range []uint64{v0, v1, v2} {
-				if gaussian {
-					p.Vals = append(p.Vals, math.Float64frombits(v))
-				} else {
-					p.Vals = append(p.Vals, float64(v%(maxCount+1)))
-				}
+				p.Vals = append(p.Vals, float64(v%(maxCount+1)))
 			}
 			buf := AppendRhoPartial(nil, p)
 			got, err := DecodeRhoPartial(buf)
@@ -336,11 +341,11 @@ func FuzzRhoPartialRoundTrip(f *testing.F) {
 				copy(full[got.First-first:], got.Vals)
 			}
 			for i, v := range p.Vals {
-				if v != full[i] && !(v != v && full[i] != full[i]) {
+				if v != full[i] {
 					t.Fatalf("decode(encode(%+v)) = %+v", p, got)
 				}
 			}
-			if got.ID != id || got.Gaussian != gaussian || !slices.Equal(got.Near, ns) || string(AppendRhoPartial(nil, got)) != string(buf) {
+			if got.ID != id || !slices.Equal(got.Near, ns) || string(AppendRhoPartial(nil, got)) != string(buf) {
 				t.Fatalf("decode(encode(%+v)) = %+v", p, got)
 			}
 		}
@@ -351,6 +356,9 @@ func FuzzRhoPartialRoundTrip(f *testing.F) {
 		}
 
 		if got, err := DecodeRhoPartial(raw); err == nil {
+			if len(raw) > 4 && raw[4]&1 != 0 {
+				t.Fatalf("DecodeRhoPartial accepted %x, whose header has the kind bit set, as %+v", raw, got)
+			}
 			if again := AppendRhoPartial(nil, got); string(again) != string(raw) {
 				t.Fatalf("DecodeRhoPartial accepted %x as %+v, which encodes as %x", raw, got, again)
 			}

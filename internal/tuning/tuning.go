@@ -39,7 +39,7 @@ type Cost struct {
 	// the ρ pass"), so this is the number of ordered pairs co-bucketed by at
 	// least one of the M layouts: SumSq at M = 1, and growing by less with
 	// every layout added. It models the distinct co-bucketed pairs, which is
-	// an upper bound on the pairs the ρ job evaluates: the cutoff reducers
+	// an upper bound on the pairs the ρ job evaluates: its reducers
 	// prune the owned pairs whose runs lie d_c apart (dp.lsh.pairs.pruned),
 	// which the sample does not model.
 	Distances float64
