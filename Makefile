@@ -11,7 +11,8 @@ all: check
 # deleted target, binary or flag), run the test suite, re-run the concurrency-heavy packages under
 # the race detector, fuzz the LSH key codec, the box-tree top-k scan, the
 # serving engine's bucket sweep, the ρ-partial codec, the record frame, the
-# ρ reducers' runs-apart certificate, the HTTP point decoder, the shuffle
+# ρ reducers' runs-apart certificate and the ρ ship plan built on it, the
+# HTTP point decoder, the shuffle
 # fetcher's response decoder, the WAL record decoder and segment replay, the compact
 # shortlist's distance cap, the compact filter in front of the exact top-k,
 # the kNN-join's records and box table, the
@@ -75,7 +76,10 @@ race:
 # consumed prefix, never a panic. The cutoff ρ
 # reducers prune run pairs that lie d_c apart on a floating-point bound: two
 # runs of arbitrary rows and a reach, and whenever they are called apart the
-# cutoff walk over every pair across them counts and lists nothing. The
+# cutoff walk over every pair across them counts and lists nothing; the
+# driver's ρ ship plan leaves out the runs that keep no pair: a run it
+# leaves out has no pair across it that counts or is listed, and the walk
+# over the rows it keeps credits and lists what the walk over all does. The
 # point decoder behind every point-carrying HTTP handler faces request
 # bodies: arbitrary bytes either refused with a 400 or points of the model's
 # dimension, finite and in range, never a panic. The shuffle fetcher reads a

@@ -16,7 +16,7 @@ import (
 // execution bit for bit — same arrays, same labels, same per-job counters —
 // on the local engine and on a real rpcmr cluster. The hand-sequenced
 // reference below replays the chain RunLSHDDP runs — the same five jobs and
-// the two driver-side steps between them, one Engine.Run at a time, with
+// the driver-side steps between them, one Engine.Run at a time, with
 // identical confs.
 
 // handSequencedLSHDDP executes the LSH-DDP job sequence directly
@@ -59,7 +59,15 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	conf.SetInt64(confSeed, cfg.Seed)
 	conf.SetBool(confAggMean, cfg.AggregateMean)
 
-	p1 := run(LSHRhoJob(conf.Clone()), input)
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowKeys, rhoIn, err := planRho(input, layouts, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1 := run(LSHRhoJob(conf.Clone()), rhoIn)
 	p2 := run(LSHRhoAggJob(conf.Clone()), p1)
 	rho, err := DecodeRhoArray(p2, ds.N())
 	if err != nil {
@@ -69,11 +77,7 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	if err != nil {
 		t.Fatal(err)
 	}
-	layouts, err := layoutsOf(conf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipped, err := shipRows(ds, layouts, p2, certified)
+	shipped, err := shipRows(ds, rowKeys, p2, certified)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dp"
@@ -73,6 +77,8 @@ const CtrDeltaCertified = "dp.delta.certified"
 //
 //	job 0   d_c sampling (unless cfg.Dc is set)
 //	        width solving: minimal w with 1−(1−P_ρ(w,d_c)^π)^M ≥ A
+//	driver  planRho: every point's bucket under every layout, and the
+//	        layouts where the point's run owns a pair it does not prune
 //	job 1   LSH partition (M layouts) + each partition's share of the
 //	        local ρ̂ᵐ, every co-bucketed pair evaluated once (paironce.go),
 //	        and each point's nearest partners within d_c among those pairs
@@ -125,7 +131,15 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	conf.SetInt64(confSeed, cfg.Seed)
 	conf.SetBool(confAggMean, cfg.AggregateMean)
 
-	partials, err := sess.Run(ctx, LSHRhoJob(conf), input)
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		return nil, err
+	}
+	rowKeys, rhoIn, err := planRho(input, layouts, conf)
+	if err != nil {
+		return nil, err
+	}
+	partials, err := sess.Run(ctx, LSHRhoJob(conf), rhoIn)
 	if err != nil {
 		return nil, err
 	}
@@ -137,11 +151,7 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	layouts, err := layoutsOf(conf)
-	if err != nil {
-		return nil, err
-	}
-	rhoPts, err := shipRows(ds, layouts, rhoOut, certified)
+	rhoPts, err := shipRows(ds, rowKeys, rhoOut, certified)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +194,8 @@ func layoutsOf(conf mapreduce.Conf) (*lsh.Layouts, error) {
 }
 
 // LSHRhoJob is job 1: the map side hashes every point under all M layouts
-// and emits one copy per layout keyed by that layout's bucket; each reducer
+// and emits a copy keyed by that layout's bucket to every layout its record's
+// ship mask lists (planRho), or to all M when the record has none; each reducer
 // holds one LSH partition S_k^m (Section IV-B) and evaluates the pairs of it
 // that no earlier layout's partition also holds (paironce.go). A pair within
 // d_c counts toward the local density ρ̂ᵢᵐ′ of both points under every layout
@@ -194,7 +205,8 @@ func layoutsOf(conf mapreduce.Conf) (*lsh.Layouts, error) {
 // evaluated — when the share is not all zero (a partner within d_c always
 // adds to it), and always from layout 0, so that every point reaches the
 // aggregation. A reducer prunes the owned pairs whose runs lie d_c apart:
-// such a pair adds to no share and enters no list.
+// such a pair adds to no share and enters no list. The map side adds the
+// pairs planRho sent nowhere to the pruned and skipped counts.
 func LSHRhoJob(conf mapreduce.Conf) *mapreduce.Job { return lshRhoJob(conf, true) }
 
 // lshRhoJob is LSHRhoJob, whose reducers prune only when prune is set; the
@@ -204,8 +216,15 @@ func lshRhoJob(conf mapreduce.Conf, prune bool) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name: JobLSHRho,
 		Conf: conf,
-		Map: func(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-			p, _, err := points.DecodePoint(value)
+		Map: func(ctx *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
+			if key == rhoUnshippedKey {
+				return countUnshipped(ctx, value, CtrPairsPruned, CtrPairsSkipped)
+			}
+			p, rest, err := points.DecodePoint(value)
+			if err != nil {
+				return err
+			}
+			masked, mask, err := points.ShipMask(rest)
 			if err != nil {
 				return err
 			}
@@ -213,8 +232,7 @@ func lshRhoJob(conf mapreduce.Conf, prune bool) *mapreduce.Job {
 			if err != nil {
 				return err
 			}
-			l.EachKey(p.Pos, func(key string) { out.Emit(key, value) })
-			return nil
+			return shipTo(l, p, masked, mask, value[:len(value)-len(rest)], out)
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
 			l, err := drawn(ctx.Conf)
@@ -389,6 +407,137 @@ func certifyDelta(rhoOut []mapreduce.Pair, n int) ([]mapreduce.Pair, error) {
 	return out, nil
 }
 
+// planRho returns the ρ job's input (DESIGN.md "Pair ownership", the ρ
+// shipping rule) and every point's bucket ids under the M layouts of l
+// (lsh.Index.RowKeys: point i's at [i·M, (i+1)·M)), which shipRows reads
+// later. It indexes the points of input, InputPairs' records, and runs each
+// later layout's ownership walk, ownedRuns, on that index, at the d_c its
+// reducers read from conf. A point's record gets a ship mask
+// (points.AppendShipMask) listing layout 0 and each layout where its run
+// keeps a pair. A reducer then receives whole runs, every one that keeps a
+// pair and so its partners, so each run's box, the blocks' pair set and
+// everything it emits stay what they are with every copy shipped. One more
+// record, keyed rhoUnshippedKey, carries the pairs of the copies not sent,
+// pruned and skipped, for the map side to count.
+func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKeys []int32, rhoIn []mapreduce.Pair, err error) {
+	values := make([][]byte, len(input))
+	for i, p := range input {
+		values[i] = p.Value
+	}
+	pts := new(points.Matrix)
+	if err := points.DecodePointsInto(pts, values); err != nil {
+		return nil, nil, err
+	}
+	n, nl := pts.N(), l.M()
+	ix := l.BuildIndex(pts.Data(), n, nil)
+	dc := conf.GetFloat(confDc, 0)
+	byLayout := make([][]int32, nl)
+	for b := range ix.Keys {
+		own := slices.Index(ix.RowKeys[int(ix.Bucket(int32(b))[0])*nl:][:nl], int32(b))
+		byLayout[own] = append(byLayout[own], int32(b))
+	}
+	// Layouts 1 … M−1 are planned side by side, each goroutine taking the
+	// next layout and marking only its row of sent: sent[m][i] says point i
+	// travels to its layout-m bucket.
+	sent := make([][]bool, nl)
+	var next atomic.Int32
+	var pruned, skipped atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), nl-1) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rp := runPlanner{ix: ix, nl: nl, pts: pts, reach2: dc * dc, po: pairOncePool.Get().(*pairOnce),
+				m: points.GetMatrix(), local: make([]int32, len(ix.Keys))}
+			defer pairOncePool.Put(rp.po)
+			defer points.PutMatrix(rp.m)
+			for b := range rp.local {
+				rp.local[b] = -1
+			}
+			for own := int(next.Add(1)); own < nl; own = int(next.Add(1)) {
+				sent[own] = make([]bool, n)
+				for _, b := range byLayout[own] {
+					p, s := rp.plan(own, ix.Bucket(b), sent[own])
+					pruned.Add(p)
+					skipped.Add(s)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	out := make([]mapreduce.Pair, n, n+1)
+	mask := make([]byte, (nl+7)/8)
+	for i, p := range input {
+		clear(mask)
+		mask[0] = 1
+		for m := 1; m < nl; m++ {
+			if sent[m][i] {
+				mask[m/8] |= 1 << (m % 8)
+			}
+		}
+		rec := append(make([]byte, 0, len(p.Value)+len(mask)), p.Value...)
+		out[i] = mapreduce.Pair{Key: p.Key, Value: points.AppendShipMask(rec, mask)}
+	}
+	unsent := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(pruned.Load())), uint64(skipped.Load()))
+	return ix.RowKeys, append(out, mapreduce.Pair{Key: rhoUnshippedKey, Value: unsent}), nil
+}
+
+// runPlanner is the scratch of one of planRho's goroutines.
+type runPlanner struct {
+	ix        *lsh.Index
+	nl        int
+	pts       *points.Matrix // point i at row i
+	reach2    float64        // the ρ reducers' Dc2
+	po        *pairOnce
+	m         *points.Matrix
+	local     []int32 // signIndex's
+	rows      []int32
+	ships     []bool
+	apartRuns [][2]int
+}
+
+// plan walks the layout-own bucket of ix whose points are bucket, as its
+// reducer would with every copy shipped, and marks in sent the points of the
+// runs that keep a pair. It returns the pairs of the other points' copies:
+// those the walk prunes and those it skips.
+func (rp *runPlanner) plan(own int, bucket []int32, sent []bool) (pruned, skipped int64) {
+	po, m := rp.po, rp.m
+	ids := po.signIndex(rp.ix, rp.nl, bucket, own, rp.local)
+	rp.rows = rp.rows[:0]
+	for _, r := range po.sortRuns(own, own, ids) {
+		rp.rows = append(rp.rows, bucket[r])
+	}
+	m.Gather(rp.pts, rp.rows)
+	ships := append(rp.ships[:0], make([]bool, m.N())...)
+	apartRuns := rp.apartRuns[:0]
+	po.ownedRuns(m, own, rp.reach2, func(g, h int, kept bool) {
+		if kept {
+			ships[g], ships[h] = true, true
+		} else {
+			apartRuns = append(apartRuns, [2]int{g, h})
+		}
+	})
+	rp.ships, rp.apartRuns = ships, apartRuns
+	segs := po.segs
+	size := func(g int) int64 { return int64(segs[g+1] - segs[g]) }
+	var kept int64
+	for g := 0; g+1 < len(segs); g++ {
+		if ships[g] {
+			kept += size(g)
+			for _, id := range m.IDs()[segs[g]:segs[g+1]] {
+				sent[id] = true
+			}
+		}
+	}
+	for _, gh := range apartRuns {
+		if !ships[gh[0]] || !ships[gh[1]] {
+			pruned += size(gh[0]) * size(gh[1])
+		}
+	}
+	n := int64(m.N())
+	return pruned, n*(n-1)/2 - kept*(kept-1)/2 - pruned
+}
+
 // shipRows returns, from the ρ aggregation's output, every point's δ-job
 // input record (points.ShipMask). A point certifyDelta left open travels to
 // all its buckets. A certified one is needed only as a candidate for the open
@@ -396,10 +545,12 @@ func certifyDelta(rhoOut []mapreduce.Pair, n int) ([]mapreduce.Pair, error) {
 // denser than the bucket's least dense open point; its mask lists those
 // layouts. Every pair of an open point with a denser co-bucketed one thus
 // still meets at its owner, and the δ job evaluates no other pair of
-// interest. One more record, keyed unshippedKey, carries the co-bucketed
-// pairs no reducer receives, for the δ job to count as skipped.
-func shipRows(ds *points.Dataset, l *lsh.Layouts, rhoOut, certified []mapreduce.Pair) ([]mapreduce.Pair, error) {
+// interest. One more record, keyed deltaUnshippedKey, carries the
+// co-bucketed pairs no reducer receives, for the δ job to count as skipped.
+// rowKeys holds every point's bucket ids, as planRho returns them.
+func shipRows(ds *points.Dataset, rowKeys []int32, rhoOut, certified []mapreduce.Pair) ([]mapreduce.Pair, error) {
 	n := ds.N()
+	nl := len(rowKeys) / n
 	rho, err := DecodeRhoArray(rhoOut, n)
 	if err != nil {
 		return nil, err
@@ -423,19 +574,12 @@ func shipRows(ds *points.Dataset, l *lsh.Layouts, rhoOut, certified []mapreduce.
 		points, shipped int64
 		least           int32
 	}
-	var buckets []bucket
-	index := map[string]int32{}
-	var kb lsh.KeyBuf
+	buckets := make([]bucket, slices.Max(rowKeys)+1)
+	for x := range buckets {
+		buckets[x].least = -1
+	}
 	each := func(i int, f func(m int, b *bucket)) {
-		l.Hash(&kb, ds.Points[i].Pos)
-		for m := range l.M() {
-			key := kb.Key(m)
-			x, ok := index[string(key)]
-			if !ok {
-				x = int32(len(buckets))
-				index[string(key)] = x
-				buckets = append(buckets, bucket{least: -1})
-			}
+		for m, x := range rowKeys[i*nl:][:nl] {
 			b := &buckets[x]
 			b.points++
 			f(m, b)
@@ -453,7 +597,7 @@ func shipRows(ds *points.Dataset, l *lsh.Layouts, rhoOut, certified []mapreduce.
 		})
 	}
 	out := make([]mapreduce.Pair, n, n+1)
-	mask := make([]byte, (l.M()+7)/8)
+	mask := make([]byte, (nl+7)/8)
 	for i, p := range ds.Points {
 		rec := points.AppendRhoPoint(make([]byte, 0, 16+8*ds.Dim()+len(mask)), points.RhoPoint{Point: p, Rho: rho[i]})
 		if done[i] {
@@ -472,12 +616,60 @@ func shipRows(ds *points.Dataset, l *lsh.Layouts, rhoOut, certified []mapreduce.
 	for _, b := range buckets {
 		unshipped += (b.points*(b.points-1) - b.shipped*(b.shipped-1)) / 2
 	}
-	return append(out, mapreduce.Pair{Key: unshippedKey, Value: binary.AppendUvarint(nil, uint64(unshipped))}), nil
+	return append(out, mapreduce.Pair{Key: deltaUnshippedKey, Value: binary.AppendUvarint(nil, uint64(unshipped))}), nil
 }
 
-// unshippedKey keys shipRows' count of the co-bucketed pairs it sends to no
-// reducer.
-const unshippedKey = "lsh-ddp-delta.unshipped"
+// The keys of the records that carry an LSH job's count of the co-bucketed
+// pairs its driver sent to no reducer: planRho's, the pruned then the skipped
+// ones, and shipRows', the skipped ones, as uvarints.
+const (
+	rhoUnshippedKey   = "lsh-ddp-rho.unshipped"
+	deltaUnshippedKey = "lsh-ddp-delta.unshipped"
+)
+
+// countUnshipped adds the uvarints of an unshipped-pair record to the
+// counters named, in order.
+func countUnshipped(ctx *mapreduce.TaskContext, value []byte, ctrs ...string) error {
+	counts := make([]int64, len(ctrs))
+	rest := value
+	for x := range counts {
+		v, k := binary.Uvarint(rest)
+		if k <= 0 {
+			return fmt.Errorf("core: malformed unshipped-pair count %x", value)
+		}
+		counts[x], rest = int64(v), rest[k:]
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("core: malformed unshipped-pair count %x", value)
+	}
+	for x, c := range counts {
+		ctx.Counters.Add(ctrs[x], c)
+	}
+	return nil
+}
+
+// shipTo emits value under p's key in every layout when its record carries
+// no ship mask (masked false), and otherwise in the layouts the mask lists.
+func shipTo(l *lsh.Layouts, p points.Point, masked bool, mask, value []byte, out mapreduce.Emitter) error {
+	if !masked {
+		l.EachKey(p.Pos, func(key string) { out.Emit(key, value) })
+		return nil
+	}
+	if len(mask) == 0 {
+		return nil
+	}
+	if top := 8*(len(mask)-1) + bits.Len8(mask[len(mask)-1]); top > l.M() {
+		return fmt.Errorf("core: point %d is shipped to layout %d of %d", p.ID, top-1, l.M())
+	}
+	layout := 0
+	l.EachKey(p.Pos, func(key string) {
+		if layout < 8*len(mask) && mask[layout/8]>>(layout%8)&1 == 1 {
+			out.Emit(key, value)
+		}
+		layout++
+	})
+	return nil
+}
 
 // LSHDeltaJob is job 3: LSH-partition the points the ρ pass left open, with
 // the certified points each bucket needs as candidates (shipRows), and
@@ -500,13 +692,8 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 		Name: JobLSHDel,
 		Conf: conf,
 		Map: func(ctx *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
-			if key == unshippedKey {
-				pairs, n := binary.Uvarint(value)
-				if n != len(value) {
-					return fmt.Errorf("core: malformed unshipped-pair count %x", value)
-				}
-				ctx.Counters.Add(CtrPairsSkipped, int64(pairs))
-				return nil
+			if key == deltaUnshippedKey {
+				return countUnshipped(ctx, value, CtrPairsSkipped)
 			}
 			rp, rest, err := points.DecodeRhoPoint(value)
 			if err != nil {
@@ -520,25 +707,10 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 			if err != nil {
 				return err
 			}
-			if !certified {
-				l.EachKey(rp.Pos, func(key string) { out.Emit(key, value) })
-				return nil
+			if certified {
+				ctx.Counters.Add(CtrDeltaCertified, 1)
 			}
-			ctx.Counters.Add(CtrDeltaCertified, 1)
-			if len(mask) == 0 {
-				return nil
-			}
-			if top := 8*(len(mask)-1) + bits.Len8(mask[len(mask)-1]); top > l.M() {
-				return fmt.Errorf("core: point %d is shipped to layout %d of %d", rp.ID, top-1, l.M())
-			}
-			layout := 0
-			l.EachKey(rp.Pos, func(key string) {
-				if layout < 8*len(mask) && mask[layout/8]>>(layout%8)&1 == 1 {
-					out.Emit(key, value)
-				}
-				layout++
-			})
-			return nil
+			return shipTo(l, rp.Point, certified, mask, value, out)
 		},
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
 			l, err := drawn(ctx.Conf)

@@ -20,7 +20,10 @@ import (
 // reducer of layout m re-derives every row's keys from its coordinates
 // (nothing extra is shuffled), orders its rows by their buckets in layouts
 // 0 … m−1 and skips — as whole blocks — the pairs an earlier layout owns,
-// and, on the ρ job, the owned blocks whose two runs lie d_c apart.
+// and, on the ρ job, the owned blocks whose two runs lie d_c apart. The
+// driver takes the same steps on its own bucket index before the ρ job
+// (planRho), so that job ships a row only to the reducers where its run
+// keeps a pair.
 
 // CtrPairsSkipped counts the co-bucketed pairs an LSH job did not evaluate
 // because another reducer's pass covers them: an earlier layout owns them,
@@ -107,6 +110,37 @@ func (po *pairOnce) sign(l *lsh.Layouts, m *points.Matrix, own, width int, rows 
 	}
 }
 
+// signIndex is sign for the driver's ρ ship plan, which takes the bucket ids
+// of layouts [0, own) from ix, whose rows hold nl layouts each, instead of
+// hashing: the group's row p is ix's row rows[p], rows in ID order, and
+// local, indexed by ix's bucket ids, hands out the group's ids as sign does.
+// It sets po.order to the rows in ID order, leaves local all −1, as it
+// found it, and returns the number of ids handed out.
+func (po *pairOnce) signIndex(ix *lsh.Index, nl int, rows []int32, own int, local []int32) int {
+	n := len(rows)
+	po.n = n
+	po.sig = slices.Grow(po.sig[:0], n*own)[:n*own]
+	order := po.order[:0]
+	var ids int32
+	for p, r := range rows {
+		order = append(order, int32(p))
+		for j, b := range ix.RowKeys[int(r)*nl:][:own] {
+			if local[b] < 0 {
+				local[b] = ids
+				ids++
+			}
+			po.sig[j*n+p] = local[b]
+		}
+	}
+	po.order = order
+	for _, r := range rows {
+		for _, b := range ix.RowKeys[int(r)*nl:][:own] {
+			local[b] = -1
+		}
+	}
+	return int(ids)
+}
+
 // load decodes a reduce group, signs layouts [0, width) and returns the rows
 // in (buckets under layouts 0 … own−1, ID) order, po.sig following them. IDs
 // are unique within a bucket and rows are signed in ID order, so bucket ids,
@@ -120,25 +154,35 @@ func (po *pairOnce) load(l *lsh.Layouts, own, width int, values [][]byte,
 	if err := decode(raw, values); err != nil {
 		return nil, err
 	}
-	// By ID first — one sort of packed (ID, row) words — then one stable
-	// counting pass per earlier layout, last layout first: bucket ids are
-	// small, so the lexicographic order costs O(own·n).
-	n := raw.N()
+	// By ID first — one sort of packed (ID, row) words — then by bucket.
 	words := po.words[:0]
 	for r, id := range raw.IDs() {
 		words = append(words, uint64(uint32(id)^1<<31)<<32|uint64(r))
 	}
 	slices.Sort(words)
 	po.words = words
-	order, next := po.order[:0], po.next[:0]
+	order := po.order[:0]
 	for _, word := range words {
 		order = append(order, int32(uint32(word)))
 	}
-	next = append(next, order...)
+	po.order = order
 	po.sign(l, raw, own, width, order)
+	m := points.GetMatrix()
+	m.Gather(raw, po.sortRuns(own, width, len(po.ids)))
+	return m, nil
+}
+
+// sortRuns reorders po.order — the po.n signed rows, in ID order — by
+// (bucket under layouts 0 … own−1, ID), one stable counting pass per earlier
+// layout, last layout first: the bucket ids are below ids, so the
+// lexicographic order costs O(own·n). po.sig's width columns follow the rows
+// into that order, which it returns.
+func (po *pairOnce) sortRuns(own, width, ids int) []int32 {
+	n, order := po.n, po.order
+	next := append(po.next[:0], order...)
 	for j := own - 1; j >= 0; j-- {
 		col := po.sig[j*n : (j+1)*n]
-		start := append(po.start[:0], make([]int32, len(po.ids)+1)...)
+		start := append(po.start[:0], make([]int32, ids+1)...)
 		for _, id := range col {
 			start[id+1]++
 		}
@@ -152,8 +196,6 @@ func (po *pairOnce) load(l *lsh.Layouts, own, width int, values [][]byte,
 		order, next, po.start = next, order, start
 	}
 	po.order, po.next = order, next
-	m := points.GetMatrix()
-	m.Gather(raw, order)
 	po.spare = po.spare[:0]
 	for j := 0; j < width; j++ {
 		col := po.sig[j*n : (j+1)*n]
@@ -162,7 +204,7 @@ func (po *pairOnce) load(l *lsh.Layouts, own, width int, values [][]byte,
 		}
 	}
 	po.sig, po.spare = po.spare, po.sig
-	return m, nil
+	return order
 }
 
 // decodeShipped is load's decoder for δ-job records: the RhoPoints into m,
@@ -209,13 +251,11 @@ func (po *pairOnce) samePrefix(a, b, own int) bool {
 // owned lists, in ascending row order, the blocks of pairs the reducer of
 // layout own evaluates among the loaded rows of m, and counts the pairs it
 // prunes and those it leaves to earlier layouts. Layout 0 owns every pair of
-// its bucket. Later layouts see their rows as runs of equal earlier-layout
-// buckets: pairs inside a run share layout 0's bucket, two runs that agree
-// in any earlier layout are skipped as a whole, and two that differ in all
-// of them are owned here — adjacent owned runs merge into one block —
-// unless they lie apart at reach2, the squared distance at and beyond which
-// the caller's walk can do nothing with a pair. reach2 = +Inf prunes
-// nothing.
+// its bucket. A later layout evaluates the run pairs ownedRuns keeps,
+// adjacent ones merged into one block, prunes the owned ones it does not
+// keep, and skips the rest: the pairs inside a run, which share layout 0's
+// bucket, and those across two runs that share an earlier bucket. reach2 =
+// +Inf prunes nothing.
 func (po *pairOnce) owned(m *points.Matrix, own int, reach2 float64) (blocks []kernels.Block, pruned, skipped int64) {
 	n := m.N()
 	blocks = po.blocks[:0]
@@ -223,6 +263,36 @@ func (po *pairOnce) owned(m *points.Matrix, own int, reach2 float64) (blocks []k
 		po.blocks = append(blocks, kernels.Triangle(0, n))
 		return po.blocks, 0, 0
 	}
+	po.ownedRuns(m, own, reach2, func(g, h int, kept bool) {
+		segs := po.segs
+		if !kept {
+			pruned += int64(segs[g+1]-segs[g]) * int64(segs[h+1]-segs[h])
+			return
+		}
+		if last := len(blocks) - 1; last >= 0 && blocks[last].ALo == segs[g] && blocks[last].BHi == segs[h] {
+			blocks[last].BHi = segs[h+1]
+		} else {
+			blocks = append(blocks, kernels.Cross(segs[g], segs[g+1], segs[h], segs[h+1]))
+		}
+	})
+	skipped = kernels.Triangle(0, n).Pairs() - pruned
+	for _, b := range blocks {
+		skipped -= b.Pairs()
+	}
+	po.blocks = blocks
+	return blocks, pruned, skipped
+}
+
+// ownedRuns is the ownership decision of a layout own ≥ 1, which the ρ and
+// δ reducers and the driver's ρ ship plan all take: it cuts the loaded rows
+// of m into runs of equal earlier-layout buckets — rows [po.segs[g],
+// po.segs[g+1]) — and calls visit, in ascending (g, h) order, for every pair
+// of runs g < h that differ in every earlier layout, the run pairs the
+// layout owns; kept is false when the two lie apart at reach2, the squared
+// distance at and beyond which the caller's walk can do nothing with a
+// pair. reach2 = +Inf keeps every owned pair.
+func (po *pairOnce) ownedRuns(m *points.Matrix, own int, reach2 float64, visit func(g, h int, kept bool)) {
+	n := m.N()
 	segs := append(po.segs[:0], 0)
 	for r := 1; r < n; r++ {
 		if !po.samePrefix(r-1, r, own) {
@@ -236,29 +306,13 @@ func (po *pairOnce) owned(m *points.Matrix, own int, reach2 float64) (blocks []k
 		po.boxRuns(m, segs)
 	}
 	box := func(g int) []float64 { return po.box[2*g*m.Dim() : 2*(g+1)*m.Dim()] }
-	skipped = kernels.Triangle(0, n).Pairs()
 	for g := 0; g+2 < len(segs); g++ {
-		first := len(blocks)
 		for h := g + 1; h+1 < len(segs); h++ {
-			if po.sharesEarlier(segs[g], segs[h], own) {
-				continue
+			if !po.sharesEarlier(segs[g], segs[h], own) {
+				visit(g, h, !prune || !apart(box(g), box(h), reach2))
 			}
-			if prune && apart(box(g), box(h), reach2) {
-				pruned += int64(segs[g+1]-segs[g]) * int64(segs[h+1]-segs[h])
-				continue
-			}
-			if last := len(blocks) - 1; last >= first && blocks[last].BHi == segs[h] {
-				blocks[last].BHi = segs[h+1]
-			} else {
-				blocks = append(blocks, kernels.Cross(segs[g], segs[g+1], segs[h], segs[h+1]))
-			}
-		}
-		for _, b := range blocks[first:] {
-			skipped -= b.Pairs()
 		}
 	}
-	po.blocks = blocks
-	return blocks, pruned, skipped - pruned
 }
 
 // boxRuns fills po.box with the bounding box of every run of m — rows

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/rpcmr"
 	"repro/internal/points"
@@ -197,7 +199,11 @@ func runStaged(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LSHCo
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipped, err := shipRows(ds, layouts, rhoOut, certified)
+	rowKeys, _, err := planRho(InputPairs(ds), layouts, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := shipRows(ds, rowKeys, rhoOut, certified)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,13 +387,18 @@ func fuzzReach(b byte) float64 {
 // FuzzRunsApart decodes bytes into two runs of rows and a squared reach.
 // Whenever the certificate calls the runs apart — either way round, the two
 // answers agreeing — the cutoff walk at Dc2 = reach over every pair across
-// them credits nothing and lists nothing.
+// them credits nothing and lists nothing. The same rows, cut into runs of
+// the first run's size, also go through the ρ ship plan
+// (requirePlanSound).
 func FuzzRunsApart(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0xf9, 1, 0, 0, 0xf5, 0})
 	f.Add([]byte{1, 0xf9, 1, 0, 0, 0xf6, 0})
 	f.Add([]byte{0, 4, 2, 0xff, 3, 0x20, 0xfe})
 	f.Add([]byte{2, 0xfe, 1, 0xfd, 0xfa, 1, 0xfe, 0xfe, 0xfc, 0xf8, 0xf7, 0xfb})
+	// Four one-row runs at 0, 0.25, 31.75 and 0.5: the plan keeps runs 0
+	// and 3 and leaves out 1, whose one owned partner is far, and 2.
+	f.Add([]byte{0, 0xf9, 0, 0, 1, 0x7f, 2})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
 			return
@@ -404,6 +415,7 @@ func FuzzRunsApart(f *testing.F) {
 		if len(rows) <= ng {
 			return
 		}
+		requirePlanSound(t, rows, ng, reach2)
 		m, po := runsOf(t, [][]points.Vector{rows[:ng], rows[ng:]})
 		defer points.PutMatrix(m)
 		po.boxRuns(m, []int{0, ng, m.N()})
@@ -426,4 +438,108 @@ func FuzzRunsApart(f *testing.F) {
 			}
 		}
 	})
+}
+
+// requirePlanSound cuts rows into runs of size rows and puts them in one
+// bucket of layout 2, run g in bucket g%2 of layout 0 and g/2 of layout 1,
+// so that some run pairs share an earlier bucket and the rest are owned. It
+// has the ρ ship plan walk that bucket at reach2 and checks that a run the
+// plan leaves out has no pair across it that counts or is listed, that the
+// reducer's walk over the kept rows credits and lists what its walk over
+// all rows does, and that the pairs the plan says it left out close the
+// reducer's counts.
+func requirePlanSound(t *testing.T, rows []points.Vector, size int, reach2 float64) {
+	t.Helper()
+	const own, nl = 2, 3
+	n := len(rows)
+	runs := (n + size - 1) / size
+	ix := &lsh.Index{Keys: make([]string, 3+(runs-1)/2), RowKeys: make([]int32, 0, n*nl)}
+	all := make([]int32, n)
+	for r := range all {
+		g := r / size
+		all[r] = int32(r)
+		ix.RowKeys = append(ix.RowKeys, int32(g%2), int32(2+g/2), int32(len(ix.Keys)-1))
+	}
+	pts := matrixOf(t, rows)
+	defer points.PutMatrix(pts)
+	local := make([]int32, len(ix.Keys))
+	for b := range local {
+		local[b] = -1
+	}
+	// load gathers the given rows as the layout-2 reducer orders them.
+	load := func(bucket []int32) (*points.Matrix, *pairOnce) {
+		po := &pairOnce{}
+		ids := po.signIndex(ix, nl, bucket, own, local)
+		order := slices.Clone(po.sortRuns(own, own, ids))
+		for x, r := range order {
+			order[x] = bucket[r]
+		}
+		m := points.GetMatrix()
+		m.Gather(pts, order)
+		return m, po
+	}
+	rp := runPlanner{ix: ix, nl: nl, pts: pts, reach2: reach2, po: &pairOnce{}, m: points.GetMatrix(), local: local}
+	defer points.PutMatrix(rp.m)
+	sent := make([]bool, n)
+	unsentPruned, unsentSkipped := rp.plan(own, all, sent)
+
+	m, po := load(all)
+	defer points.PutMatrix(m)
+	every, _, _ := po.owned(m, own, math.Inf(1))
+	counts, lists := walkByID(m, every, reach2, n)
+	for id, ok := range sent {
+		if !ok && (counts[id] != 0 || len(lists[id]) != 0) {
+			t.Fatalf("reach %v: row %d is left out, yet counts %d and lists %v across its run", reach2, id, counts[id], lists[id])
+		}
+	}
+	blocks, pruned, skipped := po.owned(m, own, reach2)
+	counts, lists = walkByID(m, blocks, reach2, n)
+
+	var kept []int32
+	for id, ok := range sent {
+		if ok {
+			kept = append(kept, int32(id))
+		}
+	}
+	var kblocks []kernels.Block
+	var kpruned, kskipped int64
+	kcounts, klists := make([]int32, n), make([][]kernels.TopKEntry, n)
+	if len(kept) > 0 {
+		km, kpo := load(kept)
+		defer points.PutMatrix(km)
+		kblocks, kpruned, kskipped = kpo.owned(km, own, reach2)
+		kcounts, klists = walkByID(km, kblocks, reach2, n)
+	}
+	if !slices.Equal(kcounts, counts) || !reflect.DeepEqual(klists, lists) {
+		t.Fatalf("reach %v: the walk over the %d kept rows credits %v, lists %v; over all %d, %v and %v",
+			reach2, len(kept), kcounts, klists, n, counts, lists)
+	}
+	pairs := func(bs []kernels.Block) (p int64) {
+		for _, b := range bs {
+			p += b.Pairs()
+		}
+		return p
+	}
+	if pairs(kblocks) != pairs(blocks) || kpruned+unsentPruned != pruned || kskipped+unsentSkipped != skipped {
+		t.Fatalf("reach %v: kept rows walk %d, prune %d, skip %d, the plan left out %d pruned and %d skipped; all rows walk %d, prune %d, skip %d",
+			reach2, pairs(kblocks), kpruned, kskipped, unsentPruned, unsentSkipped, pairs(blocks), pruned, skipped)
+	}
+}
+
+// walkByID runs the cutoff walk at dc2 over blocks of m and returns, indexed
+// by point ID below n, each row's count and neighbour list, nil when empty.
+func walkByID(m *points.Matrix, blocks []kernels.Block, dc2 float64, n int) ([]int32, [][]kernels.TopKEntry) {
+	var near kernels.Near
+	cr := kernels.Credit{Layouts: 1, Near: &near}
+	cr.Reset(m.N())
+	near.Reset(m.N(), nearK, dc2)
+	kernels.Rho(m, blocks, kernels.Kernel{Dc2: dc2}, &cr)
+	counts, lists := make([]int32, n), make([][]kernels.TopKEntry, n)
+	for r := 0; r < m.N(); r++ {
+		counts[m.ID(r)] = cr.Counts[r]
+		if l := near.List(r); len(l) > 0 {
+			lists[m.ID(r)] = slices.Clone(l)
+		}
+	}
+	return counts, lists
 }

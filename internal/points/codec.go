@@ -141,14 +141,17 @@ func DecodeRhoPoint(buf []byte) (RhoPoint, []byte, error) {
 	return RhoPoint{Point: p, Rho: rho}, rest[8:], nil
 }
 
-// LSH-DDP's δ-job input record (DESIGN.md "δ̂ from the ρ pass") is a
-// RhoPoint with a layout mask after it when the ρ pass certified the row's
-// δ̂. A row without a mask is open: it travels to its bucket in every layout.
-// A certified row travels only as a candidate, to the layouts l whose bit
-// l%8 of mask byte l/8 is set. The mask is trimmed of zero bytes at its end
-// but keeps one, so an empty mask — a row no bucket needs — is one 0x00.
+// LSH-DDP's ρ-job and δ-job input records (DESIGN.md "Pair ownership") may
+// carry a layout mask after their point — a Point on the ρ job, a RhoPoint
+// on the δ job. A row without a mask travels to its bucket in every layout;
+// a row with one travels only to the layouts l whose bit l%8 of mask byte
+// l/8 is set: on the ρ job the layouts where its run owns a pair, on the δ
+// job, where a mask marks a row whose δ̂ the ρ pass certified ("δ̂ from the
+// ρ pass"), those where an open row needs it as a candidate. The mask is
+// trimmed of zero bytes at its end but keeps one, so an empty mask — a row
+// no bucket needs — is one 0x00.
 
-// AppendShipMask appends the mask of a certified row to its RhoPoint record.
+// AppendShipMask appends a row's mask to its record.
 func AppendShipMask(buf, mask []byte) []byte {
 	for len(mask) > 0 && mask[len(mask)-1] == 0 {
 		mask = mask[:len(mask)-1]
@@ -159,10 +162,10 @@ func AppendShipMask(buf, mask []byte) []byte {
 	return append(buf, mask...)
 }
 
-// ShipMask parses what follows the RhoPoint in a δ-job input record: nothing
-// for an open row, a mask for a certified one — nil when it is empty. The
-// mask aliases tail.
-func ShipMask(tail []byte) (certified bool, mask []byte, err error) {
+// ShipMask parses what follows the point in a ρ- or δ-job input record:
+// nothing for a row that goes to every layout, else its mask — nil when it
+// is empty. The mask aliases tail.
+func ShipMask(tail []byte) (masked bool, mask []byte, err error) {
 	switch {
 	case len(tail) == 0:
 		return false, nil, nil

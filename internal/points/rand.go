@@ -17,9 +17,16 @@ type Rand struct {
 }
 
 // NewRand returns a generator seeded deterministically from seed.
+//
+// The seed is not mixed: it sets the splitmix64 counter at seed steps of the
+// counter's increment, the step every draw takes, so NewRand(s+k) is
+// NewRand(s) advanced by k draws. Two seeds k apart replay one stream k
+// draws out of step: a generator that draws d values per item gives, at
+// seeds a multiple of d apart, the same items shifted by k/d. Mixing the
+// seed would re-draw every input and layout that derives from one.
 func NewRand(seed int64) *Rand {
 	r := &Rand{state: uint64(seed)*0x9E3779B97F4A7C15 + 0xBF58476D1CE4E5B9}
-	// Warm up so nearby seeds diverge immediately.
+	// Two draws of warm-up; they do not separate nearby seeds (above).
 	r.Uint64()
 	r.Uint64()
 	return r

@@ -25,6 +25,44 @@ func TestRandDeterminism(t *testing.T) {
 	}
 }
 
+// TestNewRandSeedPlusKIsSeedAdvancedKDraws pins what NewRand's seeding
+// does: seed s + k replays seed s's stream from its k-th draw on, so two
+// seeds a multiple of a generator's draws per item apart draw the same items,
+// shifted — 9 draws per point for 8-d blobs (one Intn, eight normals from
+// four Box–Muller pairs), whose seeds 1 and 10 share all but one point.
+func TestNewRandSeedPlusKIsSeedAdvancedKDraws(t *testing.T) {
+	for _, s := range []int64{0, 1, 2, -7, 1 << 40} {
+		for _, k := range []int{1, 9, 1000} {
+			a, b := NewRand(s), NewRand(s+int64(k))
+			for range k {
+				a.Uint64()
+			}
+			for i := 0; i < 64; i++ {
+				if x, y := a.Uint64(), b.Uint64(); x != y {
+					t.Fatalf("seed %d advanced %d draws and seed %d differ at draw %d: %x, %x", s, k, s+int64(k), i, x, y)
+				}
+			}
+		}
+	}
+	blobs := func(seed int64) [][8]float64 {
+		r := NewRand(seed)
+		pts := make([][8]float64, 50)
+		for i := range pts {
+			c := float64(r.Intn(16))
+			for j := range pts[i] {
+				pts[i][j] = c + r.NormFloat64()
+			}
+		}
+		return pts
+	}
+	one, ten := blobs(1), blobs(10)
+	for i := range ten[:len(ten)-1] {
+		if ten[i] != one[i+1] {
+			t.Fatalf("point %d of seed 10 is not point %d of seed 1", i, i+1)
+		}
+	}
+}
+
 func TestRandIntn(t *testing.T) {
 	r := NewRand(1)
 	counts := make([]int, 10)
