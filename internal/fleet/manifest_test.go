@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 // fleet.json written before binary LSH keys (no key_format, base-36 text
 // overrides) is refused with an error that names the fix, a current one
 // with an override that is not a well-formed key of this fleet's layouts is
-// refused too, and re-running the partitioner reproduces fleet.json byte
-// for byte.
+// refused too, and re-running the partitioner — on one core and on four —
+// reproduces fleet.json and every sub-model byte for byte.
 func TestManifestKeyFormat(t *testing.T) {
 	dir := t.TempDir()
 	load := func(body string) error {
@@ -67,9 +68,12 @@ func TestManifestKeyFormat(t *testing.T) {
 	}
 
 	mdl := trainModel(t, 4000, 3)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var saved [2][]byte
-	for i := range saved {
-		_, mf, err := fleet.Partition(mdl, 4, 0)
+	var subBytes [2][][]byte
+	for i, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		subs, mf, err := fleet.Partition(mdl, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,9 +90,25 @@ func TestManifestKeyFormat(t *testing.T) {
 		if _, err := fleet.LoadManifest(path); err != nil {
 			t.Fatalf("the partitioner's own manifest does not load: %v", err)
 		}
+		for _, sub := range subs {
+			path := filepath.Join(dir, "shard.model")
+			if err := sub.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subBytes[i] = append(subBytes[i], b)
+		}
 	}
 	if !bytes.Equal(saved[0], saved[1]) {
-		t.Error("re-running the partitioner wrote a different fleet.json")
+		t.Error("re-running the partitioner on four cores wrote a different fleet.json than on one")
+	}
+	for s := range subBytes[0] {
+		if !bytes.Equal(subBytes[0][s], subBytes[1][s]) {
+			t.Errorf("re-running the partitioner on four cores wrote a different shard %d sub-model than on one", s)
+		}
 	}
 	if !bytes.Contains(saved[0], []byte(`"key_format": "`+fleet.KeyFormat+`"`)) {
 		t.Errorf("fleet.json does not record its key format:\n%s", saved[0])

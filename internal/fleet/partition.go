@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/lsh"
 	"repro/internal/model"
@@ -57,14 +59,19 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	}
 
 	// Pass 2: mark which shards need which rows — the owner of any bucket
-	// holding the row, plus every shard for peak rows.
+	// holding the row, plus every shard for peak rows. Owners are resolved
+	// once per bucket, not once per (row, layout).
+	owners := make([]int, len(ix.Keys))
+	for id, key := range ix.Keys {
+		owners[id] = place.Owner(key)
+	}
 	need := make([][]bool, shards)
 	for s := range need {
 		need[s] = make([]bool, n)
 	}
 	for i := 0; i < n; i++ {
-		for j := 0; j < mf.M; j++ {
-			need[place.Owner(ix.Keys[ix.RowKeys[i*mf.M+j]])][i] = true
+		for _, id := range ix.RowKeys[i*mf.M:][:mf.M] {
+			need[owners[id]][i] = true
 		}
 	}
 	for _, p := range m.Peaks {
@@ -94,12 +101,15 @@ const (
 	maxOverridesPerShard = 128
 )
 
-// Bucket-weight estimation knobs. maxWeightSamples rows are replayed as
-// queries (evenly strided, so the sample mirrors the data the way serving
-// queries do). scoreUnit is the cost of one exact candidate scoring
-// relative to one posting-walk visit (a SWAR membership word): confirming
-// and scoring a row costs a key compare plus a full-dimension distance,
-// roughly an order of magnitude over streaming one prefilter word.
+// Bucket-weight estimation knobs. Every n/maxWeightSamples-th row is
+// replayed as a query (evenly strided, so the sample mirrors the data the
+// way serving queries do): with the stride rounded down that is between
+// maxWeightSamples and 2·maxWeightSamples − 1 rows — 2 062 of 200 000 —
+// and every row below 2·maxWeightSamples rows. scoreUnit is the cost of
+// one exact candidate scoring relative to one posting-walk visit (a SWAR
+// membership word): confirming and scoring a row costs a key compare plus
+// a full-dimension distance, roughly an order of magnitude over streaming
+// one prefilter word.
 const (
 	maxWeightSamples = 2048
 	scoreUnit        = 12.0
@@ -120,49 +130,72 @@ const (
 // keeps every candidate it holds, so the queries of a cluster core funnel
 // their scoring through the few buckets their certifying layouts name, not
 // 1/m to each. The estimator therefore hashes each sample, takes its
-// certifying layout (lsh.Layouts.GuaranteeRadius) as j₀ and replays the
-// exact first-match rule, charging one walk unit per posting visited and
-// scoreUnit to the precise bucket the engine will score the candidate
-// under.
+// certifying layout (lsh.Layouts.GuaranteeRadius) as j₀ and walks the
+// sample's M buckets once in the rotated order from j₀, charging each its
+// posting count plus scoreUnit for every row no earlier bucket of the
+// rotation held: the exact first-match rule.
+//
+// The sample is split across GOMAXPROCS goroutines, each with its own
+// weights, and their weights are summed at the end. Every charge is a
+// whole number far below 2⁵³, so the sums — and the overrides built on
+// them — are exact in any grouping and do not depend on the core count.
+// Partition runs offline, never beside live queries, so it may take every
+// core.
 func estimateBucketWeights(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim int) []float64 {
-	n, m := len(data)/dim, layouts.M()
-	weights := make([]float64, len(ix.Keys))
+	n := len(data) / dim
 	step := n / maxWeightSamples
 	if step < 1 {
 		step = 1
 	}
-	seen := make([]bool, n)
-	var touched []int32
+	samples := (n + step - 1) / step
+	parts := make([][]float64, min(runtime.GOMAXPROCS(0), samples))
+	var wg sync.WaitGroup
+	for w := range parts {
+		lo, hi := samples*w/len(parts), samples*(w+1)/len(parts)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[w] = replaySamples(ix, layouts, data, dim, lo, hi, step)
+		}()
+	}
+	wg.Wait()
+	weights := parts[0]
+	for _, p := range parts[1:] {
+		for id, v := range p {
+			weights[id] += v
+		}
+	}
+	return weights
+}
+
+// replaySamples charges the samples lo ≤ k < hi — rows k·step — to a fresh
+// weight per bucket (estimateBucketWeights has the rule). seen[r] == k+1
+// marks row r as held by an earlier bucket of sample k's rotation, so the
+// marks clear themselves from one sample to the next.
+func replaySamples(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim, lo, hi, step int) []float64 {
+	m := layouts.M()
+	weights := make([]float64, len(ix.Keys))
+	seen := make([]int32, len(data)/dim)
 	var kb lsh.KeyBuf
-	for q := 0; q < n; q += step {
+	for k := lo; k < hi; k++ {
+		q, mark := k*step, int32(k+1)
 		qk := ix.RowKeys[q*m : q*m+m]
 		layouts.Hash(&kb, data[q*dim:][:dim])
-		_, j0 := layouts.GuaranteeRadius(&kb)
-		for _, id := range qk {
-			members := ix.Bucket(id)
-			weights[id] += float64(len(members)) // walk: full posting list per probe
+		_, j := layouts.GuaranteeRadius(&kb)
+		for range m {
+			members := ix.Bucket(qk[j])
+			fresh := 0
 			for _, r := range members {
-				if !seen[r] {
-					seen[r] = true
-					touched = append(touched, r)
+				if seen[r] != mark {
+					seen[r] = mark
+					fresh++
 				}
 			}
-		}
-		for _, r := range touched {
-			base := int(r) * m
-			for dj := 0; dj < m; dj++ {
-				j2 := j0 + dj
-				if j2 >= m {
-					j2 -= m
-				}
-				if ix.RowKeys[base+j2] == qk[j2] {
-					weights[qk[j2]] += scoreUnit
-					break
-				}
+			weights[qk[j]] += float64(len(members)) + scoreUnit*float64(fresh)
+			if j++; j == m {
+				j = 0
 			}
-			seen[r] = false
 		}
-		touched = touched[:0]
 	}
 	return weights
 }

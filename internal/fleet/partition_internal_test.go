@@ -2,10 +2,14 @@ package fleet
 
 import (
 	"context"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/lsh"
+	"repro/internal/model"
 )
 
 // TestSampledWeightBalance checks that the partitioner's placement
@@ -54,6 +58,161 @@ func TestSampledWeightBalance(t *testing.T) {
 				t.Errorf("shards=%d: shard %d carries %.0f of %.0f estimated scan cost (ideal %.0f, cap +25%%)",
 					shards, s, w, total, ideal)
 			}
+		}
+	}
+}
+
+// harnessModel builds a model at the benchmark harness's serving shape
+// directly, without a training run: dimension 8 in 16 blobs of σ 2.5 in a
+// 100-box, the paper's LSH shape (10 layouts of 3 functions, width solved
+// for d_c 8.4), labels by generating blob and each blob's first row as its
+// peak. Each of the n/repeat drawn rows appears repeat times in a row.
+func harnessModel(tb testing.TB, n, repeat int) *model.Model {
+	const dim, clusters, dc = 8, 16, 8.4
+	w, err := lsh.SolveWidth(0.99, dc, 3, 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(20170419))
+	centers := make([]float64, clusters*dim)
+	for i := range centers {
+		centers[i] = rng.Float64() * 100
+	}
+	mdl := &model.Model{
+		Name: "partition-test", Dim: dim, Dc: dc,
+		LSH:    model.Params{Seed: 1, M: 10, Pi: 3, W: w},
+		Data:   make([]float64, 0, n*dim),
+		Rho:    make([]float64, 0, n),
+		Labels: make([]int32, 0, n),
+		Peaks:  make([]int32, clusters),
+		Border: make([]float64, clusters),
+	}
+	for c := range mdl.Peaks {
+		mdl.Peaks[c] = -1
+	}
+	row := make([]float64, dim)
+	for i := 0; i < n; i++ {
+		c := int32(rng.Intn(clusters))
+		if i%repeat == 0 {
+			for j := range row {
+				row[j] = centers[int(c)*dim+j] + rng.NormFloat64()*2.5
+			}
+		} else {
+			c = mdl.Labels[i-1]
+		}
+		if mdl.Peaks[c] < 0 {
+			mdl.Peaks[c] = int32(i)
+		}
+		mdl.Data = append(mdl.Data, row...)
+		mdl.Rho = append(mdl.Rho, rng.Float64())
+		mdl.Labels = append(mdl.Labels, c)
+	}
+	for c, p := range mdl.Peaks {
+		if p < 0 {
+			tb.Fatalf("blob %d drew no row", c)
+		}
+	}
+	return mdl
+}
+
+// replayOracle is the two-pass replay estimateBucketWeights replaced: walk
+// every probed bucket, collecting the rows it touches, then charge each
+// touched row's scoring to its first matching layout in the rotation from
+// the certifying one.
+func replayOracle(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim int) []float64 {
+	n, m := len(data)/dim, layouts.M()
+	weights := make([]float64, len(ix.Keys))
+	step := n / maxWeightSamples
+	if step < 1 {
+		step = 1
+	}
+	seen := make([]bool, n)
+	var touched []int32
+	var kb lsh.KeyBuf
+	for q := 0; q < n; q += step {
+		qk := ix.RowKeys[q*m : q*m+m]
+		layouts.Hash(&kb, data[q*dim:][:dim])
+		_, j0 := layouts.GuaranteeRadius(&kb)
+		for _, id := range qk {
+			members := ix.Bucket(id)
+			weights[id] += float64(len(members))
+			for _, r := range members {
+				if !seen[r] {
+					seen[r] = true
+					touched = append(touched, r)
+				}
+			}
+		}
+		for _, r := range touched {
+			base := int(r) * m
+			for dj := 0; dj < m; dj++ {
+				j2 := j0 + dj
+				if j2 >= m {
+					j2 -= m
+				}
+				if ix.RowKeys[base+j2] == qk[j2] {
+					weights[qk[j2]] += scoreUnit
+					break
+				}
+			}
+			seen[r] = false
+		}
+		touched = touched[:0]
+	}
+	return weights
+}
+
+// TestBucketWeightsMatchReplay holds the one-pass estimator to the
+// two-pass replay bit for bit at 1, 2 and 4 cores, on harness-shaped blobs,
+// on rows repeated 4×, on a model small enough that every row is a sample,
+// and on one whose rows all share one bucket per layout.
+func TestBucketWeightsMatchReplay(t *testing.T) {
+	oneBucket := harnessModel(t, 2500, 1)
+	oneBucket.LSH.W = 1e6
+	cases := []struct {
+		name string
+		mdl  *model.Model
+	}{
+		{"blobs", harnessModel(t, 20_000, 1)},
+		{"repeated4", harnessModel(t, 20_000, 4)},
+		{"every-row", harnessModel(t, 3_000, 1)},
+		{"one-bucket", oneBucket},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range cases {
+		layouts := tc.mdl.Layouts()
+		ix := layouts.BuildIndex(tc.mdl.Data, tc.mdl.N(), nil)
+		if tc.name == "one-bucket" && len(ix.Keys) != layouts.M() {
+			t.Fatalf("%s: %d buckets over %d layouts, want one per layout", tc.name, len(ix.Keys), layouts.M())
+		}
+		want := replayOracle(ix, layouts, tc.mdl.Data, tc.mdl.Dim)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			got := estimateBucketWeights(ix, layouts, tc.mdl.Data, tc.mdl.Dim)
+			if len(got) != len(want) {
+				t.Fatalf("%s at %d cores: %d weights, want %d", tc.name, procs, len(got), len(want))
+			}
+			for id := range want {
+				if got[id] != want[id] {
+					t.Errorf("%s at %d cores: bucket %d (%s) weighs %v, the replay %v",
+						tc.name, procs, id, lsh.KeyString(ix.Keys[id]), got[id], want[id])
+					break
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPartition times the partitioner — bucket index, weight
+// estimate, heavy-bucket placement, row marking and sub-model copies — on a
+// 50 000-row harness-shaped model split over 4 shards.
+func BenchmarkPartition(b *testing.B) {
+	mdl := harnessModel(b, 50_000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Partition(mdl, 4, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -439,8 +439,10 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 
 // FleetAssignRequest is the shard-internal /fleet/assign JSON body. Masks
 // select, per query, which LSH layouts this shard owns and must scan (bit j
-// = layout j); Exact instead runs the router's broadcast fallback, an exact
-// full scan over this shard's rows. Exactly one of the two shapes is valid.
+// = layout j, j below the model's layout count M); Exact instead runs the
+// router's broadcast fallback, an exact full scan over this shard's rows.
+// Exactly one of the two shapes is valid: a mask bit at or above M, or
+// masks or bounds beside Exact, is refused with 400.
 // Bounds, optional beside Masks, caps query i at the exact squared distance
 // Bounds[i] (BatchOpts.Bounds); absent, no query is capped. JSON has no
 // +Inf, so the router leaves one query uncapped with math.MaxFloat64: every
@@ -483,6 +485,14 @@ func (s *Server) handleFleetAssign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := BatchOpts{ExactOnly: true}
+	switch {
+	case body.Exact && body.Masks != nil:
+		http.Error(w, "masks sent beside exact: the exact fallback scans every row and reads no mask", http.StatusBadRequest)
+		return
+	case body.Exact && body.Bounds != nil:
+		http.Error(w, "bounds sent beside exact: the exact fallback is never capped", http.StatusBadRequest)
+		return
+	}
 	if !body.Exact {
 		if len(body.Masks) != len(body.Points) {
 			http.Error(w, fmt.Sprintf("masks/points mismatch: %d masks, %d points", len(body.Masks), len(body.Points)), http.StatusBadRequest)
@@ -501,6 +511,13 @@ func (s *Server) handleFleetAssign(w http.ResponseWriter, r *http.Request) {
 		if !eng.FleetIndexed() {
 			http.Error(w, "model carries no fleet index (not a partitioned sub-model?)", http.StatusServiceUnavailable)
 			return
+		}
+		m := eng.Layouts()
+		for i, mask := range body.Masks {
+			if mask>>m != 0 {
+				http.Error(w, fmt.Sprintf("masks[%d] = %#x sets a bit at or above the model's %d layouts", i, mask, m), http.StatusBadRequest)
+				return
+			}
 		}
 		opts = BatchOpts{Masks: body.Masks, Bounds: body.Bounds}
 	}

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/kernels"
@@ -523,5 +527,53 @@ func BenchmarkEngineAssign(b *testing.B) {
 			b.ReportMetric(float64(st.Rerank)/float64(b.N), "exact/query")
 			b.ReportMetric(float64(st.Certified)/float64(b.N), "certified/query")
 		})
+	}
+}
+
+// TestFleetAssignValidation drives /fleet/assign on a fleet sub-model of 3
+// layouts: each shape the endpoint would otherwise ignore in part — a mask
+// bit at or above the layout count, masks or bounds beside exact — is
+// refused with a 400 that names the field, and the valid shapes answer.
+func TestFleetAssignValidation(t *testing.T) {
+	srv := New(Config{})
+	if err := srv.SetModel(blobModel(300, 2, 3, true)); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background()) //nolint:errcheck
+
+	const pts = `"points":[[1,1],[40,40]]`
+	for _, tc := range []struct {
+		name, body string
+		want       int
+		field      string // the refusal must name it
+	}{
+		{"masked", `{` + pts + `,"masks":[7,1]}`, http.StatusOK, ""},
+		{"masked and bounded", `{` + pts + `,"masks":[1,2],"bounds":[1e300,0]}`, http.StatusOK, ""},
+		{"exact", `{` + pts + `,"exact":true}`, http.StatusOK, ""},
+		{"mask bit at M", `{` + pts + `,"masks":[1,8]}`, http.StatusBadRequest, "masks[1]"},
+		{"mask bit 63", `{` + pts + `,"masks":[9223372036854775808,1]}`, http.StatusBadRequest, "masks[0]"},
+		{"masks beside exact", `{` + pts + `,"masks":[1,1],"exact":true}`, http.StatusBadRequest, "masks"},
+		{"empty masks beside exact", `{` + pts + `,"masks":[],"exact":true}`, http.StatusBadRequest, "masks"},
+		{"bounds beside exact", `{` + pts + `,"bounds":[1,1],"exact":true}`, http.StatusBadRequest, "bounds"},
+		{"masks short", `{` + pts + `,"masks":[1]}`, http.StatusBadRequest, "masks"},
+		{"bounds short", `{` + pts + `,"masks":[1,1],"bounds":[1]}`, http.StatusBadRequest, "bounds"},
+		{"negative bound", `{` + pts + `,"masks":[1,1],"bounds":[1,-1]}`, http.StatusBadRequest, "bound 1"},
+	} {
+		resp, err := http.Post("http://"+srv.Addr()+"/fleet/assign", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, resp.StatusCode, strings.TrimSpace(string(msg)), tc.want)
+			continue
+		}
+		if tc.field != "" && !strings.Contains(string(msg), tc.field) {
+			t.Errorf("%s: refusal %q does not name %s", tc.name, strings.TrimSpace(string(msg)), tc.field)
+		}
 	}
 }
