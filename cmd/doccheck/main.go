@@ -24,9 +24,11 @@
 //     counter nothing emits, or
 //   - README.md, DESIGN.md, EXPERIMENTS.md or OPERATIONS.md mention, inside
 //     backticks, a `make <target>` the Makefile does not define, a
-//     `cmd/<name>` directory that does not exist, or a `-flag` on a command
+//     `cmd/<name>` directory that does not exist, a `-flag` on a command
 //     line — `<name> [subcommand] -flag …` or `go run ./cmd/<name> … -flag`
-//     — that no flag set in that command's non-test sources defines.
+//     — that no flag set in that command's non-test sources defines, or,
+//     for a command that dispatches on os.Args[1], a first non-flag word
+//     on such a line that is none of its subcommands.
 //
 // The second check keeps the README's configuration reference in step with
 // the code: adding a knob without documenting it breaks `make check` and CI.
@@ -44,6 +46,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -105,7 +108,7 @@ func main() {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: OPERATIONS.md documents counter %s, which no code emits\n", name)
 	}
-	targets, cmds, err := definedRefs("Makefile", "cmd")
+	targets, cmds, subs, err := definedRefs("Makefile", "cmd")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 		os.Exit(1)
@@ -116,7 +119,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
 			os.Exit(1)
 		}
-		for _, ref := range staleRefs(string(data), targets, cmds) {
+		for _, ref := range staleRefs(string(data), targets, cmds, subs) {
 			failed = true
 			fmt.Fprintf(os.Stderr, "doccheck: %s mentions `%s`, which no longer exists\n", doc, ref)
 		}
@@ -250,11 +253,12 @@ var (
 )
 
 // definedRefs returns the targets the Makefile defines and, for each
-// command directory under cmdDir, the flags its non-test sources define.
-func definedRefs(makefile, cmdDir string) (targets map[string]bool, cmds map[string]map[string]bool, err error) {
+// command directory under cmdDir, the flags its non-test sources define and
+// the subcommands they dispatch on (none for most commands).
+func definedRefs(makefile, cmdDir string) (targets map[string]bool, cmds, subs map[string]map[string]bool, err error) {
 	data, err := os.ReadFile(makefile)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	targets = make(map[string]bool)
 	for _, m := range makeTarget.FindAllStringSubmatch(string(data), -1) {
@@ -262,31 +266,66 @@ func definedRefs(makefile, cmdDir string) (targets map[string]bool, cmds map[str
 	}
 	entries, err := os.ReadDir(cmdDir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	cmds = make(map[string]map[string]bool)
+	cmds, subs = make(map[string]map[string]bool), make(map[string]map[string]bool)
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
 		files, err := filepath.Glob(filepath.Join(cmdDir, e.Name(), "*.go"))
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		flags := map[string]bool{"h": true, "help": true} // the flag package's own
+		words := map[string]bool{}
 		for _, path := range files {
 			if strings.HasSuffix(path, "_test.go") {
 				continue
 			}
 			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			flagNames(f, flags)
+			subcommands(f, words)
 		}
 		cmds[e.Name()] = flags
+		if len(words) > 0 {
+			subs[e.Name()] = words
+		}
 	}
-	return targets, cmds, nil
+	return targets, cmds, subs, nil
+}
+
+// subcommands adds to subs every string literal f compares os.Args[1] with:
+// the cases of a `switch os.Args[1]` and the operand of an `os.Args[1] ==`
+// or `!=` test.
+func subcommands(f *ast.File, subs map[string]bool) {
+	add := func(e ast.Expr) {
+		if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if word, err := strconv.Unquote(lit.Value); err == nil {
+				subs[word] = true
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SwitchStmt:
+			if n.Tag != nil && types.ExprString(n.Tag) == "os.Args[1]" {
+				for _, c := range n.Body.List {
+					for _, e := range c.(*ast.CaseClause).List {
+						add(e)
+					}
+				}
+			}
+		case *ast.BinaryExpr:
+			if (n.Op == token.EQL || n.Op == token.NEQ) && types.ExprString(n.X) == "os.Args[1]" {
+				add(n.Y)
+			}
+		}
+		return true
+	})
 }
 
 // flagNames adds to flags the name of every flag f defines on the flag
@@ -327,8 +366,9 @@ func flagNames(f *ast.File, flags map[string]bool) {
 // every `-flag` of a command line there that its command does not define: a
 // line `go run ./cmd/<name> … -flag`, or a line that starts with a command's
 // name and whitespace, `<name> [subcommand] -flag …` (so a job name such as
-// `ddp-dc-sample` is no command line).
-func staleRefs(doc string, targets map[string]bool, cmds map[string]map[string]bool) []string {
+// `ddp-dc-sample` is no command line). On the line of a command with
+// subcommands (subs), the first word that is no flag must be one of them.
+func staleRefs(doc string, targets map[string]bool, cmds, subs map[string]map[string]bool) []string {
 	var stale []string
 	for i, span := range strings.Split(doc, "`") {
 		if i%2 == 0 {
@@ -354,6 +394,13 @@ func staleRefs(doc string, targets map[string]bool, cmds map[string]map[string]b
 					for _, f := range flagWord.FindAllStringSubmatch(m[2], -1) {
 						if !flags[f[1]] {
 							stale = append(stale, m[1]+" -"+f[1])
+						}
+					}
+					if words := subs[m[1]]; words != nil {
+						args := strings.Fields(m[2])
+						i := slices.IndexFunc(args, func(a string) bool { return !strings.HasPrefix(a, "-") })
+						if i >= 0 && !words[args[i]] {
+							stale = append(stale, m[1]+" "+args[i])
 						}
 					}
 				}

@@ -13,6 +13,11 @@ func TestStaleRefs(t *testing.T) {
 		"ddp":      {"h": true, "input": true, "halo": true},
 		"dpbench":  {"h": true},
 		"fleetctl": {"h": true, "shards": true, "timeout": true},
+		"knn":      {"h": true, "k": true, "out": true},
+	}
+	subs := map[string]map[string]bool{
+		"fleetctl": {"partition": true, "rollover": true},
+		"knn":      {"join": true},
 	}
 	cases := []struct {
 		name string
@@ -29,11 +34,43 @@ func TestStaleRefs(t *testing.T) {
 		{"deleted flag", "`fleetctl rollover -routers host:9090`", []string{"fleetctl -routers"}},
 		{"deleted flag in go run", "```sh\ngo run ./cmd/ddp -input s2.csv -kernel gaussian -halo   # extensions\n```\n", []string{"ddp -kernel"}},
 		{"not command lines", "`ddp-dc-sample -x`, `ddp -input x | grep -v y`, `ddp`, `mrd worker -gone`", nil},
+		{"live subcommands", "`knn join -k 10 -out n.csv`, `fleetctl -h rollover`, `knn -h`", nil},
+		{"deleted subcommand", "`knn kdist -k 4 -out curve.csv`", []string{"knn kdist"}},
+		{"deleted subcommand in go run", "```sh\ngo run ./cmd/knn outliers -k 5   # top 20\n```\n", []string{"knn outliers"}},
 	}
 	for _, c := range cases {
-		if got := staleRefs(c.doc, targets, cmds); !reflect.DeepEqual(got, c.want) {
+		if got := staleRefs(c.doc, targets, cmds, subs); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: staleRefs = %q, want %q", c.name, got, c.want)
 		}
+	}
+}
+
+// TestSubcommands reads a command's subcommands off its dispatch on
+// os.Args[1], a switch or a comparison.
+func TestSubcommands(t *testing.T) {
+	const src = `package main
+
+func main() {
+	switch os.Args[1] {
+	case "join", "merge":
+	case strings.ToLower("x"):
+	}
+	switch os.Args[2] {
+	case "nested":
+	}
+	if len(os.Args) < 2 || os.Args[1] != "worker" {
+	}
+	_ = os.Args[0] == "prog"
+}
+`
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := map[string]bool{}
+	subcommands(f, subs)
+	if want := map[string]bool{"join": true, "merge": true, "worker": true}; !reflect.DeepEqual(subs, want) {
+		t.Fatalf("subcommands = %v, want %v", subs, want)
 	}
 }
 

@@ -8,7 +8,7 @@
 //	dpbench -exp fig9 -scale 4      # quarter-size data sets
 //
 // Experiments: table2, fig7, fig8, fig9, fig10, table4, fig11, fig12,
-// ec2, ablation.
+// ec2, ablation, ext.
 package main
 
 import (
@@ -48,7 +48,6 @@ func main() {
 		parallel = flag.Int("parallel", 0, "engine parallelism (0 = all cores)")
 		verbose  = flag.Bool("v", false, "log per-job progress")
 		csvDir   = flag.String("csv", "", "also write each report as CSV into this directory")
-		htmlOut  = flag.String("html", "", "also write all reports as one HTML page to this file")
 		traceOut = flag.String("trace", "", "write a JSONL job trace (task phase spans) to this file")
 	)
 	flag.Parse()
@@ -82,7 +81,6 @@ func main() {
 	}
 
 	ranAny := false
-	var collected []*experiments.Report
 	for _, e := range exps {
 		if !runAll && !want[e.name] {
 			continue
@@ -95,7 +93,6 @@ func main() {
 			os.Exit(1)
 		}
 		report.WriteTo(os.Stdout)
-		collected = append(collected, report)
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, e.name, report); err != nil {
 				fmt.Fprintf(os.Stderr, "dpbench: csv for %s: %v\n", e.name, err)
@@ -109,31 +106,25 @@ func main() {
 		os.Exit(2)
 	}
 	if trace != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := trace.WriteJSONL(f); err != nil {
+		if err := writeTrace(*traceOut, trace); err != nil {
 			fmt.Fprintf(os.Stderr, "dpbench: trace: %v\n", err)
 			os.Exit(1)
 		}
-		f.Close()
 		fmt.Printf("wrote %s (%d job traces)\n", *traceOut, len(trace.Jobs()))
 	}
-	if *htmlOut != "" {
-		f, err := os.Create(*htmlOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := experiments.HTMLReport(f, "LSH-DDP evaluation", collected); err != nil {
-			fmt.Fprintf(os.Stderr, "dpbench: html: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote %s\n", *htmlOut)
+}
+
+// writeTrace stores the collected job traces as JSONL at path.
+func writeTrace(path string, trace *obs.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
+	if err := trace.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeCSV stores one report as <dir>/<name>.csv.

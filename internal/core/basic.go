@@ -70,7 +70,7 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	if err != nil {
 		return nil, err
 	}
-	rhoOut, err := sess.Run(ctx, RhoAggJob(JobBasicAgg, mapreduce.Conf{}), partials)
+	rhoOut, err := sess.Run(ctx, basicRhoAggJob(mapreduce.Conf{}), partials)
 	if err != nil {
 		return nil, err
 	}
@@ -184,9 +184,9 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 	}
 }
 
-// RhoAggJob sums ρ partials per point. Shared by Basic-DDP (sum of block
-// partials) and reused with a different fold by LSH-DDP (see LSHRhoAggJob).
-func RhoAggJob(name string, conf mapreduce.Conf) *mapreduce.Job {
+// basicRhoAggJob sums each point's ρ partials, one per block pair that
+// holds it.
+func basicRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 	sum := func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
 		var total float64
 		var id int32
@@ -204,7 +204,7 @@ func RhoAggJob(name string, conf mapreduce.Conf) *mapreduce.Job {
 		return nil
 	}
 	return &mapreduce.Job{
-		Name:    name,
+		Name:    JobBasicAgg,
 		Conf:    conf,
 		Map:     identityMap,
 		Combine: sum,

@@ -86,8 +86,45 @@ func shippedPairs(ds *points.Dataset, cb coBucketed, dc float64, rho []float64) 
 	return certified, evaluated, slots
 }
 
+// meanRhoEngine runs jobs on Engine but replaces every ρ̂ the ρ aggregation
+// emits with the mean of the point's M local densities: a ρ̂ that is not the
+// max of counts — fractional, with other ties — on which the certificate
+// and the δ stage must be just as exact.
+type meanRhoEngine struct{ mapreduce.Engine }
+
+func (e meanRhoEngine) Run(ctx context.Context, job *mapreduce.Job, in []mapreduce.Pair) (*mapreduce.Result, error) {
+	res, err := e.Engine.Run(ctx, job, in)
+	if err != nil || job.Name != JobLSHRhoAgg {
+		return res, err
+	}
+	partials := map[string][][]byte{}
+	for _, p := range in {
+		partials[p.Key] = append(partials[p.Key], p.Value)
+	}
+	m := job.Conf.GetInt(confM, 1)
+	out := make([]mapreduce.Pair, len(res.Output))
+	for i, p := range res.Output {
+		rv, err := points.DecodeRhoValue(p.Value)
+		if err != nil {
+			return nil, err
+		}
+		total, err := addRhoPartials(partials[p.Key], m)
+		if err != nil {
+			return nil, err
+		}
+		var sum float64
+		for _, v := range total.Vals {
+			sum += v
+		}
+		rv.Rho = sum / float64(m)
+		out[i] = mapreduce.Pair{Key: p.Key, Value: points.EncodeRhoValue(rv)}
+	}
+	res.Output = out
+	return res, nil
+}
+
 // TestCertifiedDeltaMatchesBruteForce is the differential test of the
-// certificate: on every pair-once case, for max and mean ρ̂, on
+// certificate: on every pair-once case, for max and mean ρ̂ (meanRhoEngine), on
 // the case's local engine and (every third case) a 3-worker rpcmr cluster, each
 // point's merged list is the (d², ID) head of U_i within d_c, exactly the points the
 // certificate decides on those heads are certified and counted, each
@@ -120,19 +157,21 @@ func TestCertifiedDeltaMatchesBruteForce(t *testing.T) {
 		for i := range heads {
 			heads[i] = listHead(ds, cb, c.cfg.Dc, i)
 		}
-		mean := c.cfg
-		mean.AggregateMean = true
 		engines := []mapreduce.Engine{c.localEngine()}
 		if cluster != nil && ci%3 == 0 {
 			engines = append(engines, cluster)
 		}
 		for _, arm := range []struct {
 			name string
-			cfg  LSHConfig
-		}{{"cutoff", c.cfg}, {"mean", mean}} {
+			wrap func(mapreduce.Engine) mapreduce.Engine
+		}{
+			{"cutoff", func(e mapreduce.Engine) mapreduce.Engine { return e }},
+			{"mean", func(e mapreduce.Engine) mapreduce.Engine { return meanRhoEngine{e} }},
+		} {
 			for ei, eng := range engines {
+				eng := arm.wrap(eng)
 				t.Run(fmt.Sprintf("%s/%s/engine%d", c.name, arm.name, ei), func(t *testing.T) {
-					cfg := arm.cfg
+					cfg := c.cfg
 					cfg.Engine = eng
 					conf := lshConf(ds, cfg)
 					run := func(job *mapreduce.Job, in []mapreduce.Pair) []mapreduce.Pair {

@@ -49,7 +49,6 @@ const (
 	confPi         = "ddp.lsh.pi"
 	confW          = "ddp.lsh.w"
 	confSeed       = "ddp.seed"
-	confAggMean    = "ddp.lsh.aggregate.mean"
 )
 
 // Job names, used by the rpcmr job registry.

@@ -57,7 +57,6 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	conf.SetInt(confPi, cfg.pi())
 	conf.SetFloat(confW, w)
 	conf.SetInt64(confSeed, cfg.Seed)
-	conf.SetBool(confAggMean, cfg.AggregateMean)
 
 	layouts, err := layoutsOf(conf)
 	if err != nil {

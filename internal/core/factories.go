@@ -9,9 +9,7 @@ func JobFactories() map[string]func(mapreduce.Conf) *mapreduce.Job {
 	return map[string]func(mapreduce.Conf) *mapreduce.Job{
 		JobDcSample: DcSampleJob,
 		JobBasicRho: BasicRhoJob,
-		JobBasicAgg: func(conf mapreduce.Conf) *mapreduce.Job {
-			return RhoAggJob(JobBasicAgg, conf)
-		},
+		JobBasicAgg: basicRhoAggJob,
 		JobBasicDel: BasicDeltaJob,
 		JobBasicDAgg: func(conf mapreduce.Conf) *mapreduce.Job {
 			return DeltaAggJob(JobBasicDAgg, conf)

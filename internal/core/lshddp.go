@@ -34,9 +34,6 @@ type LSHConfig struct {
 	Pi int
 	// W pins the hash width; 0 derives it from Accuracy and d_c.
 	W float64
-	// AggregateMean switches ρ̂ aggregation from the paper's max to a mean
-	// (ablation; Theorem 1 justifies max because ρ̂ᵐ ≤ ρ always).
-	AggregateMean bool
 }
 
 func (c *LSHConfig) accuracy() float64 {
@@ -129,7 +126,6 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	conf.SetInt(confPi, cfg.pi())
 	conf.SetFloat(confW, w)
 	conf.SetInt64(confSeed, cfg.Seed)
-	conf.SetBool(confAggMean, cfg.AggregateMean)
 
 	layouts, err := layoutsOf(conf)
 	if err != nil {
@@ -290,10 +286,9 @@ func lshRhoJob(conf mapreduce.Conf, prune bool) *mapreduce.Job {
 }
 
 // LSHRhoAggJob is job 2: add each point's RhoPartials layout by layout into
-// its M local densities ρ̂ᵢᵐ and fold those into ρ̂ᵢ. The paper takes the max
-// (every local estimate undercounts, so the largest is closest to the truth
-// — Theorem 1); conf can switch to the mean for the ablation study. The
-// partials' partner lists merge into the nearK nearest of all of them: the
+// its M local densities ρ̂ᵢᵐ and fold those into ρ̂ᵢ, their max (every local
+// estimate undercounts, so the largest is closest to the truth — Theorem 1).
+// The partials' partner lists merge into the nearK nearest of all of them: the
 // pairs of a point's owners are every point it shares a bucket with, each
 // once, so that is its nearK nearest co-bucketed points within d_c, emitted
 // beside ρ̂ᵢ.
@@ -309,16 +304,11 @@ func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 			if err != nil {
 				return err
 			}
-			var maxV, sum float64
+			var rho float64
 			for _, v := range total.Vals {
-				maxV = max(maxV, v)
-				sum += v
+				rho = max(rho, v)
 			}
-			agg := maxV
-			if ctx.Conf.GetBool(confAggMean, false) {
-				agg = sum / float64(len(total.Vals))
-			}
-			out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: total.ID, Rho: agg, Near: total.Near}))
+			out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: total.ID, Rho: rho, Near: total.Near}))
 			return nil
 		},
 		Combine: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {

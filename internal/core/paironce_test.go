@@ -226,12 +226,6 @@ func TestPairOnceMatchesPerLayout(t *testing.T) {
 					base.Stats.DistanceComputations, pruned, skipped, oracleWork)
 			}
 
-			mean := c.cfg
-			mean.AggregateMean = true
-			wantMean, _ := runPerLayout(t, local, ds, mean)
-			gotMean := run(t, local, ds, mean)
-			requireMatchesPerLayout(t, ds, cb, gotMean, wantMean)
-
 			if cluster == nil || ci%3 != 0 {
 				return
 			}

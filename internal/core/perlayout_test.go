@@ -59,9 +59,8 @@ func perLayoutRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 		Conf: conf,
 		Map:  identityMap,
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			mean := ctx.Conf.GetBool(confAggMean, false)
 			var id int32
-			var maxV, sum float64
+			var maxV float64
 			for i, v := range values {
 				rv, err := points.DecodeRhoValue(v)
 				if err != nil {
@@ -70,16 +69,9 @@ func perLayoutRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 				if i == 0 {
 					id = rv.ID
 				}
-				if rv.Rho > maxV {
-					maxV = rv.Rho
-				}
-				sum += rv.Rho
+				maxV = max(maxV, rv.Rho)
 			}
-			agg := maxV
-			if mean {
-				agg = sum / float64(len(values))
-			}
-			out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: id, Rho: agg}))
+			out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: id, Rho: maxV}))
 			return nil
 		},
 	}
@@ -120,7 +112,6 @@ func lshConf(ds *points.Dataset, cfg LSHConfig) mapreduce.Conf {
 	conf.SetInt(confPi, cfg.pi())
 	conf.SetFloat(confW, cfg.W)
 	conf.SetInt64(confSeed, cfg.Seed)
-	conf.SetBool(confAggMean, cfg.AggregateMean)
 	return conf
 }
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/decision"
 	"repro/internal/dp"
 	"repro/internal/evalmetrics"
 	"repro/internal/kmeansmr"
@@ -15,37 +17,32 @@ import (
 	"repro/internal/points"
 )
 
-// ExpAblation runs the design-choice ablations DESIGN.md calls out:
+// ExpAblation runs the design-choice ablations DESIGN.md calls out. Every
+// row is a production job's measurement or a closed form:
 //
 //  1. ρ̂ aggregation: the paper's max vs mean vs a single layout —
-//     validates Theorem 1's choice of max.
+//     validates Theorem 1's choice of max. One LSH-DDP run, beside a
+//     sequential count of every point's partners per layout that must
+//     reproduce the run's ρ̂ (layoutCounts).
 //  2. δ̂ ∞ handling: rectifying to max finite δ (Section IV-C) vs zeroing —
 //     shows the local-peak ∞ actually helps peak selection.
 //  3. Combiner: shuffle bytes of the ρ aggregation job with and without a
 //     map-side combiner.
 //  4. Blocking: shuffle volume of Basic-DDP's blocked ρ job vs the naive
-//     every-point-to-every-reducer strategy of Section III-A.
-//  5. Distance reuse: Section III's store-the-matrix alternative vs the
-//     paper's recomputation (see exp_reuse.go).
+//     every-point-to-every-reducer strategy of Section III-A, in closed form.
+//  5. Distance reuse: Basic-DDP's recomputation vs Section III's
+//     store-the-matrix alternative, in closed form.
 func ExpAblation(opt Options) (*Report, error) {
 	r := &Report{
 		Title:   "Ablations of DESIGN.md design choices",
 		Columns: []string{"ablation", "variant", "metric", "value"},
 	}
-	if err := ablateAggregation(&opt, r); err != nil {
-		return nil, err
-	}
-	if err := ablateRectify(&opt, r); err != nil {
-		return nil, err
-	}
-	if err := ablateCombiner(&opt, r); err != nil {
-		return nil, err
-	}
-	if err := ablateBlocking(&opt, r); err != nil {
-		return nil, err
-	}
-	if err := ablateDistanceReuse(&opt, r); err != nil {
-		return nil, err
+	for _, ablate := range []func(*Options, *Report) error{
+		ablateAggregation, ablateRectify, ablateCombiner, ablateBlocking, ablateDistanceReuse,
+	} {
+		if err := ablate(&opt, r); err != nil {
+			return nil, err
+		}
 	}
 	return r, nil
 }
@@ -57,52 +54,84 @@ func ablateAggregation(opt *Options, r *Report) error {
 	}
 	ds.Points = ds.Points[:min(ds.N(), 6000)]
 	ds.Labels = nil
-	eng := opt.engine()
 	dc := dp.CutoffByPercentile(ds, 0.02, opt.Seed)
 	exact, err := dp.Compute(ds, dc, dp.Options{})
 	if err != nil {
 		return err
 	}
-	// Fix the hash width across variants (the width the paper's solver
-	// picks for A=0.99, π=3, M=10) so the comparison isolates the
-	// aggregation rule. (Letting each variant re-solve w would make M=1
-	// trivially exact: it would blow w up until one partition holds
-	// everything.)
-	w, err := lsh.SolveWidth(0.99, dc, 3, 10)
+	// Fix the hash width (the width the paper's solver picks for A=0.99,
+	// π=3, M=10) so the comparison isolates the aggregation rule. (Letting
+	// a single layout re-solve w would make it trivially exact: it would
+	// blow w up until one partition holds everything.)
+	cfg := opt.lshConfig(opt.engine())
+	cfg.Dc = dc
+	if cfg.W, err = lsh.SolveWidth(0.99, dc, cfg.Pi, cfg.M); err != nil {
+		return err
+	}
+	res, err := core.RunLSHDDP(context.Background(), ds, cfg)
 	if err != nil {
 		return err
 	}
-	run := func(m int, mean bool) (float64, error) {
-		cfg := opt.lshConfig(eng)
-		cfg.Dc = dc
-		cfg.M = m
-		cfg.W = w
-		cfg.AggregateMean = mean
-		res, err := core.RunLSHDDP(context.Background(), ds, cfg)
-		if err != nil {
-			return 0, err
+	counts, err := layoutCounts(ds, cfg, res.Rho)
+	if err != nil {
+		return err
+	}
+	// Layout 0 is the one layout an M=1 run draws: NewLayouts seeds layout
+	// i with seed + 7919·i whatever M is.
+	mean, single := make([]float64, ds.N()), make([]float64, ds.N())
+	for i, c := range counts {
+		for _, v := range c {
+			mean[i] += v
 		}
-		return evalmetrics.Tau2(exact.Rho, res.Rho)
+		mean[i] /= float64(len(c))
+		single[i] = c[0]
 	}
-	tauMax, err := run(10, false)
-	if err != nil {
-		return err
+	var tau [3]float64
+	for x, rho := range [][]float64{res.Rho, mean, single} {
+		if tau[x], err = evalmetrics.Tau2(exact.Rho, rho); err != nil {
+			return err
+		}
 	}
-	tauMean, err := run(10, true)
-	if err != nil {
-		return err
-	}
-	tauSingle, err := run(1, false)
-	if err != nil {
-		return err
-	}
-	r.AddRow("rho-aggregation", "max over M=10 (paper)", "tau2", fmt.Sprintf("%.4f", tauMax))
-	r.AddRow("rho-aggregation", "mean over M=10", "tau2", fmt.Sprintf("%.4f", tauMean))
-	r.AddRow("rho-aggregation", "single layout (M=1)", "tau2", fmt.Sprintf("%.4f", tauSingle))
-	if tauMax < tauMean || tauMax < tauSingle {
+	r.AddRow("rho-aggregation", "max over M=10 (paper)", "tau2", fmt.Sprintf("%.4f", tau[0]))
+	r.AddRow("rho-aggregation", "mean over M=10", "tau2", fmt.Sprintf("%.4f", tau[1]))
+	r.AddRow("rho-aggregation", "single layout (M=1)", "tau2", fmt.Sprintf("%.4f", tau[2]))
+	if tau[0] < tau[1] || tau[0] < tau[2] {
 		r.Notes = append(r.Notes, "UNEXPECTED: max aggregation did not dominate")
 	}
 	return nil
+}
+
+// layoutCounts hashes every point with the layouts RunLSHDDP draws for cfg
+// (d_c, width, M and π set) and counts, layout by layout, its partners
+// within d_c among the points sharing its bucket: the local densities ρ̂ᵢᵐ
+// of Section IV-B, one point at a time. Theorem 1's ρ̂ᵢ is their max, so
+// the max must equal rho, the pipeline's ρ̂, exactly.
+func layoutCounts(ds *points.Dataset, cfg core.LSHConfig, rho []float64) ([][]float64, error) {
+	l := lsh.NewLayouts(ds.Dim(), cfg.M, cfg.Pi, cfg.W, cfg.Seed)
+	keys := make([][]string, ds.N())
+	buckets := map[string][]int{}
+	for i, p := range ds.Points {
+		keys[i] = l.Keys(p.Pos)
+		for _, k := range keys[i] {
+			buckets[k] = append(buckets[k], i)
+		}
+	}
+	dc2 := cfg.Dc * cfg.Dc
+	counts := make([][]float64, ds.N())
+	for i, p := range ds.Points {
+		counts[i] = make([]float64, l.M())
+		for m, k := range keys[i] {
+			for _, j := range buckets[k] {
+				if j != i && points.SqDist(p.Pos, ds.Points[j].Pos) < dc2 {
+					counts[i][m]++
+				}
+			}
+		}
+		if got := slices.Max(counts[i]); got != rho[i] {
+			return nil, fmt.Errorf("aggregation ablation: point %d: per-layout max %v, RunLSHDDP ρ̂ %v", i, got, rho[i])
+		}
+	}
+	return counts, nil
 }
 
 func ablateRectify(opt *Options, r *Report) error {
@@ -127,7 +156,7 @@ func ablateRectify(opt *Options, r *Report) error {
 	if err != nil {
 		return err
 	}
-	gExact, err := decisionGraph(exact.Rho, exact.Delta, exact.Upslope)
+	gExact, err := decision.NewGraph(exact.Rho, exact.Delta, exact.Upslope)
 	if err != nil {
 		return err
 	}
@@ -141,7 +170,7 @@ func ablateRectify(opt *Options, r *Report) error {
 		}
 	}
 
-	gRect, err := decisionGraph(res.Rho, append([]float64(nil), res.Delta...), res.Upslope)
+	gRect, err := decision.NewGraph(res.Rho, append([]float64(nil), res.Delta...), res.Upslope)
 	if err != nil {
 		return err
 	}
@@ -154,7 +183,7 @@ func ablateRectify(opt *Options, r *Report) error {
 			zeroDelta[i] = 0
 		}
 	}
-	gZero, err := decisionGraph(res.Rho, zeroDelta, res.Upslope)
+	gZero, err := decision.NewGraph(res.Rho, zeroDelta, res.Upslope)
 	if err != nil {
 		return err
 	}
@@ -222,60 +251,6 @@ func (c *combinerStripper) Run(ctx context.Context, job *mapreduce.Job, input []
 	return c.Engine.Run(ctx, job, input)
 }
 
-// naiveRhoJob is Section III-A's straw man: every point is shuffled to
-// every point's reducer.
-func naiveRhoJob(dc float64, n int) *mapreduce.Job {
-	conf := mapreduce.Conf{}
-	conf.SetFloat("dc", dc)
-	conf.SetInt("n", n)
-	return &mapreduce.Job{
-		Name: "naive-rho",
-		Conf: conf,
-		Map: func(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-			total := ctx.Conf.GetInt("n", 0)
-			for j := 0; j < total; j++ {
-				out.Emit(strconv.Itoa(j), value)
-			}
-			return nil
-		},
-		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			id, err := strconv.Atoi(key)
-			if err != nil {
-				return err
-			}
-			dc := ctx.Conf.GetFloat("dc", 0)
-			dc2 := dc * dc
-			var self points.Point
-			pts := make([]points.Point, 0, len(values))
-			for _, v := range values {
-				p, _, err := points.DecodePoint(v)
-				if err != nil {
-					return err
-				}
-				if int(p.ID) == id {
-					self = p
-				}
-				pts = append(pts, p)
-			}
-			distCtr := ctx.Counters.Cell(mapreduce.CtrDistanceComputations)
-			var rho float64
-			var nd int64
-			for _, p := range pts {
-				if p.ID == self.ID {
-					continue
-				}
-				nd++
-				if points.SqDist(p.Pos, self.Pos) < dc2 {
-					rho++
-				}
-			}
-			distCtr.Add(nd)
-			out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: self.ID, Rho: rho}))
-			return nil
-		},
-	}
-}
-
 func ablateBlocking(opt *Options, r *Report) error {
 	ds, err := opt.load("3Dspatial")
 	if err != nil {
@@ -283,25 +258,71 @@ func ablateBlocking(opt *Options, r *Report) error {
 	}
 	ds.Points = ds.Points[:min(ds.N(), 1000)]
 	ds.Labels = nil
-	eng := opt.engine()
-	dc := dp.CutoffByPercentile(ds, 0.02, opt.Seed)
-
-	naive, err := eng.Run(context.Background(), naiveRhoJob(dc, ds.N()), core.InputPairs(ds))
-	if err != nil {
-		return err
-	}
 	conf := mapreduce.Conf{}
-	conf.SetFloat("ddp.dc", dc)
+	conf.SetFloat("ddp.dc", dp.CutoffByPercentile(ds, 0.02, opt.Seed))
 	conf.SetInt("ddp.basic.blocks", (ds.N()+99)/100)
-	blocked, err := eng.Run(context.Background(), core.BasicRhoJob(conf), core.InputPairs(ds))
+	blocked, err := opt.engine().Run(context.Background(), core.BasicRhoJob(conf), core.InputPairs(ds))
 	if err != nil {
 		return err
 	}
 	r.AddRow("blocking", "naive all-to-all (Section III-A straw man)", "rho-job shuffle",
-		fmb(naive.Counters.Get(mapreduce.CtrShuffleBytes)))
+		fmb(naiveRhoShuffle(ds)))
 	r.AddRow("blocking", "blocked (Basic-DDP, block=100)", "rho-job shuffle",
 		fmb(blocked.Counters.Get(mapreduce.CtrShuffleBytes)))
 	return nil
+}
+
+// naiveRhoShuffle is the ρ-job shuffle of Section III-A's straw man, which
+// sends every point to every point's reducer keyed by that point's decimal
+// ID: N·Σⱼ len(itoa(j)) key bytes plus N·Σₚ len(EncodePoint(p)) value bytes.
+func naiveRhoShuffle(ds *points.Dataset) int64 {
+	var keys, values int64
+	for j, p := range ds.Points {
+		keys += int64(len(strconv.Itoa(j)))
+		values += int64(len(points.EncodePoint(p)))
+	}
+	return int64(ds.N()) * (keys + values)
+}
+
+// Section III's design discussion: after the ρ job, should Basic-DDP store
+// the pairwise distance matrix and reuse it for δ, or recompute distances?
+// The paper recomputes ("the matrix can be very large and it can incur
+// significant I/O cost"). ablateDistanceReuse sets a real Basic-DDP run
+// against the road not taken in closed form (storedMatrix): distance
+// computations halve, stored bytes grow quadratically.
+func ablateDistanceReuse(opt *Options, r *Report) error {
+	ds, err := opt.load("3Dspatial")
+	if err != nil {
+		return err
+	}
+	ds.Points = ds.Points[:min(ds.N(), 3000)]
+	ds.Labels = nil
+	recompute, err := core.RunBasicDDP(context.Background(), ds, core.BasicConfig{
+		Config:    core.Config{Engine: opt.engine(), Dc: dp.CutoffByPercentile(ds, 0.02, opt.Seed)},
+		BlockSize: 300,
+	})
+	if err != nil {
+		return err
+	}
+	stored, reuse := storedMatrix(ds.N())
+	r.AddRow("distance-reuse", "recompute (paper, Section III)", "stored matrix / dist",
+		fmt.Sprintf("0MB / %s", fcount(recompute.Stats.DistanceComputations)))
+	r.AddRow("distance-reuse", "store+reuse matrix", "stored matrix / dist",
+		fmt.Sprintf("%s / %s", fmb(stored), fcount(reuse)))
+	if reuse >= recompute.Stats.DistanceComputations {
+		r.Notes = append(r.Notes, "UNEXPECTED: reuse did not halve distance work")
+	}
+	return nil
+}
+
+// storedMatrix is the store-and-reuse pipeline over n points: its ρ job
+// computes each of the n(n−1)/2 distances once and stores each as a record
+// of a one-byte key and an (i, j, d) value of 4 + 4 + 8 bytes, which the δ
+// job then reads instead of recomputing. It returns the stored bytes and
+// the distances computed.
+func storedMatrix(n int) (bytes, distances int64) {
+	pairs := int64(n) * int64(n-1) / 2
+	return 17 * pairs, pairs
 }
 
 func toSet(ids []int32) map[int32]bool {

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/decision"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/points"
@@ -180,11 +179,6 @@ func (o *Options) basicConfig(eng mapreduce.Engine) core.BasicConfig {
 		Config:    core.Config{Engine: eng, Seed: o.Seed, Trace: o.Trace},
 		BlockSize: 500,
 	}
-}
-
-// decisionGraph is a thin wrapper to keep experiment code terse.
-func decisionGraph(rho, delta []float64, upslope []int32) (*decision.Graph, error) {
-	return decision.NewGraph(rho, delta, upslope)
 }
 
 // WriteCSVTo renders the report as CSV (header row, then data rows) for

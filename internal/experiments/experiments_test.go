@@ -1,8 +1,17 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/dp"
+	"repro/internal/lsh"
+	"repro/internal/mapreduce"
+	"repro/internal/points"
 )
 
 // smallOpt shrinks every experiment enough for CI.
@@ -92,6 +101,84 @@ func TestExpAblation(t *testing.T) {
 	checkReport(t, r, err, 10)
 	if strings.Contains(r.String(), "UNEXPECTED") {
 		t.Fatalf("ablation surprises:\n%s", r)
+	}
+}
+
+// TestPerLayoutRhoMatchesRunLSHDDP holds the aggregation ablation's
+// sequential per-layout counts to LSH-DDP's ρ̂: their max equals it exactly,
+// on the ablation's data at two seeds and on an integer lattice whose pairs
+// at exactly d_c must not count.
+func TestPerLayoutRhoMatchesRunLSHDDP(t *testing.T) {
+	check := func(t *testing.T, ds *points.Dataset, seed int64, dc, w float64) {
+		cfg := core.LSHConfig{
+			Config: core.Config{Engine: &mapreduce.LocalEngine{Parallelism: 2}, Seed: seed, Dc: dc},
+			M:      10, Pi: 3, W: w,
+		}
+		res, err := core.RunLSHDDP(context.Background(), ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts, err := layoutCounts(ds, cfg, res.Rho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The max must be told apart from any one layout.
+		if !slices.ContainsFunc(counts, func(c []float64) bool { return slices.Min(c) != slices.Max(c) }) {
+			t.Fatal("every point has the same count under every layout")
+		}
+	}
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("BigCross500K/seed%d", seed), func(t *testing.T) {
+			opt := Options{Scale: 16, Seed: seed}
+			ds, err := opt.load("BigCross500K")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds.Points, ds.Labels = ds.Points[:1000], nil
+			dc := dp.CutoffByPercentile(ds, 0.02, seed)
+			w, err := lsh.SolveWidth(0.99, dc, 3, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, ds, seed, dc, w)
+		})
+	}
+	t.Run("lattice", func(t *testing.T) {
+		var ds points.Dataset
+		for x := range 12 {
+			for y := range 12 {
+				ds.Points = append(ds.Points, points.Point{ID: int32(len(ds.Points)), Pos: points.Vector{float64(x), float64(y)}})
+			}
+		}
+		check(t, &ds, 1, 2, 4)
+	})
+}
+
+// TestStrawManClosedForms pins the ablation's closed forms to what the
+// straw-man jobs they replace measured.
+func TestStrawManClosedForms(t *testing.T) {
+	opt := smallOpt()
+	ds, err := opt.load("3Dspatial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds.Points = ds.Points[:1000]
+	if got := naiveRhoShuffle(ds); got != 42_890_000 || fmb(got) != "40.90MB" {
+		t.Fatalf("naive ρ shuffle of 1 000 3Dspatial points: %d bytes (%s), measured 42 890 000", got, fmb(got))
+	}
+	for _, c := range []struct {
+		n                int
+		bytes, distances int64
+		mb, count        string
+	}{
+		{1359, 15_686_937, 922_761, "14.96MB", "922.8k"},
+		{3000, 76_474_500, 4_498_500, "72.93MB", "4.50M"},
+	} {
+		bytes, distances := storedMatrix(c.n)
+		if bytes != c.bytes || distances != c.distances || fmb(bytes) != c.mb || fcount(distances) != c.count {
+			t.Fatalf("stored matrix at N = %d: %d bytes (%s), %d distances (%s); measured %d (%s), %d (%s)",
+				c.n, bytes, fmb(bytes), distances, fcount(distances), c.bytes, c.mb, c.distances, c.count)
+		}
 	}
 }
 

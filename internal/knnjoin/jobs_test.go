@@ -166,7 +166,7 @@ func TestBaseFilterKeepsAnswers(t *testing.T) {
 		{"f64", R, S, 5, Config{Seed: 3}},
 		{"narrow-m", R, S, 5, Config{Seed: 5, M: 2, Pi: 6}},
 		{"fallback-heavy", R, S, 5, Config{Seed: 3, W: 4}},
-		// What KDistances runs: R = S at k+1.
+		// A self-join: R = S.
 		{"self-join", ds, ds, 4, Config{Seed: 7}},
 		{"duplicates", dupR, dupS, 6, Config{Seed: 2}},
 	} {
