@@ -142,7 +142,9 @@ bench:
 # Hot-path micro-benchmarks (dense kernels at dim 2/4/8 reporting ns/pair,
 # shuffle sort, group decode, the rpcmr shuffle transport, LSH
 # keys per point at dim 4/8, the serving index build full and fleet, the
-# fleet partitioner on a 50 000-row model over 4 shards) with
+# fleet partitioner on a 50 000-row model over 4 shards, and
+# BenchmarkWriteFile, the model artifact streamed to disk at the 200 000-row
+# serving shape — bytes allocated per write, not per artifact byte) with
 # pinned benchtime/count so runs feed straight into benchstat:
 #
 #	make bench-hot > old.txt ... make bench-hot > new.txt
@@ -154,8 +156,8 @@ bench-hot:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/ ./internal/points/
 	$(GO) test -bench 'Sort|Shuffle' -run xxx -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/mapreduce/ ./internal/mapreduce/rpcmr/
-	$(GO) test -bench 'Keys|NewEngine|Partition' -run xxx -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/lsh/ ./internal/serve/ ./internal/fleet/
+	$(GO) test -bench 'Keys|NewEngine|Partition|WriteFile' -run xxx -benchmem \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/
 
 # Scan-path micro-benchmarks: a float64 single-query NN full pass, NNRows
 # over a sparse candidate list at f64 vs f32 vs q8 (the shape a served query
@@ -177,13 +179,14 @@ bench-scan:
 # RhoKernel / DeltaKernel subs `bench-hot` feeds to
 # benchstat: naive and tiled at dim 2 / 4 / 8, and for ρ tiled+near, the
 # LSH reducers' walk with its neighbour lists) and per key /
-# index-build / served-query / partitioner benchmark, for the check gate and
-# CI: catches a pair kernel, a compact kernel, a key path, a sweep, the box
-# tree or the fleet partitioner that stops compiling or panics on real
+# index-build / served-query / partitioner / artifact-write
+# (BenchmarkWriteFile) benchmark, for the check gate and CI: catches a pair
+# kernel, a compact kernel, a key path, a sweep, the box tree, the fleet
+# partitioner or the model writer that stops compiling or panics on real
 # shapes.
 bench-scan-smoke:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|TopK|RhoKernel|DeltaKernel' -run '^$$' -benchtime 1x ./internal/kernels/
-	$(GO) test -bench 'Keys|NewEngine|EngineAssign|Partition' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/ ./internal/fleet/
+	$(GO) test -bench 'Keys|NewEngine|EngineAssign|Partition|WriteFile' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/
 
 # bench/ is its own module, so `go test ./...` here never compiles it: vet
 # it and run its unit tests plus the whole suite at -smoke scale (< 10 s), so

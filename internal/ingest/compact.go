@@ -23,9 +23,11 @@ import (
 //     the folded mass, delta points append as new rows with their ingest
 //     IDs — and index it at the configured precision. Queries keep
 //     flowing against the old state.
-//  3. Persist: write model-%06d.ddpm atomically, then flip CURRENT to it.
-//     A crash before the CURRENT flip replays everything into the old
-//     base; after it, only the rolled-forward tail replays on the new.
+//  3. Persist: stream model-%06d.ddpm to disk atomically, then flip
+//     CURRENT to it (with cfg.Fsync, each durable before the next; see
+//     persist). A crash before the CURRENT flip replays everything into
+//     the old base; after it, only the rolled-forward tail replays on the
+//     new.
 //  4. Swap (under mu, briefly): install the engine, drop the promoted
 //     delta prefix, and re-base rhoAdd — mass that arrived after the
 //     snapshot survives as residuals on the new rows.
@@ -78,14 +80,10 @@ func (st *Store) Compact() (serve.IngestInfo, error) {
 
 	// 3. Persist artifact, then flip CURRENT.
 	artifact := fmt.Sprintf("model-%06d.ddpm", version+1)
-	if err := merged.WriteFile(filepath.Join(st.cfg.Dir, artifact)); err != nil {
-		st.counters.Add(CtrCompactFail, 1)
-		return serve.IngestInfo{}, fmt.Errorf("ingest: writing artifact: %v", err)
-	}
 	cur := current{Version: version + 1, Artifact: artifact, WALSeq: newSeq, NextID: boundNextID}
-	if err := writeCurrent(st.cfg.Dir, cur); err != nil {
+	if err := st.persist(merged, cur); err != nil {
 		st.counters.Add(CtrCompactFail, 1)
-		return serve.IngestInfo{}, fmt.Errorf("ingest: flipping CURRENT: %v", err)
+		return serve.IngestInfo{}, err
 	}
 
 	// 4. Swap.
@@ -123,6 +121,35 @@ func (st *Store) Compact() (serve.IngestInfo, error) {
 	st.logf("ingest: compacted %d points into %s (base %d rows, version %d, %v)",
 		promoted, artifact, merged.N(), version+1, time.Since(start).Round(time.Millisecond))
 	return info, nil
+}
+
+// persist writes the compacted artifact and then flips CURRENT to it.
+// With cfg.Fsync set, every step is durable before the next and before gc
+// deletes the WAL segments the artifact replaces: fsync the artifact,
+// fsync CURRENT's temp file, rename it, fsync the directory (which holds
+// both renames). Without it, no sync is issued.
+func (st *Store) persist(merged *model.Model, cur current) error {
+	var sync func(string) error
+	if st.cfg.Fsync {
+		sync = st.syncPath
+	}
+	path := filepath.Join(st.cfg.Dir, cur.Artifact)
+	err := merged.WriteFile(path)
+	if err == nil && sync != nil {
+		err = sync(path)
+	}
+	if err != nil {
+		return fmt.Errorf("ingest: writing artifact: %v", err)
+	}
+	if err := writeCurrent(st.cfg.Dir, cur, sync); err != nil {
+		return fmt.Errorf("ingest: flipping CURRENT: %v", err)
+	}
+	if sync != nil {
+		if err := sync(st.cfg.Dir); err != nil {
+			return fmt.Errorf("ingest: syncing %s: %v", st.cfg.Dir, err)
+		}
+	}
+	return nil
 }
 
 // mergeModel builds the compacted model: base rows first (indices, data,

@@ -1,0 +1,213 @@
+package ingest
+
+import (
+	"errors"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/model"
+)
+
+// tmpFiles lists the temp files left in dir.
+func tmpFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tmps []string
+	for _, e := range ents {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			tmps = append(tmps, e.Name())
+		}
+	}
+	return tmps
+}
+
+// TestCompactFsyncOrder: with Fsync set, a compaction syncs the artifact,
+// then CURRENT's temp file before its rename, then the directory — and all
+// of it before gc deletes the WAL segment the artifact replaces.
+func TestCompactFsyncOrder(t *testing.T) {
+	m := trainModel(t, 400, 3)
+	dir := t.TempDir()
+	st := openStore(t, dir, m, func(c *Config) { c.Fsync = true })
+	var synced []string
+	st.syncPath = func(path string) error {
+		if _, err := os.Stat(walPath(dir, 1)); err != nil {
+			t.Errorf("sync of %s after gc removed the replaced WAL segment (%v)", path, err)
+		}
+		_, tmpErr := os.Stat(currentPath(dir) + ".tmp")
+		switch rel, _ := filepath.Rel(dir, path); rel {
+		case "CURRENT.tmp":
+			if tmpErr != nil {
+				t.Errorf("CURRENT.tmp synced after its rename")
+			}
+		case ".":
+			if tmpErr == nil {
+				t.Errorf("directory synced before CURRENT's rename")
+			}
+		}
+		synced = append(synced, path)
+		return fsyncPath(path)
+	}
+	if _, err := st.IngestPoints(jitterPts(m, 0, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{filepath.Join(dir, "model-000001.ddpm"), currentPath(dir) + ".tmp", dir}
+	if !reflect.DeepEqual(synced, want) {
+		t.Fatalf("synced %q, want %q", synced, want)
+	}
+	if _, err := os.Stat(walPath(dir, 1)); !os.IsNotExist(err) {
+		t.Fatalf("replaced WAL segment not collected after the commit (err=%v)", err)
+	}
+}
+
+// TestCompactNoSyncWithoutFsync: with Fsync off, a compaction issues no
+// sync at all.
+func TestCompactNoSyncWithoutFsync(t *testing.T) {
+	m := trainModel(t, 400, 3)
+	st := openStore(t, t.TempDir(), m, nil)
+	st.syncPath = func(path string) error {
+		t.Errorf("synced %s with Fsync off", path)
+		return nil
+	}
+	if _, err := st.IngestPoints(jitterPts(m, 0, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactFailureLeavesNoTemp: a compaction whose artifact or CURRENT
+// rename fails (a directory squats the target), or whose sync of CURRENT's
+// temp file fails, leaves no temp file; once the obstacle is gone the next
+// compaction promotes every acked point.
+func TestCompactFailureLeavesNoTemp(t *testing.T) {
+	m := trainModel(t, 400, 3)
+	for _, c := range []struct {
+		name  string
+		block func(st *Store, dir string) (unblock func())
+	}{
+		{"artifact rename", func(_ *Store, dir string) func() { return squat(t, filepath.Join(dir, "model-000001.ddpm")) }},
+		{"CURRENT rename", func(_ *Store, dir string) func() { return squat(t, currentPath(dir)) }},
+		{"CURRENT sync", func(st *Store, _ string) func() {
+			st.syncPath = func(path string) error {
+				if strings.HasSuffix(path, ".tmp") {
+					return errors.New("injected sync failure")
+				}
+				return nil
+			}
+			return func() { st.syncPath = fsyncPath }
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st := openStore(t, dir, m, func(c *Config) { c.Fsync = true })
+			pts := jitterPts(m, 0, 20)
+			acks, err := st.IngestPoints(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			unblock := c.block(st, dir)
+			if _, err := st.Compact(); err == nil {
+				t.Fatal("compaction succeeded")
+			}
+			if tmps := tmpFiles(t, dir); len(tmps) != 0 {
+				t.Fatalf("failed compaction left %v", tmps)
+			}
+			unblock()
+			info, err := st.Compact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.DeltaPoints != 0 || info.BaseN != m.N()+len(pts) {
+				t.Fatalf("post-compaction info: %+v", info)
+			}
+			checkVisible(t, st, pts, acks, true)
+		})
+	}
+}
+
+// squat makes an empty directory at path, so a rename onto it fails, and
+// returns its removal.
+func squat(t *testing.T, path string) func() {
+	t.Helper()
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIngestReusesCandidateBuffer: a steady-state single-point ingest
+// gathers its density fold's candidate union into the store's buffer, so it
+// allocates well under one union-sized slice. The model puts every row in
+// one bucket per layout, so the union is all 20 000 rows (80 KB).
+func TestIngestReusesCandidateBuffer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops the engine's pooled scratch at random, so allocations do not measure the fold")
+	}
+	m := oneBucketModel(20_000)
+	st := openStore(t, t.TempDir(), m, nil)
+	union, pruned := st.Engine().CandidateRows(m.Row(0), nil)
+	if !pruned || len(union) != m.N() {
+		t.Fatalf("candidate union holds %d of %d rows (pruned %v), want all", len(union), m.N(), pruned)
+	}
+	unionBytes := uint64(4 * len(union))
+	ingest := func(i int) {
+		p := []float64{float64(i%97) * 1e-3, 0.5 + float64(i%89)*1e-3}
+		if _, err := st.IngestPoints([][]float64{p}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		ingest(i)
+	}
+	const n = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 10; i < 10+n; i++ {
+		ingest(i)
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes allocated per single-point ingest; the union is %d bytes", per, unionBytes)
+	if per >= unionBytes/2 {
+		t.Fatalf("a single-point ingest allocates %d bytes, want well under the %d-byte candidate union", per, unionBytes)
+	}
+}
+
+// oneBucketModel is an n-row model of points spread over the unit square
+// whose LSH slot width dwarfs the data, so each layout hashes every row to
+// one bucket.
+func oneBucketModel(n int) *model.Model {
+	rng := rand.New(rand.NewSource(1))
+	m := &model.Model{
+		Name: "one-bucket", Dim: 2, Dc: 0.01,
+		LSH:    model.Params{Seed: 3, M: 3, Pi: 2, W: 1e6},
+		Data:   make([]float64, 2*n),
+		Rho:    make([]float64, n),
+		Labels: make([]int32, n),
+		Peaks:  []int32{0},
+		Border: []float64{0},
+	}
+	for i := range m.Data {
+		m.Data[i] = rng.Float64()
+	}
+	for i := range m.Rho {
+		m.Rho[i] = 1
+	}
+	return m
+}

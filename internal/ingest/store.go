@@ -144,16 +144,39 @@ func readCurrent(dir string) (*current, error) {
 	return &c, nil
 }
 
-func writeCurrent(dir string, c current) error {
+// writeCurrent replaces CURRENT atomically: temp file, then rename. A
+// non-nil sync fsyncs the temp file before the rename. The temp file is
+// removed on every error.
+func writeCurrent(dir string, c current, sync func(path string) error) error {
 	data, err := json.Marshal(c)
 	if err != nil {
 		return err
 	}
 	tmp := currentPath(dir) + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	err = os.WriteFile(tmp, append(data, '\n'), 0o644)
+	if err == nil && sync != nil {
+		err = sync(tmp)
+	}
+	if err == nil {
+		err = os.Rename(tmp, currentPath(dir))
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// fsyncPath fsyncs the file or directory at path.
+func fsyncPath(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, currentPath(dir))
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Store is the streaming-ingest state behind a serving daemon: an
@@ -175,6 +198,10 @@ type Store struct {
 
 	ingestMu sync.Mutex
 	wal      *wal
+	// cand is place's candidate-union buffer, reused across points. The
+	// ingest lock guards it (replay runs in Open, before the store is
+	// shared).
+	cand []int32
 
 	compactMu sync.Mutex // one compaction at a time
 
@@ -209,6 +236,9 @@ type Store struct {
 	// the in-memory apply — the window a crash leaves acked-but-invisible
 	// records for replay to recover.
 	hookAfterWAL func()
+	// syncPath fsyncs a file or directory of a compaction's commit when
+	// cfg.Fsync is set; a test swaps it to record the order.
+	syncPath func(path string) error
 }
 
 // Open loads (or creates) the ingest directory: the base model comes from
@@ -226,7 +256,7 @@ func Open(cfg Config, load func() (*model.Model, error)) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{cfg: cfg, prec: prec, counters: mapreduce.NewCounters()}
+	st := &Store{cfg: cfg, prec: prec, counters: mapreduce.NewCounters(), syncPath: fsyncPath}
 	cur, err := readCurrent(cfg.Dir)
 	if err != nil {
 		return nil, err
@@ -392,7 +422,8 @@ type placement struct {
 
 // place computes a new point's assignment — what a read at p answers on
 // the same state (assign) — and the density mass it adds. Reads under
-// RLock; the caller applies under Lock.
+// RLock; the caller applies under Lock. The caller holds ingestMu, which
+// guards the reused candidate buffer.
 func (st *Store) place(p points.Vector) (placement, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -410,7 +441,8 @@ func (st *Store) place(p points.Vector) (placement, error) {
 	// Density mass to base rows: the LSH candidate union stands in for the
 	// dc-neighborhood (the same approximation LSH-DDP's local rho uses); an
 	// unpruned engine scans every row.
-	rows, pruned := eng.CandidateRows(p, nil)
+	rows, pruned := eng.CandidateRows(p, st.cand[:0])
+	st.cand = rows
 	if pruned {
 		for _, r := range rows {
 			if points.SqDist(p, m.Row(int(r))) < dc2 {

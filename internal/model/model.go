@@ -15,17 +15,25 @@
 // On disk an artifact is a fixed header (magic, format version, CRC32-C of
 // the body, body length) followed by the body: named sections in the same
 // length-prefixed frame layout the streaming shuffle transport uses
-// (mapreduce.AppendFrame / DecodeFrames). Readers verify the
-// checksum before touching the body and reject unknown format versions, so
-// a truncated or bit-flipped artifact surfaces as an error, never as a
-// silently wrong model. Unknown section names are skipped for forward
-// compatibility.
+// (mapreduce.AppendFrame / DecodeFrames). The artifact is written as a
+// stream: one section table gives the body length up front, the header and
+// each section go through one buffered writer straight from the model's
+// arrays, and the CRC is folded in as the body passes and patched into the
+// header at the end — WriteFile never holds an encoded copy of the model,
+// and Encode fills one exact-size buffer through the same path. Readers
+// verify the checksum before touching the body and reject unknown format
+// versions, so a truncated or bit-flipped artifact surfaces as an error,
+// never as a silently wrong model. Unknown section names are skipped for
+// forward compatibility.
 package model
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 
@@ -237,37 +245,148 @@ const (
 	secRowIDs   = "rowids"   // local row → global point ID (shard sub-models)
 )
 
-// Encode serializes the model: header (magic, version, CRC32-C, body
-// length) followed by the framed sections.
-func (m *Model) Encode() ([]byte, error) {
+// section is one framed body section: its name, its payload size in bytes
+// and the writer that streams exactly that payload.
+type section struct {
+	name string
+	size int
+	put  func(*bufio.Writer) error
+}
+
+// sections validates the model and lists its body sections in write order.
+// The one table drives both passes: the size pass sums the frames, the
+// write pass streams each payload straight from the model's arrays.
+func (m *Model) sections() ([]section, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	body := mapreduce.AppendFrame(nil, mapreduce.Pair{Key: secMeta, Value: m.encodeMeta()})
-	body = mapreduce.AppendFrame(body, mapreduce.Pair{Key: secPoints, Value: encodeFloats(m.Data)})
-	body = mapreduce.AppendFrame(body, mapreduce.Pair{Key: secRho, Value: encodeFloats(m.Rho)})
-	body = mapreduce.AppendFrame(body, mapreduce.Pair{Key: secLabels, Value: encodeInt32s(m.Labels)})
-	body = mapreduce.AppendFrame(body, mapreduce.Pair{Key: secPeaks, Value: encodeInt32s(m.Peaks)})
-	body = mapreduce.AppendFrame(body, mapreduce.Pair{Key: secBorder, Value: encodeFloats(m.Border)})
+	secs := []section{
+		bytesSection(secMeta, m.encodeMeta()),
+		elemSection(secPoints, m.Data, 8, points.AppendFloat64),
+		elemSection(secRho, m.Rho, 8, points.AppendFloat64),
+		elemSection(secLabels, m.Labels, 4, appendInt32),
+		elemSection(secPeaks, m.Peaks, 4, appendInt32),
+		elemSection(secBorder, m.Border, 8, points.AppendFloat64),
+	}
 	if len(m.Data32) != 0 {
-		body = mapreduce.AppendFrame(body, mapreduce.Pair{Key: secPoints32, Value: encodeFloat32s(m.Data32)})
+		secs = append(secs, elemSection(secPoints32, m.Data32, 4, appendFloat32))
 	}
 	if len(m.Q8Codes) != 0 {
-		body = mapreduce.AppendFrame(body, mapreduce.Pair{Key: secQ8Codes, Value: m.Q8Codes})
-		params := encodeFloats(m.Q8Min)
-		params = append(params, encodeFloats(m.Q8Scale)...)
-		body = mapreduce.AppendFrame(body, mapreduce.Pair{Key: secQ8Params, Value: params})
+		params := append(append([]float64(nil), m.Q8Min...), m.Q8Scale...)
+		secs = append(secs, bytesSection(secQ8Codes, m.Q8Codes), elemSection(secQ8Params, params, 8, points.AppendFloat64))
 	}
 	if len(m.RowIDs) != 0 {
-		body = mapreduce.AppendFrame(body, mapreduce.Pair{Key: secRowIDs, Value: encodeInt32s(m.RowIDs)})
+		secs = append(secs, elemSection(secRowIDs, m.RowIDs, 4, appendInt32))
 	}
+	return secs, nil
+}
 
-	out := make([]byte, 0, headerLen+len(body))
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, castagnoli))
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(body)))
-	return append(out, body...), nil
+func bytesSection(name string, b []byte) section {
+	return section{name, len(b), func(w *bufio.Writer) error { _, err := w.Write(b); return err }}
+}
+
+// elemSection is the section of xs as consecutive size-byte elements,
+// each appended by put.
+func elemSection[T any](name string, xs []T, size int, put func([]byte, T) []byte) section {
+	return section{name, size * len(xs), func(w *bufio.Writer) error { return putElems(w, xs, size, put) }}
+}
+
+func appendInt32(b []byte, x int32) []byte { return binary.LittleEndian.AppendUint32(b, uint32(x)) }
+
+func appendFloat32(b []byte, x float32) []byte {
+	return binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+}
+
+// putElems streams xs to w as consecutive size-byte elements, appending
+// them with put straight into w's free buffer space.
+func putElems[T any](w *bufio.Writer, xs []T, size int, put func([]byte, T) []byte) error {
+	for len(xs) > 0 {
+		if w.Available() < size {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
+		b := w.AvailableBuffer()
+		k := min(len(xs), cap(b)/size)
+		for _, x := range xs[:k] {
+			b = put(b, x)
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
+		}
+		xs = xs[k:]
+	}
+	return nil
+}
+
+// artifactLen is the encoded size of an artifact with these sections:
+// the header plus one frame (u32 name length, name, u32 payload length,
+// payload) per section.
+func artifactLen(secs []section) int {
+	n := headerLen
+	for _, s := range secs {
+		n += 4 + len(s.name) + 4 + s.size
+	}
+	return n
+}
+
+// crcWriter passes writes through to w and folds every byte after the
+// first skip into a CRC32-C.
+type crcWriter struct {
+	w    io.Writer
+	skip int
+	crc  uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	k := min(c.skip, len(p))
+	c.skip -= k
+	c.crc = crc32.Update(c.crc, castagnoli, p[k:])
+	return c.w.Write(p)
+}
+
+// writeArtifact streams the artifact to dst through one bufio.Writer: the
+// header (magic, version, a zero CRC placeholder, body length), then every
+// section's frame. It returns the body's CRC32-C, which the caller patches
+// into header bytes [12:16) — the bytes are then exactly the artifact.
+func writeArtifact(dst io.Writer, secs []section) (uint32, error) {
+	cw := &crcWriter{w: dst, skip: headerLen}
+	w := bufio.NewWriterSize(cw, 64<<10)
+	var hdr [headerLen]byte
+	copy(hdr[:], magic)
+	binary.LittleEndian.PutUint32(hdr[8:], Version)
+	binary.LittleEndian.PutUint64(hdr[16:], uint64(artifactLen(secs)-headerLen))
+	w.Write(hdr[:]) // a bufio error is sticky: Flush reports it
+	for _, s := range secs {
+		w.Write(binary.LittleEndian.AppendUint32(hdr[:0], uint32(len(s.name))))
+		w.WriteString(s.name)
+		w.Write(binary.LittleEndian.AppendUint32(hdr[:0], uint32(s.size)))
+		if err := s.put(w); err != nil {
+			return 0, err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return 0, err
+	}
+	return cw.crc, nil
+}
+
+// Encode serializes the model into one exact-size buffer: header (magic,
+// version, CRC32-C, body length) followed by the framed sections. It is
+// the same stream WriteFile writes.
+func (m *Model) Encode() ([]byte, error) {
+	secs, err := m.sections()
+	if err != nil {
+		return nil, err
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, artifactLen(secs)))
+	crc, err := writeArtifact(buf, secs)
+	if err != nil {
+		return nil, err
+	}
+	out := buf.Bytes()
+	binary.LittleEndian.PutUint32(out[12:], crc)
+	return out, nil
 }
 
 // Decode parses and verifies an encoded model: magic, format version, and
@@ -369,14 +488,6 @@ func (m *Model) decodeMeta(v []byte) error {
 	return nil
 }
 
-func encodeFloats(xs []float64) []byte {
-	buf := make([]byte, 0, 8*len(xs))
-	for _, x := range xs {
-		buf = points.AppendFloat64(buf, x)
-	}
-	return buf
-}
-
 // decodeSection decodes section f as consecutive size-byte elements read by
 // at, or errors when its length is not a whole number of them.
 func decodeSection[T any](f mapreduce.Pair, size int, at func([]byte) T) ([]T, error) {
@@ -394,46 +505,44 @@ func decodeFloats(f mapreduce.Pair) ([]float64, error) {
 	return decodeSection(f, 8, points.DecodeFloat64)
 }
 
-func encodeFloat32s(xs []float32) []byte {
-	buf := make([]byte, 0, 4*len(xs))
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
-	}
-	return buf
-}
-
 func decodeFloat32s(f mapreduce.Pair) ([]float32, error) {
 	return decodeSection(f, 4, func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) })
-}
-
-func encodeInt32s(xs []int32) []byte {
-	buf := make([]byte, 0, 4*len(xs))
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
-	}
-	return buf
 }
 
 func decodeInt32s(f mapreduce.Pair) ([]int32, error) {
 	return decodeSection(f, 4, func(b []byte) int32 { return int32(binary.LittleEndian.Uint32(b)) })
 }
 
-// WriteFile atomically-ish writes the model to a local file (temp file in
-// the same directory, then rename).
+// WriteFile writes the model to a local file as a stream (temp file in the
+// same directory, then rename): the header and sections go through one
+// buffered writer straight from the model's arrays, and the body's CRC32-C
+// is patched into the header once the body is written. The write allocates
+// kilobytes whatever the artifact's size; the temp file is removed on
+// every error.
 func (m *Model) WriteFile(path string) error {
-	data, err := m.Encode()
+	secs, err := m.sections()
 	if err != nil {
 		return err
 	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	f, err := os.Create(tmp)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	crc, err := writeArtifact(f, secs)
+	if err == nil {
+		_, err = f.WriteAt(binary.LittleEndian.AppendUint32(nil, crc), 12)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }
 
 // ReadFile loads and verifies a model from a local file.
