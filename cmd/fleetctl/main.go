@@ -77,10 +77,8 @@ func partition(args []string) {
 		m.Name, m.N(), m.Dim, m.LSH.M, *shards)
 	subs, mf, err := fleet.Partition(m, *shards, *vnodes)
 	fatal(err)
-	if len(mf.Overrides) > 0 {
-		fmt.Fprintf(os.Stderr, "fleetctl: %d heavy buckets re-placed for balance (recorded in the manifest)\n",
-			len(mf.Overrides))
-	}
+	fmt.Fprintf(os.Stderr, "fleetctl: %d buckets placed by cluster group, %d of them off their ring owner (recorded in the manifest)\n",
+		len(mf.Layouts().BuildIndex(m.Data, m.N(), nil).Keys), len(mf.Overrides))
 
 	fatal(os.MkdirAll(*out, 0o755))
 	total := 0

@@ -184,7 +184,7 @@ func TestHeavyBucketBalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		if shards > 1 && len(mf.Overrides) == 0 {
-			t.Errorf("shards=%d: no heavy buckets re-placed on a clustered model", shards)
+			t.Errorf("shards=%d: no bucket placed off its ring owner on a clustered model", shards)
 		}
 		layouts := mf.Layouts()
 		seen := make(map[string]bool)

@@ -42,15 +42,17 @@ type Manifest struct {
 	// placed rows by the old text keys: loaded as is, the ring would own
 	// different buckets and no override would ever match, so it is refused.
 	KeyFormat string `json:"key_format"`
-	// Overrides pins heavy buckets to explicit shards. Consistent hashing
-	// balances the *key space*, but LSH bucket sizes are skewed — a few
-	// cluster-core buckets can carry most of the rows, and whichever shard
-	// their keys happen to hash to becomes the fleet's hot spot. The
-	// partitioner, which estimates every bucket's scan cost by sampling,
-	// greedily assigns the heavy buckets to the lightest shard and records here only the
-	// ones that differ from their ring owner; the ring covers the long
-	// tail, where statistical balance is enough. Keys are in the text form
-	// lsh.KeyString prints ("m|s1.s2.s3"); raw key bytes are not JSON.
+	// Overrides pins buckets to explicit shards. Consistent hashing
+	// balances the *key space*, but it scatters a row's M buckets — and so
+	// the row's copies and a query's fan-out — across shards, and LSH
+	// bucket sizes are skewed: a few cluster-core buckets can carry most of
+	// the rows. The partitioner places every bucket it indexed with its
+	// cluster group, balanced by a sampled estimate of each bucket's scan
+	// cost, and records here the placements that differ from the ring
+	// owner (about three in four at 4 shards). The ring owns only keys the
+	// partitioner never saw: buckets created later by fleet ingest and
+	// query keys with no rows. Keys are in the text form lsh.KeyString
+	// prints ("m|s1.s2.s3"); raw key bytes are not JSON.
 	Overrides map[string]int `json:"overrides,omitempty"`
 }
 
@@ -131,9 +133,9 @@ func (mf *Manifest) Ring() (*Ring, error) {
 }
 
 // Placement resolves bucket-key ownership for this fleet: the manifest's
-// explicit heavy-bucket overrides first, the consistent-hash ring for the
-// long tail. Partitioner and router both route through a Placement built
-// from the same manifest, so they agree on every key by construction.
+// explicit overrides first, the consistent-hash ring for every other key.
+// Partitioner and router both route through a Placement built from the
+// same manifest, so they agree on every key by construction.
 type Placement struct {
 	ring      *Ring
 	overrides map[string]int // by key bytes, not by the manifest's text form

@@ -11,12 +11,12 @@ import (
 )
 
 // Partition splits a full cluster model into per-shard sub-models routed by
-// the consistent-hash ring over LSH bucket keys. Shard s receives every row
-// appearing in at least one bucket s owns, plus every peak row (replicated
-// so halo/peak-distance fields and the exact-scan fallback work on any
-// shard). Sub-model rows keep ascending global-ID order and carry a RowIDs
-// section, so a shard's local lowest-row-index NN tie rule picks the same
-// winner the full model would.
+// LSH bucket key, each bucket placed with its cluster group. Shard s
+// receives every row appearing in at least one bucket s owns, plus every
+// peak row (replicated so halo/peak-distance fields and the exact-scan
+// fallback work on any shard). Sub-model rows keep ascending global-ID
+// order and carry a RowIDs section, so a shard's local lowest-row-index NN
+// tie rule picks the same winner the full model would.
 //
 // vnodes is the virtual-node count per ring shard (0 means DefaultVNodes).
 // The returned manifest reconstructs the exact routing.
@@ -41,18 +41,18 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	}
 	layouts := mf.Layouts()
 
-	// Pass 1: index every bucket (the serving engine's own lsh.Index). LSH
-	// bucket mass is skewed — cluster cores concentrate in a few huge
-	// buckets per layout — so ring placement alone would hand whole
-	// clusters to whichever shard their keys hash to. The heavy buckets
-	// get explicit balanced placements instead, weighted by a sampled
-	// estimate of each bucket's true scan cost and recorded in the
-	// manifest for the router.
+	// Pass 1: index every bucket (the serving engine's own lsh.Index) and
+	// place each one with its cluster group. A row is copied to the owner
+	// of each of its M buckets, and the ring would scatter those across
+	// shards; LSH bucket mass is skewed too — cluster cores concentrate in
+	// a few huge buckets per layout. So every bucket gets an explicit,
+	// balanced placement, weighted by a sampled estimate of its scan cost
+	// and recorded in the manifest for the router.
 	n := m.N()
 	ix := layouts.BuildIndex(m.Data, n, nil)
 	weights := estimateBucketWeights(ix, layouts, m.Data, m.Dim)
 	groups := bucketGroups(m, ix.RowKeys, len(ix.Keys), mf.M)
-	mf.Overrides = balanceHeavyBuckets(ix.Keys, weights, groups, ring, shards)
+	mf.Overrides = balanceBuckets(ix.Keys, weights, groups, ring, shards)
 	place, err := mf.Placement()
 	if err != nil {
 		return nil, nil, err
@@ -91,33 +91,22 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	return subs, mf, nil
 }
 
-// Heavy-bucket selection bounds: a bucket is heavy when it alone carries
-// more than 1/overrideFraction of one shard's ideal scan weight, and at
-// most maxOverridesPerShard × shards of the heaviest qualify, keeping the
-// manifest small. Fine-grained bucketings where no single bucket matters
-// produce zero overrides and fall back to pure consistent hashing.
-const (
-	overrideFraction     = 128
-	maxOverridesPerShard = 128
-)
-
-// Bucket-weight estimation knobs. Every n/maxWeightSamples-th row is
-// replayed as a query (evenly strided, so the sample mirrors the data the
-// way serving queries do): with the stride rounded down that is between
-// maxWeightSamples and 2·maxWeightSamples − 1 rows — 2 062 of 200 000 —
-// and every row below 2·maxWeightSamples rows. scoreUnit is the cost of
-// one exact candidate scoring relative to one posting-walk visit (a SWAR
-// membership word): confirming and scoring a row costs a key compare plus
-// a full-dimension distance, roughly an order of magnitude over streaming
-// one prefilter word.
+// Bucket-weight estimation knobs. samples = min(n, maxWeightSamples) rows
+// are replayed as queries, sample k being row ⌊k·n / samples⌋ (evenly
+// spread, so the sample mirrors the data the way serving queries do):
+// 2 048 of 200 000, and every row of a model no larger. scoreUnit is the
+// cost of one exact candidate scoring relative to one posting-walk visit
+// (a SWAR membership word): confirming and scoring a row costs a key
+// compare plus a full-dimension distance, roughly an order of magnitude
+// over streaming one prefilter word.
 const (
 	maxWeightSamples = 2048
 	scoreUnit        = 12.0
 )
 
 // estimateBucketWeights estimates each bucket's scan cost under a query
-// mix that mirrors the stored data, by replaying a strided sample of the
-// rows as queries against the bucket index.
+// mix that mirrors the stored data, by replaying an evenly spread sample of
+// the rows as queries against the bucket index.
 //
 // Owning a bucket has two costs per query that probes it, and they scale
 // differently. The walk — streaming the posting list through the SWAR
@@ -143,11 +132,7 @@ const (
 // core.
 func estimateBucketWeights(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim int) []float64 {
 	n := len(data) / dim
-	step := n / maxWeightSamples
-	if step < 1 {
-		step = 1
-	}
-	samples := (n + step - 1) / step
+	samples := min(n, maxWeightSamples)
 	parts := make([][]float64, min(runtime.GOMAXPROCS(0), samples))
 	var wg sync.WaitGroup
 	for w := range parts {
@@ -155,7 +140,7 @@ func estimateBucketWeights(ix *lsh.Index, layouts *lsh.Layouts, data []float64, 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			parts[w] = replaySamples(ix, layouts, data, dim, lo, hi, step)
+			parts[w] = replaySamples(ix, layouts, data, dim, lo, hi, samples)
 		}()
 	}
 	wg.Wait()
@@ -168,17 +153,17 @@ func estimateBucketWeights(ix *lsh.Index, layouts *lsh.Layouts, data []float64, 
 	return weights
 }
 
-// replaySamples charges the samples lo ≤ k < hi — rows k·step — to a fresh
-// weight per bucket (estimateBucketWeights has the rule). seen[r] == k+1
-// marks row r as held by an earlier bucket of sample k's rotation, so the
-// marks clear themselves from one sample to the next.
-func replaySamples(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim, lo, hi, step int) []float64 {
-	m := layouts.M()
+// replaySamples charges the samples lo ≤ k < hi — rows ⌊k·n / samples⌋ —
+// to a fresh weight per bucket (estimateBucketWeights has the rule).
+// seen[r] == k+1 marks row r as held by an earlier bucket of sample k's
+// rotation, so the marks clear themselves from one sample to the next.
+func replaySamples(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim, lo, hi, samples int) []float64 {
+	m, n := layouts.M(), len(data)/dim
 	weights := make([]float64, len(ix.Keys))
-	seen := make([]int32, len(data)/dim)
+	seen := make([]int32, n)
 	var kb lsh.KeyBuf
 	for k := lo; k < hi; k++ {
-		q, mark := k*step, int32(k+1)
+		q, mark := k*n/samples, int32(k+1)
 		qk := ix.RowKeys[q*m : q*m+m]
 		layouts.Hash(&kb, data[q*dim:][:dim])
 		_, j := layouts.GuaranteeRadius(&kb)
@@ -228,70 +213,57 @@ func bucketGroups(m *model.Model, rowKeys []int32, nbuckets, lm int) []int32 {
 }
 
 // chunkFraction caps a placement chunk at 1/chunkFraction of one shard's
-// ideal weight, so the greedy placement can always land within a few
-// percent of balanced even when one cluster dominates (or there are
-// fewer clusters than shards).
-const chunkFraction = 5
+// ideal weight: half a shard, so a cluster group lands on one or two
+// shards while the greedy placement can still even out the load when one
+// cluster dominates (or there are fewer clusters than shards).
+const chunkFraction = 2
 
-// balanceHeavyBuckets picks the buckets hot enough to distort shard load
-// and greedily re-places them. Placement is fan-out aware: heavy buckets
-// are first grouped by their majority cluster label (a core query probes
-// one core bucket per layout, all sharing that label, so scattering them
-// would make every such query contact every shard), then each group is
-// split into chunks no heavier than an ideal shard's weight over
-// chunkFraction, and the chunks go heaviest-first onto the shard with
-// the least total scan weight so far (ring-owned tail weight included).
+// balanceBuckets places every bucket of the index. Placement is fan-out
+// aware: buckets are grouped by their majority cluster label (a query
+// probes one bucket per layout, and near a cluster they all share its
+// label, so scattering them would make such a query — and every row's
+// copies — reach every shard), each group is split into chunks no heavier
+// than an ideal shard's weight over chunkFraction, and the chunks go
+// heaviest-first onto the shard with the least total scan weight so far.
 // Deterministic given the model — the sampled weights and majority pass
 // are deterministic, ordering ties break on bucket key, ties in load go
 // to the lowest shard — so re-running the partitioner reproduces
 // fleet.json byte for byte. Returns only the placements that differ
-// from the ring, keyed in the manifest's text form.
-func balanceHeavyBuckets(keys []string, weights []float64, groups []int32, ring *Ring, shards int) map[string]int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	threshold := total / float64(shards) / overrideFraction
+// from the ring, keyed in the manifest's text form; the ring owns only
+// keys the index never held.
+func balanceBuckets(keys []string, weights []float64, groups []int32, ring *Ring, shards int) map[string]int {
 	type bucket struct {
 		key    string
 		weight float64
 		group  int32
 	}
-	var heavy []bucket
-	load := make([]float64, shards) // ring-owned weight of the tail
+	buckets := make([]bucket, len(keys))
+	total := 0.0
 	for id, w := range weights {
-		if w > threshold {
-			heavy = append(heavy, bucket{keys[id], w, groups[id]})
-		} else {
-			load[ring.Owner(keys[id])] += w
-		}
+		buckets[id] = bucket{keys[id], w, groups[id]}
+		total += w
 	}
-	sort.Slice(heavy, func(i, j int) bool {
-		if heavy[i].weight != heavy[j].weight {
-			return heavy[i].weight > heavy[j].weight
+	sort.Slice(buckets, func(i, j int) bool {
+		a, b := buckets[i], buckets[j]
+		if a.group != b.group {
+			return a.group < b.group
 		}
-		return heavy[i].key < heavy[j].key
+		if a.weight != b.weight {
+			return a.weight > b.weight
+		}
+		return a.key < b.key
 	})
-	if max := maxOverridesPerShard * shards; len(heavy) > max {
-		// The cut buckets stay ring-owned; put their weight back.
-		for _, b := range heavy[max:] {
-			load[ring.Owner(b.key)] += b.weight
-		}
-		heavy = heavy[:max]
-	}
 
 	// Pack each label group into chunks of bounded weight: within a
 	// group, heaviest bucket first, starting a new chunk whenever the
 	// cap would be crossed (a single over-cap bucket chunks alone).
-	sort.SliceStable(heavy, func(i, j int) bool { return heavy[i].group < heavy[j].group })
 	type chunk struct {
 		weight  float64
 		buckets []bucket
 	}
 	chunkCap := total / float64(shards) / chunkFraction
 	var chunks []chunk
-	for i := 0; i < len(heavy); i++ {
-		b := heavy[i]
+	for _, b := range buckets {
 		if len(chunks) == 0 || chunks[len(chunks)-1].buckets[0].group != b.group ||
 			chunks[len(chunks)-1].weight+b.weight > chunkCap {
 			chunks = append(chunks, chunk{})
@@ -308,6 +280,7 @@ func balanceHeavyBuckets(keys []string, weights []float64, groups []int32, ring 
 	})
 
 	overrides := make(map[string]int)
+	load := make([]float64, shards)
 	for _, c := range chunks {
 		best := 0
 		for s := 1; s < shards; s++ {

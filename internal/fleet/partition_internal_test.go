@@ -1,9 +1,13 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -122,14 +126,12 @@ func harnessModel(tb testing.TB, n, repeat int) *model.Model {
 func replayOracle(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim int) []float64 {
 	n, m := len(data)/dim, layouts.M()
 	weights := make([]float64, len(ix.Keys))
-	step := n / maxWeightSamples
-	if step < 1 {
-		step = 1
-	}
+	samples := min(n, maxWeightSamples)
 	seen := make([]bool, n)
 	var touched []int32
 	var kb lsh.KeyBuf
-	for q := 0; q < n; q += step {
+	for k := 0; k < samples; k++ {
+		q := k * n / samples
 		qk := ix.RowKeys[q*m : q*m+m]
 		layouts.Hash(&kb, data[q*dim:][:dim])
 		_, j0 := layouts.GuaranteeRadius(&kb)
@@ -175,7 +177,7 @@ func TestBucketWeightsMatchReplay(t *testing.T) {
 	}{
 		{"blobs", harnessModel(t, 20_000, 1)},
 		{"repeated4", harnessModel(t, 20_000, 4)},
-		{"every-row", harnessModel(t, 3_000, 1)},
+		{"every-row", harnessModel(t, 2_000, 1)},
 		{"one-bucket", oneBucket},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -203,16 +205,120 @@ func TestBucketWeightsMatchReplay(t *testing.T) {
 	}
 }
 
+// placementQuality measures a partition of mdl: its replication (shard
+// rows over source rows), the distinct shards a row's M keys resolve to on
+// average, and the busiest shard's share of the sampled scan weight over
+// the mean share.
+func placementQuality(tb testing.TB, mdl *model.Model, subs []*model.Model, mf *Manifest) (replication, ownersPerRow, maxOverMean float64) {
+	place, err := mf.Placement()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, lm := mdl.N(), mf.M
+	ix := mf.Layouts().BuildIndex(mdl.Data, n, nil)
+	owners := make([]int, len(ix.Keys))
+	for id, key := range ix.Keys {
+		owners[id] = place.Owner(key)
+	}
+	shardRows, distinct := 0, 0
+	for _, sub := range subs {
+		shardRows += sub.N()
+	}
+	for i := 0; i < n; i++ {
+		var seen uint64
+		for _, id := range ix.RowKeys[i*lm:][:lm] {
+			seen |= 1 << owners[id]
+		}
+		distinct += bits.OnesCount64(seen)
+	}
+	load := make([]float64, mf.Shards)
+	total := 0.0
+	for id, w := range estimateBucketWeights(ix, mf.Layouts(), mdl.Data, mdl.Dim) {
+		load[owners[id]] += w
+		total += w
+	}
+	return float64(shardRows) / float64(n), float64(distinct) / float64(n),
+		slices.Max(load) / (total / float64(mf.Shards))
+}
+
+// TestPartitionCoLocates holds the placement to what placing every bucket
+// by its cluster group buys on harness-shaped models over 4 shards: a row
+// is copied to few shards, its M keys resolve to few distinct shards, the
+// sampled load stays near even, and re-partitioning at 1 and 4 cores
+// reproduces fleet.json and every sub-model byte for byte.
+func TestPartitionCoLocates(t *testing.T) {
+	const (
+		maxReplication  = 1.5
+		maxOwnersPerRow = 1.5
+		maxLoadSkew     = 1.10
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{40_000, 50_000} {
+		mdl := harnessModel(t, n, 1)
+		var manifests [2][]byte
+		var subBytes [2][][]byte
+		for i, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			subs, mf, err := Partition(mdl, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if manifests[i], err = json.Marshal(mf); err != nil {
+				t.Fatal(err)
+			}
+			for _, sub := range subs {
+				b, err := sub.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				subBytes[i] = append(subBytes[i], b)
+			}
+			if i > 0 {
+				continue
+			}
+			repl, owners, skew := placementQuality(t, mdl, subs, mf)
+			t.Logf("n=%d: replication %.3f, %.3f shards per row, load max/mean %.3f, %d overrides",
+				n, repl, owners, skew, len(mf.Overrides))
+			if repl > maxReplication {
+				t.Errorf("n=%d: replication %.3f > %v", n, repl, maxReplication)
+			}
+			if owners > maxOwnersPerRow {
+				t.Errorf("n=%d: a row's keys resolve to %.3f shards on average > %v", n, owners, maxOwnersPerRow)
+			}
+			if skew > maxLoadSkew {
+				t.Errorf("n=%d: busiest shard carries %.3f × the mean sampled load > %v", n, skew, maxLoadSkew)
+			}
+		}
+		if !bytes.Equal(manifests[0], manifests[1]) {
+			t.Errorf("n=%d: re-partitioning on four cores wrote a different fleet.json than on one", n)
+		}
+		for s := range subBytes[0] {
+			if !bytes.Equal(subBytes[0][s], subBytes[1][s]) {
+				t.Errorf("n=%d: re-partitioning on four cores wrote a different shard %d sub-model than on one", n, s)
+			}
+		}
+	}
+}
+
 // BenchmarkPartition times the partitioner — bucket index, weight
-// estimate, heavy-bucket placement, row marking and sub-model copies — on a
-// 50 000-row harness-shaped model split over 4 shards.
+// estimate, group placement of every bucket, row marking and sub-model
+// copies — on a 50 000-row harness-shaped model split over 4 shards, and
+// reports the placement's replication and the distinct shards a row's keys
+// resolve to.
 func BenchmarkPartition(b *testing.B) {
 	mdl := harnessModel(b, 50_000, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var subs []*model.Model
+	var mf *Manifest
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Partition(mdl, 4, 0); err != nil {
+		var err error
+		if subs, mf, err = Partition(mdl, 4, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	repl, owners, _ := placementQuality(b, mdl, subs, mf)
+	b.ReportMetric(repl, "replication")
+	b.ReportMetric(owners, "owners/row")
 }

@@ -1,8 +1,9 @@
 // Package fleet shards the serving layer: a partitioner that splits a
-// cluster model into per-shard sub-models by LSH bucket key — consistent
-// hashing for the long tail, explicit size-aware placements for the heavy
-// buckets — and a router that scatter-gathers queries to only the shards
-// owning their buckets, merging answers bit-identically to a single server.
+// cluster model into per-shard sub-models by LSH bucket key — every indexed
+// bucket placed with its cluster group by sampled scan cost, consistent
+// hashing for keys created later — and a router that scatter-gathers
+// queries to only the shards owning their buckets, merging answers
+// bit-identically to a single server.
 //
 // The layout follows the layered-LSH observation (Bahmani, Goel & Shinde;
 // see PAPERS.md): a query needs exactly the M buckets its own keys name, so

@@ -557,7 +557,7 @@ func (r *Router) add(batches map[int]*shardBatch, s, i int, p []float64, mask ui
 //
 // Owner masks: for query i, masks[i·S + s] has bit j set when shard s owns
 // the bucket of layout j — query i's key k_j(q) resolved by the placement
-// (heavy-bucket overrides, then the ring). The shard scans bucket k_j(q)
+// (the manifest's overrides, then the ring). The shard scans bucket k_j(q)
 // minus rows already matched by a layout earlier in the rotation that starts
 // at the query's certifying layout, so each global candidate is scanned
 // exactly once fleet-wide.
@@ -644,8 +644,10 @@ func (r *Router) assign(ctx context.Context, pts [][]float64) ([]serve.Assignmen
 
 	// Exact fallback: a query every owning shard reported candidate-less
 	// would full-scan on a single node; broadcast that scan to all shards
-	// (each owns a disjoint row set plus the replicated peaks) and merge
-	// the same way.
+	// and merge the same way. Rows are replicated, not partitioned, so a
+	// row may be scanned on several shards; the merge is still exact
+	// because every row lies on at least one shard and the (d², ID) merge
+	// is idempotent.
 	var fbIdxs []int
 	for i := range bests {
 		if !bests[i].have {
