@@ -101,13 +101,14 @@ race:
 # rows (NaN, ±Inf, huge and tie-heavy coordinates), query and cap, fed in
 # arbitrary pieces, the capped top-1 is exactly the float64 scan's, from no
 # more exact distances than rows, never a panic. The kNN-join's records — bucket query,
-# result — and the box table its candidates job filters base copies by face
+# result — and the box tables its jobs filter base copies by face
 # arbitrary bytes: error or exactly the input re-encoded (a ragged box, a
 # truncated or repeated key is an error); the candidates map errors or
 # accounts for the record — emits it, or drops base copies outside every
 # routed box — never both; the exact map at 3 groups errors or sends a base
-# record to all 3 and a query to 1, and at 0 groups always errors; never a
-# panic. A
+# record to all 3 and a query to 1, with a box table sends a base record to
+# the groups whose boxes hold it and drops it from the rest, and at 0 groups
+# always errors; never a panic. A
 # model artifact's body, under a recomputed header and checksum, reaches
 # the section walk: error, or a valid model that round-trips through
 # Encode / Decode unchanged — a ragged or repeated section is an error. The
@@ -142,10 +143,13 @@ bench:
 # Hot-path micro-benchmarks (dense kernels at dim 2/4/8 reporting ns/pair,
 # shuffle sort, group decode, the rpcmr shuffle transport, LSH
 # keys per point at dim 4/8, the serving index build full and fleet, the
-# fleet partitioner on a 50 000-row model over 4 shards, and
+# fleet partitioner on a 50 000-row model over 4 shards,
 # BenchmarkWriteFile, the model artifact streamed to disk at the 200 000-row
-# serving shape — bytes allocated per write, not per artifact byte) with
-# pinned benchtime/count so runs feed straight into benchstat:
+# serving shape — bytes allocated per write, not per artifact byte — and
+# BenchmarkJoin, the kNN-join at a tenth of the batch-knnjoin harness shape
+# on the local engine — shuffle bytes and distances per query, base copies
+# per base point) with pinned benchtime/count so runs feed straight into
+# benchstat:
 #
 #	make bench-hot > old.txt ... make bench-hot > new.txt
 #	benchstat old.txt new.txt
@@ -156,8 +160,8 @@ bench-hot:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/ ./internal/points/
 	$(GO) test -bench 'Sort|Shuffle' -run xxx -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/mapreduce/ ./internal/mapreduce/rpcmr/
-	$(GO) test -bench 'Keys|NewEngine|Partition|WriteFile' -run xxx -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/
+	$(GO) test -bench 'Keys|NewEngine|Partition|WriteFile|Join' -run xxx -benchmem \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/ ./internal/knnjoin/
 
 # Scan-path micro-benchmarks: a float64 single-query NN full pass, NNRows
 # over a sparse candidate list at f64 vs f32 vs q8 (the shape a served query
@@ -180,13 +184,13 @@ bench-scan:
 # benchstat: naive and tiled at dim 2 / 4 / 8, and for ρ tiled+near, the
 # LSH reducers' walk with its neighbour lists) and per key /
 # index-build / served-query / partitioner / artifact-write
-# (BenchmarkWriteFile) benchmark, for the check gate and CI: catches a pair
-# kernel, a compact kernel, a key path, a sweep, the box tree, the fleet
-# partitioner or the model writer that stops compiling or panics on real
-# shapes.
+# (BenchmarkWriteFile) / kNN-join (BenchmarkJoin) benchmark, for the check
+# gate and CI: catches a pair kernel, a compact kernel, a key path, a sweep,
+# the box tree, the fleet partitioner, the model writer or the join that
+# stops compiling or panics on real shapes.
 bench-scan-smoke:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|TopK|RhoKernel|DeltaKernel' -run '^$$' -benchtime 1x ./internal/kernels/
-	$(GO) test -bench 'Keys|NewEngine|EngineAssign|Partition|WriteFile' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/
+	$(GO) test -bench 'Keys|NewEngine|EngineAssign|Partition|WriteFile|Join' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/ ./internal/knnjoin/
 
 # bench/ is its own module, so `go test ./...` here never compiles it: vet
 # it and run its unit tests plus the whole suite at -smoke scale (< 10 s), so

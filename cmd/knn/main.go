@@ -52,8 +52,8 @@ func runJoin(args []string) {
 		labeled      = fs.Bool("labeled", false, "treat the last CSV column as a label to ignore")
 		exact        = fs.Bool("exact", false, "run only the exact job (the oracle) instead of the bucketed join")
 		k            = fs.Int("k", 10, "neighbors per query")
-		m            = fs.Int("m", 8, "LSH layouts M")
-		pi           = fs.Int("pi", 4, "hash functions per layout")
+		m            = fs.Int("m", 0, "LSH layouts M (0 = the join's default)")
+		pi           = fs.Int("pi", 0, "hash functions per layout (0 = the join's default)")
 		w            = fs.Float64("w", 0, "LSH slot width (0 = solve from -accuracy)")
 		accuracy     = fs.Float64("accuracy", 0.9, "target bucket accuracy when solving the width")
 		seed         = fs.Int64("seed", 1, "layout / sampling seed")

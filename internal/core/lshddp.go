@@ -58,8 +58,13 @@ func (c *LSHConfig) pi() int {
 }
 
 // nearK is the length of the neighbour list the ρ reducers keep per point
-// (DESIGN.md "δ̂ from the ρ pass"). On the harness data 4 leaves 2.8 % of
-// the points open and 16 doubles the list bytes to close the last 0.4 %.
+// (DESIGN.md "δ̂ from the ρ pass"). 8 is the shuffle minimum on the
+// benchmark harness's batch-lshddp data: at nearK 2 / 4 / 6 / 8 / 12 / 16 it
+// shuffles 1 370.9 / 1 072.7 / 940.2 / 851.3 / 882.1 / 947.3 bytes and
+// evaluates 2 147.6 / 1 345.5 / 1 129.3 / 1 022.0 / 1 006.8 / 1 002.0
+// distances per point at seed 1 (seed 2: 1 365.5 / 1 126.7 / 936.6 / 852.7
+// / 875.0 / 948.6 bytes). Below 8 the δ job grows by more than the shorter
+// lists save; above it the lists grow by more than the δ job shrinks.
 // Partners at d_c or beyond are not listed: no point of the harness data
 // has its nearest denser point there, and listing them cost 60 % more
 // peak memory.

@@ -11,13 +11,15 @@ import (
 )
 
 // FuzzKnnRecords feeds arbitrary bytes to every decoder of the join's wire
-// formats — the box table included — and to both jobs' map functions. Each
-// decoder either returns an error or a value that re-encodes to exactly the
-// input. The candidates map either returns an error or accounts for the
-// record — emits it, or drops every base copy it does not ship — and never
-// both. The exact map, at P = 3 groups, either returns an error and emits
-// nothing, or emits a base record to exactly 3 groups and a query to 1; at
-// P = 0 it returns an error. Nothing panics.
+// formats — the box table included, keyed by bucket or by query — and to
+// both jobs' map functions. Each decoder either returns an error or a value
+// that re-encodes to exactly the input. The candidates map either returns an
+// error or accounts for the record — emits it, or drops every base copy it
+// does not ship — and never both. The exact map, at P = 3 groups, either
+// returns an error and emits nothing, or emits a base record to exactly 3
+// groups and a query to 1; with a box table it emits a base record to some
+// of the 3 and drops it from the rest; at P = 0 it returns an error. Nothing
+// panics.
 func FuzzKnnRecords(f *testing.F) {
 	p := points.Point{ID: 7, Pos: points.Vector{1.5, -2}}
 	ns := []Neighbor{{ID: 3, D2: 0.25}, {ID: 9, D2: math.Inf(1)}}
@@ -33,6 +35,16 @@ func FuzzKnnRecords(f *testing.F) {
 	noGroups := conf.Clone()
 	noGroups.SetInt(confGroups, 0)
 	boxes := []byte(conf[confBoxes])
+	// The exact job's table: a box around each of three queries, one per
+	// group, from a four-point sample.
+	sample := newBaseSample(points.FromVectors("S", []points.Vector{{0, 0}, {1, 2}, {-3, 1}, {5, 5}}), 2, 1)
+	radii := sample.radiusBoxes(points.FromVectors("R", []points.Vector{p.Pos, {4, 4}, {0, 0}}), []int32{0, 1, 2})
+	if radii == nil || len(radii.boxes) != 3 {
+		f.Fatalf("exact box table %+v, want 3 boxes", radii)
+	}
+	tabled := exactConf.Clone()
+	tabled[confExactBoxes] = encodeBoxes(radii)
+	exactBoxes := []byte(tabled[confExactBoxes])
 	entry := func(key string, vals ...float64) []byte {
 		b := binary.LittleEndian.AppendUint32(nil, uint32(len(key)))
 		b = append(b, key...)
@@ -63,10 +75,14 @@ func FuzzKnnRecords(f *testing.F) {
 		append(append(header(1, 2), entry("k", 0, 1)...), entry("k", 0, 1)...), // repeated key
 		append(append(header(1, 2), entry("k", 0, 1)...), entry("a", 0, 1)...), // keys out of order
 		header(0, 0),
+		exactBoxes,
+		exactBoxes[:len(exactBoxes)-9], // a box cut short
+		append(header(2, 1<<31), exactBoxes[8:]...),          // more boxes than bytes
+		append(header(1, 1), entry("\x01\x00\x00", 0, 1)...), // a 3-byte key: decodes, no query ID
 	} {
 		f.Add(seed)
 	}
-	cand, exact, exactNone := CandidatesJob(conf), ExactJob(exactConf), ExactJob(noGroups)
+	cand, exact, exactNone, exactTabled := CandidatesJob(conf), ExactJob(exactConf), ExactJob(noGroups), ExactJob(tabled)
 	mapRecord := func(job *mapreduce.Job, in []byte) (emitted int, ctx *mapreduce.TaskContext, err error) {
 		ctx = &mapreduce.TaskContext{Conf: job.Conf, Counters: mapreduce.NewCounters()}
 		err = job.Map(ctx, "", in, mapreduce.EmitterFunc(func(string, []byte) { emitted++ }))
@@ -100,6 +116,11 @@ func FuzzKnnRecords(f *testing.F) {
 		}
 		if err == nil && emitted != want || err != nil && emitted != 0 {
 			t.Fatalf("%s map of %x at 3 groups: err %v after %d records", exact.Name, in, err, emitted)
+		}
+		emitted, ctx, err = mapRecord(exactTabled, in)
+		dropped = ctx.Counters.Get(CtrBaseDropped)
+		if err != nil && emitted+int(dropped) != 0 || err == nil && emitted+int(dropped) != want {
+			t.Fatalf("%s map of %x with a box table: err %v after %d records, %d dropped", exact.Name, in, err, emitted, dropped)
 		}
 		if emitted, _, err := mapRecord(exactNone, in); err == nil || emitted != 0 {
 			t.Fatalf("%s map of %x at 0 groups: err %v after %d records", exact.Name, in, err, emitted)
@@ -135,6 +156,43 @@ func TestBoxTableDecodeErrors(t *testing.T) {
 	} {
 		if _, err := decodeBoxes(bad); err == nil {
 			t.Errorf("%s: decoded without an error", name)
+		}
+	}
+}
+
+// TestExactTableErrors: an exact job whose box table the driver could not
+// have built — a key that is no query ID, a table of another dimension, a
+// zero-dimensional table, a NaN bound, bytes that are no table — fails
+// every map call instead of shipping by it.
+func TestExactTableErrors(t *testing.T) {
+	conf := buildConf(2, 3, 1, &Config{})
+	conf.SetInt(confGroups, 2)
+	box := []float64{0, 0, 1, 1}
+	for name, table := range map[string]*boxTable{
+		"short key":     {dim: 2, boxes: map[string][]float64{"\x01\x00": box}},
+		"long key":      {dim: 2, boxes: map[string][]float64{queryKey(1) + "\x00": box}},
+		"dim mismatch":  {dim: 1, boxes: map[string][]float64{queryKey(1): {0, 1}}},
+		"zero-dim":      {dim: 0, boxes: map[string][]float64{queryKey(1): {}}},
+		"NaN bound":     {dim: 2, boxes: map[string][]float64{queryKey(1): {0, math.NaN(), 1, 1}}},
+		"malformed box": nil,
+	} {
+		c := conf.Clone()
+		if table != nil {
+			c[confExactBoxes] = encodeBoxes(table)
+		} else {
+			c[confExactBoxes] = "\x02\x00\x00\x00\x01\x00\x00\x00"
+		}
+		job := ExactJob(c)
+		for _, rec := range [][]byte{
+			encodeTagged(tagBase, points.Point{ID: 4, Pos: points.Vector{0.5, 0.5}}),
+			encodeTagged(tagQuery, points.Point{ID: 1, Pos: points.Vector{0.5, 0.5}}),
+		} {
+			ctx := &mapreduce.TaskContext{Conf: c, Counters: mapreduce.NewCounters()}
+			emitted := 0
+			err := job.Map(ctx, "", rec, mapreduce.EmitterFunc(func(string, []byte) { emitted++ }))
+			if err == nil || emitted != 0 {
+				t.Fatalf("%s: map of %x: err %v after %d records", name, rec, err, emitted)
+			}
 		}
 	}
 }

@@ -11,13 +11,16 @@
 // bound without a distance evaluation, and uses the guarantee radius to
 // certify each answer or flag the query for the exact-fallback pass. That
 // pass is one job on the same reducer: it splits the uncertified queries
-// into groups and sends all of S to each, so every query meets every base
-// row in one group and its answer needs no merge. The final result is
+// into groups and sends each group the base points inside its queries'
+// boxes — each box the query's k-th distance to a sample of S, which bounds
+// its k-th distance in S — so every query meets every base row its list can
+// hold in one group and its answer needs no merge. The final result is
 // bit-identical to a naive full join.
 package knnjoin
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -71,6 +74,11 @@ const (
 // driver builds from R (routeBoxes). It is not a knob.
 const confBoxes = "knn.boxes"
 
+// confExactBoxes carries the exact job's box table, keyed by fallback query
+// (baseSample.radiusBoxes); a Conf without one sends every group all of S.
+// It is not a knob.
+const confExactBoxes = "knn.exact.boxes"
+
 // confGroups carries the exact job's group count P, which the driver sets
 // from the input sizes (exactJoin). It is not a knob.
 const confGroups = "knn.groups"
@@ -101,11 +109,15 @@ func layoutsOf(conf mapreduce.Conf) (*lsh.Layouts, error) {
 // projections behind the keys, not only the keys.
 var keyBufs = sync.Pool{New: func() any { return new(lsh.KeyBuf) }}
 
-// boxTable is the candidates job's base filter. For each bucket some query
-// is routed to with a guarantee radius g > 0, it holds a closed box: the
-// union over those queries q of [q_t − g − pad_t, q_t + g + pad_t] on every
-// axis t, with pad_t = 2⁻³⁰·(|q_t| + g). A base point ships to a bucket only
-// if the bucket has a box and the point lies in it.
+// boxTable is the base filter of both passes: a closed box per key, and a
+// base point ships under a key only if the key has a box and the point lies
+// in it (inBox). The candidates job keys it by bucket: for each bucket some
+// query is routed to with a guarantee radius g > 0, the union over those
+// queries q of [q_t − g − pad_t, q_t + g + pad_t] on every axis t, with
+// pad_t = 2⁻³⁰·(|q_t| + g) (growBox). The exact job keys it by fallback
+// query (queryKey), each box padded the same way around its query's sampled
+// k-th distance (baseSample.radiusBoxes), and a base point goes to a group
+// if a box of one of the group's queries holds it.
 //
 // Exactness: a base point the bucket's reducer puts strictly within g of a
 // routed query — as the kernels compute the distance, every axis term
@@ -115,10 +127,12 @@ var keyBufs = sync.Pool{New: func() any { return new(lsh.KeyBuf) }}
 // reducer whole. A query the full bucket would not certify is not certified
 // by a filtered one either: dropping rows only raises its k-th distance or
 // leaves it fewer than k rows. So the lists and the fallback set are those
-// of shipping every copy.
+// of shipping every copy. The exact pass's argument is the same with "within
+// the box's radius" for "strictly within g": a fallback query's whole list
+// lies within its radius.
 type boxTable struct {
 	dim   int
-	boxes map[string][]float64 // bucket key → lo (dim values), then hi (dim values)
+	boxes map[string][]float64 // key → lo (dim values), then hi (dim values)
 }
 
 // routeBoxes hashes every query as the candidates map does and returns the
@@ -136,37 +150,61 @@ func routeBoxes(layouts *lsh.Layouts, R *points.Dataset) *boxTable {
 		key := kb.Key(layout)
 		box, ok := t.boxes[string(key)]
 		if !ok {
-			box = make([]float64, 2*t.dim)
-			for i := range t.dim {
-				box[i], box[t.dim+i] = math.Inf(1), math.Inf(-1)
-			}
+			box = emptyBox(t.dim)
 			t.boxes[string(key)] = box
 		}
-		lo, hi := box[:t.dim], box[t.dim:]
-		for i, x := range q.Pos {
-			pad := 0x1p-30 * (math.Abs(x) + g)
-			lo[i] = min(lo[i], x-g-pad)
-			hi[i] = max(hi[i], x+g+pad)
-		}
+		growBox(box, q.Pos, g)
 	}
 	return t
 }
 
-// admits reports whether a base point at p ships to the bucket key: the
-// bucket has a box and p lies in it, bounds included. A non-finite
-// coordinate passes its axis: the filter drops only what it can place.
+// emptyBox returns a box (lo, then hi) that holds nothing: lo = +∞, hi = −∞.
+func emptyBox(dim int) []float64 {
+	box := make([]float64, 2*dim)
+	for i := range dim {
+		box[i], box[dim+i] = math.Inf(1), math.Inf(-1)
+	}
+	return box
+}
+
+// growBox widens box (lo, then hi) to hold q's padded ball of radius g:
+// [q_t − g − pad_t, q_t + g + pad_t] on every axis t, with
+// pad_t = 2⁻³⁰·(|q_t| + g).
+func growBox(box []float64, q points.Vector, g float64) {
+	dim := len(box) / 2
+	lo, hi := box[:dim], box[dim:]
+	for i, x := range q {
+		pad := 0x1p-30 * (math.Abs(x) + g)
+		lo[i] = min(lo[i], x-g-pad)
+		hi[i] = max(hi[i], x+g+pad)
+	}
+}
+
+// admits reports whether a base point at p ships under key: the key has a
+// box and p lies in it.
 func (t *boxTable) admits(key string, p points.Vector) bool {
 	box, ok := t.boxes[key]
-	if !ok {
-		return false
-	}
-	lo, hi := box[:t.dim], box[t.dim:]
+	return ok && inBox(box, p)
+}
+
+// inBox reports whether p lies in box (lo, then hi), bounds included. A
+// non-finite coordinate passes its axis: the filter drops only what it can
+// place.
+func inBox(box []float64, p points.Vector) bool {
+	dim := len(box) / 2
+	lo, hi := box[:dim], box[dim:]
 	for i, x := range p {
 		if (x < lo[i] || x > hi[i]) && !math.IsInf(x, 0) {
 			return false
 		}
 	}
 	return true
+}
+
+// queryKey is the exact job's box-table key of query qid: its ID, 4 bytes
+// little-endian.
+func queryKey(qid int32) string {
+	return string(binary.LittleEndian.AppendUint32(nil, uint32(qid)))
 }
 
 // boxesFromConf decodes the candidates job's box table.
@@ -253,28 +291,115 @@ func CandidatesJob(conf mapreduce.Conf) *mapreduce.Job {
 	}
 }
 
-// groupKeys decodes the exact job's group count P (confGroups) into its P
-// reduce keys, the group indexes in decimal.
-func groupKeys(conf mapreduce.Conf) ([]string, error) {
+// exactPlan is what the exact job's map reads from its Conf: the P group
+// keys (confGroups, the group indexes in decimal) and, when the driver sent
+// a box table (confExactBoxes), each group's boxes.
+type exactPlan struct {
+	keys   []string
+	dim    int
+	groups []groupBoxes // nil without a table
+}
+
+// exactPlanOf decodes the exact job's Conf. A table key must be a query ID
+// (queryKey), and its box goes to the query's group, qid mod P; a bound
+// must not be NaN, which no padded ball has.
+func exactPlanOf(conf mapreduce.Conf) (*exactPlan, error) {
 	n := conf.GetInt(confGroups, 0)
 	if n < 1 {
 		return nil, fmt.Errorf("knnjoin: %s job has %d groups, want at least 1", JobExact, n)
 	}
-	keys := make([]string, n)
-	for g := range keys {
-		keys[g] = strconv.Itoa(g)
+	plan := &exactPlan{keys: make([]string, n)}
+	for g := range plan.keys {
+		plan.keys[g] = strconv.Itoa(g)
 	}
-	return keys, nil
+	s, ok := conf[confExactBoxes]
+	if !ok {
+		return plan, nil
+	}
+	t, err := decodeBoxes(s)
+	if err != nil {
+		return nil, err
+	}
+	if dim := conf.GetInt(ConfDim, 0); t.dim != dim || dim < 1 {
+		return nil, fmt.Errorf("knnjoin: box table of dim %d for points of dim %d", t.dim, dim)
+	}
+	plan.dim = t.dim
+	boxes := make([][][]float64, n)
+	for key, box := range t.boxes {
+		if len(key) != 4 {
+			return nil, fmt.Errorf("knnjoin: %s box table key %x is no query ID", JobExact, key)
+		}
+		if slices.ContainsFunc(box, math.IsNaN) {
+			return nil, fmt.Errorf("knnjoin: %s box table: query %d has a NaN bound", JobExact, binary.LittleEndian.Uint32([]byte(key)))
+		}
+		g := binary.LittleEndian.Uint32([]byte(key)) % uint32(n)
+		boxes[g] = append(boxes[g], box)
+	}
+	plan.groups = make([]groupBoxes, n)
+	for g, bs := range boxes {
+		plan.groups[g] = newGroupBoxes(bs)
+	}
+	return plan, nil
 }
 
-// ExactJob is the exact join: every base record goes to each of P groups
-// and each query to one, group qid mod P, as a bucket query with g = +∞, so
-// each group's bucket reducer holds all of S and answers its queries whole.
-// No list needs merging, and the distances a query's walk evaluates depend
-// only on the query and S — not on P, nor on the engine's partitions. The
-// driver also runs it as the oracle RunExact.
+// groupBoxes is one exact-job group's boxes, indexed on axis 0 so that the
+// map does not test every base point against every box (which doubles the
+// exact job's time on the harness's 359 boxes; DESIGN.md "The radius
+// rule"): sorted by their lower bound there, with reach[i] the largest
+// upper bound among boxes 0..i.
+type groupBoxes struct {
+	boxes [][]float64
+	reach []float64
+}
+
+func newGroupBoxes(boxes [][]float64) groupBoxes {
+	slices.SortFunc(boxes, func(a, b []float64) int { return cmp.Compare(a[0], b[0]) })
+	reach := make([]float64, len(boxes))
+	for i, b := range boxes {
+		reach[i] = b[len(b)/2]
+		if i > 0 {
+			reach[i] = max(reach[i], reach[i-1])
+		}
+	}
+	return groupBoxes{boxes: boxes, reach: reach}
+}
+
+// holds reports whether one of the group's boxes holds p (inBox). For a
+// finite p[0] it tests only the boxes whose axis-0 interval can hold it:
+// those below the first lower bound above p[0], back to the last whose
+// reach is at least p[0]. A non-finite p[0] passes axis 0, so it tests all.
+func (g *groupBoxes) holds(p points.Vector) bool {
+	x, end := p[0], len(g.boxes)
+	finite := !math.IsInf(x, 0) && !math.IsNaN(x)
+	if finite {
+		end, _ = slices.BinarySearchFunc(g.boxes, x, func(b []float64, x float64) int {
+			if b[0] <= x {
+				return -1
+			}
+			return 1
+		})
+	}
+	for i := end - 1; i >= 0; i-- {
+		if finite && g.reach[i] < x {
+			return false
+		}
+		if inBox(g.boxes[i], p) {
+			return true
+		}
+	}
+	return false
+}
+
+// ExactJob is the exact join: each query goes to one of P groups, group
+// qid mod P, as a bucket query with g = +∞, and every base record to each
+// group — or, when the driver sent a box table, to each group one of whose
+// queries' boxes holds it (baseSample.radiusBoxes). Either way each group's
+// bucket reducer holds every base row its queries' lists can hold and
+// answers them whole. No list needs merging, and the distances a query's
+// walk evaluates do not depend on the engine's partitions. The driver also
+// runs it, with no table, as the oracle RunExact.
 func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
-	groups := mapreduce.ConfOnce(groupKeys)
+	plans := mapreduce.ConfOnce(exactPlanOf)
 	return &mapreduce.Job{
 		Name: JobExact,
 		Conf: conf,
@@ -282,17 +407,39 @@ func ExactJob(conf mapreduce.Conf) *mapreduce.Job {
 			if len(value) == 0 {
 				return fmt.Errorf("knnjoin: empty input record")
 			}
-			keys, err := groups(ctx.Conf)
+			plan, err := plans(ctx.Conf)
 			if err != nil {
 				return err
 			}
+			keys := plan.keys
 			switch value[0] {
 			case tagBase:
 				if err := checkBase(value); err != nil {
 					return err
 				}
-				for _, key := range keys {
-					out.Emit(key, value)
+				if plan.groups == nil {
+					for _, key := range keys {
+						out.Emit(key, value)
+					}
+					return nil
+				}
+				p, _, err := points.DecodePoint(value[1:])
+				if err != nil {
+					return err
+				}
+				if len(p.Pos) != plan.dim {
+					return fmt.Errorf("knnjoin: base point %d has dim %d, the box table dim %d", p.ID, len(p.Pos), plan.dim)
+				}
+				var dropped int64
+				for g, key := range keys {
+					if plan.groups[g].holds(p.Pos) {
+						out.Emit(key, value)
+					} else {
+						dropped++
+					}
+				}
+				if dropped > 0 {
+					ctx.Counters.Cell(CtrBaseDropped).Add(dropped)
 				}
 			case tagQuery:
 				p, rest, err := points.DecodePoint(value[1:])

@@ -8,9 +8,11 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
@@ -29,7 +31,7 @@ func unfilteredRun(t *testing.T, R, S *points.Dataset, k int, cfg Config) ([][]N
 	ctx, sess := context.Background(), localSession()
 	w := cfg.W
 	if w <= 0 {
-		w = estimateWidth(R, S, k, &cfg)
+		w = estimateWidth(R, newBaseSample(S, k, cfg.Seed), &cfg)
 	}
 	conf := buildConf(R.Dim(), k, w, &cfg)
 	layouts, err := layoutsOf(conf)
@@ -442,5 +444,266 @@ func TestMalformedBaseRecords(t *testing.T) {
 	values := [][]byte{encodeTagged(tagBase, empty), encodeBucketQuery(1, empty)}
 	if err := bucketReduce(ctx, "bucket", values, mapreduce.EmitterFunc(func(string, []byte) {})); err == nil {
 		t.Fatal("a bucket of zero-dimensional points reduced without an error")
+	}
+}
+
+// bruteSample draws the run's sample of S and the width estimate's queries
+// as newBaseSample and meanKDistance do, as flat blocks.
+func bruteSample(R, S *points.Dataset, k int, seed int64) (base, queries []float64) {
+	rng := points.NewRand(seed + 0x5d7e)
+	base = samplePositions(S, max(16384, 64*k), rng)
+	return base, samplePositions(R, 64, rng)
+}
+
+// bruteKth returns the entries a flat scan of the sample keeps for q.
+func bruteKth(base []float64, dim int, q []float64, k int) []kernels.TopKEntry {
+	acc := kernels.NewTopKAcc(k)
+	kernels.TopKRange(base, dim, q, 0, len(base)/dim, acc)
+	return acc.Append(nil)
+}
+
+// TestWidthMatchesBruteForce: the sampled k-distance the width is solved
+// from, read off the box tree over the sample, is bit-identical to a flat
+// scan of the sample, and the walk counts the distances it evaluated — on a
+// sample drawn from a larger S, on duplicates, on an S smaller than the
+// sample (all of it, in order), with k above |S|, and with base points that
+// have a non-finite coordinate.
+func TestWidthMatchesBruteForce(t *testing.T) {
+	big := dataset.Blobs("knn-width-big", 20000, 3, 6, 200, 4, 3)
+	bigR, bigS, err := dataset.Split(big, 2000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	R, S := bigR, points.FromVectors("knn-width-small", nil)
+	for _, p := range bigS.Points[:900] {
+		S.Points = append(S.Points, points.Point{ID: int32(len(S.Points)), Pos: p.Pos})
+	}
+	// 500 positions, six copies each: every distance ties five times.
+	dups := dataset.Blobs("knn-width-dups", 3000, 2, 3, 60, 2, 8)
+	for i := range dups.Points {
+		copy(dups.Points[i].Pos, dups.Points[i%500].Pos)
+	}
+	dupR, dupS, err := dataset.Split(dups, 300, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inf := points.FromVectors("knn-width-inf", []points.Vector{{1, math.Inf(1), 0}, {math.NaN(), 2, 2}, {3, 3, 3}, {4, 4, 4}})
+	for _, tc := range []struct {
+		name string
+		R, S *points.Dataset
+		k    int
+	}{
+		{"sampled-blobs", bigR, bigS, 10},
+		{"small-S", R, S, 10},
+		{"duplicates", dupR, dupS, 8},
+		{"k-above-S", R, S, S.N() + 3},
+		{"non-finite-base", R, inf, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const seed = 5
+			sample := newBaseSample(tc.S, tc.k, seed)
+			got := sample.meanKDistance(tc.R)
+			base, queries := bruteSample(tc.R, tc.S, tc.k, seed)
+			dim := tc.S.Dim()
+			var sum float64
+			nq := len(queries) / dim
+			for i := 0; i < nq; i++ {
+				if ents := bruteKth(base, dim, queries[i*dim:(i+1)*dim], min(tc.k, len(base)/dim)); len(ents) > 0 {
+					sum += math.Sqrt(ents[len(ents)-1].D2)
+				}
+			}
+			if want := sum / float64(nq); math.Float64bits(got) != math.Float64bits(want) || !(got > 0) {
+				t.Fatalf("sampled k-distance %v from the tree, %v from a flat scan", got, want)
+			}
+			if pairs := int64(nq) * int64(len(base)/dim); sample.evaluated <= 0 || sample.evaluated > pairs {
+				t.Fatalf("%d distances counted for %d query-sample pairs", sample.evaluated, pairs)
+			}
+			if tc.name == "sampled-blobs" && 8*sample.evaluated > int64(nq)*int64(len(base)/dim) {
+				t.Fatalf("the walk evaluated %d of %d pairs: the tree did not prune", sample.evaluated, nq*len(base)/dim)
+			}
+		})
+	}
+}
+
+// TestExactBoxCount: the exact job ships a base point to the fallback
+// queries' group exactly when it lies in one of their boxes, each box the
+// query's sampled k-th distance r(q), found by a flat scan of the sample,
+// padded by 2⁻³⁰·(|q_t| + r) on every axis; every r(q) is at least q's
+// k-th distance in S; and the driver counts the sample walks' distances in
+// the run's total.
+func TestExactBoxCount(t *testing.T) {
+	ds := dataset.Blobs("knn-box-count", 21000, 2, 8, 300, 4, 12)
+	R, S, err := dataset.Split(ds, 1500, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 5
+	cfg := Config{Seed: 6, W: 6}
+	res, fallback, err := run(context.Background(), localSession(), R, S, k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fallback) < 20 || len(fallback) == R.N() {
+		t.Fatalf("%d of %d queries fell back; the case is meant to mix both outcomes", len(fallback), R.N())
+	}
+	base, _ := bruteSample(R, S, k, cfg.Seed)
+	if len(base)/S.Dim() >= S.N() {
+		t.Fatalf("a sample of %d rows from %d: the case is meant to sample", len(base)/S.Dim(), S.N())
+	}
+	var boxes [][2]points.Vector
+	for _, qid := range fallback {
+		q := R.Points[qid].Pos
+		ents := bruteKth(base, S.Dim(), q, k)
+		r := math.Sqrt(ents[k-1].D2)
+		if all := bruteKth(samplePositions(S, S.N(), nil), S.Dim(), q, k); all[k-1].D2 > ents[k-1].D2 {
+			t.Fatalf("query %d: sampled k-th d² %v below the k-th in S, %v", qid, ents[k-1].D2, all[k-1].D2)
+		}
+		lo, hi := make(points.Vector, len(q)), make(points.Vector, len(q))
+		for i, x := range q {
+			pad := 0x1p-30 * (math.Abs(x) + r)
+			lo[i], hi[i] = x-r-pad, x+r+pad
+		}
+		boxes = append(boxes, [2]points.Vector{lo, hi})
+	}
+	var inside int64
+	for _, p := range S.Points {
+		for _, b := range boxes {
+			if p.Pos[0] >= b[0][0] && p.Pos[0] <= b[1][0] && p.Pos[1] >= b[0][1] && p.Pos[1] <= b[1][1] {
+				inside++
+				break
+			}
+		}
+	}
+	shipped := jobCounter(t, res, JobExact, mapreduce.CtrMapOutputRecords) - int64(len(fallback))
+	dropped := jobCounter(t, res, JobExact, CtrBaseDropped)
+	if shipped != inside || shipped+dropped != int64(S.N()) {
+		t.Fatalf("exact job shipped %d base records and dropped %d; %d of %d base points lie in a fallback box",
+			shipped, dropped, inside, S.N())
+	}
+	if 2*inside > int64(S.N()) {
+		t.Fatalf("%d of %d base points in the fallback boxes: the filter barely filters", inside, S.N())
+	}
+	var jobs int64
+	for _, j := range res.Stats.Jobs {
+		jobs += j.Counters[mapreduce.CtrDistanceComputations]
+	}
+	if res.Stats.DistanceComputations <= jobs {
+		t.Fatalf("%d distances in the run, %d in its jobs: the driver's walks are not counted", res.Stats.DistanceComputations, jobs)
+	}
+}
+
+// TestGroupBoxesHolds: the axis-0 index answers what testing every box of
+// the group with inBox answers, and the exact map ships a base point to
+// exactly the groups one of whose queries' boxes holds it — bounds included,
+// a non-finite coordinate passing its axis, by a predicate written out here
+// — and counts every other group as a drop. The boxes share and repeat
+// lower bounds, some are flat, and the points sit on, just outside and
+// between their bounds, with ±Inf and NaN on either axis.
+func TestGroupBoxesHolds(t *testing.T) {
+	const dim, groups = 2, 3
+	rng := rand.New(rand.NewSource(9))
+	table := &boxTable{dim: dim, boxes: map[string][]float64{}}
+	var boxes [][]float64
+	for qid := range int32(40) {
+		box := make([]float64, 2*dim)
+		for i := range dim {
+			box[i] = float64(rng.Intn(5) - 2)
+			box[dim+i] = box[i] + []float64{0, 0.5, 1, 3}[rng.Intn(4)]
+		}
+		table.boxes[queryKey(qid)] = box
+		boxes = append(boxes, box)
+	}
+	conf := buildConf(dim, 3, 1, &Config{})
+	conf.SetInt(confGroups, groups)
+	conf[confExactBoxes] = encodeBoxes(table)
+	job := ExactJob(conf)
+	plan, err := exactPlanOf(conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	holds := func(box []float64, p points.Vector) bool {
+		for i, x := range p {
+			if !(box[i] <= x && x <= box[dim+i]) && !math.IsInf(x, 0) && !math.IsNaN(x) {
+				return false
+			}
+		}
+		return true
+	}
+	var probes []points.Vector
+	for _, box := range boxes {
+		for _, x := range []float64{box[0], box[dim]} {
+			for _, y := range []float64{box[1], box[dim+1]} {
+				probes = append(probes, points.Vector{x, y},
+					points.Vector{math.Nextafter(x, math.Inf(-1)), y}, points.Vector{math.Nextafter(x, math.Inf(1)), y},
+					points.Vector{x, math.Nextafter(y, math.Inf(-1))}, points.Vector{x, math.Nextafter(y, math.Inf(1))})
+			}
+		}
+	}
+	for range 400 {
+		probes = append(probes, points.Vector{8*rng.Float64() - 3, 8*rng.Float64() - 3})
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		probes = append(probes, points.Vector{v, 0.25}, points.Vector{v, 40}, points.Vector{0.25, v}, points.Vector{40, v})
+	}
+	var shippedAny, droppedAny bool
+	for id, p := range probes {
+		var got []string
+		ctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
+		err := job.Map(ctx, "", encodeTagged(tagBase, points.Point{ID: int32(id), Pos: p}),
+			mapreduce.EmitterFunc(func(key string, _ []byte) { got = append(got, key) }))
+		if err != nil {
+			t.Fatalf("base point %v: %v", p, err)
+		}
+		var want []string
+		for g := range groups {
+			scan := slices.ContainsFunc(plan.groups[g].boxes, func(box []float64) bool { return inBox(box, p) })
+			if idx := plan.groups[g].holds(p); idx != scan {
+				t.Fatalf("group %d, point %v: the index says %v, a test of every box %v", g, p, idx, scan)
+			}
+			for qid := g; qid < len(boxes); qid += groups {
+				if holds(boxes[qid], p) {
+					want = append(want, strconv.Itoa(g))
+					break
+				}
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("base point %v went to groups %q, want %q", p, got, want)
+		}
+		if dropped := ctx.Counters.Get(CtrBaseDropped); dropped != int64(groups-len(want)) {
+			t.Fatalf("base point %v: %d drops counted for %d groups shipped", p, dropped, len(want))
+		}
+		shippedAny = shippedAny || len(want) > 0
+		droppedAny = droppedAny || len(want) < groups
+	}
+	if !shippedAny || !droppedAny {
+		t.Fatalf("the probes never shipped (%v) or never dropped (%v): the case tests nothing", shippedAny, droppedAny)
+	}
+}
+
+// TestPinnedWidthWalksNoSample: a run with a pinned width whose bucketed
+// pass certifies every query needs neither the width estimate nor the
+// radius rule, so the driver walks no sample of S and the run's distance
+// count is its jobs' alone.
+func TestPinnedWidthWalksNoSample(t *testing.T) {
+	ds := dataset.Blobs("knn-no-sample", 3000, 2, 4, 120, 3, 21)
+	R, S, err := dataset.Split(ds, 300, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, fallback, err := run(context.Background(), localSession(), R, S, 4, Config{Seed: 3, W: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fallback) != 0 {
+		t.Fatalf("%d queries fell back; the case needs none", len(fallback))
+	}
+	var jobs int64
+	for _, j := range res.Stats.Jobs {
+		jobs += j.Counters[mapreduce.CtrDistanceComputations]
+	}
+	if res.Stats.DistanceComputations != jobs {
+		t.Fatalf("%d distances in the run, %d in its jobs: the driver walked a sample", res.Stats.DistanceComputations, jobs)
 	}
 }

@@ -16,10 +16,13 @@ import (
 )
 
 // Config tunes a kNN-join run. The zero value asks for sensible defaults:
-// 8 layouts of 4 functions, width solved for 90% expected bucket accuracy
+// 4 layouts of 4 functions, width solved for 90% expected bucket accuracy
 // from a sampled k-th-neighbor distance.
 type Config struct {
-	// M is the number of independent LSH layouts. Default 8.
+	// M is the number of independent LSH layouts. Default 4: a query is
+	// answered in the one layout that certifies it, and every layout ships
+	// its own copy of S, so layouts beyond 4 cost more shuffle than the few
+	// queries they certify save (DESIGN.md "Layout count").
 	M int
 	// Pi is the number of hash functions per layout. Default 4.
 	Pi int
@@ -41,7 +44,7 @@ func (c *Config) m() int {
 	if c.M > 0 {
 		return c.M
 	}
-	return 8
+	return 4
 }
 
 func (c *Config) pi() int {
@@ -103,9 +106,19 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 	}
 	mark := sess.Mark()
 
+	// The sample of S is drawn on first use, by the width estimate or the
+	// exact pass's radius rule, so a run with a pinned width and no
+	// fallback never builds it.
+	var sample *baseSample
+	sampleOf := func() *baseSample {
+		if sample == nil {
+			sample = newBaseSample(S, k, cfg.Seed)
+		}
+		return sample
+	}
 	w := cfg.W
 	if w <= 0 {
-		w = estimateWidth(R, S, k, &cfg)
+		w = estimateWidth(R, sampleOf(), &cfg)
 	}
 	conf := buildConf(R.Dim(), k, w, &cfg)
 	layouts, err := layoutsOf(conf)
@@ -133,7 +146,12 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 		for i, qid := range fallback {
 			fbPairs[i] = mapreduce.Pair{Value: encodeTagged(tagQuery, R.Points[qid])}
 		}
-		if err := exactJoin(ctx, sess, conf, res.Neighbors, sess.Stage(fbPairs), sIn); err != nil {
+		exactConf := conf
+		if table := sampleOf().radiusBoxes(R, fallback); table != nil {
+			exactConf = conf.Clone()
+			exactConf[confExactBoxes] = encodeBoxes(table)
+		}
+		if err := exactJoin(ctx, sess, exactConf, res.Neighbors, sess.Stage(fbPairs), sIn); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -142,13 +160,17 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 	res.Stats.M = cfg.m()
 	res.Stats.Pi = cfg.pi()
 	core.CollectStats(&res.Stats, sess, mark, start)
+	// The driver's own walks over the sample count beside the reducers'.
+	if sample != nil {
+		res.Stats.DistanceComputations += sample.evaluated
+	}
 	return res, fallback, nil
 }
 
 // RunExact executes the exact join alone: one job whose groups each hold
-// all of S and a share of R (ExactJob). It is the oracle Run is
-// conformance-tested against and the engine of centroid scoring, where S
-// is small enough that bucketing buys nothing.
+// all of S and a share of R (ExactJob, with no box table). It is the oracle
+// Run is conformance-tested against and the engine of centroid scoring,
+// where S is small enough that bucketing buys nothing.
 func RunExact(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, error) {
 	start := time.Now()
 	if err := validate(R, S, k); err != nil {
@@ -207,6 +229,9 @@ func validate(R, S *points.Dataset, k int) error {
 	if R.Dim() != S.Dim() {
 		return fmt.Errorf("knnjoin: query dim %d, base dim %d", R.Dim(), S.Dim())
 	}
+	if R.Dim() < 1 {
+		return fmt.Errorf("knnjoin: points of dim %d, want at least 1", R.Dim())
+	}
 	return nil
 }
 
@@ -257,6 +282,86 @@ func decodeResults(dst [][]Neighbor, pairs []mapreduce.Pair) ([]int32, error) {
 	return fallback, nil
 }
 
+// baseSample is the seeded sample of S the driver draws once per run, under
+// a box tree: up to max(16384, 64k) points, drawn without replacement. It
+// stands in for S twice — in the width estimate and in the exact pass's
+// radius rule (radiusBoxes) — and both walk the tree (kernels.TopKLeaves),
+// which keeps exactly what a flat scan of the sample keeps. evaluated counts
+// the distances the walks computed; rng, seeded from the run's seed, drew
+// the sample and draws the width estimate's queries after it.
+type baseSample struct {
+	tree      kernels.BoxTree
+	rows, k   int // sample rows; the join's k
+	rng       *points.Rand
+	acc       kernels.TopKAcc
+	entries   []kernels.TopKEntry
+	evaluated int64
+}
+
+func newBaseSample(S *points.Dataset, k int, seed int64) *baseSample {
+	s := &baseSample{k: k, rng: points.NewRand(seed + 0x5d7e)}
+	data := samplePositions(S, max(16384, 64*k), s.rng)
+	s.rows = len(data) / S.Dim()
+	s.tree.Build(data, S.Dim())
+	return s
+}
+
+// farthest walks the sample for q's k nearest rows and returns how many it
+// kept — fewer than k when fewer rows lie at a finite distance — and the
+// squared distance of the farthest kept one.
+func (s *baseSample) farthest(q []float64, k int) (d2 float64, kept int) {
+	s.acc.Reset(k)
+	rows, _ := kernels.TopKLeaves(&s.tree, q, &s.acc)
+	s.evaluated += int64(rows)
+	s.entries = s.acc.Append(s.entries[:0])
+	if len(s.entries) == 0 {
+		return 0, 0
+	}
+	return s.entries[len(s.entries)-1].D2, len(s.entries)
+}
+
+// radiusBoxes is the exact pass's base filter: for each fallback query q,
+// keyed by its ID (queryKey), the box of radius r(q) around q, padded as the
+// candidates job's boxes are (growBox), where r(q) is q's distance to its
+// k-th nearest sample row. The sample is a subset of S, so r(q) is at least
+// q's k-th distance in S, and every neighbour of q, ties at the k-th
+// distance included, lies in its box. It returns nil — the exact job then
+// sends all of S to every group — when some query has fewer than k sample
+// rows at a finite distance: the sample is smaller than k, or the query or
+// too many sample rows have a non-finite coordinate.
+func (s *baseSample) radiusBoxes(R *points.Dataset, fallback []int32) *boxTable {
+	t := &boxTable{dim: R.Dim(), boxes: make(map[string][]float64, len(fallback))}
+	for _, qid := range fallback {
+		q := R.Points[qid].Pos
+		d2, kept := s.farthest(q, s.k)
+		if kept < s.k {
+			return nil
+		}
+		box := emptyBox(t.dim)
+		growBox(box, q, math.Sqrt(d2))
+		t.boxes[queryKey(qid)] = box
+	}
+	return t
+}
+
+// meanKDistance is d_k for the width estimate: the mean, over up to 64
+// queries drawn from R after the sample, of the distance to the farthest of
+// their min(k, rows) nearest sample rows (nothing when a query has no
+// sample row at a finite distance).
+func (s *baseSample) meanKDistance(R *points.Dataset) float64 {
+	dim := R.Dim()
+	k := min(s.k, s.rows)
+	queries := samplePositions(R, 64, s.rng)
+	var sum float64
+	nq := len(queries) / dim
+	for i := 0; i < nq; i++ {
+		if d2, kept := s.farthest(queries[i*dim:(i+1)*dim], k); kept > 0 {
+			sum += math.Sqrt(d2)
+		}
+	}
+	return sum / float64(nq)
+}
+
 // estimateWidth derives the LSH slot width from a seeded sample: the mean
 // k-th-neighbor distance of up to 64 sampled queries against up to
 // max(16384, 64k) sampled base points stands in for d_k. Subsampling S only
@@ -275,33 +380,9 @@ func decodeResults(dst [][]Neighbor, pairs []mapreduce.Pair) ([]int32, error) {
 //
 // — roughly 1.25·√dim times the paper's width, the price of an exactness
 // certificate instead of a probabilistic one.
-func estimateWidth(R, S *points.Dataset, k int, cfg *Config) float64 {
-	rng := points.NewRand(cfg.Seed + 0x5d7e)
-	dim := S.Dim()
-	nb := 64 * k
-	if nb < 16384 {
-		nb = 16384
-	}
-	base := samplePositions(S, nb, rng)
-	nBase := len(base) / dim
-	kk := k
-	if kk > nBase {
-		kk = nBase
-	}
-	queries := samplePositions(R, 64, rng)
-	acc := kernels.NewTopKAcc(kk)
-	var entries []kernels.TopKEntry
-	var sum float64
-	nq := len(queries) / dim
-	for i := 0; i < nq; i++ {
-		acc.Reset(kk)
-		kernels.TopKRange(base, dim, queries[i*dim:(i+1)*dim], 0, nBase, acc)
-		entries = acc.Append(entries[:0])
-		if len(entries) > 0 {
-			sum += math.Sqrt(entries[len(entries)-1].D2)
-		}
-	}
-	dc := sum / float64(nq)
+func estimateWidth(R *points.Dataset, sample *baseSample, cfg *Config) float64 {
+	dim := R.Dim()
+	dc := sample.meanKDistance(R)
 	if !(dc > 0) || math.IsInf(dc, 1) {
 		cfg.logf("knnjoin: degenerate sampled k-distance %v, width 1", dc)
 		return 1

@@ -404,3 +404,143 @@ func TestSharedSessionStatsAreOwn(t *testing.T) {
 		})
 	}
 }
+
+// TestExactRadiusRule: when the exact pass ships a fallback query's group
+// only the base points inside the query's sampled k-distance box, Run still
+// equals RunExact and the naive scan bit for bit — on fallback-heavy runs
+// (a small pinned width), a sample drawn from a larger S, duplicate points,
+// and an integer lattice whose k-th distances tie exactly at the box's
+// radius, so the lowest IDs among the tied points must reach the group.
+// Where no sampled radius bounds some fallback query's list — a query with
+// a NaN coordinate, a base set whose sample holds fewer than k rows at a
+// finite distance though S holds k, k above the sample's size — every group
+// gets all of S, and the lists are still the naive scan's.
+func TestExactRadiusRule(t *testing.T) {
+	R, S := splitBlobs(t, "knn-radius", 2000, 2, 300, 71)
+	bigR, bigS := splitBlobs(t, "knn-radius-big", 17100, 2, 100, 72)
+	dups := dataset.Blobs("knn-radius-dups", 1600, 3, 4, 80, 3, 73)
+	for i := range dups.Points {
+		copy(dups.Points[i].Pos, dups.Points[i%300].Pos)
+	}
+	dupR, dupS, err := dataset.Split(dups, 250, 74)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A 40×40 lattice as S, and as R lattice points and the centres of its
+	// cells: at k = 3 a lattice query's 2nd and 3rd neighbours tie with two
+	// more at distance 1, a centre's 1st to 3rd with one more at √½.
+	var lattice, queries []points.Vector
+	for x := 0; x < 40; x++ {
+		for y := 0; y < 40; y++ {
+			lattice = append(lattice, points.Vector{float64(x), float64(y)})
+			if (x+2*y)%7 == 0 {
+				queries = append(queries, points.Vector{float64(x), float64(y)}, points.Vector{float64(x) + 0.5, float64(y) + 0.5})
+			}
+		}
+	}
+	latR, latS := points.FromVectors("knn-lattice-R", queries), points.FromVectors("knn-lattice-S", lattice)
+	nanR := points.FromVectors("knn-nan-R", append([]points.Vector{{math.NaN(), 1}}, vectors(R)[:60]...))
+	// 40 000 base points of which only 10 are finite: the 16 384-point
+	// sample misses some of them, so no query has 10 finite sample rows.
+	var sparse []points.Vector
+	for i := 0; i < 40000; i++ {
+		if i%4000 == 0 {
+			sparse = append(sparse, points.Vector{float64(i / 4000), 1})
+		} else {
+			sparse = append(sparse, points.Vector{float64(i), math.Inf(1)})
+		}
+	}
+	sparseS := points.FromVectors("knn-sparse-S", sparse)
+	for _, tc := range []struct {
+		name    string
+		R, S    *points.Dataset
+		k       int
+		cfg     knnjoin.Config
+		noTable bool
+	}{
+		{"blobs", R, S, 5, knnjoin.Config{Seed: 3, W: 3}, false},
+		{"sampled", bigR, bigS, 7, knnjoin.Config{Seed: 4, W: 2}, false},
+		{"duplicates", dupR, dupS, 9, knnjoin.Config{Seed: 5, W: 4}, false},
+		{"lattice", latR, latS, 3, knnjoin.Config{Seed: 6, W: 2}, false},
+		{"lattice-all-fall-back", latR, latS, 5, knnjoin.Config{Seed: 6, W: 1e-3}, false},
+		{"nan-query", nanR, S, 5, knnjoin.Config{Seed: 2, W: 1e-3}, true},
+		{"sparse-finite-sample", points.FromVectors("knn-sparse-R", vectors(R)[:20]), sparseS, 10, knnjoin.Config{Seed: 2, W: 1e-3}, true},
+		{"k-above-sample", R, points.FromVectors("knn-tiny-S", vectors(S)[:30]), 40, knnjoin.Config{Seed: 2, W: 1e-3}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := knnjoin.Run(context.Background(), localSession(), tc.R, tc.S, tc.k, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := knnjoin.RunExact(context.Background(), localSession(), tc.R, tc.S, tc.k, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := naiveKNN(tc.R, tc.S, tc.k)
+			requireSameNeighbors(t, exact.Neighbors, want)
+			requireSameNeighbors(t, res.Neighbors, want)
+			if res.Fallbacks < tc.R.N()/10 {
+				t.Fatalf("%d of %d queries fell back; the case is meant to be fallback-heavy", res.Fallbacks, tc.R.N())
+			}
+			for _, j := range res.Stats.Jobs {
+				if j.Name != knnjoin.JobExact {
+					continue
+				}
+				groups := max(1, res.Fallbacks/tc.S.N())
+				dropped := j.Counters[knnjoin.CtrBaseDropped]
+				shipped := j.Counters[mapreduce.CtrMapOutputRecords] - int64(res.Fallbacks)
+				if tc.noTable && (dropped != 0 || shipped != int64(groups*tc.S.N())) {
+					t.Fatalf("no radius bounds every list, yet the exact pass shipped %d and dropped %d base copies to %d groups of %d base points",
+						shipped, dropped, groups, tc.S.N())
+				}
+				if !tc.noTable && dropped == 0 {
+					t.Fatal("the exact pass shipped all of S: no box table")
+				}
+			}
+		})
+	}
+}
+
+// TestDefaultLayoutsShipLess: the default layout count shuffles fewer bytes
+// than 8 layouts, the default before it, and answers every query the same,
+// on harness-shaped blobs, S2 and Spatial3D.
+func TestDefaultLayoutsShipLess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three joins of up to 18 000 points at two layout counts")
+	}
+	for _, tc := range []struct {
+		name string
+		ds   *points.Dataset
+	}{
+		{"blobs", dataset.Blobs("knn-layouts", 18000, 4, 64, 400, 5, 1)},
+		{"S2", dataset.S2(1)},
+		{"Spatial3D", dataset.Spatial3D(18000, 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			R, S, err := dataset.Split(tc.ds, tc.ds.N()/6, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var results [2]*knnjoin.Result
+			for i, m := range []int{0, 8} {
+				results[i], err = knnjoin.Run(context.Background(), localSession(), R, S, 10, knnjoin.Config{M: m, Accuracy: 0.95, Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireSameNeighbors(t, results[0].Neighbors, results[1].Neighbors)
+			if def, eight := results[0].Stats.ShuffleBytes, results[1].Stats.ShuffleBytes; def >= eight {
+				t.Fatalf("%d layouts shuffled %d bytes, 8 layouts %d", results[0].Stats.M, def, eight)
+			}
+		})
+	}
+}
+
+// vectors returns the positions of ds.
+func vectors(ds *points.Dataset) []points.Vector {
+	out := make([]points.Vector, ds.N())
+	for i, p := range ds.Points {
+		out[i] = p.Pos
+	}
+	return out
+}
