@@ -1,0 +1,390 @@
+package repro
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/eddpc"
+	"repro/internal/fleet"
+	"repro/internal/kmeansmr"
+	"repro/internal/knnjoin"
+	"repro/internal/mapreduce"
+	"repro/internal/mapreduce/rpcmr"
+)
+
+// The golden file pins every pipeline's output and cost counts. Each line
+// is one (pipeline, seed): a 12-hex sha256 prefix over the pipeline's
+// output arrays, then one entry per job it ran with the counts below that
+// are not zero. Wire bytes, timings and attempt counters are left out, so
+// every engine must print the same line — the file is the local-vs-rpcmr
+// conformance check as well. On a mismatch the test writes what it
+// computed to golden.got beside golden.txt; accepting a change is
+//
+//	mv testdata/golden.got testdata/golden.txt
+const (
+	goldenPath = "testdata/golden.txt"
+	goldenGot  = "testdata/golden.got"
+)
+
+// goldenCounters are the per-job counts a golden line holds, with the short
+// name it prints them under.
+var goldenCounters = []struct{ name, short string }{
+	{mapreduce.CtrDistanceComputations, "dist"},
+	{mapreduce.CtrShuffleRecords, "srec"},
+	{mapreduce.CtrShuffleBytes, "sbytes"},
+	{core.CtrPairsPruned, "pruned"},
+	{core.CtrPairsSkipped, "skipped"},
+	{core.CtrDeltaCertified, "certified"},
+	{knnjoin.CtrFallbacks, "fallbacks"},
+}
+
+// goldenHeader opens the file with the key to its columns.
+const goldenHeader = `# One line per (pipeline, seed): a sha256 prefix of its outputs, then per job
+# (a run of n equal jobs is one "name×n" entry) the non-zero counts among
+# dist = dp.distance.computations, srec / sbytes = shuffle.records / .bytes,
+# mrec = map.output.records (instead of srec / sbytes on a job with a combiner,
+# whose shuffle follows the split count), pruned / skipped = dp.lsh.pairs.*,
+# certified = dp.delta.certified, fallbacks = knn.exact.fallbacks.
+# Written by TestGolden (golden_test.go); accept a change with
+#   mv testdata/golden.got testdata/golden.txt
+`
+
+var goldenSeeds = []int64{1, 2, 4}
+
+// Shapes of the golden runs: blobs of goldenN points in goldenDim
+// dimensions around goldenK centres, spread wide enough that clusters touch
+// and the halo pass flags points; the join splits them into goldenR
+// queries and the rest as its base.
+const (
+	goldenN   = 3000
+	goldenDim = 4
+	goldenK   = 5
+	goldenR   = 500
+	knnK      = 8
+)
+
+// recorder is an engine that remembers the golden counts of every job it
+// runs, in order.
+type recorder struct {
+	mapreduce.Engine
+	mu   sync.Mutex
+	jobs []string
+}
+
+func (r *recorder) Run(ctx context.Context, job *mapreduce.Job, input []mapreduce.Pair) (*mapreduce.Result, error) {
+	res, err := r.Engine.Run(ctx, job, input)
+	if err != nil {
+		return nil, err
+	}
+	entry := job.Name
+	for _, c := range goldenCounters {
+		if job.Combine != nil && c.name == mapreduce.CtrShuffleBytes {
+			continue
+		}
+		if job.Combine != nil && c.name == mapreduce.CtrShuffleRecords {
+			c.name, c.short = mapreduce.CtrMapOutputRecords, "mrec"
+		}
+		if v := res.Counters.Get(c.name); v != 0 {
+			entry += fmt.Sprintf(" %s=%d", c.short, v)
+		}
+	}
+	r.mu.Lock()
+	r.jobs = append(r.jobs, entry)
+	r.mu.Unlock()
+	return res, nil
+}
+
+// take returns the entries recorded since the last take, consecutive
+// repeats folded into one "×n" entry (K-means runs one job per iteration).
+func (r *recorder) take() string {
+	r.mu.Lock()
+	jobs := r.jobs
+	r.jobs = nil
+	r.mu.Unlock()
+	var b strings.Builder
+	for i := 0; i < len(jobs); {
+		j := i + 1
+		for j < len(jobs) && jobs[j] == jobs[i] {
+			j++
+		}
+		b.WriteString(" | ")
+		if name, counts, _ := strings.Cut(jobs[i], " "); j-i > 1 {
+			fmt.Fprintf(&b, "%s×%d %s", name, j-i, counts)
+		} else {
+			b.WriteString(jobs[i])
+		}
+		i = j
+	}
+	return strings.TrimRight(b.String(), " ")
+}
+
+// digest is a sha256 over little-endian arrays.
+type digest struct{ buf []byte }
+
+func (d *digest) f64s(xs []float64) *digest {
+	for _, x := range xs {
+		d.buf = binary.LittleEndian.AppendUint64(d.buf, math.Float64bits(x))
+	}
+	return d
+}
+
+func (d *digest) i32s(xs []int32) *digest {
+	for _, x := range xs {
+		d.buf = binary.LittleEndian.AppendUint32(d.buf, uint32(x))
+	}
+	return d
+}
+
+func (d *digest) ints(xs []int) *digest {
+	for _, x := range xs {
+		d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(x))
+	}
+	return d
+}
+
+func (d *digest) bools(xs []bool) *digest {
+	for _, x := range xs {
+		b := byte(0)
+		if x {
+			b = 1
+		}
+		d.buf = append(d.buf, b)
+	}
+	return d
+}
+
+func (d *digest) bytes(b []byte) *digest {
+	d.buf = binary.LittleEndian.AppendUint64(d.buf, uint64(len(b)))
+	d.buf = append(d.buf, b...)
+	return d
+}
+
+func (d *digest) String() string {
+	sum := sha256.Sum256(d.buf)
+	return hex.EncodeToString(sum[:6])
+}
+
+func ddpDigest(res *core.Result) string {
+	return new(digest).f64s(res.Rho).f64s(res.Delta).i32s(res.Upslope).String()
+}
+
+func knnDigest(res *knnjoin.Result) string {
+	d := new(digest)
+	for _, ns := range res.Neighbors {
+		d.ints([]int{len(ns)})
+		for _, n := range ns {
+			d.i32s([]int32{n.ID}).f64s([]float64{n.D2})
+		}
+	}
+	return d.String()
+}
+
+// goldenLines runs every pipeline at seed on eng and returns one line per
+// pipeline, in a fixed order; dir holds the fleet manifests it writes.
+func goldenLines(ctx context.Context, eng mapreduce.Engine, seed int64, dir string) ([]string, error) {
+	rec := &recorder{Engine: eng}
+	ds := dataset.Blobs("golden", goldenN, goldenDim, goldenK, 100, 10, seed)
+	cfg := core.Config{Engine: rec, Seed: seed}
+	var lines []string
+	add := func(pipeline, sum string) {
+		lines = append(lines, fmt.Sprintf("%s seed=%d %s%s", pipeline, seed, sum, rec.take()))
+	}
+
+	lshCfg := core.LSHConfig{Config: cfg}
+	lsh, err := core.RunLSHDDP(ctx, ds, lshCfg)
+	if err != nil {
+		return nil, fmt.Errorf("lsh: %w", err)
+	}
+	add("lsh", ddpDigest(lsh))
+	peaks, labels, err := lsh.Cluster(ds, core.SelectTopK(goldenK))
+	if err != nil {
+		return nil, err
+	}
+	halo, err := core.RunLSHHalo(ctx, ds, lsh.Rho, labels, lsh.Stats.Dc, lshCfg)
+	if err != nil {
+		return nil, fmt.Errorf("halo: %w", err)
+	}
+	add("halo", new(digest).bools(halo.Halo).f64s(halo.Border).String())
+
+	mdl, err := core.ExportModel(ds, lsh, peaks, labels, halo.Border, seed)
+	if err != nil {
+		return nil, err
+	}
+	artifact, err := mdl.Encode()
+	if err != nil {
+		return nil, err
+	}
+	add("model", fmt.Sprintf("%s bytes=%d", new(digest).bytes(artifact), len(artifact)))
+	for _, shards := range []int{2, 4} {
+		subs, mf, err := fleet.Partition(mdl, shards, 0)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: %w", err)
+		}
+		path := filepath.Join(dir, "fleet.json")
+		if err := mf.Save(path); err != nil {
+			return nil, err
+		}
+		manifest, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		d := new(digest).bytes(manifest)
+		for _, sub := range subs {
+			b, err := sub.Encode()
+			if err != nil {
+				return nil, err
+			}
+			d.bytes(b)
+		}
+		add(fmt.Sprintf("fleet%d", shards), fmt.Sprintf("%s overrides=%d", d, len(mf.Overrides)))
+	}
+
+	basic, err := core.RunBasicDDP(ctx, ds, core.BasicConfig{Config: cfg})
+	if err != nil {
+		return nil, fmt.Errorf("basic: %w", err)
+	}
+	add("basic", ddpDigest(basic))
+	ed, err := eddpc.Run(ctx, ds, eddpc.Config{Config: cfg})
+	if err != nil {
+		return nil, fmt.Errorf("eddpc: %w", err)
+	}
+	add("eddpc", ddpDigest(ed))
+
+	km, err := kmeansmr.Run(ctx, ds, kmeansmr.Config{Engine: rec, K: goldenK, MaxIter: 5, Seed: seed})
+	if err != nil {
+		return nil, fmt.Errorf("kmeans: %w", err)
+	}
+	add("kmeans", new(digest).ints(km.Labels).String())
+
+	R, S, err := dataset.Split(ds, goldenR, seed)
+	if err != nil {
+		return nil, err
+	}
+	for _, exact := range []bool{false, true} {
+		run, name := knnjoin.Run, "knn"
+		if exact {
+			run, name = knnjoin.RunExact, "knn-exact"
+		}
+		res, err := run(ctx, cfg.DagSession(), R, S, knnK, knnjoin.Config{Seed: seed})
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		// The total counts the driver's walks over its sample of S too.
+		add(name, fmt.Sprintf("%s dist=%d", knnDigest(res), res.Stats.DistanceComputations))
+	}
+	return lines, nil
+}
+
+// goldenCluster boots a master and three workers on loopback.
+func goldenCluster(t *testing.T) mapreduce.Engine {
+	for _, f := range []map[string]func(mapreduce.Conf) *mapreduce.Job{
+		core.JobFactories(), core.HaloJobFactories(), eddpc.JobFactories(),
+		kmeansmr.JobFactories(), knnjoin.JobFactories(),
+	} {
+		rpcmr.RegisterJobs(f)
+	}
+	master, err := rpcmr.NewMaster("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { master.Close() })
+	for range 3 {
+		w, err := rpcmr.StartWorker(master.Addr(), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+	}
+	if err := master.WaitWorkers(3, time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	return master
+}
+
+// TestGolden runs every pipeline at every golden seed on each engine,
+// requires the engines to agree line for line, and holds the lines to
+// testdata/golden.txt. The rpcmr cluster is skipped under -short.
+func TestGolden(t *testing.T) {
+	engines := []struct {
+		name string
+		eng  mapreduce.Engine
+	}{
+		{"local/1", &mapreduce.LocalEngine{Parallelism: 1}},
+		{"local/3", &mapreduce.LocalEngine{Parallelism: 3}},
+	}
+	if !testing.Short() {
+		engines = append(engines, struct {
+			name string
+			eng  mapreduce.Engine
+		}{"rpcmr/3", goldenCluster(t)})
+	}
+	ctx := context.Background()
+	var got []string
+	for _, seed := range goldenSeeds {
+		var first []string
+		for i, e := range engines {
+			lines, err := goldenLines(ctx, e.eng, seed, t.TempDir())
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", e.name, seed, err)
+			}
+			if i == 0 {
+				first = lines
+				continue
+			}
+			for j := range lines {
+				if lines[j] != first[j] {
+					t.Errorf("%s differs from %s:\n  %s\n  %s", e.name, engines[0].name, lines[j], first[j])
+				}
+			}
+		}
+		got = append(got, first...)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	want, err := os.ReadFile(goldenPath)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	text := goldenHeader + strings.Join(got, "\n") + "\n"
+	if string(want) == text {
+		os.Remove(goldenGot)
+		return
+	}
+	if err := os.WriteFile(goldenGot, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Errorf("pipeline outputs differ from %s (wrote %s; mv it over %s to accept):\n%s",
+		goldenPath, goldenGot, goldenPath, lineDiff(strings.Split(strings.TrimSuffix(string(want), "\n"), "\n"), got))
+}
+
+// lineDiff lists the lines only in want ("-") and only in got ("+").
+func lineDiff(want, got []string) string {
+	var b strings.Builder
+	for _, l := range want {
+		if l != "" && !slices.Contains(got, l) {
+			fmt.Fprintf(&b, "- %s\n", l)
+		}
+	}
+	for _, l := range got {
+		if !slices.Contains(want, l) {
+			fmt.Fprintf(&b, "+ %s\n", l)
+		}
+	}
+	return b.String()
+}
