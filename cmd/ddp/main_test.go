@@ -2,12 +2,47 @@ package main
 
 import (
 	"context"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/mapreduce"
 )
+
+// TestMain runs the command itself when the test binary is started as ddp
+// by runDDP, and the tests otherwise.
+func TestMain(m *testing.M) {
+	if os.Getenv("DDP_TEST_AS_COMMAND") == "1" {
+		os.Args = append([]string{"ddp"}, os.Args[1:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runDDP runs `ddp args...` in a child process and returns its stdout and
+// exit code.
+func runDDP(t *testing.T, args ...string) (string, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "DDP_TEST_AS_COMMAND=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return string(out), exit.ExitCode()
+	}
+	if err != nil {
+		t.Fatalf("ddp %s: %v", strings.Join(args, " "), err)
+	}
+	return string(out), 0
+}
 
 // TestExactSharesBasicDc: -algo exact is Basic-DDP's sequential
 // counterpart on the same input, so both cluster at the d_c the shared
@@ -17,11 +52,11 @@ func TestExactSharesBasicDc(t *testing.T) {
 	ds := dataset.Blobs("ddp-exact-dc", 1200, 2, 4, 100, 3, 5)
 	cfg := core.Config{Engine: &mapreduce.LocalEngine{Parallelism: 2}, Seed: 1}
 	ctx := context.Background()
-	exact, err := runAlgorithm(ctx, ds, "exact", cfg, 0.99, 10, 3, 500)
+	exact, err := runAlgorithm(ctx, ds, "exact", core.LSHConfig{Config: cfg}, core.BasicConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	basic, err := runAlgorithm(ctx, ds, "basic", cfg, 0.99, 10, 3, 500)
+	basic, err := runAlgorithm(ctx, ds, "basic", core.LSHConfig{Config: cfg}, core.BasicConfig{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,5 +67,45 @@ func TestExactSharesBasicDc(t *testing.T) {
 		if exact.Rho[i] != basic.Rho[i] {
 			t.Fatalf("rho[%d]: exact %v, basic %v", i, exact.Rho[i], basic.Rho[i])
 		}
+	}
+}
+
+// TestGenSplitThenKnn: `ddp gen -split` writes a query and a base file
+// beside -o, and `ddp knn` on them prints exactly what `ddp knn -exact`
+// does.
+func TestGenSplitThenKnn(t *testing.T) {
+	dir := t.TempDir()
+	if _, code := runDDP(t, "gen", "-dataset", "S2", "-split", "300:1500", "-seed", "7", "-o", filepath.Join(dir, "pts.csv")); code != 0 {
+		t.Fatalf("gen exited %d", code)
+	}
+	r, s := filepath.Join(dir, "pts-R.csv"), filepath.Join(dir, "pts-S.csv")
+	join := []string{"knn", "-r", r, "-s", s, "-labeled", "-k", "5"}
+	got, code := runDDP(t, join...)
+	if code != 0 {
+		t.Fatalf("knn exited %d", code)
+	}
+	want, code := runDDP(t, append(join, "-exact")...)
+	if code != 0 {
+		t.Fatalf("knn -exact exited %d", code)
+	}
+	if lines := strings.Count(got, "\n"); lines != 300*5 {
+		t.Fatalf("knn printed %d lines, want 300 queries × 5", lines)
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("line %d: knn %q, knn -exact %q", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	if len(gotLines) != len(wantLines) {
+		t.Fatalf("knn printed %d lines, knn -exact %d", len(gotLines), len(wantLines))
+	}
+}
+
+// TestUnknownSubcommand: a first argument that is neither a flag nor a
+// subcommand is a usage error.
+func TestUnknownSubcommand(t *testing.T) {
+	if _, code := runDDP(t, "nosuch"); code != 2 {
+		t.Fatalf("ddp nosuch exited %d, want 2", code)
 	}
 }

@@ -26,9 +26,10 @@
 //     backticks, a `make <target>` the Makefile does not define, a
 //     `cmd/<name>` directory that does not exist, a `-flag` on a command
 //     line — `<name> [subcommand] -flag …` or `go run ./cmd/<name> … -flag`
-//     — that no flag set in that command's non-test sources defines, or,
-//     for a command that dispatches on os.Args[1], a first non-flag word
-//     on such a line that is none of its subcommands.
+//     — that the command (a subcommand: the flag.NewFlagSet named after it)
+//     does not define, or, for a command that dispatches on os.Args[1], a
+//     first argument on such a line that is neither a flag nor one of its
+//     subcommands.
 //
 // The second check keeps the README's configuration reference in step with
 // the code: adding a knob without documenting it breaks `make check` and CI.
@@ -59,10 +60,7 @@ import (
 
 func main() {
 	undocumented, knobs, counters, literals, fields, err := scan(".")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(1)
-	}
+	fatal(err)
 	failed := false
 	if len(undocumented) > 0 {
 		failed = true
@@ -71,12 +69,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "  %s\n", dir)
 		}
 	}
-	readme, err := os.ReadFile("README.md")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(1)
-	}
-	if missing := undocumentedConsts(string(readme), knobs); len(missing) > 0 {
+	readme := readDoc("README.md")
+	if missing := undocumentedConsts(readme, knobs); len(missing) > 0 {
 		failed = true
 		fmt.Fprintln(os.Stderr, "doccheck: knobs registered in code but missing from README.md's configuration reference:")
 		for _, k := range missing {
@@ -84,42 +78,30 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, "doccheck: add a `| `knob` | default | meaning |` row under \"Configuration reference\"")
 	}
-	documented := documentedKnobs(string(readme))
+	documented := documentedKnobs(readme)
 	for _, key := range unreadKnobs(documented, literals) {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: README documents knob %s, which no code reads\n", key)
 	}
-	settings := documentedFields(string(readme))
+	settings := documentedFields(readme)
 	for _, f := range missingFields(settings, fields) {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: README documents setting %s, which names no exported struct field\n", f)
 	}
-	ops, err := os.ReadFile("OPERATIONS.md")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(1)
-	}
-	for _, c := range undocumentedConsts(string(ops), counters) {
+	ops := readDoc("OPERATIONS.md")
+	for _, c := range undocumentedConsts(ops, counters) {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: counter %s (%s) has no OPERATIONS.md row\n", c.value, c.name)
 	}
-	rows := documentedCounters(string(ops))
+	rows := documentedCounters(ops)
 	for _, name := range unreadKnobs(rows, literals) {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: OPERATIONS.md documents counter %s, which no code emits\n", name)
 	}
 	targets, cmds, subs, err := definedRefs("Makefile", "cmd")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-		os.Exit(1)
-	}
+	fatal(err)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md"} {
-		data, err := os.ReadFile(doc)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
-			os.Exit(1)
-		}
-		for _, ref := range staleRefs(string(data), targets, cmds, subs) {
+		for _, ref := range staleRefs(readDoc(doc), targets, cmds, subs) {
 			failed = true
 			fmt.Fprintf(os.Stderr, "doccheck: %s mentions `%s`, which no longer exists\n", doc, ref)
 		}
@@ -129,6 +111,20 @@ func main() {
 	}
 	fmt.Printf("doccheck: all packages documented, all %d registered knobs in the README, all %d README knob keys read by code, all %d README struct settings declared, all %d counters in OPERATIONS.md, all %d OPERATIONS.md counter rows emitted by code\n",
 		len(knobs), len(documented), len(settings), len(counters), len(rows))
+}
+
+// fatal exits on a file doccheck cannot read or parse.
+func fatal(err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doccheck: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func readDoc(path string) string {
+	data, err := os.ReadFile(path)
+	fatal(err)
+	return string(data)
 }
 
 // knob is one exported Conf* (knob) or Ctr* (counter) string constant found
@@ -252,9 +248,9 @@ var (
 	flagWord = regexp.MustCompile(`(?:^|\s)--?([a-zA-Z][a-zA-Z0-9-]*)`)
 )
 
-// definedRefs returns the targets the Makefile defines and, for each
-// command directory under cmdDir, the flags its non-test sources define and
-// the subcommands they dispatch on (none for most commands).
+// definedRefs returns the targets the Makefile defines and, per command
+// directory under cmdDir, the subcommands its non-test sources dispatch on
+// and the flags they define, keyed "<name>" bare and "<name> <sub>".
 func definedRefs(makefile, cmdDir string) (targets map[string]bool, cmds, subs map[string]map[string]bool, err error) {
 	data, err := os.ReadFile(makefile)
 	if err != nil {
@@ -277,7 +273,7 @@ func definedRefs(makefile, cmdDir string) (targets map[string]bool, cmds, subs m
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		flags := map[string]bool{"h": true, "help": true} // the flag package's own
+		sets := map[string]map[string]bool{"": {}}
 		words := map[string]bool{}
 		for _, path := range files {
 			if strings.HasSuffix(path, "_test.go") {
@@ -287,10 +283,16 @@ func definedRefs(makefile, cmdDir string) (targets map[string]bool, cmds, subs m
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			flagNames(f, flags)
+			flagNames(f, sets)
 			subcommands(f, words)
 		}
-		cmds[e.Name()] = flags
+		for set, flags := range sets {
+			if !words[set] && set != "" {
+				return nil, nil, nil, fmt.Errorf("cmd/%s: flag set %q is no subcommand it dispatches on", e.Name(), set)
+			}
+			flags["h"], flags["help"] = true, true // the flag package's own
+			cmds[strings.TrimSpace(e.Name()+" "+set)] = flags
+		}
 		if len(words) > 0 {
 			subs[e.Name()] = words
 		}
@@ -303,10 +305,8 @@ func definedRefs(makefile, cmdDir string) (targets map[string]bool, cmds, subs m
 // or `!=` test.
 func subcommands(f *ast.File, subs map[string]bool) {
 	add := func(e ast.Expr) {
-		if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
-			if word, err := strconv.Unquote(lit.Value); err == nil {
-				subs[word] = true
-			}
+		if word, ok := stringLit(e); ok {
+			subs[word] = true
 		}
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
@@ -328,36 +328,61 @@ func subcommands(f *ast.File, subs map[string]bool) {
 	})
 }
 
-// flagNames adds to flags the name of every flag f defines on the flag
-// package or a FlagSet: the string-literal name argument of a String, Int,
-// BoolVar, Func … call.
-func flagNames(f *ast.File, flags map[string]bool) {
+// flagNames adds to sets the name of every flag f defines: the
+// string-literal name argument of a String, Int, BoolVar, Func … call on
+// the flag package to sets[""], on a FlagSet made by
+// flag.NewFlagSet("<sub>", …) in the same function to sets[sub].
+func flagNames(f *ast.File, sets map[string]map[string]bool) {
+	var named map[string]string // receiver → flag set, per function
 	ast.Inspect(f, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		arg := 0
-		switch sel.Sel.Name {
-		case "Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Func", "BoolFunc":
-		case "BoolVar", "IntVar", "Int64Var", "UintVar", "Uint64Var", "StringVar", "Float64Var", "DurationVar", "Var", "TextVar":
-			arg = 1
-		default:
-			return true
-		}
-		if len(call.Args) > arg {
-			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
-				if name, err := strconv.Unquote(lit.Value); err == nil {
-					flags[name] = true
+		switch n := n.(type) {
+		case *ast.File, *ast.FuncDecl:
+			named = map[string]string{"flag": ""}
+		case *ast.AssignStmt:
+			if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
+				call, ok := n.Rhs[0].(*ast.CallExpr)
+				if ok && types.ExprString(call.Fun) == "flag.NewFlagSet" && len(call.Args) > 0 {
+					if name, ok := stringLit(call.Args[0]); ok {
+						named[types.ExprString(n.Lhs[0])] = name
+						sets[name] = map[string]bool{}
+					}
+				}
+			}
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			set, ok := named[types.ExprString(sel.X)]
+			if !ok {
+				return true
+			}
+			arg := 0
+			switch sel.Sel.Name {
+			case "Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration", "Func", "BoolFunc":
+			case "BoolVar", "IntVar", "Int64Var", "UintVar", "Uint64Var", "StringVar", "Float64Var", "DurationVar", "Var", "TextVar":
+				arg = 1
+			default:
+				return true
+			}
+			if len(n.Args) > arg {
+				if name, ok := stringLit(n.Args[arg]); ok {
+					sets[set][name] = true
 				}
 			}
 		}
 		return true
 	})
+}
+
+// stringLit returns the value of a string literal.
+func stringLit(e ast.Expr) (string, bool) {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }
 
 // staleRefs returns every `make <target>` and `cmd/<name>` that doc mentions
@@ -367,7 +392,8 @@ func flagNames(f *ast.File, flags map[string]bool) {
 // line `go run ./cmd/<name> … -flag`, or a line that starts with a command's
 // name and whitespace, `<name> [subcommand] -flag …` (so a job name such as
 // `ddp-dc-sample` is no command line). On the line of a command with
-// subcommands (subs), the first word that is no flag must be one of them.
+// subcommands (subs), a first argument that is no flag must be one of them,
+// and the line's flags must be that subcommand's.
 func staleRefs(doc string, targets map[string]bool, cmds, subs map[string]map[string]bool) []string {
 	var stale []string
 	for i, span := range strings.Split(doc, "`") {
@@ -387,20 +413,22 @@ func staleRefs(doc string, targets map[string]bool, cmds, subs map[string]map[st
 		for _, line := range strings.Split(span, "\n") {
 			for _, re := range []*regexp.Regexp{goRun, cmdLine} {
 				for _, m := range re.FindAllStringSubmatch(line, -1) {
-					flags, ok := cmds[m[1]]
-					if !ok {
+					name, args := m[1], m[2]
+					if _, ok := cmds[name]; !ok {
 						continue // not a command, or one cmdRef reports
 					}
-					for _, f := range flagWord.FindAllStringSubmatch(m[2], -1) {
-						if !flags[f[1]] {
-							stale = append(stale, m[1]+" -"+f[1])
+					if words := subs[name]; words != nil {
+						if first := strings.Fields(args); len(first) > 0 && !strings.HasPrefix(first[0], "-") {
+							if !words[first[0]] {
+								stale = append(stale, name+" "+first[0])
+								continue
+							}
+							name += " " + first[0]
 						}
 					}
-					if words := subs[m[1]]; words != nil {
-						args := strings.Fields(m[2])
-						i := slices.IndexFunc(args, func(a string) bool { return !strings.HasPrefix(a, "-") })
-						if i >= 0 && !words[args[i]] {
-							stale = append(stale, m[1]+" "+args[i])
+					for _, f := range flagWord.FindAllStringSubmatch(args, -1) {
+						if !cmds[name][f[1]] {
+							stale = append(stale, name+" -"+f[1])
 						}
 					}
 				}

@@ -10,14 +10,18 @@ import (
 func TestStaleRefs(t *testing.T) {
 	targets := map[string]bool{"check": true, "bench-hot": true}
 	cmds := map[string]map[string]bool{
-		"ddp":      {"h": true, "input": true, "halo": true},
-		"dpbench":  {"h": true},
-		"fleetctl": {"h": true, "shards": true, "timeout": true},
-		"knn":      {"h": true, "k": true, "out": true},
+		"ddp":                {"h": true, "input": true, "halo": true, "k": true},
+		"ddp knn":            {"h": true, "k": true, "out": true},
+		"ddp gen":            {"h": true, "dataset": true, "o": true},
+		"ddp worker":         {"h": true, "master": true},
+		"dpbench":            {"h": true},
+		"fleetctl":           {"h": true},
+		"fleetctl partition": {"h": true},
+		"fleetctl rollover":  {"h": true, "shards": true, "timeout": true},
 	}
 	subs := map[string]map[string]bool{
+		"ddp":      {"knn": true, "gen": true, "worker": true},
 		"fleetctl": {"partition": true, "rollover": true},
-		"knn":      {"join": true},
 	}
 	cases := []struct {
 		name string
@@ -31,12 +35,15 @@ func TestStaleRefs(t *testing.T) {
 		{"fenced block", "```sh\nmake bench-hot > old.txt\nmake bench-gone\ngo run ./cmd/gonebench\n```\n", []string{"make bench-gone", "cmd/gonebench"}},
 		{"go builtin", "`buf := make([]byte, n)`", nil},
 		{"live flags", "`ddp -input x.csv -halo`, `fleetctl rollover -shards \"h0|h0b,h1\" -timeout 1m`", nil},
-		{"deleted flag", "`fleetctl rollover -routers host:9090`", []string{"fleetctl -routers"}},
+		{"deleted flag", "`fleetctl rollover -routers host:9090`", []string{"fleetctl rollover -routers"}},
 		{"deleted flag in go run", "```sh\ngo run ./cmd/ddp -input s2.csv -kernel gaussian -halo   # extensions\n```\n", []string{"ddp -kernel"}},
 		{"not command lines", "`ddp-dc-sample -x`, `ddp -input x | grep -v y`, `ddp`, `mrd worker -gone`", nil},
-		{"live subcommands", "`knn join -k 10 -out n.csv`, `fleetctl -h rollover`, `knn -h`", nil},
-		{"deleted subcommand", "`knn kdist -k 4 -out curve.csv`", []string{"knn kdist"}},
-		{"deleted subcommand in go run", "```sh\ngo run ./cmd/knn outliers -k 5   # top 20\n```\n", []string{"knn outliers"}},
+		{"live subcommands", "`ddp knn -k 10 -out n.csv`, `fleetctl -h rollover`, `ddp -h`, `ddp worker -master h:1`", nil},
+		{"deleted subcommand", "`ddp kdist -k 4 -out curve.csv`", []string{"ddp kdist"}},
+		{"deleted subcommand in go run", "```sh\ngo run ./cmd/ddp outliers -k 5   # top 20\n```\n", []string{"ddp outliers"}},
+		{"flags are per subcommand", "`ddp knn -k 10`, `ddp gen -k 3 -o x.csv`, `ddp -k 3 -input x.csv`", []string{"ddp gen -k"}},
+		{"subcommand's flag on the bare command", "`ddp -input x.csv -master h:1`", []string{"ddp -master"}},
+		{"deleted binary's subcommand", "`go run ./cmd/mrd worker`", []string{"cmd/mrd"}},
 	}
 	for _, c := range cases {
 		if got := staleRefs(c.doc, targets, cmds, subs); !reflect.DeepEqual(got, c.want) {
@@ -71,6 +78,44 @@ func main() {
 	subcommands(f, subs)
 	if want := map[string]bool{"join": true, "merge": true, "worker": true}; !reflect.DeepEqual(subs, want) {
 		t.Fatalf("subcommands = %v, want %v", subs, want)
+	}
+}
+
+// TestFlagSets keys package-level flags to the bare command and a
+// FlagSet's flags to the subcommand it is named after, per function.
+func TestFlagSets(t *testing.T) {
+	const src = `package main
+
+func main() {
+	input := flag.String("input", "", "")
+	flag.BoolVar(&verbose, "v", false, "")
+}
+
+func runGen(args []string) {
+	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+	out := fs.String("o", "-", "")
+	fs.Int64Var(&seed, "seed", 42, "")
+}
+
+func runKnn(args []string) {
+	fs := flag.NewFlagSet("knn", flag.ExitOnError)
+	k := fs.Int("k", 10, "")
+	_ = other.String("x", "", "")
+}
+`
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := map[string]map[string]bool{"": {}}
+	flagNames(f, sets)
+	want := map[string]map[string]bool{
+		"":    {"input": true, "v": true},
+		"gen": {"o": true, "seed": true},
+		"knn": {"k": true},
+	}
+	if !reflect.DeepEqual(sets, want) {
+		t.Fatalf("flag sets = %v, want %v", sets, want)
 	}
 }
 

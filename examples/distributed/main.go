@@ -5,7 +5,7 @@
 // verified against the in-process engine: results must match bit-for-bit.
 //
 // The same code works across machines: this program is the master, as
-// `ddp -master-listen` is, and `mrd worker` runs standalone workers.
+// `ddp -master-listen` is, and `ddp worker` runs standalone workers.
 //
 // Run with:
 //

@@ -134,7 +134,7 @@ func main() {
 
 // startCluster boots an in-process master plus n workers and waits for
 // them to register. The workers execute jobs rebuilt from the shared
-// factory registry, exactly as separate `mrd worker` processes would.
+// factory registry, exactly as separate `ddp worker` processes would.
 func startCluster(n int) (*rpcmr.Master, func(), error) {
 	rpcmr.RegisterJobs(core.JobFactories())
 	master, err := rpcmr.NewMaster("127.0.0.1:0")

@@ -9,7 +9,7 @@ import (
 
 // PprofServer is an opt-in HTTP server exposing the standard
 // /debug/pprof endpoints, for profiling the long-running daemons
-// (mrd worker, clusterd) without linking profiling into every binary's
+// (ddp worker, clusterd) without linking profiling into every binary's
 // default path.
 type PprofServer struct {
 	lis net.Listener
