@@ -14,7 +14,7 @@
 //
 // Clustering and the join run on the local multicore engine; with
 // -master-listen the command is the MapReduce master and waits for workers
-// (OPERATIONS.md), which call it over their one socket, -addr.
+// (OPERATIONS.md), which dial it; a worker's one socket is its -addr listener.
 //
 //	ddp -input points.csv -k 7 -master-listen :7070 -min-workers 2
 //	ddp worker -master driver-host:7070 -addr :7171   # per worker
