@@ -97,7 +97,7 @@ race:
 # on arbitrary rows, query and bound, at f32 and q8, every row within the
 # bound survives the cap, the capped scan's answer is the nearest row within
 # the bound, and nothing panics. Every compact serving sweep computes exact
-# distances only for rows its f32 or q8 distance lets through: on arbitrary
+# distances only for rows its q8 distance lets through: on arbitrary
 # rows (NaN, ±Inf, huge and tie-heavy coordinates), query and cap, fed in
 # arbitrary pieces, the capped top-1 is exactly the float64 scan's, from no
 # more exact distances than rows, never a panic. The kNN-join's records — bucket query,

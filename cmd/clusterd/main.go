@@ -56,7 +56,7 @@ func main() {
 		listen    = flag.String("listen", ":8080", "HTTP listen address")
 		workers   = flag.Int("workers", 1, "engine calls answered at once (serve.workers)")
 		shard     = flag.Int("shard", -1, "fleet shard id this daemon serves (reported in /statsz for routerd's startup check; -1 = not in a fleet)")
-		precision = flag.String("precision", "f64", "scan precision: f64, f32, or q8 — compact scans filter rows before their exact distance, results are identical (serve.scan.precision)")
+		precision = flag.String("precision", "f64", "scan precision: f64 or q8 — q8 filters rows on 8-bit codes before their exact distance, results are identical (serve.scan.precision)")
 		traceOut  = flag.String("trace", "", "write a JSONL trace with one span per request to this file on exit (debugging; unbounded)")
 		verbose   = flag.Bool("v", false, "log server events")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address")

@@ -29,15 +29,18 @@
 //     — that the command (a subcommand: the flag.NewFlagSet named after it)
 //     does not define, or, for a command that dispatches on os.Args[1], a
 //     first argument on such a line that is neither a flag nor one of its
-//     subcommands.
+//     subcommands, or
+//   - those four or bench/README.md cite a test, fuzz target or benchmark
+//     name as a whole backticked span (`Name/subtest` cites Name) that no
+//     _test.go file declares.
 //
 // The second check keeps the README's configuration reference in step with
 // the code: adding a knob without documenting it breaks `make check` and CI.
 // The third and fourth are its reverse: deleting a knob or a struct field
-// without deleting its row breaks them too, as the last does for a deleted
-// target, binary or flag. The fifth does for an operator's counters what the
-// second does for knobs, and the sixth is its reverse. Run from the module
-// root:
+// without deleting its row breaks them too, as the last two do for a
+// deleted target, binary, flag or test. The fifth does for an operator's
+// counters what the second does for knobs, and the sixth is its reverse. Run
+// from the module root:
 //
 //	go run ./cmd/doccheck
 package main
@@ -59,7 +62,7 @@ import (
 )
 
 func main() {
-	undocumented, knobs, counters, literals, fields, err := scan(".")
+	undocumented, knobs, counters, literals, fields, tests, err := scan(".")
 	fatal(err)
 	failed := false
 	if len(undocumented) > 0 {
@@ -104,6 +107,12 @@ func main() {
 		for _, ref := range staleRefs(readDoc(doc), targets, cmds, subs) {
 			failed = true
 			fmt.Fprintf(os.Stderr, "doccheck: %s mentions `%s`, which no longer exists\n", doc, ref)
+		}
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md", "bench/README.md"} {
+		for _, name := range staleTests(readDoc(doc), tests) {
+			failed = true
+			fmt.Fprintf(os.Stderr, "doccheck: %s cites `%s`, which no _test.go file declares\n", doc, name)
 		}
 	}
 	if failed {
@@ -239,6 +248,7 @@ var (
 	makeTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	makeRef    = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
 	cmdRef     = regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
+	testRef    = regexp.MustCompile(`^((?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*)(?:/\S*)?$`)
 	// goRun is a `go run ./cmd/<name> …` line; cmdLine a line that starts
 	// with a word and whitespace — `<name> [subcommand] -flag …` when the
 	// word names a command. A shell pipe, list, redirect or comment ends the
@@ -438,6 +448,19 @@ func staleRefs(doc string, targets map[string]bool, cmds, subs map[string]map[st
 	return stale
 }
 
+// staleTests returns every test, fuzz target or benchmark name doc cites as
+// a whole backticked span (`Name`, or `Name/subtest` for Name) that tests
+// does not hold.
+func staleTests(doc string, tests map[string]bool) []string {
+	var stale []string
+	for i, span := range strings.Split(doc, "`") {
+		if m := testRef.FindStringSubmatch(span); i%2 == 1 && m != nil && !tests[m[1]] {
+			stale = append(stale, m[1])
+		}
+	}
+	return stale
+}
+
 // collectConsts pulls exported string constants named prefix* (Conf for
 // knobs, Ctr for counters) with dotted values out of one parsed file. The
 // dot requirement skips unrelated constants that are not knob or counter
@@ -503,15 +526,16 @@ func structFields(f *ast.File, fields map[string]map[string]bool) {
 // scan walks the tree under root and returns the directories containing a
 // Go package whose files all lack a package doc comment, every registered
 // Conf* knob and Ctr* counter, each sorted by name, every dotted string
-// literal of the non-test files, and the exported fields of their struct
-// types.
-func scan(root string) ([]string, []knob, []knob, []string, map[string]map[string]bool, error) {
+// literal of the non-test files, the exported fields of their struct
+// types, and the top-level functions the test files declare.
+func scan(root string) ([]string, []knob, []knob, []string, map[string]map[string]bool, map[string]bool, error) {
 	// dir -> has at least one non-test file with a package doc
 	hasDoc := make(map[string]bool)
 	seen := make(map[string]bool)
 	var knobs, counters []knob
 	var literals []string
 	fields := make(map[string]map[string]bool)
+	tests := make(map[string]bool)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -524,15 +548,23 @@ func scan(root string) ([]string, []knob, []knob, []string, map[string]map[strin
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		dir := filepath.Dir(path)
-		seen[dir] = true
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
+		if strings.HasSuffix(path, "_test.go") {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+					tests[fn.Name.Name] = true
+				}
+			}
+			return nil
+		}
+		dir := filepath.Dir(path)
+		seen[dir] = true
 		if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
 			hasDoc[dir] = true
 		}
@@ -550,7 +582,7 @@ func scan(root string) ([]string, []knob, []knob, []string, map[string]map[strin
 		return nil
 	})
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, nil, nil, nil, nil, nil, err
 	}
 	var out []string
 	for dir := range seen {
@@ -561,5 +593,5 @@ func scan(root string) ([]string, []knob, []knob, []string, map[string]map[strin
 	sort.Strings(out)
 	sort.Slice(knobs, func(i, j int) bool { return knobs[i].value < knobs[j].value })
 	sort.Slice(counters, func(i, j int) bool { return counters[i].value < counters[j].value })
-	return out, knobs, counters, literals, fields, nil
+	return out, knobs, counters, literals, fields, tests, nil
 }

@@ -119,6 +119,27 @@ func runKnn(args []string) {
 	}
 }
 
+// TestStaleTests: a cited test, fuzz target or benchmark must be declared;
+// a subtest path checks the function it runs under.
+func TestStaleTests(t *testing.T) {
+	tests := map[string]bool{"TestGolden": true, "FuzzManifest": true, "BenchmarkDecodeGroup": true}
+	cases := []struct {
+		name string
+		doc  string
+		want []string
+	}{
+		{"existing names", "pinned by `TestGolden` and `FuzzManifest`", nil},
+		{"subtest", "`BenchmarkDecodeGroup/matrix` times it", nil},
+		{"invented name", "see `TestNoSuchThing`", []string{"TestNoSuchThing"}},
+		{"not a citation", "TestNoSuchThing, `go test -run TestNoSuchThing`, `Testing`, `TestDAG*`", nil},
+	}
+	for _, c := range cases {
+		if got := staleTests(c.doc, tests); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: staleTests = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
 func TestUnreadKnobs(t *testing.T) {
 	literals := []string{"ddp.lsh.m", "usage: -set serve.batch.max=N", "repro/internal/core"}
 	cases := []struct {

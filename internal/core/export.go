@@ -56,9 +56,8 @@ func ExportModel(ds *points.Dataset, res *Result, peaks, labels []int32, border 
 		Peaks:  append([]int32(nil), peaks...),
 		Border: append([]float64(nil), border...),
 	}
-	// Ship the compact scan mirrors (f32 + q8) alongside the float64 data
-	// so the serving side can pick its scan precision without re-deriving
-	// them at load time. A few percent of artifact size buys the
+	// Ship the q8 codes alongside the float64 data so a q8 server need not
+	// re-derive them at load time. An eighth of the data's size buys the
 	// bandwidth-lean scan path; old readers skip the extra sections.
 	m.BuildCompact()
 	if err := m.Validate(); err != nil {

@@ -61,15 +61,11 @@ type Manifest struct {
 // slots).
 const KeyFormat = "lsh-varint-1"
 
-// Bounds on what a manifest may make a router build. shards × vnodes sizes
-// the ring (Placement) and dim × lsh_m × lsh_pi the layouts (Layouts); past
-// these a hostile fleet.json would allocate without limit or loop for
-// minutes. Both sit far above any real fleet: 1 024 shards at the default
-// vnodes, a 1 024-dimensional model under 64 layouts of 16 functions.
-const (
-	maxRingPoints   = 1 << 20
-	maxLayoutCoords = 1 << 20
-)
+// maxRingPoints bounds shards × vnodes, the size of the ring (Placement);
+// past it a hostile fleet.json would allocate without limit or loop for
+// minutes. It sits far above any real fleet: 1 024 shards at the default
+// vnodes. The layouts (Layouts) are bounded by lsh.CheckLayouts.
+const maxRingPoints = 1 << 20
 
 // Validate checks the manifest invariants.
 func (mf *Manifest) Validate() error {
@@ -85,16 +81,13 @@ func (mf *Manifest) Validate() error {
 	case mf.M < 1 || mf.M > 64:
 		// Routing masks are uint64 bitmaps, one bit per layout.
 		return fmt.Errorf("fleet: manifest lsh_m %d outside [1,64]", mf.M)
-	case mf.Pi < 1:
-		return fmt.Errorf("fleet: manifest lsh_pi %d < 1", mf.Pi)
-	case mf.W <= 0:
-		return fmt.Errorf("fleet: manifest lsh_w %v <= 0", mf.W)
 	case mf.VNodes < 0:
 		return fmt.Errorf("fleet: manifest vnodes %d < 0", mf.VNodes)
 	case mf.Shards > maxRingPoints/vnodes:
 		return fmt.Errorf("fleet: manifest ring of %d shards x %d vnodes exceeds %d points", mf.Shards, vnodes, maxRingPoints)
-	case mf.Dim > maxLayoutCoords/mf.M/mf.Pi:
-		return fmt.Errorf("fleet: manifest layouts of dim %d x lsh_m %d x lsh_pi %d exceed %d coordinates", mf.Dim, mf.M, mf.Pi, maxLayoutCoords)
+	}
+	if err := lsh.CheckLayouts(mf.Dim, mf.M, mf.Pi, mf.W); err != nil {
+		return fmt.Errorf("fleet: manifest %w", err)
 	}
 	if mf.KeyFormat != KeyFormat {
 		return fmt.Errorf("fleet: manifest key_format %q, this build routes by %q: the fleet was partitioned by a build with different LSH keys; re-run `fleetctl partition` on the full model and restart the shards from its output",

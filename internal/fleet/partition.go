@@ -328,15 +328,8 @@ func subModel(m *model.Model, keep []bool, name string) (*model.Model, error) {
 		sub.Rho = append(sub.Rho, m.Rho[i])
 		sub.Labels = append(sub.Labels, m.Labels[i])
 	}
-	// Compact mirrors slice row-for-row; q8 keeps the full model's
-	// per-dimension code parameters, so codes stay valid unchanged.
-	if len(m.Data32) == len(m.Data) {
-		sub.Data32 = make([]float32, 0, nl*m.Dim)
-		for _, gid := range rowIDs {
-			i := int(gid)
-			sub.Data32 = append(sub.Data32, m.Data32[i*m.Dim:(i+1)*m.Dim]...)
-		}
-	}
+	// The q8 codes slice row-for-row and keep the full model's
+	// per-dimension code parameters, so they stay valid unchanged.
 	if len(m.Q8Codes) == len(m.Data) {
 		sub.Q8Codes = make([]uint8, 0, nl*m.Dim)
 		for _, gid := range rowIDs {

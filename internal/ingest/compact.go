@@ -191,7 +191,7 @@ func mergeModel(base *model.Model, coords []float64, ids, labels []int32, rho, a
 		}
 		m.RowIDs = append(rid, ids...)
 	}
-	if len(base.Data32) > 0 || len(base.Q8Codes) > 0 {
+	if len(base.Q8Codes) > 0 {
 		m.BuildCompact()
 	}
 	return m

@@ -1,8 +1,8 @@
 package kernels
 
-// Compact (float32 / 8-bit-quantized) scan kernels. A compact mirror of the
-// coordinate block — half or an eighth of the float64 bytes — gives every
-// scanned row a cheap distance, and that distance is only a filter in front
+// Compact (8-bit-quantized) scan kernels. The q8 codes of the coordinate
+// block — an eighth of the float64 bytes — give every scanned row a cheap
+// distance, and that distance is only a filter in front
 // of the exact top-k accumulator (TopKCompact): a row whose compact distance
 // proves it cannot tie or beat the accumulator's threshold is dropped, and
 // every other row gets its exact float64 distance and is offered as a
@@ -17,7 +17,7 @@ package kernels
 //	|sqrt(d32) − sqrt(d64)| ≤ Rel·sqrt(d64) + Abs
 //
 // with Rel/Abs chosen far above the worst-case rounding of the compact
-// arithmetic (see F32Bounds/Q8Bounds). Every admission test is arranged so
+// arithmetic (see Q8Bounds). Every admission test is arranged so
 // that a NaN or +Inf compact distance — coordinate overflow on conversion,
 // underflow pile-ups, quantizer corner cases — fails toward "keep the row",
 // so pathological inputs degrade to more exact distances, never a wrong
@@ -36,7 +36,6 @@ import (
 // Scan precision values of the serving knob (serve.scan.precision).
 const (
 	ScanF64 = "f64"
-	ScanF32 = "f32"
 	ScanQ8  = "q8"
 )
 
@@ -64,7 +63,7 @@ type Bounds struct {
 //     so ≤ √dim·2·maxAbs·2⁻²⁴ on the distance; the 2⁻¹⁸ factor is 64x
 //     margin) plus a √dim·2⁻⁵⁵ floor for float32 underflow: subnormal
 //     squares carry absolute error up to ~2⁻¹²⁶ each, which perturbs the
-//     distance by at most ~√dim·2⁻⁶³.
+//     distance by at most ~√dim·2⁻⁶³. Harness-only; deleted with ROADMAP item 1(a).
 func F32Bounds(dim int, maxAbs float64) Bounds {
 	sd := math.Sqrt(float64(dim))
 	return Bounds{
@@ -78,7 +77,7 @@ func F32Bounds(dim int, maxAbs float64) Bounds {
 // points.Q8Params.ErrBound(), already 2x the worst-case Euclidean
 // displacement between a stored row and its dequantized form. Rel covers
 // the float32 rounding of the table entries and their summation; the floor
-// covers underflow as in F32Bounds.
+// covers float32 underflow (≤ ~√dim·2⁻⁶³ on the distance).
 func Q8Bounds(dim int, errBound float64) Bounds {
 	return Bounds{
 		Rel: float64(dim+6) * 0x1p-20,
@@ -256,7 +255,7 @@ func admit(sl *Shortlist, strip []float32, rows []int32) {
 
 // NNRows32 scans the listed rows of the float32 mirror into the shortlist
 // (which the caller has Reset with this scan's Bounds), one blocked
-// distance strip (dist.go) at a time. Harness-only (see the file comment).
+// distance strip (dist.go) at a time. Harness-only; deleted with ROADMAP item 1(a).
 func NNRows32(data32 []float32, dim int, q32 []float32, rows []int32, sl *Shortlist) {
 	var d2 [nnTile]float32
 	for len(rows) > 0 {
@@ -345,47 +344,22 @@ func NNRowsQ8(codes []uint8, dim int, lut *Q8LUT, rows []int32, sl *Shortlist) {
 }
 
 // Compact is one query's compact distance source in front of an exact scan:
-// the float32 mirror and the query rounded to float32, or the quantized
-// block and the query's lookup table, with the Bounds between those
-// distances and the exact ones. After ResetF64 it has no source, and
-// TopKCompact computes every row's exact distance. One Compact is reusable
-// across queries, keeping its storage.
+// the quantized block and the query's lookup table, with the Bounds between
+// those distances and the exact ones. Without codes TopKCompact computes
+// every row's exact distance. One Compact is reusable across queries,
+// keeping its storage.
 type Compact struct {
-	src    uint8 // srcF64, srcF32 or srcQ8
-	bnd    Bounds
-	data32 []float32 // the float32 mirror (f32)
-	q32    []float32 // the query rounded to float32 (f32)
-	codes  []uint8   // the quantized block (q8)
-	lut    Q8LUT     // the query's table (q8)
+	codes []uint8 // the quantized block, or nil
+	bnd   Bounds
+	lut   Q8LUT // the query's table
 }
 
-// Compact.src values.
-const (
-	srcF64 uint8 = iota
-	srcF32
-	srcQ8
-)
-
-// ResetF64 drops the compact source: every row gets its exact distance.
-func (c *Compact) ResetF64() {
-	c.src, c.data32, c.codes = srcF64, nil, nil
-}
-
-// ResetF32 filters on the float32 mirror data32 of the float64 block, for
-// query q under bnd (F32Bounds with both operands' largest magnitude).
-func (c *Compact) ResetF32(data32 []float32, q []float64, bnd Bounds) {
-	c.src, c.bnd, c.data32, c.codes = srcF32, bnd, data32, nil
-	c.q32 = c.q32[:0]
-	for _, v := range q {
-		c.q32 = append(c.q32, float32(v))
+// Reset filters on the quantized block codes with parameters p, for query q
+// under bnd (Q8Bounds of p); nil codes filter nothing.
+func (c *Compact) Reset(codes []uint8, p points.Q8Params, q []float64, bnd Bounds) {
+	if c.codes, c.bnd = codes, bnd; codes != nil {
+		BuildQ8LUT(p, q, &c.lut)
 	}
-}
-
-// ResetQ8 filters on the quantized block codes with parameters p, for
-// query q under bnd (Q8Bounds of p).
-func (c *Compact) ResetQ8(codes []uint8, p points.Q8Params, q []float64, bnd Bounds) {
-	c.src, c.bnd, c.data32, c.codes = srcQ8, bnd, nil, codes
-	BuildQ8LUT(p, q, &c.lut)
 }
 
 // TopKCompact scans the listed rows of data (rows of length dim, distinct,
@@ -401,7 +375,7 @@ func (c *Compact) ResetQ8(codes []uint8, p points.Q8Params, q []float64, bnd Bou
 // and acc holds after each strip what TopKRows would hold after the same
 // rows. Without a source this is TopKRows, every row counted.
 func TopKCompact(data []float64, dim int, q []float64, c *Compact, rows []int32, acc *TopKAcc) (exact int) {
-	if c.src == srcF64 {
+	if c.codes == nil {
 		TopKRows(data, dim, q, rows, acc)
 		return len(rows)
 	}
@@ -411,11 +385,7 @@ func TopKCompact(data []float64, dim int, q []float64, c *Compact, rows []int32,
 		part := rows[:min(nnTile, len(rows))]
 		rows = rows[len(part):]
 		strip := d2[:len(part)]
-		if c.src == srcQ8 {
-			q8DistRows(c.codes, dim, c.lut.Tab, part, strip)
-		} else {
-			sqDistRows(c.q32[:dim], c.data32, part, strip)
-		}
+		q8DistRows(c.codes, dim, c.lut.Tab, part, strip)
 		t := acc.Threshold()
 		thr := c.bnd.capThresh(t)
 		for x, v := range strip {

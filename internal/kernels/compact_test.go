@@ -439,7 +439,7 @@ func compactCoord(b byte) float64 {
 // FuzzTopKCompact decodes bytes into a dimension, a query and rows, and a
 // cap — arbitrary bits, a row's exact squared distance, or one ULP below
 // it — and scans the rows, in a fuzz-chosen order and split, through
-// TopKCompact at f32 and q8 (wherever an engine would serve them) into a
+// TopKCompact at f64 and q8 (wherever an engine would serve q8) into a
 // capped k = 1 TopKAcc. The accumulator must end holding exactly what
 // TopKRows leaves over the same rows — the same (row, D2), or both empty —
 // from no more exact distances than rows given; without a source every row
@@ -495,16 +495,10 @@ func FuzzTopKCompact(f *testing.F) {
 		TopKRows(data, dim, q, rows, &ref)
 		want := ref.Append(nil)
 
-		var srcs []func(c *Compact)
-		data32, maxAbs := points.ToFloat32(data)
-		_, qMax := points.ToFloat32(q)
-		srcs = append(srcs, func(c *Compact) { c.ResetF64() })
-		if F32Bounds(dim, maxAbs).Valid() {
-			srcs = append(srcs, func(c *Compact) { c.ResetF32(data32, q, F32Bounds(dim, math.Max(maxAbs, qMax))) })
-		}
+		srcs := []func(c *Compact){func(c *Compact) { c.Reset(nil, points.Q8Params{}, q, Bounds{}) }}
 		if codes, par, ok := points.QuantizeQ8(data, dim); ok {
 			if bnd := Q8Bounds(dim, par.ErrBound()); bnd.Valid() {
-				srcs = append(srcs, func(c *Compact) { c.ResetQ8(codes, par, q, bnd) })
+				srcs = append(srcs, func(c *Compact) { c.Reset(codes, par, q, bnd) })
 			}
 		}
 		var c Compact

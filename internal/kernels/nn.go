@@ -4,7 +4,7 @@ package kernels
 // position and the flat SoA coordinate block of a cluster model, find the
 // closest stored row. The serving engine runs its exact full-scan fallback
 // through NNBatch (nnbatch.go); its pruned path is Sweep into a k = 1
-// TopKAcc (TopKCompact at f32 / q8). NNRows is harness-only: the benchmark
+// TopKAcc (TopKCompact at q8). NNRows is harness-only: the benchmark
 // times it over a query's whole LSH candidate union and as the shortlist's
 // re-rank (compact.go). NNRange's one non-test caller is ingest's delta
 // scan. All share

@@ -3,7 +3,7 @@ package kernels
 // The coordinate-ordered scan of the serving engine: the same exact answer
 // as a flat scan over all the rows, from a fraction of the distance
 // evaluations. Sweep is the walk; the engine runs it into a k = 1 TopKAcc at
-// every precision, through TopKCompact's filter at f32 / q8. (The kNN-join's
+// every precision, through TopKCompact's filter at q8. (The kNN-join's
 // reducers scan a box tree instead, leaves.go, whose bound is this one
 // summed over every axis.)
 //

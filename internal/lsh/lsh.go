@@ -104,6 +104,29 @@ type Layouts struct {
 	norm []float64
 }
 
+// maxLayoutCoords bounds dim × M × π, the coordinates NewLayouts draws: far
+// above any real run (1 024 dimensions under 64 layouts of 16 functions).
+const maxLayoutCoords = 1 << 20
+
+// CheckLayouts checks layout parameters read from a file (a model artifact,
+// a fleet manifest) before NewLayouts allocates for them. The error names
+// the parameter as a manifest spells it.
+func CheckLayouts(dim, m, pi int, w float64) error {
+	switch {
+	case m < 1:
+		return fmt.Errorf("lsh_m %d < 1", m)
+	case pi < 1:
+		return fmt.Errorf("lsh_pi %d < 1", pi)
+	case math.IsNaN(w) || math.IsInf(w, 0):
+		return fmt.Errorf("lsh_w %v is not finite", w)
+	case w <= 0:
+		return fmt.Errorf("lsh_w %v <= 0", w)
+	case dim > maxLayoutCoords/m/pi:
+		return fmt.Errorf("layouts of dim %d x lsh_m %d x lsh_pi %d exceed %d coordinates", dim, m, pi, maxLayoutCoords)
+	}
+	return nil
+}
+
 // NewLayouts draws M independent groups. Each group gets a sub-generator
 // seeded from seed so layouts are independent yet reproducible.
 func NewLayouts(dim, m, pi int, w float64, seed int64) *Layouts {

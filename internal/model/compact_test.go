@@ -12,7 +12,7 @@ import (
 	"repro/internal/model"
 )
 
-// compactModel is testModel with the optional f32/q8 sections populated.
+// compactModel is testModel with the optional q8 sections populated.
 func compactModel() *model.Model {
 	m := testModel()
 	m.BuildCompact()
@@ -21,13 +21,8 @@ func compactModel() *model.Model {
 
 func TestBuildCompact(t *testing.T) {
 	m := compactModel()
-	if len(m.Data32) != len(m.Data) {
-		t.Fatalf("Data32 has %d entries, want %d", len(m.Data32), len(m.Data))
-	}
-	for i, v := range m.Data {
-		if float64(m.Data32[i]) != v { // small integer coords convert exactly
-			t.Fatalf("Data32[%d] = %v, want %v", i, m.Data32[i], v)
-		}
+	if len(m.Data32) != 0 {
+		t.Fatalf("BuildCompact built a %d-entry float32 mirror", len(m.Data32))
 	}
 	if len(m.Q8Codes) != len(m.Data) {
 		t.Fatalf("Q8Codes has %d entries, want %d", len(m.Q8Codes), len(m.Data))
@@ -54,9 +49,6 @@ func TestBuildCompactUnquantizable(t *testing.T) {
 	m.Data[3] = math.MaxFloat64
 	m.Data[5] = -math.MaxFloat64 // spread overflows the q8 scale
 	m.BuildCompact()
-	if len(m.Data32) == 0 {
-		t.Fatal("f32 mirror must always build")
-	}
 	if len(m.Q8Codes) != 0 || len(m.Q8Min) != 0 {
 		t.Fatal("unquantizable data must leave the q8 section empty")
 	}
@@ -82,7 +74,8 @@ func TestRoundTripCompactFile(t *testing.T) {
 
 // TestUnknownSectionSkipped pins the forward-compatibility contract the
 // compact sections rely on: a reader that does not know a section name
-// (as pre-compact readers do not know points32/q8codes/q8params) must
+// (as pre-compact readers do not know q8codes/q8params, and this one no
+// longer knows points32) must
 // skip it and still decode the rest of the artifact.
 func TestUnknownSectionSkipped(t *testing.T) {
 	m := testModel()
@@ -136,7 +129,6 @@ func TestCompactCorruptionQuarantined(t *testing.T) {
 
 func TestValidateRejectsBadCompact(t *testing.T) {
 	cases := map[string]func(*model.Model){
-		"short mirror":       func(m *model.Model) { m.Data32 = m.Data32[:5] },
 		"short codes":        func(m *model.Model) { m.Q8Codes = m.Q8Codes[:5] },
 		"params sans codes":  func(m *model.Model) { m.Q8Codes = nil },
 		"bad param dim":      func(m *model.Model) { m.Q8Min = m.Q8Min[:1] },

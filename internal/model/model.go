@@ -90,15 +90,16 @@ type Model struct {
 	// which case no served point is flagged halo.
 	Border []float64
 
-	// Optional compact mirrors of Data for the bandwidth-lean scan path
-	// (serve.scan.precision f32/q8). Either may be empty — the serving
-	// engine derives missing mirrors from Data — and old readers skip
-	// their sections. Data stays the source of truth: compact scans only
-	// filter rows before their exact distance on it, so these need only
-	// satisfy the points package's conversion/quantization contracts.
-
-	// Data32 is the float32 mirror of Data (same layout), or empty.
+	// Data32 is never set. Harness-only; deleted with ROADMAP item 1(a).
 	Data32 []float32
+
+	// Optional q8 codes of Data for the bandwidth-lean scan path
+	// (serve.scan.precision q8). They may be empty — the serving engine
+	// derives them from Data — and old readers skip their sections. Data
+	// stays the source of truth: q8 scans only filter rows before their
+	// exact distance on it, so the codes need only satisfy the points
+	// package's quantization contract.
+
 	// Q8Codes is the 8-bit per-dimension affine quantization of Data
 	// (same layout, one byte per coordinate), or empty. When present,
 	// Q8Min/Q8Scale hold the per-dimension code parameters (Dim entries
@@ -123,11 +124,10 @@ func (m *Model) Q8Params() points.Q8Params {
 	return points.Q8Params{Min: m.Q8Min, Scale: m.Q8Scale}
 }
 
-// BuildCompact populates the compact mirrors from Data: always the float32
-// mirror, and the q8 code when the data is finitely quantizable (non-finite
-// coordinates or an overflowing per-dimension spread leave Q8Codes empty).
+// BuildCompact populates the q8 codes from Data when the data is finitely
+// quantizable (non-finite coordinates or an overflowing per-dimension
+// spread leave Q8Codes empty).
 func (m *Model) BuildCompact() {
-	m.Data32, _ = points.ToFloat32(m.Data)
 	codes, par, ok := points.QuantizeQ8(m.Data, m.Dim)
 	if !ok {
 		m.Q8Codes, m.Q8Min, m.Q8Scale = nil, nil, nil
@@ -196,14 +196,13 @@ func (m *Model) Validate() error {
 			return fmt.Errorf("model: point %d has label %d, want [0,%d)", i, l, len(m.Peaks))
 		}
 	}
-	if m.Dc <= 0 {
-		return fmt.Errorf("model: non-positive d_c %v", m.Dc)
+	if !(m.Dc > 0) || math.IsInf(m.Dc, 0) {
+		return fmt.Errorf("model: d_c %v is not finite and positive", m.Dc)
 	}
-	if m.LSH.M > 0 && (m.LSH.Pi <= 0 || m.LSH.W <= 0) {
-		return fmt.Errorf("model: LSH params M=%d pi=%d w=%v are inconsistent", m.LSH.M, m.LSH.Pi, m.LSH.W)
-	}
-	if len(m.Data32) != 0 && len(m.Data32) != n*m.Dim {
-		return fmt.Errorf("model: %d float32 mirror coordinates for %d points of dim %d", len(m.Data32), n, m.Dim)
+	if m.LSH.M > 0 {
+		if err := lsh.CheckLayouts(m.Dim, m.LSH.M, m.LSH.Pi, m.LSH.W); err != nil {
+			return fmt.Errorf("model: LSH params: %w", err)
+		}
 	}
 	if len(m.Q8Codes) != 0 {
 		if len(m.Q8Codes) != n*m.Dim {
@@ -228,10 +227,11 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-// Section names of the framed body. The compact sections (points32,
-// q8codes, q8params) are optional additions of the same format version:
-// readers that predate them fall through the unknown-section skip, and the
-// body CRC covers them like everything else.
+// Section names of the framed body. The compact sections (q8codes,
+// q8params) are optional additions of the same format version: readers
+// that predate them fall through the unknown-section skip, and the body CRC
+// covers them like everything else. An older writer's float32 mirror
+// ("points32") is skipped as unknown.
 const (
 	secMeta     = "meta"
 	secPoints   = "points"
@@ -239,7 +239,6 @@ const (
 	secLabels   = "labels"
 	secPeaks    = "peaks"
 	secBorder   = "border"
-	secPoints32 = "points32"
 	secQ8Codes  = "q8codes"
 	secQ8Params = "q8params" // Dim mins then Dim scales, f64 each
 	secRowIDs   = "rowids"   // local row → global point ID (shard sub-models)
@@ -268,9 +267,6 @@ func (m *Model) sections() ([]section, error) {
 		elemSection(secPeaks, m.Peaks, 4, appendInt32),
 		elemSection(secBorder, m.Border, 8, points.AppendFloat64),
 	}
-	if len(m.Data32) != 0 {
-		secs = append(secs, elemSection(secPoints32, m.Data32, 4, appendFloat32))
-	}
 	if len(m.Q8Codes) != 0 {
 		params := append(append([]float64(nil), m.Q8Min...), m.Q8Scale...)
 		secs = append(secs, bytesSection(secQ8Codes, m.Q8Codes), elemSection(secQ8Params, params, 8, points.AppendFloat64))
@@ -292,10 +288,6 @@ func elemSection[T any](name string, xs []T, size int, put func([]byte, T) []byt
 }
 
 func appendInt32(b []byte, x int32) []byte { return binary.LittleEndian.AppendUint32(b, uint32(x)) }
-
-func appendFloat32(b []byte, x float32) []byte {
-	return binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
-}
 
 // putElems streams xs to w as consecutive size-byte elements, appending
 // them with put straight into w's free buffer space.
@@ -433,8 +425,6 @@ func Decode(data []byte) (*Model, error) {
 			m.Peaks, err = decodeInt32s(f)
 		case secBorder:
 			m.Border, err = decodeFloats(f)
-		case secPoints32:
-			m.Data32, err = decodeFloat32s(f)
 		case secQ8Codes:
 			m.Q8Codes = append([]uint8(nil), f.Value...)
 		case secQ8Params:
@@ -503,10 +493,6 @@ func decodeSection[T any](f mapreduce.Pair, size int, at func([]byte) T) ([]T, e
 
 func decodeFloats(f mapreduce.Pair) ([]float64, error) {
 	return decodeSection(f, 8, points.DecodeFloat64)
-}
-
-func decodeFloat32s(f mapreduce.Pair) ([]float32, error) {
-	return decodeSection(f, 4, func(b []byte) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(b)) })
 }
 
 func decodeInt32s(f mapreduce.Pair) ([]int32, error) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -130,20 +131,43 @@ func TestBadMagicAndVersion(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsInconsistency: Validate refuses a model whose parts
+// disagree, and one whose d_c or LSH parameters would serve wrongly or make
+// NewEngine allocate without bound (2-d × M 2^30 × π 2^10 is 2^41 layout
+// coordinates). Those parameters live in the meta section, so Decode must
+// refuse them too, naming the field.
 func TestValidateRejectsInconsistency(t *testing.T) {
-	cases := map[string]func(*model.Model){
-		"no points":    func(m *model.Model) { m.Labels = nil; m.Rho = nil; m.Data = nil },
-		"bad label":    func(m *model.Model) { m.Labels[2] = 99 },
-		"bad peak":     func(m *model.Model) { m.Peaks[0] = -1 },
-		"border count": func(m *model.Model) { m.Border = m.Border[:1] },
-		"bad dc":       func(m *model.Model) { m.Dc = 0 },
-		"coord count":  func(m *model.Model) { m.Data = m.Data[:5] },
+	cases := map[string]struct {
+		mutate func(*model.Model)
+		field  string // named by Decode's error when set
+	}{
+		"no points":    {func(m *model.Model) { m.Labels = nil; m.Rho = nil; m.Data = nil }, ""},
+		"bad label":    {func(m *model.Model) { m.Labels[2] = 99 }, ""},
+		"bad peak":     {func(m *model.Model) { m.Peaks[0] = -1 }, ""},
+		"border count": {func(m *model.Model) { m.Border = m.Border[:1] }, ""},
+		"coord count":  {func(m *model.Model) { m.Data = m.Data[:5] }, ""},
+		"bad dc":       {func(m *model.Model) { m.Dc = 0 }, "d_c"},
+		"NaN dc":       {func(m *model.Model) { m.Dc = math.NaN() }, "d_c"},
+		"infinite dc":  {func(m *model.Model) { m.Dc = math.Inf(1) }, "d_c"},
+		"zero pi":      {func(m *model.Model) { m.LSH.Pi = 0 }, "lsh_pi"},
+		"zero w":       {func(m *model.Model) { m.LSH.W = 0 }, "lsh_w"},
+		"NaN w":        {func(m *model.Model) { m.LSH.W = math.NaN() }, "lsh_w"},
+		"infinite w":   {func(m *model.Model) { m.LSH.W = math.Inf(1) }, "lsh_w"},
+		"huge layouts": {func(m *model.Model) { m.LSH.M, m.LSH.Pi = 1<<30, 1<<10 }, "layouts"},
 	}
-	for name, mutate := range cases {
+	for name, c := range cases {
 		m := testModel()
-		mutate(m)
+		c.mutate(m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an inconsistent model", name)
+		}
+		if c.field == "" {
+			continue
+		}
+		fs := sections(t, testModel())
+		fs[0].Value = legacyMeta(m)
+		if _, err := model.Decode(withHeader(body(fs))); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Decode returned %v, want an error naming %s", name, err, c.field)
 		}
 	}
 }
@@ -191,7 +215,7 @@ func TestDecodeRejectsRaggedSections(t *testing.T) {
 	}{
 		{"2 stray bytes on rho", func(fs []mapreduce.Pair) []mapreduce.Pair { return pad(fs, "rho", 2) }},
 		{"1 stray byte on labels", func(fs []mapreduce.Pair) []mapreduce.Pair { return pad(fs, "labels", 1) }},
-		{"3 stray bytes on points32", func(fs []mapreduce.Pair) []mapreduce.Pair { return pad(fs, "points32", 3) }},
+		{"3 stray bytes on q8params", func(fs []mapreduce.Pair) []mapreduce.Pair { return pad(fs, "q8params", 3) }},
 		{"rowids repeated", func(fs []mapreduce.Pair) []mapreduce.Pair { return repeat(fs, "rowids") }},
 		{"border repeated", func(fs []mapreduce.Pair) []mapreduce.Pair { return repeat(fs, "border") }},
 	} {
@@ -249,6 +273,11 @@ func FuzzModelDecode(f *testing.F) {
 	f.Add(body(repeat(fs, "peaks")))
 	f.Add(body(append(fs, mapreduce.Pair{Key: "future", Value: []byte{7}})))
 	f.Add([]byte{})
+	huge := testModel()
+	huge.LSH.M, huge.LSH.Pi = 1<<30, 1<<10
+	hfs := sections(f, plain)
+	hfs[0].Value = legacyMeta(huge)
+	f.Add(body(hfs))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := model.Decode(withHeader(b))
 		if err != nil {

@@ -2,22 +2,19 @@ package points
 
 import "math"
 
-// Compact coordinate representations for the bandwidth-lean serving scan.
+// Compact coordinate representation for the bandwidth-lean serving scan.
 //
-// ToFloat32 mirrors a flat float64 block in float32, and QuantizeQ8 reduces
-// it further to one byte per coordinate with a per-dimension affine code.
-// Both are derived representations: the float64 block stays the source of
-// truth, and every kernel that scans a compact block only filters rows
-// before their exact float64 distance (see internal/kernels), so the
-// compression here only has to be cheap and bounded, never exact. Alongside
-// the converted coordinates each conversion reports the largest absolute
-// source coordinate, which the kernels need to build sound error bounds.
-// Coordinates outside float32 range convert to ±Inf; the compact kernels
-// route any non-finite arithmetic to the exact float64 path, so an
-// overflowing mirror is slow but never wrong.
+// QuantizeQ8 reduces a flat float64 block to one byte per coordinate with a
+// per-dimension affine code. It is a derived representation: the float64
+// block stays the source of truth, and the kernel that scans the codes
+// only filters rows before their exact float64 distance (see
+// internal/kernels), so the compression here only has to be cheap and
+// bounded, never exact.
 
 // ToFloat32 converts a flat float64 block, returning the float32 copy and
-// the largest absolute source value. NaNs contribute nothing to the maximum.
+// the largest absolute source value. NaNs contribute nothing to the maximum;
+// coordinates outside float32 range convert to ±Inf. Harness-only; deleted
+// with ROADMAP item 1(a).
 func ToFloat32(src []float64) ([]float32, float64) {
 	dst := make([]float32, len(src))
 	var maxAbs float64

@@ -18,9 +18,9 @@
 // of some stored point.
 //
 // Scans run at a configurable precision (serve.scan.precision): f64 streams
-// the float64 block directly; f32 and q8 first stream a compact mirror (half
-// or an eighth of the bytes) and compute a row's exact float64 distance
-// only when its compact one says it can still tie or beat the best so far
+// the float64 block directly; q8 first streams the 8-bit quantized codes (an
+// eighth of the bytes) and computes a row's exact float64 distance only
+// when its compact one says it can still tie or beat the best so far
 // (internal/kernels TopKCompact). Every precision feeds the same exact sink,
 // so labels, NN indices, distances, the tie rule and even the rows a sweep
 // visits are identical across precisions. The exact full scan reads the
@@ -80,7 +80,7 @@ type Precision uint8
 const (
 	// PrecF64 scans the float64 block directly (the exact baseline).
 	PrecF64 Precision = iota
-	// PrecF32 filters rows on a float32 mirror before their exact distance.
+	// PrecF32 is served at f64. Harness-only; deleted with ROADMAP item 1(a).
 	PrecF32
 	// PrecQ8 filters rows on 8-bit quantized codes, through a per-query
 	// lookup table, before their exact distance.
@@ -92,20 +92,15 @@ func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "", kernels.ScanF64:
 		return PrecF64, nil
-	case kernels.ScanF32:
-		return PrecF32, nil
 	case kernels.ScanQ8:
 		return PrecQ8, nil
 	}
-	return PrecF64, fmt.Errorf("serve: unknown scan precision %q (want f64, f32, or q8)", s)
+	return PrecF64, fmt.Errorf("serve: unknown scan precision %q (want f64 or q8)", s)
 }
 
 // String returns the knob spelling of p.
 func (p Precision) String() string {
-	switch p {
-	case PrecF32:
-		return kernels.ScanF32
-	case PrecQ8:
+	if p == PrecQ8 {
 		return kernels.ScanQ8
 	}
 	return kernels.ScanF64
@@ -173,15 +168,12 @@ type Engine struct {
 	axis  int
 	coord []float64
 
-	// prec is the effective scan precision: the requested one, or PrecF64
-	// when the model data cannot support the compact representation (e.g.
+	// q8 holds the quantized codes of an engine serving at PrecQ8; nil at
+	// PrecF64, requested or forced by data the codes cannot support (e.g.
 	// unquantizable coordinates).
-	prec   Precision
-	data32 []float32       // float32 mirror (PrecF32)
-	maxAbs float64         // largest |coordinate| of the model data
-	q8     []uint8         // quantized codes (PrecQ8)
-	q8par  points.Q8Params // their per-dimension affine parameters
-	q8bnd  kernels.Bounds  // query-independent q8 scan bounds
+	q8    []uint8
+	q8par points.Q8Params // their per-dimension affine parameters
+	q8bnd kernels.Bounds  // query-independent q8 scan bounds
 
 	// scratch pools per-query candidate state sized to this model;
 	// batches pools per-batch scan state.
@@ -228,8 +220,9 @@ func NewEngine(m *model.Model, prec Precision) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{m: m, layouts: m.Layouts()}
-	e.maxAbs = maxAbsOf(m.Data)
-	e.prec = e.setupCompact(prec)
+	if prec == PrecQ8 {
+		e.setupQ8()
+	}
 	n := m.N()
 	e.scratch.New = func() any { return &scratch{stamp: make([]int32, n)} }
 	e.batches.New = func() any { return new(batchScratch) }
@@ -271,49 +264,21 @@ func sigField(id int32) uint64 {
 	return 1 + mix64(uint64(id))%63
 }
 
-// setupCompact derives (or adopts from the model artifact) the compact
-// representation for the requested precision, returning the effective one.
-func (e *Engine) setupCompact(prec Precision) Precision {
+// setupQ8 adopts the model artifact's q8 codes, or derives them from the
+// data; it leaves e.q8 nil when the data cannot be quantized with usable
+// bounds.
+func (e *Engine) setupQ8() {
 	m := e.m
-	switch prec {
-	case PrecF32:
-		if !kernels.F32Bounds(m.Dim, e.maxAbs).Valid() {
-			return PrecF64
-		}
-		if len(m.Data32) == len(m.Data) {
-			e.data32 = m.Data32
-		} else {
-			e.data32, _ = points.ToFloat32(m.Data)
-		}
-		return PrecF32
-	case PrecQ8:
-		if len(m.Q8Codes) == len(m.Data) && m.Q8Params().Valid(m.Dim) {
-			e.q8, e.q8par = m.Q8Codes, m.Q8Params()
-		} else {
-			codes, par, ok := points.QuantizeQ8(m.Data, m.Dim)
-			if !ok {
-				return PrecF64
-			}
-			e.q8, e.q8par = codes, par
-		}
-		e.q8bnd = kernels.Q8Bounds(m.Dim, e.q8par.ErrBound())
-		if !e.q8bnd.Valid() {
-			e.q8, e.q8par = nil, points.Q8Params{}
-			return PrecF64
-		}
-		return PrecQ8
-	}
-	return PrecF64
-}
-
-func maxAbsOf(xs []float64) float64 {
-	var m float64
-	for _, v := range xs {
-		if a := math.Abs(v); a > m {
-			m = a
+	codes, par := m.Q8Codes, m.Q8Params()
+	if len(codes) != len(m.Data) || !par.Valid(m.Dim) {
+		var ok bool
+		if codes, par, ok = points.QuantizeQ8(m.Data, m.Dim); !ok {
+			return
 		}
 	}
-	return m
+	if bnd := kernels.Q8Bounds(m.Dim, par.ErrBound()); bnd.Valid() {
+		e.q8, e.q8par, e.q8bnd = codes, par, bnd
+	}
 }
 
 // Model returns the engine's model.
@@ -341,7 +306,12 @@ func (e *Engine) Layouts() int {
 }
 
 // Precision returns the effective scan precision.
-func (e *Engine) Precision() Precision { return e.prec }
+func (e *Engine) Precision() Precision {
+	if e.q8 != nil {
+		return PrecQ8
+	}
+	return PrecF64
+}
 
 // MaxCoord returns the largest coordinate magnitude a dim-dimensional
 // query may carry: with every coordinate of the query and the stored
@@ -519,7 +489,7 @@ func (s *scratch) unseen(rows, dst []int32) []int32 {
 // union and its squared distance — (-1, +Inf) when no row there is at a
 // finite distance — without gathering the union. Each bucket is walked
 // outward from q's coordinate on e.axis (kernels.Sweep) into one k = 1
-// TopKAcc all of them share, behind the compact filter at f32 / q8
+// TopKAcc all of them share, behind the compact filter at q8
 // (kernels.TopKCompact), so a row whose axis gap alone exceeds the exact
 // best is never evaluated, nor any row beyond it, and what one bucket proved
 // too far stays too far in the next. The filter never changes what the sink
@@ -543,14 +513,7 @@ func (s *scratch) unseen(rows, dst []int32) []int32 {
 func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st *ScanStats) (best int, best2 float64, certified bool) {
 	nl := e.layouts.M()
 	e.layouts.Hash(&s.kb, q)
-	switch e.prec {
-	case PrecF32:
-		s.cq.ResetF32(e.data32, q, e.f32Bounds(q))
-	case PrecQ8:
-		s.cq.ResetQ8(e.q8, e.q8par, q, e.q8bnd)
-	default:
-		s.cq.ResetF64()
-	}
+	s.cq.Reset(e.q8, e.q8par, q, e.q8bnd)
 	s.acc.Reset(1)
 	s.acc.Cap(s.bound)
 	g, first := e.layouts.GuaranteeRadius(&s.kb)
@@ -588,7 +551,7 @@ func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st
 		best, best2 = s.nearest()
 	}
 	st.Scanned += int64(scanned)
-	if scanned > 0 && e.prec != PrecF64 {
+	if scanned > 0 && e.q8 != nil {
 		st.Rerank += int64(exact)
 		st.RerankQueries++
 	}
@@ -737,12 +700,6 @@ func (e *Engine) exactBatch(qs []points.Vector, bs *batchScratch, out []Assignme
 		}
 		out[qi] = e.finalize(qs[qi], int(bs.best[i]), bs.best2[i], true)
 	}
-}
-
-// f32Bounds builds the f32 scan bounds for query q, folding its magnitude
-// into the model-wide one.
-func (e *Engine) f32Bounds(q []float64) kernels.Bounds {
-	return kernels.F32Bounds(e.m.Dim, math.Max(e.maxAbs, maxAbsOf(q)))
 }
 
 // finalize builds the Assignment once the nearest stored row is known.

@@ -49,8 +49,8 @@ func precisionQueries(mdl *model.Model) [][]float64 {
 	return qs
 }
 
-// TestPrecisionConformance pins the compact scan path's core promise: f32
-// and q8 serving produces assignments bit-identical to the f64 baseline —
+// TestPrecisionConformance pins the compact scan path's core promise: q8
+// serving produces assignments bit-identical to the f64 baseline —
 // same cluster, halo flag, nearest row (including the lowest-index tie
 // rule), and the same float64 distances — on both the LSH-pruned and the
 // exact-scan path.
@@ -61,7 +61,7 @@ func TestPrecisionConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := precisionQueries(mdl)
-	for _, prec := range []serve.Precision{serve.PrecF32, serve.PrecQ8} {
+	for _, prec := range []serve.Precision{serve.PrecQ8} {
 		eng, err := serve.NewEngine(mdl, prec)
 		if err != nil {
 			t.Fatal(err)
@@ -94,7 +94,7 @@ func TestPrecisionConformance(t *testing.T) {
 func TestAssignBatchMatchesSequential(t *testing.T) {
 	mdl, _, _ := trainModel(t, 800, 3)
 	qs := precisionQueries(mdl)
-	for _, prec := range []serve.Precision{serve.PrecF64, serve.PrecF32, serve.PrecQ8} {
+	for _, prec := range []serve.Precision{serve.PrecF64, serve.PrecQ8} {
 		eng, err := serve.NewEngine(mdl, prec)
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestAssignBatchMatchesSequential(t *testing.T) {
 	// Per-query failure isolation: the overflowing query errors, its batch
 	// neighbors still get answers.
 	small := smallModel("batch-iso")
-	for _, prec := range []serve.Precision{serve.PrecF64, serve.PrecF32, serve.PrecQ8} {
+	for _, prec := range []serve.Precision{serve.PrecF64, serve.PrecQ8} {
 		eng, err := serve.NewEngine(small, prec)
 		if err != nil {
 			t.Fatal(err)
@@ -174,7 +174,7 @@ func TestPrecisionDowngrade(t *testing.T) {
 
 func TestParsePrecision(t *testing.T) {
 	for s, want := range map[string]serve.Precision{
-		"": serve.PrecF64, "f64": serve.PrecF64, "f32": serve.PrecF32, "q8": serve.PrecQ8,
+		"": serve.PrecF64, "f64": serve.PrecF64, "q8": serve.PrecQ8,
 	} {
 		got, err := serve.ParsePrecision(s)
 		if err != nil || got != want {
@@ -184,8 +184,10 @@ func TestParsePrecision(t *testing.T) {
 			t.Errorf("%v.String() = %q, want %q", want, want.String(), s)
 		}
 	}
-	if _, err := serve.ParsePrecision("fp16"); err == nil {
-		t.Error("unknown precision accepted")
+	for _, s := range []string{"fp16", "f32"} {
+		if _, err := serve.ParsePrecision(s); err == nil {
+			t.Errorf("precision %q accepted", s)
+		}
 	}
 }
 

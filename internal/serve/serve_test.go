@@ -234,7 +234,7 @@ func smallModel(name string) *model.Model {
 // overflows to +Inf must produce an error (HTTP 400 at admission, an
 // engine error if it slips past) — never a panic that kills the daemon.
 func TestOverflowQuery(t *testing.T) {
-	for _, prec := range []serve.Precision{serve.PrecF64, serve.PrecF32, serve.PrecQ8} {
+	for _, prec := range []serve.Precision{serve.PrecF64, serve.PrecQ8} {
 		eng, err := serve.NewEngine(smallModel("overflow"), prec)
 		if err != nil {
 			t.Fatal(err)

@@ -40,8 +40,8 @@ const (
 	// row there lying strictly inside the query's LSH guarantee radius. On a
 	// fleet shard: the router's first-round queries this shard certified.
 	CtrCertified = "serve.certified"
-	// CtrRerankRows counts the exact float64 distances a compact (f32/q8)
-	// bucket sweep computed, for the rows its compact filter let through;
+	// CtrRerankRows counts the exact float64 distances a q8 bucket sweep
+	// computed, for the rows its compact filter let through;
 	// divide by CtrRerankQueries for the average per query. Zero when
 	// serving at f64.
 	CtrRerankRows = "serve.rerank.rows"
@@ -69,10 +69,10 @@ type Config struct {
 	// It is reported in /statsz so a router can verify at startup that the
 	// replica it is about to route to really serves the shard it expects.
 	ShardID *int
-	// Precision selects the scan representation ("", "f64", "f32", "q8" —
-	// the serve.scan.precision knob). Compact precisions filter rows on a
-	// smaller mirror of the stored points before their exact float64
-	// distance, so results are identical at every setting. SetModel rejects unknown
+	// Precision selects the scan representation ("", "f64", "q8" — the
+	// serve.scan.precision knob). q8 filters rows on 8-bit codes of the
+	// stored points before their exact float64 distance, so results are
+	// identical at every setting. SetModel rejects unknown
 	// values; a model that cannot support the requested representation
 	// serves at f64.
 	Precision string

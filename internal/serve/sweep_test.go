@@ -255,7 +255,7 @@ func TestSweepAssignMatchesGather(t *testing.T) {
 			for what, block := range sweepBlocks(rng, n, dim) {
 				m, pi := 1+rng.Intn(10), 1+rng.Intn(3)
 				w := []float64{0.5, 4, 25, 400}[rng.Intn(4)]
-				for _, prec := range []Precision{PrecF64, PrecF32, PrecQ8} {
+				for _, prec := range []Precision{PrecF64, PrecQ8} {
 					for _, fleet := range []bool{false, true} {
 						e, err := NewEngine(sweepModel(block, dim, m, pi, w, fleet), prec)
 						if err != nil {
@@ -417,7 +417,7 @@ func harnessGeometry(tb testing.TB, n, nq int) (data []float64, w float64, qs []
 }
 
 // checkPrecisionsAgree answers q on every engine of es — the same model at
-// f64, f32 and q8 — under mask and bound when masked, and fails unless each
+// f64 and q8 — under mask and bound when masked, and fails unless the
 // compact engine's answer, error, rows evaluated and certificate equal the
 // f64 engine's, and it computed no more exact distances than rows.
 func checkPrecisionsAgree(t *testing.T, what string, es []*Engine, q points.Vector, mask uint64, masked bool, bound float64) {
@@ -445,15 +445,15 @@ func checkPrecisionsAgree(t *testing.T, what string, es []*Engine, q points.Vect
 }
 
 // TestCompactSweepMatchesF64 pins what the compact filter promises: in front
-// of the exact sink it changes nothing the sink sees, so at f32 and q8 every
-// query gets the f64 engine's answer, from the same rows evaluated, with the
+// of the exact sink it changes nothing the sink sees, so at q8 every query
+// gets the f64 engine's answer, from the same rows evaluated, with the
 // same certificate — unmasked, and masked under each of sweepBounds' caps —
 // on the harness's serving geometry and on tie, duplicate-point and
 // non-finite data.
 func TestCompactSweepMatchesF64(t *testing.T) {
 	engines := func(mdl *model.Model) []*Engine {
 		var es []*Engine
-		for _, prec := range []Precision{PrecF64, PrecF32, PrecQ8} {
+		for _, prec := range []Precision{PrecF64, PrecQ8} {
 			e, err := NewEngine(mdl, prec)
 			if err != nil {
 				t.Fatal(err)
@@ -481,8 +481,8 @@ func TestCompactSweepMatchesF64(t *testing.T) {
 	data, w, qs := harnessGeometry(t, 20_000, 300)
 	for _, fleet := range []bool{false, true} {
 		mdl := sweepModel(data, 8, 10, 3, w, fleet)
-		if es := engines(mdl); es[1].Precision() != PrecF32 || es[2].Precision() != PrecQ8 {
-			t.Fatalf("harness geometry served at %s / %s", es[1].Precision(), es[2].Precision())
+		if es := engines(mdl); es[1].Precision() != PrecQ8 {
+			t.Fatalf("harness geometry served at %s", es[1].Precision())
 		}
 		check(fmt.Sprintf("harness fleet=%v", fleet), mdl, qs, []uint64{0x3FF, 0x155, rng.Uint64()})
 	}
