@@ -20,10 +20,14 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eddpc"
 	"repro/internal/fleet"
+	"repro/internal/ingest"
 	"repro/internal/kmeansmr"
 	"repro/internal/knnjoin"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/rpcmr"
+	"repro/internal/model"
+	"repro/internal/points"
+	"repro/internal/serve"
 )
 
 // The golden file pins every pipeline's output and cost counts. Each line
@@ -58,7 +62,10 @@ const goldenHeader = `# One line per (pipeline, seed): a sha256 prefix of its ou
 # dist = dp.distance.computations, srec / sbytes = shuffle.records / .bytes,
 # mrec = map.output.records (instead of srec / sbytes on a job with a combiner,
 # whose shuffle follows the split count), pruned / skipped = dp.lsh.pairs.*,
-# certified = dp.delta.certified, fallbacks = knn.exact.fallbacks.
+# certified = dp.delta.certified, fallbacks = knn.exact.fallbacks. The serve
+# and ingest lines digest the exported model's answers to fixed queries, then
+# rows / certified / exact = rows scanned, one-bucket answers and exact
+# fallbacks, and delta_scanned = the delta rows an ingest store's reads scan.
 # Written by TestGolden (golden_test.go); accept a change with
 #   mv testdata/golden.got testdata/golden.txt
 `
@@ -75,6 +82,12 @@ const (
 	goldenK   = 5
 	goldenR   = 500
 	knnK      = 8
+
+	// The online lines: goldenQ queries at or near stored rows, goldenFar
+	// far off every stored row, and goldenIngest points ingested.
+	goldenQ      = 200
+	goldenFar    = 8
+	goldenIngest = 40
 )
 
 // recorder is an engine that remembers the golden counts of every job it
@@ -178,6 +191,16 @@ func (d *digest) String() string {
 	return hex.EncodeToString(sum[:6])
 }
 
+// answers digests served answers: cluster, nearest ID, d², halo,
+// certified, exact, and whether the query failed.
+func (d *digest) answers(out []serve.Assignment, errs []error) *digest {
+	for i, a := range out {
+		d.i32s([]int32{a.Cluster, a.Nearest}).f64s([]float64{a.Dist2}).
+			bools([]bool{a.Halo, a.Certified, a.Exact, errs[i] != nil})
+	}
+	return d
+}
+
 func ddpDigest(res *core.Result) string {
 	return new(digest).f64s(res.Rho).f64s(res.Delta).i32s(res.Upslope).String()
 }
@@ -229,6 +252,16 @@ func goldenLines(ctx context.Context, eng mapreduce.Engine, seed int64, dir stri
 		return nil, err
 	}
 	add("model", fmt.Sprintf("%s bytes=%d", new(digest).bytes(artifact), len(artifact)))
+	qs := goldenQueries(mdl, seed)
+	line, err := serveLine(mdl, qs)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	add("serve", line)
+	if line, err = ingestLine(mdl, seed, qs, filepath.Join(dir, "ingest")); err != nil {
+		return nil, fmt.Errorf("ingest: %w", err)
+	}
+	add("ingest", line)
 	for _, shards := range []int{2, 4} {
 		subs, mf, err := fleet.Partition(mdl, shards, 0)
 		if err != nil {
@@ -287,6 +320,95 @@ func goldenLines(ctx context.Context, eng mapreduce.Engine, seed int64, dir stri
 		add(name, fmt.Sprintf("%s dist=%d", knnDigest(res), res.Stats.DistanceComputations))
 	}
 	return lines, nil
+}
+
+// goldenQueries is the fixed query set of the online lines: every fourth
+// query sits on a stored row, the rest near one, and the last goldenFar lie
+// far off every stored row, where no bucket holds a row and the exact
+// fallback answers.
+func goldenQueries(mdl *model.Model, seed int64) []points.Vector {
+	rng := points.NewRand(seed)
+	qs := make([]points.Vector, 0, goldenQ+goldenFar)
+	for i := range goldenQ {
+		q := slices.Clone(mdl.Row(rng.Intn(mdl.N())))
+		if i%4 != 0 {
+			for j := range q {
+				q[j] += rng.NormFloat64() * 3
+			}
+		}
+		qs = append(qs, q)
+	}
+	for range goldenFar {
+		q := make(points.Vector, mdl.Dim)
+		for j := range q {
+			q[j] = (rng.Float64() - 0.5) * 1e5
+		}
+		qs = append(qs, q)
+	}
+	return qs
+}
+
+// serveLine answers qs on the exported model, pruned and exact-only, at f64
+// and at q8. The digest covers both modes; rows / certified / exact are the
+// pruned pass's scanned rows, one-bucket answers and exact fallbacks. Both
+// precisions must print the same line.
+func serveLine(mdl *model.Model, qs []points.Vector) (string, error) {
+	var line string
+	for _, prec := range []serve.Precision{serve.PrecF64, serve.PrecQ8} {
+		eng, err := serve.NewEngine(mdl, prec)
+		if err != nil {
+			return "", err
+		}
+		if eng.Precision() != prec {
+			return "", fmt.Errorf("engine serves at precision %d, want %d", eng.Precision(), prec)
+		}
+		d := new(digest)
+		out, errs, st := eng.AssignBatch(qs, false)
+		d.answers(out, errs)
+		out, errs, _ = eng.AssignBatch(qs, true)
+		d.answers(out, errs)
+		l := fmt.Sprintf("%s rows=%d certified=%d exact=%d", d, st.Scanned, st.Certified, st.ExactQueries)
+		if line != "" && l != line {
+			return "", fmt.Errorf("q8 prints %q, f64 %q", l, line)
+		}
+		line = l
+	}
+	return line, nil
+}
+
+// ingestLine opens an ingest store over the exported model in dir, ingests
+// goldenIngest points near stored rows, and answers qs and the ingested
+// points, pruned and exact-only. The digest covers the acks and the
+// answers; delta_scanned counts the delta rows the reads scanned.
+func ingestLine(mdl *model.Model, seed int64, qs []points.Vector, dir string) (string, error) {
+	st, err := ingest.Open(ingest.Config{Dir: dir, Precision: "f64"}, func() (*model.Model, error) { return mdl, nil })
+	if err != nil {
+		return "", err
+	}
+	defer st.Close()
+	rng := points.NewRand(-seed)
+	batch := make([][]float64, goldenIngest)
+	for i := range batch {
+		p := slices.Clone(mdl.Row(rng.Intn(mdl.N())))
+		for j := range p {
+			p[j] += rng.NormFloat64()
+		}
+		batch[i] = p
+		qs = append(qs, p)
+	}
+	acks, err := st.IngestPoints(batch)
+	if err != nil {
+		return "", err
+	}
+	d := new(digest)
+	for _, a := range acks {
+		d.i32s([]int32{a.ID}).answers([]serve.Assignment{a.Assignment}, []error{nil})
+	}
+	for _, exact := range []bool{false, true} {
+		out, errs, _ := st.AssignBatch(qs, serve.BatchOpts{ExactOnly: exact})
+		d.answers(out, errs)
+	}
+	return fmt.Sprintf("%s delta_scanned=%d", d, st.Counters()[ingest.CtrDeltaScanned]), nil
 }
 
 // goldenCluster boots a master and three workers on loopback.
