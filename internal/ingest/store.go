@@ -533,6 +533,7 @@ func (st *Store) assign(qs []points.Vector, opts serve.BatchOpts) (out []serve.A
 	dim := m.Dim
 	nd := len(st.dIDs)
 	masked := !opts.ExactOnly && opts.Masks != nil
+	var acc kernels.TopKAcc
 	for i, q := range qs {
 		if errs[i] == nil && out[i].Halo {
 			// The engine judged halo against the artifact's rho; folded
@@ -551,9 +552,11 @@ func (st *Store) assign(qs []points.Vector, opts serve.BatchOpts) (out []serve.A
 			// follows: its delta merges here.
 			continue
 		}
-		b, b2 := kernels.NNRange(st.dCoords, dim, q, 0, nd)
+		acc.Reset(1)
+		kernels.TopKRange(st.dCoords, dim, q, 0, nd, &acc)
 		deltaScanned += int64(nd)
-		if b < 0 || math.IsInf(b2, 1) {
+		b, b2 := acc.Nearest()
+		if b < 0 {
 			continue
 		}
 		if errs[i] == nil && !(b2 < out[i].Dist2) {

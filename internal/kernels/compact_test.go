@@ -103,7 +103,7 @@ func TestCompactNNBitIdentical(t *testing.T) {
 				if trial%5 == 0 { // exact hit: query equals a stored row
 					copy(q, data[(trial*13%n)*dim:])
 				}
-				wantB, wantB2 := NNRange(data, dim, q, 0, n)
+				wantB, wantB2 := naiveNN(data, dim, q, allRows(n))
 
 				bnd := F32Bounds(dim, blockMaxAbs(data, q))
 				gotB, gotB2, short := rerank32(data, dim, q, bnd)
@@ -177,7 +177,7 @@ func TestCompactNNOverflow(t *testing.T) {
 	huge := 1e160 // d² overflows f32 (and pair distances overflow f64)
 	data := []float64{huge, huge, -huge, -huge, huge, -huge}
 	q := []float64{-huge, huge}
-	wantB, wantB2 := NNRange(data, dim, q, 0, 3)
+	wantB, wantB2 := naiveNN(data, dim, q, allRows(3))
 	if wantB != -1 || !math.IsInf(wantB2, 1) {
 		t.Fatalf("reference not overflowing: (%d, %v)", wantB, wantB2)
 	}
@@ -192,7 +192,7 @@ func TestCompactNNOverflow(t *testing.T) {
 
 	// Mixed: one ordinary row among the overflowing ones must win.
 	data = append(data, 1, 2)
-	wantB, wantB2 = NNRange(data, dim, q, 0, 4)
+	wantB, wantB2 = naiveNN(data, dim, q, allRows(4))
 	gotB, gotB2, _ = rerank32(data, dim, q, F32Bounds(dim, huge))
 	if gotB != wantB || gotB2 != wantB2 {
 		t.Fatalf("f32 mixed overflow: got (%d, %v), want (%d, %v)", gotB, gotB2, wantB, wantB2)
@@ -209,7 +209,7 @@ func TestShortlistRefilterGrowth(t *testing.T) {
 	dim, n := 2, 2000
 	data := make([]float64, n*dim) // every row identical → all rows tie
 	q := []float64{1, 1}
-	wantB, wantB2 := NNRange(data, dim, q, 0, n)
+	wantB, wantB2 := naiveNN(data, dim, q, allRows(n))
 	bnd := F32Bounds(dim, 1)
 	gotB, gotB2, short := rerank32(data, dim, q, bnd)
 	if gotB != wantB || gotB2 != wantB2 {
@@ -220,46 +220,6 @@ func TestShortlistRefilterGrowth(t *testing.T) {
 	}
 	if wantB != 0 {
 		t.Fatalf("tie rule: want row 0, got %d", wantB)
-	}
-}
-
-func TestNNBatchMatchesNNRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	dim, n := 6, 700
-	data := randBlock(rng, n, dim, 5)
-	for _, nq := range []int{1, 2, 17, 64} {
-		qs := make([]float64, nq*dim)
-		for i := range qs {
-			qs[i] = rng.NormFloat64() * 5
-		}
-		best := make([]int32, nq)
-		best2 := make([]float64, nq)
-		for _, lo := range []int{0, 129} {
-			NNBatch(data, dim, qs, lo, n, best, best2)
-			for qi := 0; qi < nq; qi++ {
-				wb, wb2 := NNRange(data, dim, qs[qi*dim:(qi+1)*dim], lo, n)
-				if int(best[qi]) != wb || best2[qi] != wb2 {
-					t.Fatalf("nq=%d lo=%d q=%d: got (%d, %v), want (%d, %v)",
-						nq, lo, qi, best[qi], best2[qi], wb, wb2)
-				}
-			}
-		}
-	}
-	// dim-2 fast path.
-	dim = 2
-	data = randBlock(rng, n, dim, 5)
-	qs := make([]float64, 8*dim)
-	for i := range qs {
-		qs[i] = rng.NormFloat64() * 5
-	}
-	best := make([]int32, 8)
-	best2 := make([]float64, 8)
-	NNBatch(data, dim, qs, 0, n, best, best2)
-	for qi := 0; qi < 8; qi++ {
-		wb, wb2 := NNRange(data, dim, qs[qi*dim:(qi+1)*dim], 0, n)
-		if int(best[qi]) != wb || best2[qi] != wb2 {
-			t.Fatalf("dim2 q=%d: got (%d, %v), want (%d, %v)", qi, best[qi], best2[qi], wb, wb2)
-		}
 	}
 }
 

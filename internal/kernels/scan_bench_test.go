@@ -9,11 +9,12 @@ import (
 )
 
 // Benchmarks for the scan kernels (make bench-scan). NNScan measures one
-// full float64 pass over a 1M×8 block, and NNBatch the same pass shared by
-// 64 queries, against 64 single-query passes (f64-seq); NNRows scans a
+// full float64 k = 1 TopKRange pass over a 1M×8 block, and NNBatch the same
+// pass shared by 64 queries through TopKBatch (the serving engine's exact
+// fallback), against 64 single-query passes (f64-seq); NNRows scans a
 // served query's sparse candidate list at each precision, with the exact
-// re-rank; TopKScan and TopKLeaves are the flat top-k and the kNN-join's
-// box-tree top-k.
+// re-rank; TopKScan and TopKLeaves are the flat k = 10 batch and the
+// kNN-join's box-tree top-k.
 
 type scanFixture struct {
 	n, dim int
@@ -53,8 +54,10 @@ func BenchmarkNNScan(b *testing.B) {
 	q := f.qs[:f.dim]
 	b.Run("f64", func(b *testing.B) {
 		b.SetBytes(int64(f.n * f.dim * 8))
+		acc := NewTopKAcc(1)
 		for i := 0; i < b.N; i++ {
-			NNRange(f.data, f.dim, q, 0, f.n)
+			acc.Reset(1)
+			TopKRange(f.data, f.dim, q, 0, f.n, acc)
 		}
 	})
 }
@@ -108,20 +111,23 @@ func BenchmarkNNRows(b *testing.B) {
 func BenchmarkNNBatch(b *testing.B) {
 	const nq = 64
 	f := newScanFixture(b, 1_000_000, 8, nq)
+	accs := make([]TopKAcc, nq)
 	b.Run("f64-seq", func(b *testing.B) {
 		b.SetBytes(int64(f.n * f.dim * 8 * nq))
 		for i := 0; i < b.N; i++ {
-			for qi := 0; qi < nq; qi++ {
-				NNRange(f.data, f.dim, f.qs[qi*f.dim:(qi+1)*f.dim], 0, f.n)
+			for qi := range accs {
+				accs[qi].Reset(1)
+				TopKRange(f.data, f.dim, f.qs[qi*f.dim:(qi+1)*f.dim], 0, f.n, &accs[qi])
 			}
 		}
 	})
-	best := make([]int32, nq)
-	best2 := make([]float64, nq)
 	b.Run("f64", func(b *testing.B) {
 		b.SetBytes(int64(f.n * f.dim * 8 * nq))
 		for i := 0; i < b.N; i++ {
-			NNBatch(f.data, f.dim, f.qs, 0, f.n, best, best2)
+			for qi := range accs {
+				accs[qi].Reset(1)
+			}
+			TopKBatch(f.data, f.dim, f.qs, 0, f.n, accs)
 		}
 	})
 }

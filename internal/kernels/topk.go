@@ -1,22 +1,26 @@
 package kernels
 
-// Top-k nearest-neighbor scan kernels for the kNN-join subsystem: given a
-// query position and a flat SoA coordinate block, maintain the k nearest
-// rows instead of the single nearest. The accumulator is a fixed-size
-// binary max-heap ordered by (squared distance, row index), so the root is
-// always the worst kept entry and a scanned row pays one comparison against
-// it in the common reject case.
+// The one nearest-row scan of the repository: given a query position and a
+// flat SoA coordinate block, keep the k nearest rows. Every scan sinks into
+// a TopKAcc — serving's sweeps and exact fallback and the ingest delta scan
+// at k = 1, the kNN-join at k. The accumulator is a best-first list of at
+// most k entries, so a scanned row pays one comparison against the worst
+// kept entry in the common reject case, and at k = 1 an accepted one costs
+// one more comparison and one store.
 //
-// The tie rule extends the NN kernels' "lowest row index wins": when a new
-// row ties the current k-th distance, it displaces the kept entry only if
-// its row index is lower, and Append returns entries sorted ascending by
-// (distance, row). A row whose squared distance is not finite (+Inf from
-// overflow, NaN from Inf−Inf) is ineligible, matching NNRange's "(-1, +Inf)
-// when no row has a finite distance" contract — so the result set depends
-// only on which rows were observed, never on observation order, and any
-// tiling or chunking of a scan is bit-identical to the flat loop.
+// The order is (squared distance, lowest row index): when a new row ties
+// the current k-th distance, it displaces the kept entry only if its row
+// index is lower. A row whose squared distance is not finite (+Inf from
+// overflow, NaN from Inf−Inf) is ineligible, so a scan in which no row has
+// a finite distance keeps nothing — Nearest then reads (-1, +Inf). The
+// result set depends only on which rows were observed, never on observation
+// order, and any tiling or chunking of a scan is bit-identical to the flat
+// loop.
 
-import "slices"
+// nnTile is the row-strip edge of the scans. 128 rows of an 8-dimensional
+// float64 block are 8 KiB — resident in L1 while a whole query batch runs
+// over them.
+const nnTile = 128
 
 // TopKEntry is one kept neighbor: a matrix row index and its exact squared
 // distance to the query.
@@ -33,11 +37,11 @@ func topkWorse(a, b TopKEntry) bool {
 
 // TopKAcc accumulates the k nearest rows observed so far. The zero value is
 // unusable; call Reset (or NewTopKAcc) with k ≥ 1 first. One accumulator is
-// reusable across queries via Reset, keeping its heap storage.
+// reusable across queries via Reset, keeping its storage.
 type TopKAcc struct {
 	k     int
 	bound float64     // a row must tie or beat this squared distance (Cap); +Inf after Reset
-	h     []TopKEntry // max-heap under topkWorse; h[0] is the worst kept entry
+	ents  []TopKEntry // best first; ents[k-1] is the worst kept entry once full
 }
 
 // NewTopKAcc returns an accumulator holding up to k rows.
@@ -55,7 +59,7 @@ func (a *TopKAcc) Reset(k int) {
 	}
 	a.k = k
 	a.bound = inf
-	a.h = a.h[:0]
+	a.ents = a.ents[:0]
 }
 
 // Cap admits, for the rest of this query, only rows whose squared distance
@@ -66,7 +70,7 @@ func (a *TopKAcc) Cap(e float64) { a.bound = e }
 
 // Len returns the number of rows currently held (≤ k; fewer than k when the
 // scan saw fewer than k rows with finite distances).
-func (a *TopKAcc) Len() int { return len(a.h) }
+func (a *TopKAcc) Len() int { return len(a.ents) }
 
 // Threshold returns the squared distance a new row must beat — or tie with
 // a lower row index — to enter the accumulator: the current k-th best
@@ -74,75 +78,54 @@ func (a *TopKAcc) Len() int { return len(a.h) }
 // it as the hot-loop early reject (strict `d2 > Threshold()` skips; ties
 // still reach observe for the row-index comparison).
 func (a *TopKAcc) Threshold() float64 {
-	if len(a.h) < a.k {
+	if len(a.ents) < a.k {
 		return a.bound
 	}
-	return a.h[0].D2
+	return a.ents[a.k-1].D2
 }
 
-// observe folds one scanned row into the heap. Non-finite distances are
-// ineligible (see the package comment above), and so are those past the cap.
+// Nearest returns the best kept row and its squared distance, or (-1, +Inf)
+// when the accumulator holds nothing.
+func (a *TopKAcc) Nearest() (int, float64) {
+	if len(a.ents) == 0 {
+		return -1, inf
+	}
+	return int(a.ents[0].Row), a.ents[0].D2
+}
+
+// observe folds one scanned row into the list. Non-finite distances are
+// ineligible (see the file comment above), and so are those past the cap.
 func (a *TopKAcc) observe(row int32, d2 float64) {
 	if !(d2 < inf) || !(d2 <= a.bound) {
 		return
 	}
-	if len(a.h) < a.k {
-		a.h = append(a.h, TopKEntry{Row: row, D2: d2})
-		a.siftUp(len(a.h) - 1)
-		return
-	}
-	r := a.h[0]
-	if d2 < r.D2 || (d2 == r.D2 && row < r.Row) {
-		a.h[0] = TopKEntry{Row: row, D2: d2}
-		a.siftDown(0)
-	}
+	a.ents = keepTopK(a.ents, a.k, TopKEntry{Row: row, D2: d2})
 }
 
-func (a *TopKAcc) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !topkWorse(a.h[i], a.h[p]) {
-			return
+// keepTopK folds e into list — best first under topkWorse, at most k
+// entries — and returns the list: a full list drops its worst entry when e
+// ranks better, a short one grows by one. Shared by TopKAcc and Near.
+func keepTopK(list []TopKEntry, k int, e TopKEntry) []TopKEntry {
+	n := len(list)
+	if n == k {
+		if !topkWorse(list[n-1], e) {
+			return list
 		}
-		a.h[i], a.h[p] = a.h[p], a.h[i]
-		i = p
+		n--
+	} else {
+		list = append(list, e)
 	}
+	i := n
+	for ; i > 0 && topkWorse(list[i-1], e); i-- {
+		list[i] = list[i-1]
+	}
+	list[i] = e
+	return list
 }
 
-func (a *TopKAcc) siftDown(i int) {
-	n := len(a.h)
-	for {
-		c := 2*i + 1
-		if c >= n {
-			return
-		}
-		if r := c + 1; r < n && topkWorse(a.h[r], a.h[c]) {
-			c = r
-		}
-		if !topkWorse(a.h[c], a.h[i]) {
-			return
-		}
-		a.h[i], a.h[c] = a.h[c], a.h[i]
-		i = c
-	}
-}
-
-// Append appends the kept entries to dst sorted ascending by (distance,
-// row) and returns the extended slice. The accumulator is left intact.
-func (a *TopKAcc) Append(dst []TopKEntry) []TopKEntry {
-	off := len(dst)
-	dst = append(dst, a.h...)
-	slices.SortFunc(dst[off:], func(a, b TopKEntry) int {
-		switch {
-		case topkWorse(a, b):
-			return 1
-		case topkWorse(b, a):
-			return -1
-		}
-		return 0
-	})
-	return dst
-}
+// Append appends the kept entries to dst, ascending by (distance, row), and
+// returns the extended slice. The accumulator is left intact.
+func (a *TopKAcc) Append(dst []TopKEntry) []TopKEntry { return append(dst, a.ents...) }
 
 // Near keeps, for each of n rows, its k nearest partners closer than a
 // bound among the pairs a ρ walk evaluates (Credit.Near) — the lists
@@ -187,22 +170,10 @@ func (nr *Near) Offer(r int, e TopKEntry) {
 	if !(e.D2 < nr.bound) {
 		return
 	}
-	list := nr.ents[r*nr.k : (r+1)*nr.k]
-	n := int(nr.cnt[r])
-	if n == nr.k {
-		if !topkWorse(list[n-1], e) {
-			return
-		}
-		n--
-	}
-	i := n
-	for ; i > 0 && topkWorse(list[i-1], e); i-- {
-		list[i] = list[i-1]
-	}
-	list[i] = e
-	nr.cnt[r] = int32(n + 1)
-	if n+1 == nr.k {
-		nr.thr[r] = list[n].D2
+	lo := r * nr.k
+	list := keepTopK(nr.ents[lo:lo+int(nr.cnt[r]):lo+nr.k], nr.k, e)
+	if nr.cnt[r] = int32(len(list)); len(list) == nr.k {
+		nr.thr[r] = list[nr.k-1].D2
 	}
 }
 
@@ -227,10 +198,11 @@ func (nr *Near) strip(a int, ids []int32, jLo int, d2 []float64) {
 	}
 }
 
-// topkScanRange extends acc with rows [lo, hi) of the flat row-major block
-// data, on the same blocked distance strips as the NN kernels so distances
-// are bit-identical across both.
-func topkScanRange(data []float64, dim int, q []float64, lo, hi int, acc *TopKAcc) {
+// TopKRange scans rows [lo, hi) of the flat row-major block data (rows of
+// length dim) into acc, in blocked distance strips (dist.go) observed in
+// ascending row order. The caller has Reset acc for this query; scanning a
+// range in pieces into one accumulator ends as the flat scan does.
+func TopKRange(data []float64, dim int, q []float64, lo, hi int, acc *TopKAcc) {
 	thr := acc.Threshold()
 	var d2 [nnTile]float64
 	for ; lo < hi; lo += nnTile {
@@ -246,15 +218,9 @@ func topkScanRange(data []float64, dim int, q []float64, lo, hi int, acc *TopKAc
 	}
 }
 
-// TopKRange scans rows [lo, hi) of data (rows of length dim) into acc,
-// which the caller has Reset for this query.
-func TopKRange(data []float64, dim int, q []float64, lo, hi int, acc *TopKAcc) {
-	topkScanRange(data, dim, q, lo, hi, acc)
-}
-
 // TopKRows scans only the listed rows into acc. Order does not matter, but
-// unlike NNRows the rows must be distinct: a duplicated row would occupy
-// two of the k slots.
+// at k > 1 the rows must be distinct: a duplicated row would occupy two of
+// the k slots.
 func TopKRows(data []float64, dim int, q []float64, rows []int32, acc *TopKAcc) {
 	thr := acc.Threshold()
 	var d2 [nnTile]float64
@@ -272,15 +238,17 @@ func TopKRows(data []float64, dim int, q []float64, rows []int32, acc *TopKAcc) 
 	}
 }
 
-// TopKBatch is the multi-query variant of TopKRange: one pass over each row
-// tile serves every query in the batch (qs flat, len(accs)*dim), exactly
-// like NNBatch. Each accumulator must be Reset by the caller; per query the
-// rows arrive in ascending order and the result is bit-identical to a
-// standalone TopKRange call. The kNN-join reducers scan per query with
-// TopKLeaves instead; this full-block batch is what the benchmark
-// harness's top-k probe times.
+// TopKBatch is the multi-query TopKRange: one pass over each nnTile-row
+// tile serves every query in the batch (qs flat, len(accs)*dim), so the
+// block streams through the cache once per tile instead of once per query.
+// Each accumulator must be Reset by the caller; per query the rows arrive
+// in ascending order, so the result is bit-identical to a standalone
+// TopKRange call. The serving engine's exact fallback runs it at k = 1.
 func TopKBatch(data []float64, dim int, qs []float64, lo, hi int, accs []TopKAcc) {
-	batchTiles(lo, hi, len(accs), func(qi, tLo, tHi int) {
-		topkScanRange(data, dim, qs[qi*dim:(qi+1)*dim], tLo, tHi, &accs[qi])
-	})
+	for t := lo; t < hi; t += nnTile {
+		tHi := min(t+nnTile, hi)
+		for qi := range accs {
+			TopKRange(data, dim, qs[qi*dim:(qi+1)*dim], t, tHi, &accs[qi])
+		}
+	}
 }

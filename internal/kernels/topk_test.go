@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -66,6 +67,12 @@ func TestTopKAgainstOracle(t *testing.T) {
 				if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
 					t.Fatalf("dim %d k %d: TopKRange = %v, want %v", dim, k, got, want)
 				}
+				if k == 1 {
+					gi, g2 := acc.Nearest()
+					if wi, w2 := naiveNN(data, dim, q, allRows); gi != wi || g2 != w2 {
+						t.Fatalf("dim %d: top-1 = (%d, %v), scalar oracle (%d, %v)", dim, gi, g2, wi, w2)
+					}
+				}
 
 				// A strided subset, visited in descending order: the kept
 				// set must not depend on observation order.
@@ -78,47 +85,59 @@ func TestTopKAgainstOracle(t *testing.T) {
 				if got := acc.Append(nil); !reflect.DeepEqual(got, naiveTopK(data, dim, q, rows, k)) {
 					t.Fatalf("dim %d k %d: TopKRows mismatch on strided subset", dim, k)
 				}
+				if k == 1 {
+					gi, g2 := acc.Nearest()
+					slices.Reverse(rows)
+					if wi, w2 := naiveNN(data, dim, q, rows); gi != wi || g2 != w2 {
+						t.Fatalf("dim %d: strided top-1 = (%d, %v), scalar oracle (%d, %v)", dim, gi, g2, wi, w2)
+					}
+				}
 			}
 		}
 	}
 }
 
-// Any chunking of the scan range, and the tiled batch kernel, must land in
-// a bit-identical final state.
+// Any chunking of the scan range, and the tiled batch kernel at any batch
+// size and range start, must land in a bit-identical final state.
 func TestTopKChunkingInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	dim, n, k := 3, 300, 8
+	dim, n := 3, 300
 	data := randBlock(rng, n, dim, 5)
-	nq := 7
-	qs := make([]float64, nq*dim)
+	qs := make([]float64, 64*dim)
 	for i := range qs {
 		qs[i] = rng.NormFloat64() * 5
 	}
-	for qi := 0; qi < nq; qi++ {
-		q := qs[qi*dim : (qi+1)*dim]
-		flat := NewTopKAcc(k)
-		TopKRange(data, dim, q, 0, n, flat)
-		want := flat.Append(nil)
-		for _, chunk := range []int{1, 7, nnTile - 1, nnTile, n} {
-			acc := NewTopKAcc(k)
-			for lo := 0; lo < n; lo += chunk {
-				TopKRange(data, dim, q, lo, min(lo+chunk, n), acc)
-			}
-			if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
-				t.Fatalf("query %d chunk %d: chunked scan diverged", qi, chunk)
+	for _, k := range []int{1, 8} {
+		for qi := 0; qi < 7; qi++ {
+			q := qs[qi*dim : (qi+1)*dim]
+			flat := NewTopKAcc(k)
+			TopKRange(data, dim, q, 0, n, flat)
+			want := flat.Append(nil)
+			for _, chunk := range []int{1, 7, nnTile - 1, nnTile, n} {
+				acc := NewTopKAcc(k)
+				for lo := 0; lo < n; lo += chunk {
+					TopKRange(data, dim, q, lo, min(lo+chunk, n), acc)
+				}
+				if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("k %d query %d chunk %d: chunked scan diverged", k, qi, chunk)
+				}
 			}
 		}
-	}
-	accs := make([]TopKAcc, nq)
-	for i := range accs {
-		accs[i].Reset(k)
-	}
-	TopKBatch(data, dim, qs, 0, n, accs)
-	for qi := range accs {
-		flat := NewTopKAcc(k)
-		TopKRange(data, dim, qs[qi*dim:(qi+1)*dim], 0, n, flat)
-		if got, want := accs[qi].Append(nil), flat.Append(nil); !reflect.DeepEqual(got, want) {
-			t.Fatalf("query %d: TopKBatch diverged from TopKRange", qi)
+		for _, nq := range []int{1, 2, 17, 64} {
+			for _, lo := range []int{0, nnTile + 1} {
+				accs := make([]TopKAcc, nq)
+				for i := range accs {
+					accs[i].Reset(k)
+				}
+				TopKBatch(data, dim, qs[:nq*dim], lo, n, accs)
+				for qi := range accs {
+					flat := NewTopKAcc(k)
+					TopKRange(data, dim, qs[qi*dim:(qi+1)*dim], lo, n, flat)
+					if got, want := accs[qi].Append(nil), flat.Append(nil); !reflect.DeepEqual(got, want) {
+						t.Fatalf("k %d nq %d lo %d query %d: TopKBatch diverged from TopKRange", k, nq, lo, qi)
+					}
+				}
+			}
 		}
 	}
 }
@@ -149,32 +168,25 @@ func TestTopKNonFiniteRows(t *testing.T) {
 	if thr := acc.Threshold(); !math.IsInf(thr, 1) {
 		t.Fatalf("empty accumulator threshold = %v, want +Inf", thr)
 	}
-}
-
-// Top-1 must agree exactly with the single-NN kernel.
-func TestTopKMatchesNNAtK1(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, dim := range []int{2, 5} {
-		n := 150
-		data := randBlock(rng, n, dim, 3)
-		for trial := 0; trial < 30; trial++ {
-			q := randQuery(rng, dim)
-			bi, b2 := NNRange(data, dim, q, 0, n)
-			acc := NewTopKAcc(1)
-			TopKRange(data, dim, q, 0, n, acc)
-			got := acc.Append(nil)
-			if len(got) != 1 || int(got[0].Row) != bi || got[0].D2 != b2 {
-				t.Fatalf("dim %d: top-1 %v, want (%d, %v)", dim, got, bi, b2)
-			}
-		}
+	if i, d2 := acc.Nearest(); i != -1 || !math.IsInf(d2, 1) {
+		t.Fatalf("all-overflow scan: Nearest = (%d, %v), want (-1, +Inf)", i, d2)
+	}
+	// Nothing scanned at all: an empty range, an empty row list.
+	acc.Reset(1)
+	TopKRange(nil, dim, []float64{0, 0}, 0, 0, acc)
+	TopKRows(nil, dim, []float64{0, 0}, nil, acc)
+	if i, d2 := acc.Nearest(); i != -1 || !math.IsInf(d2, 1) || acc.Len() != 0 {
+		t.Fatalf("empty scan: Nearest = (%d, %v), Len %d, want (-1, +Inf), 0", i, d2, acc.Len())
 	}
 }
 
-// TestTopKHostileRows is TestNNHostileRows for k neighbours: on lattice
-// rows salted with non-finite coordinates the kept set must equal the
-// oracle's — ties that straddle a four-row block or a strip resolved by the
-// lowest row index — through the range, gathered and batched paths, and at
-// k = 1 through the f32 shortlist.
+// TestTopKHostileRows scans lattice rows salted with ±Inf, NaN, −0 and
+// overflowing coordinates: exactly equal distances are everywhere — across
+// the four-row blocks of a strip and across strips — and the kept set must
+// equal the oracle's, ties resolved by the lowest row index, through the
+// range, gathered (in shuffled order) and batched paths; rows whose
+// distance is not finite never enter. At k = 1 the nearest row is also the
+// scalar oracle's and the f32 shortlist's.
 func TestTopKHostileRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	for _, dim := range []int{1, 2, 5, 8, 11} {
@@ -186,7 +198,8 @@ func TestTopKHostileRows(t *testing.T) {
 			}
 			shuffled := append([]int32(nil), asc...)
 			rng.Shuffle(n, func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
-			for _, k := range []int{1, 4, 7} {
+			for trial := range 21 {
+				k := [3]int{1, 4, 7}[trial%3]
 				q := make([]float64, dim)
 				for j := range q {
 					q[j] = float64(rng.Intn(5))
@@ -210,6 +223,10 @@ func TestTopKHostileRows(t *testing.T) {
 				}
 				if k != 1 {
 					continue // the compact shortlist keeps the nearest row only
+				}
+				gi, g2 := accs[0].Nearest()
+				if wi, w2 := naiveNN(data, dim, q, asc); gi != wi || g2 != w2 {
+					t.Fatalf("dim %d n %d: top-1 = (%d, %v), scalar oracle (%d, %v)", dim, n, gi, g2, wi, w2)
 				}
 				var sl Shortlist
 				sl.Reset(F32Bounds(dim, 4)) // non-finite compact distances re-rank exactly

@@ -5,7 +5,7 @@
 // The engine reuses the training run's LSH machinery as an approximate
 // nearest-neighbor index: it regenerates the M hash layouts from the
 // model's parameters, buckets every stored point under each layout, and
-// answers a query from the query's M buckets with the dense NN kernels —
+// answers a query from the query's M buckets with the k = 1 top-k scan —
 // the same locality-preserving partitions that made ρ̂/δ̂ accurate make the
 // nearest labeled point overwhelmingly likely to share a bucket with the
 // query. Buckets are kept sorted on one coordinate, so a query never scans
@@ -24,8 +24,9 @@
 // (internal/kernels TopKCompact). Every precision feeds the same exact sink,
 // so labels, NN indices, distances, the tie rule and even the rows a sweep
 // visits are identical across precisions. The exact full scan reads the
-// float64 block at every precision, through the multi-query NNBatch kernel:
-// one pass over each row tile serves every query of the call.
+// float64 block at every precision, through the multi-query TopKBatch kernel
+// into one k = 1 accumulator per query: one pass over each row tile serves
+// every query of the call.
 //
 // The HTTP server in server.go answers each request on the handler that
 // admitted it, behind a bounded admission queue with load shedding, and
@@ -36,6 +37,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -189,7 +191,6 @@ type scratch struct {
 	strip []int32 // the postings of one strip that pass the filter (CandidateRows: the union)
 	// The sink, at every precision, and the compact filter in front of it.
 	acc kernels.TopKAcc
-	top []kernels.TopKEntry
 	cq  kernels.Compact
 	// Fleet mode: the query's bucket ID per layout (-1: no stored row shares
 	// the key), their packed signature, and the rotation start (the
@@ -205,8 +206,7 @@ type scratch struct {
 type batchScratch struct {
 	pending []int32 // query indices still needing the exact scan
 	flat    []float64
-	best    []int32
-	best2   []float64
+	accs    []kernels.TopKAcc // one k = 1 sink per pending query
 }
 
 // NewEngine indexes a model for serving at the requested scan precision.
@@ -364,7 +364,7 @@ func (e *Engine) Assign(q points.Vector, exactOnly bool) (Assignment, int, error
 }
 
 // AssignBatch answers a batch of queries, running every exact full scan in
-// the batch through the multi-query NNBatch kernel (one pass over each row
+// the batch through the multi-query TopKBatch kernel (one pass over each row
 // tile serves all of them). Results and errors are per query: one
 // query without a finite distance fails alone, not the batch. Every query
 // must already match the model's dimensionality (the server validates at
@@ -538,7 +538,7 @@ func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st
 		}
 	}
 	open(first)
-	best, best2 = s.nearest()
+	best, best2 = s.acc.Nearest()
 	certified = best >= 0 && math.Sqrt(best2) < g
 	for j := 0; j < nl && !certified; j++ {
 		if j != first {
@@ -548,7 +548,7 @@ func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st
 	if certified {
 		st.Certified++
 	} else {
-		best, best2 = s.nearest()
+		best, best2 = s.acc.Nearest()
 	}
 	st.Scanned += int64(scanned)
 	if scanned > 0 && e.q8 != nil {
@@ -580,15 +580,6 @@ func (e *Engine) sweepBucket(q points.Vector, id int32, j int, s *scratch) (scan
 		exact += kernels.TopKCompact(e.m.Data, dim, q, &s.cq, s.strip, &s.acc)
 	})
 	return scanned, exact
-}
-
-// nearest reads the sink: the exact nearest of the rows swept so far within
-// s.bound, (-1, +Inf) when there is none.
-func (s *scratch) nearest() (int, float64) {
-	if s.top = s.acc.Append(s.top[:0]); len(s.top) == 0 {
-		return -1, math.Inf(1)
-	}
-	return int(s.top[0].Row), s.top[0].D2
 }
 
 // lookupAll resolves the hashed query's bucket under every layout into
@@ -681,24 +672,28 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// exactBatch answers bs.pending through the float64 NNBatch scan at every
-// precision: a compact scan's answer is this scan's by its own contract.
+// exactBatch answers bs.pending through the float64 TopKBatch scan into
+// one k = 1 sink per query, at every precision: a compact scan's answer is
+// this scan's by its own contract.
 func (e *Engine) exactBatch(qs []points.Vector, bs *batchScratch, out []Assignment, errs []error, st *ScanStats) {
 	n, np := e.m.N(), len(bs.pending)
 	bs.flat = bs.flat[:0]
 	for _, qi := range bs.pending {
 		bs.flat = append(bs.flat, qs[qi]...)
 	}
-	bs.best = intsN(bs.best, np)
-	bs.best2 = floatsN(bs.best2, np)
+	bs.accs = slices.Grow(bs.accs[:0], np)[:np]
+	for i := range bs.accs {
+		bs.accs[i].Reset(1)
+	}
 	st.Scanned += int64(n) * int64(np)
-	kernels.NNBatch(e.m.Data, e.m.Dim, bs.flat, 0, n, bs.best, bs.best2)
+	kernels.TopKBatch(e.m.Data, e.m.Dim, bs.flat, 0, n, bs.accs)
 	for i, qi := range bs.pending {
-		if bs.best[i] < 0 {
+		best, best2 := bs.accs[i].Nearest()
+		if best < 0 {
 			errs[qi] = ErrNoFinite
 			continue
 		}
-		out[qi] = e.finalize(qs[qi], int(bs.best[i]), bs.best2[i], true)
+		out[qi] = e.finalize(qs[qi], best, best2, true)
 	}
 }
 
@@ -717,18 +712,4 @@ func (e *Engine) finalize(q points.Vector, best int, best2 float64, exact bool) 
 		PeakDist: points.Dist(q, e.m.Row(int(peak))),
 		Exact:    exact,
 	}
-}
-
-func intsN(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func floatsN(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }

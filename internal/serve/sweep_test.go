@@ -129,7 +129,9 @@ func checkSweep(t *testing.T, what string, e *Engine, q points.Vector, mask uint
 
 	var want Assignment
 	var wantErr error
-	exactBest, exactBest2 := kernels.NNRange(mdl.Data, dim, q, 0, n)
+	exact := kernels.NewTopKAcc(1)
+	kernels.TopKRange(mdl.Data, dim, q, 0, n, exact)
+	exactBest, exactBest2 := exact.Nearest()
 	switch best, best2 := kernels.NNRows(mdl.Data, dim, q, rows); {
 	case best >= 0:
 		want = e.finalize(q, best, best2, false)
