@@ -16,8 +16,8 @@ all: check
 # fetcher's response decoder, the WAL record decoder and segment replay, the compact
 # shortlist's distance cap, the compact filter in front of the exact top-k,
 # the kNN-join's records and box table, the
-# model artifact's section walk, the Conf vector list and the fleet manifest
-# reader for five seconds each, smoke
+# model artifact's section walk, the Conf vector list, the fleet manifest
+# reader and a fleet shard's /fleet/assign body for five seconds each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, compile + smoke the benchmark harness
 # (all five workloads, oracles checked), and run the six example programs,
@@ -118,7 +118,10 @@ race:
 # or a trailing byte is an error, never a panic. A router reads fleet.json
 # from disk: arbitrary bytes give an error, or a placement whose every owner
 # lies in [0, shards) — a ring or layouts too large to build are an error,
-# never a panic or an unbounded allocation.
+# never a panic or an unbounded allocation. A fleet shard with ingested
+# rows faces arbitrary /fleet/assign bodies: a refusal or a 200 with one
+# result per point, never a 500, and a bounded query answers at a squared
+# distance that ties or beats its bound — delta rows included — or not at all.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKLeaves$$' -fuzztime 5s ./internal/kernels/
@@ -136,6 +139,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzModelDecode$$' -fuzztime 5s ./internal/model/
 	$(GO) test -run '^$$' -fuzz '^FuzzVectorsRoundTrip$$' -fuzztime 5s ./internal/points/
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 5s ./internal/fleet/
+	$(GO) test -run '^$$' -fuzz '^FuzzFleetAssignBody$$' -fuzztime 5s ./internal/fleet/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -163,9 +167,10 @@ bench-hot:
 	$(GO) test -bench 'Keys|NewEngine|Partition|WriteFile|Join' -run xxx -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/ ./internal/knnjoin/
 
-# Scan-path micro-benchmarks: a float64 single-query NN full pass, NNRows
-# over a sparse candidate list at f64 vs f32 vs q8 (the shape a served query
-# scans), multi-query NNBatch, top-k selection (the `TopK` pattern
+# Scan-path micro-benchmarks: a float64 single-query k = 1 full pass
+# (NNScan), NNRows over a sparse candidate list at f64 vs f32 vs q8 (the
+# shape a served query scans), the multi-query k = 1 batch the engine's
+# exact fallback runs (NNBatch), top-k selection (the `TopK` pattern
 # matches both TopKScan, the flat batch, and TopKLeaves, the kNN-join
 # reducers' box-tree scan, with rows and box bounds per query), and one
 # served query end to end at the

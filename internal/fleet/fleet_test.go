@@ -25,7 +25,7 @@ import (
 
 // trainModel runs the offline pipeline on a seeded blob dataset, exactly
 // like the serve tests, so fleet conformance checks a real artifact.
-func trainModel(t *testing.T, n, k int) *model.Model {
+func trainModel(t testing.TB, n, k int) *model.Model {
 	t.Helper()
 	ds := dataset.Blobs("fleet-test", n, 2, k, 100, 2.5, 7)
 	res, err := core.RunLSHDDP(context.Background(), ds, core.LSHConfig{Config: core.Config{Seed: 7}})

@@ -22,7 +22,7 @@ import (
 // its own ingest.Store over the shard sub-model, with the disjoint ID layout
 // OPERATIONS.md prescribes (base N+shard, stride = shard count), shared by a
 // shard's replicas.
-func startIngestFleet(t *testing.T, mdl *model.Model, shards, replicas int) (*fleet.Router, [][]*serve.Server) {
+func startIngestFleet(t testing.TB, mdl *model.Model, shards, replicas int) (*fleet.Router, [][]*serve.Server) {
 	t.Helper()
 	subs, mf, err := fleet.Partition(mdl, shards, 0)
 	if err != nil {
@@ -70,7 +70,7 @@ func startIngestFleet(t *testing.T, mdl *model.Model, shards, replicas int) (*fl
 	return router, srvs
 }
 
-func postPoints(t *testing.T, url string, pts [][]float64) *http.Response {
+func postPoints(t testing.TB, url string, pts [][]float64) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(map[string][][]float64{"points": pts})
 	if err != nil {
@@ -218,7 +218,8 @@ func checkFleetIngest(t *testing.T, mdl *model.Model, shards int, pts [][]float6
 // masked query none of whose layouts this shard scans finds no base row:
 // without a bound it reports nocand and leaves its delta to the broadcast
 // fallback, but under a bound — a second-round query, for which no broadcast
-// follows — the delta row at the query comes back. Bounds that do not match
+// follows — the delta row at the query comes back, and a delta row beyond
+// the bound does not. Bounds that do not match
 // the points one for one, or are negative, are refused with a 400.
 func TestFleetAssignBounds(t *testing.T) {
 	mdl := trainModel(t, 600, 3)
@@ -255,11 +256,72 @@ func TestFleetAssignBounds(t *testing.T) {
 	if r := out.Results; code != http.StatusOK || r[0].NoCand || r[0].Nearest != acked.Results[0].ID || r[0].D2 != 0 {
 		t.Fatalf("bounded masked query at the ingested point: HTTP %d %+v, want delta ID %d", code, out, acked.Results[0].ID)
 	}
+	// The shard's only delta row lies 3 from this point, beyond the bound:
+	// no row ties or beats it, so the answer is nocand, not d2 = 9.
+	far, _ := json.Marshal([]float64{p[0] + 3, p[1]})
+	if code, out := assign(fmt.Sprintf(`{"points":[%s],"masks":[0],"bounds":[1]}`, far)); code != http.StatusOK || !out.Results[0].NoCand {
+		t.Fatalf("bounded masked query 3 from the delta row: HTTP %d %+v, want nocand", code, out)
+	}
 	for _, bounds := range []string{`[1,1]`, `[]`, `[-1]`} {
 		if code, _ := assign(fmt.Sprintf(`{"points":[%s],"masks":[0],"bounds":%s}`, pt, bounds)); code != http.StatusBadRequest {
 			t.Errorf("bounds %s: HTTP %d, want 400", bounds, code)
 		}
 	}
+}
+
+// FuzzFleetAssignBody posts arbitrary bodies to /fleet/assign on a shard
+// that serves a fleet sub-model with a delta row. A body is refused or
+// answered, never a 500 and never a panic; a 200 reply holds one result per
+// point the body carries, and a bounded query's answer — base or delta row —
+// ties or beats its bound, else it is nocand.
+func FuzzFleetAssignBody(f *testing.F) {
+	mdl := trainModel(f, 600, 3)
+	_, srvs := startIngestFleet(f, mdl, 2, 1)
+	url := "http://" + srvs[0][0].Addr()
+	p := []float64{mdl.Row(7)[0] + 0.25, mdl.Row(7)[1] - 0.5}
+	postPoints(f, url+"/ingest", [][]float64{p}).Body.Close()
+	for _, body := range []string{
+		fmt.Sprintf(`{"points":[[%v,%v]],"masks":[0],"bounds":[1]}`, p[0]+3, p[1]),
+		fmt.Sprintf(`{"points":[[%v,%v],[%v,%v]],"masks":[7,1],"bounds":[0,1e300]}`, p[0], p[1], p[0]+1, p[1]),
+		fmt.Sprintf(`{"points":[[%v,%v]],"masks":[3]}`, p[0], p[1]),
+		`{"points":[[1,2]],"exact":true}`,
+		`{"points":[[1,2]],"masks":[0],"bounds":[-1]}`,
+		`{"points":[[1,2]],"masks":[1],"bounds":[1,2]}`,
+		`{"points":[[1,2]]}`,
+		`{"points":[[1,2]],"masks":[0],"bounds":[0]} trailing`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		resp, err := http.Post(url+"/fleet/assign", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusInternalServerError {
+			msg, _ := io.ReadAll(resp.Body)
+			t.Fatalf("HTTP 500 for %q: %s", body, msg)
+		}
+		if resp.StatusCode != http.StatusOK {
+			return
+		}
+		var req serve.FleetAssignRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("HTTP 200 for %q, which does not decode: %v", body, err)
+		}
+		var out serve.FleetAssignResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Results) != len(req.Points) {
+			t.Fatalf("%q: %d results for %d points", body, len(out.Results), len(req.Points))
+		}
+		for i, r := range out.Results {
+			if req.Bounds != nil && !r.NoCand && !r.NoFinite && !(r.D2 <= req.Bounds[i]) {
+				t.Fatalf("%q: query %d answered at d2 %v past its bound %v", body, i, r.D2, req.Bounds[i])
+			}
+		}
+	})
 }
 
 // TestFleetIngestShortAck: a shard that acks fewer points than it was sent

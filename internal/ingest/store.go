@@ -526,7 +526,9 @@ func (st *Store) AssignBatch(qs []points.Vector, opts serve.BatchOpts) ([]serve.
 // bit-identical to the plain engine's (the delta only replaces an answer
 // on a strictly smaller squared distance, and delta IDs sort after every
 // base ID, so ties keep the base winner); Exact reports whether the base
-// engine ran its full scan. deltaScanned counts the delta rows scanned.
+// engine ran its full scan. A bounded query's delta scan is capped at its
+// bound (BatchOpts.Bounds), so a farther delta row never answers it.
+// deltaScanned counts the delta rows scanned.
 func (st *Store) assign(qs []points.Vector, opts serve.BatchOpts) (out []serve.Assignment, errs []error, stats serve.ScanStats, deltaScanned int64) {
 	out, errs, stats = st.eng.AssignBatchOpts(qs, opts)
 	m := st.eng.Model()
@@ -553,6 +555,9 @@ func (st *Store) assign(qs []points.Vector, opts serve.BatchOpts) (out []serve.A
 			continue
 		}
 		acc.Reset(1)
+		if masked && opts.Bounds != nil {
+			acc.Cap(opts.Bounds[i])
+		}
 		kernels.TopKRange(st.dCoords, dim, q, 0, nd, &acc)
 		deltaScanned += int64(nd)
 		b, b2 := acc.Nearest()
