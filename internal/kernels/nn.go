@@ -1,8 +1,8 @@
 package kernels
 
-// NNRows and NNBatch are the nearest-row scans under their old names: the
-// k = 1 TopKRows and TopKBatch, read back through TopKAcc.Nearest. No
-// program path calls them; the benchmark harness does.
+// NNRows and NNBatch are the k = 1 TopKRows and TopKBatch, read back
+// through TopKAcc.Nearest, under the names the benchmark harness calls. No
+// program path calls them.
 
 // NNRows returns the nearest of the listed rows (any order, duplicates
 // allowed) and its squared distance, (-1, +Inf) when no listed row has a
