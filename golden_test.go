@@ -60,9 +60,10 @@ var goldenCounters = []struct{ name, short string }{
 const goldenHeader = `# One line per (pipeline, seed): a sha256 prefix of its outputs, then per job
 # (a run of n equal jobs is one "name×n" entry) the non-zero counts among
 # dist = dp.distance.computations, srec / sbytes = shuffle.records / .bytes,
-# mrec = map.output.records (instead of srec / sbytes on a job with a combiner,
-# whose shuffle follows the split count), pruned / skipped = dp.lsh.pairs.*,
-# certified = dp.delta.certified, fallbacks = knn.exact.fallbacks. The serve
+# mrec / mbytes = map.output.records / .bytes (instead of srec / sbytes on a
+# job with a combiner, whose shuffle follows the split count), pruned /
+# skipped = dp.lsh.pairs.*, certified = dp.delta.certified, fallbacks =
+# knn.exact.fallbacks. The serve
 # and ingest lines digest the exported model's answers to fixed queries, then
 # rows / certified / exact = rows scanned, one-bucket answers and exact
 # fallbacks, and delta_scanned = the delta rows an ingest store's reads scan.
@@ -105,11 +106,11 @@ func (r *recorder) Run(ctx context.Context, job *mapreduce.Job, input []mapreduc
 	}
 	entry := job.Name
 	for _, c := range goldenCounters {
-		if job.Combine != nil && c.name == mapreduce.CtrShuffleBytes {
-			continue
-		}
 		if job.Combine != nil && c.name == mapreduce.CtrShuffleRecords {
 			c.name, c.short = mapreduce.CtrMapOutputRecords, "mrec"
+		}
+		if job.Combine != nil && c.name == mapreduce.CtrShuffleBytes {
+			c.name, c.short = mapreduce.CtrMapOutputBytes, "mbytes"
 		}
 		if v := res.Counters.Get(c.name); v != 0 {
 			entry += fmt.Sprintf(" %s=%d", c.short, v)

@@ -13,6 +13,11 @@ import (
 const (
 	CtrMapInputRecords  = "map.input.records"
 	CtrMapOutputRecords = "map.output.records"
+	// CtrMapOutputBytes is key plus value bytes of every record a map
+	// function emits, before any combiner — Hadoop's map.output.bytes. On
+	// a job with a combiner it, unlike CtrShuffleBytes, follows no split
+	// count.
+	CtrMapOutputBytes = "map.output.bytes"
 	// CtrShuffleBytes is the volume of intermediate data handed to the
 	// shuffle, measured AFTER the combiner when one is configured —
 	// the same place Hadoop's reduce-shuffle-bytes counter measures.

@@ -65,7 +65,7 @@ type taskEmitter struct {
 	buf         [][]Pair
 	sortScratch []Pair // merge buffer reused across partition sorts
 
-	outRecords int64
+	outRecords, outBytes int64
 
 	// Phase accounting for the task's trace spans.
 	combineWall    time.Duration
@@ -79,6 +79,7 @@ func (t *taskEmitter) Emit(key string, value []byte) {
 	p := hashPartition(key, t.nReduce)
 	t.buf[p] = append(t.buf[p], Pair{Key: key, Value: value})
 	t.outRecords++
+	t.outBytes += int64(len(key) + len(value))
 }
 
 // finishPartition sorts (and combines) one partition buffer, returning the

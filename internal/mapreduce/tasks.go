@@ -47,6 +47,7 @@ func ExecuteMapTask(job *Job, taskID, nReduce int, records []Pair, counters *Cou
 	}
 	counters.Add(CtrMapInputRecords, int64(len(records)))
 	counters.Add(CtrMapOutputRecords, em.outRecords)
+	counters.Add(CtrMapOutputBytes, em.outBytes)
 	out, err := em.close()
 	if err != nil {
 		return nil, nil, err
