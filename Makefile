@@ -10,7 +10,8 @@ all: check
 # comments, the README knob reference in both directions, no recipe naming a
 # deleted target, binary or flag), run the test suite, re-run the concurrency-heavy packages under
 # the race detector, fuzz the LSH key codec, the box-tree top-k scan, the
-# serving engine's bucket sweep, the ρ-partial codec, the record frame, the
+# serving engine's bucket sweep, the ρ-partial codec, the point record, the
+# record frame, the
 # ρ reducers' runs-apart certificate and the ρ ship plan built on it, the
 # HTTP point decoder, the shuffle
 # fetcher's response decoder, the WAL record decoder and segment replay, the compact
@@ -70,7 +71,12 @@ race:
 # The ρ-partial record of the pair-once LSH reducers is a hand-rolled varint
 # format read back by another job, and it, the aggregated ρ value and the
 # δ-job record carry the neighbour lists and layout masks LSH-DDP certifies
-# δ̂ from: the codec's contract again, for all three. The record
+# δ̂ from: the codec's contract again, for all three. The point record
+# every job ships — a varint ID and dim, then the coordinates — and the rho
+# point and ship mask after it face the same: the scalar and the matrix
+# decoders accept the same bytes and read the same point, what they accept
+# re-encodes to the bytes consumed, and a dim the bytes do not back errors
+# before it is allocated. The record
 # frame is the byte layout of shuffle chunks and model sections:
 # its decoder on arbitrary bytes — error or pairs that re-encode to the
 # consumed prefix, never a panic. The cutoff ρ
@@ -127,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKLeaves$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineSweep$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRhoPartialRoundTrip$$' -fuzztime 5s ./internal/points/
+	$(GO) test -run '^$$' -fuzz '^FuzzPointRecords$$' -fuzztime 5s ./internal/points/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameRoundTrip$$' -fuzztime 5s ./internal/mapreduce/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunsApart$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePoints$$' -fuzztime 5s ./internal/serve/

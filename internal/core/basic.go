@@ -118,14 +118,6 @@ func homeBlock(l int) func(v []byte) (bool, []byte, error) {
 	}
 }
 
-func parseIDKey(k string) (int32, error) {
-	v, err := strconv.Atoi(k)
-	if err != nil {
-		return 0, fmt.Errorf("core: bad id key %q: %w", k, err)
-	}
-	return int32(v), nil
-}
-
 // BasicRhoJob is job 1: blocked exact ρ partials. Map routes block k to
 // reducers l = k..n−1; reducer l computes the diagonal pair (l,l) and every
 // cross pair (k,l), k < l, and emits one partial count per point (always
@@ -176,8 +168,7 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 				if i >= nLocal && share == 0 {
 					continue
 				}
-				id := m.ID(i)
-				out.Emit(mapreduce.IDKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: share}))
+				out.Emit(mapreduce.IDKey(m.ID(i)), points.EncodeRhoValue(points.RhoValue{Rho: share}))
 			}
 			return nil
 		},
@@ -188,19 +179,19 @@ func BasicRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 // holds it.
 func basicRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 	sum := func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
+		id, err := mapreduce.ParseIDKey(key)
+		if err != nil {
+			return err
+		}
 		var total float64
-		var id int32
-		for i, v := range values {
-			rv, err := points.DecodeRhoValue(v)
+		for _, v := range values {
+			rv, err := points.DecodeRhoValue(v, id)
 			if err != nil {
 				return err
 			}
-			if i == 0 {
-				id = rv.ID
-			}
 			total += rv.Rho
 		}
-		out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: id, Rho: total}))
+		out.Emit(key, points.EncodeRhoValue(points.RhoValue{Rho: total}))
 		return nil
 	}
 	return &mapreduce.Job{
@@ -269,16 +260,12 @@ func BasicDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 				kernels.Triangle(0, nLocal), kernels.Cross(nLocal, n, 0, nLocal),
 			}, acc))
 			for i := 0; i < n; i++ {
-				id := m.ID(i)
-				dv := points.DeltaValue{ID: id}
+				dv := points.DeltaValue{Delta: math.Sqrt(acc.Max2[i]), Upslope: -1}
 				if acc.Up[i] >= 0 {
 					dv.Delta = math.Sqrt(acc.Best2[i])
 					dv.Upslope = m.ID(int(acc.Up[i]))
-				} else {
-					dv.Delta = math.Sqrt(acc.Max2[i])
-					dv.Upslope = -1
 				}
-				out.Emit(mapreduce.IDKey(id), points.EncodeDeltaValue(dv))
+				out.Emit(mapreduce.IDKey(m.ID(i)), points.EncodeDeltaValue(dv))
 			}
 			return nil
 		},
@@ -295,19 +282,15 @@ func BasicDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 func DeltaAggJob(name string, conf mapreduce.Conf) *mapreduce.Job {
 	fold := func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
 		var (
-			id       int32
 			bestCand       = math.Inf(1)
 			bestUp   int32 = -1
 			maxFall  float64
 			haveCand bool
 		)
-		for i, v := range values {
+		for _, v := range values {
 			dv, err := points.DecodeDeltaValue(v)
 			if err != nil {
 				return err
-			}
-			if i == 0 {
-				id = dv.ID
 			}
 			if dv.Upslope >= 0 {
 				haveCand = true
@@ -319,7 +302,7 @@ func DeltaAggJob(name string, conf mapreduce.Conf) *mapreduce.Job {
 				maxFall = dv.Delta
 			}
 		}
-		dv := points.DeltaValue{ID: id, Upslope: -1, Delta: maxFall}
+		dv := points.DeltaValue{Upslope: -1, Delta: maxFall}
 		if haveCand {
 			dv.Delta = bestCand
 			dv.Upslope = bestUp
@@ -349,23 +332,24 @@ func decodeRhoValues(out []mapreduce.Pair, n int) ([]float64, [][]points.Neighbo
 	near := make([][]points.Neighbor, n)
 	seen := make([]bool, n)
 	for _, p := range out {
-		rv, err := points.DecodeRhoValue(p.Value)
+		id, err := pointOf(p.Key, n)
 		if err != nil {
 			return nil, nil, err
 		}
-		if rv.ID < 0 || int(rv.ID) >= n {
-			return nil, nil, fmt.Errorf("core: rho for out-of-range id %d", rv.ID)
+		rv, err := points.DecodeRhoValue(p.Value, id)
+		if err != nil {
+			return nil, nil, err
 		}
-		if seen[rv.ID] {
-			return nil, nil, fmt.Errorf("core: duplicate rho for id %d", rv.ID)
+		if seen[id] {
+			return nil, nil, fmt.Errorf("core: duplicate rho for id %d", id)
 		}
 		for _, e := range rv.Near {
 			if e.ID < 0 || int(e.ID) >= n {
-				return nil, nil, fmt.Errorf("core: id %d lists out-of-range neighbour %d", rv.ID, e.ID)
+				return nil, nil, fmt.Errorf("core: id %d lists out-of-range neighbour %d", id, e.ID)
 			}
 		}
-		seen[rv.ID] = true
-		rho[rv.ID], near[rv.ID] = rv.Rho, rv.Near
+		seen[id] = true
+		rho[id], near[id] = rv.Rho, rv.Near
 	}
 	for i, ok := range seen {
 		if !ok {
@@ -375,26 +359,28 @@ func decodeRhoValues(out []mapreduce.Pair, n int) ([]float64, [][]points.Neighbo
 	return rho, near, nil
 }
 
-// DecodeDeltaArrays turns aggregation output into dense δ and upslope
-// arrays.
+// DecodeDeltaArrays turns δ records — aggregation output, and for LSH-DDP
+// the certified records beside it — into dense δ and upslope arrays. Every
+// point must have exactly one record.
 func DecodeDeltaArrays(out []mapreduce.Pair, n int) ([]float64, []int32, error) {
 	delta := make([]float64, n)
 	upslope := make([]int32, n)
 	seen := make([]bool, n)
 	for _, p := range out {
+		id, err := pointOf(p.Key, n)
+		if err != nil {
+			return nil, nil, err
+		}
 		dv, err := points.DecodeDeltaValue(p.Value)
 		if err != nil {
 			return nil, nil, err
 		}
-		if dv.ID < 0 || int(dv.ID) >= n {
-			return nil, nil, fmt.Errorf("core: delta for out-of-range id %d", dv.ID)
+		if seen[id] {
+			return nil, nil, fmt.Errorf("core: duplicate delta for id %d", id)
 		}
-		if seen[dv.ID] {
-			return nil, nil, fmt.Errorf("core: duplicate delta for id %d", dv.ID)
-		}
-		seen[dv.ID] = true
-		delta[dv.ID] = dv.Delta
-		upslope[dv.ID] = dv.Upslope
+		seen[id] = true
+		delta[id] = dv.Delta
+		upslope[id] = dv.Upslope
 	}
 	for i, ok := range seen {
 		if !ok {
@@ -402,4 +388,17 @@ func DecodeDeltaArrays(out []mapreduce.Pair, n int) ([]float64, []int32, error) 
 		}
 	}
 	return delta, upslope, nil
+}
+
+// pointOf returns the point ID an aggregation record's key carries, which
+// must lie in [0, n).
+func pointOf(key string, n int) (int32, error) {
+	id, err := mapreduce.ParseIDKey(key)
+	if err != nil {
+		return 0, err
+	}
+	if id < 0 || int(id) >= n {
+		return 0, fmt.Errorf("core: record for out-of-range id %d", id)
+	}
+	return id, nil
 }

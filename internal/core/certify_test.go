@@ -104,11 +104,15 @@ func (e meanRhoEngine) Run(ctx context.Context, job *mapreduce.Job, in []mapredu
 	m := job.Conf.GetInt(confM, 1)
 	out := make([]mapreduce.Pair, len(res.Output))
 	for i, p := range res.Output {
-		rv, err := points.DecodeRhoValue(p.Value)
+		id, err := mapreduce.ParseIDKey(p.Key)
 		if err != nil {
 			return nil, err
 		}
-		total, err := addRhoPartials(partials[p.Key], m)
+		rv, err := points.DecodeRhoValue(p.Value, id)
+		if err != nil {
+			return nil, err
+		}
+		total, err := addRhoPartials(p.Key, partials[p.Key], m)
 		if err != nil {
 			return nil, err
 		}
@@ -212,11 +216,14 @@ func TestCertifiedDeltaMatchesBruteForce(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						i := dv.ID
+						i, err := mapreduce.ParseIDKey(p.Key)
+						if err != nil {
+							t.Fatal(err)
+						}
 						var want points.DeltaValue
 						for _, e := range coBucketedByDistance(ds, cb, int(i)) {
 							if dp.DenserVals(rho[e.ID], rho[i], e.ID, i) {
-								want = points.DeltaValue{ID: i, Delta: math.Sqrt(e.D2), Upslope: e.ID}
+								want = points.DeltaValue{Delta: math.Sqrt(e.D2), Upslope: e.ID}
 								break
 							}
 						}

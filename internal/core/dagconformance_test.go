@@ -81,8 +81,8 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 		t.Fatal(err)
 	}
 	p3 := run(LSHDeltaJob(conf.Clone()), shipped)
-	p4 := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), append(p3, certified...))
-	delta, upslope, err := DecodeDeltaArrays(p4, ds.N())
+	p4 := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), p3)
+	delta, upslope, err := DecodeDeltaArrays(append(p4, certified...), ds.N())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,8 +94,8 @@ const CtrDeltaCertified = "dp.delta.certified"
 //	job 3   LSH partition + local δ̂/upslope of the open points using
 //	        aggregated ρ̂, pair-once again; local absolute peaks get δ̂ = +∞
 //	        (Section IV-C)
-//	job 4   δ̂ aggregation of the certified and job 3's records: min over
-//	        layouts (Theorem 2)
+//	job 4   δ̂ aggregation of job 3's records: min over layouts (Theorem 2)
+//	driver  the certified records beside job 4's, one per point
 //
 // The returned Delta may contain +∞ for points that looked like the
 // absolute peak in every layout; Result.Cluster rectifies them to the max
@@ -164,11 +164,11 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	dOut, err := sess.Run(ctx, DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), dPartials, certified)
+	dOut, err := sess.Run(ctx, DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), dPartials)
 	if err != nil {
 		return nil, err
 	}
-	delta, upslope, err := DecodeDeltaArrays(dOut, ds.N())
+	delta, upslope, err := DecodeDeltaArrays(append(dOut, certified...), ds.N())
 	if err != nil {
 		return nil, err
 	}
@@ -279,10 +279,9 @@ func lshRhoJob(conf mapreduce.Conf, prune bool) *mapreduce.Job {
 					keep = keep || part.Vals[x] != 0
 				}
 				if keep {
-					part.ID = m.ID(i)
 					part.Near = appendNeighbors(part.Near[:0], po.near.List(i))
 					enc = points.AppendRhoPartial(enc[:0], part)
-					out.Emit(mapreduce.IDKey(part.ID), bytes.Clone(enc))
+					out.Emit(mapreduce.IDKey(m.ID(i)), bytes.Clone(enc))
 				}
 			}
 			return nil
@@ -305,7 +304,7 @@ func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 		Conf: conf,
 		Map:  identityMap,
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			total, err := addRhoPartials(values, ctx.Conf.GetInt(confM, 1))
+			total, err := addRhoPartials(key, values, ctx.Conf.GetInt(confM, 1))
 			if err != nil {
 				return err
 			}
@@ -313,11 +312,11 @@ func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 			for _, v := range total.Vals {
 				rho = max(rho, v)
 			}
-			out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: total.ID, Rho: rho, Near: total.Near}))
+			out.Emit(key, points.EncodeRhoValue(points.RhoValue{Rho: rho, Near: total.Near}))
 			return nil
 		},
 		Combine: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			total, err := addRhoPartials(values, ctx.Conf.GetInt(confM, 1))
+			total, err := addRhoPartials(key, values, ctx.Conf.GetInt(confM, 1))
 			if err != nil {
 				return err
 			}
@@ -329,25 +328,26 @@ func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 	}
 }
 
-// addRhoPartials adds the partials of one point into its neighbour counts
-// under all m layouts and merges their partner lists. Whole numbers below
-// 2⁵³ add exactly in any order and the lists' top-k depends only on the
-// entries offered, so the result is the same whatever order the shuffle
-// delivered the partials in.
-func addRhoPartials(values [][]byte, m int) (points.RhoPartial, error) {
-	var total points.RhoPartial
+// addRhoPartials adds the partials of the point key names into its
+// neighbour counts under all m layouts and merges their partner lists.
+// Whole numbers below 2⁵³ add exactly in any order and the lists' top-k
+// depends only on the entries offered, so the result is the same whatever
+// order the shuffle delivered the partials in.
+func addRhoPartials(key string, values [][]byte, m int) (points.RhoPartial, error) {
+	id, err := mapreduce.ParseIDKey(key)
+	if err != nil {
+		return points.RhoPartial{}, err
+	}
+	total := points.RhoPartial{Vals: make([]float64, m)}
 	var near kernels.Near
 	near.Reset(1, nearK, math.Inf(1))
-	for i, v := range values {
-		p, err := points.DecodeRhoPartial(v)
+	for _, v := range values {
+		p, err := points.DecodeRhoPartial(v, id)
 		if err != nil {
 			return points.RhoPartial{}, err
 		}
 		if p.First+len(p.Vals) > m {
-			return points.RhoPartial{}, fmt.Errorf("core: rho partial for id %d does not fit %d layouts", p.ID, m)
-		}
-		if i == 0 {
-			total = points.RhoPartial{ID: p.ID, Vals: make([]float64, m)}
+			return points.RhoPartial{}, fmt.Errorf("core: rho partial for id %d does not fit %d layouts", id, m)
 		}
 		for x, c := range p.Vals {
 			total.Vals[p.First+x] += c
@@ -379,15 +379,16 @@ func appendNeighbors(dst []points.Neighbor, list []kernels.TopKEntry) []points.N
 func certify(rho []float64, i int32, list []points.Neighbor) (dv points.DeltaValue, ok bool) {
 	for _, e := range list {
 		if dp.DenserVals(rho[e.ID], rho[i], e.ID, i) {
-			return points.DeltaValue{ID: i, Delta: math.Sqrt(e.D2), Upslope: e.ID}, true
+			return points.DeltaValue{Delta: math.Sqrt(e.D2), Upslope: e.ID}, true
 		}
 	}
 	return points.DeltaValue{}, false
 }
 
 // certifyDelta returns, from the ρ aggregation's output, the δ̂ record of
-// every point certify decides, keyed for DeltaAggJob, which takes them beside
-// the δ job's.
+// every point certify decides, keyed as DeltaAggJob's output is: the driver
+// decodes them beside it. The δ job gives such a point no record, so the
+// aggregation has nothing to fold them with.
 func certifyDelta(rhoOut []mapreduce.Pair, n int) ([]mapreduce.Pair, error) {
 	rho, near, err := decodeRhoValues(rhoOut, n)
 	if err != nil {
@@ -396,7 +397,7 @@ func certifyDelta(rhoOut []mapreduce.Pair, n int) ([]mapreduce.Pair, error) {
 	var out []mapreduce.Pair
 	for i := range rho {
 		if dv, ok := certify(rho, int32(i), near[i]); ok {
-			out = append(out, mapreduce.Pair{Key: mapreduce.IDKey(dv.ID), Value: points.EncodeDeltaValue(dv)})
+			out = append(out, mapreduce.Pair{Key: mapreduce.IDKey(int32(i)), Value: points.EncodeDeltaValue(dv)})
 		}
 	}
 	return out, nil
@@ -552,14 +553,11 @@ func shipRows(ds *points.Dataset, rowKeys []int32, rhoOut, certified []mapreduce
 	}
 	done := make([]bool, n)
 	for _, p := range certified {
-		dv, err := points.DecodeDeltaValue(p.Value)
+		id, err := pointOf(p.Key, n)
 		if err != nil {
 			return nil, err
 		}
-		if dv.ID < 0 || int(dv.ID) >= n {
-			return nil, fmt.Errorf("core: certified delta for out-of-range id %d", dv.ID)
-		}
-		done[dv.ID] = true
+		done[id] = true
 	}
 	// Per bucket: its points, those shipped to it, and its least dense open
 	// point — open points first, so that it is known when the certified ones
@@ -594,7 +592,7 @@ func shipRows(ds *points.Dataset, rowKeys []int32, rhoOut, certified []mapreduce
 	out := make([]mapreduce.Pair, n, n+1)
 	mask := make([]byte, (nl+7)/8)
 	for i, p := range ds.Points {
-		rec := points.AppendRhoPoint(make([]byte, 0, 16+8*ds.Dim()+len(mask)), points.RhoPoint{Point: p, Rho: rho[i]})
+		rec := points.AppendRhoPoint(make([]byte, 0, 18+8*ds.Dim()+len(mask)), points.RhoPoint{Point: p, Rho: rho[i]})
 		if done[i] {
 			clear(mask)
 			each(i, func(m int, b *bucket) {
@@ -736,15 +734,14 @@ func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 				if po.certified[po.order[i]] {
 					continue
 				}
-				id := m.ID(i)
-				dv := points.DeltaValue{ID: id, Delta: math.Inf(1), Upslope: -1}
+				dv := points.DeltaValue{Delta: math.Inf(1), Upslope: -1}
 				if acc.Up[i] >= 0 {
 					dv.Delta = math.Sqrt(acc.Best2[i])
 					dv.Upslope = m.ID(int(acc.Up[i]))
 				} else if own != 0 {
 					continue
 				}
-				out.Emit(mapreduce.IDKey(id), points.EncodeDeltaValue(dv))
+				out.Emit(mapreduce.IDKey(m.ID(i)), points.EncodeDeltaValue(dv))
 			}
 			return nil
 		},

@@ -451,7 +451,7 @@ func TestRhoAggFoldsInAnyGrouping(t *testing.T) {
 	job := LSHRhoAggJob(conf)
 	tctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
 	enc := func(first int, partners []int32, vals ...float64) []byte {
-		p := points.RhoPartial{ID: 9, First: first, Vals: vals}
+		p := points.RhoPartial{First: first, Vals: vals}
 		for _, id := range partners {
 			p.Near = append(p.Near, points.Neighbor{ID: id, D2: float64(id % 4)})
 		}
@@ -471,14 +471,14 @@ func TestRhoAggFoldsInAnyGrouping(t *testing.T) {
 		enc(0, nil),
 	}
 	fold := func(f mapreduce.ReduceFunc, values [][]byte) (out [][]byte) {
-		if err := f(tctx, "k", values, mapreduce.EmitterFunc(func(_ string, v []byte) { out = append(out, v) })); err != nil {
+		if err := f(tctx, mapreduce.IDKey(9), values, mapreduce.EmitterFunc(func(_ string, v []byte) { out = append(out, v) })); err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
 	want := fold(job.Reduce, parts)
-	rv, err := points.DecodeRhoValue(want[0])
-	if err != nil || rv.ID != 9 || rv.Rho != 9 || len(rv.Near) != nearK || rv.Near[0].ID != 4 || rv.Near[nearK-1].ID != 6 {
+	rv, err := points.DecodeRhoValue(want[0], 9)
+	if err != nil || rv.Rho != 9 || len(rv.Near) != nearK || rv.Near[0].ID != 4 || rv.Near[nearK-1].ID != 6 {
 		t.Fatalf("fold = %+v, %v; want id 9, max(3, 5, 5, 9), partners 4 8 12 1 5 13 2 6", rv, err)
 	}
 	reversed := slices.Clone(parts)
@@ -494,7 +494,7 @@ func TestRhoAggFoldsInAnyGrouping(t *testing.T) {
 			}
 		}
 	}
-	if _, err := addRhoPartials([][]byte{enc(2, nil, 1, 1, 1)}, 4); err == nil {
+	if _, err := addRhoPartials(mapreduce.IDKey(9), [][]byte{enc(2, nil, 1, 1, 1)}, 4); err == nil {
 		t.Fatal("partial reaching past the last layout accepted")
 	}
 }

@@ -45,8 +45,7 @@ func perLayoutRhoJob(conf mapreduce.Conf) *mapreduce.Job {
 		rho := make([]float64, m.N())
 		ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.RhoAccumulate(m, 0, m.N(), kern, rho))
 		for i := 0; i < m.N(); i++ {
-			id := m.ID(i)
-			out.Emit(mapreduce.IDKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho[i]}))
+			out.Emit(mapreduce.IDKey(m.ID(i)), points.EncodeRhoValue(points.RhoValue{Rho: rho[i]}))
 		}
 		return nil
 	}
@@ -59,19 +58,19 @@ func perLayoutRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 		Conf: conf,
 		Map:  identityMap,
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			var id int32
+			id, err := mapreduce.ParseIDKey(key)
+			if err != nil {
+				return err
+			}
 			var maxV float64
-			for i, v := range values {
-				rv, err := points.DecodeRhoValue(v)
+			for _, v := range values {
+				rv, err := points.DecodeRhoValue(v, id)
 				if err != nil {
 					return err
 				}
-				if i == 0 {
-					id = rv.ID
-				}
 				maxV = max(maxV, rv.Rho)
 			}
-			out.Emit(key, points.EncodeRhoValue(points.RhoValue{ID: id, Rho: maxV}))
+			out.Emit(key, points.EncodeRhoValue(points.RhoValue{Rho: maxV}))
 			return nil
 		},
 	}
@@ -89,13 +88,12 @@ func perLayoutDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 		acc := kernels.NewDeltaAcc(m.N(), false)
 		ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.DeltaArgmin(m, 0, m.N(), acc))
 		for i := 0; i < m.N(); i++ {
-			id := m.ID(i)
-			dv := points.DeltaValue{ID: id, Delta: math.Inf(1), Upslope: -1}
+			dv := points.DeltaValue{Delta: math.Inf(1), Upslope: -1}
 			if acc.Up[i] >= 0 {
 				dv.Delta = math.Sqrt(acc.Best2[i])
 				dv.Upslope = m.ID(int(acc.Up[i]))
 			}
-			out.Emit(mapreduce.IDKey(id), points.EncodeDeltaValue(dv))
+			out.Emit(mapreduce.IDKey(m.ID(i)), points.EncodeDeltaValue(dv))
 		}
 		return nil
 	}

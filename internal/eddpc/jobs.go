@@ -89,8 +89,7 @@ func RhoJob(conf mapreduce.Conf) *mapreduce.Job {
 				kernels.Triangle(0, nHome), kernels.Cross(0, nHome, nHome, n),
 			}, kern, &rho))
 			for i := 0; i < nHome; i++ {
-				id := m.ID(i)
-				out.Emit(mapreduce.IDKey(id), points.EncodeRhoValue(points.RhoValue{ID: id, Rho: rho.Share(i, 0)}))
+				out.Emit(mapreduce.IDKey(m.ID(i)), points.EncodeRhoValue(points.RhoValue{Rho: rho.Share(i, 0)}))
 			}
 			return nil
 		},
@@ -129,13 +128,12 @@ func DeltaLocalJob(conf mapreduce.Conf) *mapreduce.Job {
 			acc := kernels.NewDeltaAcc(m.N(), false)
 			ctx.Counters.Add(mapreduce.CtrDistanceComputations, kernels.DeltaArgmin(m, 0, m.N(), acc))
 			for i := 0; i < m.N(); i++ {
-				id := m.ID(i)
-				dv := points.DeltaValue{ID: id, Delta: math.Inf(1), Upslope: -1}
+				dv := points.DeltaValue{Delta: math.Inf(1), Upslope: -1}
 				if acc.Up[i] >= 0 {
 					dv.Delta = math.Sqrt(acc.Best2[i])
 					dv.Upslope = m.ID(int(acc.Up[i]))
 				}
-				out.Emit(mapreduce.IDKey(id), points.EncodeDeltaValue(dv))
+				out.Emit(mapreduce.IDKey(m.ID(i)), points.EncodeDeltaValue(dv))
 			}
 			return nil
 		},
@@ -247,9 +245,7 @@ func DeltaRefineJob(conf mapreduce.Conf) *mapreduce.Job {
 					}
 				}
 				if bestUp >= 0 {
-					out.Emit(mapreduce.IDKey(q.rp.ID), points.EncodeDeltaValue(points.DeltaValue{
-						ID: q.rp.ID, Delta: math.Sqrt(best2), Upslope: bestUp,
-					}))
+					out.Emit(mapreduce.IDKey(q.rp.ID), points.EncodeDeltaValue(points.DeltaValue{Delta: math.Sqrt(best2), Upslope: bestUp}))
 				}
 			}
 			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)

@@ -9,14 +9,18 @@ import (
 	"repro/internal/points"
 )
 
-// Wire formats of the kNN-join jobs, following the repository's fixed
-// little-endian layout convention (see internal/points/codec.go). These
-// records flow through the pipeline:
+// Wire formats of the kNN-join jobs, built on the point record of
+// internal/points/codec.go (uvarint ID, uvarint dim, float64 coordinates;
+// fixed-width fields little-endian). These records flow through the
+// pipeline:
 //
 //	input/bucket base record:  [1]{'b'} point
 //	input query record:        [1]{'q'} point
 //	bucket query record:       [1]{'Q'} [8]{g} point
 //	result:                    [4]{qid} [1]{status} [4]{n} n×([4]{sid} [8]{d2})
+//
+// Only the first three are shuffled; a result is a reduce output, keyed by
+// its query's ID (mapreduce.IDKey).
 //
 // and the candidates job's Conf carries one side table:
 //
@@ -55,7 +59,7 @@ func encodeTagged(tag byte, p points.Point) []byte {
 
 // encodeBucketQuery builds a 'Q' bucket record.
 func encodeBucketQuery(g float64, p points.Point) []byte {
-	buf := make([]byte, 9, 9+8+8*len(p.Pos))
+	buf := make([]byte, 9, 9+10+8*len(p.Pos))
 	buf[0] = tagBucketQ
 	binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(g))
 	return points.AppendPoint(buf, p)
@@ -77,16 +81,20 @@ func decodeBucketQuery(buf []byte) (g float64, p points.Point, err error) {
 	return g, p, nil
 }
 
-// baseID reads the point ID of a tagged base record without decoding it.
-// The record must have passed checkBase.
+// baseID reads the point ID of a tagged base record without decoding its
+// coordinates. The record must have passed checkBase.
 func baseID(rec []byte) int32 {
-	return int32(binary.LittleEndian.Uint32(rec[1:]))
+	id, _, _, _ := points.DecodePointHeader(rec[1:])
+	return id
 }
 
 // checkBase reports an error unless rec is as long as the tagged point its
 // header describes — what decoding it would check, without the decode.
 func checkBase(rec []byte) error {
-	if len(rec) < 9 || uint64(len(rec)-9) != 8*uint64(binary.LittleEndian.Uint32(rec[5:])) {
+	if len(rec) < 1 {
+		return fmt.Errorf("knnjoin: empty base record")
+	}
+	if _, dim, body, err := points.DecodePointHeader(rec[1:]); err != nil || len(body) != 8*dim {
 		return fmt.Errorf("knnjoin: malformed base record (%d bytes)", len(rec))
 	}
 	return nil

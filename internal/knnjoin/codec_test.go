@@ -82,6 +82,20 @@ func FuzzKnnRecords(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	// Point headers where their varints change length: IDs 127, 128,
+	// 16 383, 16 384 and −1 at the layouts' dim, dims 0, 1, 127 and 128 at
+	// ID 128, and a padded ID.
+	for _, id := range []int32{127, 128, 16383, 16384, -1} {
+		q := points.Point{ID: id, Pos: p.Pos}
+		f.Add(encodeTagged(tagBase, q))
+		f.Add(encodeTagged(tagQuery, q))
+		f.Add(encodeBucketQuery(0.5, q))
+	}
+	for _, dim := range []int{0, 1, 127, 128} {
+		f.Add(encodeTagged(tagBase, points.Point{ID: 128, Pos: make(points.Vector, dim)}))
+		f.Add(encodeTagged(tagQuery, points.Point{ID: 128, Pos: make(points.Vector, dim)}))
+	}
+	f.Add(append([]byte{tagBase, 0x87, 0x00, 0x02}, make([]byte, 16)...))
 	cand, exact, exactNone, exactTabled := CandidatesJob(conf), ExactJob(exactConf), ExactJob(noGroups), ExactJob(tabled)
 	mapRecord := func(job *mapreduce.Job, in []byte) (emitted int, ctx *mapreduce.TaskContext, err error) {
 		ctx = &mapreduce.TaskContext{Conf: job.Conf, Counters: mapreduce.NewCounters()}

@@ -66,26 +66,23 @@ func hashPartition(key string, numReduces int) int {
 	return int(h.Sum32() % uint32(numReduces))
 }
 
-// IDKey renders a point ID as a fixed-width sortable reduce key, the one
-// the per-point aggregation jobs group by: the bytes of fmt's %09d, without
-// the formatter.
+// IDKey renders a point ID as the reduce key the per-point aggregation
+// jobs group by: its four big-endian bytes with the sign bit flipped, so
+// that keys sort in ID order, negative IDs first. The values under it need
+// not repeat the ID; ParseIDKey reads it back.
 func IDKey(id int32) string {
-	var buf [11]byte // sign and ten digits
-	u, digits := uint32(id), 9
-	if id < 0 {
-		u, digits = -u, 8
+	u := uint32(id) ^ 1<<31
+	return string([]byte{byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)})
+}
+
+// ParseIDKey returns the ID of an IDKey key, refusing any key that is not
+// four bytes long.
+func ParseIDKey(key string) (int32, error) {
+	if len(key) != 4 {
+		return 0, fmt.Errorf("mapreduce: id key %x is %d bytes, want 4", key, len(key))
 	}
-	i := len(buf)
-	for n := 0; n < digits || u > 0; n++ {
-		i--
-		buf[i] = byte('0' + u%10)
-		u /= 10
-	}
-	if id < 0 {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	u := uint32(key[0])<<24 | uint32(key[1])<<16 | uint32(key[2])<<8 | uint32(key[3])
+	return int32(u ^ 1<<31), nil
 }
 
 // Job is a single MapReduce job specification. Engines never mutate it, so

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -10,14 +9,24 @@ import (
 	"testing"
 )
 
-// TestIDKeyMatchesFmt pins the hand-rolled point-ID reduce key to the fmt
-// verb it replaced, byte for byte: the aggregation jobs' shuffle bytes and
-// output order depend on it.
-func TestIDKeyMatchesFmt(t *testing.T) {
-	for _, id := range []int32{0, 1, -1, 9, 10, 12345, 99999999, 100000000, 999999999, 1000000000,
-		math.MaxInt32, -9, -12345678, -99999999, -100000000, -999999999, -1000000000, math.MinInt32} {
-		if got, want := IDKey(id), fmt.Sprintf("%09d", id); got != want {
-			t.Fatalf("IDKey(%d) = %q, want %q", id, got, want)
+// TestIDKeyRoundTrip holds the point-ID reduce key to its contract: the ID
+// comes back from ParseIDKey, keys sort in ID order across the sign
+// boundary, and the parser refuses every key that is not 4 bytes.
+func TestIDKeyRoundTrip(t *testing.T) {
+	ids := []int32{math.MinInt32, -1000000000, -16384, -10, -5, -1, 0, 1, 9, 10, 127, 128,
+		12345, 16383, 16384, 999999999, math.MaxInt32}
+	for i, id := range ids {
+		key := IDKey(id)
+		if got, err := ParseIDKey(key); err != nil || got != id {
+			t.Fatalf("ParseIDKey(IDKey(%d)) = %d, %v", id, got, err)
+		}
+		if i > 0 && IDKey(ids[i-1]) >= key {
+			t.Fatalf("IDKey(%d) = %x does not sort after IDKey(%d) = %x", id, key, ids[i-1], IDKey(ids[i-1]))
+		}
+	}
+	for _, key := range []string{"", "\x00", "\x80\x00\x00", "\x80\x00\x00\x00\x00", "000000007"} {
+		if id, err := ParseIDKey(key); err == nil {
+			t.Errorf("ParseIDKey(%x) accepted as %d", key, id)
 		}
 	}
 }

@@ -9,9 +9,22 @@ import (
 )
 
 // Binary codecs for the record types that flow through MapReduce jobs.
-// Records use a fixed little-endian layout rather than encoding/gob: job
-// values are encoded once per emit and the shuffle-byte counters should
-// reflect honest data sizes, not gob's per-stream type dictionaries.
+// Records are hand-rolled rather than encoding/gob: job values are encoded
+// once per emit and the shuffle-byte counters should reflect honest data
+// sizes, not gob's per-stream type dictionaries. A record says each fact
+// once, in the bytes it needs:
+//
+//	point:         uvarint{id} uvarint{dim} dim×[8]{coordinate}
+//	rho point:     point [8]{rho}
+//	neighbour:     uvarint{id} [8]{d²}
+//	rho value:     [8]{rho} neighbour…
+//	rho partial:   uvarint{first<<2 | near<<1} [uvarint{len} neighbour…] uvarint{count}…
+//	delta value:   [8]{delta} [4]{upslope}
+//
+// Floats are little-endian IEEE-754 bits and varints are minimal, so every
+// record has one spelling. The per-point results — rho values and
+// partials, delta values — are keyed by their point's ID
+// (mapreduce.IDKey), so they do not carry it.
 
 // AppendFloat64 appends the 8-byte little-endian IEEE-754 form of v to buf.
 // It is the shared primitive every record codec in the repository builds
@@ -29,12 +42,13 @@ func DecodeFloat64(buf []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(buf))
 }
 
-// AppendPoint appends the wire form of p (id, dim, coordinates) to buf.
+// AppendPoint appends the wire form of p to buf: its ID (as a uint32) and
+// its dim as minimal uvarints, then the coordinates.
 func AppendPoint(buf []byte, p Point) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ID))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Pos)))
+	buf = binary.AppendUvarint(buf, uint64(uint32(p.ID)))
+	buf = binary.AppendUvarint(buf, uint64(len(p.Pos)))
 	for _, x := range p.Pos {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		buf = AppendFloat64(buf, x)
 	}
 	return buf
 }
@@ -44,20 +58,50 @@ func EncodePoint(p Point) []byte { return AppendPoint(nil, p) }
 
 // DecodePoint parses a point from the front of buf and returns the rest.
 func DecodePoint(buf []byte) (Point, []byte, error) {
-	if len(buf) < 8 {
-		return Point{}, nil, fmt.Errorf("points: short point header: %d bytes", len(buf))
-	}
-	id := int32(binary.LittleEndian.Uint32(buf))
-	dim := int(binary.LittleEndian.Uint32(buf[4:]))
-	buf = buf[8:]
-	if len(buf) < 8*dim {
-		return Point{}, nil, fmt.Errorf("points: short point body: want %d floats, have %d bytes", dim, len(buf))
+	id, dim, body, err := DecodePointHeader(buf)
+	if err != nil {
+		return Point{}, nil, err
 	}
 	pos := make(Vector, dim)
-	for i := 0; i < dim; i++ {
-		pos[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	for i := range pos {
+		pos[i] = DecodeFloat64(body[8*i:])
 	}
-	return Point{ID: id, Pos: pos}, buf[8*dim:], nil
+	return Point{ID: id, Pos: pos}, body[8*dim:], nil
+}
+
+// DecodePointHeader parses the header of the point record at the front of
+// buf and returns its ID, its dim and the bytes after the header, which
+// hold at least the dim coordinates. It refuses a header AppendPoint cannot
+// have written — a truncated or padded varint, an ID past a uint32 — and a
+// dim those bytes cannot hold, so a caller never allocates for more.
+func DecodePointHeader(buf []byte) (id int32, dim int, body []byte, err error) {
+	v, n := smallUvarint(buf)
+	d, k := smallUvarint(buf[n:])
+	if n == 0 || k == 0 || v > math.MaxUint32 {
+		return 0, 0, nil, fmt.Errorf("points: bad point header %x", buf[:min(len(buf), 10)])
+	}
+	if body = buf[n+k:]; d > uint64(len(body)/8) {
+		return 0, 0, nil, fmt.Errorf("points: short point body: want %d floats, have %d bytes", d, len(body))
+	}
+	return int32(uint32(v)), int(d), body, nil
+}
+
+// smallUvarint reads a minimal uvarint of at most five bytes — a uint32's
+// longest — from the front of b; n is 0 when b holds none. It inlines, so
+// the matrix decode reads a record's header without a call per field.
+func smallUvarint(b []byte) (v uint64, n int) {
+	for shift := uint(0); n < len(b) && shift <= 28; shift += 7 {
+		c := b[n]
+		n++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			if c == 0 && n > 1 {
+				break
+			}
+			return v, n
+		}
+	}
+	return 0, 0
 }
 
 // EncodeVectors serializes a vector list for a job's Conf (EDDPC's pivots,
@@ -88,8 +132,8 @@ func DecodeVectors(s string) ([]Vector, error) {
 	}
 	n := uint64(binary.LittleEndian.Uint32(raw))
 	raw = raw[4:]
-	// A record takes at least its 8-byte header.
-	if n > uint64(len(raw))/8 {
+	// A record takes at least its 2-byte header.
+	if n > uint64(len(raw))/2 {
 		return nil, fmt.Errorf("points: %d vectors do not fit in %d bytes", n, len(raw))
 	}
 	vs := make([]Vector, n)
@@ -179,82 +223,94 @@ func ShipMask(tail []byte) (masked bool, mask []byte, err error) {
 
 // Neighbor is one entry of a point's nearest-neighbour list in pair-once
 // LSH-DDP (DESIGN.md "δ̂ from the ρ pass"): another point's ID and its exact
-// squared distance. On the wire it is the ID (uint32 LE) and the float64
-// bits of D2, 12 bytes; a list is its entries in ascending (D2, ID) order,
-// each ID once and never the point's own, every D2 finite and not negative.
+// squared distance. On the wire it is the ID (as a uint32) as a minimal
+// uvarint and the float64 bits of D2: the top-k merges and δ̂ read D2
+// exactly. A list is its entries in ascending (D2, ID) order, each ID once
+// and never the point's own, every D2 finite and not negative.
 type Neighbor struct {
 	ID int32
 	D2 float64
 }
 
-const neighborBytes = 12
+// minNeighborBytes is the shortest entry: a one-byte ID and D2.
+const minNeighborBytes = 9
 
 func appendNeighbors(buf []byte, ns []Neighbor) []byte {
 	for _, e := range ns {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.ID))
+		buf = binary.AppendUvarint(buf, uint64(uint32(e.ID)))
 		buf = AppendFloat64(buf, e.D2)
 	}
 	return buf
 }
 
-// decodeNeighbors parses the n entries at the front of buf as the list of
-// point self, refusing any list appendNeighbors would not have written for
-// a well-formed one.
-func decodeNeighbors(buf []byte, n int, self int32) ([]Neighbor, error) {
-	if n > len(buf)/neighborBytes {
-		return nil, fmt.Errorf("points: neighbour list of id %d: %d entries in %d bytes", self, n, len(buf))
+// decodeNeighbors parses n entries — or, when n is negative, every entry up
+// to the end of buf — as the list of point self and returns the rest,
+// refusing any list appendNeighbors would not have written for a
+// well-formed one.
+func decodeNeighbors(buf []byte, n int, self int32) ([]Neighbor, []byte, error) {
+	most := len(buf) / minNeighborBytes
+	if n > most {
+		return nil, nil, fmt.Errorf("points: neighbour list of id %d: %d entries in %d bytes", self, n, len(buf))
 	}
-	ns := make([]Neighbor, n)
-	ids := make([]int32, n)
-	for i := range ns {
-		e := Neighbor{ID: int32(binary.LittleEndian.Uint32(buf)), D2: DecodeFloat64(buf[4:])}
-		buf = buf[neighborBytes:]
+	size := n
+	if n < 0 {
+		size = most
+	}
+	ns := make([]Neighbor, 0, size)
+	for len(ns) != n && (n >= 0 || len(buf) > 0) {
+		id, k := smallUvarint(buf)
+		if k == 0 || id > math.MaxUint32 || len(buf)-k < 8 {
+			return nil, nil, fmt.Errorf("points: neighbour list of id %d: entry %d is truncated", self, len(ns))
+		}
+		e := Neighbor{ID: int32(uint32(id)), D2: DecodeFloat64(buf[k:])}
+		buf = buf[k+8:]
 		if !(e.D2 >= 0 && e.D2 < math.Inf(1)) || math.Signbit(e.D2) || e.ID == self {
-			return nil, fmt.Errorf("points: neighbour list of id %d: entry %d is (%d, %v)", self, i, e.ID, e.D2)
+			return nil, nil, fmt.Errorf("points: neighbour list of id %d: entry %d is (%d, %v)", self, len(ns), e.ID, e.D2)
 		}
-		if i > 0 && (e.D2 < ns[i-1].D2 || e.D2 == ns[i-1].D2 && e.ID <= ns[i-1].ID) {
-			return nil, fmt.Errorf("points: neighbour list of id %d is not in (d², id) order", self)
+		if i := len(ns) - 1; i >= 0 && (e.D2 < ns[i].D2 || e.D2 == ns[i].D2 && e.ID <= ns[i].ID) {
+			return nil, nil, fmt.Errorf("points: neighbour list of id %d is not in (d², id) order", self)
 		}
-		ns[i], ids[i] = e, e.ID
+		ns = append(ns, e)
+	}
+	ids := make([]int32, len(ns))
+	for i, e := range ns {
+		ids[i] = e.ID
 	}
 	slices.Sort(ids)
-	for i := 1; i < n; i++ {
+	for i := 1; i < len(ids); i++ {
 		if ids[i] == ids[i-1] {
-			return nil, fmt.Errorf("points: neighbour list of id %d holds id %d twice", self, ids[i])
+			return nil, nil, fmt.Errorf("points: neighbour list of id %d holds id %d twice", self, ids[i])
 		}
 	}
-	return ns, nil
+	return ns, buf, nil
 }
 
-// RhoValue is a partial or final density result keyed by point ID. LSH-DDP's
-// aggregation attaches the point's neighbour list (Near); the wire form is
-// the ID (uint32 LE), the density's float64 bits and the list's entries.
+// RhoValue is a partial or final density result. Its record is keyed by
+// the point's ID (mapreduce.IDKey), which the value does not repeat.
+// LSH-DDP's aggregation attaches the point's neighbour list (Near); the
+// wire form is the density's float64 bits and the list's entries.
 type RhoValue struct {
-	ID   int32
 	Rho  float64
 	Near []Neighbor
 }
 
 // EncodeRhoValue returns the wire form of rv.
 func EncodeRhoValue(rv RhoValue) []byte {
-	buf := make([]byte, 0, 12+neighborBytes*len(rv.Near))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rv.ID))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(rv.Rho))
+	buf := make([]byte, 0, 8+(5+8)*len(rv.Near))
+	buf = AppendFloat64(buf, rv.Rho)
 	return appendNeighbors(buf, rv.Near)
 }
 
-// DecodeRhoValue parses a RhoValue.
-func DecodeRhoValue(buf []byte) (RhoValue, error) {
-	if len(buf) < 12 || (len(buf)-12)%neighborBytes != 0 {
-		return RhoValue{}, fmt.Errorf("points: rho value is %d bytes, want 12 plus 12 per neighbour", len(buf))
+// DecodeRhoValue parses the RhoValue of point id, whose list must not name
+// it.
+func DecodeRhoValue(buf []byte, id int32) (RhoValue, error) {
+	if len(buf) < 8 {
+		return RhoValue{}, fmt.Errorf("points: rho value of id %d is %d bytes, want at least 8", id, len(buf))
 	}
-	rv := RhoValue{
-		ID:  int32(binary.LittleEndian.Uint32(buf)),
-		Rho: math.Float64frombits(binary.LittleEndian.Uint64(buf[4:])),
-	}
-	if n := (len(buf) - 12) / neighborBytes; n > 0 {
+	rv := RhoValue{Rho: DecodeFloat64(buf)}
+	if len(buf) > 8 {
 		var err error
-		if rv.Near, err = decodeNeighbors(buf[12:], n, rv.ID); err != nil {
+		if rv.Near, _, err = decodeNeighbors(buf[8:], -1, id); err != nil {
 			return RhoValue{}, err
 		}
 	}
@@ -266,17 +322,16 @@ func DecodeRhoValue(buf []byte) (RhoValue, error) {
 // that reducer evaluated add to the point's density under layout First+i.
 // The values are neighbour counts — whole numbers — and travel as varints.
 // Near is the point's nearest partners among those pairs (DESIGN.md "δ̂
-// from the ρ pass").
+// from the ρ pass"). Its record is keyed by the point's ID
+// (mapreduce.IDKey), which the value does not repeat.
 //
-// The wire form is the ID (uint32 LE), then First and whether a list
-// follows in one uvarint (First<<2 | near<<1; bit 0 is always clear and a
-// record with it set is refused), then — when near — the list's length as a
-// uvarint and its entries, then the counts back to back to the end of the
-// record, without the zeros at either end: a record has exactly one
-// spelling, and an all-zero share without a list is the 5-byte record of
-// First 0.
+// The wire form is First and whether a list follows in one uvarint
+// (First<<2 | near<<1; bit 0 is always clear and a record with it set is
+// refused), then — when near — the list's length as a uvarint and its
+// entries, then the counts back to back to the end of the record, without
+// the zeros at either end: a record has exactly one spelling, and an
+// all-zero share without a list is the 1-byte record of First 0.
 type RhoPartial struct {
-	ID    int32
 	First int
 	Vals  []float64
 	Near  []Neighbor
@@ -306,7 +361,6 @@ func AppendRhoPartial(buf []byte, p RhoPartial) []byte {
 	if len(p.Near) > 0 {
 		head |= 2
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ID))
 	buf = binary.AppendUvarint(buf, head)
 	if len(p.Near) > 0 {
 		buf = binary.AppendUvarint(buf, uint64(len(p.Near)))
@@ -321,40 +375,36 @@ func AppendRhoPartial(buf []byte, p RhoPartial) []byte {
 	return buf
 }
 
-// DecodeRhoPartial parses a RhoPartial, rejecting every byte string
-// AppendRhoPartial cannot have produced: re-encoding what it accepts
-// returns the same bytes.
-func DecodeRhoPartial(buf []byte) (RhoPartial, error) {
-	if len(buf) < 5 {
-		return RhoPartial{}, fmt.Errorf("points: rho partial is %d bytes, want at least 5", len(buf))
-	}
-	p := RhoPartial{ID: int32(binary.LittleEndian.Uint32(buf))}
-	head, rest, ok := minimalUvarint(buf[4:])
+// DecodeRhoPartial parses the RhoPartial of point id, rejecting every byte
+// string AppendRhoPartial cannot have produced and every list naming id:
+// re-encoding what it accepts returns the same bytes.
+func DecodeRhoPartial(buf []byte, id int32) (RhoPartial, error) {
+	var p RhoPartial
+	head, rest, ok := minimalUvarint(buf)
 	if !ok || head>>2 >= maxLayouts || head&1 != 0 {
-		return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad layout header", p.ID)
+		return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad layout header", id)
 	}
 	p.First = int(head >> 2)
 	if head&2 != 0 {
 		var n uint64
-		if n, rest, ok = minimalUvarint(rest); !ok || n == 0 || n > uint64(len(rest)/neighborBytes) {
-			return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad neighbour list length", p.ID)
+		if n, rest, ok = minimalUvarint(rest); !ok || n == 0 || n > uint64(len(rest)/minNeighborBytes) {
+			return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad neighbour list length", id)
 		}
 		var err error
-		if p.Near, err = decodeNeighbors(rest, int(n), p.ID); err != nil {
+		if p.Near, rest, err = decodeNeighbors(rest, int(n), id); err != nil {
 			return RhoPartial{}, err
 		}
-		rest = rest[neighborBytes*int(n):]
 	}
 	p.Vals = make([]float64, 0, len(rest))
 	for len(rest) > 0 {
 		var c uint64
 		if c, rest, ok = minimalUvarint(rest); !ok || c > maxCount {
-			return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad count %d", p.ID, len(p.Vals))
+			return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad count %d", id, len(p.Vals))
 		}
 		p.Vals = append(p.Vals, float64(c))
 	}
 	if n := len(p.Vals); n == 0 && p.First != 0 || n > 0 && (p.Vals[0] == 0 || p.Vals[n-1] == 0) {
-		return RhoPartial{}, fmt.Errorf("points: rho partial for id %d is not trimmed of zero values", p.ID)
+		return RhoPartial{}, fmt.Errorf("points: rho partial for id %d is not trimmed of zero values", id)
 	}
 	return p, nil
 }
@@ -373,28 +423,27 @@ func minimalUvarint(b []byte) (v uint64, rest []byte, ok bool) {
 // DeltaValue is a partial or final δ result: the candidate minimum distance
 // to a denser point and the identity of that upslope point (-1 when the
 // point looked like the absolute density peak in its partition, in which
-// case Delta is +Inf until rectified).
+// case Delta is +Inf until rectified). Its record is keyed by the point's
+// ID (mapreduce.IDKey), which the value does not repeat: the wire form is
+// Delta's float64 bits and Upslope (uint32 LE), 12 bytes.
 type DeltaValue struct {
-	ID      int32
 	Delta   float64
 	Upslope int32
 }
 
 // EncodeDeltaValue returns the wire form of dv.
 func EncodeDeltaValue(dv DeltaValue) []byte {
-	buf := binary.LittleEndian.AppendUint32(nil, uint32(dv.ID))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(dv.Delta))
+	buf := AppendFloat64(make([]byte, 0, 12), dv.Delta)
 	return binary.LittleEndian.AppendUint32(buf, uint32(dv.Upslope))
 }
 
 // DecodeDeltaValue parses a DeltaValue.
 func DecodeDeltaValue(buf []byte) (DeltaValue, error) {
-	if len(buf) != 16 {
-		return DeltaValue{}, fmt.Errorf("points: delta value is %d bytes, want 16", len(buf))
+	if len(buf) != 12 {
+		return DeltaValue{}, fmt.Errorf("points: delta value is %d bytes, want 12", len(buf))
 	}
 	return DeltaValue{
-		ID:      int32(binary.LittleEndian.Uint32(buf)),
-		Delta:   math.Float64frombits(binary.LittleEndian.Uint64(buf[4:])),
-		Upslope: int32(binary.LittleEndian.Uint32(buf[12:])),
+		Delta:   DecodeFloat64(buf),
+		Upslope: int32(binary.LittleEndian.Uint32(buf[8:])),
 	}, nil
 }

@@ -5,10 +5,22 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// boundaryIDs and boundaryDims are where a point header's varints change
+// length: the largest one-, two- and four-byte IDs and the smallest after
+// them, and −1, whose uint32 takes five.
+var (
+	boundaryIDs  = []int32{0, 127, 128, 16383, 16384, math.MaxInt32, -1}
+	boundaryDims = []int{0, 1, 127, 128}
+)
+
+// uvarintLen is the length of v's minimal uvarint.
+func uvarintLen(v uint64) int { return len(binary.AppendUvarint(nil, v)) }
 
 func TestPointCodecRoundTrip(t *testing.T) {
 	p := Point{ID: 42, Pos: Vector{1.5, -2.25, 1e300, 0}}
@@ -19,6 +31,28 @@ func TestPointCodecRoundTrip(t *testing.T) {
 	for i := range p.Pos {
 		if got.Pos[i] != p.Pos[i] {
 			t.Fatalf("coordinate %d = %v, want %v", i, got.Pos[i], p.Pos[i])
+		}
+	}
+	// At every varint boundary the header is the two minimal varints, and
+	// DecodePoint and the matrix decode both read the point back.
+	for _, id := range boundaryIDs {
+		for _, dim := range boundaryDims {
+			p := Point{ID: id, Pos: make(Vector, dim)}
+			for j := range p.Pos {
+				p.Pos[j] = float64(j) - 0.5
+			}
+			buf := EncodePoint(p)
+			if want := uvarintLen(uint64(uint32(id))) + uvarintLen(uint64(dim)) + 8*dim; len(buf) != want {
+				t.Fatalf("point %d of dim %d is %d bytes, want %d", id, dim, len(buf), want)
+			}
+			got, rest, err := DecodePoint(buf)
+			if err != nil || len(rest) != 0 || got.ID != id || !slices.Equal(got.Pos, p.Pos) {
+				t.Fatalf("point %d of dim %d: decoded %+v, %d bytes left, %v", id, dim, got, len(rest), err)
+			}
+			var m Matrix
+			if rest, err := m.AppendPoint(buf); err != nil || len(rest) != 0 || m.ID(0) != id || !slices.Equal(m.Row(0), p.Pos) {
+				t.Fatalf("point %d of dim %d: matrix row %d %v, %d bytes left, %v", id, dim, m.ID(0), m.Row(0), len(rest), err)
+			}
 		}
 	}
 }
@@ -72,15 +106,99 @@ func TestPointCodecConcatenation(t *testing.T) {
 	}
 }
 
+// TestPointCodecErrors: every header AppendPoint cannot have written, and
+// every body shorter than its header says, is an error for DecodePoint and
+// for the matrix decode alike.
 func TestPointCodecErrors(t *testing.T) {
-	if _, _, err := DecodePoint([]byte{1, 2, 3}); err == nil {
-		t.Fatal("want error on short header")
+	five := EncodePoint(Point{ID: 1, Pos: Vector{1, 2, 3, 4, 5}})
+	for name, buf := range map[string][]byte{
+		"empty":          nil,
+		"no dim":         {1},
+		"truncated id":   {0x80},
+		"truncated dim":  {1, 0x80},
+		"padded id":      {0x81, 0x00, 0x00},
+		"padded dim":     {0x01, 0x80, 0x00},
+		"id past uint32": {0x80, 0x80, 0x80, 0x80, 0x10, 0x00},
+		"six-byte id":    {0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0x00},
+		"empty body":     five[:2],
+		"short body":     five[:len(five)-1],
+		"huge dim":       append([]byte{0x01}, binary.AppendUvarint(nil, 1<<31)...),
+	} {
+		if p, _, err := DecodePoint(buf); err == nil {
+			t.Errorf("%s: DecodePoint accepted %x as %+v", name, buf, p)
+		}
+		var m Matrix
+		if _, err := m.AppendPoint(buf); err == nil {
+			t.Errorf("%s: the matrix decode accepted %x", name, buf)
+		}
 	}
-	// Header claims 5 floats but body is empty.
-	buf := EncodePoint(Point{ID: 1, Pos: Vector{1, 2, 3, 4, 5}})[:8]
-	if _, _, err := DecodePoint(buf); err == nil {
-		t.Fatal("want error on short body")
+}
+
+// FuzzPointRecords holds the point record codecs to their contract on
+// arbitrary bytes: DecodePoint and Matrix.AppendPoint accept the same
+// records, as do DecodeRhoPoint and Matrix.AppendRhoPoint, and read the same
+// point and rest; whatever they accept re-encodes to exactly the bytes they
+// consumed, so a padded varint is refused; what follows a point reads, by
+// ShipMask, as no mask or one that re-encodes to it. Nothing panics, and a
+// header claiming more coordinates than the bytes hold errors before they
+// are allocated.
+func FuzzPointRecords(f *testing.F) {
+	for _, id := range boundaryIDs {
+		for _, dim := range boundaryDims {
+			p := Point{ID: id, Pos: make(Vector, dim)}
+			f.Add(EncodePoint(p))
+			f.Add(AppendShipMask(EncodeRhoPoint(RhoPoint{Point: p, Rho: float64(dim)}), []byte{0x05}))
+		}
 	}
+	for _, seed := range [][]byte{
+		{0x81, 0x00, 0x00},                   // padded ID
+		{0x01, 0x80, 0x00},                   // padded dim
+		{0x80, 0x80, 0x80, 0x80, 0x10, 0x00}, // ID past a uint32
+		append([]byte{0x01}, binary.AppendUvarint(nil, 1<<40)...),     // a dim no bytes back
+		append(EncodePoint(Point{ID: 3, Pos: Vector{1}}), 0x05, 0x00), // an untrimmed mask
+	} {
+		f.Add(seed)
+	}
+	bitsEqual := func(a, b Vector) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		p, rest, err := DecodePoint(raw)
+		rp, rpRest, rpErr := DecodeRhoPoint(raw)
+		var m, mr Matrix
+		mRest, mErr := m.AppendPoint(raw)
+		mrRest, mrErr := mr.AppendRhoPoint(raw)
+		runtime.ReadMemStats(&after)
+		// The slack absorbs the fuzzing engine's own allocations; a dim the
+		// bytes do not back would cost gigabytes.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+8*uint64(len(raw)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(raw), grew)
+		}
+		if (err == nil) != (mErr == nil) || (rpErr == nil) != (mrErr == nil) {
+			t.Fatalf("%x: DecodePoint %v, matrix %v; DecodeRhoPoint %v, matrix %v", raw, err, mErr, rpErr, mrErr)
+		}
+		if err == nil {
+			if again := EncodePoint(p); string(again) != string(raw[:len(raw)-len(rest)]) {
+				t.Fatalf("DecodePoint accepted %x as %+v, which encodes as %x", raw, p, again)
+			}
+			if len(mRest) != len(rest) || m.N() != 1 || m.ID(0) != p.ID || !bitsEqual(m.Row(0), p.Pos) {
+				t.Fatalf("%x: the matrix read point %d %v with %d bytes left, DecodePoint %+v with %d", raw, m.ID(0), m.Row(0), len(mRest), p, len(rest))
+			}
+			if masked, mask, err := ShipMask(rest); err == nil && (masked != (len(rest) > 0) || masked && string(AppendShipMask(nil, mask)) != string(rest)) {
+				t.Fatalf("ShipMask accepted %x as masked %v mask %x", rest, masked, mask)
+			}
+		}
+		if rpErr == nil {
+			if again := EncodeRhoPoint(rp); string(again) != string(raw[:len(raw)-len(rpRest)]) {
+				t.Fatalf("DecodeRhoPoint accepted %x as %+v, which encodes as %x", raw, rp, again)
+			}
+			if len(mrRest) != len(rpRest) || mr.ID(0) != rp.ID || math.Float64bits(mr.Rho(0)) != math.Float64bits(rp.Rho) || !bitsEqual(mr.Row(0), rp.Pos) {
+				t.Fatalf("%x: the matrix read rho point %d %v %v, DecodeRhoPoint %+v", raw, mr.ID(0), mr.Row(0), mr.Rho(0), rp)
+			}
+		}
+	})
 }
 
 func TestRhoPointCodec(t *testing.T) {
@@ -95,46 +213,50 @@ func TestRhoPointCodec(t *testing.T) {
 }
 
 func TestRhoValueCodec(t *testing.T) {
-	rv := RhoValue{ID: -1, Rho: math.Inf(1)}
-	got, err := DecodeRhoValue(EncodeRhoValue(rv))
+	buf := EncodeRhoValue(RhoValue{Rho: math.Inf(1)})
+	got, err := DecodeRhoValue(buf, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != -1 || !math.IsInf(got.Rho, 1) {
-		t.Fatalf("round trip = %+v", got)
+	if len(buf) != 8 || !math.IsInf(got.Rho, 1) || got.Near != nil {
+		t.Fatalf("round trip of %d bytes = %+v", len(buf), got)
 	}
-	if _, err := DecodeRhoValue([]byte{1}); err == nil {
-		t.Fatal("want error on wrong size")
+	for _, bad := range [][]byte{nil, {1}, make([]byte, 7), make([]byte, 9)} {
+		if rv, err := DecodeRhoValue(bad, -1); err == nil {
+			t.Errorf("DecodeRhoValue accepted %x as %+v", bad, rv)
+		}
 	}
 }
 
 func TestDeltaValueCodec(t *testing.T) {
 	cases := []DeltaValue{
-		{ID: 0, Delta: 1.5, Upslope: 7},
-		{ID: 1 << 20, Delta: math.Inf(1), Upslope: -1},
-		{ID: 3, Delta: 0, Upslope: 0},
+		{Delta: 1.5, Upslope: 7},
+		{Delta: math.Inf(1), Upslope: -1},
+		{Delta: 0, Upslope: 1 << 20},
 	}
 	for _, dv := range cases {
-		got, err := DecodeDeltaValue(EncodeDeltaValue(dv))
+		buf := EncodeDeltaValue(dv)
+		got, err := DecodeDeltaValue(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.ID != dv.ID || got.Upslope != dv.Upslope ||
-			math.Float64bits(got.Delta) != math.Float64bits(dv.Delta) {
-			t.Fatalf("round trip %+v = %+v", dv, got)
+		if len(buf) != 12 || got.Upslope != dv.Upslope || math.Float64bits(got.Delta) != math.Float64bits(dv.Delta) {
+			t.Fatalf("round trip %+v in %d bytes = %+v", dv, len(buf), got)
 		}
 	}
-	if _, err := DecodeDeltaValue(make([]byte, 15)); err == nil {
-		t.Fatal("want error on wrong size")
+	for _, n := range []int{0, 11, 13, 16} {
+		if _, err := DecodeDeltaValue(make([]byte, n)); err == nil {
+			t.Fatalf("a %d-byte delta value decoded", n)
+		}
 	}
 }
 
 // Property: DeltaValue codec round-trips arbitrary content.
 func TestDeltaValueCodecProperty(t *testing.T) {
-	f := func(id, up int32, delta float64) bool {
-		dv := DeltaValue{ID: id, Delta: delta, Upslope: up}
+	f := func(up int32, delta float64) bool {
+		dv := DeltaValue{Delta: delta, Upslope: up}
 		got, err := DecodeDeltaValue(EncodeDeltaValue(dv))
-		return err == nil && got.ID == id && got.Upslope == up &&
+		return err == nil && got.Upslope == up &&
 			math.Float64bits(got.Delta) == math.Float64bits(delta)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -144,7 +266,7 @@ func TestDeltaValueCodecProperty(t *testing.T) {
 
 // rhoPartialEqual compares two partials field by field, floats by bits.
 func rhoPartialEqual(a, b RhoPartial) bool {
-	if a.ID != b.ID || a.First != b.First || len(a.Vals) != len(b.Vals) {
+	if a.First != b.First || len(a.Vals) != len(b.Vals) {
 		return false
 	}
 	for i := range a.Vals {
@@ -161,23 +283,43 @@ func neighborBytesOf(ns ...Neighbor) []byte { return appendNeighbors(nil, ns) }
 func TestNeighborListCodec(t *testing.T) {
 	near := []Neighbor{{ID: 4, D2: 0}, {ID: 2, D2: 1.5}, {ID: 3, D2: 1.5}, {ID: -7, D2: 1e300}}
 	for _, p := range []RhoPartial{
-		{ID: 1, First: 0, Vals: []float64{3, 1}, Near: near},
-		{ID: 1, First: 2, Vals: []float64{5}, Near: near[:1]},
-		{ID: 1, Near: near[3:]}, // a list without a share
+		{First: 0, Vals: []float64{3, 1}, Near: near},
+		{First: 2, Vals: []float64{5}, Near: near[:1]},
+		{Near: near[3:]}, // a list without a share
 	} {
-		got, err := DecodeRhoPartial(AppendRhoPartial(nil, p))
+		got, err := DecodeRhoPartial(AppendRhoPartial(nil, p), 1)
 		if err != nil || !rhoPartialEqual(got, p) {
 			t.Errorf("decode(encode(%+v)) = %+v, %v", p, got, err)
 		}
 	}
-	rv := RhoValue{ID: 1, Rho: 7, Near: near}
-	if got, err := DecodeRhoValue(EncodeRhoValue(rv)); err != nil || got.ID != 1 || got.Rho != 7 || !slices.Equal(got.Near, near) {
+	rv := RhoValue{Rho: 7, Near: near}
+	if got, err := DecodeRhoValue(EncodeRhoValue(rv), 1); err != nil || got.Rho != 7 || !slices.Equal(got.Near, near) {
 		t.Errorf("decode(encode(%+v)) = %+v, %v", rv, got, err)
 	}
-	if n := len(EncodeRhoValue(rv)); n != 12+12*len(near) {
+	// An entry is its ID's minimal uvarint, then D2: IDs 4, 2 and 3 take a
+	// byte each, −7 five.
+	if n := len(EncodeRhoValue(rv)); n != 8+3*(1+8)+(5+8) {
 		t.Errorf("rho value with %d neighbours is %d bytes", len(near), n)
 	}
-	head := []byte{1, 0, 0, 0, 0x02} // ID 1, First 0, a list follows
+	// IDs at every varint boundary round-trip in both records, each entry
+	// the minimal varint's bytes and D2.
+	var wide []Neighbor
+	size := 8
+	for i, id := range boundaryIDs {
+		wide = append(wide, Neighbor{ID: id, D2: float64(i)})
+		size += uvarintLen(uint64(uint32(id))) + 8
+	}
+	if buf := EncodeRhoValue(RhoValue{Rho: 1, Near: wide}); len(buf) != size {
+		t.Errorf("rho value listing %v is %d bytes, want %d", boundaryIDs, len(buf), size)
+	} else if got, err := DecodeRhoValue(buf, 5); err != nil || !slices.Equal(got.Near, wide) {
+		t.Errorf("rho value listing %v decoded to %+v, %v", boundaryIDs, got, err)
+	}
+	p := RhoPartial{First: 1, Vals: []float64{2}, Near: wide}
+	if got, err := DecodeRhoPartial(AppendRhoPartial(nil, p), 5); err != nil || !rhoPartialEqual(got, p) {
+		t.Errorf("decode(encode(%+v)) = %+v, %v", p, got, err)
+	}
+	d2 := AppendFloat64(nil, 1)
+	head := []byte{0x02} // First 0, a list follows
 	for name, list := range map[string][]byte{
 		"no length":        nil,
 		"length 0":         {0x00},
@@ -191,17 +333,20 @@ func TestNeighborListCodec(t *testing.T) {
 		"minus zero":       append([]byte{0x01}, neighborBytesOf(Neighbor{ID: 5, D2: math.Copysign(0, -1)})...),
 		"infinite d2":      append([]byte{0x01}, neighborBytesOf(Neighbor{ID: 5, D2: math.Inf(1)})...),
 		"NaN d2":           append([]byte{0x01}, neighborBytesOf(Neighbor{ID: 5, D2: math.NaN()})...),
+		"padded id":        append([]byte{0x01, 0x85, 0x00}, d2...),
+		"id past uint32":   append([]byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x10}, d2...),
+		"short d2":         append([]byte{0x01, 0x05}, d2[:7]...),
 	} {
-		if p, err := DecodeRhoPartial(append(slices.Clip(head), list...)); err == nil {
+		if p, err := DecodeRhoPartial(append(slices.Clip(head), list...), 1); err == nil {
 			t.Errorf("%s: DecodeRhoPartial accepted %+v", name, p)
 		}
 		if len(list) > 1 && name != "short entries" {
-			if rv, err := DecodeRhoValue(append([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, list[1:]...)); err == nil {
+			if rv, err := DecodeRhoValue(append(make([]byte, 8), list[1:]...), 1); err == nil {
 				t.Errorf("%s: DecodeRhoValue accepted %+v", name, rv)
 			}
 		}
 	}
-	if rv, err := DecodeRhoValue(make([]byte, 13)); err == nil {
+	if rv, err := DecodeRhoValue(make([]byte, 13), 1); err == nil {
 		t.Errorf("DecodeRhoValue accepted a 13-byte value as %+v", rv)
 	}
 }
@@ -238,43 +383,43 @@ func TestShipMask(t *testing.T) {
 
 func TestRhoPartialRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ in, want RhoPartial }{
-		{RhoPartial{ID: 7, First: 2, Vals: []float64{3, 0, 1 << 53}}, RhoPartial{ID: 7, First: 2, Vals: []float64{3, 0, 1 << 53}}},
+		{RhoPartial{First: 2, Vals: []float64{3, 0, 1 << 53}}, RhoPartial{First: 2, Vals: []float64{3, 0, 1 << 53}}},
 		// Zero values at either end are not written; First moves with them.
-		{RhoPartial{ID: -1, First: 1, Vals: []float64{0, 0, 5, 300, 0}}, RhoPartial{ID: -1, First: 3, Vals: []float64{5, 300}}},
-		{RhoPartial{ID: 9, First: 4, Vals: []float64{0, 0}}, RhoPartial{ID: 9, Vals: []float64{}}},
+		{RhoPartial{First: 1, Vals: []float64{0, 0, 5, 300, 0}}, RhoPartial{First: 3, Vals: []float64{5, 300}}},
+		{RhoPartial{First: 4, Vals: []float64{0, 0}}, RhoPartial{Vals: []float64{}}},
 	} {
 		buf := AppendRhoPartial(nil, tc.in)
-		got, err := DecodeRhoPartial(buf)
+		got, err := DecodeRhoPartial(buf, 7)
 		if err != nil || !rhoPartialEqual(got, tc.want) {
 			t.Errorf("decode(encode(%+v)) = %+v, %v; want %+v", tc.in, got, err, tc.want)
 		}
 	}
-	if n := len(AppendRhoPartial(nil, RhoPartial{ID: 3, First: 6, Vals: []float64{0}})); n != 5 {
-		t.Errorf("all-zero partial is %d bytes, want 5", n)
+	if n := len(AppendRhoPartial(nil, RhoPartial{First: 6, Vals: []float64{0}})); n != 1 {
+		t.Errorf("all-zero partial is %d bytes, want 1", n)
 	}
 	for _, bad := range [][]byte{
-		nil,
-		{1, 0, 0, 0},                       // no header
-		{1, 0, 0, 0, 0x80, 0x00},           // padded header varint
-		{1, 0, 0, 0, 0x04},                 // empty, First 1
-		{1, 0, 0, 0, 0x02},                 // a list flagged, no length
-		{1, 0, 0, 0, 0x00, 0x00, 0x05},     // leading zero count
-		{1, 0, 0, 0, 0x00, 0x05, 0x00},     // trailing zero count
-		{1, 0, 0, 0, 0x00, 0x85, 0x00},     // padded count varint
-		{1, 0, 0, 0, 0x00, 0x85},           // truncated count varint
-		{1, 0, 0, 0, 0x01, 1, 2, 3},        // kind bit, 3 bytes
-		{1, 0, 0, 0, 0x80, 0x80, 0x80, 01}, // First 2²⁰
-		append([]byte{1, 0, 0, 0, 0x00}, binary.AppendUvarint(nil, 1<<53+1)...), // count past 2⁵³
+		nil,                      // no header
+		{0x80, 0x00},             // padded header varint
+		{0x04},                   // empty, First 1
+		{0x02},                   // a list flagged, no length
+		{0x00, 0x00, 0x05},       // leading zero count
+		{0x00, 0x05, 0x00},       // trailing zero count
+		{0x00, 0x85, 0x00},       // padded count varint
+		{0x00, 0x85},             // truncated count varint
+		{0x01, 1, 2, 3},          // kind bit, 3 bytes
+		{0x80, 0x80, 0x80, 0x01}, // First 2¹⁹, no counts
+		{0x80, 0x80, 0x80, 0x02}, // First 2²⁰
+		append([]byte{0x00}, binary.AppendUvarint(nil, 1<<53+1)...), // count past 2⁵³
 		// Header bit 0 once marked a record of float weight sums; no
 		// encoder sets it now, so each record that had it is refused,
 		// never read as counts.
-		{9, 0, 0, 0, 0x01},                                   // kind bit, an empty share
-		{1, 0, 0, 0, 0x05, 1, 2, 3},                          // kind bit, First 1, bytes that parse as counts
-		append([]byte{1, 0, 0, 0, 0x01}, make([]byte, 8)...), // kind bit, one +0
-		append(append([]byte{1, 0, 0, 0, 0x05}, AppendFloat64(nil, 0.25)...), AppendFloat64(nil, math.Inf(1))...),
-		append(append([]byte{1, 0, 0, 0, 0x03, 0x01}, neighborBytesOf(Neighbor{ID: 2, D2: 1})...), AppendFloat64(nil, 0.5)...), // kind bit and a list
+		{0x01},                                   // kind bit, an empty share
+		{0x05, 1, 2, 3},                          // kind bit, First 1, bytes that parse as counts
+		append([]byte{0x01}, make([]byte, 8)...), // kind bit, one +0
+		append(append([]byte{0x05}, AppendFloat64(nil, 0.25)...), AppendFloat64(nil, math.Inf(1))...),
+		append(append([]byte{0x03, 0x01}, neighborBytesOf(Neighbor{ID: 2, D2: 1})...), AppendFloat64(nil, 0.5)...), // kind bit and a list
 	} {
-		if p, err := DecodeRhoPartial(bad); err == nil {
+		if p, err := DecodeRhoPartial(bad, 7); err == nil {
 			t.Errorf("DecodeRhoPartial(%x) accepted as %+v", bad, p)
 		}
 	}
@@ -286,33 +431,51 @@ func TestRhoPartialRoundTrip(t *testing.T) {
 	AppendRhoPartial(nil, RhoPartial{Vals: []float64{1.5}})
 }
 
+// fuzzEntries spells neighbour entries the way FuzzRhoPartialRoundTrip
+// reads them from its input: a 4-byte ID, then D2.
+func fuzzEntries(ns ...Neighbor) []byte {
+	var buf []byte
+	for _, e := range ns {
+		buf = AppendFloat64(binary.LittleEndian.AppendUint32(buf, uint32(e.ID)), e.D2)
+	}
+	return buf
+}
+
 // FuzzRhoPartialRoundTrip: whatever the counts and neighbour list,
 // decode(encode) returns them, the counts trimmed of zero ends; whatever the
 // bytes, DecodeRhoPartial, DecodeRhoValue and ShipMask each either refuse
 // them or have found exactly the bytes their encoder writes for what they
 // decoded — they never panic, never accept two spellings of one record, and
 // never trust a length the bytes do not hold. A rho partial whose header has
-// bit 0 set (the retired float-sum kind) is always refused.
+// bit 0 set (the retired float-sum kind) is always refused, and neither
+// record's list ever names the point whose ID the key carries.
 func FuzzRhoPartialRoundTrip(f *testing.F) {
-	list := neighborBytesOf(Neighbor{ID: 3, D2: 0}, Neighbor{ID: 9, D2: 2.5})
+	list := fuzzEntries(Neighbor{ID: 3, D2: 0}, Neighbor{ID: 9, D2: 2.5})
 	f.Add(int32(0), 0, uint64(0), uint64(0), uint64(0), []byte{}, []byte{})
-	f.Add(int32(7), 2, uint64(3), uint64(0), uint64(1)<<53, list, []byte{7, 0, 0, 0, 4, 3, 0, 1})
-	f.Add(int32(-1), 9, math.Float64bits(0.5), uint64(0), math.Float64bits(math.NaN()), list[:12], []byte{1, 0, 0, 0, 0x80, 0x00})
-	f.Add(int32(5), 1<<20-1, uint64(0), uint64(128), uint64(0), []byte{}, []byte{1, 0, 0, 0, 0x00, 0x00, 0x05})
-	f.Add(int32(5), 3, uint64(1)<<60, uint64(1), uint64(2), []byte{}, []byte{1, 0, 0, 0, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	f.Add(int32(1), 0, uint64(1), uint64(0), uint64(0), list, append([]byte{1, 0, 0, 0, 0x02, 0x02}, list...))
-	f.Add(int32(1), 0, uint64(1), uint64(0), uint64(0), list, append(make([]byte, 12), list...))
+	f.Add(int32(7), 2, uint64(3), uint64(0), uint64(1)<<53, list, []byte{4, 3, 0, 1})
+	f.Add(int32(-1), 9, math.Float64bits(0.5), uint64(0), math.Float64bits(math.NaN()), list[:12], []byte{0x80, 0x00})
+	f.Add(int32(5), 1<<20-1, uint64(0), uint64(128), uint64(0), []byte{}, []byte{0x00, 0x00, 0x05})
+	f.Add(int32(5), 3, uint64(1)<<60, uint64(1), uint64(2), []byte{}, []byte{0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add(int32(1), 0, uint64(1), uint64(0), uint64(0), list, append([]byte{0x02, 0x02}, neighborBytesOf(Neighbor{ID: 3, D2: 0}, Neighbor{ID: 9, D2: 2.5})...))
+	f.Add(int32(1), 0, uint64(1), uint64(0), uint64(0), list, append(make([]byte, 8), neighborBytesOf(Neighbor{ID: 3, D2: 0}, Neighbor{ID: 9, D2: 2.5})...))
 	f.Add(int32(1), 0, uint64(0), uint64(0), uint64(0), []byte{}, []byte{0x05, 0x01})
 	// Must-error seeds: the float-sum records the retired kind bit marked,
 	// with and without a list.
-	f.Add(int32(-1), 9, uint64(0), uint64(0), uint64(0), []byte{}, append([]byte{0xff, 0xff, 0xff, 0xff, 0x25}, AppendFloat64(nil, 0.5)...))
-	f.Add(int32(5), 0, uint64(1)<<63, uint64(1), uint64(2), list, append([]byte{1, 0, 0, 0, 0x03}, make([]byte, 16)...))
-	f.Add(int32(9), 0, uint64(0), uint64(0), uint64(0), []byte{}, []byte{9, 0, 0, 0, 0x01})
+	f.Add(int32(-1), 9, uint64(0), uint64(0), uint64(0), []byte{}, append([]byte{0x25}, AppendFloat64(nil, 0.5)...))
+	f.Add(int32(5), 0, uint64(1)<<63, uint64(1), uint64(2), list, append([]byte{0x03}, make([]byte, 16)...))
+	f.Add(int32(9), 0, uint64(0), uint64(0), uint64(0), []byte{}, []byte{0x01})
+	// Neighbour IDs where their varint changes length, and records naming
+	// the point itself or padding an ID.
+	wide := []Neighbor{{ID: 127, D2: 0}, {ID: 128, D2: 0}, {ID: 16383, D2: 1}, {ID: 16384, D2: 1}, {ID: -1, D2: 2}}
+	f.Add(int32(5), 1, uint64(2), uint64(0), uint64(1), fuzzEntries(wide...), EncodeRhoValue(RhoValue{Rho: 3, Near: wide}))
+	f.Add(int32(16384), 0, uint64(1), uint64(1), uint64(0), fuzzEntries(wide[:3]...), AppendRhoPartial(nil, RhoPartial{First: 1, Vals: []float64{2}, Near: wide[:3]}))
+	f.Add(int32(-1), 0, uint64(0), uint64(0), uint64(0), fuzzEntries(wide...), append(make([]byte, 8), neighborBytesOf(wide[4])...))
+	f.Add(int32(127), 0, uint64(0), uint64(0), uint64(0), []byte{}, append([]byte{0x02, 0x01, 0xff, 0x00}, AppendFloat64(nil, 1)...))
 	f.Fuzz(func(t *testing.T, id int32, first int, v0, v1, v2 uint64, near, raw []byte) {
 		// A well-formed list from the fuzzer's entries: the ones a list can
 		// hold, each ID once, in (d², ID) order.
 		var ns []Neighbor
-		for ; len(near) >= neighborBytes; near = near[neighborBytes:] {
+		for ; len(near) >= 12; near = near[12:] {
 			e := Neighbor{ID: int32(binary.LittleEndian.Uint32(near)), D2: DecodeFloat64(near[4:])}
 			if e.D2 >= 0 && e.D2 < math.Inf(1) && !math.Signbit(e.D2) && e.ID != id &&
 				!slices.ContainsFunc(ns, func(o Neighbor) bool { return o.ID == e.ID }) {
@@ -326,12 +489,12 @@ func FuzzRhoPartialRoundTrip(f *testing.F) {
 			return cmp.Compare(a.ID, b.ID)
 		})
 		if first >= 0 && first+3 < maxLayouts {
-			p := RhoPartial{ID: id, First: first, Near: ns}
+			p := RhoPartial{First: first, Near: ns}
 			for _, v := range []uint64{v0, v1, v2} {
 				p.Vals = append(p.Vals, float64(v%(maxCount+1)))
 			}
 			buf := AppendRhoPartial(nil, p)
-			got, err := DecodeRhoPartial(buf)
+			got, err := DecodeRhoPartial(buf, id)
 			if err != nil {
 				t.Fatalf("decode(encode(%+v)): %v", p, err)
 			}
@@ -345,27 +508,28 @@ func FuzzRhoPartialRoundTrip(f *testing.F) {
 					t.Fatalf("decode(encode(%+v)) = %+v", p, got)
 				}
 			}
-			if got.ID != id || !slices.Equal(got.Near, ns) || string(AppendRhoPartial(nil, got)) != string(buf) {
+			if !slices.Equal(got.Near, ns) || string(AppendRhoPartial(nil, got)) != string(buf) {
 				t.Fatalf("decode(encode(%+v)) = %+v", p, got)
 			}
 		}
-		rv := RhoValue{ID: id, Rho: math.Float64frombits(v0), Near: ns}
-		if got, err := DecodeRhoValue(EncodeRhoValue(rv)); err != nil || got.ID != id ||
+		rv := RhoValue{Rho: math.Float64frombits(v0), Near: ns}
+		if got, err := DecodeRhoValue(EncodeRhoValue(rv), id); err != nil ||
 			math.Float64bits(got.Rho) != v0 || !slices.Equal(got.Near, ns) {
 			t.Fatalf("decode(encode(%+v)) = %+v, %v", rv, got, err)
 		}
 
-		if got, err := DecodeRhoPartial(raw); err == nil {
-			if len(raw) > 4 && raw[4]&1 != 0 {
+		names := func(ns []Neighbor) bool { return slices.ContainsFunc(ns, func(e Neighbor) bool { return e.ID == id }) }
+		if got, err := DecodeRhoPartial(raw, id); err == nil {
+			if len(raw) > 0 && raw[0]&1 != 0 {
 				t.Fatalf("DecodeRhoPartial accepted %x, whose header has the kind bit set, as %+v", raw, got)
 			}
-			if again := AppendRhoPartial(nil, got); string(again) != string(raw) {
-				t.Fatalf("DecodeRhoPartial accepted %x as %+v, which encodes as %x", raw, got, again)
+			if again := AppendRhoPartial(nil, got); string(again) != string(raw) || names(got.Near) {
+				t.Fatalf("DecodeRhoPartial accepted %x for id %d as %+v, which encodes as %x", raw, id, got, again)
 			}
 		}
-		if got, err := DecodeRhoValue(raw); err == nil {
-			if again := EncodeRhoValue(got); string(again) != string(raw) {
-				t.Fatalf("DecodeRhoValue accepted %x as %+v, which encodes as %x", raw, got, again)
+		if got, err := DecodeRhoValue(raw, id); err == nil {
+			if again := EncodeRhoValue(got); string(again) != string(raw) || names(got.Near) {
+				t.Fatalf("DecodeRhoValue accepted %x for id %d as %+v, which encodes as %x", raw, id, got, again)
 			}
 		}
 		if certified, mask, err := ShipMask(raw); err == nil {

@@ -16,7 +16,7 @@ func ExampleEncodePoint() {
 	}
 	fmt.Printf("%d bytes on the wire; id=%d pos=%v\n", len(buf), back.ID, back.Pos)
 	// Output:
-	// 24 bytes on the wire; id=7 pos=(1.5,-2)
+	// 18 bytes on the wire; id=7 pos=(1.5,-2)
 }
 
 // d_c via the DP paper's percentile rule of thumb.

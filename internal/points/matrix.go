@@ -67,27 +67,27 @@ func (m *Matrix) grow(dim int) error {
 }
 
 // AppendPoint decodes one point record from the front of buf into a new
-// row and returns the unconsumed rest.
+// row and returns the unconsumed rest. It accepts what DecodePoint accepts.
 func (m *Matrix) AppendPoint(buf []byte) ([]byte, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("points: short point header: %d bytes", len(buf))
+	// The header is read here, not through DecodePointHeader: a reducer
+	// decodes one record per row, and a call per record shows at dim 2.
+	id, n := smallUvarint(buf)
+	dim, k := smallUvarint(buf[n:])
+	if n == 0 || k == 0 || id > math.MaxUint32 || dim > uint64(len(buf)-n-k)/8 {
+		_, _, _, err := DecodePointHeader(buf)
+		return nil, err
 	}
-	id := int32(binary.LittleEndian.Uint32(buf))
-	dim := int(binary.LittleEndian.Uint32(buf[4:]))
-	buf = buf[8:]
-	if len(buf) < 8*dim {
-		return nil, fmt.Errorf("points: short point body: want %d floats, have %d bytes", dim, len(buf))
-	}
-	if err := m.grow(dim); err != nil {
+	buf = buf[n+k:]
+	if err := m.grow(int(dim)); err != nil {
 		return nil, err
 	}
 	off := len(m.data)
 	m.data = append(m.data, make([]float64, dim)...)
 	row := m.data[off:]
-	for i := 0; i < dim; i++ {
+	for i := range row {
 		row[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
-	m.ids = append(m.ids, id)
+	m.ids = append(m.ids, int32(uint32(id)))
 	m.n++
 	return buf[8*dim:], nil
 }
