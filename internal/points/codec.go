@@ -87,8 +87,7 @@ func DecodePointHeader(buf []byte) (id int32, dim int, body []byte, err error) {
 }
 
 // smallUvarint reads a minimal uvarint of at most five bytes — a uint32's
-// longest — from the front of b; n is 0 when b holds none. It inlines, so
-// the matrix decode reads a record's header without a call per field.
+// longest — from the front of b; n is 0 when b holds none.
 func smallUvarint(b []byte) (v uint64, n int) {
 	for shift := uint(0); n < len(b) && shift <= 28; shift += 7 {
 		c := b[n]
