@@ -75,15 +75,41 @@ func DecodePoint(buf []byte) (Point, []byte, error) {
 // have written — a truncated or padded varint, an ID past a uint32 — and a
 // dim those bytes cannot hold, so a caller never allocates for more.
 func DecodePointHeader(buf []byte) (id int32, dim int, body []byte, err error) {
-	v, n := smallUvarint(buf)
-	d, k := smallUvarint(buf[n:])
-	if n == 0 || k == 0 || v > math.MaxUint32 {
+	v, d, n := pointHeader(buf)
+	if n == 0 || v > math.MaxUint32 {
 		return 0, 0, nil, fmt.Errorf("points: bad point header %x", buf[:min(len(buf), 10)])
 	}
-	if body = buf[n+k:]; d > uint64(len(body)/8) {
+	if body = buf[n:]; d > uint64(len(body)/8) {
 		return 0, 0, nil, fmt.Errorf("points: short point body: want %d floats, have %d bytes", d, len(body))
 	}
 	return int32(uint32(v)), int(d), body, nil
+}
+
+// pointHeader reads the two header varints of the point record at the
+// front of buf and returns them and their length n, 0 when they are not
+// minimal uvarints of at most five bytes each. Every decoder reads one
+// header per record, so the common headers — an ID of up to three bytes, a
+// one-byte dim — take one step each, both varints in one call; IDs arrive
+// in runs of one length, so the steps' tests predict well. A last varint
+// byte must lie in 1 … 127 (b-1 < 0x7f): 0 would pad it.
+func pointHeader(buf []byte) (id, dim uint64, n int) {
+	if len(buf) >= 4 {
+		b0, b1, b2, b3 := uint64(buf[0]), uint64(buf[1]), uint64(buf[2]), uint64(buf[3])
+		switch {
+		case b0 < 0x80 && b1 < 0x80:
+			return b0, b1, 2
+		case b0 >= 0x80 && b1-1 < 0x7f && b2 < 0x80:
+			return b0&0x7f | b1<<7, b2, 3
+		case b0 >= 0x80 && b1 >= 0x80 && b2-1 < 0x7f && b3 < 0x80:
+			return b0&0x7f | (b1&0x7f)<<7 | b2<<14, b3, 4
+		}
+	}
+	id, n = smallUvarint(buf)
+	dim, k := smallUvarint(buf[n:])
+	if n == 0 || k == 0 {
+		return 0, 0, 0
+	}
+	return id, dim, n + k
 }
 
 // smallUvarint reads a minimal uvarint of at most five bytes — a uint32's

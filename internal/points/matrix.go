@@ -69,30 +69,10 @@ func (m *Matrix) grow(dim int) error {
 // AppendPoint decodes one point record from the front of buf into a new
 // row and returns the unconsumed rest. It accepts what DecodePoint accepts.
 func (m *Matrix) AppendPoint(buf []byte) ([]byte, error) {
-	// The common headers — an ID of up to three bytes, a one-byte dim —
-	// are read here, a step each, not through a call: a reducer decodes a
-	// record per row, and IDs arrive in runs of one length, so the steps'
-	// tests predict well. A last varint byte must lie in 1 … 127 (b-1 <
-	// 0x7f): 0 would pad. DecodePointHeader reads every other header.
-	var id, dim uint64
-	n := 0
-	if len(buf) >= 4 {
-		b0, b1, b2, b3 := uint64(buf[0]), uint64(buf[1]), uint64(buf[2]), uint64(buf[3])
-		switch {
-		case b0 < 0x80 && b1 < 0x80:
-			id, dim, n = b0, b1, 2
-		case b0 >= 0x80 && b1-1 < 0x7f && b2 < 0x80:
-			id, dim, n = b0&0x7f|b1<<7, b2, 3
-		case b0 >= 0x80 && b1 >= 0x80 && b2-1 < 0x7f && b3 < 0x80:
-			id, dim, n = b0&0x7f|(b1&0x7f)<<7|b2<<14, b3, 4
-		}
-	}
-	if n == 0 || dim > uint64(len(buf)-n)/8 {
-		pid, pdim, body, err := DecodePointHeader(buf)
-		if err != nil {
-			return nil, err
-		}
-		id, dim, n = uint64(uint32(pid)), uint64(pdim), len(buf)-len(body)
+	id, dim, n := pointHeader(buf)
+	if n == 0 || id > math.MaxUint32 || dim > uint64(len(buf)-n)/8 {
+		_, _, _, err := DecodePointHeader(buf)
+		return nil, err
 	}
 	buf = buf[n:]
 	if err := m.grow(int(dim)); err != nil {
