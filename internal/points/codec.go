@@ -87,7 +87,7 @@ func DecodePointHeader(buf []byte) (id int32, dim int, body []byte, err error) {
 
 // pointHeader reads the two header varints of the point record at the
 // front of buf and returns them and their length n, 0 when they are not
-// minimal uvarints of at most five bytes each. Every decoder reads one
+// minimal uvarints; the caller checks their ranges. Every decoder reads one
 // header per record, so the common headers — an ID of up to three bytes, a
 // one-byte dim — take one step each, both varints in one call; IDs arrive
 // in runs of one length, so the steps' tests predict well. A last varint
@@ -104,29 +104,14 @@ func pointHeader(buf []byte) (id, dim uint64, n int) {
 			return b0&0x7f | (b1&0x7f)<<7 | b2<<14, b3, 4
 		}
 	}
-	id, n = smallUvarint(buf)
-	dim, k := smallUvarint(buf[n:])
-	if n == 0 || k == 0 {
+	id, rest, ok := minimalUvarint(buf)
+	if ok {
+		dim, rest, ok = minimalUvarint(rest)
+	}
+	if !ok {
 		return 0, 0, 0
 	}
-	return id, dim, n + k
-}
-
-// smallUvarint reads a minimal uvarint of at most five bytes — a uint32's
-// longest — from the front of b; n is 0 when b holds none.
-func smallUvarint(b []byte) (v uint64, n int) {
-	for shift := uint(0); n < len(b) && shift <= 28; shift += 7 {
-		c := b[n]
-		n++
-		v |= uint64(c&0x7f) << shift
-		if c < 0x80 {
-			if c == 0 && n > 1 {
-				break
-			}
-			return v, n
-		}
-	}
-	return 0, 0
+	return id, dim, len(buf) - len(rest)
 }
 
 // EncodeVectors serializes a vector list for a job's Conf (EDDPC's pivots,
@@ -283,12 +268,12 @@ func decodeNeighbors(buf []byte, n int, self int32) ([]Neighbor, []byte, error) 
 	}
 	ns := make([]Neighbor, 0, size)
 	for len(ns) != n && (n >= 0 || len(buf) > 0) {
-		id, k := smallUvarint(buf)
-		if k == 0 || id > math.MaxUint32 || len(buf)-k < 8 {
-			return nil, nil, fmt.Errorf("points: neighbour list of id %d: entry %d is truncated", self, len(ns))
+		id, rest, ok := minimalUvarint(buf)
+		if !ok || id > math.MaxUint32 || len(rest) < 8 {
+			return nil, nil, fmt.Errorf("points: neighbour list of id %d: entry %d is malformed", self, len(ns))
 		}
-		e := Neighbor{ID: int32(uint32(id)), D2: DecodeFloat64(buf[k:])}
-		buf = buf[k+8:]
+		e := Neighbor{ID: int32(uint32(id)), D2: DecodeFloat64(rest)}
+		buf = rest[8:]
 		if !(e.D2 >= 0 && e.D2 < math.Inf(1)) || math.Signbit(e.D2) || e.ID == self {
 			return nil, nil, fmt.Errorf("points: neighbour list of id %d: entry %d is (%d, %v)", self, len(ns), e.ID, e.D2)
 		}
