@@ -1,13 +1,17 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
@@ -67,6 +71,10 @@ const goldenHeader = `# One line per (pipeline, seed): a sha256 prefix of its ou
 # and ingest lines digest the exported model's answers to fixed queries, then
 # rows / certified / exact = rows scanned, one-bucket answers and exact
 # fallbacks, and delta_scanned = the delta rows an ingest store's reads scan.
+# The route lines digest a router's replies over the fleet partition (the
+# queries, the ingest acks, the queries again with the ingested points),
+# then shards_per_query / certified / broadcasts = fleet.shards.per.query,
+# fleet.certified and fleet.fallback.broadcasts.
 # Written by TestGolden (golden_test.go); accept a change with
 #   mv testdata/golden.got testdata/golden.txt
 `
@@ -253,13 +261,13 @@ func goldenLines(ctx context.Context, eng mapreduce.Engine, seed int64, dir stri
 		return nil, err
 	}
 	add("model", fmt.Sprintf("%s bytes=%d", new(digest).bytes(artifact), len(artifact)))
-	qs := goldenQueries(mdl, seed)
+	qs, batch := goldenQueries(mdl, seed), goldenBatch(mdl, seed)
 	line, err := serveLine(mdl, qs)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	add("serve", line)
-	if line, err = ingestLine(mdl, seed, qs, filepath.Join(dir, "ingest")); err != nil {
+	if line, err = ingestLine(mdl, qs, batch, filepath.Join(dir, "ingest")); err != nil {
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
 	add("ingest", line)
@@ -285,6 +293,11 @@ func goldenLines(ctx context.Context, eng mapreduce.Engine, seed int64, dir stri
 			d.bytes(b)
 		}
 		add(fmt.Sprintf("fleet%d", shards), fmt.Sprintf("%s overrides=%d", d, len(mf.Overrides)))
+		line, err := routeLine(mdl, subs, mf, qs, batch, filepath.Join(dir, fmt.Sprintf("route%d", shards)))
+		if err != nil {
+			return nil, fmt.Errorf("route%d: %w", shards, err)
+		}
+		add(fmt.Sprintf("route%d", shards), line)
 	}
 
 	basic, err := core.RunBasicDDP(ctx, ds, core.BasicConfig{Config: cfg})
@@ -377,16 +390,9 @@ func serveLine(mdl *model.Model, qs []points.Vector) (string, error) {
 	return line, nil
 }
 
-// ingestLine opens an ingest store over the exported model in dir, ingests
-// goldenIngest points near stored rows, and answers qs and the ingested
-// points, pruned and exact-only. The digest covers the acks and the
-// answers; delta_scanned counts the delta rows the reads scanned.
-func ingestLine(mdl *model.Model, seed int64, qs []points.Vector, dir string) (string, error) {
-	st, err := ingest.Open(ingest.Config{Dir: dir, Precision: "f64"}, func() (*model.Model, error) { return mdl, nil })
-	if err != nil {
-		return "", err
-	}
-	defer st.Close()
+// goldenBatch is the fixed ingest batch of the online lines: goldenIngest
+// points near stored rows.
+func goldenBatch(mdl *model.Model, seed int64) [][]float64 {
 	rng := points.NewRand(-seed)
 	batch := make([][]float64, goldenIngest)
 	for i := range batch {
@@ -395,8 +401,20 @@ func ingestLine(mdl *model.Model, seed int64, qs []points.Vector, dir string) (s
 			p[j] += rng.NormFloat64()
 		}
 		batch[i] = p
-		qs = append(qs, p)
 	}
+	return batch
+}
+
+// ingestLine opens an ingest store over the exported model in dir, ingests
+// batch, and answers qs and the ingested points, pruned and exact-only. The
+// digest covers the acks and the answers; delta_scanned counts the delta
+// rows the reads scanned.
+func ingestLine(mdl *model.Model, qs []points.Vector, batch [][]float64, dir string) (string, error) {
+	st, err := ingest.Open(ingest.Config{Dir: dir, Precision: "f64"}, func() (*model.Model, error) { return mdl, nil })
+	if err != nil {
+		return "", err
+	}
+	defer st.Close()
 	acks, err := st.IngestPoints(batch)
 	if err != nil {
 		return "", err
@@ -405,11 +423,110 @@ func ingestLine(mdl *model.Model, seed int64, qs []points.Vector, dir string) (s
 	for _, a := range acks {
 		d.i32s([]int32{a.ID}).answers([]serve.Assignment{a.Assignment}, []error{nil})
 	}
+	for _, p := range batch {
+		qs = append(qs, p)
+	}
 	for _, exact := range []bool{false, true} {
 		out, errs, _ := st.AssignBatch(qs, serve.BatchOpts{ExactOnly: exact})
 		d.answers(out, errs)
 	}
 	return fmt.Sprintf("%s delta_scanned=%d", d, st.Counters()[ingest.CtrDeltaScanned]), nil
+}
+
+// routeLine serves the fleet partition subs of mdl behind a router: one
+// ingest-enabled server per shard, with the ID layout OPERATIONS.md
+// prescribes (base N+shard, stride = shard count) and its WAL under dir.
+// It posts qs to the router's /assign, whose reply must equal a single
+// full-model server's byte for byte, then batch to /ingest, then qs and
+// batch to /assign again. The digest covers the three reply bodies;
+// shards_per_query / certified / broadcasts are the router's
+// fleet.shards.per.query, fleet.certified and fleet.fallback.broadcasts.
+func routeLine(mdl *model.Model, subs []*model.Model, mf *fleet.Manifest, qs []points.Vector, batch [][]float64, dir string) (string, error) {
+	ctx := context.Background()
+	addrs := make([][]string, len(subs))
+	for s, sub := range subs {
+		id := s
+		srv := serve.New(serve.Config{ShardID: &id})
+		st, err := ingest.Open(ingest.Config{
+			Dir:       filepath.Join(dir, fmt.Sprint(s)),
+			Precision: "f64",
+			IDBase:    int64(mdl.N() + s),
+			IDStride:  int64(len(subs)),
+			OnSwap:    srv.UseEngine,
+		}, func() (*model.Model, error) { return sub, nil })
+		if err != nil {
+			return "", err
+		}
+		defer st.Close()
+		srv.SetIngest(st)
+		srv.UseEngine(st.Engine())
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			return "", err
+		}
+		defer srv.Shutdown(ctx) //nolint:errcheck
+		addrs[s] = []string{srv.Addr()}
+	}
+	router, err := fleet.NewRouter(fleet.RouterConfig{Manifest: mf, Shards: addrs})
+	if err != nil {
+		return "", err
+	}
+	if err := router.Start("127.0.0.1:0"); err != nil {
+		return "", err
+	}
+	defer router.Shutdown(ctx) //nolint:errcheck
+	single := serve.New(serve.Config{})
+	if err := single.SetModel(mdl); err != nil {
+		return "", err
+	}
+	if err := single.Start("127.0.0.1:0"); err != nil {
+		return "", err
+	}
+	defer single.Shutdown(ctx) //nolint:errcheck
+
+	post := func(addr, path string, pts any) ([]byte, error) {
+		body, err := json.Marshal(map[string]any{"points": pts})
+		if err != nil {
+			return nil, err
+		}
+		resp, err := http.Post("http://"+addr+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		out, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("%s %s: HTTP %d %s", addr, path, resp.StatusCode, out)
+		}
+		return out, err
+	}
+	d := new(digest)
+	routed, err := post(router.Addr(), "/assign", qs)
+	if err != nil {
+		return "", err
+	}
+	want, err := post(single.Addr(), "/assign", qs)
+	if err != nil {
+		return "", err
+	}
+	if !bytes.Equal(routed, want) {
+		return "", fmt.Errorf("router /assign differs from a single server's:\n  %s\n  %s", routed, want)
+	}
+	d.bytes(routed)
+	acks, err := post(router.Addr(), "/ingest", batch)
+	if err != nil {
+		return "", err
+	}
+	d.bytes(acks)
+	for _, p := range batch {
+		qs = append(qs, p)
+	}
+	if routed, err = post(router.Addr(), "/assign", qs); err != nil {
+		return "", err
+	}
+	d.bytes(routed)
+	c := router.Counters()
+	return fmt.Sprintf("%s shards_per_query=%d certified=%d broadcasts=%d", d,
+		c.Get(fleet.CtrShardsPerQuery), c.Get(fleet.CtrCertified), c.Get(fleet.CtrFallbackBroadcasts)), nil
 }
 
 // goldenCluster boots a master and three workers on loopback.

@@ -281,3 +281,88 @@ func TestRouterCancelsShardCalls(t *testing.T) {
 		}
 	})
 }
+
+// stubShard is a stand-in replica whose /fleet/assign and /ingest run
+// handle, counting the calls.
+func stubShard(t *testing.T, handle http.HandlerFunc) (*httptest.Server, *atomic.Int64) {
+	var calls atomic.Int64
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {})
+	count := func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		handle(w, r)
+	}
+	mux.HandleFunc("POST /fleet/assign", count)
+	mux.HandleFunc("POST /ingest", count)
+	srv := httptest.NewServer(mux)
+	t.Cleanup(srv.Close)
+	return srv, &calls
+}
+
+// TestRouterShardFailures drives the shed and dead-shard paths of both
+// router endpoints through a one-replica shard. A shard that sheds makes
+// the router shed: 429, Retry-After 1, the shard's message, one count in
+// the endpoint's shed counter. A shard whose replica drops the connection
+// makes the router answer 502 naming the shard, count an error and a
+// replica death, and send exactly the one call: no retry and no hedge, with
+// hedging armed from the first request. (A client that hangs up marks no
+// replica dead: TestRouterCancelsShardCalls.)
+func TestRouterShardFailures(t *testing.T) {
+	const body = `{"points":[[1,2]]}`
+	addr := func(s *httptest.Server) string { return strings.TrimPrefix(s.URL, "http://") }
+	post := func(t *testing.T, router *fleet.Router, path string) (*http.Response, string) {
+		t.Helper()
+		resp, err := http.Post("http://"+router.Addr()+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp, string(msg)
+	}
+	for _, ep := range []struct {
+		path, shed, errs string
+		shedMsg          string // what a real shard says when it sheds
+	}{
+		{"/assign", fleet.CtrShed, fleet.CtrErrors, "overloaded: admission queue full"},
+		{"/ingest", fleet.CtrIngestShed, fleet.CtrIngestErrors, serve.ErrDeltaFull.Error()},
+	} {
+		t.Run("shed "+ep.path, func(t *testing.T) {
+			shard, calls := stubShard(t, func(w http.ResponseWriter, _ *http.Request) {
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, ep.shedMsg, http.StatusTooManyRequests)
+			})
+			router := startStubRouter(t, addr(shard))
+			resp, msg := post(t, router, ep.path)
+			if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" || !strings.Contains(msg, ep.shedMsg) {
+				t.Fatalf("HTTP %d Retry-After %q %q, want 429 Retry-After 1 %q", resp.StatusCode, resp.Header.Get("Retry-After"), msg, ep.shedMsg)
+			}
+			c := router.Counters()
+			if c.Get(ep.shed) != 1 || c.Get(ep.errs) != 0 || c.Get(fleet.CtrReplicaDeaths) != 0 || calls.Load() != 1 {
+				t.Fatalf("%s = %d, %s = %d, %s = %d, shard calls %d; want 1, 0, 0, 1", ep.shed, c.Get(ep.shed),
+					ep.errs, c.Get(ep.errs), fleet.CtrReplicaDeaths, c.Get(fleet.CtrReplicaDeaths), calls.Load())
+			}
+		})
+		t.Run("dead shard "+ep.path, func(t *testing.T) {
+			fleet.SetHedgeMinSamples(t, 0)
+			shard, calls := stubShard(t, func(w http.ResponseWriter, _ *http.Request) {
+				conn, _, err := http.NewResponseController(w).Hijack()
+				if err == nil {
+					conn.Close()
+				}
+			})
+			router := startStubRouter(t, addr(shard))
+			resp, msg := post(t, router, ep.path)
+			if resp.StatusCode != http.StatusBadGateway || !strings.Contains(msg, "shard 0") {
+				t.Fatalf("HTTP %d %q, want 502 naming shard 0", resp.StatusCode, msg)
+			}
+			c := router.Counters()
+			if c.Get(ep.errs) != 1 || c.Get(fleet.CtrReplicaDeaths) != 1 || calls.Load() != 1 ||
+				c.Get(fleet.CtrRetries) != 0 || c.Get(fleet.CtrHedges) != 0 {
+				t.Fatalf("%s = %d, %s = %d, shard calls %d, %s = %d, %s = %d; want 1, 1, 1, 0, 0", ep.errs, c.Get(ep.errs),
+					fleet.CtrReplicaDeaths, c.Get(fleet.CtrReplicaDeaths), calls.Load(),
+					fleet.CtrRetries, c.Get(fleet.CtrRetries), fleet.CtrHedges, c.Get(fleet.CtrHedges))
+			}
+		})
+	}
+}
