@@ -320,36 +320,38 @@ func (r *Router) markFailed(sc *shardClient, rep *replica) {
 	}
 }
 
-// callResult is one replica's answer to a shard call.
-type callResult struct {
+// callResult is one replica's answer to a shard call: its per-point
+// results, or the failure's status and message, or a transport error.
+type callResult[R any] struct {
 	attempt int
-	resp    *serve.FleetAssignResponse
+	results []R
 	status  int
 	errMsg  string
 	err     error
 }
 
-// callShard round-trips one /fleet/assign body to shard sc: round-robin
-// over alive replicas, one hedged duplicate after the p99-based delay, and
-// failover to the remaining replicas when an attempt fails. Returns the
-// parsed reply, or the last failure's (status, message). Every attempt runs
-// under ctx, and the ones still in flight when callShard returns — a hedge
-// loser — are cancelled. An attempt that failed because ctx ended (the
-// client went away, or callShard itself cancelled it) says nothing about
-// its replica: it marks nothing dead and is not retried.
-func (r *Router) callShard(ctx context.Context, sc *shardClient, body []byte) (*serve.FleetAssignResponse, int, string) {
+// callShard round-trips one body to path on shard sc: round-robin over
+// alive replicas, one hedged duplicate after the p99-based delay, and
+// failover to the remaining replicas when an attempt fails — a shard with
+// one replica gets exactly one attempt. Returns the reply's per-point
+// results, or the last failure's (status, message), a shed preferred. Every
+// attempt runs under ctx, and the ones still in flight when callShard
+// returns — a hedge loser — are cancelled. An attempt that failed because
+// ctx ended (the client went away, or callShard itself cancelled it) says
+// nothing about its replica: it marks nothing dead and is not retried.
+func callShard[R any](ctx context.Context, r *Router, sc *shardClient, path string, body []byte) ([]R, int, string) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	start := time.Now()
 	reps := sc.alivePick()
-	results := make(chan callResult, len(reps))
+	results := make(chan callResult[R], len(reps))
 	attempt := 0
 	send := func() {
 		rep := reps[attempt]
 		idx := attempt
 		attempt++
 		go func() {
-			res := r.post(ctx, rep, body)
+			res := post[R](ctx, r, rep, path, body)
 			res.attempt = idx
 			switch {
 			case res.err == nil:
@@ -370,7 +372,7 @@ func (r *Router) callShard(ctx context.Context, sc *shardClient, body []byte) (*
 	}
 	pending := 1
 	lastStatus, lastMsg := http.StatusBadGateway, "no replica reachable"
-	sawShed := false
+	sawShed, shedMsg := false, ""
 	for pending > 0 {
 		select {
 		case <-hedgeC:
@@ -391,14 +393,14 @@ func (r *Router) callShard(ctx context.Context, sc *shardClient, body []byte) (*
 					r.counters.Add(CtrHedgeWins, 1)
 				}
 				sc.hist.Record(time.Since(start))
-				return res.resp, http.StatusOK, ""
+				return res.results, http.StatusOK, ""
 			}
 			if res.err != nil {
 				lastStatus, lastMsg = http.StatusBadGateway, fmt.Sprintf("shard %d replica unreachable: %v", sc.id, res.err)
 			} else {
 				lastStatus, lastMsg = res.status, res.errMsg
 				if res.status == http.StatusTooManyRequests {
-					sawShed = true
+					sawShed, shedMsg = true, res.errMsg
 				}
 			}
 			// Failover: try the next untried replica as soon as an attempt
@@ -413,7 +415,7 @@ func (r *Router) callShard(ctx context.Context, sc *shardClient, body []byte) (*
 	if sawShed {
 		// Prefer reporting shed over a transport error: the caller can
 		// retry after backoff, which is the more actionable signal.
-		return nil, http.StatusTooManyRequests, "overloaded: admission queue full"
+		return nil, http.StatusTooManyRequests, shedMsg
 	}
 	return nil, lastStatus, lastMsg
 }
@@ -435,27 +437,29 @@ func hedgeDelay(sc *shardClient) time.Duration {
 	return d
 }
 
-// post issues one /fleet/assign attempt against one replica under ctx.
-func (r *Router) post(ctx context.Context, rep *replica, body []byte) callResult {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+rep.addr+"/fleet/assign", bytes.NewReader(body))
+// post issues one attempt of a shard call against one replica under ctx.
+func post[R any](ctx context.Context, r *Router, rep *replica, path string, body []byte) callResult[R] {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+rep.addr+path, bytes.NewReader(body))
 	if err != nil {
-		return callResult{err: err}
+		return callResult[R]{err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return callResult{err: err}
+		return callResult[R]{err: err}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return callResult{status: resp.StatusCode, errMsg: string(bytes.TrimRight(msg, "\n"))}
+		return callResult[R]{status: resp.StatusCode, errMsg: string(bytes.TrimRight(msg, "\n"))}
 	}
-	var out serve.FleetAssignResponse
+	var out struct {
+		Results []R `json:"results"`
+	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return callResult{err: fmt.Errorf("bad shard reply: %w", err)}
+		return callResult[R]{err: fmt.Errorf("bad shard reply: %w", err)}
 	}
-	return callResult{resp: &out, status: http.StatusOK}
+	return callResult[R]{results: out.Results, status: http.StatusOK}
 }
 
 // fetchStatsz GETs one replica's /statsz.
@@ -507,47 +511,52 @@ func (r *Router) handleAssign(w http.ResponseWriter, req *http.Request) {
 	r.counters.Add(CtrRequests, 1)
 	r.counters.Add(CtrPoints, int64(len(body.Points)))
 	if status != 0 {
-		if req.Context().Err() != nil {
-			return // the client went away; nobody reads an answer
-		}
-		switch {
-		case status == http.StatusTooManyRequests:
-			r.counters.Add(CtrShed, 1)
-			w.Header().Set("Retry-After", "1")
-		case status >= 500:
-			r.counters.Add(CtrErrors, 1)
-		}
-		http.Error(w, msg, status)
+		r.fail(w, req, status, msg, CtrShed, CtrErrors)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(assignResponse{Results: out}) //nolint:errcheck
 }
 
-// shardBatch is the slice of a request routed to one shard.
-type shardBatch struct {
-	shard  *shardClient
-	idxs   []int // indices into the request's query list
-	pts    [][]float64
-	masks  []uint64
-	bounds []float64
-	exact  bool
-
-	resp   *serve.FleetAssignResponse
-	status int
-	msg    string
+// fail answers a request the router could not serve: a shed (429) gets
+// Retry-After and counts in shed, a 5xx counts in errs. A client that went
+// away gets nothing — nobody reads the answer — and counts in neither.
+func (r *Router) fail(w http.ResponseWriter, req *http.Request, status int, msg, shed, errs string) {
+	if req.Context().Err() != nil {
+		return
+	}
+	switch {
+	case status == http.StatusTooManyRequests:
+		r.counters.Add(shed, 1)
+		w.Header().Set("Retry-After", "1")
+	case status >= 500:
+		r.counters.Add(errs, 1)
+	}
+	http.Error(w, msg, status)
 }
 
-// add appends query i to the batch of shard s, creating it on first use.
-func (r *Router) add(batches map[int]*shardBatch, s, i int, p []float64, mask uint64) *shardBatch {
+// shardBatch is the slice of a request routed to one shard: the body it
+// posts, and the shard's per-point results — serve.FleetResult from
+// /fleet/assign, serve.IngestResult from /ingest — or its failure.
+type shardBatch[R any] struct {
+	shard *shardClient
+	idxs  []int // indices into the request's point list
+	req   serve.FleetAssignRequest
+
+	results []R
+	status  int
+	msg     string
+}
+
+// add appends point i to the batch of shard s, creating it on first use.
+func add[R any](r *Router, batches []*shardBatch[R], s, i int, p []float64) *shardBatch[R] {
 	b := batches[s]
 	if b == nil {
-		b = &shardBatch{shard: r.shards[s]}
+		b = &shardBatch[R]{shard: r.shards[s]}
 		batches[s] = b
 	}
 	b.idxs = append(b.idxs, i)
-	b.pts = append(b.pts, p)
-	b.masks = append(b.masks, mask)
+	b.req.Points = append(b.req.Points, p)
 	return b
 }
 
@@ -574,7 +583,7 @@ func (r *Router) assign(ctx context.Context, pts [][]float64) ([]serve.Assignmen
 	nq, ns := len(pts), len(r.shards)
 	masks := make([]uint64, nq*ns)
 	first := make([]int, nq)
-	round1 := make(map[int]*shardBatch)
+	round1 := make([]*shardBatch[serve.FleetResult], ns)
 	var kb lsh.KeyBuf
 	for i, p := range pts {
 		r.layouts.Hash(&kb, points.Vector(p))
@@ -584,10 +593,11 @@ func (r *Router) assign(ctx context.Context, pts [][]float64) ([]serve.Assignmen
 		}
 		_, c := r.layouts.GuaranteeRadius(&kb)
 		first[i] = r.place.Owner(string(kb.Key(c)))
-		r.add(round1, first[i], i, p, m[first[i]])
+		b := add(r, round1, first[i], i, p)
+		b.req.Masks = append(b.req.Masks, m[first[i]])
 	}
 	r.counters.Add(CtrShardsPerQuery, int64(nq))
-	if status, msg := r.scatter(ctx, round1); status != 0 {
+	if status, msg := scatter(ctx, r, "/fleet/assign", round1); status != 0 {
 		return nil, status, msg
 	}
 
@@ -599,10 +609,13 @@ func (r *Router) assign(ctx context.Context, pts [][]float64) ([]serve.Assignmen
 		res  serve.FleetResult
 	}
 	bests := make([]best, nq)
-	merge := func(batches map[int]*shardBatch) {
+	merge := func(batches []*shardBatch[serve.FleetResult]) {
 		for _, b := range batches {
+			if b == nil {
+				continue
+			}
 			for k, i := range b.idxs {
-				fr := b.resp.Results[k]
+				fr := b.results[k]
 				if fr.NoCand || fr.NoFinite {
 					continue
 				}
@@ -614,7 +627,7 @@ func (r *Router) assign(ctx context.Context, pts [][]float64) ([]serve.Assignmen
 	}
 	merge(round1)
 
-	round2 := make(map[int]*shardBatch)
+	round2 := make([]*shardBatch[serve.FleetResult], ns)
 	var certified, asked int64
 	for i, p := range pts {
 		if bests[i].res.Certified {
@@ -629,15 +642,16 @@ func (r *Router) assign(ctx context.Context, pts [][]float64) ([]serve.Assignmen
 		}
 		for s, mask := range masks[i*ns:][:ns] {
 			if mask != 0 && s != first[i] {
-				b := r.add(round2, s, i, p, mask)
-				b.bounds = append(b.bounds, bound)
+				b := add(r, round2, s, i, p)
+				b.req.Masks = append(b.req.Masks, mask)
+				b.req.Bounds = append(b.req.Bounds, bound)
 				asked++
 			}
 		}
 	}
 	r.counters.Add(CtrCertified, certified)
 	r.counters.Add(CtrShardsPerQuery, asked)
-	if status, msg := r.scatter(ctx, round2); status != 0 {
+	if status, msg := scatter(ctx, r, "/fleet/assign", round2); status != 0 {
 		return nil, status, msg
 	}
 	merge(round2)
@@ -656,15 +670,14 @@ func (r *Router) assign(ctx context.Context, pts [][]float64) ([]serve.Assignmen
 	}
 	if len(fbIdxs) > 0 {
 		r.counters.Add(CtrFallbackBroadcasts, 1)
-		fb := make(map[int]*shardBatch)
-		for s, sc := range r.shards {
-			b := &shardBatch{shard: sc, exact: true, idxs: fbIdxs}
+		fb := make([]*shardBatch[serve.FleetResult], ns)
+		for s := range fb {
 			for _, i := range fbIdxs {
-				b.pts = append(b.pts, pts[i])
+				add(r, fb, s, i, pts[i])
 			}
-			fb[s] = b
+			fb[s].req.Exact = true
 		}
-		if status, msg := r.scatter(ctx, fb); status != 0 {
+		if status, msg := scatter(ctx, r, "/fleet/assign", fb); status != 0 {
 			return nil, status, msg
 		}
 		merge(fb)
@@ -692,35 +705,37 @@ func less(a, b serve.FleetResult) bool {
 	return a.Nearest < b.Nearest
 }
 
-// scatter round-trips every shard batch concurrently, filling resp/status.
-// Returns the first failure in shard order (deterministic under tests).
-func (r *Router) scatter(ctx context.Context, batches map[int]*shardBatch) (int, string) {
+// scatter posts every shard's batch to path concurrently under ctx,
+// filling in its results or failure. Returns the first failure in shard
+// order (deterministic under tests), or 0 when every shard answered one
+// result per point.
+func scatter[R any](ctx context.Context, r *Router, path string, batches []*shardBatch[R]) (int, string) {
 	var wg sync.WaitGroup
 	for _, b := range batches {
+		if b == nil {
+			continue
+		}
 		wg.Add(1)
-		go func(b *shardBatch) {
+		go func() {
 			defer wg.Done()
-			body, err := json.Marshal(serve.FleetAssignRequest{Points: b.pts, Masks: b.masks, Bounds: b.bounds, Exact: b.exact})
+			body, err := json.Marshal(b.req)
 			if err != nil {
 				b.status, b.msg = http.StatusInternalServerError, err.Error()
 				return
 			}
-			b.resp, b.status, b.msg = r.callShard(ctx, b.shard, body)
-		}(b)
+			b.results, b.status, b.msg = callShard[R](ctx, r, b.shard, path, body)
+		}()
 	}
 	wg.Wait()
-	ids := make([]int, 0, len(batches))
-	for s := range batches {
-		ids = append(ids, s)
-	}
-	sort.Ints(ids)
-	for _, s := range ids {
-		b := batches[s]
+	for s, b := range batches {
+		if b == nil {
+			continue
+		}
 		if b.status != http.StatusOK {
 			return b.status, b.msg
 		}
-		if len(b.resp.Results) != len(b.idxs) {
-			return http.StatusBadGateway, fmt.Sprintf("shard %d answered %d results for %d queries", s, len(b.resp.Results), len(b.idxs))
+		if len(b.results) != len(b.idxs) {
+			return http.StatusBadGateway, fmt.Sprintf("shard %d acked %d results for %d points", s, len(b.results), len(b.idxs))
 		}
 	}
 	return 0, ""
