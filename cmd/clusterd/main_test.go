@@ -1,0 +1,70 @@
+package main
+
+import (
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"os/exec"
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+)
+
+// TestMain runs the command itself when the test binary is started as
+// clusterd by a test, and the tests otherwise.
+func TestMain(m *testing.M) {
+	if os.Getenv("CLUSTERD_TEST_AS_COMMAND") == "1" {
+		os.Args = append([]string{"clusterd"}, os.Args[1:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+func TestParseShards(t *testing.T) {
+	cases := []struct {
+		list string
+		want [][]string
+		err  bool
+	}{
+		{"h0", [][]string{{"h0"}}, false},
+		{"h0|h0b,h1", [][]string{{"h0", "h0b"}, {"h1"}}, false},
+		{" h0 | h0b , h1 ", [][]string{{"h0", "h0b"}, {"h1"}}, false},
+		{"h0|,h1", [][]string{{"h0"}, {"h1"}}, false},
+		{"|h0||h0b,h1|", [][]string{{"h0", "h0b"}, {"h1"}}, false},
+		{"h0,,h1", nil, true},
+		{"h0,h1,", nil, true},
+		{"h0, | ,h1", nil, true},
+		{"", nil, true},
+	}
+	for _, c := range cases {
+		got, err := parseShards(c.list)
+		if (err != nil) != c.err || !reflect.DeepEqual(got, c.want) {
+			t.Errorf("parseShards(%q) = %q, %v; want %q, error %v", c.list, got, err, c.want, c.err)
+		}
+	}
+}
+
+// TestRolloverChecksShardsFirst: a -shards list with a shard of no
+// replicas fails before rollover compacts anything, even where the entries
+// before it are valid.
+func TestRolloverChecksShardsFirst(t *testing.T) {
+	var compacts atomic.Int64
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/compact" {
+			compacts.Add(1)
+		}
+	}))
+	defer shard.Close()
+	addr := strings.TrimPrefix(shard.URL, "http://")
+	cmd := exec.Command(os.Args[0], "rollover", "-shards", addr+",,"+addr)
+	cmd.Env = append(os.Environ(), "CLUSTERD_TEST_AS_COMMAND=1")
+	out, err := cmd.CombinedOutput()
+	if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != 1 || !strings.Contains(string(out), "shard 1 has no replicas") {
+		t.Fatalf("clusterd rollover: %v %q, want exit 1 naming shard 1", err, out)
+	}
+	if n := compacts.Load(); n != 0 {
+		t.Fatalf("rollover sent %d /compact requests before refusing the list", n)
+	}
+}

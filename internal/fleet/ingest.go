@@ -16,7 +16,7 @@ import (
 // asks — so a query at the point is answered by that shard, which sees it
 // before any compaction, and a query near it probes that shard with high
 // probability. The shard stores it in its delta segment and the next
-// fleetctl rollover (or its own periodic compactor) bakes it into the
+// clusterd rollover (or its own periodic compactor) bakes it into the
 // shard's base artifact.
 //
 // A batch that reaches a shard with more than one replica is refused with

@@ -10,8 +10,8 @@ import (
 
 // Manifest describes one partitioned fleet: everything a router needs to
 // route queries — and verify shards — without loading any sub-model. The
-// partitioner writes it as fleet.json next to the shard artifacts; routerd
-// loads it at startup. LSH layouts and the consistent-hash ring are both
+// partitioner writes it as fleet.json next to the shard artifacts; clusterd
+// route loads it at startup. LSH layouts and the consistent-hash ring are both
 // regenerated deterministically from these parameters, so partitioner and
 // router agree on bucket ownership by construction.
 type Manifest struct {
@@ -90,7 +90,7 @@ func (mf *Manifest) Validate() error {
 		return fmt.Errorf("fleet: manifest %w", err)
 	}
 	if mf.KeyFormat != KeyFormat {
-		return fmt.Errorf("fleet: manifest key_format %q, this build routes by %q: the fleet was partitioned by a build with different LSH keys; re-run `fleetctl partition` on the full model and restart the shards from its output",
+		return fmt.Errorf("fleet: manifest key_format %q, this build routes by %q: the fleet was partitioned by a build with different LSH keys; re-run `clusterd partition` (formerly `fleetctl partition`) on the full model and restart the shards from its output",
 			mf.KeyFormat, KeyFormat)
 	}
 	_, err := mf.overridesByKey()

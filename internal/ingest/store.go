@@ -40,7 +40,7 @@ const (
 	ConfIDStride = "ingest.id.stride"
 	// ConfCompactInterval is the background compaction period (clusterd
 	// -compact-interval; 0 disables the loop, leaving POST /compact and
-	// fleetctl rollover as the only triggers).
+	// clusterd rollover as the only triggers).
 	ConfCompactInterval = "ingest.compact.interval"
 )
 

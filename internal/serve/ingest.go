@@ -119,7 +119,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCompact forces a compaction and replies with the post-compaction
-// IngestInfo. fleetctl rollover drives fleets forward with this,
+// IngestInfo. clusterd rollover drives fleets forward with this,
 // shard-by-shard.
 func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 	b := s.ingest
