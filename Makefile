@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short vet doccheck race fuzz-smoke bench bench-hot bench-scan bench-scan-smoke bench-harness-smoke experiments examples clean
+.PHONY: all check fmt build test test-short vet doccheck race fuzz-smoke bench bench-hot bench-scan bench-scan-smoke bench-harness-smoke experiments examples clean
 
 all: check
 
-# The full gate: compile everything, vet, enforce the docs (package
+# The full gate: gofmt, compile everything, vet, enforce the docs (package
 # comments, the README knob reference in both directions, no recipe naming a
 # deleted target, binary or flag), run the test suite, re-run the concurrency-heavy packages under
 # the race detector, fuzz the LSH key codec, the box-tree top-k scan, the
@@ -23,7 +23,11 @@ all: check
 # served-query micro-benchmarks, compile + smoke the benchmark harness
 # (all five workloads, oracles checked), and run the six example programs,
 # which drive every pipeline end to end on both engines.
-check: build vet doccheck test race fuzz-smoke bench-scan-smoke bench-harness-smoke examples
+check: fmt build vet doccheck test race fuzz-smoke bench-scan-smoke bench-harness-smoke examples
+
+# Fail when gofmt would rewrite any Go file, listing them.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 build:
 	$(GO) build ./...
