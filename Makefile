@@ -21,8 +21,8 @@ all: check
 # reader and a fleet shard's /fleet/assign body for five seconds each, smoke
 # the pair kernels, the compact scan kernels and the key / index-build /
 # served-query micro-benchmarks, compile + smoke the benchmark harness
-# (all five workloads, oracles checked), and run the six example programs,
-# which drive every pipeline end to end on both engines.
+# (all five workloads, oracles checked), and run the example program on
+# both engines.
 check: fmt build vet doccheck test race fuzz-smoke bench-scan-smoke bench-harness-smoke examples
 
 # Fail when gofmt would rewrite any Go file, listing them.
@@ -218,15 +218,12 @@ bench-harness-smoke:
 experiments:
 	$(GO) run ./cmd/dpbench -exp all
 
-# Every example program, run to completion (≈ 6 s); an error in any
-# pipeline it drives fails the target.
+# The example program on the local engine, then on an in-process 3-worker
+# rpcmr cluster, each run to completion (≈ 1 s); an error or a trace that
+# disagrees with the shuffle counter fails the target.
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/compare
-	$(GO) run ./examples/halo
-	$(GO) run ./examples/decisiongraph
-	$(GO) run ./examples/accuracy
-	$(GO) run ./examples/distributed
+	$(GO) run ./examples/quickstart -distributed
 
 clean:
 	$(GO) clean ./...

@@ -102,6 +102,10 @@ func runCluster() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *k < 0 {
+		fmt.Fprintln(os.Stderr, "ddp: -k must not be negative (0 = box flags or auto-suggest)")
+		os.Exit(2)
+	}
 
 	ds := readCSV(*input, "input", *labeled)
 	engine, cleanup := buildEngine(*masterListen, *minWorkers, *workerWait, *monitor, *verbose)

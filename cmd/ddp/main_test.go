@@ -109,3 +109,34 @@ func TestUnknownSubcommand(t *testing.T) {
 		t.Fatalf("ddp nosuch exited %d, want 2", code)
 	}
 }
+
+// TestNegativeFlagsRefused: 0 asks for a default, and a negative value
+// fails the run instead of quietly running the defaults.
+func TestNegativeFlagsRefused(t *testing.T) {
+	dir := t.TempDir()
+	agg, pts := filepath.Join(dir, "agg.csv"), filepath.Join(dir, "pts.csv")
+	if _, code := runDDP(t, "gen", "-dataset", "Aggregation", "-o", agg); code != 0 {
+		t.Fatalf("gen exited %d", code)
+	}
+	if _, code := runDDP(t, "gen", "-dataset", "S2", "-split", "100:400", "-o", pts); code != 0 {
+		t.Fatalf("gen -split exited %d", code)
+	}
+	cluster := []string{"-input", agg, "-labeled", "-out", filepath.Join(dir, "labels.csv")}
+	knn := []string{"knn", "-r", filepath.Join(dir, "pts-R.csv"), "-s", filepath.Join(dir, "pts-S.csv"), "-labeled", "-k", "3", "-out", filepath.Join(dir, "knn.csv")}
+	for _, args := range [][]string{
+		append(cluster, "-accuracy", "-0.5"),
+		append(cluster, "-m", "-2"),
+		append(cluster, "-pi", "-1"),
+		append(cluster, "-dc", "-1"),
+		append(cluster, "-k", "-3"),
+		append(cluster, "-algo", "basic", "-block", "-5"),
+		append(knn, "-m", "-3"),
+		append(knn, "-pi", "-2"),
+		append(knn, "-accuracy", "-1"),
+		append(knn, "-w", "-5"),
+	} {
+		if _, code := runDDP(t, args...); code == 0 {
+			t.Errorf("ddp %s exited 0", strings.Join(args[len(args)-2:], " "))
+		}
+	}
+}

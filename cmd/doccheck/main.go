@@ -24,12 +24,12 @@
 //     counter nothing emits, or
 //   - README.md, DESIGN.md, EXPERIMENTS.md or OPERATIONS.md mention, inside
 //     backticks, a `make <target>` the Makefile does not define, a
-//     `cmd/<name>` directory that does not exist, a `-flag` on a command
-//     line — `<name> [subcommand] -flag …` or `go run ./cmd/<name> … -flag`
-//     — that the command (a subcommand: the flag.NewFlagSet named after it)
-//     does not define, or, for a command that dispatches on os.Args[1], a
-//     first argument on such a line that is neither a flag nor one of its
-//     subcommands, or
+//     `cmd/<name>` or `examples/<name>` directory that does not exist, a
+//     `-flag` on a command line — `<name> [subcommand] -flag …` or `go run
+//     ./cmd/<name> … -flag` (`./examples/<name>` alike) — that the command
+//     (a subcommand: the flag.NewFlagSet named after it) does not define,
+//     or, for a command that dispatches on os.Args[1], a first argument on
+//     such a line that is neither a flag nor one of its subcommands, or
 //   - those four or bench/README.md cite a test, fuzz target or benchmark
 //     name as a whole backticked span (`Name/subtest` cites Name) that no
 //     _test.go file declares.
@@ -101,7 +101,7 @@ func main() {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: OPERATIONS.md documents counter %s, which no code emits\n", name)
 	}
-	targets, cmds, subs, err := definedRefs("Makefile", "cmd")
+	targets, cmds, subs, err := definedRefs("Makefile", "cmd", "examples")
 	fatal(err)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md"} {
 		for _, ref := range staleRefs(readDoc(doc), targets, cmds, subs) {
@@ -247,21 +247,22 @@ func unreadKnobs(keys, literals []string) []string {
 var (
 	makeTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	makeRef    = regexp.MustCompile(`\bmake ([a-z][a-z0-9-]*)`)
-	cmdRef     = regexp.MustCompile(`\bcmd/([a-z][a-z0-9]*)`)
+	cmdRef     = regexp.MustCompile(`\b(cmd|examples)/([a-z][a-z0-9]*)`)
 	testRef    = regexp.MustCompile(`^((?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*)(?:/\S*)?$`)
-	// goRun is a `go run ./cmd/<name> …` line; cmdLine a line that starts
-	// with a word and whitespace — `<name> [subcommand] -flag …` when the
-	// word names a command. A shell pipe, list, redirect or comment ends the
-	// command's arguments.
-	goRun    = regexp.MustCompile(`\bgo run \./cmd/([a-z][a-z0-9]*)(\s[^|;&#<>]*)?`)
+	// goRun is a `go run ./cmd/<name> …` or `go run ./examples/<name> …`
+	// line; cmdLine a line that starts with a word and whitespace —
+	// `<name> [subcommand] -flag …` when the word names a command. A shell
+	// pipe, list, redirect or comment ends the command's arguments.
+	goRun    = regexp.MustCompile(`\bgo run \./(cmd|examples)/([a-z][a-z0-9]*)(\s[^|;&#<>]*)?`)
 	cmdLine  = regexp.MustCompile(`^\s*([a-z][a-z0-9]*)(\s[^|;&#<>]*)`)
 	flagWord = regexp.MustCompile(`(?:^|\s)--?([a-zA-Z][a-zA-Z0-9-]*)`)
 )
 
-// definedRefs returns the targets the Makefile defines and, per command
-// directory under cmdDir, the subcommands its non-test sources dispatch on
-// and the flags they define, keyed "<name>" bare and "<name> <sub>".
-func definedRefs(makefile, cmdDir string) (targets map[string]bool, cmds, subs map[string]map[string]bool, err error) {
+// definedRefs returns the targets the Makefile defines and, per program
+// directory under each of dirs, the subcommands its non-test sources
+// dispatch on and the flags they define, keyed by refKey, with " <sub>"
+// appended for a subcommand.
+func definedRefs(makefile string, dirs ...string) (targets map[string]bool, cmds, subs map[string]map[string]bool, err error) {
 	data, err := os.ReadFile(makefile)
 	if err != nil {
 		return nil, nil, nil, err
@@ -270,44 +271,63 @@ func definedRefs(makefile, cmdDir string) (targets map[string]bool, cmds, subs m
 	for _, m := range makeTarget.FindAllStringSubmatch(string(data), -1) {
 		targets[m[1]] = true
 	}
-	entries, err := os.ReadDir(cmdDir)
-	if err != nil {
-		return nil, nil, nil, err
-	}
 	cmds, subs = make(map[string]map[string]bool), make(map[string]map[string]bool)
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		files, err := filepath.Glob(filepath.Join(cmdDir, e.Name(), "*.go"))
+	for _, dir := range dirs {
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		sets := map[string]map[string]bool{"": {}}
-		words := map[string]bool{}
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
+		for _, e := range entries {
+			if e.IsDir() {
+				if err := programRefs(filepath.Join(dir, e.Name()), refKey(dir, e.Name()), cmds, subs); err != nil {
+					return nil, nil, nil, err
+				}
 			}
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			flagNames(f, sets)
-			subcommands(f, words)
-		}
-		for set, flags := range sets {
-			if !words[set] && set != "" {
-				return nil, nil, nil, fmt.Errorf("cmd/%s: flag set %q is no subcommand it dispatches on", e.Name(), set)
-			}
-			flags["h"], flags["help"] = true, true // the flag package's own
-			cmds[strings.TrimSpace(e.Name()+" "+set)] = flags
-		}
-		if len(words) > 0 {
-			subs[e.Name()] = words
 		}
 	}
 	return targets, cmds, subs, nil
+}
+
+// refKey is how the docs name a program: a command by its bare name (it is
+// on the PATH), an example by its directory, "examples/<name>".
+func refKey(dir, name string) string {
+	if dir == "cmd" {
+		return name
+	}
+	return dir + "/" + name
+}
+
+// programRefs adds the flags and subcommands of the program in dir to cmds
+// and subs under key.
+func programRefs(dir, key string, cmds, subs map[string]map[string]bool) error {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return err
+	}
+	sets := map[string]map[string]bool{"": {}}
+	words := map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		flagNames(f, sets)
+		subcommands(f, words)
+	}
+	for set, flags := range sets {
+		if !words[set] && set != "" {
+			return fmt.Errorf("%s: flag set %q is no subcommand it dispatches on", dir, set)
+		}
+		flags["h"], flags["help"] = true, true // the flag package's own
+		cmds[strings.TrimSpace(key+" "+set)] = flags
+	}
+	if len(words) > 0 {
+		subs[key] = words
+	}
+	return nil
 }
 
 // subcommands adds to subs every string literal f compares os.Args[1] with:
@@ -395,11 +415,12 @@ func stringLit(e ast.Expr) (string, bool) {
 	return s, err == nil
 }
 
-// staleRefs returns every `make <target>` and `cmd/<name>` that doc mentions
-// inside backticks (inline code or a fenced block — prose is skipped, so
-// "make sure" is not a target) but that targets / cmds do not hold, and
-// every `-flag` of a command line there that its command does not define: a
-// line `go run ./cmd/<name> … -flag`, or a line that starts with a command's
+// staleRefs returns every `make <target>`, `cmd/<name>` and
+// `examples/<name>` that doc mentions inside backticks (inline code or a
+// fenced block — prose is skipped, so "make sure" is not a target) but that
+// targets / cmds do not hold, and every `-flag` of a command line there that
+// its program does not define: a line `go run ./cmd/<name> … -flag` or `go
+// run ./examples/<name> … -flag`, or a line that starts with a command's
 // name and whitespace, `<name> [subcommand] -flag …` (so a job name such as
 // `ddp-dc-sample` is no command line). On the line of a command with
 // subcommands (subs), a first argument that is no flag must be one of them,
@@ -416,30 +437,35 @@ func staleRefs(doc string, targets map[string]bool, cmds, subs map[string]map[st
 			}
 		}
 		for _, m := range cmdRef.FindAllStringSubmatch(span, -1) {
-			if _, ok := cmds[m[1]]; !ok {
+			if _, ok := cmds[refKey(m[1], m[2])]; !ok {
 				stale = append(stale, m[0])
 			}
 		}
 		for _, line := range strings.Split(span, "\n") {
-			for _, re := range []*regexp.Regexp{goRun, cmdLine} {
-				for _, m := range re.FindAllStringSubmatch(line, -1) {
-					name, args := m[1], m[2]
-					if _, ok := cmds[name]; !ok {
-						continue // not a command, or one cmdRef reports
-					}
-					if words := subs[name]; words != nil {
-						if first := strings.Fields(args); len(first) > 0 && !strings.HasPrefix(first[0], "-") {
-							if !words[first[0]] {
-								stale = append(stale, name+" "+first[0])
-								continue
-							}
-							name += " " + first[0]
+			var lines [][]string // name, args
+			for _, m := range goRun.FindAllStringSubmatch(line, -1) {
+				lines = append(lines, []string{refKey(m[1], m[2]), m[3]})
+			}
+			for _, m := range cmdLine.FindAllStringSubmatch(line, -1) {
+				lines = append(lines, m[1:])
+			}
+			for _, m := range lines {
+				name, args := m[0], m[1]
+				if _, ok := cmds[name]; !ok {
+					continue // not a command, or one cmdRef reports
+				}
+				if words := subs[name]; words != nil {
+					if first := strings.Fields(args); len(first) > 0 && !strings.HasPrefix(first[0], "-") {
+						if !words[first[0]] {
+							stale = append(stale, name+" "+first[0])
+							continue
 						}
+						name += " " + first[0]
 					}
-					for _, f := range flagWord.FindAllStringSubmatch(args, -1) {
-						if !cmds[name][f[1]] {
-							stale = append(stale, name+" -"+f[1])
-						}
+				}
+				for _, f := range flagWord.FindAllStringSubmatch(args, -1) {
+					if !cmds[name][f[1]] {
+						stale = append(stale, name+" -"+f[1])
 					}
 				}
 			}

@@ -10,14 +10,15 @@ import (
 func TestStaleRefs(t *testing.T) {
 	targets := map[string]bool{"check": true, "bench-hot": true}
 	cmds := map[string]map[string]bool{
-		"ddp":                {"h": true, "input": true, "halo": true, "k": true},
-		"ddp knn":            {"h": true, "k": true, "out": true},
-		"ddp gen":            {"h": true, "dataset": true, "o": true},
-		"ddp worker":         {"h": true, "master": true},
-		"dpbench":            {"h": true},
-		"fleetctl":           {"h": true},
-		"fleetctl partition": {"h": true},
-		"fleetctl rollover":  {"h": true, "shards": true, "timeout": true},
+		"ddp":                 {"h": true, "input": true, "halo": true, "k": true},
+		"ddp knn":             {"h": true, "k": true, "out": true},
+		"ddp gen":             {"h": true, "dataset": true, "o": true},
+		"ddp worker":          {"h": true, "master": true},
+		"dpbench":             {"h": true},
+		"fleetctl":            {"h": true},
+		"fleetctl partition":  {"h": true},
+		"fleetctl rollover":   {"h": true, "shards": true, "timeout": true},
+		"examples/quickstart": {"h": true, "trace": true, "distributed": true},
 	}
 	subs := map[string]map[string]bool{
 		"ddp":      {"knn": true, "gen": true, "worker": true},
@@ -44,6 +45,10 @@ func TestStaleRefs(t *testing.T) {
 		{"flags are per subcommand", "`ddp knn -k 10`, `ddp gen -k 3 -o x.csv`, `ddp -k 3 -input x.csv`", []string{"ddp gen -k"}},
 		{"subcommand's flag on the bare command", "`ddp -input x.csv -master h:1`", []string{"ddp -master"}},
 		{"deleted binary's subcommand", "`go run ./cmd/mrd worker`", []string{"cmd/mrd"}},
+		{"live example", "`go run ./examples/quickstart -trace t.jsonl -distributed` (see `examples/quickstart`)", nil},
+		{"deleted example", "`examples/compare`, and ```sh\ngo run ./examples/halo\n```", []string{"examples/compare", "examples/halo"}},
+		{"deleted example flag", "`go run ./examples/quickstart -engine rpcmr`", []string{"examples/quickstart -engine"}},
+		{"an example is no command line", "`quickstart -gone`", nil},
 	}
 	for _, c := range cases {
 		if got := staleRefs(c.doc, targets, cmds, subs); !reflect.DeepEqual(got, c.want) {

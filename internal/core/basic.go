@@ -46,6 +46,9 @@ func (c *BasicConfig) blockSize() int {
 // is evaluated exactly once globally.
 func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Result, error) {
 	start := time.Now()
+	if cfg.BlockSize < 0 {
+		return nil, fmt.Errorf("core: negative block size %d; 0 asks for the default", cfg.BlockSize)
+	}
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}

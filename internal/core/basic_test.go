@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -181,5 +182,43 @@ func TestBasicDDPErrors(t *testing.T) {
 	same := points.FromVectors("same", []points.Vector{{1, 1}, {1, 1}, {1, 1}, {1, 1}})
 	if _, err := RunBasicDDP(context.Background(), same, BasicConfig{Config: Config{Engine: testEngine()}}); err == nil {
 		t.Fatal("want error for degenerate data set")
+	}
+}
+
+// TestNegativeParametersRefused: 0 asks a pipeline for its default, and a
+// negative knob is an error, not a second spelling of 0.
+func TestNegativeParametersRefused(t *testing.T) {
+	ds := dataset.Blobs("negative-knobs", 200, 2, 3, 50, 3, 1)
+	base := Config{Engine: testEngine(), Seed: 1}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"lsh accuracy", func() error {
+			_, err := RunLSHDDP(ctx, ds, LSHConfig{Config: base, Accuracy: -0.5})
+			return err
+		}},
+		{"lsh M", func() error { _, err := RunLSHDDP(ctx, ds, LSHConfig{Config: base, M: -2}); return err }},
+		{"lsh pi", func() error { _, err := RunLSHDDP(ctx, ds, LSHConfig{Config: base, Pi: -1}); return err }},
+		{"lsh W", func() error { _, err := RunLSHDDP(ctx, ds, LSHConfig{Config: base, W: -4}); return err }},
+		{"lsh dc", func() error {
+			_, err := RunLSHDDP(ctx, ds, LSHConfig{Config: Config{Engine: testEngine(), Dc: -1}})
+			return err
+		}},
+		{"basic block", func() error { _, err := RunBasicDDP(ctx, ds, BasicConfig{Config: base, BlockSize: -5}); return err }},
+		{"basic dc", func() error {
+			_, err := RunBasicDDP(ctx, ds, BasicConfig{Config: Config{Engine: testEngine(), Dc: -1}})
+			return err
+		}},
+		{"halo M", func() error {
+			labels := make([]int32, ds.N())
+			_, err := RunLSHHalo(ctx, ds, make([]float64, ds.N()), labels, 1, LSHConfig{Config: base, M: -3})
+			return err
+		}},
+	} {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("%s: err = %v, want a refusal of the negative value", c.name, err)
+		}
 	}
 }

@@ -262,6 +262,9 @@ func ChooseDc(ctx context.Context, s *dag.Session, ds *points.Dataset, cfg *Conf
 	if cfg.Dc > 0 {
 		return cfg.Dc, nil
 	}
+	if cfg.Dc < 0 {
+		return 0, fmt.Errorf("core: negative d_c %v; 0 samples it", cfg.Dc)
+	}
 	frac := 1.0
 	if n := ds.N(); n > dcSamplePoints {
 		frac = float64(dcSamplePoints) / float64(n)

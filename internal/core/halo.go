@@ -187,6 +187,9 @@ func LSHHaloAggJob(conf mapreduce.Conf) *mapreduce.Job {
 // cfg.W is 0).
 func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels []int32, dc float64, cfg LSHConfig) (*HaloResult, error) {
 	start := time.Now()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}

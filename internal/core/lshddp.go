@@ -36,6 +36,16 @@ type LSHConfig struct {
 	W float64
 }
 
+// check refuses a negative knob: 0 asks for the default, and a negative
+// value is a mistake the defaults would otherwise hide.
+func (c *LSHConfig) check() error {
+	if c.Accuracy < 0 || c.M < 0 || c.Pi < 0 || c.W < 0 {
+		return fmt.Errorf("core: negative LSH parameter (Accuracy %v, M %d, Pi %d, W %v); 0 asks for the default",
+			c.Accuracy, c.M, c.Pi, c.W)
+	}
+	return nil
+}
+
 func (c *LSHConfig) accuracy() float64 {
 	if c.Accuracy > 0 {
 		return c.Accuracy
@@ -102,6 +112,9 @@ const CtrDeltaCertified = "dp.delta.certified"
 // finite δ before peak selection, as the paper prescribes.
 func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result, error) {
 	start := time.Now()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/points"
@@ -149,53 +148,6 @@ func S2(seed int64) *points.Dataset {
 		}
 	}
 	return mixture("S2", 5000, centers, uniformWeights(15), 32_000, rng)
-}
-
-// TwoMoons generates the classic interleaved half-circles — an arbitrarily
-// shaped set on which centroid methods fail and DP succeeds.
-func TwoMoons(n int, noise float64, seed int64) *points.Dataset {
-	rng := points.NewRand(seed)
-	ds := &points.Dataset{
-		Name:   "TwoMoons",
-		Points: make([]points.Point, n),
-		Labels: make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		t := rng.Float64() * math.Pi
-		var x, y float64
-		label := i % 2
-		if label == 0 {
-			x, y = math.Cos(t), math.Sin(t)
-		} else {
-			x, y = 1-math.Cos(t), 0.5-math.Sin(t)
-		}
-		x += rng.NormFloat64() * noise
-		y += rng.NormFloat64() * noise
-		ds.Points[i] = points.Point{ID: int32(i), Pos: points.Vector{x, y}}
-		ds.Labels[i] = label
-	}
-	return ds
-}
-
-// Rings generates concentric rings (k rings, n points) — another shaped
-// set for the Figure 8 comparison.
-func Rings(n, k int, noise float64, seed int64) *points.Dataset {
-	rng := points.NewRand(seed)
-	ds := &points.Dataset{
-		Name:   "Rings",
-		Points: make([]points.Point, n),
-		Labels: make([]int, n),
-	}
-	for i := 0; i < n; i++ {
-		ring := i % k
-		r := float64(ring+1) * 2
-		t := rng.Float64() * 2 * math.Pi
-		x := r*math.Cos(t) + rng.NormFloat64()*noise
-		y := r*math.Sin(t) + rng.NormFloat64()*noise
-		ds.Points[i] = points.Point{ID: int32(i), Pos: points.Vector{x, y}}
-		ds.Labels[i] = ring
-	}
-	return ds
 }
 
 // clustersFor scales the number of mixture components with N so that the

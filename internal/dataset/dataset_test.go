@@ -120,27 +120,6 @@ func TestBlobsLabelsMatchNearestCenter(t *testing.T) {
 	}
 }
 
-func TestTwoMoonsAndRings(t *testing.T) {
-	moons := TwoMoons(400, 0.05, 1)
-	if moons.N() != 400 {
-		t.Fatal("moons size")
-	}
-	for _, l := range moons.Labels {
-		if l != 0 && l != 1 {
-			t.Fatalf("moons label %d", l)
-		}
-	}
-	rings := Rings(300, 3, 0.05, 1)
-	// Ring radii: points of ring r should be near radius 2(r+1).
-	for i, p := range rings.Points {
-		r := p.Pos.Norm()
-		want := float64(rings.Labels[i]+1) * 2
-		if math.Abs(r-want) > 0.5 {
-			t.Fatalf("ring point %d at radius %v, want ~%v", i, r, want)
-		}
-	}
-}
-
 func TestEmbeddedHighDimStructure(t *testing.T) {
 	ds := Facial(1000, 1)
 	if ds.Dim() != 300 {

@@ -8,8 +8,8 @@ import (
 
 // Render draws the decision graph as ASCII art: ρ on the x-axis, δ on the
 // y-axis, '·' for ordinary points, '*' for multiple points in one cell, and
-// 'P' for cells containing a selected peak. It is what examples/decisiongraph
-// prints so a terminal user can eyeball the peak outliers the way Figure 7
+// 'P' for cells containing a selected peak. It is what `ddp -graph` prints
+// so a terminal user can eyeball the peak outliers the way Figure 7
 // intends.
 func (g *Graph) Render(width, height int, peaks []int32) string {
 	if width < 8 {

@@ -61,18 +61,31 @@ func (o *Options) load(name string) (*points.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds := spec.Gen(o.Seed)
-	if s := o.scale(); s > 1 {
-		n := ds.N() / s
-		if n < 64 {
-			n = 64
-		}
-		ds.Points = ds.Points[:n]
+	return scaleDown(spec.Gen(o.Seed), o.scale()), nil
+}
+
+// scaleDown keeps N/s points of ds (at least 64), evenly strided — every
+// s-th when s divides N — and renumbered 0, 1, … in order. A generator may
+// emit its clusters one after another (Aggregation does), so a stride keeps
+// every cluster where a prefix keeps the first few.
+func scaleDown(ds *points.Dataset, s int) *points.Dataset {
+	n := max(ds.N()/s, 64)
+	if n >= ds.N() {
+		return ds
+	}
+	for i := range n {
+		j := i * ds.N() / n // ≥ i, so no kept point is overwritten before it is read
+		ds.Points[i] = ds.Points[j]
+		ds.Points[i].ID = int32(i)
 		if ds.Labels != nil {
-			ds.Labels = ds.Labels[:n]
+			ds.Labels[i] = ds.Labels[j]
 		}
 	}
-	return ds, nil
+	ds.Points = ds.Points[:n]
+	if ds.Labels != nil {
+		ds.Labels = ds.Labels[:n]
+	}
+	return ds
 }
 
 // Report is a printable experiment result: a header, column names, and

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/dp"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
@@ -41,19 +43,85 @@ func TestExpTable2(t *testing.T) {
 	checkReport(t, r, err, 7)
 }
 
+// verdictSeeds are the seeds every verdict below holds at.
+var verdictSeeds = []int64{1, 2}
+
+// cell returns row's cell under column name.
+func cell(t *testing.T, r *Report, row []string, name string) string {
+	t.Helper()
+	i := slices.Index(r.Columns, name)
+	if i < 0 {
+		t.Fatalf("report has no column %q: %v", name, r.Columns)
+	}
+	return row[i]
+}
+
+func num(t *testing.T, s string) float64 {
+	t.Helper()
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestExpFig7: the paper's verdict — one selection box on both decision
+// graphs picks the same number of peaks, and the two clusterings agree.
 func TestExpFig7(t *testing.T) {
-	r, err := ExpFig7(smallOpt())
-	checkReport(t, r, err, 2)
+	for _, seed := range verdictSeeds {
+		opt := smallOpt()
+		opt.Seed = seed
+		r, err := ExpFig7(opt)
+		checkReport(t, r, err, 2)
+		basic, lsh := cell(t, r, r.Rows[0], "peaks-in-box"), cell(t, r, r.Rows[1], "peaks-in-box")
+		if basic != lsh {
+			t.Errorf("seed %d: the shared box holds %s Basic-DDP peaks and %s LSH-DDP peaks", seed, basic, lsh)
+		}
+		if !strings.Contains(r.String(), "ARI=1.0000") {
+			t.Errorf("seed %d: the two clusterings disagree:\n%s", seed, r)
+		}
+	}
 }
 
+// TestExpFig8: the paper's verdict — DP clusters Aggregation better than
+// each of the four baselines.
 func TestExpFig8(t *testing.T) {
-	r, err := ExpFig8(Options{Scale: 1, Seed: 1, Parallelism: 4})
-	checkReport(t, r, err, 5)
+	for _, seed := range verdictSeeds {
+		r, err := ExpFig8(Options{Scale: 1, Seed: seed, Parallelism: 4})
+		checkReport(t, r, err, 5)
+		if r.Rows[0][0] != "DP" {
+			t.Fatalf("first row is %q, want DP", r.Rows[0][0])
+		}
+		dp := num(t, cell(t, r, r.Rows[0], "ARI"))
+		for _, row := range r.Rows[1:] {
+			if ari := num(t, cell(t, r, row, "ARI")); ari >= dp {
+				t.Errorf("seed %d: %s's ARI %.4f is not below DP's %.4f", seed, row[0], ari, dp)
+			}
+		}
+	}
 }
 
+// TestExpFig9: τ₂ ≥ τ₁ on every row, and τ₁ rises with A. τ₂ itself is
+// not monotone in A at this scale (seed 1: 0.8145 at A = 0.5, 0.7990 at
+// 0.6), so only τ₁'s trend is pinned.
 func TestExpFig9(t *testing.T) {
-	r, err := ExpFig9(smallOpt())
-	checkReport(t, r, err, 7)
+	for _, seed := range verdictSeeds {
+		opt := smallOpt()
+		opt.Seed = seed
+		r, err := ExpFig9(opt)
+		checkReport(t, r, err, 7)
+		prev := -1.0
+		for _, row := range r.Rows {
+			tau1, tau2 := num(t, cell(t, r, row, "tau1")), num(t, cell(t, r, row, "tau2"))
+			if tau2 < tau1 {
+				t.Errorf("seed %d, A=%s: tau2 %.4f below tau1 %.4f", seed, row[0], tau2, tau1)
+			}
+			if tau1 < prev {
+				t.Errorf("seed %d, A=%s: tau1 %.4f fell from %.4f", seed, row[0], tau1, prev)
+			}
+			prev = tau1
+		}
+	}
 }
 
 func TestExpFig10(t *testing.T) {
@@ -77,12 +145,34 @@ func TestExpFig11(t *testing.T) {
 	checkReport(t, r, err, 2)
 }
 
+// TestExpFig12: the cost model ranks the measured grid, and its pick runs
+// at a width that meets A = 0.99 — the width the pipeline itself solved
+// for that (M, π) on the measured row.
 func TestExpFig12(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig12 in -short mode")
 	}
-	r, err := ExpFig12(Options{Scale: 24, Seed: 1, Parallelism: 4})
-	checkReport(t, r, err, 4)
+	for _, seed := range verdictSeeds {
+		r, err := ExpFig12(Options{Scale: 24, Seed: seed, Parallelism: 4})
+		checkReport(t, r, err, 4)
+		measured := map[string]bool{}
+		var picks [][]string
+		for _, row := range r.Rows {
+			if cell(t, r, row, "runtime") == "model" {
+				picks = append(picks, row)
+			} else {
+				measured[strings.Join(row[:3], " ")] = true
+			}
+		}
+		if len(picks) == 0 {
+			t.Fatalf("seed %d: no cost-model rows:\n%s", seed, r)
+		}
+		for _, row := range picks {
+			if !measured[strings.Join(row[:3], " ")] {
+				t.Errorf("seed %d: model row M=%s pi=%s w=%s has no measured row at the same width", seed, row[0], row[1], row[2])
+			}
+		}
+	}
 }
 
 func TestExpEC2(t *testing.T) {
@@ -184,13 +274,51 @@ func TestStrawManClosedForms(t *testing.T) {
 	}
 }
 
+// autoK runs the extensions at scale 1 and returns each data set's
+// suggested k.
+func autoK(t *testing.T, seed int64) map[string]int {
+	t.Helper()
+	r, err := ExpExtensions(Options{Scale: 1, Seed: seed, Parallelism: 4})
+	checkReport(t, r, err, 4)
+	ks := map[string]int{}
+	for _, row := range r.Rows {
+		if row[0] == "auto-k" {
+			var k, truth int
+			if _, err := fmt.Sscanf(cell(t, r, row, "value"), "%d (%d)", &k, &truth); err != nil {
+				t.Fatal(err)
+			}
+			ks[row[1]] = k
+		}
+	}
+	return ks
+}
+
+// TestExpExtensions: the γ-gap knee finds S2's 15 clusters.
 func TestExpExtensions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extensions in -short mode")
 	}
-	r, err := ExpExtensions(smallOpt())
-	checkReport(t, r, err, 4)
-	t.Log("\n" + r.String())
+	for _, seed := range verdictSeeds {
+		if k := autoK(t, seed)["S2"]; k != 15 {
+			t.Errorf("seed %d: auto-k on S2 is %d, want 15", seed, k)
+		}
+	}
+}
+
+// TestExtAutoKAggregationDoesNotReproduce pins what the γ-gap knee
+// suggests on Aggregation, whose truth is 7: 6 at seed 1, 7 at seed 2 (and
+// 5 at dpbench's seed 42). The knee does not reliably find touching
+// clusters of very different sizes; a change that moves these counts
+// should say why.
+func TestExtAutoKAggregationDoesNotReproduce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("extensions in -short mode")
+	}
+	for seed, want := range map[int64]int{1: 6, 2: 7} {
+		if k := autoK(t, seed)["Aggregation"]; k != want {
+			t.Errorf("seed %d: auto-k on Aggregation is %d, was %d", seed, k, want)
+		}
+	}
 }
 
 func TestReportCSV(t *testing.T) {
@@ -207,4 +335,36 @@ func TestReportCSV(t *testing.T) {
 	if buf.String() != want {
 		t.Fatalf("csv = %q, want %q", buf.String(), want)
 	}
+}
+
+// TestScaleDownKeepsEveryLabel: a scaled run sees every ground-truth
+// cluster of its data set, under dense IDs 0, 1, …, at every scale the
+// tests and benchmarks use.
+func TestScaleDownKeepsEveryLabel(t *testing.T) {
+	for _, spec := range dataset.Registry() {
+		full := spec.Gen(1)
+		for _, s := range []int{1, 4, 16} {
+			ds := &points.Dataset{Name: full.Name, Points: slices.Clone(full.Points), Labels: slices.Clone(full.Labels)}
+			ds = scaleDown(ds, s)
+			if want := max(full.N()/s, 64); ds.N() != want {
+				t.Errorf("%s at scale %d: %d points, want %d", spec.Name, s, ds.N(), want)
+			}
+			for i, p := range ds.Points {
+				if p.ID != int32(i) {
+					t.Fatalf("%s at scale %d: point %d has ID %d", spec.Name, s, i, p.ID)
+				}
+			}
+			if got, want := distinct(ds.Labels), distinct(full.Labels); got != want {
+				t.Errorf("%s at scale %d keeps %d of %d labels", spec.Name, s, got, want)
+			}
+		}
+	}
+}
+
+func distinct(labels []int) int {
+	seen := map[int]bool{}
+	for _, l := range labels {
+		seen[l] = true
+	}
+	return len(seen)
 }

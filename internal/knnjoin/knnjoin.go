@@ -101,7 +101,7 @@ func Run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 // answered, ascending.
 func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, []int32, error) {
 	start := time.Now()
-	if err := validate(R, S, k); err != nil {
+	if err := validate(R, S, k, &cfg); err != nil {
 		return nil, nil, err
 	}
 	mark := sess.Mark()
@@ -173,7 +173,7 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 // where S is small enough that bucketing buys nothing.
 func RunExact(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cfg Config) (*Result, error) {
 	start := time.Now()
-	if err := validate(R, S, k); err != nil {
+	if err := validate(R, S, k, &cfg); err != nil {
 		return nil, err
 	}
 	mark := sess.Mark()
@@ -210,9 +210,14 @@ func exactJoin(ctx context.Context, sess *dag.Session, conf mapreduce.Conf, neig
 	return nil
 }
 
-func validate(R, S *points.Dataset, k int) error {
+func validate(R, S *points.Dataset, k int, cfg *Config) error {
 	if k < 1 {
 		return fmt.Errorf("knnjoin: k must be at least 1, got %d", k)
+	}
+	// 0 asks for a default; a negative value is a mistake, not a request.
+	if cfg.M < 0 || cfg.Pi < 0 || cfg.W < 0 || cfg.Accuracy < 0 {
+		return fmt.Errorf("knnjoin: negative parameter (M %d, Pi %d, W %v, Accuracy %v); 0 asks for the default",
+			cfg.M, cfg.Pi, cfg.W, cfg.Accuracy)
 	}
 	if err := R.Validate(); err != nil {
 		return err

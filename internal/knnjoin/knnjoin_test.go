@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -543,4 +544,26 @@ func vectors(ds *points.Dataset) []points.Vector {
 		out[i] = p.Pos
 	}
 	return out
+}
+
+// TestNegativeParametersRefused: 0 asks the join for its default, and a
+// negative knob is an error on both passes, not a second spelling of 0.
+func TestNegativeParametersRefused(t *testing.T) {
+	R, S := splitBlobs(t, "knn-negative", 120, 2, 40, 3)
+	for _, c := range []struct {
+		name string
+		cfg  knnjoin.Config
+	}{
+		{"M", knnjoin.Config{M: -3}},
+		{"Pi", knnjoin.Config{Pi: -2}},
+		{"W", knnjoin.Config{W: -5}},
+		{"Accuracy", knnjoin.Config{Accuracy: -1}},
+	} {
+		if _, err := knnjoin.Run(context.Background(), localSession(), R, S, 3, c.cfg); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("Run with negative %s: err = %v", c.name, err)
+		}
+		if _, err := knnjoin.RunExact(context.Background(), localSession(), R, S, 3, c.cfg); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("RunExact with negative %s: err = %v", c.name, err)
+		}
+	}
 }

@@ -22,12 +22,12 @@
 //
 // The master implements mapreduce.Engine, so every algorithm in this
 // repository (Basic-DDP, LSH-DDP, EDDPC, K-means) runs on a real cluster
-// unchanged — see examples/distributed. The master lives in the job's
-// driver process (ddp / ddp knn -master-listen, or a program like
-// examples/distributed), which calls Run in-process; workers are the only
-// remote parties. Job accounting lives in the dag.Session built on it; the
-// master itself keeps History, one JobRecord per job, and serves Traces
-// from it.
+// unchanged — see examples/quickstart -distributed. The master lives in the
+// job's driver process (ddp / ddp knn -master-listen, or a program like
+// examples/quickstart -distributed), which calls Run in-process; workers
+// are the only remote parties. Job accounting lives in the dag.Session
+// built on it; the master itself keeps History, one JobRecord per job, and
+// serves Traces from it.
 package rpcmr
 
 import (
