@@ -509,18 +509,29 @@ func TestCompactSweepMatchesF64(t *testing.T) {
 // serving geometry (harnessGeometry at 200 K rows), at f64 and q8, and
 // reports the rows evaluated, the exact distances the compact filter let
 // through (0 at f64) and the share of queries that one bucket certified.
+// The q8-masked case is a fleet shard's scan — a sub-model with row IDs, every
+// layout in the mask — so each strip of a non-certifying bucket also runs the
+// cross-shard membership filter (firstMatch).
 func BenchmarkEngineAssign(b *testing.B) {
 	data, w, qs := harnessGeometry(b, 200_000, 2048)
-	for _, prec := range []Precision{PrecF64, PrecQ8} {
-		e, err := NewEngine(sweepModel(data, 8, 10, 3, w, false), prec)
+	for _, c := range []struct {
+		name  string
+		prec  Precision
+		fleet bool
+	}{{"f64", PrecF64, false}, {"q8", PrecQ8, false}, {"q8-masked", PrecQ8, true}} {
+		e, err := NewEngine(sweepModel(data, 8, 10, 3, w, c.fleet), c.prec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(prec.String(), func(b *testing.B) {
+		var opts BatchOpts
+		if c.fleet {
+			opts.Masks = []uint64{1<<e.Layouts() - 1}
+		}
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var st ScanStats
 			for i := 0; i < b.N; i++ {
-				_, _, one := e.AssignBatch(qs[i%len(qs):][:1], false)
+				_, _, one := e.AssignBatchOpts(qs[i%len(qs):][:1], opts)
 				st.Scanned += one.Scanned
 				st.Certified += one.Certified
 				st.Rerank += one.Rerank
