@@ -96,9 +96,9 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 // spread, so the sample mirrors the data the way serving queries do):
 // 2 048 of 200 000, and every row of a model no larger. scoreUnit is the
 // cost of one exact candidate scoring relative to one posting-walk visit
-// (a SWAR membership word): confirming and scoring a row costs a key
-// compare plus a full-dimension distance, roughly an order of magnitude
-// over streaming one prefilter word.
+// (reading one posting and checking its row against the query's earlier
+// layouts): scoring a row adds a full-dimension distance, roughly an order
+// of magnitude over the visit.
 const (
 	maxWeightSamples = 2048
 	scoreUnit        = 12.0
@@ -109,8 +109,8 @@ const (
 // the rows as queries against the bucket index.
 //
 // Owning a bucket has two costs per query that probes it, and they scale
-// differently. The walk — streaming the posting list through the SWAR
-// prefilter — is paid on the bucket's full size by the bucket's owner
+// differently. The walk — streaming the posting list through the
+// membership filter — is paid on the bucket's full size by the bucket's owner
 // alone. The exact scoring of a candidate, though, is paid once
 // fleet-wide by the owner of the candidate's *first* matching layout in
 // the engine's rotated scan order. Neither a size² weight nor an

@@ -29,7 +29,7 @@ import (
 // search lookups are negligible.
 const DefaultVNodes = 1024
 
-// fnv64a hashes s with 64-bit FNV-1a and finalizes with the splitmix64
+// fnv64a hashes s with 64-bit FNV-1a and finalizes with the SplitMix64
 // scramble. Raw FNV-1a disperses short, similar strings (bucket keys,
 // "shard-s#v" vnode labels) almost entirely in its LOW bits, but ring
 // placement orders by the full 64-bit value, where the high bits dominate —

@@ -146,23 +146,6 @@ type Engine struct {
 	// because the shard owning that layout scans it — every global candidate
 	// is scanned exactly once fleet-wide.
 	ix *lsh.Index
-	// bucketSigs mirrors ix.Rows posting for posting (same offsets) with a
-	// signature word per row: a 6-bit hash of the row's bucket ID under each
-	// layout, packed into one word (built in fleet mode when M <= 10 fields
-	// fit 64 bits). One XOR + SWAR zero-field test against the query's
-	// signature proves "no earlier layout matches" for the common
-	// non-overlapping row without touching RowKeys; only flagged rows (true
-	// overlaps plus ~2% hash aliases) run the exact compare loop. The
-	// signature is shard-local — it guards a local short-cut, never the
-	// cross-shard decision itself. It is stored per posting rather than per
-	// row so the masked scan's SWAR probes stream through one contiguous run
-	// per bucket walk: bucket rows are sparse in the row space, so a per-row
-	// array touches one useful word per cache line, and several engines
-	// co-resident on one machine (a benched fleet) turn that into a miss per
-	// probe. Costs one extra word per posting (n × M × 8 bytes).
-	bucketSigs []uint64
-	sigLows    uint64 // 0b000001 in every 6-bit field
-	sigHighs   uint64 // 0b100000 in every 6-bit field
 
 	// axis is the coordinate every bucket is sorted on (ix.WidestAxis of the
 	// model data), coord[row] each row's value there, +Inf standing for a
@@ -193,10 +176,8 @@ type scratch struct {
 	acc kernels.TopKAcc
 	cq  kernels.Compact
 	// Fleet mode: the query's bucket ID per layout (-1: no stored row shares
-	// the key), their packed signature, and the rotation start (the
-	// certifying layout).
+	// the key) and the rotation start (the certifying layout).
 	qids []int32
-	sigQ uint64
 	j0   int
 	// bound is the query's cap (BatchOpts.Bounds), +Inf without one.
 	bound float64
@@ -236,32 +217,8 @@ func NewEngine(m *model.Model, prec Precision) (*Engine, error) {
 	})
 	if len(m.RowIDs) == 0 {
 		e.ix.RowKeys = nil // only the fleet's masked scan reads them
-		return e, nil
-	}
-	if nl := e.layouts.M(); nl <= 10 {
-		for f := 0; f < nl; f++ {
-			e.sigLows |= 1 << uint(6*f)
-		}
-		e.sigHighs = e.sigLows << 5
-		rowSigs := make([]uint64, n)
-		for i := range rowSigs {
-			for j, id := range e.ix.RowKeys[i*nl:][:nl] {
-				rowSigs[i] |= sigField(id) << uint(6*j)
-			}
-		}
-		e.bucketSigs = make([]uint64, len(e.ix.Rows))
-		for p, r := range e.ix.Rows {
-			e.bucketSigs[p] = rowSigs[r]
-		}
 	}
 	return e, nil
-}
-
-// sigField hashes an interned key ID to a nonzero 6-bit signature field;
-// zero is reserved for "query has no such key here", which must never
-// compare equal to a stored row's field.
-func sigField(id int32) uint64 {
-	return 1 + mix64(uint64(id))%63
 }
 
 // setupQ8 adopts the model artifact's q8 codes, or derives them from the
@@ -583,16 +540,13 @@ func (e *Engine) sweepBucket(q points.Vector, id int32, j int, s *scratch) (scan
 }
 
 // lookupAll resolves the hashed query's bucket under every layout into
-// s.qids, with its signature.
+// s.qids.
 func (e *Engine) lookupAll(s *scratch) {
-	nl := e.layouts.M()
-	s.qids, s.sigQ = s.qids[:0], 0
-	for j := 0; j < nl; j++ {
+	s.qids = s.qids[:0]
+	for j := 0; j < e.layouts.M(); j++ {
 		id, ok := e.ix.Lookup(s.kb.Key(j))
 		if !ok {
 			id = -1 // key holds no stored row here; matches nothing
-		} else if e.bucketSigs != nil {
-			s.sigQ |= sigField(id) << uint(6*j)
 		}
 		s.qids = append(s.qids, id)
 	}
@@ -618,34 +572,10 @@ func (e *Engine) lookupAll(s *scratch) {
 // nearest row.
 func (e *Engine) firstMatch(j int, id int32, lo, hi int, s *scratch) []int32 {
 	nl, rowKeys, qids, j0 := e.layouts.M(), e.ix.RowKeys, s.qids, s.j0
-	sigQ, lows, highs := s.sigQ, e.sigLows, e.sigHighs
 	rows, strip := e.ix.Bucket(id)[lo:hi], s.strip[:0]
-	// Cyclic distance from j0 to j: the number of layouts to check. notWin
-	// forces every signature field outside that window [j0, j) to a nonzero
-	// value, so the zero-field test below can only fire inside it.
-	ahead, notWin := (j-j0+nl)%nl, ^uint64(0)
-	for dj := 0; dj < ahead; dj++ {
-		notWin &^= 0x3F << uint(6*((j0+dj)%nl))
-	}
-	var sigs []uint64
-	if e.bucketSigs != nil {
-		sigs = e.bucketSigs[e.ix.Offsets[id]+lo:][:len(rows)]
-	}
+	ahead := (j - j0 + nl) % nl // cyclic distance from j0 to j: the layouts to check
 rows:
-	for p, r := range rows {
-		if sigs != nil {
-			// Fast path: one SWAR probe per row, streamed from the bucket's
-			// posting-aligned signature array. Firing is conservative (hash
-			// aliases), the exact loop confirms. A missed overlap is
-			// impossible — equal key IDs hash to equal fields — so no row
-			// is ever dropped, and a (never-occurring) duplicate scan would
-			// not change the merged argmin anyway.
-			y := (sigs[p] ^ sigQ) | notWin
-			if (y-lows)&^y&highs == 0 {
-				strip = append(strip, r) // definitely no earlier match
-				continue
-			}
-		}
+	for _, r := range rows {
 		base := int(r) * nl
 		for dj := 0; dj < ahead; dj++ {
 			j2 := j0 + dj
@@ -659,17 +589,6 @@ rows:
 		strip = append(strip, r)
 	}
 	return strip
-}
-
-// mix64 is the splitmix64 finalizer: a cheap bijective scramble that spreads
-// interned bucket IDs over sigField's 63 signature values.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // exactBatch answers bs.pending through the float64 TopKBatch scan into

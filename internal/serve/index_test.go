@@ -45,8 +45,7 @@ func blobModel(n, dim, m int, rowIDs bool) *model.Model {
 // those buckets with exactly those rows, each bucket sorted on the engine's
 // sweep axis with the rows that have no finite coordinate there behind all
 // the others, for a full model and for a fleet sub-model (whose per-row
-// bucket IDs and posting-aligned signatures must agree with the same
-// grouping).
+// bucket IDs must agree with the same grouping).
 func TestEngineIndexMatchesNaive(t *testing.T) {
 	for _, fleet := range []bool{false, true} {
 		for _, m := range []int{3, 10} {
@@ -123,15 +122,6 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 					t.Fatalf("M=%d row %d layout %d: recorded under %x, hashes to %x", m, i/m, i%m, got, key)
 				}
 			}
-			for p, r := range e.ix.Rows {
-				var sig uint64
-				for j := 0; j < m; j++ {
-					sig |= sigField(e.ix.RowKeys[int(r)*m+j]) << uint(6*j)
-				}
-				if e.bucketSigs[p] != sig {
-					t.Fatalf("M=%d posting %d (row %d): signature %x, want %x", m, p, r, e.bucketSigs[p], sig)
-				}
-			}
 		}
 	}
 }
@@ -139,7 +129,7 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 // BenchmarkNewEngine times the index build — hash every row under every
 // layout, intern the keys, counting-sort the postings — on a blob model at
 // the benchmark harness's LSH shape, as a full model and as a fleet
-// sub-model (which adds the per-row key table and the signature mirror).
+// sub-model (which adds the per-row key table).
 func BenchmarkNewEngine(b *testing.B) {
 	for _, fleet := range []bool{false, true} {
 		name := "full"
