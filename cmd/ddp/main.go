@@ -102,8 +102,8 @@ func runCluster() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *k < 0 {
-		fmt.Fprintln(os.Stderr, "ddp: -k must not be negative (0 = box flags or auto-suggest)")
+	if *k < 0 || *rhoMin < 0 || *deltaMin < 0 {
+		fmt.Fprintln(os.Stderr, "ddp: -k, -rho-min and -delta-min must not be negative (0 = box flags or auto-suggest)")
 		os.Exit(2)
 	}
 
@@ -290,7 +290,7 @@ func runGen(args []string) {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	var (
 		name  = fs.String("dataset", "", "data set name (see -list)")
-		n     = fs.Int("n", 0, "override the generated size (0 = registry size)")
+		n     = fs.Int("n", 0, "keep this many evenly strided points (0 = registry size)")
 		seed  = fs.Int64("seed", 42, "generation seed")
 		out   = fs.String("o", "-", "output file ('-' = stdout)")
 		list  = fs.Bool("list", false, "list available data sets")
@@ -307,6 +307,10 @@ func runGen(args []string) {
 	}
 	if *name == "" {
 		fmt.Fprintln(os.Stderr, "ddp gen: -dataset is required (or -list)")
+		os.Exit(2)
+	}
+	if *n < 0 {
+		fmt.Fprintln(os.Stderr, "ddp gen: -n must not be negative (0 = registry size)")
 		os.Exit(2)
 	}
 	spec, err := dataset.Get(*name)
@@ -327,10 +331,7 @@ func runGen(args []string) {
 		fatal(fmt.Errorf("%d points requested but %s generates %d; raise the registry size instead", size, *name, ds.N()))
 	}
 	if size > 0 {
-		ds.Points = ds.Points[:size]
-		if ds.Labels != nil {
-			ds.Labels = ds.Labels[:size]
-		}
+		ds = dataset.Subsample(ds, size) // strided: a prefix would drop whole clusters
 	}
 	write := func(path string, ds *dataset.DS) {
 		writeOut(path, func(w io.Writer) error { return dataset.WriteCSV(w, ds) })

@@ -111,7 +111,8 @@ func TestUnknownSubcommand(t *testing.T) {
 }
 
 // TestNegativeFlagsRefused: 0 asks for a default, and a negative value
-// fails the run instead of quietly running the defaults.
+// fails the run instead of quietly running the defaults — with exit code 2
+// where ddp refuses the flag itself, 1 where the pipeline refuses its config.
 func TestNegativeFlagsRefused(t *testing.T) {
 	dir := t.TempDir()
 	agg, pts := filepath.Join(dir, "agg.csv"), filepath.Join(dir, "pts.csv")
@@ -123,20 +124,65 @@ func TestNegativeFlagsRefused(t *testing.T) {
 	}
 	cluster := []string{"-input", agg, "-labeled", "-out", filepath.Join(dir, "labels.csv")}
 	knn := []string{"knn", "-r", filepath.Join(dir, "pts-R.csv"), "-s", filepath.Join(dir, "pts-S.csv"), "-labeled", "-k", "3", "-out", filepath.Join(dir, "knn.csv")}
-	for _, args := range [][]string{
-		append(cluster, "-accuracy", "-0.5"),
-		append(cluster, "-m", "-2"),
-		append(cluster, "-pi", "-1"),
-		append(cluster, "-dc", "-1"),
-		append(cluster, "-k", "-3"),
-		append(cluster, "-algo", "basic", "-block", "-5"),
-		append(knn, "-m", "-3"),
-		append(knn, "-pi", "-2"),
-		append(knn, "-accuracy", "-1"),
-		append(knn, "-w", "-5"),
+	for _, c := range []struct {
+		args []string
+		code int
+	}{
+		{append(cluster, "-accuracy", "-0.5"), 1},
+		{append(cluster, "-m", "-2"), 1},
+		{append(cluster, "-pi", "-1"), 1},
+		{append(cluster, "-dc", "-1"), 1},
+		{append(cluster, "-k", "-3"), 2},
+		{append(cluster, "-rho-min", "-1"), 2},
+		{append(cluster, "-delta-min", "-1"), 2},
+		{append(cluster, "-algo", "basic", "-block", "-5"), 1},
+		{append(knn, "-m", "-3"), 1},
+		{append(knn, "-pi", "-2"), 1},
+		{append(knn, "-accuracy", "-1"), 1},
+		{append(knn, "-w", "-5"), 1},
+		{[]string{"gen", "-dataset", "S2", "-o", filepath.Join(dir, "n.csv"), "-n", "-5"}, 2},
 	} {
-		if _, code := runDDP(t, args...); code == 0 {
-			t.Errorf("ddp %s exited 0", strings.Join(args[len(args)-2:], " "))
+		if _, code := runDDP(t, c.args...); code != c.code {
+			t.Errorf("ddp %s exited %d, want %d", strings.Join(c.args[len(c.args)-2:], " "), code, c.code)
+		}
+	}
+}
+
+// TestGenKeepsEveryLabel: `ddp gen -n` and `-split` keep an evenly strided
+// subset, so a small file still holds every ground-truth cluster of a set
+// whose generator emits them one after another (a prefix of 200 Aggregation
+// points holds 2 of its 7).
+func TestGenKeepsEveryLabel(t *testing.T) {
+	dir := t.TempDir()
+	labels := func(paths ...string) (n int, distinct map[int]bool) {
+		distinct = map[int]bool{}
+		for _, path := range paths {
+			ds, err := dataset.ReadCSVFile(path, "gen", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += ds.N()
+			for _, l := range ds.Labels {
+				distinct[l] = true
+			}
+		}
+		return n, distinct
+	}
+	one, pair := filepath.Join(dir, "agg.csv"), filepath.Join(dir, "pair.csv")
+	for _, args := range [][]string{
+		{"gen", "-dataset", "Aggregation", "-n", "200", "-o", one},
+		{"gen", "-dataset", "Aggregation", "-split", "50:150", "-o", pair},
+	} {
+		if _, code := runDDP(t, args...); code != 0 {
+			t.Fatalf("ddp %s exited %d", strings.Join(args, " "), code)
+		}
+	}
+	for what, paths := range map[string][]string{
+		"-n 200":        {one},
+		"-split 50:150": {filepath.Join(dir, "pair-R.csv"), filepath.Join(dir, "pair-S.csv")},
+	} {
+		if n, got := labels(paths...); n != 200 || len(got) != 7 {
+			t.Errorf("gen %s: %d points with %d of 7 labels, want 200 with 7", what, n, len(got))
 		}
 	}
 }

@@ -272,3 +272,39 @@ func TestSplitDisjointDeterministic(t *testing.T) {
 		t.Fatal("full-size split should fail")
 	}
 }
+
+// TestSubsampleKeepsEveryLabel: a strided subsample sees every ground-truth
+// cluster of its data set, under dense IDs 0, 1, …, at every scale the
+// tests and benchmarks use, and leaves the data set it reads unchanged.
+func TestSubsampleKeepsEveryLabel(t *testing.T) {
+	distinct := func(labels []int) int {
+		seen := map[int]bool{}
+		for _, l := range labels {
+			seen[l] = true
+		}
+		return len(seen)
+	}
+	for _, spec := range Registry() {
+		full := spec.Gen(1)
+		labels := distinct(full.Labels)
+		for _, s := range []int{1, 4, 16} {
+			ds := Subsample(full, full.N()/s)
+			if want := full.N() / s; ds.N() != want {
+				t.Errorf("%s at scale %d: %d points, want %d", spec.Name, s, ds.N(), want)
+			}
+			for i, p := range ds.Points {
+				if p.ID != int32(i) {
+					t.Fatalf("%s at scale %d: point %d has ID %d", spec.Name, s, i, p.ID)
+				}
+			}
+			if got := distinct(ds.Labels); got != labels {
+				t.Errorf("%s at scale %d keeps %d of %d labels", spec.Name, s, got, labels)
+			}
+		}
+		for i, p := range full.Points {
+			if p.ID != int32(i) || full.N() != spec.N {
+				t.Fatalf("%s: subsampling changed the full set (point %d has ID %d, %d points)", spec.Name, i, p.ID, full.N())
+			}
+		}
+	}
+}

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/points"
+	"repro/internal/dataset"
 )
 
 // ExpEC2 regenerates the Section VI-D large-scale claim (the paper's EC2
@@ -30,7 +30,7 @@ func ExpEC2(opt Options) (*Report, error) {
 	}
 
 	// Basic-DDP on a 1/8 subsample of the same data.
-	sub := subsample(ds, 8)
+	sub := dataset.Subsample(ds, ds.N()/8)
 	opt.logf("ec2: running Basic-DDP on subsample N=%d...", sub.N())
 	basic, err := core.RunBasicDDP(context.Background(), sub, opt.basicConfig(eng))
 	if err != nil {
@@ -57,19 +57,4 @@ func ExpEC2(opt Options) (*Report, error) {
 			ds.N(), fratio(extraWall.Seconds(), lshRes.Stats.Wall.Seconds())),
 	)
 	return r, nil
-}
-
-// subsample keeps every k-th point, re-IDing densely.
-func subsample(ds *points.Dataset, k int) *points.Dataset {
-	out := &points.Dataset{Name: ds.Name + "-sub"}
-	for i := 0; i < ds.N(); i += k {
-		out.Points = append(out.Points, points.Point{
-			ID:  int32(len(out.Points)),
-			Pos: ds.Points[i].Pos,
-		})
-		if ds.Labels != nil {
-			out.Labels = append(out.Labels, ds.Labels[i])
-		}
-	}
-	return out
 }

@@ -55,37 +55,15 @@ func (o *Options) logf(format string, args ...any) {
 	}
 }
 
-// load generates a registry data set at the option scale.
+// load generates a registry data set at the option scale: N/scale points
+// (at least 64), strided so every ground-truth cluster survives.
 func (o *Options) load(name string) (*points.Dataset, error) {
 	spec, err := dataset.Get(name)
 	if err != nil {
 		return nil, err
 	}
-	return scaleDown(spec.Gen(o.Seed), o.scale()), nil
-}
-
-// scaleDown keeps N/s points of ds (at least 64), evenly strided — every
-// s-th when s divides N — and renumbered 0, 1, … in order. A generator may
-// emit its clusters one after another (Aggregation does), so a stride keeps
-// every cluster where a prefix keeps the first few.
-func scaleDown(ds *points.Dataset, s int) *points.Dataset {
-	n := max(ds.N()/s, 64)
-	if n >= ds.N() {
-		return ds
-	}
-	for i := range n {
-		j := i * ds.N() / n // ≥ i, so no kept point is overwritten before it is read
-		ds.Points[i] = ds.Points[j]
-		ds.Points[i].ID = int32(i)
-		if ds.Labels != nil {
-			ds.Labels[i] = ds.Labels[j]
-		}
-	}
-	ds.Points = ds.Points[:n]
-	if ds.Labels != nil {
-		ds.Labels = ds.Labels[:n]
-	}
-	return ds
+	ds := spec.Gen(o.Seed)
+	return dataset.Subsample(ds, max(ds.N()/o.scale(), 64)), nil
 }
 
 // Report is a printable experiment result: a header, column names, and
