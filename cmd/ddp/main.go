@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -102,8 +103,9 @@ func runCluster() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *k < 0 || *rhoMin < 0 || *deltaMin < 0 {
-		fmt.Fprintln(os.Stderr, "ddp: -k, -rho-min and -delta-min must not be negative (0 = box flags or auto-suggest)")
+	box := func(v float64) bool { return v >= 0 && v <= math.MaxFloat64 } // NaN fails v >= 0
+	if *k < 0 || !box(*rhoMin) || !box(*deltaMin) {
+		fmt.Fprintln(os.Stderr, "ddp: -k must not be negative, -rho-min and -delta-min must be finite and not negative (0 = box flags or auto-suggest)")
 		os.Exit(2)
 	}
 

@@ -110,8 +110,9 @@ func TestUnknownSubcommand(t *testing.T) {
 	}
 }
 
-// TestNegativeFlagsRefused: 0 asks for a default, and a negative value
-// fails the run instead of quietly running the defaults — with exit code 2
+// TestNegativeFlagsRefused: 0 asks for a default, and a negative, NaN or
+// infinite value fails the run instead of quietly running the defaults (or
+// running at d_c = +Inf) — with exit code 2
 // where ddp refuses the flag itself, 1 where the pipeline refuses its config.
 func TestNegativeFlagsRefused(t *testing.T) {
 	dir := t.TempDir()
@@ -136,10 +137,21 @@ func TestNegativeFlagsRefused(t *testing.T) {
 		{append(cluster, "-rho-min", "-1"), 2},
 		{append(cluster, "-delta-min", "-1"), 2},
 		{append(cluster, "-algo", "basic", "-block", "-5"), 1},
+		{append(cluster, "-accuracy", "NaN"), 1},
+		{append(cluster, "-dc", "NaN"), 1},
+		{append(cluster, "-dc", "Inf"), 1},
+		{append(cluster, "-rho-min", "NaN"), 2},
+		{append(cluster, "-rho-min", "Inf"), 2},
+		{append(cluster, "-delta-min", "NaN"), 2},
+		{append(cluster, "-delta-min", "Inf"), 2},
 		{append(knn, "-m", "-3"), 1},
 		{append(knn, "-pi", "-2"), 1},
 		{append(knn, "-accuracy", "-1"), 1},
 		{append(knn, "-w", "-5"), 1},
+		{append(knn, "-accuracy", "NaN"), 1},
+		{append(knn, "-accuracy", "Inf"), 1},
+		{append(knn, "-w", "NaN"), 1},
+		{append(knn, "-w", "Inf"), 1},
 		{[]string{"gen", "-dataset", "S2", "-o", filepath.Join(dir, "n.csv"), "-n", "-5"}, 2},
 	} {
 		if _, code := runDDP(t, c.args...); code != c.code {

@@ -186,11 +186,12 @@ func TestBasicDDPErrors(t *testing.T) {
 }
 
 // TestNegativeParametersRefused: 0 asks a pipeline for its default, and a
-// negative knob is an error, not a second spelling of 0.
+// negative or non-finite knob is an error, not a second spelling of 0.
 func TestNegativeParametersRefused(t *testing.T) {
 	ds := dataset.Blobs("negative-knobs", 200, 2, 3, 50, 3, 1)
 	base := Config{Engine: testEngine(), Seed: 1}
 	ctx := context.Background()
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct {
 		name string
 		run  func() error
@@ -211,6 +212,28 @@ func TestNegativeParametersRefused(t *testing.T) {
 			_, err := RunBasicDDP(ctx, ds, BasicConfig{Config: Config{Engine: testEngine(), Dc: -1}})
 			return err
 		}},
+		{"lsh accuracy NaN", func() error {
+			_, err := RunLSHDDP(ctx, ds, LSHConfig{Config: base, Accuracy: nan})
+			return err
+		}},
+		{"lsh W NaN", func() error { _, err := RunLSHDDP(ctx, ds, LSHConfig{Config: base, W: nan}); return err }},
+		{"lsh W Inf", func() error { _, err := RunLSHDDP(ctx, ds, LSHConfig{Config: base, W: inf}); return err }},
+		{"lsh dc NaN", func() error {
+			_, err := RunLSHDDP(ctx, ds, LSHConfig{Config: Config{Engine: testEngine(), Dc: nan}})
+			return err
+		}},
+		{"lsh dc Inf", func() error {
+			_, err := RunLSHDDP(ctx, ds, LSHConfig{Config: Config{Engine: testEngine(), Dc: inf}})
+			return err
+		}},
+		{"basic dc NaN", func() error {
+			_, err := RunBasicDDP(ctx, ds, BasicConfig{Config: Config{Engine: testEngine(), Dc: nan}})
+			return err
+		}},
+		{"basic dc Inf", func() error {
+			_, err := RunBasicDDP(ctx, ds, BasicConfig{Config: Config{Engine: testEngine(), Dc: inf}})
+			return err
+		}},
 		{"halo M", func() error {
 			labels := make([]int32, ds.N())
 			_, err := RunLSHHalo(ctx, ds, make([]float64, ds.N()), labels, 1, LSHConfig{Config: base, M: -3})
@@ -218,7 +241,7 @@ func TestNegativeParametersRefused(t *testing.T) {
 		}},
 	} {
 		if err := c.run(); err == nil || !strings.Contains(err.Error(), "negative") {
-			t.Errorf("%s: err = %v, want a refusal of the negative value", c.name, err)
+			t.Errorf("%s: err = %v, want a refusal of the out-of-range value", c.name, err)
 		}
 	}
 }

@@ -259,11 +259,11 @@ func DcSampleJob(conf mapreduce.Conf) *mapreduce.Job {
 // algorithm package (Basic-DDP, LSH-DDP, EDDPC) calls this with its own
 // session so the job shows up in that pipeline's stats and trace.
 func ChooseDc(ctx context.Context, s *dag.Session, ds *points.Dataset, cfg *Config, input []mapreduce.Pair) (float64, error) {
+	if !knob(cfg.Dc) {
+		return 0, fmt.Errorf("core: negative or non-finite d_c %v; 0 samples it", cfg.Dc)
+	}
 	if cfg.Dc > 0 {
 		return cfg.Dc, nil
-	}
-	if cfg.Dc < 0 {
-		return 0, fmt.Errorf("core: negative d_c %v; 0 samples it", cfg.Dc)
 	}
 	frac := 1.0
 	if n := ds.N(); n > dcSamplePoints {

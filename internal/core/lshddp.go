@@ -36,15 +36,20 @@ type LSHConfig struct {
 	W float64
 }
 
-// check refuses a negative knob: 0 asks for the default, and a negative
-// value is a mistake the defaults would otherwise hide.
+// check refuses a negative or non-finite knob: 0 asks for the default, and
+// any other value outside the knob's range is a mistake the defaults would
+// otherwise hide.
 func (c *LSHConfig) check() error {
-	if c.Accuracy < 0 || c.M < 0 || c.Pi < 0 || c.W < 0 {
-		return fmt.Errorf("core: negative LSH parameter (Accuracy %v, M %d, Pi %d, W %v); 0 asks for the default",
+	if !knob(c.Accuracy) || c.M < 0 || c.Pi < 0 || !knob(c.W) {
+		return fmt.Errorf("core: negative or non-finite LSH parameter (Accuracy %v, M %d, Pi %d, W %v); 0 asks for the default",
 			c.Accuracy, c.M, c.Pi, c.W)
 	}
 	return nil
 }
+
+// knob reports whether a float knob is finite and not negative; NaN is
+// neither.
+func knob(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 func (c *LSHConfig) accuracy() float64 {
 	if c.Accuracy > 0 {
