@@ -96,9 +96,9 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 // spread, so the sample mirrors the data the way serving queries do):
 // 2 048 of 200 000, and every row of a model no larger. scoreUnit is the
 // cost of one exact candidate scoring relative to one posting-walk visit
-// (reading one posting and checking its row against the query's earlier
-// layouts): scoring a row adds a full-dimension distance, roughly an order
-// of magnitude over the visit.
+// (reading one posting through the engine's strip filter): scoring a row
+// adds a full-dimension distance, roughly an order of magnitude over the
+// visit.
 const (
 	maxWeightSamples = 2048
 	scoreUnit        = 12.0
@@ -109,20 +109,20 @@ const (
 // the rows as queries against the bucket index.
 //
 // Owning a bucket has two costs per query that probes it, and they scale
-// differently. The walk — streaming the posting list through the
-// membership filter — is paid on the bucket's full size by the bucket's owner
-// alone. The exact scoring of a candidate, though, is paid once
-// fleet-wide by the owner of the candidate's *first* matching layout in
-// the engine's rotated scan order. Neither a size² weight nor an
-// expected 1/m split over a row's m matching layouts gets that right:
-// the rotation starts at the query's certifying layout, whose bucket
-// keeps every candidate it holds, so the queries of a cluster core funnel
-// their scoring through the few buckets their certifying layouts name, not
-// 1/m to each. The estimator therefore hashes each sample, takes its
-// certifying layout (lsh.Layouts.GuaranteeRadius) as j₀ and walks the
-// sample's M buckets once in the rotated order from j₀, charging each its
-// posting count plus scoreUnit for every row no earlier bucket of the
-// rotation held: the exact first-match rule.
+// differently. The walk — streaming the posting list through the strip
+// filter — is paid on the bucket's full size by the bucket's owner alone.
+// The exact scoring of a candidate, though, is paid at most once
+// fleet-wide, by the owner of the candidate's *first* matching layout in
+// the engine's one cyclic order from the query's certifying layout. Neither
+// a size² weight nor an expected 1/m split over a row's m matching layouts
+// gets that right: the certifying layout's bucket keeps every candidate it
+// holds, so the queries of a cluster core funnel their scoring through the
+// few buckets their certifying layouts name, not 1/m to each. The
+// estimator therefore hashes each sample, takes its certifying layout
+// (lsh.Layouts.GuaranteeRadius) as j₀ and walks the sample's M buckets once
+// in the cyclic order from j₀, charging each its posting count plus
+// scoreUnit for every row no earlier bucket of that order held: the exact
+// first-match rule.
 //
 // The sample is split across GOMAXPROCS goroutines, each with its own
 // weights, and their weights are summed at the end. Every charge is a

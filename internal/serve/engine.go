@@ -140,11 +140,11 @@ type Engine struct {
 	// postings block, sorted on the sweep axis (rows with a non-finite
 	// coordinate there last). ix.RowKeys — each row's bucket ID under
 	// every layout, row-major n×M — is kept in fleet mode only (a sub-model
-	// with RowIDs). It is what makes cross-shard candidate dedup exact: when
-	// a masked query asks this shard to scan layout j, a row already
-	// matching the query under a cyclically-earlier layout is skipped here,
-	// because the shard owning that layout scans it — every global candidate
-	// is scanned exactly once fleet-wide.
+	// with RowIDs), and read only for the layouts outside a query's mask:
+	// a row that shares q's bucket under one of them, earlier in the
+	// sweep's cyclic order, is its owner's to evaluate and is skipped here.
+	// The engine's own layouts dedup through the sweep's stamps, so each row
+	// is evaluated at most once fleet-wide, and the winner by its owner.
 	ix *lsh.Index
 
 	// axis is the coordinate every bucket is sorted on (ix.WidestAxis of the
@@ -168,19 +168,24 @@ type Engine struct {
 
 // scratch is the reusable per-query sweep state.
 type scratch struct {
-	stamp []int32 // per-row epoch marks
+	stamp []int32 // per-row epoch marks: the rows this sweep has filtered
 	epoch int32
 	kb    lsh.KeyBuf
 	strip []int32 // the postings of one strip that pass the filter (CandidateRows: the union)
+	// others holds q's buckets, so far in the sweep's order, under the
+	// layouts outside the mask (fleet mode): other shards own their rows.
+	others []layoutBucket
 	// The sink, at every precision, and the compact filter in front of it.
 	acc kernels.TopKAcc
 	cq  kernels.Compact
-	// Fleet mode: the query's bucket ID per layout (-1: no stored row shares
-	// the key) and the rotation start (the certifying layout).
-	qids []int32
-	j0   int
 	// bound is the query's cap (BatchOpts.Bounds), +Inf without one.
 	bound float64
+}
+
+// layoutBucket is q's bucket id under layout j.
+type layoutBucket struct {
+	j  int
+	id int32
 }
 
 // batchScratch is the reusable per-batch exact-scan state.
@@ -364,15 +369,15 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 	} else {
 		s := e.scratch.Get().(*scratch)
 		for i, q := range qs {
-			var mask uint64
+			var others uint64 // the single node owns every layout
 			s.bound = math.Inf(1)
 			if masked {
-				mask = opts.Masks[i]
+				others = ^opts.Masks[i]
 				if opts.Bounds != nil {
 					s.bound = opts.Bounds[i]
 				}
 			}
-			best, best2, certified := e.sweep(q, mask, masked, s, &st)
+			best, best2, certified := e.sweep(q, others, s, &st)
 			if best < 0 {
 				// No probed bucket holds a row at a finite distance; the
 				// full scan may still find one. In masked mode that
@@ -414,7 +419,7 @@ func (e *Engine) CandidateRows(q points.Vector, dst []int32) ([]int32, bool) {
 	e.layouts.Hash(&s.kb, q)
 	for j := 0; j < e.layouts.M(); j++ {
 		if id, ok := e.ix.Lookup(s.kb.Key(j)); ok {
-			s.strip = s.unseen(e.ix.Bucket(id), s.strip)
+			s.strip = e.admit(e.ix.Bucket(id), s, s.strip)
 		}
 	}
 	dst = append(dst, s.strip...) // one exact-size growth, not a doubling run
@@ -422,22 +427,35 @@ func (e *Engine) CandidateRows(q points.Vector, dst []int32) ([]int32, bool) {
 	return dst, true
 }
 
-// nextEpoch starts a new query's de-duplication marks.
+// nextEpoch starts a new query's filter: no row stamped, no layout outside
+// the mask met yet.
 func (s *scratch) nextEpoch() {
 	s.epoch++
 	if s.epoch <= 0 { // epoch wrapped: invalidate all stamps
 		clear(s.stamp)
 		s.epoch = 1
 	}
+	s.others = s.others[:0]
 }
 
-// unseen marks rows for this epoch, appending the newly marked to dst.
-func (s *scratch) unseen(rows, dst []int32) []int32 {
+// admit is the strip filter of every scan: it appends to dst the rows not
+// yet stamped this epoch, stamping them, except a row that shares q's
+// bucket under a layout in s.others — its owner, another shard, evaluates
+// it. Only that compare reads ix.RowKeys.
+func (e *Engine) admit(rows []int32, s *scratch, dst []int32) []int32 {
+	stamp, epoch, others, rowKeys, nl := s.stamp, s.epoch, s.others, e.ix.RowKeys, e.layouts.M()
+rows:
 	for _, r := range rows {
-		if s.stamp[r] != s.epoch {
-			s.stamp[r] = s.epoch
-			dst = append(dst, r)
+		if stamp[r] == epoch {
+			continue
 		}
+		stamp[r] = epoch
+		for _, o := range others {
+			if rowKeys[int(r)*nl+o.j] == o.id {
+				continue rows
+			}
+		}
+		dst = append(dst, r)
 	}
 	return dst
 }
@@ -452,61 +470,53 @@ func (s *scratch) unseen(rows, dst []int32) []int32 {
 // too far stays too far in the next. The filter never changes what the sink
 // holds after a strip, so every precision visits the same strips.
 //
-// The bucket of the layout that attains q's guarantee radius g — its
-// certifying layout — goes first. When the best distance found there is
-// strictly inside g, every stored row that close — the union's nearest and
-// all that tie with it — shares that bucket (lsh.Layouts.GuaranteeRadius):
-// the answer is the union's and no other bucket is opened (certified). The
-// test is on the exact distance, so the same queries certify at every
-// precision. Otherwise the other buckets follow: unmasked, the epoch stamps
-// keep a row met again in a later bucket's window from being evaluated
-// twice; masked (fleet mode), the layouts in mask are swept through
-// firstMatch, whose rotation starts at the certifying layout. A masked
-// query certifies only on the shard whose mask holds that layout: the whole
-// bucket lives there, so the test is the single node's own.
+// Buckets open in one cyclic order from the layout that attains q's
+// guarantee radius g — its certifying layout. When the best distance found
+// in that first bucket is strictly inside g, every stored row that close —
+// the union's nearest and all that tie with it — shares that bucket
+// (lsh.Layouts.GuaranteeRadius): the answer is the union's and no other
+// bucket is opened (certified). The test is on the exact distance, so the
+// same queries certify at every precision.
+//
+// others is the set of layouts other shards own (fleet mode; 0 on a single
+// node, at any M): their buckets are not opened, and admit skips a row that
+// one of them, earlier in the order, holds. The stamps are exact for the
+// rest: a row of an earlier open bucket that the sweep did not stamp lay
+// outside that bucket's window, and the threshold only falls, so it lies
+// outside every later window too. A masked query certifies only on the
+// shard that owns its certifying layout: the whole bucket lives there, so
+// the test is the single node's own.
 //
 // s.bound caps the sink: a row farther than it is never the answer, and
 // none within it is (-1, +Inf).
-func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st *ScanStats) (best int, best2 float64, certified bool) {
+func (e *Engine) sweep(q points.Vector, others uint64, s *scratch, st *ScanStats) (best int, best2 float64, certified bool) {
 	nl := e.layouts.M()
 	e.layouts.Hash(&s.kb, q)
 	s.cq.Reset(e.q8, e.q8par, q, e.q8bnd)
 	s.acc.Reset(1)
 	s.acc.Cap(s.bound)
+	s.nextEpoch()
 	g, first := e.layouts.GuaranteeRadius(&s.kb)
 	scanned, exact := 0, 0
-	var open func(j int)
-	if masked {
-		e.lookupAll(s)
-		s.j0 = first
-		open = func(j int) {
-			if id := s.qids[j]; id >= 0 && mask&(1<<uint(j)) != 0 {
-				sc, ex := e.sweepBucket(q, id, j, s)
-				scanned, exact = scanned+sc, exact+ex
-			}
+	for i := 0; i < nl && !certified; i++ {
+		j := (first + i) % nl
+		switch id, ok := e.ix.Lookup(s.kb.Key(j)); {
+		case !ok: // no stored row shares q's key here
+		case others&(1<<uint(j)) != 0:
+			s.others = append(s.others, layoutBucket{j, id})
+		default:
+			sc, ex := e.sweepBucket(q, id, s)
+			scanned, exact = scanned+sc, exact+ex
 		}
-	} else {
-		s.nextEpoch()
-		open = func(j int) {
-			if id, ok := e.ix.Lookup(s.kb.Key(j)); ok {
-				sc, ex := e.sweepBucket(q, id, -1, s)
-				scanned, exact = scanned+sc, exact+ex
-			}
-		}
-	}
-	open(first)
-	best, best2 = s.acc.Nearest()
-	certified = best >= 0 && math.Sqrt(best2) < g
-	for j := 0; j < nl && !certified; j++ {
-		if j != first {
-			open(j)
+		if i == 0 {
+			best, best2 = s.acc.Nearest()
+			certified = best >= 0 && math.Sqrt(best2) < g
 		}
 	}
 	if certified {
 		st.Certified++
-	} else {
-		best, best2 = s.acc.Nearest()
 	}
+	best, best2 = s.acc.Nearest()
 	st.Scanned += int64(scanned)
 	if scanned > 0 && e.q8 != nil {
 		st.Rerank += int64(exact)
@@ -515,11 +525,10 @@ func (e *Engine) sweep(q points.Vector, mask uint64, masked bool, s *scratch, st
 	return best, best2, certified
 }
 
-// sweepBucket walks bucket id outward from q into the sink and returns how
-// many rows it evaluated and how many exact distances that took. Each strip
-// is filtered first: through firstMatch for masked layout j ≥ 0, through the
-// epoch stamps otherwise.
-func (e *Engine) sweepBucket(q points.Vector, id int32, j int, s *scratch) (scanned, exact int) {
+// sweepBucket walks bucket id outward from q into the sink, each strip
+// through admit, and returns how many rows it evaluated and how many exact
+// distances that took.
+func (e *Engine) sweepBucket(q points.Vector, id int32, s *scratch) (scanned, exact int) {
 	rows, dim := e.ix.Bucket(id), e.m.Dim
 	n := len(rows)
 	if e.coord[rows[n-1]] == math.Inf(1) {
@@ -528,67 +537,11 @@ func (e *Engine) sweepBucket(q points.Vector, id int32, j int, s *scratch) (scan
 		n = sort.Search(n, func(i int) bool { return e.coord[rows[i]] == math.Inf(1) })
 	}
 	kernels.Sweep(n, q[e.axis], func(i int) float64 { return e.coord[rows[i]] }, s.acc.Threshold, func(lo, hi int) {
-		if j >= 0 {
-			s.strip = e.firstMatch(j, id, lo, hi, s)
-		} else {
-			s.strip = s.unseen(rows[lo:hi], s.strip[:0])
-		}
+		s.strip = e.admit(rows[lo:hi], s, s.strip[:0])
 		scanned += len(s.strip)
 		exact += kernels.TopKCompact(e.m.Data, dim, q, &s.cq, s.strip, &s.acc)
 	})
 	return scanned, exact
-}
-
-// lookupAll resolves the hashed query's bucket under every layout into
-// s.qids.
-func (e *Engine) lookupAll(s *scratch) {
-	s.qids = s.qids[:0]
-	for j := 0; j < e.layouts.M(); j++ {
-		id, ok := e.ix.Lookup(s.kb.Key(j))
-		if !ok {
-			id = -1 // key holds no stored row here; matches nothing
-		}
-		s.qids = append(s.qids, id)
-	}
-}
-
-// firstMatch filters postings [lo, hi) of bucket id — q's bucket under
-// layout j — into s.strip. A row sitting in several of q's buckets must be
-// scanned by exactly one shard fleet-wide, so each row goes to its FIRST
-// matching layout in a per-query cyclic order starting at j0, q's certifying
-// layout: the shard owning layout j sweeps bucket k_j(q) and skips any row
-// that also matches q under a cyclically-earlier layout — whether that
-// layout is in the mask or not (its owner takes the row, and evaluates it
-// unless its own sweep proves the row cannot win there either). So the
-// certifying bucket keeps every row, and every other layout skips exactly
-// those. The skip check early-exits on the first cyclically-earlier match,
-// so a row in a dense region costs one int32 compare, not an O(M) election;
-// the start moves with the query's position inside its slots, which spreads
-// a hot bucket's scan work across every layout's owner in aggregate instead
-// of piling it onto layout 0's. j0 and the skip compares depend only on the
-// query's projections and the row's own keys (a stored row interns all M of
-// its keys), so every shard decides identically and the fleet-wide scan
-// union is a subset of the single-node dedup union that still holds its
-// nearest row.
-func (e *Engine) firstMatch(j int, id int32, lo, hi int, s *scratch) []int32 {
-	nl, rowKeys, qids, j0 := e.layouts.M(), e.ix.RowKeys, s.qids, s.j0
-	rows, strip := e.ix.Bucket(id)[lo:hi], s.strip[:0]
-	ahead := (j - j0 + nl) % nl // cyclic distance from j0 to j: the layouts to check
-rows:
-	for _, r := range rows {
-		base := int(r) * nl
-		for dj := 0; dj < ahead; dj++ {
-			j2 := j0 + dj
-			if j2 >= nl {
-				j2 -= nl
-			}
-			if rowKeys[base+j2] == qids[j2] {
-				continue rows // cyclically-earlier layout takes this row
-			}
-		}
-		strip = append(strip, r)
-	}
-	return strip
 }
 
 // exactBatch answers bs.pending through the float64 TopKBatch scan into

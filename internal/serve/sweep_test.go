@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -282,6 +283,98 @@ func TestSweepAssignMatchesGather(t *testing.T) {
 	}
 }
 
+// admitted feeds q's whole buckets, unpruned, through the strip filter in the
+// sweep's order — cyclic from the certifying layout, a layout in others met
+// but not opened — and returns the rows the filter let through, sorted.
+func admitted(e *Engine, q points.Vector, others uint64) []int32 {
+	s := &scratch{stamp: make([]int32, e.Model().N())}
+	s.nextEpoch()
+	e.layouts.Hash(&s.kb, q)
+	_, first := e.layouts.GuaranteeRadius(&s.kb)
+	var rows []int32
+	for i := 0; i < e.Layouts(); i++ {
+		j := (first + i) % e.Layouts()
+		switch id, ok := e.ix.Lookup(s.kb.Key(j)); {
+		case !ok:
+		case others&(1<<uint(j)) != 0:
+			s.others = append(s.others, layoutBucket{j, id})
+		default:
+			rows = e.admit(e.ix.Bucket(id), s, rows)
+		}
+	}
+	slices.Sort(rows)
+	return rows
+}
+
+// TestStripFilterRule holds the strip filter to its rule row for row, with
+// no pruning in the way: under a mask it admits exactly the rows whose first
+// layout matching q, cyclically from the certifying layout, is in the mask
+// (maskedUnion); at the full mask, exactly the CandidateRows union; and a mask
+// and its complement split that union between them, no row on both sides.
+func TestStripFilterRule(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	for dim := 1; dim <= 4; dim++ {
+		for what, block := range sweepBlocks(rng, 300, dim) {
+			m, pi := 2+rng.Intn(12), 1+rng.Intn(3)
+			w := []float64{0.5, 4, 25}[rng.Intn(3)]
+			e, err := NewEngine(sweepModel(block, dim, m, pi, w, true), PrecF64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s dim %d M %d pi %d w %v", what, dim, m, pi, w)
+			for _, q := range sweepQueries(rng, block, dim, 30) {
+				union, _ := e.CandidateRows(q, nil)
+				slices.Sort(union)
+				if full := admitted(e, q, 0); !slices.Equal(full, union) {
+					t.Fatalf("%s: q=%v: full mask admits %v, the union is %v", name, q, full, union)
+				}
+				for _, mask := range []uint64{rng.Uint64(), 1 << uint(rng.Intn(m)), 0} {
+					in, out := admitted(e, q, ^mask), admitted(e, q, mask)
+					if want := maskedUnion(e, q, mask); !slices.Equal(in, want) {
+						t.Fatalf("%s: q=%v mask=%b: admits %v, want %v", name, q, mask, in, want)
+					}
+					both := append(slices.Clone(in), out...)
+					slices.Sort(both)
+					if !slices.Equal(both, union) {
+						t.Fatalf("%s: q=%v mask=%b: mask admits %v and its complement %v, the union is %v", name, q, mask, in, out, union)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSingleNodeManyLayouts: lsh.CheckLayouts allows more layouts than a
+// fleet's 64-bit mask holds, and a single node owns every one of them. An
+// engine of 70 layouts answers each stored row as the exact scan does,
+// matches the gathered union on jittered and hostile queries, and never
+// reads ix.RowKeys — which it does not keep, so a read would panic.
+func TestSingleNodeManyLayouts(t *testing.T) {
+	rng := rand.New(rand.NewSource(75))
+	const n, dim, m = 400, 2, 70
+	block := sweepBlocks(rng, n, dim)["blobs"]
+	for _, prec := range []Precision{PrecF64, PrecQ8} {
+		e, err := NewEngine(sweepModel(block, dim, m, 2, 4, false), prec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Layouts() != m || e.ix.RowKeys != nil {
+			t.Fatalf("engine of %d layouts, row keys kept: %v", e.Layouts(), e.ix.RowKeys != nil)
+		}
+		for r := 0; r < n; r++ {
+			q := points.Vector(block[r*dim:][:dim])
+			got, _, err := e.Assign(q, false)
+			want, _, wantErr := e.Assign(q, true)
+			if err != nil || wantErr != nil || got.Nearest != want.Nearest || got.Dist2 != want.Dist2 || got.Exact {
+				t.Fatalf("%s: row %d: swept %+v (err %v), exact scan %+v (err %v)", prec, r, got, err, want, wantErr)
+			}
+		}
+		for _, q := range sweepQueries(rng, block, dim, 200) {
+			checkSweep(t, fmt.Sprintf("M %d %s", m, prec), e, q, 0, false, math.Inf(1))
+		}
+	}
+}
+
 // On well-separated blobs a query's bucket union spans its whole blob but
 // its nearest row is close: the sweep must evaluate under half the union,
 // and most queries must certify from one bucket.
@@ -509,23 +602,25 @@ func TestCompactSweepMatchesF64(t *testing.T) {
 // serving geometry (harnessGeometry at 200 K rows), at f64 and q8, and
 // reports the rows evaluated, the exact distances the compact filter let
 // through (0 at f64) and the share of queries that one bucket certified.
-// The q8-masked case is a fleet shard's scan — a sub-model with row IDs, every
-// layout in the mask — so each strip of a non-certifying bucket also runs the
-// cross-shard membership filter (firstMatch).
+// The q8-masked and q8-half cases are a fleet shard's scan — a sub-model with
+// row IDs — under a mask of every layout and of the even layouts. A full mask
+// has no layout outside it, so q8-masked is q8's scan; q8-half is the one
+// case whose strips also compare ix.RowKeys, for each earlier odd layout.
 func BenchmarkEngineAssign(b *testing.B) {
 	data, w, qs := harnessGeometry(b, 200_000, 2048)
 	for _, c := range []struct {
 		name  string
 		prec  Precision
 		fleet bool
-	}{{"f64", PrecF64, false}, {"q8", PrecQ8, false}, {"q8-masked", PrecQ8, true}} {
+		mask  uint64
+	}{{"f64", PrecF64, false, 0}, {"q8", PrecQ8, false, 0}, {"q8-masked", PrecQ8, true, 0x3ff}, {"q8-half", PrecQ8, true, 0x155}} {
 		e, err := NewEngine(sweepModel(data, 8, 10, 3, w, c.fleet), c.prec)
 		if err != nil {
 			b.Fatal(err)
 		}
 		var opts BatchOpts
 		if c.fleet {
-			opts.Masks = []uint64{1<<e.Layouts() - 1}
+			opts.Masks = []uint64{c.mask}
 		}
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
