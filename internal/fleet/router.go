@@ -134,7 +134,7 @@ type Router struct {
 	httpSrv *http.Server
 	ln      net.Listener
 	quit    chan struct{}
-	probeWG sync.WaitGroup
+	bg      sync.WaitGroup // the prober and the HTTP loop
 	once    sync.Once
 	shutErr error
 }
@@ -227,9 +227,12 @@ func (r *Router) Start(addr string) error {
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	r.probeWG.Add(1)
+	r.bg.Add(2)
 	go r.prober()
-	go r.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
+	go func() {
+		defer r.bg.Done()
+		r.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
+	}()
 	r.logf("fleet: router listening on %s (%d shards, heartbeat=%s dead-after=%s)",
 		ln.Addr(), len(r.shards), heartbeat, deadAfter)
 	return nil
@@ -243,7 +246,8 @@ func (r *Router) Addr() string {
 	return r.ln.Addr().String()
 }
 
-// Shutdown stops the listener and the prober. Safe to call more than once.
+// Shutdown stops the listener and the prober and returns after both
+// goroutines Start began have. Safe to call more than once.
 func (r *Router) Shutdown(ctx context.Context) error {
 	r.once.Do(func() {
 		r.draining.Store(true)
@@ -251,7 +255,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 			r.shutErr = r.httpSrv.Shutdown(ctx)
 		}
 		close(r.quit)
-		r.probeWG.Wait()
+		r.bg.Wait()
 	})
 	return r.shutErr
 }
@@ -260,7 +264,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 // replica's /healthz concurrently; success revives the replica, and a
 // replica with no success inside deadAfter is declared dead.
 func (r *Router) prober() {
-	defer r.probeWG.Done()
+	defer r.bg.Done()
 	tick := time.NewTicker(heartbeat)
 	defer tick.Stop()
 	for {

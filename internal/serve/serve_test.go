@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -489,6 +490,36 @@ func TestGracefulDrain(t *testing.T) {
 	if _, err := http.Post("http://"+addr+"/assign", "application/json",
 		bytes.NewReader([]byte(`{"points":[[1,1]]}`))); err == nil {
 		t.Error("post-drain request was accepted")
+	}
+}
+
+// TestShutdownReleasesEngine: once Shutdown returns, nothing the server
+// started may still hold its model, so the first collection after it frees
+// the model. A server rebuilt in place (a reload loop, a harness's repeated
+// set-ups) would otherwise keep two models live at random.
+func TestShutdownReleasesEngine(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		freed := make(chan struct{})
+		mdl := smallModel("release")
+		runtime.SetFinalizer(mdl, func(*model.Model) { close(freed) })
+		srv := serve.New(serve.Config{})
+		if err := srv.SetModel(mdl); err != nil {
+			t.Fatal(err)
+		}
+		mdl = nil
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		srv = nil
+		runtime.GC()
+		select {
+		case <-freed:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: the model outlived Shutdown and a collection", round)
+		}
 	}
 }
 

@@ -140,6 +140,7 @@ type Server struct {
 	mux      *http.ServeMux
 	httpSrv  *http.Server
 	ln       net.Listener
+	loop     sync.WaitGroup // the HTTP loop Start runs; Shutdown waits for it
 	shutOnce sync.Once
 	shutErr  error
 }
@@ -230,7 +231,11 @@ func (s *Server) Start(addr string) error {
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 	}
-	go s.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
+	s.loop.Add(1)
+	go func() {
+		defer s.loop.Done()
+		s.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
+	}()
 	s.logf("serve: listening on %s (queue=%d workers=%d)", ln.Addr(), cap(s.waiting), s.cfg.workers())
 	return nil
 }
@@ -245,14 +250,16 @@ func (s *Server) Addr() string {
 
 // Shutdown drains gracefully: new requests are refused (503), and
 // http.Server.Shutdown waits for the handlers of queued and in-flight
-// requests, each of which answers its own request. Safe to call more than
-// once.
+// requests, each of which answers its own request. It returns after the HTTP
+// loop has too, so nothing Start began still holds the server or its
+// engine. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
 		s.draining.Store(true)
 		if s.httpSrv != nil {
 			s.shutErr = s.httpSrv.Shutdown(ctx)
 		}
+		s.loop.Wait()
 		s.logf("serve: drained: %d requests served, %d shed", s.counters.Get(CtrRequests), s.counters.Get(CtrShed))
 	})
 	return s.shutErr
