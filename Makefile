@@ -37,8 +37,10 @@ vet:
 
 # Fail on any package missing a package-level doc comment, any registered
 # Conf* knob missing from README.md's configuration reference, any knob key
-# in that reference that no code reads, or any doc citing a `make` target,
-# cmd/ binary or command-line flag that no longer exists.
+# in that reference that no code reads, any doc citing a `make` target,
+# cmd/ binary or command-line flag that no longer exists, or any declaration
+# under internal/ that no non-test code outside bench/ refers to and that
+# doccheck's uncalled list does not name with a reason.
 doccheck:
 	$(GO) run ./cmd/doccheck
 

@@ -150,7 +150,7 @@ func BenchmarkExactSequentialDP(b *testing.B) {
 			dc := dp.CutoffByPercentile(ds, 0.02, 1)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := dp.Compute(ds, dc, dp.Options{}); err != nil {
+				if _, err := dp.Compute(ds, dc); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -139,6 +139,10 @@ func runServe() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *workers < 0 || *shard < -1 || *ingIDBase < 0 || *ingIDStr < 0 || *compactInt < 0 {
+		fmt.Fprintln(os.Stderr, "clusterd: -workers, -ingest-id-base, -ingest-id-stride and -compact-interval must not be negative, and -shard must be -1 or a shard id")
+		os.Exit(2)
+	}
 
 	loader := func() (*model.Model, error) { return model.ReadFile(*modelPath) }
 

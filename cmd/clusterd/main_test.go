@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -42,6 +43,31 @@ func TestParseShards(t *testing.T) {
 		got, err := parseShards(c.list)
 		if (err != nil) != c.err || !reflect.DeepEqual(got, c.want) {
 			t.Errorf("parseShards(%q) = %q, %v; want %q, error %v", c.list, got, err, c.want, c.err)
+		}
+	}
+}
+
+// TestNegativeFlagsRefused: a negative serving flag exits 2 before the
+// model is read or a port opened, where 0 and -shard -1 keep their meaning
+// (and reach the missing model, exit 1).
+func TestNegativeFlagsRefused(t *testing.T) {
+	model := filepath.Join(t.TempDir(), "missing.ddpm")
+	for _, c := range []struct {
+		flags []string
+		code  int
+	}{
+		{[]string{"-workers", "-3"}, 2},
+		{[]string{"-ingest-id-stride", "-5"}, 2},
+		{[]string{"-ingest-id-base", "-7"}, 2},
+		{[]string{"-compact-interval", "-1s"}, 2},
+		{[]string{"-shard", "-5"}, 2},
+		{[]string{"-shard", "-1", "-workers", "0", "-ingest-id-stride", "0", "-ingest-id-base", "0", "-compact-interval", "0"}, 1},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-model", model, "-listen", "127.0.0.1:0"}, c.flags...)...)
+		cmd.Env = append(os.Environ(), "CLUSTERD_TEST_AS_COMMAND=1")
+		out, err := cmd.CombinedOutput()
+		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != c.code {
+			t.Errorf("clusterd %s: %v %q, want exit %d", strings.Join(c.flags, " "), err, out, c.code)
 		}
 	}
 }

@@ -222,7 +222,7 @@ func runAlgorithm(ctx context.Context, ds *dataset.DS, algo string, lsh core.LSH
 		if err != nil {
 			return nil, err
 		}
-		ref, err := dp.Compute(ds, dcv, dp.Options{})
+		ref, err := dp.Compute(ds, dcv)
 		if err != nil {
 			return nil, err
 		}

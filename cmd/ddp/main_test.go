@@ -150,6 +150,8 @@ func TestNegativeFlagsRefused(t *testing.T) {
 		{append(knn, "-w", "-5"), 1},
 		{append(knn, "-accuracy", "NaN"), 1},
 		{append(knn, "-accuracy", "Inf"), 1},
+		{append(knn, "-accuracy", "1"), 1},
+		{append(knn, "-accuracy", "1.5"), 1},
 		{append(knn, "-w", "NaN"), 1},
 		{append(knn, "-w", "Inf"), 1},
 		{[]string{"gen", "-dataset", "S2", "-o", filepath.Join(dir, "n.csv"), "-n", "-5"}, 2},

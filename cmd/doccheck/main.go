@@ -32,7 +32,11 @@
 //     such a line that is neither a flag nor one of its subcommands, or
 //   - those four or bench/README.md cite a test, fuzz target or benchmark
 //     name as a whole backticked span (`Name/subtest` cites Name) that no
-//     _test.go file declares.
+//     _test.go file declares, or
+//   - a package-level declaration in a non-test file under internal/ has no
+//     reference from a non-test file outside bench/ (deadDecls has the
+//     rule), unless the uncalled list names it with its reason — or that
+//     list names a declaration that is gone or that program code now uses.
 //
 // The second check keeps the README's configuration reference in step with
 // the code: adding a knob without documenting it breaks `make check` and CI.
@@ -62,18 +66,18 @@ import (
 )
 
 func main() {
-	undocumented, knobs, counters, literals, fields, tests, err := scan(".")
+	t, err := scan(".")
 	fatal(err)
 	failed := false
-	if len(undocumented) > 0 {
+	if len(t.undocumented) > 0 {
 		failed = true
 		fmt.Fprintln(os.Stderr, "doccheck: packages without a package doc comment:")
-		for _, dir := range undocumented {
+		for _, dir := range t.undocumented {
 			fmt.Fprintf(os.Stderr, "  %s\n", dir)
 		}
 	}
 	readme := readDoc("README.md")
-	if missing := undocumentedConsts(readme, knobs); len(missing) > 0 {
+	if missing := undocumentedConsts(readme, t.knobs); len(missing) > 0 {
 		failed = true
 		fmt.Fprintln(os.Stderr, "doccheck: knobs registered in code but missing from README.md's configuration reference:")
 		for _, k := range missing {
@@ -82,22 +86,22 @@ func main() {
 		fmt.Fprintln(os.Stderr, "doccheck: add a `| `knob` | default | meaning |` row under \"Configuration reference\"")
 	}
 	documented := documentedKnobs(readme)
-	for _, key := range unreadKnobs(documented, literals) {
+	for _, key := range unreadKnobs(documented, t.literals) {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: README documents knob %s, which no code reads\n", key)
 	}
 	settings := documentedFields(readme)
-	for _, f := range missingFields(settings, fields) {
+	for _, f := range missingFields(settings, t.fields) {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: README documents setting %s, which names no exported struct field\n", f)
 	}
 	ops := readDoc("OPERATIONS.md")
-	for _, c := range undocumentedConsts(ops, counters) {
+	for _, c := range undocumentedConsts(ops, t.counters) {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: counter %s (%s) has no OPERATIONS.md row\n", c.value, c.name)
 	}
 	rows := documentedCounters(ops)
-	for _, name := range unreadKnobs(rows, literals) {
+	for _, name := range unreadKnobs(rows, t.literals) {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: OPERATIONS.md documents counter %s, which no code emits\n", name)
 	}
@@ -110,16 +114,20 @@ func main() {
 		}
 	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "OPERATIONS.md", "bench/README.md"} {
-		for _, name := range staleTests(readDoc(doc), tests) {
+		for _, name := range staleTests(readDoc(doc), t.tests) {
 			failed = true
 			fmt.Fprintf(os.Stderr, "doccheck: %s cites `%s`, which no _test.go file declares\n", doc, name)
 		}
 	}
+	for _, msg := range deadDecls(t.files, uncalled) {
+		failed = true
+		fmt.Fprintf(os.Stderr, "doccheck: %s\n", msg)
+	}
 	if failed {
 		os.Exit(1)
 	}
-	fmt.Printf("doccheck: all packages documented, all %d registered knobs in the README, all %d README knob keys read by code, all %d README struct settings declared, all %d counters in OPERATIONS.md, all %d OPERATIONS.md counter rows emitted by code\n",
-		len(knobs), len(documented), len(settings), len(counters), len(rows))
+	fmt.Printf("doccheck: all packages documented, all %d registered knobs in the README, all %d README knob keys read by code, all %d README struct settings declared, all %d counters in OPERATIONS.md, all %d OPERATIONS.md counter rows emitted by code, every declaration under internal/ referred to by program code or one of %d listed exceptions\n",
+		len(t.knobs), len(documented), len(settings), len(t.counters), len(rows), len(uncalled))
 }
 
 // fatal exits on a file doccheck cannot read or parse.
@@ -549,19 +557,23 @@ func structFields(f *ast.File, fields map[string]map[string]bool) {
 	})
 }
 
-// scan walks the tree under root and returns the directories containing a
-// Go package whose files all lack a package doc comment, every registered
-// Conf* knob and Ctr* counter, each sorted by name, every dotted string
-// literal of the non-test files, the exported fields of their struct
-// types, and the top-level functions the test files declare.
-func scan(root string) ([]string, []knob, []knob, []string, map[string]map[string]bool, map[string]bool, error) {
+// tree is what scan reads out of the repository's Go files.
+type tree struct {
+	undocumented    []string                   // directories of packages without a package doc comment
+	knobs, counters []knob                     // registered Conf* knobs and Ctr* counters, sorted by name
+	literals        []string                   // dotted string literals of the non-test files
+	fields          map[string]map[string]bool // exported fields per struct type
+	tests           map[string]bool            // top-level functions of the test files
+	files           []goFile                   // every Go file
+}
+
+// scan walks the tree under root and reads every Go file outside testdata
+// and hidden directories.
+func scan(root string) (tree, error) {
+	t := tree{fields: make(map[string]map[string]bool), tests: make(map[string]bool)}
 	// dir -> has at least one non-test file with a package doc
 	hasDoc := make(map[string]bool)
 	seen := make(map[string]bool)
-	var knobs, counters []knob
-	var literals []string
-	fields := make(map[string]map[string]bool)
-	tests := make(map[string]bool)
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -581,10 +593,15 @@ func scan(root string) ([]string, []knob, []knob, []string, map[string]map[strin
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		t.files = append(t.files, goFile{path: filepath.ToSlash(rel), fset: fset, f: f})
 		if strings.HasSuffix(path, "_test.go") {
 			for _, decl := range f.Decls {
 				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
-					tests[fn.Name.Name] = true
+					t.tests[fn.Name.Name] = true
 				}
 			}
 			return nil
@@ -594,13 +611,13 @@ func scan(root string) ([]string, []knob, []knob, []string, map[string]map[strin
 		if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
 			hasDoc[dir] = true
 		}
-		knobs = append(knobs, collectConsts(path, f, "Conf")...)
-		counters = append(counters, collectConsts(path, f, "Ctr")...)
-		structFields(f, fields)
+		t.knobs = append(t.knobs, collectConsts(path, f, "Conf")...)
+		t.counters = append(t.counters, collectConsts(path, f, "Ctr")...)
+		structFields(f, t.fields)
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
 				if val, err := strconv.Unquote(lit.Value); err == nil && strings.Contains(val, ".") {
-					literals = append(literals, val)
+					t.literals = append(t.literals, val)
 				}
 			}
 			return true
@@ -608,16 +625,15 @@ func scan(root string) ([]string, []knob, []knob, []string, map[string]map[strin
 		return nil
 	})
 	if err != nil {
-		return nil, nil, nil, nil, nil, nil, err
+		return tree{}, err
 	}
-	var out []string
 	for dir := range seen {
 		if !hasDoc[dir] {
-			out = append(out, dir)
+			t.undocumented = append(t.undocumented, dir)
 		}
 	}
-	sort.Strings(out)
-	sort.Slice(knobs, func(i, j int) bool { return knobs[i].value < knobs[j].value })
-	sort.Slice(counters, func(i, j int) bool { return counters[i].value < counters[j].value })
-	return out, knobs, counters, literals, fields, tests, nil
+	sort.Strings(t.undocumented)
+	sort.Slice(t.knobs, func(i, j int) bool { return t.knobs[i].value < t.knobs[j].value })
+	sort.Slice(t.counters, func(i, j int) bool { return t.counters[i].value < t.counters[j].value })
+	return t, nil
 }

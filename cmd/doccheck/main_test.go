@@ -263,3 +263,79 @@ type Alias = Master
 		}
 	}
 }
+
+// parseTree parses in-memory sources keyed by their path under the module
+// root.
+func parseTree(t *testing.T, srcs map[string]string) []goFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []goFile
+	for path, src := range srcs {
+		f, err := parser.ParseFile(fset, path, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, goFile{path: path, fset: fset, f: f})
+	}
+	return files
+}
+
+// TestDeadDecls: a declaration under internal/ needs a reference from a
+// non-test file outside bench/ and outside itself, unless the exception
+// list names it; a list entry must name a declaration nothing refers to.
+func TestDeadDecls(t *testing.T) {
+	const lib = `package p
+
+type T struct{}
+
+func (T) String() string { return "t" }
+
+func (T) Listed() {}
+
+func Used() T { return T{} }
+
+func Dead() { Dead() }
+`
+	const user = "package main\n\nimport \"repro/internal/p\"\n\nfunc main() { p.Used() }\n"
+	const caller = "package main\n\nimport \"repro/internal/p\"\n\nfunc main() { p.Used(); p.Dead() }\n"
+	listed := map[string]string{"p.T.Listed": "test support"}
+	dead := "internal/p/p.go:11: p.Dead is declared, but no non-test code outside bench/ refers to it"
+	cases := []struct {
+		name    string
+		srcs    map[string]string
+		allowed map[string]string
+		want    []string
+	}{
+		{"called through a selector", map[string]string{"internal/p/p.go": lib, "cmd/x/main.go": caller}, listed, nil},
+		{"uncalled exported func", map[string]string{"internal/p/p.go": lib, "cmd/x/main.go": user}, listed, []string{dead}},
+		{"called only from a test", map[string]string{"internal/p/p.go": lib, "cmd/x/main.go": user,
+			"internal/p/p_test.go": "package p\n\nfunc TestDead() { Dead() }\n"}, listed, []string{dead}},
+		{"called only from bench/", map[string]string{"internal/p/p.go": lib, "cmd/x/main.go": user,
+			"bench/main.go": caller}, listed, []string{dead}},
+		{"uncalled unexported func", map[string]string{"internal/p/p.go": lib + "\nfunc dead() {}\n\nfunc live() {}\n\nvar _ = live\n",
+			"cmd/x/main.go": caller + "\nfunc dead() {}\n\nvar _ = dead\n"}, listed,
+			[]string{"internal/p/p.go:13: p.dead is declared, but no non-test code outside bench/ refers to it"}},
+		{"unlisted method", map[string]string{"internal/p/p.go": lib, "cmd/x/main.go": caller}, nil,
+			[]string{"internal/p/p.go:7: p.T.Listed is declared, but no non-test code outside bench/ refers to it"}},
+		{"stale entries", map[string]string{"internal/p/p.go": lib, "cmd/x/main.go": caller},
+			map[string]string{"p.T.Listed": "test support", "p.Used": "harness", "p.Gone": "harness"},
+			[]string{"uncalled lists p.Used, which program code now refers to", "uncalled lists p.Gone, which is no longer declared"}},
+	}
+	for _, c := range cases {
+		if got := deadDecls(parseTree(t, c.srcs), c.allowed); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: deadDecls = %q, want %q", c.name, got, c.want)
+		}
+	}
+}
+
+// TestRepositoryDeclsCalled runs the dead-declaration rule on the module,
+// so `go test ./...` enforces it as `make check` does.
+func TestRepositoryDeclsCalled(t *testing.T) {
+	tr, err := scan("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range deadDecls(tr.files, uncalled) {
+		t.Error(msg)
+	}
+}

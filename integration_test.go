@@ -23,7 +23,7 @@ func TestExactAlgorithmsAgreeBitForBit(t *testing.T) {
 	dc := dp.CutoffByPercentile(ds, 0.02, 1)
 	eng := &mapreduce.LocalEngine{Parallelism: 4}
 
-	seq, err := dp.Compute(ds, dc, dp.Options{})
+	seq, err := dp.Compute(ds, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestLSHDDPApproximatesExactOnAllRegistrySets(t *testing.T) {
 				}
 			}
 			dc := dp.CutoffByPercentile(ds, 0.02, 1)
-			exact, err := dp.Compute(ds, dc, dp.Options{})
+			exact, err := dp.Compute(ds, dc)
 			if err != nil {
 				t.Fatal(err)
 			}

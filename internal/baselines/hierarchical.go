@@ -81,7 +81,7 @@ func Hierarchical(ds *points.Dataset, k int, link Linkage) ([]int, error) {
 				nd = math.Min(dist[m.a][c], dist[m.b][c])
 			}
 			dist[m.a][c], dist[c][m.a] = nd, nd
-			heap.Push(pq, merge{d: nd, a: minInt(m.a, c), b: maxInt(m.a, c)})
+			heap.Push(pq, merge{d: nd, a: min(m.a, c), b: max(m.a, c)})
 		}
 		size[m.a] += size[m.b]
 		remaining--
@@ -133,18 +133,4 @@ func (q *mergeQueue) Pop() interface{} {
 	x := old[n-1]
 	*q = old[:n-1]
 	return x
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -20,7 +20,7 @@ func testEngine() mapreduce.Engine {
 // exactReference computes sequential DP for comparison.
 func exactReference(t *testing.T, ds *points.Dataset, dc float64) *dp.Result {
 	t.Helper()
-	ref, err := dp.Compute(ds, dc, dp.Options{})
+	ref, err := dp.Compute(ds, dc)
 	if err != nil {
 		t.Fatalf("dp.Compute: %v", err)
 	}
@@ -84,8 +84,12 @@ func TestBasicDDPAutoDc(t *testing.T) {
 		t.Fatalf("auto d_c = %v, want positive", res.Stats.Dc)
 	}
 	// The 2% quantile of pair distances must be well below the diameter.
-	lo, hi := ds.Bounds()
-	diam := points.Dist(lo, hi)
+	var diam float64
+	for i := range ds.Points {
+		for j := range ds.Points[:i] {
+			diam = max(diam, points.Dist(ds.Points[i].Pos, ds.Points[j].Pos))
+		}
+	}
 	if res.Stats.Dc >= diam {
 		t.Fatalf("auto d_c %v not below diameter %v", res.Stats.Dc, diam)
 	}

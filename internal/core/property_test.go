@@ -33,7 +33,7 @@ func TestLSHDDPStructuralProperties(t *testing.T) {
 		if dc <= 0 {
 			return true
 		}
-		exact, err := dp.Compute(ds, dc, dp.Options{})
+		exact, err := dp.Compute(ds, dc)
 		if err != nil {
 			return false
 		}

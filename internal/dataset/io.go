@@ -38,20 +38,6 @@ func WriteCSV(w io.Writer, ds *points.Dataset) error {
 	return bw.Flush()
 }
 
-// WriteCSVFile writes the data set to path.
-func WriteCSVFile(path string, ds *points.Dataset) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	return WriteCSV(f, ds)
-}
-
 // ReadCSV parses a data set from CSV. When hasLabel is true the last
 // column is read as an integer ground-truth label; all other columns must
 // be floats. IDs are assigned densely in row order.

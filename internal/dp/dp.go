@@ -30,13 +30,6 @@ import (
 	"repro/internal/points"
 )
 
-// Options configures Compute.
-type Options struct {
-	// Counter, when non-nil, receives the number of full distance
-	// evaluations performed (the paper's computational-cost metric).
-	Counter *int64
-}
-
 // Result holds the exact DP quantities, indexed by point ID.
 type Result struct {
 	Rho     []float64
@@ -65,7 +58,7 @@ func DenserVals(rhoJ, rhoI float64, j, i int32) bool {
 }
 
 // Compute runs exact DP on ds with cutoff dc.
-func Compute(ds *points.Dataset, dc float64, opt Options) (*Result, error) {
+func Compute(ds *points.Dataset, dc float64) (*Result, error) {
 	n := ds.N()
 	if n == 0 {
 		return &Result{}, nil
@@ -78,21 +71,22 @@ func Compute(ds *points.Dataset, dc float64, opt Options) (*Result, error) {
 		Delta:   make([]float64, n),
 		Upslope: make([]int32, n),
 	}
-	rhoCutoff(ds, dc, ds.Dim() <= points.MaxGridDim, opt.Counter, res.Rho)
-	computeDelta(ds, opt, res)
+	rhoCutoff(ds, dc, nil, res.Rho)
+	computeDelta(ds, res)
 	return res, nil
 }
 
 // rhoCutoff adds to rho the cutoff count of every unordered pair within dc,
-// evaluating each candidate pair once. With grid the candidates are the
-// pairs in neighbouring cells of a points.Grid of side dc — near-linear on
-// low-dimensional data, and exact: every pair within dc shares or
-// neighbours a cell, and ρ is an integer count, so the order the pairs are
-// met in cannot matter. Without it every pair is a candidate.
-func rhoCutoff(ds *points.Dataset, dc float64, grid bool, counter *int64, rho []float64) {
+// evaluating each candidate pair once, and adds the pairs it evaluated to
+// counter when that is set. Up to points.MaxGridDim dimensions the
+// candidates are the pairs in neighbouring cells of a points.Grid of side
+// dc — near-linear on low-dimensional data, and exact: every pair within dc
+// shares or neighbours a cell, and ρ is an integer count, so the order the
+// pairs are met in cannot matter. Above it every pair is a candidate.
+func rhoCutoff(ds *points.Dataset, dc float64, counter *int64, rho []float64) {
 	var g *points.Grid
 	var all []int32
-	if grid {
+	if ds.Dim() <= points.MaxGridDim {
 		g = points.NewGrid(ds, dc)
 	} else {
 		all = make([]int32, ds.N())
@@ -122,13 +116,8 @@ func rhoCutoff(ds *points.Dataset, dc float64, grid bool, counter *int64, rho []
 			visit(all[i+1:])
 		}
 	}
-	count(counter, nd)
-}
-
-// count adds n to counter when it is set.
-func count(counter *int64, n int64) {
 	if counter != nil {
-		*counter += n
+		*counter += nd
 	}
 }
 
@@ -136,7 +125,7 @@ func count(counter *int64, n int64) {
 // (Section II-A's optimization (2)): after sorting points by the density
 // total order, point i's upslope candidates are exactly the points ahead
 // of it in the order.
-func computeDelta(ds *points.Dataset, opt Options, res *Result) {
+func computeDelta(ds *points.Dataset, res *Result) {
 	n := ds.N()
 	order := make([]int32, n)
 	for i := range order {
@@ -152,7 +141,6 @@ func computeDelta(ds *points.Dataset, opt Options, res *Result) {
 		for oj := 0; oj < oi; oj++ {
 			j := order[oj]
 			d2 := points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos)
-			count(opt.Counter, 1)
 			if d2 < best2 {
 				best2 = d2
 				bestJ = j
@@ -172,7 +160,6 @@ func computeDelta(ds *points.Dataset, opt Options, res *Result) {
 			continue
 		}
 		d2 := points.SqDist(ds.Points[peak].Pos, ds.Points[j].Pos)
-		count(opt.Counter, 1)
 		if d2 > max2 {
 			max2 = d2
 		}

@@ -95,7 +95,7 @@ func TestComputeMatchesNaive(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		ds := randomSet(150, 3, seed)
 		dc := CutoffByPercentile(ds, 0.05, seed)
-		got, err := Compute(ds, dc, Options{})
+		got, err := Compute(ds, dc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestDenserTotalOrder(t *testing.T) {
 func TestAbsolutePeakInvariants(t *testing.T) {
 	ds := randomSet(100, 2, 13)
 	dc := CutoffByPercentile(ds, 0.1, 13)
-	res, err := Compute(ds, dc, Options{})
+	res, err := Compute(ds, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestDeltaOptimalityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		ds := randomSet(60, 2, seed)
 		dc := CutoffByPercentile(ds, 0.1, seed)
-		res, err := Compute(ds, dc, Options{})
+		res, err := Compute(ds, dc)
 		if err != nil {
 			return false
 		}
@@ -197,14 +197,14 @@ func TestDeltaOptimalityProperty(t *testing.T) {
 }
 
 func TestComputeEdgeCases(t *testing.T) {
-	if _, err := Compute(points.FromVectors("x", []points.Vector{{1}}), 0, Options{}); err == nil {
+	if _, err := Compute(points.FromVectors("x", []points.Vector{{1}}), 0); err == nil {
 		t.Fatal("want error for non-positive dc")
 	}
-	empty, err := Compute(&points.Dataset{}, 1, Options{})
+	empty, err := Compute(&points.Dataset{}, 1)
 	if err != nil || len(empty.Rho) != 0 {
 		t.Fatalf("empty dataset: %v %v", empty, err)
 	}
-	one, err := Compute(points.FromVectors("one", []points.Vector{{5, 5}}), 1, Options{})
+	one, err := Compute(points.FromVectors("one", []points.Vector{{5, 5}}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,26 +228,28 @@ func TestCutoffByPercentileMatchesSortedPairs(t *testing.T) {
 	}
 }
 
-// gridAndAllPairs runs both cutoff ρ passes on ds and returns their
-// densities and distance counts.
-func gridAndAllPairs(ds *points.Dataset, dc float64) (grid, all []float64, gridCount, allCount int64) {
-	grid, all = make([]float64, ds.N()), make([]float64, ds.N())
-	rhoCutoff(ds, dc, true, &gridCount, grid)
-	rhoCutoff(ds, dc, false, &allCount, all)
-	return grid, all, gridCount, allCount
+// rhoPass runs Compute's ρ pass on ds and returns its densities, the pairs
+// it evaluated, and the reference: the cutoff count over every pair.
+func rhoPass(ds *points.Dataset, dc float64) (got, want []float64, evaluated int64) {
+	got, want = make([]float64, ds.N()), make([]float64, ds.N())
+	rhoCutoff(ds, dc, &evaluated, got)
+	for i := range ds.Points {
+		for j := i + 1; j < ds.N(); j++ {
+			if points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos) < dc*dc {
+				want[i]++
+				want[j]++
+			}
+		}
+	}
+	return got, want, evaluated
 }
-
-// deltaSweepCount is what Compute's δ pass evaluates on n points: the
-// descending-ρ sweep's n(n−1)/2 pairs and the peak's n−1.
-func deltaSweepCount(n int) int64 { return int64(n)*int64(n-1)/2 + int64(n-1) }
 
 func TestGridIndexIsExact(t *testing.T) {
 	for _, dim := range []int{1, 2, 4, points.MaxGridDim} {
 		ds := randomSet(300, dim, int64(20+dim))
 		dc := CutoffByPercentile(ds, 0.03, 1)
-		grid, all, _, _ := gridAndAllPairs(ds, dc)
-		if !slices.Equal(grid, all) {
-			t.Fatalf("dim %d: grid ρ %v, all pairs %v", dim, grid, all)
+		if got, want, _ := rhoPass(ds, dc); !slices.Equal(got, want) {
+			t.Fatalf("dim %d: grid ρ %v, all pairs %v", dim, got, want)
 		}
 	}
 }
@@ -255,34 +257,26 @@ func TestGridIndexIsExact(t *testing.T) {
 func TestGridIndexSavesDistances(t *testing.T) {
 	ds := randomSet(2000, 2, 23)
 	dc := CutoffByPercentile(ds, 0.01, 1)
-	_, _, gridCount, allCount := gridAndAllPairs(ds, dc)
-	if gridCount*10 >= allCount {
-		t.Fatalf("grid ρ pass evaluated %d pairs, all pairs %d", gridCount, allCount)
-	}
-	// At dim 2 Compute's ρ pass is the grid's; its δ sweep stays quadratic.
-	var total int64
-	if _, err := Compute(ds, dc, Options{Counter: &total}); err != nil {
-		t.Fatal(err)
-	}
-	if want := gridCount + deltaSweepCount(ds.N()); total != want {
-		t.Fatalf("Compute evaluated %d pairs, want %d from the grid ρ pass and the δ sweep", total, want)
+	// At dim 2 the ρ pass is the grid's.
+	_, _, evaluated := rhoPass(ds, dc)
+	if all := int64(ds.N()) * int64(ds.N()-1) / 2; evaluated*10 >= all {
+		t.Fatalf("grid ρ pass evaluated %d pairs, all pairs %d", evaluated, all)
 	}
 }
 
 func TestGridIndexHighDimFallsBack(t *testing.T) {
 	ds := randomSet(100, points.MaxGridDim+2, 29)
 	dc := CutoffByPercentile(ds, 0.05, 1)
-	var total int64
-	got, err := Compute(ds, dc, Options{Counter: &total})
+	got, err := Compute(ds, dc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, all, _, allCount := gridAndAllPairs(ds, dc)
+	_, all, evaluated := rhoPass(ds, dc)
 	if !slices.Equal(got.Rho, all) {
 		t.Fatalf("Compute ρ %v, all pairs %v", got.Rho, all)
 	}
-	if want := allCount + deltaSweepCount(ds.N()); total != want {
-		t.Fatalf("Compute evaluated %d pairs above the grid's dimensions, want all %d", total, want)
+	if want := int64(ds.N()) * int64(ds.N()-1) / 2; evaluated != want {
+		t.Fatalf("ρ pass evaluated %d pairs above the grid's dimensions, want all %d", evaluated, want)
 	}
 }
 
@@ -290,8 +284,7 @@ func TestGridNegativeCoordinates(t *testing.T) {
 	// Cell flooring near zero is the classic off-by-one spot.
 	vs := []points.Vector{{-0.1, -0.1}, {0.1, 0.1}, {-1.5, 2.5}, {0, 0}, {-0.5, 0}, {-0.49, 0}}
 	ds := points.FromVectors("neg", vs)
-	grid, all, _, _ := gridAndAllPairs(ds, 0.5)
-	if !slices.Equal(grid, all) {
+	if grid, all, _ := rhoPass(ds, 0.5); !slices.Equal(grid, all) {
 		t.Fatalf("grid ρ %v, all pairs %v", grid, all)
 	}
 }

@@ -26,7 +26,7 @@ func TestEDDPCMatchesSequentialDP(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dc := dp.CutoffByPercentile(tc.ds, 0.02, 1)
-			ref, err := dp.Compute(tc.ds, dc, dp.Options{})
+			ref, err := dp.Compute(tc.ds, dc)
 			if err != nil {
 				t.Fatal(err)
 			}

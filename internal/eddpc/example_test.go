@@ -18,7 +18,7 @@ func ExampleRun() {
 	ds := dataset.Blobs("eddpc-demo", 400, 3, 3, 200, 3, 11)
 	dc := dp.CutoffByPercentile(ds, 0.02, 1)
 
-	exact, err := dp.Compute(ds, dc, dp.Options{})
+	exact, err := dp.Compute(ds, dc)
 	if err != nil {
 		panic(err)
 	}

@@ -55,7 +55,7 @@ func ablateAggregation(opt *Options, r *Report) error {
 	ds.Points = ds.Points[:min(ds.N(), 6000)]
 	ds.Labels = nil
 	dc := dp.CutoffByPercentile(ds, 0.02, opt.Seed)
-	exact, err := dp.Compute(ds, dc, dp.Options{})
+	exact, err := dp.Compute(ds, dc)
 	if err != nil {
 		return err
 	}
@@ -152,7 +152,7 @@ func ablateRectify(opt *Options, r *Report) error {
 		return err
 	}
 	exactDc := res.Stats.Dc
-	exact, err := dp.Compute(ds, exactDc, dp.Options{})
+	exact, err := dp.Compute(ds, exactDc)
 	if err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ func ExpFig12(opt Options) (*Report, error) {
 	eng := opt.engine()
 	dc := dp.CutoffByPercentile(ds, 0.02, opt.Seed)
 	opt.logf("fig12: N=%d dc=%.4g, computing exact rho...", ds.N(), dc)
-	exact, err := dp.Compute(ds, dc, dp.Options{})
+	exact, err := dp.Compute(ds, dc)
 	if err != nil {
 		return nil, err
 	}

@@ -62,7 +62,7 @@ func ExpFig8(opt Options) (*Report, error) {
 	// DP (exact sequential; this experiment is about the algorithm, not
 	// the distribution strategy).
 	start := time.Now()
-	res, err := dp.Compute(ds, dc, dp.Options{})
+	res, err := dp.Compute(ds, dc)
 	if err != nil {
 		return nil, err
 	}

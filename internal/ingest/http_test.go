@@ -112,8 +112,8 @@ func TestHTTPIngest(t *testing.T) {
 	}
 	// Post-compaction the server's engine tracked the swap (OnSwap) and the
 	// promoted points still answer.
-	if srv.Engine().Model().N() != m.N()+len(pts) {
-		t.Fatalf("server engine not swapped after /compact: %d rows", srv.Engine().Model().N())
+	if srv.Stats().Model.N != m.N()+len(pts) {
+		t.Fatalf("server engine not swapped after /compact: %d rows", srv.Stats().Model.N)
 	}
 	resp = postJSON(t, base+"/assign", map[string]any{"points": pts[:1]})
 	if resp.StatusCode != http.StatusOK {

@@ -18,32 +18,6 @@ import (
 	"repro/internal/serve"
 )
 
-// Knob names of the ingest layer (clusterd flags; see README
-// "Configuration reference", ingest.* rows — cmd/doccheck enforces that
-// every constant here has a matching row).
-const (
-	// ConfDir is the ingest directory holding WAL segments, compacted
-	// artifacts, and the CURRENT pointer (clusterd -ingest-dir; setting it
-	// turns the daemon into an ingest node).
-	ConfDir = "ingest.dir"
-	// ConfWALFsync fsyncs the WAL after every ingest batch (clusterd
-	// -ingest-fsync). Off by default: acked points then survive a killed
-	// process (the bytes are in the OS page cache) but not a host crash.
-	ConfWALFsync = "ingest.wal.fsync"
-	// ConfIDBase overrides the first global point ID assigned to ingested
-	// points (clusterd -ingest-id-base; default: the base model's highest
-	// ID + 1). Fleet shards need disjoint ID ranges — see OPERATIONS.md.
-	ConfIDBase = "ingest.id.base"
-	// ConfIDStride is the global-ID increment between consecutive ingested
-	// points (clusterd -ingest-id-stride; default 1). A fleet of S shards
-	// uses stride S with per-shard bases so IDs never collide.
-	ConfIDStride = "ingest.id.stride"
-	// ConfCompactInterval is the background compaction period (clusterd
-	// -compact-interval; 0 disables the loop, leaving POST /compact and
-	// clusterd rollover as the only triggers).
-	ConfCompactInterval = "ingest.compact.interval"
-)
-
 // The delta segment's bounds (README "Configuration reference" states
 // them). Variables only so tests can lower them.
 var (

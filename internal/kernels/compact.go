@@ -228,15 +228,6 @@ func (sl *Shortlist) Finish() []int32 {
 	return sl.Rows
 }
 
-// Threshold returns the admission threshold on compact squared distances,
-// the cap's (+Inf without one) until a row with a finite one is held. It is
-// also an upper bound on the exact squared distance of the compact-best row
-// the list holds (KeepThresh inflates past that row's exact distance before
-// inflating back) or on the cap's bound, so a row whose exact squared
-// distance provably exceeds it — Sweep's axis-gap test — cannot be the
-// nearest within the bound or tie with it.
-func (sl *Shortlist) Threshold() float64 { return sl.thr }
-
 // admit folds one strip of compact distances into sl; strip[x] belongs to
 // rows[x]. The admission reject — the overwhelmingly common case once a
 // good best is seen — is hoisted out of observe so the hot loop pays one

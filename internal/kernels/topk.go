@@ -68,10 +68,6 @@ func (a *TopKAcc) Reset(k int) {
 // carry the lower index. Call it after Reset, before any row is observed.
 func (a *TopKAcc) Cap(e float64) { a.bound = e }
 
-// Len returns the number of rows currently held (≤ k; fewer than k when the
-// scan saw fewer than k rows with finite distances).
-func (a *TopKAcc) Len() int { return len(a.ents) }
-
 // Threshold returns the squared distance a new row must beat — or tie with
 // a lower row index — to enter the accumulator: the current k-th best
 // distance once full, the cap (+Inf without one) before that. Callers hoist

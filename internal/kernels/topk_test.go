@@ -162,8 +162,8 @@ func TestTopKNonFiniteRows(t *testing.T) {
 	// Query at +Inf: every distance is +Inf or NaN, nothing is kept.
 	acc.Reset(k)
 	TopKRange(data, dim, []float64{math.Inf(1), 0}, 0, 4, acc)
-	if acc.Len() != 0 {
-		t.Fatalf("all-overflow scan kept %d rows, want 0", acc.Len())
+	if len(acc.ents) != 0 {
+		t.Fatalf("all-overflow scan kept %d rows, want 0", len(acc.ents))
 	}
 	if thr := acc.Threshold(); !math.IsInf(thr, 1) {
 		t.Fatalf("empty accumulator threshold = %v, want +Inf", thr)
@@ -175,8 +175,8 @@ func TestTopKNonFiniteRows(t *testing.T) {
 	acc.Reset(1)
 	TopKRange(nil, dim, []float64{0, 0}, 0, 0, acc)
 	TopKRows(nil, dim, []float64{0, 0}, nil, acc)
-	if i, d2 := acc.Nearest(); i != -1 || !math.IsInf(d2, 1) || acc.Len() != 0 {
-		t.Fatalf("empty scan: Nearest = (%d, %v), Len %d, want (-1, +Inf), 0", i, d2, acc.Len())
+	if i, d2 := acc.Nearest(); i != -1 || !math.IsInf(d2, 1) || len(acc.ents) != 0 {
+		t.Fatalf("empty scan: Nearest = (%d, %v), Len %d, want (-1, +Inf), 0", i, d2, len(acc.ents))
 	}
 }
 

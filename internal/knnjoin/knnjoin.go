@@ -215,10 +215,10 @@ func validate(R, S *points.Dataset, k int, cfg *Config) error {
 		return fmt.Errorf("knnjoin: k must be at least 1, got %d", k)
 	}
 	// 0 asks for a default; a negative or non-finite value is a mistake, not
-	// a request (NaN fails v >= 0).
-	knob := func(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
-	if cfg.M < 0 || cfg.Pi < 0 || !knob(cfg.W) || !knob(cfg.Accuracy) {
-		return fmt.Errorf("knnjoin: negative or non-finite parameter (M %d, Pi %d, W %v, Accuracy %v); 0 asks for the default",
+	// a request (NaN fails v >= 0), and so is an accuracy the width estimate
+	// cannot aim for: lsh.SolveWidth's range, [0, 1) here.
+	if cfg.M < 0 || cfg.Pi < 0 || !(cfg.W >= 0 && cfg.W <= math.MaxFloat64) || !(cfg.Accuracy >= 0 && cfg.Accuracy < 1) {
+		return fmt.Errorf("knnjoin: negative, non-finite or out-of-range parameter (M %d, Pi %d, W %v, Accuracy %v, which must lie in [0, 1)); 0 asks for the default",
 			cfg.M, cfg.Pi, cfg.W, cfg.Accuracy)
 	}
 	if err := R.Validate(); err != nil {

@@ -547,8 +547,8 @@ func vectors(ds *points.Dataset) []points.Vector {
 }
 
 // TestNegativeParametersRefused: 0 asks the join for its default, and a
-// negative or non-finite knob is an error on both passes, not a second
-// spelling of 0.
+// negative or non-finite knob, or an accuracy of 1 or more, is an error on
+// both passes, not a second spelling of 0.
 func TestNegativeParametersRefused(t *testing.T) {
 	R, S := splitBlobs(t, "knn-negative", 120, 2, 40, 3)
 	for _, c := range []struct {
@@ -563,6 +563,7 @@ func TestNegativeParametersRefused(t *testing.T) {
 		{"W Inf", knnjoin.Config{W: math.Inf(1)}},
 		{"Accuracy NaN", knnjoin.Config{Accuracy: math.NaN()}},
 		{"Accuracy Inf", knnjoin.Config{Accuracy: math.Inf(1)}},
+		{"Accuracy 1", knnjoin.Config{Accuracy: 1}},
 	} {
 		if _, err := knnjoin.Run(context.Background(), localSession(), R, S, 3, c.cfg); err == nil || !strings.Contains(err.Error(), "negative") {
 			t.Errorf("Run with bad %s: err = %v", c.name, err)

@@ -39,14 +39,3 @@ func ExampleLayouts_Keys() {
 	// 3 partition keys, one per layout
 	// nearby point shares 3/3 keys
 }
-
-// Lemma 3's collision probability is monotone in distance.
-func ExampleCollisionProb() {
-	for _, d := range []float64{1, 4, 16} {
-		fmt.Printf("p(d=%2.0f, w=4) = %.3f\n", d, lsh.CollisionProb(d, 4))
-	}
-	// Output:
-	// p(d= 1, w=4) = 0.801
-	// p(d= 4, w=4) = 0.369
-	// p(d=16, w=4) = 0.099
-}

@@ -121,7 +121,7 @@ func TestCollisionMonotoneEmpirical(t *testing.T) {
 }
 
 // Monte Carlo check of Lemma 3's closed form: empirical collision
-// probability of two points at distance d matches CollisionProb(d, w).
+// probability of two points at distance d matches collisionProb(d, w).
 func TestCollisionProbMatchesMonteCarlo(t *testing.T) {
 	const draws = 60_000
 	rng := points.NewRand(5)
@@ -138,7 +138,7 @@ func TestCollisionProbMatchesMonteCarlo(t *testing.T) {
 			}
 		}
 		got := float64(hits) / draws
-		want := CollisionProb(tc.d, tc.w)
+		want := collisionProb(tc.d, tc.w)
 		if math.Abs(got-want) > 0.01 {
 			t.Fatalf("d=%v w=%v: empirical %v vs formula %v", tc.d, tc.w, got, want)
 		}

@@ -15,25 +15,6 @@ import (
 // All functions treat degenerate inputs (zero distance) as certain
 // collision.
 
-// stdNormCDF is Φ, the N(0,1) cumulative distribution function.
-func stdNormCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// CollisionProb is p(d, w) = Pr[h(p_i)=h(p_j)] for two points at distance d
-// under one p-stable hash of width w (Datar et al.; the paper's Lemma 3):
-//
-//	p(d,w) = 2Φ(w/d) − 1 − (2d/(√(2π) w))·(1 − e^{−w²/(2d²)})
-//
-// It is monotonically decreasing in d and increasing in w.
-func CollisionProb(d, w float64) float64 {
-	if d <= 0 {
-		return 1
-	}
-	r := w / d
-	return 2*stdNormCDF(r) - 1 - 2/(math.Sqrt(2*math.Pi)*r)*(1-math.Exp(-r*r/2))
-}
-
 // AllNeighborsProbLB is the paper's Lemma 1 lower bound on
 // Pr[all d_c-neighbours of a point share its slot]:
 //
@@ -52,18 +33,6 @@ func AllNeighborsProbLB(dc, w float64) float64 {
 	return p
 }
 
-// AllNeighborsProbExact evaluates the same probability with the integrand
-// clamped at zero, which yields a closed form identical in shape to
-// CollisionProb with d → 2 d_c:
-//
-//	∫₀^{w/(2d_c)} (1 − 2 d_c x/w) f(x) dx  =  p(2 d_c, w)
-//
-// where f is the half-normal density. The identity is property-tested
-// against numeric integration.
-func AllNeighborsProbExact(dc, w float64) float64 {
-	return CollisionProb(2*dc, w)
-}
-
 // LayoutAccuracy is Theorem 1: with M layouts of π functions each,
 //
 //	Pr[ρ̂_i = ρ_i] ≥ 1 − (1 − P^π)^M
@@ -74,15 +43,6 @@ func LayoutAccuracy(perFunc float64, pi, m int) float64 {
 		panic(fmt.Sprintf("lsh: probability %v out of [0,1]", perFunc))
 	}
 	return 1 - math.Pow(1-math.Pow(perFunc, float64(pi)), float64(m))
-}
-
-// DeltaAccuracy is Theorem 2: the probability that δ̂_i = δ_i for a point
-// whose true upslope point sits at distance dUp, with M layouts of π
-// functions of width w (assuming ρ̂ = ρ):
-//
-//	1 − (1 − p(d_u, w)^π)^M
-func DeltaAccuracy(dUp, w float64, pi, m int) float64 {
-	return LayoutAccuracy(CollisionProb(dUp, w), pi, m)
 }
 
 // ExpectedAccuracy is Eq. 5, the accuracy objective the solver inverts:

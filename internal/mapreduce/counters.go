@@ -77,14 +77,6 @@ func (c Cell) Add(delta int64) {
 	}
 }
 
-// Load returns the cell's current value.
-func (c Cell) Load() int64 {
-	if c.p == nil {
-		return 0
-	}
-	return atomic.LoadInt64(c.p)
-}
-
 // Cell returns the handle for the named counter, creating it at zero.
 func (c *Counters) Cell(name string) Cell {
 	return Cell{p: c.slot(name)}

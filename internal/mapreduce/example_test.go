@@ -60,10 +60,9 @@ func ExampleConf() {
 	conf := mapreduce.Conf{}
 	conf.SetFloat("dc", 1.25)
 	conf.SetInt("blocks", 8)
-	conf.SetBool("gaussian", true)
-	fmt.Println(conf.GetFloat("dc", 0), conf.GetInt("blocks", 0), conf.GetBool("gaussian", false))
+	fmt.Println(conf.GetFloat("dc", 0), conf.GetInt("blocks", 0))
 	fmt.Println("missing key default:", conf.GetInt("nope", 42))
 	// Output:
-	// 1.25 8 true
+	// 1.25 8
 	// missing key default: 42
 }

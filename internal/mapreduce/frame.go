@@ -18,13 +18,6 @@ import (
 // ReadClaimed, for prefixes read off a stream, allocates only as fast as the
 // stream delivers.
 
-// FrameOverhead is the fixed framing cost per record: the two uint32
-// length prefixes.
-const FrameOverhead = 8
-
-// FrameBytes returns the framed size of one pair.
-func FrameBytes(p Pair) int64 { return FrameOverhead + pairBytes(p) }
-
 // AppendFrame appends the frame encoding of p to buf and returns the
 // extended slice. It is the allocation-free building block chunked
 // transports use to pack records into a bounded buffer.

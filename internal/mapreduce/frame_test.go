@@ -18,10 +18,10 @@ func TestAppendDecodeFramesRoundTrip(t *testing.T) {
 	var want int64
 	for _, p := range ps {
 		buf = AppendFrame(buf, p)
-		want += FrameBytes(p)
+		want += 8 + pairBytes(p) // two uint32 length prefixes
 	}
 	if int64(len(buf)) != want {
-		t.Fatalf("framed %d bytes, FrameBytes sums to %d", len(buf), want)
+		t.Fatalf("framed %d bytes, want %d", len(buf), want)
 	}
 	got, err := DecodeFrames(nil, buf)
 	if err != nil {
@@ -47,22 +47,17 @@ func TestDecodeFramesTruncated(t *testing.T) {
 }
 
 // One frame layout for every producer and consumer: AppendFrame writes the
-// documented bytes, FrameBytes prices them and DecodeFrames reads them back.
+// documented bytes and DecodeFrames reads them back.
 func TestFrameCodecsAgree(t *testing.T) {
 	ps := []Pair{{Key: "k1", Value: []byte("v1")}, {Key: "k2", Value: bytes.Repeat([]byte("x"), 100)}}
 	var appended []byte
-	var framed int64
 	for _, p := range ps {
 		appended = AppendFrame(appended, p)
-		framed += FrameBytes(p)
 	}
 	want := append([]byte{2, 0, 0, 0, 'k', '1', 2, 0, 0, 0, 'v', '1', 2, 0, 0, 0, 'k', '2', 100, 0, 0, 0},
 		bytes.Repeat([]byte("x"), 100)...)
 	if !bytes.Equal(appended, want) {
 		t.Fatalf("AppendFrame wrote %x, want %x", appended, want)
-	}
-	if framed != int64(len(appended)) {
-		t.Fatalf("FrameBytes sums to %d, want %d", framed, len(appended))
 	}
 	decoded, err := DecodeFrames(nil, appended)
 	if err != nil {

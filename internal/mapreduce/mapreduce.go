@@ -186,19 +186,6 @@ func (c Conf) GetInt64(key string, def int64) int64 {
 	return v
 }
 
-// GetBool returns the bool at key, or def when absent.
-func (c Conf) GetBool(key string, def bool) bool {
-	s, ok := c[key]
-	if !ok {
-		return def
-	}
-	v, err := strconv.ParseBool(s)
-	if err != nil {
-		panic(fmt.Sprintf("mapreduce: conf %q=%q is not a bool", key, s))
-	}
-	return v
-}
-
 // SetInt stores an integer.
 func (c Conf) SetInt(key string, v int) { c[key] = strconv.Itoa(v) }
 
@@ -209,9 +196,6 @@ func (c Conf) SetFloat(key string, v float64) {
 
 // SetInt64 stores an int64.
 func (c Conf) SetInt64(key string, v int64) { c[key] = strconv.FormatInt(v, 10) }
-
-// SetBool stores a bool.
-func (c Conf) SetBool(key string, v bool) { c[key] = strconv.FormatBool(v) }
 
 // ConfOnce returns a job instance's resolver for side data shipped in its
 // Conf (pivots, centroids, a filter table): the first call decodes it, and

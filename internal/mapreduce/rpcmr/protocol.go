@@ -129,20 +129,10 @@ var (
 	registry   = map[string]JobFactory{}
 )
 
-// RegisterJob installs a factory under a job name. Workers must register
-// every job they may be asked to run before starting; registering the same
-// name twice panics to catch wiring mistakes early.
-func RegisterJob(name string, f JobFactory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("rpcmr: job %q registered twice", name))
-	}
-	registry[name] = f
-}
-
-// RegisterJobs installs a batch of factories, skipping already-registered
-// names (so tests and binaries can wire overlapping sets safely).
+// RegisterJobs installs a batch of factories under their job names.
+// Workers must register every job they may be asked to run before starting.
+// An already-registered name is skipped, so tests and binaries can wire
+// overlapping sets safely.
 func RegisterJobs(m map[string]JobFactory) {
 	registryMu.Lock()
 	defer registryMu.Unlock()

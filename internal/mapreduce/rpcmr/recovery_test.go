@@ -19,7 +19,7 @@ import (
 var slowOnceStalls int64
 
 func init() {
-	RegisterJob("slow-once", func(conf mapreduce.Conf) *mapreduce.Job {
+	RegisterJobs(map[string]JobFactory{"slow-once": func(conf mapreduce.Conf) *mapreduce.Job {
 		return &mapreduce.Job{
 			Name: "slow-once",
 			Map: func(_ *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
@@ -32,7 +32,7 @@ func init() {
 			},
 			Reduce: sumReduce,
 		}
-	})
+	}})
 }
 
 func TestLeaseExpiryReassignsTask(t *testing.T) {
@@ -84,15 +84,6 @@ func TestDuplicateCompletionCountersNotDoubled(t *testing.T) {
 	if got := res.Counters.Get(mapreduce.CtrMapInputRecords); got != 30 {
 		t.Fatalf("map input records = %d, want 30", got)
 	}
-}
-
-func TestRegisterJobPanicsOnDuplicate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic on duplicate registration")
-		}
-	}()
-	RegisterJob("wordcount", wordcountJob) // already registered in init
 }
 
 func TestRegisterJobsSkipsDuplicates(t *testing.T) {
@@ -179,7 +170,7 @@ var pairBarrier struct {
 }
 
 func init() {
-	RegisterJob("pair-barrier", func(conf mapreduce.Conf) *mapreduce.Job {
+	RegisterJobs(map[string]JobFactory{"pair-barrier": func(conf mapreduce.Conf) *mapreduce.Job {
 		return &mapreduce.Job{
 			Name:       "pair-barrier",
 			NumMaps:    2,
@@ -201,7 +192,7 @@ func init() {
 			},
 			Reduce: sumReduce,
 		}
-	})
+	}})
 }
 
 // A worker keeps the live job's map outputs across the TaskWait replies it
@@ -258,7 +249,7 @@ func TestSequentialJobsReuseCluster(t *testing.T) {
 var blockUntil atomic.Value
 
 func init() {
-	RegisterJob("block-until", func(conf mapreduce.Conf) *mapreduce.Job {
+	RegisterJobs(map[string]JobFactory{"block-until": func(conf mapreduce.Conf) *mapreduce.Job {
 		return &mapreduce.Job{
 			Name: "block-until",
 			Map: func(_ *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
@@ -268,7 +259,7 @@ func init() {
 			},
 			Reduce: sumReduce,
 		}
-	})
+	}})
 }
 
 func TestConcurrentRunRejected(t *testing.T) {
@@ -314,7 +305,7 @@ var (
 )
 
 func init() {
-	RegisterJob("stall-first", func(conf mapreduce.Conf) *mapreduce.Job {
+	RegisterJobs(map[string]JobFactory{"stall-first": func(conf mapreduce.Conf) *mapreduce.Job {
 		return &mapreduce.Job{
 			Name: "stall-first",
 			Map: func(_ *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
@@ -329,7 +320,7 @@ func init() {
 			},
 			Reduce: sumReduce,
 		}
-	})
+	}})
 }
 
 // A straggling task within its lease runs once: idle workers wait for it

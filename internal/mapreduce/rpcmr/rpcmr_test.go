@@ -45,17 +45,19 @@ func sumReduce(_ *mapreduce.TaskContext, key string, values [][]byte, out mapred
 }
 
 func init() {
-	RegisterJob("wordcount", wordcountJob)
-	RegisterJob("fail-always", func(conf mapreduce.Conf) *mapreduce.Job {
-		return &mapreduce.Job{
-			Name: "fail-always",
-			Map: func(_ *mapreduce.TaskContext, _ string, _ []byte, _ mapreduce.Emitter) error {
-				return fmt.Errorf("injected map failure")
-			},
-			Reduce: sumReduce,
-		}
+	RegisterJobs(map[string]JobFactory{
+		"wordcount": wordcountJob,
+		"fail-always": func(conf mapreduce.Conf) *mapreduce.Job {
+			return &mapreduce.Job{
+				Name: "fail-always",
+				Map: func(_ *mapreduce.TaskContext, _ string, _ []byte, _ mapreduce.Emitter) error {
+					return fmt.Errorf("injected map failure")
+				},
+				Reduce: sumReduce,
+			}
+		},
+		"arrival": arrivalJob,
 	})
-	RegisterJob("arrival", arrivalJob)
 	RegisterJobs(core.JobFactories())
 }
 

@@ -26,7 +26,7 @@ func BenchmarkShuffleTransport(b *testing.B) {
 		pairs := textPairs(sz.n, sz.valSize)
 		var framed int64
 		for _, p := range pairs {
-			framed += mapreduce.FrameBytes(p)
+			framed += int64(len(mapreduce.AppendFrame(nil, p)))
 		}
 		b.Run(sz.name, func(b *testing.B) {
 			ws := startPeers(b, 2)

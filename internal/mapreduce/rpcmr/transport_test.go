@@ -75,7 +75,7 @@ func textPairs(n, valSize int) []mapreduce.Pair {
 func wantWireBytes(pairs []mapreduce.Pair, chunkBytes int) int64 {
 	var wire, chunk int64
 	for _, p := range pairs {
-		chunk += mapreduce.FrameBytes(p)
+		chunk += int64(len(mapreduce.AppendFrame(nil, p)))
 		if chunk >= int64(chunkBytes) {
 			wire += chunk + 4
 			chunk = 0
@@ -410,7 +410,7 @@ func resetChunkyExecs() {
 }
 
 func init() {
-	RegisterJob("chunky", func(conf mapreduce.Conf) *mapreduce.Job {
+	RegisterJobs(map[string]JobFactory{"chunky": func(conf mapreduce.Conf) *mapreduce.Job {
 		return &mapreduce.Job{
 			Name: "chunky",
 			Conf: conf,
@@ -433,7 +433,7 @@ func init() {
 				return nil
 			},
 		}
-	})
+	}})
 }
 
 func chunkyInput(n int) []mapreduce.Pair {

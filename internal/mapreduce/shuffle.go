@@ -2,19 +2,14 @@ package mapreduce
 
 import "container/heap"
 
-// sortPairs orders pairs by key. The sort is stable so that values under
-// one key keep their emission order — several jobs rely on deterministic
-// value order for reproducible output.
-func sortPairs(ps []Pair) {
-	sortPairsScratch(ps, nil)
-}
-
 // insertionCutoff is the run length below which the pair sort switches to
 // insertion sort; merge passes start from runs of this size.
 const insertionCutoff = 24
 
-// sortPairsScratch is sortPairs with a reusable merge buffer: a bottom-up
-// stable merge sort over []Pair directly. Compared to sort.SliceStable this
+// sortPairsScratch orders pairs by key with a reusable merge buffer: a
+// bottom-up stable merge sort over []Pair directly. The sort is stable so
+// that values under one key keep their emission order — several jobs rely
+// on deterministic value order for reproducible output. Compared to sort.SliceStable this
 // drops the per-comparison interface and reflect-based swap costs, moves
 // whole Pair values instead of repeated element swaps, and — given a
 // scratch buffer — allocates nothing. Returns the (possibly grown) scratch
@@ -22,7 +17,7 @@ const insertionCutoff = 24
 func sortPairsScratch(ps, scratch []Pair) []Pair {
 	n := len(ps)
 	for lo := 0; lo < n; lo += insertionCutoff {
-		insertionSortPairs(ps[lo:minLen(lo+insertionCutoff, n)])
+		insertionSortPairs(ps[lo:min(lo+insertionCutoff, n)])
 	}
 	if n <= insertionCutoff {
 		return scratch
@@ -34,8 +29,8 @@ func sortPairsScratch(ps, scratch []Pair) []Pair {
 	src, dst := ps, scratch
 	for width := insertionCutoff; width < n; width *= 2 {
 		for lo := 0; lo < n; lo += 2 * width {
-			mid := minLen(lo+width, n)
-			hi := minLen(lo+2*width, n)
+			mid := min(lo+width, n)
+			hi := min(lo+2*width, n)
 			mergePairs(dst[lo:hi], src[lo:mid], src[mid:hi])
 		}
 		src, dst = dst, src
@@ -74,13 +69,6 @@ func mergePairs(dst, a, b []Pair) {
 	}
 	copy(dst, a)
 	copy(dst, b)
-}
-
-func minLen(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // forEachGroup walks pairs already sorted by key and invokes fn once per

@@ -47,7 +47,7 @@ func TestSortPairsMatchesSliceStable(t *testing.T) {
 			refStableSort(want)
 
 			got := append([]Pair(nil), ps...)
-			sortPairs(got)
+			sortPairsScratch(got, nil)
 			for i := range want {
 				if got[i].Key != want[i].Key || string(got[i].Value) != string(want[i].Value) {
 					t.Fatalf("n=%d distinct=%d: record %d = {%q %q}, want {%q %q}",

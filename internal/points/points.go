@@ -64,9 +64,6 @@ func (v Vector) Dot(o Vector) float64 {
 	return s
 }
 
-// Norm returns the Euclidean length of v.
-func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
 // String renders the vector with limited precision, for logs and tests.
 func (v Vector) String() string {
 	var b strings.Builder
@@ -139,27 +136,6 @@ func FromVectors(name string, vs []Vector) *Dataset {
 		ds.Points[i] = Point{ID: int32(i), Pos: v}
 	}
 	return ds
-}
-
-// Bounds returns per-dimension [min, max] over the dataset.
-// Returns nils for an empty dataset.
-func (ds *Dataset) Bounds() (lo, hi Vector) {
-	if ds.N() == 0 {
-		return nil, nil
-	}
-	lo = ds.Points[0].Pos.Clone()
-	hi = ds.Points[0].Pos.Clone()
-	for _, p := range ds.Points[1:] {
-		for j, x := range p.Pos {
-			if x < lo[j] {
-				lo[j] = x
-			}
-			if x > hi[j] {
-				hi[j] = x
-			}
-		}
-	}
-	return lo, hi
 }
 
 // PercentileDistance estimates the q-quantile (q in (0,1]) of the pairwise

@@ -24,9 +24,6 @@ func TestVectorOps(t *testing.T) {
 	if c[0] != 10 || c[2] != 18 {
 		t.Fatalf("Scale = %v", c)
 	}
-	if got := (Vector{3, 4}).Norm(); got != 5 {
-		t.Fatalf("Norm = %v, want 5", got)
-	}
 }
 
 func TestVectorDimMismatchPanics(t *testing.T) {
@@ -99,18 +96,6 @@ func TestDatasetValidate(t *testing.T) {
 	lbl.Labels = []int{0}
 	if err := lbl.Validate(); err == nil {
 		t.Fatal("want error for label count mismatch")
-	}
-}
-
-func TestBounds(t *testing.T) {
-	ds := FromVectors("b", []Vector{{1, 10}, {-2, 5}, {3, 7}})
-	lo, hi := ds.Bounds()
-	if lo[0] != -2 || lo[1] != 5 || hi[0] != 3 || hi[1] != 10 {
-		t.Fatalf("Bounds = %v %v", lo, hi)
-	}
-	empty := &Dataset{}
-	if lo, hi := empty.Bounds(); lo != nil || hi != nil {
-		t.Fatal("empty Bounds should be nil")
 	}
 }
 

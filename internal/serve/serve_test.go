@@ -542,20 +542,20 @@ func TestHotReload(t *testing.T) {
 	if err := srv.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Engine().Model().Name; got != "v1" {
+	if got := srv.Stats().Model.Name; got != "v1" {
 		t.Fatalf("loaded %q, want v1", got)
 	}
 	if err := srv.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Engine().Model().Name; got != "v2" {
+	if got := srv.Stats().Model.Name; got != "v2" {
 		t.Fatalf("reloaded to %q, want v2", got)
 	}
 	fail = true
 	if err := srv.Reload(); err == nil {
 		t.Fatal("failed load reported success")
 	}
-	if got := srv.Engine().Model().Name; got != "v2" {
+	if got := srv.Stats().Model.Name; got != "v2" {
 		t.Fatalf("failed reload replaced the model with %q", got)
 	}
 	if got := srv.Counters().Get(serve.CtrReloads); got != 2 {

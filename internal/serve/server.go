@@ -209,10 +209,6 @@ func (s *Server) Reload() error {
 	return nil
 }
 
-// Engine returns the currently serving engine (nil before the first
-// successful SetModel/Reload).
-func (s *Server) Engine() *Engine { return s.engine.Load() }
-
 // Counters exposes the serve.* counter set.
 func (s *Server) Counters() *mapreduce.Counters { return s.counters }
 
