@@ -61,9 +61,11 @@ test-short:
 # ingest for the WAL-backed store's concurrent writers, query merges, and
 # compaction swap;
 # core for the jobs that run on those engines — its LSH reducers share pooled
-# scratch (one KeyBuf per reduce call) across concurrent reduce tasks.
+# scratch (one KeyBuf per reduce call) across concurrent reduce tasks; lsh
+# for the bucket-index build, which hashes its row chunks on their own
+# goroutines into one shared RowKeys array.
 race:
-	$(GO) test -race ./internal/mapreduce/... ./internal/mapreduce/rpcmr/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/...
+	$(GO) test -race ./internal/mapreduce/... ./internal/mapreduce/rpcmr/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/... ./internal/lsh/...
 
 # Five seconds of native fuzzing per target (one -fuzz target per `go test`
 # invocation). The LSH key codec faces bytes from outside the process: error
@@ -160,7 +162,7 @@ bench:
 # Hot-path micro-benchmarks (dense kernels at dim 2/4/8 reporting ns/pair,
 # shuffle sort, group decode, the rpcmr shuffle transport, LSH
 # keys per point at dim 4/8, the serving index build full and fleet, the
-# fleet partitioner on a 50 000-row model over 4 shards,
+# fleet partitioner on 50 000- and 200 000-row models over 4 shards,
 # BenchmarkWriteFile, the model artifact streamed to disk at the 200 000-row
 # serving shape — bytes allocated per write, not per artifact byte — and
 # BenchmarkJoin, the kNN-join at a tenth of the batch-knnjoin harness shape

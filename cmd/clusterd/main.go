@@ -242,8 +242,8 @@ func runPartition(args []string) {
 		m.Name, m.N(), m.Dim, m.LSH.M, *shards)
 	subs, mf, err := fleet.Partition(m, *shards, *vnodes)
 	fatal(err)
-	fmt.Fprintf(os.Stderr, "clusterd: %d buckets placed by cluster group, %d of them off their ring owner (recorded in the manifest)\n",
-		len(mf.Layouts().BuildIndex(m.Data, m.N(), nil).Keys), len(mf.Overrides))
+	fmt.Fprintf(os.Stderr, "clusterd: buckets placed by cluster group, %d of them off their ring owner (recorded in the manifest)\n",
+		len(mf.Overrides))
 
 	fatal(os.MkdirAll(*out, 0o755))
 	total := 0

@@ -443,7 +443,7 @@ func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKe
 		return nil, nil, err
 	}
 	n, nl := pts.N(), l.M()
-	ix := l.BuildIndex(pts.Data(), n, nil)
+	ix := l.BuildIndex(pts.Data(), n, runtime.GOMAXPROCS(0), nil)
 	dc := conf.GetFloat(confDc, 0)
 	byLayout := make([][]int32, nl)
 	for b := range ix.Keys {

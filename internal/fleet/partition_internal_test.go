@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"runtime"
@@ -48,7 +49,7 @@ func TestSampledWeightBalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := mf.Layouts().BuildIndex(mdl.Data, mdl.N(), nil)
+		ix := mf.Layouts().BuildIndex(mdl.Data, mdl.N(), 1, nil)
 		weights := estimateBucketWeights(ix, mf.Layouts(), mdl.Data, mdl.Dim)
 		load := make([]float64, shards)
 		total := 0.0
@@ -183,7 +184,7 @@ func TestBucketWeightsMatchReplay(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range cases {
 		layouts := tc.mdl.Layouts()
-		ix := layouts.BuildIndex(tc.mdl.Data, tc.mdl.N(), nil)
+		ix := layouts.BuildIndex(tc.mdl.Data, tc.mdl.N(), 1, nil)
 		if tc.name == "one-bucket" && len(ix.Keys) != layouts.M() {
 			t.Fatalf("%s: %d buckets over %d layouts, want one per layout", tc.name, len(ix.Keys), layouts.M())
 		}
@@ -215,7 +216,7 @@ func placementQuality(tb testing.TB, mdl *model.Model, subs []*model.Model, mf *
 		tb.Fatal(err)
 	}
 	n, lm := mdl.N(), mf.M
-	ix := mf.Layouts().BuildIndex(mdl.Data, n, nil)
+	ix := mf.Layouts().BuildIndex(mdl.Data, n, 1, nil)
 	owners := make([]int, len(ix.Keys))
 	for id, key := range ix.Keys {
 		owners[id] = place.Owner(key)
@@ -302,23 +303,28 @@ func TestPartitionCoLocates(t *testing.T) {
 
 // BenchmarkPartition times the partitioner — bucket index, weight
 // estimate, group placement of every bucket, row marking and sub-model
-// copies — on a 50 000-row harness-shaped model split over 4 shards, and
-// reports the placement's replication and the distinct shards a row's keys
-// resolve to.
+// copies — on 50 000- and 200 000-row harness-shaped models (the larger is
+// the fleet-read harness workload's size) split over 4 shards, and reports
+// the placement's replication and the distinct shards a row's keys resolve
+// to.
 func BenchmarkPartition(b *testing.B) {
-	mdl := harnessModel(b, 50_000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var subs []*model.Model
-	var mf *Manifest
-	for i := 0; i < b.N; i++ {
-		var err error
-		if subs, mf, err = Partition(mdl, 4, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{50_000, 200_000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			mdl := harnessModel(b, n, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var subs []*model.Model
+			var mf *Manifest
+			for i := 0; i < b.N; i++ {
+				var err error
+				if subs, mf, err = Partition(mdl, 4, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			repl, owners, _ := placementQuality(b, mdl, subs, mf)
+			b.ReportMetric(repl, "replication")
+			b.ReportMetric(owners, "owners/row")
+		})
 	}
-	b.StopTimer()
-	repl, owners, _ := placementQuality(b, mdl, subs, mf)
-	b.ReportMetric(repl, "replication")
-	b.ReportMetric(owners, "owners/row")
 }

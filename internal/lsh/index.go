@@ -1,5 +1,7 @@
 package lsh
 
+import "sync"
+
 // Index is the bucket index of a block of rows under every layout: each
 // distinct key interned to a dense bucket ID, and every bucket's rows stored
 // as one CSR block. The serving engine probes it; the fleet partitioner
@@ -21,37 +23,55 @@ type Index struct {
 	ids map[string]int32
 }
 
-// BuildIndex indexes the n rows of the flat row-major block data. One pass
-// hashes every row and interns its keys; a counting pass then drops each
-// row into its buckets' slices of the one postings block, taking the rows in
-// the order that order returns — a permutation of [0, n); a nil order means
-// ascending — which leaves every bucket in that order without a sort or a
-// per-bucket append. order is called between the passes with the index
-// complete but for Rows, so it may depend on the buckets (the serving engine
-// sorts on WidestAxis; the fleet partitioner's estimator wants ascending
-// rows). Bucket IDs do not depend on the order. It runs on the calling
-// goroutine only: a compaction rebuilds its engine beside live queries and
-// must not take their cores.
-func (l *Layouts) BuildIndex(data []float64, n int, order func(*Index) []int32) *Index {
+// BuildIndex indexes the n rows of the flat row-major block data. The rows
+// are cut into workers contiguous chunks (at most one per row; fewer than
+// one means one), and each chunk is hashed and its keys interned into its
+// own slice of RowKeys, chunk 0 on the calling goroutine and each other on
+// its own. A merge in chunk order then hands out the bucket IDs — chunk 0's
+// keys in first-seen order, then each later chunk's unseen keys in its own
+// first-seen order, which is first-seen order over the whole (row, layout)
+// iteration — and renumbers RowKeys in place, so the index does not depend
+// on workers. A counting pass then drops each row into its buckets' slices
+// of the one postings block, taking the rows in the order that order
+// returns — a permutation of [0, n); a nil order means ascending — which
+// leaves every bucket in that order without a sort or a per-bucket append.
+// order is called between the passes with the index complete but for Rows,
+// so it may depend on the buckets (the serving engine sorts on WidestAxis;
+// the fleet partitioner's estimator wants ascending rows). Bucket IDs do not
+// depend on the order. Offline callers pass GOMAXPROCS; a compaction
+// rebuilds its engine beside live queries and must not take their cores, so
+// the serving engine passes 1 and builds on its calling goroutine alone.
+func (l *Layouts) BuildIndex(data []float64, n, workers int, order func(*Index) []int32) *Index {
 	nl := l.M()
-	ix := &Index{RowKeys: make([]int32, n*nl), ids: make(map[string]int32)}
-	var kb KeyBuf
-	var sizes []int
-	for i := 0; i < n; i++ {
-		l.Hash(&kb, data[i*l.dim:][:l.dim])
-		for j := 0; j < nl; j++ {
-			key := kb.Key(j)
-			id, ok := ix.ids[string(key)]
+	ix := &Index{RowKeys: make([]int32, n*nl)}
+	chunks := make([]indexChunk, max(min(workers, n), 1))
+	eachChunk(len(chunks), func(c int) {
+		chunks[c].intern(l, data, ix.RowKeys, n*c/len(chunks), n*(c+1)/len(chunks))
+	})
+	ix.Keys, ix.ids = chunks[0].keys, chunks[0].ids
+	sizes := chunks[0].sizes
+	for c := 1; c < len(chunks); c++ {
+		ch := &chunks[c]
+		ch.remap = make([]int32, len(ch.keys))
+		for local, key := range ch.keys {
+			id, ok := ix.ids[key]
 			if !ok {
 				id = int32(len(ix.Keys))
-				ix.Keys = append(ix.Keys, string(key))
-				ix.ids[ix.Keys[id]] = id
+				ix.Keys = append(ix.Keys, key)
+				ix.ids[key] = id
 				sizes = append(sizes, 0)
 			}
-			sizes[id]++
-			ix.RowKeys[i*nl+j] = id
+			ch.remap[local] = id
+			sizes[id] += ch.sizes[local]
 		}
 	}
+	eachChunk(len(chunks), func(c int) {
+		if remap := chunks[c].remap; remap != nil {
+			for i, local := range ix.RowKeys[chunks[c].lo:chunks[c].hi] {
+				ix.RowKeys[chunks[c].lo+i] = remap[local]
+			}
+		}
+	})
 	ix.Offsets = make([]int, len(sizes)+1)
 	for id, sz := range sizes {
 		ix.Offsets[id+1] = ix.Offsets[id] + sz
@@ -74,6 +94,56 @@ func (l *Layouts) BuildIndex(data []float64, n int, order func(*Index) []int32) 
 		}
 	}
 	return ix
+}
+
+// indexChunk is one chunk of BuildIndex's rows: the RowKeys entries
+// [lo, hi) it owns, its keys interned to chunk-local IDs in first-seen
+// order with each one's posting count, and, for every chunk but the first,
+// the merge's local-to-global renumbering.
+type indexChunk struct {
+	lo, hi int
+	keys   []string
+	ids    map[string]int32
+	sizes  []int
+	remap  []int32
+}
+
+// intern hashes rows [lo, hi) of data and writes their chunk-local bucket
+// IDs into their RowKeys entries.
+func (ch *indexChunk) intern(l *Layouts, data []float64, rowKeys []int32, lo, hi int) {
+	nl := l.M()
+	ch.lo, ch.hi, ch.ids = lo*nl, hi*nl, make(map[string]int32)
+	var kb KeyBuf
+	for i := lo; i < hi; i++ {
+		l.Hash(&kb, data[i*l.dim:][:l.dim])
+		for j := 0; j < nl; j++ {
+			key := kb.Key(j)
+			id, ok := ch.ids[string(key)]
+			if !ok {
+				id = int32(len(ch.keys))
+				ch.keys = append(ch.keys, string(key))
+				ch.ids[ch.keys[id]] = id
+				ch.sizes = append(ch.sizes, 0)
+			}
+			ch.sizes[id]++
+			rowKeys[i*nl+j] = id
+		}
+	}
+}
+
+// eachChunk runs f(c) for every chunk c < chunks, chunk 0 on the calling
+// goroutine and each other on its own, and returns when all have.
+func eachChunk(chunks int, f func(c int)) {
+	var wg sync.WaitGroup
+	for c := 1; c < chunks; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(c)
+		}()
+	}
+	f(0)
+	wg.Wait()
 }
 
 // WidestAxis returns the coordinate on which the buckets of the indexed block

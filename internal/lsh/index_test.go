@@ -19,9 +19,9 @@ func TestBuildIndexOrder(t *testing.T) {
 		data[i] = rng.NormFloat64() * 5
 	}
 	l := NewLayouts(dim, 4, 2, 3, 9)
-	asc := l.BuildIndex(data, n, nil)
+	asc := l.BuildIndex(data, n, 1, nil)
 	calls := 0
-	desc := l.BuildIndex(data, n, func(ix *Index) []int32 {
+	desc := l.BuildIndex(data, n, 1, func(ix *Index) []int32 {
 		calls++
 		if ix.Rows != nil || len(ix.Offsets) != len(ix.Keys)+1 || ix.Offsets[len(ix.Keys)] != n*l.M() ||
 			!slices.Equal(ix.RowKeys, asc.RowKeys) {
@@ -44,6 +44,99 @@ func TestBuildIndexOrder(t *testing.T) {
 		slices.Reverse(want)
 		if got := desc.Bucket(int32(id)); !slices.Equal(got, want) {
 			t.Fatalf("bucket %d: %v, want %v", id, got, want)
+		}
+	}
+}
+
+// TestBuildIndexWorkersAgree: the chunked build is one index whatever the
+// worker count — bucket IDs in first-seen order over the (row, layout)
+// iteration, as interning every row's keys one by one gives them — with and
+// without an order callback, on blocks smaller than the worker count, of
+// one row, of repeated rows, with non-finite coordinates, and with a key
+// that opens a late chunk but first appears at the end of chunk 0.
+func TestBuildIndexWorkersAgree(t *testing.T) {
+	const dim = 3
+	blobs := func(n int, seed int64) []float64 {
+		rng := points.NewRand(seed)
+		data := make([]float64, n*dim)
+		for i := range data {
+			data[i] = float64(20*(i/dim%3)) + rng.NormFloat64()*4
+		}
+		return data
+	}
+	dup := blobs(30, 5)
+	for range 3 {
+		dup = append(dup, dup[:30*dim]...)
+	}
+	hostile := blobs(40, 6)
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.NaN(), math.Inf(1), 1e308} {
+		hostile[(3+6*i)*dim+i%dim] = v
+	}
+	hostile[20*dim], hostile[20*dim+1], hostile[20*dim+2] = math.NaN(), math.Inf(-1), math.Inf(1)
+	// Rows 24, 32 and 42 open the last chunk at 2, 3 and 8 workers, and hold
+	// the point row 5 — in chunk 0 at every worker count — holds.
+	late := blobs(48, 7)
+	for _, r := range []int{24, 32, 42} {
+		copy(late[r*dim:][:dim], late[5*dim:][:dim])
+	}
+	cases := []struct {
+		name string
+		data []float64
+	}{
+		{"n<workers", blobs(5, 1)},
+		{"n=1", blobs(1, 2)},
+		{"blobs", blobs(300, 3)},
+		{"duplicates", dup},
+		{"non-finite", hostile},
+		{"late-key", late},
+	}
+	for _, m := range []int{1, 4, 64} {
+		l := NewLayouts(dim, m, 2, 6, int64(m))
+		for _, tc := range cases {
+			n := len(tc.data) / dim
+			// The reference: every row's keys interned one by one.
+			var keys []string
+			ids := map[string]int32{}
+			rowKeys := make([]int32, 0, n*m)
+			for i := range n {
+				for _, key := range l.Keys(tc.data[i*dim:][:dim]) {
+					id, ok := ids[key]
+					if !ok {
+						id = int32(len(keys))
+						keys = append(keys, key)
+						ids[key] = id
+					}
+					rowKeys = append(rowKeys, id)
+				}
+			}
+			reverse := func(ix *Index) []int32 {
+				if !slices.Equal(ix.RowKeys, rowKeys) {
+					t.Fatalf("M=%d %s: order called before RowKeys were final", m, tc.name)
+				}
+				perm := make([]int32, n)
+				for i := range perm {
+					perm[i] = int32(n - 1 - i)
+				}
+				return perm
+			}
+			for _, order := range []func(*Index) []int32{nil, reverse} {
+				want := l.BuildIndex(tc.data, n, 1, order)
+				if !slices.Equal(want.Keys, keys) || !slices.Equal(want.RowKeys, rowKeys) {
+					t.Fatalf("M=%d %s ordered=%v: one worker's keys or row keys are not first-seen order", m, tc.name, order != nil)
+				}
+				for _, workers := range []int{2, 3, 8} {
+					got := l.BuildIndex(tc.data, n, workers, order)
+					if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.RowKeys, want.RowKeys) ||
+						!slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Rows, want.Rows) {
+						t.Fatalf("M=%d %s ordered=%v: %d workers built a different index than one", m, tc.name, order != nil, workers)
+					}
+					for id, key := range got.Keys {
+						if back, ok := got.Lookup([]byte(key)); !ok || back != int32(id) {
+							t.Fatalf("M=%d %s: %d workers look bucket %d up as %d, %v", m, tc.name, workers, id, back, ok)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -97,7 +190,7 @@ func TestWidestAxis(t *testing.T) {
 					data = append(data, off+float64(30*(i%4))+rng.NormFloat64()*float64(1+(a+2)%dim))
 				}
 			}
-			ix := NewLayouts(dim, 5, 2, 8, 4).BuildIndex(data, n, nil)
+			ix := NewLayouts(dim, 5, 2, 8, 4).BuildIndex(data, n, 1, nil)
 			w := widestNaive(ix, data, dim)
 			want := 0
 			for a := range w {
@@ -188,7 +281,7 @@ func TestWidestAxisSteady(t *testing.T) {
 
 	// Nothing finite anywhere: any axis is correct, none may panic.
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.NaN()}
-	if got := NewLayouts(2, 3, 2, 1, 1).BuildIndex(bad, 2, nil).WidestAxis(bad, 2); got < 0 || got > 1 {
+	if got := NewLayouts(2, 3, 2, 1, 1).BuildIndex(bad, 2, 1, nil).WidestAxis(bad, 2); got < 0 || got > 1 {
 		t.Fatalf("non-finite block: axis %d", got)
 	}
 }

@@ -57,7 +57,7 @@ func TestSlotsMatchFuncHash(t *testing.T) {
 				if f.A[0] == 0 {
 					continue
 				}
-				rest := f.A.Dot(p) - f.A[0]*p[0]
+				rest := dot(f.A, p) - f.A[0]*p[0]
 				edge := float64(trial%7 - 3)
 				p[0] = (edge*f.W - f.B - rest) / f.A[0]
 				for _, x := range []float64{p[0], math.Nextafter(p[0], math.Inf(1)), math.Nextafter(p[0], math.Inf(-1))} {
@@ -160,7 +160,7 @@ func referenceRadius(l *Layouts, p points.Vector) float64 {
 	for _, g := range l.Groups {
 		margin := math.Inf(1)
 		for _, f := range g.Funcs {
-			v := (f.A.Dot(p) + f.B) / f.W
+			v := (dot(f.A, p) + f.B) / f.W
 			frac := v - math.Floor(v)
 			edge := frac
 			if 1-frac < edge {
@@ -208,7 +208,7 @@ func TestGuaranteeRadiusMatchesReference(t *testing.T) {
 			}
 			check(l, p)
 			f := l.Groups[trial%5].Funcs[trial%3]
-			rest := f.A.Dot(p) - f.A[0]*p[0]
+			rest := dot(f.A, p) - f.A[0]*p[0]
 			p[0] = (float64(trial%5-2)*f.W - f.B - rest) / f.A[0]
 			check(l, p)
 		}

@@ -41,13 +41,6 @@ func NewFunc(dim int, w float64, rng *points.Rand) Func {
 	return Func{A: a, B: rng.Float64() * w, W: w}
 }
 
-// Hash returns the slot index of p. It is the reference form of the slot
-// arithmetic: Layouts.Hash evaluates the same expression four functions at
-// a time and must agree with it bit for bit.
-func (f Func) Hash(p points.Vector) int64 {
-	return slot((f.A.Dot(p) + f.B) / f.W)
-}
-
 // slot floors a projection to its slot index. Go leaves int64(v) up to the
 // implementation when v is NaN, infinite or beyond the int64 range, so those
 // are pinned here — NaN and everything at or below −2⁶³ to MinInt64,
@@ -167,7 +160,7 @@ func (l *Layouts) M() int { return len(l.Groups) }
 func (l *Layouts) Dim() int { return l.dim }
 
 // dot4 returns the projections of p on four direction vectors, each summed
-// exactly as Vector.Dot sums it: a[t]*p[t] added in ascending t.
+// the reference way: a[t]*p[t] added in ascending t.
 func dot4(p, a0, a1, a2, a3 []float64) (s0, s1, s2, s3 float64) {
 	for t, x := range p {
 		s0 += a0[t] * x
@@ -180,9 +173,10 @@ func dot4(p, a0, a1, a2, a3 []float64) (s0, s1, s2, s3 float64) {
 
 // project writes (a·p + b)/w for every function into out, four functions
 // per step so four add chains are in flight at once (the shape of the
-// kernels package's sqDist4). Each lane keeps the statement shape of
-// Func.Hash — its own ascending sum, then the add, then the division — so
-// every value, and so every slot, is bit-identical to the scalar form.
+// kernels package's sqDist4). Each lane keeps the statement shape of the
+// scalar reference ⌊(a·p + b)/w⌋ (Func.Hash in the package tests) — its own
+// ascending sum, then the add, then the division — so every value, and so
+// every slot, is bit-identical to the scalar form.
 func (l *Layouts) project(p points.Vector, out []float64) {
 	dim, a, b, w := l.dim, l.a, l.b, l.W
 	f := 0

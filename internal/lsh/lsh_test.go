@@ -8,6 +8,22 @@ import (
 	"repro/internal/points"
 )
 
+// Hash returns the slot index of p. It is the reference form of the slot
+// arithmetic: Layouts.Hash evaluates the same expression four functions at
+// a time and must agree with it bit for bit.
+func (f Func) Hash(p points.Vector) int64 {
+	return slot((dot(f.A, p) + f.B) / f.W)
+}
+
+// dot returns the inner product of a and p, summed a[t]*p[t] in ascending t.
+func dot(a, p []float64) float64 {
+	var s float64
+	for t, x := range p {
+		s += a[t] * x
+	}
+	return s
+}
+
 func TestHashFloorSemantics(t *testing.T) {
 	f := Func{A: points.Vector{1}, B: 0, W: 1}
 	cases := []struct {
@@ -28,7 +44,7 @@ func TestHashShiftByWChangesSlotByOne(t *testing.T) {
 	f := NewFunc(3, 4.0, rng)
 	p := points.Vector{1, 2, 3}
 	// Moving along A by exactly W/|A|^2 * A shifts the projection by W.
-	norm2 := f.A.Dot(f.A)
+	norm2 := dot(f.A, f.A)
 	q := p.Clone()
 	for i := range q {
 		q[i] += f.W / norm2 * f.A[i]
@@ -202,7 +218,7 @@ func TestGuaranteeRadius(t *testing.T) {
 		pk := l.Keys(p)
 		for _, frac := range []float64{0.1, 0.5, 0.9, 0.999} {
 			dir := points.Vector{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-			n := math.Sqrt(dir.Dot(dir))
+			n := math.Sqrt(dot(dir, dir))
 			if n == 0 {
 				continue
 			}

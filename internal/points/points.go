@@ -52,18 +52,6 @@ func (v Vector) Scale(s float64) {
 	}
 }
 
-// Dot returns the inner product of v and o.
-func (v Vector) Dot(o Vector) float64 {
-	if len(v) != len(o) {
-		panic(fmt.Sprintf("points: dimension mismatch %d != %d", len(v), len(o)))
-	}
-	var s float64
-	for i := range v {
-		s += v[i] * o[i]
-	}
-	return s
-}
-
 // String renders the vector with limited precision, for logs and tests.
 func (v Vector) String() string {
 	var b strings.Builder

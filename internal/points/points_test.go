@@ -1,10 +1,23 @@
 package points
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
+
+// Dot returns the inner product of v and o.
+func (v Vector) Dot(o Vector) float64 {
+	if len(v) != len(o) {
+		panic(fmt.Sprintf("points: dimension mismatch %d != %d", len(v), len(o)))
+	}
+	var s float64
+	for i := range v {
+		s += v[i] * o[i]
+	}
+	return s
+}
 
 func TestVectorOps(t *testing.T) {
 	v := Vector{1, 2, 3}

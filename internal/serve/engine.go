@@ -215,7 +215,7 @@ func NewEngine(m *model.Model, prec Precision) (*Engine, error) {
 	if e.layouts == nil {
 		return e, nil
 	}
-	e.ix = e.layouts.BuildIndex(m.Data, n, func(ix *lsh.Index) (order []int32) {
+	e.ix = e.layouts.BuildIndex(m.Data, n, 1, func(ix *lsh.Index) (order []int32) {
 		e.axis = ix.WidestAxis(m.Data, m.Dim)
 		order, e.coord = kernels.RowOrder(m.Data, m.Dim, e.axis)
 		return order

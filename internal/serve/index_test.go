@@ -39,8 +39,26 @@ func blobModel(n, dim, m int, rowIDs bool) *model.Model {
 	return mdl
 }
 
+// naiveSlot is the scalar slot rule, ⌊(a·p + b)/w⌋ summed in ascending
+// coordinate order, with NaN and everything at or below −2⁶³ pinned to
+// MinInt64 and everything at or above 2⁶³ to MaxInt64.
+func naiveSlot(f lsh.Func, p []float64) int64 {
+	var s float64
+	for t, x := range p {
+		s += f.A[t] * x
+	}
+	switch v := math.Floor((s + f.B) / f.W); {
+	case v != v, v <= -0x1p63:
+		return math.MinInt64
+	case v >= 0x1p63:
+		return math.MaxInt64
+	default:
+		return int64(v)
+	}
+}
+
 // TestEngineIndexMatchesNaive rebuilds the bucket index the slow way — one
-// Func.Hash per row and function, rows appended bucket by bucket — and
+// naiveSlot per row and function, rows appended bucket by bucket — and
 // requires the engine's interned, counting-sorted CSR index to hold exactly
 // those buckets with exactly those rows, each bucket sorted on the engine's
 // sweep axis with the rows that have no finite coordinate there behind all
@@ -52,7 +70,7 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 			mdl := blobModel(1501, 3, m, fleet)
 			// A few rows off the sweep axis: the index must park them, and no
 			// query may ever have their distance evaluated.
-			axis := mdl.Layouts().BuildIndex(mdl.Data, mdl.N(), nil).WidestAxis(mdl.Data, mdl.Dim)
+			axis := mdl.Layouts().BuildIndex(mdl.Data, mdl.N(), 1, nil).WidestAxis(mdl.Data, mdl.Dim)
 			for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.NaN()} {
 				mdl.Data[(7+300*i)*mdl.Dim+axis] = v
 			}
@@ -70,7 +88,7 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 				for j, g := range layouts.Groups {
 					slots := make([]int64, len(g.Funcs))
 					for k, f := range g.Funcs {
-						slots[k] = f.Hash(mdl.Row(i))
+						slots[k] = naiveSlot(f, mdl.Row(i))
 					}
 					key := string(lsh.AppendKey(nil, j, slots))
 					naive[key] = append(naive[key], int32(i))
