@@ -40,7 +40,8 @@ vet:
 # in that reference that no code reads, any doc citing a `make` target,
 # cmd/ binary or command-line flag that no longer exists, or any declaration
 # under internal/ that no non-test code outside bench/ refers to and that
-# doccheck's uncalled list does not name with a reason.
+# doccheck's uncalled list does not name with a reason, or a DESIGN.md longer
+# than its pinned line count or "PR n" mention count.
 doccheck:
 	$(GO) run ./cmd/doccheck
 
@@ -56,7 +57,7 @@ test-short:
 # worker and fleet drills run from hook goroutines,
 # serve/model for the query server's admission gate, shedding, and hot reload,
 # fleet for the router's scatter-gather, hedging, and liveness prober.
-# ./internal/mapreduce/... recursively covers the dag package, whose
+# ./internal/mapreduce/... recursively covers rpcmr and the dag package, whose
 # mutex-guarded job ledger a caller may read while a job is recorded into it;
 # ingest for the WAL-backed store's concurrent writers, query merges, and
 # compaction swap;
@@ -65,7 +66,7 @@ test-short:
 # for the bucket-index build, which hashes its row chunks on their own
 # goroutines into one shared RowKeys array.
 race:
-	$(GO) test -race ./internal/mapreduce/... ./internal/mapreduce/rpcmr/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/... ./internal/lsh/...
+	$(GO) test -race ./internal/mapreduce/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/... ./internal/lsh/...
 
 # Five seconds of native fuzzing per target (one -fuzz target per `go test`
 # invocation). The LSH key codec faces bytes from outside the process: error

@@ -36,7 +36,10 @@
 //   - a package-level declaration in a non-test file under internal/ has no
 //     reference from a non-test file outside bench/ (deadDecls has the
 //     rule), unless the uncalled list names it with its reason — or that
-//     list names a declaration that is gone or that program code now uses.
+//     list names a declaration that is gone or that program code now uses,
+//     or
+//   - DESIGN.md runs past designMaxLines lines or designMaxPRs "PR n"
+//     mentions, the ratchet that keeps a cut design doc from regrowing.
 //
 // The second check keeps the README's configuration reference in step with
 // the code: adding a knob without documenting it breaks `make check` and CI.
@@ -123,6 +126,10 @@ func main() {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: %s\n", msg)
 	}
+	for _, msg := range overBudget("DESIGN.md", readDoc("DESIGN.md"), designMaxLines, designMaxPRs) {
+		failed = true
+		fmt.Fprintf(os.Stderr, "doccheck: %s\n", msg)
+	}
 	if failed {
 		os.Exit(1)
 	}
@@ -142,6 +149,30 @@ func readDoc(path string) string {
 	data, err := os.ReadFile(path)
 	fatal(err)
 	return string(data)
+}
+
+// DESIGN.md's pinned size: its line count and its "PR n" mentions when last
+// cut. A change may lower them, never raise them: history goes to
+// CHANGES.md, and DESIGN.md says what the code does now.
+const (
+	designMaxLines = 1917
+	designMaxPRs   = 84
+)
+
+// prMention matches one "PR n" mention.
+var prMention = regexp.MustCompile(`PR [0-9]+`)
+
+// overBudget returns why doc, the file name, runs past maxLines lines or
+// maxPRs "PR n" mentions; nothing when it does not.
+func overBudget(name, doc string, maxLines, maxPRs int) []string {
+	var msgs []string
+	if n := strings.Count(doc, "\n"); n > maxLines {
+		msgs = append(msgs, fmt.Sprintf("%s has %d lines, over its pinned %d: cut it rather than raise the pin", name, n, maxLines))
+	}
+	if n := len(prMention.FindAllString(doc, -1)); n > maxPRs {
+		msgs = append(msgs, fmt.Sprintf("%s has %d \"PR n\" mentions, over its pinned %d: history belongs in CHANGES.md", name, n, maxPRs))
+	}
+	return msgs
 }
 
 // knob is one exported Conf* (knob) or Ctr* (counter) string constant found

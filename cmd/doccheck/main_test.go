@@ -4,6 +4,7 @@ import (
 	"go/parser"
 	"go/token"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -337,5 +338,19 @@ func TestRepositoryDeclsCalled(t *testing.T) {
 	}
 	for _, msg := range deadDecls(tr.files, uncalled) {
 		t.Error(msg)
+	}
+}
+
+// TestOverBudget: a doc at its pinned line and "PR n" counts passes, and one
+// line or one mention more fails, naming the count and the pin.
+func TestOverBudget(t *testing.T) {
+	doc := "intro\nsince PR 3 and PR 12\n"
+	if msgs := overBudget("D.md", doc, 2, 2); len(msgs) != 0 {
+		t.Fatalf("a doc at its pins: %v", msgs)
+	}
+	msgs := overBudget("D.md", doc+"PR 7, then PR7 (no mention)\n", 2, 2)
+	if len(msgs) != 2 || !strings.Contains(msgs[0], "D.md has 3 lines, over its pinned 2") ||
+		!strings.Contains(msgs[1], `D.md has 3 "PR n" mentions, over its pinned 2`) {
+		t.Fatalf("a doc one line and one mention over: %v", msgs)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/points"
 )
@@ -209,22 +208,10 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 			nClusters = l + 1
 		}
 	}
-	w := cfg.W
-	if w <= 0 {
-		var err error
-		w, err = solveWidthForConfig(&cfg, dc)
-		if err != nil {
-			return nil, err
-		}
+	conf, w, err := cfg.jobConf(dc, ds.Dim())
+	if err != nil {
+		return nil, err
 	}
-	conf := mapreduce.Conf{}
-	conf.SetFloat(confDc, dc)
-	conf.SetInt(confDim, ds.Dim())
-	conf.SetInt(confM, cfg.m())
-	conf.SetInt(confPi, cfg.pi())
-	conf.SetFloat(confW, w)
-	conf.SetInt64(confSeed, cfg.Seed)
-
 	input := make([]mapreduce.Pair, ds.N())
 	for i, p := range ds.Points {
 		input[i] = mapreduce.Pair{Value: encodeLabeled(points.RhoPoint{Point: p, Rho: rho[i]}, labels[i])}
@@ -263,11 +250,6 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 	res.Stats.M = cfg.m()
 	CollectStats(&res.Stats, sess, mark, start)
 	return res, nil
-}
-
-// solveWidthForConfig mirrors RunLSHDDP's width derivation.
-func solveWidthForConfig(cfg *LSHConfig, dc float64) (float64, error) {
-	return lsh.SolveWidth(cfg.accuracy(), dc, cfg.pi(), cfg.m())
 }
 
 // HaloJobFactories returns the registry entries for the halo jobs.

@@ -65,6 +65,25 @@ func (c *LSHConfig) m() int {
 	return 10
 }
 
+// jobConf returns the Conf every LSH job of a run at cutoff dc on
+// dim-dimensional points reads, and the bucket width w in it: c.W, or when
+// that is 0 the width lsh.SolveWidth derives from c.Accuracy.
+func (c *LSHConfig) jobConf(dc float64, dim int) (conf mapreduce.Conf, w float64, err error) {
+	if w = c.W; w <= 0 {
+		if w, err = lsh.SolveWidth(c.accuracy(), dc, c.pi(), c.m()); err != nil {
+			return nil, 0, err
+		}
+	}
+	conf = mapreduce.Conf{}
+	conf.SetFloat(confDc, dc)
+	conf.SetInt(confDim, dim)
+	conf.SetInt(confM, c.m())
+	conf.SetInt(confPi, c.pi())
+	conf.SetFloat(confW, w)
+	conf.SetInt64(confSeed, c.Seed)
+	return conf, w, nil
+}
+
 func (c *LSHConfig) pi() int {
 	if c.Pi > 0 {
 		return c.Pi
@@ -134,22 +153,10 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	w := cfg.W
-	if w <= 0 {
-		w, err = lsh.SolveWidth(cfg.accuracy(), dc, cfg.pi(), cfg.m())
-		if err != nil {
-			return nil, err
-		}
+	conf, w, err := cfg.jobConf(dc, ds.Dim())
+	if err != nil {
+		return nil, err
 	}
-
-	conf := mapreduce.Conf{}
-	conf.SetFloat(confDc, dc)
-	conf.SetInt(confDim, ds.Dim())
-	conf.SetInt(confM, cfg.m())
-	conf.SetInt(confPi, cfg.pi())
-	conf.SetFloat(confW, w)
-	conf.SetInt64(confSeed, cfg.Seed)
-
 	layouts, err := layoutsOf(conf)
 	if err != nil {
 		return nil, err
@@ -443,7 +450,8 @@ func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKe
 		return nil, nil, err
 	}
 	n, nl := pts.N(), l.M()
-	ix := l.BuildIndex(pts.Data(), n, runtime.GOMAXPROCS(0), nil)
+	ix := l.BuildIndex(pts.Data(), n, runtime.GOMAXPROCS(0))
+	ix.Fill(nil)
 	dc := conf.GetFloat(confDc, 0)
 	byLayout := make([][]int32, nl)
 	for b := range ix.Keys {

@@ -48,11 +48,10 @@ const (
 // handleIngest validates, routes each point to its owning shard, and
 // reassembles the per-point acks in request order.
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	if r.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	if r.Refuse(w) {
 		return
 	}
-	var body assignRequest
+	var body serve.AssignRequest
 	if !serve.DecodePoints(w, req, &body, &body.Points, r.cfg.Manifest.Dim) {
 		return
 	}

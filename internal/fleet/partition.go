@@ -51,7 +51,7 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	// balanced placement, weighted by a sampled estimate of its scan cost
 	// and recorded in the manifest for the router.
 	n := m.N()
-	ix := layouts.BuildIndex(m.Data, n, runtime.GOMAXPROCS(0), nil)
+	ix := layouts.BuildIndex(m.Data, n, runtime.GOMAXPROCS(0))
 	weights := estimateBucketWeights(ix, layouts, m.Data, m.Dim)
 	groups := bucketGroups(m, ix.RowKeys, len(ix.Keys), mf.M)
 	mf.Overrides = balanceBuckets(ix.Keys, weights, groups, ring, shards)

@@ -49,7 +49,7 @@ func TestSampledWeightBalance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := mf.Layouts().BuildIndex(mdl.Data, mdl.N(), 1, nil)
+		ix := mf.Layouts().BuildIndex(mdl.Data, mdl.N(), 1)
 		weights := estimateBucketWeights(ix, mf.Layouts(), mdl.Data, mdl.Dim)
 		load := make([]float64, shards)
 		total := 0.0
@@ -184,11 +184,15 @@ func TestBucketWeightsMatchReplay(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tc := range cases {
 		layouts := tc.mdl.Layouts()
-		ix := layouts.BuildIndex(tc.mdl.Data, tc.mdl.N(), 1, nil)
+		ix := layouts.BuildIndex(tc.mdl.Data, tc.mdl.N(), 1)
 		if tc.name == "one-bucket" && len(ix.Keys) != layouts.M() {
 			t.Fatalf("%s: %d buckets over %d layouts, want one per layout", tc.name, len(ix.Keys), layouts.M())
 		}
-		want := replayOracle(ix, layouts, tc.mdl.Data, tc.mdl.Dim)
+		// The replay walks postings; the estimator, like Partition, reads
+		// an index without them.
+		filled := *ix
+		filled.Fill(nil)
+		want := replayOracle(&filled, layouts, tc.mdl.Data, tc.mdl.Dim)
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)
 			got := estimateBucketWeights(ix, layouts, tc.mdl.Data, tc.mdl.Dim)
@@ -216,7 +220,7 @@ func placementQuality(tb testing.TB, mdl *model.Model, subs []*model.Model, mf *
 		tb.Fatal(err)
 	}
 	n, lm := mdl.N(), mf.M
-	ix := mf.Layouts().BuildIndex(mdl.Data, n, 1, nil)
+	ix := mf.Layouts().BuildIndex(mdl.Data, n, 1)
 	owners := make([]int, len(ix.Keys))
 	for id, key := range ix.Keys {
 		owners[id] = place.Owner(key)

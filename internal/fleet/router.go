@@ -2,14 +2,15 @@ package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,8 +120,12 @@ func (sc *shardClient) alivePick() []*replica {
 // Router is the fleet front end: it owns the public /assign contract,
 // scatter-gathers shard-internal /fleet/assign calls to the owning shards,
 // and merges their candidates bit-identically to a single full-model
-// server. Create with NewRouter, then Start (or serve Handler directly).
+// server. Its HTTP front — listener, drain, /healthz, /statsz — is a
+// serve.Front, the single-node server's. Create with NewRouter, then Start
+// (or serve Handler directly); Shutdown returns once the HTTP loop and the
+// liveness prober have.
 type Router struct {
+	*serve.Front
 	cfg      RouterConfig
 	layouts  *lsh.Layouts
 	place    *Placement
@@ -128,15 +133,6 @@ type Router struct {
 	counters *mapreduce.Counters
 	hist     serve.Hist
 	client   *http.Client
-	draining atomic.Bool
-
-	mux     *http.ServeMux
-	httpSrv *http.Server
-	ln      net.Listener
-	quit    chan struct{}
-	bg      sync.WaitGroup // the prober and the HTTP loop
-	once    sync.Once
-	shutErr error
 }
 
 // NewRouter validates cfg and builds the router (no socket yet, no probes
@@ -162,7 +158,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		place:    place,
 		counters: mapreduce.NewCounters(),
 		client:   &http.Client{Timeout: shardTimeout},
-		quit:     make(chan struct{}),
 	}
 	for s, addrs := range cfg.Shards {
 		if len(addrs) == 0 {
@@ -177,11 +172,9 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		}
 		r.shards = append(r.shards, sc)
 	}
-	r.mux = http.NewServeMux()
-	r.mux.HandleFunc("POST /assign", r.handleAssign)
-	r.mux.HandleFunc("POST /ingest", r.handleIngest)
-	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.mux.HandleFunc("GET /statsz", r.handleStatsz)
+	r.Front = serve.NewFront(nil, func(ctx context.Context) any { return r.Stats(ctx) })
+	r.Handle("POST /assign", r.handleAssign)
+	r.Handle("POST /ingest", r.handleIngest)
 	return r, nil
 }
 
@@ -214,62 +207,26 @@ func (r *Router) CheckShards(ctx context.Context) error {
 	return nil
 }
 
-// Start listens on addr, starts the liveness prober, and serves until
-// Shutdown.
+// Start listens on addr, starts the liveness prober beside the HTTP loop,
+// and serves until Shutdown (serve.Front.Start).
 func (r *Router) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	if err := r.Front.Start(addr, r.prober); err != nil {
 		return err
 	}
-	r.ln = ln
-	r.httpSrv = &http.Server{
-		Handler:           r.mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	r.bg.Add(2)
-	go r.prober()
-	go func() {
-		defer r.bg.Done()
-		r.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
-	}()
 	r.logf("fleet: router listening on %s (%d shards, heartbeat=%s dead-after=%s)",
-		ln.Addr(), len(r.shards), heartbeat, deadAfter)
+		r.Addr(), len(r.shards), heartbeat, deadAfter)
 	return nil
 }
 
-// Addr returns the bound address after Start.
-func (r *Router) Addr() string {
-	if r.ln == nil {
-		return ""
-	}
-	return r.ln.Addr().String()
-}
-
-// Shutdown stops the listener and the prober and returns after both
-// goroutines Start began have. Safe to call more than once.
-func (r *Router) Shutdown(ctx context.Context) error {
-	r.once.Do(func() {
-		r.draining.Store(true)
-		if r.httpSrv != nil {
-			r.shutErr = r.httpSrv.Shutdown(ctx)
-		}
-		close(r.quit)
-		r.bg.Wait()
-	})
-	return r.shutErr
-}
-
-// prober keeps replica liveness fresh: every heartbeat it probes each
-// replica's /healthz concurrently; success revives the replica, and a
-// replica with no success inside deadAfter is declared dead.
-func (r *Router) prober() {
-	defer r.bg.Done()
+// prober keeps replica liveness fresh until quit closes: every heartbeat it
+// probes each replica's /healthz concurrently; success revives the replica,
+// and a replica with no success inside deadAfter is declared dead.
+func (r *Router) prober(quit <-chan struct{}) {
 	tick := time.NewTicker(heartbeat)
 	defer tick.Stop()
 	for {
 		select {
-		case <-r.quit:
+		case <-quit:
 			return
 		case <-tick.C:
 		}
@@ -487,25 +444,14 @@ func (r *Router) fetchStatsz(ctx context.Context, addr string) (*serve.Statsz, e
 	return &st, nil
 }
 
-// assignRequest / assignResponse mirror the single-node /assign wire format
-// exactly; the conformance tests compare raw response bytes.
-type assignRequest struct {
-	Points [][]float64 `json:"points"`
-}
-
-type assignResponse struct {
-	Results []serve.Assignment `json:"results"`
-}
-
 // handleAssign is the public fleet entry point. The contract — request
 // shape, validation errors, 429/500 semantics, response bytes — matches a
 // single full-model server exactly; only /statsz tells the difference.
 func (r *Router) handleAssign(w http.ResponseWriter, req *http.Request) {
-	if r.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	if r.Refuse(w) {
 		return
 	}
-	var body assignRequest
+	var body serve.AssignRequest
 	if !serve.DecodePoints(w, req, &body, &body.Points, r.cfg.Manifest.Dim) {
 		return
 	}
@@ -519,12 +465,13 @@ func (r *Router) handleAssign(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(assignResponse{Results: out}) //nolint:errcheck
+	json.NewEncoder(w).Encode(serve.AssignResponse{Results: out}) //nolint:errcheck
 }
 
-// fail answers a request the router could not serve: a shed (429) gets
-// Retry-After and counts in shed, a 5xx counts in errs. A client that went
-// away gets nothing — nobody reads the answer — and counts in neither.
+// fail answers a request the router could not serve: a shed (429) is
+// answered as a single node sheds and counts in shed, a 5xx counts in errs.
+// A client that went away gets nothing — nobody reads the answer — and
+// counts in neither.
 func (r *Router) fail(w http.ResponseWriter, req *http.Request, status int, msg, shed, errs string) {
 	if req.Context().Err() != nil {
 		return
@@ -532,7 +479,8 @@ func (r *Router) fail(w http.ResponseWriter, req *http.Request, status int, msg,
 	switch {
 	case status == http.StatusTooManyRequests:
 		r.counters.Add(shed, 1)
-		w.Header().Set("Retry-After", "1")
+		serve.Shed(w, msg)
+		return
 	case status >= 500:
 		r.counters.Add(errs, 1)
 	}
@@ -756,14 +704,6 @@ func (r *Router) fanout() float64 {
 	return float64(r.counters.Get(CtrShardsPerQuery)) / float64(pts)
 }
 
-func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if r.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	fmt.Fprintln(w, "ok")
-}
-
 // ReplicaInfo is one replica's row in the router's /statsz.
 type ReplicaInfo struct {
 	Shard int    `json:"shard"`
@@ -791,44 +731,34 @@ type RouterStatsz struct {
 // Stats snapshots the router state, polling every replica for the rollup.
 func (r *Router) Stats(ctx context.Context) RouterStatsz {
 	st := RouterStatsz{
-		Shards:   len(r.shards),
-		Counters: r.counters.Snapshot(),
-		Latency: serve.LatencyInfo{
-			Count: r.hist.Count(),
-			P50us: r.hist.Quantile(0.50).Microseconds(),
-			P90us: r.hist.Quantile(0.90).Microseconds(),
-			P99us: r.hist.Quantile(0.99).Microseconds(),
-		},
+		Shards:     len(r.shards),
+		Counters:   r.counters.Snapshot(),
+		Latency:    r.hist.Latency(),
 		FanoutMean: r.fanout(),
 		Rollup:     map[string]int64{},
-		Draining:   r.draining.Load(),
+		Draining:   r.Draining(),
 	}
 	type polled struct {
 		info ReplicaInfo
 		st   *serve.Statsz
 	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
 	var rows []polled
 	for _, sc := range r.shards {
 		for _, rep := range sc.replicas {
-			wg.Add(1)
-			go func(sc *shardClient, rep *replica) {
-				defer wg.Done()
-				p := polled{info: ReplicaInfo{Shard: sc.id, Addr: rep.addr, Alive: rep.alive.Load()}}
-				p.st, _ = r.fetchStatsz(ctx, rep.addr)
-				mu.Lock()
-				rows = append(rows, p)
-				mu.Unlock()
-			}(sc, rep)
+			rows = append(rows, polled{info: ReplicaInfo{Shard: sc.id, Addr: rep.addr, Alive: rep.alive.Load()}})
 		}
 	}
+	var wg sync.WaitGroup
+	for i := range rows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows[i].st, _ = r.fetchStatsz(ctx, rows[i].info.Addr)
+		}()
+	}
 	wg.Wait()
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].info.Shard != rows[j].info.Shard {
-			return rows[i].info.Shard < rows[j].info.Shard
-		}
-		return rows[i].info.Addr < rows[j].info.Addr
+	slices.SortFunc(rows, func(a, b polled) int {
+		return cmp.Or(cmp.Compare(a.info.Shard, b.info.Shard), strings.Compare(a.info.Addr, b.info.Addr))
 	})
 	for _, p := range rows {
 		st.Replicas = append(st.Replicas, p.info)
@@ -841,15 +771,6 @@ func (r *Router) Stats(ctx context.Context) RouterStatsz {
 		}
 	}
 	return st
-}
-
-func (r *Router) handleStatsz(w http.ResponseWriter, req *http.Request) {
-	ctx, cancel := context.WithTimeout(req.Context(), 5*time.Second)
-	defer cancel()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(r.Stats(ctx)) //nolint:errcheck
 }
 
 func (r *Router) logf(format string, args ...any) {

@@ -14,36 +14,30 @@ type Index struct {
 	// RowKeys holds row i's bucket ID under layout j at [i*M+j].
 	RowKeys []int32
 	// Rows holds every bucket's member rows back to back, each bucket in
-	// the fill order BuildIndex was given: bucket id's are
+	// the order Fill was given: bucket id's are
 	// Rows[Offsets[id]:Offsets[id+1]]. Each row appears M times, once per
-	// layout.
+	// layout. Nil until Fill.
 	Rows    []int32
 	Offsets []int
 
 	ids map[string]int32
+	nl  int // the layout count M
 }
 
-// BuildIndex indexes the n rows of the flat row-major block data. The rows
-// are cut into workers contiguous chunks (at most one per row; fewer than
-// one means one), and each chunk is hashed and its keys interned into its
-// own slice of RowKeys, chunk 0 on the calling goroutine and each other on
-// its own. A merge in chunk order then hands out the bucket IDs — chunk 0's
-// keys in first-seen order, then each later chunk's unseen keys in its own
-// first-seen order, which is first-seen order over the whole (row, layout)
-// iteration — and renumbers RowKeys in place, so the index does not depend
-// on workers. A counting pass then drops each row into its buckets' slices
-// of the one postings block, taking the rows in the order that order
-// returns — a permutation of [0, n); a nil order means ascending — which
-// leaves every bucket in that order without a sort or a per-bucket append.
-// order is called between the passes with the index complete but for Rows,
-// so it may depend on the buckets (the serving engine sorts on WidestAxis;
-// the fleet partitioner's estimator wants ascending rows). Bucket IDs do not
-// depend on the order. Offline callers pass GOMAXPROCS; a compaction
-// rebuilds its engine beside live queries and must not take their cores, so
-// the serving engine passes 1 and builds on its calling goroutine alone.
-func (l *Layouts) BuildIndex(data []float64, n, workers int, order func(*Index) []int32) *Index {
+// BuildIndex indexes the n rows of the flat row-major block data — Keys,
+// RowKeys and Offsets; Rows is Fill's. The rows are cut into workers
+// contiguous chunks (at most one per row; fewer than one means one), each
+// hashed and its keys interned into its own slice of RowKeys, chunk 0 on
+// the calling goroutine and each other on its own. A merge in chunk order
+// then hands out the bucket IDs — chunk 0's keys in first-seen order, then
+// each later chunk's unseen keys in theirs, which is first-seen order over
+// the whole (row, layout) iteration — and renumbers RowKeys in place, so
+// the index does not depend on workers. Offline callers pass GOMAXPROCS; a
+// compaction rebuilds its engine beside live queries and must not take
+// their cores, so the serving engine passes 1.
+func (l *Layouts) BuildIndex(data []float64, n, workers int) *Index {
 	nl := l.M()
-	ix := &Index{RowKeys: make([]int32, n*nl)}
+	ix := &Index{RowKeys: make([]int32, n*nl), nl: nl}
 	chunks := make([]indexChunk, max(min(workers, n), 1))
 	eachChunk(len(chunks), func(c int) {
 		chunks[c].intern(l, data, ix.RowKeys, n*c/len(chunks), n*(c+1)/len(chunks))
@@ -76,24 +70,29 @@ func (l *Layouts) BuildIndex(data []float64, n, workers int, order func(*Index) 
 	for id, sz := range sizes {
 		ix.Offsets[id+1] = ix.Offsets[id] + sz
 	}
-	var perm []int32
-	if order != nil {
-		perm = order(ix)
-	}
-	ix.Rows = make([]int32, n*nl)
-	next := sizes // reused as each bucket's fill cursor
+	return ix
+}
+
+// Fill drops every row into its buckets' slices of the one postings block,
+// Rows, taking the rows in the order order lists — a permutation of the
+// indexed rows; nil means ascending — which leaves every bucket in that
+// order without a sort or a per-bucket append. The order may depend on the
+// index (the serving engine sorts on WidestAxis); bucket IDs do not.
+func (ix *Index) Fill(order []int32) {
+	nl := ix.nl
+	ix.Rows = make([]int32, len(ix.RowKeys))
+	next := make([]int, len(ix.Keys)) // each bucket's fill cursor
 	copy(next, ix.Offsets)
-	for i := 0; i < n; i++ {
+	for i := range len(ix.RowKeys) / nl {
 		r := int32(i)
-		if perm != nil {
-			r = perm[i]
+		if order != nil {
+			r = order[i]
 		}
 		for _, id := range ix.RowKeys[int(r)*nl:][:nl] {
 			ix.Rows[next[id]] = r
 			next[id]++
 		}
 	}
-	return ix
 }
 
 // indexChunk is one chunk of BuildIndex's rows: the RowKeys entries
@@ -233,7 +232,7 @@ func (ix *Index) Lookup(key []byte) (int32, bool) {
 	return id, ok
 }
 
-// Bucket returns bucket id's rows in the index's fill order.
+// Bucket returns bucket id's rows in the order Fill was given.
 func (ix *Index) Bucket(id int32) []int32 {
 	return ix.Rows[ix.Offsets[id]:ix.Offsets[id+1]]
 }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/points"
 )
 
-// TestBuildIndexOrder: the order callback runs once, with every bucket's ID,
-// size and members' keys known and no posting filled yet, and every bucket
-// then lists its rows in the order it returned.
+// TestBuildIndexOrder: BuildIndex leaves every bucket's ID, size and
+// members' keys known and no posting filled, and after Fill every bucket
+// lists its rows in the order Fill was given, ascending for a nil order.
 func TestBuildIndexOrder(t *testing.T) {
 	const n, dim = 400, 3
 	rng := points.NewRand(3)
@@ -19,22 +19,18 @@ func TestBuildIndexOrder(t *testing.T) {
 		data[i] = rng.NormFloat64() * 5
 	}
 	l := NewLayouts(dim, 4, 2, 3, 9)
-	asc := l.BuildIndex(data, n, 1, nil)
-	calls := 0
-	desc := l.BuildIndex(data, n, 1, func(ix *Index) []int32 {
-		calls++
-		if ix.Rows != nil || len(ix.Offsets) != len(ix.Keys)+1 || ix.Offsets[len(ix.Keys)] != n*l.M() ||
-			!slices.Equal(ix.RowKeys, asc.RowKeys) {
-			t.Fatalf("order called with Rows=%v Offsets=%v: want buckets sized, row keys final, no postings", ix.Rows, ix.Offsets)
-		}
-		perm := make([]int32, n)
-		for i := range perm {
-			perm[i] = int32(n - 1 - i)
-		}
-		return perm
-	})
-	if calls != 1 || !slices.Equal(desc.Keys, asc.Keys) || !slices.Equal(desc.Offsets, asc.Offsets) {
-		t.Fatalf("order called %d times; keys or offsets depend on the order", calls)
+	asc, desc := l.BuildIndex(data, n, 1), l.BuildIndex(data, n, 1)
+	if desc.Rows != nil || len(desc.Offsets) != len(desc.Keys)+1 || desc.Offsets[len(desc.Keys)] != n*l.M() {
+		t.Fatalf("built with Rows=%v Offsets=%v: want buckets sized, no postings", desc.Rows, desc.Offsets)
+	}
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(n - 1 - i)
+	}
+	asc.Fill(nil)
+	desc.Fill(perm)
+	if !slices.Equal(desc.Keys, asc.Keys) || !slices.Equal(desc.Offsets, asc.Offsets) || !slices.Equal(desc.RowKeys, asc.RowKeys) {
+		t.Fatal("keys, row keys or offsets depend on the fill order")
 	}
 	for id := range asc.Keys {
 		want := slices.Clone(asc.Bucket(int32(id)))
@@ -50,10 +46,11 @@ func TestBuildIndexOrder(t *testing.T) {
 
 // TestBuildIndexWorkersAgree: the chunked build is one index whatever the
 // worker count — bucket IDs in first-seen order over the (row, layout)
-// iteration, as interning every row's keys one by one gives them — with and
-// without an order callback, on blocks smaller than the worker count, of
-// one row, of repeated rows, with non-finite coordinates, and with a key
-// that opens a late chunk but first appears at the end of chunk 0.
+// iteration, as interning every row's keys one by one gives them — filled
+// in ascending and in reverse order, on blocks smaller than the worker
+// count, of one row, of repeated rows, with non-finite coordinates, and
+// with a key that opens a late chunk but first appears at the end of
+// chunk 0.
 func TestBuildIndexWorkersAgree(t *testing.T) {
 	const dim = 3
 	blobs := func(n int, seed int64) []float64 {
@@ -109,23 +106,19 @@ func TestBuildIndexWorkersAgree(t *testing.T) {
 					rowKeys = append(rowKeys, id)
 				}
 			}
-			reverse := func(ix *Index) []int32 {
-				if !slices.Equal(ix.RowKeys, rowKeys) {
-					t.Fatalf("M=%d %s: order called before RowKeys were final", m, tc.name)
-				}
-				perm := make([]int32, n)
-				for i := range perm {
-					perm[i] = int32(n - 1 - i)
-				}
-				return perm
+			reverse := make([]int32, n)
+			for i := range reverse {
+				reverse[i] = int32(n - 1 - i)
 			}
-			for _, order := range []func(*Index) []int32{nil, reverse} {
-				want := l.BuildIndex(tc.data, n, 1, order)
+			for _, order := range [][]int32{nil, reverse} {
+				want := l.BuildIndex(tc.data, n, 1)
 				if !slices.Equal(want.Keys, keys) || !slices.Equal(want.RowKeys, rowKeys) {
 					t.Fatalf("M=%d %s ordered=%v: one worker's keys or row keys are not first-seen order", m, tc.name, order != nil)
 				}
+				want.Fill(order)
 				for _, workers := range []int{2, 3, 8} {
-					got := l.BuildIndex(tc.data, n, workers, order)
+					got := l.BuildIndex(tc.data, n, workers)
+					got.Fill(order)
 					if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.RowKeys, want.RowKeys) ||
 						!slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Rows, want.Rows) {
 						t.Fatalf("M=%d %s ordered=%v: %d workers built a different index than one", m, tc.name, order != nil, workers)
@@ -190,7 +183,8 @@ func TestWidestAxis(t *testing.T) {
 					data = append(data, off+float64(30*(i%4))+rng.NormFloat64()*float64(1+(a+2)%dim))
 				}
 			}
-			ix := NewLayouts(dim, 5, 2, 8, 4).BuildIndex(data, n, 1, nil)
+			ix := NewLayouts(dim, 5, 2, 8, 4).BuildIndex(data, n, 1)
+			ix.Fill(nil)
 			w := widestNaive(ix, data, dim)
 			want := 0
 			for a := range w {
@@ -281,7 +275,7 @@ func TestWidestAxisSteady(t *testing.T) {
 
 	// Nothing finite anywhere: any axis is correct, none may panic.
 	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.NaN()}
-	if got := NewLayouts(2, 3, 2, 1, 1).BuildIndex(bad, 2, 1, nil).WidestAxis(bad, 2); got < 0 || got > 1 {
+	if got := NewLayouts(2, 3, 2, 1, 1).BuildIndex(bad, 2, 1).WidestAxis(bad, 2); got < 0 || got > 1 {
 		t.Fatalf("non-finite block: axis %d", got)
 	}
 }

@@ -215,11 +215,11 @@ func NewEngine(m *model.Model, prec Precision) (*Engine, error) {
 	if e.layouts == nil {
 		return e, nil
 	}
-	e.ix = e.layouts.BuildIndex(m.Data, n, 1, func(ix *lsh.Index) (order []int32) {
-		e.axis = ix.WidestAxis(m.Data, m.Dim)
-		order, e.coord = kernels.RowOrder(m.Data, m.Dim, e.axis)
-		return order
-	})
+	e.ix = e.layouts.BuildIndex(m.Data, n, 1)
+	e.axis = e.ix.WidestAxis(m.Data, m.Dim)
+	var order []int32
+	order, e.coord = kernels.RowOrder(m.Data, m.Dim, e.axis)
+	e.ix.Fill(order)
 	if len(m.RowIDs) == 0 {
 		e.ix.RowKeys = nil // only the fleet's masked scan reads them
 	}

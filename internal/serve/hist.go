@@ -65,3 +65,21 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	}
 	return time.Duration(int64(1)<<histBuckets) * time.Microsecond
 }
+
+// LatencyInfo carries the request-latency histogram quantiles (µs).
+type LatencyInfo struct {
+	Count int64 `json:"count"`
+	P50us int64 `json:"p50_us"`
+	P90us int64 `json:"p90_us"`
+	P99us int64 `json:"p99_us"`
+}
+
+// Latency snapshots the histogram's count and quantiles for /statsz.
+func (h *Hist) Latency() LatencyInfo {
+	return LatencyInfo{
+		Count: h.Count(),
+		P50us: h.Quantile(0.50).Microseconds(),
+		P90us: h.Quantile(0.90).Microseconds(),
+		P99us: h.Quantile(0.99).Microseconds(),
+	}
+}

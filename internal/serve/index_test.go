@@ -70,7 +70,7 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 			mdl := blobModel(1501, 3, m, fleet)
 			// A few rows off the sweep axis: the index must park them, and no
 			// query may ever have their distance evaluated.
-			axis := mdl.Layouts().BuildIndex(mdl.Data, mdl.N(), 1, nil).WidestAxis(mdl.Data, mdl.Dim)
+			axis := mdl.Layouts().BuildIndex(mdl.Data, mdl.N(), 1).WidestAxis(mdl.Data, mdl.Dim)
 			for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.NaN()} {
 				mdl.Data[(7+300*i)*mdl.Dim+axis] = v
 			}

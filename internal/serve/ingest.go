@@ -97,7 +97,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not an ingest node (start with -ingest-dir)", http.StatusNotImplemented)
 		return
 	}
-	var body assignRequest
+	var body AssignRequest
 	if s.admit(w, r, &body, &body.Points) == nil {
 		return
 	}
@@ -106,8 +106,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if err == ErrDeltaFull {
 			s.counters.Add(CtrShed, 1)
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
+			Shed(w, err.Error())
 			return
 		}
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -107,19 +105,12 @@ const maxRequestPoints = 1024
 // (a variable only so tests can shrink it).
 var queueDepth = 128
 
-// The listener bounds how long it waits for a client's request headers, so
-// a slow-loris client cannot pin a connection forever, and closes
-// keep-alive connections idle for idleTimeout.
-const (
-	readHeaderTimeout = 5 * time.Second
-	idleTimeout       = 2 * time.Minute
-)
-
 // Server fronts an Engine with HTTP/JSON and admission control; each
 // request is answered on the handler that admitted it. Create with New,
-// load a model with SetModel (or Reload), then Start; Shutdown drains
-// cleanly.
+// load a model with SetModel (or Reload), then Start; Shutdown drains as
+// Front states.
 type Server struct {
+	*Front
 	cfg    Config
 	engine atomic.Pointer[Engine]
 	// waiting and running are the admission gate, two counting semaphores:
@@ -127,7 +118,6 @@ type Server struct {
 	// of Workers run slots frees, and the run slot for its engine call.
 	waiting  chan struct{}
 	running  chan struct{}
-	draining atomic.Bool
 	counters *mapreduce.Counters
 	hist     Hist
 	traceID  atomic.Int64
@@ -136,13 +126,6 @@ type Server struct {
 	// Start, never mutated after.
 	ingest     IngestBackend
 	ingestHist Hist
-
-	mux      *http.ServeMux
-	httpSrv  *http.Server
-	ln       net.Listener
-	loop     sync.WaitGroup // the HTTP loop Start runs; Shutdown waits for it
-	shutOnce sync.Once
-	shutErr  error
 }
 
 // New builds a server from cfg. No model is loaded and no socket is open
@@ -154,14 +137,17 @@ func New(cfg Config) *Server {
 		running:  make(chan struct{}, cfg.workers()),
 		counters: mapreduce.NewCounters(),
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /assign", s.handleAssign)
-	s.mux.HandleFunc("POST /fleet/assign", s.handleFleetAssign)
-	s.mux.HandleFunc("POST /ingest", s.handleIngest)
-	s.mux.HandleFunc("POST /compact", s.handleCompact)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /statsz", s.handleStatsz)
-	s.mux.HandleFunc("POST /reload", s.handleReload)
+	s.Front = NewFront(func() string {
+		if s.engine.Load() == nil {
+			return "no model loaded"
+		}
+		return ""
+	}, func(context.Context) any { return s.Stats() })
+	s.Handle("POST /assign", s.handleAssign)
+	s.Handle("POST /fleet/assign", s.handleFleetAssign)
+	s.Handle("POST /ingest", s.handleIngest)
+	s.Handle("POST /compact", s.handleCompact)
+	s.Handle("POST /reload", s.handleReload)
 	return s
 }
 
@@ -212,53 +198,13 @@ func (s *Server) Reload() error {
 // Counters exposes the serve.* counter set.
 func (s *Server) Counters() *mapreduce.Counters { return s.counters }
 
-// Start listens on addr and serves until Shutdown; the HTTP loop runs in a
-// background goroutine.
+// Start listens on addr and serves until Shutdown (Front.Start).
 func (s *Server) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	if err := s.Front.Start(addr); err != nil {
 		return err
 	}
-	s.ln = ln
-	// Bounded header reads and idle keep-alives: one slow or silent client
-	// must never pin a connection (and its goroutine) forever.
-	s.httpSrv = &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
-	}
-	s.loop.Add(1)
-	go func() {
-		defer s.loop.Done()
-		s.httpSrv.Serve(ln) //nolint:errcheck // ErrServerClosed after Shutdown
-	}()
-	s.logf("serve: listening on %s (queue=%d workers=%d)", ln.Addr(), cap(s.waiting), s.cfg.workers())
+	s.logf("serve: listening on %s (queue=%d workers=%d)", s.Addr(), cap(s.waiting), s.cfg.workers())
 	return nil
-}
-
-// Addr returns the bound address after Start.
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// Shutdown drains gracefully: new requests are refused (503), and
-// http.Server.Shutdown waits for the handlers of queued and in-flight
-// requests, each of which answers its own request. It returns after the HTTP
-// loop has too, so nothing Start began still holds the server or its
-// engine. Safe to call more than once.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.shutOnce.Do(func() {
-		s.draining.Store(true)
-		if s.httpSrv != nil {
-			s.shutErr = s.httpSrv.Shutdown(ctx)
-		}
-		s.loop.Wait()
-		s.logf("serve: drained: %d requests served, %d shed", s.counters.Get(CtrRequests), s.counters.Get(CtrShed))
-	})
-	return s.shutErr
 }
 
 // admit runs the prologue every point-carrying endpoint shares: refuse
@@ -266,15 +212,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // points *pts are) against the serving engine, which it returns — nil when
 // a reply has already been written.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, body any, pts *[][]float64) *Engine {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
+	if s.Refuse(w) {
 		return nil
 	}
 	eng := s.engine.Load()
-	if eng == nil {
-		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
-		return nil
-	}
 	if !DecodePoints(w, r, body, pts, eng.m.Dim) {
 		return nil
 	}
@@ -293,8 +234,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, eng *Engine, pts
 	case s.waiting <- struct{}{}:
 	default:
 		s.counters.Add(CtrShed, 1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "overloaded: admission queue full", http.StatusTooManyRequests)
+		Shed(w, "overloaded: admission queue full")
 		return nil, nil, false
 	}
 	select {
@@ -410,18 +350,20 @@ func checkPoints(pts [][]float64, dim int) string {
 	return ""
 }
 
-// assignRequest is the /assign and /ingest JSON body.
-type assignRequest struct {
+// AssignRequest is the /assign and /ingest JSON body, of a server and of a
+// fleet router alike.
+type AssignRequest struct {
 	Points [][]float64 `json:"points"`
 }
 
-// assignResponse is the /assign JSON reply.
-type assignResponse struct {
+// AssignResponse is the /assign JSON reply; a fleet router's is
+// byte-identical.
+type AssignResponse struct {
 	Results []Assignment `json:"results"`
 }
 
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
-	var body assignRequest
+	var body AssignRequest
 	eng := s.admit(w, r, &body, &body.Points)
 	if eng == nil {
 		return
@@ -437,7 +379,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(assignResponse{Results: out}) //nolint:errcheck
+	json.NewEncoder(w).Encode(AssignResponse{Results: out}) //nolint:errcheck
 }
 
 // FleetAssignRequest is the shard-internal /fleet/assign JSON body. Masks
@@ -547,17 +489,6 @@ func (s *Server) handleFleetAssign(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(FleetAssignResponse{Results: results}) //nolint:errcheck
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	switch {
-	case s.draining.Load():
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-	case s.engine.Load() == nil:
-		http.Error(w, "no model loaded", http.StatusServiceUnavailable)
-	default:
-		fmt.Fprintln(w, "ok")
-	}
-}
-
 // Statsz is the /statsz JSON document.
 type Statsz struct {
 	// Shard is this server's fleet slot (serve.shard.id), nil outside a
@@ -590,14 +521,6 @@ type ModelInfo struct {
 	Precision string `json:"precision"`
 }
 
-// LatencyInfo carries the request-latency histogram quantiles (µs).
-type LatencyInfo struct {
-	Count int64 `json:"count"`
-	P50us int64 `json:"p50_us"`
-	P90us int64 `json:"p90_us"`
-	P99us int64 `json:"p99_us"`
-}
-
 // QueueInfo reports admission-queue occupancy.
 type QueueInfo struct {
 	Depth int `json:"depth"`
@@ -609,14 +532,9 @@ func (s *Server) Stats() Statsz {
 	st := Statsz{
 		Shard:    s.cfg.ShardID,
 		Counters: s.counters.Snapshot(),
-		Latency: LatencyInfo{
-			Count: s.hist.Count(),
-			P50us: s.hist.Quantile(0.50).Microseconds(),
-			P90us: s.hist.Quantile(0.90).Microseconds(),
-			P99us: s.hist.Quantile(0.99).Microseconds(),
-		},
+		Latency:  s.hist.Latency(),
 		Queue:    QueueInfo{Depth: len(s.waiting), Cap: cap(s.waiting)},
-		Draining: s.draining.Load(),
+		Draining: s.Draining(),
 	}
 	if eng := s.engine.Load(); eng != nil {
 		m := eng.Model()
@@ -628,25 +546,13 @@ func (s *Server) Stats() Statsz {
 	}
 	if b := s.ingest; b != nil {
 		info := b.Info()
-		st.Ingest = &info
-		st.IngestLatency = &LatencyInfo{
-			Count: s.ingestHist.Count(),
-			P50us: s.ingestHist.Quantile(0.50).Microseconds(),
-			P90us: s.ingestHist.Quantile(0.90).Microseconds(),
-			P99us: s.ingestHist.Quantile(0.99).Microseconds(),
-		}
+		lat := s.ingestHist.Latency()
+		st.Ingest, st.IngestLatency = &info, &lat
 		for k, v := range b.Counters() {
 			st.Counters[k] = v
 		}
 	}
 	return st
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Stats()) //nolint:errcheck
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, _ *http.Request) {
