@@ -64,7 +64,8 @@ test-short:
 # core for the jobs that run on those engines — its LSH reducers share pooled
 # scratch (one KeyBuf per reduce call) across concurrent reduce tasks; lsh
 # for the bucket-index build, which hashes its row chunks on their own
-# goroutines into one shared RowKeys array.
+# goroutines into one shared RowKeys array and fills one shared postings
+# block a chunk of layouts per goroutine.
 race:
 	$(GO) test -race ./internal/mapreduce/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/... ./internal/lsh/...
 
@@ -162,7 +163,8 @@ bench:
 
 # Hot-path micro-benchmarks (dense kernels at dim 2/4/8 reporting ns/pair,
 # shuffle sort, group decode, the rpcmr shuffle transport, LSH
-# keys per point at dim 4/8, the serving index build full and fleet, the
+# keys per point at dim 4/8, the serving index build full and fleet on
+# 50 000- and 200 000-row models (the latter serve-read's shape), the
 # fleet partitioner on 50 000- and 200 000-row models over 4 shards,
 # BenchmarkWriteFile, the model artifact streamed to disk at the 200 000-row
 # serving shape — bytes allocated per write, not per artifact byte — and

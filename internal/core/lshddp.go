@@ -451,7 +451,7 @@ func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKe
 	}
 	n, nl := pts.N(), l.M()
 	ix := l.BuildIndex(pts.Data(), n, runtime.GOMAXPROCS(0))
-	ix.Fill(nil)
+	ix.Fill(nil, runtime.GOMAXPROCS(0))
 	dc := conf.GetFloat(confDc, 0)
 	byLayout := make([][]int32, nl)
 	for b := range ix.Keys {

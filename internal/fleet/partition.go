@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/lsh"
 	"repro/internal/model"
+	"repro/internal/par"
 )
 
 // Partition splits a full cluster model into per-shard sub-models routed by
@@ -82,13 +83,18 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 		}
 	}
 
-	subs := make([]*model.Model, shards)
-	for s := range subs {
-		sub, err := subModel(m, need[s], fmt.Sprintf("%s@shard%d/%d", m.Name, s, shards))
+	// The sub-models are copied on GOMAXPROCS goroutines, a chunk of
+	// shards each; the lowest failing shard's error is the one reported.
+	subs, errs := make([]*model.Model, shards), make([]error, shards)
+	par.For(shards, runtime.GOMAXPROCS(0), func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			subs[s], errs[s] = subModel(m, need[s], fmt.Sprintf("%s@shard%d/%d", m.Name, s, shards))
+		}
+	})
+	for s, err := range errs {
 		if err != nil {
 			return nil, nil, fmt.Errorf("fleet: partition shard %d: %w", s, err)
 		}
-		subs[s] = sub
 	}
 	return subs, mf, nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/points"
 	"repro/internal/serve"
 )
 
@@ -49,7 +50,8 @@ func (st *Store) Compact() (serve.IngestInfo, error) {
 		st.ingestMu.Unlock()
 		return info, nil
 	}
-	base := st.eng.Model()
+	live := st.eng
+	base := live.Model()
 	dim := base.Dim
 	coords := append([]float64(nil), st.dCoords[:promoted*dim]...)
 	ids := append([]int32(nil), st.dIDs[:promoted]...)
@@ -72,7 +74,7 @@ func (st *Store) Compact() (serve.IngestInfo, error) {
 
 	// 2. Build, off-lock.
 	merged := mergeModel(base, coords, ids, labels, rho, add)
-	eng, err := serve.NewEngine(merged, st.prec)
+	eng, err := live.Successor(merged, st.prec)
 	if err != nil {
 		st.counters.Add(CtrCompactFail, 1)
 		return serve.IngestInfo{}, fmt.Errorf("ingest: indexing merged model: %v", err)
@@ -192,7 +194,11 @@ func mergeModel(base *model.Model, coords []float64, ids, labels []int32, rho, a
 		m.RowIDs = append(rid, ids...)
 	}
 	if len(base.Q8Codes) > 0 {
-		m.BuildCompact()
+		// BuildCompact on one goroutine: a compaction runs beside live
+		// queries (serve.Engine.Successor).
+		if codes, p, ok := points.QuantizeQ8Workers(m.Data, m.Dim, 1); ok {
+			m.Q8Codes, m.Q8Min, m.Q8Scale = codes, p.Min, p.Scale
+		}
 	}
 	return m
 }

@@ -29,6 +29,8 @@ package kernels
 import (
 	"math"
 	"sort"
+
+	"repro/internal/par"
 )
 
 // finite reports whether v is neither NaN nor ±Inf.
@@ -37,46 +39,68 @@ func finite(v float64) bool { return v-v == 0 }
 // RowOrder returns every row of data whose axis coordinate is finite, sorted
 // ascending by (axis coordinate, row index), then, in row order, the rows
 // whose axis coordinate is NaN or ±Inf; and coord[row], each row's axis coordinate with
-// +Inf standing for a non-finite one. The serving index is filled in this
-// order beside live queries, so it is O(n): a stable byte-wise LSD radix
-// sort on the order-preserving bit pattern, skipping bytes all keys share.
-func RowOrder(data []float64, dim, axis int) (order []int32, coord []float64) {
+// +Inf standing for a non-finite one. It is a stable byte-wise LSD radix
+// sort on the order-preserving bit pattern, skipping bytes all keys share —
+// O(n) — over workers contiguous row chunks (par.For): each pass counts
+// every chunk's digits on its own goroutine, hands each (digit, chunk) its
+// run of the output in digit-then-chunk order, and scatters every chunk in
+// its own row order, so the sort stays stable and its output does not
+// depend on workers.
+func RowOrder(data []float64, dim, axis, workers int) (order []int32, coord []float64) {
 	n := len(data) / dim
 	coord = make([]float64, n)
 	keys, order := make([]uint64, n), make([]int32, n)
-	var hist [8][256]int
-	for r := range coord {
-		c, k := data[r*dim+axis], ^uint64(0) // above every finite key
-		if finite(c) {
-			// c+0 folds −0 into +0: equal coordinates must share a key.
-			if k = math.Float64bits(c + 0); k>>63 != 0 {
-				k = ^k
+	k := par.Chunks(n, workers)
+	par.For(n, k, func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			c, key := data[r*dim+axis], ^uint64(0) // above every finite key
+			if finite(c) {
+				// c+0 folds −0 into +0: equal coordinates must share a key.
+				if key = math.Float64bits(c + 0); key>>63 != 0 {
+					key = ^key
+				} else {
+					key |= 1 << 63
+				}
 			} else {
-				k |= 1 << 63
+				c = inf
 			}
-		} else {
-			c = inf
+			coord[r], keys[r], order[r] = c, key, int32(r)
 		}
-		coord[r], keys[r], order[r] = c, k, int32(r)
-		for b := range hist {
-			hist[b][byte(k>>(8*b))]++
-		}
+	})
+	if n == 0 {
+		return order, coord
 	}
 	keys2, order2 := make([]uint64, n), make([]int32, n)
-	for b := range hist {
-		h := &hist[b]
-		if n == 0 || h[byte(keys[0]>>(8*b))] == n {
+	hist := make([][256]int, k) // chunk c's digit counts, then its write cursors
+	for b := 0; b < 64; b += 8 {
+		par.For(n, k, func(c, lo, hi int) {
+			h := &hist[c]
+			*h = [256]int{}
+			for _, key := range keys[lo:hi] {
+				h[byte(key>>b)]++
+			}
+		})
+		shared := 0 // keys whose digit is keys[0]'s
+		for c := range hist {
+			shared += hist[c][byte(keys[0]>>b)]
+		}
+		if shared == n {
 			continue
 		}
 		pos := 0
-		for d, c := range h {
-			h[d], pos = pos, pos+c
+		for d := range 256 {
+			for c := range hist {
+				hist[c][d], pos = pos, pos+hist[c][d]
+			}
 		}
-		for i, k := range keys {
-			d := byte(k >> (8 * b))
-			keys2[h[d]], order2[h[d]] = k, order[i]
-			h[d]++
-		}
+		par.For(n, k, func(c, lo, hi int) {
+			h := &hist[c]
+			for i, key := range keys[lo:hi] {
+				d := byte(key >> b)
+				keys2[h[d]], order2[h[d]] = key, order[lo+i]
+				h[d]++
+			}
+		})
 		keys, keys2, order, order2 = keys2, keys, order2, order
 	}
 	return order, coord

@@ -10,8 +10,9 @@ import (
 
 // RowOrder must list the rows whose coordinate is finite sorted by
 // (coordinate, row) — −0 and +0 equal — then every other row in row order,
-// and report each row's coordinate with +Inf for a non-finite one. The
-// reference is a comparison sort of the finite rows.
+// and report each row's coordinate, bit for bit, with +Inf for a non-finite
+// one, at one row chunk and at several. The reference is a comparison sort
+// of the finite rows.
 func TestRowOrderSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
 	for dim := 1; dim <= 4; dim++ {
@@ -38,17 +39,19 @@ func TestRowOrderSorted(t *testing.T) {
 					}
 					sort.SliceStable(want, func(i, j int) bool { return data[int(want[i])*dim+axis] < data[int(want[j])*dim+axis] })
 					want = append(want, rest...)
-					order, coord := RowOrder(data, dim, axis)
-					if len(order) != n || len(coord) != n {
-						t.Fatalf("%s dim %d n %d: %d rows ordered, %d coordinates", what, dim, n, len(order), len(coord))
-					}
-					if n > 0 && !reflect.DeepEqual(order, want) {
-						t.Fatalf("%s dim %d n %d axis %d: RowOrder %v, sorted %v", what, dim, n, axis, order, want)
-					}
-					for r := range coord {
-						c := data[r*dim+axis]
-						if finite(c) && coord[r] != c || !finite(c) && !math.IsInf(coord[r], 1) {
-							t.Fatalf("%s dim %d n %d axis %d: coord[%d] = %v, data says %v", what, dim, n, axis, r, coord[r], c)
+					for _, workers := range []int{1, 2, 3, 8} {
+						order, coord := RowOrder(data, dim, axis, workers)
+						if len(order) != n || len(coord) != n {
+							t.Fatalf("%s dim %d n %d: %d rows ordered, %d coordinates", what, dim, n, len(order), len(coord))
+						}
+						if n > 0 && !reflect.DeepEqual(order, want) {
+							t.Fatalf("%s dim %d n %d axis %d workers %d: RowOrder %v, sorted %v", what, dim, n, axis, workers, order, want)
+						}
+						for r := range coord {
+							c := data[r*dim+axis]
+							if finite(c) && math.Float64bits(coord[r]) != math.Float64bits(c) || !finite(c) && !math.IsInf(coord[r], 1) {
+								t.Fatalf("%s dim %d n %d axis %d workers %d: coord[%d] = %v, data says %v", what, dim, n, axis, workers, r, coord[r], c)
+							}
 						}
 					}
 				}

@@ -1,6 +1,6 @@
 package lsh
 
-import "sync"
+import "repro/internal/par"
 
 // Index is the bucket index of a block of rows under every layout: each
 // distinct key interned to a dense bucket ID, and every bucket's rows stored
@@ -26,21 +26,18 @@ type Index struct {
 
 // BuildIndex indexes the n rows of the flat row-major block data — Keys,
 // RowKeys and Offsets; Rows is Fill's. The rows are cut into workers
-// contiguous chunks (at most one per row; fewer than one means one), each
-// hashed and its keys interned into its own slice of RowKeys, chunk 0 on
-// the calling goroutine and each other on its own. A merge in chunk order
-// then hands out the bucket IDs — chunk 0's keys in first-seen order, then
-// each later chunk's unseen keys in theirs, which is first-seen order over
-// the whole (row, layout) iteration — and renumbers RowKeys in place, so
-// the index does not depend on workers. Offline callers pass GOMAXPROCS; a
-// compaction rebuilds its engine beside live queries and must not take
-// their cores, so the serving engine passes 1.
+// contiguous chunks (par.For), each hashed and its keys interned into its
+// own slice of RowKeys. A merge in chunk order then hands out the bucket
+// IDs — chunk 0's keys in first-seen order, then each later chunk's unseen
+// keys in theirs, which is first-seen order over the whole (row, layout)
+// iteration — and renumbers RowKeys in place, so the index does not depend
+// on workers.
 func (l *Layouts) BuildIndex(data []float64, n, workers int) *Index {
 	nl := l.M()
 	ix := &Index{RowKeys: make([]int32, n*nl), nl: nl}
-	chunks := make([]indexChunk, max(min(workers, n), 1))
-	eachChunk(len(chunks), func(c int) {
-		chunks[c].intern(l, data, ix.RowKeys, n*c/len(chunks), n*(c+1)/len(chunks))
+	chunks := make([]indexChunk, par.Chunks(n, workers))
+	par.For(n, len(chunks), func(c, lo, hi int) {
+		chunks[c].intern(l, data, ix.RowKeys, lo, hi)
 	})
 	ix.Keys, ix.ids = chunks[0].keys, chunks[0].ids
 	sizes := chunks[0].sizes
@@ -59,7 +56,7 @@ func (l *Layouts) BuildIndex(data []float64, n, workers int) *Index {
 			sizes[id] += ch.sizes[local]
 		}
 	}
-	eachChunk(len(chunks), func(c int) {
+	par.For(n, len(chunks), func(c, _, _ int) {
 		if remap := chunks[c].remap; remap != nil {
 			for i, local := range ix.RowKeys[chunks[c].lo:chunks[c].hi] {
 				ix.RowKeys[chunks[c].lo+i] = remap[local]
@@ -77,22 +74,28 @@ func (l *Layouts) BuildIndex(data []float64, n, workers int) *Index {
 // Rows, taking the rows in the order order lists — a permutation of the
 // indexed rows; nil means ascending — which leaves every bucket in that
 // order without a sort or a per-bucket append. The order may depend on the
-// index (the serving engine sorts on WidestAxis); bucket IDs do not.
-func (ix *Index) Fill(order []int32) {
-	nl := ix.nl
+// index (the serving engine sorts on WidestAxis); bucket IDs do not. The
+// layouts are cut into workers contiguous chunks (par.For), each chunk's
+// buckets filled by its own goroutine over the whole order: no bucket spans
+// two layouts, so no two goroutines share a fill cursor, and Rows does not
+// depend on workers.
+func (ix *Index) Fill(order []int32, workers int) {
+	nl, n := ix.nl, len(ix.RowKeys)/ix.nl
 	ix.Rows = make([]int32, len(ix.RowKeys))
 	next := make([]int, len(ix.Keys)) // each bucket's fill cursor
 	copy(next, ix.Offsets)
-	for i := range len(ix.RowKeys) / nl {
-		r := int32(i)
-		if order != nil {
-			r = order[i]
+	par.For(nl, workers, func(_, jlo, jhi int) {
+		for i := range n {
+			r := int32(i)
+			if order != nil {
+				r = order[i]
+			}
+			for _, id := range ix.RowKeys[int(r)*nl+jlo : int(r)*nl+jhi] {
+				ix.Rows[next[id]] = r
+				next[id]++
+			}
 		}
-		for _, id := range ix.RowKeys[int(r)*nl:][:nl] {
-			ix.Rows[next[id]] = r
-			next[id]++
-		}
-	}
+	})
 }
 
 // indexChunk is one chunk of BuildIndex's rows: the RowKeys entries
@@ -128,21 +131,6 @@ func (ch *indexChunk) intern(l *Layouts, data []float64, rowKeys []int32, lo, hi
 			rowKeys[i*nl+j] = id
 		}
 	}
-}
-
-// eachChunk runs f(c) for every chunk c < chunks, chunk 0 on the calling
-// goroutine and each other on its own, and returns when all have.
-func eachChunk(chunks int, f func(c int)) {
-	var wg sync.WaitGroup
-	for c := 1; c < chunks; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f(c)
-		}()
-	}
-	f(0)
-	wg.Wait()
 }
 
 // WidestAxis returns the coordinate on which the buckets of the indexed block

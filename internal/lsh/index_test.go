@@ -27,8 +27,8 @@ func TestBuildIndexOrder(t *testing.T) {
 	for i := range perm {
 		perm[i] = int32(n - 1 - i)
 	}
-	asc.Fill(nil)
-	desc.Fill(perm)
+	asc.Fill(nil, 1)
+	desc.Fill(perm, 1)
 	if !slices.Equal(desc.Keys, asc.Keys) || !slices.Equal(desc.Offsets, asc.Offsets) || !slices.Equal(desc.RowKeys, asc.RowKeys) {
 		t.Fatal("keys, row keys or offsets depend on the fill order")
 	}
@@ -47,10 +47,10 @@ func TestBuildIndexOrder(t *testing.T) {
 // TestBuildIndexWorkersAgree: the chunked build is one index whatever the
 // worker count — bucket IDs in first-seen order over the (row, layout)
 // iteration, as interning every row's keys one by one gives them — filled
-// in ascending and in reverse order, on blocks smaller than the worker
-// count, of one row, of repeated rows, with non-finite coordinates, and
-// with a key that opens a late chunk but first appears at the end of
-// chunk 0.
+// by as many workers, in ascending and in reverse order, on blocks smaller
+// than the worker count, of one row, of repeated rows, with non-finite
+// coordinates, and with a key that opens a late chunk but first appears at
+// the end of chunk 0.
 func TestBuildIndexWorkersAgree(t *testing.T) {
 	const dim = 3
 	blobs := func(n int, seed int64) []float64 {
@@ -115,13 +115,13 @@ func TestBuildIndexWorkersAgree(t *testing.T) {
 				if !slices.Equal(want.Keys, keys) || !slices.Equal(want.RowKeys, rowKeys) {
 					t.Fatalf("M=%d %s ordered=%v: one worker's keys or row keys are not first-seen order", m, tc.name, order != nil)
 				}
-				want.Fill(order)
-				for _, workers := range []int{2, 3, 8} {
+				want.Fill(order, 1)
+				for _, workers := range []int{1, 2, 3, 8} {
 					got := l.BuildIndex(tc.data, n, workers)
-					got.Fill(order)
+					got.Fill(order, workers)
 					if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.RowKeys, want.RowKeys) ||
 						!slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Rows, want.Rows) {
-						t.Fatalf("M=%d %s ordered=%v: %d workers built a different index than one", m, tc.name, order != nil, workers)
+						t.Fatalf("M=%d %s ordered=%v: %d workers built or filled a different index than one", m, tc.name, order != nil, workers)
 					}
 					for id, key := range got.Keys {
 						if back, ok := got.Lookup([]byte(key)); !ok || back != int32(id) {
@@ -184,7 +184,7 @@ func TestWidestAxis(t *testing.T) {
 				}
 			}
 			ix := NewLayouts(dim, 5, 2, 8, 4).BuildIndex(data, n, 1)
-			ix.Fill(nil)
+			ix.Fill(nil, 1)
 			w := widestNaive(ix, data, dim)
 			want := 0
 			for a := range w {

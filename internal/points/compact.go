@@ -1,6 +1,12 @@
 package points
 
-import "math"
+import (
+	"math"
+	"runtime"
+	"slices"
+
+	"repro/internal/par"
+)
 
 // Compact coordinate representation for the bandwidth-lean serving scan.
 //
@@ -71,28 +77,57 @@ func (p Q8Params) ErrBound() float64 {
 	return math.Sqrt(s)
 }
 
-// QuantizeQ8 builds the 8-bit code of a flat float64 block (rows of dim).
+// QuantizeQ8 builds the 8-bit code of a flat float64 block (rows of dim) on
+// GOMAXPROCS goroutines (QuantizeQ8Workers).
 // ok is false when the block cannot be quantized — any non-finite
 // coordinate, or a per-dimension spread too large for a finite scale.
 func QuantizeQ8(data []float64, dim int) (codes []uint8, p Q8Params, ok bool) {
+	return QuantizeQ8Workers(data, dim, runtime.GOMAXPROCS(0))
+}
+
+// QuantizeQ8Workers is QuantizeQ8 over workers contiguous row chunks
+// (par.For): each chunk's per-dimension range, merged in chunk order — the
+// first of equal extremes wins, as in one pass over the rows — then each
+// chunk's codes. The codes do not depend on workers.
+func QuantizeQ8Workers(data []float64, dim, workers int) (codes []uint8, p Q8Params, ok bool) {
 	if dim <= 0 || len(data)%dim != 0 {
 		return nil, Q8Params{}, false
 	}
-	mins := make([]float64, dim)
-	maxs := make([]float64, dim)
-	for d := 0; d < dim; d++ {
-		mins[d], maxs[d] = math.Inf(1), math.Inf(-1)
-	}
-	for i := 0; i < len(data); i += dim {
+	n := len(data) / dim
+	k := par.Chunks(n, workers)
+	cmins, cmaxs, bad := make([][]float64, k), make([][]float64, k), make([]bool, k)
+	par.For(n, k, func(c, lo, hi int) {
+		mins, maxs := make([]float64, dim), make([]float64, dim)
 		for d := 0; d < dim; d++ {
-			v := data[i+d]
-			if !isFinite(v) {
-				return nil, Q8Params{}, false
+			mins[d], maxs[d] = math.Inf(1), math.Inf(-1)
+		}
+		cmins[c], cmaxs[c] = mins, maxs
+		for i := lo * dim; i < hi*dim; i += dim {
+			for d := 0; d < dim; d++ {
+				v := data[i+d]
+				if !isFinite(v) {
+					bad[c] = true
+					return
+				}
+				if v < mins[d] {
+					mins[d] = v
+				}
+				if v > maxs[d] {
+					maxs[d] = v
+				}
 			}
-			if v < mins[d] {
+		}
+	})
+	if slices.Contains(bad, true) {
+		return nil, Q8Params{}, false
+	}
+	mins, maxs := cmins[0], cmaxs[0]
+	for c := 1; c < k; c++ {
+		for d := 0; d < dim; d++ {
+			if v := cmins[c][d]; v < mins[d] {
 				mins[d] = v
 			}
-			if v > maxs[d] {
+			if v := cmaxs[c][d]; v > maxs[d] {
 				maxs[d] = v
 			}
 		}
@@ -112,20 +147,22 @@ func QuantizeQ8(data []float64, dim int) (codes []uint8, p Q8Params, ok bool) {
 		}
 	}
 	codes = make([]uint8, len(data))
-	for i := 0; i < len(data); i += dim {
-		for d := 0; d < dim; d++ {
-			if scales[d] == 0 {
-				continue // codes[i+d] stays 0, dequantizes to Min[d]
+	par.For(n, k, func(_, lo, hi int) {
+		for i := lo * dim; i < hi*dim; i += dim {
+			for d := 0; d < dim; d++ {
+				if scales[d] == 0 {
+					continue // codes[i+d] stays 0, dequantizes to Min[d]
+				}
+				c := math.Round((data[i+d] - mins[d]) / scales[d])
+				if c < 0 {
+					c = 0
+				} else if c > 255 {
+					c = 255
+				}
+				codes[i+d] = uint8(c)
 			}
-			c := math.Round((data[i+d] - mins[d]) / scales[d])
-			if c < 0 {
-				c = 0
-			} else if c > 255 {
-				c = 255
-			}
-			codes[i+d] = uint8(c)
 		}
-	}
+	})
 	return codes, Q8Params{Min: mins, Scale: scales}, true
 }
 

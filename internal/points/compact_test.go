@@ -3,6 +3,7 @@ package points
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -107,6 +108,45 @@ func TestQuantizeQ8Rejects(t *testing.T) {
 	if _, p, ok := QuantizeQ8(nil, 3); !ok || !p.Valid(3) {
 		t.Fatal("rejected empty block")
 	}
+}
+
+// TestQuantizeQ8WorkersAgree: the chunked code is the one-chunk code — the
+// same bytes and the same parameters, signed zeros included — at row
+// counts no worker count divides evenly, and a non-finite coordinate in the
+// last chunk refuses the block as in the first.
+func TestQuantizeQ8WorkersAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const dim = 3
+	for _, n := range []int{1, 2, 7, 101, 1000} {
+		data := make([]float64, n*dim)
+		for i := range data {
+			data[i] = float64(rng.Intn(9)-4) * rng.Float64() * 100
+			if rng.Intn(20) == 0 {
+				data[i] = math.Copysign(0, -1)
+			}
+		}
+		want, wp, ok := QuantizeQ8Workers(data, dim, 1)
+		if !ok {
+			t.Fatalf("n %d: one chunk refused the block", n)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			got, gp, ok := QuantizeQ8Workers(data, dim, workers)
+			if !ok || !slices.Equal(got, want) || !sameBits(gp.Min, wp.Min) || !sameBits(gp.Scale, wp.Scale) {
+				t.Fatalf("n %d workers %d: codes or parameters differ from one chunk's", n, workers)
+			}
+		}
+		data[len(data)-1] = math.NaN()
+		for _, workers := range []int{1, 2, 3, 8} {
+			if _, _, ok := QuantizeQ8Workers(data, dim, workers); ok {
+				t.Fatalf("n %d workers %d: accepted a NaN in the last row", n, workers)
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestQ8ParamsValid(t *testing.T) {

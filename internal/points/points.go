@@ -13,6 +13,7 @@ package points
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -158,10 +159,61 @@ func PercentileDistance(ds *Dataset, q float64, maxPairs int, seed int64) float6
 			dists = append(dists, Dist(ds.Points[i].Pos, ds.Points[j].Pos))
 		}
 	}
-	sort.Float64s(dists)
 	idx := int(q*float64(len(dists))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	return dists[idx]
+	return selectRank(dists, idx)
+}
+
+// selectRank returns a[k] as sort.Float64s(a) would leave it — NaNs first,
+// then ascending, −Inf to +Inf — without sorting all of a, which it
+// reorders: the NaNs are moved to the front, then a three-way quickselect
+// narrows the rest to k's run of equal values. A range that stays large
+// after 2·log₂ n rounds is sorted instead, so it is O(n log n) at worst.
+func selectRank(a []float64, k int) float64 {
+	nan := 0
+	for i, v := range a {
+		if v != v {
+			a[i], a[nan] = a[nan], v
+			nan++
+		}
+	}
+	if k < nan {
+		return a[k]
+	}
+	lo, hi := nan, len(a) // k lies in a[lo:hi]
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo:hi])
+			break
+		}
+		// Median of three as the pivot, then a[lo:lt] < p, a[lt:gt] == p,
+		// a[gt:hi] > p.
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		p := max(min(x, y), min(max(x, y), z))
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < p:
+				a[i], a[lt] = a[lt], v
+				lt++
+				i++
+			case v > p:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	return a[k]
 }

@@ -3,6 +3,7 @@ package points
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -155,6 +156,45 @@ func TestPercentileDistanceEdge(t *testing.T) {
 		}
 	}()
 	PercentileDistance(FromVectors("two", []Vector{{1}, {2}}), 0, 10, 1)
+}
+
+// TestSelectRankMatchesSort: the rank PercentileDistance reads is the
+// element sort.Float64s plus the index gives, at every rank, on random,
+// all-equal and duplicate-heavy inputs and on ones with NaN and ±Inf —
+// which the sort puts first and at the ends.
+func TestSelectRankMatchesSort(t *testing.T) {
+	rng := NewRand(17)
+	gen := func(n int, draw func() float64) []float64 {
+		a := make([]float64, n)
+		for i := range a {
+			a[i] = draw()
+		}
+		return a
+	}
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	cases := map[string][]float64{
+		"one":        {2.5},
+		"random":     gen(1000, rng.Float64),
+		"all-equal":  gen(300, func() float64 { return 7 }),
+		"duplicates": gen(1000, func() float64 { return float64(rng.Intn(4)) }),
+		"non-finite": gen(1000, func() float64 {
+			if rng.Intn(5) == 0 {
+				return special[rng.Intn(len(special))]
+			}
+			return float64(rng.Intn(50)) * rng.Float64()
+		}),
+		"all-nan": gen(20, math.NaN),
+	}
+	for name, a := range cases {
+		want := append([]float64(nil), a...)
+		sort.Float64s(want)
+		for k := range a {
+			got := selectRank(append([]float64(nil), a...), k)
+			if math.Float64bits(got) != math.Float64bits(want[k]) {
+				t.Fatalf("%s: rank %d = %v, sort gives %v", name, k, got, want[k])
+			}
+		}
+	}
 }
 
 func TestVectorString(t *testing.T) {

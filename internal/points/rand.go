@@ -69,10 +69,10 @@ func (r *Rand) NormFloat64() float64 {
 	}
 	v = r.Float64()
 	radius := math.Sqrt(-2 * math.Log(u))
-	theta := 2 * math.Pi * v
-	r.gauss = radius * math.Sin(theta)
+	sin, cos := math.Sincos(2 * math.Pi * v)
+	r.gauss = radius * sin
 	r.hasGauss = true
-	return radius * math.Cos(theta)
+	return radius * cos
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

@@ -120,6 +120,27 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// TestNormFloat64TwoCallFormula pins the Box–Muller pair to math.Sin and
+// math.Cos of the angle, each called on its own: every dataset generator
+// draws through NormFloat64, so the pair must not move by a bit.
+func TestNormFloat64TwoCallFormula(t *testing.T) {
+	for _, seed := range []int64{1, 2, 4} {
+		r, ref := NewRand(seed), NewRand(seed)
+		for i := 0; i < 1_000_000; i += 2 {
+			var u float64
+			for u == 0 {
+				u = ref.Float64()
+			}
+			radius, theta := math.Sqrt(-2*math.Log(u)), 2*math.Pi*ref.Float64()
+			for k, want := range []float64{radius * math.Cos(theta), radius * math.Sin(theta)} {
+				if got := r.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d draw %d: %v, two-call formula %v", seed, i+k, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestPerm(t *testing.T) {
 	r := NewRand(4)
 	p := r.Perm(100)

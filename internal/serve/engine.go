@@ -37,6 +37,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -159,16 +160,24 @@ type Engine struct {
 	q8    []uint8
 	q8par points.Q8Params // their per-dimension affine parameters
 	q8bnd kernels.Bounds  // query-independent q8 scan bounds
-
-	// scratch pools per-query candidate state sized to this model;
-	// batches pools per-batch scan state.
-	scratch sync.Pool
-	batches sync.Pool
 }
+
+// The per-query and per-batch scan state is pooled at package level, not
+// per engine: a pool inside an engine is on the runtime's pool list, so a
+// retired engine and its model would outlive a swap by one more
+// collection. Nothing pooled points into a model (putScratch drops the q8
+// codes), and getScratch re-grows a stamp shorter than the engine's rows.
+var (
+	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+	batchPool   = sync.Pool{New: func() any { return new(batchScratch) }}
+)
 
 // scratch is the reusable per-query sweep state.
 type scratch struct {
-	stamp []int32 // per-row epoch marks: the rows this sweep has filtered
+	// stamp holds per-row epoch marks: the rows this sweep has filtered. A
+	// scratch serves engines of any size; epochs only rise within it, so a
+	// mark left by an earlier engine never equals the current epoch.
+	stamp []int32
 	epoch int32
 	kb    lsh.KeyBuf
 	strip []int32 // the postings of one strip that pass the filter (CandidateRows: the union)
@@ -200,26 +209,41 @@ type batchScratch struct {
 // model exported without LSH (M == 0) serves through exact scans only.
 // When the model cannot support the requested compact representation the
 // engine silently serves at f64 — check Precision() for the effective
-// setting. Results are identical either way.
+// setting. Results are identical either way. No query waits on this build,
+// so it runs on GOMAXPROCS goroutines; the engine does not depend on how
+// many.
 func NewEngine(m *model.Model, prec Precision) (*Engine, error) {
+	return build(m, prec, runtime.GOMAXPROCS(0))
+}
+
+// Successor indexes m to take e's place, as NewEngine does. Beside a
+// serving engine — a reload, a compaction — the build runs on one
+// goroutine, leaving the cores to e's queries; with no engine serving (e
+// nil) it is NewEngine. The engine it returns is NewEngine's either way.
+func (e *Engine) Successor(m *model.Model, prec Precision) (*Engine, error) {
+	if e == nil {
+		return NewEngine(m, prec)
+	}
+	return build(m, prec, 1)
+}
+
+// build is NewEngine on workers goroutines.
+func build(m *model.Model, prec Precision, workers int) (*Engine, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	e := &Engine{m: m, layouts: m.Layouts()}
 	if prec == PrecQ8 {
-		e.setupQ8()
+		e.setupQ8(workers)
 	}
-	n := m.N()
-	e.scratch.New = func() any { return &scratch{stamp: make([]int32, n)} }
-	e.batches.New = func() any { return new(batchScratch) }
 	if e.layouts == nil {
 		return e, nil
 	}
-	e.ix = e.layouts.BuildIndex(m.Data, n, 1)
+	e.ix = e.layouts.BuildIndex(m.Data, m.N(), workers)
 	e.axis = e.ix.WidestAxis(m.Data, m.Dim)
 	var order []int32
-	order, e.coord = kernels.RowOrder(m.Data, m.Dim, e.axis)
-	e.ix.Fill(order)
+	order, e.coord = kernels.RowOrder(m.Data, m.Dim, e.axis, workers)
+	e.ix.Fill(order, workers)
 	if len(m.RowIDs) == 0 {
 		e.ix.RowKeys = nil // only the fleet's masked scan reads them
 	}
@@ -227,14 +251,14 @@ func NewEngine(m *model.Model, prec Precision) (*Engine, error) {
 }
 
 // setupQ8 adopts the model artifact's q8 codes, or derives them from the
-// data; it leaves e.q8 nil when the data cannot be quantized with usable
-// bounds.
-func (e *Engine) setupQ8() {
+// data on workers goroutines; it leaves e.q8 nil when the data cannot be
+// quantized with usable bounds.
+func (e *Engine) setupQ8(workers int) {
 	m := e.m
 	codes, par := m.Q8Codes, m.Q8Params()
 	if len(codes) != len(m.Data) || !par.Valid(m.Dim) {
 		var ok bool
-		if codes, par, ok = points.QuantizeQ8(m.Data, m.Dim); !ok {
+		if codes, par, ok = points.QuantizeQ8Workers(m.Data, m.Dim, workers); !ok {
 			return
 		}
 	}
@@ -360,14 +384,14 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 			panic(fmt.Sprintf("serve: %d bounds for %d queries", len(opts.Bounds), nq))
 		}
 	}
-	bs := e.batches.Get().(*batchScratch)
+	bs := batchPool.Get().(*batchScratch)
 	bs.pending = bs.pending[:0]
 	if opts.ExactOnly || e.layouts == nil {
 		for i := range qs {
 			bs.pending = append(bs.pending, int32(i))
 		}
 	} else {
-		s := e.scratch.Get().(*scratch)
+		s := e.getScratch()
 		for i, q := range qs {
 			var others uint64 // the single node owns every layout
 			s.bound = math.Inf(1)
@@ -392,13 +416,13 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 			out[i] = e.finalize(q, best, best2, false)
 			out[i].Certified = certified
 		}
-		e.scratch.Put(s)
+		putScratch(s)
 	}
 	if len(bs.pending) > 0 {
 		st.ExactQueries += int64(len(bs.pending))
 		e.exactBatch(qs, bs, out, errs, &st)
 	}
-	e.batches.Put(bs)
+	batchPool.Put(bs)
 	return out, errs, st
 }
 
@@ -413,7 +437,7 @@ func (e *Engine) CandidateRows(q points.Vector, dst []int32) ([]int32, bool) {
 	if e.layouts == nil {
 		return dst, false
 	}
-	s := e.scratch.Get().(*scratch)
+	s := e.getScratch()
 	s.nextEpoch()
 	s.strip = s.strip[:0]
 	e.layouts.Hash(&s.kb, q)
@@ -423,8 +447,24 @@ func (e *Engine) CandidateRows(q points.Vector, dst []int32) ([]int32, bool) {
 		}
 	}
 	dst = append(dst, s.strip...) // one exact-size growth, not a doubling run
-	e.scratch.Put(s)
+	putScratch(s)
 	return dst, true
+}
+
+// getScratch takes a scratch from the pool, its stamps covering e's rows.
+func (e *Engine) getScratch() *scratch {
+	s := scratchPool.Get().(*scratch)
+	if n := e.m.N(); len(s.stamp) < n {
+		s.stamp = make([]int32, n)
+	}
+	return s
+}
+
+// putScratch returns s to the pool without the q8 codes its filter last
+// read, so that no pooled scratch holds a retired model's codes.
+func putScratch(s *scratch) {
+	s.cq.Reset(nil, points.Q8Params{}, nil, kernels.Bounds{})
+	scratchPool.Put(s)
 }
 
 // nextEpoch starts a new query's filter: no row stamped, no layout outside

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/lsh"
@@ -144,24 +146,107 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestSuccessorMatchesNewEngine: the one-goroutine build a reload or a
+// compaction runs beside live queries gives the engine NewEngine gives, as
+// does the build at any worker count — bucket keys, row keys, offsets,
+// postings, sweep axis and coordinates, and the q8 codes it derives — for a
+// full model and a fleet sub-model, on a row count no worker count divides.
+func TestSuccessorMatchesNewEngine(t *testing.T) {
+	for _, fleet := range []bool{false, true} {
+		mdl := blobModel(1501, 3, 10, fleet)
+		for _, prec := range []Precision{PrecF64, PrecQ8} {
+			live, err := NewEngine(mdl, prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := live.Successor(mdl, prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines := []*Engine{live}
+			for _, workers := range []int{2, 3, 8} {
+				e, err := build(mdl, prec, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				engines = append(engines, e)
+			}
+			for i, e := range engines {
+				if !slices.Equal(e.ix.Keys, want.ix.Keys) || !slices.Equal(e.ix.RowKeys, want.ix.RowKeys) ||
+					!slices.Equal(e.ix.Offsets, want.ix.Offsets) || !slices.Equal(e.ix.Rows, want.ix.Rows) ||
+					e.axis != want.axis || !slices.Equal(e.coord, want.coord) ||
+					!slices.Equal(e.q8, want.q8) || !slices.Equal(e.q8par.Min, want.q8par.Min) || !slices.Equal(e.q8par.Scale, want.q8par.Scale) {
+					t.Fatalf("fleet=%v %s: engine %d is not the one-goroutine build", fleet, prec, i)
+				}
+			}
+			if prec == PrecQ8 && want.q8 == nil {
+				t.Fatalf("fleet=%v: the q8 build derived no codes", fleet)
+			}
+		}
+	}
+}
+
+// TestScratchSharedAcrossEngines: the package-level scratch serves engines
+// of different row counts at once — a stamp re-grown for the larger, marks
+// a smaller one's queries left behind — and every answer is the one each
+// engine gives alone.
+func TestScratchSharedAcrossEngines(t *testing.T) {
+	engines := make([]*Engine, 2)
+	for i, n := range []int{300, 3000} {
+		e, err := NewEngine(blobModel(n, 3, 4, false), PrecF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i] = e
+	}
+	rng := points.NewRand(8)
+	qs := make([]points.Vector, 64)
+	for i := range qs {
+		qs[i] = points.Vector{rng.Float64() * 90, rng.Float64() * 90, rng.Float64() * 90}
+	}
+	want := make([][]Assignment, len(engines))
+	for i, e := range engines {
+		want[i], _, _ = e.AssignBatch(qs, false)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				i := (g + round) % len(engines)
+				q := (g*20 + round) % len(qs)
+				if got, _, err := engines[i].Assign(qs[q], false); err != nil || got != want[i][q] {
+					t.Errorf("engine %d query %d: %+v (%v), alone %+v", i, q, got, err, want[i][q])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // BenchmarkNewEngine times the index build — hash every row under every
-// layout, intern the keys, counting-sort the postings — on a blob model at
-// the benchmark harness's LSH shape, as a full model and as a fleet
-// sub-model (which adds the per-row key table).
+// layout, intern the keys, order the rows on the sweep axis and fill the
+// postings, on GOMAXPROCS goroutines — on a blob model at the benchmark
+// harness's LSH shape, as a full model and as a fleet sub-model (which adds
+// the per-row key table), at 50 000 rows and at serve-read's 200 000.
 func BenchmarkNewEngine(b *testing.B) {
 	for _, fleet := range []bool{false, true} {
 		name := "full"
 		if fleet {
 			name = "fleet"
 		}
-		mdl := blobModel(50_000, 8, 10, fleet)
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := NewEngine(mdl, PrecF64); err != nil {
-					b.Fatal(err)
+		for _, n := range []int{50_000, 200_000} {
+			b.Run(fmt.Sprintf("%s/rows=%d", name, n), func(b *testing.B) {
+				mdl := blobModel(n, 8, 10, fleet)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := NewEngine(mdl, PrecF64); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

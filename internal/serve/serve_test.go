@@ -494,13 +494,15 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestShutdownReleasesEngine: once Shutdown returns, nothing the server
-// started may still hold its model, so the first collection after it frees
-// the model. A server rebuilt in place (a reload loop, a harness's repeated
-// set-ups) would otherwise keep two models live at random.
+// started — nor the scratch a query it answered put back — may still hold
+// its model, so the first collection after it frees the model. A server
+// rebuilt in place (a reload loop, a harness's repeated set-ups) would
+// otherwise keep two models live at random.
 func TestShutdownReleasesEngine(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		freed := make(chan struct{})
 		mdl := smallModel("release")
+		mdl.LSH = model.Params{Seed: 5, M: 2, Pi: 1, W: 4} // the bucket sweep's scratch too
 		runtime.SetFinalizer(mdl, func(*model.Model) { close(freed) })
 		srv := serve.New(serve.Config{})
 		if err := srv.SetModel(mdl); err != nil {
@@ -509,6 +511,9 @@ func TestShutdownReleasesEngine(t *testing.T) {
 		mdl = nil
 		if err := srv.Start("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
+		}
+		if resp, got := postAssign(t, srv.Addr(), [][]float64{{1, 1}}); resp.StatusCode != http.StatusOK || len(got) != 1 {
+			t.Fatalf("round %d: /assign answered %d with %d results", round, resp.StatusCode, len(got))
 		}
 		if err := srv.Shutdown(context.Background()); err != nil {
 			t.Fatal(err)

@@ -152,13 +152,14 @@ func New(cfg Config) *Server {
 }
 
 // SetModel indexes m and swaps it in atomically; in-flight requests finish
-// against the engine they were admitted on.
+// against the engine they were admitted on. Beside a serving engine (a
+// reload) the index is built on one goroutine (Engine.Successor).
 func (s *Server) SetModel(m *model.Model) error {
 	prec, err := ParsePrecision(s.cfg.Precision)
 	if err != nil {
 		return err
 	}
-	eng, err := NewEngine(m, prec)
+	eng, err := s.engine.Load().Successor(m, prec)
 	if err != nil {
 		return err
 	}
@@ -192,6 +193,18 @@ func (s *Server) Reload() error {
 		return fmt.Errorf("serve: reload: %w", err)
 	}
 	s.counters.Add(CtrReloads, 1)
+	return nil
+}
+
+// Shutdown drains the server (Front.Shutdown) and, once no request is left
+// running, drops its engine: a connection goroutine the HTTP server closed
+// may still be exiting, and through the handlers it reaches the server, so
+// the model would outlive a collection that ran first.
+func (s *Server) Shutdown(ctx context.Context) error {
+	if err := s.Front.Shutdown(ctx); err != nil {
+		return err
+	}
+	s.engine.Store(nil)
 	return nil
 }
 
