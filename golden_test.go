@@ -74,7 +74,8 @@ const goldenHeader = `# One line per (pipeline, seed): a sha256 prefix of its ou
 # The route lines digest a router's replies over the fleet partition (the
 # queries, the ingest acks, the queries again with the ingested points),
 # then shards_per_query / certified / broadcasts = fleet.shards.per.query,
-# fleet.certified and fleet.fallback.broadcasts.
+# fleet.certified and fleet.fallback.broadcasts. The tie-* lines run those
+# pipelines on an integer lattice whose every point is stored twice.
 # Written by TestGolden (golden_test.go); accept a change with
 #   mv testdata/golden.got testdata/golden.txt
 `
@@ -336,6 +337,104 @@ func goldenLines(ctx context.Context, eng mapreduce.Engine, seed int64, dir stri
 	return lines, nil
 }
 
+// The tie lines run LSH-DDP, Basic-DDP, EDDPC, the kNN-join and the serving
+// engine on goldenTies, a tieW × tieH integer lattice stored twice: the
+// first copy with IDs falling as either coordinate grows, the second with
+// them rising, so that of two tied rows the lower ID is neither always the
+// one met first nor always the one with the lower coordinate. Every squared
+// distance is an integer and every point has a twin at 0, so ρ, δ, the
+// upslope, each kNN list and each served answer are decided by the
+// (d², lowest ID) rule.
+const (
+	tieW, tieH = 16, 12
+	tieR       = 64 // the join's queries
+	tieK       = 4  // the peaks the served model keeps
+	tieSeed    = 1
+)
+
+func goldenTies() *points.Dataset {
+	n := tieW * tieH
+	vs := make([]points.Vector, 2*n)
+	for i := range n {
+		vs[i] = points.Vector{float64(tieW - 1 - i%tieW), float64(tieH - 1 - i/tieW)}
+		vs[2*n-1-i] = slices.Clone(vs[i])
+	}
+	return points.FromVectors("ties", vs)
+}
+
+// tieQueries are the served queries of the tie lines: every lattice point,
+// shifted in turn by nothing (a twin pair at 0), by half a step along either
+// axis (four rows tie, two of them at an axis gap equal to the best
+// distance, which a sweep on that axis must still walk to) and by half a
+// step on both (eight rows tie).
+func tieQueries() []points.Vector {
+	shifts := [][2]float64{{0, 0}, {0.5, 0}, {0, 0.5}, {0.5, 0.5}}
+	qs := make([]points.Vector, tieW*tieH)
+	for i := range qs {
+		s := shifts[i%len(shifts)]
+		qs[i] = points.Vector{float64(i%tieW) + s[0], float64(i/tieW) + s[1]}
+	}
+	return qs
+}
+
+// tieLines runs the tie pipelines on eng, one line each.
+func tieLines(ctx context.Context, eng mapreduce.Engine) ([]string, error) {
+	rec := &recorder{Engine: eng}
+	ds := goldenTies()
+	cfg := core.Config{Engine: rec, Seed: tieSeed}
+	var lines []string
+	add := func(pipeline, sum string) {
+		lines = append(lines, fmt.Sprintf("tie-%s seed=%d %s%s", pipeline, tieSeed, sum, rec.take()))
+	}
+
+	lsh, err := core.RunLSHDDP(ctx, ds, core.LSHConfig{Config: cfg})
+	if err != nil {
+		return nil, fmt.Errorf("tie lsh: %w", err)
+	}
+	add("lsh", ddpDigest(lsh))
+	peaks, labels, err := lsh.Cluster(ds, core.SelectTopK(tieK))
+	if err != nil {
+		return nil, err
+	}
+	mdl, err := core.ExportModel(ds, lsh, peaks, labels, nil, tieSeed)
+	if err != nil {
+		return nil, err
+	}
+	line, err := serveLine(mdl, tieQueries())
+	if err != nil {
+		return nil, fmt.Errorf("tie serve: %w", err)
+	}
+	add("serve", line)
+
+	basic, err := core.RunBasicDDP(ctx, ds, core.BasicConfig{Config: cfg})
+	if err != nil {
+		return nil, fmt.Errorf("tie basic: %w", err)
+	}
+	add("basic", ddpDigest(basic))
+	ed, err := eddpc.Run(ctx, ds, eddpc.Config{Config: cfg})
+	if err != nil {
+		return nil, fmt.Errorf("tie eddpc: %w", err)
+	}
+	add("eddpc", ddpDigest(ed))
+
+	R, S, err := dataset.Split(ds, tieR, tieSeed)
+	if err != nil {
+		return nil, err
+	}
+	for _, exact := range []bool{false, true} {
+		run, name := knnjoin.Run, "knn"
+		if exact {
+			run, name = knnjoin.RunExact, "knn-exact"
+		}
+		res, err := run(ctx, cfg.DagSession(), R, S, knnK, knnjoin.Config{Seed: tieSeed})
+		if err != nil {
+			return nil, fmt.Errorf("tie %s: %w", name, err)
+		}
+		add(name, fmt.Sprintf("%s dist=%d", knnDigest(res), res.Stats.DistanceComputations))
+	}
+	return lines, nil
+}
+
 // goldenQueries is the fixed query set of the online lines: every fourth
 // query sits on a stored row, the rest near one, and the last goldenFar lie
 // far off every stored row, where no bucket holds a row and the exact
@@ -555,7 +654,8 @@ func goldenCluster(t *testing.T) mapreduce.Engine {
 	return master
 }
 
-// TestGolden runs every pipeline at every golden seed on each engine,
+// TestGolden runs every pipeline at every golden seed, and the tie
+// pipelines, on each engine,
 // requires the engines to agree line for line, and holds the lines to
 // testdata/golden.txt. The rpcmr cluster is skipped under -short.
 func TestGolden(t *testing.T) {
@@ -573,13 +673,20 @@ func TestGolden(t *testing.T) {
 		}{"rpcmr/3", goldenCluster(t)})
 	}
 	ctx := context.Background()
-	var got []string
+	var runs []func(mapreduce.Engine) ([]string, error)
 	for _, seed := range goldenSeeds {
+		runs = append(runs, func(eng mapreduce.Engine) ([]string, error) {
+			return goldenLines(ctx, eng, seed, t.TempDir())
+		})
+	}
+	runs = append(runs, func(eng mapreduce.Engine) ([]string, error) { return tieLines(ctx, eng) })
+	var got []string
+	for r, run := range runs {
 		var first []string
 		for i, e := range engines {
-			lines, err := goldenLines(ctx, e.eng, seed, t.TempDir())
+			lines, err := run(e.eng)
 			if err != nil {
-				t.Fatalf("%s seed %d: %v", e.name, seed, err)
+				t.Fatalf("%s run %d: %v", e.name, r, err)
 			}
 			if i == 0 {
 				first = lines
