@@ -40,8 +40,10 @@ vet:
 # in that reference that no code reads, any doc citing a `make` target,
 # cmd/ binary or command-line flag that no longer exists, or any declaration
 # under internal/ that no non-test code outside bench/ refers to and that
-# doccheck's uncalled list does not name with a reason, or a DESIGN.md longer
-# than its pinned line count or "PR n" mention count.
+# doccheck's uncalled list does not name with a reason, any DESIGN.md section
+# a Go comment or doc cites by title that DESIGN.md has no heading or run-in
+# label for, or a DESIGN.md past its pinned line, byte or "PR n" mention
+# count.
 doccheck:
 	$(GO) run ./cmd/doccheck
 
@@ -65,9 +67,10 @@ test-short:
 # scratch (one KeyBuf per reduce call) across concurrent reduce tasks; lsh
 # for the bucket-index build, which hashes its row chunks on their own
 # goroutines into one shared RowKeys array and fills one shared postings
-# block a chunk of layouts per goroutine.
+# block a chunk of layouts per goroutine; par for the chunked For every
+# parallel build runs on.
 race:
-	$(GO) test -race ./internal/mapreduce/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/... ./internal/lsh/...
+	$(GO) test -race ./internal/mapreduce/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/... ./internal/lsh/... ./internal/par/...
 
 # Five seconds of native fuzzing per target (one -fuzz target per `go test`
 # invocation). The LSH key codec faces bytes from outside the process: error

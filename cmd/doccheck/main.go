@@ -38,8 +38,14 @@
 //     rule), unless the uncalled list names it with its reason — or that
 //     list names a declaration that is gone or that program code now uses,
 //     or
-//   - DESIGN.md runs past designMaxLines lines or designMaxPRs "PR n"
-//     mentions, the ratchet that keeps a cut design doc from regrowing.
+//   - a comment in a non-test .go file, or README.md, OPERATIONS.md,
+//     EXPERIMENTS.md or bench/README.md, cites a section as DESIGN.md then
+//     its title in double quotes, and DESIGN.md has neither a #-heading
+//     with that title nor a line opening with it as a run-in label, `**` or
+//     `*` then the title (designCites has the rule), or
+//   - DESIGN.md runs past designMaxLines lines, designMaxBytes bytes or
+//     designMaxPRs "PR n" mentions, the ratchet that keeps a cut design doc
+//     from regrowing.
 //
 // The second check keeps the README's configuration reference in step with
 // the code: adding a knob without documenting it breaks `make check` and CI.
@@ -66,6 +72,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 func main() {
@@ -126,7 +134,26 @@ func main() {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: %s\n", msg)
 	}
-	for _, msg := range overBudget("DESIGN.md", readDoc("DESIGN.md"), designMaxLines, designMaxPRs) {
+	design := readDoc("DESIGN.md")
+	checkCites := func(where, text string) {
+		for _, title := range designCites(text, design) {
+			failed = true
+			fmt.Fprintf(os.Stderr, "doccheck: %s cites DESIGN.md %q, which DESIGN.md has no heading or run-in label for\n", where, title)
+		}
+	}
+	for _, f := range t.files {
+		if !strings.HasSuffix(f.path, "_test.go") {
+			var comments strings.Builder
+			for _, cg := range f.f.Comments {
+				comments.WriteString(cg.Text())
+			}
+			checkCites(f.path, comments.String())
+		}
+	}
+	for _, doc := range []string{"README.md", "OPERATIONS.md", "EXPERIMENTS.md", "bench/README.md"} {
+		checkCites(doc, readDoc(doc))
+	}
+	for _, msg := range overBudget("DESIGN.md", design, designMaxLines, designMaxBytes, designMaxPRs) {
 		failed = true
 		fmt.Fprintf(os.Stderr, "doccheck: %s\n", msg)
 	}
@@ -151,28 +178,68 @@ func readDoc(path string) string {
 	return string(data)
 }
 
-// DESIGN.md's pinned size: its line count and its "PR n" mentions when last
-// cut. A change may lower them, never raise them: history goes to
-// CHANGES.md, and DESIGN.md says what the code does now.
+// DESIGN.md's pinned size: its line count, byte count and "PR n" mentions
+// when last cut. A change may lower them, never raise them: history goes to
+// CHANGES.md, and DESIGN.md says what the code does now. The byte pin keeps
+// the line pin from being met by joining lines.
 const (
-	designMaxLines = 1917
-	designMaxPRs   = 84
+	designMaxLines = 1099
+	designMaxBytes = 77047
+	designMaxPRs   = 0
 )
 
 // prMention matches one "PR n" mention.
 var prMention = regexp.MustCompile(`PR [0-9]+`)
 
-// overBudget returns why doc, the file name, runs past maxLines lines or
-// maxPRs "PR n" mentions; nothing when it does not.
-func overBudget(name, doc string, maxLines, maxPRs int) []string {
+// overBudget returns why doc, the file name, runs past maxLines lines,
+// maxBytes bytes or maxPRs "PR n" mentions; nothing when it does not.
+func overBudget(name, doc string, maxLines, maxBytes, maxPRs int) []string {
 	var msgs []string
 	if n := strings.Count(doc, "\n"); n > maxLines {
 		msgs = append(msgs, fmt.Sprintf("%s has %d lines, over its pinned %d: cut it rather than raise the pin", name, n, maxLines))
+	}
+	if n := len(doc); n > maxBytes {
+		msgs = append(msgs, fmt.Sprintf("%s has %d bytes, over its pinned %d: cut it rather than raise the pin", name, n, maxBytes))
 	}
 	if n := len(prMention.FindAllString(doc, -1)); n > maxPRs {
 		msgs = append(msgs, fmt.Sprintf("%s has %d \"PR n\" mentions, over its pinned %d: history belongs in CHANGES.md", name, n, maxPRs))
 	}
 	return msgs
+}
+
+// designCite matches a citation — DESIGN.md, a space, a title in double
+// quotes — once runs of white space, line breaks included, are folded to
+// one space.
+var designCite = regexp.MustCompile(`DESIGN\.md "([^"]+)"`)
+
+// designCites returns every title text cites (designCite) that design does
+// not hold: as the text of a #-heading, or as the run-in label a line opens
+// with, `**Title` or `*Title` followed by a punctuation mark (`**Title.**`,
+// `*Title, …*`).
+func designCites(text, design string) []string {
+	lines := strings.Split(design, "\n")
+	resolves := func(title string) bool {
+		for _, line := range lines {
+			if h := strings.TrimLeft(line, "#"); h != line && strings.TrimSpace(h) == title {
+				return true
+			}
+			for _, open := range []string{"**", "*"} {
+				if rest, ok := strings.CutPrefix(line, open+title); ok {
+					if r, _ := utf8.DecodeRuneInString(rest); unicode.IsPunct(r) {
+						return true
+					}
+				}
+			}
+		}
+		return false
+	}
+	var missing []string
+	for _, m := range designCite.FindAllStringSubmatch(strings.Join(strings.Fields(text), " "), -1) {
+		if !resolves(m[1]) {
+			missing = append(missing, m[1])
+		}
+	}
+	return missing
 }
 
 // knob is one exported Conf* (knob) or Ctr* (counter) string constant found

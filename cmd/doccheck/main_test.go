@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"reflect"
@@ -341,16 +342,49 @@ func TestRepositoryDeclsCalled(t *testing.T) {
 	}
 }
 
-// TestOverBudget: a doc at its pinned line and "PR n" counts passes, and one
-// line or one mention more fails, naming the count and the pin.
+// TestOverBudget: a doc at its pinned line, byte and "PR n" counts passes,
+// and one line, one byte or one mention more fails, naming the count and the
+// pin.
 func TestOverBudget(t *testing.T) {
 	doc := "intro\nsince PR 3 and PR 12\n"
-	if msgs := overBudget("D.md", doc, 2, 2); len(msgs) != 0 {
+	if msgs := overBudget("D.md", doc, 2, len(doc), 2); len(msgs) != 0 {
 		t.Fatalf("a doc at its pins: %v", msgs)
 	}
-	msgs := overBudget("D.md", doc+"PR 7, then PR7 (no mention)\n", 2, 2)
-	if len(msgs) != 2 || !strings.Contains(msgs[0], "D.md has 3 lines, over its pinned 2") ||
-		!strings.Contains(msgs[1], `D.md has 3 "PR n" mentions, over its pinned 2`) {
-		t.Fatalf("a doc one line and one mention over: %v", msgs)
+	more := doc + "PR 7, then PR7 (no mention)\n"
+	msgs := overBudget("D.md", more, 2, len(more)-1, 2)
+	if len(msgs) != 3 || !strings.Contains(msgs[0], "D.md has 3 lines, over its pinned 2") ||
+		!strings.Contains(msgs[1], fmt.Sprintf("D.md has %d bytes, over its pinned %d", len(more), len(more)-1)) ||
+		!strings.Contains(msgs[2], `D.md has 3 "PR n" mentions, over its pinned 2`) {
+		t.Fatalf("a doc one line, one byte and one mention over: %v", msgs)
+	}
+	joined := strings.ReplaceAll(doc, "\n", " ")
+	if msgs := overBudget("D.md", joined+"x", 2, len(doc), 2); len(msgs) != 1 || !strings.Contains(msgs[0], "bytes, over its pinned") {
+		t.Fatalf("lines joined to meet the line pin, one byte over: %v", msgs)
+	}
+}
+
+// TestDesignCites: a `DESIGN.md "Title"` citation resolves to a #-heading
+// with that title or to a line opening with it as a bold or italic run-in
+// label, across line breaks; any other title is reported.
+func TestDesignCites(t *testing.T) {
+	design := "# DESIGN\n\n## Pair ownership\n\n**Base filter.** While it stages R, …\n" +
+		"*The radius rule, and its reach.* Behind Run, …\n**Layout count:** …\nA **Ties** mention mid-line.\n"
+	cases := []struct {
+		name, text string
+		want       []string
+	}{
+		{"heading", `see DESIGN.md "Pair ownership".`, nil},
+		{"heading across a comment's line break", "(DESIGN.md \"Pair\nownership\")", nil},
+		{"bold label", `DESIGN.md "Base filter" and DESIGN.md "Layout count"`, nil},
+		{"italic label", `DESIGN.md "The radius rule"`, nil},
+		{"missing title", `DESIGN.md "Shuffle wire protocol"`, []string{"Shuffle wire protocol"}},
+		{"a label's prefix", `DESIGN.md "Base"`, []string{"Base"}},
+		{"a mid-line bold span", `DESIGN.md "Ties"`, []string{"Ties"}},
+		{"a heading's prefix", `DESIGN.md "Pair"`, []string{"Pair"}},
+	}
+	for _, c := range cases {
+		if got := designCites(c.text, design); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: designCites = %q, want %q", c.name, got, c.want)
+		}
 	}
 }

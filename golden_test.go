@@ -322,19 +322,28 @@ func goldenLines(ctx context.Context, eng mapreduce.Engine, seed int64, dir stri
 	if err != nil {
 		return nil, err
 	}
+	if err := joinLines(ctx, cfg, R, S, add); err != nil {
+		return nil, err
+	}
+	return lines, nil
+}
+
+// joinLines runs the kNN-join of R against S, with and without the
+// bucketed pass, and adds one line each.
+func joinLines(ctx context.Context, cfg core.Config, R, S *points.Dataset, add func(pipeline, sum string)) error {
 	for _, exact := range []bool{false, true} {
 		run, name := knnjoin.Run, "knn"
 		if exact {
 			run, name = knnjoin.RunExact, "knn-exact"
 		}
-		res, err := run(ctx, cfg.DagSession(), R, S, knnK, knnjoin.Config{Seed: seed})
+		res, err := run(ctx, cfg.DagSession(), R, S, knnK, knnjoin.Config{Seed: cfg.Seed})
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 		// The total counts the driver's walks over its sample of S too.
 		add(name, fmt.Sprintf("%s dist=%d", knnDigest(res), res.Stats.DistanceComputations))
 	}
-	return lines, nil
+	return nil
 }
 
 // The tie lines run LSH-DDP, Basic-DDP, EDDPC, the kNN-join and the serving
@@ -421,16 +430,8 @@ func tieLines(ctx context.Context, eng mapreduce.Engine) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, exact := range []bool{false, true} {
-		run, name := knnjoin.Run, "knn"
-		if exact {
-			run, name = knnjoin.RunExact, "knn-exact"
-		}
-		res, err := run(ctx, cfg.DagSession(), R, S, knnK, knnjoin.Config{Seed: tieSeed})
-		if err != nil {
-			return nil, fmt.Errorf("tie %s: %w", name, err)
-		}
-		add(name, fmt.Sprintf("%s dist=%d", knnDigest(res), res.Stats.DistanceComputations))
+	if err := joinLines(ctx, cfg, R, S, add); err != nil {
+		return nil, fmt.Errorf("tie %w", err)
 	}
 	return lines, nil
 }

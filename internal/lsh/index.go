@@ -1,6 +1,12 @@
 package lsh
 
-import "repro/internal/par"
+import (
+	"bytes"
+	"hash/maphash"
+	"slices"
+
+	"repro/internal/par"
+)
 
 // Index is the bucket index of a block of rows under every layout: each
 // distinct key interned to a dense bucket ID, and every bucket's rows stored
@@ -37,19 +43,20 @@ func (l *Layouts) BuildIndex(data []float64, n, workers int) *Index {
 	ix := &Index{RowKeys: make([]int32, n*nl), nl: nl}
 	chunks := make([]indexChunk, par.Chunks(n, workers))
 	par.For(n, len(chunks), func(c, lo, hi int) {
-		chunks[c].intern(l, data, ix.RowKeys, lo, hi)
+		chunks[c].intern(l, data, ix.RowKeys, lo, hi, c == 0)
 	})
 	ix.Keys, ix.ids = chunks[0].keys, chunks[0].ids
 	sizes := chunks[0].sizes
 	for c := 1; c < len(chunks); c++ {
 		ch := &chunks[c]
-		ch.remap = make([]int32, len(ch.keys))
-		for local, key := range ch.keys {
-			id, ok := ix.ids[key]
+		ch.remap = make([]int32, len(ch.ends))
+		for local := range ch.remap {
+			key := ch.key(int32(local))
+			id, ok := ix.ids[string(key)]
 			if !ok {
 				id = int32(len(ix.Keys))
-				ix.Keys = append(ix.Keys, key)
-				ix.ids[key] = id
+				ix.Keys = append(ix.Keys, string(key))
+				ix.ids[ix.Keys[id]] = id
 				sizes = append(sizes, 0)
 			}
 			ch.remap[local] = id
@@ -65,7 +72,7 @@ func (l *Layouts) BuildIndex(data []float64, n, workers int) *Index {
 	})
 	ix.Offsets = make([]int, len(sizes)+1)
 	for id, sz := range sizes {
-		ix.Offsets[id+1] = ix.Offsets[id] + sz
+		ix.Offsets[id+1] = ix.Offsets[id] + int(sz)
 	}
 	return ix
 }
@@ -101,36 +108,114 @@ func (ix *Index) Fill(order []int32, workers int) {
 // indexChunk is one chunk of BuildIndex's rows: the RowKeys entries
 // [lo, hi) it owns, its keys interned to chunk-local IDs in first-seen
 // order with each one's posting count, and, for every chunk but the first,
-// the merge's local-to-global renumbering.
+// the merge's local-to-global renumbering. Every key of chunk 0 becomes a
+// bucket, so it interns into a string list and map the index then keeps. A
+// later chunk meets most of its keys in earlier chunks too, so it keeps its
+// keys' bytes back to back in one arena, found through an open-addressed
+// table, and the merge makes a string only of a key new to the index.
 type indexChunk struct {
 	lo, hi int
-	keys   []string
-	ids    map[string]int32
-	sizes  []int
+	keys   []string         // chunk 0
+	ids    map[string]int32 // chunk 0
+	arena  []byte           // later chunks: local key id is arena[ends[id-1]:ends[id]]
+	ends   []int32
+	table  []int32 // later chunks: a local ID + 1 per used slot, 0 when free
+	seed   maphash.Seed
+	sizes  []int32
 	remap  []int32
 }
 
 // intern hashes rows [lo, hi) of data and writes their chunk-local bucket
-// IDs into their RowKeys entries.
-func (ch *indexChunk) intern(l *Layouts, data []float64, rowKeys []int32, lo, hi int) {
+// IDs into their RowKeys entries; first marks chunk 0.
+func (ch *indexChunk) intern(l *Layouts, data []float64, rowKeys []int32, lo, hi int, first bool) {
 	nl := l.M()
-	ch.lo, ch.hi, ch.ids = lo*nl, hi*nl, make(map[string]int32)
+	ch.lo, ch.hi = lo*nl, hi*nl
+	if first {
+		ch.ids = make(map[string]int32)
+	} else {
+		ch.seed = maphash.MakeSeed()
+	}
 	var kb KeyBuf
 	for i := lo; i < hi; i++ {
 		l.Hash(&kb, data[i*l.dim:][:l.dim])
 		for j := 0; j < nl; j++ {
-			key := kb.Key(j)
-			id, ok := ch.ids[string(key)]
-			if !ok {
-				id = int32(len(ch.keys))
-				ch.keys = append(ch.keys, string(key))
-				ch.ids[ch.keys[id]] = id
-				ch.sizes = append(ch.sizes, 0)
+			var id int32
+			if first {
+				id = ch.internString(kb.Key(j))
+			} else {
+				id = ch.internBytes(kb.Key(j))
 			}
 			ch.sizes[id]++
 			rowKeys[i*nl+j] = id
 		}
 	}
+}
+
+// internString returns key's ID in chunk 0, handing it the next if new.
+func (ch *indexChunk) internString(key []byte) int32 {
+	id, ok := ch.ids[string(key)]
+	if !ok {
+		id = int32(len(ch.keys))
+		ch.keys = append(ch.keys, string(key))
+		ch.ids[ch.keys[id]] = id
+		ch.sizes = append(ch.sizes, 0)
+	}
+	return id
+}
+
+// internBytes returns key's ID in a later chunk, handing it the next if
+// new. The table is kept at most three quarters full.
+func (ch *indexChunk) internBytes(key []byte) int32 {
+	if 4*len(ch.ends) >= 3*len(ch.table) {
+		ch.rehash(max(2*len(ch.table), 1<<10))
+	}
+	s := ch.slot(key)
+	if v := ch.table[s]; v != 0 {
+		return v - 1
+	}
+	if len(ch.ends) == cap(ch.ends) {
+		// Double ends and sizes, and the arena to as many more keys of the
+		// mean length so far: append's own steps on a large slice are about
+		// a quarter of its length, and the copies they leave behind would
+		// cost a chunk several times what it keeps.
+		more := max(len(ch.ends), 1<<10)
+		ch.ends = slices.Grow(ch.ends, more)
+		ch.sizes = slices.Grow(ch.sizes, more)
+		ch.arena = slices.Grow(ch.arena, more*(len(ch.arena)/max(len(ch.ends), 1)+1))
+	}
+	id := int32(len(ch.ends))
+	ch.arena = append(ch.arena, key...)
+	ch.ends = append(ch.ends, int32(len(ch.arena)))
+	ch.sizes = append(ch.sizes, 0)
+	ch.table[s] = id + 1
+	return id
+}
+
+// slot returns the table slot that holds key, or the free one it would take.
+func (ch *indexChunk) slot(key []byte) int {
+	mask := len(ch.table) - 1
+	s := int(maphash.Bytes(ch.seed, key)) & mask
+	for ch.table[s] != 0 && !bytes.Equal(ch.key(ch.table[s]-1), key) {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// rehash moves the chunk's keys to a table of size slots, a power of two.
+func (ch *indexChunk) rehash(size int) {
+	ch.table = make([]int32, size)
+	for id := range ch.ends {
+		ch.table[ch.slot(ch.key(int32(id)))] = int32(id) + 1
+	}
+}
+
+// key returns the bytes of a later chunk's key id.
+func (ch *indexChunk) key(id int32) []byte {
+	lo := int32(0)
+	if id > 0 {
+		lo = ch.ends[id-1]
+	}
+	return ch.arena[lo:ch.ends[id]]
 }
 
 // WidestAxis returns the coordinate on which the buckets of the indexed block
