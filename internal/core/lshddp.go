@@ -454,7 +454,7 @@ func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKe
 	ix.Fill(nil, runtime.GOMAXPROCS(0))
 	dc := conf.GetFloat(confDc, 0)
 	byLayout := make([][]int32, nl)
-	for b := range ix.Keys {
+	for b := range ix.Len() {
 		own := slices.Index(ix.RowKeys[int(ix.Bucket(int32(b))[0])*nl:][:nl], int32(b))
 		byLayout[own] = append(byLayout[own], int32(b))
 	}
@@ -470,7 +470,7 @@ func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKe
 		go func() {
 			defer wg.Done()
 			rp := runPlanner{ix: ix, nl: nl, pts: pts, reach2: dc * dc, po: pairOncePool.Get().(*pairOnce),
-				m: points.GetMatrix(), local: make([]int32, len(ix.Keys))}
+				m: points.GetMatrix(), local: make([]int32, ix.Len())}
 			defer pairOncePool.Put(rp.po)
 			defer points.PutMatrix(rp.m)
 			for b := range rp.local {

@@ -41,12 +41,12 @@ const CtrPairsPruned = "dp.lsh.pairs.pruned"
 
 // pairOnce is the scratch of one pair-once reduce call: the rows' bucket
 // signatures and the blocks the reducer owns. Pooled, so a reduce task
-// hashes with one KeyBuf and interns into one map whatever its group count.
+// hashes with one KeyBuf and interns into one table whatever its group count.
 type pairOnce struct {
 	kb     lsh.KeyBuf
-	ids    map[string]int32 // bucket key → id, in first-seen order
-	n      int              // rows signed
-	sig    []int32          // sig[l·n+r]: row r's bucket under layout l
+	ids    lsh.KeyIDs // bucket key → id, in first-seen order
+	n      int        // rows signed
+	sig    []int32    // sig[l·n+r]: row r's bucket under layout l
 	spare  []int32
 	order  []int32 // sorted position → arrival row
 	next   []int32 // load's counting-sort scratch
@@ -63,7 +63,7 @@ type pairOnce struct {
 	certified []bool
 }
 
-var pairOncePool = sync.Pool{New: func() any { return &pairOnce{ids: map[string]int32{}} }}
+var pairOncePool = sync.Pool{New: func() any { return new(pairOnce) }}
 
 // reducerLayout parses the layout index out of an LSH reduce key.
 func reducerLayout(key string, l *lsh.Layouts) (int, error) {
@@ -89,7 +89,7 @@ func (po *pairOnce) sign(l *lsh.Layouts, m *points.Matrix, own, width int, rows 
 	}
 	po.sig = po.sig[:n*width]
 	clear(po.sig)
-	clear(po.ids)
+	po.ids.Reset()
 	if width == 0 || (width == 1 && own == 0) {
 		return // no layout but the reducer's own: nothing to hash for
 	}
@@ -99,13 +99,7 @@ func (po *pairOnce) sign(l *lsh.Layouts, m *points.Matrix, own, width int, rows 
 			if j == own {
 				continue
 			}
-			key := po.kb.Key(j)
-			id, ok := po.ids[string(key)]
-			if !ok {
-				id = int32(len(po.ids))
-				po.ids[string(key)] = id
-			}
-			po.sig[j*n+int(r)] = id
+			po.sig[j*n+int(r)] = po.ids.Intern(po.kb.Key(j))
 		}
 	}
 }
@@ -168,7 +162,7 @@ func (po *pairOnce) load(l *lsh.Layouts, own, width int, values [][]byte,
 	po.order = order
 	po.sign(l, raw, own, width, order)
 	m := points.GetMatrix()
-	m.Gather(raw, po.sortRuns(own, width, len(po.ids)))
+	m.Gather(raw, po.sortRuns(own, width, po.ids.Len()))
 	return m, nil
 }
 

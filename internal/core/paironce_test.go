@@ -267,7 +267,7 @@ func prunedPairs(t *testing.T, ds *points.Dataset, cfg LSHConfig) [][2]int32 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	po := &pairOnce{ids: map[string]int32{}}
+	po := new(pairOnce)
 	var out [][2]int32
 	for key, values := range groups {
 		own, err := reducerLayout(key, l)

@@ -49,7 +49,7 @@ func runsOf(t testing.TB, runs [][]points.Vector) (*points.Matrix, *pairOnce) {
 		}
 	}
 	n := len(rows)
-	po := &pairOnce{ids: map[string]int32{}, n: n, sig: make([]int32, 2*n)}
+	po := &pairOnce{n: n, sig: make([]int32, 2*n)}
 	copy(po.sig, bucket) // layout 1, the reducer's own, is one bucket: all zero
 	return matrixOf(t, rows), po
 }
@@ -453,16 +453,17 @@ func requirePlanSound(t *testing.T, rows []points.Vector, size int, reach2 float
 	const own, nl = 2, 3
 	n := len(rows)
 	runs := (n + size - 1) / size
-	ix := &lsh.Index{Keys: make([]string, 3+(runs-1)/2), RowKeys: make([]int32, 0, n*nl)}
+	buckets := 3 + (runs-1)/2
+	ix := &lsh.Index{RowKeys: make([]int32, 0, n*nl)}
 	all := make([]int32, n)
 	for r := range all {
 		g := r / size
 		all[r] = int32(r)
-		ix.RowKeys = append(ix.RowKeys, int32(g%2), int32(2+g/2), int32(len(ix.Keys)-1))
+		ix.RowKeys = append(ix.RowKeys, int32(g%2), int32(2+g/2), int32(buckets-1))
 	}
 	pts := matrixOf(t, rows)
 	defer points.PutMatrix(pts)
-	local := make([]int32, len(ix.Keys))
+	local := make([]int32, buckets)
 	for b := range local {
 		local[b] = -1
 	}

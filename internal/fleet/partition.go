@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/lsh"
 	"repro/internal/model"
@@ -54,8 +53,8 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	n := m.N()
 	ix := layouts.BuildIndex(m.Data, n, runtime.GOMAXPROCS(0))
 	weights := estimateBucketWeights(ix, layouts, m.Data, m.Dim)
-	groups := bucketGroups(m, ix.RowKeys, len(ix.Keys), mf.M)
-	mf.Overrides = balanceBuckets(ix.Keys, weights, groups, ring, shards)
+	groups := bucketGroups(m, ix.RowKeys, ix.Len(), mf.M)
+	mf.Overrides = balanceBuckets(ix, weights, groups, ring, shards)
 	place, err := mf.Placement()
 	if err != nil {
 		return nil, nil, err
@@ -64,9 +63,9 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 	// Pass 2: mark which shards need which rows — the owner of any bucket
 	// holding the row, plus every shard for peak rows. Owners are resolved
 	// once per bucket, not once per (row, layout).
-	owners := make([]int, len(ix.Keys))
-	for id, key := range ix.Keys {
-		owners[id] = place.Owner(key)
+	owners := make([]int, ix.Len())
+	for id := range owners {
+		owners[id] = place.Owner(string(ix.Key(int32(id))))
 	}
 	need := make([][]bool, shards)
 	for s := range need {
@@ -139,25 +138,18 @@ const (
 // charges, from a seventh of the visits on BenchmarkPartition's 200 000
 // rows (33 646 cells).
 //
-// The sample is split across GOMAXPROCS goroutines, each with its own
-// weights, and their weights are summed at the end. Every charge is a
+// The sample is cut into GOMAXPROCS chunks (par.For), each with its own
+// weights, and their weights are summed in chunk order at the end. Every charge is a
 // whole number far below 2⁵³, so the sums — and the overrides built on
 // them — are exact in any grouping and do not depend on the core count.
 func estimateBucketWeights(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim int) []float64 {
 	n := len(data) / dim
 	samples := min(n, maxWeightSamples)
-	cells := bucketCells(ix.RowKeys, len(ix.Keys), layouts.M())
-	parts := make([][]float64, min(runtime.GOMAXPROCS(0), samples))
-	var wg sync.WaitGroup
-	for w := range parts {
-		lo, hi := samples*w/len(parts), samples*(w+1)/len(parts)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts[w] = replaySamples(ix, cells, layouts, data, dim, lo, hi, samples)
-		}()
-	}
-	wg.Wait()
+	cells := bucketCells(ix.RowKeys, ix.Len(), layouts.M())
+	parts := make([][]float64, par.Chunks(samples, runtime.GOMAXPROCS(0)))
+	par.For(samples, len(parts), func(c, lo, hi int) {
+		parts[c] = replaySamples(ix, cells, layouts, data, dim, lo, hi, samples)
+	})
 	weights := parts[0]
 	for _, p := range parts[1:] {
 		for id, v := range p {
@@ -233,7 +225,7 @@ func bucketCells(rowKeys []int32, nbuckets, m int) cellIndex {
 // rotation, so the marks clear themselves from one sample to the next.
 func replaySamples(ix *lsh.Index, ci cellIndex, layouts *lsh.Layouts, data []float64, dim, lo, hi, samples int) []float64 {
 	m, n := layouts.M(), len(data)/dim
-	weights := make([]float64, len(ix.Keys))
+	weights := make([]float64, ix.Len())
 	seen := make([]int32, len(ci.rows))
 	var kb lsh.KeyBuf
 	for k := lo; k < hi; k++ {
@@ -305,16 +297,16 @@ const chunkFraction = 2
 // fleet.json byte for byte. Returns only the placements that differ
 // from the ring, keyed in the manifest's text form; the ring owns only
 // keys the index never held.
-func balanceBuckets(keys []string, weights []float64, groups []int32, ring *Ring, shards int) map[string]int {
+func balanceBuckets(ix *lsh.Index, weights []float64, groups []int32, ring *Ring, shards int) map[string]int {
 	type bucket struct {
 		key    string
 		weight float64
 		group  int32
 	}
-	buckets := make([]bucket, len(keys))
+	buckets := make([]bucket, len(weights))
 	total := 0.0
 	for id, w := range weights {
-		buckets[id] = bucket{keys[id], w, groups[id]}
+		buckets[id] = bucket{string(ix.Key(int32(id))), w, groups[id]}
 		total += w
 	}
 	sort.Slice(buckets, func(i, j int) bool {

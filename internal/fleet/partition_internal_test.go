@@ -54,7 +54,7 @@ func TestSampledWeightBalance(t *testing.T) {
 		load := make([]float64, shards)
 		total := 0.0
 		for id, w := range weights {
-			load[place.Owner(ix.Keys[id])] += w
+			load[place.Owner(string(ix.Key(int32(id))))] += w
 			total += w
 		}
 		ideal := total / float64(shards)
@@ -126,7 +126,7 @@ func harnessModel(tb testing.TB, n, repeat int) *model.Model {
 // the certifying one.
 func replayOracle(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim int) []float64 {
 	n, m := len(data)/dim, layouts.M()
-	weights := make([]float64, len(ix.Keys))
+	weights := make([]float64, ix.Len())
 	samples := min(n, maxWeightSamples)
 	seen := make([]bool, n)
 	var touched []int32
@@ -185,8 +185,8 @@ func TestBucketWeightsMatchReplay(t *testing.T) {
 	for _, tc := range cases {
 		layouts := tc.mdl.Layouts()
 		ix := layouts.BuildIndex(tc.mdl.Data, tc.mdl.N(), 1)
-		if tc.name == "one-bucket" && len(ix.Keys) != layouts.M() {
-			t.Fatalf("%s: %d buckets over %d layouts, want one per layout", tc.name, len(ix.Keys), layouts.M())
+		if tc.name == "one-bucket" && ix.Len() != layouts.M() {
+			t.Fatalf("%s: %d buckets over %d layouts, want one per layout", tc.name, ix.Len(), layouts.M())
 		}
 		// The replay walks postings; the estimator, like Partition, reads
 		// an index without them.
@@ -202,7 +202,7 @@ func TestBucketWeightsMatchReplay(t *testing.T) {
 			for id := range want {
 				if got[id] != want[id] {
 					t.Errorf("%s at %d cores: bucket %d (%s) weighs %v, the replay %v",
-						tc.name, procs, id, lsh.KeyString(ix.Keys[id]), got[id], want[id])
+						tc.name, procs, id, lsh.KeyString(string(ix.Key(int32(id)))), got[id], want[id])
 					break
 				}
 			}
@@ -221,9 +221,9 @@ func placementQuality(tb testing.TB, mdl *model.Model, subs []*model.Model, mf *
 	}
 	n, lm := mdl.N(), mf.M
 	ix := mf.Layouts().BuildIndex(mdl.Data, n, 1)
-	owners := make([]int, len(ix.Keys))
-	for id, key := range ix.Keys {
-		owners[id] = place.Owner(key)
+	owners := make([]int, ix.Len())
+	for id := range owners {
+		owners[id] = place.Owner(string(ix.Key(int32(id))))
 	}
 	shardRows, distinct := 0, 0
 	for _, sub := range subs {

@@ -1,10 +1,6 @@
 package lsh
 
 import (
-	"bytes"
-	"hash/maphash"
-	"slices"
-
 	"repro/internal/par"
 )
 
@@ -13,10 +9,6 @@ import (
 // as one CSR block. The serving engine probes it; the fleet partitioner
 // places its buckets on shards.
 type Index struct {
-	// Keys maps a bucket ID to its key. IDs are handed out in first-seen
-	// order over the (row, layout) iteration, so they — and everything
-	// derived from them — are deterministic.
-	Keys []string
 	// RowKeys holds row i's bucket ID under layout j at [i*M+j].
 	RowKeys []int32
 	// Rows holds every bucket's member rows back to back, each bucket in
@@ -26,37 +18,36 @@ type Index struct {
 	Rows    []int32
 	Offsets []int
 
-	ids map[string]int32
-	nl  int // the layout count M
+	// keys hands out the bucket IDs in first-seen order over the (row,
+	// layout) iteration, so they — and everything derived from them — are
+	// deterministic.
+	keys KeyIDs
+	nl   int // the layout count M
 }
 
-// BuildIndex indexes the n rows of the flat row-major block data — Keys,
+// BuildIndex indexes the n rows of the flat row-major block data — the keys,
 // RowKeys and Offsets; Rows is Fill's. The rows are cut into workers
 // contiguous chunks (par.For), each hashed and its keys interned into its
-// own slice of RowKeys. A merge in chunk order then hands out the bucket
-// IDs — chunk 0's keys in first-seen order, then each later chunk's unseen
-// keys in theirs, which is first-seen order over the whole (row, layout)
-// iteration — and renumbers RowKeys in place, so the index does not depend
-// on workers.
+// own KeyIDs and its own slice of RowKeys. Chunk 0's table becomes the
+// index's; a merge in chunk order then interns each later chunk's keys into
+// it — its unseen keys taking the next IDs in its first-seen order, which is
+// first-seen order over the whole (row, layout) iteration — and renumbers
+// RowKeys in place, so the index does not depend on workers.
 func (l *Layouts) BuildIndex(data []float64, n, workers int) *Index {
 	nl := l.M()
 	ix := &Index{RowKeys: make([]int32, n*nl), nl: nl}
 	chunks := make([]indexChunk, par.Chunks(n, workers))
 	par.For(n, len(chunks), func(c, lo, hi int) {
-		chunks[c].intern(l, data, ix.RowKeys, lo, hi, c == 0)
+		chunks[c].intern(l, data, ix.RowKeys, lo, hi)
 	})
-	ix.Keys, ix.ids = chunks[0].keys, chunks[0].ids
+	ix.keys = chunks[0].keys
 	sizes := chunks[0].sizes
 	for c := 1; c < len(chunks); c++ {
 		ch := &chunks[c]
-		ch.remap = make([]int32, len(ch.ends))
+		ch.remap = make([]int32, ch.keys.Len())
 		for local := range ch.remap {
-			key := ch.key(int32(local))
-			id, ok := ix.ids[string(key)]
-			if !ok {
-				id = int32(len(ix.Keys))
-				ix.Keys = append(ix.Keys, string(key))
-				ix.ids[ix.Keys[id]] = id
+			id := ix.keys.Intern(ch.keys.Key(int32(local)))
+			if int(id) == len(sizes) {
 				sizes = append(sizes, 0)
 			}
 			ch.remap[local] = id
@@ -89,7 +80,7 @@ func (l *Layouts) BuildIndex(data []float64, n, workers int) *Index {
 func (ix *Index) Fill(order []int32, workers int) {
 	nl, n := ix.nl, len(ix.RowKeys)/ix.nl
 	ix.Rows = make([]int32, len(ix.RowKeys))
-	next := make([]int, len(ix.Keys)) // each bucket's fill cursor
+	next := make([]int, ix.Len()) // each bucket's fill cursor
 	copy(next, ix.Offsets)
 	par.For(nl, workers, func(_, jlo, jhi int) {
 		for i := range n {
@@ -108,114 +99,31 @@ func (ix *Index) Fill(order []int32, workers int) {
 // indexChunk is one chunk of BuildIndex's rows: the RowKeys entries
 // [lo, hi) it owns, its keys interned to chunk-local IDs in first-seen
 // order with each one's posting count, and, for every chunk but the first,
-// the merge's local-to-global renumbering. Every key of chunk 0 becomes a
-// bucket, so it interns into a string list and map the index then keeps. A
-// later chunk meets most of its keys in earlier chunks too, so it keeps its
-// keys' bytes back to back in one arena, found through an open-addressed
-// table, and the merge makes a string only of a key new to the index.
+// the merge's local-to-global renumbering.
 type indexChunk struct {
 	lo, hi int
-	keys   []string         // chunk 0
-	ids    map[string]int32 // chunk 0
-	arena  []byte           // later chunks: local key id is arena[ends[id-1]:ends[id]]
-	ends   []int32
-	table  []int32 // later chunks: a local ID + 1 per used slot, 0 when free
-	seed   maphash.Seed
+	keys   KeyIDs
 	sizes  []int32
 	remap  []int32
 }
 
 // intern hashes rows [lo, hi) of data and writes their chunk-local bucket
-// IDs into their RowKeys entries; first marks chunk 0.
-func (ch *indexChunk) intern(l *Layouts, data []float64, rowKeys []int32, lo, hi int, first bool) {
+// IDs into their RowKeys entries.
+func (ch *indexChunk) intern(l *Layouts, data []float64, rowKeys []int32, lo, hi int) {
 	nl := l.M()
 	ch.lo, ch.hi = lo*nl, hi*nl
-	if first {
-		ch.ids = make(map[string]int32)
-	} else {
-		ch.seed = maphash.MakeSeed()
-	}
 	var kb KeyBuf
 	for i := lo; i < hi; i++ {
 		l.Hash(&kb, data[i*l.dim:][:l.dim])
 		for j := 0; j < nl; j++ {
-			var id int32
-			if first {
-				id = ch.internString(kb.Key(j))
-			} else {
-				id = ch.internBytes(kb.Key(j))
+			id := ch.keys.Intern(kb.Key(j))
+			if int(id) == len(ch.sizes) {
+				ch.sizes = append(ch.sizes, 0)
 			}
 			ch.sizes[id]++
 			rowKeys[i*nl+j] = id
 		}
 	}
-}
-
-// internString returns key's ID in chunk 0, handing it the next if new.
-func (ch *indexChunk) internString(key []byte) int32 {
-	id, ok := ch.ids[string(key)]
-	if !ok {
-		id = int32(len(ch.keys))
-		ch.keys = append(ch.keys, string(key))
-		ch.ids[ch.keys[id]] = id
-		ch.sizes = append(ch.sizes, 0)
-	}
-	return id
-}
-
-// internBytes returns key's ID in a later chunk, handing it the next if
-// new. The table is kept at most three quarters full.
-func (ch *indexChunk) internBytes(key []byte) int32 {
-	if 4*len(ch.ends) >= 3*len(ch.table) {
-		ch.rehash(max(2*len(ch.table), 1<<10))
-	}
-	s := ch.slot(key)
-	if v := ch.table[s]; v != 0 {
-		return v - 1
-	}
-	if len(ch.ends) == cap(ch.ends) {
-		// Double ends and sizes, and the arena to as many more keys of the
-		// mean length so far: append's own steps on a large slice are about
-		// a quarter of its length, and the copies they leave behind would
-		// cost a chunk several times what it keeps.
-		more := max(len(ch.ends), 1<<10)
-		ch.ends = slices.Grow(ch.ends, more)
-		ch.sizes = slices.Grow(ch.sizes, more)
-		ch.arena = slices.Grow(ch.arena, more*(len(ch.arena)/max(len(ch.ends), 1)+1))
-	}
-	id := int32(len(ch.ends))
-	ch.arena = append(ch.arena, key...)
-	ch.ends = append(ch.ends, int32(len(ch.arena)))
-	ch.sizes = append(ch.sizes, 0)
-	ch.table[s] = id + 1
-	return id
-}
-
-// slot returns the table slot that holds key, or the free one it would take.
-func (ch *indexChunk) slot(key []byte) int {
-	mask := len(ch.table) - 1
-	s := int(maphash.Bytes(ch.seed, key)) & mask
-	for ch.table[s] != 0 && !bytes.Equal(ch.key(ch.table[s]-1), key) {
-		s = (s + 1) & mask
-	}
-	return s
-}
-
-// rehash moves the chunk's keys to a table of size slots, a power of two.
-func (ch *indexChunk) rehash(size int) {
-	ch.table = make([]int32, size)
-	for id := range ch.ends {
-		ch.table[ch.slot(ch.key(int32(id)))] = int32(id) + 1
-	}
-}
-
-// key returns the bytes of a later chunk's key id.
-func (ch *indexChunk) key(id int32) []byte {
-	lo := int32(0)
-	if id > 0 {
-		lo = ch.ends[id-1]
-	}
-	return ch.arena[lo:ch.ends[id]]
 }
 
 // WidestAxis returns the coordinate on which the buckets of the indexed block
@@ -260,7 +168,7 @@ func (ix *Index) WidestAxis(data []float64, dim int) int {
 	}
 	// Σ_b Σ_{r∈b} (d_r − d̄_b)² = M·Σ_r d_r² − Σ_b (Σ_{r∈b} d_r)²/|b|.
 	sq, d := make([]float64, dim), make([]float64, dim)
-	sums, sizes := make([]float64, len(ix.Keys)*dim), make([]float64, len(ix.Keys))
+	sums, sizes := make([]float64, ix.Len()*dim), make([]float64, ix.Len())
 	sampled(func(i int, x []float64) {
 		for a, v := range x {
 			if v -= mean[a]; v-v != 0 {
@@ -300,10 +208,13 @@ const (
 )
 
 // Lookup returns the bucket ID of key, if any row carries it.
-func (ix *Index) Lookup(key []byte) (int32, bool) {
-	id, ok := ix.ids[string(key)]
-	return id, ok
-}
+func (ix *Index) Lookup(key []byte) (int32, bool) { return ix.keys.Lookup(key) }
+
+// Key returns the key of bucket id, which the caller must not modify.
+func (ix *Index) Key(id int32) []byte { return ix.keys.Key(id) }
+
+// Len returns the number of buckets.
+func (ix *Index) Len() int { return ix.keys.Len() }
 
 // Bucket returns bucket id's rows in the order Fill was given.
 func (ix *Index) Bucket(id int32) []int32 {

@@ -20,7 +20,7 @@ func TestBuildIndexOrder(t *testing.T) {
 	}
 	l := NewLayouts(dim, 4, 2, 3, 9)
 	asc, desc := l.BuildIndex(data, n, 1), l.BuildIndex(data, n, 1)
-	if desc.Rows != nil || len(desc.Offsets) != len(desc.Keys)+1 || desc.Offsets[len(desc.Keys)] != n*l.M() {
+	if desc.Rows != nil || len(desc.Offsets) != desc.Len()+1 || desc.Offsets[desc.Len()] != n*l.M() {
 		t.Fatalf("built with Rows=%v Offsets=%v: want buckets sized, no postings", desc.Rows, desc.Offsets)
 	}
 	perm := make([]int32, n)
@@ -29,10 +29,10 @@ func TestBuildIndexOrder(t *testing.T) {
 	}
 	asc.Fill(nil, 1)
 	desc.Fill(perm, 1)
-	if !slices.Equal(desc.Keys, asc.Keys) || !slices.Equal(desc.Offsets, asc.Offsets) || !slices.Equal(desc.RowKeys, asc.RowKeys) {
+	if !slices.Equal(indexKeys(desc), indexKeys(asc)) || !slices.Equal(desc.Offsets, asc.Offsets) || !slices.Equal(desc.RowKeys, asc.RowKeys) {
 		t.Fatal("keys, row keys or offsets depend on the fill order")
 	}
-	for id := range asc.Keys {
+	for id := range asc.Len() {
 		want := slices.Clone(asc.Bucket(int32(id)))
 		if !slices.IsSorted(want) {
 			t.Fatalf("bucket %d with a nil order: %v, want ascending", id, want)
@@ -112,18 +112,18 @@ func TestBuildIndexWorkersAgree(t *testing.T) {
 			}
 			for _, order := range [][]int32{nil, reverse} {
 				want := l.BuildIndex(tc.data, n, 1)
-				if !slices.Equal(want.Keys, keys) || !slices.Equal(want.RowKeys, rowKeys) {
+				if !slices.Equal(indexKeys(want), keys) || !slices.Equal(want.RowKeys, rowKeys) {
 					t.Fatalf("M=%d %s ordered=%v: one worker's keys or row keys are not first-seen order", m, tc.name, order != nil)
 				}
 				want.Fill(order, 1)
 				for _, workers := range []int{1, 2, 3, 8} {
 					got := l.BuildIndex(tc.data, n, workers)
 					got.Fill(order, workers)
-					if !slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.RowKeys, want.RowKeys) ||
+					if !slices.Equal(indexKeys(got), indexKeys(want)) || !slices.Equal(got.RowKeys, want.RowKeys) ||
 						!slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Rows, want.Rows) {
 						t.Fatalf("M=%d %s ordered=%v: %d workers built or filled a different index than one", m, tc.name, order != nil, workers)
 					}
-					for id, key := range got.Keys {
+					for id, key := range indexKeys(got) {
 						if back, ok := got.Lookup([]byte(key)); !ok || back != int32(id) {
 							t.Fatalf("M=%d %s: %d workers look bucket %d up as %d, %v", m, tc.name, workers, id, back, ok)
 						}
@@ -134,11 +134,29 @@ func TestBuildIndexWorkersAgree(t *testing.T) {
 	}
 }
 
+// indexKeys returns every bucket's key, read through Key, in ID order.
+func indexKeys(ix *Index) []string {
+	keys := make([]string, ix.Len())
+	for id := range keys {
+		keys[id] = string(ix.Key(int32(id)))
+	}
+	return keys
+}
+
+// internN returns a table of n distinct keys, for hand-built indexes.
+func internN(n int) KeyIDs {
+	var k KeyIDs
+	for i := range n {
+		k.Intern([]byte{byte(i)})
+	}
+	return k
+}
+
 // widestNaive is WidestAxis by its definition: every bucket's squared
 // deviations from its own mean, summed per axis.
 func widestNaive(ix *Index, data []float64, dim int) []float64 {
 	w := make([]float64, dim)
-	for id := range ix.Keys {
+	for id := range ix.Len() {
 		rows := ix.Bucket(int32(id))
 		for a := range w {
 			var mean float64
@@ -158,7 +176,7 @@ func widestNaive(ix *Index, data []float64, dim int) []float64 {
 func TestWidestAxis(t *testing.T) {
 	// Two buckets far apart on axis 0 and each wider on axis 1: the block's
 	// range is widest on axis 0, its buckets on axis 1.
-	ix := &Index{Keys: []string{"a", "b"}, RowKeys: []int32{0, 0, 0, 1, 1, 1}, Offsets: []int{0, 3, 6}}
+	ix := &Index{keys: internN(2), RowKeys: []int32{0, 0, 0, 1, 1, 1}, Offsets: []int{0, 3, 6}}
 	data := []float64{0, 0, 1, 10, 2, 20, 100, 0, 101, 10, 102, 20}
 	if got := ix.WidestAxis(data, 2); got != 1 {
 		t.Fatalf("two separated buckets: axis %d, want 1", got)
@@ -207,7 +225,7 @@ func TestWidestAxisSampled(t *testing.T) {
 	sigma := []float64{1, 3, 2}
 	for _, sorted := range []bool{true, false} {
 		rng := points.NewRand(8)
-		ix := &Index{Keys: make([]string, k)}
+		ix := &Index{keys: internN(k)}
 		data := make([]float64, 0, n*dim)
 		for i := 0; i < n; i++ {
 			c := i % k
@@ -235,7 +253,7 @@ func TestWidestAxisSteady(t *testing.T) {
 	const n, dim = 4000, 4
 	centres := [][]float64{{0, 0, 0, 0}, {60, 0, 30, 10}, {0, 60, 10, 30}, {60, 60, 20, 20}}
 	sigma := []float64{3, 3, 4.5, 3}
-	ix := &Index{Keys: make([]string, len(centres)), Offsets: []int{0, n / 4, n / 2, 3 * n / 4, n}}
+	ix := &Index{keys: internN(len(centres)), Offsets: []int{0, n / 4, n / 2, 3 * n / 4, n}}
 	for i := 0; i < n; i++ {
 		ix.RowKeys = append(ix.RowKeys, int32(i%len(centres)))
 	}

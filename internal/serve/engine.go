@@ -275,7 +275,7 @@ func (e *Engine) Buckets() int {
 	if e.ix == nil {
 		return 0
 	}
-	return len(e.ix.Keys)
+	return e.ix.Len()
 }
 
 // FleetIndexed reports whether the engine can answer masked fleet scans

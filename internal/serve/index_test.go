@@ -127,8 +127,8 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 							lsh.KeyString(key), p, r, e.coord[r], got[p-1], e.coord[got[p-1]])
 					}
 				}
-				if e.ix.Keys[id] != key {
-					t.Fatalf("fleet=%v M=%d: bucket %d is keyed %x, looked up by %x", fleet, m, id, e.ix.Keys[id], key)
+				if got := string(e.ix.Key(id)); got != key {
+					t.Fatalf("fleet=%v M=%d: bucket %d is keyed %x, looked up by %x", fleet, m, id, got, key)
 				}
 			}
 			if e.FleetIndexed() != fleet {
@@ -138,12 +138,21 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 				continue
 			}
 			for i, key := range rowKey {
-				if got := e.ix.Keys[e.ix.RowKeys[i]]; got != key {
+				if got := string(e.ix.Key(e.ix.RowKeys[i])); got != key {
 					t.Fatalf("M=%d row %d layout %d: recorded under %x, hashes to %x", m, i/m, i%m, got, key)
 				}
 			}
 		}
 	}
+}
+
+// bucketKeys returns every bucket's key, in ID order.
+func bucketKeys(ix *lsh.Index) []string {
+	keys := make([]string, ix.Len())
+	for id := range keys {
+		keys[id] = string(ix.Key(int32(id)))
+	}
+	return keys
 }
 
 // TestSuccessorMatchesNewEngine: the one-goroutine build a reload or a
@@ -172,7 +181,7 @@ func TestSuccessorMatchesNewEngine(t *testing.T) {
 				engines = append(engines, e)
 			}
 			for i, e := range engines {
-				if !slices.Equal(e.ix.Keys, want.ix.Keys) || !slices.Equal(e.ix.RowKeys, want.ix.RowKeys) ||
+				if !slices.Equal(bucketKeys(e.ix), bucketKeys(want.ix)) || !slices.Equal(e.ix.RowKeys, want.ix.RowKeys) ||
 					!slices.Equal(e.ix.Offsets, want.ix.Offsets) || !slices.Equal(e.ix.Rows, want.ix.Rows) ||
 					e.axis != want.axis || !slices.Equal(e.coord, want.coord) ||
 					!slices.Equal(e.q8, want.q8) || !slices.Equal(e.q8par.Min, want.q8par.Min) || !slices.Equal(e.q8par.Scale, want.q8par.Scale) {

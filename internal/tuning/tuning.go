@@ -170,19 +170,16 @@ func (m *Model) Recommend(ds *points.Dataset, accuracy float64, ms, pis []int) (
 func coBucketed(sample []points.Point, dim, m, pi int, w float64, seed int64) (sizes []int, pairs int64) {
 	probe := lsh.NewLayouts(dim, m, pi, w, seed)
 	n := len(sample)
-	ids := make(map[string]int32) // keys carry their layout: one id space
-	var buckets [][]int32         // bucket id → sample rows
-	var layout []int              // bucket id → its layout
-	sig := make([]int32, m*n)     // sig[l·n+r]: row r's bucket under layout l
+	var ids lsh.KeyIDs        // keys carry their layout: one id space
+	var buckets [][]int32     // bucket id → sample rows
+	var layout []int          // bucket id → its layout
+	sig := make([]int32, m*n) // sig[l·n+r]: row r's bucket under layout l
 	var kb lsh.KeyBuf
 	for r, p := range sample {
 		probe.Hash(&kb, p.Pos)
 		for l := 0; l < m; l++ {
-			key := kb.Key(l)
-			id, ok := ids[string(key)]
-			if !ok {
-				id = int32(len(buckets))
-				ids[string(key)] = id
+			id := ids.Intern(kb.Key(l))
+			if int(id) == len(buckets) {
 				buckets = append(buckets, nil)
 				layout = append(layout, l)
 			}
