@@ -12,7 +12,7 @@
 //     shuffle;
 //   - δ is computed exactly in two jobs: a local pass inside the home cell
 //     produces an upper bound δ_ub per point, then each point is sent only
-//     to the cells whose lower bound is below its δ_ub, pruning almost all
+//     to the cells whose lower bound is at most its δ_ub, pruning almost all
 //     distance work for points whose upslope neighbour is nearby.
 //
 // Unlike LSH-DDP the results are exact (they match internal/dp

@@ -3,6 +3,7 @@ package eddpc
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -47,6 +48,40 @@ func TestEDDPCMatchesSequentialDP(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEDDPCMatchesBasicOnTies: on a 16 × 12 integer lattice stored twice,
+// where δ ties are the rule, EDDPC gives Basic-DDP's ρ, δ and upslope — the
+// lowest ID among the denser points at exactly δ, wherever its cell — at
+// the sampled d_c and at d_c 1.5 and 2.5, with the default pivot count and
+// with 5 and 17 pivots.
+func TestEDDPCMatchesBasicOnTies(t *testing.T) {
+	const w, h = 16, 12
+	vs := make([]points.Vector, 2*w*h)
+	for i := range w * h {
+		vs[i] = points.Vector{float64(w - 1 - i%w), float64(h - 1 - i/w)}
+		vs[2*w*h-1-i] = slices.Clone(vs[i])
+	}
+	ds := points.FromVectors("ties", vs)
+	for _, dc := range []float64{0, 1.5, 2.5} {
+		for _, pivots := range []int{0, 5, 17} {
+			cfg := core.Config{Engine: testEngine(), Dc: dc, Seed: 1}
+			basic, err := core.RunBasicDDP(context.Background(), ds, core.BasicConfig{Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ed, err := Run(context.Background(), ds, Config{Config: cfg, Pivots: pivots})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range vs {
+				if ed.Rho[i] != basic.Rho[i] || ed.Delta[i] != basic.Delta[i] || ed.Upslope[i] != basic.Upslope[i] {
+					t.Fatalf("dc=%v pivots=%d point %d: EDDPC (ρ %v, δ %v, upslope %d), Basic-DDP (ρ %v, δ %v, upslope %d)",
+						dc, pivots, i, ed.Rho[i], ed.Delta[i], ed.Upslope[i], basic.Rho[i], basic.Delta[i], basic.Upslope[i])
+				}
+			}
+		}
 	}
 }
 

@@ -162,10 +162,11 @@ func decodeQuery(v []byte) (points.RhoPoint, float64, int32, error) {
 
 // DeltaRefineJob finalizes δ. Map sends every point as "data" to its home
 // cell, and as a "query" (carrying its δ_ub) to every OTHER cell whose
-// bisector lower bound is under δ_ub — the EDDPC-style filter that skips
-// cells which provably cannot improve the bound. The reducer answers each
-// query with the nearest denser home point closer than the query's bound,
-// if any.
+// bisector lower bound is at most δ_ub — the EDDPC-style filter that skips
+// cells which provably cannot improve the bound; a cell at exactly δ_ub may
+// hold a tie with a lower ID. The reducer answers each query with the denser
+// home point that beats the query's local bound (δ_ub and its upslope) on
+// (δ, then lower ID), comparing δ as core.DeltaAggJob does, if any.
 func DeltaRefineJob(conf mapreduce.Conf) *mapreduce.Job {
 	assigner := mapreduce.ConfOnce(newAssigner) // the pivots, decoded once per job instance
 	return &mapreduce.Job{
@@ -185,7 +186,7 @@ func DeltaRefineJob(conf mapreduce.Conf) *mapreduce.Job {
 			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
 			out.Emit(strconv.Itoa(asg.home), tagged(tagData, points.EncodeRhoPoint(rp)))
 			for c, b := range asg.bounds {
-				if c != asg.home && b < ub {
+				if c != asg.home && b <= ub {
 					out.Emit(strconv.Itoa(c), tagged(tagQuery, value))
 				}
 			}
@@ -199,6 +200,7 @@ func DeltaRefineJob(conf mapreduce.Conf) *mapreduce.Job {
 			type query struct {
 				rp points.RhoPoint
 				ub float64
+				up int32
 			}
 			var queries []query
 			for _, v := range values {
@@ -216,11 +218,11 @@ func DeltaRefineJob(conf mapreduce.Conf) *mapreduce.Job {
 						return fmt.Errorf("eddpc: %d trailing bytes after data point", len(rest))
 					}
 				case tagQuery:
-					rp, ub, _, err := decodeQuery(payload)
+					rp, ub, up, err := decodeQuery(payload)
 					if err != nil {
 						return err
 					}
-					queries = append(queries, query{rp: rp, ub: ub})
+					queries = append(queries, query{rp: rp, ub: ub, up: up})
 				default:
 					return fmt.Errorf("eddpc: unknown tag %d", tag)
 				}
@@ -228,24 +230,19 @@ func DeltaRefineJob(conf mapreduce.Conf) *mapreduce.Job {
 			rhos, ids := m.Rhos(), m.IDs()
 			var nd int64
 			for _, q := range queries {
-				best2 := q.ub * q.ub
-				if math.IsInf(q.ub, 1) {
-					best2 = math.Inf(1)
-				}
-				var bestUp int32 = -1
+				best := points.DeltaValue{Delta: q.ub, Upslope: q.up}
 				for di := 0; di < m.N(); di++ {
 					if !dp.DenserVals(rhos[di], q.rp.Rho, ids[di], q.rp.ID) {
 						continue
 					}
-					d2 := points.SqDist(q.rp.Pos, m.Row(di))
+					d := math.Sqrt(points.SqDist(q.rp.Pos, m.Row(di)))
 					nd++
-					if d2 < best2 {
-						best2 = d2
-						bestUp = ids[di]
+					if d < best.Delta || (d == best.Delta && ids[di] < best.Upslope) {
+						best = points.DeltaValue{Delta: d, Upslope: ids[di]}
 					}
 				}
-				if bestUp >= 0 {
-					out.Emit(mapreduce.IDKey(q.rp.ID), points.EncodeDeltaValue(points.DeltaValue{Delta: math.Sqrt(best2), Upslope: bestUp}))
+				if best.Upslope != q.up {
+					out.Emit(mapreduce.IDKey(q.rp.ID), points.EncodeDeltaValue(best))
 				}
 			}
 			ctx.Counters.Cell(mapreduce.CtrDistanceComputations).Add(nd)
