@@ -68,9 +68,10 @@ test-short:
 # for the bucket-index build, which hashes its row chunks on their own
 # goroutines into one shared RowKeys array and fills one shared postings
 # block a chunk of layouts per goroutine; par for the chunked For every
-# parallel build runs on.
+# parallel build runs on; eddpc for the comparator's reducers, which run as
+# concurrent tasks on the local engine (≈ 4 s).
 race:
-	$(GO) test -race ./internal/mapreduce/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/... ./internal/lsh/... ./internal/par/...
+	$(GO) test -race ./internal/mapreduce/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/... ./internal/lsh/... ./internal/par/... ./internal/eddpc/...
 
 # Five seconds of native fuzzing per target (one -fuzz target per `go test`
 # invocation). The LSH key codec faces bytes from outside the process: error

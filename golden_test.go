@@ -718,21 +718,22 @@ func TestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Errorf("pipeline outputs differ from %s (wrote %s; mv it over %s to accept):\n%s",
-		goldenPath, goldenGot, goldenPath, lineDiff(strings.Split(strings.TrimSuffix(string(want), "\n"), "\n"), got))
+		goldenPath, goldenGot, goldenPath, lineDiff(string(want), text))
 }
 
-// lineDiff lists the lines only in want ("-") and only in got ("+").
-func lineDiff(want, got []string) string {
+// lineDiff lists the lines only in the text want ("-") and only in the text
+// got ("+").
+func lineDiff(want, got string) string {
 	var b strings.Builder
-	for _, l := range want {
-		if l != "" && !slices.Contains(got, l) {
-			fmt.Fprintf(&b, "- %s\n", l)
+	only := func(sign string, lines, other []string) {
+		for _, l := range lines {
+			if !slices.Contains(other, l) {
+				fmt.Fprintf(&b, "%s %s\n", sign, l)
+			}
 		}
 	}
-	for _, l := range got {
-		if !slices.Contains(want, l) {
-			fmt.Fprintf(&b, "+ %s\n", l)
-		}
-	}
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	only("-", w, g)
+	only("+", g, w)
 	return b.String()
 }
