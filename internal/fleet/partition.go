@@ -139,9 +139,9 @@ const (
 // rows (33 646 cells).
 //
 // The sample is cut into GOMAXPROCS chunks (par.For), each with its own
-// weights, and their weights are summed in chunk order at the end. Every charge is a
-// whole number far below 2⁵³, so the sums — and the overrides built on
-// them — are exact in any grouping and do not depend on the core count.
+// weights, summed in chunk order at the end. Every charge is a whole
+// number far below 2⁵³, so the sums — and the overrides built on them —
+// are exact in any grouping and do not depend on the core count.
 func estimateBucketWeights(ix *lsh.Index, layouts *lsh.Layouts, data []float64, dim int) []float64 {
 	n := len(data) / dim
 	samples := min(n, maxWeightSamples)

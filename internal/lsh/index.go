@@ -1,8 +1,6 @@
 package lsh
 
-import (
-	"repro/internal/par"
-)
+import "repro/internal/par"
 
 // Index is the bucket index of a block of rows under every layout: each
 // distinct key interned to a dense bucket ID, and every bucket's rows stored
