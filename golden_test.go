@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -71,6 +72,9 @@ const goldenHeader = `# One line per (pipeline, seed): a sha256 prefix of its ou
 # and ingest lines digest the exported model's answers to fixed queries, then
 # rows / certified / exact = rows scanned, one-bucket answers and exact
 # fallbacks, and delta_scanned = the delta rows an ingest store's reads scan.
+# The ingest-stream lines digest a store's acks, answers and final artifact
+# across two compactions and a WAL replay, then compact_points / replayed =
+# compact.points and ingest.replayed summed over both opens of the store.
 # The route lines digest a router's replies over the fleet partition (the
 # queries, the ingest acks, the queries again with the ingested points),
 # then shards_per_query / certified / broadcasts = fleet.shards.per.query,
@@ -211,6 +215,23 @@ func (d *digest) answers(out []serve.Assignment, errs []error) *digest {
 	return d
 }
 
+// acks digests ingest acks: the assigned ID, then the answer.
+func (d *digest) acks(acks []serve.IngestResult) *digest {
+	for _, a := range acks {
+		d.i32s([]int32{a.ID}).answers([]serve.Assignment{a.Assignment}, []error{nil})
+	}
+	return d
+}
+
+// storeAnswers digests st's answers to qs, pruned and then exact-only.
+func (d *digest) storeAnswers(st *ingest.Store, qs []points.Vector) *digest {
+	for _, exact := range []bool{false, true} {
+		out, errs, _ := st.AssignBatch(qs, serve.BatchOpts{ExactOnly: exact})
+		d.answers(out, errs)
+	}
+	return d
+}
+
 func ddpDigest(res *core.Result) string {
 	return new(digest).f64s(res.Rho).f64s(res.Delta).i32s(res.Upslope).String()
 }
@@ -272,6 +293,10 @@ func goldenLines(ctx context.Context, eng mapreduce.Engine, seed int64, dir stri
 		return nil, fmt.Errorf("ingest: %w", err)
 	}
 	add("ingest", line)
+	if line, err = ingestStreamLine(mdl, qs, batch, filepath.Join(dir, "ingest-stream")); err != nil {
+		return nil, fmt.Errorf("ingest-stream: %w", err)
+	}
+	add("ingest-stream", line)
 	for _, shards := range []int{2, 4} {
 		subs, mf, err := fleet.Partition(mdl, shards, 0)
 		if err != nil {
@@ -519,18 +544,94 @@ func ingestLine(mdl *model.Model, qs []points.Vector, batch [][]float64, dir str
 	if err != nil {
 		return "", err
 	}
-	d := new(digest)
-	for _, a := range acks {
-		d.i32s([]int32{a.ID}).answers([]serve.Assignment{a.Assignment}, []error{nil})
-	}
-	for _, p := range batch {
-		qs = append(qs, p)
-	}
-	for _, exact := range []bool{false, true} {
-		out, errs, _ := st.AssignBatch(qs, serve.BatchOpts{ExactOnly: exact})
-		d.answers(out, errs)
-	}
+	d := new(digest).acks(acks)
+	d.storeAnswers(st, slices.Concat(qs, batchVectors(batch)))
 	return fmt.Sprintf("%s delta_scanned=%d", d, st.Counters()[ingest.CtrDeltaScanned]), nil
+}
+
+// ingestStreamLine drives a store's whole write path over the exported
+// model in a fresh dir: ingest batch[:goldenIngest/2], compact, ingest the
+// rest, close and reopen (replaying the WAL), compact again. The digest
+// covers the acks, qs and batch answered pruned and exact-only after each
+// of those four steps, and the final artifact's bytes. The case runs at
+// GOMAXPROCS 1 and 3, which must print the same line.
+func ingestStreamLine(mdl *model.Model, qs []points.Vector, batch [][]float64, dir string) (string, error) {
+	var line string
+	for _, procs := range []int{1, 3} {
+		l, err := func() (string, error) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return ingestStream(mdl, slices.Concat(qs, batchVectors(batch)), batch, filepath.Join(dir, fmt.Sprint(procs)))
+		}()
+		if err != nil {
+			return "", err
+		}
+		if line != "" && l != line {
+			return "", fmt.Errorf("GOMAXPROCS 3 prints %q, 1 %q", l, line)
+		}
+		line = l
+	}
+	return line, nil
+}
+
+// ingestStream is one run of ingestStreamLine's case; qs holds the queries
+// and the batch points.
+func ingestStream(mdl *model.Model, qs []points.Vector, batch [][]float64, dir string) (string, error) {
+	open := func() (*ingest.Store, error) {
+		return ingest.Open(ingest.Config{Dir: dir, Precision: "f64"}, func() (*model.Model, error) { return mdl, nil })
+	}
+	d := new(digest)
+	var compacted, replayed int64
+	st, err := open()
+	if err != nil {
+		return "", err
+	}
+	defer func() { st.Close() }()
+	half := len(batch) / 2
+	acks, err := st.IngestPoints(batch[:half])
+	if err != nil {
+		return "", err
+	}
+	d.acks(acks)
+	if _, err := st.Compact(); err != nil {
+		return "", err
+	}
+	d.storeAnswers(st, qs)
+	if acks, err = st.IngestPoints(batch[half:]); err != nil {
+		return "", err
+	}
+	d.acks(acks)
+	d.storeAnswers(st, qs)
+	compacted += st.Counters()[ingest.CtrCompactPoints]
+	if err := st.Close(); err != nil {
+		return "", err
+	}
+	if st, err = open(); err != nil {
+		return "", err
+	}
+	d.storeAnswers(st, qs)
+	info, err := st.Compact()
+	if err != nil {
+		return "", err
+	}
+	d.storeAnswers(st, qs)
+	c := st.Counters()
+	compacted += c[ingest.CtrCompactPoints]
+	replayed += c[ingest.CtrReplayed]
+	artifact, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("model-%06d.ddpm", info.Version)))
+	if err != nil {
+		return "", err
+	}
+	d.bytes(artifact)
+	return fmt.Sprintf("%s compact_points=%d replayed=%d", d, compacted, replayed), nil
+}
+
+// batchVectors views an ingest batch as queries.
+func batchVectors(batch [][]float64) []points.Vector {
+	vs := make([]points.Vector, len(batch))
+	for i, p := range batch {
+		vs[i] = p
+	}
+	return vs
 }
 
 // routeLine serves the fleet partition subs of mdl behind a router: one
