@@ -29,9 +29,10 @@ import (
 //     persist). A crash before the CURRENT flip replays everything into
 //     the old base; after it, only the rolled-forward tail replays on the
 //     new.
-//  4. Swap (under mu, briefly): install the engine, drop the promoted
-//     delta prefix, and re-base rhoAdd — mass that arrived after the
-//     snapshot survives as residuals on the new rows.
+//  4. Swap (under ingestMu, then mu, briefly — so between two writer
+//     batches): install the engine, drop the promoted delta prefix, and
+//     re-base rhoAdd — mass that arrived after the snapshot survives as
+//     residuals on the new rows.
 //  5. GC: delete WAL segments and artifacts CURRENT no longer references.
 //
 // Implements serve.IngestBackend.
@@ -89,12 +90,11 @@ func (st *Store) Compact() (serve.IngestInfo, error) {
 	}
 
 	// 4. Swap.
+	st.ingestMu.Lock()
 	st.mu.Lock()
 	st.eng = eng
 	st.version = version + 1
 	st.walSeq = newSeq
-	st.lastBaseN = base.N()
-	st.lastPromoted = promoted
 	newAdd := make([]float64, merged.N())
 	for i := 0; i < base.N(); i++ {
 		newAdd[i] = st.rhoAdd[i] - add[i] // mass folded after the snapshot
@@ -110,6 +110,7 @@ func (st *Store) Compact() (serve.IngestInfo, error) {
 	st.compactions++
 	info := st.infoLocked()
 	st.mu.Unlock()
+	st.ingestMu.Unlock()
 	if st.cfg.OnSwap != nil {
 		st.cfg.OnSwap(eng)
 	}

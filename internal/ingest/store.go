@@ -159,11 +159,12 @@ func fsyncPath(path string) error {
 // periodically promoting the delta into a new base. It implements
 // serve.IngestBackend.
 //
-// Locking: ingestMu serializes writers (and the compactor's snapshot
-// boundary); mu guards the shared read state — queries hold RLock for a
-// whole batch, writers and the compaction swap take Lock briefly. A
-// writer holds ingestMu across WAL append + placement + apply, so replay
-// reprocesses records in exactly the order live traffic committed them.
+// Locking: ingestMu serializes writers and the compactor's snapshot
+// boundary and swap; mu guards the shared read state — queries hold RLock
+// for a whole batch, writers and the compaction swap take Lock briefly.
+// Lock order is ingestMu, then mu. A writer holds ingestMu across WAL
+// append + placement + apply, so replay reprocesses records in exactly the
+// order live traffic committed them, and a swap lands between two batches.
 type Store struct {
 	cfg      Config
 	prec     serve.Precision
@@ -194,13 +195,8 @@ type Store struct {
 	// rhoAdd[i] is the delta density mass folded onto base row i: the
 	// number of ingested points within dc of it since the last compaction.
 	// Served halo flags read Rho[i]+rhoAdd[i]; compaction bakes it in.
-	rhoAdd []float64
-	// Swap bookkeeping: the one compaction that can interleave with an
-	// in-flight writer's placement promotes the first lastPromoted delta
-	// entries to base rows lastBaseN... — apply() remaps with these.
-	lastBaseN    int
-	lastPromoted int
-	compactions  int64
+	rhoAdd      []float64
+	compactions int64
 
 	stopC     chan struct{}
 	doneC     chan struct{}
@@ -386,7 +382,6 @@ func (st *Store) IngestPoints(pts [][]float64) ([]serve.IngestResult, error) {
 
 // placement is the computed-but-not-yet-applied state of one new point.
 type placement struct {
-	version   int64
 	asg       serve.Assignment
 	label     int32
 	rho       float64
@@ -397,7 +392,8 @@ type placement struct {
 // place computes a new point's assignment — what a read at p answers on
 // the same state (assign) — and the density mass it adds. Reads under
 // RLock; the caller applies under Lock. The caller holds ingestMu, which
-// guards the reused candidate buffer.
+// guards the reused candidate buffer and keeps a compaction swap from
+// landing between place and apply.
 func (st *Store) place(p points.Vector) (placement, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -407,7 +403,7 @@ func (st *Store) place(p points.Vector) (placement, error) {
 	if errs[0] != nil {
 		return placement{}, errs[0]
 	}
-	pl := placement{version: st.version, asg: out[0], label: out[0].Cluster}
+	pl := placement{asg: out[0], label: out[0].Cluster}
 	eng := st.eng
 	m := eng.Model()
 	dim, dc2 := m.Dim, m.Dc*m.Dc
@@ -441,24 +437,10 @@ func (st *Store) place(p points.Vector) (placement, error) {
 }
 
 // apply commits a placed point to the delta segment and folds its density
-// mass, remapping fold indices if a compaction swapped the base while the
-// placement was being computed (at most one can: its snapshot boundary
-// holds ingestMu, which the calling writer owns).
+// mass. The caller holds ingestMu.
 func (st *Store) apply(p points.Vector, pl placement) serve.IngestResult {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.version != pl.version {
-		b0, promoted := st.lastBaseN, st.lastPromoted
-		kept := pl.deltaFold[:0]
-		for _, j := range pl.deltaFold {
-			if int(j) < promoted {
-				st.rhoAdd[b0+int(j)]++ // now a base row of the new engine
-			} else {
-				kept = append(kept, j-int32(promoted))
-			}
-		}
-		pl.deltaFold = kept
-	}
 	for _, r := range pl.baseFold {
 		st.rhoAdd[r]++
 	}

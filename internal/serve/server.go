@@ -238,9 +238,11 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, body any, pts *[]
 // answer runs one admitted /assign or /fleet/assign request on the handler
 // that admitted it: it waits in the admission gate (a full queue sheds the
 // request with 429; a client that goes away leaves the queue), makes one
-// engine call on eng — the engine admission validated against — and
-// records the counters, the latency and the trace span. ok is false when
-// the request was not answered.
+// engine call on eng — the engine admission validated against — or, on an
+// ingest node, on the backend's current engine, which a compaction may have
+// swapped in but with eng's dim, LSH layouts and fleet index, and records
+// the counters, the latency and the trace span. ok is false when the
+// request was not answered.
 func (s *Server) answer(w http.ResponseWriter, r *http.Request, eng *Engine, pts [][]float64, opts BatchOpts) (out []Assignment, errs []error, ok bool) {
 	start := time.Now()
 	select {
@@ -270,7 +272,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, eng *Engine, pts
 	if s.ingest == nil {
 		out, errs, st = eng.AssignBatchOpts(qs, opts)
 	} else {
-		out, errs, st = s.assignIngest(qs, opts)
+		out, errs, st = s.ingest.AssignBatch(qs, opts)
 	}
 	s.counters.Add(CtrBusyUS, time.Since(call).Microseconds())
 	s.counters.Add(CtrRequests, 1)
@@ -291,32 +293,6 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, eng *Engine, pts
 		}}})
 	}
 	return out, errs, true
-}
-
-// assignIngest answers through the ingest backend, against base + delta so
-// points are visible the moment they are acked. The store answers on its
-// current engine, which a compaction may have swapped in since admission:
-// the request is re-checked against the swapped-in engine first, and fails
-// as a whole if it no longer fits.
-func (s *Server) assignIngest(qs []points.Vector, opts BatchOpts) ([]Assignment, []error, ScanStats) {
-	eng := s.engine.Load()
-	var err error
-	if opts.Masks != nil && !eng.FleetIndexed() {
-		err = fmt.Errorf("serve: model carries no fleet index")
-	}
-	for _, q := range qs {
-		if len(q) != eng.m.Dim {
-			err = fmt.Errorf("serve: query dim %d, model dim %d", len(q), eng.m.Dim)
-		}
-	}
-	if err == nil {
-		return s.ingest.AssignBatch(qs, opts)
-	}
-	errs := make([]error, len(qs))
-	for i := range errs {
-		errs[i] = err
-	}
-	return make([]Assignment, len(qs)), errs, ScanStats{}
 }
 
 // DecodePoints decodes a JSON request body into body and validates the
