@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fleet"
 	"repro/internal/model"
 )
 
@@ -147,6 +148,50 @@ func squat(t *testing.T, path string) func() {
 	return func() {
 		if err := os.Remove(path); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestCompactionKeepsEngineShape: every compaction swaps in an engine with
+// the first one's dim, LSH layouts and fleet index, over a full model and
+// over a fleet shard's sub-model (RowIDs, ingest IDs at base N+s and stride
+// S, as OPERATIONS.md lays out). The server answers an ingest node's
+// queries on whatever engine the store holds, against a request it
+// validated on an earlier one, and relies on this.
+func TestCompactionKeepsEngineShape(t *testing.T) {
+	m := trainModel(t, 400, 3)
+	subs, _, err := fleet.Partition(m, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name         string
+		m            *model.Model
+		base, stride int64
+	}{
+		{"full", m, 0, 0},
+		{"shard", subs[1], int64(m.N() + 1), 2},
+	} {
+		st := openStore(t, t.TempDir(), tc.m, func(c *Config) { c.IDBase, c.IDStride = tc.base, tc.stride })
+		first := st.Engine()
+		if first.FleetIndexed() != (len(tc.m.RowIDs) > 0) {
+			t.Fatalf("%s: FleetIndexed %v on a model with %d RowIDs", tc.name, first.FleetIndexed(), len(tc.m.RowIDs))
+		}
+		for round := range 2 {
+			if _, err := st.IngestPoints(jitterPts(tc.m, 10*round, 10)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			eng := st.Engine()
+			if eng == first || eng.Model().N() != tc.m.N()+10*(round+1) {
+				t.Fatalf("%s round %d: no new engine with the promoted rows", tc.name, round)
+			}
+			if got, want := eng.Model(), first.Model(); got.Dim != want.Dim || got.LSH != want.LSH || eng.FleetIndexed() != first.FleetIndexed() {
+				t.Fatalf("%s round %d: engine dim %d LSH %+v fleet-indexed %v, want %d %+v %v", tc.name, round,
+					got.Dim, got.LSH, eng.FleetIndexed(), want.Dim, want.LSH, first.FleetIndexed())
+			}
 		}
 	}
 }
