@@ -143,7 +143,6 @@ func runCluster() {
 
 	g, err := res.Graph()
 	fatal(err)
-	g.Rectify()
 	var peaks []int32
 	switch {
 	case *k > 0:

@@ -94,8 +94,7 @@ type Stats struct {
 
 // Result is the outcome of a distributed DP run: per-point quantities
 // indexed by point ID, plus run statistics. Delta may contain +Inf for
-// LSH-DDP local peaks until Graph().Rectify() is applied (Cluster does this
-// automatically).
+// LSH-DDP local peaks; Graph rectifies them.
 type Result struct {
 	Rho     []float64
 	Delta   []float64
@@ -103,11 +102,9 @@ type Result struct {
 	Stats   Stats
 }
 
-// Graph wraps the result arrays as a decision graph. Delta is copied:
-// Graph.Rectify rewrites infinite δ in place, and callers reasonably
-// expect Result to stay untouched across Cluster calls.
+// Graph wraps the result arrays as a decision graph (decision.NewGraph).
 func (r *Result) Graph() (*decision.Graph, error) {
-	return decision.NewGraph(r.Rho, append([]float64(nil), r.Delta...), r.Upslope)
+	return decision.NewGraph(r.Rho, r.Delta, r.Upslope)
 }
 
 // PeakSelector picks density peaks on a (rectified) decision graph.
@@ -127,7 +124,6 @@ func (r *Result) Cluster(ds *points.Dataset, sel PeakSelector) (peaks []int32, l
 	if err != nil {
 		return nil, nil, err
 	}
-	g.Rectify()
 	peaks = sel(g)
 	labels, err = g.Assign(ds, peaks)
 	if err != nil {

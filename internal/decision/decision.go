@@ -22,48 +22,46 @@ import (
 )
 
 // Graph is a decision graph: per-point density and delta-distance, plus the
-// upslope pointers that drive assignment. Delta may contain +Inf for points
-// a distributed algorithm flagged as local absolute peaks; Rectify resolves
-// those before the graph is used.
+// upslope pointers that drive assignment. Every δ is finite: NewGraph
+// rectifies the +Inf a distributed algorithm gives a local absolute peak.
 type Graph struct {
 	Rho     []float64
 	Delta   []float64
 	Upslope []int32
 }
 
-// NewGraph bundles result arrays into a Graph after validating lengths.
+// NewGraph bundles result arrays into a Graph after validating lengths. The
+// graph's δ is a copy of delta with every non-finite value replaced by the
+// maximum finite one, or 1 when none is finite (Section IV-C: "the infinite
+// δ will be rectified as the finite max δ value before drawing them on the
+// decision graph"); rho and upslope are shared.
 func NewGraph(rho, delta []float64, upslope []int32) (*Graph, error) {
 	if len(rho) != len(delta) || len(rho) != len(upslope) {
 		return nil, fmt.Errorf("decision: mismatched lengths rho=%d delta=%d upslope=%d",
 			len(rho), len(delta), len(upslope))
 	}
-	return &Graph{Rho: rho, Delta: delta, Upslope: upslope}, nil
-}
-
-// N returns the number of points.
-func (g *Graph) N() int { return len(g.Rho) }
-
-// Rectify replaces every non-finite δ with the maximum finite δ (Section
-// IV-C: "the infinite δ will be rectified as the finite max δ value before
-// drawing them on the decision graph") and returns that maximum. A graph
-// whose δ are all non-finite rectifies to 1.
-func (g *Graph) Rectify() float64 {
+	finite := func(d float64) bool { return !math.IsInf(d, 0) && !math.IsNaN(d) }
 	maxFinite := math.Inf(-1)
-	for _, d := range g.Delta {
-		if !math.IsInf(d, 0) && !math.IsNaN(d) && d > maxFinite {
+	for _, d := range delta {
+		if finite(d) && d > maxFinite {
 			maxFinite = d
 		}
 	}
 	if math.IsInf(maxFinite, -1) {
 		maxFinite = 1
 	}
-	for i, d := range g.Delta {
-		if math.IsInf(d, 0) || math.IsNaN(d) {
-			g.Delta[i] = maxFinite
+	rect := make([]float64, len(delta))
+	for i, d := range delta {
+		rect[i] = maxFinite
+		if finite(d) {
+			rect[i] = d
 		}
 	}
-	return maxFinite
+	return &Graph{Rho: rho, Delta: rect, Upslope: upslope}, nil
 }
+
+// N returns the number of points.
+func (g *Graph) N() int { return len(g.Rho) }
 
 // Gamma returns γ_i = ρ_i · δ_i, the peak-ness score.
 func (g *Graph) Gamma() []float64 {

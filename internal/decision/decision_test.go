@@ -2,6 +2,7 @@ package decision
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,27 +24,19 @@ func TestNewGraphValidates(t *testing.T) {
 	}
 }
 
+// TestRectify: NewGraph replaces every non-finite δ with the maximum
+// finite δ, 1 when none is finite, and leaves its argument untouched.
 func TestRectify(t *testing.T) {
-	g := mustGraph(t,
-		[]float64{1, 2, 3, 4},
-		[]float64{5, math.Inf(1), 2, math.NaN()},
-		[]int32{-1, -1, 0, 1})
-	maxFinite := g.Rectify()
-	if maxFinite != 5 {
-		t.Fatalf("max finite = %v", maxFinite)
+	delta := []float64{5, math.Inf(1), 2, math.NaN()}
+	g := mustGraph(t, []float64{1, 2, 3, 4}, delta, []int32{-1, -1, 0, 1})
+	if want := []float64{5, 5, 2, 5}; !slices.Equal(g.Delta, want) {
+		t.Fatalf("rectified δ = %v, want %v", g.Delta, want)
 	}
-	for i, d := range g.Delta {
-		if math.IsInf(d, 0) || math.IsNaN(d) {
-			t.Fatalf("delta[%d] not rectified: %v", i, d)
-		}
+	if !math.IsInf(delta[1], 1) || !math.IsNaN(delta[3]) {
+		t.Fatalf("NewGraph rewrote its argument: %v", delta)
 	}
-	if g.Delta[1] != 5 || g.Delta[3] != 5 {
-		t.Fatalf("rectified values = %v", g.Delta)
-	}
-	// All-infinite graph rectifies to 1.
-	g2 := mustGraph(t, []float64{1}, []float64{math.Inf(1)}, []int32{-1})
-	if got := g2.Rectify(); got != 1 || g2.Delta[0] != 1 {
-		t.Fatalf("all-inf rectify = %v, delta %v", got, g2.Delta[0])
+	if g2 := mustGraph(t, []float64{1}, []float64{math.Inf(1)}, []int32{-1}); g2.Delta[0] != 1 {
+		t.Fatalf("all-inf graph rectifies to %v, want 1", g2.Delta[0])
 	}
 }
 

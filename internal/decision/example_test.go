@@ -8,7 +8,8 @@ import (
 	"repro/internal/points"
 )
 
-// The full centralized step: rectify ∞ δ̂, pick peaks, assign clusters.
+// The full centralized step: NewGraph rectifies ∞ δ̂, then pick peaks and
+// assign clusters.
 func ExampleGraph_Assign() {
 	// A hand-built graph: two density mountains (peaks at 0 and 3).
 	ds := points.FromVectors("demo", []points.Vector{{0}, {1}, {2}, {10}, {11}})
@@ -20,7 +21,6 @@ func ExampleGraph_Assign() {
 	if err != nil {
 		panic(err)
 	}
-	g.Rectify() // resolve the Inf before using the graph
 	peaks := g.SelectTopK(2)
 	labels, err := g.Assign(ds, peaks)
 	if err != nil {

@@ -2,7 +2,6 @@ package decision
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -23,7 +22,7 @@ func (g *Graph) Render(width, height int, peaks []int32) string {
 		if g.Rho[i] > maxRho {
 			maxRho = g.Rho[i]
 		}
-		if !math.IsInf(g.Delta[i], 0) && g.Delta[i] > maxDelta {
+		if g.Delta[i] > maxDelta {
 			maxDelta = g.Delta[i]
 		}
 	}
@@ -39,11 +38,7 @@ func (g *Graph) Render(width, height int, peaks []int32) string {
 	}
 	cell := func(i int) (int, int) {
 		x := int(g.Rho[i] / maxRho * float64(width-1))
-		d := g.Delta[i]
-		if math.IsInf(d, 1) {
-			d = maxDelta
-		}
-		y := int(d / maxDelta * float64(height-1))
+		y := int(g.Delta[i] / maxDelta * float64(height-1))
 		return x, height - 1 - y
 	}
 	for i := range g.Rho {

@@ -3,7 +3,6 @@ package decision
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 )
 
@@ -28,7 +27,7 @@ func (g *Graph) RenderSVG(w io.Writer, width, height int, peaks []int32) error {
 		if g.Rho[i] > maxRho {
 			maxRho = g.Rho[i]
 		}
-		if !math.IsInf(g.Delta[i], 0) && !math.IsNaN(g.Delta[i]) && g.Delta[i] > maxDelta {
+		if g.Delta[i] > maxDelta {
 			maxDelta = g.Delta[i]
 		}
 	}
@@ -39,12 +38,8 @@ func (g *Graph) RenderSVG(w io.Writer, width, height int, peaks []int32) error {
 		maxDelta = 1
 	}
 	xy := func(i int) (float64, float64) {
-		d := g.Delta[i]
-		if math.IsInf(d, 1) || math.IsNaN(d) {
-			d = maxDelta
-		}
 		x := float64(margin) + g.Rho[i]/maxRho*plotW
-		y := float64(margin) + (1-d/maxDelta)*plotH
+		y := float64(margin) + (1-g.Delta[i]/maxDelta)*plotH
 		return x, y
 	}
 

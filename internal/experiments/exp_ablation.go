@@ -160,7 +160,6 @@ func ablateRectify(opt *Options, r *Report) error {
 	if err != nil {
 		return err
 	}
-	gExact.Rectify()
 	truePeaks := toSet(gExact.SelectTopK(15))
 
 	infs := 0
@@ -170,11 +169,10 @@ func ablateRectify(opt *Options, r *Report) error {
 		}
 	}
 
-	gRect, err := decision.NewGraph(res.Rho, append([]float64(nil), res.Delta...), res.Upslope)
+	gRect, err := decision.NewGraph(res.Rho, res.Delta, res.Upslope)
 	if err != nil {
 		return err
 	}
-	gRect.Rectify()
 	rectHits := overlap(toSet(gRect.SelectTopK(15)), truePeaks)
 
 	zeroDelta := append([]float64(nil), res.Delta...)

@@ -90,7 +90,6 @@ func extSuggestK(opt *Options, r *Report) error {
 		if err != nil {
 			return err
 		}
-		g.Rectify()
 		got := g.SuggestK(40)
 		r.AddRow("auto-k", tc.name, "suggested k (truth)", fmt.Sprintf("%d (%d)", got, tc.want))
 	}

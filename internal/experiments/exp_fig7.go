@@ -50,7 +50,6 @@ func ExpFig7(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	bg.Rectify()
 	rhoMin, deltaMin := calibrateBox(bg, 15)
 	basicPeaks := bg.SelectBox(rhoMin, deltaMin)
 
@@ -58,7 +57,6 @@ func ExpFig7(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lg.Rectify()
 	lshPeaks := lg.SelectBox(rhoMin, deltaMin)
 
 	basicLabels, err := bg.Assign(ds, basicPeaks)

@@ -70,7 +70,6 @@ func ExpFig8(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.Rectify()
 	peaks := g.SelectTopK(k)
 	dpLabels32, err := g.Assign(ds, peaks)
 	if err != nil {
