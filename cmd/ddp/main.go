@@ -46,6 +46,7 @@ import (
 	"repro/internal/mapreduce/dag"
 	"repro/internal/mapreduce/rpcmr"
 	"repro/internal/obs"
+	"repro/internal/points"
 )
 
 func main() {
@@ -202,7 +203,7 @@ func runCluster() {
 
 // runAlgorithm runs algo on ds: lsh with lsh's knobs, basic with basic's,
 // eddpc and exact on lsh.Config.
-func runAlgorithm(ctx context.Context, ds *dataset.DS, algo string, lsh core.LSHConfig, basic core.BasicConfig) (*core.Result, error) {
+func runAlgorithm(ctx context.Context, ds *points.Dataset, algo string, lsh core.LSHConfig, basic core.BasicConfig) (*core.Result, error) {
 	cfg := lsh.Config
 	switch algo {
 	case "lsh":
@@ -334,7 +335,7 @@ func runGen(args []string) {
 	if size > 0 {
 		ds = dataset.Subsample(ds, size) // strided: a prefix would drop whole clusters
 	}
-	write := func(path string, ds *dataset.DS) {
+	write := func(path string, ds *points.Dataset) {
 		writeOut(path, func(w io.Writer) error { return dataset.WriteCSV(w, ds) })
 		if path != "-" && path != "" {
 			fmt.Fprintf(os.Stderr, "ddp: wrote %d points (dim %d) to %s\n", ds.N(), ds.Dim(), path)
@@ -401,7 +402,7 @@ func buildEngine(listen string, minWorkers int, wait, monitor time.Duration, ver
 	return m, func() { m.Close() }
 }
 
-func readCSV(path, name string, labeled bool) *dataset.DS {
+func readCSV(path, name string, labeled bool) *points.Dataset {
 	ds, err := dataset.ReadCSVFile(path, name, labeled)
 	fatal(err)
 	return ds

@@ -11,9 +11,6 @@ import (
 	"repro/internal/points"
 )
 
-// dsAlias keeps the Spec type readable without an import cycle in docs.
-type dsAlias = points.Dataset
-
 // WriteCSV writes the data set as CSV: one row per point, coordinates in
 // order; when labels exist a final "label" column is appended.
 func WriteCSV(w io.Writer, ds *points.Dataset) error {

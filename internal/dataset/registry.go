@@ -3,6 +3,8 @@ package dataset
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/points"
 )
 
 // Spec describes one named data set the experiment harness can request.
@@ -15,11 +17,8 @@ type Spec struct {
 	PaperN   int
 	PaperDim int
 	Scale    int // PaperN / N (approximately)
-	Gen      func(seed int64) *DS
+	Gen      func(seed int64) *points.Dataset
 }
-
-// DS aliases points.Dataset to keep Spec readable.
-type DS = dsAlias
 
 // Registry returns the Table II data sets at their experiment scales,
 // ordered as in the paper.
@@ -27,31 +26,31 @@ func Registry() []Spec {
 	return []Spec{
 		{
 			Name: "Aggregation", N: 788, Dim: 2, PaperN: 788, PaperDim: 2, Scale: 1,
-			Gen: func(seed int64) *DS { return Aggregation(seed) },
+			Gen: func(seed int64) *points.Dataset { return Aggregation(seed) },
 		},
 		{
 			Name: "S2", N: 5000, Dim: 2, PaperN: 5000, PaperDim: 2, Scale: 1,
-			Gen: func(seed int64) *DS { return S2(seed) },
+			Gen: func(seed int64) *points.Dataset { return S2(seed) },
 		},
 		{
 			Name: "Facial", N: 5587, Dim: 300, PaperN: 27936, PaperDim: 300, Scale: 5,
-			Gen: func(seed int64) *DS { return Facial(5587, seed) },
+			Gen: func(seed int64) *points.Dataset { return Facial(5587, seed) },
 		},
 		{
 			Name: "KDD", N: 14575, Dim: 74, PaperN: 145751, PaperDim: 74, Scale: 10,
-			Gen: func(seed int64) *DS { return KDD(14575, seed) },
+			Gen: func(seed int64) *points.Dataset { return KDD(14575, seed) },
 		},
 		{
 			Name: "3Dspatial", N: 21744, Dim: 4, PaperN: 434874, PaperDim: 4, Scale: 20,
-			Gen: func(seed int64) *DS { return Spatial3D(21744, seed) },
+			Gen: func(seed int64) *points.Dataset { return Spatial3D(21744, seed) },
 		},
 		{
 			Name: "BigCross500K", N: 25000, Dim: 57, PaperN: 500000, PaperDim: 57, Scale: 20,
-			Gen: func(seed int64) *DS { return BigCross(25000, seed) },
+			Gen: func(seed int64) *points.Dataset { return BigCross(25000, seed) },
 		},
 		{
 			Name: "BigCross", N: 116203, Dim: 57, PaperN: 11620300, PaperDim: 57, Scale: 100,
-			Gen: func(seed int64) *DS { return BigCross(116203, seed) },
+			Gen: func(seed int64) *points.Dataset { return BigCross(116203, seed) },
 		},
 	}
 }

@@ -47,10 +47,7 @@ const (
 
 // Neighbor is one join result entry: a base-side point ID and the exact
 // squared distance to the query.
-type Neighbor struct {
-	ID int32
-	D2 float64
-}
+type Neighbor = points.Neighbor
 
 // encodeTagged prefixes a point record with a side tag.
 func encodeTagged(tag byte, p points.Point) []byte {

@@ -232,11 +232,12 @@ func ShipMask(tail []byte) (masked bool, mask []byte, err error) {
 }
 
 // Neighbor is one entry of a point's nearest-neighbour list in pair-once
-// LSH-DDP (DESIGN.md "δ̂ from the ρ pass"): another point's ID and its exact
-// squared distance. On the wire it is the ID (as a uint32) as a minimal
-// uvarint and the float64 bits of D2: the top-k merges and δ̂ read D2
-// exactly. A list is its entries in ascending (D2, ID) order, each ID once
-// and never the point's own, every D2 finite and not negative.
+// LSH-DDP (DESIGN.md "δ̂ from the ρ pass") or in the kNN-join's results:
+// another point's ID and its exact squared distance. On the ρ pass's wire it
+// is the ID (as a uint32) as a minimal uvarint and the float64 bits of D2:
+// the top-k merges and δ̂ read D2 exactly. A list is its entries in
+// ascending (D2, ID) order, each ID once and never the point's own, every D2
+// finite and not negative.
 type Neighbor struct {
 	ID int32
 	D2 float64

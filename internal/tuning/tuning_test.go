@@ -9,9 +9,10 @@ import (
 	"repro/internal/dp"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
+	"repro/internal/points"
 )
 
-func testModel(t *testing.T) (*Model, *dataset.DS) {
+func testModel(t *testing.T) (*Model, *points.Dataset) {
 	t.Helper()
 	ds := dataset.BigCross(3000, 7)
 	dc := dp.CutoffByPercentile(ds, 0.02, 1)
@@ -161,7 +162,7 @@ func TestRecommendErrors(t *testing.T) {
 	if _, err := m.Evaluate(ds, 0, 3, 1); err == nil {
 		t.Fatal("want error for m=0")
 	}
-	if _, err := m.Evaluate(&dataset.DS{}, 1, 1, 1); err == nil {
+	if _, err := m.Evaluate(&points.Dataset{}, 1, 1, 1); err == nil {
 		t.Fatal("want error for empty data set")
 	}
 }
