@@ -581,6 +581,11 @@ func ingestStream(mdl *model.Model, qs []points.Vector, batch [][]float64, dir s
 	}
 	d := new(digest)
 	var compacted, replayed int64
+	count := func(st *ingest.Store) {
+		c := st.Counters()
+		compacted += c[ingest.CtrCompactPoints]
+		replayed += c[ingest.CtrReplayed]
+	}
 	st, err := open()
 	if err != nil {
 		return "", err
@@ -601,7 +606,7 @@ func ingestStream(mdl *model.Model, qs []points.Vector, batch [][]float64, dir s
 	}
 	d.acks(acks)
 	d.storeAnswers(st, qs)
-	compacted += st.Counters()[ingest.CtrCompactPoints]
+	count(st)
 	if err := st.Close(); err != nil {
 		return "", err
 	}
@@ -614,9 +619,7 @@ func ingestStream(mdl *model.Model, qs []points.Vector, batch [][]float64, dir s
 		return "", err
 	}
 	d.storeAnswers(st, qs)
-	c := st.Counters()
-	compacted += c[ingest.CtrCompactPoints]
-	replayed += c[ingest.CtrReplayed]
+	count(st)
 	artifact, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("model-%06d.ddpm", info.Version)))
 	if err != nil {
 		return "", err
