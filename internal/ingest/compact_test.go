@@ -138,6 +138,70 @@ func TestCompactFailureLeavesNoTemp(t *testing.T) {
 	}
 }
 
+// TestCompactKeepsMassFoldedDuringBuild: a batch that lands while a
+// compaction persists its artifact — after the snapshot, before the swap —
+// folds density mass onto base rows and onto the rows being promoted. The
+// swap keeps that mass as residuals, so every row serves the mass of a store
+// that ingested the same batches and never compacted: base row i
+// Rho[i]+rhoAdd[i], promoted row j its delta density, the late batch its
+// own.
+func TestCompactKeepsMassFoldedDuringBuild(t *testing.T) {
+	m := trainModel(t, 400, 3)
+	early := jitterPts(m, 0, 20)
+	late := make([][]float64, len(early))
+	for i, p := range early {
+		late[i] = []float64{p[0] + 5e-4, p[1]}
+	}
+	ref := openStore(t, t.TempDir(), m, nil)
+	for _, batch := range [][][]float64{early, late} {
+		if _, err := ref.IngestPoints(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := openStore(t, t.TempDir(), m, func(c *Config) { c.Fsync = true })
+	if _, err := st.IngestPoints(early); err != nil {
+		t.Fatal(err)
+	}
+	landed := false
+	st.syncPath = func(path string) error {
+		if !landed {
+			landed = true
+			if _, err := st.IngestPoints(late); err != nil {
+				t.Errorf("ingest during the build: %v", err)
+			}
+		}
+		return fsyncPath(path)
+	}
+	if _, err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if !landed || len(st.dRho) != len(late) {
+		t.Fatalf("late batch landed %v, %d delta rows after the swap, want %d", landed, len(st.dRho), len(late))
+	}
+	n, merged := m.N(), st.Engine().Model()
+	var baseResidual, promotedResidual bool
+	for i := range merged.N() {
+		var want float64
+		if i < n {
+			want = m.Rho[i] + ref.rhoAdd[i]
+			baseResidual = baseResidual || st.rhoAdd[i] != 0
+		} else {
+			want = ref.dRho[i-n]
+			promotedResidual = promotedResidual || st.rhoAdd[i] != 0
+		}
+		got := merged.Rho[i] + st.rhoAdd[i]
+		if got != want {
+			t.Fatalf("row %d (base %d rows) serves mass %v, the uncompacted store %v", i, n, got, want)
+		}
+	}
+	if !baseResidual || !promotedResidual {
+		t.Fatalf("late batch left residuals on base rows %v, on promoted rows %v: want both", baseResidual, promotedResidual)
+	}
+	if want := ref.dRho[len(early):]; !reflect.DeepEqual(st.dRho, want) {
+		t.Fatalf("late batch's densities %v, the uncompacted store's %v", st.dRho, want)
+	}
+}
+
 // squat makes an empty directory at path, so a rename onto it fails, and
 // returns its removal.
 func squat(t *testing.T, path string) func() {
