@@ -40,48 +40,26 @@ type HaloResult struct {
 	Stats Stats
 }
 
-// labeled point record: RhoPoint | int32 label.
-func encodeLabeled(rp points.RhoPoint, label int32) []byte {
+// labeled point record: RhoPoint | int32 label | ship mask, the mask's
+// bytes as planRho's record carries them (none: every layout).
+func encodeLabeled(rp points.RhoPoint, label int32, mask []byte) []byte {
 	buf := points.AppendRhoPoint(nil, rp)
-	return binary.LittleEndian.AppendUint32(buf, uint32(label))
+	return append(binary.LittleEndian.AppendUint32(buf, uint32(label)), mask...)
 }
-
-func decodeLabeled(v []byte) (points.RhoPoint, int32, error) {
-	rp, rest, err := points.DecodeRhoPoint(v)
-	if err != nil {
-		return points.RhoPoint{}, 0, err
-	}
-	if len(rest) != 4 {
-		return points.RhoPoint{}, 0, fmt.Errorf("core: labeled point tail is %d bytes, want 4", len(rest))
-	}
-	return rp, int32(binary.LittleEndian.Uint32(rest)), nil
-}
-
-// border record keyed by cluster: float64 border density.
-func clusterKey(c int32) string { return fmt.Sprintf("c%06d", c) }
 
 // LSHHaloJob computes, per LSH partition, each cluster's local border
 // density: the max of (ρ_i+ρ_j)/2 over cross-cluster pairs within d_c. The
 // aggregated maximum depends only on the set of distinct co-bucketed pairs,
-// so a partition leaves out the pairs an earlier layout's partition holds
-// too (paironce.go).
+// so a reducer walks the pairs it owns, as the ρ job's do (paironce.go), and
+// takes the ρ job's ship plan and runs-apart pruning: a pruned pair lies at
+// d_c or beyond and raises no border. A same-cluster pair is skipped before
+// its distance is computed.
 func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 	drawn := mapreduce.ConfOnce(layoutsOf)
 	return &mapreduce.Job{
 		Name: JobLSHHalo,
 		Conf: conf,
-		Map: func(ctx *mapreduce.TaskContext, _ string, value []byte, out mapreduce.Emitter) error {
-			rp, _, err := decodeLabeled(value)
-			if err != nil {
-				return err
-			}
-			l, err := drawn(ctx.Conf)
-			if err != nil {
-				return err
-			}
-			l.EachKey(rp.Pos, func(key string) { out.Emit(key, value) })
-			return nil
-		},
+		Map:  plannedMap(drawn, 8+4), // ρ and label
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
 			l, err := drawn(ctx.Conf)
 			if err != nil {
@@ -93,63 +71,63 @@ func LSHHaloJob(conf mapreduce.Conf) *mapreduce.Job {
 			}
 			dc := ctx.Conf.GetFloat(confDc, 0)
 			dc2 := dc * dc
-			// Batch-decode the partition into one SoA matrix (labels in a
-			// parallel column) so the pairwise scan walks flat storage
-			// instead of per-record heap Vectors.
-			m := points.GetMatrix()
-			defer points.PutMatrix(m)
-			labels := make([]int32, 0, len(values))
-			for _, v := range values {
-				rest, err := m.AppendRhoPoint(v)
-				if err != nil {
-					return err
-				}
-				if len(rest) != 4 {
-					return fmt.Errorf("core: labeled point tail is %d bytes, want 4", len(rest))
-				}
-				labels = append(labels, int32(binary.LittleEndian.Uint32(rest)))
-			}
 			po := pairOncePool.Get().(*pairOnce)
 			defer pairOncePool.Put(po)
-			rows := po.order[:0]
-			for r := 0; r < m.N(); r++ {
-				rows = append(rows, int32(r))
+			var arrived []int32 // labels in arrival order
+			m, err := po.load(l, own, own, values, func(m *points.Matrix, values [][]byte) error {
+				m.Reset()
+				for _, v := range values {
+					rest, err := m.AppendRhoPoint(v)
+					if err != nil {
+						return err
+					}
+					if len(rest) != 4 {
+						return fmt.Errorf("core: labeled point tail is %d bytes, want 4", len(rest))
+					}
+					arrived = append(arrived, int32(binary.LittleEndian.Uint32(rest)))
+				}
+				return nil
+			})
+			if err != nil {
+				return err
 			}
-			po.order = rows
-			po.sign(l, m, own, own, rows)
+			defer points.PutMatrix(m)
+			labels := make([]int32, m.N())
+			for i, r := range po.order {
+				labels[i] = arrived[r]
+			}
+			blocks, pruned, skipped := po.owned(m, own, dc2)
 			border := map[int32]float64{}
-			var nd, skipped int64
-			for i := 0; i < m.N(); i++ {
-				ri := m.Row(i)
-				for j := i + 1; j < m.N(); j++ {
-					if labels[i] == labels[j] {
-						continue
-					}
-					if po.sharesEarlier(i, j, own) {
-						skipped++
-						continue
-					}
-					nd++
-					if points.SqDist(ri, m.Row(j)) >= dc2 {
-						continue
-					}
-					avg := (m.Rho(i) + m.Rho(j)) / 2
-					if avg > border[labels[i]] {
-						border[labels[i]] = avg
-					}
-					if avg > border[labels[j]] {
-						border[labels[j]] = avg
+			var nd int64
+			for _, b := range blocks {
+				for i := b.ALo; i < b.AHi; i++ {
+					for j := max(b.BLo, i+1); j < b.BHi; j++ {
+						if labels[i] == labels[j] {
+							skipped++
+							continue
+						}
+						nd++
+						if points.SqDist(m.Row(i), m.Row(j)) >= dc2 {
+							continue
+						}
+						avg := (m.Rho(i) + m.Rho(j)) / 2
+						if avg > border[labels[i]] {
+							border[labels[i]] = avg
+						}
+						if avg > border[labels[j]] {
+							border[labels[j]] = avg
+						}
 					}
 				}
 			}
-			countPairs(ctx, nd, 0, skipped)
+			countPairs(ctx, nd, pruned, skipped)
 			clusters := make([]int32, 0, len(border))
 			for c := range border {
 				clusters = append(clusters, c)
 			}
 			slices.Sort(clusters)
 			for _, c := range clusters {
-				out.Emit(clusterKey(c), points.EncodeFloat64(border[c]))
+				out.Emit(mapreduce.IDKey(c), points.EncodeFloat64(border[c]))
 			}
 			return nil
 		},
@@ -212,9 +190,18 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 	if err != nil {
 		return nil, err
 	}
-	input := make([]mapreduce.Pair, ds.N())
+	layouts, err := layoutsOf(conf)
+	if err != nil {
+		return nil, err
+	}
+	plain := InputPairs(ds)
+	_, input, err := planRho(plain, layouts, conf)
+	if err != nil {
+		return nil, err
+	}
 	for i, p := range ds.Points {
-		input[i] = mapreduce.Pair{Value: encodeLabeled(points.RhoPoint{Point: p, Rho: rho[i]}, labels[i])}
+		mask := input[i].Value[len(plain[i].Value):]
+		input[i].Value = encodeLabeled(points.RhoPoint{Point: p, Rho: rho[i]}, labels[i], mask)
 	}
 	sess := cfg.DagSession()
 	mark := sess.Mark()
@@ -232,12 +219,9 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 		Border: make([]float64, nClusters),
 	}
 	for _, p := range agg {
-		var c int32
-		if _, err := fmt.Sscanf(p.Key, "c%d", &c); err != nil {
-			return nil, fmt.Errorf("core: bad cluster key %q", p.Key)
-		}
-		if c < 0 || c >= nClusters {
-			return nil, fmt.Errorf("core: cluster key %d out of range", c)
+		c, err := pointOf(p.Key, int(nClusters))
+		if err != nil {
+			return nil, err
 		}
 		res.Border[c] = points.DecodeFloat64(p.Value)
 	}

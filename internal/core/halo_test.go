@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/mapreduce"
 	"repro/internal/points"
 )
 
@@ -77,7 +80,7 @@ func TestRunLSHHaloFlagsSparseBridge(t *testing.T) {
 	}
 	// The LSH border estimate is an underestimate, so the estimated halo
 	// set must be a subset of the exact halo set.
-	exactBorder := exactBorders(ds, labels, rho, dc, len(hr.Border))
+	exactBorder := exactBorders(ds, labels, rho, dc, len(hr.Border), nil)
 	for i, h := range hr.Halo {
 		if h && rho[i] >= exactBorder[labels[i]] {
 			t.Fatalf("point %d flagged halo but exceeds the exact border", i)
@@ -94,7 +97,7 @@ func TestRunLSHHaloUnderestimatesExactBorder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactBorder := exactBorders(ds, labels, rho, dc, len(hr.Border))
+	exactBorder := exactBorders(ds, labels, rho, dc, len(hr.Border), nil)
 	for c := range hr.Border {
 		if hr.Border[c] > exactBorder[c]+1e-9 {
 			t.Fatalf("cluster %d: estimated border %v exceeds exact %v", c, hr.Border[c], exactBorder[c])
@@ -119,13 +122,14 @@ func TestRunLSHHaloValidation(t *testing.T) {
 	}
 }
 
-// exactBorders recomputes border densities by brute force.
-func exactBorders(ds *points.Dataset, labels []int32, rho []float64, dc float64, k int) []float64 {
+// exactBorders recomputes border densities by brute force, over the pairs
+// keep admits (every pair when keep is nil).
+func exactBorders(ds *points.Dataset, labels []int32, rho []float64, dc float64, k int, keep func(i, j int) bool) []float64 {
 	border := make([]float64, k)
 	dc2 := dc * dc
 	for i := 0; i < ds.N(); i++ {
 		for j := i + 1; j < ds.N(); j++ {
-			if labels[i] == labels[j] {
+			if labels[i] == labels[j] || keep != nil && !keep(i, j) {
 				continue
 			}
 			if points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos) < dc2 {
@@ -140,6 +144,60 @@ func exactBorders(ds *points.Dataset, labels []int32, rho []float64, dc float64,
 		}
 	}
 	return border
+}
+
+// TestHaloBorderIsCoBucketedMax: the distributed border is, bit for bit,
+// the brute-force max over the cross-cluster pairs within d_c that share a
+// bucket in some layout — the pair set the LSH jobs see, whatever the ship
+// plan drops and the reducers prune or leave to an earlier layout. On the
+// count-identity fixture, and on an integer lattice whose every point is
+// stored three times, the copies in one cluster, where distances tie at d_c
+// and densities tie too.
+func TestHaloBorderIsCoBucketedMax(t *testing.T) {
+	rng := points.NewRand(8)
+	var vs []points.Vector
+	for i := 0; i < 160; i++ {
+		v := points.Vector{float64(rng.Intn(16)), float64(rng.Intn(12))}
+		vs = append(vs, v, v.Clone(), v.Clone())
+	}
+	lattice := points.FromVectors("halo-lattice", vs)
+	for _, c := range []struct {
+		name     string
+		ds       *points.Dataset
+		cfg      LSHConfig
+		clusters int // point i's cluster is i/group % clusters
+		group    int
+		rhos     int // densities are drawn from 0 … rhos−1
+	}{
+		{"blobs", dataset.Blobs("count", 300, 3, 4, 30, 2.5, 5), LSHConfig{Config: Config{Dc: 2, Seed: 3}, M: 7, Pi: 2, W: 9}, 60, 1, 1000},
+		{"lattice", lattice, LSHConfig{Config: Config{Dc: 2, Seed: 5}, M: 6, Pi: 2, W: 5}, 40, 3, 50},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rho := make([]float64, c.ds.N())
+			labels := make([]int32, c.ds.N())
+			for i := range rho {
+				rho[i], labels[i] = float64(rng.Intn(c.rhos)), int32(i/c.group%c.clusters)
+			}
+			cb := newCoBucketed(c.ds, c.cfg)
+			want := exactBorders(c.ds, labels, rho, c.cfg.Dc, c.clusters, func(i, j int) bool { return cb.shared(i, j) > 0 })
+			if slices.Max(want) == 0 {
+				t.Fatal("fixture raises no border")
+			}
+			for _, par := range []int{1, 3} {
+				cfg := c.cfg
+				cfg.Engine = &mapreduce.LocalEngine{Parallelism: par}
+				hr, err := RunLSHHalo(context.Background(), c.ds, rho, labels, cfg.Dc, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range want {
+					if math.Float64bits(hr.Border[k]) != math.Float64bits(want[k]) {
+						t.Fatalf("parallelism %d: border[%d] = %v, brute force over the co-bucketed pairs %v", par, k, hr.Border[k], want[k])
+					}
+				}
+			}
+		})
+	}
 }
 
 func TestHaloJobFactoriesComplete(t *testing.T) {

@@ -242,24 +242,7 @@ func lshRhoJob(conf mapreduce.Conf, prune bool) *mapreduce.Job {
 	return &mapreduce.Job{
 		Name: JobLSHRho,
 		Conf: conf,
-		Map: func(ctx *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
-			if key == rhoUnshippedKey {
-				return countUnshipped(ctx, value, CtrPairsPruned, CtrPairsSkipped)
-			}
-			p, rest, err := points.DecodePoint(value)
-			if err != nil {
-				return err
-			}
-			masked, mask, err := points.ShipMask(rest)
-			if err != nil {
-				return err
-			}
-			l, err := drawn(ctx.Conf)
-			if err != nil {
-				return err
-			}
-			return shipTo(l, p, masked, mask, value[:len(value)-len(rest)], out)
-		},
+		Map:  plannedMap(drawn, 0),
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
 			l, err := drawn(ctx.Conf)
 			if err != nil {
@@ -429,11 +412,11 @@ func certifyDelta(rhoOut []mapreduce.Pair, n int) ([]mapreduce.Pair, error) {
 }
 
 // planRho returns the ρ job's input (DESIGN.md "Pair ownership", the ρ
-// shipping rule) and every point's bucket ids under the M layouts of l
-// (lsh.Index.RowKeys: point i's at [i·M, (i+1)·M)), which shipRows reads
-// later. It indexes the points of input, InputPairs' records, and runs each
-// later layout's ownership walk, ownedRuns, on that index, at the d_c its
-// reducers read from conf. A point's record gets a ship mask
+// shipping rule), whose masks the halo job's input carries too, and every
+// point's bucket ids under the M layouts of l (lsh.Index.RowKeys: point i's
+// at [i·M, (i+1)·M)), which shipRows reads later. It indexes the points of
+// input, InputPairs' records, and runs each later layout's ownership walk,
+// ownedRuns, on that index, at the d_c its reducers read from conf. A point's record gets a ship mask
 // (points.AppendShipMask) listing layout 0 and each layout where its run
 // keeps a pair. A reducer then receives whole runs, every one that keeps a
 // pair and so its partners, so each run's box, the blocks' pair set and
@@ -665,6 +648,35 @@ func countUnshipped(ctx *mapreduce.TaskContext, value []byte, ctrs ...string) er
 		ctx.Counters.Add(ctrs[x], c)
 	}
 	return nil
+}
+
+// plannedMap is the map of the LSH jobs planRho plans, the ρ job and the
+// halo job: a record is a point, extra bytes the job's reducers read after
+// it, and an optional ship mask, and the point and its extra bytes travel as
+// shipTo says. The rhoUnshippedKey record's pairs count as pruned and
+// skipped.
+func plannedMap(drawn func(mapreduce.Conf) (*lsh.Layouts, error), extra int) mapreduce.MapFunc {
+	return func(ctx *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
+		if key == rhoUnshippedKey {
+			return countUnshipped(ctx, value, CtrPairsPruned, CtrPairsSkipped)
+		}
+		p, rest, err := points.DecodePoint(value)
+		if err != nil {
+			return err
+		}
+		if len(rest) < extra {
+			return fmt.Errorf("core: point %d is followed by %d bytes, want at least %d", p.ID, len(rest), extra)
+		}
+		masked, mask, err := points.ShipMask(rest[extra:])
+		if err != nil {
+			return err
+		}
+		l, err := drawn(ctx.Conf)
+		if err != nil {
+			return err
+		}
+		return shipTo(l, p, masked, mask, value[:len(value)-len(rest)+extra], out)
+	}
 }
 
 // shipTo emits value under p's key in every layout when its record carries

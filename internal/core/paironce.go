@@ -20,23 +20,25 @@ import (
 // reducer of layout m re-derives every row's keys from its coordinates
 // (nothing extra is shuffled), orders its rows by their buckets in layouts
 // 0 … m−1 and skips — as whole blocks — the pairs an earlier layout owns,
-// and, on the ρ job, the owned blocks whose two runs lie d_c apart. The
-// driver takes the same steps on its own bucket index before the ρ job
-// (planRho), so that job ships a row only to the reducers where its run
-// keeps a pair.
+// and, on the ρ and halo jobs, the owned blocks whose two runs lie d_c
+// apart. The driver takes the same steps on its own bucket index before
+// those jobs (planRho), so they ship a row only to the reducers where its
+// run keeps a pair.
 
 // CtrPairsSkipped counts the co-bucketed pairs an LSH job did not evaluate
-// because another reducer's pass covers them: an earlier layout owns them,
-// or — on the δ job — neither point's δ̂ needs them, so one of the two never
-// reached the bucket (shipRows). dp.distance.computations +
+// because another reducer's pass covers them or the job needs nothing of
+// them: an earlier layout owns them, on the δ job neither point's δ̂ needs
+// them, so one of the two never reached the bucket (shipRows), and on the
+// halo job the two points share a cluster. dp.distance.computations +
 // dp.lsh.pairs.pruned + dp.lsh.pairs.skipped of one LSH job is
 // Σ C(|bucket|, 2) over every bucket of every layout.
 const CtrPairsSkipped = "dp.lsh.pairs.skipped"
 
-// CtrPairsPruned counts the owned pairs a ρ reducer did not evaluate because
-// their two runs lie at least d_c apart on some axis (apart): no such pair
-// is within d_c, so none could count or be listed. Zero on the δ job, which
-// never prunes.
+// CtrPairsPruned counts the owned pairs a ρ or halo reducer did not evaluate
+// because their two runs lie at least d_c apart on some axis (apart): no such
+// pair is within d_c, so none could count, be listed or raise a border. The
+// halo job prunes what the ρ job prunes; zero on the δ job, which never
+// prunes.
 const CtrPairsPruned = "dp.lsh.pairs.pruned"
 
 // pairOnce is the scratch of one pair-once reduce call: the rows' bucket
@@ -277,8 +279,8 @@ func (po *pairOnce) owned(m *points.Matrix, own int, reach2 float64) (blocks []k
 	return blocks, pruned, skipped
 }
 
-// ownedRuns is the ownership decision of a layout own ≥ 1, which the ρ and
-// δ reducers and the driver's ρ ship plan all take: it cuts the loaded rows
+// ownedRuns is the ownership decision of a layout own ≥ 1, which the ρ, δ
+// and halo reducers and the driver's ρ ship plan all take: it cuts the loaded rows
 // of m into runs of equal earlier-layout buckets — rows [po.segs[g],
 // po.segs[g+1]) — and calls visit, in ascending (g, h) order, for every pair
 // of runs g < h that differ in every earlier layout, the run pairs the

@@ -303,7 +303,8 @@ func prunedPairs(t *testing.T, ds *points.Dataset, cfg LSHConfig) [][2]int32 {
 // or beyond — and skips exactly the repeats; the δ job prunes nothing,
 // evaluates exactly the pairs whose two points both travel to the pair's
 // owner, skips the rest of the co-bucketed incidences, and counts the
-// certified points.
+// certified points; the halo job prunes what the ρ job prunes, evaluates the
+// cross-cluster pairs of the rest and skips the others.
 func TestPairOnceCountIdentity(t *testing.T) {
 	ds := dataset.Blobs("count", 300, 3, 4, 30, 2.5, 5)
 	cfg := LSHConfig{Config: Config{Engine: testEngine(), Dc: 2, Seed: 3}, M: 7, Pi: 2, W: 9}
@@ -345,32 +346,21 @@ func TestPairOnceCountIdentity(t *testing.T) {
 		t.Fatalf("%d distance computations, want %d distinct co-bucketed pairs − %d pruned + %d around open points",
 			res.Stats.DistanceComputations, distinct, len(pruned), deltaPairs)
 	}
-	want := map[string][4]int64{ // job → evaluated, pruned, evaluated + pruned + skipped, certified
-		JobLSHRho: {rhoPairs, int64(len(pruned)), slots, 0},
-		JobLSHDel: {deltaPairs, 0, slots, int64(certified)},
-	}
-	for _, j := range res.Stats.Jobs {
-		w, ok := want[j.Name]
-		if !ok {
-			continue
-		}
-		ev, pr, sk := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[CtrPairsPruned], j.Counters[CtrPairsSkipped]
-		if ce := j.Counters[CtrDeltaCertified]; ev != w[0] || pr != w[1] || ev+pr+sk != w[2] || ce != w[3] {
-			t.Fatalf("%s: evaluated %d pruned %d skipped %d certified %d, want %d, %d, %d and %d",
-				j.Name, ev, pr, sk, ce, w[0], w[1], w[2]-w[0]-w[1], w[3])
-		}
-	}
-
-	// The halo job looks at cross-cluster pairs only and applies the same
-	// ownership to them.
+	// The halo job walks the ρ job's owned, unpruned pairs and evaluates the
+	// cross-cluster ones.
 	labels := make([]int32, ds.N())
-	distinct, slots = 0, 0
 	for i := range labels {
 		labels[i] = int32(i % 4)
-		for j := 0; j < i; j++ {
-			if s := cb.shared(i, j); s > 0 && labels[i] != labels[j] {
-				distinct++
-				slots += int64(s)
+	}
+	prunedSet := map[[2]int32]bool{}
+	for _, p := range pruned {
+		prunedSet[[2]int32{min(p[0], p[1]), max(p[0], p[1])}] = true
+	}
+	var haloPairs int64
+	for i := 0; i < ds.N(); i++ {
+		for j := i + 1; j < ds.N(); j++ {
+			if labels[i] != labels[j] && cb.shared(i, j) > 0 && !prunedSet[[2]int32{int32(i), int32(j)}] {
+				haloPairs++
 			}
 		}
 	}
@@ -378,20 +368,37 @@ func TestPairOnceCountIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range halo.Stats.Jobs {
-		if j.Name != JobLSHHalo {
+	want := map[string][4]int64{ // job → evaluated, pruned, evaluated + pruned + skipped, certified
+		JobLSHRho:  {rhoPairs, int64(len(pruned)), slots, 0},
+		JobLSHDel:  {deltaPairs, 0, slots, int64(certified)},
+		JobLSHHalo: {haloPairs, int64(len(pruned)), slots, 0},
+	}
+	seen := 0
+	for _, j := range slices.Concat(res.Stats.Jobs, halo.Stats.Jobs) {
+		w, ok := want[j.Name]
+		if !ok {
 			continue
 		}
-		if ev, sk := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[CtrPairsSkipped]; ev != distinct || ev+sk != slots {
-			t.Fatalf("%s: evaluated %d skipped %d, want %d and %d", j.Name, ev, sk, distinct, slots-distinct)
+		seen++
+		ev, pr, sk := j.Counters[mapreduce.CtrDistanceComputations], j.Counters[CtrPairsPruned], j.Counters[CtrPairsSkipped]
+		if ce := j.Counters[CtrDeltaCertified]; ev != w[0] || pr != w[1] || ev+pr+sk != w[2] || ce != w[3] {
+			t.Fatalf("%s: evaluated %d pruned %d skipped %d certified %d, want %d, %d, %d and %d",
+				j.Name, ev, pr, sk, ce, w[0], w[1], w[2]-w[0]-w[1], w[3])
 		}
+	}
+	if seen != len(want) {
+		t.Fatalf("%d of the %d LSH jobs ran", seen, len(want))
+	}
+	if haloPairs >= rhoPairs {
+		t.Fatalf("halo evaluates %d pairs, the ρ job %d: same-cluster pairs are not skipped", haloPairs, rhoPairs)
 	}
 }
 
 // TestPairOnceArrivalOrder: a reducer sorts its rows before any kernel
 // runs, so its output is byte-identical under any permutation of its values
-// — the in-memory and merged-run shuffles deliver different orders. Both
-// jobs, every partition of a tie-heavy lattice.
+// — the in-memory and merged-run shuffles deliver different orders. The ρ,
+// δ and halo jobs, every partition of a tie-heavy lattice, each fed records
+// without a ship mask, which travel to every layout.
 func TestPairOnceArrivalOrder(t *testing.T) {
 	rng := points.NewRand(4)
 	vs := make([]points.Vector, 400)
@@ -405,18 +412,25 @@ func TestPairOnceArrivalOrder(t *testing.T) {
 	}
 	cfg := LSHConfig{Config: Config{Dc: 1.5, Seed: 2}, M: 5, Pi: 2, W: 4}
 	conf := lshConf(ds, cfg)
+	labeled := make([]mapreduce.Pair, ds.N())
+	for i, p := range ds.Points {
+		labeled[i].Value = encodeLabeled(points.RhoPoint{Point: p, Rho: rho[i]}, int32(rng.Intn(3)), nil)
+	}
 	for _, tc := range []struct {
 		job *mapreduce.Job
 		in  []mapreduce.Pair
 	}{
 		{LSHRhoJob(conf), InputPairs(ds)},
 		{LSHDeltaJob(conf), RhoPointPairs(ds, rho)},
+		{LSHHaloJob(conf), labeled},
 	} {
 		tctx := &mapreduce.TaskContext{Conf: conf, Counters: mapreduce.NewCounters()}
 		groups := map[string][][]byte{}
+		shipped := 0
 		for _, p := range tc.in {
 			if err := tc.job.Map(tctx, p.Key, p.Value, mapreduce.EmitterFunc(func(k string, v []byte) {
 				groups[k] = append(groups[k], v)
+				shipped++
 			})); err != nil {
 				t.Fatal(err)
 			}
@@ -428,6 +442,10 @@ func TestPairOnceArrivalOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			return out
+		}
+		if shipped != ds.N()*cfg.M {
+			t.Fatalf("%s: %d records shipped from %d unmasked points, want one to each of %d layouts",
+				tc.job.Name, shipped, ds.N(), cfg.M)
 		}
 		for key, values := range groups {
 			want := reduce(key, values)
