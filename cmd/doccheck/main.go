@@ -184,7 +184,7 @@ func readDoc(path string) string {
 // the line pin from being met by joining lines.
 const (
 	designMaxLines = 1099
-	designMaxBytes = 76952
+	designMaxBytes = 76930
 	designMaxPRs   = 0
 )
 

@@ -14,7 +14,8 @@ import (
 //  1. Distributed halo detection: the original DP paper's cluster-core /
 //     halo split, computed with two extra LSH-partitioned jobs; the
 //     estimated border densities are validated as underestimates of the
-//     exact ones.
+//     exact ones, and the halo jobs' distance computations and shuffle
+//     bytes are reported beside the base pipeline's.
 //  2. Automatic k suggestion: the γ-gap knee heuristic on decision graphs
 //     with known ground-truth k.
 func ExpExtensions(opt Options) (*Report, error) {
@@ -66,6 +67,9 @@ func extHalo(opt *Options, r *Report) error {
 	r.AddRow("halo", "S2", "halo points", fmt.Sprintf("%d/%d", haloN, ds.N()))
 	r.AddRow("halo", "S2", "clusters with nonzero border", fmt.Sprintf("%d/%d", borders, len(hr.Border)))
 	r.AddRow("halo", "S2", "extra runtime", fsec(hr.Stats.Wall))
+	r.AddRow("halo", "S2", "distance computations (halo / base)",
+		fmt.Sprintf("%d / %d", hr.Stats.DistanceComputations, res.Stats.DistanceComputations))
+	r.AddRow("halo", "S2", "shuffle bytes (halo / base)", fmt.Sprintf("%d / %d", hr.Stats.ShuffleBytes, res.Stats.ShuffleBytes))
 	return nil
 }
 

@@ -290,12 +290,9 @@ func TestStrawManClosedForms(t *testing.T) {
 	}
 }
 
-// autoK runs the extensions at scale 1 and returns each data set's
-// suggested k.
-func autoK(t *testing.T, seed int64) map[string]int {
+// autoK returns each data set's k suggested in the extensions report r.
+func autoK(t *testing.T, r *Report) map[string]int {
 	t.Helper()
-	r, err := ExpExtensions(Options{Scale: 1, Seed: seed, Parallelism: 4})
-	checkReport(t, r, err, 4)
 	ks := map[string]int{}
 	for _, row := range r.Rows {
 		if row[0] == "auto-k" {
@@ -309,14 +306,37 @@ func autoK(t *testing.T, seed int64) map[string]int {
 	return ks
 }
 
-// TestExpExtensions: the γ-gap knee finds S2's 15 clusters.
+// extReport runs the extensions at scale 1.
+func extReport(t *testing.T, seed int64) *Report {
+	t.Helper()
+	r, err := ExpExtensions(Options{Scale: 1, Seed: seed, Parallelism: 4})
+	checkReport(t, r, err, 6)
+	return r
+}
+
+// TestExpExtensions: the γ-gap knee finds S2's 15 clusters, and the halo
+// jobs evaluate fewer distances than the base pipeline whose clustering they
+// split: they walk the ρ job's owned, unpruned pairs and skip the
+// same-cluster ones.
 func TestExpExtensions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("extensions in -short mode")
 	}
 	for _, seed := range verdictSeeds {
-		if k := autoK(t, seed)["S2"]; k != 15 {
+		r := extReport(t, seed)
+		if k := autoK(t, r)["S2"]; k != 15 {
 			t.Errorf("seed %d: auto-k on S2 is %d, want 15", seed, k)
+		}
+		x := slices.IndexFunc(r.Rows, func(row []string) bool { return row[2] == "distance computations (halo / base)" })
+		if x < 0 {
+			t.Fatalf("seed %d: no halo distance row:\n%s", seed, r)
+		}
+		var halo, base int64
+		if _, err := fmt.Sscanf(cell(t, r, r.Rows[x], "value"), "%d / %d", &halo, &base); err != nil {
+			t.Fatal(err)
+		}
+		if halo >= base {
+			t.Errorf("seed %d: the halo jobs evaluate %d distances, the base pipeline %d", seed, halo, base)
 		}
 	}
 }
@@ -331,7 +351,7 @@ func TestExtAutoKAggregationDoesNotReproduce(t *testing.T) {
 		t.Skip("extensions in -short mode")
 	}
 	for seed, want := range map[int64]int{1: 6, 2: 7} {
-		if k := autoK(t, seed)["Aggregation"]; k != want {
+		if k := autoK(t, extReport(t, seed))["Aggregation"]; k != want {
 			t.Errorf("seed %d: auto-k on Aggregation is %d, was %d", seed, k, want)
 		}
 	}
