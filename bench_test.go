@@ -281,7 +281,7 @@ func BenchmarkLSHHalo(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunLSHHalo(context.Background(), ds, res.Rho, labels, res.Stats.Dc, cfg); err != nil {
+		if _, err := core.RunLSHHalo(context.Background(), ds, res, labels, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

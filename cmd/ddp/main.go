@@ -162,7 +162,7 @@ func runCluster() {
 	if *halo || *export != "" {
 		// The model artifact carries border densities so clusterd can flag
 		// halo points, so -export-model implies the halo job.
-		hr, err = core.RunLSHHalo(ctx, ds, res.Rho, labels, res.Stats.Dc, lshCfg)
+		hr, err = core.RunLSHHalo(ctx, ds, res, labels, lshCfg)
 		fatal(err)
 	}
 

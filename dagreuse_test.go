@@ -36,7 +36,7 @@ func TestDagSessionSharesWorkAcrossPipelines(t *testing.T) {
 		t.Fatalf("trace holds %d entries after LSH-DDP's %d jobs", lshTraced, len(res.Stats.Jobs))
 	}
 
-	halo, err := core.RunLSHHalo(context.Background(), ds, res.Rho, labels, res.Stats.Dc, cfg)
+	halo, err := core.RunLSHHalo(context.Background(), ds, res, labels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

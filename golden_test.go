@@ -268,7 +268,7 @@ func goldenLines(ctx context.Context, eng mapreduce.Engine, seed int64, dir stri
 	if err != nil {
 		return nil, err
 	}
-	halo, err := core.RunLSHHalo(ctx, ds, lsh.Rho, labels, lsh.Stats.Dc, lshCfg)
+	halo, err := core.RunLSHHalo(ctx, ds, lsh, labels, lshCfg)
 	if err != nil {
 		return nil, fmt.Errorf("halo: %w", err)
 	}

@@ -103,7 +103,7 @@ func TestFullDistributedPipeline(t *testing.T) {
 	}
 
 	// Halo detection on the same cluster engine.
-	halo, err := core.RunLSHHalo(context.Background(), ds, res.Rho, labels, res.Stats.Dc, core.LSHConfig{
+	halo, err := core.RunLSHHalo(context.Background(), ds, res, labels, core.LSHConfig{
 		Config:   core.Config{Engine: master, Seed: 3},
 		Accuracy: 0.99, M: 8, Pi: 3,
 	})

@@ -73,6 +73,9 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	if err != nil {
 		return nil, err
 	}
+	if partials, err = mapreduce.SortByIDKey(partials); err != nil {
+		return nil, err
+	}
 	rhoOut, err := sess.Run(ctx, basicRhoAggJob(mapreduce.Conf{}), partials)
 	if err != nil {
 		return nil, err
@@ -83,6 +86,9 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	}
 	dPartials, err := sess.Run(ctx, BasicDeltaJob(conf), RhoPointPairs(ds, rho))
 	if err != nil {
+		return nil, err
+	}
+	if dPartials, err = mapreduce.SortByIDKey(dPartials); err != nil {
 		return nil, err
 	}
 	dOut, err := sess.Run(ctx, DeltaAggJob(JobBasicDAgg, mapreduce.Conf{}), dPartials)

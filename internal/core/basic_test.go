@@ -240,7 +240,7 @@ func TestNegativeParametersRefused(t *testing.T) {
 		}},
 		{"halo M", func() error {
 			labels := make([]int32, ds.N())
-			_, err := RunLSHHalo(ctx, ds, make([]float64, ds.N()), labels, 1, LSHConfig{Config: base, M: -3})
+			_, err := RunLSHHalo(ctx, ds, rhoOnly(make([]float64, ds.N()), 1), labels, LSHConfig{Config: base, M: -3})
 			return err
 		}},
 	} {

@@ -100,6 +100,9 @@ type Result struct {
 	Delta   []float64
 	Upslope []int32
 	Stats   Stats
+	// plan is RunLSHDDP's ρ ship plan, which RunLSHHalo reuses; nil on
+	// every other result.
+	plan *shipPlan
 }
 
 // Graph wraps the result arrays as a decision graph (decision.NewGraph).

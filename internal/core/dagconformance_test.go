@@ -16,7 +16,8 @@ import (
 // execution bit for bit — same arrays, same labels, same per-job counters —
 // on the local engine and on a real rpcmr cluster. The hand-sequenced
 // reference below replays the chain RunLSHDDP runs — the same five jobs and
-// the driver-side steps between them, one Engine.Run at a time, with
+// the driver-side steps between them (each aggregation's input grouped by
+// mapreduce.SortByIDKey among them), one Engine.Run at a time, with
 // identical confs.
 
 // handSequencedLSHDDP executes the LSH-DDP job sequence directly
@@ -32,6 +33,13 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 		}
 		jobs = append(jobs, mapreduce.JobStats{Name: job.Name, Wall: res.Wall, Counters: res.Counters.Snapshot(), Records: len(res.Output)})
 		return res.Output
+	}
+	grouped := func(in []mapreduce.Pair) []mapreduce.Pair {
+		g, err := mapreduce.SortByIDKey(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
 	input := InputPairs(ds)
 
@@ -62,12 +70,12 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowKeys, rhoIn, err := planRho(input, layouts, conf)
+	rowKeys, plan, err := planRho(input, layouts, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := run(LSHRhoJob(conf.Clone()), rhoIn)
-	p2 := run(LSHRhoAggJob(conf.Clone()), p1)
+	p1 := run(LSHRhoJob(conf.Clone()), plan.rhoInput(input))
+	p2 := run(LSHRhoAggJob(conf.Clone()), grouped(p1))
 	rho, err := DecodeRhoArray(p2, ds.N())
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +89,7 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 		t.Fatal(err)
 	}
 	p3 := run(LSHDeltaJob(conf.Clone()), shipped)
-	p4 := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), p3)
+	p4 := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), grouped(p3))
 	delta, upslope, err := DecodeDeltaArrays(append(p4, certified...), ds.N())
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -157,12 +158,14 @@ func LSHHaloAggJob(conf mapreduce.Conf) *mapreduce.Job {
 	}
 }
 
-// RunLSHHalo estimates the core/halo split for an existing clustering:
-// rho are the (approximate) densities, labels the cluster assignment from
-// Result.Cluster, dc the cutoff used to produce them. LSH parameters
-// follow cfg exactly as in RunLSHDDP (width solved from cfg.Accuracy when
-// cfg.W is 0).
-func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels []int32, dc float64, cfg LSHConfig) (*HaloResult, error) {
+// RunLSHHalo estimates the core/halo split for an existing clustering of
+// ds: res carries ds's (approximate) densities and the cutoff d_c that
+// produced them, labels the cluster assignment from Result.Cluster. LSH
+// parameters follow cfg exactly as in RunLSHDDP (width solved from
+// cfg.Accuracy when cfg.W is 0). A res that RunLSHDDP returned for ds
+// under the same parameters lends the halo job its ρ ship plan; one
+// without a plan, or made under other parameters, is planned anew.
+func RunLSHHalo(ctx context.Context, ds *points.Dataset, res *Result, labels []int32, cfg LSHConfig) (*HaloResult, error) {
 	start := time.Now()
 	if err := cfg.check(); err != nil {
 		return nil, err
@@ -170,6 +173,7 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
+	rho, dc := res.Rho, res.Stats.Dc
 	if len(rho) != ds.N() || len(labels) != ds.N() {
 		return nil, fmt.Errorf("core: halo needs %d rho and labels, have %d and %d",
 			ds.N(), len(rho), len(labels))
@@ -190,23 +194,26 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 	if err != nil {
 		return nil, err
 	}
-	layouts, err := layoutsOf(conf)
-	if err != nil {
-		return nil, err
+	plan := res.plan
+	if plan == nil || !maps.Equal(plan.conf, conf) || len(plan.masks) != ds.N()*plan.stride() {
+		layouts, err := layoutsOf(conf)
+		if err != nil {
+			return nil, err
+		}
+		if _, plan, err = planRho(InputPairs(ds), layouts, conf); err != nil {
+			return nil, err
+		}
 	}
-	plain := InputPairs(ds)
-	_, input, err := planRho(plain, layouts, conf)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range ds.Points {
-		mask := input[i].Value[len(plain[i].Value):]
-		input[i].Value = encodeLabeled(points.RhoPoint{Point: p, Rho: rho[i]}, labels[i], mask)
-	}
+	input := plan.input(ds.N(), func(i int, mask []byte) []byte {
+		return encodeLabeled(points.RhoPoint{Point: ds.Points[i], Rho: rho[i]}, labels[i], mask)
+	})
 	sess := cfg.DagSession()
 	mark := sess.Mark()
 	partials, err := sess.Run(ctx, LSHHaloJob(conf), sess.Stage(input))
 	if err != nil {
+		return nil, err
+	}
+	if partials, err = mapreduce.SortByIDKey(partials); err != nil {
 		return nil, err
 	}
 	agg, err := sess.Run(ctx, LSHHaloAggJob(mapreduce.Conf{}), partials)
@@ -214,7 +221,7 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 		return nil, err
 	}
 
-	res := &HaloResult{
+	hr := &HaloResult{
 		Halo:   make([]bool, ds.N()),
 		Border: make([]float64, nClusters),
 	}
@@ -223,17 +230,17 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, rho []float64, labels [
 		if err != nil {
 			return nil, err
 		}
-		res.Border[c] = points.DecodeFloat64(p.Value)
+		hr.Border[c] = points.DecodeFloat64(p.Value)
 	}
-	for i := range res.Halo {
-		res.Halo[i] = rho[i] < res.Border[labels[i]]
+	for i := range hr.Halo {
+		hr.Halo[i] = rho[i] < hr.Border[labels[i]]
 	}
-	res.Stats.Dc = dc
-	res.Stats.W = w
-	res.Stats.Pi = cfg.pi()
-	res.Stats.M = cfg.m()
-	CollectStats(&res.Stats, sess, mark, start)
-	return res, nil
+	hr.Stats.Dc = dc
+	hr.Stats.W = w
+	hr.Stats.Pi = cfg.pi()
+	hr.Stats.M = cfg.m()
+	CollectStats(&hr.Stats, sess, mark, start)
+	return hr, nil
 }
 
 // HaloJobFactories returns the registry entries for the halo jobs.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -40,9 +41,68 @@ func haloFixture(t *testing.T) (ds *points.Dataset, rho []float64, labels []int3
 	return base, res.Rho, lab, res.Stats.Dc
 }
 
+// rhoOnly is a Result that carries densities and d_c and no ρ ship plan,
+// as a halo run on densities from anywhere but RunLSHDDP sees it.
+func rhoOnly(rho []float64, dc float64) *Result {
+	return &Result{Rho: rho, Stats: Stats{Dc: dc}}
+}
+
+// TestRunLSHHaloReusesRhoPlan holds a halo run on RunLSHDDP's result, which
+// ships by the ρ job's plan, to one on its densities alone, which plans
+// anew: the same flags, borders and per-job counters, under the run's own
+// parameters and under others, which must not take the plan. A plan that
+// ships nothing shows the run's own parameters do take it.
+func TestRunLSHHaloReusesRhoPlan(t *testing.T) {
+	ctx := context.Background()
+	ds := dataset.Blobs("halo-plan", 600, 3, 4, 60, 2, 9)
+	cfg := LSHConfig{Config: Config{Engine: testEngine(), Seed: 3}, M: 10, Pi: 3}
+	res, err := RunLSHDDP(ctx, ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.plan == nil || len(res.plan.masks) != ds.N()*2 {
+		t.Fatalf("RunLSHDDP kept no plan of %d mask bytes", ds.N()*2)
+	}
+	_, labels, err := res.Cluster(ds, SelectTopK(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := cfg
+	other.Seed = 4
+	fewer := cfg
+	fewer.M = 9
+	for _, c := range []LSHConfig{cfg, other, fewer} {
+		got, err := RunLSHHalo(ctx, ds, res, labels, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunLSHHalo(ctx, ds, rhoOnly(res.Rho, res.Stats.Dc), labels, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Halo, want.Halo) || !slices.Equal(got.Border, want.Border) {
+			t.Fatalf("seed %d, M %d: borders %v with the ρ plan, %v planned anew", c.Seed, c.M, got.Border, want.Border)
+		}
+		for i, j := range want.Stats.Jobs {
+			if !maps.Equal(got.Stats.Jobs[i].Counters, j.Counters) {
+				t.Fatalf("seed %d, M %d, %s: counters %v with the ρ plan, %v planned anew", c.Seed, c.M, j.Name, got.Stats.Jobs[i].Counters, j.Counters)
+			}
+		}
+	}
+	empty := *res
+	empty.plan = &shipPlan{conf: res.plan.conf, masks: make([]byte, len(res.plan.masks)), unsent: res.plan.unsent}
+	hr, err := RunLSHHalo(ctx, ds, &empty, labels, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hr.Stats.DistanceComputations != 0 {
+		t.Fatalf("a plan that ships nothing: %d distances, want 0", hr.Stats.DistanceComputations)
+	}
+}
+
 func TestRunLSHHaloFlagsSparseBridge(t *testing.T) {
 	ds, rho, labels, dc := haloFixture(t)
-	hr, err := RunLSHHalo(context.Background(), ds, rho, labels, dc, LSHConfig{
+	hr, err := RunLSHHalo(context.Background(), ds, rhoOnly(rho, dc), labels, LSHConfig{
 		Config:   Config{Engine: testEngine(), Seed: 3},
 		Accuracy: 0.99, M: 10, Pi: 3,
 	})
@@ -90,7 +150,7 @@ func TestRunLSHHaloFlagsSparseBridge(t *testing.T) {
 
 func TestRunLSHHaloUnderestimatesExactBorder(t *testing.T) {
 	ds, rho, labels, dc := haloFixture(t)
-	hr, err := RunLSHHalo(context.Background(), ds, rho, labels, dc, LSHConfig{
+	hr, err := RunLSHHalo(context.Background(), ds, rhoOnly(rho, dc), labels, LSHConfig{
 		Config:   Config{Engine: testEngine(), Seed: 3},
 		Accuracy: 0.99, M: 10, Pi: 3,
 	})
@@ -110,14 +170,14 @@ func TestRunLSHHaloValidation(t *testing.T) {
 	rho := make([]float64, 50)
 	labels := make([]int32, 50)
 	cfg := LSHConfig{Config: Config{Engine: testEngine()}}
-	if _, err := RunLSHHalo(context.Background(), ds, rho[:10], labels, 1, cfg); err == nil {
+	if _, err := RunLSHHalo(context.Background(), ds, rhoOnly(rho[:10], 1), labels, cfg); err == nil {
 		t.Fatal("want error for short rho")
 	}
-	if _, err := RunLSHHalo(context.Background(), ds, rho, labels, 0, cfg); err == nil {
+	if _, err := RunLSHHalo(context.Background(), ds, rhoOnly(rho, 0), labels, cfg); err == nil {
 		t.Fatal("want error for dc=0")
 	}
 	labels[3] = -1
-	if _, err := RunLSHHalo(context.Background(), ds, rho, labels, 1, cfg); err == nil {
+	if _, err := RunLSHHalo(context.Background(), ds, rhoOnly(rho, 1), labels, cfg); err == nil {
 		t.Fatal("want error for negative label")
 	}
 }
@@ -186,7 +246,7 @@ func TestHaloBorderIsCoBucketedMax(t *testing.T) {
 			for _, par := range []int{1, 3} {
 				cfg := c.cfg
 				cfg.Engine = &mapreduce.LocalEngine{Parallelism: par}
-				hr, err := RunLSHHalo(context.Background(), c.ds, rho, labels, cfg.Dc, cfg)
+				hr, err := RunLSHHalo(context.Background(), c.ds, rhoOnly(rho, cfg.Dc), labels, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

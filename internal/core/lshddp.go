@@ -161,12 +161,15 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	rowKeys, rhoIn, err := planRho(input, layouts, conf)
+	rowKeys, plan, err := planRho(input, layouts, conf)
 	if err != nil {
 		return nil, err
 	}
-	partials, err := sess.Run(ctx, LSHRhoJob(conf), rhoIn)
+	partials, err := sess.Run(ctx, LSHRhoJob(conf), plan.rhoInput(input))
 	if err != nil {
+		return nil, err
+	}
+	if partials, err = mapreduce.SortByIDKey(partials); err != nil {
 		return nil, err
 	}
 	rhoOut, err := sess.Run(ctx, LSHRhoAggJob(conf), partials)
@@ -189,6 +192,9 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if err != nil {
 		return nil, err
 	}
+	if dPartials, err = mapreduce.SortByIDKey(dPartials); err != nil {
+		return nil, err
+	}
 	dOut, err := sess.Run(ctx, DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), dPartials)
 	if err != nil {
 		return nil, err
@@ -198,7 +204,7 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 		return nil, err
 	}
 
-	res := &Result{Rho: rho, Delta: delta, Upslope: upslope}
+	res := &Result{Rho: rho, Delta: delta, Upslope: upslope, plan: plan}
 	res.Stats.Dc = dc
 	res.Stats.W = w
 	res.Stats.Pi = cfg.pi()
@@ -411,19 +417,55 @@ func certifyDelta(rhoOut []mapreduce.Pair, n int) ([]mapreduce.Pair, error) {
 	return out, nil
 }
 
-// planRho returns the ρ job's input (DESIGN.md "Pair ownership", the ρ
-// shipping rule), whose masks the halo job's input carries too, and every
-// point's bucket ids under the M layouts of l (lsh.Index.RowKeys: point i's
-// at [i·M, (i+1)·M)), which shipRows reads later. It indexes the points of
-// input, InputPairs' records, and runs each later layout's ownership walk,
-// ownedRuns, on that index, at the d_c its reducers read from conf. A point's record gets a ship mask
-// (points.AppendShipMask) listing layout 0 and each layout where its run
-// keeps a pair. A reducer then receives whole runs, every one that keeps a
-// pair and so its partners, so each run's box, the blocks' pair set and
-// everything it emits stay what they are with every copy shipped. One more
-// record, keyed rhoUnshippedKey, carries the pairs of the copies not sent,
-// pruned and skipped, for the map side to count.
-func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKeys []int32, rhoIn []mapreduce.Pair, err error) {
+// shipPlan is planRho's plan for the ρ job and the halo job, kept in the
+// Result of the run that made it for RunLSHHalo: the Conf it was made under,
+// every point's ship mask, point i's ⌈M/8⌉ bytes at masks[i·⌈M/8⌉:], and the
+// value of the rhoUnshippedKey record.
+type shipPlan struct {
+	conf   mapreduce.Conf
+	masks  []byte
+	unsent []byte
+}
+
+// stride is the length of a point's mask, ⌈M/8⌉.
+func (p *shipPlan) stride() int { return (p.conf.GetInt(confM, 1) + 7) / 8 }
+
+// input returns a planned job's input: point i's record is value(i, mask),
+// which must copy mask, its ship mask in wire form (points.AppendShipMask),
+// behind whatever its reducers read; the rhoUnshippedKey record follows.
+func (p *shipPlan) input(n int, value func(i int, mask []byte) []byte) []mapreduce.Pair {
+	stride := p.stride()
+	out := make([]mapreduce.Pair, n, n+1)
+	var wire []byte
+	for i := range out {
+		wire = points.AppendShipMask(wire[:0], p.masks[i*stride:][:stride])
+		out[i] = mapreduce.Pair{Value: value(i, wire)}
+	}
+	return append(out, mapreduce.Pair{Key: rhoUnshippedKey, Value: p.unsent})
+}
+
+// rhoInput returns the ρ job's input: every InputPairs record of input
+// with its point's ship mask.
+func (p *shipPlan) rhoInput(input []mapreduce.Pair) []mapreduce.Pair {
+	return p.input(len(input), func(i int, mask []byte) []byte {
+		v := input[i].Value
+		return append(append(make([]byte, 0, len(v)+len(mask)), v...), mask...)
+	})
+}
+
+// planRho plans the ρ job (DESIGN.md "Pair ownership", the ρ shipping rule),
+// whose plan the halo job takes too, and returns every point's bucket ids
+// under the M layouts of l (lsh.Index.RowKeys: point i's at [i·M, (i+1)·M)),
+// which shipRows reads later. It indexes the points of input, InputPairs'
+// records, and runs each later layout's ownership walk, ownedRuns, on that
+// index, at the d_c its reducers read from conf. A point's ship mask lists
+// layout 0 and each layout where its run keeps a pair. A reducer then
+// receives whole runs, every one that keeps a pair and so its partners, so
+// each run's box, the blocks' pair set and everything it emits stay what
+// they are with every copy shipped. The plan's unshipped-pair record
+// carries the pairs of the copies not sent, pruned and skipped, for the map
+// side to count.
+func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKeys []int32, plan *shipPlan, err error) {
 	values := make([][]byte, len(input))
 	for i, p := range input {
 		values[i] = p.Value
@@ -470,21 +512,19 @@ func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKe
 		}()
 	}
 	wg.Wait()
-	out := make([]mapreduce.Pair, n, n+1)
-	mask := make([]byte, (nl+7)/8)
-	for i, p := range input {
-		clear(mask)
+	stride := (nl + 7) / 8
+	plan = &shipPlan{conf: conf.Clone(), masks: make([]byte, n*stride)}
+	for i := range n {
+		mask := plan.masks[i*stride:][:stride]
 		mask[0] = 1
 		for m := 1; m < nl; m++ {
 			if sent[m][i] {
 				mask[m/8] |= 1 << (m % 8)
 			}
 		}
-		rec := append(make([]byte, 0, len(p.Value)+len(mask)), p.Value...)
-		out[i] = mapreduce.Pair{Key: p.Key, Value: points.AppendShipMask(rec, mask)}
 	}
-	unsent := binary.AppendUvarint(binary.AppendUvarint(nil, uint64(pruned.Load())), uint64(skipped.Load()))
-	return ix.RowKeys, append(out, mapreduce.Pair{Key: rhoUnshippedKey, Value: unsent}), nil
+	plan.unsent = binary.AppendUvarint(binary.AppendUvarint(nil, uint64(pruned.Load())), uint64(skipped.Load()))
+	return ix.RowKeys, plan, nil
 }
 
 // runPlanner is the scratch of one of planRho's goroutines.

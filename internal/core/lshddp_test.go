@@ -7,7 +7,65 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dp"
+	"repro/internal/mapreduce"
+	"repro/internal/mapreduce/rpcmr"
 )
+
+// TestAggregationShipsOneRecordPerKey: the ρ̂ and δ̂ aggregations read their
+// input grouped by key (mapreduce.SortByIDKey), so a map task's combiner
+// folds all of a key's partials it holds, and the shuffle carries at most
+// one record per key, plus one more for each map split boundary that cuts
+// a key. A reduce emits one record per key, so the job's output counts
+// the keys.
+func TestAggregationShipsOneRecordPerKey(t *testing.T) {
+	type engine struct {
+		name string
+		eng  mapreduce.Engine
+		maps int64
+	}
+	engines := []engine{
+		{"local/P=1", &mapreduce.LocalEngine{Parallelism: 1}, 1},
+		{"local/P=3", &mapreduce.LocalEngine{Parallelism: 3}, 3},
+	}
+	if !testing.Short() {
+		rpcmr.RegisterJobs(JobFactories())
+		master, err := rpcmr.NewMaster("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer master.Close()
+		for range 3 {
+			w, err := rpcmr.StartWorker(master.Addr(), "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+		}
+		engines = append(engines, engine{"rpcmr/3 workers", master, 6}) // two map tasks per worker
+	}
+	ds := dataset.Blobs("agg-shuffle", 900, 4, 4, 220, 2, 11)
+	for _, e := range engines {
+		res, err := RunLSHDDP(context.Background(), ds, LSHConfig{Config: Config{Engine: e.eng, Seed: 7}, M: 8, Pi: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, j := range res.Stats.Jobs {
+			if j.Name != JobLSHRhoAgg && j.Name != JobLSHDelAgg {
+				continue
+			}
+			checked++
+			keys := int64(j.Records)
+			if got := j.Counters[mapreduce.CtrShuffleRecords]; got > keys+e.maps-1 {
+				t.Errorf("%s %s: %d shuffled records for %d keys over %d map tasks, want at most %d",
+					e.name, j.Name, got, keys, e.maps, keys+e.maps-1)
+			}
+		}
+		if checked != 2 {
+			t.Fatalf("%s: %d aggregation jobs ran, want 2", e.name, checked)
+		}
+	}
+}
 
 func TestLSHDDPRhoNeverOvercounts(t *testing.T) {
 	ds := dataset.Blobs("lsh-rho-under", 500, 4, 5, 100, 4, 21)

@@ -364,7 +364,7 @@ func TestPairOnceCountIdentity(t *testing.T) {
 			}
 		}
 	}
-	halo, err := RunLSHHalo(context.Background(), ds, res.Rho, labels, cfg.Dc, cfg)
+	halo, err := RunLSHHalo(context.Background(), ds, res, labels, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

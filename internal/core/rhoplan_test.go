@@ -140,7 +140,7 @@ func TestRhoShipPlanMatchesUnplanned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, planned, err := planRho(InputPairs(c.ds), l, conf)
+			_, plan, err := planRho(InputPairs(c.ds), l, conf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestRhoShipPlanMatchesUnplanned(t *testing.T) {
 			}
 			for ei, eng := range engines {
 				all := runRhoJob(t, eng, conf, InputPairs(c.ds))
-				got := runRhoJob(t, eng, conf, planned)
+				got := runRhoJob(t, eng, conf, plan.rhoInput(InputPairs(c.ds)))
 				if !reflect.DeepEqual(got.out, all.out) {
 					t.Fatalf("engine %d: %d records from the planned input, %d with every copy shipped, or their bytes differ",
 						ei, len(got.out), len(all.out))

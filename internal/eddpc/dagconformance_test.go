@@ -16,7 +16,8 @@ import (
 // 3-worker rpcmr cluster. The reference replays the pre-scheduler
 // sequence — four Engine.Run calls with identical confs, the refinement
 // input built driver-side between them, and the two aggregation inputs
-// concatenated local-then-refined exactly as the old code appended them.
+// grouped by point, local bound first, by mapreduce.SortByIDKey as Run
+// groups them.
 
 func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg Config) (*core.Result, []mapreduce.JobStats) {
 	t.Helper()
@@ -55,8 +56,11 @@ func handSequencedEDDPC(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, 
 		refIn[i] = mapreduce.Pair{Value: encodeQuery(points.RhoPoint{Point: p, Rho: rho[i]}, ub[i], ubUp[i])}
 	}
 	refRes := run(DeltaRefineJob(conf.Clone()), refIn)
-	aggRes := run(core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}),
-		append(append([]mapreduce.Pair(nil), locRes...), refRes...))
+	aggIn, err := mapreduce.SortByIDKey(locRes, refRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggRes := run(core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}), aggIn)
 	delta, upslope, err := core.DecodeDeltaArrays(aggRes, ds.N())
 	if err != nil {
 		t.Fatal(err)

@@ -119,8 +119,13 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, err
 	if err != nil {
 		return nil, err
 	}
-	// Job 4: aggregate local bounds and refinement candidates.
-	aggOut, err := sess.Run(ctx, core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}), locOut, refOut)
+	// Job 4: aggregate local bounds and refinement candidates, grouped by
+	// point.
+	aggIn, err := mapreduce.SortByIDKey(locOut, refOut)
+	if err != nil {
+		return nil, err
+	}
+	aggOut, err := sess.Run(ctx, core.DeltaAggJob(JobDeltaAgg, mapreduce.Conf{}), aggIn)
 	if err != nil {
 		return nil, err
 	}

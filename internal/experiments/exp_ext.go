@@ -48,7 +48,7 @@ func extHalo(opt *Options, r *Report) error {
 		return err
 	}
 	haloCfg := opt.lshConfig(eng)
-	hr, err := core.RunLSHHalo(context.Background(), ds, res.Rho, labels, res.Stats.Dc, haloCfg)
+	hr, err := core.RunLSHHalo(context.Background(), ds, res, labels, haloCfg)
 	if err != nil {
 		return err
 	}

@@ -32,7 +32,7 @@ func TestSampledWeightBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr, err := core.RunLSHHalo(context.Background(), ds, res.Rho, labels, res.Stats.Dc, core.LSHConfig{Config: core.Config{Seed: 7}})
+	hr, err := core.RunLSHHalo(context.Background(), ds, res, labels, core.LSHConfig{Config: core.Config{Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}

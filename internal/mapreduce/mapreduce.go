@@ -85,6 +85,69 @@ func ParseIDKey(key string) (int32, error) {
 	return int32(u ^ 1<<31), nil
 }
 
+// SortByIDKey returns the records of outs, every one keyed by IDKey, in a new
+// slice grouped by key in ascending key order. It is stable: within a key
+// the records keep the argument order, then their order within it. An
+// aggregation job reads its input this way so that SplitInput's contiguous
+// map splits hold each key's records together and its combiner folds them
+// into one shuffled record per key (two for a key a split boundary cuts).
+// It runs in O(n), one or two 16-bit counting passes, and reorders no slice
+// of outs: a job's output is read-only. A key that is not four bytes long
+// is an error.
+func SortByIDKey(outs ...[]Pair) ([]Pair, error) {
+	n := 0
+	for _, o := range outs {
+		n += len(o)
+	}
+	// A record is its key's four bytes above its position in the
+	// concatenation of outs, which the final gather reads back.
+	recs := make([]uint64, 0, n)
+	for _, o := range outs {
+		for _, p := range o {
+			id, err := ParseIDKey(p.Key)
+			if err != nil {
+				return nil, err
+			}
+			recs = append(recs, uint64(uint32(id)^1<<31)<<32|uint64(len(recs)))
+		}
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	tmp := make([]uint64, n)
+	count := make([]int, 1<<16)
+	for shift := 32; shift < 64; shift += 16 {
+		clear(count)
+		for _, r := range recs {
+			count[r>>shift&0xffff]++
+		}
+		if count[recs[0]>>shift&0xffff] == n {
+			continue // one digit: the pass would move nothing
+		}
+		sum := 0
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		for _, r := range recs {
+			d := r >> shift & 0xffff
+			tmp[count[d]] = r
+			count[d]++
+		}
+		recs, tmp = tmp, recs
+	}
+	grouped := make([]Pair, n)
+	for j, r := range recs {
+		at := int(uint32(r))
+		o := 0
+		for at >= len(outs[o]) {
+			at -= len(outs[o])
+			o++
+		}
+		grouped[j] = outs[o][at]
+	}
+	return grouped, nil
+}
+
 // Job is a single MapReduce job specification. Engines never mutate it, so
 // one Job value can be run many times (the distributed engine registers Job
 // templates by name and re-instantiates Conf per run).
