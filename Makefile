@@ -166,8 +166,9 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Hot-path micro-benchmarks (dense kernels at dim 2/4/8 reporting ns/pair,
-# shuffle sort, group decode, the rpcmr shuffle transport, LSH
-# keys per point at dim 4/8, the serving index build full and fleet on
+# shuffle sort, the aggregations' input grouping (BenchmarkSortByIDKey at
+# the ρ̂ aggregation's 130 006 records), group decode, the rpcmr shuffle
+# transport, LSH keys per point at dim 4/8, the serving index build full and fleet on
 # 50 000- and 200 000-row models (the latter serve-read's shape), the
 # fleet partitioner on 50 000- and 200 000-row models over 4 shards,
 # BenchmarkWriteFile, the model artifact streamed to disk at the 200 000-row

@@ -183,8 +183,8 @@ func readDoc(path string) string {
 // CHANGES.md, and DESIGN.md says what the code does now. The byte pin keeps
 // the line pin from being met by joining lines.
 const (
-	designMaxLines = 1099
-	designMaxBytes = 76930
+	designMaxLines = 1097
+	designMaxBytes = 76922
 	designMaxPRs   = 0
 )
 
