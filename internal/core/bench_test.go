@@ -1,0 +1,29 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/mapreduce"
+)
+
+// BenchmarkLSHDDP runs RunLSHDDP at the shape of the benchmark harness's
+// batch-lshddp workload — 8-d blobs of 16 centres in a 100-wide box, spread
+// 2.5, the paper's LSH defaults — at a tenth of its size (3 000 points) on
+// the local engine at P = 2. Beside the time and allocations per run it
+// reports the distances the run evaluated per point.
+func BenchmarkLSHDDP(b *testing.B) {
+	ds := dataset.Blobs("bench-lshddp", 3000, 8, 16, 100, 2.5, 1)
+	cfg := LSHConfig{Config: Config{Engine: &mapreduce.LocalEngine{Parallelism: 2}, Seed: 1}}
+	var res *Result
+	var err error
+	b.ResetTimer()
+	for range b.N {
+		if res, err = RunLSHDDP(context.Background(), ds, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(res.Stats.DistanceComputations)/float64(ds.N()), "dist/point")
+}
