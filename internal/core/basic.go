@@ -368,35 +368,48 @@ func decodeRhoValues(out []mapreduce.Pair, n int) ([]float64, [][]points.Neighbo
 	return rho, near, nil
 }
 
-// DecodeDeltaArrays turns δ records — aggregation output, and for LSH-DDP
-// the certified records beside it — into dense δ and upslope arrays. Every
-// point must have exactly one record.
+// DecodeDeltaArrays turns δ records, one per point, into dense δ and
+// upslope arrays.
 func DecodeDeltaArrays(out []mapreduce.Pair, n int) ([]float64, []int32, error) {
-	delta := make([]float64, n)
-	upslope := make([]int32, n)
-	seen := make([]bool, n)
+	delta, upslope, open := make([]float64, n), make([]int32, n), make([]bool, n)
+	for i := range open {
+		open[i] = true
+	}
+	if err := decodeOpenDeltas(out, delta, upslope, open); err != nil {
+		return nil, nil, err
+	}
+	return delta, upslope, nil
+}
+
+// decodeOpenDeltas fills delta and upslope from δ records: exactly one for
+// each open point, and none for the others, whose δ̂ LSH-DDP's certify
+// decided.
+func decodeOpenDeltas(out []mapreduce.Pair, delta []float64, upslope []int32, open []bool) error {
+	seen := make([]bool, len(open))
 	for _, p := range out {
-		id, err := pointOf(p.Key, n)
+		id, err := pointOf(p.Key, len(open))
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		dv, err := points.DecodeDeltaValue(p.Value)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		if seen[id] {
-			return nil, nil, fmt.Errorf("core: duplicate delta for id %d", id)
+		switch {
+		case !open[id]:
+			return fmt.Errorf("core: delta record for id %d, whose delta was certified", id)
+		case seen[id]:
+			return fmt.Errorf("core: duplicate delta for id %d", id)
 		}
 		seen[id] = true
-		delta[id] = dv.Delta
-		upslope[id] = dv.Upslope
+		delta[id], upslope[id] = dv.Delta, dv.Upslope
 	}
-	for i, ok := range seen {
-		if !ok {
-			return nil, nil, fmt.Errorf("core: no delta produced for id %d", i)
+	for i := range open {
+		if open[i] && !seen[i] {
+			return fmt.Errorf("core: no delta produced for id %d", i)
 		}
 	}
-	return delta, upslope, nil
+	return nil
 }
 
 // pointOf returns the point ID an aggregation record's key carries, which

@@ -48,18 +48,22 @@ func listHead(ds *points.Dataset, cb coBucketed, dc float64, i int) []points.Nei
 // incidences whose two points both travel to that layout.
 func shippedPairs(ds *points.Dataset, cb coBucketed, dc float64, rho []float64) (certified int, evaluated, slots int64) {
 	n, m := ds.N(), len(cb.keys[0])
-	done := make([]bool, n)
-	for i := range done {
-		if _, done[i] = certify(rho, int32(i), listHead(ds, cb, dc, i)); done[i] {
+	heads := make([][]points.Neighbor, n)
+	for i := range heads {
+		heads[i] = listHead(ds, cb, dc, i)
+	}
+	_, _, open := certify(rho, heads)
+	for i := range open {
+		if !open[i] {
 			certified++
 		}
 	}
 	shipped := make([]bool, n*m)
 	for i := range n {
 		for l := range m {
-			shipped[i*m+l] = !done[i]
+			shipped[i*m+l] = open[i]
 			for u := 0; u < n && !shipped[i*m+l]; u++ {
-				shipped[i*m+l] = !done[u] && rho[u] == rho[u] && cb.keys[u][l] == cb.keys[i][l] &&
+				shipped[i*m+l] = open[u] && rho[u] == rho[u] && cb.keys[u][l] == cb.keys[i][l] &&
 					dp.DenserVals(rho[i], rho[u], int32(i), int32(u))
 			}
 		}
@@ -195,9 +199,12 @@ func TestCertifiedDeltaMatchesBruteForce(t *testing.T) {
 							t.Fatalf("point %d: list %v, head of U_i %v", i, near[i], heads[i])
 						}
 					}
-					certOut, err := certifyDelta(rhoOut, ds.N())
-					if err != nil {
-						t.Fatal(err)
+					delta, upslope, isOpen := certify(rho, near)
+					var certOut []int32
+					for i, o := range isOpen {
+						if !o {
+							certOut = append(certOut, int32(i))
+						}
 					}
 					res, err := RunLSHDDP(ctx, ds, cfg)
 					if err != nil {
@@ -208,18 +215,11 @@ func TestCertifiedDeltaMatchesBruteForce(t *testing.T) {
 						counted += j.Counters[CtrDeltaCertified]
 					}
 					if want, _, _ := shippedPairs(ds, cb, cfg.Dc, rho); counted != int64(want) || len(certOut) != want {
-						t.Fatalf("%s counts %d and certifyDelta certified %d points, the brute-force certificate %d",
+						t.Fatalf("%s counts %d and certify certified %d points, the brute-force certificate %d",
 							CtrDeltaCertified, counted, len(certOut), want)
 					}
-					for _, p := range certOut {
-						dv, err := points.DecodeDeltaValue(p.Value)
-						if err != nil {
-							t.Fatal(err)
-						}
-						i, err := mapreduce.ParseIDKey(p.Key)
-						if err != nil {
-							t.Fatal(err)
-						}
+					for _, i := range certOut {
+						dv := points.DeltaValue{Delta: delta[i], Upslope: upslope[i]}
 						var want points.DeltaValue
 						for _, e := range coBucketedByDistance(ds, cb, int(i)) {
 							if dp.DenserVals(rho[e.ID], rho[i], e.ID, i) {

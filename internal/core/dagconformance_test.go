@@ -76,22 +76,14 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	}
 	p1 := run(LSHRhoJob(conf.Clone()), plan.rhoInput(input))
 	p2 := run(LSHRhoAggJob(conf.Clone()), grouped(p1))
-	rho, err := DecodeRhoArray(p2, ds.N())
+	rho, near, err := decodeRhoValues(p2, ds.N())
 	if err != nil {
 		t.Fatal(err)
 	}
-	certified, err := certifyDelta(p2, ds.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipped, err := shipRows(ds, rowKeys, p2, certified)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p3 := run(LSHDeltaJob(conf.Clone()), shipped)
+	delta, upslope, open := certify(rho, near)
+	p3 := run(LSHDeltaJob(conf.Clone()), shipRows(ds, rowKeys, rho, open))
 	p4 := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), grouped(p3))
-	delta, upslope, err := DecodeDeltaArrays(append(p4, certified...), ds.N())
-	if err != nil {
+	if err := decodeOpenDeltas(p4, delta, upslope, open); err != nil {
 		t.Fatal(err)
 	}
 	res := &Result{Rho: rho, Delta: delta, Upslope: upslope}

@@ -195,7 +195,7 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, res *Result, labels []i
 		return nil, err
 	}
 	plan := res.plan
-	if plan == nil || !maps.Equal(plan.conf, conf) || len(plan.masks) != ds.N()*plan.stride() {
+	if plan == nil || !maps.Equal(plan.conf, conf) || len(plan.masks) != ds.N()*((cfg.m()+7)/8) {
 		layouts, err := layoutsOf(conf)
 		if err != nil {
 			return nil, err

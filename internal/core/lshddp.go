@@ -121,15 +121,16 @@ const CtrDeltaCertified = "dp.delta.certified"
 //	job 2   ρ̂ aggregation: shares added per layout, then max over layouts
 //	        (Theorem 1); partner lists merged into each point's nearest
 //	        co-bucketed points within d_c
-//	driver  certifyDelta: δ̂/upslope of every point whose list holds a
-//	        denser point — then its nearest denser co-bucketed one
-//	driver  shipRows: the points left open, and the certified ones as
+//	driver  certify, on job 2's ρ̂ and lists, decoded once: δ̂/upslope of
+//	        every point whose list holds a denser point — then its nearest
+//	        denser co-bucketed one; the other points stay open
+//	driver  shipRows: the open points, and the certified ones as
 //	        candidates only where an open one needs them
 //	job 3   LSH partition + local δ̂/upslope of the open points using
 //	        aggregated ρ̂, pair-once again; local absolute peaks get δ̂ = +∞
 //	        (Section IV-C)
 //	job 4   δ̂ aggregation of job 3's records: min over layouts (Theorem 2)
-//	driver  the certified records beside job 4's, one per point
+//	driver  job 4's records decoded into the open points' δ̂/upslope
 //
 // The returned Delta may contain +∞ for points that looked like the
 // absolute peak in every layout; Result.Cluster rectifies them to the max
@@ -176,19 +177,12 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	certified, err := certifyDelta(rhoOut, ds.N())
+	rho, near, err := decodeRhoValues(rhoOut, ds.N())
 	if err != nil {
 		return nil, err
 	}
-	rhoPts, err := shipRows(ds, rowKeys, rhoOut, certified)
-	if err != nil {
-		return nil, err
-	}
-	rho, err := DecodeRhoArray(rhoOut, ds.N())
-	if err != nil {
-		return nil, err
-	}
-	dPartials, err := sess.Run(ctx, LSHDeltaJob(conf), rhoPts)
+	delta, upslope, open := certify(rho, near)
+	dPartials, err := sess.Run(ctx, LSHDeltaJob(conf), shipRows(ds, rowKeys, rho, open))
 	if err != nil {
 		return nil, err
 	}
@@ -199,8 +193,7 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	delta, upslope, err := DecodeDeltaArrays(append(dOut, certified...), ds.N())
-	if err != nil {
+	if err := decodeOpenDeltas(dOut, delta, upslope, open); err != nil {
 		return nil, err
 	}
 
@@ -383,65 +376,52 @@ func appendNeighbors(dst []points.Neighbor, list []kernels.TopKEntry) []points.N
 	return dst
 }
 
-// certify decides point i's δ̂ and upslope from its list, the nearest points
-// within d_c it shares a bucket with, in (d², ID) order. Every co-bucketed
-// point before the list's first denser one is in the list, so that one is
-// the nearest denser co-bucketed point, and among those at its distance the
-// lowest ID — DeltaAggJob's tie rule. A list without a denser entry decides
-// nothing — a denser point may lie beyond its last entry or beyond d_c — so
-// ok is false and the δ job takes the point.
-func certify(rho []float64, i int32, list []points.Neighbor) (dv points.DeltaValue, ok bool) {
-	for _, e := range list {
-		if dp.DenserVals(rho[e.ID], rho[i], e.ID, i) {
-			return points.DeltaValue{Delta: math.Sqrt(e.D2), Upslope: e.ID}, true
+// certify decides δ̂ and upslope from the ρ aggregation's lists: near[i]
+// holds the nearest points within d_c that point i shares a bucket with, in
+// (d², ID) order. Every co-bucketed point before the list's first denser one
+// is in the list, so that one is the nearest denser co-bucketed point, and
+// among those at its distance the lowest ID — DeltaAggJob's tie rule. A list
+// without a denser entry decides nothing — a denser point may lie beyond its
+// last entry or beyond d_c — so the point stays open, and the δ job takes it.
+func certify(rho []float64, near [][]points.Neighbor) (delta []float64, upslope []int32, open []bool) {
+	n := len(rho)
+	delta, upslope, open = make([]float64, n), make([]int32, n), make([]bool, n)
+	for i, list := range near {
+		open[i] = true
+		for _, e := range list {
+			if dp.DenserVals(rho[e.ID], rho[i], e.ID, int32(i)) {
+				delta[i], upslope[i], open[i] = math.Sqrt(e.D2), e.ID, false
+				break
+			}
 		}
 	}
-	return points.DeltaValue{}, false
+	return delta, upslope, open
 }
 
-// certifyDelta returns, from the ρ aggregation's output, the δ̂ record of
-// every point certify decides, keyed as DeltaAggJob's output is: the driver
-// decodes them beside it. The δ job gives such a point no record, so the
-// aggregation has nothing to fold them with.
-func certifyDelta(rhoOut []mapreduce.Pair, n int) ([]mapreduce.Pair, error) {
-	rho, near, err := decodeRhoValues(rhoOut, n)
-	if err != nil {
-		return nil, err
-	}
-	var out []mapreduce.Pair
-	for i := range rho {
-		if dv, ok := certify(rho, int32(i), near[i]); ok {
-			out = append(out, mapreduce.Pair{Key: mapreduce.IDKey(int32(i)), Value: points.EncodeDeltaValue(dv)})
-		}
-	}
-	return out, nil
-}
-
-// shipPlan is planRho's plan for the ρ job and the halo job, kept in the
-// Result of the run that made it for RunLSHHalo: the Conf it was made under,
-// every point's ship mask, point i's ⌈M/8⌉ bytes at masks[i·⌈M/8⌉:], and the
-// value of the rhoUnshippedKey record.
+// shipPlan is the plan of an LSH job whose driver ships a point only to some
+// of its buckets: planRho's for the ρ job and the halo job, kept in the
+// Result of the run that made it for RunLSHHalo, and shipRows' for the δ
+// job. It holds the Conf it was made under (none on a δ plan), every point's
+// ship mask, point i's stride bytes at masks[i·stride:], and the value of
+// the unshippedKey record.
 type shipPlan struct {
 	conf   mapreduce.Conf
 	masks  []byte
 	unsent []byte
 }
 
-// stride is the length of a point's mask, ⌈M/8⌉.
-func (p *shipPlan) stride() int { return (p.conf.GetInt(confM, 1) + 7) / 8 }
-
 // input returns a planned job's input: point i's record is value(i, mask),
 // which must copy mask, its ship mask in wire form (points.AppendShipMask),
-// behind whatever its reducers read; the rhoUnshippedKey record follows.
+// behind whatever its reducers read; the unshippedKey record follows.
 func (p *shipPlan) input(n int, value func(i int, mask []byte) []byte) []mapreduce.Pair {
-	stride := p.stride()
+	stride := len(p.masks) / max(n, 1)
 	out := make([]mapreduce.Pair, n, n+1)
 	var wire []byte
 	for i := range out {
 		wire = points.AppendShipMask(wire[:0], p.masks[i*stride:][:stride])
 		out[i] = mapreduce.Pair{Value: value(i, wire)}
 	}
-	return append(out, mapreduce.Pair{Key: rhoUnshippedKey, Value: p.unsent})
+	return append(out, mapreduce.Pair{Key: unshippedKey, Value: p.unsent})
 }
 
 // rhoInput returns the ρ job's input: every InputPairs record of input
@@ -583,31 +563,19 @@ func (rp *runPlanner) plan(own int, bucket []int32, sent []bool) (pruned, skippe
 	return pruned, n*(n-1)/2 - kept*(kept-1)/2 - pruned
 }
 
-// shipRows returns, from the ρ aggregation's output, every point's δ-job
-// input record (points.ShipMask). A point certifyDelta left open travels to
-// all its buckets. A certified one is needed only as a candidate for the open
-// points less dense than itself, so it travels to a bucket only when it is
-// denser than the bucket's least dense open point; its mask lists those
+// shipRows returns the δ job's input: every point's record
+// (points.ShipMask) through its ship plan. A point certify left open travels
+// to all its buckets. A certified one is needed only as a candidate for the
+// open points less dense than itself, so it travels to a bucket only when it
+// is denser than the bucket's least dense open point; its mask lists those
 // layouts. Every pair of an open point with a denser co-bucketed one thus
 // still meets at its owner, and the δ job evaluates no other pair of
-// interest. One more record, keyed deltaUnshippedKey, carries the
-// co-bucketed pairs no reducer receives, for the δ job to count as skipped.
-// rowKeys holds every point's bucket ids, as planRho returns them.
-func shipRows(ds *points.Dataset, rowKeys []int32, rhoOut, certified []mapreduce.Pair) ([]mapreduce.Pair, error) {
+// interest. The plan's unshipped-pair record carries the co-bucketed pairs
+// no reducer receives, for the δ job to count as skipped. rowKeys holds
+// every point's bucket ids, as planRho returns them.
+func shipRows(ds *points.Dataset, rowKeys []int32, rho []float64, open []bool) []mapreduce.Pair {
 	n := ds.N()
 	nl := len(rowKeys) / n
-	rho, err := DecodeRhoArray(rhoOut, n)
-	if err != nil {
-		return nil, err
-	}
-	done := make([]bool, n)
-	for _, p := range certified {
-		id, err := pointOf(p.Key, n)
-		if err != nil {
-			return nil, err
-		}
-		done[id] = true
-	}
 	// Per bucket: its points, those shipped to it, and its least dense open
 	// point — open points first, so that it is known when the certified ones
 	// come. A NaN density is denser than nothing and has nothing denser than
@@ -628,7 +596,7 @@ func shipRows(ds *points.Dataset, rowKeys []int32, rhoOut, certified []mapreduce
 		}
 	}
 	for i := range n {
-		if done[i] {
+		if !open[i] {
 			continue
 		}
 		each(i, func(_ int, b *bucket) {
@@ -638,67 +606,64 @@ func shipRows(ds *points.Dataset, rowKeys []int32, rhoOut, certified []mapreduce
 			}
 		})
 	}
-	out := make([]mapreduce.Pair, n, n+1)
-	mask := make([]byte, (nl+7)/8)
-	for i, p := range ds.Points {
-		rec := points.AppendRhoPoint(make([]byte, 0, 18+8*ds.Dim()+len(mask)), points.RhoPoint{Point: p, Rho: rho[i]})
-		if done[i] {
-			clear(mask)
-			each(i, func(m int, b *bucket) {
-				if b.least >= 0 && dp.DenserVals(rho[i], rho[b.least], int32(i), b.least) {
-					b.shipped++
-					mask[m/8] |= 1 << (m % 8)
-				}
-			})
-			rec = points.AppendShipMask(rec, mask)
+	stride := (nl + 7) / 8
+	plan := &shipPlan{masks: make([]byte, n*stride)}
+	for i := range n {
+		if open[i] {
+			continue
 		}
-		out[i] = mapreduce.Pair{Value: rec}
+		mask := plan.masks[i*stride:][:stride]
+		each(i, func(m int, b *bucket) {
+			if b.least >= 0 && dp.DenserVals(rho[i], rho[b.least], int32(i), b.least) {
+				b.shipped++
+				mask[m/8] |= 1 << (m % 8)
+			}
+		})
 	}
-	var unshipped int64
+	var skipped int64
 	for _, b := range buckets {
-		unshipped += (b.points*(b.points-1) - b.shipped*(b.shipped-1)) / 2
+		skipped += (b.points*(b.points-1) - b.shipped*(b.shipped-1)) / 2
 	}
-	return append(out, mapreduce.Pair{Key: deltaUnshippedKey, Value: binary.AppendUvarint(nil, uint64(unshipped))}), nil
+	plan.unsent = binary.AppendUvarint(binary.AppendUvarint(nil, 0), uint64(skipped))
+	return plan.input(n, func(i int, mask []byte) []byte {
+		rec := points.AppendRhoPoint(make([]byte, 0, 18+8*ds.Dim()+len(mask)), points.RhoPoint{Point: ds.Points[i], Rho: rho[i]})
+		if open[i] {
+			return rec // no mask: every layout
+		}
+		return append(rec, mask...)
+	})
 }
 
-// The keys of the records that carry an LSH job's count of the co-bucketed
-// pairs its driver sent to no reducer: planRho's, the pruned then the skipped
-// ones, and shipRows', the skipped ones, as uvarints.
-const (
-	rhoUnshippedKey   = "lsh-ddp-rho.unshipped"
-	deltaUnshippedKey = "lsh-ddp-delta.unshipped"
-)
+// unshippedKey keys the record that carries an LSH job's count of the
+// co-bucketed pairs its ship plan sent to no reducer: the pruned then the
+// skipped ones, as uvarints.
+const unshippedKey = "lsh-ddp.unshipped"
 
-// countUnshipped adds the uvarints of an unshipped-pair record to the
-// counters named, in order.
-func countUnshipped(ctx *mapreduce.TaskContext, value []byte, ctrs ...string) error {
-	counts := make([]int64, len(ctrs))
-	rest := value
-	for x := range counts {
-		v, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return fmt.Errorf("core: malformed unshipped-pair count %x", value)
-		}
-		counts[x], rest = int64(v), rest[k:]
-	}
-	if len(rest) != 0 {
+// countUnshipped adds the pairs of an unshippedKey record to the pruned and
+// skipped counters.
+func countUnshipped(ctx *mapreduce.TaskContext, value []byte) error {
+	pruned, k := binary.Uvarint(value)
+	if k <= 0 {
 		return fmt.Errorf("core: malformed unshipped-pair count %x", value)
 	}
-	for x, c := range counts {
-		ctx.Counters.Add(ctrs[x], c)
+	skipped, j := binary.Uvarint(value[k:])
+	if j <= 0 || k+j != len(value) {
+		return fmt.Errorf("core: malformed unshipped-pair count %x", value)
 	}
+	ctx.Counters.Add(CtrPairsPruned, int64(pruned))
+	ctx.Counters.Add(CtrPairsSkipped, int64(skipped))
 	return nil
 }
 
 // plannedMap is the map of the LSH jobs planRho plans, the ρ job and the
 // halo job: a record is a point, extra bytes the job's reducers read after
 // it, and an optional ship mask, and the point and its extra bytes travel as
-// shipTo says. The rhoUnshippedKey record's pairs count as pruned and
+// shipTo says. The unshippedKey record's pairs count as pruned and
 // skipped.
 func plannedMap(drawn func(mapreduce.Conf) (*lsh.Layouts, error), extra int) mapreduce.MapFunc {
 	return func(ctx *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
-		if key == rhoUnshippedKey {
-			return countUnshipped(ctx, value, CtrPairsPruned, CtrPairsSkipped)
+		if key == unshippedKey {
+			return countUnshipped(ctx, value)
 		}
 		p, rest, err := points.DecodePoint(value)
 		if err != nil {
@@ -752,19 +717,19 @@ func shipTo(l *lsh.Layouts, p points.Point, masked bool, mask, value []byte, out
 // no denser partner among a reducer's pairs emits nothing — except from
 // layout 0, where it is the local absolute peak and gets δ̂ = +∞ and no
 // upslope (Section IV-C), which the aggregation keeps only if no layout
-// found better. A certified point emits nothing: its record came from
-// certifyDelta. The map side reads every point's record, so it counts
-// the certified ones, and it adds the pairs shipRows sent nowhere to the
-// skipped ones: evaluated + skipped stays Σ C(|bucket|, 2) over every bucket
-// of every layout, as on the ρ job.
+// found better. A certified point emits nothing: the driver's certify
+// decided it. The map side reads every point's record, so it counts the
+// certified ones, and it adds the pairs shipRows sent nowhere to the skipped
+// ones: evaluated + skipped stays Σ C(|bucket|, 2) over every bucket of
+// every layout, as on the ρ job.
 func LSHDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 	drawn := mapreduce.ConfOnce(layoutsOf)
 	return &mapreduce.Job{
 		Name: JobLSHDel,
 		Conf: conf,
 		Map: func(ctx *mapreduce.TaskContext, key string, value []byte, out mapreduce.Emitter) error {
-			if key == deltaUnshippedKey {
-				return countUnshipped(ctx, value, CtrPairsSkipped)
+			if key == unshippedKey {
+				return countUnshipped(ctx, value)
 			}
 			rp, rest, err := points.DecodeRhoPoint(value)
 			if err != nil {

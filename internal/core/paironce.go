@@ -28,10 +28,12 @@ import (
 // CtrPairsSkipped counts the co-bucketed pairs an LSH job did not evaluate
 // because another reducer's pass covers them or the job needs nothing of
 // them: an earlier layout owns them, on the δ job neither point's δ̂ needs
-// them, so one of the two never reached the bucket (shipRows), and on the
-// halo job the two points share a cluster. dp.distance.computations +
-// dp.lsh.pairs.pruned + dp.lsh.pairs.skipped of one LSH job is
-// Σ C(|bucket|, 2) over every bucket of every layout.
+// them, so one of the two never reached the bucket, and on the halo job the
+// two points share a cluster. The map side of each job adds the pairs its
+// ship plan (planRho's, shipRows') sent to no reducer, read from the
+// unshippedKey record. dp.distance.computations + dp.lsh.pairs.pruned +
+// dp.lsh.pairs.skipped of one LSH job is Σ C(|bucket|, 2) over every bucket
+// of every layout.
 const CtrPairsSkipped = "dp.lsh.pairs.skipped"
 
 // CtrPairsPruned counts the owned pairs a ρ or halo reducer did not evaluate

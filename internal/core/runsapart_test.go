@@ -191,10 +191,8 @@ func runStaged(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LSHCo
 	if st.rho, st.near, err = decodeRhoValues(rhoOut, n); err != nil {
 		t.Fatal(err)
 	}
-	certified, err := certifyDelta(rhoOut, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var open []bool
+	st.delta, st.upslope, open = certify(st.rho, st.near)
 	layouts, err := layoutsOf(conf)
 	if err != nil {
 		t.Fatal(err)
@@ -203,28 +201,24 @@ func runStaged(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LSHCo
 	if err != nil {
 		t.Fatal(err)
 	}
-	shipped, err := shipRows(ds, rowKeys, rhoOut, certified)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dOut := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), append(run(LSHDeltaJob(conf.Clone()), shipped), certified...))
-	if st.delta, st.upslope, err = DecodeDeltaArrays(dOut, n); err != nil {
+	dOut := run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), run(LSHDeltaJob(conf.Clone()), shipRows(ds, rowKeys, st.rho, open)))
+	if err := decodeOpenDeltas(dOut, st.delta, st.upslope, open); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
 // requireSameBits fails unless got and want hold the same float64 bit
-// patterns (NaN included) and the same upslopes.
+// patterns (NaN included) and the same upslopes; want is the reference run.
 func requireSameBits(t *testing.T, what string, got, want []float64, gotUp, wantUp []int32) {
 	t.Helper()
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s[%d] = %v, at reach +Inf %v", what, i, got[i], want[i])
+			t.Fatalf("%s[%d] = %v, reference %v", what, i, got[i], want[i])
 		}
 	}
 	if !slices.Equal(gotUp, wantUp) {
-		t.Fatalf("%s: upslopes differ from reach +Inf", what)
+		t.Fatalf("%s: upslopes differ from the reference", what)
 	}
 }
 
