@@ -274,3 +274,47 @@ func requireDeltaDistance(t *testing.T, ds *points.Dataset, i int32, e points.Ne
 		}
 	}
 }
+
+// TestDecodeOpenDeltasRefuses: the δ aggregation's output fills the open
+// points' slots of the certified arrays, so a record for a certified point,
+// a second record for an open one, no record for an open one and a key out
+// of range are each an error, and the certified slots keep their values.
+// DecodeDeltaArrays, the all-open form, still wants one record per point.
+func TestDecodeOpenDeltasRefuses(t *testing.T) {
+	rec := func(id int32, d float64, up int32) mapreduce.Pair {
+		return mapreduce.Pair{Key: mapreduce.IDKey(id), Value: points.EncodeDeltaValue(points.DeltaValue{Delta: d, Upslope: up})}
+	}
+	open := []bool{true, false, true, false}
+	good := []mapreduce.Pair{rec(2, 1.5, 0), rec(0, math.Inf(1), -1)}
+	delta, upslope := []float64{0, 0.5, 0, 0.25}, []int32{0, 2, 0, 1}
+	if err := decodeOpenDeltas(good, delta, upslope, open); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(delta, []float64{math.Inf(1), 0.5, 1.5, 0.25}) || !slices.Equal(upslope, []int32{-1, 2, 0, 1}) {
+		t.Fatalf("decoded delta %v, upslope %v", delta, upslope)
+	}
+	for _, c := range []struct {
+		name string
+		out  []mapreduce.Pair
+	}{
+		{"a certified point's record", append(slices.Clone(good), rec(1, 0.5, 2))},
+		{"two records for an open point", append(slices.Clone(good), rec(2, 1.5, 0))},
+		{"no record for an open point", good[:1]},
+		{"a key past the last point", append(slices.Clone(good), rec(4, 1, 0))},
+		{"a negative key", append(slices.Clone(good), rec(-1, 1, 0))},
+	} {
+		if err := decodeOpenDeltas(c.out, make([]float64, 4), make([]int32, 4), open); err == nil {
+			t.Errorf("%s: decoded without an error", c.name)
+		}
+	}
+	all := append(slices.Clone(good), rec(3, 0.25, 1), rec(1, 0.5, 2))
+	if delta, upslope, err := DecodeDeltaArrays(all, 4); err != nil ||
+		!slices.Equal(delta, []float64{math.Inf(1), 0.5, 1.5, 0.25}) || !slices.Equal(upslope, []int32{-1, 2, 0, 1}) {
+		t.Fatalf("DecodeDeltaArrays: delta %v, upslope %v, error %v", delta, upslope, err)
+	}
+	for _, out := range [][]mapreduce.Pair{all[:3], append(slices.Clone(all), rec(3, 0.25, 1)), append(slices.Clone(all), rec(4, 1, 0))} {
+		if _, _, err := DecodeDeltaArrays(out, 4); err == nil {
+			t.Errorf("DecodeDeltaArrays decoded %d records for 4 points without an error", len(out))
+		}
+	}
+}

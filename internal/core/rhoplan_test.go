@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/rpcmr"
@@ -171,5 +172,151 @@ func TestRhoShipPlanMatchesUnplanned(t *testing.T) {
 	}
 	if left == 0 {
 		t.Fatal("no fixture leaves a copy out: the plan goes unexercised")
+	}
+}
+
+// tieLattice is a 16 × 12 integer lattice stored twice, the first copy's IDs
+// falling as either coordinate grows and the second's rising: every squared
+// distance is an integer and every point has a twin at 0, so the (d², lowest
+// ID) rules decide δ̂ and the upslope.
+func tieLattice() *points.Dataset {
+	const w, h = 16, 12
+	vs := make([]points.Vector, 2*w*h)
+	for i := range w * h {
+		vs[i] = points.Vector{float64(w - 1 - i%w), float64(h - 1 - i/w)}
+		vs[2*w*h-1-i] = slices.Clone(vs[i])
+	}
+	return points.FromVectors("ties", vs)
+}
+
+// shipEverywhere returns the δ job's input in without its plan: every
+// certified point's mask lists all m layouts, and no unshipped-pair record
+// follows.
+func shipEverywhere(t *testing.T, in []mapreduce.Pair, m int) []mapreduce.Pair {
+	t.Helper()
+	all := make([]byte, (m+7)/8)
+	for l := range m {
+		all[l/8] |= 1 << (l % 8)
+	}
+	var out []mapreduce.Pair
+	for _, p := range in {
+		if p.Key == unshippedKey {
+			continue
+		}
+		_, rest, err := points.DecodeRhoPoint(p.Value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		certified, _, err := points.ShipMask(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := p.Value
+		if certified {
+			v = append(slices.Clip(v[:len(v)-len(rest)]), all...)
+		}
+		out = append(out, mapreduce.Pair{Value: v})
+	}
+	return out
+}
+
+// TestDeltaShipPlanMatchesUnplanned is the δ mirror of
+// TestRhoShipPlanMatchesUnplanned: on blobs and the doubled tie lattice, on
+// the local engine at P = 1 and 3 and a 3-worker rpcmr cluster, the δ job on
+// shipRows' input gives the open points the δ̂ and upslope, bit for bit,
+// that it gives them when every certified point travels to all its buckets,
+// counts the same certified points, and its evaluated + skipped pairs sum to
+// the same count. Some fixture must leave copies out, and some points open.
+func TestDeltaShipPlanMatchesUnplanned(t *testing.T) {
+	engines := []mapreduce.Engine{&mapreduce.LocalEngine{Parallelism: 1}, &mapreduce.LocalEngine{Parallelism: 3}}
+	if !testing.Short() {
+		rpcmr.RegisterJobs(JobFactories())
+		cluster, err := rpcmr.NewMaster("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		for i := 0; i < 3; i++ {
+			w, err := rpcmr.StartWorker(cluster.Addr(), "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+		}
+		engines = append(engines, cluster)
+	}
+	var left, opened int64
+	for _, c := range []struct {
+		name string
+		ds   *points.Dataset
+		cfg  LSHConfig
+	}{
+		{"blobs", dataset.Blobs("blobs", 600, 4, 6, 40, 2, 1), LSHConfig{M: 10, Pi: 3, W: 8, Config: Config{Dc: 3, Seed: 1}}},
+		{"ties", tieLattice(), LSHConfig{M: 10, Pi: 3, W: 4, Config: Config{Dc: 1.5, Seed: 1}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ds, n := c.ds, c.ds.N()
+			conf := lshConf(ds, c.cfg)
+			l, err := layoutsOf(conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowKeys, plan, err := planRho(InputPairs(ds), l, conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ei, eng := range engines {
+				run := func(job *mapreduce.Job, in []mapreduce.Pair) *mapreduce.Result {
+					res, err := eng.Run(context.Background(), job, in)
+					if err != nil {
+						t.Fatalf("engine %d: %s: %v", ei, job.Name, err)
+					}
+					return res
+				}
+				rhoOut := run(LSHRhoAggJob(conf.Clone()), run(LSHRhoJob(conf.Clone()), plan.rhoInput(InputPairs(ds))).Output).Output
+				rho, near, err := decodeRhoValues(rhoOut, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				delta, upslope, open := certify(rho, near)
+				planned := shipRows(ds, rowKeys, rho, open)
+				type deltaRun struct {
+					delta    []float64
+					upslope  []int32
+					counters map[string]int64
+				}
+				var runs [2]deltaRun
+				for x, in := range [][]mapreduce.Pair{planned, shipEverywhere(t, planned, l.M())} {
+					res := run(LSHDeltaJob(conf.Clone()), in)
+					r := deltaRun{slices.Clone(delta), slices.Clone(upslope), res.Counters.Snapshot()}
+					if err := decodeOpenDeltas(run(DeltaAggJob(JobLSHDelAgg, mapreduce.Conf{}), res.Output).Output, r.delta, r.upslope, open); err != nil {
+						t.Fatalf("engine %d: %v", ei, err)
+					}
+					runs[x] = r
+				}
+				got, all := runs[0], runs[1]
+				requireSameBits(t, fmt.Sprintf("engine %d: delta", ei), got.delta, all.delta, got.upslope, all.upslope)
+				pairs := func(c map[string]int64) int64 {
+					return c[mapreduce.CtrDistanceComputations] + c[CtrPairsPruned] + c[CtrPairsSkipped]
+				}
+				if pairs(got.counters) != pairs(all.counters) || got.counters[CtrDeltaCertified] != all.counters[CtrDeltaCertified] {
+					t.Fatalf("engine %d: %d pairs and %d certified planned, %d and %d with every copy shipped", ei,
+						pairs(got.counters), got.counters[CtrDeltaCertified], pairs(all.counters), all.counters[CtrDeltaCertified])
+				}
+				out, nOpen := all.counters[mapreduce.CtrMapOutputRecords]-got.counters[mapreduce.CtrMapOutputRecords], int64(0)
+				for _, o := range open {
+					if o {
+						nOpen++
+					}
+				}
+				if ei == 0 {
+					t.Logf("%d of %d points open, %d copies left out", nOpen, n, out)
+				}
+				left, opened = left+out, opened+nOpen
+			}
+		})
+	}
+	if left <= 0 || opened == 0 {
+		t.Fatalf("the plans left %d copies out and %d points open: both must be exercised", left, opened)
 	}
 }
