@@ -169,11 +169,11 @@ func fig10Rows(t *testing.T, r *Report) [][]string {
 		if cell(t, r, row, "algo") != "LSH-DDP" {
 			continue
 		}
-		if n := num(t, cell(t, r, row, "N")); n <= prevN {
+		n := num(t, cell(t, r, row, "N"))
+		if n <= prevN {
 			t.Fatalf("%s: N %v does not grow from %v", row[0], n, prevN)
-		} else {
-			prevN = n
 		}
+		prevN = n
 		rows = append(rows, row)
 	}
 	if len(rows) != 4 {
