@@ -231,7 +231,7 @@ bench-harness-smoke:
 
 # Regenerate every table/figure of the paper (several minutes at full scale).
 experiments:
-	$(GO) run ./cmd/dpbench -exp all
+	$(GO) run ./cmd/ddp exp
 
 # The example program on the local engine, then on an in-process 3-worker
 # rpcmr cluster, each run to completion (≈ 1 s); an error or a trace that

@@ -1,11 +1,11 @@
-// Package repro's root benchmark harness: one benchmark per table and
-// figure of the paper's evaluation (wrapping internal/experiments at a
-// reduced scale so `go test -bench=.` completes in minutes), plus
+// Package repro's root benchmark harness: one sub-benchmark per table and
+// figure of the paper's evaluation (each entry of experiments.All at a
+// reduced scale, so `go test -bench=.` completes in minutes), plus
 // micro-benchmarks of the substrates the pipelines are built from.
 //
-// Regenerate the full-scale evaluation with cmd/dpbench instead:
+// Regenerate the full-scale evaluation with `ddp exp` instead:
 //
-//	go run ./cmd/dpbench -exp all
+//	go run ./cmd/ddp exp
 package repro
 
 import (
@@ -31,49 +31,23 @@ func init() {
 	rpcmr.RegisterJobs(core.HaloJobFactories())
 }
 
-// benchOpt is the reduced experiment scale for benchmarks.
-func benchOpt() experiments.Options {
-	return experiments.Options{Scale: 8, Seed: 42}
-}
-
-// benchExperiment runs one experiment per iteration and logs its report
-// once (with -v).
-func benchExperiment(b *testing.B, run func(experiments.Options) (*experiments.Report, error)) {
-	b.Helper()
-	var last *experiments.Report
-	for i := 0; i < b.N; i++ {
-		r, err := run(benchOpt())
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	if last != nil {
-		b.Log("\n" + last.String())
+// BenchmarkExperiments runs each experiment of experiments.All once per
+// iteration at an eighth of its scale and logs its last report (with -v).
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All {
+		b.Run(e.Name, func(b *testing.B) {
+			var last *experiments.Report
+			for i := 0; i < b.N; i++ {
+				r, err := e.Run(experiments.Options{Scale: 8, Seed: 42})
+				if err != nil {
+					b.Fatal(err)
+				}
+				last = r
+			}
+			b.Log("\n" + last.String())
+		})
 	}
 }
-
-// ---- One benchmark per table/figure ----
-
-func BenchmarkTable2Datasets(b *testing.B) { benchExperiment(b, experiments.ExpTable2) }
-
-func BenchmarkFig7DecisionGraph(b *testing.B) { benchExperiment(b, experiments.ExpFig7) }
-
-func BenchmarkFig8Quality(b *testing.B) { benchExperiment(b, experiments.ExpFig8) }
-
-func BenchmarkFig9Accuracy(b *testing.B) { benchExperiment(b, experiments.ExpFig9) }
-
-func BenchmarkFig10Runtime(b *testing.B) { benchExperiment(b, experiments.ExpFig10) }
-
-func BenchmarkTable4EDDPC(b *testing.B) { benchExperiment(b, experiments.ExpTable4) }
-
-func BenchmarkFig11KMeans(b *testing.B) { benchExperiment(b, experiments.ExpFig11) }
-
-func BenchmarkFig12Params(b *testing.B) { benchExperiment(b, experiments.ExpFig12) }
-
-func BenchmarkEC2Extrapolation(b *testing.B) { benchExperiment(b, experiments.ExpEC2) }
-
-func BenchmarkAblations(b *testing.B) { benchExperiment(b, experiments.ExpAblation) }
 
 // ---- Algorithm benchmarks with cost metrics ----
 

@@ -4,13 +4,15 @@
 // sequential reference, and writes per-point cluster labels. `ddp knn` runs
 // the distributed kNN-join, `ddp gen` writes the evaluation data sets as CSV
 // (-split R:S writes a query and a base file, -R / -S before -o's
-// extension), and `ddp worker` is a MapReduce worker.
+// extension), `ddp exp` runs the paper's experiments (Section VI), and
+// `ddp worker` is a MapReduce worker.
 //
 //	ddp -input points.csv -algo lsh -k 7 -out labels.csv
 //	ddp -input points.csv -algo basic -graph        # print decision graph
 //	ddp -input points.csv -algo lsh -halo -export-model model.ddpm
 //	ddp gen -dataset BigCross500K -split 1000:9000 -seed 7 -o big.csv
 //	ddp knn -r big-R.csv -s big-S.csv -labeled -k 10 -out neighbors.csv
+//	ddp exp -scale 4 fig10 table4       # no names: all 11, several minutes
 //
 // Clustering and the join run on the local multicore engine; with
 // -master-listen the command is the MapReduce master and waits for workers
@@ -40,6 +42,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dp"
 	"repro/internal/eddpc"
+	"repro/internal/experiments"
 	"repro/internal/kmeansmr"
 	"repro/internal/knnjoin"
 	"repro/internal/mapreduce"
@@ -52,7 +55,7 @@ import (
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: ddp -input points.csv [flags]   cluster\n"+
-			"       ddp knn | gen | worker [flags]   kNN-join | data set CSV | MapReduce worker")
+			"       ddp knn | gen | exp | worker [flags]   kNN-join | data set CSV | experiments | MapReduce worker")
 		flag.PrintDefaults()
 	}
 	if len(os.Args) > 1 && !strings.HasPrefix(os.Args[1], "-") {
@@ -63,6 +66,8 @@ func main() {
 			runGen(os.Args[2:])
 		case "worker":
 			runWorker(os.Args[2:])
+		case "exp":
+			runExp(os.Args[2:])
 		default:
 			flag.Usage()
 			os.Exit(2)
@@ -351,6 +356,65 @@ func runGen(args []string) {
 	base := strings.TrimSuffix(*out, ext)
 	write(base+"-R"+ext, R)
 	write(base+"-S"+ext, S)
+}
+
+// runExp is `ddp exp`: the named experiments of experiments.All, or all of
+// them, in its order, each report to stdout and with -csv to <dir>/<name>.csv.
+func runExp(args []string) {
+	fs := flag.NewFlagSet("exp", flag.ExitOnError)
+	var (
+		scale    = fs.Int("scale", 1, "extra divisor on data set sizes (1 = DESIGN.md scale)")
+		seed     = fs.Int64("seed", 42, "seed for data generation and algorithms")
+		parallel = fs.Int("parallel", 0, "engine parallelism (0 = all cores)")
+		verbose  = fs.Bool("v", false, "log per-job progress")
+		csvDir   = fs.String("csv", "", "also write each report as CSV into this directory")
+		traceOut = fs.String("trace", "", "write a JSONL job trace (task phase spans) to this file")
+	)
+	fs.Parse(args)
+	if *scale < 0 || *parallel < 0 {
+		fmt.Fprintln(os.Stderr, "ddp exp: -scale and -parallel must not be negative (0 = the default)")
+		os.Exit(2)
+	}
+	known, want := map[string]bool{}, map[string]bool{}
+	for _, e := range experiments.All {
+		known[e.Name] = true
+	}
+	for _, name := range fs.Args() {
+		if !known[name] {
+			fmt.Fprintf(os.Stderr, "ddp exp: unknown experiment %q\n", name)
+			os.Exit(2)
+		}
+		want[name] = true
+	}
+	opt := experiments.Options{Scale: *scale, Seed: *seed, Parallelism: *parallel}
+	if *verbose {
+		opt.Log = logStderr
+	}
+	if *traceOut != "" {
+		opt.Trace = &obs.Trace{}
+	}
+	if *csvDir != "" {
+		fatal(os.MkdirAll(*csvDir, 0o755))
+	}
+	for _, e := range experiments.All {
+		if len(want) > 0 && !want[e.Name] {
+			continue
+		}
+		start := time.Now()
+		report, err := e.Run(opt)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", e.Name, err))
+		}
+		writeOut("", func(w io.Writer) error { _, err := report.WriteTo(w); return err })
+		if *csvDir != "" {
+			writeOut(filepath.Join(*csvDir, e.Name+".csv"), report.WriteCSVTo)
+		}
+		fmt.Printf("[%s completed in %.1fs]\n\n", e.Name, time.Since(start).Seconds())
+	}
+	if opt.Trace != nil {
+		writeOut(*traceOut, opt.Trace.WriteJSONL)
+		fmt.Printf("wrote %s (%d job traces)\n", *traceOut, len(opt.Trace.Jobs()))
+	}
 }
 
 // runWorker is `ddp worker`: it serves the master's tasks until SIGINT.

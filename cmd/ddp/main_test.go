@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/experiments"
 	"repro/internal/mapreduce"
 )
 
@@ -114,6 +115,7 @@ func TestUnknownSubcommand(t *testing.T) {
 // infinite value fails the run instead of quietly running the defaults (or
 // running at d_c = +Inf) — with exit code 2
 // where ddp refuses the flag itself, 1 where the pipeline refuses its config.
+// An experiment name `ddp exp` does not know is refused with 2 too.
 func TestNegativeFlagsRefused(t *testing.T) {
 	dir := t.TempDir()
 	agg, pts := filepath.Join(dir, "agg.csv"), filepath.Join(dir, "pts.csv")
@@ -155,6 +157,9 @@ func TestNegativeFlagsRefused(t *testing.T) {
 		{append(knn, "-w", "NaN"), 1},
 		{append(knn, "-w", "Inf"), 1},
 		{[]string{"gen", "-dataset", "S2", "-o", filepath.Join(dir, "n.csv"), "-n", "-5"}, 2},
+		{[]string{"exp", "-scale", "-4", "table2"}, 2},
+		{[]string{"exp", "-parallel", "-3", "table2"}, 2},
+		{[]string{"exp", "table2", "nosuch"}, 2},
 	} {
 		if _, code := runDDP(t, c.args...); code != c.code {
 			t.Errorf("ddp %s exited %d, want %d", strings.Join(c.args[len(c.args)-2:], " "), code, c.code)
@@ -198,5 +203,35 @@ func TestGenKeepsEveryLabel(t *testing.T) {
 		if n, got := labels(paths...); n != 200 || len(got) != 7 {
 			t.Errorf("gen %s: %d points with %d of 7 labels, want 200 with 7", what, n, len(got))
 		}
+	}
+}
+
+// TestExpWritesReportAndCSV: `ddp exp -csv <dir> table2` prints
+// experiments.ExpTable2's report at the default seed, then its completion
+// line, and writes the same report as <dir>/table2.csv.
+func TestExpWritesReportAndCSV(t *testing.T) {
+	dir := t.TempDir()
+	out, code := runDDP(t, "exp", "-csv", dir, "table2")
+	if code != 0 {
+		t.Fatalf("ddp exp exited %d", code)
+	}
+	r, err := experiments.ExpTable2(experiments.Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, done, _ := strings.Cut(out, "[table2 completed in ")
+	if report != r.String() || !strings.HasSuffix(done, "s]\n\n") {
+		t.Fatalf("ddp exp table2 printed\n%s\nwant the report\n%s\nand its completion line", out, r)
+	}
+	var want strings.Builder
+	if err := r.WriteCSVTo(&want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "table2.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Fatalf("table2.csv holds\n%s\nwant\n%s", got, want.String())
 	}
 }

@@ -184,7 +184,7 @@ func readDoc(path string) string {
 // the line pin from being met by joining lines.
 const (
 	designMaxLines = 1097
-	designMaxBytes = 76914
+	designMaxBytes = 76695
 	designMaxPRs   = 0
 )
 

@@ -16,14 +16,14 @@ func TestStaleRefs(t *testing.T) {
 		"ddp knn":             {"h": true, "k": true, "out": true},
 		"ddp gen":             {"h": true, "dataset": true, "o": true},
 		"ddp worker":          {"h": true, "master": true},
-		"dpbench":             {"h": true},
+		"ddp exp":             {"h": true, "scale": true, "seed": true},
 		"fleetctl":            {"h": true},
 		"fleetctl partition":  {"h": true},
 		"fleetctl rollover":   {"h": true, "shards": true, "timeout": true},
 		"examples/quickstart": {"h": true, "trace": true, "distributed": true},
 	}
 	subs := map[string]map[string]bool{
-		"ddp":      {"knn": true, "gen": true, "worker": true},
+		"ddp":      {"knn": true, "gen": true, "worker": true, "exp": true},
 		"fleetctl": {"partition": true, "rollover": true},
 	}
 	cases := []struct {
@@ -31,7 +31,7 @@ func TestStaleRefs(t *testing.T) {
 		doc  string
 		want []string
 	}{
-		{"live refs", "Run `make check`, then `go run ./cmd/ddp -h` (see `cmd/dpbench`).", nil},
+		{"live refs", "Run `make check`, then `go run ./cmd/ddp -h` (see `cmd/ddp`).", nil},
 		{"prose is not code", "make sure cmd/gone is not flagged outside backticks", nil},
 		{"deleted target", "numbers from `make bench-gone N=1000`", []string{"make bench-gone"}},
 		{"deleted binary", "driven by `cmd/goneload`", []string{"cmd/goneload"}},
@@ -47,6 +47,7 @@ func TestStaleRefs(t *testing.T) {
 		{"flags are per subcommand", "`ddp knn -k 10`, `ddp gen -k 3 -o x.csv`, `ddp -k 3 -input x.csv`", []string{"ddp gen -k"}},
 		{"subcommand's flag on the bare command", "`ddp -input x.csv -master h:1`", []string{"ddp -master"}},
 		{"deleted binary's subcommand", "`go run ./cmd/mrd worker`", []string{"cmd/mrd"}},
+		{"a deleted binary's flags on its successor", "`ddp exp -scale 4 -seed 42 fig10 table4`, `ddp exp -exp fig10`", []string{"ddp exp -exp"}},
 		{"live example", "`go run ./examples/quickstart -trace t.jsonl -distributed` (see `examples/quickstart`)", nil},
 		{"deleted example", "`examples/compare`, and ```sh\ngo run ./examples/halo\n```", []string{"examples/compare", "examples/halo"}},
 		{"deleted example flag", "`go run ./examples/quickstart -engine rpcmr`", []string{"examples/quickstart -engine"}},

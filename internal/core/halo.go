@@ -142,7 +142,11 @@ func LSHHaloAggJob(conf mapreduce.Conf) *mapreduce.Job {
 	fold := func(_ *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
 		var maxB float64
 		for _, v := range values {
-			if b := points.DecodeFloat64(v); b > maxB {
+			b, err := decodeBorder(v)
+			if err != nil {
+				return err
+			}
+			if b > maxB {
 				maxB = b
 			}
 		}
@@ -221,17 +225,11 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, res *Result, labels []i
 		return nil, err
 	}
 
-	hr := &HaloResult{
-		Halo:   make([]bool, ds.N()),
-		Border: make([]float64, nClusters),
+	border, err := decodeBorders(agg, int(nClusters))
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range agg {
-		c, err := pointOf(p.Key, int(nClusters))
-		if err != nil {
-			return nil, err
-		}
-		hr.Border[c] = points.DecodeFloat64(p.Value)
-	}
+	hr := &HaloResult{Halo: make([]bool, ds.N()), Border: border}
 	for i := range hr.Halo {
 		hr.Halo[i] = rho[i] < hr.Border[labels[i]]
 	}
@@ -241,6 +239,35 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, res *Result, labels []i
 	hr.Stats.M = cfg.m()
 	CollectStats(&hr.Stats, sess, mark, start)
 	return hr, nil
+}
+
+// decodeBorder reads one border density record, exactly 8 bytes.
+func decodeBorder(v []byte) (float64, error) {
+	if len(v) != 8 {
+		return 0, fmt.Errorf("core: border density record is %d bytes, want 8", len(v))
+	}
+	return points.DecodeFloat64(v), nil
+}
+
+// decodeBorders reads the halo aggregation's records into the border
+// density of each of n clusters: at most one record per cluster, and a
+// cluster without one keeps 0.
+func decodeBorders(agg []mapreduce.Pair, n int) ([]float64, error) {
+	border, seen := make([]float64, n), make([]bool, n)
+	for _, p := range agg {
+		c, err := pointOf(p.Key, n)
+		if err != nil {
+			return nil, err
+		}
+		if seen[c] {
+			return nil, fmt.Errorf("core: duplicate border density for cluster %d", c)
+		}
+		seen[c] = true
+		if border[c], err = decodeBorder(p.Value); err != nil {
+			return nil, err
+		}
+	}
+	return border, nil
 }
 
 // HaloJobFactories returns the registry entries for the halo jobs.

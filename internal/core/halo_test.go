@@ -260,6 +260,44 @@ func TestHaloBorderIsCoBucketedMax(t *testing.T) {
 	}
 }
 
+// TestDecodeBordersRefuses: the halo aggregation's decode takes at most one
+// 8-byte record per cluster in range, and its fold 8-byte records only; a
+// short record is refused rather than read past its end, a long or repeated
+// one rather than taken.
+func TestDecodeBordersRefuses(t *testing.T) {
+	rec := func(c int32, v []byte) mapreduce.Pair { return mapreduce.Pair{Key: mapreduce.IDKey(c), Value: v} }
+	good := []mapreduce.Pair{rec(2, points.EncodeFloat64(1.5)), rec(0, points.EncodeFloat64(4))}
+	if border, err := decodeBorders(good, 3); err != nil || !slices.Equal(border, []float64{4, 0, 1.5}) {
+		t.Fatalf("decoded %v, error %v", border, err)
+	}
+	short, long := []byte{1, 2, 3}, append(points.EncodeFloat64(1), 0)
+	for _, c := range []struct {
+		name string
+		out  []mapreduce.Pair
+	}{
+		{"two records for a cluster", append(slices.Clone(good), rec(2, points.EncodeFloat64(1.5)))},
+		{"a short record", append(slices.Clone(good), rec(1, short))},
+		{"a long record", append(slices.Clone(good), rec(1, long))},
+		{"a key past the last cluster", append(slices.Clone(good), rec(3, points.EncodeFloat64(1)))},
+		{"a negative key", append(slices.Clone(good), rec(-1, points.EncodeFloat64(1)))},
+	} {
+		if _, err := decodeBorders(c.out, 3); err == nil {
+			t.Errorf("%s: decoded without an error", c.name)
+		}
+	}
+	fold := LSHHaloAggJob(nil).Reduce
+	var got []float64
+	emit := mapreduce.EmitterFunc(func(_ string, v []byte) { got = append(got, points.DecodeFloat64(v)) })
+	if err := fold(nil, "0", [][]byte{points.EncodeFloat64(1), points.EncodeFloat64(3)}, emit); err != nil || !slices.Equal(got, []float64{3}) {
+		t.Fatalf("fold emitted %v, error %v", got, err)
+	}
+	for _, v := range [][]byte{short, long} {
+		if err := fold(nil, "0", [][]byte{points.EncodeFloat64(1), v}, emit); err == nil {
+			t.Errorf("fold took a %d-byte record", len(v))
+		}
+	}
+}
+
 func TestHaloJobFactoriesComplete(t *testing.T) {
 	fs := HaloJobFactories()
 	if fs[JobLSHHalo] == nil || fs[JobLSHHaloAgg] == nil {

@@ -12,10 +12,10 @@ import (
 // is feasible to modify our solution to support variants of DP"):
 //
 //  1. Distributed halo detection: the original DP paper's cluster-core /
-//     halo split, computed with two extra LSH-partitioned jobs; the
-//     estimated border densities are validated as underestimates of the
-//     exact ones, and the halo jobs' distance computations and shuffle
-//     bytes are reported beside the base pipeline's.
+//     halo split, computed with two extra LSH-partitioned jobs; the halo
+//     jobs' distance computations and shuffle bytes are reported beside
+//     the base pipeline's. TestRunLSHHaloUnderestimatesExactBorder checks
+//     that the estimated border densities underestimate the exact ones.
 //  2. Automatic k suggestion: the γ-gap knee heuristic on decision graphs
 //     with known ground-truth k.
 func ExpExtensions(opt Options) (*Report, error) {

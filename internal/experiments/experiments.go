@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section VI). Each Exp* function runs one experiment and
-// returns a Report whose rows mirror what the paper plots; cmd/dpbench
-// prints them and bench_test.go wraps them as benchmarks.
+// returns a Report whose rows mirror what the paper plots; All lists them
+// for `ddp exp`, which prints them, and bench_test.go, which benchmarks them.
 //
 // Dataset sizes are the scaled Table II sizes from DESIGN.md; Options.Scale
 // divides them further (benchmarks use Scale 4–8 to keep `go test -bench`
@@ -21,6 +21,25 @@ import (
 	"repro/internal/obs"
 	"repro/internal/points"
 )
+
+// All lists every experiment under the name `ddp exp` takes, in the
+// order it runs them.
+var All = []struct {
+	Name string
+	Run  func(Options) (*Report, error)
+}{
+	{"table2", ExpTable2},
+	{"fig7", ExpFig7},
+	{"fig8", ExpFig8},
+	{"fig9", ExpFig9},
+	{"fig10", ExpFig10},
+	{"table4", ExpTable4},
+	{"fig11", ExpFig11},
+	{"fig12", ExpFig12},
+	{"ec2", ExpEC2},
+	{"ablation", ExpAblation},
+	{"ext", ExpExtensions},
+}
 
 // Options configures an experiment run.
 type Options struct {

@@ -225,9 +225,12 @@ func foldPartials(values [][]byte) (int64, points.Vector, error) {
 			return 0, nil, err
 		}
 		count += c
-		if sum == nil {
+		switch {
+		case sum == nil:
 			sum = s.Clone()
-		} else {
+		case len(s) != len(sum):
+			return 0, nil, fmt.Errorf("kmeansmr: partials of dim %d and %d", len(sum), len(s))
+		default:
 			sum.Add(s)
 		}
 	}
@@ -269,13 +272,15 @@ func centroidsFromConf(conf mapreduce.Conf) ([]points.Vector, error) {
 	return cs, nil
 }
 
-// decodeNewCentroids reads the reduce output; clusters that received no
-// points keep their previous centroid.
+// decodeNewCentroids reads the reduce output, at most one record per
+// cluster and each of the centroids' dim; clusters that received no points
+// keep their previous centroid.
 func decodeNewCentroids(out []mapreduce.Pair, prev []points.Vector) ([]points.Vector, error) {
 	next := make([]points.Vector, len(prev))
 	for i := range next {
 		next[i] = prev[i]
 	}
+	seen := make([]bool, len(prev))
 	for _, pr := range out {
 		c, err := strconv.Atoi(pr.Key)
 		if err != nil {
@@ -284,9 +289,16 @@ func decodeNewCentroids(out []mapreduce.Pair, prev []points.Vector) ([]points.Ve
 		if c < 0 || c >= len(prev) {
 			return nil, fmt.Errorf("kmeansmr: cluster key %d out of range", c)
 		}
+		if seen[c] {
+			return nil, fmt.Errorf("kmeansmr: duplicate record for cluster %d", c)
+		}
+		seen[c] = true
 		count, sum, err := decodePartial(pr.Value)
 		if err != nil {
 			return nil, err
+		}
+		if len(sum) != len(prev[c]) {
+			return nil, fmt.Errorf("kmeansmr: cluster %d's record has dim %d, want %d", c, len(sum), len(prev[c]))
 		}
 		if count > 0 {
 			next[c] = sum

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -165,6 +166,44 @@ func TestPartialCodec(t *testing.T) {
 	}
 	if _, _, err := decodePartial([]byte{1, 2}); err == nil {
 		t.Fatal("want short-partial error")
+	}
+}
+
+// TestDecodeNewCentroidsRefuses: the reduce output holds at most one
+// record per cluster, each of the centroids' dim, and partials fold only
+// at one dim; a second record for a cluster is refused rather than let win,
+// and a record of another dim rather than left to panic in Run's max-move
+// loop or in the fold's Vector.Add.
+func TestDecodeNewCentroidsRefuses(t *testing.T) {
+	rec := func(c string, count int64, sum ...float64) mapreduce.Pair {
+		return mapreduce.Pair{Key: c, Value: encodePartial(count, sum)}
+	}
+	prev := []points.Vector{{0, 0}, {1, 1}, {2, 2}}
+	good := []mapreduce.Pair{rec("2", 3, 5, 6), rec("0", 0, 0, 0)}
+	next, err := decodeNewCentroids(good, prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []points.Vector{{0, 0}, {1, 1}, {5, 6}}; !slices.EqualFunc(next, want, slices.Equal) {
+		t.Fatalf("decoded %v, want %v", next, want)
+	}
+	for _, c := range []struct {
+		name string
+		out  []mapreduce.Pair
+	}{
+		{"two records for a cluster", append(slices.Clone(good), rec("2", 1, 7, 8))},
+		{"a record of another dim", append(slices.Clone(good), rec("1", 1, 7, 8, 9))},
+		{"an empty cluster's record of another dim", append(slices.Clone(good), rec("1", 0, 7))},
+		{"a key past the last cluster", append(slices.Clone(good), rec("3", 1, 7, 8))},
+		{"a negative key", append(slices.Clone(good), rec("-1", 1, 7, 8))},
+		{"a key that is no number", append(slices.Clone(good), rec("x", 1, 7, 8))},
+	} {
+		if _, err := decodeNewCentroids(c.out, prev); err == nil {
+			t.Errorf("%s: decoded without an error", c.name)
+		}
+	}
+	if _, _, err := foldPartials([][]byte{encodePartial(1, points.Vector{1, 2}), encodePartial(1, points.Vector{3})}); err == nil {
+		t.Error("folded partials of dims 2 and 1 without an error")
 	}
 }
 
