@@ -9,8 +9,9 @@ all: check
 # The full gate: gofmt, compile everything, vet, enforce the docs (package
 # comments, the README knob reference in both directions, no recipe naming a
 # deleted target, binary or flag), run the test suite, re-run the concurrency-heavy packages under
-# the race detector, fuzz the LSH key codec, the box-tree top-k scan, the
-# serving engine's bucket sweep, the ρ-partial codec, the point record, the
+# the race detector, fuzz the LSH key codec, the box-tree top-k scan and its
+# row-filtered walk, the serving engine's tree walk over the bucket union,
+# the ρ-partial codec, the point record, the
 # record frame, the
 # ρ reducers' runs-apart certificate and the ρ ship plan built on it, the
 # HTTP point decoder, the shuffle
@@ -76,12 +77,15 @@ race:
 # Five seconds of native fuzzing per target (one -fuzz target per `go test`
 # invocation). The LSH key codec faces bytes from outside the process: error
 # or round-trip, never panic, never two spellings of one value. The
-# kNN-join's box-tree top-k scan prunes on a floating-point box bound:
-# differential against the flat scan on a checked tree, never a row
-# evaluated twice, never a panic. The serving engine sweeps its
-# axis-ordered buckets on a one-coordinate bound with a one-bucket early
-# exit: fuzz-chosen tiny models and queries, differential against
-# gathering the bucket union and scanning all of it, masked and unmasked.
+# box-tree top-k scan prunes on a floating-point box bound: differential
+# against the flat scan on a checked tree, never a row evaluated twice,
+# never a panic; and, walked through a row filter as the serving engine
+# walks it, against TopKRows over exactly the admitted rows, plain and
+# through the q8 filter, never a row offered twice. The serving engine
+# walks one box tree over all its rows, admitting its buckets' rows, with a
+# one-bucket early exit: fuzz-chosen tiny models and queries, differential
+# against gathering the bucket union and scanning all of it, masked and
+# unmasked.
 # The ρ-partial record of the pair-once LSH reducers is a hand-rolled varint
 # format read back by another job, and it, the aggregated ρ value and the
 # δ-job record carry the neighbour lists and layout masks LSH-DDP certifies
@@ -116,7 +120,7 @@ race:
 # its compact shortlist at the best distance another shard already found:
 # on arbitrary rows, query and bound, at f32 and q8, every row within the
 # bound survives the cap, the capped scan's answer is the nearest row within
-# the bound, and nothing panics. Every compact serving sweep computes exact
+# the bound, and nothing panics. Every compact serving walk computes exact
 # distances only for rows its q8 distance lets through: on arbitrary
 # rows (NaN, ±Inf, huge and tie-heavy coordinates), query and cap, fed in
 # arbitrary pieces, the capped top-1 is exactly the float64 scan's, from no
@@ -145,6 +149,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzKeyRoundTrip$$' -fuzztime 5s ./internal/lsh/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKLeaves$$' -fuzztime 5s ./internal/kernels/
+	$(GO) test -run '^$$' -fuzz '^FuzzTopKLeavesFilter$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineSweep$$' -fuzztime 5s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzRhoPartialRoundTrip$$' -fuzztime 5s ./internal/points/
 	$(GO) test -run '^$$' -fuzz '^FuzzPointRecords$$' -fuzztime 5s ./internal/points/
@@ -199,9 +204,9 @@ bench-hot:
 # matches both TopKScan, the flat batch, and TopKLeaves, the kNN-join
 # reducers' box-tree scan, with rows and box bounds per query), and one
 # served query end to end at the
-# harness geometry (EngineAssign: ns, rows evaluated and exact distances
-# the q8 filter let through per query, share certified from one bucket, f64
-# and q8).
+# harness geometry (EngineAssign: ns, rows evaluated, box bounds, rows the
+# bucket filter tested and exact distances the q8 filter let through per
+# query, share certified from one bucket, f64 and q8).
 # End-to-end figures come from `bash bench/run.sh`.
 bench-scan:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|TopK' -run '^$$' -benchmem \
@@ -216,7 +221,7 @@ bench-scan:
 # index-build / served-query / partitioner / artifact-write
 # (BenchmarkWriteFile) / kNN-join (BenchmarkJoin) / LSH-DDP pipeline
 # (BenchmarkLSHDDP) benchmark, for the check gate and CI: catches a pair
-# kernel, a compact kernel, a key path, a sweep, the box tree, the fleet
+# kernel, a compact kernel, a key path, the box tree, the fleet
 # partitioner, the model writer, the join or the LSH-DDP driver that stops
 # compiling or panics on real shapes.
 bench-scan-smoke:

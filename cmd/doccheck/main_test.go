@@ -40,7 +40,8 @@ func TestStaleRefs(t *testing.T) {
 		{"live flags", "`ddp -input x.csv -halo`, `fleetctl rollover -shards \"h0|h0b,h1\" -timeout 1m`", nil},
 		{"deleted flag", "`fleetctl rollover -routers host:9090`", []string{"fleetctl rollover -routers"}},
 		{"deleted flag in go run", "```sh\ngo run ./cmd/ddp -input s2.csv -kernel gaussian -halo   # extensions\n```\n", []string{"ddp -kernel"}},
-		{"not command lines", "`ddp-dc-sample -x`, `ddp -input x | grep -v y`, `ddp`, `mrd worker -gone`", nil},
+		{"not command lines", "`ddp-dc-sample -x`, `ddp -input x | grep -v y`, `ddp`, `mrd worker`, `go test -run X ./...`, `curl -s host/statsz`", nil},
+		{"deleted binary's command line", "`dpbench -exp all -scale 4`, `mrd worker -gone`", []string{"dpbench", "mrd"}},
 		{"live subcommands", "`ddp knn -k 10 -out n.csv`, `fleetctl -h rollover`, `ddp -h`, `ddp worker -master h:1`", nil},
 		{"deleted subcommand", "`ddp kdist -k 4 -out curve.csv`", []string{"ddp kdist"}},
 		{"deleted subcommand in go run", "```sh\ngo run ./cmd/ddp outliers -k 5   # top 20\n```\n", []string{"ddp outliers"}},

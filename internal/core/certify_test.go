@@ -116,7 +116,7 @@ func (e meanRhoEngine) Run(ctx context.Context, job *mapreduce.Job, in []mapredu
 		if err != nil {
 			return nil, err
 		}
-		total, err := addRhoPartials(p.Key, partials[p.Key], m)
+		total, err := new(rhoAgg).add(p.Key, partials[p.Key], m)
 		if err != nil {
 			return nil, err
 		}

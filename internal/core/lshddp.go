@@ -311,7 +311,9 @@ func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 		Conf: conf,
 		Map:  identityMap,
 		Reduce: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			total, err := addRhoPartials(key, values, ctx.Conf.GetInt(confM, 1))
+			s := rhoAggs.Get().(*rhoAgg)
+			defer rhoAggs.Put(s)
+			total, err := s.add(key, values, ctx.Conf.GetInt(confM, 1))
 			if err != nil {
 				return err
 			}
@@ -323,48 +325,64 @@ func LSHRhoAggJob(conf mapreduce.Conf) *mapreduce.Job {
 			return nil
 		},
 		Combine: func(ctx *mapreduce.TaskContext, key string, values [][]byte, out mapreduce.Emitter) error {
-			total, err := addRhoPartials(key, values, ctx.Conf.GetInt(confM, 1))
+			s := rhoAggs.Get().(*rhoAgg)
+			defer rhoAggs.Put(s)
+			total, err := s.add(key, values, ctx.Conf.GetInt(confM, 1))
 			if err != nil {
 				return err
 			}
-			// The clone drops the appends' spare capacity, which the
-			// shuffle would otherwise hold until the reduce.
-			out.Emit(key, bytes.Clone(points.AppendRhoPartial(nil, total)))
+			// The shuffle keeps what is emitted: an exact-size copy, never
+			// the pooled encoding buffer.
+			s.enc = points.AppendRhoPartial(s.enc[:0], total)
+			out.Emit(key, bytes.Clone(s.enc))
 			return nil
 		},
 	}
 }
 
-// addRhoPartials adds the partials of the point key names into its
-// neighbour counts under all m layouts and merges their partner lists.
-// Whole numbers below 2⁵³ add exactly in any order and the lists' top-k
-// depends only on the entries offered, so the result is the same whatever
-// order the shuffle delivered the partials in.
-func addRhoPartials(key string, values [][]byte, m int) (points.RhoPartial, error) {
+// rhoAgg is the ρ̂ aggregation's scratch, pooled across its keys and tasks:
+// the partner-list merge, the summed counts and merged list it returns, the
+// decoded partial and the combiner's encoding.
+type rhoAgg struct {
+	near  kernels.Near
+	total points.RhoPartial
+	part  points.RhoPartial
+	enc   []byte
+}
+
+var rhoAggs = sync.Pool{New: func() any { return new(rhoAgg) }}
+
+// add adds the partials of the point key names into its neighbour counts
+// under all m layouts and merges their partner lists. Whole numbers below
+// 2⁵³ add exactly in any order and the lists' top-k depends only on the
+// entries offered, so the result is the same whatever order the shuffle
+// delivered the partials in. The result aliases s until its next add.
+func (s *rhoAgg) add(key string, values [][]byte, m int) (points.RhoPartial, error) {
 	id, err := mapreduce.ParseIDKey(key)
 	if err != nil {
 		return points.RhoPartial{}, err
 	}
-	total := points.RhoPartial{Vals: make([]float64, m)}
-	var near kernels.Near
-	near.Reset(1, nearK, math.Inf(1))
+	s.total.Vals = slices.Grow(s.total.Vals[:0], m)[:m]
+	clear(s.total.Vals)
+	s.near.Reset(1, nearK, math.Inf(1))
 	for _, v := range values {
-		p, err := points.DecodeRhoPartial(v, id)
+		p, err := points.DecodeRhoPartial(v, id, s.part)
 		if err != nil {
 			return points.RhoPartial{}, err
 		}
+		s.part = p
 		if p.First+len(p.Vals) > m {
 			return points.RhoPartial{}, fmt.Errorf("core: rho partial for id %d does not fit %d layouts", id, m)
 		}
 		for x, c := range p.Vals {
-			total.Vals[p.First+x] += c
+			s.total.Vals[p.First+x] += c
 		}
 		for _, e := range p.Near {
-			near.Offer(0, kernels.TopKEntry{Row: e.ID, D2: e.D2})
+			s.near.Offer(0, kernels.TopKEntry{Row: e.ID, D2: e.D2})
 		}
 	}
-	total.Near = appendNeighbors(nil, near.List(0))
-	return total, nil
+	s.total.Near = appendNeighbors(s.total.Near[:0], s.near.List(0))
+	return s.total, nil
 }
 
 // appendNeighbors appends a kernels.Near list, whose entries carry point
@@ -456,7 +474,7 @@ func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKe
 	}
 	n, nl := pts.N(), l.M()
 	ix := l.BuildIndex(pts.Data(), n, runtime.GOMAXPROCS(0))
-	ix.Fill(nil, runtime.GOMAXPROCS(0))
+	ix.Fill(runtime.GOMAXPROCS(0))
 	dc := conf.GetFloat(confDc, 0)
 	byLayout := make([][]int32, nl)
 	for b := range ix.Len() {

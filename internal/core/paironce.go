@@ -342,8 +342,8 @@ func (po *pairOnce) boxRuns(m *points.Matrix, segs []int) {
 // either side the exact |a[t] − b[t]| is at least the exact gap, rounding is
 // monotone, so the kernel's term (a[t] − b[t])² is at least gap·gap as
 // computed here, and its sum of non-negative terms in ascending t (dist.go)
-// never falls below one of them — the argument of the coordinate sweep
-// (kernels/sweep.go), with no slack. A NaN or ∞ − ∞ bound gives a NaN gap,
+// never falls below one of them — the box bound's argument
+// (kernels/leaves.go), with no slack. A NaN or ∞ − ∞ bound gives a NaN gap,
 // which is never > 0.
 func apart(g, h []float64, reach2 float64) bool {
 	dim := len(g) / 2

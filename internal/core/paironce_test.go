@@ -512,7 +512,7 @@ func TestRhoAggFoldsInAnyGrouping(t *testing.T) {
 			}
 		}
 	}
-	if _, err := addRhoPartials(mapreduce.IDKey(9), [][]byte{enc(2, nil, 1, 1, 1)}, 4); err == nil {
+	if _, err := new(rhoAgg).add(mapreduce.IDKey(9), [][]byte{enc(2, nil, 1, 1, 1)}, 4); err == nil {
 		t.Fatal("partial reaching past the last layout accepted")
 	}
 }

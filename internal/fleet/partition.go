@@ -103,7 +103,7 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 // spread, so the sample mirrors the data the way serving queries do):
 // 2 048 of 200 000, and every row of a model no larger. scoreUnit is the
 // cost of one exact candidate scoring relative to one posting-walk visit
-// (reading one posting through the engine's strip filter): scoring a row
+// (testing one posting against the query's buckets): scoring a row
 // adds a full-dimension distance, roughly an order of magnitude over the
 // visit.
 const (

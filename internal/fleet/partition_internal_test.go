@@ -191,7 +191,7 @@ func TestBucketWeightsMatchReplay(t *testing.T) {
 		// The replay walks postings; the estimator, like Partition, reads
 		// an index without them.
 		filled := *ix
-		filled.Fill(nil, 1)
+		filled.Fill(1)
 		want := replayOracle(&filled, layouts, tc.mdl.Data, tc.mdl.Dim)
 		for _, procs := range []int{1, 2, 4} {
 			runtime.GOMAXPROCS(procs)

@@ -9,9 +9,9 @@
 // see PAPERS.md): a query needs exactly the M buckets its own keys name, so
 // routing by bucket key bounds fan-out at M shards — and in practice far
 // fewer, because nearby layouts collide — instead of a broadcast. Every
-// engine opens a query's buckets in one cyclic order from its certifying
-// layout, and a row belongs to the owner of its first matching layout in
-// that order (see serve.Engine's sweep): each row is evaluated at most once
+// engine orders a query's buckets cyclically from its certifying layout,
+// and a row belongs to the owner of its first matching layout in that
+// order (see serve.Engine's sweep): each row is evaluated at most once
 // fleet-wide, the winner by its owner, while hot buckets spread across
 // every layout's owner instead of piling onto layout 0's.
 package fleet

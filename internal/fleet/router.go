@@ -518,11 +518,10 @@ func add[R any](r *Router, batches []*shardBatch[R], s, i int, p []float64) *sha
 //
 // Owner masks: for query i, masks[i·S + s] has bit j set when shard s owns
 // the bucket of layout j — query i's key k_j(q) resolved by the placement
-// (the manifest's overrides, then the ring). The shard opens its buckets in
-// the one cyclic order from the query's certifying layout and skips a row
-// its own sweep already stamped or that matches an earlier layout outside
-// its mask, so each row is evaluated at most once fleet-wide, and the
-// winner by its owner.
+// (the manifest's overrides, then the ring). The shard orders the query's
+// buckets cyclically from its certifying layout and evaluates only the rows
+// whose first matching layout in that order is in its mask, so each row is
+// evaluated at most once fleet-wide, and the winner by its owner.
 //
 // Round 1 asks only the owner of the certifying bucket, with its full mask.
 // That shard holds the whole bucket, so when it certifies, its answer is the

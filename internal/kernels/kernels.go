@@ -8,7 +8,7 @@
 // parallelism, and no float32 mirror is scanned (measured slower than
 // float64 on the pair kernels; DESIGN.md "Dense compute layer").
 // RhoAccumulate and DeltaArgmin are the same two over one whole triangle.
-// Every nearest-row question — serving's bucket sweeps and exact fallback,
+// Every nearest-row question — serving's tree walks and exact fallback,
 // the ingest delta scan, the kNN-join — is the one top-k scan of topk.go,
 // at k = 1 where a single row is wanted.
 //

@@ -1,16 +1,19 @@
 package kernels
 
-// The box-tree top-k scan of the kNN-join's bucket reducers: the same exact
-// answer as a flat scan over all the rows of a block, from the rows of the
-// few leaves near the query.
+// The box-tree top-k scan: the same exact answer as a flat scan over the
+// rows a walk admits, from the rows of the few leaves near the query. The
+// kNN-join's bucket reducers walk a tree over one bucket's block and admit
+// every row; the serving engine walks one tree over all its rows and admits
+// the rows of the query's LSH buckets through a LeafFilter.
 //
 // BoxTree.Build splits the block's rows at the median of the widest side of
 // each node's cell — the region its ancestors' splits leave it — until a
-// node holds at most leafRows rows, gives every node the tight box of its
-// rows, and copies the coordinates leaf-major, so that one leaf is one
-// contiguous strip for sqDistRange. TopKLeaves walks the tree depth-first,
-// nearer child first, and skips a node whose box bound strictly exceeds the
-// accumulator's threshold.
+// node holds at most leafRows rows, and gives every node the tight box of
+// its rows. The tree holds row indices and boxes only: a leaf's rows are
+// read from the block through their indices, by TopKRows' arithmetic, or
+// through TopKCompact's q8 filter in front of it. TopKLeaves walks the tree
+// depth-first, nearer child first, and skips a node whose box bound
+// strictly exceeds the accumulator's threshold.
 //
 // The box bound needs no slack in floating point. For a row x in a node's
 // box [lo, hi] and a query coordinate q[t] < lo[t], the exact x[t] − q[t] is
@@ -27,14 +30,23 @@ package kernels
 // threshold only falls, so a node skipped once stays skippable. Ties
 // (bound == threshold) keep walking, because a tied row with a lower index
 // still displaces the kept one. The rows are observed under their original
-// indices, so the lowest-row-index rule means what it means for a flat scan.
+// indices, so the lowest-row-index rule means what it means for a flat scan,
+// and the kept set does not depend on the order the leaves are visited in.
+// The q8 filter never changes what the accumulator holds after a leaf, so a
+// walk through it visits the leaves a float64 walk visits.
 //
 // Rows with a NaN or ±Inf coordinate are left out of the tree: their
 // distance to any query is +Inf or NaN, which TopKAcc rejects anyway. A
 // query with a NaN or ±Inf coordinate has no eligible row and evaluates
 // nothing.
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return v-v == 0 }
 
 // leafRows is the most rows a leaf holds. Smaller leaves evaluate fewer
 // rows per query and compute more box bounds: on the kNN-join's 4-d blobs,
@@ -42,9 +54,9 @@ import "slices"
 // 109 / 79 / 54 box bounds.
 const leafRows = 16
 
-// boxNode is one node of a BoxTree: rows [lo, hi) of the leaf-major order.
-// A node with more than leafRows rows has two children, the left one at the
-// next index (pre-order) and the right one at right.
+// boxNode is one node of a BoxTree: rows [lo, hi) of the leaf order. A node
+// with more than leafRows rows has two children, the left one at the next
+// index (pre-order) and the right one at right.
 type boxNode struct {
 	lo, hi, right int32
 }
@@ -58,122 +70,154 @@ type sortKey struct {
 
 func (a sortKey) less(b sortKey) bool { return a.c < b.c || (a.c == b.c && a.r < b.r) }
 
+// keyBufs pools Build's sort keys, so that a built tree keeps only its
+// rows, nodes and boxes.
+var keyBufs = sync.Pool{New: func() any { return new([]sortKey) }}
+
 // BoxTree is a median-split tree over the rows of one coordinate block,
 // rebuilt in place by Build and scanned by TopKLeaves. A built tree is read
 // only by TopKLeaves, so several goroutines may scan it at once.
 type BoxTree struct {
 	dim   int
-	rows  []int32   // the block's row index of each leaf-major row
-	data  []float64 // the coordinates of rows, leaf-major
+	rows  []int32 // the block's row index of each row, in leaf order
 	nodes []boxNode
 	box   []float64 // node i's lo at [2i·dim, (2i+1)·dim), its hi right after
-	keys  []sortKey // build buffer: the finite rows, leaf-major once split
-	cell  []float64 // build buffer: the current node's cell, lo then hi
 }
 
 // Build replaces the tree with one over the rows of data (rows of length
 // dim ≥ 1) whose coordinates are all finite. It depends only on the rows'
 // coordinates and indices, never on the tree's earlier contents.
-func (t *BoxTree) Build(data []float64, dim int) {
+func (t *BoxTree) Build(data []float64, dim int) { t.BuildWorkers(data, dim, 1) }
+
+// BuildWorkers is Build on up to workers goroutines: below a split, the two
+// subtrees build side by side until every goroutine has one. The tree does
+// not depend on workers.
+func (t *BoxTree) BuildWorkers(data []float64, dim, workers int) {
 	if dim < 1 {
 		panic("kernels: BoxTree needs dim >= 1")
 	}
 	t.dim = dim
-	t.keys, t.nodes = t.keys[:0], t.nodes[:0]
+	buf := keyBufs.Get().(*[]sortKey)
+	defer keyBufs.Put(buf)
+	keys := (*buf)[:0]
+	// The root's cell is the tight box of every row.
+	cell := make([]float64, 2*dim)
+	lo, hi := cell[:dim], cell[dim:]
+	for j := range lo {
+		lo[j], hi[j] = inf, -inf
+	}
 	n := len(data) / dim
 next:
 	for r := 0; r < n; r++ {
-		for _, v := range data[r*dim : (r+1)*dim] {
+		row := data[r*dim : (r+1)*dim]
+		for _, v := range row {
 			if !finite(v) {
 				continue next
 			}
 		}
-		t.keys = append(t.keys, sortKey{r: int32(r)})
-	}
-	n = len(t.keys)
-	t.rows = slices.Grow(t.rows[:0], n)[:n]
-	t.data = slices.Grow(t.data[:0], n*dim)[:n*dim]
-	if n == 0 {
-		t.box = t.box[:0]
-		return
-	}
-	// The root's cell is the tight box of every row.
-	t.cell = slices.Grow(t.cell[:0], 2*dim)[:2*dim]
-	lo, hi := t.cell[:dim], t.cell[dim:]
-	copy(lo, data[int(t.keys[0].r)*dim:][:dim])
-	copy(hi, lo)
-	for _, k := range t.keys[1:] {
-		for j, v := range data[int(k.r)*dim:][:dim] {
+		keys = append(keys, sortKey{r: int32(r)})
+		for j, v := range row {
 			lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
 		}
 	}
-	t.split(data, 0, n)
-	for i, k := range t.keys {
-		t.rows[i] = k.r
-		copy(t.data[i*dim:(i+1)*dim], data[int(k.r)*dim:])
+	*buf = keys
+	n = len(keys)
+	nn := nodeCount(n)
+	t.rows = slices.Grow(t.rows[:0], n)[:n]
+	t.nodes = slices.Grow(t.nodes[:0], nn)[:nn]
+	t.box = slices.Grow(t.box[:0], 2*dim*nn)[:2*dim*nn]
+	if n == 0 {
+		return
 	}
-	// Boxes bottom-up: children come after their parent in pre-order.
-	t.box = slices.Grow(t.box[:0], 2*dim*len(t.nodes))[:2*dim*len(t.nodes)]
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		nd := t.nodes[i]
-		lo, hi := t.nodeBox(i)
-		if nd.hi-nd.lo <= leafRows {
-			copy(lo, t.data[int(nd.lo)*dim:][:dim])
-			copy(hi, lo)
-			for r := int(nd.lo) + 1; r < int(nd.hi); r++ {
-				for j, v := range t.data[r*dim:][:dim] {
-					lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
-				}
+	t.split(data, keys, 0, n, 0, cell, workers)
+}
+
+// nodeCount returns the number of nodes of a tree over n rows.
+func nodeCount(n int) int {
+	switch {
+	case n == 0:
+		return 0
+	case n <= leafRows:
+		return 1
+	}
+	return 1 + nodeCount(n/2) + nodeCount(n-n/2)
+}
+
+// split builds node i over keys [lo, hi), whose cell is cell (lo, then hi),
+// and its subtree, on up to workers goroutines, and returns the index just
+// past the subtree. It orders those keys so that every leaf's rows are
+// contiguous, writes them to t.rows, and gives every node of the subtree
+// its tight box, children before their parent.
+func (t *BoxTree) split(data []float64, keys []sortKey, lo, hi, i int, cell []float64, workers int) int {
+	dim := t.dim
+	t.nodes[i] = boxNode{lo: int32(lo), hi: int32(hi)}
+	blo, bhi := t.nodeBox(i)
+	if hi-lo <= leafRows {
+		for x, k := range keys[lo:hi] {
+			t.rows[lo+x] = k.r
+			row := data[int(k.r)*dim:][:dim]
+			if x == 0 {
+				copy(blo, row)
+				copy(bhi, row)
+				continue
 			}
-			continue
+			for j, v := range row {
+				blo[j], bhi[j] = min(blo[j], v), max(bhi[j], v)
+			}
 		}
-		llo, lhi := t.nodeBox(i + 1)
-		rlo, rhi := t.nodeBox(int(nd.right))
-		for j := range lo {
-			lo[j], hi[j] = min(llo[j], rlo[j]), max(lhi[j], rhi[j])
+		return i + 1
+	}
+	axis, widest := 0, -inf
+	for j := 0; j < dim; j++ {
+		if span := cell[dim+j] - cell[j]; span > widest {
+			axis, widest = j, span
 		}
 	}
+	part := keys[lo:hi]
+	for x, k := range part {
+		part[x].c = data[int(k.r)*dim+axis]
+	}
+	mid := (hi - lo) / 2
+	selectKey(part, mid)
+	// Left of the median key lie rows at or below its coordinate, right of
+	// it rows at or above.
+	c := part[mid].c
+	left, right, end := i+1, 0, 0
+	if workers > 1 {
+		lcell, rcell := slices.Clone(cell), cell
+		lcell[dim+axis], rcell[axis] = c, c
+		right = left + nodeCount(mid)
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.split(data, keys, lo, lo+mid, left, lcell, workers/2)
+		}()
+		end = t.split(data, keys, lo+mid, hi, right, rcell, workers-workers/2)
+		wg.Wait()
+	} else {
+		save := cell[dim+axis]
+		cell[dim+axis] = c
+		right = t.split(data, keys, lo, lo+mid, left, cell, 1)
+		cell[dim+axis] = save
+		save = cell[axis]
+		cell[axis] = c
+		end = t.split(data, keys, lo+mid, hi, right, cell, 1)
+		cell[axis] = save
+	}
+	t.nodes[i].right = int32(right)
+	llo, lhi := t.nodeBox(left)
+	rlo, rhi := t.nodeBox(right)
+	for j := range blo {
+		blo[j], bhi[j] = min(llo[j], rlo[j]), max(lhi[j], rhi[j])
+	}
+	return end
 }
 
 // nodeBox returns node i's box.
 func (t *BoxTree) nodeBox(i int) (lo, hi []float64) {
 	b := t.box[2*i*t.dim:][:2*t.dim]
 	return b[:t.dim], b[t.dim:]
-}
-
-// split appends the subtree over the rows of keys [lo, hi), whose cell is
-// t.cell, and orders those keys so that every leaf's rows are contiguous.
-func (t *BoxTree) split(data []float64, lo, hi int) {
-	i := len(t.nodes)
-	t.nodes = append(t.nodes, boxNode{lo: int32(lo), hi: int32(hi)})
-	if hi-lo <= leafRows {
-		return
-	}
-	dim := t.dim
-	axis, widest := 0, -inf
-	for j := 0; j < dim; j++ {
-		if span := t.cell[dim+j] - t.cell[j]; span > widest {
-			axis, widest = j, span
-		}
-	}
-	keys := t.keys[lo:hi]
-	for x, k := range keys {
-		keys[x].c = data[int(k.r)*dim+axis]
-	}
-	mid := (hi - lo) / 2
-	selectKey(keys, mid)
-	// Left of the median key lie rows at or below its coordinate, right of
-	// it rows at or above.
-	c := keys[mid].c
-	save := t.cell[dim+axis]
-	t.cell[dim+axis] = c
-	t.split(data, lo, lo+mid)
-	t.cell[dim+axis] = save
-	t.nodes[i].right = int32(len(t.nodes))
-	save = t.cell[axis]
-	t.cell[axis] = c
-	t.split(data, lo+mid, hi)
-	t.cell[axis] = save
 }
 
 // selectKey reorders keys so that keys[m] is the key of rank m, with the
@@ -245,19 +289,34 @@ func boxBound(q, lo, hi []float64) float64 {
 	return s
 }
 
-// TopKLeaves scans the rows of tree into acc, which the caller has Reset
-// for this query, and returns how many distances it evaluated and how many
-// box bounds it computed. The kept set is exactly what TopKRange over the
-// block the tree was built from keeps.
-func TopKLeaves(tree *BoxTree, q []float64, acc *TopKAcc) (evaluated, boxChecks int) {
+// A LeafFilter returns the rows of one leaf — leaf, in tree order — that a
+// TopKLeaves walk may evaluate, in storage of its own that the walk is done
+// with before the next call.
+type LeafFilter func(leaf []int32) []int32
+
+// LeafStats counts the work of one TopKLeaves walk.
+type LeafStats struct {
+	Rows   int // rows evaluated: their compact or exact distance computed
+	Exact  int // exact distances computed (Rows without a q8 filter)
+	Boxes  int // box bounds computed
+	Tested int // leaf rows offered to the filter (0 without one)
+}
+
+// TopKLeaves scans into acc, which the caller has Reset for this query, the
+// rows of tree that keep admits — every row when keep is nil — reading them
+// from data, the block the tree was built from, through c's filter (none
+// when c is nil; see TopKCompact). The kept set is exactly what TopKRows
+// over the admitted rows keeps: TopKRange over the whole block when keep is
+// nil. Each row is offered to keep at most once and evaluated at most once.
+func TopKLeaves(tree *BoxTree, data, q []float64, c *Compact, keep LeafFilter, acc *TopKAcc) (st LeafStats) {
 	dim := tree.dim
 	if len(tree.nodes) == 0 {
-		return 0, 0
+		return st
 	}
 	q = q[:dim]
 	for _, v := range q {
 		if !finite(v) {
-			return 0, 0
+			return st
 		}
 	}
 	type visit struct {
@@ -270,7 +329,8 @@ func TopKLeaves(tree *BoxTree, q []float64, acc *TopKAcc) (evaluated, boxChecks 
 	var stack [64]visit
 	lo, hi := tree.nodeBox(0)
 	stack[0] = visit{0, boxBound(q, lo, hi)}
-	sp, boxChecks := 1, 1
+	sp := 1
+	st.Boxes = 1
 	var d2 [leafRows]float64
 	for sp > 0 {
 		sp--
@@ -279,19 +339,22 @@ func TopKLeaves(tree *BoxTree, q []float64, acc *TopKAcc) (evaluated, boxChecks 
 			continue
 		}
 		nd := tree.nodes[v.node]
-		if n := int(nd.hi - nd.lo); n <= leafRows {
-			strip := d2[:n]
-			sqDistRange(q, tree.data, int(nd.lo), strip)
+		if nd.hi-nd.lo <= leafRows {
 			rows := tree.rows[nd.lo:nd.hi]
-			thr := acc.Threshold()
-			for x, d := range strip {
-				if d > thr {
-					continue
-				}
-				acc.observe(rows[x], d)
-				thr = acc.Threshold()
+			if keep != nil {
+				st.Tested += len(rows)
+				rows = keep(rows)
 			}
-			evaluated += n
+			st.Rows += len(rows)
+			switch {
+			case len(rows) == 0:
+			case c == nil || c.codes == nil:
+				// TopKRows on a leaf-sized strip.
+				observeRows(data, q, rows, d2[:len(rows)], acc)
+				st.Exact += len(rows)
+			default:
+				st.Exact += TopKCompact(data, dim, q, c, rows, acc)
+			}
 			continue
 		}
 		near, far := v.node+1, nd.right
@@ -299,12 +362,12 @@ func TopKLeaves(tree *BoxTree, q []float64, acc *TopKAcc) (evaluated, boxChecks 
 		bn := boxBound(q, lo, hi)
 		lo, hi = tree.nodeBox(int(far))
 		bf := boxBound(q, lo, hi)
-		boxChecks += 2
+		st.Boxes += 2
 		if bf < bn {
 			near, far, bn, bf = far, near, bf, bn
 		}
 		stack[sp], stack[sp+1] = visit{far, bf}, visit{near, bn}
 		sp += 2
 	}
-	return evaluated, boxChecks
+	return st
 }

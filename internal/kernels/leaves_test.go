@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"repro/internal/points"
 )
 
 // Tests of the box-tree top-k scan. The contract: TopKLeaves leaves the
@@ -15,10 +17,10 @@ import (
 // +Inf.
 
 // checkTree fails unless tree is a well-formed BoxTree over data: its rows
-// are the rows with every coordinate finite, each once, with their
-// coordinates copied leaf-major; every leaf holds 1 … leafRows rows; every
-// internal node splits its range in two halves at its left child (the next
-// node) and its right child; and every box is the tight box of its rows.
+// are the rows with every coordinate finite, each once; every leaf holds
+// 1 … leafRows rows; every internal node splits its range in two halves at
+// its left child (the next node) and its right child; and every box is the
+// tight box of its rows.
 func checkTree(t *testing.T, what string, tree *BoxTree, data []float64, dim int) {
 	t.Helper()
 	n := len(data) / dim
@@ -32,18 +34,15 @@ func checkTree(t *testing.T, what string, tree *BoxTree, data []float64, dim int
 			want = append(want, int32(r))
 		}
 	}
-	if len(tree.rows) != len(want) || len(tree.data) != len(want)*dim {
-		t.Fatalf("%s: tree holds %d rows (%d coordinates), %d rows are finite", what, len(tree.rows), len(tree.data), len(want))
+	if len(tree.rows) != len(want) {
+		t.Fatalf("%s: tree holds %d rows, %d rows are finite", what, len(tree.rows), len(want))
 	}
 	seen := make(map[int32]bool, len(want))
-	for i, r := range tree.rows {
+	for _, r := range tree.rows {
 		if seen[r] {
 			t.Fatalf("%s: row %d listed twice", what, r)
 		}
 		seen[r] = true
-		if !reflect.DeepEqual(tree.data[i*dim:(i+1)*dim], data[int(r)*dim:(int(r)+1)*dim]) {
-			t.Fatalf("%s: leaf-major row %d does not copy row %d", what, i, r)
-		}
 	}
 	for _, r := range want {
 		if !seen[r] {
@@ -65,8 +64,8 @@ func checkTree(t *testing.T, what string, tree *BoxTree, data []float64, dim int
 		blo, bhi := tree.nodeBox(i)
 		for j := 0; j < dim; j++ {
 			mn, mx := math.Inf(1), math.Inf(-1)
-			for r := lo; r < hi; r++ {
-				mn, mx = min(mn, tree.data[r*dim+j]), max(mx, tree.data[r*dim+j])
+			for _, r := range tree.rows[lo:hi] {
+				mn, mx = min(mn, data[int(r)*dim+j]), max(mx, data[int(r)*dim+j])
 			}
 			if blo[j] != mn || bhi[j] != mx {
 				t.Fatalf("%s: node %d axis %d box [%v, %v], rows span [%v, %v]", what, i, j, blo[j], bhi[j], mn, mx)
@@ -95,7 +94,8 @@ func leavesCase(t *testing.T, what string, tree *BoxTree, data []float64, dim in
 	TopKRange(data, dim, q, 0, n, flat)
 	want := flat.Append(nil)
 	acc := NewTopKAcc(k)
-	evaluated, checks = TopKLeaves(tree, q, acc)
+	st := TopKLeaves(tree, data, q, nil, nil, acc)
+	evaluated, checks = st.Rows, st.Boxes
 	if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s dim %d n %d k %d q %v: TopKLeaves = %v, TopKRange = %v", what, dim, n, k, q, got, want)
 	}
@@ -217,7 +217,8 @@ func TestTopKLeavesBoundaryTie(t *testing.T) {
 			t.Fatalf("%d nodes, want a root and two leaves", len(tree.nodes))
 		}
 		acc := NewTopKAcc(1)
-		evaluated, checks := TopKLeaves(&tree, []float64{0}, acc)
+		st := TopKLeaves(&tree, data, []float64{0}, nil, nil, acc)
+		evaluated, checks := st.Rows, st.Boxes
 		got := acc.Append(nil)
 		if len(got) != 1 || got[0].Row != c.wantRow || evaluated != c.evaluated || checks != 3 {
 			t.Fatalf("row 0 at %v: kept %v, %d rows and %d boxes evaluated; want row %d, %d rows, 3 boxes",
@@ -253,6 +254,151 @@ func TestTopKLeavesPrunesClusters(t *testing.T) {
 	if total >= trials*200 {
 		t.Fatalf("the tree evaluated %d of %d row visits on a clustered block", total, trials*n)
 	}
+}
+
+// filterCase walks tree, built from data, admitting the rows admit names,
+// plain and — when the block quantizes — through the q8 filter, and fails
+// unless each walk keeps exactly what TopKRows over the admitted rows
+// keeps, offers no row to the filter twice, evaluates just the rows the
+// filter returned, and the q8 walk evaluates as many rows as the plain one.
+func filterCase(t *testing.T, what string, tree *BoxTree, data []float64, dim int, q []float64, k int, admit func(r int32) bool) {
+	t.Helper()
+	var rows []int32
+	for r := range int32(len(data) / dim) {
+		if admit(r) {
+			rows = append(rows, r)
+		}
+	}
+	ref := NewTopKAcc(k)
+	TopKRows(data, dim, q, rows, ref)
+	want := ref.Append(nil)
+	srcs := []*Compact{nil}
+	if codes, par, ok := points.QuantizeQ8(data, dim); ok {
+		if bnd := Q8Bounds(dim, par.ErrBound()); bnd.Valid() {
+			c := new(Compact)
+			c.Reset(codes, par, q, bnd)
+			srcs = append(srcs, c)
+		}
+	}
+	plainRows := 0
+	for i, c := range srcs {
+		offered := map[int32]bool{}
+		var kept []int32
+		returned := 0
+		keep := func(leaf []int32) []int32 {
+			kept = kept[:0]
+			for _, r := range leaf {
+				if offered[r] {
+					t.Fatalf("%s q %v: row %d offered to the filter twice", what, q, r)
+				}
+				offered[r] = true
+				if admit(r) {
+					kept = append(kept, r)
+				}
+			}
+			returned += len(kept)
+			return kept
+		}
+		acc := NewTopKAcc(k)
+		st := TopKLeaves(tree, data, q, c, keep, acc)
+		if got := acc.Append(nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s dim %d k %d q %v source %d: filtered walk keeps %v, TopKRows over %d admitted rows %v", what, dim, k, q, i, got, len(rows), want)
+		}
+		switch {
+		case st.Rows != returned || st.Tested != len(offered):
+			t.Fatalf("%s q %v source %d: %+v, filter returned %d of %d rows offered", what, q, i, st, returned, len(offered))
+		case st.Exact > st.Rows || c == nil && st.Exact != st.Rows:
+			t.Fatalf("%s q %v source %d: %d exact distances for %d rows", what, q, i, st.Exact, st.Rows)
+		case i == 0:
+			plainRows = st.Rows
+		case st.Rows != plainRows:
+			t.Fatalf("%s q %v: the q8 walk evaluated %d rows, the plain one %d", what, q, st.Rows, plainRows)
+		}
+	}
+}
+
+// TestTopKLeavesFilterMatchesRows: a walk that admits only some rows keeps
+// what TopKRows over exactly those rows keeps, with and without the q8
+// filter, on tie-, duplicate- and NaN/±Inf-heavy blocks, for queries inside,
+// beside and far from them and with a hostile coordinate, under random
+// filters of every density.
+func TestTopKLeavesFilterMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(69))
+	var tree BoxTree
+	for _, dim := range []int{1, 2, 3, 8} {
+		for _, n := range []int{0, 1, leafRows + 1, 300, 1500} {
+			dups := make([]float64, n*dim) // five distinct points
+			for i := range dups {
+				dups[i] = float64((i/dim%5)*3 + i%dim)
+			}
+			ties := latticeRows(rng, n, dim)
+			for i, v := range ties { // integers in [-3, 3] besides the hostile rows
+				if math.Abs(v) < 1e100 {
+					ties[i] = float64(int(v) % 4)
+				}
+			}
+			blocks := map[string][]float64{"random": randBlock(rng, n, dim, 10), "ties": ties, "duplicates": dups, "hostile": hostileRows(rng, n, dim)}
+			for what, data := range blocks {
+				tree.Build(data, dim)
+				for _, density := range []float64{0, 0.1, 0.5, 1} {
+					set := make([]bool, n)
+					for r := range set {
+						set[r] = rng.Float64() < density
+					}
+					admit := func(r int32) bool { return set[r] }
+					near := make([]float64, dim)
+					for j := range near {
+						near[j] = float64(rng.Intn(5))
+					}
+					far := make([]float64, dim)
+					for j := range far {
+						far[j] = 1e3
+					}
+					hostile := append([]float64(nil), near...)
+					hostile[rng.Intn(dim)] = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200, -1e200}[rng.Intn(5)]
+					for _, q := range [][]float64{near, randQuery(rng, dim), far, hostile} {
+						for _, k := range []int{1, 3} {
+							filterCase(t, what, &tree, data, dim, q, k, admit)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzTopKLeavesFilter decodes bytes into (dim, k, filter, query, rows) and
+// runs filterCase's differential: the walk that admits the rows whose
+// filter bit is set keeps what TopKRows over them keeps, plain and through
+// the q8 filter, offers no row twice, and never panics.
+func FuzzTopKLeavesFilter(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0xff, 1, 2, 3})
+	f.Add([]byte{1, 2, 0x55, 0, 0, 4, 4, 4, 252, 4, 8, 255, 0, 254, 1, 4, 4, 4, 4})
+	f.Add([]byte{2, 0, 0x0f, 250, 253, 9, 1, 1, 1, 1, 1, 1, 1, 1, 1, 251, 0, 249})
+	long := make([]byte, 3+3*(3*nnTile+2))
+	for i := range long {
+		long[i] = byte(i*37) % 40
+	}
+	f.Add(long)
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 3 {
+			return
+		}
+		dim, k, bits := 1+int(in[0]%8), 1+int(in[1]%4), in[2]
+		vals := make([]float64, 0, len(in)-3)
+		for _, b := range in[3:] {
+			vals = append(vals, fuzzValue(b))
+		}
+		if len(vals) < dim {
+			return
+		}
+		q, data := vals[:dim], vals[dim:]
+		data = data[:len(data)/dim*dim]
+		var tree BoxTree
+		tree.Build(data, dim)
+		filterCase(t, "fuzz", &tree, data, dim, q, k, func(r int32) bool { return bits>>(r%8)&1 != 0 })
+	})
 }
 
 // selectKey must leave the rank-m key at m, smaller keys before it and
@@ -307,13 +453,33 @@ func TestBoxTreeRebuild(t *testing.T) {
 	reused.Build(large, 3)
 	reused.Build(small, 3)
 	if !reflect.DeepEqual(fresh.rows, reused.rows) || !reflect.DeepEqual(fresh.nodes, reused.nodes) ||
-		!reflect.DeepEqual(fresh.box, reused.box) || !reflect.DeepEqual(fresh.data, reused.data) {
+		!reflect.DeepEqual(fresh.box, reused.box) {
 		t.Fatal("a rebuilt tree differs from a fresh one")
 	}
 	reused.Build(nil, 3)
 	checkTree(t, "empty", &reused, nil, 3)
-	if e, c := TopKLeaves(&reused, []float64{0, 0, 0}, NewTopKAcc(2)); e != 0 || c != 0 {
-		t.Fatalf("empty tree evaluated %d rows and %d boxes", e, c)
+	if st := TopKLeaves(&reused, nil, []float64{0, 0, 0}, nil, nil, NewTopKAcc(2)); st != (LeafStats{}) {
+		t.Fatalf("empty tree walked: %+v", st)
+	}
+}
+
+// TestBoxTreeWorkersAgree: a tree built on several goroutines is the tree
+// one goroutine builds, on blocks whose row counts no worker count divides.
+func TestBoxTreeWorkersAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(68))
+	for _, n := range []int{0, 1, leafRows + 1, 4*leafRows + 3, 3001} {
+		for what, data := range map[string][]float64{"random": randBlock(rng, n, 3, 10), "lattice": latticeRows(rng, n, 3)} {
+			var want BoxTree
+			want.Build(data, 3)
+			for _, workers := range []int{2, 3, 8} {
+				var got BoxTree
+				got.BuildWorkers(data, 3, workers)
+				checkTree(t, what, &got, data, 3)
+				if !reflect.DeepEqual(got.rows, want.rows) || !reflect.DeepEqual(got.nodes, want.nodes) || !reflect.DeepEqual(got.box, want.box) {
+					t.Fatalf("%s n %d: %d workers built another tree than one", what, n, workers)
+				}
+			}
+		}
 	}
 }
 

@@ -182,9 +182,9 @@ func BenchmarkTopKLeaves(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					q := qs[i%nq*dim:][:dim]
 					acc.Reset(k)
-					e, c := TopKLeaves(&tree, q, acc)
-					evaluated += e
-					checks += c
+					st := TopKLeaves(&tree, data, q, nil, nil, acc)
+					evaluated += st.Rows
+					checks += st.Boxes
 				}
 				b.ReportMetric(float64(evaluated)/float64(b.N), "rows/query")
 				b.ReportMetric(float64(checks)/float64(b.N), "boxes/query")

@@ -2,7 +2,7 @@ package kernels
 
 // The one nearest-row scan of the repository: given a query position and a
 // flat SoA coordinate block, keep the k nearest rows. Every scan sinks into
-// a TopKAcc — serving's sweeps and exact fallback and the ingest delta scan
+// a TopKAcc — serving's tree walks and exact fallback and the ingest delta scan
 // at k = 1, the kNN-join at k. The accumulator is a best-first list of at
 // most k entries, so a scanned row pays one comparison against the worst
 // kept entry in the common reject case, and at k = 1 an accepted one costs
@@ -218,19 +218,25 @@ func TopKRange(data []float64, dim int, q []float64, lo, hi int, acc *TopKAcc) {
 // at k > 1 the rows must be distinct: a duplicated row would occupy two of
 // the k slots.
 func TopKRows(data []float64, dim int, q []float64, rows []int32, acc *TopKAcc) {
-	thr := acc.Threshold()
 	var d2 [nnTile]float64
 	for len(rows) > 0 {
 		part := rows[:min(nnTile, len(rows))]
 		rows = rows[len(part):]
-		sqDistRows(q[:dim], data, part, d2[:len(part)])
-		for x, r := range part {
-			if d2[x] > thr {
-				continue
-			}
-			acc.observe(r, d2[x])
-			thr = acc.Threshold()
+		observeRows(data, q[:dim], part, d2[:len(part)], acc)
+	}
+}
+
+// observeRows is TopKRows over the listed rows, with d2 (one slot per row)
+// as its distance strip.
+func observeRows(data, q []float64, rows []int32, d2 []float64, acc *TopKAcc) {
+	sqDistRows(q, data, rows, d2)
+	thr := acc.Threshold()
+	for x, r := range rows {
+		if d2[x] > thr {
+			continue
 		}
+		acc.observe(r, d2[x])
+		thr = acc.Threshold()
 	}
 }
 

@@ -554,9 +554,9 @@ func bucketReduce(ctx *mapreduce.TaskContext, _ string, values [][]byte, out map
 	var nd, nb int64
 	for _, q := range queries {
 		acc.Reset(k)
-		rows, boxes := kernels.TopKLeaves(tree, q.p.Pos, &acc)
-		nd += int64(rows)
-		nb += int64(boxes)
+		walk := kernels.TopKLeaves(tree, m.Data(), q.p.Pos, nil, nil, &acc)
+		nd += int64(walk.Rows)
+		nb += int64(walk.Boxes)
 		entries = acc.Append(entries[:0])
 		ns := make([]Neighbor, len(entries))
 		for j, e := range entries {

@@ -297,6 +297,7 @@ func decodeResults(dst [][]Neighbor, pairs []mapreduce.Pair) ([]int32, error) {
 // the distances the walks computed; rng, seeded from the run's seed, drew
 // the sample and draws the width estimate's queries after it.
 type baseSample struct {
+	data      []float64 // the sample's coordinates, rows of S's dimension
 	tree      kernels.BoxTree
 	rows, k   int // sample rows; the join's k
 	rng       *points.Rand
@@ -307,9 +308,9 @@ type baseSample struct {
 
 func newBaseSample(S *points.Dataset, k int, seed int64) *baseSample {
 	s := &baseSample{k: k, rng: points.NewRand(seed + 0x5d7e)}
-	data := samplePositions(S, max(16384, 64*k), s.rng)
-	s.rows = len(data) / S.Dim()
-	s.tree.Build(data, S.Dim())
+	s.data = samplePositions(S, max(16384, 64*k), s.rng)
+	s.rows = len(s.data) / S.Dim()
+	s.tree.Build(s.data, S.Dim())
 	return s
 }
 
@@ -318,8 +319,7 @@ func newBaseSample(S *points.Dataset, k int, seed int64) *baseSample {
 // squared distance of the farthest kept one.
 func (s *baseSample) farthest(q []float64, k int) (d2 float64, kept int) {
 	s.acc.Reset(k)
-	rows, _ := kernels.TopKLeaves(&s.tree, q, &s.acc)
-	s.evaluated += int64(rows)
+	s.evaluated += int64(kernels.TopKLeaves(&s.tree, s.data, q, nil, nil, &s.acc).Rows)
 	s.entries = s.acc.Append(s.entries[:0])
 	if len(s.entries) == 0 {
 		return 0, 0

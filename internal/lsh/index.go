@@ -9,10 +9,9 @@ import "repro/internal/par"
 type Index struct {
 	// RowKeys holds row i's bucket ID under layout j at [i*M+j].
 	RowKeys []int32
-	// Rows holds every bucket's member rows back to back, each bucket in
-	// the order Fill was given: bucket id's are
-	// Rows[Offsets[id]:Offsets[id+1]]. Each row appears M times, once per
-	// layout. Nil until Fill.
+	// Rows holds every bucket's member rows back to back, each bucket
+	// ascending: bucket id's are Rows[Offsets[id]:Offsets[id+1]]. Each row
+	// appears M times, once per layout. Nil until Fill.
 	Rows    []int32
 	Offsets []int
 
@@ -67,27 +66,20 @@ func (l *Layouts) BuildIndex(data []float64, n, workers int) *Index {
 }
 
 // Fill drops every row into its buckets' slices of the one postings block,
-// Rows, taking the rows in the order order lists — a permutation of the
-// indexed rows; nil means ascending — which leaves every bucket in that
-// order without a sort or a per-bucket append. The order may depend on the
-// index (the serving engine sorts on WidestAxis); bucket IDs do not. The
-// layouts are cut into workers contiguous chunks (par.For), each chunk's
-// buckets filled by its own goroutine over the whole order: no bucket spans
-// two layouts, so no two goroutines share a fill cursor, and Rows does not
-// depend on workers.
-func (ix *Index) Fill(order []int32, workers int) {
+// Rows, in ascending row order, which leaves every bucket ascending without
+// a sort or a per-bucket append. The layouts are cut into workers
+// contiguous chunks (par.For), each chunk's buckets filled by its own
+// goroutine over all the rows: no bucket spans two layouts, so no two
+// goroutines share a fill cursor, and Rows does not depend on workers.
+func (ix *Index) Fill(workers int) {
 	nl, n := ix.nl, len(ix.RowKeys)/ix.nl
 	ix.Rows = make([]int32, len(ix.RowKeys))
 	next := make([]int, ix.Len()) // each bucket's fill cursor
 	copy(next, ix.Offsets)
 	par.For(nl, workers, func(_, jlo, jhi int) {
-		for i := range n {
-			r := int32(i)
-			if order != nil {
-				r = order[i]
-			}
-			for _, id := range ix.RowKeys[int(r)*nl+jlo : int(r)*nl+jhi] {
-				ix.Rows[next[id]] = r
+		for r := range n {
+			for _, id := range ix.RowKeys[r*nl+jlo : r*nl+jhi] {
+				ix.Rows[next[id]] = int32(r)
 				next[id]++
 			}
 		}
@@ -124,87 +116,6 @@ func (ch *indexChunk) intern(l *Layouts, data []float64, rowKeys []int32, lo, hi
 	}
 }
 
-// WidestAxis returns the coordinate on which the buckets of the indexed block
-// data are widest: the one with the largest sum, over every bucket of every
-// layout, of squared deviations from the bucket's own mean (the lowest such
-// axis on ties). A coordinate sweep of a bucket prunes what lies outside a
-// window around the query, so this is the axis that prunes most; and being a
-// mean over tens of thousands of rows' postings, it is the same axis for any
-// two samples of one distribution — a range or any other extreme-value
-// statistic flips between near-tied axes from one sample to the next. It
-// reads RowKeys only, and of a large block only runs of widestRun rows spaced
-// evenly to about widestRows in all, which keeps it a small part of an index
-// build. Non-finite coordinates count as no deviation, and an axis whose
-// sums overflow is passed over.
-func (ix *Index) WidestAxis(data []float64, dim int) int {
-	n := len(data) / dim
-	if n == 0 {
-		return 0
-	}
-	nl := len(ix.RowKeys) / n
-	stride := widestRun * max(n/widestRows, 1)
-	sampled := func(row func(i int, x []float64)) {
-		for lo := 0; lo < n; lo += stride {
-			for i := lo; i < min(lo+widestRun, n); i++ {
-				row(i, data[i*dim:][:dim])
-			}
-		}
-	}
-	// Deviations are taken from the per-axis mean, so that a block far from
-	// the origin does not cancel its spread away.
-	mean, cnt := make([]float64, dim), make([]float64, dim)
-	sampled(func(_ int, x []float64) {
-		for a, v := range x {
-			if v-v == 0 {
-				mean[a] += v
-				cnt[a]++
-			}
-		}
-	})
-	for a := range mean {
-		mean[a] /= max(cnt[a], 1)
-	}
-	// Σ_b Σ_{r∈b} (d_r − d̄_b)² = M·Σ_r d_r² − Σ_b (Σ_{r∈b} d_r)²/|b|.
-	sq, d := make([]float64, dim), make([]float64, dim)
-	sums, sizes := make([]float64, ix.Len()*dim), make([]float64, ix.Len())
-	sampled(func(i int, x []float64) {
-		for a, v := range x {
-			if v -= mean[a]; v-v != 0 {
-				v = 0
-			}
-			d[a] = v
-			sq[a] += v * v * float64(nl)
-		}
-		for _, id := range ix.RowKeys[i*nl:][:nl] {
-			sizes[id]++
-			s := sums[int(id)*dim:][:len(d)]
-			for a, v := range d {
-				s[a] += v
-			}
-		}
-	})
-	for id, size := range sizes {
-		for a, s := range sums[id*dim:][:dim] {
-			sq[a] -= s * s / max(size, 1)
-		}
-	}
-	axis := 0
-	for a, w := range sq {
-		if w > sq[axis] || sq[axis] != sq[axis] { // NaN: the sums overflowed
-			axis = a
-		}
-	}
-	return axis
-}
-
-// WidestAxis's sample: runs of widestRun consecutive rows — so that neither a
-// block sorted by cluster nor one that cycles through its clusters row by row
-// is seen one-sidedly — about widestRows rows in all.
-const (
-	widestRun  = 64
-	widestRows = 1 << 14
-)
-
 // Lookup returns the bucket ID of key, if any row carries it.
 func (ix *Index) Lookup(key []byte) (int32, bool) { return ix.keys.Lookup(key) }
 
@@ -214,7 +125,7 @@ func (ix *Index) Key(id int32) []byte { return ix.keys.Key(id) }
 // Len returns the number of buckets.
 func (ix *Index) Len() int { return ix.keys.Len() }
 
-// Bucket returns bucket id's rows in the order Fill was given.
+// Bucket returns bucket id's rows, ascending.
 func (ix *Index) Bucket(id int32) []int32 {
 	return ix.Rows[ix.Offsets[id]:ix.Offsets[id+1]]
 }

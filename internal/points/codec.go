@@ -255,10 +255,10 @@ func appendNeighbors(buf []byte, ns []Neighbor) []byte {
 }
 
 // decodeNeighbors parses n entries — or, when n is negative, every entry up
-// to the end of buf — as the list of point self and returns the rest,
-// refusing any list appendNeighbors would not have written for a
-// well-formed one.
-func decodeNeighbors(buf []byte, n int, self int32) ([]Neighbor, []byte, error) {
+// to the end of buf — as the list of point self into dst's storage and
+// returns the rest, refusing any list appendNeighbors would not have
+// written for a well-formed one.
+func decodeNeighbors(dst []Neighbor, buf []byte, n int, self int32) ([]Neighbor, []byte, error) {
 	most := len(buf) / minNeighborBytes
 	if n > most {
 		return nil, nil, fmt.Errorf("points: neighbour list of id %d: %d entries in %d bytes", self, n, len(buf))
@@ -267,7 +267,7 @@ func decodeNeighbors(buf []byte, n int, self int32) ([]Neighbor, []byte, error) 
 	if n < 0 {
 		size = most
 	}
-	ns := make([]Neighbor, 0, size)
+	ns := slices.Grow(dst[:0], size)
 	for len(ns) != n && (n >= 0 || len(buf) > 0) {
 		id, rest, ok := minimalUvarint(buf)
 		if !ok || id > math.MaxUint32 || len(rest) < 8 {
@@ -283,6 +283,18 @@ func decodeNeighbors(buf []byte, n int, self int32) ([]Neighbor, []byte, error) 
 		}
 		ns = append(ns, e)
 	}
+	// An ID twice: a pairwise scan of a short list, a sorted copy of a long one.
+	dup := func(id int32) error { return fmt.Errorf("points: neighbour list of id %d holds id %d twice", self, id) }
+	if len(ns) <= 16 {
+		for i := range ns {
+			for _, e := range ns[:i] {
+				if e.ID == ns[i].ID {
+					return nil, nil, dup(e.ID)
+				}
+			}
+		}
+		return ns, buf, nil
+	}
 	ids := make([]int32, len(ns))
 	for i, e := range ns {
 		ids[i] = e.ID
@@ -290,7 +302,7 @@ func decodeNeighbors(buf []byte, n int, self int32) ([]Neighbor, []byte, error) 
 	slices.Sort(ids)
 	for i := 1; i < len(ids); i++ {
 		if ids[i] == ids[i-1] {
-			return nil, nil, fmt.Errorf("points: neighbour list of id %d holds id %d twice", self, ids[i])
+			return nil, nil, dup(ids[i])
 		}
 	}
 	return ns, buf, nil
@@ -321,7 +333,7 @@ func DecodeRhoValue(buf []byte, id int32) (RhoValue, error) {
 	rv := RhoValue{Rho: DecodeFloat64(buf)}
 	if len(buf) > 8 {
 		var err error
-		if rv.Near, _, err = decodeNeighbors(buf[8:], -1, id); err != nil {
+		if rv.Near, _, err = decodeNeighbors(nil, buf[8:], -1, id); err != nil {
 			return RhoValue{}, err
 		}
 	}
@@ -386,11 +398,12 @@ func AppendRhoPartial(buf []byte, p RhoPartial) []byte {
 	return buf
 }
 
-// DecodeRhoPartial parses the RhoPartial of point id, rejecting every byte
-// string AppendRhoPartial cannot have produced and every list naming id:
+// DecodeRhoPartial parses the RhoPartial of point id into dst's storage —
+// its Vals and Near, which the result reuses — rejecting every byte string
+// AppendRhoPartial cannot have produced and every list naming id:
 // re-encoding what it accepts returns the same bytes.
-func DecodeRhoPartial(buf []byte, id int32) (RhoPartial, error) {
-	var p RhoPartial
+func DecodeRhoPartial(buf []byte, id int32, dst RhoPartial) (RhoPartial, error) {
+	p := RhoPartial{Vals: dst.Vals[:0]}
 	head, rest, ok := minimalUvarint(buf)
 	if !ok || head>>2 >= maxLayouts || head&1 != 0 {
 		return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad layout header", id)
@@ -402,11 +415,10 @@ func DecodeRhoPartial(buf []byte, id int32) (RhoPartial, error) {
 			return RhoPartial{}, fmt.Errorf("points: rho partial for id %d: bad neighbour list length", id)
 		}
 		var err error
-		if p.Near, rest, err = decodeNeighbors(rest, int(n), id); err != nil {
+		if p.Near, rest, err = decodeNeighbors(dst.Near, rest, int(n), id); err != nil {
 			return RhoPartial{}, err
 		}
 	}
-	p.Vals = make([]float64, 0, len(rest))
 	for len(rest) > 0 {
 		var c uint64
 		if c, rest, ok = minimalUvarint(rest); !ok || c > maxCount {

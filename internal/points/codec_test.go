@@ -287,7 +287,7 @@ func TestNeighborListCodec(t *testing.T) {
 		{First: 2, Vals: []float64{5}, Near: near[:1]},
 		{Near: near[3:]}, // a list without a share
 	} {
-		got, err := DecodeRhoPartial(AppendRhoPartial(nil, p), 1)
+		got, err := DecodeRhoPartial(AppendRhoPartial(nil, p), 1, RhoPartial{})
 		if err != nil || !rhoPartialEqual(got, p) {
 			t.Errorf("decode(encode(%+v)) = %+v, %v", p, got, err)
 		}
@@ -315,7 +315,7 @@ func TestNeighborListCodec(t *testing.T) {
 		t.Errorf("rho value listing %v decoded to %+v, %v", boundaryIDs, got, err)
 	}
 	p := RhoPartial{First: 1, Vals: []float64{2}, Near: wide}
-	if got, err := DecodeRhoPartial(AppendRhoPartial(nil, p), 5); err != nil || !rhoPartialEqual(got, p) {
+	if got, err := DecodeRhoPartial(AppendRhoPartial(nil, p), 5, RhoPartial{}); err != nil || !rhoPartialEqual(got, p) {
 		t.Errorf("decode(encode(%+v)) = %+v, %v", p, got, err)
 	}
 	d2 := AppendFloat64(nil, 1)
@@ -337,7 +337,7 @@ func TestNeighborListCodec(t *testing.T) {
 		"id past uint32":   append([]byte{0x01, 0x80, 0x80, 0x80, 0x80, 0x10}, d2...),
 		"short d2":         append([]byte{0x01, 0x05}, d2[:7]...),
 	} {
-		if p, err := DecodeRhoPartial(append(slices.Clip(head), list...), 1); err == nil {
+		if p, err := DecodeRhoPartial(append(slices.Clip(head), list...), 1, RhoPartial{}); err == nil {
 			t.Errorf("%s: DecodeRhoPartial accepted %+v", name, p)
 		}
 		if len(list) > 1 && name != "short entries" {
@@ -389,7 +389,7 @@ func TestRhoPartialRoundTrip(t *testing.T) {
 		{RhoPartial{First: 4, Vals: []float64{0, 0}}, RhoPartial{Vals: []float64{}}},
 	} {
 		buf := AppendRhoPartial(nil, tc.in)
-		got, err := DecodeRhoPartial(buf, 7)
+		got, err := DecodeRhoPartial(buf, 7, RhoPartial{})
 		if err != nil || !rhoPartialEqual(got, tc.want) {
 			t.Errorf("decode(encode(%+v)) = %+v, %v; want %+v", tc.in, got, err, tc.want)
 		}
@@ -419,7 +419,7 @@ func TestRhoPartialRoundTrip(t *testing.T) {
 		append(append([]byte{0x05}, AppendFloat64(nil, 0.25)...), AppendFloat64(nil, math.Inf(1))...),
 		append(append([]byte{0x03, 0x01}, neighborBytesOf(Neighbor{ID: 2, D2: 1})...), AppendFloat64(nil, 0.5)...), // kind bit and a list
 	} {
-		if p, err := DecodeRhoPartial(bad, 7); err == nil {
+		if p, err := DecodeRhoPartial(bad, 7, RhoPartial{}); err == nil {
 			t.Errorf("DecodeRhoPartial(%x) accepted as %+v", bad, p)
 		}
 	}
@@ -494,7 +494,7 @@ func FuzzRhoPartialRoundTrip(f *testing.F) {
 				p.Vals = append(p.Vals, float64(v%(maxCount+1)))
 			}
 			buf := AppendRhoPartial(nil, p)
-			got, err := DecodeRhoPartial(buf, id)
+			got, err := DecodeRhoPartial(buf, id, RhoPartial{})
 			if err != nil {
 				t.Fatalf("decode(encode(%+v)): %v", p, err)
 			}
@@ -519,7 +519,7 @@ func FuzzRhoPartialRoundTrip(f *testing.F) {
 		}
 
 		names := func(ns []Neighbor) bool { return slices.ContainsFunc(ns, func(e Neighbor) bool { return e.ID == id }) }
-		if got, err := DecodeRhoPartial(raw, id); err == nil {
+		if got, err := DecodeRhoPartial(raw, id, RhoPartial{}); err == nil {
 			if len(raw) > 0 && raw[0]&1 != 0 {
 				t.Fatalf("DecodeRhoPartial accepted %x, whose header has the kind bit set, as %+v", raw, got)
 			}

@@ -8,11 +8,13 @@
 // answers a query from the query's M buckets with the k = 1 top-k scan —
 // the same locality-preserving partitions that made ρ̂/δ̂ accurate make the
 // nearest labeled point overwhelmingly likely to share a bucket with the
-// query. Buckets are kept sorted on one coordinate, so a query never scans
-// their union: it sweeps each bucket outward from its own coordinate until
-// that coordinate alone rules the rest out, and stops at the first bucket
-// when the LSH guarantee radius proves no other can hold a closer row — the
-// union's nearest row either way. When no bucket holds a row at a finite
+// query. A query never gathers their union: it walks one box tree over all
+// the stored rows (internal/kernels BoxTree), nearest leaves first, skipping
+// a node whose box lies farther than the best row so far and evaluating only
+// the rows of a leaf that share one of its buckets. It walks the bucket of
+// one layout first and stops there when the LSH guarantee radius proves no
+// other bucket can hold a closer row — the union's nearest row either way.
+// When no bucket holds a row at a finite
 // distance (a query far from all training data) the engine falls back to an
 // exact full scan, so an answer is always returned and is always the label
 // of some stored point.
@@ -22,8 +24,8 @@
 // eighth of the bytes) and computes a row's exact float64 distance only
 // when its compact one says it can still tie or beat the best so far
 // (internal/kernels TopKCompact). Every precision feeds the same exact sink,
-// so labels, NN indices, distances, the tie rule and even the rows a sweep
-// visits are identical across precisions. The exact full scan reads the
+// so labels, NN indices, distances, the tie rule and even the rows a walk
+// evaluates are identical across precisions. The exact full scan reads the
 // float64 block at every precision, through the multi-query TopKBatch kernel
 // into one k = 1 accumulator per query: one pass over each row tile serves
 // every query of the call.
@@ -39,7 +41,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/kernels"
@@ -71,7 +72,7 @@ type Assignment struct {
 	// carries it explicitly.
 	Dist2 float64 `json:"-"`
 	// Certified reports that the one-bucket certificate answered (see
-	// Engine.sweep): no stored row outside the bucket swept first can be
+	// Engine.sweep): no stored row outside the bucket walked first can be
 	// closer. The fleet router stops at a shard that says so; like Dist2 it
 	// never appears on the public /assign response.
 	Certified bool `json:"-"`
@@ -112,23 +113,28 @@ func (p Precision) String() string {
 // ScanStats aggregates the scan work of one AssignBatch call.
 type ScanStats struct {
 	// Scanned counts stored rows whose (compact or exact) distance to a
-	// query was evaluated: the rows the bucket sweeps did not prune (at most
-	// the size of the query's bucket union), or every row on the exact path.
+	// query was evaluated: the union rows the tree walks did not prune (at
+	// most the size of the query's bucket union), or every row on the exact
+	// path.
 	Scanned int64
 	// Certified counts queries answered from one bucket (see Engine.sweep);
 	// never set by an exact scan, nor by a masked one whose mask lacks the
 	// certifying layout.
 	Certified int64
-	// Rerank counts the exact float64 distances a compact bucket sweep
-	// computed: the swept rows its compact filter let through (0 at
-	// PrecF64, where every swept row's distance is exact).
+	// Rerank counts the exact float64 distances a compact tree walk
+	// computed: the evaluated rows its compact filter let through (0 at
+	// PrecF64, where every evaluated row's distance is exact).
 	Rerank int64
-	// RerankQueries counts queries whose bucket sweep evaluated rows
-	// through the compact filter (0 at PrecF64, and for queries the exact
-	// full scan answered).
+	// RerankQueries counts queries whose tree walk evaluated rows through
+	// the compact filter (0 at PrecF64, and for queries the exact full scan
+	// answered).
 	RerankQueries int64
 	// ExactQueries counts queries answered by the exact full-scan path.
 	ExactQueries int64
+
+	// boxes and tested count the walks' box bounds and the leaf rows their
+	// bucket filter tested: the work Scanned leaves out.
+	boxes, tested int64
 }
 
 // Engine answers queries against one immutable model. It is safe for
@@ -137,22 +143,14 @@ type Engine struct {
 	m       *model.Model
 	layouts *lsh.Layouts
 	// ix is the bucket index of the stored points: every distinct LSH key
-	// interned to a bucket ID, each bucket's rows one slice of a single CSR
-	// postings block, sorted on the sweep axis (rows with a non-finite
-	// coordinate there last). ix.RowKeys — each row's bucket ID under
-	// every layout, row-major n×M — is kept in fleet mode only (a sub-model
-	// with RowIDs), and read only for the layouts outside a query's mask:
-	// a row that shares q's bucket under one of them, earlier in the
-	// sweep's cyclic order, is its owner's to evaluate and is skipped here.
-	// The engine's own layouts dedup through the sweep's stamps, so each row
-	// is evaluated at most once fleet-wide, and the winner by its owner.
-	ix *lsh.Index
-
-	// axis is the coordinate every bucket is sorted on (ix.WidestAxis of the
-	// model data), coord[row] each row's value there, +Inf standing for a
-	// non-finite one.
-	axis  int
-	coord []float64
+	// interned to a bucket ID, and ix.RowKeys, each row's bucket ID under
+	// every layout, row-major n×M: the tree walk's filter. Its postings —
+	// each bucket's rows, ascending — are filled on the first CandidateRows
+	// call (fill), on one goroutine: no query reads them.
+	ix   *lsh.Index
+	fill sync.Once
+	// tree is the box tree over every stored row with finite coordinates.
+	tree kernels.BoxTree
 
 	// q8 holds the quantized codes of an engine serving at PrecQ8; nil at
 	// PrecF64, requested or forced by data the codes cannot support (e.g.
@@ -166,24 +164,18 @@ type Engine struct {
 // per engine: a pool inside an engine is on the runtime's pool list, so a
 // retired engine and its model would outlive a swap by one more
 // collection. Nothing pooled points into a model (putScratch drops the q8
-// codes), and getScratch re-grows a stamp shorter than the engine's rows.
+// codes).
 var (
 	scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 	batchPool   = sync.Pool{New: func() any { return new(batchScratch) }}
 )
 
-// scratch is the reusable per-query sweep state.
+// scratch is the reusable per-query walk state.
 type scratch struct {
-	// stamp holds per-row epoch marks: the rows this sweep has filtered. A
-	// scratch serves engines of any size; epochs only rise within it, so a
-	// mark left by an earlier engine never equals the current epoch.
-	stamp []int32
-	epoch int32
-	kb    lsh.KeyBuf
-	strip []int32 // the postings of one strip that pass the filter (CandidateRows: the union)
-	// others holds q's buckets, so far in the sweep's order, under the
-	// layouts outside the mask (fleet mode): other shards own their rows.
-	others []layoutBucket
+	kb lsh.KeyBuf
+	f  bucketFilter
+	// seen is CandidateRows' bitset of the rows it has listed.
+	seen []uint64
 	// The sink, at every precision, and the compact filter in front of it.
 	acc kernels.TopKAcc
 	cq  kernels.Compact
@@ -191,10 +183,65 @@ type scratch struct {
 	bound float64
 }
 
-// layoutBucket is q's bucket id under layout j.
+// bucketFilter is the tree walk's leaf filter: q's buckets, in the walk's
+// cyclic layout order from the certifying layout, against each row's bucket
+// IDs.
+type bucketFilter struct {
+	rowKeys []int32 // the engine's ix.RowKeys
+	nl      int     // its layout count
+	probe   []layoutBucket
+	kept    []int32 // the rows a filter call returns
+}
+
+// layoutBucket is q's bucket id under layout j; own reports whether this
+// engine evaluates the rows whose first bucket shared with q, in the
+// probe's order, is this one.
 type layoutBucket struct {
-	j  int
-	id int32
+	j   int
+	id  int32
+	own bool
+}
+
+// cert is the walk's first phase: it admits the rows of q's bucket under
+// the certifying layout, f.probe[0].
+func (f *bucketFilter) cert(leaf []int32) []int32 {
+	b, dst := f.probe[0], f.kept[:0]
+	for _, r := range leaf {
+		if f.rowKeys[int(r)*f.nl+b.j] == b.id {
+			dst = append(dst, r)
+		}
+	}
+	f.kept = dst
+	return dst
+}
+
+// union is the walk's second phase: it admits a row when the first bucket
+// of f.probe that the row shares with q is one this engine owns.
+func (f *bucketFilter) union(leaf []int32) []int32 {
+	dst := f.kept[:0]
+	for _, r := range leaf {
+		keys := f.rowKeys[int(r)*f.nl:][:f.nl]
+		for _, b := range f.probe {
+			if keys[b.j] == b.id {
+				if b.own {
+					dst = append(dst, r)
+				}
+				break
+			}
+		}
+	}
+	f.kept = dst
+	return dst
+}
+
+// owns reports whether the union phase can admit any row.
+func (f *bucketFilter) owns() bool {
+	for _, b := range f.probe {
+		if b.own {
+			return true
+		}
+	}
+	return false
 }
 
 // batchScratch is the reusable per-batch exact-scan state.
@@ -240,13 +287,7 @@ func build(m *model.Model, prec Precision, workers int) (*Engine, error) {
 		return e, nil
 	}
 	e.ix = e.layouts.BuildIndex(m.Data, m.N(), workers)
-	e.axis = e.ix.WidestAxis(m.Data, m.Dim)
-	var order []int32
-	order, e.coord = kernels.RowOrder(m.Data, m.Dim, e.axis, workers)
-	e.ix.Fill(order, workers)
-	if len(m.RowIDs) == 0 {
-		e.ix.RowKeys = nil // only the fleet's masked scan reads them
-	}
+	e.tree.BuildWorkers(m.Data, m.Dim, workers)
 	return e, nil
 }
 
@@ -278,10 +319,9 @@ func (e *Engine) Buckets() int {
 	return e.ix.Len()
 }
 
-// FleetIndexed reports whether the engine can answer masked fleet scans
-// (an LSH index over a sub-model with row IDs, so per-row layout keys are
-// recorded for cross-shard dedup).
-func (e *Engine) FleetIndexed() bool { return e.ix != nil && e.ix.RowKeys != nil }
+// FleetIndexed reports whether the engine can answer masked fleet scans: an
+// LSH index over a sub-model with row IDs.
+func (e *Engine) FleetIndexed() bool { return e.ix != nil && len(e.m.RowIDs) > 0 }
 
 // Layouts returns the number of LSH layouts (0 without an index).
 func (e *Engine) Layouts() int {
@@ -427,161 +467,135 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 }
 
 // CandidateRows appends the deduplicated LSH candidate-bucket union of q
-// to dst and reports whether the engine has a pruned index at all (an
-// engine built without LSH parameters returns dst unchanged and false —
-// the caller owns the full-scan fallback). The ingest layer uses this to
-// find the stored rows a new point adds density mass to — a d_c ball, which
-// the nearest-neighbor sweep of the query path does not bound; query
-// answering stays on AssignBatchOpts and never gathers the union.
+// to dst — each row under the first layout whose bucket it shares with q,
+// buckets in layout order, rows ascending — and reports whether the engine
+// has a pruned index at all (an engine built without LSH parameters returns
+// dst unchanged and false — the caller owns the full-scan fallback). The
+// ingest layer uses this to find the stored rows a new point adds density
+// mass to — a d_c ball, which the nearest-neighbor walk of the query path
+// does not bound; query answering stays on AssignBatchOpts and never
+// gathers the union.
 func (e *Engine) CandidateRows(q points.Vector, dst []int32) ([]int32, bool) {
 	if e.layouts == nil {
 		return dst, false
 	}
+	e.fill.Do(func() { e.ix.Fill(1) })
 	s := e.getScratch()
-	s.nextEpoch()
-	s.strip = s.strip[:0]
 	e.layouts.Hash(&s.kb, q)
-	for j := 0; j < e.layouts.M(); j++ {
+	// One bit per row marks the rows listed so far.
+	words := e.m.N()/64 + 1
+	s.seen = slices.Grow(s.seen[:0], words)[:words]
+	clear(s.seen)
+	for j := 0; j < s.f.nl; j++ {
 		if id, ok := e.ix.Lookup(s.kb.Key(j)); ok {
-			s.strip = e.admit(e.ix.Bucket(id), s, s.strip)
+			for _, r := range e.ix.Bucket(id) {
+				if w, bit := r>>6, uint64(1)<<(r&63); s.seen[w]&bit == 0 {
+					s.seen[w] |= bit
+					dst = append(dst, r)
+				}
+			}
 		}
 	}
-	dst = append(dst, s.strip...) // one exact-size growth, not a doubling run
 	putScratch(s)
 	return dst, true
 }
 
-// getScratch takes a scratch from the pool, its stamps covering e's rows.
+// getScratch takes a scratch from the pool, its filter reading e's rows.
 func (e *Engine) getScratch() *scratch {
 	s := scratchPool.Get().(*scratch)
-	if n := e.m.N(); len(s.stamp) < n {
-		s.stamp = make([]int32, n)
-	}
+	s.f.rowKeys, s.f.nl, s.f.probe = e.ix.RowKeys, e.layouts.M(), s.f.probe[:0]
 	return s
 }
 
-// putScratch returns s to the pool without the q8 codes its filter last
-// read, so that no pooled scratch holds a retired model's codes.
+// putScratch returns s to the pool without the row keys and q8 codes its
+// filters last read, so that no pooled scratch holds a retired model's.
 func putScratch(s *scratch) {
+	s.f.rowKeys = nil
 	s.cq.Reset(nil, points.Q8Params{}, nil, kernels.Bounds{})
 	scratchPool.Put(s)
 }
 
-// nextEpoch starts a new query's filter: no row stamped, no layout outside
-// the mask met yet.
-func (s *scratch) nextEpoch() {
-	s.epoch++
-	if s.epoch <= 0 { // epoch wrapped: invalidate all stamps
-		clear(s.stamp)
-		s.epoch = 1
-	}
-	s.others = s.others[:0]
-}
-
-// admit is the strip filter of every scan: it appends to dst the rows not
-// yet stamped this epoch, stamping them, except a row that shares q's
-// bucket under a layout in s.others — its owner, another shard, evaluates
-// it. Only that compare reads ix.RowKeys.
-func (e *Engine) admit(rows []int32, s *scratch, dst []int32) []int32 {
-	stamp, epoch, others, rowKeys, nl := s.stamp, s.epoch, s.others, e.ix.RowKeys, e.layouts.M()
-rows:
-	for _, r := range rows {
-		if stamp[r] == epoch {
-			continue
-		}
-		stamp[r] = epoch
-		for _, o := range others {
-			if rowKeys[int(r)*nl+o.j] == o.id {
-				continue rows
-			}
-		}
-		dst = append(dst, r)
-	}
-	return dst
-}
-
 // sweep is the pruned scan of one query: the nearest row of q's LSH bucket
 // union and its squared distance — (-1, +Inf) when no row there is at a
-// finite distance — without gathering the union. Each bucket is walked
-// outward from q's coordinate on e.axis (kernels.Sweep) into one k = 1
-// TopKAcc all of them share, behind the compact filter at q8
-// (kernels.TopKCompact), so a row whose axis gap alone exceeds the exact
-// best is never evaluated, nor any row beyond it, and what one bucket proved
-// too far stays too far in the next. The filter never changes what the sink
-// holds after a strip, so every precision visits the same strips.
+// finite distance — without gathering the union. It walks e.tree
+// (kernels.TopKLeaves) into one k = 1 TopKAcc, behind the compact filter at
+// q8, so a node whose box lies strictly farther than the exact best is never
+// opened; a leaf's rows are tested against q's buckets (ix.RowKeys) and
+// only the union's are evaluated. The filter never changes what the sink
+// holds after a leaf, so every precision evaluates the same rows.
 //
-// Buckets open in one cyclic order from the layout that attains q's
-// guarantee radius g — its certifying layout. When the best distance found
-// in that first bucket is strictly inside g, every stored row that close —
-// the union's nearest and all that tie with it — shares that bucket
-// (lsh.Layouts.GuaranteeRadius): the answer is the union's and no other
-// bucket is opened (certified). The test is on the exact distance, so the
-// same queries certify at every precision.
+// The walk runs in two phases from the layout that attains q's guarantee
+// radius g — its certifying layout. The first admits only the rows of q's
+// bucket there. When the best distance it finds is strictly inside g, every
+// stored row that close — the union's nearest and all that tie with it —
+// shares that bucket (lsh.Layouts.GuaranteeRadius): the answer is the
+// union's and the walk stops (certified). The test is on the exact
+// distance, so the same queries certify at every precision. Otherwise the
+// second phase walks again under the same falling threshold and admits a
+// row when the first layout, in cyclic order from the certifying one, under
+// which it shares q's bucket is one this engine owns and not the certifying
+// one — so no row is evaluated twice, and the answer is the union's nearest
+// row, which does not depend on the order rows come in.
 //
 // others is the set of layouts other shards own (fleet mode; 0 on a single
-// node, at any M): their buckets are not opened, and admit skips a row that
-// one of them, earlier in the order, holds. The stamps are exact for the
-// rest: a row of an earlier open bucket that the sweep did not stamp lay
-// outside that bucket's window, and the threshold only falls, so it lies
-// outside every later window too. A masked query certifies only on the
-// shard that owns its certifying layout: the whole bucket lives there, so
-// the test is the single node's own.
+// node, at any M): a row whose first shared layout is one of them is its
+// owner's to evaluate, so each row is evaluated at most once fleet-wide and
+// the winner by its owner. A masked query certifies only on the shard that
+// owns its certifying layout: the whole bucket lives there, so the test is
+// the single node's own.
 //
 // s.bound caps the sink: a row farther than it is never the answer, and
 // none within it is (-1, +Inf).
 func (e *Engine) sweep(q points.Vector, others uint64, s *scratch, st *ScanStats) (best int, best2 float64, certified bool) {
-	nl := e.layouts.M()
-	e.layouts.Hash(&s.kb, q)
+	g, cert := e.probe(q, others, s)
 	s.cq.Reset(e.q8, e.q8par, q, e.q8bnd)
 	s.acc.Reset(1)
 	s.acc.Cap(s.bound)
-	s.nextEpoch()
-	g, first := e.layouts.GuaranteeRadius(&s.kb)
-	scanned, exact := 0, 0
-	for i := 0; i < nl && !certified; i++ {
-		j := (first + i) % nl
-		switch id, ok := e.ix.Lookup(s.kb.Key(j)); {
-		case !ok: // no stored row shares q's key here
-		case others&(1<<uint(j)) != 0:
-			s.others = append(s.others, layoutBucket{j, id})
-		default:
-			sc, ex := e.sweepBucket(q, id, s)
-			scanned, exact = scanned+sc, exact+ex
-		}
-		if i == 0 {
-			best, best2 = s.acc.Nearest()
-			certified = best >= 0 && math.Sqrt(best2) < g
-		}
+	var walk kernels.LeafStats
+	add := func(w kernels.LeafStats) {
+		walk.Rows += w.Rows
+		walk.Exact += w.Exact
+		walk.Boxes += w.Boxes
+		walk.Tested += w.Tested
+	}
+	if cert {
+		add(kernels.TopKLeaves(&e.tree, e.m.Data, q, &s.cq, s.f.cert, &s.acc))
+		best, best2 = s.acc.Nearest()
+		certified = best >= 0 && math.Sqrt(best2) < g
+		s.f.probe[0].own = false // its rows are evaluated
+	}
+	if !certified && s.f.owns() {
+		add(kernels.TopKLeaves(&e.tree, e.m.Data, q, &s.cq, s.f.union, &s.acc))
 	}
 	if certified {
 		st.Certified++
 	}
 	best, best2 = s.acc.Nearest()
-	st.Scanned += int64(scanned)
-	if scanned > 0 && e.q8 != nil {
-		st.Rerank += int64(exact)
+	st.Scanned += int64(walk.Rows)
+	st.boxes += int64(walk.Boxes)
+	st.tested += int64(walk.Tested)
+	if walk.Rows > 0 && e.q8 != nil {
+		st.Rerank += int64(walk.Exact)
 		st.RerankQueries++
 	}
 	return best, best2, certified
 }
 
-// sweepBucket walks bucket id outward from q into the sink, each strip
-// through admit, and returns how many rows it evaluated and how many exact
-// distances that took.
-func (e *Engine) sweepBucket(q points.Vector, id int32, s *scratch) (scanned, exact int) {
-	rows, dim := e.ix.Bucket(id), e.m.Dim
-	n := len(rows)
-	if e.coord[rows[n-1]] == math.Inf(1) {
-		// Non-finite axis coordinates sort last and rule out any finite
-		// distance: those rows stay out of the walk.
-		n = sort.Search(n, func(i int) bool { return e.coord[rows[i]] == math.Inf(1) })
+// probe hashes q and fills s.f.probe with q's buckets in cyclic layout order
+// from the certifying layout, each owned unless others holds its layout. It
+// returns q's guarantee radius and whether s.f.probe[0] is the certifying
+// layout's bucket and owned: the walk's first phase.
+func (e *Engine) probe(q points.Vector, others uint64, s *scratch) (g float64, cert bool) {
+	e.layouts.Hash(&s.kb, q)
+	g, first := e.layouts.GuaranteeRadius(&s.kb)
+	s.f.probe = s.f.probe[:0]
+	for i := 0; i < s.f.nl; i++ {
+		j := (first + i) % s.f.nl
+		if id, ok := e.ix.Lookup(s.kb.Key(j)); ok {
+			s.f.probe = append(s.f.probe, layoutBucket{j, id, others&(1<<uint(j)) == 0})
+		}
 	}
-	kernels.Sweep(n, q[e.axis], func(i int) float64 { return e.coord[rows[i]] }, s.acc.Threshold, func(lo, hi int) {
-		s.strip = e.admit(rows[lo:hi], s, s.strip[:0])
-		scanned += len(s.strip)
-		exact += kernels.TopKCompact(e.m.Data, dim, q, &s.cq, s.strip, &s.acc)
-	})
-	return scanned, exact
+	return g, len(s.f.probe) > 0 && s.f.probe[0].j == first && s.f.probe[0].own
 }
 
 // exactBatch answers bs.pending through the float64 TopKBatch scan into

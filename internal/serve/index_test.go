@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -62,26 +63,21 @@ func naiveSlot(f lsh.Func, p []float64) int64 {
 // TestEngineIndexMatchesNaive rebuilds the bucket index the slow way — one
 // naiveSlot per row and function, rows appended bucket by bucket — and
 // requires the engine's interned, counting-sorted CSR index to hold exactly
-// those buckets with exactly those rows, each bucket sorted on the engine's
-// sweep axis with the rows that have no finite coordinate there behind all
-// the others, for a full model and for a fleet sub-model (whose per-row
-// bucket IDs must agree with the same grouping).
+// those buckets with exactly those rows, ascending, rows with a non-finite
+// coordinate among them, and per-row bucket IDs that agree with the same
+// grouping, for a full model and for a fleet sub-model.
 func TestEngineIndexMatchesNaive(t *testing.T) {
 	for _, fleet := range []bool{false, true} {
 		for _, m := range []int{3, 10} {
 			mdl := blobModel(1501, 3, m, fleet)
-			// A few rows off the sweep axis: the index must park them, and no
-			// query may ever have their distance evaluated.
-			axis := mdl.Layouts().BuildIndex(mdl.Data, mdl.N(), 1).WidestAxis(mdl.Data, mdl.Dim)
+			// A few rows with a non-finite coordinate: the index buckets them
+			// like any other (the tree leaves them out).
 			for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.NaN()} {
-				mdl.Data[(7+300*i)*mdl.Dim+axis] = v
+				mdl.Data[(7+300*i)*mdl.Dim+i%mdl.Dim] = v
 			}
 			e, err := NewEngine(mdl, PrecF64)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if e.axis != axis {
-				t.Fatalf("fleet=%v M=%d: four planted rows moved the sweep axis from %d to %d", fleet, m, axis, e.axis)
 			}
 			layouts := mdl.Layouts()
 			naive := map[string][]int32{}
@@ -100,6 +96,10 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 			if e.Buckets() != len(naive) || len(naive) < 2*m {
 				t.Fatalf("fleet=%v M=%d: engine has %d buckets, naive grouping %d", fleet, m, e.Buckets(), len(naive))
 			}
+			if e.ix.Rows != nil {
+				t.Fatalf("fleet=%v M=%d: postings filled before any CandidateRows", fleet, m)
+			}
+			e.CandidateRows(mdl.Row(0), nil)
 			if got := len(e.ix.Rows); got != mdl.N()*m {
 				t.Fatalf("fleet=%v M=%d: %d postings, want n·M = %d", fleet, m, got, mdl.N()*m)
 			}
@@ -108,24 +108,8 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 				if !ok {
 					t.Fatalf("fleet=%v M=%d: bucket %s missing from the engine", fleet, m, lsh.KeyString(key))
 				}
-				got := e.ix.Bucket(id)
-				sorted := slices.Clone(got)
-				slices.Sort(sorted)
-				if !slices.Equal(sorted, want) {
-					t.Fatalf("fleet=%v M=%d bucket %s: rows %v, want the set %v", fleet, m, lsh.KeyString(key), got, want)
-				}
-				for p, r := range got {
-					c := mdl.Data[int(r)*mdl.Dim+axis]
-					if math.IsNaN(c) || math.IsInf(c, 0) {
-						c = math.Inf(1) // what sorts a row behind every finite one
-					}
-					if e.coord[r] != c {
-						t.Fatalf("fleet=%v M=%d: row %d sorts at %v, want %v", fleet, m, r, e.coord[r], c)
-					}
-					if p > 0 && e.coord[got[p-1]] > e.coord[r] {
-						t.Fatalf("fleet=%v M=%d bucket %s: posting %d (row %d at %v) follows row %d at %v", fleet, m,
-							lsh.KeyString(key), p, r, e.coord[r], got[p-1], e.coord[got[p-1]])
-					}
+				if got := e.ix.Bucket(id); !slices.Equal(got, want) {
+					t.Fatalf("fleet=%v M=%d bucket %s: rows %v, want %v", fleet, m, lsh.KeyString(key), got, want)
 				}
 				if got := string(e.ix.Key(id)); got != key {
 					t.Fatalf("fleet=%v M=%d: bucket %d is keyed %x, looked up by %x", fleet, m, id, got, key)
@@ -134,14 +118,37 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 			if e.FleetIndexed() != fleet {
 				t.Fatalf("fleet=%v M=%d: FleetIndexed() = %v", fleet, m, e.FleetIndexed())
 			}
-			if !fleet {
-				continue
-			}
 			for i, key := range rowKey {
 				if got := string(e.ix.Key(e.ix.RowKeys[i])); got != key {
 					t.Fatalf("M=%d row %d layout %d: recorded under %x, hashes to %x", m, i/m, i%m, got, key)
 				}
 			}
+		}
+	}
+}
+
+// TestCandidateRowsConcurrentFill: the first CandidateRows calls, made from
+// several goroutines at once on a fresh engine, fill the postings once and
+// each get the union a lone caller gets afterwards.
+func TestCandidateRowsConcurrentFill(t *testing.T) {
+	mdl := blobModel(1501, 3, 10, false)
+	e, err := NewEngine(mdl, PrecF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]int32, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], _ = e.CandidateRows(mdl.Row(g*100), nil)
+		}()
+	}
+	wg.Wait()
+	for g, rows := range got {
+		if want, _ := e.CandidateRows(mdl.Row(g*100), nil); len(want) == 0 || !slices.Equal(rows, want) {
+			t.Fatalf("query %d: %d rows under concurrent first calls, %d alone", g, len(rows), len(want))
 		}
 	}
 }
@@ -158,7 +165,7 @@ func bucketKeys(ix *lsh.Index) []string {
 // TestSuccessorMatchesNewEngine: the one-goroutine build a reload or a
 // compaction runs beside live queries gives the engine NewEngine gives, as
 // does the build at any worker count — bucket keys, row keys, offsets,
-// postings, sweep axis and coordinates, and the q8 codes it derives — for a
+// postings, box tree, and the q8 codes it derives — for a
 // full model and a fleet sub-model, on a row count no worker count divides.
 func TestSuccessorMatchesNewEngine(t *testing.T) {
 	for _, fleet := range []bool{false, true} {
@@ -180,10 +187,13 @@ func TestSuccessorMatchesNewEngine(t *testing.T) {
 				}
 				engines = append(engines, e)
 			}
+			for _, e := range append(engines, want) {
+				e.CandidateRows(mdl.Row(0), nil) // fills the postings
+			}
 			for i, e := range engines {
 				if !slices.Equal(bucketKeys(e.ix), bucketKeys(want.ix)) || !slices.Equal(e.ix.RowKeys, want.ix.RowKeys) ||
 					!slices.Equal(e.ix.Offsets, want.ix.Offsets) || !slices.Equal(e.ix.Rows, want.ix.Rows) ||
-					e.axis != want.axis || !slices.Equal(e.coord, want.coord) ||
+					!reflect.DeepEqual(e.tree, want.tree) ||
 					!slices.Equal(e.q8, want.q8) || !slices.Equal(e.q8par.Min, want.q8par.Min) || !slices.Equal(e.q8par.Scale, want.q8par.Scale) {
 					t.Fatalf("fleet=%v %s: engine %d is not the one-goroutine build", fleet, prec, i)
 				}
@@ -196,9 +206,9 @@ func TestSuccessorMatchesNewEngine(t *testing.T) {
 }
 
 // TestScratchSharedAcrossEngines: the package-level scratch serves engines
-// of different row counts at once — a stamp re-grown for the larger, marks
-// a smaller one's queries left behind — and every answer is the one each
-// engine gives alone.
+// of different row counts at once — its filter reading one engine's row
+// keys, then another's — and every answer is the one each engine gives
+// alone.
 func TestScratchSharedAcrossEngines(t *testing.T) {
 	engines := make([]*Engine, 2)
 	for i, n := range []int{300, 3000} {
@@ -235,10 +245,10 @@ func TestScratchSharedAcrossEngines(t *testing.T) {
 }
 
 // BenchmarkNewEngine times the index build — hash every row under every
-// layout, intern the keys, order the rows on the sweep axis and fill the
-// postings, on GOMAXPROCS goroutines — on a blob model at the benchmark
-// harness's LSH shape, as a full model and as a fleet sub-model (which adds
-// the per-row key table), at 50 000 rows and at serve-read's 200 000.
+// layout, intern the keys, fill the postings and build the box tree, on
+// GOMAXPROCS goroutines — on a blob model at the benchmark harness's LSH
+// shape, as a full model and as a fleet sub-model, at 50 000 rows and at
+// serve-read's 200 000.
 func BenchmarkNewEngine(b *testing.B) {
 	for _, fleet := range []bool{false, true} {
 		name := "full"

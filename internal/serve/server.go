@@ -31,19 +31,19 @@ const (
 	// CtrExactScans counts queries answered by the exact full-scan path.
 	CtrExactScans = "serve.exact.scans"
 	// CtrCandidates counts stored rows whose distance to a query was
-	// evaluated: the rows the bucket sweeps did not prune, plus every row of
+	// evaluated: the union rows the tree walks did not prune, plus every row of
 	// each exact scan. Divide by CtrPoints for the rows one answer costs.
 	CtrCandidates = "serve.candidates"
 	// CtrCertified counts queries answered from a single bucket, the nearest
 	// row there lying strictly inside the query's LSH guarantee radius. On a
 	// fleet shard: the router's first-round queries this shard certified.
 	CtrCertified = "serve.certified"
-	// CtrRerankRows counts the exact float64 distances a q8 bucket sweep
+	// CtrRerankRows counts the exact float64 distances a q8 tree walk
 	// computed, for the rows its compact filter let through;
 	// divide by CtrRerankQueries for the average per query. Zero when
 	// serving at f64.
 	CtrRerankRows = "serve.rerank.rows"
-	// CtrRerankQueries counts queries whose bucket sweep ran through the
+	// CtrRerankQueries counts queries whose tree walk ran through the
 	// compact filter.
 	CtrRerankQueries = "serve.rerank.queries"
 	// CtrReloads counts successful hot model reloads.

@@ -17,11 +17,11 @@ import (
 	"repro/internal/points"
 )
 
-// Tests of the query path's bucket sweep. The contract: whatever the
-// precision and the mode, the swept answer is the one the old path gave —
-// gather the (masked) bucket union, scan all of it — bit for bit, from at
-// most as many distance evaluations, and a certified answer is the exact
-// full scan's.
+// Tests of the query path's tree walk over the bucket union. The contract:
+// whatever the precision and the mode, the walked answer is the one the
+// plain path gives — gather the (masked) bucket union, scan all of it — bit
+// for bit, from at most as many distance evaluations, and a certified answer
+// is the exact full scan's.
 
 // sweepModel wraps data in a valid model bucketed under m layouts of pi
 // functions of width w; labels, densities and borders vary by row so that
@@ -107,22 +107,24 @@ func checkSweep(t *testing.T, what string, e *Engine, q points.Vector, mask uint
 	dim, n := mdl.Dim, mdl.N()
 
 	// The reference union, built from the index the slow way.
-	var rows []int32
+	rows, _ := e.CandidateRows(q, nil)
+	seen := map[int32]bool{}
+	for _, r := range rows {
+		if seen[r] {
+			t.Fatalf("%s: CandidateRows lists row %d twice", what, r)
+		}
+		seen[r] = true
+	}
 	if masked {
 		rows = maskedUnion(e, q, mask)
-	} else {
-		rows, _ = e.CandidateRows(q, nil)
-		seen := map[int32]bool{}
-		for _, r := range rows {
-			if seen[r] {
-				t.Fatalf("%s: CandidateRows lists row %d twice", what, r)
-			}
-			seen[r] = true
-		}
 	}
-	eligible := 0
+	eligible := 0 // the union's rows in the tree: every coordinate finite
 	for _, r := range rows {
-		if c := mdl.Data[int(r)*dim+e.axis]; !math.IsNaN(c) && !math.IsInf(c, 0) {
+		ok := true
+		for _, c := range mdl.Row(int(r)) {
+			ok = ok && !math.IsNaN(c) && !math.IsInf(c, 0)
+		}
+		if ok {
 			eligible++
 		}
 	}
@@ -168,7 +170,7 @@ func checkSweep(t *testing.T, what string, e *Engine, q points.Vector, mask uint
 	}
 	swept := st.Scanned - st.ExactQueries*int64(n)
 	if swept < 0 || swept > int64(eligible) {
-		t.Fatalf("%s: q=%v mask=%b: %d rows swept, the union holds %d (%d finite on axis %d)", what, q, mask, swept, len(rows), eligible, e.axis)
+		t.Fatalf("%s: q=%v mask=%b: %d rows swept, the union holds %d (%d finite)", what, q, mask, swept, len(rows), eligible)
 	}
 	if (st.ExactQueries == 1) != (wantErr == nil && want.Exact || wantErr == ErrNoFinite) {
 		t.Fatalf("%s: q=%v: %d exact scans, want answer %+v (err %v)", what, q, st.ExactQueries, want, wantErr)
@@ -283,34 +285,39 @@ func TestSweepAssignMatchesGather(t *testing.T) {
 	}
 }
 
-// admitted feeds q's whole buckets, unpruned, through the strip filter in the
-// sweep's order — cyclic from the certifying layout, a layout in others met
-// but not opened — and returns the rows the filter let through, sorted.
-func admitted(e *Engine, q points.Vector, others uint64) []int32 {
-	s := &scratch{stamp: make([]int32, e.Model().N())}
-	s.nextEpoch()
-	e.layouts.Hash(&s.kb, q)
-	_, first := e.layouts.GuaranteeRadius(&s.kb)
+// admitted runs the walk's two filters over every stored row, unpruned, as
+// sweep runs them — the certifying bucket's first when this engine owns it,
+// then the union's — under the mask ^others, and returns the rows they let
+// through, sorted, failing if a row comes through twice.
+func admitted(t *testing.T, e *Engine, q points.Vector, others uint64) []int32 {
+	t.Helper()
+	all := make([]int32, e.Model().N())
+	for r := range all {
+		all[r] = int32(r)
+	}
+	s := e.getScratch()
+	defer putScratch(s)
 	var rows []int32
-	for i := 0; i < e.Layouts(); i++ {
-		j := (first + i) % e.Layouts()
-		switch id, ok := e.ix.Lookup(s.kb.Key(j)); {
-		case !ok:
-		case others&(1<<uint(j)) != 0:
-			s.others = append(s.others, layoutBucket{j, id})
-		default:
-			rows = e.admit(e.ix.Bucket(id), s, rows)
+	if _, cert := e.probe(q, others, s); cert {
+		rows = append(rows, s.f.cert(all)...)
+		s.f.probe[0].own = false
+	}
+	rows = append(rows, s.f.union(all)...)
+	slices.Sort(rows)
+	for i := 1; i < len(rows); i++ {
+		if rows[i] == rows[i-1] {
+			t.Fatalf("q=%v others=%b: row %d admitted twice", q, others, rows[i])
 		}
 	}
-	slices.Sort(rows)
 	return rows
 }
 
-// TestStripFilterRule holds the strip filter to its rule row for row, with
-// no pruning in the way: under a mask it admits exactly the rows whose first
-// layout matching q, cyclically from the certifying layout, is in the mask
-// (maskedUnion); at the full mask, exactly the CandidateRows union; and a mask
-// and its complement split that union between them, no row on both sides.
+// TestStripFilterRule holds the walk's leaf filters to their rule row for
+// row, with no pruning in the way: under a mask they admit exactly the rows
+// whose first layout matching q, cyclically from the certifying layout, is
+// in the mask (maskedUnion), each once; at the full mask, exactly the
+// CandidateRows union; and a mask and its complement split that union
+// between them, no row on both sides.
 func TestStripFilterRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	for dim := 1; dim <= 4; dim++ {
@@ -325,11 +332,11 @@ func TestStripFilterRule(t *testing.T) {
 			for _, q := range sweepQueries(rng, block, dim, 30) {
 				union, _ := e.CandidateRows(q, nil)
 				slices.Sort(union)
-				if full := admitted(e, q, 0); !slices.Equal(full, union) {
+				if full := admitted(t, e, q, 0); !slices.Equal(full, union) {
 					t.Fatalf("%s: q=%v: full mask admits %v, the union is %v", name, q, full, union)
 				}
 				for _, mask := range []uint64{rng.Uint64(), 1 << uint(rng.Intn(m)), 0} {
-					in, out := admitted(e, q, ^mask), admitted(e, q, mask)
+					in, out := admitted(t, e, q, ^mask), admitted(t, e, q, mask)
 					if want := maskedUnion(e, q, mask); !slices.Equal(in, want) {
 						t.Fatalf("%s: q=%v mask=%b: admits %v, want %v", name, q, mask, in, want)
 					}
@@ -346,9 +353,9 @@ func TestStripFilterRule(t *testing.T) {
 
 // TestSingleNodeManyLayouts: lsh.CheckLayouts allows more layouts than a
 // fleet's 64-bit mask holds, and a single node owns every one of them. An
-// engine of 70 layouts answers each stored row as the exact scan does,
-// matches the gathered union on jittered and hostile queries, and never
-// reads ix.RowKeys — which it does not keep, so a read would panic.
+// engine of 70 layouts keeps the row keys its filters read, answers each
+// stored row as the exact scan does, and matches the gathered union on
+// jittered and hostile queries.
 func TestSingleNodeManyLayouts(t *testing.T) {
 	rng := rand.New(rand.NewSource(75))
 	const n, dim, m = 400, 2, 70
@@ -358,7 +365,7 @@ func TestSingleNodeManyLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Layouts() != m || e.ix.RowKeys != nil {
+		if e.Layouts() != m || e.ix.RowKeys == nil {
 			t.Fatalf("engine of %d layouts, row keys kept: %v", e.Layouts(), e.ix.RowKeys != nil)
 		}
 		for r := 0; r < n; r++ {
@@ -376,7 +383,7 @@ func TestSingleNodeManyLayouts(t *testing.T) {
 }
 
 // On well-separated blobs a query's bucket union spans its whole blob but
-// its nearest row is close: the sweep must evaluate under half the union,
+// its nearest row is close: the walk must evaluate under half the union,
 // and most queries must certify from one bucket.
 func TestSweepPrunesServing(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
@@ -597,15 +604,16 @@ func TestCompactSweepMatchesF64(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineAssign times one pruned query end to end — hash, bucket
-// sweeps, compact filter, exact distances — at the benchmark harness's
-// serving geometry (harnessGeometry at 200 K rows), at f64 and q8, and
-// reports the rows evaluated, the exact distances the compact filter let
-// through (0 at f64) and the share of queries that one bucket certified.
-// The q8-masked and q8-half cases are a fleet shard's scan — a sub-model with
-// row IDs — under a mask of every layout and of the even layouts. A full mask
-// has no layout outside it, so q8-masked is q8's scan; q8-half is the one
-// case whose strips also compare ix.RowKeys, for each earlier odd layout.
+// BenchmarkEngineAssign times one pruned query end to end — hash, tree
+// walks, bucket filter, compact filter, exact distances — at the benchmark
+// harness's serving geometry (harnessGeometry at 200 K rows), at f64 and q8,
+// and reports per query the rows evaluated, the box bounds computed, the
+// leaf rows the bucket filter tested, the exact distances the compact
+// filter let through (0 at f64) and the share of queries that one bucket
+// certified. The q8-masked and q8-half cases are a fleet shard's scan — a
+// sub-model with row IDs — under a mask of every layout and of the even
+// layouts. A full mask has no layout outside it, so q8-masked is q8's scan;
+// q8-half leaves every row whose first bucket is odd to another shard.
 func BenchmarkEngineAssign(b *testing.B) {
 	data, w, qs := harnessGeometry(b, 200_000, 2048)
 	for _, c := range []struct {
@@ -630,8 +638,12 @@ func BenchmarkEngineAssign(b *testing.B) {
 				st.Scanned += one.Scanned
 				st.Certified += one.Certified
 				st.Rerank += one.Rerank
+				st.boxes += one.boxes
+				st.tested += one.tested
 			}
 			b.ReportMetric(float64(st.Scanned)/float64(b.N), "rows/query")
+			b.ReportMetric(float64(st.boxes)/float64(b.N), "boxes/query")
+			b.ReportMetric(float64(st.tested)/float64(b.N), "tests/query")
 			b.ReportMetric(float64(st.Rerank)/float64(b.N), "exact/query")
 			b.ReportMetric(float64(st.Certified)/float64(b.N), "certified/query")
 		})
