@@ -182,7 +182,9 @@ bench:
 # on the local engine — shuffle bytes and distances per query, base copies
 # per base point — and BenchmarkLSHDDP, one RunLSHDDP at a tenth of the
 # batch-lshddp harness shape on the local engine — allocations per run,
-# distances per point) with pinned benchtime/count so runs feed straight into
+# distances per point — and BenchmarkStoreIngest, one point per ingest call
+# at the 200 000-row serving shape — base rows folded and allocations per
+# point) with pinned benchtime/count so runs feed straight into
 # benchstat:
 #
 #	make bench-hot > old.txt ... make bench-hot > new.txt
@@ -194,8 +196,8 @@ bench-hot:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/ ./internal/points/
 	$(GO) test -bench 'Sort|Shuffle' -run xxx -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/mapreduce/ ./internal/mapreduce/rpcmr/
-	$(GO) test -bench 'Keys|NewEngine|Partition|WriteFile|Join|LSHDDP' -run xxx -benchmem \
-		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/ ./internal/knnjoin/ ./internal/core/
+	$(GO) test -bench 'Keys|NewEngine|Partition|WriteFile|Join|LSHDDP|StoreIngest' -run xxx -benchmem \
+		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/ ./internal/knnjoin/ ./internal/core/ ./internal/ingest/
 
 # Scan-path micro-benchmarks: a float64 single-query k = 1 full pass
 # (NNScan), NNRows over a sparse candidate list at f64 vs f32 vs q8 (the
@@ -220,13 +222,14 @@ bench-scan:
 # LSH reducers' walk with its neighbour lists) and per key /
 # index-build / served-query / partitioner / artifact-write
 # (BenchmarkWriteFile) / kNN-join (BenchmarkJoin) / LSH-DDP pipeline
-# (BenchmarkLSHDDP) benchmark, for the check gate and CI: catches a pair
-# kernel, a compact kernel, a key path, the box tree, the fleet
-# partitioner, the model writer, the join or the LSH-DDP driver that stops
-# compiling or panics on real shapes.
+# (BenchmarkLSHDDP) / write-path (BenchmarkStoreIngest) benchmark, for the
+# check gate and CI: catches a pair kernel, a compact kernel, a key path,
+# the box tree, the fleet partitioner, the model writer, the join, the
+# LSH-DDP driver or the ingest fold that stops compiling or panics on real
+# shapes.
 bench-scan-smoke:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|TopK|RhoKernel|DeltaKernel' -run '^$$' -benchtime 1x ./internal/kernels/
-	$(GO) test -bench 'Keys|NewEngine|EngineAssign|Partition|WriteFile|Join|LSHDDP' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/ ./internal/knnjoin/ ./internal/core/
+	$(GO) test -bench 'Keys|NewEngine|EngineAssign|Partition|WriteFile|Join|LSHDDP|StoreIngest' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/ ./internal/knnjoin/ ./internal/core/ ./internal/ingest/
 
 # bench/ is its own module, so `go test ./...` here never compiles it: vet
 # it and run its unit tests plus the whole suite at -smoke scale (< 10 s), so

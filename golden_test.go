@@ -637,16 +637,75 @@ func batchVectors(batch [][]float64) []points.Vector {
 	return vs
 }
 
-// routeLine serves the fleet partition subs of mdl behind a router: one
-// ingest-enabled server per shard, with the ID layout OPERATIONS.md
-// prescribes (base N+shard, stride = shard count) and its WAL under dir.
-// It posts qs to the router's /assign, whose reply must equal a single
-// full-model server's byte for byte, then batch to /ingest, then qs and
-// batch to /assign again. The digest covers the three reply bodies;
+// routeLine serves the fleet partition subs of mdl behind a router
+// (serveFleet). It posts qs to the router's /assign, whose reply must equal
+// a single full-model server's byte for byte, then batch to /ingest, then
+// qs and batch to /assign again. The digest covers the three reply bodies;
 // shards_per_query / certified / broadcasts are the router's
 // fleet.shards.per.query, fleet.certified and fleet.fallback.broadcasts.
 func routeLine(mdl *model.Model, subs []*model.Model, mf *fleet.Manifest, qs []points.Vector, batch [][]float64, dir string) (string, error) {
 	ctx := context.Background()
+	router, stop, err := serveFleet(mdl, subs, mf, dir)
+	if err != nil {
+		return "", err
+	}
+	defer stop()
+	single := serve.New(serve.Config{})
+	if err := single.SetModel(mdl); err != nil {
+		return "", err
+	}
+	if err := single.Start("127.0.0.1:0"); err != nil {
+		return "", err
+	}
+	defer single.Shutdown(ctx) //nolint:errcheck
+
+	d := new(digest)
+	routed, err := postPoints(router.Addr(), "/assign", qs)
+	if err != nil {
+		return "", err
+	}
+	want, err := postPoints(single.Addr(), "/assign", qs)
+	if err != nil {
+		return "", err
+	}
+	if !bytes.Equal(routed, want) {
+		return "", fmt.Errorf("router /assign differs from a single server's:\n  %s\n  %s", routed, want)
+	}
+	d.bytes(routed)
+	acks, err := postPoints(router.Addr(), "/ingest", batch)
+	if err != nil {
+		return "", err
+	}
+	d.bytes(acks)
+	for _, p := range batch {
+		qs = append(qs, p)
+	}
+	if routed, err = postPoints(router.Addr(), "/assign", qs); err != nil {
+		return "", err
+	}
+	d.bytes(routed)
+	c := router.Counters()
+	return fmt.Sprintf("%s shards_per_query=%d certified=%d broadcasts=%d", d,
+		c.Get(fleet.CtrShardsPerQuery), c.Get(fleet.CtrCertified), c.Get(fleet.CtrFallbackBroadcasts)), nil
+}
+
+// serveFleet starts the fleet partition subs of mdl behind a router: one
+// ingest-enabled server per shard, with the ID layout OPERATIONS.md
+// prescribes (base N+shard, stride = shard count) and its WAL under dir.
+// stop shuts the router, the servers and the stores down.
+func serveFleet(mdl *model.Model, subs []*model.Model, mf *fleet.Manifest, dir string) (router *fleet.Router, stop func(), err error) {
+	ctx := context.Background()
+	var closers []func()
+	stop = func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
+		}
+	}
+	defer func() {
+		if err != nil {
+			stop()
+		}
+	}()
 	addrs := make([][]string, len(subs))
 	for s, sub := range subs {
 		id := s
@@ -659,78 +718,131 @@ func routeLine(mdl *model.Model, subs []*model.Model, mf *fleet.Manifest, qs []p
 			OnSwap:    srv.UseEngine,
 		}, func() (*model.Model, error) { return sub, nil })
 		if err != nil {
-			return "", err
+			return nil, nil, err
 		}
-		defer st.Close()
+		closers = append(closers, func() { st.Close() })
 		srv.SetIngest(st)
 		srv.UseEngine(st.Engine())
 		if err := srv.Start("127.0.0.1:0"); err != nil {
-			return "", err
+			return nil, nil, err
 		}
-		defer srv.Shutdown(ctx) //nolint:errcheck
+		closers = append(closers, func() { srv.Shutdown(ctx) }) //nolint:errcheck
 		addrs[s] = []string{srv.Addr()}
 	}
-	router, err := fleet.NewRouter(fleet.RouterConfig{Manifest: mf, Shards: addrs})
-	if err != nil {
-		return "", err
+	if router, err = fleet.NewRouter(fleet.RouterConfig{Manifest: mf, Shards: addrs}); err != nil {
+		return nil, nil, err
 	}
-	if err := router.Start("127.0.0.1:0"); err != nil {
-		return "", err
+	if err = router.Start("127.0.0.1:0"); err != nil {
+		return nil, nil, err
 	}
-	defer router.Shutdown(ctx) //nolint:errcheck
-	single := serve.New(serve.Config{})
-	if err := single.SetModel(mdl); err != nil {
-		return "", err
-	}
-	if err := single.Start("127.0.0.1:0"); err != nil {
-		return "", err
-	}
-	defer single.Shutdown(ctx) //nolint:errcheck
+	closers = append(closers, func() { router.Shutdown(ctx) }) //nolint:errcheck
+	return router, stop, nil
+}
 
-	post := func(addr, path string, pts any) ([]byte, error) {
-		body, err := json.Marshal(map[string]any{"points": pts})
+// postPoints posts pts as a points request body to path at addr and
+// returns the reply body, failing on any status but 200.
+func postPoints(addr, path string, pts any) ([]byte, error) {
+	body, err := json.Marshal(map[string]any{"points": pts})
+	if err != nil {
+		return nil, err
+	}
+	resp, err := http.Post("http://"+addr+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("%s %s: HTTP %d %s", addr, path, resp.StatusCode, out)
+	}
+	return out, err
+}
+
+// TestRoutedIngestDivergesFromSingleStore pins ROADMAP item 27: after the
+// golden batch goes through a router's /ingest, the router's answers to the
+// golden queries are not those of one ingest store holding the same batch
+// over the full model. It counts the queries whose cluster, distance or
+// exact flag differ (IDs differ by the fleet's ID layout alone), at 2 and 4
+// shards; every far query is among them. A fix of the routed write path
+// takes the counts to 0.
+func TestRoutedIngestDivergesFromSingleStore(t *testing.T) {
+	want := map[int64][2]int{1: {10, 10}, 2: {8, 9}, 4: {8, 10}} // at 2, 4 shards
+	ctx := context.Background()
+	for _, seed := range goldenSeeds {
+		ds := dataset.Blobs("golden", goldenN, goldenDim, goldenK, 100, 10, seed)
+		lshCfg := core.LSHConfig{Config: core.Config{Engine: &mapreduce.LocalEngine{Parallelism: 1}, Seed: seed}}
+		res, err := core.RunLSHDDP(ctx, ds, lshCfg)
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		resp, err := http.Post("http://"+addr+path, "application/json", bytes.NewReader(body))
+		peaks, labels, err := res.Cluster(ds, core.SelectTopK(goldenK))
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(resp.Body)
-		if err == nil && resp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("%s %s: HTTP %d %s", addr, path, resp.StatusCode, out)
+		halo, err := core.RunLSHHalo(ctx, ds, res, labels, lshCfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return out, err
+		mdl, err := core.ExportModel(ds, res, peaks, labels, halo.Border, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, batch := goldenQueries(mdl, seed), goldenBatch(mdl, seed)
+
+		st, err := ingest.Open(ingest.Config{Dir: t.TempDir(), Precision: "f64"}, func() (*model.Model, error) { return mdl, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if _, err := st.IngestPoints(batch); err != nil {
+			t.Fatal(err)
+		}
+		single, errs, _ := st.AssignBatch(qs, serve.BatchOpts{})
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("seed %d query %d: %v", seed, i, err)
+			}
+		}
+
+		for k, shards := range []int{2, 4} {
+			subs, mf, err := fleet.Partition(mdl, shards, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			router, stop, err := serveFleet(mdl, subs, mf, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = postPoints(router.Addr(), "/ingest", batch)
+			var body []byte
+			if err == nil {
+				body, err = postPoints(router.Addr(), "/assign", qs)
+			}
+			stop()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var routed serve.AssignResponse
+			if err := json.Unmarshal(body, &routed); err != nil || len(routed.Results) != len(qs) {
+				t.Fatalf("seed %d, %d shards: %d answers for %d queries (%v)", seed, shards, len(routed.Results), len(qs), err)
+			}
+			var differ []int
+			for i, a := range routed.Results {
+				if b := single[i]; a.Cluster != b.Cluster || a.Dist != b.Dist || a.Exact != b.Exact {
+					differ = append(differ, i)
+				}
+			}
+			t.Logf("seed %d, %d shards: %d of %d answers differ: %v", seed, shards, len(differ), len(qs), differ)
+			if len(differ) != want[seed][k] {
+				t.Errorf("seed %d, %d shards: %d answers differ from the single store's, want %d", seed, shards, len(differ), want[seed][k])
+			}
+			for i := goldenQ; i < len(qs); i++ {
+				if !slices.Contains(differ, i) {
+					t.Errorf("seed %d, %d shards: far query %d answers as the single store does", seed, shards, i)
+				}
+			}
+		}
 	}
-	d := new(digest)
-	routed, err := post(router.Addr(), "/assign", qs)
-	if err != nil {
-		return "", err
-	}
-	want, err := post(single.Addr(), "/assign", qs)
-	if err != nil {
-		return "", err
-	}
-	if !bytes.Equal(routed, want) {
-		return "", fmt.Errorf("router /assign differs from a single server's:\n  %s\n  %s", routed, want)
-	}
-	d.bytes(routed)
-	acks, err := post(router.Addr(), "/ingest", batch)
-	if err != nil {
-		return "", err
-	}
-	d.bytes(acks)
-	for _, p := range batch {
-		qs = append(qs, p)
-	}
-	if routed, err = post(router.Addr(), "/assign", qs); err != nil {
-		return "", err
-	}
-	d.bytes(routed)
-	c := router.Counters()
-	return fmt.Sprintf("%s shards_per_query=%d certified=%d broadcasts=%d", d,
-		c.Get(fleet.CtrShardsPerQuery), c.Get(fleet.CtrCertified), c.Get(fleet.CtrFallbackBroadcasts)), nil
 }
 
 // goldenCluster boots a master and three workers on loopback.

@@ -261,20 +261,22 @@ func TestCompactionKeepsEngineShape(t *testing.T) {
 }
 
 // TestIngestReusesCandidateBuffer: a steady-state single-point ingest
-// gathers its density fold's candidate union into the store's buffer, so it
-// allocates well under one union-sized slice. The model puts every row in
-// one bucket per layout, so the union is all 20 000 rows (80 KB).
+// lists its density fold's base rows into the store's buffer, so it
+// allocates well under one fold-sized slice. The model puts every row in
+// one bucket per layout and within d_c of every point of the unit square,
+// so each fold lists all 20 000 rows (80 KB).
 func TestIngestReusesCandidateBuffer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race: sync.Pool drops the engine's pooled scratch at random, so allocations do not measure the fold")
 	}
 	m := oneBucketModel(20_000)
+	m.Dc = 2
 	st := openStore(t, t.TempDir(), m, nil)
-	union, pruned := st.Engine().CandidateRows(m.Row(0), nil)
-	if !pruned || len(union) != m.N() {
-		t.Fatalf("candidate union holds %d of %d rows (pruned %v), want all", len(union), m.N(), pruned)
+	fold, pruned := st.Engine().CandidateRows(m.Row(0), nil)
+	if !pruned || len(fold) != m.N() {
+		t.Fatalf("the fold lists %d of %d rows (pruned %v), want all", len(fold), m.N(), pruned)
 	}
-	unionBytes := uint64(4 * len(union))
+	foldBytes := uint64(4 * len(fold))
 	ingest := func(i int) {
 		p := []float64{float64(i%97) * 1e-3, 0.5 + float64(i%89)*1e-3}
 		if _, err := st.IngestPoints([][]float64{p}); err != nil {
@@ -292,9 +294,9 @@ func TestIngestReusesCandidateBuffer(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / n
-	t.Logf("%d bytes allocated per single-point ingest; the union is %d bytes", per, unionBytes)
-	if per >= unionBytes/2 {
-		t.Fatalf("a single-point ingest allocates %d bytes, want well under the %d-byte candidate union", per, unionBytes)
+	t.Logf("%d bytes allocated per single-point ingest; the fold is %d bytes", per, foldBytes)
+	if per >= foldBytes/2 {
+		t.Fatalf("a single-point ingest allocates %d bytes, want well under the %d-byte fold", per, foldBytes)
 	}
 }
 

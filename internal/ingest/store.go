@@ -173,9 +173,9 @@ type Store struct {
 
 	ingestMu sync.Mutex
 	wal      *wal
-	// cand is place's candidate-union buffer, reused across points. The
-	// ingest lock guards it (replay runs in Open, before the store is
-	// shared).
+	// cand is place's base-fold buffer, reused across points: a placement's
+	// baseFold until its apply. The ingest lock guards it (replay runs in
+	// Open, before the store is shared).
 	cand []int32
 
 	compactMu sync.Mutex // one compaction at a time
@@ -380,19 +380,19 @@ func (st *Store) IngestPoints(pts [][]float64) ([]serve.IngestResult, error) {
 	return results, nil
 }
 
-// placement is the computed-but-not-yet-applied state of one new point.
+// placement is the computed-but-not-yet-applied state of one new point:
+// its assignment and the rows within dc of it, each gaining +1 mass — its
+// own density is their count.
 type placement struct {
 	asg       serve.Assignment
-	label     int32
-	rho       float64
-	baseFold  []int32 // base rows within dc (each gains +1 mass)
-	deltaFold []int32 // delta indices within dc (each gains +1 mass)
+	baseFold  []int32 // base rows; may alias Store.cand
+	deltaFold []int32 // delta indices
 }
 
 // place computes a new point's assignment — what a read at p answers on
 // the same state (assign) — and the density mass it adds. Reads under
 // RLock; the caller applies under Lock. The caller holds ingestMu, which
-// guards the reused candidate buffer and keeps a compaction swap from
+// guards the reused fold buffer and keeps a compaction swap from
 // landing between place and apply.
 func (st *Store) place(p points.Vector) (placement, error) {
 	st.mu.RLock()
@@ -403,36 +403,26 @@ func (st *Store) place(p points.Vector) (placement, error) {
 	if errs[0] != nil {
 		return placement{}, errs[0]
 	}
-	pl := placement{asg: out[0], label: out[0].Cluster}
-	eng := st.eng
-	m := eng.Model()
+	pl := placement{asg: out[0]}
+	m := st.eng.Model()
 	dim, dc2 := m.Dim, m.Dc*m.Dc
 
-	// Density mass to base rows: the LSH candidate union stands in for the
-	// dc-neighborhood (the same approximation LSH-DDP's local rho uses); an
-	// unpruned engine scans every row.
-	rows, pruned := eng.CandidateRows(p, st.cand[:0])
-	st.cand = rows
-	if pruned {
-		for _, r := range rows {
-			if points.SqDist(p, m.Row(int(r))) < dc2 {
-				pl.baseFold = append(pl.baseFold, r)
-			}
-		}
-	} else {
-		for r := 0; r < m.N(); r++ {
-			if points.SqDist(p, m.Row(r)) < dc2 {
-				pl.baseFold = append(pl.baseFold, int32(r))
-			}
+	// Density mass to base rows: those within dc of p that share an LSH
+	// bucket with it (LSH-DDP's local rho approximation), listed by the
+	// engine into the reused buffer; an unpruned engine scans every row.
+	rows, pruned := st.eng.CandidateRows(p, st.cand[:0])
+	for r := 0; !pruned && r < m.N(); r++ {
+		if points.SqDist(p, m.Row(r)) < dc2 {
+			rows = append(rows, int32(r))
 		}
 	}
+	st.cand, pl.baseFold = rows, rows
 
 	for j := range st.dIDs {
 		if points.SqDist(p, st.dCoords[j*dim:(j+1)*dim]) < dc2 {
 			pl.deltaFold = append(pl.deltaFold, int32(j))
 		}
 	}
-	pl.rho = float64(len(pl.baseFold) + len(pl.deltaFold))
 	return pl, nil
 }
 
@@ -451,8 +441,8 @@ func (st *Store) apply(p points.Vector, pl placement) serve.IngestResult {
 	st.nextID += st.cfg.stride()
 	st.dCoords = append(st.dCoords, p...)
 	st.dIDs = append(st.dIDs, int32(id))
-	st.dLabels = append(st.dLabels, pl.label)
-	st.dRho = append(st.dRho, pl.rho)
+	st.dLabels = append(st.dLabels, pl.asg.Cluster)
+	st.dRho = append(st.dRho, float64(len(pl.baseFold)+len(pl.deltaFold)))
 	return serve.IngestResult{ID: int32(id), Assignment: pl.asg}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/lsh"
 	"repro/internal/model"
 	"repro/internal/points"
 	"repro/internal/serve"
@@ -547,4 +548,101 @@ func TestCompactionRacesTraffic(t *testing.T) {
 			t.Fatalf("acked point %d: final answer %+v", a.id, got)
 		}
 	}
+}
+
+// TestFoldIsRowsWithinDc: with every row in one bucket per layout, and with
+// no index at all, an ingested point folds +1 onto exactly the base rows
+// strictly within d_c of it.
+func TestFoldIsRowsWithinDc(t *testing.T) {
+	for _, indexed := range []bool{true, false} {
+		m := oneBucketModel(2000)
+		m.Dc = 0.05
+		if !indexed {
+			m.LSH = model.Params{}
+		}
+		st := openStore(t, t.TempDir(), m, nil)
+		pts := [][]float64{{0.5, 0.5}, {0.1, 0.9}, m.Row(7), {0.5, 0.5}}
+		if _, err := st.IngestPoints(pts); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < m.N(); r++ {
+			want := 0.0
+			for _, p := range pts {
+				if points.SqDist(p, m.Row(r)) < m.Dc*m.Dc {
+					want++
+				}
+			}
+			if st.rhoAdd[r] != want {
+				t.Fatalf("indexed=%v: row %d gained %v mass, want %v", indexed, r, st.rhoAdd[r], want)
+			}
+		}
+	}
+}
+
+// BenchmarkStoreIngest times the write path one point per IngestPoints call
+// — WAL append, the read merge that answers the ack, the density fold onto
+// base and delta rows, apply — at the benchmark harness's serving geometry:
+// 200 000 rows of dimension 8 in 16 blobs of σ 2.5 in a 100-box, 10 layouts
+// of 3 functions with the width solved for d_c 8.4, and points jittered off
+// stored rows by d_c/2 per coordinate. It reports the base rows each point
+// folds onto.
+func BenchmarkStoreIngest(b *testing.B) {
+	const n, dim, clusters, dc = 200_000, 8, 16, 8.4
+	rng := rand.New(rand.NewSource(20170419))
+	centers := make([]float64, clusters*dim)
+	for i := range centers {
+		centers[i] = rng.Float64() * 100
+	}
+	w, err := lsh.SolveWidth(0.99, dc, 3, 10)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := &model.Model{
+		Name: "ingest-bench", Dim: dim, Dc: dc,
+		LSH:    model.Params{Seed: 5, M: 10, Pi: 3, W: w},
+		Data:   make([]float64, n*dim),
+		Rho:    make([]float64, n),
+		Labels: make([]int32, n),
+		Peaks:  make([]int32, clusters),
+		Border: make([]float64, clusters),
+	}
+	for r := 0; r < n; r++ {
+		c := rng.Intn(clusters)
+		m.Labels[r], m.Rho[r], m.Peaks[c] = int32(c), 1, int32(r)
+		for j := 0; j < dim; j++ {
+			m.Data[r*dim+j] = centers[c*dim+j] + rng.NormFloat64()*2.5
+		}
+	}
+	pts := make([][]float64, 4096)
+	for i := range pts {
+		p := append([]float64(nil), m.Row(rng.Intn(n))...)
+		for j := range p {
+			p[j] += rng.NormFloat64() * dc / 2
+		}
+		pts[i] = p
+	}
+	st, err := Open(Config{Dir: b.TempDir(), Precision: "f64"}, loaderFor(m))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	b.Run("rows=200000", func(b *testing.B) {
+		var before float64
+		for _, v := range st.rhoAdd {
+			before += v
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := st.IngestPoints(pts[i%len(pts) : i%len(pts)+1]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		var after float64
+		for _, v := range st.rhoAdd {
+			after += v
+		}
+		b.ReportMetric((after-before)/float64(b.N), "folded/point")
+	})
 }

@@ -144,11 +144,9 @@ type Engine struct {
 	layouts *lsh.Layouts
 	// ix is the bucket index of the stored points: every distinct LSH key
 	// interned to a bucket ID, and ix.RowKeys, each row's bucket ID under
-	// every layout, row-major n×M: the tree walk's filter. Its postings —
-	// each bucket's rows, ascending — are filled on the first CandidateRows
-	// call (fill), on one goroutine: no query reads them.
-	ix   *lsh.Index
-	fill sync.Once
+	// every layout, row-major n×M: the tree walks' filter. Its postings are
+	// never filled: every walk lists bucket rows through RowKeys.
+	ix *lsh.Index
 	// tree is the box tree over every stored row with finite coordinates.
 	tree kernels.BoxTree
 
@@ -174,8 +172,6 @@ var (
 type scratch struct {
 	kb lsh.KeyBuf
 	f  bucketFilter
-	// seen is CandidateRows' bitset of the rows it has listed.
-	seen []uint64
 	// The sink, at every precision, and the compact filter in front of it.
 	acc kernels.TopKAcc
 	cq  kernels.Compact
@@ -191,6 +187,10 @@ type bucketFilter struct {
 	nl      int     // its layout count
 	probe   []layoutBucket
 	kept    []int32 // the rows a filter call returns
+	// within's query and block, d_c², and the rows it lists.
+	q, data []float64
+	dc2     float64
+	fold    []int32
 }
 
 // layoutBucket is q's bucket id under layout j; own reports whether this
@@ -232,6 +232,26 @@ func (f *bucketFilter) union(leaf []int32) []int32 {
 	}
 	f.kept = dst
 	return dst
+}
+
+// within is the density fold's filter: it lists in f.fold each row of q's
+// bucket union strictly within d_c (distance first: near q, most rows share
+// a bucket) and admits none, so the walk's threshold stays d_c².
+func (f *bucketFilter) within(leaf []int32) []int32 {
+	dim := len(f.q)
+	for _, r := range leaf {
+		if !(points.SqDist(f.q, f.data[int(r)*dim:][:dim]) < f.dc2) { // skips a NaN distance too
+			continue
+		}
+		keys := f.rowKeys[int(r)*f.nl:][:f.nl]
+		for _, b := range f.probe {
+			if keys[b.j] == b.id {
+				f.fold = append(f.fold, r)
+				break
+			}
+		}
+	}
+	return nil
 }
 
 // owns reports whether the union phase can admit any row.
@@ -466,36 +486,23 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 	return out, errs, st
 }
 
-// CandidateRows appends the deduplicated LSH candidate-bucket union of q
-// to dst — each row under the first layout whose bucket it shares with q,
-// buckets in layout order, rows ascending — and reports whether the engine
-// has a pruned index at all (an engine built without LSH parameters returns
-// dst unchanged and false — the caller owns the full-scan fallback). The
-// ingest layer uses this to find the stored rows a new point adds density
-// mass to — a d_c ball, which the nearest-neighbor walk of the query path
-// does not bound; query answering stays on AssignBatchOpts and never
-// gathers the union.
+// CandidateRows appends to dst, each once, the rows a point at q folds its
+// density onto: those of its LSH bucket union strictly within d_c. Without
+// an index it returns dst and false (the caller scans every row). One walk
+// of e.tree, its k = 1 sink capped at d_c² and never fed, opens exactly the
+// nodes whose box bound is ≤ d_c²; points.SqDist is the walk's arithmetic,
+// so no node it skips holds such a row.
 func (e *Engine) CandidateRows(q points.Vector, dst []int32) ([]int32, bool) {
 	if e.layouts == nil {
 		return dst, false
 	}
-	e.fill.Do(func() { e.ix.Fill(1) })
 	s := e.getScratch()
-	e.layouts.Hash(&s.kb, q)
-	// One bit per row marks the rows listed so far.
-	words := e.m.N()/64 + 1
-	s.seen = slices.Grow(s.seen[:0], words)[:words]
-	clear(s.seen)
-	for j := 0; j < s.f.nl; j++ {
-		if id, ok := e.ix.Lookup(s.kb.Key(j)); ok {
-			for _, r := range e.ix.Bucket(id) {
-				if w, bit := r>>6, uint64(1)<<(r&63); s.seen[w]&bit == 0 {
-					s.seen[w] |= bit
-					dst = append(dst, r)
-				}
-			}
-		}
-	}
+	e.probe(q, 0, s)
+	s.f.q, s.f.data, s.f.dc2, s.f.fold = q, e.m.Data, e.m.Dc*e.m.Dc, dst
+	s.acc.Reset(1)
+	s.acc.Cap(s.f.dc2)
+	kernels.TopKLeaves(&e.tree, e.m.Data, q, nil, s.f.within, &s.acc)
+	dst = s.f.fold
 	putScratch(s)
 	return dst, true
 }
@@ -507,10 +514,10 @@ func (e *Engine) getScratch() *scratch {
 	return s
 }
 
-// putScratch returns s to the pool without the row keys and q8 codes its
-// filters last read, so that no pooled scratch holds a retired model's.
+// putScratch returns s to the pool without the model data and caller
+// buffers its filters last read, so no pooled scratch holds a retired model.
 func putScratch(s *scratch) {
-	s.f.rowKeys = nil
+	s.f.rowKeys, s.f.q, s.f.data, s.f.fold = nil, nil, nil, nil
 	s.cq.Reset(nil, points.Q8Params{}, nil, kernels.Bounds{})
 	scratchPool.Put(s)
 }

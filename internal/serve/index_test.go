@@ -62,10 +62,11 @@ func naiveSlot(f lsh.Func, p []float64) int64 {
 
 // TestEngineIndexMatchesNaive rebuilds the bucket index the slow way — one
 // naiveSlot per row and function, rows appended bucket by bucket — and
-// requires the engine's interned, counting-sorted CSR index to hold exactly
-// those buckets with exactly those rows, ascending, rows with a non-finite
+// requires the engine's interned index to hold exactly those buckets with
+// exactly those rows (keyRows over its row keys), rows with a non-finite
 // coordinate among them, and per-row bucket IDs that agree with the same
-// grouping, for a full model and for a fleet sub-model.
+// grouping, for a full model and for a fleet sub-model. The engine fills no
+// postings.
 func TestEngineIndexMatchesNaive(t *testing.T) {
 	for _, fleet := range []bool{false, true} {
 		for _, m := range []int{3, 10} {
@@ -96,19 +97,16 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 			if e.Buckets() != len(naive) || len(naive) < 2*m {
 				t.Fatalf("fleet=%v M=%d: engine has %d buckets, naive grouping %d", fleet, m, e.Buckets(), len(naive))
 			}
-			if e.ix.Rows != nil {
-				t.Fatalf("fleet=%v M=%d: postings filled before any CandidateRows", fleet, m)
-			}
 			e.CandidateRows(mdl.Row(0), nil)
-			if got := len(e.ix.Rows); got != mdl.N()*m {
-				t.Fatalf("fleet=%v M=%d: %d postings, want n·M = %d", fleet, m, got, mdl.N()*m)
+			if e.ix.Rows != nil {
+				t.Fatalf("fleet=%v M=%d: the engine filled its postings", fleet, m)
 			}
 			for key, want := range naive {
 				id, ok := e.ix.Lookup([]byte(key))
 				if !ok {
 					t.Fatalf("fleet=%v M=%d: bucket %s missing from the engine", fleet, m, lsh.KeyString(key))
 				}
-				if got := e.ix.Bucket(id); !slices.Equal(got, want) {
+				if got := keyRows(e, id); !slices.Equal(got, want) {
 					t.Fatalf("fleet=%v M=%d bucket %s: rows %v, want %v", fleet, m, lsh.KeyString(key), got, want)
 				}
 				if got := string(e.ix.Key(id)); got != key {
@@ -127,32 +125,6 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestCandidateRowsConcurrentFill: the first CandidateRows calls, made from
-// several goroutines at once on a fresh engine, fill the postings once and
-// each get the union a lone caller gets afterwards.
-func TestCandidateRowsConcurrentFill(t *testing.T) {
-	mdl := blobModel(1501, 3, 10, false)
-	e, err := NewEngine(mdl, PrecF64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([][]int32, 8)
-	var wg sync.WaitGroup
-	for g := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[g], _ = e.CandidateRows(mdl.Row(g*100), nil)
-		}()
-	}
-	wg.Wait()
-	for g, rows := range got {
-		if want, _ := e.CandidateRows(mdl.Row(g*100), nil); len(want) == 0 || !slices.Equal(rows, want) {
-			t.Fatalf("query %d: %d rows under concurrent first calls, %d alone", g, len(rows), len(want))
-		}
-	}
-}
-
 // bucketKeys returns every bucket's key, in ID order.
 func bucketKeys(ix *lsh.Index) []string {
 	keys := make([]string, ix.Len())
@@ -165,7 +137,7 @@ func bucketKeys(ix *lsh.Index) []string {
 // TestSuccessorMatchesNewEngine: the one-goroutine build a reload or a
 // compaction runs beside live queries gives the engine NewEngine gives, as
 // does the build at any worker count — bucket keys, row keys, offsets,
-// postings, box tree, and the q8 codes it derives — for a
+// box tree, and the q8 codes it derives — for a
 // full model and a fleet sub-model, on a row count no worker count divides.
 func TestSuccessorMatchesNewEngine(t *testing.T) {
 	for _, fleet := range []bool{false, true} {
@@ -187,12 +159,9 @@ func TestSuccessorMatchesNewEngine(t *testing.T) {
 				}
 				engines = append(engines, e)
 			}
-			for _, e := range append(engines, want) {
-				e.CandidateRows(mdl.Row(0), nil) // fills the postings
-			}
 			for i, e := range engines {
 				if !slices.Equal(bucketKeys(e.ix), bucketKeys(want.ix)) || !slices.Equal(e.ix.RowKeys, want.ix.RowKeys) ||
-					!slices.Equal(e.ix.Offsets, want.ix.Offsets) || !slices.Equal(e.ix.Rows, want.ix.Rows) ||
+					!slices.Equal(e.ix.Offsets, want.ix.Offsets) ||
 					!reflect.DeepEqual(e.tree, want.tree) ||
 					!slices.Equal(e.q8, want.q8) || !slices.Equal(e.q8par.Min, want.q8par.Min) || !slices.Equal(e.q8par.Scale, want.q8par.Scale) {
 					t.Fatalf("fleet=%v %s: engine %d is not the one-goroutine build", fleet, prec, i)
@@ -245,7 +214,7 @@ func TestScratchSharedAcrossEngines(t *testing.T) {
 }
 
 // BenchmarkNewEngine times the index build — hash every row under every
-// layout, intern the keys, fill the postings and build the box tree, on
+// layout, intern the keys and build the box tree, on
 // GOMAXPROCS goroutines — on a blob model at the benchmark harness's LSH
 // shape, as a full model and as a fleet sub-model, at 50 000 rows and at
 // serve-read's 200 000.

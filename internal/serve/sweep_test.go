@@ -54,14 +54,12 @@ func sameAssignment(a, b Assignment) bool {
 		bits(a.Dist) == bits(b.Dist) && bits(a.Dist2) == bits(b.Dist2) && bits(a.PeakDist) == bits(b.PeakDist)
 }
 
-// maskedUnion lists, in row order, the rows a masked scan of q may evaluate:
-// each row whose first layout matching q, in the cyclic order starting at
-// q's certifying layout, is in mask.
-func maskedUnion(e *Engine, q points.Vector, mask uint64) []int32 {
-	n, nl := e.Model().N(), e.Layouts()
+// queryBuckets returns q's bucket ID under each layout, -1 where the index
+// holds no such bucket, q's guarantee radius and its certifying layout.
+func queryBuckets(e *Engine, q points.Vector) (qids []int32, g float64, first int) {
 	var kb lsh.KeyBuf
 	e.layouts.Hash(&kb, q)
-	qids := make([]int32, nl)
+	qids = make([]int32, e.Layouts())
 	for j := range qids {
 		id, ok := e.ix.Lookup(kb.Key(j))
 		if !ok {
@@ -69,7 +67,33 @@ func maskedUnion(e *Engine, q points.Vector, mask uint64) []int32 {
 		}
 		qids[j] = id
 	}
-	_, j0 := e.layouts.GuaranteeRadius(&kb)
+	g, first = e.layouts.GuaranteeRadius(&kb)
+	return qids, g, first
+}
+
+// keyRows lists, in row order, the rows whose bucket under some layout is
+// one of ids, read from ix.RowKeys row by row: a bucket's rows when ids
+// holds its ID, q's bucket union when ids is queryBuckets(e, q).
+func keyRows(e *Engine, ids ...int32) []int32 {
+	nl := e.Layouts()
+	var rows []int32
+	for r := 0; r < e.Model().N(); r++ {
+		for _, id := range e.ix.RowKeys[r*nl:][:nl] {
+			if slices.Contains(ids, id) {
+				rows = append(rows, int32(r))
+				break
+			}
+		}
+	}
+	return rows
+}
+
+// maskedUnion lists, in row order, the rows a masked scan of q may evaluate:
+// each row whose first layout matching q, in the cyclic order starting at
+// q's certifying layout, is in mask.
+func maskedUnion(e *Engine, q points.Vector, mask uint64) []int32 {
+	n, nl := e.Model().N(), e.Layouts()
+	qids, _, j0 := queryBuckets(e, q)
 	var rows []int32
 	for r := 0; r < n; r++ {
 		for dj := 0; dj < nl; dj++ {
@@ -107,14 +131,8 @@ func checkSweep(t *testing.T, what string, e *Engine, q points.Vector, mask uint
 	dim, n := mdl.Dim, mdl.N()
 
 	// The reference union, built from the index the slow way.
-	rows, _ := e.CandidateRows(q, nil)
-	seen := map[int32]bool{}
-	for _, r := range rows {
-		if seen[r] {
-			t.Fatalf("%s: CandidateRows lists row %d twice", what, r)
-		}
-		seen[r] = true
-	}
+	qids, g, first := queryBuckets(e, q)
+	rows := keyRows(e, qids...)
 	if masked {
 		rows = maskedUnion(e, q, mask)
 	}
@@ -147,12 +165,9 @@ func checkSweep(t *testing.T, what string, e *Engine, q points.Vector, mask uint
 	}
 
 	// The certificate: the certifying bucket's nearest row within the bound.
-	var kb lsh.KeyBuf
-	e.layouts.Hash(&kb, q)
-	g, first := e.layouts.GuaranteeRadius(&kb)
 	wantCert := false
-	if id, ok := e.ix.Lookup(kb.Key(first)); ok && (!masked || mask&(1<<uint(first)) != 0) {
-		b, b2 := kernels.NNRows(mdl.Data, dim, q, within(mdl, q, e.ix.Bucket(id), bound))
+	if id := qids[first]; id >= 0 && (!masked || mask&(1<<uint(first)) != 0) {
+		b, b2 := kernels.NNRows(mdl.Data, dim, q, within(mdl, q, keyRows(e, id), bound))
 		wantCert = b >= 0 && math.Sqrt(b2) < g
 	}
 	want.Certified = wantCert
@@ -316,7 +331,7 @@ func admitted(t *testing.T, e *Engine, q points.Vector, others uint64) []int32 {
 // row, with no pruning in the way: under a mask they admit exactly the rows
 // whose first layout matching q, cyclically from the certifying layout, is
 // in the mask (maskedUnion), each once; at the full mask, exactly the
-// CandidateRows union; and a mask and its complement split that union
+// bucket union (keyRows); and a mask and its complement split that union
 // between them, no row on both sides.
 func TestStripFilterRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
@@ -330,8 +345,8 @@ func TestStripFilterRule(t *testing.T) {
 			}
 			name := fmt.Sprintf("%s dim %d M %d pi %d w %v", what, dim, m, pi, w)
 			for _, q := range sweepQueries(rng, block, dim, 30) {
-				union, _ := e.CandidateRows(q, nil)
-				slices.Sort(union)
+				qids, _, _ := queryBuckets(e, q)
+				union := keyRows(e, qids...)
 				if full := admitted(t, e, q, 0); !slices.Equal(full, union) {
 					t.Fatalf("%s: q=%v: full mask admits %v, the union is %v", name, q, full, union)
 				}
@@ -346,6 +361,88 @@ func TestStripFilterRule(t *testing.T) {
 						t.Fatalf("%s: q=%v mask=%b: mask admits %v and its complement %v, the union is %v", name, q, mask, in, out, union)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestCandidateRowsIsUnionWithinDc holds the density fold's list to its
+// rule: exactly the rows of q's bucket union (keyRows) strictly within d_c
+// of q, each once, with no postings filled — on full and fleet sub-model
+// engines over blobs, a lattice stored twice (mass ties at exactly d_c),
+// duplicate-heavy rows and rows with NaN / ±Inf coordinates. The queries
+// are stored rows, jittered and hostile ones (sweepQueries), a point far
+// off every row, whose list is empty, and a point exactly d_c from a row.
+func TestCandidateRowsIsUnionWithinDc(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	const dim = 2
+	blocks := sweepBlocks(rng, 400, dim)
+	var lattice []float64
+	for range 2 {
+		for x := range 16 {
+			for y := range 12 {
+				lattice = append(lattice, float64(x), float64(y))
+			}
+		}
+	}
+	for _, c := range []struct {
+		what  string
+		block []float64
+		dc    float64
+	}{
+		{"blobs", blocks["blobs"], 4},
+		{"doubled lattice", lattice, 1},
+		{"duplicates", blocks["duplicates"], 10},
+		{"hostile", blocks["hostile"], 1.5},
+	} {
+		what, block := c.what, c.block
+		for _, fleet := range []bool{false, true} {
+			m, pi := 1+rng.Intn(10), 1+rng.Intn(3)
+			w := []float64{0.5, 4, 25}[rng.Intn(3)]
+			mdl := sweepModel(block, dim, m, pi, w, fleet)
+			mdl.Dc = c.dc
+			e, err := NewEngine(mdl, PrecF64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s M %d pi %d w %v fleet=%v", what, m, pi, w, fleet)
+			r0 := mdl.Row(rng.Intn(mdl.N()))
+			qs := append(sweepQueries(rng, block, dim, 60),
+				points.Vector{1e6, -1e6},
+				points.Vector{r0[0] + mdl.Dc, r0[1]})
+			nonEmpty := 0
+			for i, q := range qs {
+				qids, _, _ := queryBuckets(e, q)
+				var want []int32
+				for _, r := range keyRows(e, qids...) {
+					if points.SqDist(q, mdl.Row(int(r))) < mdl.Dc*mdl.Dc {
+						want = append(want, r)
+					}
+				}
+				got, pruned := e.CandidateRows(q, nil)
+				if !pruned {
+					t.Fatalf("%s: an indexed engine reports no index", name)
+				}
+				sorted := slices.Clone(got)
+				slices.Sort(sorted)
+				if len(slices.Compact(slices.Clone(sorted))) != len(got) {
+					t.Fatalf("%s: q=%v: a row listed twice in %v", name, q, got)
+				}
+				if !slices.Equal(sorted, want) {
+					t.Fatalf("%s: q=%v: lists %v, the union within d_c is %v", name, q, sorted, want)
+				}
+				if i == len(qs)-2 && len(got) != 0 {
+					t.Fatalf("%s: far query lists %v", name, got)
+				}
+				if len(got) > 0 {
+					nonEmpty++
+				}
+			}
+			if nonEmpty < len(qs)/4 {
+				t.Fatalf("%s: only %d of %d queries list a row", name, nonEmpty, len(qs))
+			}
+			if e.ix.Rows != nil {
+				t.Fatalf("%s: the engine filled its postings", name)
 			}
 		}
 	}
