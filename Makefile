@@ -182,7 +182,8 @@ bench:
 # on the local engine — shuffle bytes and distances per query, base copies
 # per base point — and BenchmarkLSHDDP, one RunLSHDDP at a tenth of the
 # batch-lshddp harness shape on the local engine — allocations per run,
-# distances per point — and BenchmarkStoreIngest, one point per ingest call
+# distances per point — and BenchmarkPlanRho, the driver's ρ ship plan at
+# the full batch-lshddp shape — and BenchmarkStoreIngest, one point per ingest call
 # at the 200 000-row serving shape — base rows folded and allocations per
 # point) with pinned benchtime/count so runs feed straight into
 # benchstat:
@@ -196,7 +197,7 @@ bench-hot:
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/kernels/ ./internal/points/
 	$(GO) test -bench 'Sort|Shuffle' -run xxx -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/mapreduce/ ./internal/mapreduce/rpcmr/
-	$(GO) test -bench 'Keys|NewEngine|Partition|WriteFile|Join|LSHDDP|StoreIngest' -run xxx -benchmem \
+	$(GO) test -bench 'Keys|NewEngine|Partition|WriteFile|Join|LSHDDP|PlanRho|StoreIngest' -run xxx -benchmem \
 		-benchtime $(BENCHTIME) -count $(BENCHCOUNT) ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/ ./internal/knnjoin/ ./internal/core/ ./internal/ingest/
 
 # Scan-path micro-benchmarks: a float64 single-query k = 1 full pass
@@ -222,14 +223,14 @@ bench-scan:
 # LSH reducers' walk with its neighbour lists) and per key /
 # index-build / served-query / partitioner / artifact-write
 # (BenchmarkWriteFile) / kNN-join (BenchmarkJoin) / LSH-DDP pipeline
-# (BenchmarkLSHDDP) / write-path (BenchmarkStoreIngest) benchmark, for the
-# check gate and CI: catches a pair kernel, a compact kernel, a key path,
-# the box tree, the fleet partitioner, the model writer, the join, the
-# LSH-DDP driver or the ingest fold that stops compiling or panics on real
-# shapes.
+# (BenchmarkLSHDDP) / ρ ship plan (BenchmarkPlanRho) / write-path
+# (BenchmarkStoreIngest) benchmark, for the check gate and CI: catches a
+# pair kernel, a compact kernel, a key path, the box tree, the fleet
+# partitioner, the model writer, the join, the LSH-DDP driver, its ship
+# plan or the ingest fold that stops compiling or panics on real shapes.
 bench-scan-smoke:
 	$(GO) test -bench 'NNScan|NNRows|NNBatch|TopK|RhoKernel|DeltaKernel' -run '^$$' -benchtime 1x ./internal/kernels/
-	$(GO) test -bench 'Keys|NewEngine|EngineAssign|Partition|WriteFile|Join|LSHDDP|StoreIngest' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/ ./internal/knnjoin/ ./internal/core/ ./internal/ingest/
+	$(GO) test -bench 'Keys|NewEngine|EngineAssign|Partition|WriteFile|Join|LSHDDP|PlanRho|StoreIngest' -run '^$$' -benchtime 1x ./internal/lsh/ ./internal/serve/ ./internal/fleet/ ./internal/model/ ./internal/knnjoin/ ./internal/core/ ./internal/ingest/
 
 # bench/ is its own module, so `go test ./...` here never compiles it: vet
 # it and run its unit tests plus the whole suite at -smoke scale (< 10 s), so
