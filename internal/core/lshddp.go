@@ -455,8 +455,9 @@ func (p *shipPlan) rhoInput(input []mapreduce.Pair) []mapreduce.Pair {
 // whose plan the halo job takes too, and returns every point's bucket ids
 // under the M layouts of l (lsh.Index.RowKeys: point i's at [i·M, (i+1)·M)),
 // which shipRows reads later. It indexes the points of input, InputPairs'
-// records, and runs each later layout's ownership walk, ownedRuns, on that
-// index, at the d_c its reducers read from conf. A point's ship mask lists
+// records, groups them by bucket under each later layout and runs that
+// layout's ownership walk, ownedRuns, on each bucket, at the d_c its
+// reducers read from conf. A point's ship mask lists
 // layout 0 and each layout where its run keeps a pair. A reducer then
 // receives whole runs, every one that keeps a pair and so its partners, so
 // each run's box, the blocks' pair set and everything it emits stay what
@@ -474,13 +475,7 @@ func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKe
 	}
 	n, nl := pts.N(), l.M()
 	ix := l.BuildIndex(pts.Data(), n, runtime.GOMAXPROCS(0))
-	ix.Fill(runtime.GOMAXPROCS(0))
 	dc := conf.GetFloat(confDc, 0)
-	byLayout := make([][]int32, nl)
-	for b := range ix.Len() {
-		own := slices.Index(ix.RowKeys[int(ix.Bucket(int32(b))[0])*nl:][:nl], int32(b))
-		byLayout[own] = append(byLayout[own], int32(b))
-	}
 	// Layouts 1 … M−1 are planned side by side, each goroutine taking the
 	// next layout and marking only its row of sent: sent[m][i] says point i
 	// travels to its layout-m bucket.
@@ -494,6 +489,7 @@ func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKe
 			defer wg.Done()
 			rp := runPlanner{ix: ix, nl: nl, pts: pts, reach2: dc * dc, po: pairOncePool.Get().(*pairOnce),
 				m: points.GetMatrix(), local: make([]int32, ix.Len())}
+			ends, grouped := make([]int32, ix.Len()+1), make([]int32, n)
 			defer pairOncePool.Put(rp.po)
 			defer points.PutMatrix(rp.m)
 			for b := range rp.local {
@@ -501,10 +497,31 @@ func planRho(input []mapreduce.Pair, l *lsh.Layouts, conf mapreduce.Conf) (rowKe
 			}
 			for own := int(next.Add(1)); own < nl; own = int(next.Add(1)) {
 				sent[own] = make([]bool, n)
-				for _, b := range byLayout[own] {
-					p, s := rp.plan(own, ix.Bucket(b), sent[own])
-					pruned.Add(p)
-					skipped.Add(s)
+				// The points grouped by layout-own bucket, each bucket
+				// ascending, with one counting pass over the layout's
+				// RowKeys column: count, prefix-sum, place. Bucket b's
+				// points then end at grouped[ends[b]], and a bucket of
+				// another layout is empty.
+				col := ix.RowKeys[own:]
+				clear(ends)
+				for i := range n {
+					ends[col[i*nl]+1]++
+				}
+				for b := 1; b < len(ends); b++ {
+					ends[b] += ends[b-1]
+				}
+				for i := range n {
+					grouped[ends[col[i*nl]]] = int32(i)
+					ends[col[i*nl]]++
+				}
+				lo := int32(0)
+				for _, hi := range ends[:ix.Len()] {
+					if hi > lo {
+						p, s := rp.plan(own, grouped[lo:hi], sent[own])
+						pruned.Add(p)
+						skipped.Add(s)
+					}
+					lo = hi
 				}
 			}
 		}()

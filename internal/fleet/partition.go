@@ -102,10 +102,9 @@ func Partition(m *model.Model, shards, vnodes int) ([]*model.Model, *Manifest, e
 // are replayed as queries, sample k being row ⌊k·n / samples⌋ (evenly
 // spread, so the sample mirrors the data the way serving queries do):
 // 2 048 of 200 000, and every row of a model no larger. scoreUnit is the
-// cost of one exact candidate scoring relative to one posting-walk visit
-// (testing one posting against the query's buckets): scoring a row
-// adds a full-dimension distance, roughly an order of magnitude over the
-// visit.
+// cost of one exact candidate scoring relative to one unit of a bucket's
+// size, the walk term below: scoring a row adds a full-dimension distance,
+// roughly an order of magnitude over testing a row's bucket IDs.
 const (
 	maxWeightSamples = 2048
 	scoreUnit        = 12.0
@@ -116,9 +115,12 @@ const (
 // the rows as queries against the bucket index.
 //
 // Owning a bucket has two costs per query that probes it, and they scale
-// differently. The walk — streaming the posting list through the strip
-// filter — is paid on the bucket's full size by the bucket's owner alone.
-// The exact scoring of a candidate, though, is paid at most once
+// differently. The walk — the owner's box-tree walk, whose leaf filter
+// tests rows' bucket IDs (serve's bucketFilter) — is paid by the bucket's
+// owner alone; it is charged as the bucket's size, a proxy the estimate
+// kept when the tree walk replaced a posting-list scan, so placements and
+// the fleet / route golden lines stay byte-identical (ROADMAP item 7). The
+// exact scoring of a candidate, though, is paid at most once
 // fleet-wide, by the owner of the candidate's *first* matching layout in
 // the engine's one cyclic order from the query's certifying layout. Neither
 // a size² weight nor an expected 1/m split over a row's m matching layouts
@@ -127,16 +129,16 @@ const (
 // few buckets their certifying layouts name, not 1/m to each. The
 // estimator therefore hashes each sample, takes its certifying layout
 // (lsh.Layouts.GuaranteeRadius) as j₀ and walks the sample's M buckets once
-// in the cyclic order from j₀, charging each its posting count plus
-// scoreUnit for every row no earlier bucket of that order held: the exact
-// first-match rule.
+// in the cyclic order from j₀, charging each its size plus scoreUnit for
+// every row no earlier bucket of that order held: the exact first-match
+// rule.
 //
 // Rows that share all M bucket IDs — a cell — are held by the same buckets,
 // so the first-match rule cannot tell them apart: the walk visits each
-// bucket's distinct cells (bucketCells) and charges scoreUnit × the cell's
-// rows for a fresh one, the same whole number a walk over the postings
-// charges, from a seventh of the visits on BenchmarkPartition's 200 000
-// rows (33 646 cells).
+// bucket's distinct cells (bucketCells), sums their rows into the bucket's
+// size and charges scoreUnit × the cell's rows for a fresh one, the same
+// whole numbers a walk over the bucket's rows charges, from a seventh of
+// the visits on BenchmarkPartition's 200 000 rows (33 646 cells).
 //
 // The sample is cut into GOMAXPROCS chunks (par.For), each with its own
 // weights, summed in chunk order at the end. Every charge is a whole
@@ -235,14 +237,15 @@ func replaySamples(ix *lsh.Index, ci cellIndex, layouts *lsh.Layouts, data []flo
 		_, j := layouts.GuaranteeRadius(&kb)
 		for range m {
 			id := qk[j]
-			fresh := 0
+			size, fresh := 0, 0
 			for _, c := range ci.cells[ci.offsets[id]:ci.offsets[id+1]] {
+				size += ci.rows[c]
 				if seen[c] != mark {
 					seen[c] = mark
 					fresh += ci.rows[c]
 				}
 			}
-			weights[id] += float64(ix.Offsets[id+1]-ix.Offsets[id]) + scoreUnit*float64(fresh)
+			weights[id] += float64(size) + scoreUnit*float64(fresh)
 			if j++; j == m {
 				j = 0
 			}

@@ -8,9 +8,8 @@ import (
 	"repro/internal/points"
 )
 
-// TestBuildIndexOrder: BuildIndex leaves every bucket's ID, size and
-// members' keys known and no posting filled, and after Fill every bucket
-// lists, ascending, exactly the rows whose row keys name it.
+// TestBuildIndexOrder: BuildIndex gives every row, under every layout, the
+// bucket ID its key looks up to.
 func TestBuildIndexOrder(t *testing.T) {
 	const n, dim = 400, 3
 	rng := points.NewRand(3)
@@ -20,25 +19,22 @@ func TestBuildIndexOrder(t *testing.T) {
 	}
 	l := NewLayouts(dim, 4, 2, 3, 9)
 	ix := l.BuildIndex(data, n, 1)
-	if ix.Rows != nil || len(ix.Offsets) != ix.Len()+1 || ix.Offsets[ix.Len()] != n*l.M() {
-		t.Fatalf("built with Rows=%v Offsets=%v: want buckets sized, no postings", ix.Rows, ix.Offsets)
+	if len(ix.RowKeys) != n*l.M() {
+		t.Fatalf("%d row keys, want %d", len(ix.RowKeys), n*l.M())
 	}
-	ix.Fill(1)
-	want := make([][]int32, ix.Len())
-	for i, id := range ix.RowKeys {
-		want[id] = append(want[id], int32(i/l.M()))
-	}
-	for id := range ix.Len() {
-		if got := ix.Bucket(int32(id)); !slices.Equal(got, want[id]) {
-			t.Fatalf("bucket %d: %v, want %v", id, got, want[id])
+	for i := range n {
+		for j, key := range l.Keys(data[i*dim:][:dim]) {
+			if id, ok := ix.Lookup([]byte(key)); !ok || ix.RowKeys[i*l.M()+j] != id {
+				t.Fatalf("row %d layout %d: row key %d, its key looks up as %d, %v", i, j, ix.RowKeys[i*l.M()+j], id, ok)
+			}
 		}
 	}
 }
 
 // TestBuildIndexWorkersAgree: the chunked build is one index whatever the
 // worker count — bucket IDs in first-seen order over the (row, layout)
-// iteration, as interning every row's keys one by one gives them — filled
-// by as many workers, on blocks smaller
+// iteration, as interning every row's keys one by one gives them — on
+// blocks smaller
 // than the worker count, of one row, of repeated rows, with non-finite
 // coordinates, and with a key that opens a late chunk but first appears at
 // the end of chunk 0.
@@ -101,13 +97,10 @@ func TestBuildIndexWorkersAgree(t *testing.T) {
 			if !slices.Equal(indexKeys(want), keys) || !slices.Equal(want.RowKeys, rowKeys) {
 				t.Fatalf("M=%d %s: one worker's keys or row keys are not first-seen order", m, tc.name)
 			}
-			want.Fill(1)
 			for _, workers := range []int{1, 2, 3, 8} {
 				got := l.BuildIndex(tc.data, n, workers)
-				got.Fill(workers)
-				if !slices.Equal(indexKeys(got), indexKeys(want)) || !slices.Equal(got.RowKeys, want.RowKeys) ||
-					!slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Rows, want.Rows) {
-					t.Fatalf("M=%d %s: %d workers built or filled a different index than one", m, tc.name, workers)
+				if !slices.Equal(indexKeys(got), indexKeys(want)) || !slices.Equal(got.RowKeys, want.RowKeys) {
+					t.Fatalf("M=%d %s: %d workers built a different index than one", m, tc.name, workers)
 				}
 				for id, key := range indexKeys(got) {
 					if back, ok := got.Lookup([]byte(key)); !ok || back != int32(id) {
@@ -126,13 +119,4 @@ func indexKeys(ix *Index) []string {
 		keys[id] = string(ix.Key(int32(id)))
 	}
 	return keys
-}
-
-// internN returns a table of n distinct keys, for hand-built indexes.
-func internN(n int) KeyIDs {
-	var k KeyIDs
-	for i := range n {
-		k.Intern([]byte{byte(i)})
-	}
-	return k
 }

@@ -144,8 +144,8 @@ type Engine struct {
 	layouts *lsh.Layouts
 	// ix is the bucket index of the stored points: every distinct LSH key
 	// interned to a bucket ID, and ix.RowKeys, each row's bucket ID under
-	// every layout, row-major n×M: the tree walks' filter. Its postings are
-	// never filled: every walk lists bucket rows through RowKeys.
+	// every layout, row-major n×M: the tree walks' filter, through which
+	// every walk finds a bucket's rows.
 	ix *lsh.Index
 	// tree is the box tree over every stored row with finite coordinates.
 	tree kernels.BoxTree

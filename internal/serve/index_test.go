@@ -65,8 +65,7 @@ func naiveSlot(f lsh.Func, p []float64) int64 {
 // requires the engine's interned index to hold exactly those buckets with
 // exactly those rows (keyRows over its row keys), rows with a non-finite
 // coordinate among them, and per-row bucket IDs that agree with the same
-// grouping, for a full model and for a fleet sub-model. The engine fills no
-// postings.
+// grouping, for a full model and for a fleet sub-model.
 func TestEngineIndexMatchesNaive(t *testing.T) {
 	for _, fleet := range []bool{false, true} {
 		for _, m := range []int{3, 10} {
@@ -96,10 +95,6 @@ func TestEngineIndexMatchesNaive(t *testing.T) {
 			}
 			if e.Buckets() != len(naive) || len(naive) < 2*m {
 				t.Fatalf("fleet=%v M=%d: engine has %d buckets, naive grouping %d", fleet, m, e.Buckets(), len(naive))
-			}
-			e.CandidateRows(mdl.Row(0), nil)
-			if e.ix.Rows != nil {
-				t.Fatalf("fleet=%v M=%d: the engine filled its postings", fleet, m)
 			}
 			for key, want := range naive {
 				id, ok := e.ix.Lookup([]byte(key))
@@ -136,9 +131,9 @@ func bucketKeys(ix *lsh.Index) []string {
 
 // TestSuccessorMatchesNewEngine: the one-goroutine build a reload or a
 // compaction runs beside live queries gives the engine NewEngine gives, as
-// does the build at any worker count — bucket keys, row keys, offsets,
-// box tree, and the q8 codes it derives — for a
-// full model and a fleet sub-model, on a row count no worker count divides.
+// does the build at any worker count — bucket keys, row keys, box tree,
+// and the q8 codes it derives — for a full model and a fleet sub-model, on
+// a row count no worker count divides.
 func TestSuccessorMatchesNewEngine(t *testing.T) {
 	for _, fleet := range []bool{false, true} {
 		mdl := blobModel(1501, 3, 10, fleet)
@@ -161,7 +156,6 @@ func TestSuccessorMatchesNewEngine(t *testing.T) {
 			}
 			for i, e := range engines {
 				if !slices.Equal(bucketKeys(e.ix), bucketKeys(want.ix)) || !slices.Equal(e.ix.RowKeys, want.ix.RowKeys) ||
-					!slices.Equal(e.ix.Offsets, want.ix.Offsets) ||
 					!reflect.DeepEqual(e.tree, want.tree) ||
 					!slices.Equal(e.q8, want.q8) || !slices.Equal(e.q8par.Min, want.q8par.Min) || !slices.Equal(e.q8par.Scale, want.q8par.Scale) {
 					t.Fatalf("fleet=%v %s: engine %d is not the one-goroutine build", fleet, prec, i)

@@ -368,7 +368,7 @@ func TestStripFilterRule(t *testing.T) {
 
 // TestCandidateRowsIsUnionWithinDc holds the density fold's list to its
 // rule: exactly the rows of q's bucket union (keyRows) strictly within d_c
-// of q, each once, with no postings filled — on full and fleet sub-model
+// of q, each once — on full and fleet sub-model
 // engines over blobs, a lattice stored twice (mass ties at exactly d_c),
 // duplicate-heavy rows and rows with NaN / ±Inf coordinates. The queries
 // are stored rows, jittered and hostile ones (sweepQueries), a point far
@@ -440,9 +440,6 @@ func TestCandidateRowsIsUnionWithinDc(t *testing.T) {
 			}
 			if nonEmpty < len(qs)/4 {
 				t.Fatalf("%s: only %d of %d queries list a row", name, nonEmpty, len(qs))
-			}
-			if e.ix.Rows != nil {
-				t.Fatalf("%s: the engine filled its postings", name)
 			}
 		}
 	}
