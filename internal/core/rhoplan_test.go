@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -172,6 +174,55 @@ func TestRhoShipPlanMatchesUnplanned(t *testing.T) {
 	}
 	if left == 0 {
 		t.Fatal("no fixture leaves a copy out: the plan goes unexercised")
+	}
+}
+
+// TestPlanRhoWorkersAgree: planRho plans each layout on its own goroutine,
+// grouping the layout's points by bucket in that goroutine's scratch, and
+// builds its index on every core; the row keys, every point's ship mask and
+// the unshipped-pair record are the same at any GOMAXPROCS — on blobs and
+// on the doubled tie lattice, at M = 2, 4 and 10.
+func TestPlanRhoWorkersAgree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range []struct {
+		name string
+		ds   *points.Dataset
+		cfg  LSHConfig
+	}{
+		{"blobs", dataset.Blobs("blobs", 600, 4, 6, 40, 2, 1), LSHConfig{Pi: 3, W: 8, Config: Config{Dc: 3, Seed: 1}}},
+		{"ties", tieLattice(), LSHConfig{Pi: 3, W: 4, Config: Config{Dc: 1.5, Seed: 1}}},
+	} {
+		for _, m := range []int{2, 4, 10} {
+			c.cfg.M = m
+			conf := lshConf(c.ds, c.cfg)
+			l, err := layoutsOf(conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want *shipPlan
+			var wantKeys []int32
+			for _, procs := range []int{1, 2, 3} {
+				runtime.GOMAXPROCS(procs)
+				rowKeys, plan, err := planRho(InputPairs(c.ds), l, conf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want, wantKeys = plan, rowKeys
+					copies := 0
+					for _, b := range plan.masks {
+						copies += bits.OnesCount8(b)
+					}
+					if n := c.ds.N(); copies <= n || copies >= n*m {
+						t.Fatalf("%s M=%d: %d copies of %d points planned: the plan drops none or ships no later one", c.name, m, copies, n)
+					}
+					continue
+				}
+				if !slices.Equal(rowKeys, wantKeys) || !bytes.Equal(plan.masks, want.masks) || !bytes.Equal(plan.unsent, want.unsent) {
+					t.Fatalf("%s M=%d: the plan at GOMAXPROCS %d differs from the one at 1", c.name, m, procs)
+				}
+			}
+		}
 	}
 }
 
