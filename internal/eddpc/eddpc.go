@@ -33,8 +33,9 @@ import (
 // Config tunes the EDDPC run.
 type Config struct {
 	core.Config
-	// Pivots is the number of Voronoi cells; <=0 chooses max(8, N/500),
-	// matching Basic-DDP's default block granularity.
+	// Pivots is the number of Voronoi cells; 0 chooses max(8, N/500),
+	// matching Basic-DDP's default block granularity. Run refuses a
+	// negative count.
 	Pivots int
 }
 
@@ -70,6 +71,9 @@ const (
 // concatenated in that order.
 func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, error) {
 	start := time.Now()
+	if cfg.Pivots < 0 {
+		return nil, fmt.Errorf("eddpc: negative Pivots %d; 0 asks for the default", cfg.Pivots)
+	}
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -14,6 +15,36 @@ import (
 )
 
 func testEngine() mapreduce.Engine { return &mapreduce.LocalEngine{Parallelism: 4} }
+
+// jobCounter is a local engine that counts the jobs it runs.
+type jobCounter struct {
+	mapreduce.LocalEngine
+	jobs int
+}
+
+func (e *jobCounter) Run(ctx context.Context, job *mapreduce.Job, input []mapreduce.Pair) (*mapreduce.Result, error) {
+	e.jobs++
+	return e.LocalEngine.Run(ctx, job, input)
+}
+
+// TestPivotsRefusedWhenNegative: Run refuses a negative Pivots, naming the
+// field, before any job runs; 0 still chooses the default count.
+func TestPivotsRefusedWhenNegative(t *testing.T) {
+	ds := dataset.Blobs("eddpc-pivots", 200, 2, 3, 40, 2, 1)
+	for _, tc := range []struct {
+		pivots  int
+		refused bool
+	}{{-1, true}, {math.MinInt, true}, {0, false}, {4, false}} {
+		eng := &jobCounter{}
+		_, err := Run(context.Background(), ds, Config{Config: core.Config{Engine: eng, Dc: 3, Seed: 1}, Pivots: tc.pivots})
+		switch {
+		case tc.refused && (err == nil || !strings.Contains(err.Error(), "Pivots") || eng.jobs != 0):
+			t.Errorf("Pivots %d: err %v after %d jobs, want Pivots refused before any job", tc.pivots, err, eng.jobs)
+		case !tc.refused && (err != nil || eng.jobs == 0):
+			t.Errorf("Pivots %d: err %v after %d jobs, want a run", tc.pivots, err, eng.jobs)
+		}
+	}
+}
 
 func TestEDDPCMatchesSequentialDP(t *testing.T) {
 	for _, tc := range []struct {

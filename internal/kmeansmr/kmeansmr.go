@@ -36,8 +36,8 @@ type Config struct {
 	Engine mapreduce.Engine
 	// K is the number of clusters (required).
 	K int
-	// MaxIter is the number of iterations (default 100, the paper's fixed
-	// setting).
+	// MaxIter is the number of iterations (0: 100, the paper's fixed
+	// setting). Run refuses a negative count.
 	MaxIter int
 	// Seed drives the k-means++ style initialization.
 	Seed int64
@@ -81,8 +81,11 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 	if cfg.K <= 0 || cfg.K > ds.N() {
 		return nil, fmt.Errorf("kmeansmr: k=%d out of range for %d points", cfg.K, ds.N())
 	}
+	if cfg.MaxIter < 0 {
+		return nil, fmt.Errorf("kmeansmr: negative MaxIter %d; 0 asks for the default", cfg.MaxIter)
+	}
 	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
+	if maxIter == 0 {
 		maxIter = 100
 	}
 	eng := cfg.Engine

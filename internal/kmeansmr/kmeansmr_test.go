@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -17,6 +18,35 @@ import (
 )
 
 func testEngine() mapreduce.Engine { return &mapreduce.LocalEngine{Parallelism: 4} }
+
+// jobCounter is a local engine that counts the jobs it runs.
+type jobCounter struct {
+	mapreduce.LocalEngine
+	jobs int
+}
+
+func (e *jobCounter) Run(ctx context.Context, job *mapreduce.Job, input []mapreduce.Pair) (*mapreduce.Result, error) {
+	e.jobs++
+	return e.LocalEngine.Run(ctx, job, input)
+}
+
+// TestMaxIterRefusedWhenNegative: Run refuses a negative MaxIter, naming
+// the field, before any job runs; 0 still runs the default 100 iterations.
+func TestMaxIterRefusedWhenNegative(t *testing.T) {
+	ds := dataset.Blobs("kmr-maxiter", 50, 2, 2, 100, 2, 1)
+	for _, tc := range []struct {
+		maxIter, iterations int
+	}{{-1, -1}, {math.MinInt, -1}, {0, 100}, {3, 3}} {
+		eng := &jobCounter{}
+		res, err := Run(context.Background(), ds, Config{Engine: eng, K: 2, MaxIter: tc.maxIter, Seed: 1})
+		switch {
+		case tc.iterations < 0 && (err == nil || !strings.Contains(err.Error(), "MaxIter") || eng.jobs != 0):
+			t.Errorf("MaxIter %d: err %v after %d jobs, want MaxIter refused before any job", tc.maxIter, err, eng.jobs)
+		case tc.iterations >= 0 && (err != nil || len(res.Iterations) != tc.iterations):
+			t.Errorf("MaxIter %d: err %v, want %d iterations", tc.maxIter, err, tc.iterations)
+		}
+	}
+}
 
 func TestRecoversSeparatedClusters(t *testing.T) {
 	ds := dataset.Blobs("kmr", 600, 2, 4, 500, 2, 3)
