@@ -65,12 +65,13 @@ test-short:
 # ingest for the WAL-backed store's concurrent writers, query merges, and
 # compaction swap;
 # core for the jobs that run on those engines — its LSH reducers share pooled
-# scratch (one KeyBuf per reduce call) across concurrent reduce tasks; lsh
-# for the bucket-index build, which hashes its row chunks on their own
-# goroutines into one shared RowKeys array and fills one shared postings
-# block a chunk of layouts per goroutine; par for the chunked For every
-# parallel build runs on; eddpc for the comparator's reducers, which run as
-# concurrent tasks on the local engine (≈ 4 s).
+# scratch (one KeyBuf per reduce call) across concurrent reduce tasks — and
+# for the ρ ship plan, whose goroutines read one shared RowKeys array, each
+# grouping a layout in its own buffers; lsh for the bucket-index build,
+# which hashes its row chunks on their own goroutines into one shared
+# RowKeys array; par for the chunked For every parallel build runs on;
+# eddpc for the comparator's reducers, which run as concurrent tasks on the
+# local engine (≈ 4 s).
 race:
 	$(GO) test -race ./internal/mapreduce/... ./internal/kernels/... ./internal/points/... ./internal/chaos/... ./internal/serve/... ./internal/model/... ./internal/fleet/... ./internal/ingest/... ./internal/knnjoin/... ./internal/core/... ./internal/lsh/... ./internal/par/... ./internal/eddpc/...
 

@@ -117,17 +117,17 @@ const (
 // Owning a bucket has two costs per query that probes it, and they scale
 // differently. The walk — the owner's box-tree walk, whose leaf filter
 // tests rows' bucket IDs (serve's bucketFilter) — is paid by the bucket's
-// owner alone; it is charged as the bucket's size, a proxy the estimate
-// kept when the tree walk replaced a posting-list scan, so placements and
-// the fleet / route golden lines stay byte-identical (ROADMAP item 7). The
-// exact scoring of a candidate, though, is paid at most once
-// fleet-wide, by the owner of the candidate's *first* matching layout in
-// the engine's one cyclic order from the query's certifying layout. Neither
-// a size² weight nor an expected 1/m split over a row's m matching layouts
-// gets that right: the certifying layout's bucket keeps every candidate it
-// holds, so the queries of a cluster core funnel their scoring through the
-// few buckets their certifying layouts name, not 1/m to each. The
-// estimator therefore hashes each sample, takes its certifying layout
+// owner alone. It is charged as the bucket's size, a proxy for the rows the
+// walk tests, kept because placements and the fleet / route golden lines
+// are pinned to it: deriving the term from the walk's filter tests moves
+// placement (ROADMAP item 7). The exact scoring of a candidate, though, is
+// paid at most once fleet-wide, by the owner of the candidate's *first*
+// matching layout in the engine's one cyclic order from the query's
+// certifying layout. Neither a size² weight nor an expected 1/m split over
+// a row's m matching layouts gets that right: the certifying layout's
+// bucket keeps every candidate it holds, so the queries of a cluster core
+// funnel their scoring through the few buckets their certifying layouts
+// name, not 1/m to each. The estimator therefore hashes each sample, takes its certifying layout
 // (lsh.Layouts.GuaranteeRadius) as j₀ and walks the sample's M buckets once
 // in the cyclic order from j₀, charging each its size plus scoreUnit for
 // every row no earlier bucket of that order held: the exact first-match
