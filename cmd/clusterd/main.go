@@ -74,6 +74,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -139,10 +140,6 @@ func runServe() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *workers < 0 || *shard < -1 || *ingIDBase < 0 || *ingIDStr < 0 || *compactInt < 0 {
-		fmt.Fprintln(os.Stderr, "clusterd: -workers, -ingest-id-base, -ingest-id-stride and -compact-interval must not be negative, and -shard must be -1 or a shard id")
-		os.Exit(2)
-	}
 
 	loader := func() (*model.Model, error) { return model.ReadFile(*modelPath) }
 
@@ -151,11 +148,20 @@ func runServe() {
 		Precision: *precision,
 		Loader:    loader,
 	}
-	if *shard >= 0 {
+	if *shard != -1 {
 		cfg.ShardID = shard
 	}
-	if _, err := serve.ParsePrecision(*precision); err != nil {
-		fatal(err)
+	ingCfg := ingest.Config{
+		Dir:       *ingestDir,
+		Precision: *precision,
+		Interval:  *compactInt,
+		Fsync:     *ingFsync,
+		IDBase:    *ingIDBase,
+		IDStride:  *ingIDStr,
+	}
+	if err := cmp.Or(cfg.Validate(), ingCfg.Validate()); err != nil {
+		fmt.Fprintln(os.Stderr, "clusterd:", err)
+		os.Exit(2)
 	}
 	if *verbose {
 		cfg.Log = logStderr
@@ -175,16 +181,8 @@ func runServe() {
 	var store *ingest.Store
 	if *ingestDir != "" {
 		var err error
-		store, err = ingest.Open(ingest.Config{
-			Dir:       *ingestDir,
-			Precision: *precision,
-			Interval:  *compactInt,
-			Fsync:     *ingFsync,
-			IDBase:    *ingIDBase,
-			IDStride:  *ingIDStr,
-			OnSwap:    srv.UseEngine,
-			Log:       cfg.Log,
-		}, loader)
+		ingCfg.OnSwap, ingCfg.Log = srv.UseEngine, cfg.Log
+		store, err = ingest.Open(ingCfg, loader)
 		fatal(err)
 		srv.SetIngest(store)
 		srv.UseEngine(store.Engine())

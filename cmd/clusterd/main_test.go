@@ -47,9 +47,9 @@ func TestParseShards(t *testing.T) {
 	}
 }
 
-// TestNegativeFlagsRefused: a negative serving flag exits 2 before the
-// model is read or a port opened, where 0 and -shard -1 keep their meaning
-// (and reach the missing model, exit 1).
+// TestNegativeFlagsRefused: a negative serving flag or an unknown
+// -precision exits 2 before the model is read or a port opened, where 0 and
+// -shard -1 keep their meaning (and reach the missing model, exit 1).
 func TestNegativeFlagsRefused(t *testing.T) {
 	model := filepath.Join(t.TempDir(), "missing.ddpm")
 	for _, c := range []struct {
@@ -61,6 +61,7 @@ func TestNegativeFlagsRefused(t *testing.T) {
 		{[]string{"-ingest-id-base", "-7"}, 2},
 		{[]string{"-compact-interval", "-1s"}, 2},
 		{[]string{"-shard", "-5"}, 2},
+		{[]string{"-precision", "f32"}, 2},
 		{[]string{"-shard", "-1", "-workers", "0", "-ingest-id-stride", "0", "-ingest-id-base", "0", "-compact-interval", "0"}, 1},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-model", model, "-listen", "127.0.0.1:0"}, c.flags...)...)

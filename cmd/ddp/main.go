@@ -24,13 +24,13 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -45,6 +45,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/kmeansmr"
 	"repro/internal/knnjoin"
+	"repro/internal/knob"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
 	"repro/internal/mapreduce/rpcmr"
@@ -109,9 +110,8 @@ func runCluster() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	box := func(v float64) bool { return v >= 0 && v <= math.MaxFloat64 } // NaN fails v >= 0
-	if *k < 0 || !box(*rhoMin) || !box(*deltaMin) {
-		fmt.Fprintln(os.Stderr, "ddp: -k must not be negative, -rho-min and -delta-min must be finite and not negative (0 = box flags or auto-suggest)")
+	if err := cmp.Or(knob.Count("-k", *k), knob.Real("-rho-min", *rhoMin), knob.Real("-delta-min", *deltaMin)); err != nil {
+		fmt.Fprintln(os.Stderr, "ddp:", err, "(0 = box flags or auto-suggest)")
 		os.Exit(2)
 	}
 
@@ -316,8 +316,8 @@ func runGen(args []string) {
 		fmt.Fprintln(os.Stderr, "ddp gen: -dataset is required (or -list)")
 		os.Exit(2)
 	}
-	if *n < 0 {
-		fmt.Fprintln(os.Stderr, "ddp gen: -n must not be negative (0 = registry size)")
+	if err := knob.Count("-n", *n); err != nil {
+		fmt.Fprintln(os.Stderr, "ddp gen:", err, "(0 = registry size)")
 		os.Exit(2)
 	}
 	spec, err := dataset.Get(*name)
@@ -371,8 +371,8 @@ func runExp(args []string) {
 		traceOut = fs.String("trace", "", "write a JSONL job trace (task phase spans) to this file")
 	)
 	fs.Parse(args)
-	if *scale < 0 || *parallel < 0 {
-		fmt.Fprintln(os.Stderr, "ddp exp: -scale and -parallel must not be negative (0 = the default)")
+	if err := cmp.Or(knob.Count("-scale", *scale), knob.Count("-parallel", *parallel)); err != nil {
+		fmt.Fprintln(os.Stderr, "ddp exp:", err, "(0 = the default)")
 		os.Exit(2)
 	}
 	known, want := map[string]bool{}, map[string]bool{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/kernels"
+	"repro/internal/knob"
 	"repro/internal/mapreduce"
 	"repro/internal/points"
 )
@@ -22,11 +24,9 @@ type BasicConfig struct {
 	BlockSize int
 }
 
-func (c *BasicConfig) blockSize() int {
-	if c.BlockSize > 0 {
-		return c.BlockSize
-	}
-	return 500
+// Validate refuses a negative, NaN or infinite BlockSize or Dc.
+func (c *BasicConfig) Validate() error {
+	return cmp.Or(c.Config.Validate(), knob.Count("core: BlockSize", c.BlockSize))
 }
 
 // RunBasicDDP executes the exact Basic-DDP pipeline of Section III, one job
@@ -46,9 +46,10 @@ func (c *BasicConfig) blockSize() int {
 // is evaluated exactly once globally.
 func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Result, error) {
 	start := time.Now()
-	if cfg.BlockSize < 0 {
-		return nil, fmt.Errorf("core: negative block size %d; 0 asks for the default", cfg.BlockSize)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	cfg.BlockSize = cmp.Or(cfg.BlockSize, 500)
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
@@ -63,7 +64,7 @@ func RunBasicDDP(ctx context.Context, ds *points.Dataset, cfg BasicConfig) (*Res
 	if err != nil {
 		return nil, err
 	}
-	nBlocks := (ds.N() + cfg.blockSize() - 1) / cfg.blockSize()
+	nBlocks := (ds.N() + cfg.BlockSize - 1) / cfg.BlockSize
 
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confDc, dc)

@@ -36,7 +36,7 @@ func BenchmarkLSHDDP(b *testing.B) {
 // are in each op; the point records are encoded once, outside the timer.
 func BenchmarkPlanRho(b *testing.B) {
 	ds := dataset.Blobs("bench-lshddp", 30000, 8, 16, 100, 2.5, 1)
-	cfg := LSHConfig{Config: Config{Seed: 1}}
+	cfg := filled(LSHConfig{Config: Config{Seed: 1}})
 	conf, _, err := cfg.jobConf(dp.CutoffByPercentile(ds, 0.02, 1), ds.Dim())
 	if err != nil {
 		b.Fatal(err)

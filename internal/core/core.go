@@ -25,12 +25,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/decision"
+	"repro/internal/knob"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
 	"repro/internal/obs"
@@ -152,17 +154,14 @@ type Config struct {
 	Trace *obs.Trace
 }
 
-func (c *Config) engine() mapreduce.Engine {
-	if c.Engine != nil {
-		return c.Engine
-	}
-	return &mapreduce.LocalEngine{}
-}
+// Validate refuses a negative, NaN or infinite Dc; the seed takes any value.
+func (c *Config) Validate() error { return knob.Real("core: Dc", c.Dc) }
 
 // DagSession builds the fresh session a pipeline runs its jobs on, over
-// c.Engine.
+// c.Engine or, when that is nil, a LocalEngine.
 func (c *Config) DagSession() *dag.Session {
-	return dag.NewSession(c.engine(), dag.Options{Log: c.Log, Trace: c.Trace})
+	eng := cmp.Or[mapreduce.Engine](c.Engine, &mapreduce.LocalEngine{})
+	return dag.NewSession(eng, dag.Options{Log: c.Log, Trace: c.Trace})
 }
 
 // dcPercentile is the quantile of sampled pair distances the d_c job picks:
@@ -258,8 +257,8 @@ func DcSampleJob(conf mapreduce.Conf) *mapreduce.Job {
 // algorithm package (Basic-DDP, LSH-DDP, EDDPC) calls this with its own
 // session so the job shows up in that pipeline's stats and trace.
 func ChooseDc(ctx context.Context, s *dag.Session, ds *points.Dataset, cfg *Config, input []mapreduce.Pair) (float64, error) {
-	if !knob(cfg.Dc) {
-		return 0, fmt.Errorf("core: negative or non-finite d_c %v; 0 samples it", cfg.Dc)
+	if err := cfg.Validate(); err != nil {
+		return 0, err
 	}
 	if cfg.Dc > 0 {
 		return cfg.Dc, nil

@@ -24,6 +24,7 @@ import (
 // on an engine and returns the arrays plus the stats of the jobs it ran.
 func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset, cfg LSHConfig) (*Result, []mapreduce.JobStats) {
 	t.Helper()
+	cfg = filled(cfg)
 	ctx := context.Background()
 	var jobs []mapreduce.JobStats
 	run := func(job *mapreduce.Job, in []mapreduce.Pair) []mapreduce.Pair {
@@ -53,7 +54,7 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	dcConf.SetInt64(confSeed, cfg.Seed)
 	dcRes := run(DcSampleJob(dcConf), input)
 	dc := points.DecodeFloat64(dcRes[0].Value)
-	w, err := lsh.SolveWidth(cfg.accuracy(), dc, cfg.pi(), cfg.m())
+	w, err := lsh.SolveWidth(cfg.Accuracy, dc, cfg.Pi, cfg.M)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +62,8 @@ func handSequencedLSHDDP(t *testing.T, eng mapreduce.Engine, ds *points.Dataset,
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confDc, dc)
 	conf.SetInt(confDim, ds.Dim())
-	conf.SetInt(confM, cfg.m())
-	conf.SetInt(confPi, cfg.pi())
+	conf.SetInt(confM, cfg.M)
+	conf.SetInt(confPi, cfg.Pi)
 	conf.SetFloat(confW, w)
 	conf.SetInt64(confSeed, cfg.Seed)
 

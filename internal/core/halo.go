@@ -171,7 +171,7 @@ func LSHHaloAggJob(conf mapreduce.Conf) *mapreduce.Job {
 // without a plan, or made under other parameters, is planned anew.
 func RunLSHHalo(ctx context.Context, ds *points.Dataset, res *Result, labels []int32, cfg LSHConfig) (*HaloResult, error) {
 	start := time.Now()
-	if err := cfg.check(); err != nil {
+	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
 	if err := ds.Validate(); err != nil {
@@ -199,7 +199,7 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, res *Result, labels []i
 		return nil, err
 	}
 	plan := res.plan
-	if plan == nil || !maps.Equal(plan.conf, conf) || len(plan.masks) != ds.N()*((cfg.m()+7)/8) {
+	if plan == nil || !maps.Equal(plan.conf, conf) || len(plan.masks) != ds.N()*((cfg.M+7)/8) {
 		layouts, err := layoutsOf(conf)
 		if err != nil {
 			return nil, err
@@ -235,8 +235,8 @@ func RunLSHHalo(ctx context.Context, ds *points.Dataset, res *Result, labels []i
 	}
 	hr.Stats.Dc = dc
 	hr.Stats.W = w
-	hr.Stats.Pi = cfg.pi()
-	hr.Stats.M = cfg.m()
+	hr.Stats.Pi = cfg.Pi
+	hr.Stats.M = cfg.M
 	CollectStats(&hr.Stats, sess, mark, start)
 	return hr, nil
 }

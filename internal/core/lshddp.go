@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/dp"
 	"repro/internal/kernels"
+	"repro/internal/knob"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/points"
@@ -36,59 +38,38 @@ type LSHConfig struct {
 	W float64
 }
 
-// check refuses a negative or non-finite knob: 0 asks for the default, and
-// any other value outside the knob's range is a mistake the defaults would
-// otherwise hide.
-func (c *LSHConfig) check() error {
-	if !knob(c.Accuracy) || c.M < 0 || c.Pi < 0 || !knob(c.W) {
-		return fmt.Errorf("core: negative or non-finite LSH parameter (Accuracy %v, M %d, Pi %d, W %v); 0 asks for the default",
-			c.Accuracy, c.M, c.Pi, c.W)
-	}
-	return nil
+// Validate refuses a negative, NaN or infinite M, Pi, W or Dc, and an
+// Accuracy outside [0, 1), which Eq. 5 has no width for, whatever W is.
+func (c *LSHConfig) Validate() error {
+	return cmp.Or(c.Config.Validate(), knob.Fraction("core: Accuracy", c.Accuracy),
+		knob.Count("core: M", c.M), knob.Count("core: Pi", c.Pi), knob.Real("core: W", c.W))
 }
 
-// knob reports whether a float knob is finite and not negative; NaN is
-// neither.
-func knob(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
-
-func (c *LSHConfig) accuracy() float64 {
-	if c.Accuracy > 0 {
-		return c.Accuracy
-	}
-	return 0.99
-}
-
-func (c *LSHConfig) m() int {
-	if c.M > 0 {
-		return c.M
-	}
-	return 10
+// defaults sets each 0 knob with a constant default to it — Accuracy 0.99,
+// M 10, Pi 3 — and validates c.
+func (c *LSHConfig) defaults() error {
+	c.Accuracy, c.M, c.Pi = cmp.Or(c.Accuracy, 0.99), cmp.Or(c.M, 10), cmp.Or(c.Pi, 3)
+	return c.Validate()
 }
 
 // jobConf returns the Conf every LSH job of a run at cutoff dc on
 // dim-dimensional points reads, and the bucket width w in it: c.W, or when
-// that is 0 the width lsh.SolveWidth derives from c.Accuracy.
+// that is 0 the width lsh.SolveWidth derives from c.Accuracy. c holds its
+// defaults.
 func (c *LSHConfig) jobConf(dc float64, dim int) (conf mapreduce.Conf, w float64, err error) {
 	if w = c.W; w <= 0 {
-		if w, err = lsh.SolveWidth(c.accuracy(), dc, c.pi(), c.m()); err != nil {
+		if w, err = lsh.SolveWidth(c.Accuracy, dc, c.Pi, c.M); err != nil {
 			return nil, 0, err
 		}
 	}
 	conf = mapreduce.Conf{}
 	conf.SetFloat(confDc, dc)
 	conf.SetInt(confDim, dim)
-	conf.SetInt(confM, c.m())
-	conf.SetInt(confPi, c.pi())
+	conf.SetInt(confM, c.M)
+	conf.SetInt(confPi, c.Pi)
 	conf.SetFloat(confW, w)
 	conf.SetInt64(confSeed, c.Seed)
 	return conf, w, nil
-}
-
-func (c *LSHConfig) pi() int {
-	if c.Pi > 0 {
-		return c.Pi
-	}
-	return 3
 }
 
 // nearK is the length of the neighbour list the ρ reducers keep per point
@@ -137,7 +118,7 @@ const CtrDeltaCertified = "dp.delta.certified"
 // finite δ before peak selection, as the paper prescribes.
 func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result, error) {
 	start := time.Now()
-	if err := cfg.check(); err != nil {
+	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
 	if err := ds.Validate(); err != nil {
@@ -200,8 +181,8 @@ func RunLSHDDP(ctx context.Context, ds *points.Dataset, cfg LSHConfig) (*Result,
 	res := &Result{Rho: rho, Delta: delta, Upslope: upslope, plan: plan}
 	res.Stats.Dc = dc
 	res.Stats.W = w
-	res.Stats.Pi = cfg.pi()
-	res.Stats.M = cfg.m()
+	res.Stats.Pi = cfg.Pi
+	res.Stats.M = cfg.M
 	CollectStats(&res.Stats, sess, mark, start)
 	return res, nil
 }

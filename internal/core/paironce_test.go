@@ -89,7 +89,8 @@ func pairOnceCases() []pairOnceCase {
 type coBucketed struct{ keys [][]string }
 
 func newCoBucketed(ds *points.Dataset, cfg LSHConfig) coBucketed {
-	l := lsh.NewLayouts(ds.Dim(), cfg.m(), cfg.pi(), cfg.W, cfg.Seed)
+	cfg = filled(cfg)
+	l := lsh.NewLayouts(ds.Dim(), cfg.M, cfg.Pi, cfg.W, cfg.Seed)
 	cb := coBucketed{keys: make([][]string, ds.N())}
 	for i, p := range ds.Points {
 		cb.keys[i] = l.Keys(p.Pos)

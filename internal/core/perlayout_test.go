@@ -103,11 +103,12 @@ func perLayoutDeltaJob(conf mapreduce.Conf) *mapreduce.Job {
 // lshConf is the job configuration RunLSHDDP builds for cfg at a pinned d_c
 // and width.
 func lshConf(ds *points.Dataset, cfg LSHConfig) mapreduce.Conf {
+	cfg = filled(cfg)
 	conf := mapreduce.Conf{}
 	conf.SetFloat(confDc, cfg.Dc)
 	conf.SetInt(confDim, ds.Dim())
-	conf.SetInt(confM, cfg.m())
-	conf.SetInt(confPi, cfg.pi())
+	conf.SetInt(confM, cfg.M)
+	conf.SetInt(confPi, cfg.Pi)
 	conf.SetFloat(confW, cfg.W)
 	conf.SetInt64(confSeed, cfg.Seed)
 	return conf

@@ -54,7 +54,8 @@ func runRhoJob(t *testing.T, eng mapreduce.Engine, conf mapreduce.Conf, in []map
 // under layouts 0 … m−1 — and some run sharing none of those keys have
 // bounding boxes that no axis separates by d_c or more.
 func shipOracle(ds *points.Dataset, cfg LSHConfig) int64 {
-	l := lsh.NewLayouts(ds.Dim(), cfg.m(), cfg.pi(), cfg.W, cfg.Seed)
+	cfg = filled(cfg)
+	l := lsh.NewLayouts(ds.Dim(), cfg.M, cfg.Pi, cfg.W, cfg.Seed)
 	keys := make([][]string, ds.N())
 	for i, p := range ds.Points {
 		keys[i] = l.Keys(p.Pos)
@@ -169,7 +170,7 @@ func TestRhoShipPlanMatchesUnplanned(t *testing.T) {
 						ei, n, want, all.counters[mapreduce.CtrShuffleRecords])
 				}
 			}
-			left += int64(c.ds.N()*c.cfg.m()) - want
+			left += int64(c.ds.N()*filled(c.cfg).M) - want
 		})
 	}
 	if left == 0 {

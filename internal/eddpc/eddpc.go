@@ -21,11 +21,13 @@
 package eddpc
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/knob"
 	"repro/internal/mapreduce"
 	"repro/internal/points"
 )
@@ -34,9 +36,13 @@ import (
 type Config struct {
 	core.Config
 	// Pivots is the number of Voronoi cells; 0 chooses max(8, N/500),
-	// matching Basic-DDP's default block granularity. Run refuses a
-	// negative count.
+	// matching Basic-DDP's default block granularity.
 	Pivots int
+}
+
+// Validate refuses a negative Pivots and a negative, NaN or infinite Dc.
+func (c *Config) Validate() error {
+	return cmp.Or(c.Config.Validate(), knob.Count("eddpc: Pivots", c.Pivots))
 }
 
 func (c *Config) pivots(n int) int {
@@ -71,8 +77,8 @@ const (
 // concatenated in that order.
 func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*core.Result, error) {
 	start := time.Now()
-	if cfg.Pivots < 0 {
-		return nil, fmt.Errorf("eddpc: negative Pivots %d; 0 asks for the default", cfg.Pivots)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if err := ds.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/kernels"
+	"repro/internal/knob"
 	"repro/internal/mapreduce"
 	"repro/internal/model"
 	"repro/internal/points"
@@ -82,11 +84,10 @@ type Config struct {
 	Log func(format string, args ...any)
 }
 
-func (c *Config) stride() int64 {
-	if c.IDStride > 0 {
-		return c.IDStride
-	}
-	return 1
+// Validate refuses a negative Interval, IDBase or IDStride.
+func (c *Config) Validate() error {
+	return cmp.Or(knob.Count("ingest: Interval", c.Interval),
+		knob.Count("ingest: IDBase", c.IDBase), knob.Count("ingest: IDStride", c.IDStride))
 }
 
 // current is the CURRENT pointer file: which artifact is the serving base,
@@ -219,6 +220,10 @@ func Open(cfg Config, load func() (*model.Model, error)) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("ingest: Dir is required")
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg.IDStride = cmp.Or(cfg.IDStride, 1)
 	prec, err := serve.ParsePrecision(cfg.Precision)
 	if err != nil {
 		return nil, err
@@ -319,7 +324,7 @@ func (st *Store) replayRecord(rec walRecord) error {
 		p := points.Vector(rec.coords[i*dim : (i+1)*dim])
 		pl, err := st.place(p)
 		if err != nil {
-			return fmt.Errorf("ingest: replaying point %d: %v", rec.firstID+int64(i)*st.cfg.stride(), err)
+			return fmt.Errorf("ingest: replaying point %d: %v", rec.firstID+int64(i)*st.cfg.IDStride, err)
 		}
 		st.apply(p, pl)
 	}
@@ -348,7 +353,7 @@ func (st *Store) IngestPoints(pts [][]float64) ([]serve.IngestResult, error) {
 		st.counters.Add(CtrShed, 1)
 		return nil, serve.ErrDeltaFull
 	}
-	if firstID+int64(len(pts))*st.cfg.stride() > math.MaxInt32 {
+	if firstID+int64(len(pts))*st.cfg.IDStride > math.MaxInt32 {
 		return nil, fmt.Errorf("ingest: global point ID space exhausted (next would be %d)", firstID)
 	}
 
@@ -438,7 +443,7 @@ func (st *Store) apply(p points.Vector, pl placement) serve.IngestResult {
 		st.dRho[j]++
 	}
 	id := st.nextID
-	st.nextID += st.cfg.stride()
+	st.nextID += st.cfg.IDStride
 	st.dCoords = append(st.dCoords, p...)
 	st.dIDs = append(st.dIDs, int32(id))
 	st.dLabels = append(st.dLabels, pl.asg.Cluster)

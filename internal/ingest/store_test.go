@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -645,4 +647,29 @@ func BenchmarkStoreIngest(b *testing.B) {
 		}
 		b.ReportMetric((after-before)/float64(b.N), "folded/point")
 	})
+}
+
+// TestOpenRefusesNegativeKnobs: Open refuses a negative IDBase, IDStride or
+// Interval, naming it, before it creates the directory or loads a model —
+// values the defaults would otherwise quietly replace.
+func TestOpenRefusesNegativeKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"IDBase", func(c *Config) { c.IDBase = -1 }},
+		{"IDStride", func(c *Config) { c.IDStride = -1 }},
+		{"Interval", func(c *Config) { c.Interval = -time.Second }},
+	} {
+		cfg := Config{Dir: filepath.Join(t.TempDir(), "store")}
+		tc.mut(&cfg)
+		loads := 0
+		st, err := Open(cfg, func() (*model.Model, error) { loads++; return nil, fmt.Errorf("no model") })
+		if err == nil {
+			st.Close() //nolint:errcheck
+		}
+		if _, statErr := os.Stat(cfg.Dir); err == nil || !strings.Contains(err.Error(), tc.name) || !os.IsNotExist(statErr) || loads != 0 {
+			t.Errorf("%s: err %v, dir stat %v, %d loads; want %s refused before the directory or the model", tc.name, err, statErr, loads, tc.name)
+		}
+	}
 }

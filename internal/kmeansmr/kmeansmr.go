@@ -9,6 +9,7 @@
 package kmeansmr
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/knob"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
 	"repro/internal/points"
@@ -37,10 +39,18 @@ type Config struct {
 	// K is the number of clusters (required).
 	K int
 	// MaxIter is the number of iterations (0: 100, the paper's fixed
-	// setting). Run refuses a negative count.
+	// setting).
 	MaxIter int
 	// Seed drives the k-means++ style initialization.
 	Seed int64
+}
+
+// Validate refuses a K below 1 and a negative MaxIter.
+func (c *Config) Validate() error {
+	if c.K < 1 {
+		return fmt.Errorf("kmeansmr: K %d is below 1", c.K)
+	}
+	return knob.Count("kmeansmr: MaxIter", c.MaxIter)
 }
 
 // IterStats records one executed iteration.
@@ -78,21 +88,14 @@ func Run(ctx context.Context, ds *points.Dataset, cfg Config) (*Result, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.K <= 0 || cfg.K > ds.N() {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.K > ds.N() {
 		return nil, fmt.Errorf("kmeansmr: k=%d out of range for %d points", cfg.K, ds.N())
 	}
-	if cfg.MaxIter < 0 {
-		return nil, fmt.Errorf("kmeansmr: negative MaxIter %d; 0 asks for the default", cfg.MaxIter)
-	}
-	maxIter := cfg.MaxIter
-	if maxIter == 0 {
-		maxIter = 100
-	}
-	eng := cfg.Engine
-	if eng == nil {
-		eng = &mapreduce.LocalEngine{}
-	}
-	sess := dag.NewSession(eng, dag.Options{})
+	maxIter := cmp.Or(cfg.MaxIter, 100)
+	sess := dag.NewSession(cmp.Or[mapreduce.Engine](cfg.Engine, &mapreduce.LocalEngine{}), dag.Options{})
 	input := sess.Stage(core.InputPairs(ds))
 	centers := initialCenters(ds, cfg.K, cfg.Seed)
 	res := &Result{}

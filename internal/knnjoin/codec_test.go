@@ -179,7 +179,7 @@ func TestBoxTableDecodeErrors(t *testing.T) {
 // zero-dimensional table, a NaN bound, bytes that are no table — fails
 // every map call instead of shipping by it.
 func TestExactTableErrors(t *testing.T) {
-	conf := buildConf(2, 3, 1, &Config{})
+	conf := buildConf(2, 3, 1, filled(Config{}))
 	conf.SetInt(confGroups, 2)
 	box := []float64{0, 0, 1, 1}
 	for name, table := range map[string]*boxTable{

@@ -19,6 +19,15 @@ import (
 	"repro/internal/points"
 )
 
+// filled is cfg with its constant defaults set, as Run and RunExact set
+// them, for tests that build a join's Conf by hand.
+func filled(cfg Config) *Config {
+	if err := cfg.defaults(); err != nil {
+		panic(err)
+	}
+	return &cfg
+}
+
 // unfilteredRun is Run with neither the base filter nor query routing, the
 // reference TestBaseFilterKeepsAnswers holds Run to: every base copy and
 // every query go to all M layouts, each bucket reducer answers its queries
@@ -29,6 +38,7 @@ import (
 func unfilteredRun(t *testing.T, R, S *points.Dataset, k int, cfg Config) ([][]Neighbor, []int32) {
 	t.Helper()
 	ctx, sess := context.Background(), localSession()
+	cfg = *filled(cfg)
 	w := cfg.W
 	if w <= 0 {
 		w = estimateWidth(R, newBaseSample(S, k, cfg.Seed), &cfg)
@@ -132,7 +142,7 @@ func requireSameAnswers(t *testing.T, R, S *points.Dataset, k int, cfg Config) (
 	if !reflect.DeepEqual(res.Neighbors, want) {
 		t.Fatal("neighbour lists differ between the filtered and the unfiltered run")
 	}
-	m, nR, nS := int64(cfg.m()), int64(R.N()), int64(S.N())
+	m, nR, nS := int64(res.Stats.M), int64(R.N()), int64(S.N())
 	shipped := jobCounter(t, res, JobCandidates, mapreduce.CtrMapOutputRecords)
 	if dropped := jobCounter(t, res, JobCandidates, CtrBaseDropped); shipped+dropped != m*nS+nR {
 		t.Fatalf("%d records shipped and %d base copies dropped for %d queries and %d×%d base copies", shipped, dropped, nR, m, nS)
@@ -417,7 +427,7 @@ func TestValueOrderInsensitive(t *testing.T) {
 // coordinates, which the exact map cannot tell from valid ones, is an
 // error of the reducer.
 func TestMalformedBaseRecords(t *testing.T) {
-	conf := buildConf(2, 3, 1, &Config{})
+	conf := buildConf(2, 3, 1, filled(Config{}))
 	layouts, err := layoutsOf(conf)
 	if err != nil {
 		t.Fatal(err)
@@ -613,7 +623,7 @@ func TestGroupBoxesHolds(t *testing.T) {
 		table.boxes[queryKey(qid)] = box
 		boxes = append(boxes, box)
 	}
-	conf := buildConf(dim, 3, 1, &Config{})
+	conf := buildConf(dim, 3, 1, filled(Config{}))
 	conf.SetInt(confGroups, groups)
 	conf[confExactBoxes] = encodeBoxes(table)
 	job := ExactJob(conf)

@@ -1,6 +1,7 @@
 package knnjoin
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernels"
+	"repro/internal/knob"
 	"repro/internal/lsh"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/dag"
@@ -40,25 +42,18 @@ type Config struct {
 	Log func(format string, args ...any)
 }
 
-func (c *Config) m() int {
-	if c.M > 0 {
-		return c.M
-	}
-	return 4
+// Validate refuses a negative M or Pi, a negative, NaN or infinite W, and
+// an Accuracy outside [0, 1), which the width estimate cannot aim for.
+func (c *Config) Validate() error {
+	return cmp.Or(knob.Count("knnjoin: M", c.M), knob.Count("knnjoin: Pi", c.Pi),
+		knob.Real("knnjoin: W", c.W), knob.Fraction("knnjoin: Accuracy", c.Accuracy))
 }
 
-func (c *Config) pi() int {
-	if c.Pi > 0 {
-		return c.Pi
-	}
-	return 4
-}
-
-func (c *Config) accuracy() float64 {
-	if c.Accuracy > 0 {
-		return c.Accuracy
-	}
-	return 0.9
+// defaults sets each 0 knob with a constant default to it — M 4, Pi 4,
+// Accuracy 0.9 — and validates c.
+func (c *Config) defaults() error {
+	c.M, c.Pi, c.Accuracy = cmp.Or(c.M, 4), cmp.Or(c.Pi, 4), cmp.Or(c.Accuracy, 0.9)
+	return c.Validate()
 }
 
 func (c *Config) logf(format string, args ...any) {
@@ -157,8 +152,8 @@ func run(ctx context.Context, sess *dag.Session, R, S *points.Dataset, k int, cf
 	}
 	res.Fallbacks = len(fallback)
 	res.Stats.W = w
-	res.Stats.M = cfg.m()
-	res.Stats.Pi = cfg.pi()
+	res.Stats.M = cfg.M
+	res.Stats.Pi = cfg.Pi
 	core.CollectStats(&res.Stats, sess, mark, start)
 	// The driver's own walks over the sample count beside the reducers'.
 	if sample != nil {
@@ -214,12 +209,8 @@ func validate(R, S *points.Dataset, k int, cfg *Config) error {
 	if k < 1 {
 		return fmt.Errorf("knnjoin: k must be at least 1, got %d", k)
 	}
-	// 0 asks for a default; a negative or non-finite value is a mistake, not
-	// a request (NaN fails v >= 0), and so is an accuracy the width estimate
-	// cannot aim for: lsh.SolveWidth's range, [0, 1) here.
-	if cfg.M < 0 || cfg.Pi < 0 || !(cfg.W >= 0 && cfg.W <= math.MaxFloat64) || !(cfg.Accuracy >= 0 && cfg.Accuracy < 1) {
-		return fmt.Errorf("knnjoin: negative, non-finite or out-of-range parameter (M %d, Pi %d, W %v, Accuracy %v, which must lie in [0, 1)); 0 asks for the default",
-			cfg.M, cfg.Pi, cfg.W, cfg.Accuracy)
+	if err := cfg.defaults(); err != nil {
+		return err
 	}
 	if err := R.Validate(); err != nil {
 		return err
@@ -246,8 +237,8 @@ func buildConf(dim, k int, w float64, cfg *Config) mapreduce.Conf {
 	conf := mapreduce.Conf{}
 	conf.SetInt(ConfK, k)
 	conf.SetInt(ConfDim, dim)
-	conf.SetInt(ConfM, cfg.m())
-	conf.SetInt(ConfPi, cfg.pi())
+	conf.SetInt(ConfM, cfg.M)
+	conf.SetInt(ConfPi, cfg.Pi)
 	conf.SetFloat(ConfW, w)
 	conf.SetInt64(ConfSeed, cfg.Seed)
 	return conf
@@ -394,9 +385,9 @@ func estimateWidth(R *points.Dataset, sample *baseSample, cfg *Config) float64 {
 		cfg.logf("knnjoin: degenerate sampled k-distance %v, width 1", dc)
 		return 1
 	}
-	q := lsh.RequiredPerFuncProb(cfg.accuracy(), cfg.pi(), cfg.m())
+	q := lsh.RequiredPerFuncProb(cfg.Accuracy, cfg.Pi, cfg.M)
 	if !(q < 1) {
-		cfg.logf("knnjoin: accuracy %v unreachable; falling back to 4·d_k", cfg.accuracy())
+		cfg.logf("knnjoin: accuracy %v unreachable; falling back to 4·d_k", cfg.Accuracy)
 		return 4 * dc
 	}
 	w := 2 * dc * math.Sqrt(float64(dim)) / (1 - q)

@@ -631,3 +631,27 @@ func TestHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStartRefusesBadConfig: Start refuses a negative Workers or *ShardID
+// and an unknown Precision, naming it, before it opens a listener — values
+// New alone would quietly serve with.
+func TestStartRefusesBadConfig(t *testing.T) {
+	shard := -1
+	for _, tc := range []struct {
+		name string
+		cfg  serve.Config
+	}{
+		{"Workers", serve.Config{Workers: -1}},
+		{"ShardID", serve.Config{ShardID: &shard}},
+		{"precision", serve.Config{Precision: "f32"}},
+	} {
+		srv := serve.New(tc.cfg)
+		err := srv.Start("127.0.0.1:0")
+		if err == nil {
+			srv.Shutdown(context.Background()) //nolint:errcheck
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.name) || srv.Addr() != "" {
+			t.Errorf("%s: err %v, listening on %q; want %s refused before a listener opens", tc.name, err, srv.Addr(), tc.name)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/knob"
 	"repro/internal/mapreduce"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -88,11 +90,14 @@ type Config struct {
 	ProcessHook func()
 }
 
-func (c *Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
+// Validate refuses a negative Workers or *ShardID and an unknown Precision.
+func (c *Config) Validate() error {
+	var shard error
+	if c.ShardID != nil {
+		shard = knob.Count("serve: ShardID", *c.ShardID)
 	}
-	return 1
+	_, prec := ParsePrecision(c.Precision)
+	return cmp.Or(knob.Count("serve: Workers", c.Workers), shard, prec)
 }
 
 // maxRequestPoints bounds the query points of one request, on every
@@ -134,7 +139,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		waiting:  make(chan struct{}, queueDepth),
-		running:  make(chan struct{}, cfg.workers()),
+		running:  make(chan struct{}, max(cfg.Workers, 1)),
 		counters: mapreduce.NewCounters(),
 	}
 	s.Front = NewFront(func() string {
@@ -211,12 +216,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Counters exposes the serve.* counter set.
 func (s *Server) Counters() *mapreduce.Counters { return s.counters }
 
-// Start listens on addr and serves until Shutdown (Front.Start).
+// Start validates the config, then listens on addr until Shutdown (Front.Start).
 func (s *Server) Start(addr string) error {
+	if err := s.cfg.Validate(); err != nil {
+		return err
+	}
 	if err := s.Front.Start(addr); err != nil {
 		return err
 	}
-	s.logf("serve: listening on %s (queue=%d workers=%d)", s.Addr(), cap(s.waiting), s.cfg.workers())
+	s.logf("serve: listening on %s (queue=%d workers=%d)", s.Addr(), cap(s.waiting), cap(s.running))
 	return nil
 }
 
