@@ -15,7 +15,8 @@ all: check
 # record frame, the
 # ρ reducers' runs-apart certificate and the ρ ship plan built on it, the
 # HTTP point decoder, the shuffle
-# fetcher's response decoder, the WAL record decoder and segment replay, the compact
+# fetcher's response decoder, the WAL record decoder and segment replay, the
+# ingest delta's box-tree forest, the compact
 # shortlist's distance cap, the compact filter in front of the exact top-k,
 # the kNN-join's records and box table, the
 # model artifact's section walk, the Conf vector list, the fleet manifest
@@ -117,7 +118,11 @@ race:
 # A WAL segment's framing faces the same: arbitrary bytes replayed as the
 # final segment and as an earlier one give an error, or records that
 # re-encode to exactly the bytes replay kept; only the final segment is
-# ever truncated, and then to exactly those bytes. A fleet shard caps
+# ever truncated, and then to exactly those bytes. An ingest store's
+# delta forest, grown and compacted in an arbitrary order over tie- and
+# duplicate-heavy rows, reads and folds exactly what a full scan of the
+# delta reads and folds: the lowest-index nearest row under each read's
+# cap, every row strictly within d_c. A fleet shard caps
 # its compact shortlist at the best distance another shard already found:
 # on arbitrary rows, query and bound, at f32 and q8, every row within the
 # bound survives the cap, the capped scan's answer is the nearest row within
@@ -160,6 +165,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzShuffleStream$$' -fuzztime 5s ./internal/mapreduce/rpcmr/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime 5s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALSegment$$' -fuzztime 5s ./internal/ingest/
+	$(GO) test -run '^$$' -fuzz '^FuzzDeltaForest$$' -fuzztime 5s ./internal/ingest/
 	$(GO) test -run '^$$' -fuzz '^FuzzShortlistCap$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopKCompact$$' -fuzztime 5s ./internal/kernels/
 	$(GO) test -run '^$$' -fuzz '^FuzzKnnRecords$$' -fuzztime 5s ./internal/knnjoin/

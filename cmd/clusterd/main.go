@@ -89,6 +89,7 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/ingest"
+	"repro/internal/knob"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -230,6 +231,11 @@ func runPartition(args []string) {
 	)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 	if *modelPath == "" || *out == "" || *shards < 1 {
+		fs.Usage()
+		os.Exit(2)
+	}
+	if err := knob.Count("-vnodes", *vnodes); err != nil {
+		fmt.Fprintln(os.Stderr, "clusterd partition:", err)
 		fs.Usage()
 		os.Exit(2)
 	}

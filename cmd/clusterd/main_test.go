@@ -49,22 +49,33 @@ func TestParseShards(t *testing.T) {
 
 // TestNegativeFlagsRefused: a negative serving flag or an unknown
 // -precision exits 2 before the model is read or a port opened, where 0 and
-// -shard -1 keep their meaning (and reach the missing model, exit 1).
+// -shard -1 keep their meaning (and reach the missing model, exit 1); so
+// does a negative `clusterd partition -vnodes`, where -vnodes 0 reaches the
+// model.
 func TestNegativeFlagsRefused(t *testing.T) {
-	model := filepath.Join(t.TempDir(), "missing.ddpm")
+	dir := t.TempDir()
+	model := filepath.Join(dir, "missing.ddpm")
+	serving := func(flags ...string) []string {
+		return append([]string{"-model", model, "-listen", "127.0.0.1:0"}, flags...)
+	}
+	partition := func(vnodes string) []string {
+		return []string{"partition", "-model", model, "-shards", "2", "-out", filepath.Join(dir, "fleet"), "-vnodes", vnodes}
+	}
 	for _, c := range []struct {
 		flags []string
 		code  int
 	}{
-		{[]string{"-workers", "-3"}, 2},
-		{[]string{"-ingest-id-stride", "-5"}, 2},
-		{[]string{"-ingest-id-base", "-7"}, 2},
-		{[]string{"-compact-interval", "-1s"}, 2},
-		{[]string{"-shard", "-5"}, 2},
-		{[]string{"-precision", "f32"}, 2},
-		{[]string{"-shard", "-1", "-workers", "0", "-ingest-id-stride", "0", "-ingest-id-base", "0", "-compact-interval", "0"}, 1},
+		{serving("-workers", "-3"), 2},
+		{serving("-ingest-id-stride", "-5"), 2},
+		{serving("-ingest-id-base", "-7"), 2},
+		{serving("-compact-interval", "-1s"), 2},
+		{serving("-shard", "-5"), 2},
+		{serving("-precision", "f32"), 2},
+		{serving("-shard", "-1", "-workers", "0", "-ingest-id-stride", "0", "-ingest-id-base", "0", "-compact-interval", "0"), 1},
+		{partition("-5"), 2},
+		{partition("0"), 1},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-model", model, "-listen", "127.0.0.1:0"}, c.flags...)...)
+		cmd := exec.Command(os.Args[0], c.flags...)
 		cmd.Env = append(os.Environ(), "CLUSTERD_TEST_AS_COMMAND=1")
 		out, err := cmd.CombinedOutput()
 		if exit, ok := err.(*exec.ExitError); !ok || exit.ExitCode() != c.code {

@@ -114,12 +114,7 @@ func runCluster() {
 		fmt.Fprintln(os.Stderr, "ddp:", err, "(0 = box flags or auto-suggest)")
 		os.Exit(2)
 	}
-
-	ds := readCSV(*input, "input", *labeled)
-	engine, cleanup := buildEngine(*masterListen, *minWorkers, *workerWait, *monitor, *verbose)
-	defer cleanup()
-
-	cfg := core.Config{Engine: engine, Dc: *dc, Seed: *seed}
+	cfg := core.Config{Dc: *dc, Seed: *seed}
 	if *verbose {
 		cfg.Log = logStderr
 	}
@@ -127,6 +122,17 @@ func runCluster() {
 		cfg.Trace = &obs.Trace{}
 	}
 	lshCfg := core.LSHConfig{Config: cfg, Accuracy: *accuracy, M: *mFlag, Pi: *piFlag}
+	basicCfg := core.BasicConfig{Config: cfg, BlockSize: *block}
+	// Refused before the input is read or a worker is awaited.
+	if err := cmp.Or(lshCfg.Validate(), basicCfg.Validate()); err != nil {
+		fmt.Fprintln(os.Stderr, "ddp:", err)
+		os.Exit(2)
+	}
+
+	ds := readCSV(*input, "input", *labeled)
+	engine, cleanup := buildEngine(*masterListen, *minWorkers, *workerWait, *monitor, *verbose)
+	defer cleanup()
+	lshCfg.Engine, basicCfg.Engine = engine, engine
 
 	// SIGINT cancels the pipeline between (and inside) jobs: the session
 	// starts no further job, the engine drains in-flight work, and the run
@@ -135,7 +141,7 @@ func runCluster() {
 	defer stop()
 
 	start := time.Now()
-	res, err := runAlgorithm(ctx, ds, *algo, lshCfg, core.BasicConfig{Config: cfg, BlockSize: *block})
+	res, err := runAlgorithm(ctx, ds, *algo, lshCfg, basicCfg)
 	if err != nil && errors.Is(err, context.Canceled) {
 		fmt.Fprintln(os.Stderr, "ddp: interrupted")
 		os.Exit(130)
@@ -263,13 +269,17 @@ func runKnn(args []string) {
 	if *rFile == "" || *sFile == "" {
 		fatal(fmt.Errorf("knn needs -r and -s"))
 	}
-	R := readCSV(*rFile, "R", *labeled)
-	S := readCSV(*sFile, "S", *labeled)
-
 	cfg := knnjoin.Config{M: *m, Pi: *pi, W: *w, Accuracy: *accuracy, Seed: *seed}
 	if *verbose {
 		cfg.Log = logStderr
 	}
+	// Refused before the input is read or a worker is awaited.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "ddp knn:", err)
+		os.Exit(2)
+	}
+	R := readCSV(*rFile, "R", *labeled)
+	S := readCSV(*sFile, "S", *labeled)
 	engine, cleanup := buildEngine(*masterListen, *minWorkers, *workerWait, 0, *verbose)
 	defer cleanup()
 	join := knnjoin.Run

@@ -113,9 +113,9 @@ func TestUnknownSubcommand(t *testing.T) {
 
 // TestNegativeFlagsRefused: 0 asks for a default, and a negative, NaN or
 // infinite value fails the run instead of quietly running the defaults (or
-// running at d_c = +Inf) — with exit code 2
-// where ddp refuses the flag itself, 1 where the pipeline refuses its config.
-// An experiment name `ddp exp` does not know is refused with 2 too.
+// running at d_c = +Inf) — with exit code 2, before ddp reads its input or
+// awaits a worker: a missing input file is never opened. An experiment name
+// `ddp exp` does not know is refused with 2 too.
 func TestNegativeFlagsRefused(t *testing.T) {
 	dir := t.TempDir()
 	agg, pts := filepath.Join(dir, "agg.csv"), filepath.Join(dir, "pts.csv")
@@ -131,31 +131,33 @@ func TestNegativeFlagsRefused(t *testing.T) {
 		args []string
 		code int
 	}{
-		{append(cluster, "-accuracy", "-0.5"), 1},
-		{append(cluster, "-m", "-2"), 1},
-		{append(cluster, "-pi", "-1"), 1},
-		{append(cluster, "-dc", "-1"), 1},
+		{append(cluster, "-accuracy", "-0.5"), 2},
+		{append(cluster, "-m", "-2"), 2},
+		{append(cluster, "-pi", "-1"), 2},
+		{append(cluster, "-dc", "-1"), 2},
 		{append(cluster, "-k", "-3"), 2},
 		{append(cluster, "-rho-min", "-1"), 2},
 		{append(cluster, "-delta-min", "-1"), 2},
-		{append(cluster, "-algo", "basic", "-block", "-5"), 1},
-		{append(cluster, "-accuracy", "NaN"), 1},
-		{append(cluster, "-dc", "NaN"), 1},
-		{append(cluster, "-dc", "Inf"), 1},
+		{append(cluster, "-algo", "basic", "-block", "-5"), 2},
+		{append(cluster, "-accuracy", "NaN"), 2},
+		{append(cluster, "-dc", "NaN"), 2},
+		{append(cluster, "-dc", "Inf"), 2},
 		{append(cluster, "-rho-min", "NaN"), 2},
 		{append(cluster, "-rho-min", "Inf"), 2},
 		{append(cluster, "-delta-min", "NaN"), 2},
 		{append(cluster, "-delta-min", "Inf"), 2},
-		{append(knn, "-m", "-3"), 1},
-		{append(knn, "-pi", "-2"), 1},
-		{append(knn, "-accuracy", "-1"), 1},
-		{append(knn, "-w", "-5"), 1},
-		{append(knn, "-accuracy", "NaN"), 1},
-		{append(knn, "-accuracy", "Inf"), 1},
-		{append(knn, "-accuracy", "1"), 1},
-		{append(knn, "-accuracy", "1.5"), 1},
-		{append(knn, "-w", "NaN"), 1},
-		{append(knn, "-w", "Inf"), 1},
+		{append(knn, "-m", "-3"), 2},
+		{append(knn, "-pi", "-2"), 2},
+		{append(knn, "-accuracy", "-1"), 2},
+		{append(knn, "-w", "-5"), 2},
+		{append(knn, "-accuracy", "NaN"), 2},
+		{append(knn, "-accuracy", "Inf"), 2},
+		{append(knn, "-accuracy", "1"), 2},
+		{append(knn, "-accuracy", "1.5"), 2},
+		{append(knn, "-w", "NaN"), 2},
+		{append(knn, "-w", "Inf"), 2},
+		{[]string{"-input", filepath.Join(dir, "missing.csv"), "-accuracy", "1.5", "-master-listen", "127.0.0.1:0"}, 2},
+		{[]string{"knn", "-r", filepath.Join(dir, "missing.csv"), "-s", filepath.Join(dir, "missing.csv"), "-m", "-3"}, 2},
 		{[]string{"gen", "-dataset", "S2", "-o", filepath.Join(dir, "n.csv"), "-n", "-5"}, 2},
 		{[]string{"exp", "-scale", "-4", "table2"}, 2},
 		{[]string{"exp", "-parallel", "-3", "table2"}, 2},

@@ -71,7 +71,7 @@ const goldenHeader = `# One line per (pipeline, seed): a sha256 prefix of its ou
 # knn.exact.fallbacks. The serve
 # and ingest lines digest the exported model's answers to fixed queries, then
 # rows / certified / exact = rows scanned, one-bucket answers and exact
-# fallbacks, and delta_scanned = the delta rows an ingest store's reads scan.
+# fallbacks, and delta_scanned = the delta rows an ingest store's reads evaluate.
 # The ingest-stream lines digest a store's acks, answers and final artifact
 # across two compactions and a WAL replay, then compact_points / replayed =
 # compact.points and ingest.replayed summed over both opens of the store.
@@ -533,7 +533,7 @@ func goldenBatch(mdl *model.Model, seed int64) [][]float64 {
 // ingestLine opens an ingest store over the exported model in dir, ingests
 // batch, and answers qs and the ingested points, pruned and exact-only. The
 // digest covers the acks and the answers; delta_scanned counts the delta
-// rows the reads scanned.
+// rows the reads evaluated (the forest walks' leaf rows).
 func ingestLine(mdl *model.Model, qs []points.Vector, batch [][]float64, dir string) (string, error) {
 	st, err := ingest.Open(ingest.Config{Dir: dir, Precision: "f64"}, func() (*model.Model, error) { return mdl, nil })
 	if err != nil {

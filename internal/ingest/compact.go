@@ -30,9 +30,9 @@ import (
 //     the old base; after it, only the rolled-forward tail replays on the
 //     new.
 //  4. Swap (under ingestMu, then mu, briefly — so between two writer
-//     batches): install the engine, drop the promoted delta prefix, and
-//     re-base rhoAdd — mass that arrived after the snapshot survives as
-//     residuals on the new rows.
+//     batches): install the engine, drop the promoted delta prefix, re-index
+//     the rows it keeps, and re-base rhoAdd — mass that arrived after the
+//     snapshot survives as residuals on the new rows.
 //  5. GC: delete WAL segments and artifacts CURRENT no longer references.
 //
 // Implements serve.IngestBackend.
@@ -107,6 +107,7 @@ func (st *Store) Compact() (serve.IngestInfo, error) {
 	st.dIDs = append([]int32(nil), st.dIDs[promoted:]...)
 	st.dLabels = append([]int32(nil), st.dLabels[promoted:]...)
 	st.dRho = append([]float64(nil), st.dRho[promoted:]...)
+	st.indexDelta()
 	st.compactions++
 	info := st.infoLocked()
 	st.mu.Unlock()

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,8 +48,9 @@ const (
 	CtrWALSyncs = "ingest.wal.syncs"
 	// CtrReplayed counts points replayed from the WAL at startup.
 	CtrReplayed = "ingest.replayed"
-	// CtrDeltaScanned counts delta rows scanned by query merges; divide by
-	// serve.points for the average delta scan cost per query.
+	// CtrDeltaScanned counts delta rows evaluated by query merges (the
+	// rows of the delta forest's leaves the walks open); divide by
+	// serve.points for the average delta cost per query.
 	CtrDeltaScanned = "ingest.delta.scanned"
 	// CtrCompactRuns counts completed compactions.
 	CtrCompactRuns = "compact.runs"
@@ -174,10 +177,12 @@ type Store struct {
 
 	ingestMu sync.Mutex
 	wal      *wal
-	// cand is place's base-fold buffer, reused across points: a placement's
-	// baseFold until its apply. The ingest lock guards it (replay runs in
-	// Open, before the store is shared).
+	// cand is place's base-fold buffer and fold its delta-fold filter,
+	// whose list is reused likewise: a placement's baseFold and deltaFold
+	// until its apply. The ingest lock guards both (replay runs in Open,
+	// before the store is shared).
 	cand []int32
+	fold deltaFilter
 
 	compactMu sync.Mutex // one compaction at a time
 
@@ -196,7 +201,12 @@ type Store struct {
 	// rhoAdd[i] is the delta density mass folded onto base row i: the
 	// number of ingested points within dc of it since the last compaction.
 	// Served halo flags read Rho[i]+rhoAdd[i]; compaction bakes it in.
-	rhoAdd      []float64
+	rhoAdd []float64
+	// forest indexes the delta by Bentley and Saxe's logarithmic method:
+	// box trees over contiguous delta ranges whose sizes are the set bits
+	// of len(dIDs), largest first (treeSize). apply and the compaction
+	// swap keep it in step with the delta.
+	forest      []kernels.BoxTree
 	compactions int64
 
 	stopC     chan struct{}
@@ -402,8 +412,8 @@ type placement struct {
 func (st *Store) place(p points.Vector) (placement, error) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	// The merge's delta scan is counted by neither ingest.delta.scanned nor
-	// ScanStats.Scanned: it is write cost, not read cost.
+	// The merge's delta rows are counted by neither ingest.delta.scanned
+	// nor ScanStats.Scanned: they are write cost, not read cost.
 	out, errs, _, _ := st.assign([]points.Vector{p}, serve.BatchOpts{})
 	if errs[0] != nil {
 		return placement{}, errs[0]
@@ -423,12 +433,72 @@ func (st *Store) place(p points.Vector) (placement, error) {
 	}
 	st.cand, pl.baseFold = rows, rows
 
-	for j := range st.dIDs {
-		if points.SqDist(p, st.dCoords[j*dim:(j+1)*dim]) < dc2 {
-			pl.deltaFold = append(pl.deltaFold, int32(j))
+	// Density mass to delta rows: those within dc of p, one walk per
+	// forest tree. Its k = 1 sink, capped at dc² and never fed, keeps the
+	// walk's threshold at dc², so it opens exactly the nodes whose box
+	// bound is ≤ dc²; points.SqDist is the walk's arithmetic, so no node it
+	// skips holds such a row.
+	f := &st.fold
+	f.q, f.dc2, f.rows = p, dc2, f.rows[:0]
+	var acc kernels.TopKAcc
+	lo := 0
+	for i := range st.forest {
+		hi := lo + treeSize(len(st.dIDs)-lo)
+		f.data, f.lo = st.dCoords[lo*dim:hi*dim], int32(lo)
+		acc.Reset(1)
+		acc.Cap(dc2)
+		kernels.TopKLeaves(&st.forest[i], f.data, p, nil, f.within, &acc)
+		lo = hi
+	}
+	pl.deltaFold = f.rows
+	f.q, f.data = nil, nil
+	return pl, nil
+}
+
+// deltaFilter is the delta fold's leaf filter over one forest tree: the
+// engine's bucket filter's within without the bucket test.
+type deltaFilter struct {
+	q, data []float64 // the point and the tree's rows
+	lo      int32     // the tree's first delta row
+	dc2     float64
+	rows    []int32 // the delta rows listed so far
+}
+
+// within lists in f.rows each row of leaf strictly within dc of f.q, as a
+// delta index, and admits none, so the walk's threshold stays dc².
+func (f *deltaFilter) within(leaf []int32) []int32 {
+	dim := len(f.q)
+	for _, r := range leaf {
+		if points.SqDist(f.q, f.data[int(r)*dim:][:dim]) < f.dc2 {
+			f.rows = append(f.rows, f.lo+r)
 		}
 	}
-	return pl, nil
+	return nil
+}
+
+// treeSize is the row count of the delta forest's tree that starts rest
+// rows before the delta's end: the highest set bit of rest.
+func treeSize(rest int) int { return 1 << (bits.Len(uint(rest)) - 1) }
+
+// buildTree rebuilds forest tree i over delta rows [lo, hi), in the
+// storage of the tree it replaces, and drops the trees after it. The
+// caller holds mu for writing.
+func (st *Store) buildTree(i, lo, hi int) {
+	dim := st.eng.Model().Dim
+	st.forest = slices.Grow(st.forest[:i], 1)[:i+1]
+	st.forest[i].Build(st.dCoords[lo*dim:hi*dim], dim)
+}
+
+// indexDelta rebuilds the whole forest over the delta rows (the compaction
+// swap, after it drops the promoted prefix). The caller holds mu for
+// writing.
+func (st *Store) indexDelta() {
+	st.forest = st.forest[:0]
+	for i, lo, n := 0, 0, len(st.dIDs); lo < n; i++ {
+		hi := lo + treeSize(n-lo)
+		st.buildTree(i, lo, hi)
+		lo = hi
+	}
 }
 
 // apply commits a placed point to the delta segment and folds its density
@@ -448,6 +518,11 @@ func (st *Store) apply(p points.Vector, pl placement) serve.IngestResult {
 	st.dIDs = append(st.dIDs, int32(id))
 	st.dLabels = append(st.dLabels, pl.asg.Cluster)
 	st.dRho = append(st.dRho, float64(len(pl.baseFold)+len(pl.deltaFold)))
+	// The new row and the trailing trees of sizes 1, 2, …, 2^(t−1) — t the
+	// trailing zeros of the new length — merge into one tree of 2^t rows.
+	n := len(st.dIDs)
+	t := bits.TrailingZeros(uint(n))
+	st.buildTree(len(st.forest)-t, n-1<<t, n)
 	return serve.IngestResult{ID: int32(id), Assignment: pl.asg}
 }
 
@@ -477,9 +552,9 @@ func (st *Store) AssignBatch(qs []points.Vector, opts serve.BatchOpts) ([]serve.
 // bit-identical to the plain engine's (the delta only replaces an answer
 // on a strictly smaller squared distance, and delta IDs sort after every
 // base ID, so ties keep the base winner); Exact reports whether the base
-// engine ran its full scan. A bounded query's delta scan is capped at its
+// engine ran its full scan. A bounded query's delta walks are capped at its
 // bound (BatchOpts.Bounds), so a farther delta row never answers it.
-// deltaScanned counts the delta rows scanned.
+// deltaScanned counts the delta rows evaluated.
 func (st *Store) assign(qs []points.Vector, opts serve.BatchOpts) (out []serve.Assignment, errs []error, stats serve.ScanStats, deltaScanned int64) {
 	out, errs, stats = st.eng.AssignBatchOpts(qs, opts)
 	m := st.eng.Model()
@@ -505,13 +580,31 @@ func (st *Store) assign(qs []points.Vector, opts serve.BatchOpts) (out []serve.A
 			// follows: its delta merges here.
 			continue
 		}
-		acc.Reset(1)
+		// One walk per forest tree, in ascending range order, each capped
+		// at the query's bound and the nearest row so far — the base
+		// answer's or an earlier tree's — which a later tree replaces only
+		// on a strictly smaller d²: the kept row is the lowest-index
+		// nearest, as a flat scan's.
+		bound := math.Inf(1)
 		if masked && opts.Bounds != nil {
-			acc.Cap(opts.Bounds[i])
+			bound = opts.Bounds[i]
 		}
-		kernels.TopKRange(st.dCoords, dim, q, 0, nd, &acc)
-		deltaScanned += int64(nd)
-		b, b2 := acc.Nearest()
+		if errs[i] == nil {
+			bound = min(bound, out[i].Dist2)
+		}
+		b, b2 := -1, math.Inf(1)
+		lo := 0
+		for t := range st.forest {
+			hi := lo + treeSize(nd-lo)
+			acc.Reset(1)
+			acc.Cap(min(bound, b2))
+			ls := kernels.TopKLeaves(&st.forest[t], st.dCoords[lo*dim:hi*dim], q, nil, nil, &acc)
+			deltaScanned += int64(ls.Rows)
+			if r, r2 := acc.Nearest(); r >= 0 && r2 < b2 {
+				b, b2 = lo+r, r2
+			}
+			lo = hi
+		}
 		if b < 0 {
 			continue
 		}
