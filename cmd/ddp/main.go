@@ -381,7 +381,8 @@ func runExp(args []string) {
 		traceOut = fs.String("trace", "", "write a JSONL job trace (task phase spans) to this file")
 	)
 	fs.Parse(args)
-	if err := cmp.Or(knob.Count("-scale", *scale), knob.Count("-parallel", *parallel)); err != nil {
+	opt := experiments.Options{Scale: *scale, Seed: *seed, Parallelism: *parallel}
+	if err := opt.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "ddp exp:", err, "(0 = the default)")
 		os.Exit(2)
 	}
@@ -396,7 +397,6 @@ func runExp(args []string) {
 		}
 		want[name] = true
 	}
-	opt := experiments.Options{Scale: *scale, Seed: *seed, Parallelism: *parallel}
 	if *verbose {
 		opt.Log = logStderr
 	}

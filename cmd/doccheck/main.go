@@ -185,8 +185,8 @@ func readDoc(path string) string {
 // CHANGES.md, and DESIGN.md says what the code does now. The byte pin keeps
 // the line pin from being met by joining lines.
 const (
-	designMaxLines = 1093
-	designMaxBytes = 76611
+	designMaxLines = 1090
+	designMaxBytes = 76576
 	designMaxPRs   = 0
 )
 

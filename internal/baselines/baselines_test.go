@@ -169,9 +169,10 @@ func TestDBSCANNoise(t *testing.T) {
 	}
 }
 
-func TestDBSCANHighDimFallsBackToFlatScan(t *testing.T) {
-	// dim > 6 exercises the flat-scan path; verify against the grid path
-	// by embedding the same 2-D data in 8 dimensions.
+// TestDBSCANLabelsIndependentOfDim: the same 2-D data embedded in 8
+// dimensions gets the same labels, so the neighbour query answers alike in
+// either.
+func TestDBSCANLabelsIndependentOfDim(t *testing.T) {
 	ds2 := separatedBlobs(5)
 	vs8 := make([]points.Vector, ds2.N())
 	for i, p := range ds2.Points {
@@ -189,17 +190,25 @@ func TestDBSCANHighDimFallsBackToFlatScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := ari(t, r2.Labels, r8.Labels); got != 1 {
-		t.Fatalf("grid and flat paths disagree: ARI %v", got)
+		t.Fatalf("2-d and embedded 8-d labels disagree: ARI %v", got)
 	}
 }
 
 func TestDBSCANValidation(t *testing.T) {
 	ds := separatedBlobs(1)
-	if _, err := DBSCAN(ds, 0, 2); err == nil {
-		t.Fatal("want error for eps=0")
+	for _, eps := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
+		if _, err := DBSCAN(ds, eps, 2); err == nil {
+			t.Fatalf("want error for eps=%v", eps)
+		}
 	}
 	if _, err := DBSCAN(ds, 1, 0); err == nil {
 		t.Fatal("want error for minPts=0")
+	}
+	if _, err := DBSCAN(points.FromVectors("0-d", []points.Vector{{}, {}}), 1, 2); err == nil {
+		t.Fatal("want error for points without coordinates")
+	}
+	if res, err := DBSCAN(&points.Dataset{}, 1, 2); err != nil || len(res.Labels) != 0 {
+		t.Fatalf("empty set: %+v, %v", res, err)
 	}
 }
 

@@ -2,7 +2,10 @@ package baselines
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
+	"repro/internal/kernels"
 	"repro/internal/points"
 )
 
@@ -16,15 +19,18 @@ type DBSCANResult struct {
 // DBSCAN runs the classic density-based clustering (Ester et al.) with
 // radius eps and core threshold minPts (a point is core when it has at
 // least minPts neighbours within eps, itself excluded). Neighbour queries
-// use a uniform grid index with cell side eps, so the expected cost is
-// near-linear on low-dimensional data; the worst case remains O(n²).
+// are radius queries on a box tree (neighborQuery), so the cost is
+// near-linear where the tree prunes; the worst case remains O(n²).
 func DBSCAN(ds *points.Dataset, eps float64, minPts int) (*DBSCANResult, error) {
 	n := ds.N()
-	if eps <= 0 {
-		return nil, fmt.Errorf("baselines: non-positive eps %v", eps)
+	if !(eps > 0 && eps*eps <= math.MaxFloat64) {
+		return nil, fmt.Errorf("baselines: eps %v is not positive with a finite square", eps)
 	}
 	if minPts < 1 {
 		return nil, fmt.Errorf("baselines: minPts %d < 1", minPts)
+	}
+	if n > 0 && ds.Dim() == 0 {
+		return nil, fmt.Errorf("baselines: %s: points have no coordinates", ds.Name)
 	}
 	neighbors := neighborQuery(ds, eps)
 	labels := make([]int, n)
@@ -75,36 +81,21 @@ func DBSCAN(ds *points.Dataset, eps float64, minPts int) (*DBSCANResult, error) 
 }
 
 // neighborQuery returns a query for the ids within eps of point i, i
-// excluded, in a fixed order: the candidates are the points in the cells
-// around i of a points.Grid of side eps, or every point above
-// points.MaxGridDim, where the 3^dim cell fan-out outweighs the pruning.
+// excluded: the closed eps-ball, as kernels.Within's open ball of radius²
+// the next float above eps² — exact, since eps² is finite. Each cluster is
+// expanded whole before the next seed, so the labels do not depend on the
+// order the ids come in.
 func neighborQuery(ds *points.Dataset, eps float64) func(i int32) []int32 {
-	var grid *points.Grid
-	var all []int32
-	if ds.Dim() <= points.MaxGridDim {
-		grid = points.NewGrid(ds, eps)
-	} else {
-		all = make([]int32, ds.N())
-		for i := range all {
-			all[i] = int32(i)
-		}
+	dim := ds.Dim()
+	data := make([]float64, 0, ds.N()*dim)
+	for _, p := range ds.Points {
+		data = append(data, p.Pos...)
 	}
-	eps2 := eps * eps
+	var tree kernels.BoxTree
+	tree.Build(data, max(dim, 1)) // ds.Dim() is 0 on an empty set
+	r2 := math.Nextafter(eps*eps, math.Inf(1))
 	return func(i int32) []int32 {
-		p := ds.Points[i].Pos
-		var out []int32
-		visit := func(ids []int32) {
-			for _, j := range ids {
-				if j != i && points.SqDist(p, ds.Points[j].Pos) <= eps2 {
-					out = append(out, j)
-				}
-			}
-		}
-		if grid != nil {
-			grid.ForEachNeighborCell(p, visit)
-		} else {
-			visit(all)
-		}
-		return out
+		out := kernels.Within(&tree, data, ds.Points[i].Pos, r2, nil, nil)
+		return slices.DeleteFunc(out, func(j int32) bool { return j == i })
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/kernels"
 	"repro/internal/points"
 )
 
@@ -63,61 +64,42 @@ func Compute(ds *points.Dataset, dc float64) (*Result, error) {
 	if n == 0 {
 		return &Result{}, nil
 	}
-	if dc <= 0 {
-		return nil, fmt.Errorf("dp: non-positive d_c %v", dc)
+	if !(dc > 0 && dc <= math.MaxFloat64) {
+		return nil, fmt.Errorf("dp: d_c %v is not positive and finite", dc)
+	}
+	if ds.Dim() == 0 {
+		return nil, fmt.Errorf("dp: %s: points have no coordinates", ds.Name)
 	}
 	res := &Result{
 		Rho:     make([]float64, n),
 		Delta:   make([]float64, n),
 		Upslope: make([]int32, n),
 	}
-	rhoCutoff(ds, dc, nil, res.Rho)
+	rhoCutoff(ds, dc, res.Rho)
 	computeDelta(ds, res)
 	return res, nil
 }
 
-// rhoCutoff adds to rho the cutoff count of every unordered pair within dc,
-// evaluating each candidate pair once, and adds the pairs it evaluated to
-// counter when that is set. Up to points.MaxGridDim dimensions the
-// candidates are the pairs in neighbouring cells of a points.Grid of side
-// dc — near-linear on low-dimensional data, and exact: every pair within dc
-// shares or neighbours a cell, and ρ is an integer count, so the order the
-// pairs are met in cannot matter. Above it every pair is a candidate.
-func rhoCutoff(ds *points.Dataset, dc float64, counter *int64, rho []float64) {
-	var g *points.Grid
-	var all []int32
-	if ds.Dim() <= points.MaxGridDim {
-		g = points.NewGrid(ds, dc)
-	} else {
-		all = make([]int32, ds.N())
-		for i := range all {
-			all[i] = int32(i)
-		}
+// rhoCutoff adds to rho each point's cutoff count: the other points
+// strictly within dc, listed by one kernels.Within query per point on a box
+// tree over the data set. points.SqDist is symmetric, so the counts are
+// those of every unordered pair within dc, seen from both ends.
+func rhoCutoff(ds *points.Dataset, dc float64, rho []float64) {
+	dim := ds.Dim()
+	data := make([]float64, 0, ds.N()*dim)
+	for _, p := range ds.Points {
+		data = append(data, p.Pos...)
 	}
-	dc2 := dc * dc
-	var nd int64
+	var tree kernels.BoxTree
+	tree.Build(data, dim)
+	var near []int32
 	for i := range ds.Points {
-		pos := ds.Points[i].Pos
-		visit := func(ids []int32) {
-			for _, j := range ids {
-				if j <= int32(i) {
-					continue
-				}
-				nd++
-				if points.SqDist(pos, ds.Points[j].Pos) < dc2 {
-					rho[i]++
-					rho[j]++
-				}
+		near = kernels.Within(&tree, data, ds.Points[i].Pos, dc*dc, nil, near[:0])
+		for _, j := range near {
+			if j != int32(i) {
+				rho[i]++
 			}
 		}
-		if g != nil {
-			g.ForEachNeighborCell(pos, visit)
-		} else {
-			visit(all[i+1:])
-		}
-	}
-	if counter != nil {
-		*counter += nd
 	}
 }
 

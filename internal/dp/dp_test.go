@@ -7,6 +7,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
+	"repro/internal/kernels"
 	"repro/internal/points"
 )
 
@@ -197,8 +199,13 @@ func TestDeltaOptimalityProperty(t *testing.T) {
 }
 
 func TestComputeEdgeCases(t *testing.T) {
-	if _, err := Compute(points.FromVectors("x", []points.Vector{{1}}), 0); err == nil {
-		t.Fatal("want error for non-positive dc")
+	for _, dc := range []float64{0, -1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Compute(points.FromVectors("x", []points.Vector{{1}}), dc); err == nil {
+			t.Fatalf("want error for dc %v", dc)
+		}
+	}
+	if _, err := Compute(points.FromVectors("0-d", []points.Vector{{}, {}}), 1); err == nil {
+		t.Fatal("want error for points without coordinates")
 	}
 	empty, err := Compute(&points.Dataset{}, 1)
 	if err != nil || len(empty.Rho) != 0 {
@@ -228,11 +235,11 @@ func TestCutoffByPercentileMatchesSortedPairs(t *testing.T) {
 	}
 }
 
-// rhoPass runs Compute's ρ pass on ds and returns its densities, the pairs
-// it evaluated, and the reference: the cutoff count over every pair.
-func rhoPass(ds *points.Dataset, dc float64) (got, want []float64, evaluated int64) {
+// rhoPass runs Compute's ρ pass on ds and returns its densities and the
+// reference: the cutoff count over every pair.
+func rhoPass(ds *points.Dataset, dc float64) (got, want []float64) {
 	got, want = make([]float64, ds.N()), make([]float64, ds.N())
-	rhoCutoff(ds, dc, &evaluated, got)
+	rhoCutoff(ds, dc, got)
 	for i := range ds.Points {
 		for j := i + 1; j < ds.N(); j++ {
 			if points.SqDist(ds.Points[i].Pos, ds.Points[j].Pos) < dc*dc {
@@ -241,50 +248,72 @@ func rhoPass(ds *points.Dataset, dc float64) (got, want []float64, evaluated int
 			}
 		}
 	}
-	return got, want, evaluated
+	return got, want
 }
 
+// walkedRows returns the rows the ρ pass's walks evaluate: each point's
+// kernels.Within query is one TopKLeaves walk capped at d_c² and never fed,
+// which computes the distance of every row of each leaf it opens.
+func walkedRows(ds *points.Dataset, dc float64) (rows int64) {
+	var data []float64
+	for _, p := range ds.Points {
+		data = append(data, p.Pos...)
+	}
+	var tree kernels.BoxTree
+	tree.Build(data, ds.Dim())
+	var acc kernels.TopKAcc
+	for _, p := range ds.Points {
+		acc.Reset(1)
+		acc.Cap(dc * dc)
+		rows += int64(kernels.TopKLeaves(&tree, data, p.Pos, nil, func([]int32) []int32 { return nil }, &acc).Tested)
+	}
+	return rows
+}
+
+// TestGridIndexIsExact holds the box-tree ρ pass to the all-pairs count at
+// every dimension, on points either side of zero and on a lattice stored
+// twice with d_c its spacing, so rows exactly d_c apart do not count and
+// duplicates do.
 func TestGridIndexIsExact(t *testing.T) {
-	for _, dim := range []int{1, 2, 4, points.MaxGridDim} {
+	for _, dim := range []int{1, 2, 4, 6, 8, 57} {
 		ds := randomSet(300, dim, int64(20+dim))
 		dc := CutoffByPercentile(ds, 0.03, 1)
-		if got, want, _ := rhoPass(ds, dc); !slices.Equal(got, want) {
-			t.Fatalf("dim %d: grid ρ %v, all pairs %v", dim, got, want)
+		if got, want := rhoPass(ds, dc); !slices.Equal(got, want) {
+			t.Fatalf("dim %d: tree ρ %v, all pairs %v", dim, got, want)
+		}
+	}
+	neg := points.FromVectors("neg", []points.Vector{{-0.1, -0.1}, {0.1, 0.1}, {-1.5, 2.5}, {0, 0}, {-0.5, 0}, {-0.49, 0}})
+	var lattice []points.Vector
+	for range 2 {
+		for x := range 16 {
+			for y := range 12 {
+				lattice = append(lattice, points.Vector{float64(x), float64(y)})
+			}
+		}
+	}
+	for _, c := range []struct {
+		ds *points.Dataset
+		dc float64
+	}{{neg, 0.5}, {points.FromVectors("lattice", lattice), 1}} {
+		if got, want := rhoPass(c.ds, c.dc); !slices.Equal(got, want) {
+			t.Fatalf("%s: tree ρ %v, all pairs %v", c.ds.Name, got, want)
 		}
 	}
 }
 
+// TestGridIndexSavesDistances: the ρ pass's walks evaluate under a tenth
+// of all n² (point, row) pairs on uniform 2-d points and on 8-d blobs. (On
+// uniform 8-d points at this n, d_c reaches across most of the box and the
+// walks evaluate ≈ 46 % of the pairs; no index prunes there.)
 func TestGridIndexSavesDistances(t *testing.T) {
-	ds := randomSet(2000, 2, 23)
-	dc := CutoffByPercentile(ds, 0.01, 1)
-	// At dim 2 the ρ pass is the grid's.
-	_, _, evaluated := rhoPass(ds, dc)
-	if all := int64(ds.N()) * int64(ds.N()-1) / 2; evaluated*10 >= all {
-		t.Fatalf("grid ρ pass evaluated %d pairs, all pairs %d", evaluated, all)
-	}
-}
-
-func TestGridIndexHighDimFallsBack(t *testing.T) {
-	ds := randomSet(100, points.MaxGridDim+2, 29)
-	dc := CutoffByPercentile(ds, 0.05, 1)
-	got, err := Compute(ds, dc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, all, evaluated := rhoPass(ds, dc)
-	if !slices.Equal(got.Rho, all) {
-		t.Fatalf("Compute ρ %v, all pairs %v", got.Rho, all)
-	}
-	if want := int64(ds.N()) * int64(ds.N()-1) / 2; evaluated != want {
-		t.Fatalf("ρ pass evaluated %d pairs above the grid's dimensions, want all %d", evaluated, want)
-	}
-}
-
-func TestGridNegativeCoordinates(t *testing.T) {
-	// Cell flooring near zero is the classic off-by-one spot.
-	vs := []points.Vector{{-0.1, -0.1}, {0.1, 0.1}, {-1.5, 2.5}, {0, 0}, {-0.5, 0}, {-0.49, 0}}
-	ds := points.FromVectors("neg", vs)
-	if grid, all, _ := rhoPass(ds, 0.5); !slices.Equal(grid, all) {
-		t.Fatalf("grid ρ %v, all pairs %v", grid, all)
+	for _, ds := range []*points.Dataset{
+		randomSet(2000, 2, 23),
+		dataset.Blobs("blobs", 2000, 8, 16, 100, 2.5, 23),
+	} {
+		dc := CutoffByPercentile(ds, 0.01, 1)
+		n := int64(ds.N())
+		if rows := walkedRows(ds, dc); rows*10 >= n*n {
+			t.Fatalf("%s dim %d: the ρ pass evaluated %d of %d pairs", ds.Name, ds.Dim(), rows, n*n)
+		}
 	}
 }

@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -17,6 +18,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/knob"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/points"
@@ -48,13 +50,18 @@ type Options struct {
 	Scale int
 	// Seed drives dataset generation and all algorithm randomness.
 	Seed int64
-	// Parallelism bounds engine workers; <=0 uses all cores.
+	// Parallelism bounds engine workers; 0 uses all cores.
 	Parallelism int
 	// Log receives progress lines when non-nil.
 	Log func(format string, args ...any)
 	// Trace, when non-nil, collects the structured trace of every
 	// MapReduce job the experiments run (wire it to a -trace flag).
 	Trace *obs.Trace
+}
+
+// Validate refuses a negative Scale or Parallelism (internal/knob).
+func (o *Options) Validate() error {
+	return cmp.Or(knob.Count("experiments: Scale", o.Scale), knob.Count("experiments: Parallelism", o.Parallelism))
 }
 
 func (o *Options) scale() int {

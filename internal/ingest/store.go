@@ -177,12 +177,10 @@ type Store struct {
 
 	ingestMu sync.Mutex
 	wal      *wal
-	// cand is place's base-fold buffer and fold its delta-fold filter,
-	// whose list is reused likewise: a placement's baseFold and deltaFold
-	// until its apply. The ingest lock guards both (replay runs in Open,
-	// before the store is shared).
+	// cand is place's fold buffer: a placement's baseFold, then its
+	// deltaFold, until its apply. The ingest lock guards it (replay runs in
+	// Open, before the store is shared).
 	cand []int32
-	fold deltaFilter
 
 	compactMu sync.Mutex // one compaction at a time
 
@@ -400,7 +398,7 @@ func (st *Store) IngestPoints(pts [][]float64) ([]serve.IngestResult, error) {
 // own density is their count.
 type placement struct {
 	asg       serve.Assignment
-	baseFold  []int32 // base rows; may alias Store.cand
+	baseFold  []int32 // base rows; both folds alias Store.cand
 	deltaFold []int32 // delta indices
 }
 
@@ -431,49 +429,21 @@ func (st *Store) place(p points.Vector) (placement, error) {
 			rows = append(rows, int32(r))
 		}
 	}
-	st.cand, pl.baseFold = rows, rows
-
-	// Density mass to delta rows: those within dc of p, one walk per
-	// forest tree. Its k = 1 sink, capped at dc² and never fed, keeps the
-	// walk's threshold at dc², so it opens exactly the nodes whose box
-	// bound is ≤ dc²; points.SqDist is the walk's arithmetic, so no node it
-	// skips holds such a row.
-	f := &st.fold
-	f.q, f.dc2, f.rows = p, dc2, f.rows[:0]
-	var acc kernels.TopKAcc
+	nb := len(rows)
+	// Density mass to delta rows: those within dc of p, one radius query
+	// per forest tree, as delta indices.
 	lo := 0
 	for i := range st.forest {
 		hi := lo + treeSize(len(st.dIDs)-lo)
-		f.data, f.lo = st.dCoords[lo*dim:hi*dim], int32(lo)
-		acc.Reset(1)
-		acc.Cap(dc2)
-		kernels.TopKLeaves(&st.forest[i], f.data, p, nil, f.within, &acc)
+		k := len(rows)
+		rows = kernels.Within(&st.forest[i], st.dCoords[lo*dim:hi*dim], p, dc2, nil, rows)
+		for j := k; j < len(rows); j++ {
+			rows[j] += int32(lo)
+		}
 		lo = hi
 	}
-	pl.deltaFold = f.rows
-	f.q, f.data = nil, nil
+	st.cand, pl.baseFold, pl.deltaFold = rows, rows[:nb], rows[nb:]
 	return pl, nil
-}
-
-// deltaFilter is the delta fold's leaf filter over one forest tree: the
-// engine's bucket filter's within without the bucket test.
-type deltaFilter struct {
-	q, data []float64 // the point and the tree's rows
-	lo      int32     // the tree's first delta row
-	dc2     float64
-	rows    []int32 // the delta rows listed so far
-}
-
-// within lists in f.rows each row of leaf strictly within dc of f.q, as a
-// delta index, and admits none, so the walk's threshold stays dc².
-func (f *deltaFilter) within(leaf []int32) []int32 {
-	dim := len(f.q)
-	for _, r := range leaf {
-		if points.SqDist(f.q, f.data[int(r)*dim:][:dim]) < f.dc2 {
-			f.rows = append(f.rows, f.lo+r)
-		}
-	}
-	return nil
 }
 
 // treeSize is the row count of the delta forest's tree that starts rest

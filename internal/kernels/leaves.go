@@ -4,7 +4,8 @@ package kernels
 // rows a walk admits, from the rows of the few leaves near the query. The
 // kNN-join's bucket reducers walk a tree over one bucket's block and admit
 // every row; the serving engine walks one tree over all its rows and admits
-// the rows of the query's LSH buckets through a LeafFilter.
+// the rows of the query's LSH buckets through a LeafFilter. Within runs the
+// same walk as a radius query: the rows strictly within a bound of q.
 //
 // BoxTree.Build splits the block's rows at the median of the widest side of
 // each node's cell — the region its ancestors' splits leave it — until a
@@ -43,6 +44,8 @@ package kernels
 import (
 	"slices"
 	"sync"
+
+	"repro/internal/points"
 )
 
 // finite reports whether v is neither NaN nor ±Inf.
@@ -289,9 +292,9 @@ func boxBound(q, lo, hi []float64) float64 {
 	return s
 }
 
-// A LeafFilter returns the rows of one leaf — leaf, in tree order — that a
-// TopKLeaves walk may evaluate, in storage of its own that the walk is done
-// with before the next call.
+// A LeafFilter returns the rows of leaf — one leaf's rows in tree order, or
+// those of them within Within's radius — that a walk may evaluate or list,
+// in storage of its own that the walk is done with before the next call.
 type LeafFilter func(leaf []int32) []int32
 
 // LeafStats counts the work of one TopKLeaves walk.
@@ -370,4 +373,39 @@ func TopKLeaves(tree *BoxTree, data, q []float64, c *Compact, keep LeafFilter, a
 		sp += 2
 	}
 	return st
+}
+
+// Within appends to dst, and returns, every row of tree — built from data —
+// whose points.SqDist to q is strictly below r2 and that keep admits (every
+// such row when keep is nil), each once: the one radius query of the
+// repository, behind exact DP's cutoff ρ, DBSCAN's neighbourhoods and the
+// density fold of an ingested point. keep is offered, leaf by leaf, just the
+// leaf's rows within r2, in tree order, so a filter dearer than a distance
+// runs on few rows. One TopKLeaves walk does the work, its k = 1 sink
+// capped at r2 and never fed: the threshold stays r2, so the walk opens
+// exactly the nodes whose box bound is at most r2, and since that bound is
+// at most every row's points.SqDist (see the comment at the top of this
+// file), no node it skips holds a row within r2. A row left out of the
+// tree, or any row under a query with a NaN or ±Inf coordinate, is at a
+// NaN or +Inf distance, never below r2, so the list equals a flat
+// points.SqDist loop over the admitted rows for every r2.
+func Within(tree *BoxTree, data, q []float64, r2 float64, keep LeafFilter, dst []int32) []int32 {
+	dim := tree.dim
+	q = q[:dim]
+	var acc TopKAcc
+	acc.Reset(1)
+	acc.Cap(r2)
+	TopKLeaves(tree, data, q, nil, func(leaf []int32) []int32 {
+		n := len(dst)
+		for _, r := range leaf {
+			if points.SqDist(q, data[int(r)*dim:][:dim]) < r2 {
+				dst = append(dst, r)
+			}
+		}
+		if keep != nil && len(dst) > n {
+			dst = append(dst[:n], keep(dst[n:])...)
+		}
+		return nil
+	}, &acc)
+	return dst
 }

@@ -317,6 +317,61 @@ func filterCase(t *testing.T, what string, tree *BoxTree, data []float64, dim in
 	}
 }
 
+// withinCase fails t unless Within, with the rows admit approves as its
+// filter and with none, lists exactly the rows a flat points.SqDist(q, row)
+// < r2 loop over those rows lists, each once, and offers the filter only
+// rows within r2, each once. The radii are some rows' own d² — a row on the
+// boundary, which the strict test leaves out — the next float above each,
+// which takes it in, and 0, +Inf and NaN.
+func withinCase(t *testing.T, what string, tree *BoxTree, data []float64, dim int, q []float64, admit func(r int32) bool) {
+	t.Helper()
+	n := len(data) / dim
+	r2s := []float64{0, math.Inf(1), math.NaN()}
+	for _, r := range []int{0, n / 2, n - 1} {
+		if r >= 0 && r < n {
+			d2 := points.SqDist(q, data[r*dim:][:dim])
+			r2s = append(r2s, d2, math.Nextafter(d2, math.Inf(1)))
+		}
+	}
+	for _, r2 := range r2s {
+		for _, filtered := range []bool{false, true} {
+			var want []int32
+			for r := range int32(n) {
+				if (!filtered || admit(r)) && points.SqDist(q, data[int(r)*dim:][:dim]) < r2 {
+					want = append(want, r)
+				}
+			}
+			var keep LeafFilter
+			offered := map[int32]bool{}
+			if filtered {
+				var kept []int32
+				keep = func(rows []int32) []int32 {
+					kept = kept[:0]
+					for _, r := range rows {
+						if offered[r] || !(points.SqDist(q, data[int(r)*dim:][:dim]) < r2) {
+							t.Fatalf("%s q %v r2 %v: row %d offered twice or from beyond r2", what, q, r2, r)
+						}
+						offered[r] = true
+						if admit(r) {
+							kept = append(kept, r)
+						}
+					}
+					return kept
+				}
+			}
+			got := Within(tree, data, q, r2, keep, []int32{-1})
+			if got[0] != -1 {
+				t.Fatalf("%s: Within overwrote dst", what)
+			}
+			got = got[1:]
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s dim %d q %v r2 %v filtered=%v: Within lists %v, the flat loop %v", what, dim, q, r2, filtered, got, want)
+			}
+		}
+	}
+}
+
 // TestTopKLeavesFilterMatchesRows: a walk that admits only some rows keeps
 // what TopKRows over exactly those rows keeps, with and without the q8
 // filter, on tie-, duplicate- and NaN/±Inf-heavy blocks, for queries inside,
@@ -360,6 +415,7 @@ func TestTopKLeavesFilterMatchesRows(t *testing.T) {
 						for _, k := range []int{1, 3} {
 							filterCase(t, what, &tree, data, dim, q, k, admit)
 						}
+						withinCase(t, what, &tree, data, dim, q, admit)
 					}
 				}
 			}
@@ -370,7 +426,9 @@ func TestTopKLeavesFilterMatchesRows(t *testing.T) {
 // FuzzTopKLeavesFilter decodes bytes into (dim, k, filter, query, rows) and
 // runs filterCase's differential: the walk that admits the rows whose
 // filter bit is set keeps what TopKRows over them keeps, plain and through
-// the q8 filter, offers no row twice, and never panics.
+// the q8 filter, offers no row twice, and never panics; and withinCase's:
+// Within through the same filter lists what a flat loop lists, at radii on
+// and just past rows' distances.
 func FuzzTopKLeavesFilter(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0xff, 1, 2, 3})
@@ -381,6 +439,8 @@ func FuzzTopKLeavesFilter(f *testing.F) {
 		long[i] = byte(i*37) % 40
 	}
 	f.Add(long)
+	// Duplicate rows, ties and non-finite rows around a query at (1, 1).
+	f.Add([]byte{1, 0, 0x5a, 4, 4, 4, 4, 4, 4, 0, 8, 8, 0, 0xff, 4, 4, 0xfe, 4, 4, 8, 4, 0, 4, 0xfc, 0xfd})
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) < 3 {
 			return
@@ -397,7 +457,9 @@ func FuzzTopKLeavesFilter(f *testing.F) {
 		data = data[:len(data)/dim*dim]
 		var tree BoxTree
 		tree.Build(data, dim)
-		filterCase(t, "fuzz", &tree, data, dim, q, k, func(r int32) bool { return bits>>(r%8)&1 != 0 })
+		admit := func(r int32) bool { return bits>>(r%8)&1 != 0 }
+		filterCase(t, "fuzz", &tree, data, dim, q, k, admit)
+		withinCase(t, "fuzz", &tree, data, dim, q, admit)
 	})
 }
 

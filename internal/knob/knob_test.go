@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eddpc"
+	"repro/internal/experiments"
 	"repro/internal/ingest"
 	"repro/internal/kmeansmr"
 	"repro/internal/knnjoin"
@@ -22,6 +23,7 @@ var configs = []validator{
 	&core.LSHConfig{},
 	&core.BasicConfig{},
 	&eddpc.Config{},
+	&experiments.Options{},
 	&kmeansmr.Config{K: 2},
 	&knnjoin.Config{},
 	&serve.Config{},

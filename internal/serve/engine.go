@@ -187,10 +187,6 @@ type bucketFilter struct {
 	nl      int     // its layout count
 	probe   []layoutBucket
 	kept    []int32 // the rows a filter call returns
-	// within's query and block, d_c², and the rows it lists.
-	q, data []float64
-	dc2     float64
-	fold    []int32
 }
 
 // layoutBucket is q's bucket id under layout j; own reports whether this
@@ -234,24 +230,21 @@ func (f *bucketFilter) union(leaf []int32) []int32 {
 	return dst
 }
 
-// within is the density fold's filter: it lists in f.fold each row of q's
-// bucket union strictly within d_c (distance first: near q, most rows share
-// a bucket) and admits none, so the walk's threshold stays d_c².
-func (f *bucketFilter) within(leaf []int32) []int32 {
-	dim := len(f.q)
+// shares is the density fold's filter: it admits each row that shares a
+// bucket with q under some layout — q's bucket union, owned or not.
+func (f *bucketFilter) shares(leaf []int32) []int32 {
+	dst := f.kept[:0]
 	for _, r := range leaf {
-		if !(points.SqDist(f.q, f.data[int(r)*dim:][:dim]) < f.dc2) { // skips a NaN distance too
-			continue
-		}
 		keys := f.rowKeys[int(r)*f.nl:][:f.nl]
 		for _, b := range f.probe {
 			if keys[b.j] == b.id {
-				f.fold = append(f.fold, r)
+				dst = append(dst, r)
 				break
 			}
 		}
 	}
-	return nil
+	f.kept = dst
+	return dst
 }
 
 // owns reports whether the union phase can admit any row.
@@ -487,22 +480,16 @@ func (e *Engine) AssignBatchOpts(qs []points.Vector, opts BatchOpts) ([]Assignme
 }
 
 // CandidateRows appends to dst, each once, the rows a point at q folds its
-// density onto: those of its LSH bucket union strictly within d_c. Without
-// an index it returns dst and false (the caller scans every row). One walk
-// of e.tree, its k = 1 sink capped at d_c² and never fed, opens exactly the
-// nodes whose box bound is ≤ d_c²; points.SqDist is the walk's arithmetic,
-// so no node it skips holds such a row.
+// density onto: those strictly within d_c of q (kernels.Within on e.tree)
+// that share an LSH bucket with it. Without an index it returns dst and
+// false (the caller scans every row).
 func (e *Engine) CandidateRows(q points.Vector, dst []int32) ([]int32, bool) {
 	if e.layouts == nil {
 		return dst, false
 	}
 	s := e.getScratch()
 	e.probe(q, 0, s)
-	s.f.q, s.f.data, s.f.dc2, s.f.fold = q, e.m.Data, e.m.Dc*e.m.Dc, dst
-	s.acc.Reset(1)
-	s.acc.Cap(s.f.dc2)
-	kernels.TopKLeaves(&e.tree, e.m.Data, q, nil, s.f.within, &s.acc)
-	dst = s.f.fold
+	dst = kernels.Within(&e.tree, e.m.Data, q, e.m.Dc*e.m.Dc, s.f.shares, dst)
 	putScratch(s)
 	return dst, true
 }
@@ -514,10 +501,10 @@ func (e *Engine) getScratch() *scratch {
 	return s
 }
 
-// putScratch returns s to the pool without the model data and caller
-// buffers its filters last read, so no pooled scratch holds a retired model.
+// putScratch returns s to the pool without the model data its filters last
+// read, so no pooled scratch holds a retired model.
 func putScratch(s *scratch) {
-	s.f.rowKeys, s.f.q, s.f.data, s.f.fold = nil, nil, nil, nil
+	s.f.rowKeys = nil
 	s.cq.Reset(nil, points.Q8Params{}, nil, kernels.Bounds{})
 	scratchPool.Put(s)
 }
